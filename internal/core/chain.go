@@ -55,11 +55,31 @@ func blockTreeLeaves(leaves [][]byte, j, rho int, next []byte) [][]byte {
 	return tree
 }
 
+// ChainBlockTree describes the tree embedded in one chain block: the m
+// list leaves leaf yields from position lo on, followed by next — the
+// successor block's digest, nil for the last block — as a trailing leaf.
+func ChainBlockTree(leaf mht.LeafFunc, lo, m int, next []byte) (size int, leaves mht.LeafFunc) {
+	size = m
+	if next != nil {
+		size++
+	}
+	return size, func(buf []byte, i int) []byte {
+		if i == m {
+			return next
+		}
+		return leaf(buf, lo+i)
+	}
+}
+
 // ChainDigests computes the per-block digests back to front; the result's
 // element 0 is the digest the owner signs, and element j is the digest
 // stored in the header of block j−1.
 func ChainDigests(h mht.Hasher, leaves [][]byte, rho int) [][]byte {
-	nb := ChainBlocks(len(leaves), rho)
+	return chainDigests(h, len(leaves), mht.Leaves(leaves), rho)
+}
+
+func chainDigests(h mht.Hasher, n int, leaf mht.LeafFunc, rho int) [][]byte {
+	nb := ChainBlocks(n, rho)
 	if nb == 0 {
 		return nil
 	}
@@ -69,7 +89,12 @@ func ChainDigests(h mht.Hasher, leaves [][]byte, rho int) [][]byte {
 		if j < nb-1 {
 			next = digests[j+1]
 		}
-		digests[j] = mht.Root(h, blockTreeLeaves(leaves, j, rho, next))
+		hi := (j + 1) * rho
+		if hi > n {
+			hi = n
+		}
+		size, tree := ChainBlockTree(leaf, j*rho, hi-j*rho, next)
+		digests[j] = mht.RootFunc(h, size, tree)
 	}
 	return digests
 }
@@ -90,66 +115,49 @@ func ChainProvePrefix(h mht.Hasher, leaves [][]byte, digests [][]byte, rho, kPro
 	}
 	nb := ChainBlocks(n, rho)
 	j := kProof / rho
-	rem := kProof % rho
 	var next []byte
 	if j < nb-1 {
 		next = digests[j+1]
 	}
 	tree := blockTreeLeaves(leaves, j, rho, next)
-	want := make([]int, rem)
-	for i := 0; i < rem; i++ {
-		want[i] = i
-	}
-	return mht.Prove(h, tree, want)
+	return mht.Prove(h, tree, mht.PrefixPositions(kProof%rho))
 }
 
 // ChainRootFromPrefix recomputes the signed head digest from the first
-// kProof revealed leaf encodings of an n-entry list, using the proof from
-// ChainProvePrefix. It is the client-side counterpart.
-func ChainRootFromPrefix(h mht.Hasher, revealed [][]byte, n, rho int, proof mht.Proof) ([]byte, error) {
-	kProof := len(revealed)
-	if kProof > n || n < 1 {
+// kProof revealed leaves of an n-entry list (leaf yields their encodings),
+// using the proof from ChainProvePrefix. It is the client-side counterpart.
+func ChainRootFromPrefix(h mht.Hasher, kProof int, leaf mht.LeafFunc, n, rho int, proof mht.Proof) ([]byte, error) {
+	if kProof < 0 || kProof > n || n < 1 {
 		return nil, ErrChain
 	}
-	nb := ChainBlocks(n, rho)
-	var next []byte
-
-	if kProof < n {
-		// Rebuild the digest of the partially consumed block j from its
-		// revealed leaves and the complementary digests.
-		j := kProof / rho
-		rem := kProof % rho
-		blockLen := rho
-		if (j+1)*rho > n {
-			blockLen = n - j*rho
+	if kProof == n {
+		// Whole list revealed: recompute the chain from scratch.
+		if len(proof.Digests) != 0 {
+			return nil, ErrChain
 		}
-		treeSize := blockLen
-		if j < nb-1 {
-			treeSize++ // successor-digest leaf
-		}
-		want := make(map[int][]byte, rem)
-		for i := 0; i < rem; i++ {
-			want[i] = revealed[j*rho+i]
-		}
-		d, err := mht.RootFromProof(h, treeSize, want, proof)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrChain, err)
-		}
-		next = d
-		// Chain upward through the fully revealed blocks.
-		for jj := j - 1; jj >= 0; jj-- {
-			tree := blockTreeLeaves(revealed, jj, rho, next)
-			next = mht.Root(h, tree)
-		}
-		return next, nil
+		return chainDigests(h, n, leaf, rho)[0], nil
 	}
 
-	// Whole list revealed: recompute the chain from scratch.
-	if len(proof.Digests) != 0 {
-		return nil, ErrChain
+	// Rebuild the digest of the partially consumed block j from its
+	// revealed leaves and the complementary digests.
+	j := kProof / rho
+	treeSize := rho
+	if (j+1)*rho >= n {
+		treeSize = n - j*rho // last block: no successor-digest leaf
+	} else {
+		treeSize++
 	}
-	ds := ChainDigests(h, revealed, rho)
-	return ds[0], nil
+	next, err := mht.RootFromProofFunc(h, treeSize, mht.PrefixPositions(kProof%rho),
+		func(buf []byte, i int) []byte { return leaf(buf, j*rho+i) }, proof)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrChain, err)
+	}
+	// Chain upward through the fully revealed blocks.
+	for jj := j - 1; jj >= 0; jj-- {
+		size, tree := ChainBlockTree(leaf, jj*rho, rho, next)
+		next = mht.RootFunc(h, size, tree)
+	}
+	return next, nil
 }
 
 // ChainKProof rounds the revealed prefix kScore up to a buddy-group

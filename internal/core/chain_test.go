@@ -84,7 +84,7 @@ func TestChainPrefixRoundTripAllPrefixes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("n=%d rho=%d k=%d: %v", n, rho, k, err)
 				}
-				got, err := ChainRootFromPrefix(h, leaves[:k], n, rho, proof)
+				got, err := ChainRootFromPrefix(h, k, mht.Leaves(leaves), n, rho, proof)
 				if err != nil {
 					t.Fatalf("n=%d rho=%d k=%d: verify: %v", n, rho, k, err)
 				}
@@ -111,19 +111,19 @@ func TestChainTamperedPrefixFails(t *testing.T) {
 	copy(evil, tampered[3])
 	evil[7] ^= 1
 	tampered[3] = evil
-	got, err := ChainRootFromPrefix(h, tampered, 20, rho, proof)
+	got, err := ChainRootFromPrefix(h, len(tampered), mht.Leaves(tampered), 20, rho, proof)
 	if err == nil && bytes.Equal(got, ds[0]) {
 		t.Fatal("tampered prefix verified")
 	}
 	// Reorder two revealed leaves.
 	swapped := append([][]byte{}, leaves[:7]...)
 	swapped[1], swapped[2] = swapped[2], swapped[1]
-	got, err = ChainRootFromPrefix(h, swapped, 20, rho, proof)
+	got, err = ChainRootFromPrefix(h, len(swapped), mht.Leaves(swapped), 20, rho, proof)
 	if err == nil && bytes.Equal(got, ds[0]) {
 		t.Fatal("reordered prefix verified")
 	}
 	// Truncate the prefix but keep the proof.
-	got, err = ChainRootFromPrefix(h, leaves[:6], 20, rho, proof)
+	got, err = ChainRootFromPrefix(h, 6, mht.Leaves(leaves), 20, rho, proof)
 	if err == nil && bytes.Equal(got, ds[0]) {
 		t.Fatal("truncated prefix verified with stale proof")
 	}
@@ -188,7 +188,7 @@ func TestChainKProofRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := ChainRootFromPrefix(h, leaves[:kProof], n, rho, proof)
+		got, err := ChainRootFromPrefix(h, kProof, mht.Leaves(leaves), n, rho, proof)
 		if err != nil {
 			return false
 		}

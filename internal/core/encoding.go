@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"authtext/internal/index"
+	"authtext/internal/mht"
 )
 
 // Canonical byte encodings shared by the owner (structure construction),
@@ -51,35 +52,30 @@ func (k StructureKind) LeafSize() int {
 	return 8
 }
 
-// EncodeDocIDLeaf encodes a doc-id-only list leaf (TRA structures).
-func EncodeDocIDLeaf(d index.DocID) []byte {
-	b := make([]byte, 4)
-	binary.BigEndian.PutUint32(b, uint32(d))
-	return b
+// AppendTermFreqLeaf appends a ⟨t, w_{d,t}⟩ document-MHT leaf (Fig 8) to
+// dst.
+func AppendTermFreqLeaf(dst []byte, tf index.TermFreq) []byte {
+	return appendPair(dst, uint32(tf.Term), tf.W)
 }
 
-// EncodePostingLeaf encodes a ⟨d, f⟩ list leaf (TNRA structures).
-func EncodePostingLeaf(p index.Posting) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint32(b, uint32(p.Doc))
-	binary.BigEndian.PutUint32(b[4:], math.Float32bits(p.W))
-	return b
-}
-
-// EncodeTermFreqLeaf encodes a ⟨t, w_{d,t}⟩ document-MHT leaf (Fig 8).
-func EncodeTermFreqLeaf(tf index.TermFreq) []byte {
-	b := make([]byte, 8)
-	binary.BigEndian.PutUint32(b, uint32(tf.Term))
-	binary.BigEndian.PutUint32(b[4:], math.Float32bits(tf.W))
-	return b
+// appendPair appends the 8-byte ⟨identifier, float32 bits⟩ leaf layout.
+func appendPair(dst []byte, id uint32, w float32) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, id)
+	return binary.BigEndian.AppendUint32(dst, math.Float32bits(w))
 }
 
 // ListLeaf encodes a posting as a leaf of the given structure kind.
 func (k StructureKind) ListLeaf(p index.Posting) []byte {
+	return k.AppendListLeaf(make([]byte, 0, k.LeafSize()), p)
+}
+
+// AppendListLeaf appends the ListLeaf encoding of p to dst: the doc id
+// alone for the TRA structures, the ⟨d, f⟩ pair for the TNRA ones.
+func (k StructureKind) AppendListLeaf(dst []byte, p index.Posting) []byte {
 	if k.LeafSize() == 4 {
-		return EncodeDocIDLeaf(p.Doc)
+		return binary.BigEndian.AppendUint32(dst, uint32(p.Doc))
 	}
-	return EncodePostingLeaf(p)
+	return appendPair(dst, uint32(p.Doc), p.W)
 }
 
 // ListLeaves encodes a slice of postings.
@@ -89,6 +85,16 @@ func (k StructureKind) ListLeaves(ps []index.Posting) [][]byte {
 		out[i] = k.ListLeaf(p)
 	}
 	return out
+}
+
+// PostingLeaves yields the ListLeaf encodings of ps on demand.
+func (k StructureKind) PostingLeaves(ps []index.Posting) mht.LeafFunc {
+	return func(buf []byte, i int) []byte { return k.AppendListLeaf(buf, ps[i]) }
+}
+
+// TermFreqLeaves yields the document-MHT leaves of a term vector on demand.
+func TermFreqLeaves(vec []index.TermFreq) mht.LeafFunc {
+	return func(buf []byte, i int) []byte { return AppendTermFreqLeaf(buf, vec[i]) }
 }
 
 // TermRootMessage composes the signed message of a list structure,

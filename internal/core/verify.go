@@ -149,7 +149,6 @@ func Verify(in *VerifyInput) error {
 		}
 
 		posts := make([]index.Posting, kProof)
-		leaves := make([][]byte, kProof)
 		for j := 0; j < kProof; j++ {
 			p := index.Posting{Doc: index.DocID(tp.Docs[j])}
 			if algo == AlgoTNRA {
@@ -159,21 +158,16 @@ func Verify(in *VerifyInput) error {
 				}
 			}
 			posts[j] = p
-			leaves[j] = kind.ListLeaf(p)
 		}
 
 		var root []byte
 		var err error
 		switch scheme {
 		case SchemeMHT:
-			want := make(map[int][]byte, kProof)
-			for j := 0; j < kProof; j++ {
-				want[j] = leaves[j]
-			}
-			root, err = mht.RootFromProof(hasher, ft, want, mht.Proof{Digests: tp.Digests})
+			root, err = mht.RootFromProofFunc(hasher, ft, mht.PrefixPositions(kProof), kind.PostingLeaves(posts), mht.Proof{Digests: tp.Digests})
 		default:
 			rho := ChainRho(int(m.BlockSize), int(m.HashSize))
-			root, err = ChainRootFromPrefix(hasher, leaves, ft, rho, mht.Proof{Digests: tp.Digests})
+			root, err = ChainRootFromPrefix(hasher, kProof, kind.PostingLeaves(posts), ft, rho, mht.Proof{Digests: tp.Digests})
 		}
 		if err != nil {
 			return vErr(CodeBadTermProof, "term %q: %v", tp.Name, err)
@@ -402,7 +396,7 @@ func verifyDocProof(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q
 	if len(dp.Terms) != len(dp.Positions) || len(dp.Ws) != len(dp.Positions) {
 		return nil, vErr(CodeMalformedVO, "doc %d: ragged reveal arrays", dp.Doc)
 	}
-	want := make(map[int][]byte, len(dp.Positions))
+	positions := make([]int, len(dp.Positions))
 	prevPos := -1
 	for j := range dp.Positions {
 		p := int(dp.Positions[j])
@@ -413,9 +407,11 @@ func verifyDocProof(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q
 			return nil, vErr(CodeBadDocProof, "doc %d: leaf terms not ascending", dp.Doc)
 		}
 		prevPos = p
-		want[p] = EncodeTermFreqLeaf(index.TermFreq{Term: index.TermID(dp.Terms[j]), W: dp.Ws[j]})
+		positions[j] = p
 	}
-	root, err := mht.RootFromProof(hasher, n, want, mht.Proof{Digests: dp.Digests})
+	root, err := mht.RootFromProofFunc(hasher, n, positions, func(buf []byte, j int) []byte {
+		return AppendTermFreqLeaf(buf, index.TermFreq{Term: index.TermID(dp.Terms[j]), W: dp.Ws[j]})
+	}, mht.Proof{Digests: dp.Digests})
 	if err != nil {
 		return nil, vErr(CodeBadDocProof, "doc %d: %v", dp.Doc, err)
 	}

@@ -88,7 +88,7 @@ type SpaceReport struct {
 //
 // Immutability contract: once BuildCollection (or Restore) returns, every
 // field is read-only — the index, the device blocks, the layout tables, the
-// signatures and the derived leaf tables never change. Search therefore
+// signatures and the materialised Merkle trees never change. Search therefore
 // takes no lock; all per-query mutable state (the simulated disk head, the
 // I/O statistics) lives in a store.Session private to each call, and any
 // number of Searches and VerifyResults may run concurrently. The only
@@ -105,14 +105,20 @@ type Collection struct {
 
 	layout    Layout
 	termSigs  [4][][]byte // [kind-1][termID]; nil in dict mode
-	termRoots [4][][]byte // retained for dictionary proofs
-	docHash   [][]byte    // h(doc) leaves
-	nameDict  [][]byte    // VocabLeaf(name) leaves (vocab-proof mode)
-	// authority holds the pinned per-document authority scores and the
-	// authority-MHT leaves (boost extension); nil when disabled.
-	authority       []float32
-	authorityLeaves [][]byte
-	boost           *core.Boost
+	termRoots [4][][]byte // dictionary-MHT leaves; exported with the state
+	docHash   [][]byte    // h(doc) leaves; exported with the state
+	// authority holds the pinned per-document authority scores (boost
+	// extension); nil when disabled.
+	authority []float32
+	boost     *core.Boost
+
+	// Collection-level Merkle trees, materialised once (buildTrees) so a
+	// query's proofs copy stored digests instead of re-hashing the
+	// collection. Derived state: rebuilt on Restore, never persisted.
+	docTree       *mht.Tree    // over docHash
+	dictTrees     [4]*mht.Tree // over termRoots[k]; dictionary mode only
+	nameTree      *mht.Tree    // over VocabLeaf(name); vocab-proof mode only
+	authorityTree *mht.Tree    // over ⟨d, A(d)⟩; boost extension only
 
 	manifest    *core.Manifest
 	manifestSig []byte
@@ -168,13 +174,9 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 	c.docHash = make([][]byte, idx.N)
 	for d := 0; d < idx.N; d++ {
 		vec := idx.DocVector(index.DocID(d))
-		leaves := make([][]byte, len(vec))
-		for i, tf := range vec {
-			leaves[i] = core.EncodeTermFreqLeaf(tf)
-		}
 		ch := baseHasher.Sum(idx.Content[d])
 		c.docHash[d] = ch
-		root := mht.Root(c.hasher, leaves)
+		root := mht.RootFunc(c.hasher, len(vec), core.TermFreqLeaves(vec))
 		msg := core.DocRootMessage(index.DocID(d), uint32(len(vec)), ch, root)
 		sigBytes, err := cfg.Signer.Sign(msg)
 		if err != nil {
@@ -253,7 +255,6 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 		HashSize:           uint8(cfg.HashSize),
 		DictMode:           cfg.DictMode,
 		VocabProofsEnabled: cfg.VocabProofs,
-		DocHashRoot:        mht.Root(c.hasher, c.docHash),
 		Generation:         cfg.Generation,
 	}
 	if cfg.Tombstones != nil {
@@ -279,18 +280,6 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 			manifest.Tombstones = bm
 		}
 	}
-	if cfg.DictMode {
-		for k := range kinds {
-			manifest.DictRoots[k] = mht.Root(c.hasher, c.termRoots[k])
-		}
-	}
-	if cfg.VocabProofs {
-		c.nameDict = make([][]byte, m)
-		for t := 0; t < m; t++ {
-			c.nameDict[t] = core.VocabLeaf(idx.Name(index.TermID(t)))
-		}
-		manifest.NameDictRoot = mht.Root(c.hasher, c.nameDict)
-	}
 	if cfg.Authority != nil {
 		if len(cfg.Authority) != idx.N {
 			return nil, fmt.Errorf("engine: %d authority scores for %d documents", len(cfg.Authority), idx.N)
@@ -299,7 +288,6 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 			return nil, fmt.Errorf("engine: negative authority weight %v", cfg.Beta)
 		}
 		c.authority = make([]float32, idx.N)
-		c.authorityLeaves = make([][]byte, idx.N)
 		var amax float32
 		for d, a := range cfg.Authority {
 			if a < 0 || a > 1 {
@@ -307,7 +295,6 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 			}
 			a32 := float32(a)
 			c.authority[d] = a32
-			c.authorityLeaves[d] = core.EncodeAuthorityLeaf(index.DocID(d), a32)
 			if a32 > amax {
 				amax = a32
 			}
@@ -315,7 +302,6 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 		manifest.Boosted = true
 		manifest.Beta = cfg.Beta
 		manifest.AMax = float64(amax)
-		manifest.AuthorityRoot = mht.Root(c.hasher, c.authorityLeaves)
 		auth := c.authority
 		c.boost = &core.Boost{
 			Beta: cfg.Beta,
@@ -324,6 +310,19 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 				return float64(auth[d])
 			},
 		}
+	}
+	c.buildTrees()
+	manifest.DocHashRoot = c.docTree.Root()
+	if cfg.DictMode {
+		for k, t := range c.dictTrees {
+			manifest.DictRoots[k] = t.Root()
+		}
+	}
+	if cfg.VocabProofs {
+		manifest.NameDictRoot = c.nameTree.Root()
+	}
+	if c.authority != nil {
+		manifest.AuthorityRoot = c.authorityTree.Root()
 	}
 	c.manifest = manifest
 	c.manifestSig, err = cfg.Signer.Sign(manifest.Encode())
@@ -338,6 +337,29 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 	c.space.DeviceBytes = dev.SizeBytes()
 	c.buildStats = BuildStats{BuildTime: time.Since(start), Signatures: nSigs}
 	return c, nil
+}
+
+// buildTrees materialises the collection-level Merkle trees from the leaf
+// tables and the configuration already in place (docHash, termRoots,
+// authority, cfg): O(N+M) hashes once, so that no query hashes more than
+// its own answer.
+func (c *Collection) buildTrees() {
+	c.docTree = mht.NewTree(c.hasher, len(c.docHash), mht.Leaves(c.docHash))
+	if c.cfg.DictMode {
+		for k, roots := range c.termRoots {
+			c.dictTrees[k] = mht.NewTree(c.hasher, len(roots), mht.Leaves(roots))
+		}
+	}
+	if c.cfg.VocabProofs {
+		c.nameTree = mht.NewTree(c.hasher, c.idx.M(), func(_ []byte, t int) []byte {
+			return core.VocabLeaf(c.idx.Name(index.TermID(t)))
+		})
+	}
+	if c.authority != nil {
+		c.authorityTree = mht.NewTree(c.hasher, len(c.authority), func(_ []byte, d int) []byte {
+			return core.EncodeAuthorityLeaf(index.DocID(d), c.authority[d])
+		})
+	}
 }
 
 // Index exposes the underlying inverted index (dictionary pinned in memory).

@@ -199,13 +199,8 @@ func (c *Collection) assembleTermProofs(v *vo.VO, q *core.Query, cursors []*list
 		if scheme == core.SchemeMHT {
 			kp = ks
 			all := cur.FullListForProof()
-			leaves := kind.ListLeaves(all)
-			want := make([]int, kp)
-			for j := 0; j < kp; j++ {
-				want[j] = j
-			}
 			var err error
-			proof, err = mht.Prove(c.hasher, leaves, want)
+			proof, err = mht.ProveFunc(c.hasher, len(all), kind.PostingLeaves(all), mht.PrefixPositions(kp))
 			if err != nil {
 				return fmt.Errorf("engine: term %q proof: %w", qt.Name, err)
 			}
@@ -222,18 +217,10 @@ func (c *Collection) assembleTermProofs(v *vo.VO, q *core.Query, cursors []*list
 				proof.Digests = [][]byte{cur.NextDigest(j - 1)}
 			default:
 				j := kp / rho
-				rem := kp % rho
-				blockLeaves := kind.ListLeaves(cur.BlockEntries(j))
-				tree := blockLeaves
-				if next := cur.NextDigest(j); next != nil {
-					tree = append(append([][]byte{}, blockLeaves...), next)
-				}
-				want := make([]int, rem)
-				for x := 0; x < rem; x++ {
-					want[x] = x
-				}
+				block := cur.BlockEntries(j)
+				size, tree := core.ChainBlockTree(kind.PostingLeaves(block), 0, len(block), cur.NextDigest(j))
 				var err error
-				proof, err = mht.Prove(c.hasher, tree, want)
+				proof, err = mht.ProveFunc(c.hasher, size, tree, mht.PrefixPositions(kp%rho))
 				if err != nil {
 					return fmt.Errorf("engine: term %q chain proof: %w", qt.Name, err)
 				}
@@ -299,11 +286,7 @@ func (c *Collection) assembleDocProofs(v *vo.VO, q *core.Query, docs *docSource,
 		sort.Ints(positions)
 		positions = mht.ExpandBuddies(positions, group, n)
 
-		leaves := make([][]byte, n)
-		for i, tf := range rec.vec {
-			leaves[i] = core.EncodeTermFreqLeaf(tf)
-		}
-		proof, err := mht.Prove(c.hasher, leaves, positions)
+		proof, err := mht.ProveFunc(c.hasher, n, core.TermFreqLeaves(rec.vec), positions)
 		if err != nil {
 			return fmt.Errorf("engine: doc %d proof: %w", d, err)
 		}
@@ -359,7 +342,7 @@ func (c *Collection) assembleContentProof(v *vo.VO, result []core.ResultEntry) e
 		positions = append(positions, int(e.Doc))
 	}
 	sort.Ints(positions)
-	proof, err := mht.Prove(c.hasher, c.docHash, positions)
+	proof, err := c.docTree.Prove(positions)
 	if err != nil {
 		return err
 	}
@@ -375,7 +358,7 @@ func (c *Collection) assembleDictProof(v *vo.VO, q *core.Query, kind core.Struct
 		positions = append(positions, int(q.Terms[i].ID))
 	}
 	sort.Ints(positions)
-	proof, err := mht.Prove(c.hasher, c.termRoots[kind-1], positions)
+	proof, err := c.dictTrees[kind-1].Prove(positions)
 	if err != nil {
 		return err
 	}
@@ -400,7 +383,7 @@ func (c *Collection) appendVocabProofs(v *vo.VO, unknown []string) error {
 		default:
 			positions = []int{p - 1, p}
 		}
-		proof, err := mht.Prove(c.hasher, c.nameDict, positions)
+		proof, err := c.nameTree.Prove(positions)
 		if err != nil {
 			return err
 		}
@@ -430,7 +413,7 @@ func (c *Collection) assembleAuthorityProof(v *vo.VO) error {
 		}
 	}
 	sort.Ints(docs)
-	proof, err := mht.Prove(c.hasher, c.authorityLeaves, docs)
+	proof, err := c.authorityTree.Prove(docs)
 	if err != nil {
 		return err
 	}

@@ -237,24 +237,15 @@ func Restore(st *State) (*Collection, error) {
 		Beta:        m.Beta,
 		Generation:  m.Generation,
 	}
-	// Derived leaf tables are pure encodings — rebuild rather than persist.
-	if m.VocabProofsEnabled {
-		c.nameDict = make([][]byte, mm)
-		for t := 0; t < mm; t++ {
-			c.nameDict[t] = core.VocabLeaf(idx.Name(index.TermID(t)))
-		}
-	}
 	if m.Boosted {
 		if len(st.Authority) != n {
 			return nil, fmt.Errorf("engine: restore: %d authority scores for %d documents", len(st.Authority), n)
 		}
 		c.authority = st.Authority
-		c.authorityLeaves = make([][]byte, n)
 		for d, a := range st.Authority {
 			if math.IsNaN(float64(a)) || a < 0 || a > 1 {
 				return nil, fmt.Errorf("engine: restore: authority[%d] = %v outside [0,1]", d, a)
 			}
-			c.authorityLeaves[d] = core.EncodeAuthorityLeaf(index.DocID(d), a)
 		}
 		auth := c.authority
 		c.boost = &core.Boost{
@@ -267,5 +258,8 @@ func Restore(st *State) (*Collection, error) {
 	} else if st.Authority != nil {
 		return nil, errors.New("engine: restore: authority scores present without boost flag")
 	}
+	// The Merkle trees are pure functions of the restored tables — rebuilt
+	// rather than persisted, so the snapshot format does not carry them.
+	c.buildTrees()
 	return c, nil
 }

@@ -1,0 +1,238 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"authtext/internal/core"
+	"authtext/internal/index"
+	"authtext/internal/mht"
+)
+
+// treeVariantCollection builds a collection with every collection-level
+// tree in play: dictionary mode, vocabulary proofs and the authority boost.
+func treeVariantCollection(t testing.TB) *Collection {
+	t.Helper()
+	return buildTestCollection(t, 77, 90, 40, func(c *Config) {
+		c.DictMode = true
+		c.VocabProofs = true
+		authority := make([]float64, 90)
+		for d := range authority {
+			authority[d] = float64(d%11) / 10
+		}
+		c.Authority = authority
+		c.Beta = 1.25
+	})
+}
+
+// sameDigests compares a VO's proof digests with a reference proof.
+func sameDigests(t *testing.T, what string, got [][]byte, want mht.Proof) {
+	t.Helper()
+	if len(got) != len(want.Digests) {
+		t.Fatalf("%s: %d digests, the leaf-hashing proof has %d", what, len(got), len(want.Digests))
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], want.Digests[i]) {
+			t.Fatalf("%s: digest %d differs from the leaf-hashing proof", what, i)
+		}
+	}
+}
+
+// TestCollectionProofsMatchLeafHashing pins the materialised trees to the
+// construction they replaced: every collection-level proof in a VO must be
+// exactly what mht.Prove yields when it re-hashes the full leaf table.
+func TestCollectionProofsMatchLeafHashing(t *testing.T) {
+	col := treeVariantCollection(t)
+	idx := col.Index()
+	st := col.ExportState()
+	n, m := idx.N, idx.M()
+	nameLeaves := make([][]byte, m)
+	for i := range nameLeaves {
+		nameLeaves[i] = core.VocabLeaf(idx.Name(index.TermID(i)))
+	}
+	authLeaves := make([][]byte, n)
+	for d := range authLeaves {
+		authLeaves[d] = core.EncodeAuthorityLeaf(index.DocID(d), st.Authority[d])
+	}
+	manifest, _ := col.Manifest()
+	for what, pair := range map[string][2][]byte{
+		"doc-hash root":  {manifest.DocHashRoot, mht.Root(col.hasher, st.DocHash)},
+		"name-dict root": {manifest.NameDictRoot, mht.Root(col.hasher, nameLeaves)},
+		"authority root": {manifest.AuthorityRoot, mht.Root(col.hasher, authLeaves)},
+		"dict root 4":    {manifest.DictRoots[3], mht.Root(col.hasher, st.TermRoots[3])},
+	} {
+		if !bytes.Equal(pair[0], pair[1]) {
+			t.Fatalf("%s in the manifest differs from the root over the leaves", what)
+		}
+	}
+
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 25; trial++ {
+		tokens := []string{
+			idx.Name(index.TermID(r.Intn(m))),
+			idx.Name(index.TermID(r.Intn(m))),
+			"aaa-before-everything", "zzz-after-everything", idx.Name(index.TermID(r.Intn(m))) + "-between",
+		}
+		for _, v := range allVariants {
+			res, voBytes, _, err := col.Search(tokens, 5, v.algo, v.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := col.VerifyResult(tokens, 5, res, voBytes); err != nil {
+				t.Fatalf("%v-%v %v: %v", v.algo, v.scheme, tokens, err)
+			}
+			decoded, err := decodeForTest(voBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kind := core.KindFor(v.algo, v.scheme)
+
+			var termIDs []int
+			seenDoc := map[int]bool{}
+			var revealed []int
+			for _, tp := range decoded.Terms {
+				termIDs = append(termIDs, int(tp.TermID))
+				for _, d := range tp.Docs[:tp.KScore] {
+					if !seenDoc[int(d)] {
+						seenDoc[int(d)] = true
+						revealed = append(revealed, int(d))
+					}
+				}
+			}
+			sort.Ints(termIDs)
+			sort.Ints(revealed)
+
+			want, err := mht.Prove(col.hasher, st.TermRoots[kind-1], termIDs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameDigests(t, "dictionary proof", decoded.DictProof.Digests, want)
+
+			want, err = mht.Prove(col.hasher, authLeaves, revealed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameDigests(t, "authority proof", decoded.AuthorityProof.Digests, want)
+
+			if len(decoded.VocabProofs) != 3 {
+				t.Fatalf("%d vocabulary proofs for 3 unknown tokens", len(decoded.VocabProofs))
+			}
+			for _, vp := range decoded.VocabProofs {
+				positions := make([]int, len(vp.Positions))
+				for i, p := range vp.Positions {
+					positions[i] = int(p)
+				}
+				want, err = mht.Prove(col.hasher, nameLeaves, positions)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameDigests(t, "vocabulary proof "+vp.Token, vp.Digests, want)
+			}
+
+			if v.algo == core.AlgoTNRA && len(res.Entries) > 0 {
+				var docs []int
+				for _, e := range res.Entries {
+					docs = append(docs, int(e.Doc))
+				}
+				sort.Ints(docs)
+				want, err = mht.Prove(col.hasher, st.DocHash, docs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sameDigests(t, "content proof", decoded.ContentProof.Digests, want)
+			}
+		}
+	}
+}
+
+// TestRestoredCollectionServesIdenticalVOs: the trees are derived state, so
+// a collection restored from its exported state (copying or aliasing the
+// device, as the mapped open does) must answer byte-for-byte like the one
+// that was built.
+func TestRestoredCollectionServesIdenticalVOs(t *testing.T) {
+	built := treeVariantCollection(t)
+	copied, err := Restore(built.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharedState := built.ExportState()
+	sharedState.ShareDeviceData = true
+	shared, err := Restore(sharedState)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := built.Index()
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		tokens := []string{
+			idx.Name(index.TermID(r.Intn(idx.M()))),
+			idx.Name(index.TermID(r.Intn(idx.M()))),
+			"not-a-dictionary-term",
+		}
+		for _, v := range allVariants {
+			_, want, wantStats, err := built.Search(tokens, 4, v.algo, v.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, col := range map[string]*Collection{"copying restore": copied, "aliasing restore": shared} {
+				_, got, gotStats, err := col.Search(tokens, 4, v.algo, v.scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s, %v-%v %v: VO differs from the built collection's", name, v.algo, v.scheme, tokens)
+				}
+				if gotStats.IO != wantStats.IO {
+					t.Fatalf("%s, %v-%v: IO stats %+v, built %+v", name, v.algo, v.scheme, gotStats.IO, wantStats.IO)
+				}
+			}
+		}
+	}
+}
+
+// TestSearchAllocationsIndependentOfCollectionSize is the guard against an
+// O(N) proof path creeping back: an uncached TNRA-CMHT search on a
+// collection ten times larger, whose query lists are just as long, must
+// allocate about the same. (Hashing the document-hash tree per query cost
+// ≈2 allocations per document.)
+func TestSearchAllocationsIndependentOfCollectionSize(t *testing.T) {
+	queryTerms := []string{"alpha", "beta", "gamma"}
+	measure := func(nDocs int) float64 {
+		// Every query term occurs in exactly 30 documents whatever the
+		// collection size, so the answer — revealed prefixes, result,
+		// proofs — stays the same size while N grows.
+		stride := nDocs / 30
+		docs := make([]index.Document, nDocs)
+		for i := range docs {
+			toks := []string{fmt.Sprintf("filler%d", i%(nDocs/4)), fmt.Sprintf("filler%d", (i+1)%(nDocs/4))}
+			for q, term := range queryTerms {
+				if i%stride == q && i/stride < 30 {
+					for rep := 0; rep <= (i/stride)%3; rep++ {
+						toks = append(toks, term)
+					}
+				}
+			}
+			docs[i] = index.Document{Content: []byte(fmt.Sprint(i, toks)), Tokens: toks}
+		}
+		col, err := BuildCollection(docs, Config{Store: smallParams(), HashSize: 16, Signer: testSigner(t), VocabProofs: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			res, _, _, err := col.Search(queryTerms, 10, core.AlgoTNRA, core.SchemeCMHT)
+			if err != nil || len(res.Entries) != 10 {
+				t.Fatalf("search: %d entries, %v", len(res.Entries), err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(20, run)
+	}
+	small, large := measure(200), measure(2000)
+	t.Logf("allocations per search: %.0f on 200 documents, %.0f on 2000", small, large)
+	if large > small*1.2 {
+		t.Fatalf("search allocations grew from %.0f (200 documents) to %.0f (2000): a per-query cost scales with the collection", small, large)
+	}
+}

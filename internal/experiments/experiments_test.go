@@ -259,15 +259,25 @@ func TestShardCompare(t *testing.T) {
 		t.Fatalf("%d points, want 4 (1/2/4/8 shards)", len(rep.Points))
 	}
 	for _, p := range rep.Points {
-		if p.Build <= 0 || p.ShardLatency <= 0 || p.FanoutWall <= 0 || p.Throughput <= 0 || p.VOBytes <= 0 {
+		if p.Build <= 0 || p.ShardLatency <= 0 || p.FanoutWall <= 0 || p.Throughput <= 0 || p.VOBytes <= 0 ||
+			p.ShardEntries <= 0 || p.ShardListed < p.ShardEntries {
 			t.Fatalf("degenerate point: %+v", p)
 		}
 	}
-	// The whole purpose of sharding: per-shard critical-path latency must
-	// shrink as shards multiply.
-	if rep.Points[3].ShardLatency >= rep.Points[0].ShardLatency {
-		t.Errorf("8-shard latency %v not below single-shard %v",
-			rep.Points[3].ShardLatency, rep.Points[0].ShardLatency)
+	// The whole purpose of sharding: the work on a query's critical path
+	// must shrink as shards multiply. Asserted on what the busiest shard
+	// holds and reads for the query — both repeat exactly, every shard
+	// count answers the same queries — while the wall-clock columns stay
+	// reported output: five queries on a shared box do not order
+	// reliably, least of all now that proof assembly no longer re-hashes
+	// the shard's whole document table and a query costs tens of
+	// microseconds whatever the shard's size.
+	for i := 1; i < len(rep.Points); i++ {
+		prev, cur := rep.Points[i-1], rep.Points[i]
+		if cur.ShardListed >= prev.ShardListed || cur.ShardEntries >= prev.ShardEntries {
+			t.Errorf("%d shards: busiest shard lists %.1f and reads %.1f entries per query; %d shards: %.1f and %.1f",
+				cur.Shards, cur.ShardListed, cur.ShardEntries, prev.Shards, prev.ShardListed, prev.ShardEntries)
+		}
 	}
 	if !strings.Contains(buf.String(), "shard-latency") {
 		t.Fatal("missing table header")

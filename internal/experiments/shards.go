@@ -26,6 +26,15 @@ type ShardPoint struct {
 	// deployment with one core (or host) per shard observes, and the
 	// figure of merit for fan-out: per-shard work shrinks with k.
 	ShardLatency time.Duration
+	// ShardListed and ShardEntries are the deterministic side of per-shard
+	// work (they repeat exactly from run to run): the mean, over queries,
+	// of the most query-list entries any one shard holds — the bound on
+	// what a shard can be made to read, which shrinks as documents spread
+	// over more shards — and of the most entries any one shard actually
+	// read, which for top-r TNRA barely moves: early termination already
+	// reads a prefix sized by r, not by the list.
+	ShardListed  float64
+	ShardEntries float64
 	// FanoutWall is the mean end-to-end fan-out wall time on THIS host —
 	// it approaches ShardLatency only when spare cores back the shards.
 	FanoutWall time.Duration
@@ -44,8 +53,10 @@ type ShardReport struct {
 }
 
 // ShardCompare builds the profile's corpus as 1-, 2-, 4- and 8-shard sets
-// (shard counts above the document count are skipped) and reports build
-// time, per-shard critical-path latency, end-to-end fan-out wall time,
+// (shard counts above the document count are skipped), asks each the same
+// queries — drawn once from the unsharded dictionary, so the rows are
+// comparable — and reports build time, per-shard critical-path latency
+// and its deterministic counterparts, end-to-end fan-out wall time,
 // verification time and parallel throughput. Every answer is fully
 // verified (every shard VO plus the merged ranking).
 func ShardCompare(p corpus.Profile, queries int, w io.Writer) (*ShardReport, error) {
@@ -59,11 +70,12 @@ func ShardCompare(p corpus.Profile, queries int, w io.Writer) (*ShardReport, err
 	}
 
 	rep := &ShardReport{}
+	var qs [][]string // drawn once, from the unsharded dictionary: every k answers the same queries
 	fmt.Fprintln(w, "Sharded fan-out vs a single collection (TNRA-CMHT, r=10)")
 	fmt.Fprintf(w, "  shard-latency is the slowest shard per query (one core/host per shard);\n")
 	fmt.Fprintf(w, "  fanout-wall is end-to-end on this host (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "  %-7s %10s %14s %12s %10s %12s %9s\n",
-		"shards", "build", "shard-latency", "fanout-wall", "verify", "queries/sec", "vo-bytes")
+	fmt.Fprintf(w, "  %-7s %10s %14s %12s %13s %12s %10s %12s %9s\n",
+		"shards", "build", "shard-latency", "shard-listed", "shard-entries", "fanout-wall", "verify", "queries/sec", "vo-bytes")
 	for _, k := range []int{1, 2, 4, 8} {
 		if k > len(docs) {
 			continue
@@ -75,8 +87,10 @@ func ShardCompare(p corpus.Profile, queries int, w io.Writer) (*ShardReport, err
 		}
 		point := ShardPoint{Shards: k, Build: time.Since(start)}
 
-		qs := workload.Synthetic(set.Col(0).Index(), queries, 3, int64(100+k))
-		var voSum, critPath float64
+		if qs == nil {
+			qs = workload.Synthetic(set.Col(0).Index(), queries, 3, 101)
+		}
+		var voSum, critPath, critListed, critEntries float64
 		var fanout, verify time.Duration
 		for _, q := range qs {
 			start = time.Now()
@@ -85,14 +99,23 @@ func ShardCompare(p corpus.Profile, queries int, w io.Writer) (*ShardReport, err
 				return nil, err
 			}
 			fanout += time.Since(start)
-			var worst float64
+			var worst, worstListed float64
+			var worstEntries int
 			for _, sr := range res.PerShard {
 				voSum += float64(len(sr.VO))
 				if s := sr.Stats.ServerWall.Seconds(); s > worst {
 					worst = s
 				}
+				if sr.Stats.EntriesRead > worstEntries {
+					worstEntries = sr.Stats.EntriesRead
+				}
+				if l := sr.Stats.AvgListLen * float64(sr.Stats.QueryTerms); l > worstListed {
+					worstListed = l
+				}
 			}
 			critPath += worst
+			critEntries += float64(worstEntries)
+			critListed += worstListed
 			start = time.Now()
 			if err := set.VerifyResult(q, 10, res); err != nil {
 				return nil, fmt.Errorf("experiments: %d shards: %w", k, err)
@@ -101,6 +124,8 @@ func ShardCompare(p corpus.Profile, queries int, w io.Writer) (*ShardReport, err
 		}
 		n := len(qs)
 		point.ShardLatency = time.Duration(critPath / float64(n) * float64(time.Second))
+		point.ShardEntries = critEntries / float64(n)
+		point.ShardListed = critListed / float64(n)
 		point.FanoutWall = fanout / time.Duration(n)
 		point.Verify = verify / time.Duration(n)
 		point.VOBytes = voSum / float64(n)
@@ -131,8 +156,9 @@ func ShardCompare(p corpus.Profile, queries int, w io.Writer) (*ShardReport, err
 		point.Throughput = float64(clients*queries) / time.Since(start).Seconds()
 
 		rep.Points = append(rep.Points, point)
-		fmt.Fprintf(w, "  %-7d %10v %14v %12v %10v %12.0f %9.0f\n",
+		fmt.Fprintf(w, "  %-7d %10v %14v %12.1f %13.1f %12v %10v %12.0f %9.0f\n",
 			k, point.Build.Round(time.Millisecond), point.ShardLatency.Round(time.Microsecond),
+			point.ShardListed, point.ShardEntries,
 			point.FanoutWall.Round(time.Microsecond), point.Verify.Round(time.Microsecond),
 			point.Throughput, point.VOBytes)
 	}

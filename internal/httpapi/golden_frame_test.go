@@ -2,9 +2,11 @@ package httpapi
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"authtext/internal/wire"
@@ -167,4 +169,48 @@ func TestGoldenBinaryFrames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestGoldenBinaryFramesUnderConcurrentEncoders: the encoder reuses pooled
+// compressor state across requests, so the fixtures must also come out
+// byte-identical while other goroutines push compressible answers through
+// the same pools.
+func TestGoldenBinaryFramesUnderConcurrentEncoders(t *testing.T) {
+	big := goldenSearchResponse()
+	big.Hits[0].Content = bytes.Repeat([]byte("compressible document body "), 400)
+	wantBig := wire.EncodeSearchResponse(big)
+
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 25; round++ {
+				// A distinct query per encode defeats the deflate memo, so
+				// the pooled writers really are reused concurrently.
+				busy := *big
+				busy.Query = fmt.Sprintf("worker %d round %d", w, round)
+				if _, err := wire.DecodeSearchResponse(wire.EncodeSearchResponse(&busy)); err != nil {
+					t.Errorf("concurrent encode does not decode: %v", err)
+					return
+				}
+				if !bytes.Equal(wire.EncodeSearchResponse(big), wantBig) {
+					t.Error("compressed frame changed under concurrent encoders")
+					return
+				}
+				for _, tc := range goldenFrameCases {
+					raw, err := os.ReadFile(filepath.Join("testdata", tc.file))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(tc.encode(), raw) {
+						t.Errorf("%s: frame differs from the golden fixture under concurrent encoders", tc.file)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -1,9 +1,11 @@
 package mht
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/bits"
+	"sort"
 
 	"authtext/internal/sig"
 )
@@ -14,6 +16,12 @@ const (
 	nodePrefix  = 0x01
 	emptyPrefix = 0x02
 )
+
+// maxStackInput is the longest hash input assembled in a stack buffer: the
+// prefix byte plus two full-width digests. Every interior node fits, and
+// so does every leaf of up to 64 bytes — all the fixed-width encodings
+// and nearly every dictionary name.
+const maxStackInput = 1 + 2*sha256.Size
 
 // Hasher computes leaf and node digests for a tree.
 type Hasher struct {
@@ -28,17 +36,44 @@ func (h Hasher) Size() int { return h.H.Size() }
 
 // Leaf returns the digest of a leaf carrying data.
 func (h Hasher) Leaf(data []byte) []byte {
-	return h.H.SumConcat([]byte{leafPrefix}, data)
+	out := make([]byte, h.Size())
+	h.leafInto(out, data)
+	return out
 }
 
 // Node returns the digest of an internal node with children l and r.
 func (h Hasher) Node(l, r []byte) []byte {
-	return h.H.SumConcat([]byte{nodePrefix}, l, r)
+	out := make([]byte, h.Size())
+	h.nodeInto(out, l, r)
+	return out
 }
 
 // Empty returns the digest of the empty tree.
 func (h Hasher) Empty() []byte {
 	return h.H.Sum([]byte{emptyPrefix})
+}
+
+// leafInto writes the leaf digest of data into dst (Size bytes).
+func (h Hasher) leafInto(dst, data []byte) { h.sumInto(dst, leafPrefix, data, nil) }
+
+// nodeInto writes the digest of the node over children l and r into dst
+// (Size bytes). dst may alias l or r.
+func (h Hasher) nodeInto(dst, l, r []byte) { h.sumInto(dst, nodePrefix, l, r) }
+
+// sumInto writes the truncated SHA-256 of prefix | a | b into dst. An
+// input that fits the stack buffer — every node, nearly every leaf — is
+// hashed without touching the heap.
+func (h Hasher) sumInto(dst []byte, prefix byte, a, b []byte) {
+	var stack [maxStackInput]byte
+	buf := stack[:0]
+	if n := 1 + len(a) + len(b); n > len(stack) {
+		buf = make([]byte, 0, n)
+	}
+	buf = append(buf, prefix)
+	buf = append(buf, a...)
+	buf = append(buf, b...)
+	sum := sha256.Sum256(buf)
+	copy(dst, sum[:h.Size()])
 }
 
 // splitPoint returns the size of the left subtree for n > 1 leaves:
@@ -47,20 +82,56 @@ func splitPoint(n int) int {
 	return 1 << (bits.Len(uint(n-1)) - 1)
 }
 
-// Root computes the root digest over leaves (data values, in order).
-func Root(h Hasher, leaves [][]byte) []byte {
-	if len(leaves) == 0 {
-		return h.Empty()
-	}
-	return rootRange(h, leaves)
+// LeafFunc yields the data of leaf i on demand, so a tree over encoded
+// records never needs its leaves materialised as a [][]byte. It may build
+// the encoding by appending to buf (empty, with a small capacity) or
+// return memory it already holds; the tree code only reads the result,
+// and only until the next call.
+type LeafFunc func(buf []byte, i int) []byte
+
+// Leaves adapts leaf values that already exist as slices to a LeafFunc.
+func Leaves(leaves [][]byte) LeafFunc {
+	return func(_ []byte, i int) []byte { return leaves[i] }
 }
 
-func rootRange(h Hasher, leaves [][]byte) []byte {
-	if len(leaves) == 1 {
-		return h.Leaf(leaves[0])
+// walker hashes subtrees over on-demand leaves. Digests of interior nodes
+// live in the recursion's stack frames; the only heap state is the walker
+// itself (its scratch buffer is handed to the caller-supplied LeafFunc).
+type walker struct {
+	h    Hasher
+	leaf LeafFunc
+	buf  [maxStackInput]byte
+}
+
+// rootInto writes the digest of the subtree over leaves [off, off+m),
+// m ≥ 1, into dst.
+func (w *walker) rootInto(dst []byte, off, m int) {
+	if m == 1 {
+		w.h.leafInto(dst, w.leaf(w.buf[:0], off))
+		return
 	}
-	k := splitPoint(len(leaves))
-	return h.Node(rootRange(h, leaves[:k]), rootRange(h, leaves[k:]))
+	k := splitPoint(m)
+	var l, r [sha256.Size]byte
+	sz := w.h.Size()
+	w.rootInto(l[:sz], off, k)
+	w.rootInto(r[:sz], off+k, m-k)
+	w.h.nodeInto(dst, l[:sz], r[:sz])
+}
+
+// Root computes the root digest over leaves (data values, in order).
+func Root(h Hasher, leaves [][]byte) []byte {
+	return RootFunc(h, len(leaves), Leaves(leaves))
+}
+
+// RootFunc computes the root digest over the n leaves leaf yields.
+func RootFunc(h Hasher, n int, leaf LeafFunc) []byte {
+	if n == 0 {
+		return h.Empty()
+	}
+	w := &walker{h: h, leaf: leaf}
+	out := make([]byte, h.Size())
+	w.rootInto(out, 0, n)
+	return out
 }
 
 // Proof carries the complementary digests for a multi-leaf proof, in the
@@ -69,35 +140,80 @@ type Proof struct {
 	Digests [][]byte
 }
 
+// proofArena collects a proof's digests in one backing array.
+type proofArena struct {
+	size    int
+	arena   []byte
+	digests [][]byte
+}
+
+// newProofArena sizes the arena for exactly count digests; a proof
+// without digests keeps a nil Digests slice.
+func newProofArena(size, count int) proofArena {
+	if count == 0 {
+		return proofArena{size: size}
+	}
+	return proofArena{size: size, arena: make([]byte, 0, count*size), digests: make([][]byte, 0, count)}
+}
+
+// next appends one digest slot and returns it for the caller to fill.
+func (a *proofArena) next() []byte {
+	lo := len(a.arena)
+	hi := lo + a.size
+	a.arena = a.arena[:hi]
+	d := a.arena[lo:hi:hi]
+	a.digests = append(a.digests, d)
+	return d
+}
+
 // Prove produces the complementary digests needed to recompute the root
 // from the leaves at the given positions. want must be sorted ascending,
 // duplicate-free, and within [0, len(leaves)).
 func Prove(h Hasher, leaves [][]byte, want []int) (Proof, error) {
-	if err := checkWant(want, len(leaves)); err != nil {
-		return Proof{}, err
-	}
-	if len(leaves) == 0 {
-		return Proof{}, nil
-	}
-	var p Proof
-	prove(h, leaves, 0, want, &p)
-	return p, nil
+	return ProveFunc(h, len(leaves), Leaves(leaves), want)
 }
 
-// prove covers leaves[0:len(leaves)] which sit at absolute offset off;
-// want holds absolute positions restricted to this range by the caller.
-func prove(h Hasher, leaves [][]byte, off int, want []int, p *Proof) {
+// ProveFunc is Prove over the n leaves leaf yields. It hashes every
+// subtree that holds no wanted leaf — O(n) work — so it suits trees that
+// are proved from once (a document's term vector, one chain block);
+// collection-level trees are materialised as a Tree instead.
+func ProveFunc(h Hasher, n int, leaf LeafFunc, want []int) (Proof, error) {
+	if err := checkWant(want, n); err != nil {
+		return Proof{}, err
+	}
+	if n == 0 {
+		return Proof{}, nil
+	}
+	w := &walker{h: h, leaf: leaf}
+	out := newProofArena(h.Size(), ProofSize(n, want))
+	w.prove(0, n, want, &out)
+	return Proof{Digests: out.digests}, nil
+}
+
+// prove covers leaves [off, off+m); want holds absolute positions
+// restricted to this range by the caller.
+func (w *walker) prove(off, m int, want []int, out *proofArena) {
 	if len(want) == 0 {
-		p.Digests = append(p.Digests, rootRange(h, leaves))
+		w.rootInto(out.next(), off, m)
 		return
 	}
-	if len(leaves) == 1 {
+	if m == 1 {
 		return // leaf is supplied by the verifier; nothing to add
 	}
-	k := splitPoint(len(leaves))
+	k := splitPoint(m)
 	l, r := partition(want, off+k)
-	prove(h, leaves[:k], off, l, p)
-	prove(h, leaves[k:], off+k, r, p)
+	w.prove(off, k, l, out)
+	w.prove(off+k, m-k, r, out)
+}
+
+// PrefixPositions returns the positions 0 … k−1: the want set of a
+// revealed list prefix.
+func PrefixPositions(k int) []int {
+	want := make([]int, k)
+	for i := range want {
+		want[i] = i
+	}
+	return want
 }
 
 // partition splits a sorted position slice at the absolute position mid.
@@ -130,69 +246,73 @@ var ErrProofShape = errors.New("mht: proof shape mismatch")
 // digests produced by Prove for exactly that position set. It returns the
 // recomputed root; the caller compares it against the signed root.
 func RootFromProof(h Hasher, n int, want map[int][]byte, proof Proof) ([]byte, error) {
+	positions := make([]int, 0, len(want))
+	for pos := range want {
+		positions = append(positions, pos)
+	}
+	sort.Ints(positions)
+	return RootFromProofFunc(h, n, positions,
+		func(_ []byte, j int) []byte { return want[positions[j]] }, proof)
+}
+
+// RootFromProofFunc is RootFromProof for revealed leaves held in the
+// caller's own representation: positions lists their tree positions
+// (strictly ascending, within [0, n)) and leaf(buf, j) yields the data of
+// the leaf at positions[j].
+func RootFromProofFunc(h Hasher, n int, positions []int, leaf LeafFunc, proof Proof) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("mht: negative tree size %d", n)
 	}
 	if n == 0 {
-		if len(want) != 0 || len(proof.Digests) != 0 {
+		if len(positions) != 0 || len(proof.Digests) != 0 {
 			return nil, ErrProofShape
 		}
 		return h.Empty(), nil
 	}
-	positions := make([]int, 0, len(want))
-	for pos := range want {
-		if pos < 0 || pos >= n {
-			return nil, fmt.Errorf("mht: leaf position %d outside [0,%d)", pos, n)
-		}
-		positions = append(positions, pos)
-	}
-	sortInts(positions)
-	idx := 0
-	root, err := rebuild(h, 0, n, positions, want, proof.Digests, &idx)
-	if err != nil {
+	if err := checkWant(positions, n); err != nil {
 		return nil, err
 	}
-	if idx != len(proof.Digests) {
+	w := &walker{h: h, leaf: leaf}
+	rest := proof.Digests
+	root := make([]byte, h.Size())
+	if err := w.rebuild(root, 0, n, positions, 0, &rest); err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
 		return nil, ErrProofShape
 	}
 	return root, nil
 }
 
-func rebuild(h Hasher, off, size int, positions []int, want map[int][]byte, digests [][]byte, idx *int) ([]byte, error) {
+// rebuild writes the digest of the subtree over leaves [off, off+m) into
+// dst. positions holds the revealed positions inside that range, the
+// first of which is the j0-th revealed leaf overall; rest is the unread
+// tail of the proof's digests.
+func (w *walker) rebuild(dst []byte, off, m int, positions []int, j0 int, rest *[][]byte) error {
 	if len(positions) == 0 {
-		if *idx >= len(digests) {
-			return nil, ErrProofShape
+		if len(*rest) == 0 || len((*rest)[0]) != w.h.Size() {
+			return ErrProofShape
 		}
-		d := digests[*idx]
-		if len(d) != h.Size() {
-			return nil, ErrProofShape
-		}
-		*idx++
-		return d, nil
+		copy(dst, (*rest)[0])
+		*rest = (*rest)[1:]
+		return nil
 	}
-	if size == 1 {
-		return h.Leaf(want[off]), nil
+	if m == 1 {
+		w.h.leafInto(dst, w.leaf(w.buf[:0], j0))
+		return nil
 	}
-	k := splitPoint(size)
-	l, r := partition(positions, off+k)
-	left, err := rebuild(h, off, k, l, want, digests, idx)
-	if err != nil {
-		return nil, err
+	k := splitPoint(m)
+	lp, rp := partition(positions, off+k)
+	var l, r [sha256.Size]byte
+	sz := w.h.Size()
+	if err := w.rebuild(l[:sz], off, k, lp, j0, rest); err != nil {
+		return err
 	}
-	right, err := rebuild(h, off+k, size-k, r, want, digests, idx)
-	if err != nil {
-		return nil, err
+	if err := w.rebuild(r[:sz], off+k, m-k, rp, j0+len(lp), rest); err != nil {
+		return err
 	}
-	return h.Node(left, right), nil
-}
-
-func sortInts(s []int) {
-	// insertion sort: position sets are small or nearly sorted prefixes.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
+	w.h.nodeInto(dst, l[:sz], r[:sz])
+	return nil
 }
 
 // ProofSize returns the number of complementary digests Prove would emit for

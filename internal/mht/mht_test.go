@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -241,7 +242,7 @@ func TestProofRoundTripProperty(t *testing.T) {
 		root := Root(h, leaves)
 		k := 1 + r.Intn(n)
 		positions := r.Perm(n)[:k]
-		sortInts(positions)
+		sort.Ints(positions)
 		wantData := make(map[int][]byte, k)
 		for _, p := range positions {
 			wantData[p] = leaves[p]
@@ -329,7 +330,7 @@ func TestExpandBuddiesProperty(t *testing.T) {
 		group := []int{1, 2, 4, 8, 16}[r.Intn(5)]
 		k := 1 + r.Intn(n)
 		want := r.Perm(n)[:k]
-		sortInts(want)
+		sort.Ints(want)
 		got := ExpandBuddies(want, group, n)
 		seen := map[int]bool{}
 		for i, p := range got {

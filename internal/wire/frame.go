@@ -10,6 +10,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync"
 )
 
 // Frame layout (all integers big-endian):
@@ -28,7 +29,9 @@ import (
 // detected before any decompression work happens. Compression is a pure
 // function of the encoded message (fixed level, fixed threshold, applied
 // only when it shrinks the payload), which keeps a server's frame for a
-// given response byte-identical across cache hits, misses and replicas.
+// given response byte-identical across cache hits, misses and replicas —
+// and across compressor reuse: a pooled flate.Writer that has been Reset
+// emits the same stream as a fresh one at the same level.
 
 // ContentType is the negotiated media type of binary frames. A request
 // whose Accept header lists it is answered with a frame; everything else
@@ -87,15 +90,15 @@ func EncodeFrame(typ byte, raw []byte) []byte {
 	payload, flags := raw, uint16(0)
 	if len(raw) >= compressMin {
 		key := sha256.Sum256(raw)
-		if c, ok := memoGet(key); ok {
-			if c != nil {
-				payload, flags = c, flagDeflate
+		c, ok := memoGet(key)
+		if !ok {
+			if c = deflatePayload(raw); len(c) >= len(raw) {
+				c = nil // compression does not pay
 			}
-		} else if c := deflatePayload(raw); c != nil && len(c) < len(raw) {
-			payload, flags = c, flagDeflate
 			memoPut(key, c)
-		} else {
-			memoPut(key, nil)
+		}
+		if c != nil {
+			payload, flags = c, flagDeflate
 		}
 	}
 	out := make([]byte, 0, HeaderSize+len(payload))
@@ -107,27 +110,39 @@ func EncodeFrame(typ byte, raw []byte) []byte {
 	return append(out, payload...)
 }
 
-// deflatePayload compresses raw behind a u64 raw-length prefix, returning
-// nil when compression is unavailable (it never is for flate) or failed.
-// BestSpeed keeps the server-side encode cost near memcpy rates while
-// still roughly halving text-heavy payloads.
+// deflater is the reusable state of one compression: flate.NewWriter
+// allocates and zeroes over a megabyte of match tables, two orders of
+// magnitude more than a typical answer, so writers (and their output
+// buffers) are pooled and Reset instead. BestSpeed keeps the server-side
+// encode cost near memcpy rates while still roughly halving text-heavy
+// payloads.
+type deflater struct {
+	buf bytes.Buffer
+	fw  *flate.Writer
+}
+
+var deflaters = sync.Pool{New: func() interface{} {
+	d := new(deflater)
+	d.fw, _ = flate.NewWriter(&d.buf, flate.BestSpeed) // errs only on an invalid level
+	return d
+}}
+
+// deflatePayload compresses raw behind a u64 raw-length prefix into a
+// fresh exact-size slice. Writes into a bytes.Buffer cannot fail, so
+// neither can the compression.
 func deflatePayload(raw []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(raw) / 2)
+	d := deflaters.Get().(*deflater)
+	defer deflaters.Put(d)
+	d.buf.Reset()
+	d.fw.Reset(&d.buf)
 	var lenPrefix [8]byte
 	binary.BigEndian.PutUint64(lenPrefix[:], uint64(len(raw)))
-	buf.Write(lenPrefix[:])
-	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
-	if err != nil {
-		return nil
-	}
-	if _, err := fw.Write(raw); err != nil {
-		return nil
-	}
-	if err := fw.Close(); err != nil {
-		return nil
-	}
-	return buf.Bytes()
+	d.buf.Write(lenPrefix[:])
+	d.fw.Write(raw)
+	d.fw.Close()
+	out := make([]byte, d.buf.Len())
+	copy(out, d.buf.Bytes())
+	return out
 }
 
 // DecodeFrame parses one complete frame from hostile input, returning the
@@ -174,6 +189,23 @@ func DecodeFrame(b []byte) (typ byte, raw []byte, err error) {
 	return typ, raw, nil
 }
 
+// inflater is the reusable state of one decompression (a flate reader
+// carries a 32 KiB window plus Huffman tables).
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // also a flate.Resetter
+}
+
+var inflaters = sync.Pool{New: func() interface{} {
+	i := new(inflater)
+	i.fr = flate.NewReader(&i.src)
+	return i
+}}
+
+// maxDeflateRatio bounds how far deflate can expand its input: a stream
+// codes at most 258 bytes per two bits, 1032:1.
+const maxDeflateRatio = 1032
+
 // inflatePayload reverses deflatePayload under MaxPayloadBytes.
 func inflatePayload(payload []byte) ([]byte, error) {
 	if len(payload) < 8 {
@@ -183,14 +215,28 @@ func inflatePayload(payload []byte) ([]byte, error) {
 	if rawLen > MaxPayloadBytes {
 		return nil, frameErr("decompressed length %d exceeds cap %d", rawLen, MaxPayloadBytes)
 	}
-	fr := flate.NewReader(bytes.NewReader(payload[8:]))
-	defer fr.Close()
+	stream := payload[8:]
+	in := inflaters.Get().(*inflater)
+	defer func() {
+		in.src.Reset(nil) // a pooled reader must not pin the caller's frame
+		inflaters.Put(in)
+	}()
+	in.src.Reset(stream)
+	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+		return nil, frameErr("resetting inflater: %v", err)
+	}
+	// The length prefix is the peer's claim: allocate for it only as far
+	// as the bytes actually received could inflate, and let the copy grow
+	// the buffer if the stream really is that dense. MinRead of slack
+	// lets bytes.Buffer see EOF without reallocating an exact-size fit.
+	capHint := rawLen
+	if most := uint64(len(stream)) * maxDeflateRatio; capHint > most {
+		capHint = most
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, capHint+bytes.MinRead))
 	// Read one byte past the declared length so a stream that disagrees
 	// with its own prefix is rejected instead of silently truncated.
-	raw := make([]byte, 0, rawLen)
-	limited := io.LimitReader(fr, int64(rawLen)+1)
-	buf := bytes.NewBuffer(raw)
-	if _, err := io.Copy(buf, limited); err != nil {
+	if _, err := io.Copy(buf, io.LimitReader(in.fr, int64(rawLen)+1)); err != nil {
 		return nil, frameErr("corrupt deflate stream: %v", err)
 	}
 	if uint64(buf.Len()) != rawLen {

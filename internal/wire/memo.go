@@ -17,28 +17,56 @@ import (
 // construction — the determinism contract in the frame-layout comment
 // survives untouched. Incompressible payloads are remembered too (as an
 // empty entry), so they are not re-deflated-and-discarded on every hit.
+//
+// Admission is on second sighting, after a short trial: the first encode
+// of a payload keeps its bytes only while they are among the most recent
+// memoTrialBytes of first sightings; past that only the key stays, and a
+// later encode stores the bytes for good. Most answers of an uncached or
+// long-tailed stream are never encoded again, and holding their frames
+// until LRU pressure reached them used to be most of a serving process's
+// resident memory. The trial is what keeps a hot payload that comes
+// straight back — every cached answer, just after a live publish has
+// changed them all — from being compressed twice: without it the memo
+// needs two passes over the hot set to warm, and serving throughput sags
+// for about a second after each publish.
 const (
-	// memoMaxBytes bounds the memo's stored compressed bytes (LRU beyond).
+	// memoMaxBytes bounds what the memo retains (LRU beyond): stored
+	// compressed bytes plus memoEntryOverhead per entry.
 	memoMaxBytes = 64 << 20
 	// memoMaxEntryBytes skips memoising huge one-off payloads whose raw
 	// hash cost already dwarfs any replay saving.
 	memoMaxEntryBytes = 4 << 20
+	// memoEntryOverhead approximates the heap an entry pins besides its
+	// data: the memoEntry (key, slice header, flag), its list element and
+	// its map slot with the key's second copy.
+	memoEntryOverhead = 200
+	// memoTrialBytes bounds the bytes kept on the strength of one sighting.
+	memoTrialBytes = memoMaxBytes / 16
 )
 
 type memoEntry struct {
-	key  [sha256.Size]byte
-	data []byte // nil: compression does not pay for this payload
+	key    [sha256.Size]byte
+	stored bool          // false: key seen once, its trial over, verdict not kept
+	data   []byte        // stored and nil: compression does not pay for this payload
+	trial  *list.Element // in deflateMemo.trial until a second sighting or the trial bound
 }
 
 var deflateMemo = struct {
-	mu    sync.Mutex
-	m     map[[sha256.Size]byte]*list.Element // values: *memoEntry
-	lru   *list.List                          // front = most recent
-	bytes int64
-}{m: make(map[[sha256.Size]byte]*list.Element), lru: list.New()}
+	mu         sync.Mutex
+	m          map[[sha256.Size]byte]*list.Element // values: *memoEntry
+	lru        *list.List                          // front = most recent
+	bytes      int64
+	trial      *list.List // values: *memoEntry seen once, data kept; front = newest
+	trialBytes int64
+}{m: make(map[[sha256.Size]byte]*list.Element), lru: list.New(), trial: list.New()}
 
-// memoEntryCost charges key, slice header and bookkeeping per entry.
-func memoEntryCost(data []byte) int64 { return int64(len(data)) + sha256.Size + 64 }
+// endTrial takes e off the trial list; its data stays or goes as the
+// caller decides. deflateMemo.mu is held.
+func endTrial(e *memoEntry) {
+	deflateMemo.trial.Remove(e.trial)
+	deflateMemo.trialBytes -= int64(len(e.data))
+	e.trial = nil
+}
 
 // memoGet returns the remembered deflate output (data, true), the
 // remembered "does not compress" verdict (nil, true), or a miss. The
@@ -52,30 +80,58 @@ func memoGet(key [sha256.Size]byte) ([]byte, bool) {
 		return nil, false
 	}
 	deflateMemo.lru.MoveToFront(elem)
-	return elem.Value.(*memoEntry).data, true
+	e := elem.Value.(*memoEntry)
+	if e.trial != nil {
+		endTrial(e) // second sighting: admitted
+	}
+	return e.data, e.stored
 }
 
-// memoPut remembers data (or the nil "does not compress" verdict) for
-// key, evicting least-recently-used entries beyond the byte bound.
+// memoPut records one encode of key whose deflate output is data (nil:
+// does not compress; otherwise an exact-size slice the memo may keep).
+// The first call for a key keeps data on trial, a call after the trial has
+// lapsed stores it for good; least-recently-used entries are evicted
+// beyond the byte bound.
 func memoPut(key [sha256.Size]byte, data []byte) {
 	if len(data) > memoMaxEntryBytes {
 		return
 	}
 	deflateMemo.mu.Lock()
 	defer deflateMemo.mu.Unlock()
-	if _, ok := deflateMemo.m[key]; ok {
-		return // concurrent encode of the same payload won the race
+	if elem, ok := deflateMemo.m[key]; ok {
+		e := elem.Value.(*memoEntry)
+		if e.stored {
+			return // concurrent encode of the same payload won the race
+		}
+		e.stored, e.data = true, data
+		deflateMemo.bytes += int64(len(data))
+		deflateMemo.lru.MoveToFront(elem)
+	} else {
+		e := &memoEntry{key: key, stored: true, data: data}
+		deflateMemo.m[key] = deflateMemo.lru.PushFront(e)
+		deflateMemo.bytes += memoEntryOverhead + int64(len(data))
+		if len(data) > 0 { // a verdict without bytes needs no trial
+			e.trial = deflateMemo.trial.PushFront(e)
+			deflateMemo.trialBytes += int64(len(data))
+		}
+		for deflateMemo.trialBytes > memoTrialBytes {
+			old := deflateMemo.trial.Back().Value.(*memoEntry)
+			deflateMemo.bytes -= int64(len(old.data))
+			endTrial(old)
+			old.stored, old.data = false, nil
+		}
 	}
-	deflateMemo.m[key] = deflateMemo.lru.PushFront(&memoEntry{key: key, data: data})
-	deflateMemo.bytes += memoEntryCost(data)
 	for deflateMemo.bytes > memoMaxBytes {
 		back := deflateMemo.lru.Back()
 		if back == nil {
 			break
 		}
 		e := back.Value.(*memoEntry)
+		if e.trial != nil {
+			endTrial(e)
+		}
 		deflateMemo.lru.Remove(back)
 		delete(deflateMemo.m, e.key)
-		deflateMemo.bytes -= memoEntryCost(e.data)
+		deflateMemo.bytes -= memoEntryOverhead + int64(len(e.data))
 	}
 }

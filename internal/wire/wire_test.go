@@ -234,9 +234,9 @@ func TestDecodeHostileMessages(t *testing.T) {
 // The memo must evict under its byte bound instead of growing without
 // limit, and a memo hit must serve the "incompressible" verdict too.
 func TestMemoEvictionAndVerdicts(t *testing.T) {
-	// Incompressible payload (pseudo-random) above compressMin: first
-	// encode stores the nil verdict, second must hit it and still produce
-	// an identical, uncompressed frame.
+	// Incompressible payload (pseudo-random) above compressMin: the first
+	// encode stores the nil verdict (no bytes, so no trial), the later ones
+	// must hit it and still produce an identical, uncompressed frame.
 	raw := make([]byte, 4096)
 	x := uint64(1)
 	for i := range raw {
@@ -247,7 +247,8 @@ func TestMemoEvictionAndVerdicts(t *testing.T) {
 	}
 	f1 := EncodeFrame(TypeManifest, raw)
 	f2 := EncodeFrame(TypeManifest, raw)
-	if !bytes.Equal(f1, f2) {
+	f3 := EncodeFrame(TypeManifest, raw)
+	if !bytes.Equal(f1, f2) || !bytes.Equal(f1, f3) {
 		t.Fatal("memoised incompressible encode differs")
 	}
 	if flags := binary.BigEndian.Uint16(f1[6:]); flags&flagDeflate != 0 {
