@@ -105,8 +105,11 @@ type SearchResult struct {
 
 // Stats reports the per-query costs the paper measures (§4.1).
 type Stats struct {
-	Algorithm      Algorithm
-	Scheme         Scheme
+	Algorithm Algorithm
+	Scheme    Scheme
+	// Shards is the fan-out width when the record aggregates a sharded
+	// query (QueryLog on sharded handlers); 0 for a single collection.
+	Shards         int
 	QueryTerms     int
 	EntriesRead    int
 	EntriesPerTerm float64
@@ -317,11 +320,12 @@ func (s *Server) SetVOCache(c *VOCache) { s.cache = c }
 // servers.
 func (s *Server) SetMetrics(m *Metrics) { s.metrics = m }
 
-// withCache returns a shallow copy of s serving through c. Snapshot
-// accessors that hand out a SHARED *Server use it so attaching a cache
-// never mutates a server other goroutines are reading.
+// withCache returns a shallow copy of s serving through c (s itself when
+// there is nothing to change). Snapshot accessors that hand out a SHARED
+// *Server use it so attaching a cache never mutates a server other
+// goroutines are reading.
 func (s *Server) withCache(c *VOCache) *Server {
-	if c == nil {
+	if c == nil || c == s.cache {
 		return s
 	}
 	cp := *s
@@ -331,7 +335,7 @@ func (s *Server) withCache(c *VOCache) *Server {
 
 // withMetrics is withCache for the metric registry.
 func (s *Server) withMetrics(m *Metrics) *Server {
-	if m == nil {
+	if m == nil || m == s.metrics {
 		return s
 	}
 	cp := *s

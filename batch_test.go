@@ -207,7 +207,7 @@ func TestRemoteClientStalledServerTimesOut(t *testing.T) {
 
 func TestShardedRemoteClientStalledServerTimesOut(t *testing.T) {
 	srv := stalledServer(t)
-	rc, err := NewShardedRemoteClient(srv.URL, WithShardedHTTPClient(&http.Client{Timeout: 100 * time.Millisecond}))
+	rc, err := NewShardedRemoteClient(srv.URL, WithHTTPClient(&http.Client{Timeout: 100 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,7 @@ import (
 // a Server, a ShardedServer and their live variants at once; entries are
 // kind-tagged so single and sharded answers never collide. Safe for
 // concurrent use. Attach it with the SetVOCache methods (library use) or
-// WithVOCache / WithShardedVOCache (HTTP handlers), before serving
-// starts.
+// WithVOCache (HTTP handlers), before serving starts.
 type VOCache struct {
 	c *vocache.Cache
 }

@@ -30,9 +30,9 @@
 // by `authsearch -build -shards N -o DIR`, the daemon serves the sharded
 // protocol (/v1/shards/search, /v1/shards/manifest) with parallel query
 // fan-out over every shard; when it is a per-generation snapshot
-// directory written by a live owner (gen-NNNNNNNNNNNN.atsn files,
-// docs/UPDATES.md), the daemon serves the latest generation and — with
-// -watch — hot-swaps to newer generations as they appear. Without
+// directory written by a live owner (gen-NNNNNNNNNNNN.atsn files, or
+// gen-NNNNNNNNNNNN/ shard sets; docs/UPDATES.md), the daemon serves the
+// latest generation and — with -watch — hot-swaps to newer ones. Without
 // -snapshot the daemon performs the owner role in-process for
 // convenience; adding -shards N splits the corpus into N independently
 // signed shards at startup, and -live additionally accepts document
@@ -168,9 +168,6 @@ func parseFlags(args []string) (config, error) {
 	if cfg.liveSnaps != "" && !cfg.live {
 		return config{}, errors.New("-live-snapshots requires -live")
 	}
-	if cfg.live && cfg.shards > 0 && cfg.liveSnaps != "" {
-		return config{}, errors.New("-live-snapshots is not supported for sharded live deployments yet")
-	}
 	if cfg.watch < 0 {
 		return config{}, fmt.Errorf("-watch %s out of range", cfg.watch)
 	}
@@ -179,6 +176,9 @@ func parseFlags(args []string) (config, error) {
 	}
 	if cfg.mmap && cfg.snapshot == "" {
 		return config{}, errors.New("-mmap requires -snapshot (there is nothing to map in build mode)")
+	}
+	if cfg.mmap && authtext.IsLiveShardedSnapshotDir(cfg.snapshot) {
+		return config{}, errors.New("-mmap is not supported on a per-generation sharded snapshot directory: its replica copies each generation's shards")
 	}
 	if cfg.cacheMB < 0 {
 		return config{}, fmt.Errorf("-cache-mb %d out of range", cfg.cacheMB)
@@ -318,134 +318,34 @@ func servePprof(addr string, logger *slog.Logger) error {
 }
 
 // buildHandler produces the /v1 handler: warm start from a snapshot, or
-// cold build from documents. Every shape carries the same observability:
-// a metric registry on /v1/metrics and one structured log record per
-// request.
+// cold build from documents. Every shape takes the same options, so it
+// carries the same observability: a metric registry on /v1/metrics, one
+// structured log record per request, the VO cache, the per-query log.
 func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 	metrics := authtext.NewMetrics()
 	if cfg.fleet != "" {
 		return buildFleetHandler(cfg, metrics, logger)
 	}
-	cache := newCache(cfg, logger)
-	queryLogOpts := func() []authtext.HandlerOption {
-		out := []authtext.HandlerOption{
-			authtext.WithMetrics(metrics),
-			authtext.WithRequestLog(logger),
-		}
-		if cache != nil {
-			out = append(out, authtext.WithVOCache(cache))
-		}
-		if cfg.quiet {
-			return out
-		}
-		return append(out, authtext.WithQueryLog(
+	hopts := []authtext.HandlerOption{
+		authtext.WithMetrics(metrics),
+		authtext.WithRequestLog(logger),
+	}
+	if cache := newCache(cfg, logger); cache != nil {
+		hopts = append(hopts, authtext.WithVOCache(cache))
+	}
+	if !cfg.quiet {
+		hopts = append(hopts, authtext.WithQueryLog(
 			func(query string, r int, st authtext.Stats, wall time.Duration) {
 				logger.Info("query",
 					"q", query, "r", r,
 					"algo", st.Algorithm.String(), "scheme", st.Scheme.String(),
-					"terms", st.QueryTerms, "entries_per_term", st.EntriesPerTerm,
+					"shards", st.Shards, "terms", st.QueryTerms, "entries", st.EntriesRead,
 					"io_ms", float64(st.IOTime), "vo_bytes", st.VOBytes,
 					"wall", wall.Round(time.Microsecond))
 			}))
 	}
-
-	shardedLogOpts := func() []authtext.ShardedHandlerOption {
-		out := []authtext.ShardedHandlerOption{
-			authtext.WithShardedMetrics(metrics),
-			authtext.WithShardedRequestLog(logger),
-		}
-		if cache != nil {
-			out = append(out, authtext.WithShardedVOCache(cache))
-		}
-		if cfg.quiet {
-			return out
-		}
-		return append(out, authtext.WithShardedQueryLog(
-			func(query string, r int, st authtext.ShardedStats, wall time.Duration) {
-				logger.Info("query",
-					"q", query, "r", r,
-					"algo", st.Algorithm.String(), "scheme", st.Scheme.String(),
-					"shards", st.Shards, "entries", st.EntriesRead,
-					"io_ms", float64(st.IOTime), "vo_bytes", st.VOBytes,
-					"wall", wall.Round(time.Microsecond))
-			}))
-	}
-
 	if cfg.snapshot != "" {
-		start := time.Now()
-		if cfg.watch > 0 && !authtext.IsLiveSnapshotDir(cfg.snapshot) {
-			// Catch this here (the check needs the filesystem, so it cannot
-			// live in parseFlags) instead of silently serving frozen state
-			// while the operator believes hot-reload is active.
-			return nil, errors.New("-watch requires -snapshot to be a per-generation snapshot directory (gen-NNNNNNNNNNNN.atsn files)")
-		}
-		if authtext.IsLiveSnapshotDir(cfg.snapshot) {
-			openDir := authtext.OpenLiveSnapshotDir
-			if cfg.mmap {
-				openDir = authtext.OpenLiveSnapshotDirMapped
-			}
-			replica, err := openDir(cfg.snapshot)
-			if err != nil {
-				return nil, err
-			}
-			logger.Info("opened live snapshot directory (no re-indexing, no re-signing)",
-				"path", cfg.snapshot, "generation", replica.Generation(), "mmap", cfg.mmap,
-				"elapsed", time.Since(start).Round(time.Millisecond))
-			if cfg.watch > 0 {
-				go watchReplica(replica, cfg.watch, logger)
-			}
-			return authtext.NewLiveReplicaHTTPHandler(replica, queryLogOpts()...)
-		}
-		if authtext.IsShardedSnapshot(cfg.snapshot) {
-			var server *authtext.ShardedServer
-			if cfg.mmap {
-				ms, err := authtext.OpenShardedSnapshotDirMapped(cfg.snapshot)
-				if err != nil {
-					return nil, err
-				}
-				server = ms.Server() // serves for the process lifetime; never closed
-			} else {
-				var err error
-				server, _, err = authtext.OpenShardedSnapshotDir(cfg.snapshot)
-				if err != nil {
-					return nil, err
-				}
-			}
-			// Export from the opened set (not a second read of shards.atsx),
-			// so the published material always matches the serving shards.
-			export, err := server.ExportClient()
-			if err != nil {
-				return nil, err
-			}
-			logger.Info("opened sharded snapshot (no re-indexing, no re-signing)",
-				"path", cfg.snapshot, "shards", server.Shards(),
-				"elapsed", time.Since(start).Round(time.Millisecond))
-			return authtext.NewShardedHTTPHandler(server, export, shardedLogOpts()...), nil
-		}
-		var (
-			server *authtext.Server
-			client *authtext.Client
-		)
-		if cfg.mmap {
-			ms, err := authtext.OpenSnapshotMapped(cfg.snapshot)
-			if err != nil {
-				return nil, err
-			}
-			server, client = ms.Server(), ms.Client() // process-lifetime mapping
-		} else {
-			var err error
-			server, client, err = authtext.OpenSnapshotFile(cfg.snapshot)
-			if err != nil {
-				return nil, err
-			}
-		}
-		export, err := client.Export()
-		if err != nil {
-			return nil, fmt.Errorf("snapshot has no publishable key (fast-signer build?): %w", err)
-		}
-		logger.Info("opened snapshot (no re-indexing, no re-signing)",
-			"path", cfg.snapshot, "mmap", cfg.mmap, "elapsed", time.Since(start).Round(time.Millisecond))
-		return authtext.NewHTTPHandler(server, export, queryLogOpts()...), nil
+		return openSnapshot(cfg, hopts, logger)
 	}
 
 	docs, _, err := demo.Load(cfg.dir)
@@ -457,7 +357,7 @@ func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 		opts = append(opts, authtext.WithVocabularyProofs())
 	}
 	if cfg.live {
-		return buildLiveHandler(cfg, docs, opts, queryLogOpts(), shardedLogOpts(), logger)
+		return buildLiveHandler(cfg, docs, opts, hopts, logger)
 	}
 	if cfg.shards > 0 {
 		logger.Info("indexing into shards, building authentication structures (RSA-1024)",
@@ -470,7 +370,7 @@ func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 		logger.Info("built shards (parallel)",
 			"shards", owner.Shards(), "build_ms", buildMs, "signatures", sigs,
 			"device_mb", float64(devBytes)/(1<<20))
-		return owner.HTTPHandler(shardedLogOpts()...)
+		return owner.HTTPHandler(hopts...)
 	}
 	logger.Info("indexing and building authentication structures (RSA-1024)", "documents", len(docs))
 	owner, err := authtext.NewOwner(docs, opts...)
@@ -480,7 +380,99 @@ func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 	buildMs, sigs, devBytes := owner.Stats()
 	logger.Info("built collection",
 		"build_ms", buildMs, "signatures", sigs, "device_mb", float64(devBytes)/(1<<20))
-	return owner.HTTPHandler(queryLogOpts()...)
+	return owner.HTTPHandler(hopts...)
+}
+
+// openSnapshot routes -snapshot PATH by what is on disk: a per-generation
+// directory (single or sharded) becomes a replica that -watch can follow,
+// a sharded snapshot directory or a snapshot file a static server.
+func openSnapshot(cfg config, hopts []authtext.HandlerOption, logger *slog.Logger) (http.Handler, error) {
+	start := time.Now()
+	opened := func(what string, attrs ...any) {
+		logger.Info("opened "+what+" (no re-indexing, no re-signing)", append(attrs,
+			"path", cfg.snapshot, "mmap", cfg.mmap, "elapsed", time.Since(start).Round(time.Millisecond))...)
+	}
+	sharded := authtext.IsLiveShardedSnapshotDir(cfg.snapshot)
+	if sharded || authtext.IsLiveSnapshotDir(cfg.snapshot) {
+		var rep replica
+		var handler func(...authtext.HandlerOption) (http.Handler, error)
+		if sharded {
+			r, err := authtext.OpenLiveShardedSnapshotDir(cfg.snapshot)
+			if err != nil {
+				return nil, err
+			}
+			rep, handler = r, r.HTTPHandler
+		} else {
+			openDir := authtext.OpenLiveSnapshotDir
+			if cfg.mmap {
+				openDir = authtext.OpenLiveSnapshotDirMapped
+			}
+			r, err := openDir(cfg.snapshot)
+			if err != nil {
+				return nil, err
+			}
+			rep = r
+			handler = func(o ...authtext.HandlerOption) (http.Handler, error) {
+				return authtext.NewLiveReplicaHTTPHandler(r, o...)
+			}
+		}
+		opened("live snapshot directory", "sharded", sharded, "generation", rep.Generation())
+		if cfg.watch > 0 {
+			go watchReplica(rep, cfg.watch, logger)
+		}
+		return handler(hopts...)
+	}
+	if cfg.watch > 0 {
+		// Catch this here (the check needs the filesystem, so it cannot
+		// live in parseFlags) instead of silently serving frozen state
+		// while the operator believes hot-reload is active.
+		return nil, errors.New("-watch requires -snapshot to be a per-generation snapshot directory (gen-NNNNNNNNNNNN.atsn files or gen-NNNNNNNNNNNN/ shard sets)")
+	}
+	if authtext.IsShardedSnapshot(cfg.snapshot) {
+		var server *authtext.ShardedServer
+		if cfg.mmap {
+			ms, err := authtext.OpenShardedSnapshotDirMapped(cfg.snapshot)
+			if err != nil {
+				return nil, err
+			}
+			server = ms.Server() // serves for the process lifetime; never closed
+		} else {
+			var err error
+			server, _, err = authtext.OpenShardedSnapshotDir(cfg.snapshot)
+			if err != nil {
+				return nil, err
+			}
+		}
+		// Export from the opened set (not a second read of shards.atsx),
+		// so the published material always matches the serving shards.
+		export, err := server.ExportClient()
+		if err != nil {
+			return nil, err
+		}
+		opened("sharded snapshot", "shards", server.Shards())
+		return authtext.NewShardedHTTPHandler(server, export, hopts...), nil
+	}
+	var server *authtext.Server
+	var client *authtext.Client
+	if cfg.mmap {
+		ms, err := authtext.OpenSnapshotMapped(cfg.snapshot)
+		if err != nil {
+			return nil, err
+		}
+		server, client = ms.Server(), ms.Client() // process-lifetime mapping
+	} else {
+		var err error
+		server, client, err = authtext.OpenSnapshotFile(cfg.snapshot)
+		if err != nil {
+			return nil, err
+		}
+	}
+	export, err := client.Export()
+	if err != nil {
+		return nil, fmt.Errorf("snapshot has no publishable key (fast-signer build?): %w", err)
+	}
+	opened("snapshot")
+	return authtext.NewHTTPHandler(server, export, hopts...), nil
 }
 
 // buildFleetHandler runs the daemon as a fleet front end: no collection,
@@ -523,41 +515,36 @@ func newCache(cfg config, logger *slog.Logger) *authtext.VOCache {
 	return cache
 }
 
+// liveOwner is what buildLiveHandler needs of either live owner.
+type liveOwner interface {
+	Generation() uint64
+	PersistGenerations(dir string, onError func(gen uint64, err error)) (string, error)
+	HTTPHandler(opts ...authtext.HandlerOption) (http.Handler, error)
+}
+
 // buildLiveHandler performs the live owner role in-process: every
 // accepted /v1/admin/update batch publishes a new signed generation, and
-// (single-collection mode) optionally persists it as a snapshot. The
-// option sets arrive from buildHandler so the observability wiring
-// (metrics, request log, cache, query log) is identical across shapes.
+// (with -live-snapshots) persists it as a snapshot. The handler options
+// arrive from buildHandler so the observability wiring (metrics, request
+// log, cache, query log) is identical across shapes.
 func buildLiveHandler(cfg config, docs []authtext.Document, opts []authtext.Option,
-	handlerOpts []authtext.HandlerOption, shardedOpts []authtext.ShardedHandlerOption,
-	logger *slog.Logger) (http.Handler, error) {
-	logUpdate := func(rep *authtext.UpdateReport) {
-		logger.Info("published generation",
-			"generation", rep.Generation, "documents", rep.Documents,
-			"added", rep.Added, "removed", rep.Removed,
-			"signatures_signed", rep.SignaturesSigned, "signatures_reused", rep.SignaturesReused,
-			"rebuild_ms", rep.RebuildMillis)
-	}
+	hopts []authtext.HandlerOption, logger *slog.Logger) (http.Handler, error) {
+	logger.Info("indexing live documents (RSA-1024)", "documents", len(docs), "shards", cfg.shards)
+	var owner liveOwner
+	var err error
 	if cfg.shards > 0 {
-		logger.Info("indexing into live shards (RSA-1024)", "documents", len(docs), "shards", cfg.shards)
-		owner, _, err := authtext.NewLiveShardedOwner(docs, cfg.shards,
+		owner, _, err = authtext.NewLiveShardedOwner(docs, cfg.shards,
 			append(opts, authtext.WithShardPartitioner(authtext.PartitionHash))...)
-		if err != nil {
-			return nil, err
-		}
-		logger.Info("serving live shards",
-			"shards", owner.Shards(), "generation", owner.Generation(), "update_path", "/v1/admin/update")
-		return owner.HTTPHandler(append(shardedOpts, authtext.WithShardedUpdateLog(logUpdate))...)
+	} else {
+		owner, _, err = authtext.NewLiveOwner(docs, opts...)
 	}
-	logger.Info("indexing live documents (RSA-1024)", "documents", len(docs))
-	owner, _, err := authtext.NewLiveOwner(docs, opts...)
 	if err != nil {
 		return nil, err
 	}
 	if cfg.liveSnaps != "" {
 		// PersistGenerations writes inside the update critical section, so
-		// every published generation gets its own snapshot file even when
-		// admin updates race one another.
+		// every published generation gets its own snapshot even when admin
+		// updates race one another.
 		path, err := owner.PersistGenerations(cfg.liveSnaps, func(gen uint64, err error) {
 			logger.Error("generation snapshot failed", "generation", gen, "err", err)
 		})
@@ -567,13 +554,25 @@ func buildLiveHandler(cfg config, docs []authtext.Document, opts []authtext.Opti
 		logger.Info("persisting generations", "path", path)
 	}
 	logger.Info("serving live collection",
-		"generation", owner.Generation(), "update_path", "/v1/admin/update")
-	return owner.HTTPHandler(append(handlerOpts, authtext.WithUpdateLog(logUpdate))...)
+		"shards", cfg.shards, "generation", owner.Generation(), "update_path", "/v1/admin/update")
+	return owner.HTTPHandler(append(hopts, authtext.WithUpdateLog(func(rep *authtext.UpdateReport) {
+		logger.Info("published generation",
+			"generation", rep.Generation, "documents", rep.Documents,
+			"added", rep.Added, "removed", rep.Removed,
+			"signatures_signed", rep.SignaturesSigned, "signatures_reused", rep.SignaturesReused,
+			"rebuild_ms", rep.RebuildMillis)
+	}))...)
+}
+
+// replica is what -watch drives: either per-generation snapshot replica.
+type replica interface {
+	Reload() (bool, error)
+	Generation() uint64
 }
 
 // watchReplica polls a per-generation snapshot directory and hot-swaps
 // the replica to every new generation that appears.
-func watchReplica(r *authtext.LiveReplica, every time.Duration, logger *slog.Logger) {
+func watchReplica(r replica, every time.Duration, logger *slog.Logger) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for range ticker.C {

@@ -520,3 +520,84 @@ func TestBuildFleetHandlerServesVerifiableFleet(t *testing.T) {
 		t.Fatalf("fleet healthz = %+v", fh)
 	}
 }
+
+// The sharded live routes: `-live -shards N -live-snapshots DIR` persists
+// every set generation, and `-snapshot DIR -watch` on that directory opens
+// a sharded replica that follows it — verifiable end to end, serving-only,
+// and never memory-mapped.
+func TestBuildHandlerLiveShardedSnapshotsAndWatchedReplica(t *testing.T) {
+	gens := filepath.Join(t.TempDir(), "gens")
+	cfg, err := parseFlags([]string{"-live", "-shards", "2", "-live-snapshots", gens, "-quiet"}) // demo corpus
+	if err != nil {
+		t.Fatalf("sharded -live-snapshots rejected: %v", err)
+	}
+	ownerHandler, err := buildHandler(cfg, discardLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := httptest.NewServer(ownerHandler)
+	defer owner.Close()
+	update := func(url string) int {
+		t.Helper()
+		body, _ := json.Marshal(httpapi.UpdateRequest{Add: []httpapi.UpdateDocument{
+			{Content: []byte("authenticated search results for the search engine")}}})
+		resp, err := http.Post(url+httpapi.PathAdminUpdate, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := update(owner.URL); code != http.StatusOK {
+		t.Fatalf("owner update answered %d", code)
+	}
+	if !authtext.IsLiveShardedSnapshotDir(gens) {
+		t.Fatalf("%s holds no per-generation sharded snapshots", gens)
+	}
+
+	if _, err := parseFlags([]string{"-snapshot", gens, "-mmap"}); err == nil {
+		t.Error("-mmap accepted on a per-generation sharded snapshot directory")
+	}
+	rcfg, err := parseFlags([]string{"-snapshot", gens, "-watch", "5ms", "-quiet"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	replicaHandler, err := buildHandler(rcfg, discardLogger())
+	if err != nil {
+		t.Fatalf("sharded per-generation directory not routed to a replica: %v", err)
+	}
+	replica := httptest.NewServer(replicaHandler)
+	defer replica.Close()
+
+	rc, err := authtext.NewShardedRemoteClient(replica.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	res, err := rc.Search(ctx, "search results", 2, authtext.TNRA, authtext.ChainMHT)
+	if err != nil || res.Generation != 2 {
+		t.Fatalf("replica search: %+v, err %v", res, err)
+	}
+	if code := update(replica.URL); code != http.StatusForbidden {
+		t.Fatalf("replica update answered %d, want 403", code)
+	}
+
+	// The owner publishes generation 3; -watch carries the replica there.
+	if code := update(owner.URL); code != http.StatusOK {
+		t.Fatalf("owner update answered %d", code)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		res, err := rc.Search(ctx, "search results", 2, authtext.TNRA, authtext.ChainMHT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Generation == 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica still at generation %d", res.Generation)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}

@@ -45,8 +45,11 @@
 //	res, err := rc.Search(ctx, "merkle trees", 10, authtext.TNRA, authtext.ChainMHT)
 //	// err == nil ⇔ the response is the authentic top-10
 //
-// The wire format is defined in internal/httpapi and documented in
-// docs/PROTOCOL.md.
+// Every deployment shape — single or sharded, static, live owner or
+// snapshot replica — is served by the same backend over one "generation
+// source", so every handler constructor takes the same HandlerOption set
+// and every remote client the same RemoteOption set. The wire format is
+// defined in internal/httpapi and documented in docs/PROTOCOL.md.
 //
 // # Sharded collections
 //
@@ -71,7 +74,9 @@
 // observe one whole generation. Clients follow generations forward only:
 // Client.Advance (and RemoteClient automatically) accepts a newer signed
 // manifest and rejects rollback with ErrStaleGeneration. Each generation
-// persists as its own snapshot (LiveOwner.WriteSnapshotDir), from which
-// OpenLiveSnapshotDir serves a hot-swappable replica. The model, trust
+// persists as its own snapshot, published atomically and fsynced
+// (LiveOwner.WriteSnapshotDir; LiveShardedOwner writes one directory per
+// set generation), from which OpenLiveSnapshotDir /
+// OpenLiveShardedSnapshotDir serve a hot-swappable replica. The model, trust
 // rules and measured costs are documented in docs/UPDATES.md.
 package authtext

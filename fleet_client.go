@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"net/http"
 	"net/url"
 	"strings"
 	"sync"
@@ -174,16 +175,12 @@ func (fc *FleetClient) CrossCheck(ctx context.Context) (*CrossCheckReport, error
 		wg.Add(1)
 		go func(i int, u string) {
 			defer wg.Done()
-			var m httpapi.ManifestResponse
-			if err := httpGetJSON(ctx, fc.hc, u, httpapi.PathManifest, &m); err != nil {
+			export, err := fc.replicaExport(ctx, u)
+			if err != nil {
 				fetched[i].netErr = err
 				return
 			}
-			if m.Format != httpapi.FormatATCX {
-				fetched[i].netErr = fmt.Errorf("authtext: replica manifest format %q not supported", m.Format)
-				return
-			}
-			raw, sigRaw, _, err := splitClientExport(m.Export)
+			raw, sigRaw, _, err := splitClientExport(export)
 			if err != nil {
 				fetched[i].netErr = err
 				return
@@ -335,14 +332,11 @@ func (fc *FleetClient) bootstrapAnywhere(ctx context.Context) (*Client, error) {
 		return fc.RemoteClient.client, nil
 	}
 	for _, u := range fc.replicas {
-		var m httpapi.ManifestResponse
-		if err := httpGetJSON(ctx, fc.hc, u, httpapi.PathManifest, &m); err != nil {
+		export, err := fc.replicaExport(ctx, u)
+		if err != nil {
 			continue
 		}
-		if m.Format != httpapi.FormatATCX {
-			continue
-		}
-		c, err := NewClientFromExport(m.Export)
+		c, err := NewClientFromExport(export)
 		if err != nil {
 			continue
 		}
@@ -350,6 +344,20 @@ func (fc *FleetClient) bootstrapAnywhere(ctx context.Context) (*Client, error) {
 		return c, nil
 	}
 	return nil, ferr
+}
+
+// replicaExport fetches one replica's ATCX export over the direct side
+// channel, always as plain JSON.
+func (fc *FleetClient) replicaExport(ctx context.Context, replicaURL string) ([]byte, error) {
+	m, err := roundTrip[httpapi.ManifestResponse](ctx, &transport{base: replicaURL, hc: fc.hc},
+		http.MethodGet, httpapi.PathManifest, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	if m.Format != httpapi.FormatATCX {
+		return nil, fmt.Errorf("authtext: replica manifest format %q not supported", m.Format)
+	}
+	return m.Export, nil
 }
 
 // StartCrossCheck runs CrossCheck every interval until the returned stop

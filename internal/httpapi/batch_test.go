@@ -10,7 +10,7 @@ import (
 )
 
 // batchBackend extends fakeBackend with a concurrent-capable batch hook so
-// the handler's BatchBackend dispatch is observable.
+// the handler's Endpoints.SearchBatch dispatch is observable.
 type batchBackend struct {
 	fakeBackend
 	batchCalls int
@@ -52,7 +52,7 @@ func TestBatchSearchFallsBackWithoutBatchBackend(t *testing.T) {
 
 func TestBatchSearchUsesBatchBackend(t *testing.T) {
 	b := &batchBackend{}
-	h := NewHandler(b)
+	h := NewHandler(b, WithEndpoints(Endpoints{SearchBatch: b.SearchBatch}))
 	w := do(t, h, http.MethodPost, PathSearch, `{"queries":[{"query":"alpha"},{"query":"beta"}]}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body.String())
@@ -65,7 +65,7 @@ func TestBatchSearchUsesBatchBackend(t *testing.T) {
 func TestBatchSearchPerQueryErrorsDoNotFailBatch(t *testing.T) {
 	b := &batchBackend{}
 	b.searchErr = errors.New("boom")
-	h := NewHandler(b)
+	h := NewHandler(b, WithEndpoints(Endpoints{SearchBatch: b.SearchBatch}))
 	w := do(t, h, http.MethodPost, PathSearch, `{"queries":[{"query":"alpha"}]}`)
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d, want 200 with per-query error", w.Code)
@@ -118,7 +118,7 @@ func TestBatchSearchValidation(t *testing.T) {
 // what bound a request.
 func TestMaxBatchFitsBodyCap(t *testing.T) {
 	b := &batchBackend{}
-	h := NewHandler(b)
+	h := NewHandler(b, WithEndpoints(Endpoints{SearchBatch: b.SearchBatch}))
 	q := strings.Repeat("a", MaxQueryBytes)
 	var sb strings.Builder
 	sb.WriteString(`{"queries":[`)

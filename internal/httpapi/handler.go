@@ -32,50 +32,38 @@ type Backend interface {
 	Health() Health
 }
 
-// BatchBackend is the optional extension a backend implements to execute
-// batch search requests with its own concurrency (the facade server uses a
-// bounded worker pool). When a backend does not implement it, the handler
-// answers batch requests by calling Search once per query, sequentially.
-type BatchBackend interface {
-	Backend
-	// SearchBatch answers the validated queries, returning one outcome per
-	// query in input order.
-	SearchBatch(reqs []SearchRequest) []BatchSearchResult
+// Endpoints is the explicit description of what a deployment serves on top
+// of the base Backend surface. NewHandler registers exactly the endpoint
+// families named here; nothing is discovered from the backend's method set,
+// so one adapter can stand behind every deployment shape and a family a
+// shape does not serve answers 404 like any unknown path.
+type Endpoints struct {
+	// SearchBatch executes a validated batch of /v1/search queries with the
+	// backend's own concurrency, returning one outcome per query in input
+	// order. Nil answers batches by calling Search once per query.
+	SearchBatch func(reqs []SearchRequest) []BatchSearchResult
+	// ShardSearch and ShardExport (set together) register the sharded
+	// family: /v1/shards/search answers one validated query with per-shard
+	// responses plus the merged global ranking, /v1/shards/manifest serves
+	// the ATSX blob.
+	ShardSearch func(req *SearchRequest) (*ShardedSearchResponse, error)
+	ShardExport func() ([]byte, error)
+	// Update registers /v1/admin/update: it applies one validated
+	// add/remove batch as a single generation change. A serving-only live
+	// deployment (snapshot replica) sets it too and rejects updates with a
+	// *StatusError, so the endpoint exists wherever generations move.
+	Update func(req *UpdateRequest) (*UpdateResponse, error)
+	// Generation reports the currently served publication generation. The
+	// handler stamps it into the GenerationHeader of manifest responses —
+	// whose payload carries no generation of its own — so a fleet front end
+	// can route generation-consistently without decoding bodies (0
+	// suppresses the header).
+	Generation func() uint64
 }
 
-// LiveBackend is the optional extension a live deployment implements on
-// top of Backend: accepting document update batches at /v1/admin/update.
-// A serving-only live deployment (snapshot replica) implements it too and
-// rejects updates with a *StatusError, so the endpoint exists wherever
-// generations do.
-type LiveBackend interface {
-	Backend
-	// Update applies one validated add/remove batch as a single
-	// generation change.
-	Update(req *UpdateRequest) (*UpdateResponse, error)
-}
-
-// ShardBackend is the optional extension a sharded deployment implements
-// on top of Backend: parallel fan-out search over every shard and the
-// sharded (ATSX) verification-material bootstrap.
-type ShardBackend interface {
-	Backend
-	// ShardSearch answers one validated query with per-shard responses
-	// plus the merged global ranking.
-	ShardSearch(req *SearchRequest) (*ShardedSearchResponse, error)
-	// ShardExport returns the ATSX blob served at /v1/shards/manifest.
-	ShardExport() ([]byte, error)
-}
-
-// GenerationBackend is the optional extension a live deployment implements
-// to expose its currently served publication generation. The handler
-// stamps it into the GenerationHeader of responses whose payload does not
-// already carry one (manifest), so a fleet front end can route
-// generation-consistently without decoding bodies.
-type GenerationBackend interface {
-	// CurrentGeneration returns the currently served generation (0 on
-	// static deployments, which suppresses the header).
-	CurrentGeneration() uint64
+// WithEndpoints declares the optional endpoint families the backend serves.
+func WithEndpoints(e Endpoints) HandlerOpt {
+	return func(c *handlerConfig) { c.endpoints = e }
 }
 
 // setGenHeader stamps the generation routing hint; 0 means "static
@@ -86,30 +74,35 @@ func setGenHeader(w http.ResponseWriter, gen uint64) {
 	}
 }
 
-// NewHandler wires the /v1 endpoints onto a Backend. When the backend also
-// implements ShardBackend, the /v1/shards endpoints are registered too;
-// otherwise they answer 404 like any unknown path. Every response body —
-// including errors — is a JSON document. Options attach a metric registry
-// (served at /v1/metrics, with every request counted and timed) and a
-// structured request logger (middleware.go).
+// NewHandler wires the /v1 endpoints onto a Backend, plus the families
+// WithEndpoints declares. Every response body — including errors — is a
+// JSON document. Options also attach a metric registry (served at
+// /v1/metrics, with every request counted and timed) and a structured
+// request logger (middleware.go).
 func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 	var cfg handlerConfig
 	for _, opt := range opts {
 		opt(&cfg)
 	}
+	e := cfg.endpoints
+	manifestGen := func(w http.ResponseWriter) {
+		if e.Generation != nil {
+			setGenHeader(w, e.Generation())
+		}
+	}
 	endpoints := []string{"search", "manifest", "healthz"}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathSearch, func(w http.ResponseWriter, r *http.Request) {
-		handleSearch(w, r, b)
+		handleSearch(w, r, b, e.SearchBatch)
 	})
-	if sb, ok := b.(ShardBackend); ok {
+	if e.ShardSearch != nil {
 		endpoints = append(endpoints, "shards_search", "shards_manifest")
 		mux.HandleFunc(PathShardSearch, func(w http.ResponseWriter, r *http.Request) {
 			req, ok := readSearchRequest(w, r)
 			if !ok {
 				return
 			}
-			resp, err := sb.ShardSearch(req)
+			resp, err := e.ShardSearch(req)
 			if err != nil {
 				writeError(w, err, CodeSearchFailed, http.StatusInternalServerError)
 				return
@@ -121,19 +114,17 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 			if !allowMethod(w, r, http.MethodGet) {
 				return
 			}
-			export, err := sb.ShardExport()
+			export, err := e.ShardExport()
 			if err != nil {
 				writeError(w, err, CodeUnavailable, http.StatusServiceUnavailable)
 				return
 			}
-			if gb, ok := b.(GenerationBackend); ok {
-				setGenHeader(w, gb.CurrentGeneration())
-			}
+			manifestGen(w)
 			m := &ManifestResponse{Format: FormatATSX, Export: export}
 			writeData(w, r, m, func() []byte { return wire.EncodeManifestResponse(m) })
 		})
 	}
-	if lb, ok := b.(LiveBackend); ok {
+	if e.Update != nil {
 		endpoints = append(endpoints, "admin_update")
 		mux.HandleFunc(PathAdminUpdate, func(w http.ResponseWriter, r *http.Request) {
 			if !allowMethod(w, r, http.MethodPost) {
@@ -147,7 +138,7 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 				writeErrorBody(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 				return
 			}
-			resp, err := lb.Update(&req)
+			resp, err := e.Update(&req)
 			if err != nil {
 				writeError(w, err, CodeUpdateFailed, http.StatusConflict)
 				return
@@ -164,9 +155,7 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 			writeError(w, err, CodeUnavailable, http.StatusServiceUnavailable)
 			return
 		}
-		if gb, ok := b.(GenerationBackend); ok {
-			setGenHeader(w, gb.CurrentGeneration())
-		}
+		manifestGen(w)
 		m := &ManifestResponse{Format: FormatATCX, Export: export}
 		writeData(w, r, m, func() []byte { return wire.EncodeManifestResponse(m) })
 	})
@@ -194,13 +183,13 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 
 // handleSearch accepts POST (JSON body, single or batch form) and GET
 // (q, r, algo, scheme query parameters).
-func handleSearch(w http.ResponseWriter, r *http.Request, b Backend) {
+func handleSearch(w http.ResponseWriter, r *http.Request, b Backend, batchFn func([]SearchRequest) []BatchSearchResult) {
 	single, batch, ok := readSearchEnvelope(w, r)
 	if !ok {
 		return
 	}
 	if batch != nil {
-		resp := &BatchSearchResponse{Results: searchBatch(b, batch)}
+		resp := &BatchSearchResponse{Results: searchBatch(b, batchFn, batch)}
 		var maxGen uint64
 		for i := range resp.Results {
 			if sr := resp.Results[i].Response; sr != nil && sr.Generation > maxGen {
@@ -262,11 +251,12 @@ func writeData(w http.ResponseWriter, r *http.Request, v interface{}, frame func
 	}
 }
 
-// searchBatch dispatches a validated batch to the backend's own concurrent
-// implementation when it has one, falling back to sequential execution.
-func searchBatch(b Backend, reqs []SearchRequest) []BatchSearchResult {
-	if bb, ok := b.(BatchBackend); ok {
-		return bb.SearchBatch(reqs)
+// searchBatch dispatches a validated batch to the deployment's own
+// concurrent implementation when it declared one, falling back to
+// sequential execution.
+func searchBatch(b Backend, batchFn func([]SearchRequest) []BatchSearchResult, reqs []SearchRequest) []BatchSearchResult {
+	if batchFn != nil {
+		return batchFn(reqs)
 	}
 	out := make([]BatchSearchResult, len(reqs))
 	for i := range reqs {

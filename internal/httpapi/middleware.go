@@ -30,8 +30,9 @@ const maxRequestIDLen = 128
 type HandlerOpt func(*handlerConfig)
 
 type handlerConfig struct {
-	reg *obs.Registry
-	log *slog.Logger
+	reg       *obs.Registry
+	log       *slog.Logger
+	endpoints Endpoints
 }
 
 // WithMetricsRegistry serves reg at /v1/metrics and records the request

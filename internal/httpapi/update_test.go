@@ -32,7 +32,7 @@ func TestUpdateRequestValidate(t *testing.T) {
 }
 
 func TestUpdateEndpointAbsentOnStaticBackends(t *testing.T) {
-	// A backend that does not implement LiveBackend must 404 the admin
+	// A deployment that declares no Endpoints.Update must 404 the admin
 	// path (the fake backend of the handler suite is static).
 	h := NewHandler(&fakeBackend{})
 	w := do(t, h, http.MethodPost, PathAdminUpdate, `{"remove":[1]}`)

@@ -1,8 +1,6 @@
 package authtext
 
 import (
-	"net/http"
-
 	"authtext/internal/index"
 	"authtext/internal/live"
 )
@@ -188,14 +186,6 @@ func (o *LiveOwner) ManifestUpdate() (manifest, sig []byte) {
 // ExportClient serialises the current generation's verification material
 // as an ATCX blob (RSA-signed collections only, like Owner.ExportClient).
 func (o *LiveOwner) ExportClient() ([]byte, error) { return o.Client().Export() }
-
-// HTTPHandler exposes the live collection over the versioned HTTP
-// protocol with the admin update endpoint enabled: searches serve the
-// latest generation, /v1/admin/update applies batches through this owner,
-// and /v1/manifest always publishes the current generation's export.
-func (o *LiveOwner) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
-	return newLiveHTTPHandler(o.Server(), o, opts...)
-}
 
 // LiveServer serves queries from the latest published generation of a
 // live collection. Safe for concurrent use; a search in flight during a

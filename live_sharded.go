@@ -1,8 +1,6 @@
 package authtext
 
 import (
-	"net/http"
-
 	"authtext/internal/index"
 	"authtext/internal/live"
 	"authtext/internal/shard"
@@ -111,12 +109,6 @@ func (o *LiveShardedOwner) Client() *ShardedClient {
 // ShardedClient.AdvanceExport consumes).
 func (o *LiveShardedOwner) ExportClient() ([]byte, error) {
 	return exportSet(o.lc.Current())
-}
-
-// HTTPHandler exposes the live sharded deployment over the versioned HTTP
-// protocol with the admin update endpoint enabled.
-func (o *LiveShardedOwner) HTTPHandler(opts ...ShardedHandlerOption) (http.Handler, error) {
-	return newLiveShardedHTTPHandler(o.Server(), o, opts...)
 }
 
 // LiveShardedServer serves fanned-out queries from the latest published

@@ -389,7 +389,7 @@ func TestLiveSnapshotDirAndReplica(t *testing.T) {
 	if _, _, err := owner.Update(liveDocs(12, 1), nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, liveSnapshotName(2))); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, genName(2, false))); err != nil {
 		t.Fatalf("generation 2 snapshot not persisted by the publish hook: %v", err)
 	}
 	swapped, err := replica.Reload()
@@ -404,7 +404,7 @@ func TestLiveSnapshotDirAndReplica(t *testing.T) {
 	}
 
 	// Rolling the directory back under a running replica fails Reload.
-	if err := os.Remove(filepath.Join(dir, liveSnapshotName(2))); err != nil {
+	if err := os.Remove(filepath.Join(dir, genName(2, false))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := replica.Reload(); err == nil {
@@ -417,17 +417,17 @@ func TestLiveSnapshotDirAndReplica(t *testing.T) {
 // greatest name), and a snapshot whose signed manifest disagrees with its
 // filename must be rejected.
 func TestLiveSnapshotLayoutStable(t *testing.T) {
-	if got := liveSnapshotName(1); got != "gen-000000000001.atsn" {
+	if got := genName(1, false); got != "gen-000000000001.atsn" {
 		t.Fatalf("layout changed: generation 1 file is %q", got)
 	}
-	if got := liveSnapshotName(987654321012); got != "gen-987654321012.atsn" {
+	if got := genName(987654321012, false); got != "gen-987654321012.atsn" {
 		t.Fatalf("layout changed: %q", got)
 	}
 	for name, want := range map[string]uint64{
 		"gen-000000000007.atsn": 7,
 		"gen-999999999999.atsn": 999999999999,
 	} {
-		got, ok := parseLiveSnapshotName(name)
+		got, ok := parseGenName(name, false)
 		if !ok || got != want {
 			t.Fatalf("parse(%q) = (%d, %v), want %d", name, got, ok, want)
 		}
@@ -439,7 +439,7 @@ func TestLiveSnapshotLayoutStable(t *testing.T) {
 		"generation-1.atsn",      // foreign prefix
 		"gen-000000000001.atsnx", // foreign suffix
 	} {
-		if _, ok := parseLiveSnapshotName(bad); ok {
+		if _, ok := parseGenName(bad, false); ok {
 			t.Fatalf("foreign name %q parsed as a generation snapshot", bad)
 		}
 	}
@@ -455,7 +455,7 @@ func TestLiveSnapshotLayoutStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forged := filepath.Join(dir, liveSnapshotName(9))
+	forged := filepath.Join(dir, genName(9, false))
 	if err := os.Rename(path, forged); err != nil {
 		t.Fatal(err)
 	}
@@ -576,7 +576,7 @@ func TestLiveShardedSnapshotDirAndReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if filepath.Base(path) != liveShardedGenName(1) {
+	if filepath.Base(path) != genName(1, true) {
 		t.Fatalf("generation 1 written to %q", path)
 	}
 	if !IsLiveShardedSnapshotDir(dir) {
@@ -625,7 +625,7 @@ func TestLiveShardedSnapshotDirAndReplica(t *testing.T) {
 
 	// Rollback on disk is refused: with generation 2 gone, the serving
 	// replica will not fall back to generation 1.
-	if err := os.RemoveAll(filepath.Join(dir, liveShardedGenName(2))); err != nil {
+	if err := os.RemoveAll(filepath.Join(dir, genName(2, true))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := replica.Reload(); err == nil {
@@ -634,7 +634,7 @@ func TestLiveShardedSnapshotDirAndReplica(t *testing.T) {
 
 	// Name-vs-manifest cross-check: a renamed generation directory is
 	// rejected at open.
-	if err := os.Rename(filepath.Join(dir, liveShardedGenName(1)), filepath.Join(dir, liveShardedGenName(7))); err != nil {
+	if err := os.Rename(filepath.Join(dir, genName(1, true)), filepath.Join(dir, genName(7, true))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenLiveShardedSnapshotDir(dir); err == nil {

@@ -31,25 +31,18 @@ import (
 // trusted transport: plain HTTP is sufficient for integrity, though TLS is
 // still needed for confidentiality.
 type RemoteClient struct {
-	base string
-	hc   *http.Client
-	// metrics, when non-nil, records verify latency and tamper rejections
-	// (WithClientMetrics).
-	metrics *Metrics
-
-	// noBinary latches after a server answers 406 to the binary-frame
-	// offer: every later request from this client goes straight to JSON
-	// instead of re-offering per call (docs/PROTOCOL.md "Binary framing").
-	noBinary atomic.Bool
-
-	mu     sync.Mutex
-	client *Client // verification half, nil until bootstrapped
-
-	optErr error // deferred option failure, reported by NewRemoteClient
+	remoteConn[*Client]
 }
 
-// RemoteOption customises NewRemoteClient.
-type RemoteOption func(*RemoteClient)
+// remoteOptions is what a RemoteOption can set.
+type remoteOptions struct {
+	hc      *http.Client
+	metrics *Metrics
+	export  []byte
+}
+
+// RemoteOption customises NewRemoteClient and NewShardedRemoteClient.
+type RemoteOption func(*remoteOptions)
 
 // defaultHTTPTimeout bounds every request a remote client makes with the
 // default transport: the server is untrusted, and a stalled or black-holed
@@ -57,12 +50,12 @@ type RemoteOption func(*RemoteClient)
 const defaultHTTPTimeout = 30 * time.Second
 
 // defaultHTTPClient builds the transport used when the caller supplies
-// none; RemoteClient and ShardedRemoteClient share it. The transport is
-// tuned for the verifier's traffic shape — many small request/response
-// pairs against one or a few hosts — so connections are kept alive and
-// reused instead of re-dialled per call: http.DefaultTransport caps idle
-// connections per host at 2, which forces reconnects (and, under TLS,
-// re-handshakes) as soon as a sharded client or batch workload fans out.
+// none. The transport is tuned for the verifier's traffic shape — many
+// small request/response pairs against one or a few hosts — so connections
+// are kept alive and reused instead of re-dialled per call:
+// http.DefaultTransport caps idle connections per host at 2, which forces
+// reconnects (and, under TLS, re-handshakes) as soon as a sharded client
+// or batch workload fans out.
 func defaultHTTPClient() *http.Client {
 	return &http.Client{
 		Timeout: defaultHTTPTimeout,
@@ -84,135 +77,234 @@ func defaultHTTPClient() *http.Client {
 
 // WithHTTPClient substitutes the transport (default: defaultHTTPClient,
 // which enforces a 30 s overall timeout).
-func WithHTTPClient(hc *http.Client) RemoteOption { return func(rc *RemoteClient) { rc.hc = hc } }
+func WithHTTPClient(hc *http.Client) RemoteOption { return func(o *remoteOptions) { o.hc = hc } }
 
 // WithClientMetrics records client-side verification latency
 // (authtext_client_verify_seconds) and tamper rejections
 // (authtext_client_tamper_rejections_total) in m, making the paper's
 // three-party cost split — server, transport, verifier — observable end to
-// end. The registry may be a fresh NewMetrics or one shared with a server
-// in the same process.
-func WithClientMetrics(m *Metrics) RemoteOption { return func(rc *RemoteClient) { rc.metrics = m } }
+// end. On a sharded client the verify histogram covers the complete
+// fan-out check (every shard's VO plus the merge recomputation). The
+// registry may be a fresh NewMetrics or one shared with a server in the
+// same process.
+func WithClientMetrics(m *Metrics) RemoteOption { return func(o *remoteOptions) { o.metrics = m } }
 
 // WithClientExport seeds the verification material from an out-of-band
-// copy of the owner's ATCX export instead of fetching /v1/manifest. Use it
-// when the owner distributes the export through a channel the server
-// cannot influence (the stronger deployment, see docs/PROTOCOL.md).
+// copy of the owner's export — ATCX for a RemoteClient, ATSX for a
+// ShardedRemoteClient, told apart by their magic — instead of fetching it
+// from the server. Use it when the owner distributes the export through a
+// channel the server cannot influence (the stronger deployment, see
+// docs/PROTOCOL.md).
 func WithClientExport(export []byte) RemoteOption {
-	return func(rc *RemoteClient) {
-		c, err := NewClientFromExport(export)
-		if err != nil {
-			rc.optErr = err
-			return
-		}
-		rc.client = c
-	}
+	return func(o *remoteOptions) { o.export = export }
 }
 
 // NewRemoteClient prepares a client for the authserved instance at
 // baseURL (scheme + host[:port], e.g. "http://127.0.0.1:8080"). No
 // network traffic happens until the first call.
 func NewRemoteClient(baseURL string, opts ...RemoteOption) (*RemoteClient, error) {
-	u, err := url.Parse(strings.TrimRight(baseURL, "/"))
+	rc := &RemoteClient{}
+	err := rc.dial(baseURL, httpapi.PathManifest, httpapi.FormatATCX, NewClientFromExport, opts)
 	if err != nil {
-		return nil, fmt.Errorf("authtext: bad server URL: %w", err)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return nil, fmt.Errorf("authtext: bad server URL %q: scheme must be http or https", baseURL)
-	}
-	rc := &RemoteClient{base: u.String(), hc: defaultHTTPClient()}
-	for _, opt := range opts {
-		opt(rc)
-	}
-	if rc.optErr != nil {
-		return nil, rc.optErr
+		return nil, err
 	}
 	return rc, nil
+}
+
+// transport is the HTTP half of a remote connection: where the server is,
+// how to reach it, and what its responses are recorded into.
+type transport struct {
+	base string
+	hc   *http.Client
+	// metrics, when non-nil, records wire decode and verify latency and
+	// tamper rejections (WithClientMetrics).
+	metrics *Metrics
+	// noBinary latches after a server answers 406 to the binary-frame
+	// offer: every later request from this client goes straight to JSON
+	// instead of re-offering per call (docs/PROTOCOL.md "Binary framing").
+	noBinary atomic.Bool
+}
+
+// manifestHolder is the verification half a connection bootstraps and
+// advances: a *Client or a *ShardedClient.
+type manifestHolder interface {
+	comparable
+	Generation() uint64
+	AdvanceExport(data []byte) error
+}
+
+// remoteConn is everything RemoteClient and ShardedRemoteClient share: the
+// transport, the lazily bootstrapped verification half, and the
+// generation-race handling of ask. What differs per client is only which
+// manifest endpoint and export format it speaks.
+type remoteConn[C manifestHolder] struct {
+	transport
+	manifestPath string // /v1/manifest or /v1/shards/manifest
+	format       string // httpapi.FormatATCX or FormatATSX
+	parse        func(export []byte) (C, error)
+
+	mu     sync.Mutex
+	client C // verification half, zero until bootstrapped
+}
+
+// exportFormat tells the two export formats apart by their magic.
+func exportFormat(export []byte) string {
+	switch {
+	case bytes.HasPrefix(export, []byte(exportMagic)):
+		return httpapi.FormatATCX
+	case bytes.HasPrefix(export, []byte(shardedExportMagic)):
+		return httpapi.FormatATSX
+	}
+	return "unknown"
+}
+
+func (c *remoteConn[C]) dial(baseURL, manifestPath, format string, parse func([]byte) (C, error), opts []RemoteOption) error {
+	u, err := url.Parse(strings.TrimRight(baseURL, "/"))
+	if err != nil {
+		return fmt.Errorf("authtext: bad server URL: %w", err)
+	}
+	if u.Scheme != "http" && u.Scheme != "https" {
+		return fmt.Errorf("authtext: bad server URL %q: scheme must be http or https", baseURL)
+	}
+	o := remoteOptions{hc: defaultHTTPClient()}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	c.base, c.hc, c.metrics = u.String(), o.hc, o.metrics
+	c.manifestPath, c.format, c.parse = manifestPath, format, parse
+	if o.export != nil {
+		if got := exportFormat(o.export); got != format {
+			return fmt.Errorf("authtext: out-of-band export is %s, this client verifies %s", got, format)
+		}
+		c.client, err = parse(o.export)
+	}
+	return err
 }
 
 // Bootstrap fetches and verifies the owner's manifest now instead of
 // lazily on the first Search. The manifest signature is checked against
 // the embedded public key before it is accepted.
-func (rc *RemoteClient) Bootstrap(ctx context.Context) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.bootstrapLocked(ctx)
+func (c *remoteConn[C]) Bootstrap(ctx context.Context) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bootstrapLocked(ctx)
 }
 
-func (rc *RemoteClient) bootstrapLocked(ctx context.Context) error {
-	if rc.client != nil {
+func (c *remoteConn[C]) bootstrapLocked(ctx context.Context) error {
+	var unset C
+	if c.client != unset {
 		return nil
 	}
-	m, err := rc.fetchManifest(ctx)
+	export, err := c.fetchExport(ctx)
 	if err != nil {
 		return err
 	}
-	if m.Format != httpapi.FormatATCX {
-		return fmt.Errorf("authtext: server manifest format %q not supported", m.Format)
-	}
-	c, err := NewClientFromExport(m.Export)
+	client, err := c.parse(export)
 	if err != nil {
 		return err
 	}
-	rc.client = c
+	c.client = client
 	return nil
 }
 
-// fetchManifest retrieves /v1/manifest with content negotiation.
-func (rc *RemoteClient) fetchManifest(ctx context.Context) (*httpapi.ManifestResponse, error) {
-	var m httpapi.ManifestResponse
-	err := httpDoNegotiated(rc.hc, &rc.noBinary, rc.metrics,
-		func() (*http.Request, error) {
-			return http.NewRequestWithContext(ctx, http.MethodGet, rc.base+httpapi.PathManifest, nil)
-		},
-		func(frame []byte) error {
-			d, err := wire.DecodeManifestResponse(frame)
-			if err != nil {
-				return err
-			}
-			m = *d
-			return nil
-		}, &m)
+// fetchExport retrieves the manifest endpoint's export blob.
+func (c *remoteConn[C]) fetchExport(ctx context.Context) ([]byte, error) {
+	m, err := roundTrip(ctx, &c.transport, http.MethodGet, c.manifestPath, nil, wire.DecodeManifestResponse)
 	if err != nil {
 		return nil, err
 	}
-	return &m, nil
+	if m.Format != c.format {
+		return nil, fmt.Errorf("authtext: server manifest format %q not supported (want %q)", m.Format, c.format)
+	}
+	return m.Export, nil
 }
 
 // Generation returns the publication generation this client currently
 // verifies against (0 before bootstrap or for static collections). It
 // only moves forward: a server that presents an older generation is
 // rejected with ErrStaleGeneration.
-func (rc *RemoteClient) Generation() uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.client == nil {
+func (c *remoteConn[C]) Generation() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var unset C
+	if c.client == unset {
 		return 0
 	}
-	return rc.client.Generation()
+	return c.client.Generation()
 }
 
-// refreshManifest advances the verification client to the server's
-// current manifest — called when a response names a newer generation than
-// the client holds. Client.AdvanceExport enforces the trust rules: the
-// new manifest must verify against the PINNED key and must not regress.
-func (rc *RemoteClient) refreshManifest(ctx context.Context, client *Client) error {
-	m, err := rc.fetchManifest(ctx)
+// ask posts req to path and returns the decoded answer together with the
+// verification half to check it against, once the two agree on a
+// generation. generation reads the generation an answer claims (0: none —
+// a static server, or a batch of per-query errors).
+//
+// When an answer claims a NEWER generation than the client holds, the
+// client advances to the server's current manifest first; AdvanceExport
+// enforces the trust rules (the new manifest must verify against the
+// PINNED key and must not regress). Claims of OLDER generations are not
+// acted on — verification rejects them as stale via the VO stamp.
+//
+// Up to two retries absorb honest generation races: if the collection
+// is updated between the search response and the manifest refresh,
+// the answer is older than the manifest we now hold and would fail
+// verification as stale — re-asking gets a current-generation answer
+// from an honest server, while a rolled-back server keeps answering
+// old generations and still ends in ErrStaleGeneration.
+//
+// Behind a fleet front end the race has a second shape: the search
+// answer and the manifest refresh can land on DIFFERENT replicas, and
+// the manifest replica may lag the answering one mid-swap. Then the
+// refresh leaves the client behind the answer (or reports staleness
+// itself), still an honest race — so the retry condition compares the
+// two generations in both directions, and a stale manifest fetch is
+// retried rather than reported, as long as budget remains. A genuinely
+// rolled-back or equivocating fleet keeps failing and still ends in
+// ErrStaleGeneration after the budget.
+func ask[C manifestHolder, T any](ctx context.Context, c *remoteConn[C], path string, req any,
+	fromFrame func([]byte) (*T, error), generation func(*T) uint64) (*T, C, error) {
+	var none C
+	c.mu.Lock()
+	err := c.bootstrapLocked(ctx)
+	client := c.client
+	c.mu.Unlock()
 	if err != nil {
-		return err
+		return nil, none, err
 	}
-	if m.Format != httpapi.FormatATCX {
-		return fmt.Errorf("authtext: server manifest format %q not supported", m.Format)
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, none, err
 	}
-	return client.AdvanceExport(m.Export)
+	for attempt := 0; ; attempt++ {
+		answer, err := roundTrip(ctx, &c.transport, http.MethodPost, path, body, fromFrame)
+		if err != nil {
+			return nil, none, err
+		}
+		gen := generation(answer)
+		if gen > client.Generation() {
+			export, err := c.fetchExport(ctx)
+			if err == nil {
+				err = client.AdvanceExport(export)
+			}
+			if errors.Is(err, ErrStaleGeneration) && attempt < 2 {
+				continue
+			}
+			if err != nil {
+				return nil, none, err
+			}
+		}
+		if gen != 0 && gen != client.Generation() && attempt < 2 {
+			continue
+		}
+		return answer, client, nil
+	}
 }
 
-// maybeAdvance refreshes the manifest when a response claims a newer
-// generation. Claims of OLDER generations are not acted on — verification
-// rejects them as stale via the VO stamp.
-func (rc *RemoteClient) maybeAdvance(ctx context.Context, client *Client, respGen uint64) error {
-	if respGen > client.Generation() {
-		return rc.refreshManifest(ctx, client)
+// checkR validates a result size locally: r's zero value is "unset" on the
+// wire, so sending r<1 would make an honest server answer with its default
+// and the mismatch would misclassify as tampering during verification.
+func checkR(r int) error {
+	if r < 1 || r > httpapi.MaxR {
+		return fmt.Errorf("authtext: result size r=%d out of range [1, %d]", r, httpapi.MaxR)
 	}
 	return nil
 }
@@ -223,81 +315,21 @@ func (rc *RemoteClient) maybeAdvance(ctx context.Context, client *Client, respGe
 // verification succeeds; otherwise the error explains the violation and
 // IsTampered reports whether it indicates server misbehaviour.
 func (rc *RemoteClient) Search(ctx context.Context, query string, r int, algo Algorithm, scheme Scheme) (*SearchResult, error) {
-	// Validate locally: r's zero value is "unset" on the wire, so sending
-	// r<1 would make an honest server answer with its default and the
-	// mismatch would misclassify as tampering during verification.
-	if r < 1 || r > httpapi.MaxR {
-		return nil, fmt.Errorf("authtext: result size r=%d out of range [1, %d]", r, httpapi.MaxR)
-	}
-	rc.mu.Lock()
-	if err := rc.bootstrapLocked(ctx); err != nil {
-		rc.mu.Unlock()
+	if err := checkR(r); err != nil {
 		return nil, err
 	}
-	client := rc.client
-	rc.mu.Unlock()
-
-	reqBody, err := json.Marshal(&httpapi.SearchRequest{
-		Query: query, R: r, Algo: wireAlgo(algo), Scheme: wireScheme(scheme),
-	})
+	sr, client, err := ask(ctx, &rc.remoteConn, httpapi.PathSearch,
+		&httpapi.SearchRequest{Query: query, R: r, Algo: wireAlgo(algo), Scheme: wireScheme(scheme)},
+		wire.DecodeSearchResponse, func(sr *httpapi.SearchResponse) uint64 { return sr.Generation })
 	if err != nil {
 		return nil, err
 	}
-	// Up to two retries absorb honest generation races: if the collection
-	// is updated between the search response and the manifest refresh,
-	// the answer is older than the manifest we now hold and would fail
-	// verification as stale — re-asking gets a current-generation answer
-	// from an honest server, while a rolled-back server keeps answering
-	// old generations and still ends in ErrStaleGeneration.
-	//
-	// Behind a fleet front end the race has a second shape: the search
-	// answer and the manifest refresh can land on DIFFERENT replicas, and
-	// the manifest replica may lag the answering one mid-swap. Then the
-	// refresh leaves the client behind the answer (or reports staleness
-	// itself), still an honest race — so the retry condition compares the
-	// two generations in both directions, and a stale manifest fetch is
-	// retried rather than reported, as long as budget remains. A genuinely
-	// rolled-back or equivocating fleet keeps failing and still ends in
-	// ErrStaleGeneration after the budget.
-	for attempt := 0; ; attempt++ {
-		var sr httpapi.SearchResponse
-		err := httpDoNegotiated(rc.hc, &rc.noBinary, rc.metrics,
-			func() (*http.Request, error) {
-				req, err := http.NewRequestWithContext(ctx, http.MethodPost, rc.base+httpapi.PathSearch, bytes.NewReader(reqBody))
-				if err != nil {
-					return nil, err
-				}
-				req.Header.Set("Content-Type", "application/json")
-				return req, nil
-			},
-			func(frame []byte) error {
-				d, err := wire.DecodeSearchResponse(frame)
-				if err != nil {
-					return err
-				}
-				sr = *d
-				return nil
-			}, &sr)
-		if err != nil {
-			return nil, err
-		}
-		if err := rc.maybeAdvance(ctx, client, sr.Generation); err != nil {
-			if errors.Is(err, ErrStaleGeneration) && attempt < 2 {
-				continue
-			}
-			return nil, err
-		}
-		if sr.Generation != client.Generation() && attempt < 2 {
-			continue
-		}
-		return verifyWireResult(client, rc.metrics, &sr, query, r, algo, scheme)
-	}
+	return verifyWireResult(client, rc.metrics, sr, query, r, algo, scheme)
 }
 
-// verifyWireResult converts one wire response and verifies it against the
-// bootstrapped manifest, using the parameters the client asked for. m
-// (nil-safe) records the verification cost and outcome.
-func verifyWireResult(client *Client, m *Metrics, wire *httpapi.SearchResponse, query string, r int, algo Algorithm, scheme Scheme) (*SearchResult, error) {
+// resultFromWire converts one wire response to the facade form, labelled
+// with the parameters the client asked for, never the server's echo.
+func resultFromWire(wire *httpapi.SearchResponse, algo Algorithm, scheme Scheme) *SearchResult {
 	res := &SearchResult{VO: wire.VO, Generation: wire.Generation, Hits: make([]Hit, len(wire.Hits))}
 	for i, h := range wire.Hits {
 		res.Hits[i] = Hit{DocID: h.DocID, Score: h.Score, Content: h.Content}
@@ -314,6 +346,13 @@ func verifyWireResult(client *Client, m *Metrics, wire *httpapi.SearchResponse, 
 		IOTime:         StatsDuration(wire.Stats.IOMillis),
 		VOBytes:        len(wire.VO),
 	}
+	return res
+}
+
+// verifyWireResult verifies one wire response against the bootstrapped
+// manifest. m (nil-safe) records the verification cost and outcome.
+func verifyWireResult(client *Client, m *Metrics, wire *httpapi.SearchResponse, query string, r int, algo Algorithm, scheme Scheme) (*SearchResult, error) {
+	res := resultFromWire(wire, algo, scheme)
 	verifyStart := time.Now()
 	err := client.Verify(query, r, res)
 	m.observeVerify(time.Since(verifyStart), err)
@@ -353,64 +392,22 @@ func (rc *RemoteClient) SearchBatch(ctx context.Context, queries []BatchQuery) (
 			Query: q.Query, R: q.R, Algo: wireAlgo(q.Algorithm), Scheme: wireScheme(q.Scheme),
 		}
 	}
-	rc.mu.Lock()
-	if err := rc.bootstrapLocked(ctx); err != nil {
-		rc.mu.Unlock()
-		return nil, err
-	}
-	client := rc.client
-	rc.mu.Unlock()
-
-	reqBody, err := json.Marshal(&httpapi.BatchSearchRequest{Queries: wireReqs})
+	// A live server answers the whole batch from one generation: the batch
+	// claims the newest generation any of its answers names.
+	br, client, err := ask(ctx, &rc.remoteConn, httpapi.PathSearch, &httpapi.BatchSearchRequest{Queries: wireReqs},
+		wire.DecodeBatchSearchResponse, func(br *httpapi.BatchSearchResponse) (gen uint64) {
+			for i := range br.Results {
+				if r := br.Results[i].Response; r != nil && r.Generation > gen {
+					gen = r.Generation
+				}
+			}
+			return gen
+		})
 	if err != nil {
 		return nil, err
 	}
-	var br httpapi.BatchSearchResponse
-	// Retry loop as in Search: a live server answers the whole batch from
-	// one generation; if updates raced the manifest refresh, re-ask.
-	for attempt := 0; ; attempt++ {
-		br = httpapi.BatchSearchResponse{}
-		err := httpDoNegotiated(rc.hc, &rc.noBinary, rc.metrics,
-			func() (*http.Request, error) {
-				req, err := http.NewRequestWithContext(ctx, http.MethodPost, rc.base+httpapi.PathSearch, bytes.NewReader(reqBody))
-				if err != nil {
-					return nil, err
-				}
-				req.Header.Set("Content-Type", "application/json")
-				return req, nil
-			},
-			func(frame []byte) error {
-				d, err := wire.DecodeBatchSearchResponse(frame)
-				if err != nil {
-					return err
-				}
-				br = *d
-				return nil
-			}, &br)
-		if err != nil {
-			return nil, err
-		}
-		if len(br.Results) != len(queries) {
-			return nil, fmt.Errorf("authtext: server answered %d results for %d queries", len(br.Results), len(queries))
-		}
-		var maxWireGen uint64
-		for i := range br.Results {
-			if r := br.Results[i].Response; r != nil && r.Generation > maxWireGen {
-				maxWireGen = r.Generation
-			}
-		}
-		if err := rc.maybeAdvance(ctx, client, maxWireGen); err != nil {
-			// Same cross-replica race as in Search: a lagging replica's
-			// manifest is a retryable condition, not a verdict.
-			if errors.Is(err, ErrStaleGeneration) && attempt < 2 {
-				continue
-			}
-			return nil, err
-		}
-		if maxWireGen != 0 && maxWireGen != client.Generation() && attempt < 2 {
-			continue
-		}
-		break
+	if len(br.Results) != len(queries) {
+		return nil, fmt.Errorf("authtext: server answered %d results for %d queries", len(br.Results), len(queries))
 	}
 	out := make([]BatchItem, len(queries))
 	for i := range br.Results {
@@ -442,11 +439,11 @@ type ServerHealth struct {
 	QueriesFailed int64
 }
 
-// Health reports the server's liveness and aggregate counters. Nothing in
-// it is authenticated — it is operational data only.
-func (rc *RemoteClient) Health(ctx context.Context) (*ServerHealth, error) {
-	var h httpapi.Health
-	if err := rc.get(ctx, httpapi.PathHealthz, &h); err != nil {
+// Health reports the server's liveness, shape and aggregate counters.
+// Nothing in it is authenticated — it is operational data only.
+func (t *transport) Health(ctx context.Context) (*ServerHealth, error) {
+	h, err := roundTrip[httpapi.Health](ctx, t, http.MethodGet, httpapi.PathHealthz, nil, nil)
+	if err != nil {
 		return nil, err
 	}
 	return &ServerHealth{
@@ -461,84 +458,88 @@ func (rc *RemoteClient) Health(ctx context.Context) (*ServerHealth, error) {
 	}, nil
 }
 
-func (rc *RemoteClient) get(ctx context.Context, path string, out interface{}) error {
-	return httpGetJSON(ctx, rc.hc, rc.base, path, out)
-}
-
 // maxResponseBytes caps how much of a response body a remote client will
 // buffer: the server is untrusted, and an endless 200 body must not
 // exhaust the verifier's memory before verification can reject it.
 const maxResponseBytes = 64 << 20
 
-// httpDoNegotiated performs one request with binary-frame content
-// negotiation: unless noBinary has latched, the request offers
-// wire.ContentType via Accept, and the response is decoded by fromFrame
-// (frame body) or into out (JSON body) depending on what the server
-// chose. A 406 latches noBinary and retries the request once as plain
-// JSON, which keeps this client compatible with both older servers that
-// ignore Accept (they simply answer JSON) and strict ones that reject
-// unknown media types. makeReq must build a fresh request per call so the
-// body can be re-read on that retry.
-func httpDoNegotiated(hc *http.Client, noBinary *atomic.Bool, m *Metrics,
-	makeReq func() (*http.Request, error), fromFrame func([]byte) error, out interface{}) error {
+// roundTrip performs one request (a JSON POST when body is non-nil) and
+// decodes the answer. With a fromFrame decoder it negotiates the binary
+// framing: unless noBinary has latched, the request offers wire.ContentType
+// via Accept, and the response is decoded as a frame or as JSON depending
+// on what the server chose. A 406 latches noBinary and retries the request
+// once as plain JSON, which keeps this client compatible with both older
+// servers that ignore Accept (they simply answer JSON) and strict ones that
+// reject unknown media types. A nil fromFrame never offers frames.
+func roundTrip[T any](ctx context.Context, t *transport, method, path string, body []byte,
+	fromFrame func([]byte) (*T, error)) (*T, error) {
 	for {
-		req, err := makeReq()
-		if err != nil {
-			return err
+		var reqBody io.Reader
+		if body != nil {
+			reqBody = bytes.NewReader(body)
 		}
-		binary := !noBinary.Load()
-		if binary {
+		req, err := http.NewRequestWithContext(ctx, method, t.base+path, reqBody)
+		if err != nil {
+			return nil, err
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		offer := fromFrame != nil && !t.noBinary.Load()
+		if offer {
 			req.Header.Set("Accept", wire.ContentType)
 		}
-		resp, err := hc.Do(req)
+		resp, err := t.hc.Do(req)
 		if err != nil {
-			return fmt.Errorf("authtext: %s: %w", req.URL.Path, err)
+			return nil, fmt.Errorf("authtext: %s: %w", req.URL.Path, err)
 		}
-		if binary && resp.StatusCode == http.StatusNotAcceptable {
+		if offer && resp.StatusCode == http.StatusNotAcceptable {
 			_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, maxResponseBytes))
 			resp.Body.Close()
-			noBinary.Store(true)
+			t.noBinary.Store(true)
 			continue
 		}
-		err = decodeNegotiatedBody(req.URL.Path, resp, m, fromFrame, out)
+		out, err := decodeBody(req.URL.Path, resp, t.metrics, fromFrame)
 		resp.Body.Close()
-		return err
+		return out, err
 	}
 }
 
-// decodeNegotiatedBody dispatches on the response Content-Type. A frame
-// that fails its CRC or decode is classified as tampering (the transport
-// is the untrusted party here, exactly like an undecodable VO), so
-// IsTampered reports true for it.
-func decodeNegotiatedBody(path string, resp *http.Response, m *Metrics,
-	fromFrame func([]byte) error, out interface{}) error {
+// decodeBody decodes a (size-capped) response from an untrusted server,
+// dispatching on its Content-Type. A frame that fails its CRC or decode is
+// classified as tampering (the transport is the untrusted party here,
+// exactly like an undecodable VO), so IsTampered reports true for it.
+func decodeBody[T any](path string, resp *http.Response, m *Metrics, fromFrame func([]byte) (*T, error)) (*T, error) {
 	if resp.StatusCode != http.StatusOK {
 		se := httpapi.ReadErrorResponse(resp.StatusCode, resp.Body)
-		return fmt.Errorf("authtext: %s: server returned %d: %w", path, se.Status, se)
-	}
-	ct, _, _ := strings.Cut(resp.Header.Get("Content-Type"), ";")
-	if strings.EqualFold(strings.TrimSpace(ct), wire.ContentType) {
-		frame, err := readCapped(resp.Body)
-		if err != nil {
-			return fmt.Errorf("authtext: %s: %w", path, err)
-		}
-		start := time.Now()
-		if err := fromFrame(frame); err != nil {
-			verr := &core.VerifyError{Code: core.CodeMalformedVO, Detail: err.Error()}
-			m.countTamper()
-			return fmt.Errorf("authtext: %s: %w", path, verr)
-		}
-		m.observeWireDecode(time.Since(start))
-		return nil
+		return nil, fmt.Errorf("authtext: %s: server returned %d: %w", path, se.Status, se)
 	}
 	start := time.Now()
+	ct, _, _ := strings.Cut(resp.Header.Get("Content-Type"), ";")
+	if fromFrame != nil && strings.EqualFold(strings.TrimSpace(ct), wire.ContentType) {
+		frame, err := readCapped(resp.Body)
+		if err != nil {
+			return nil, fmt.Errorf("authtext: %s: %w", path, err)
+		}
+		start = time.Now()
+		out, err := fromFrame(frame)
+		if err != nil {
+			verr := &core.VerifyError{Code: core.CodeMalformedVO, Detail: err.Error()}
+			m.countTamper()
+			return nil, fmt.Errorf("authtext: %s: %w", path, verr)
+		}
+		m.observeWireDecode(time.Since(start))
+		return out, nil
+	}
+	out := new(T)
 	body := io.LimitReader(resp.Body, maxResponseBytes)
 	if err := json.NewDecoder(body).Decode(out); err != nil {
-		return fmt.Errorf("authtext: %s: bad response body: %w", path, err)
+		return nil, fmt.Errorf("authtext: %s: bad response body: %w", path, err)
 	}
+	// Drain (still capped) so the connection can be reused.
 	_, _ = io.Copy(io.Discard, body)
 	m.observeWireDecode(time.Since(start))
-	return nil
+	return out, nil
 }
 
 // readCapped buffers a body under maxResponseBytes, erroring (rather than
@@ -552,37 +553,6 @@ func readCapped(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("response body exceeds %d byte cap", maxResponseBytes)
 	}
 	return b, nil
-}
-
-// httpGetJSON fetches base+path and decodes the JSON body (shared by
-// RemoteClient and ShardedRemoteClient).
-func httpGetJSON(ctx context.Context, hc *http.Client, base, path string, out interface{}) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+path, nil)
-	if err != nil {
-		return err
-	}
-	return httpDoJSON(hc, req, out)
-}
-
-// httpDoJSON performs a request against an untrusted server and decodes
-// the (size-capped) JSON body.
-func httpDoJSON(hc *http.Client, req *http.Request, out interface{}) error {
-	resp, err := hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("authtext: %s: %w", req.URL.Path, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		se := httpapi.ReadErrorResponse(resp.StatusCode, resp.Body)
-		return fmt.Errorf("authtext: %s: server returned %d: %w", req.URL.Path, se.Status, se)
-	}
-	body := io.LimitReader(resp.Body, maxResponseBytes)
-	if err := json.NewDecoder(body).Decode(out); err != nil {
-		return fmt.Errorf("authtext: %s: bad response body: %w", req.URL.Path, err)
-	}
-	// Drain (still capped) so the connection can be reused.
-	_, _ = io.Copy(io.Discard, body)
-	return nil
 }
 
 func wireAlgo(a Algorithm) string {

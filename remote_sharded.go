@@ -1,15 +1,7 @@
 package authtext
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"net/url"
-	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"authtext/internal/httpapi"
@@ -24,117 +16,18 @@ import (
 // and VO, plus the merged global ranking — is verified locally before it
 // is returned.
 type ShardedRemoteClient struct {
-	base string
-	hc   *http.Client
-	// metrics, when non-nil, records verify latency and tamper rejections
-	// (WithShardedClientMetrics).
-	metrics *Metrics
-
-	// noBinary latches after a 406 to the binary-frame offer, exactly as
-	// on RemoteClient.
-	noBinary atomic.Bool
-
-	mu     sync.Mutex
-	client *ShardedClient // verification half, nil until bootstrapped
-
-	optErr error
-}
-
-// ShardedRemoteOption customises NewShardedRemoteClient.
-type ShardedRemoteOption func(*ShardedRemoteClient)
-
-// WithShardedHTTPClient substitutes the transport (default: 30 s timeout).
-func WithShardedHTTPClient(hc *http.Client) ShardedRemoteOption {
-	return func(rc *ShardedRemoteClient) { rc.hc = hc }
-}
-
-// WithShardedClientMetrics is WithClientMetrics for sharded clients: the
-// verify histogram covers the complete fan-out check (every shard's VO
-// plus the merge recomputation).
-func WithShardedClientMetrics(m *Metrics) ShardedRemoteOption {
-	return func(rc *ShardedRemoteClient) { rc.metrics = m }
-}
-
-// WithShardedClientExport seeds the verification material from an
-// out-of-band copy of the owner's ATSX export instead of fetching
-// /v1/shards/manifest (the stronger deployment).
-func WithShardedClientExport(export []byte) ShardedRemoteOption {
-	return func(rc *ShardedRemoteClient) {
-		c, err := NewShardedClientFromExport(export)
-		if err != nil {
-			rc.optErr = err
-			return
-		}
-		rc.client = c
-	}
+	remoteConn[*ShardedClient]
 }
 
 // NewShardedRemoteClient prepares a client for the sharded deployment at
 // baseURL. No network traffic happens until the first call.
-func NewShardedRemoteClient(baseURL string, opts ...ShardedRemoteOption) (*ShardedRemoteClient, error) {
-	u, err := url.Parse(strings.TrimRight(baseURL, "/"))
-	if err != nil {
-		return nil, fmt.Errorf("authtext: bad server URL: %w", err)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return nil, fmt.Errorf("authtext: bad server URL %q: scheme must be http or https", baseURL)
-	}
-	rc := &ShardedRemoteClient{base: u.String(), hc: defaultHTTPClient()}
-	for _, opt := range opts {
-		opt(rc)
-	}
-	if rc.optErr != nil {
-		return nil, rc.optErr
-	}
-	return rc, nil
-}
-
-// Bootstrap fetches and verifies the owner's shard-set manifest now
-// instead of lazily on the first Search.
-func (rc *ShardedRemoteClient) Bootstrap(ctx context.Context) error {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.bootstrapLocked(ctx)
-}
-
-func (rc *ShardedRemoteClient) bootstrapLocked(ctx context.Context) error {
-	if rc.client != nil {
-		return nil
-	}
-	m, err := rc.fetchManifest(ctx)
-	if err != nil {
-		return err
-	}
-	if m.Format != httpapi.FormatATSX {
-		return fmt.Errorf("authtext: server sharded manifest format %q not supported", m.Format)
-	}
-	c, err := NewShardedClientFromExport(m.Export)
-	if err != nil {
-		return err
-	}
-	rc.client = c
-	return nil
-}
-
-// fetchManifest retrieves /v1/shards/manifest with content negotiation.
-func (rc *ShardedRemoteClient) fetchManifest(ctx context.Context) (*httpapi.ManifestResponse, error) {
-	var m httpapi.ManifestResponse
-	err := httpDoNegotiated(rc.hc, &rc.noBinary, rc.metrics,
-		func() (*http.Request, error) {
-			return http.NewRequestWithContext(ctx, http.MethodGet, rc.base+httpapi.PathShardManifest, nil)
-		},
-		func(frame []byte) error {
-			d, err := wire.DecodeManifestResponse(frame)
-			if err != nil {
-				return err
-			}
-			m = *d
-			return nil
-		}, &m)
+func NewShardedRemoteClient(baseURL string, opts ...RemoteOption) (*ShardedRemoteClient, error) {
+	rc := &ShardedRemoteClient{}
+	err := rc.dial(baseURL, httpapi.PathShardManifest, httpapi.FormatATSX, NewShardedClientFromExport, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return rc, nil
 }
 
 // Shards returns the shard count after bootstrap (0 before).
@@ -147,88 +40,19 @@ func (rc *ShardedRemoteClient) Shards() int {
 	return rc.client.Shards()
 }
 
-// Generation returns the set generation this client currently verifies
-// against (0 before bootstrap or for static sets). It only moves forward.
-func (rc *ShardedRemoteClient) Generation() uint64 {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rc.client == nil {
-		return 0
-	}
-	return rc.client.Generation()
-}
-
-// refreshManifest advances the verification client to the server's
-// current shard-set manifest (see RemoteClient.refreshManifest);
-// ShardedClient.AdvanceExport enforces pinned-key verification and
-// rollback rejection.
-func (rc *ShardedRemoteClient) refreshManifest(ctx context.Context, client *ShardedClient) error {
-	m, err := rc.fetchManifest(ctx)
-	if err != nil {
-		return err
-	}
-	if m.Format != httpapi.FormatATSX {
-		return fmt.Errorf("authtext: server sharded manifest format %q not supported", m.Format)
-	}
-	return client.AdvanceExport(m.Export)
-}
-
 // Search asks the sharded deployment for the global top-r and verifies
 // the complete answer locally — every shard's VO against its pinned
 // manifest, then the merged ranking by recomputation — using the
 // parameters this client asked for, never the server's echo.
 func (rc *ShardedRemoteClient) Search(ctx context.Context, query string, r int, algo Algorithm, scheme Scheme) (*ShardedResult, error) {
-	if r < 1 || r > httpapi.MaxR {
-		return nil, fmt.Errorf("authtext: result size r=%d out of range [1, %d]", r, httpapi.MaxR)
-	}
-	rc.mu.Lock()
-	if err := rc.bootstrapLocked(ctx); err != nil {
-		rc.mu.Unlock()
+	if err := checkR(r); err != nil {
 		return nil, err
 	}
-	client := rc.client
-	rc.mu.Unlock()
-
-	reqBody, err := json.Marshal(&httpapi.SearchRequest{
-		Query: query, R: r, Algo: wireAlgo(algo), Scheme: wireScheme(scheme),
-	})
+	sw, client, err := ask(ctx, &rc.remoteConn, httpapi.PathShardSearch,
+		&httpapi.SearchRequest{Query: query, R: r, Algo: wireAlgo(algo), Scheme: wireScheme(scheme)},
+		wire.DecodeShardedSearchResponse, func(sw *httpapi.ShardedSearchResponse) uint64 { return sw.Generation })
 	if err != nil {
 		return nil, err
-	}
-	// Retry loop as in RemoteClient.Search: absorb honest races where the
-	// set is updated between the answer and the manifest refresh.
-	var sw httpapi.ShardedSearchResponse
-	for attempt := 0; ; attempt++ {
-		sw = httpapi.ShardedSearchResponse{}
-		err := httpDoNegotiated(rc.hc, &rc.noBinary, rc.metrics,
-			func() (*http.Request, error) {
-				req, err := http.NewRequestWithContext(ctx, http.MethodPost, rc.base+httpapi.PathShardSearch, bytes.NewReader(reqBody))
-				if err != nil {
-					return nil, err
-				}
-				req.Header.Set("Content-Type", "application/json")
-				return req, nil
-			},
-			func(frame []byte) error {
-				d, err := wire.DecodeShardedSearchResponse(frame)
-				if err != nil {
-					return err
-				}
-				sw = *d
-				return nil
-			}, &sw)
-		if err != nil {
-			return nil, err
-		}
-		if sw.Generation > client.Generation() {
-			if err := rc.refreshManifest(ctx, client); err != nil {
-				return nil, err
-			}
-		}
-		if sw.Generation < client.Generation() && attempt < 2 {
-			continue
-		}
-		break
 	}
 
 	res := &ShardedResult{
@@ -248,13 +72,7 @@ func (rc *ShardedRemoteClient) Search(ctx context.Context, query string, r int, 
 		},
 	}
 	for i := range sw.Shards {
-		sr := &SearchResult{VO: sw.Shards[i].VO, Generation: sw.Shards[i].Generation,
-			Hits: make([]Hit, len(sw.Shards[i].Hits))}
-		for j, h := range sw.Shards[i].Hits {
-			sr.Hits[j] = Hit{DocID: h.DocID, Score: h.Score, Content: h.Content}
-		}
-		sr.Stats = Stats{Algorithm: algo, Scheme: scheme, VOBytes: len(sr.VO)}
-		res.PerShard[i] = sr
+		res.PerShard[i] = resultFromWire(&sw.Shards[i], algo, scheme)
 	}
 	// Merged wire hits carry no content; deliver the (about to be
 	// verified) content of the shard answer each one cites. A merged hit
@@ -279,23 +97,4 @@ func (rc *ShardedRemoteClient) Search(ctx context.Context, query string, r int, 
 		return nil, err
 	}
 	return res, nil
-}
-
-// Health reports the deployment's liveness and shape (unauthenticated
-// operational data, like RemoteClient.Health).
-func (rc *ShardedRemoteClient) Health(ctx context.Context) (*ServerHealth, error) {
-	var h httpapi.Health
-	if err := httpGetJSON(ctx, rc.hc, rc.base, httpapi.PathHealthz, &h); err != nil {
-		return nil, err
-	}
-	return &ServerHealth{
-		Status:        h.Status,
-		Documents:     h.Documents,
-		Terms:         h.Terms,
-		Shards:        h.Shards,
-		Generation:    h.Generation,
-		UptimeMillis:  h.UptimeMillis,
-		QueriesServed: h.QueriesServed,
-		QueriesFailed: h.QueriesFailed,
-	}, nil
 }

@@ -90,7 +90,7 @@ func TestShardedRemoteOutOfBandExport(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
-	rc, err := authtext.NewShardedRemoteClient(srv.URL, authtext.WithShardedClientExport(export))
+	rc, err := authtext.NewShardedRemoteClient(srv.URL, authtext.WithClientExport(export))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package authtext
 
 import (
-	"errors"
 	"log/slog"
 	"net/http"
 	"sync/atomic"
@@ -10,18 +9,33 @@ import (
 	"authtext/internal/httpapi"
 )
 
-// This file adapts a Server to the /v1 HTTP protocol of
-// internal/httpapi (documented in docs/PROTOCOL.md). The handler serves
-// three endpoints: /v1/search answers queries with their verification
-// objects (single, or batched via a "queries" array executed concurrently
-// server-side), /v1/manifest bootstraps clients with the owner's signed
-// manifest and public key, and /v1/healthz reports liveness and aggregate
-// counters. Requests are served concurrently — the engine's read path is
-// lock-free, so the handler needs no serialization of its own.
-// cmd/authserved is the production wrapper; RemoteClient is the consuming
-// side.
+// This file adapts every deployment shape to the /v1 HTTP protocol of
+// internal/httpapi (documented in docs/PROTOCOL.md). The shapes differ
+// along two axes only:
+//
+//   - the WIRE: a single collection serves /v1/search (one query, or a
+//     "queries" batch executed concurrently server-side) and the ATCX
+//     bootstrap at /v1/manifest; a sharded one serves /v1/shards/search and
+//     the ATSX bootstrap at /v1/shards/manifest, and answers the plain
+//     endpoints 404 with a pointer to the sharded paths;
+//   - the LIFECYCLE: a static collection never changes; a live owner
+//     publishes a new signed generation per /v1/admin/update batch; a
+//     snapshot replica follows an owner's snapshot directory and answers
+//     the update endpoint 403.
+//
+// The lifecycle is hidden behind one unexported generation source and the
+// wire behind the view a source pins, so ONE backend holds everything else:
+// options, the effective VO cache, metrics, counters, the query log,
+// one-generation pinning, /v1/healthz. Requests are served concurrently —
+// the engine's read path is lock-free, so the backend needs no
+// serialization of its own. cmd/authserved is the production wrapper;
+// RemoteClient and ShardedRemoteClient are the consuming side.
 
-// QueryLog receives one record per served query; see WithQueryLog.
+// QueryLog receives one record per served query; see WithQueryLog. Sharded
+// handlers report the fan-out aggregate through the same signature:
+// stats.Shards is the shard count (0 on a single collection), the counts
+// are summed over shards, IOTime is the slowest shard's and ServerTime the
+// fan-out wall.
 type QueryLog func(query string, r int, stats Stats, wall time.Duration)
 
 // handlerOptions collects the optional callbacks a handler can carry.
@@ -33,19 +47,7 @@ type handlerOptions struct {
 	reqLog    *slog.Logger
 }
 
-// httpapiOpts translates the observability options to the HTTP layer's.
-func (o *handlerOptions) httpapiOpts() []httpapi.HandlerOpt {
-	var out []httpapi.HandlerOpt
-	if o.metrics != nil {
-		out = append(out, httpapi.WithMetricsRegistry(o.metrics.registry()))
-	}
-	if o.reqLog != nil {
-		out = append(out, httpapi.WithRequestLog(o.reqLog))
-	}
-	return out
-}
-
-// HandlerOption customises NewHTTPHandler and the live handlers.
+// HandlerOption customises every /v1 handler constructor.
 type HandlerOption func(*handlerOptions)
 
 // WithQueryLog installs a per-query callback (invoked synchronously after
@@ -55,16 +57,17 @@ func WithQueryLog(fn QueryLog) HandlerOption { return func(o *handlerOptions) { 
 
 // WithUpdateLog installs a callback invoked synchronously after every
 // accepted /v1/admin/update batch, with the served generation already
-// swapped. Live handlers only (static handlers never update); use it for
-// logging or to persist per-generation snapshots. MUST be safe for
-// concurrent use.
+// swapped. Owner-backed live handlers only (nothing else accepts updates);
+// use it for logging. MUST be safe for concurrent use.
 func WithUpdateLog(fn func(*UpdateReport)) HandlerOption {
 	return func(o *handlerOptions) { o.updateLog = fn }
 }
 
-// WithVOCache serves repeat queries from the given VO cache (cache.go).
-// A cache hit returns a response byte-identical to the miss that
-// populated it — the stats echo the original engine costs — and
+// WithVOCache serves repeat queries from the given VO cache (cache.go),
+// overriding a cache the served object already carries (SetVOCache). A
+// cache hit returns a response byte-identical to the miss that populated
+// it — the stats echo the original engine costs; on sharded handlers a hit
+// serves the complete fan-out answer without touching any shard — and
 // /v1/healthz reports the cache counters. On live deployments the cache
 // survives generation swaps: updates invalidate it by construction
 // (generation-stamped keys), so no coordination is needed.
@@ -86,26 +89,146 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 	return func(o *handlerOptions) { o.reqLog = logger }
 }
 
+// servingView is one pinned generation as a handler serves it: a *Server
+// or a *ShardedServer.
+type servingView interface {
+	// with returns the view serving through c and m where they are non-nil
+	// and not already in place. It copies: a shared snapshot is never
+	// mutated.
+	with(c *VOCache, m *Metrics) servingView
+	// attached reports the cache and registry the view itself carries.
+	attached() (*VOCache, *Metrics)
+	// health fills the collection-shaped healthz fields: live documents
+	// (tombstoned slots don't count), terms, shards, generation.
+	health() httpapi.Health
+}
+
+func (s *Server) with(c *VOCache, m *Metrics) servingView { return s.withCache(c).withMetrics(m) }
+
+func (s *Server) attached() (*VOCache, *Metrics) { return s.cache, s.metrics }
+
+func (s *Server) health() httpapi.Health {
+	m, _ := s.col.Manifest()
+	return httpapi.Health{Documents: s.col.LiveDocs(), Terms: s.col.Index().M(), Generation: m.Generation}
+}
+
+func (s *ShardedServer) with(c *VOCache, m *Metrics) servingView {
+	return s.withCache(c).withMetrics(m)
+}
+
+func (s *ShardedServer) attached() (*VOCache, *Metrics) { return s.cache, s.metrics }
+
+func (s *ShardedServer) health() httpapi.Health {
+	sm, _ := s.set.Manifest()
+	h := httpapi.Health{Shards: s.Shards(), Generation: sm.Generation}
+	for i := 0; i < s.Shards(); i++ {
+		col := s.set.Col(i)
+		h.Documents += col.LiveDocs()
+		h.Terms += col.Index().M()
+	}
+	return h
+}
+
+// liveUpdater applies one admin update batch.
+type liveUpdater func(add []Document, remove []DocHandle) ([]DocHandle, *UpdateReport, error)
+
+// source is what a handler is built from: where the current generation
+// comes from. *LiveOwner, *LiveShardedOwner, *LiveReplica and
+// *LiveShardedReplica implement it; a static collection is the source
+// whose generation never changes (staticSource).
+type source interface {
+	// pin returns the current generation's serving view. Everything one
+	// request does — a whole batch, a whole fan-out — runs on one pin, so
+	// no response mixes generations.
+	pin() servingView
+	// export returns the current generation's verification blob (ATCX or
+	// ATSX, matching the view).
+	export() ([]byte, error)
+	// Generation reports the currently served generation.
+	Generation() uint64
+	// adopt hands the source the handler's cache and registry before
+	// serving starts. A static source bakes both into its one prepared view,
+	// so pin never copies; live sources attach the registry (unless they
+	// already carry one) so updates and reloads record into it, and leave
+	// the cache to the per-request copy.
+	adopt(c *VOCache, m *Metrics)
+	// updater describes /v1/admin/update: live is false on static sources
+	// (the endpoint does not exist); apply is nil on serving-only sources
+	// (the endpoint answers 403).
+	updater() (apply liveUpdater, live bool)
+}
+
+// staticSource serves one immutable collection and the export blob the
+// caller supplied (nil: no manifest bootstrap).
+type staticSource struct {
+	view servingView
+	blob []byte
+}
+
+func (s *staticSource) pin() servingView { return s.view }
+
+func (s *staticSource) export() ([]byte, error) {
+	if s.blob == nil {
+		return nil, &httpapi.StatusError{
+			Status:  http.StatusServiceUnavailable,
+			Code:    httpapi.CodeUnavailable,
+			Message: "this server does not publish verification material",
+		}
+	}
+	return s.blob, nil
+}
+
+func (s *staticSource) Generation() uint64 { return s.view.health().Generation }
+
+func (s *staticSource) adopt(c *VOCache, m *Metrics) { s.view = s.view.with(c, m) }
+
+func (s *staticSource) updater() (liveUpdater, bool) { return nil, false }
+
+// The owner-backed sources (the replica sources are in live_snapshot.go).
+// Their pin carries no cache or registry of its own: the handler's layer
+// over it per request.
+
+func (o *LiveOwner) pin() servingView        { return &Server{col: o.lc.Current()} }
+func (o *LiveOwner) export() ([]byte, error) { return o.ExportClient() }
+func (o *LiveOwner) adopt(_ *VOCache, m *Metrics) {
+	if m != nil && o.metrics == nil {
+		o.SetMetrics(m)
+	}
+}
+func (o *LiveOwner) updater() (liveUpdater, bool) { return o.Update, true }
+
+func (o *LiveShardedOwner) pin() servingView        { return &ShardedServer{set: o.lc.Current()} }
+func (o *LiveShardedOwner) export() ([]byte, error) { return o.ExportClient() }
+func (o *LiveShardedOwner) adopt(_ *VOCache, m *Metrics) {
+	if m != nil && o.metrics == nil {
+		o.SetMetrics(m)
+	}
+}
+func (o *LiveShardedOwner) updater() (liveUpdater, bool) { return o.Update, true }
+
 // NewHTTPHandler exposes a Server over the versioned HTTP protocol.
 // clientExport is the blob from Owner.ExportClient, served verbatim at
 // /v1/manifest so remote clients can bootstrap; pass nil to run a search
 // endpoint without manifest bootstrap (clients must then obtain the
 // export out of band).
 func NewHTTPHandler(srv *Server, clientExport []byte, opts ...HandlerOption) http.Handler {
-	b := &httpBackend{srv: srv, export: clientExport, start: time.Now()}
-	for _, opt := range opts {
-		opt(&b.opts)
-	}
-	// WithVOCache layers over a cache the server may already carry, and
-	// WithMetrics over a registry set via SetMetrics.
-	b.srv = b.srv.withCache(b.opts.cache).withMetrics(b.opts.metrics)
-	b.cache = b.srv.cache
-	if b.opts.metrics != nil {
-		m, _ := b.srv.col.Manifest()
-		b.opts.metrics.setGeneration(m.Generation)
-	}
-	b.srv.metrics.BindVOCache(b.cache)
-	return httpapi.NewHandler(b, b.opts.httpapiOpts()...)
+	return newHandler(&staticSource{view: srv, blob: clientExport}, opts)
+}
+
+// NewShardedHTTPHandler exposes a ShardedServer over the versioned HTTP
+// protocol. export is the ATSX blob from ShardedOwner.ExportClient, served
+// at /v1/shards/manifest; pass nil to require out-of-band bootstrap.
+func NewShardedHTTPHandler(srv *ShardedServer, export []byte, opts ...HandlerOption) http.Handler {
+	return newHandler(&staticSource{view: srv, blob: export}, opts)
+}
+
+// NewLiveReplicaHTTPHandler exposes a snapshot-fed replica over the /v1
+// protocol: the live serving surface (generation in responses and
+// healthz, current generation's manifest) without the update endpoint —
+// POSTs to /v1/admin/update answer 403, because updates happen at the
+// owner that writes the snapshots.
+func NewLiveReplicaHTTPHandler(r *LiveReplica, opts ...HandlerOption) (http.Handler, error) {
+	return newLiveHandler(r, opts)
 }
 
 // HTTPHandler is the owner-side convenience: it exports the verification
@@ -118,32 +241,133 @@ func (o *Owner) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
 	return NewHTTPHandler(o.Server(), export, opts...), nil
 }
 
-// httpBackend implements httpapi.Backend on top of a Server.
-type httpBackend struct {
-	srv    *Server
-	export []byte
-	start  time.Time
-	opts   handlerOptions
-	// cache is the effective VO cache (the handler option, or the one the
-	// server already carried); nil when caching is off. Healthz reports it.
+// HTTPHandler is the owner-side convenience: export the verification
+// material and wrap the serving half in one call.
+func (o *ShardedOwner) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
+	export, err := o.ExportClient()
+	if err != nil {
+		return nil, err
+	}
+	return NewShardedHTTPHandler(o.Server(), export, opts...), nil
+}
+
+// HTTPHandler exposes the live collection over the versioned HTTP
+// protocol with the admin update endpoint enabled: searches serve the
+// latest generation, /v1/admin/update applies batches through this owner,
+// and /v1/manifest always publishes the current generation's export.
+func (o *LiveOwner) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
+	return newLiveHandler(o, opts)
+}
+
+// HTTPHandler exposes the live sharded deployment over the versioned HTTP
+// protocol with the admin update endpoint enabled.
+func (o *LiveShardedOwner) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
+	return newLiveHandler(o, opts)
+}
+
+// HTTPHandler exposes the replica over the versioned HTTP protocol: the
+// sharded serving surface of the latest loaded generation, with
+// /v1/admin/update answering 403 because updates happen at the owner
+// that writes the snapshots.
+func (r *LiveShardedReplica) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
+	return newLiveHandler(r, opts)
+}
+
+// newLiveHandler fails construction, not the first request, when the key
+// cannot be published (mirrors Owner.HTTPHandler's contract).
+func newLiveHandler(src source, opts []HandlerOption) (http.Handler, error) {
+	if _, err := src.export(); err != nil {
+		return nil, err
+	}
+	return newHandler(src, opts), nil
+}
+
+// newHandler wires a generation source onto the /v1 protocol.
+func newHandler(src source, opts []HandlerOption) http.Handler {
+	b := &backend{src: src, start: time.Now()}
+	for _, opt := range opts {
+		opt(&b.opts)
+	}
+	src.adopt(b.opts.cache, b.opts.metrics)
+	view := src.pin()
+	// The handler options layer over what the source already carries.
+	var metrics *Metrics
+	b.cache, metrics = view.with(b.opts.cache, b.opts.metrics).attached()
+	b.opts.metrics.setGeneration(src.Generation())
+	// /v1/metrics and /v1/healthz read the same cache counters.
+	metrics.BindVOCache(b.cache)
+
+	// Which endpoints exist is a property of the source, declared here; the
+	// wire shape is the view's, the update endpoint the lifecycle's.
+	e := httpapi.Endpoints{Generation: src.Generation}
+	if _, b.sharded = view.(*ShardedServer); b.sharded {
+		e.ShardSearch, e.ShardExport = b.shardSearch, src.export
+	} else {
+		e.SearchBatch = b.searchBatch
+	}
+	var live bool
+	if b.update, live = src.updater(); live {
+		e.Update = b.applyUpdate
+	}
+	hopts := []httpapi.HandlerOpt{httpapi.WithEndpoints(e)}
+	if b.opts.metrics != nil {
+		hopts = append(hopts, httpapi.WithMetricsRegistry(b.opts.metrics.registry()))
+	}
+	if b.opts.reqLog != nil {
+		hopts = append(hopts, httpapi.WithRequestLog(b.opts.reqLog))
+	}
+	return httpapi.NewHandler(b, hopts...)
+}
+
+// backend implements httpapi.Backend — and the endpoint families newHandler
+// declares — over any generation source.
+type backend struct {
+	src     source
+	sharded bool        // the wire shape of every view src pins
+	update  liveUpdater // nil: serving-only
+	start   time.Time
+	opts    handlerOptions
+	// cache is the effective VO cache (handler option wins over the
+	// source's own); nil when caching is off. Healthz reports it.
 	cache  *VOCache
 	served atomic.Int64
 	failed atomic.Int64
 }
 
-func (b *httpBackend) Search(req *httpapi.SearchRequest) (*httpapi.SearchResponse, error) {
+// pin pins the current generation, serving through the effective cache
+// and metrics (a no-op on static sources, which adopted both).
+func (b *backend) pin() servingView {
+	return b.src.pin().with(b.opts.cache, b.opts.metrics)
+}
+
+// shardedOnly is the answer of the plain endpoints on a sharded server.
+func shardedOnly(instead string) error {
+	return &httpapi.StatusError{
+		Status:  http.StatusNotFound,
+		Code:    httpapi.CodeNotFound,
+		Message: "this server is sharded; " + instead,
+	}
+}
+
+func (b *backend) Search(req *httpapi.SearchRequest) (*httpapi.SearchResponse, error) {
+	if b.sharded {
+		return nil, shardedOnly("query " + httpapi.PathShardSearch)
+	}
+	srv := b.pin().(*Server)
 	start := time.Now()
-	res, err := b.srv.Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
+	res, err := srv.Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
 	if err != nil {
 		b.failed.Add(1)
 		return nil, err
 	}
-	return b.record(req, res, time.Since(start)), nil
+	b.record(req, res.Stats, time.Since(start))
+	return wireSearchResponse(req, res), nil
 }
 
-// SearchBatch implements httpapi.BatchBackend on top of the facade's
-// bounded-worker batch execution; queries in one batch run concurrently.
-func (b *httpBackend) SearchBatch(reqs []httpapi.SearchRequest) []httpapi.BatchSearchResult {
+// searchBatch runs the whole batch on ONE pinned generation, on top of the
+// facade's bounded-worker batch execution.
+func (b *backend) searchBatch(reqs []httpapi.SearchRequest) []httpapi.BatchSearchResult {
+	srv := b.pin().(*Server)
 	queries := make([]BatchQuery, len(reqs))
 	for i, req := range reqs {
 		queries[i] = BatchQuery{
@@ -153,7 +377,7 @@ func (b *httpBackend) SearchBatch(reqs []httpapi.SearchRequest) []httpapi.BatchS
 			Scheme:    parseWireScheme(req.Scheme),
 		}
 	}
-	items := b.srv.SearchBatch(queries, 0)
+	items := srv.SearchBatch(queries, 0)
 	out := make([]httpapi.BatchSearchResult, len(items))
 	for i, item := range items {
 		if item.Err != nil {
@@ -164,30 +388,111 @@ func (b *httpBackend) SearchBatch(reqs []httpapi.SearchRequest) []httpapi.BatchS
 		// Per-query wall, not the batch's: the engine measures each query's
 		// own server time, which stays meaningful under concurrency.
 		wall := time.Duration(float64(item.Result.Stats.ServerTime) * float64(time.Millisecond))
-		out[i] = httpapi.BatchOutcome(b.record(&reqs[i], item.Result, wall), nil)
+		b.record(&reqs[i], item.Result.Stats, wall)
+		out[i] = httpapi.BatchOutcome(wireSearchResponse(&reqs[i], item.Result), nil)
 	}
 	return out
 }
 
-// record counts a served query, feeds the query log, and builds the wire
-// response. wall is this query's own wall time — the handler-measured wall
-// for single requests, the engine-measured per-query server time for
-// batched ones. It feeds only the query log: the wire response is a pure
-// function of the result object, so a cache hit serializes byte-identically
-// to the miss that populated it.
-func (b *httpBackend) record(req *httpapi.SearchRequest, res *SearchResult, wall time.Duration) *httpapi.SearchResponse {
-	b.served.Add(1)
-	if b.opts.queryLog != nil {
-		b.opts.queryLog(req.Query, req.R, res.Stats, wall)
+// shardSearch pins one generation for the whole fan-out.
+func (b *backend) shardSearch(req *httpapi.SearchRequest) (*httpapi.ShardedSearchResponse, error) {
+	srv := b.pin().(*ShardedServer)
+	start := time.Now()
+	res, err := srv.Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
+	if err != nil {
+		b.failed.Add(1)
+		return nil, err
 	}
-	return wireSearchResponse(req, res)
+	b.record(req, res.Stats.aggregate(), time.Since(start))
+	return wireShardedResponse(req, res), nil
 }
 
-// wireSearchResponse converts one facade result to the wire form (shared
-// by the static and live backends). Deliberately a pure function of
-// (req, res): ServerMillis echoes the engine-measured per-query time, not
-// a handler wall clock, so replaying a cached result yields the identical
-// bytes.
+// record counts a served query and feeds the query log. wall is this
+// query's own wall time — the handler-measured wall for single requests,
+// the engine-measured per-query server time for batched ones. It feeds
+// only the log: the wire response is a pure function of the result object.
+func (b *backend) record(req *httpapi.SearchRequest, st Stats, wall time.Duration) {
+	b.served.Add(1)
+	if b.opts.queryLog != nil {
+		b.opts.queryLog(req.Query, req.R, st, wall)
+	}
+}
+
+// ClientExport serves /v1/manifest: the current generation's ATCX blob.
+func (b *backend) ClientExport() ([]byte, error) {
+	if b.sharded {
+		return nil, shardedOnly("fetch " + httpapi.PathShardManifest)
+	}
+	return b.src.export()
+}
+
+func (b *backend) applyUpdate(req *httpapi.UpdateRequest) (*httpapi.UpdateResponse, error) {
+	if b.update == nil {
+		return nil, &httpapi.StatusError{
+			Status:  http.StatusForbidden,
+			Code:    httpapi.CodeUpdateFailed,
+			Message: "this replica is serving-only; apply updates at the owner",
+		}
+	}
+	add := make([]Document, len(req.Add))
+	for i, d := range req.Add {
+		add[i] = Document{Content: d.Content}
+	}
+	remove := make([]DocHandle, len(req.Remove))
+	for i, h := range req.Remove {
+		remove[i] = DocHandle(h)
+	}
+	handles, rep, err := b.update(add, remove)
+	if err != nil {
+		// Update failures are batch-shaped (unknown handle, emptying
+		// removal, unindexable content): the server state is unchanged,
+		// so report them as the caller's problem.
+		return nil, &httpapi.StatusError{
+			Status:  http.StatusBadRequest,
+			Code:    httpapi.CodeUpdateFailed,
+			Message: err.Error(),
+		}
+	}
+	if b.cache != nil {
+		// Hygiene, not correctness: superseded generations' entries can no
+		// longer be looked up (the generation is in the key); dropping them
+		// just returns their memory ahead of LRU aging.
+		b.cache.dropBelow(rep.Generation)
+	}
+	if b.opts.updateLog != nil {
+		b.opts.updateLog(rep)
+	}
+	return &httpapi.UpdateResponse{
+		Generation:       rep.Generation,
+		Documents:        rep.Documents,
+		TombstonedSlots:  rep.TombstonedSlots,
+		Compacted:        rep.Compacted,
+		Added:            rawHandles(handles),
+		Removed:          rep.Removed,
+		SignaturesSigned: rep.SignaturesSigned,
+		SignaturesReused: rep.SignaturesReused,
+		ShardsReused:     rep.ShardsReused,
+		RebuildMillis:    rep.RebuildMillis,
+	}, nil
+}
+
+// Health reads the collection shape and the generation off ONE pinned view.
+func (b *backend) Health() httpapi.Health {
+	h := b.src.pin().health()
+	h.Status = "ok"
+	h.UptimeMillis = time.Since(b.start).Milliseconds()
+	h.QueriesServed = b.served.Load()
+	h.QueriesFailed = b.failed.Load()
+	if b.cache != nil {
+		h.Cache = b.cache.health()
+	}
+	return h
+}
+
+// wireSearchResponse converts one facade result to the wire form.
+// Deliberately a pure function of (req, res): ServerMillis echoes the
+// engine-measured per-query time, not a handler wall clock, so replaying a
+// cached result yields the identical bytes.
 func wireSearchResponse(req *httpapi.SearchRequest, res *SearchResult) *httpapi.SearchResponse {
 	out := &httpapi.SearchResponse{
 		Query:      req.Query,
@@ -197,7 +502,17 @@ func wireSearchResponse(req *httpapi.SearchRequest, res *SearchResult) *httpapi.
 		Generation: res.Generation,
 		Hits:       make([]httpapi.Hit, len(res.Hits)),
 		VO:         res.VO,
-		Stats:      wireStats(res.Stats),
+		Stats: httpapi.SearchStats{
+			QueryTerms:     res.Stats.QueryTerms,
+			EntriesRead:    res.Stats.EntriesRead,
+			EntriesPerTerm: res.Stats.EntriesPerTerm,
+			PctListRead:    res.Stats.PctListRead,
+			BlockReads:     res.Stats.BlockReads,
+			RandomReads:    res.Stats.RandomReads,
+			IOMillis:       float64(res.Stats.IOTime),
+			VOBytes:        res.Stats.VOBytes,
+			ServerMillis:   float64(res.Stats.ServerTime),
+		},
 	}
 	for i, h := range res.Hits {
 		out.Hits[i] = httpapi.Hit{DocID: h.DocID, Score: h.Score, Content: h.Content}
@@ -205,41 +520,31 @@ func wireSearchResponse(req *httpapi.SearchRequest, res *SearchResult) *httpapi.
 	return out
 }
 
-func (b *httpBackend) ClientExport() ([]byte, error) {
-	if b.export == nil {
-		return nil, errors.New("this server does not publish verification material")
+// wireShardedResponse is wireSearchResponse for a fan-out answer — a pure
+// function of (req, res) for the same reason: ServerMillis is the
+// engine-measured fan-out wall stored in the result.
+func wireShardedResponse(req *httpapi.SearchRequest, res *ShardedResult) *httpapi.ShardedSearchResponse {
+	out := &httpapi.ShardedSearchResponse{
+		Query:      req.Query,
+		R:          req.R,
+		Algo:       req.Algo,
+		Scheme:     req.Scheme,
+		Generation: res.Generation,
+		Shards:     make([]httpapi.SearchResponse, len(res.PerShard)),
+		Merged:     make([]httpapi.MergedHit, len(res.Merged)),
+		Stats: httpapi.ShardedSearchStats{
+			Shards:       res.Stats.Shards,
+			EntriesRead:  res.Stats.EntriesRead,
+			VOBytes:      res.Stats.VOBytes,
+			IOMillis:     float64(res.Stats.IOTime),
+			ServerMillis: float64(res.Stats.Wall.Microseconds()) / 1000,
+		},
 	}
-	return b.export, nil
-}
-
-func (b *httpBackend) Health() httpapi.Health {
-	idx := b.srv.col.Index()
-	m, _ := b.srv.col.Manifest()
-	h := httpapi.Health{
-		Status:        "ok",
-		Documents:     idx.N,
-		Terms:         idx.M(),
-		Generation:    m.Generation,
-		UptimeMillis:  time.Since(b.start).Milliseconds(),
-		QueriesServed: b.served.Load(),
-		QueriesFailed: b.failed.Load(),
+	for i, sr := range res.PerShard {
+		out.Shards[i] = *wireSearchResponse(req, sr)
 	}
-	if b.cache != nil {
-		h.Cache = b.cache.health()
+	for i, m := range res.Merged {
+		out.Merged[i] = httpapi.MergedHit{Shard: m.Shard, DocID: m.DocID, GlobalID: m.GlobalID, Score: m.Score}
 	}
-	return h
-}
-
-func wireStats(st Stats) httpapi.SearchStats {
-	return httpapi.SearchStats{
-		QueryTerms:     st.QueryTerms,
-		EntriesRead:    st.EntriesRead,
-		EntriesPerTerm: st.EntriesPerTerm,
-		PctListRead:    st.PctListRead,
-		BlockReads:     st.BlockReads,
-		RandomReads:    st.RandomReads,
-		IOMillis:       float64(st.IOTime),
-		VOBytes:        st.VOBytes,
-		ServerMillis:   float64(st.ServerTime),
-	}
+	return out
 }

@@ -1,0 +1,427 @@
+package authtext_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"authtext"
+	"authtext/internal/httpapi"
+	"authtext/internal/wire"
+)
+
+// The handler shape matrix: every serving shape — {single, sharded} ×
+// {static, live owner, snapshot replica} — is built from one generation
+// source behind one backend (serve.go), so one table checks what all six
+// must agree on: honest answers verify over both wire codecs, the
+// registered endpoint set and its 404/403 bodies, healthz, the generation
+// header, cache precedence and byte-identical hits, and the tamper /
+// rollback classifications.
+
+const (
+	matrixQuery = "merkle digest"
+	matrixR     = 3
+	matrixDocs  = 16
+)
+
+// matrixEnv is one built shape.
+type matrixEnv struct {
+	handler http.Handler
+	// documents and generation are what healthz must report.
+	documents  int
+	generation uint64
+	// ownCache is the cache the served object itself carries (SetVOCache);
+	// nil where the shape has no such setter. The handler is built with
+	// WithVOCache(optCache), which must win.
+	ownCache *authtext.VOCache
+	// advance publishes one more generation and makes this handler serve
+	// it; nil on static shapes.
+	advance func(t *testing.T)
+}
+
+type matrixShape struct {
+	name    string
+	sharded bool
+	// adminStatus is what POST /v1/admin/update answers: 404 (static: no
+	// such endpoint), 403 (replica: serving-only) or 200 (owner).
+	adminStatus int
+	build       func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv
+}
+
+func must[T any](v T, err error) func(*testing.T) T {
+	return func(t *testing.T) T {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+}
+
+// liveSingle builds a live owner whose served generation carries one
+// tombstone (so live documents != slots): generation 2, matrixDocs-1
+// documents.
+func liveSingle(t *testing.T) *authtext.LiveOwner {
+	t.Helper()
+	owner, handles, err := authtext.NewLiveOwner(liveRemoteDocs(0, matrixDocs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(owner.RemoveDocuments(handles[1]))(t)
+	return owner
+}
+
+func liveSharded(t *testing.T) *authtext.LiveShardedOwner {
+	t.Helper()
+	owner, handles, err := authtext.NewLiveShardedOwner(liveRemoteDocs(0, matrixDocs), 2,
+		authtext.WithShardPartitioner(authtext.PartitionHash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	must(owner.RemoveDocuments(handles[1]))(t)
+	return owner
+}
+
+var matrixShapes = []matrixShape{
+	{name: "static-single", adminStatus: http.StatusNotFound,
+		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
+			owner := must(authtext.NewOwner(liveRemoteDocs(0, matrixDocs)))(t)
+			srv, own := owner.Server(), authtext.NewVOCache(1<<20)
+			srv.SetVOCache(own)
+			return matrixEnv{handler: authtext.NewHTTPHandler(srv, must(owner.ExportClient())(t), opts...),
+				documents: matrixDocs, ownCache: own}
+		}},
+	{name: "static-sharded", sharded: true, adminStatus: http.StatusNotFound,
+		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
+			owner := must(authtext.NewShardedOwner(liveRemoteDocs(0, matrixDocs), 2))(t)
+			srv, own := owner.Server(), authtext.NewVOCache(1<<20)
+			srv.SetVOCache(own)
+			return matrixEnv{handler: authtext.NewShardedHTTPHandler(srv, must(owner.ExportClient())(t), opts...),
+				documents: matrixDocs, ownCache: own}
+		}},
+	{name: "live-single", adminStatus: http.StatusOK,
+		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
+			owner := liveSingle(t)
+			return matrixEnv{handler: must(owner.HTTPHandler(opts...))(t),
+				documents: matrixDocs - 1, generation: 2,
+				advance: func(t *testing.T) { must(owner.RemoveDocuments(owner.Handles()[0]))(t) }}
+		}},
+	{name: "live-sharded", sharded: true, adminStatus: http.StatusOK,
+		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
+			owner := liveSharded(t)
+			return matrixEnv{handler: must(owner.HTTPHandler(opts...))(t),
+				documents: matrixDocs - 1, generation: 2,
+				advance: func(t *testing.T) {
+					_, _, err := owner.AddDocuments(liveRemoteDocs(matrixDocs, 1))
+					if err != nil {
+						t.Fatal(err)
+					}
+				}}
+		}},
+	{name: "replica-single", adminStatus: http.StatusForbidden,
+		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
+			owner, dir := liveSingle(t), t.TempDir()
+			must(owner.WriteSnapshotDir(dir))(t)
+			replica, own := must(authtext.OpenLiveSnapshotDir(dir))(t), authtext.NewVOCache(1<<20)
+			replica.SetVOCache(own)
+			return matrixEnv{handler: must(authtext.NewLiveReplicaHTTPHandler(replica, opts...))(t),
+				documents: matrixDocs - 1, generation: 2, ownCache: own,
+				advance: func(t *testing.T) {
+					must(owner.RemoveDocuments(owner.Handles()[0]))(t)
+					must(owner.WriteSnapshotDir(dir))(t)
+					if swapped := must(replica.Reload())(t); !swapped {
+						t.Fatal("reload did not swap")
+					}
+				}}
+		}},
+	{name: "replica-sharded", sharded: true, adminStatus: http.StatusForbidden,
+		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
+			owner, dir := liveSharded(t), t.TempDir()
+			must(owner.WriteSnapshotDir(dir))(t)
+			replica, own := must(authtext.OpenLiveShardedSnapshotDir(dir))(t), authtext.NewVOCache(1<<20)
+			replica.SetVOCache(own)
+			return matrixEnv{handler: must(replica.HTTPHandler(opts...))(t),
+				documents: matrixDocs - 1, generation: 2, ownCache: own,
+				advance: func(t *testing.T) {
+					_, _, err := owner.AddDocuments(liveRemoteDocs(matrixDocs, 1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					must(owner.WriteSnapshotDir(dir))(t)
+					if swapped := must(replica.Reload())(t); !swapped {
+						t.Fatal("reload did not swap")
+					}
+				}}
+		}},
+}
+
+// matrixClient is the verifying client matching a shape's wire.
+type matrixClient interface {
+	Generation() uint64
+	Health(ctx context.Context) (*authtext.ServerHealth, error)
+}
+
+// matrixSearch runs one verified search through the matching remote client
+// and returns the generation that answered and the number of hits.
+func matrixSearch(t *testing.T, url string, sharded bool, opts ...authtext.RemoteOption) (matrixClient, uint64, int, error) {
+	t.Helper()
+	ctx := context.Background()
+	if sharded {
+		rc := must(authtext.NewShardedRemoteClient(url, opts...))(t)
+		res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+		if err != nil {
+			return rc, 0, 0, err
+		}
+		return rc, res.Generation, len(res.Merged), nil
+	}
+	rc := must(authtext.NewRemoteClient(url, opts...))(t)
+	res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+	if err != nil {
+		return rc, 0, 0, err
+	}
+	return rc, res.Generation, len(res.Hits), nil
+}
+
+// stripAccept forces the JSON codec: the server never sees a frame offer.
+func stripAccept(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del("Accept")
+		h.ServeHTTP(w, r)
+	})
+}
+
+// matrixDo performs one raw request against the handler.
+func matrixDo(h http.Handler, method, target, body, accept string) *httptest.ResponseRecorder {
+	var rd io.Reader
+	if body != "" {
+		rd = strings.NewReader(body)
+	}
+	req := httptest.NewRequest(method, target, rd)
+	if accept != "" {
+		req.Header.Set("Accept", accept)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
+}
+
+func TestHandlerShapeMatrix(t *testing.T) {
+	for _, shape := range matrixShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			optCache := authtext.NewVOCache(2 << 20)
+			env := shape.build(t, authtext.WithVOCache(optCache))
+			searchPath, manifestPath := httpapi.PathSearch, httpapi.PathManifest
+			if shape.sharded {
+				searchPath, manifestPath = httpapi.PathShardSearch, httpapi.PathShardManifest
+			}
+			searchBody := `{"query":"` + matrixQuery + `","r":3}`
+
+			// A cache hit is byte-identical to the miss that filled it, on both
+			// codecs (first: these are the handler's first two queries).
+			for _, accept := range []string{"", wire.ContentType} {
+				miss := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, accept)
+				hit := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, accept)
+				if miss.Code != http.StatusOK || !bytes.Equal(miss.Body.Bytes(), hit.Body.Bytes()) {
+					t.Fatalf("accept %q: status %d, hit differs from miss", accept, miss.Code)
+				}
+				if accept != "" && miss.Header().Get("Content-Type") != wire.ContentType {
+					t.Fatalf("frame not negotiated: %q", miss.Header().Get("Content-Type"))
+				}
+			}
+			// The handler option's cache served them, not the source's own.
+			if st := optCache.Stats(); st.Misses != 1 || st.Hits != 3 {
+				t.Fatalf("option cache: %+v, want 1 miss and 3 hits", st)
+			}
+			if env.ownCache != nil {
+				if st := env.ownCache.Stats(); st.Hits+st.Misses != 0 {
+					t.Fatalf("the source's own cache was consulted despite WithVOCache: %+v", st)
+				}
+			}
+
+			// Honest answers verify through the matching client, over binary
+			// frames (the client's preference) and over JSON.
+			for codec, h := range map[string]http.Handler{"binary": env.handler, "json": stripAccept(env.handler)} {
+				ts := httptest.NewServer(h)
+				rc, gen, hits, err := matrixSearch(t, ts.URL, shape.sharded)
+				if err != nil || hits == 0 {
+					t.Fatalf("%s: honest search: %d hits, err %v", codec, hits, err)
+				}
+				if gen != env.generation || rc.Generation() != env.generation {
+					t.Fatalf("%s: answered generation %d, client holds %d, want %d", codec, gen, rc.Generation(), env.generation)
+				}
+				health := must(rc.Health(context.Background()))(t)
+				wantShards := 0
+				if shape.sharded {
+					wantShards = 2
+				}
+				if health.Status != "ok" || health.Documents != env.documents || health.Terms == 0 ||
+					health.Shards != wantShards || health.Generation != env.generation {
+					t.Fatalf("%s: healthz %+v, want %d documents, %d shards, generation %d",
+						codec, health, env.documents, wantShards, env.generation)
+				}
+				ts.Close()
+			}
+
+			// Healthz reports the EFFECTIVE cache.
+			var health httpapi.Health
+			rec := matrixDo(env.handler, http.MethodGet, httpapi.PathHealthz, "", "")
+			if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
+				t.Fatal(err)
+			}
+			if health.Cache == nil || health.Cache.CapacityBytes != optCache.Stats().CapacityBytes || health.Cache.Hits == 0 {
+				t.Fatalf("healthz cache block: %+v", health.Cache)
+			}
+
+			// The registered endpoint set, and the bodies of what is absent.
+			type probe struct {
+				method, target, body string
+				status               int
+				code, message        string
+			}
+			notHere := func(path string) probe {
+				return probe{http.MethodGet, path, "", http.StatusNotFound, httpapi.CodeNotFound, "no such endpoint: " + path}
+			}
+			probes := []probe{
+				{http.MethodGet, httpapi.PathHealthz, "", http.StatusOK, "", ""},
+				{http.MethodGet, searchPath + "?q=merkle", "", http.StatusOK, "", ""},
+				{http.MethodGet, manifestPath, "", http.StatusOK, "", ""},
+				notHere("/v1/nope"),
+			}
+			if shape.sharded {
+				probes = append(probes,
+					probe{http.MethodGet, httpapi.PathSearch + "?q=merkle", "", http.StatusNotFound, httpapi.CodeNotFound,
+						"this server is sharded; query " + httpapi.PathShardSearch},
+					probe{http.MethodGet, httpapi.PathManifest, "", http.StatusNotFound, httpapi.CodeNotFound,
+						"this server is sharded; fetch " + httpapi.PathShardManifest})
+			} else {
+				probes = append(probes, notHere(httpapi.PathShardSearch), notHere(httpapi.PathShardManifest))
+			}
+			const updateBody = `{"add":[{"content":"bWVya2xlIGRpZ2VzdCBwcm9vZiBjaGFpbg=="}]}`
+			switch shape.adminStatus {
+			case http.StatusNotFound:
+				p := notHere(httpapi.PathAdminUpdate)
+				p.method, p.body = http.MethodPost, updateBody
+				probes = append(probes, p)
+			case http.StatusForbidden:
+				probes = append(probes, probe{http.MethodPost, httpapi.PathAdminUpdate, updateBody, http.StatusForbidden,
+					httpapi.CodeUpdateFailed, "this replica is serving-only; apply updates at the owner"})
+			}
+			for _, p := range probes {
+				rec := matrixDo(env.handler, p.method, p.target, p.body, "")
+				if rec.Code != p.status {
+					t.Fatalf("%s %s: status %d, want %d (%s)", p.method, p.target, rec.Code, p.status, rec.Body.String())
+				}
+				// The generation header is present exactly when there is one.
+				if got := rec.Header().Get(httpapi.GenerationHeader); p.status == http.StatusOK && (got != "") != (env.generation > 0) {
+					t.Fatalf("%s: %s = %q at generation %d", p.target, httpapi.GenerationHeader, got, env.generation)
+				}
+				if p.status == http.StatusOK {
+					continue
+				}
+				var envl httpapi.ErrorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &envl); err != nil {
+					t.Fatalf("%s: error body is not an envelope: %v", p.target, err)
+				}
+				if envl.Error.Code != p.code || envl.Error.Message != p.message {
+					t.Fatalf("%s: error %+v, want %s %q", p.target, envl.Error, p.code, p.message)
+				}
+			}
+
+			// One in-transit VO flip classifies as tampering.
+			flip := func(vo []byte) { vo[len(vo)/2] ^= 0x40 }
+			tampered := tamperingProxy(env.handler, func(r *httpapi.SearchResponse) { flip(r.VO) })
+			if shape.sharded {
+				tampered = shardedTamperingProxy(env.handler, func(r *httpapi.ShardedSearchResponse) { flip(r.Shards[0].VO) })
+			}
+			ts := httptest.NewServer(tampered)
+			defer ts.Close()
+			if _, _, _, err := matrixSearch(t, ts.URL, shape.sharded); !authtext.IsTampered(err) {
+				t.Fatalf("flipped VO classified as %v", err)
+			}
+
+			if env.advance == nil {
+				return // a static shape has no generation to be rolled back from
+			}
+
+			// The owner accepts an update batch over HTTP and serves its result.
+			if shape.adminStatus == http.StatusOK {
+				rec := matrixDo(env.handler, http.MethodPost, httpapi.PathAdminUpdate, updateBody, "")
+				var upd httpapi.UpdateResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &upd); err != nil || rec.Code != http.StatusOK {
+					t.Fatalf("admin update: %d %s", rec.Code, rec.Body.String())
+				}
+				if upd.Generation != env.generation+1 || upd.Documents != env.documents+1 {
+					t.Fatalf("admin update answered %+v", upd)
+				}
+				env.generation++
+			}
+
+			// One rolled-back generation: the client has accepted generation
+			// g+1, then is replayed an honest answer of generation g. Stale,
+			// and still stale after the retry budget.
+			stale := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, "")
+			env.advance(t)
+			var replay atomic.Bool
+			rolledBack := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if replay.Load() && r.URL.Path == searchPath {
+					w.Header().Set("Content-Type", "application/json")
+					_, _ = w.Write(stale.Body.Bytes())
+					return
+				}
+				stripAccept(env.handler).ServeHTTP(w, r)
+			}))
+			defer rolledBack.Close()
+			rc, gen, _, err := matrixSearch(t, rolledBack.URL, shape.sharded)
+			if err != nil || gen != env.generation+1 {
+				t.Fatalf("search after advance: generation %d, err %v", gen, err)
+			}
+			replay.Store(true)
+			export := matrixDo(env.handler, http.MethodGet, manifestPath, "", "")
+			var m httpapi.ManifestResponse
+			if err := json.Unmarshal(export.Body.Bytes(), &m); err != nil {
+				t.Fatal(err)
+			}
+			_, _, _, err = matrixSearch(t, rolledBack.URL, shape.sharded, authtext.WithClientExport(m.Export))
+			if !errors.Is(err, authtext.ErrStaleGeneration) || !authtext.IsTampered(err) {
+				t.Fatalf("replayed generation %d to a client at %d classified as %v", env.generation, rc.Generation(), err)
+			}
+		})
+	}
+}
+
+// TestHealthzCountsLiveDocumentsOnStaticServer: one signed generation
+// carrying a tombstone must report the same healthz whether its snapshot
+// is served statically by file path or through a replica by directory —
+// live documents, never slots.
+func TestHealthzCountsLiveDocumentsOnStaticServer(t *testing.T) {
+	owner, dir := liveSingle(t), t.TempDir()
+	path := must(owner.WriteSnapshotDir(dir))(t)
+
+	srv, client, err := authtext.OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byFile := authtext.NewHTTPHandler(srv, must(client.Export())(t))
+	byDir := must(authtext.NewLiveReplicaHTTPHandler(must(authtext.OpenLiveSnapshotDir(dir))(t)))(t)
+
+	healthOf := func(h http.Handler) (out httpapi.Health) {
+		if err := json.Unmarshal(matrixDo(h, http.MethodGet, httpapi.PathHealthz, "", "").Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	file, replica := healthOf(byFile), healthOf(byDir)
+	if file.Documents != matrixDocs-1 || file.Generation != 2 {
+		t.Fatalf("static healthz counts slots, not live documents: %+v", file)
+	}
+	if file.Documents != replica.Documents || file.Terms != replica.Terms || file.Generation != replica.Generation {
+		t.Fatalf("file path and directory disagree about one generation: %+v vs %+v", file, replica)
+	}
+}

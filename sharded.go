@@ -124,7 +124,7 @@ func (s *ShardedServer) SetMetrics(m *Metrics) { s.metrics = m }
 // withCache returns a shallow copy of s serving through c (see
 // Server.withCache).
 func (s *ShardedServer) withCache(c *VOCache) *ShardedServer {
-	if c == nil {
+	if c == nil || c == s.cache {
 		return s
 	}
 	cp := *s
@@ -134,7 +134,7 @@ func (s *ShardedServer) withCache(c *VOCache) *ShardedServer {
 
 // withMetrics is withCache for the metric registry.
 func (s *ShardedServer) withMetrics(m *Metrics) *ShardedServer {
-	if m == nil {
+	if m == nil || m == s.metrics {
 		return s
 	}
 	cp := *s
@@ -176,6 +176,21 @@ type ShardedStats struct {
 	IOTime StatsDuration
 	// Wall is the fan-out wall time.
 	Wall time.Duration
+}
+
+// aggregate folds the fan-out costs into the single-collection Stats shape
+// (the QueryLog record of a sharded handler).
+func (st ShardedStats) aggregate() Stats {
+	return Stats{
+		Algorithm:   st.Algorithm,
+		Scheme:      st.Scheme,
+		Shards:      st.Shards,
+		QueryTerms:  st.QueryTerms,
+		EntriesRead: st.EntriesRead,
+		IOTime:      st.IOTime,
+		ServerTime:  StatsDuration(float64(st.Wall.Microseconds()) / 1000),
+		VOBytes:     st.VOBytes,
+	}
 }
 
 // ShardedResult bundles everything the server returns for one fanned-out

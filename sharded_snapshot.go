@@ -27,43 +27,30 @@ func shardSnapshotName(i int) string { return fmt.Sprintf("shard-%04d.atsn", i) 
 
 // WriteSnapshotDir persists the sharded collection: dir/shard-NNNN.atsn
 // for every shard plus dir/shards.atsx. The directory is created if
-// missing; a failed write removes the partial files it created.
+// missing; every file is published atomically and fsynced, the ATSX bundle
+// last, so a failed or interrupted write never leaves a torn file.
 func (o *ShardedOwner) WriteSnapshotDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	var written []string
-	fail := func(err error) error {
-		for _, p := range written {
-			os.Remove(p)
+	return writeShardSet(dir, o.set)
+}
+
+// writeShardSet publishes set's snapshot files into the existing directory
+// dir.
+func writeShardSet(dir string, set *shard.Set) error {
+	for i := 0; i < set.K(); i++ {
+		if err := publishCollection(filepath.Join(dir, shardSnapshotName(i)), set.Col(i)); err != nil {
+			return fmt.Errorf("authtext: shard %d: %w", i, err)
 		}
+	}
+	export, err := exportSet(set)
+	if err != nil {
 		return err
 	}
-	for i := 0; i < o.set.K(); i++ {
-		path := filepath.Join(dir, shardSnapshotName(i))
-		f, err := os.Create(path)
-		if err != nil {
-			return fail(err)
-		}
-		written = append(written, path)
-		if err := snapshot.Write(f, o.set.Col(i)); err != nil {
-			f.Close()
-			return fail(fmt.Errorf("shard %d: %w", i, err))
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-	}
-	export, err := o.ExportClient()
-	if err != nil {
-		return fail(err)
-	}
-	manifestPath := filepath.Join(dir, ShardedManifestFile)
-	written = append(written, manifestPath)
-	if err := os.WriteFile(manifestPath, export, 0o644); err != nil {
-		return fail(err)
-	}
-	return nil
+	return publish(filepath.Join(dir, ShardedManifestFile), false, func(tmp string) error {
+		return os.WriteFile(tmp, export, 0o644)
+	})
 }
 
 // OpenShardedSnapshotDir reopens a directory written by WriteSnapshotDir
@@ -73,33 +60,11 @@ func (o *ShardedOwner) WriteSnapshotDir(dir string) error {
 // same as OpenSnapshot's — a consistently forged directory still produces
 // answers that fail verification against an out-of-band client.
 func OpenShardedSnapshotDir(dir string) (*ShardedServer, *ShardedClient, error) {
-	export, err := os.ReadFile(filepath.Join(dir, ShardedManifestFile))
-	if err != nil {
-		return nil, nil, fmt.Errorf("authtext: sharded snapshot: %w", err)
-	}
-	ex, err := parseShardedExport(export)
+	ms, err := openShardedDir(dir, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	cols := make([]*engine.Collection, ex.manifest.K)
-	for i := range cols {
-		path := filepath.Join(dir, shardSnapshotName(i))
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("authtext: sharded snapshot: %w", err)
-		}
-		col, err := snapshot.Open(f)
-		f.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("authtext: shard %d: %w", i, err)
-		}
-		cols[i] = col
-	}
-	set, err := shard.Assemble(cols, ex.manifest, ex.manifestSig, ex.verifier, ex.docMaps)
-	if err != nil {
-		return nil, nil, fmt.Errorf("authtext: %w", err)
-	}
-	return &ShardedServer{set: set}, newShardedClientFromSet(set), nil
+	return ms.server, ms.client, nil
 }
 
 // MappedShardedSnapshot is a sharded snapshot directory opened zero-copy:
@@ -115,6 +80,12 @@ type MappedShardedSnapshot struct {
 // memory mapping instead of copies. The cross-checks are identical; only
 // the copies are gone.
 func OpenShardedSnapshotDirMapped(dir string) (*MappedShardedSnapshot, error) {
+	return openShardedDir(dir, true)
+}
+
+// openShardedDir opens every shard of dir — copied, or memory-mapped —
+// and assembles the set against its signed manifest.
+func openShardedDir(dir string, mapped bool) (*MappedShardedSnapshot, error) {
 	export, err := os.ReadFile(filepath.Join(dir, ShardedManifestFile))
 	if err != nil {
 		return nil, fmt.Errorf("authtext: sharded snapshot: %w", err)
@@ -123,31 +94,40 @@ func OpenShardedSnapshotDirMapped(dir string) (*MappedShardedSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	maps := make([]*snapshot.Mapped, 0, ex.manifest.K)
-	fail := func(err error) (*MappedShardedSnapshot, error) {
-		for _, mp := range maps {
-			mp.Release()
-		}
-		return nil, err
-	}
+	ms := &MappedShardedSnapshot{}
 	cols := make([]*engine.Collection, ex.manifest.K)
 	for i := range cols {
-		mp, err := snapshot.OpenMapped(filepath.Join(dir, shardSnapshotName(i)))
+		cols[i], err = ms.openShard(filepath.Join(dir, shardSnapshotName(i)), mapped)
 		if err != nil {
-			return fail(fmt.Errorf("authtext: shard %d: %w", i, err))
+			ms.Close()
+			return nil, fmt.Errorf("authtext: shard %d: %w", i, err)
 		}
-		maps = append(maps, mp)
-		cols[i] = mp.Collection()
 	}
 	set, err := shard.Assemble(cols, ex.manifest, ex.manifestSig, ex.verifier, ex.docMaps)
 	if err != nil {
-		return fail(fmt.Errorf("authtext: %w", err))
+		ms.Close()
+		return nil, fmt.Errorf("authtext: %w", err)
 	}
-	return &MappedShardedSnapshot{
-		server: &ShardedServer{set: set},
-		client: newShardedClientFromSet(set),
-		maps:   maps,
-	}, nil
+	ms.server, ms.client = &ShardedServer{set: set}, newShardedClientFromSet(set)
+	return ms, nil
+}
+
+// openShard opens one shard file, recording its mapping when mapped.
+func (ms *MappedShardedSnapshot) openShard(path string, mapped bool) (*engine.Collection, error) {
+	if mapped {
+		mp, err := snapshot.OpenMapped(path)
+		if err != nil {
+			return nil, err
+		}
+		ms.maps = append(ms.maps, mp)
+		return mp.Collection(), nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return snapshot.Open(f)
 }
 
 // Server returns the serving half. Valid until Close.

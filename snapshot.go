@@ -1,9 +1,12 @@
 package authtext
 
 import (
+	"errors"
 	"io"
 	"os"
+	"path/filepath"
 
+	"authtext/internal/engine"
 	"authtext/internal/snapshot"
 )
 
@@ -104,4 +107,99 @@ func (ms *MappedSnapshot) Validate() error { return ms.m.Wait() }
 func (ms *MappedSnapshot) Close() error {
 	ms.m.Release()
 	return nil
+}
+
+// publish installs path atomically and durably — the one way every snapshot
+// writer puts bytes under a final name. fill writes a hidden temp sibling
+// of path (a directory when asDir); the sibling is fsynced, renamed into
+// place, and the rename made durable by fsyncing the parent directory. A
+// crash or power cut at any point leaves either no entry under the final
+// name or the complete one — never a torn file that a replica scanning the
+// directory could mistake for a generation.
+func publish(path string, asDir bool, fill func(tmp string) error) error {
+	tmp, err := tempSibling(path, asDir)
+	if err != nil {
+		return err
+	}
+	steps := []struct {
+		name string
+		do   func() error
+	}{
+		{"temp-written", func() error { return fill(tmp) }},
+		{"pre-rename", func() error { return syncPath(tmp) }},
+		{"post-rename", func() error {
+			err := os.Rename(tmp, path)
+			if err != nil && asDir {
+				// A directory cannot be renamed over: if one is there, a
+				// concurrent writer landed the same name first, and its
+				// content is equally valid.
+				if _, statErr := os.Stat(path); statErr == nil {
+					return os.RemoveAll(tmp)
+				}
+			}
+			return err
+		}},
+	}
+	for _, step := range steps {
+		if err := step.do(); err != nil {
+			if !errors.Is(err, errPublishCrashed) { // a nested publish "died": so did this one
+				os.RemoveAll(tmp)
+			}
+			return err
+		}
+		if publishCrash != nil && publishCrash(step.name, tmp) {
+			return errPublishCrashed
+		}
+	}
+	return syncPath(filepath.Dir(path))
+}
+
+// publishCrash, when set (crash-safety tests only), is asked after each
+// publish step whether the process "dies" there: a true answer abandons the
+// publish with the disk exactly as that step left it.
+var publishCrash func(step, tmp string) bool
+
+var errPublishCrashed = errors.New("authtext: publish interrupted")
+
+// tempSibling creates an empty hidden file (or directory) next to path,
+// with the permissions a directly created one would get.
+func tempSibling(path string, asDir bool) (string, error) {
+	if asDir {
+		tmp, err := os.MkdirTemp(filepath.Dir(path), ".gen-*.tmp")
+		if err != nil {
+			return "", err
+		}
+		return tmp, os.Chmod(tmp, 0o755)
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), ".gen-*.tmp")
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	return f.Name(), f.Chmod(0o644)
+}
+
+// syncPath fsyncs a file's contents or a directory's entries.
+func syncPath(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	return f.Sync()
+}
+
+// publishCollection publishes col's ATSN snapshot as the file path.
+func publishCollection(path string, col *engine.Collection) error {
+	return publish(path, false, func(tmp string) error {
+		f, err := os.Create(tmp)
+		if err != nil {
+			return err
+		}
+		if err := snapshot.Write(f, col); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	})
 }
