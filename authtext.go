@@ -286,7 +286,7 @@ func (o *Owner) Server() *Server { return &Server{col: o.col} }
 // only the signed manifest and the public key).
 func (o *Owner) Client() *Client {
 	m, msig := o.col.Manifest()
-	return &Client{manifest: m, manifestSig: msig, verifier: o.col.Verifier()}
+	return newClient(m, msig, o.col.Verifier(), false)
 }
 
 // Stats summarises the owner-side build.
@@ -419,8 +419,10 @@ var ErrEquivocation error = &core.VerifyError{
 // AdvanceExport — never backward: a regression is rejected as
 // ErrStaleGeneration. Safe for concurrent use.
 type Client struct {
-	// verifier is the pinned public key; everything mutable sits behind mu.
-	verifier sig.Verifier
+	// verifier is the pinned public key behind a verified-signature memo
+	// (sig.MemoVerifier): each owner signature is RSA-verified on its first
+	// sighting only. Everything mutable sits behind mu.
+	verifier *sig.MemoVerifier
 
 	mu          sync.Mutex
 	manifest    *core.Manifest
@@ -430,6 +432,19 @@ type Client struct {
 	// maxGen is the highest generation this client has accepted; Advance
 	// refuses to go below it.
 	maxGen uint64
+}
+
+// newClient is the one place a Client is made — and so the one place the
+// verified-signature memo is installed. A verifier that already memoises (a
+// sharded client's, handed to each of its shard clients) is shared, not
+// re-wrapped: one memo per pinned key. checked says the caller has verified
+// manifestSig over manifest against that key already.
+func newClient(manifest *core.Manifest, manifestSig []byte, verifier sig.Verifier, checked bool) *Client {
+	c := &Client{manifest: manifest, manifestSig: manifestSig, verifier: sig.Memoize(verifier), checked: checked}
+	if checked {
+		c.maxGen = manifest.Generation
+	}
+	return c
 }
 
 // checkManifestLocked runs the one-time manifest signature check (caller

@@ -10,6 +10,7 @@ package authtext_test
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -289,6 +290,61 @@ func BenchmarkVerifyTRACMHT(b *testing.B)  { benchVerifyVariant(b, core.AlgoTRA,
 func BenchmarkVerifyTNRAMHT(b *testing.B)  { benchVerifyVariant(b, core.AlgoTNRA, core.SchemeMHT) }
 func BenchmarkVerifyTNRACMHT(b *testing.B) { benchVerifyVariant(b, core.AlgoTNRA, core.SchemeCMHT) }
 
+// BenchmarkClientVerifyTRA is what a facade Client pays to verify one
+// 10-term TRA answer of an RSA-1024 collection: cold, every owner signature
+// in the VO is RSA-verified (a fresh client per answer — its manifest check
+// is one more signature among the ~100 the answer carries); warm, the
+// client's verified-signature memo has seen them all and what remains is the
+// Merkle hashing, which no repeat can skip.
+func BenchmarkClientVerifyTRA(b *testing.B) {
+	idocs := corpus.Generate(corpus.Tiny())
+	docs := make([]authtext.Document, len(idocs))
+	for i, d := range idocs {
+		docs[i] = authtext.Document{Content: d.Content, Tokens: d.Tokens}
+	}
+	owner, err := authtext.NewOwner(docs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	idx, err := experiments.BuildIndexOnly(corpus.Tiny())
+	if err != nil {
+		b.Fatal(err)
+	}
+	type answer struct {
+		query string
+		res   *authtext.SearchResult
+	}
+	var answers []answer
+	for _, q := range workload.Synthetic(idx, 16, 10, 7) {
+		query := strings.Join(q, " ")
+		res, err := owner.Server().Search(query, 10, authtext.TRA, authtext.ChainMHT)
+		if err != nil {
+			b.Fatal(err)
+		}
+		answers = append(answers, answer{query, res})
+	}
+	run := func(b *testing.B, client func() *authtext.Client) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			a := answers[i%len(answers)]
+			if err := client().Verify(a.query, 10, a.res); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("cold", func(b *testing.B) { run(b, owner.Client) })
+	b.Run("warm", func(b *testing.B) {
+		warm := owner.Client()
+		for _, a := range answers {
+			if err := warm.Verify(a.query, 10, a.res); err != nil {
+				b.Fatal(err)
+			}
+		}
+		run(b, func() *authtext.Client { return warm })
+	})
+}
+
 // ---------------------------------------------------------------------------
 // Ablations
 
@@ -430,6 +486,32 @@ func BenchmarkOwnerBuild(b *testing.B) {
 		if _, err := engine.BuildCollection(docs, engine.DefaultConfig(signer)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkBuildCollection is the owner's build under RSA-1024, where the
+// signatures are nearly all of it, on one core and on every core the machine
+// has: the build signs and hashes in parallel and lays out sequentially.
+func BenchmarkBuildCollection(b *testing.B) {
+	signer, err := sig.NewRSASigner(sig.DefaultRSABits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	docs := corpus.Generate(corpus.Tiny())
+	for _, procs := range []struct {
+		name string
+		n    int
+	}{{"procs=1", 1}, {"procs=max", runtime.NumCPU()}} {
+		b.Run(procs.name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs.n))
+			for i := 0; i < b.N; i++ {
+				col, err := engine.BuildCollection(docs, engine.DefaultConfig(signer))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(col.BuildStats().Signatures), "signatures")
+			}
+		})
 	}
 }
 

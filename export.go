@@ -30,7 +30,7 @@ func (o *Owner) ExportClient() ([]byte, error) {
 // (which has a Client but no Owner) publish the manifest bootstrap
 // endpoint. RSA-verified clients only.
 func (c *Client) Export() ([]byte, error) {
-	rsaVerifier, ok := c.verifier.(*sig.RSAVerifier)
+	rsaVerifier, ok := c.verifier.Inner().(*sig.RSAVerifier)
 	if !ok {
 		return nil, errors.New("authtext: only RSA-signed collections can be exported")
 	}
@@ -99,7 +99,5 @@ func NewClientFromExport(data []byte) (*Client, error) {
 	if err := core.VerifyManifest(manifest, sigCopy, verifier); err != nil {
 		return nil, err
 	}
-	// Manifest verified just above; seed maxGen from it.
-	return &Client{manifest: manifest, manifestSig: sigCopy, verifier: verifier,
-		checked: true, maxGen: manifest.Generation}, nil
+	return newClient(manifest, sigCopy, verifier, true), nil
 }

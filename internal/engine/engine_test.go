@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"authtext/internal/core"
 	"authtext/internal/index"
@@ -322,5 +326,102 @@ func TestSearchRejectsBadR(t *testing.T) {
 	col := buildTestCollection(t, 17, 20, 15, nil)
 	if _, _, _, err := col.Search([]string{col.Index().Name(0)}, 0, core.AlgoTRA, core.SchemeMHT); err == nil {
 		t.Fatal("r=0 accepted")
+	}
+}
+
+// failingSigner signs with the wrapped signer until its budget of calls is
+// spent, then fails every call.
+type failingSigner struct {
+	sig.Signer
+	budget atomic.Int64
+}
+
+var errSignerBroke = errors.New("signer broke")
+
+func (s *failingSigner) Sign(msg []byte) ([]byte, error) {
+	if s.budget.Add(-1) < 0 {
+		return nil, errSignerBroke
+	}
+	return s.Signer.Sign(msg)
+}
+
+// TestBuildSignerErrorStopsEveryWorker: a signer failing mid-build — in the
+// document phase, in the term phase, or at the manifest — fails the build
+// with that error, and no build goroutine outlives the call.
+func TestBuildSignerErrorStopsEveryWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	docs := randomDocs(rand.New(rand.NewSource(11)), 700, 900) // more than one chunk of each phase
+	cfg := DefaultConfig(nil)
+	full, err := BuildCollection(docs, DefaultConfig(testSigner(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := full.BuildStats().Signatures
+	if n, m := full.Index().N, full.Index().M(); n <= buildChunk || m <= buildChunk || total != n+4*m+1 {
+		t.Fatalf("fixture too small or miscounted: %d docs, %d terms, %d signatures", n, m, total)
+	}
+	before := runtime.NumGoroutine()
+	for _, budget := range []int{0, 300, 700 + 4*100, total - 1} {
+		signer := &failingSigner{Signer: testSigner(t)}
+		signer.budget.Store(int64(budget))
+		cfg.Signer = signer
+		if _, err := BuildCollection(docs, cfg); !errors.Is(err, errSignerBroke) {
+			t.Fatalf("signer failing after %d signatures: build returned %v", budget, err)
+		}
+	}
+	// Workers have all called Done before the build returns; give the
+	// scheduler a moment to retire them before counting.
+	for i := 0; runtime.NumGoroutine() > before; i++ {
+		if i == 200 {
+			t.Fatalf("%d goroutines before the failed builds, %d after", before, runtime.NumGoroutine())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// countingSigner hands out a verifier that counts the checks reaching it.
+type countingSigner struct {
+	sig.Signer
+	checks atomic.Int64
+}
+
+type countingVerifier struct {
+	sig.Verifier
+	checks *atomic.Int64
+}
+
+func (s *countingSigner) Verifier() sig.Verifier {
+	return countingVerifier{s.Signer.Verifier(), &s.checks}
+}
+
+func (v countingVerifier) Verify(msg, sigBytes []byte) error {
+	v.checks.Add(1)
+	return v.Verifier.Verify(msg, sigBytes)
+}
+
+// TestVerifyResultChecksEverySignatureEveryCall: VerifyResult is the cold
+// verification cost the paper's figures report, so it keeps the raw key — no
+// signature memo between it and the verifier, however often an answer repeats.
+func TestVerifyResultChecksEverySignatureEveryCall(t *testing.T) {
+	signer := &countingSigner{Signer: testSigner(t)}
+	col := buildTestCollection(t, 5, 120, 80, func(c *Config) { c.Signer = signer })
+	tokens := []string{"w000", "w001", "w003"}
+	res, voBytes, _, err := col.Search(tokens, 5, core.AlgoTRA, core.SchemeCMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var perCall int64
+	for call := 1; call <= 3; call++ {
+		before := signer.checks.Load()
+		if _, err := col.VerifyResult(tokens, 5, res, voBytes); err != nil {
+			t.Fatal(err)
+		}
+		got := signer.checks.Load() - before
+		if call == 1 {
+			perCall = got
+		}
+		if got == 0 || got != perCall {
+			t.Fatalf("call %d checked %d signatures, the first checked %d", call, got, perCall)
+		}
 	}
 }

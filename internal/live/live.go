@@ -205,6 +205,8 @@ func (c *Collection) rebuildLocked(added, removed int) (*UpdateStats, error) {
 	cfg.FixedAvgLen = c.pinnedAvgLen // 0 on the first build: compute and pin
 	cfg.Tombstones = tombs
 	cfg.Authority = auth
+	// Readers are on the previous generation while this one builds.
+	cfg.SpareCore = c.cur.Load() != nil
 	c.signer.Begin()
 	col, err := engine.BuildCollection(idocs, cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package live
 
 import (
+	"runtime"
 	"testing"
 
 	"authtext/internal/core"
@@ -307,5 +308,43 @@ func TestCachingSignerEpochPruning(t *testing.T) {
 	}
 	if signed, reused = cs.End(); signed != 0 || reused != 1 {
 		t.Fatalf("\"a\" lost across Abort: signed=%d reused=%d", signed, reused)
+	}
+}
+
+// TestRebuildSignatureCountsIndependentOfGOMAXPROCS: the engine signs from
+// every core, but which signatures a rebuild makes and which it reuses is a
+// property of the update, not of the parallelism — and together they still
+// account for every signature of the generation.
+func TestRebuildSignatureCountsIndependentOfGOMAXPROCS(t *testing.T) {
+	type counts struct{ signed, reused int }
+	run := func(procs int) []counts {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		c, handles, err := New(corpus(40), testConfig(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := []counts{{c.LastStats().Signed, c.LastStats().Reused}}
+		for _, step := range []func() (*UpdateStats, error){
+			func() (*UpdateStats, error) { _, st, err := c.Update(corpusAt(40, 3), nil); return st, err },
+			func() (*UpdateStats, error) { _, st, err := c.Update(nil, handles[:2]); return st, err },
+			func() (*UpdateStats, error) { _, st, err := c.Update(corpusAt(43, 1), handles[5:6]); return st, err },
+		} {
+			st, err := step()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if total := c.Current().BuildStats().Signatures; st.Signed+st.Reused != total {
+				t.Fatalf("GOMAXPROCS %d: signed %d + reused %d, the generation carries %d signatures",
+					procs, st.Signed, st.Reused, total)
+			}
+			out = append(out, counts{st.Signed, st.Reused})
+		}
+		return out
+	}
+	one, four := run(1), run(4)
+	for i := range one {
+		if one[i] != four[i] {
+			t.Fatalf("step %d: %+v on one core, %+v on four", i, one[i], four[i])
+		}
 	}
 }

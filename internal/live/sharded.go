@@ -335,6 +335,8 @@ func (c *ShardedCollection) rebuildLocked(added, removed int, dirty []bool) (*Up
 			scfg.FixedAvgLen = pinned
 			scfg.Tombstones = tombs
 			scfg.Authority = auth
+			// Readers are on the previous set generation meanwhile.
+			scfg.SpareCore = prevSet != nil
 			cols[s], errs[s] = engine.BuildCollection(sub, scfg)
 		}(s)
 	}

@@ -63,7 +63,9 @@ func (h Hasher) SumConcat(parts ...[]byte) []byte {
 	return d[:h.size]
 }
 
-// Signer produces signatures over messages.
+// Signer produces signatures over messages. Sign must be safe for concurrent
+// use: the owner's build signs from every core (engine.BuildCollection), and
+// shard builds run side by side on one signer.
 type Signer interface {
 	// Sign returns a signature over msg.
 	Sign(msg []byte) ([]byte, error)

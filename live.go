@@ -171,7 +171,7 @@ func (o *LiveOwner) Server() *LiveServer { return &LiveServer{lc: o.lc} }
 func (o *LiveOwner) Client() *Client {
 	col := o.lc.Current()
 	m, msig := col.Manifest()
-	return &Client{manifest: m, manifestSig: msig, verifier: col.Verifier()}
+	return newClient(m, msig, col.Verifier(), false)
 }
 
 // ManifestUpdate returns the current generation's canonical manifest

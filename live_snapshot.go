@@ -122,6 +122,10 @@ func (o *LiveShardedOwner) WriteSnapshotDir(dir string) (string, error) {
 // receives snapshot failures of future generations; the update itself
 // still succeeds (serving beats durability here, and the next
 // generation's snapshot re-establishes the latest state on disk).
+//
+// Calling it makes this owner THE writer of dir: whatever an earlier
+// writer's interrupted publishes left there (hidden .gen-*.tmp entries) is
+// removed first. Replicas and one-shot WriteSnapshotDir calls never sweep.
 func (o *LiveOwner) PersistGenerations(dir string, onError func(gen uint64, err error)) (string, error) {
 	return persistGenerations(dir, o.lc.Current(), writeGenerationSnapshot, o.lc.SetPublishHook, onError)
 }
@@ -134,6 +138,9 @@ func (o *LiveShardedOwner) PersistGenerations(dir string, onError func(gen uint6
 
 func persistGenerations[T any](dir string, cur T, write func(T, string) (string, error),
 	setHook func(func(T, *live.UpdateStats)), onError func(gen uint64, err error)) (string, error) {
+	if err := sweepPublishTemps(dir); err != nil {
+		return "", err
+	}
 	path, err := write(cur, dir)
 	if err != nil {
 		return "", err

@@ -659,3 +659,70 @@ func TestLiveShardedRejectsRoundRobin(t *testing.T) {
 		t.Fatalf("default partitioner failed: %v", err)
 	}
 }
+
+// TestSignatureMemoSurvivesGenerationBumps: a client's verified-signature
+// memo belongs to its pinned key, not to a generation. The signatures the
+// owner's caching signer carried into the next generation are memo hits
+// after Advance; on a sharded client every shard client shares the one memo,
+// before and after AdvanceExport rebuilds them.
+func TestSignatureMemoSurvivesGenerationBumps(t *testing.T) {
+	owner, _, err := NewLiveOwner(liveDocs(0, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := owner.Client()
+	liveSearchVerify(t, owner.Server(), client, TRA, ChainMHT)
+	cold, hits := client.verifier.TakeCounts()
+	if cold == 0 || hits != 0 {
+		t.Fatalf("first answer: %d verified, %d memo hits", cold, hits)
+	}
+	if _, rep, err := owner.AddDocuments(liveDocs(16, 1)); err != nil || rep.SignaturesReused == 0 {
+		t.Fatalf("append reused no signatures: %+v, err %v", rep, err)
+	}
+	if err := client.Advance(owner.ManifestUpdate()); err != nil {
+		t.Fatal(err)
+	}
+	liveSearchVerify(t, owner.Server(), client, TRA, ChainMHT)
+	verified, hits := client.verifier.TakeCounts()
+	// Advance verified the new manifest: at least that one is a real check.
+	if hits == 0 || verified == 0 || verified >= cold {
+		t.Fatalf("after the generation bump: %d verified, %d memo hits (cold answer verified %d)", verified, hits, cold)
+	}
+
+	sharded, _, err := NewLiveShardedOwner(liveDocs(0, 32), 4, WithShardPartitioner(PartitionHash))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := sharded.Client()
+	sharedMemo := func() {
+		t.Helper()
+		for i, shard := range sc.shards {
+			if shard.verifier != sc.verifier {
+				t.Fatalf("shard client %d has a memo of its own", i)
+			}
+		}
+	}
+	sharedMemo()
+	memo := sc.verifier
+	if _, _, err := sharded.AddDocuments(liveDocs(32, 3)); err != nil {
+		t.Fatal(err)
+	}
+	export, err := sharded.ExportClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.AdvanceExport(export); err != nil {
+		t.Fatal(err)
+	}
+	if sc.verifier != memo {
+		t.Fatal("AdvanceExport replaced the memo")
+	}
+	sharedMemo()
+	res, err := sharded.Server().Search(liveQuery, 3, TRA, ChainMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sc.Verify(liveQuery, 3, res); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"authtext/internal/obs"
+	"authtext/internal/sig"
 	"authtext/internal/snapshot"
 )
 
@@ -41,8 +42,10 @@ type Metrics struct {
 	liveCompactions *obs.Counter
 	snapshotOpen    *obs.Histogram
 
-	clientVerify *obs.Histogram
-	clientTamper *obs.Counter
+	clientVerify      *obs.Histogram
+	clientTamper      *obs.Counter
+	clientSigVerified *obs.Counter
+	clientSigMemoHit  *obs.Counter
 
 	fleetCrosschecks   *obs.Counter
 	fleetEquivocations *obs.Counter
@@ -110,6 +113,10 @@ func NewMetrics() *Metrics {
 		"Client-side result verification wall time (seconds).", obs.DefLatencyBuckets)
 	m.clientTamper = r.Counter("authtext_client_tamper_rejections_total",
 		"Results rejected by client verification as tampered.")
+	const sigHelp = "Owner signatures a verifying client accepted: verified = the public-key check ran, " +
+		"memo_hit = the same signature over the same message had already passed it."
+	m.clientSigVerified = r.Counter("authtext_client_signature_checks_total", sigHelp, obs.L("outcome", "verified"))
+	m.clientSigMemoHit = r.Counter("authtext_client_signature_checks_total", sigHelp, obs.L("outcome", "memo_hit"))
 
 	m.fleetCrosschecks = r.Counter("authtext_fleet_crosschecks_total",
 		"Cross-replica manifest cross-checks performed by fleet clients.")
@@ -259,8 +266,10 @@ func (m *Metrics) setGeneration(g uint64) {
 	m.liveGeneration.Set(float64(g))
 }
 
-// observeVerify records one client-side verification outcome.
-func (m *Metrics) observeVerify(d time.Duration, err error) {
+// observeVerify records one client-side verification outcome, and collects
+// the signature checks v (the verifying client's memo) has accepted since it
+// was last collected.
+func (m *Metrics) observeVerify(d time.Duration, err error, v *sig.MemoVerifier) {
 	if m == nil {
 		return
 	}
@@ -268,6 +277,9 @@ func (m *Metrics) observeVerify(d time.Duration, err error) {
 	if IsTampered(err) {
 		m.clientTamper.Inc()
 	}
+	verified, hits := v.TakeCounts()
+	m.clientSigVerified.Add(verified)
+	m.clientSigMemoHit.Add(hits)
 }
 
 // observeWireDecode records one response-body decode on a remote client.

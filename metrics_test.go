@@ -301,7 +301,8 @@ func TestConcurrentMetricsScrapeDuringSwaps(t *testing.T) {
 
 // TestClientMetricsVerifyAndTamper checks the client-side satellite: a
 // RemoteClient built with WithClientMetrics times every verification, and
-// counts exactly the tampered rejections.
+// counts exactly the tampered rejections, and splits the owner signatures
+// it accepted into those it verified and those its memo had already seen.
 func TestClientMetricsVerifyAndTamper(t *testing.T) {
 	owner, err := NewOwner(newsDocs())
 	if err != nil {
@@ -341,8 +342,31 @@ func TestClientMetricsVerifyAndTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := t.Context()
-	if _, err := rc.Search(ctx, "patent examiner", 3, TNRA, ChainMHT); err != nil {
+	sigChecks := func(outcome string) float64 {
+		var buf bytes.Buffer
+		if err := m.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		samples, err := obs.Parse(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sampleValue(t, samples, "authtext_client_signature_checks_total", obs.L("outcome", outcome))
+	}
+	// The first sighting of each signature is verified; the same honest
+	// answer again is all memo hits.
+	if _, err := rc.Search(ctx, "patent examiner", 3, TRA, ChainMHT); err != nil {
 		t.Fatalf("honest search: %v", err)
+	}
+	first := sigChecks("verified")
+	if first == 0 || sigChecks("memo_hit") != 0 {
+		t.Fatalf("first answer: %g verified, %g memo hits", first, sigChecks("memo_hit"))
+	}
+	if _, err := rc.Search(ctx, "patent examiner", 3, TRA, ChainMHT); err != nil {
+		t.Fatalf("honest search: %v", err)
+	}
+	if v, h := sigChecks("verified"), sigChecks("memo_hit"); v != first || h != first {
+		t.Fatalf("repeated answer: %g verified, %g memo hits, want %g and %g", v, h, first, first)
 	}
 	tamper.Store(true)
 	if _, err := rc.Search(ctx, "patent examiner", 3, TNRA, ChainMHT); !IsTampered(err) {
@@ -357,8 +381,8 @@ func TestClientMetricsVerifyAndTamper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := sampleValue(t, samples, "authtext_client_verify_seconds_count"); v != 2 {
-		t.Errorf("verify count = %g, want 2", v)
+	if v := sampleValue(t, samples, "authtext_client_verify_seconds_count"); v != 3 {
+		t.Errorf("verify count = %g, want 3", v)
 	}
 	if v := sampleValue(t, samples, "authtext_client_tamper_rejections_total"); v != 1 {
 		t.Errorf("tamper rejections = %g, want 1", v)

@@ -12,15 +12,22 @@ import (
 // synced but not yet renamed, renamed but parent directory not yet synced —
 // leaves a per-generation directory from which a replica either keeps
 // serving the old generation or opens the COMPLETE new one. It never opens a
-// torn generation, and the interrupted publish can simply be retried.
+// torn generation, and the interrupted publish can simply be retried. What
+// the interrupted publish left behind is the WRITER's to clean up: a replica
+// opening the directory ignores it and leaves it alone, and the owner that
+// reopens the directory as its writer (PersistGenerations) removes it.
 
 // publishTarget is one live deployment writing generations into dir and a
 // replica following it.
 type publishTarget struct {
-	write      func() (string, error)
-	advance    func() error
-	reload     func() (bool, error)
-	generation func() uint64
+	write func() (string, error)
+	// reopen is the restarted owner taking the directory over as its writer.
+	reopen func() (string, error)
+	// openReplica opens one more replica on the directory.
+	openReplica func() error
+	advance     func() error
+	reload      func() (bool, error)
+	generation  func() uint64
 	// verified runs one search on the replica and verifies it with the
 	// replica's own client.
 	verified func() error
@@ -39,10 +46,12 @@ func singlePublishTarget(t *testing.T, dir string) publishTarget {
 		t.Fatal(err)
 	}
 	return publishTarget{
-		write:      func() (string, error) { return owner.WriteSnapshotDir(dir) },
-		advance:    func() error { _, _, err := owner.AddDocuments(liveDocs(12, 2)); return err },
-		reload:     rep.Reload,
-		generation: rep.Generation,
+		write:       func() (string, error) { return owner.WriteSnapshotDir(dir) },
+		reopen:      func() (string, error) { return owner.PersistGenerations(dir, nil) },
+		openReplica: func() error { _, err := OpenLiveSnapshotDir(dir); return err },
+		advance:     func() error { _, _, err := owner.AddDocuments(liveDocs(12, 2)); return err },
+		reload:      rep.Reload,
+		generation:  rep.Generation,
 		verified: func() error {
 			res, err := rep.Server().Search(liveQuery, 3, TNRA, ChainMHT)
 			if err != nil {
@@ -66,10 +75,12 @@ func shardedPublishTarget(t *testing.T, dir string) publishTarget {
 		t.Fatal(err)
 	}
 	return publishTarget{
-		write:      func() (string, error) { return owner.WriteSnapshotDir(dir) },
-		advance:    func() error { _, _, err := owner.AddDocuments(liveDocs(16, 2)); return err },
-		reload:     rep.Reload,
-		generation: rep.Generation,
+		write:       func() (string, error) { return owner.WriteSnapshotDir(dir) },
+		reopen:      func() (string, error) { return owner.PersistGenerations(dir, nil) },
+		openReplica: func() error { _, err := OpenLiveShardedSnapshotDir(dir); return err },
+		advance:     func() error { _, _, err := owner.AddDocuments(liveDocs(16, 2)); return err },
+		reload:      rep.Reload,
+		generation:  rep.Generation,
 		verified: func() error {
 			res, err := rep.Server().Search(liveQuery, 3, TNRA, ChainMHT)
 			if err != nil {
@@ -140,9 +151,34 @@ func TestPublishInterruptedNeverTearsAGeneration(t *testing.T) {
 					t.Fatalf("generation %d does not verify after the crash: %v", tc.wantGen, err)
 				}
 
-				// The restarted owner retries the publish; the replica arrives.
-				if _, err := target.write(); err != nil {
+				// Every crash but the one after the top-level rename strands the
+				// publish's temp sibling. Replicas are not the ones to remove it:
+				// to a reader it could be a publish in flight.
+				leftovers := func() []string {
+					found, err := filepath.Glob(filepath.Join(dir, publishTempPattern))
+					if err != nil {
+						t.Fatal(err)
+					}
+					return found
+				}
+				stranded := leftovers()
+				if want := tc.step != "post-rename" || tc.nested; (len(stranded) == 1) != want || len(stranded) > 1 {
+					t.Fatalf("temp siblings after the crash: %v", stranded)
+				}
+				if err := target.openReplica(); err != nil {
+					t.Fatalf("replica open beside the leftovers: %v", err)
+				}
+				if now := leftovers(); len(now) != len(stranded) {
+					t.Fatalf("a replica open changed the writer's leftovers: %v, were %v", now, stranded)
+				}
+
+				// The restarted owner reopens the directory as its writer: the
+				// leftovers go, the publish is retried, and the replica arrives.
+				if _, err := target.reopen(); err != nil {
 					t.Fatalf("retried publish: %v", err)
+				}
+				if now := leftovers(); len(now) != 0 {
+					t.Fatalf("the reopened writer left temp siblings behind: %v", now)
 				}
 				if _, err := target.reload(); err != nil || target.generation() != 2 {
 					t.Fatalf("after the retry: generation %d, err %v", target.generation(), err)

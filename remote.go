@@ -355,7 +355,7 @@ func verifyWireResult(client *Client, m *Metrics, wire *httpapi.SearchResponse, 
 	res := resultFromWire(wire, algo, scheme)
 	verifyStart := time.Now()
 	err := client.Verify(query, r, res)
-	m.observeVerify(time.Since(verifyStart), err)
+	m.observeVerify(time.Since(verifyStart), err, client.verifier)
 	if err != nil {
 		return nil, err
 	}

@@ -92,7 +92,7 @@ func (rc *ShardedRemoteClient) Search(ctx context.Context, query string, r int, 
 	}
 	verifyStart := time.Now()
 	err = client.Verify(query, r, res)
-	rc.metrics.observeVerify(time.Since(verifyStart), err)
+	rc.metrics.observeVerify(time.Since(verifyStart), err, client.verifier)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"authtext"
+	"authtext/internal/core"
 	"authtext/internal/httpapi"
 )
 
@@ -174,24 +175,45 @@ func TestRemoteTamperingDetected(t *testing.T) {
 			r.VO = r.VO[:len(r.VO)/2]
 		}},
 	}
+	// Every mutation is tried against a cold client and against one whose
+	// signature memo the honest answer to the same query has warmed: having
+	// seen the honest signatures must not change what tampering looks like.
 	for _, algo := range []authtext.Algorithm{authtext.TRA, authtext.TNRA} {
 		for _, m := range mutations {
 			t.Run(algo.String()+"/"+m.name, func(t *testing.T) {
-				srv := httptest.NewServer(tamperingProxy(handler, m.mutate))
-				defer srv.Close()
-				rc, err := authtext.NewRemoteClient(srv.URL)
-				if err != nil {
-					t.Fatal(err)
+				var codes [2]core.VerifyCode
+				for i, warm := range []bool{false, true} {
+					var armed atomic.Bool
+					srv := httptest.NewServer(tamperingProxy(handler, func(r *httpapi.SearchResponse) {
+						if armed.Load() {
+							m.mutate(r)
+						}
+					}))
+					defer srv.Close()
+					rc, err := authtext.NewRemoteClient(srv.URL)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if warm {
+						if _, err := rc.Search(context.Background(), remoteQuery, remoteR, algo, authtext.ChainMHT); err != nil {
+							t.Fatalf("honest warm-up: %v", err)
+						}
+					}
+					armed.Store(true)
+					res, err := rc.Search(context.Background(), remoteQuery, remoteR, algo, authtext.ChainMHT)
+					if err == nil {
+						t.Fatalf("warm=%v: tampered response (%s) verified", warm, m.name)
+					}
+					if !authtext.IsTampered(err) {
+						t.Fatalf("warm=%v: rejection not classified as tampering: %v", warm, err)
+					}
+					if res != nil {
+						t.Fatalf("warm=%v: tampered result was returned alongside the error", warm)
+					}
+					codes[i] = core.CodeOf(err)
 				}
-				res, err := rc.Search(context.Background(), remoteQuery, remoteR, algo, authtext.ChainMHT)
-				if err == nil {
-					t.Fatalf("tampered response (%s) verified", m.name)
-				}
-				if !authtext.IsTampered(err) {
-					t.Fatalf("rejection not classified as tampering: %v", err)
-				}
-				if res != nil {
-					t.Fatal("tampered result was returned alongside the error")
+				if codes[0] != codes[1] {
+					t.Fatalf("classified %v by a cold client, %v by a warm one", codes[0], codes[1])
 				}
 			})
 		}

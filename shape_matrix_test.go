@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"authtext"
+	"authtext/internal/core"
 	"authtext/internal/httpapi"
 	"authtext/internal/wire"
 )
@@ -168,25 +169,37 @@ type matrixClient interface {
 	Health(ctx context.Context) (*authtext.ServerHealth, error)
 }
 
-// matrixSearch runs one verified search through the matching remote client
-// and returns the generation that answered and the number of hits.
-func matrixSearch(t *testing.T, url string, sharded bool, opts ...authtext.RemoteOption) (matrixClient, uint64, int, error) {
+// matrixDial builds the remote client matching the shape, and the verified
+// search through it: the generation that answered and the number of hits.
+func matrixDial(t *testing.T, url string, sharded bool, opts ...authtext.RemoteOption) (matrixClient, func() (uint64, int, error)) {
 	t.Helper()
 	ctx := context.Background()
 	if sharded {
 		rc := must(authtext.NewShardedRemoteClient(url, opts...))(t)
-		res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
-		if err != nil {
-			return rc, 0, 0, err
+		return rc, func() (uint64, int, error) {
+			res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+			if err != nil {
+				return 0, 0, err
+			}
+			return res.Generation, len(res.Merged), nil
 		}
-		return rc, res.Generation, len(res.Merged), nil
 	}
 	rc := must(authtext.NewRemoteClient(url, opts...))(t)
-	res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
-	if err != nil {
-		return rc, 0, 0, err
+	return rc, func() (uint64, int, error) {
+		res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+		if err != nil {
+			return 0, 0, err
+		}
+		return res.Generation, len(res.Hits), nil
 	}
-	return rc, res.Generation, len(res.Hits), nil
+}
+
+// matrixSearch runs one verified search through a fresh client.
+func matrixSearch(t *testing.T, url string, sharded bool, opts ...authtext.RemoteOption) (matrixClient, uint64, int, error) {
+	t.Helper()
+	rc, search := matrixDial(t, url, sharded, opts...)
+	gen, hits, err := search()
+	return rc, gen, hits, err
 }
 
 // stripAccept forces the JSON codec: the server never sees a frame offer.
@@ -334,16 +347,38 @@ func TestHandlerShapeMatrix(t *testing.T) {
 				}
 			}
 
-			// One in-transit VO flip classifies as tampering.
-			flip := func(vo []byte) { vo[len(vo)/2] ^= 0x40 }
+			// One in-transit VO flip classifies as tampering — identically by a
+			// cold client and by one whose signature memo honest answers warmed.
+			var armed atomic.Bool
+			flip := func(vo []byte) {
+				if armed.Load() {
+					vo[len(vo)/2] ^= 0x40
+				}
+			}
 			tampered := tamperingProxy(env.handler, func(r *httpapi.SearchResponse) { flip(r.VO) })
 			if shape.sharded {
 				tampered = shardedTamperingProxy(env.handler, func(r *httpapi.ShardedSearchResponse) { flip(r.Shards[0].VO) })
 			}
 			ts := httptest.NewServer(tampered)
 			defer ts.Close()
-			if _, _, _, err := matrixSearch(t, ts.URL, shape.sharded); !authtext.IsTampered(err) {
-				t.Fatalf("flipped VO classified as %v", err)
+			var codes [2]core.VerifyCode
+			for i, warm := range []bool{false, true} {
+				armed.Store(false)
+				_, search := matrixDial(t, ts.URL, shape.sharded)
+				if warm {
+					if _, hits, err := search(); err != nil || hits == 0 {
+						t.Fatalf("honest warm-up: %d hits, err %v", hits, err)
+					}
+				}
+				armed.Store(true)
+				_, _, err := search()
+				if !authtext.IsTampered(err) {
+					t.Fatalf("warm=%v: flipped VO classified as %v", warm, err)
+				}
+				codes[i] = core.CodeOf(err)
+			}
+			if codes[0] != codes[1] {
+				t.Fatalf("flipped VO classified %v by a cold client, %v by a warm one", codes[0], codes[1])
 			}
 
 			if env.advance == nil {

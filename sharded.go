@@ -296,7 +296,9 @@ func (s *ShardedServer) Search(query string, r int, algo Algorithm, scheme Schem
 // later generations of a live shard set via AdvanceExport. Safe for
 // concurrent use.
 type ShardedClient struct {
-	verifier sig.Verifier
+	// verifier is the pinned key behind the one signature memo every shard
+	// client shares (see Client.verifier).
+	verifier *sig.MemoVerifier
 
 	mu          sync.Mutex
 	manifest    *shard.SetManifest
@@ -313,13 +315,13 @@ func newShardedClientFromSet(set *shard.Set) *ShardedClient {
 	c := &ShardedClient{
 		manifest:    sm,
 		manifestSig: smSig,
-		verifier:    set.Verifier(),
+		verifier:    sig.Memoize(set.Verifier()),
 		shards:      make([]*Client, set.K()),
 		docMaps:     make([][]uint32, set.K()),
 	}
 	for i := 0; i < set.K(); i++ {
 		m, msig := set.Col(i).Manifest()
-		c.shards[i] = &Client{manifest: m, manifestSig: msig, verifier: set.Verifier()}
+		c.shards[i] = newClient(m, msig, c.verifier, false)
 		c.docMaps[i] = set.DocMap(i)
 	}
 	return c
@@ -406,8 +408,7 @@ func (c *ShardedClient) AdvanceExport(data []byte) error {
 	for i := range c.shards {
 		// Shard manifests are bound to the (pinned-key-verified) set
 		// manifest by digest, checked in parseShardedExport.
-		c.shards[i] = &Client{manifest: ex.shardMans[i], manifestSig: ex.shardSigs[i],
-			verifier: c.verifier, checked: true, maxGen: ex.shardMans[i].Generation}
+		c.shards[i] = newClient(ex.shardMans[i], ex.shardSigs[i], c.verifier, true)
 	}
 	c.maxGen = ex.manifest.Generation
 	c.checked, c.checkErr = true, nil

@@ -167,14 +167,13 @@ func NewShardedClientFromExport(data []byte) (*ShardedClient, error) {
 	c := &ShardedClient{
 		manifest:    ex.manifest,
 		manifestSig: ex.manifestSig,
-		verifier:    ex.verifier,
+		verifier:    sig.Memoize(ex.verifier),
 		shards:      make([]*Client, ex.manifest.K),
 		docMaps:     ex.docMaps,
 	}
 	for i := range c.shards {
 		// Verified by parseShardedExport.
-		c.shards[i] = &Client{manifest: ex.shardMans[i], manifestSig: ex.shardSigs[i],
-			verifier: ex.verifier, checked: true, maxGen: ex.shardMans[i].Generation}
+		c.shards[i] = newClient(ex.shardMans[i], ex.shardSigs[i], c.verifier, true)
 	}
 	// Set manifest verified by parseShardedExport.
 	c.checked = true

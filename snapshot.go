@@ -41,9 +41,7 @@ func OpenSnapshot(r io.ReaderAt) (*Server, *Client, error) {
 		return nil, nil, err
 	}
 	m, msig := col.Manifest()
-	return &Server{col: col},
-		&Client{manifest: m, manifestSig: msig, verifier: col.Verifier()},
-		nil
+	return &Server{col: col}, newClient(m, msig, col.Verifier(), false), nil
 }
 
 // OpenSnapshotFile is OpenSnapshot over a file path.
@@ -82,7 +80,7 @@ func OpenSnapshotMapped(path string) (*MappedSnapshot, error) {
 	m, msig := col.Manifest()
 	return &MappedSnapshot{
 		server: &Server{col: col},
-		client: &Client{manifest: m, manifestSig: msig, verifier: col.Verifier()},
+		client: newClient(m, msig, col.Verifier(), false),
 		m:      mp,
 	}, nil
 }
@@ -161,22 +159,50 @@ var publishCrash func(step, tmp string) bool
 
 var errPublishCrashed = errors.New("authtext: publish interrupted")
 
+// publishTempPattern names publish's temp siblings, as an os.CreateTemp
+// pattern and as the filepath.Match pattern sweepPublishTemps finds them by.
+const publishTempPattern = ".gen-*.tmp"
+
 // tempSibling creates an empty hidden file (or directory) next to path,
 // with the permissions a directly created one would get.
 func tempSibling(path string, asDir bool) (string, error) {
 	if asDir {
-		tmp, err := os.MkdirTemp(filepath.Dir(path), ".gen-*.tmp")
+		tmp, err := os.MkdirTemp(filepath.Dir(path), publishTempPattern)
 		if err != nil {
 			return "", err
 		}
 		return tmp, os.Chmod(tmp, 0o755)
 	}
-	f, err := os.CreateTemp(filepath.Dir(path), ".gen-*.tmp")
+	f, err := os.CreateTemp(filepath.Dir(path), publishTempPattern)
 	if err != nil {
 		return "", err
 	}
 	defer f.Close()
 	return f.Name(), f.Chmod(0o644)
+}
+
+// sweepPublishTemps removes the temp siblings that publishes into dir left
+// behind when the process died mid-publish (a failed publish removes its
+// own). Only the directory's writer may call it, and only while it has no
+// publish in flight: to anyone else a temp sibling may be a live publish.
+// Readers never need to — they ignore the hidden names.
+func sweepPublishTemps(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if ok, _ := filepath.Match(publishTempPattern, e.Name()); !ok {
+			continue
+		}
+		if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // syncPath fsyncs a file's contents or a directory's entries.
