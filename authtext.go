@@ -382,7 +382,7 @@ func (s *Server) Search(query string, r int, algo Algorithm, scheme Scheme) (*Se
 		ServerTime:     StatsDuration(float64(st.ServerWall.Microseconds()) / 1000),
 		VOBytes:        len(voBytes),
 	}
-	s.metrics.recordSearch(st.ServerWall, st.EncodeWall)
+	s.metrics.recordSearch(st)
 	if s.cache != nil {
 		s.cache.putResult(key, manifest.Generation, out)
 	}

@@ -178,6 +178,51 @@ func BenchmarkSearchTRACMHT(b *testing.B)  { benchSearchVariant(b, core.AlgoTRA,
 func BenchmarkSearchTNRAMHT(b *testing.B)  { benchSearchVariant(b, core.AlgoTNRA, core.SchemeMHT) }
 func BenchmarkSearchTNRACMHT(b *testing.B) { benchSearchVariant(b, core.AlgoTNRA, core.SchemeCMHT) }
 
+// BenchmarkSearchTRAVerbose is the query shape the 3-term rows above cannot
+// see: TREC-like 2–20-term TRA-CMHT searches, whose answers carry a document
+// proof for each of some hundreds of encountered documents. cold, every
+// search runs on a freshly restored collection and hashes each encountered
+// term vector once; warm, the per-document trees are resident and proof
+// assembly only copies digests.
+func BenchmarkSearchTRAVerbose(b *testing.B) {
+	f := benchFixture(b)
+	queries := workload.TRECLike(f.Col.Index(), 64, 7)
+	search := func(b *testing.B, col *engine.Collection, q []string) {
+		_, voBytes, st, err := col.Search(q, 10, core.AlgoTRA, core.SchemeCMHT)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(voBytes) == 0 || st.EntriesRead == 0 {
+			b.Fatal("empty answer")
+		}
+	}
+	b.Run("cold", func(b *testing.B) {
+		state := f.Col.ExportState()
+		state.ShareDeviceData = true
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			col, err := engine.Restore(state)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			search(b, col, queries[i%len(queries)])
+		}
+	})
+	b.Run("warm", func(b *testing.B) {
+		for _, q := range queries {
+			search(b, f.Col, q)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			search(b, f.Col, queries[i%len(queries)])
+		}
+	})
+}
+
 // BenchmarkCachedSearchHit is the repeat-query path through the facade
 // with a warm VO cache: lookup + defensive copy, no engine work, no VO
 // encode. Compare against BenchmarkFacadeSearchUncached (the same facade

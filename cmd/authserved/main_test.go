@@ -416,6 +416,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		{"authtext_search_stage_seconds_count", []obs.Label{obs.L("stage", "vo_encode")}},
 		{"authtext_search_stage_seconds_count", []obs.Label{obs.L("stage", "cache_lookup")}},
 		{"authtext_search_stage_seconds_count", []obs.Label{obs.L("stage", "wire_encode")}},
+		{"authtext_engine_phase_seconds_count", []obs.Label{obs.L("phase", "index_walk")}},
+		{"authtext_engine_phase_seconds_count", []obs.Label{obs.L("phase", "proof_assembly")}},
 		{"authtext_searches_total", []obs.Label{obs.L("kind", "single")}},
 		{"authtext_vocache_hits_total", nil},
 		{"authtext_vocache_misses_total", nil},
@@ -436,6 +438,25 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if s, ok := obs.FindSample(samples, "authtext_vocache_hits_total"); ok && s.Value != 2 {
 		t.Errorf("cache hits = %g, want 2", s.Value)
+	}
+
+	// The two engine phases split the engine stage: same observations, and
+	// their time adds up to its time.
+	sum := func(name string, label obs.Label) float64 {
+		s, _ := obs.FindSample(samples, name, label)
+		return s.Value
+	}
+	engine := sum("authtext_search_stage_seconds_sum", obs.L("stage", "engine"))
+	phases := sum("authtext_engine_phase_seconds_sum", obs.L("phase", "index_walk")) +
+		sum("authtext_engine_phase_seconds_sum", obs.L("phase", "proof_assembly"))
+	if diff := phases - engine; diff > 0.05*engine || diff < -0.05*engine {
+		t.Errorf("index_walk + proof_assembly = %gs, engine stage = %gs: more than 5%% apart", phases, engine)
+	}
+	for _, phase := range []string{"index_walk", "proof_assembly"} {
+		if n, want := sum("authtext_engine_phase_seconds_count", obs.L("phase", phase)),
+			sum("authtext_search_stage_seconds_count", obs.L("stage", "engine")); n != want {
+			t.Errorf("phase %s observed %g times, the engine stage %g", phase, n, want)
+		}
 	}
 }
 

@@ -36,7 +36,12 @@ type DocVectorSource interface {
 // QueryWeights extracts the per-query-term weights w_{d,ti} from a document
 // vector (0 for absent terms). vec must be sorted by TermID.
 func QueryWeights(q *Query, vec []index.TermFreq) []float32 {
-	w := make([]float32, len(q.Terms))
+	return queryWeightsInto(make([]float32, len(q.Terms)), q, vec)
+}
+
+// queryWeightsInto is QueryWeights into w, which holds one weight per query
+// term: TRA scores every popped document through the same buffer.
+func queryWeightsInto(w []float32, q *Query, vec []index.TermFreq) []float32 {
 	for i := range q.Terms {
 		w[i] = lookupWeight(vec, q.Terms[i].ID)
 	}

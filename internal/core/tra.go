@@ -86,6 +86,7 @@ func TRAWithBoost(q *Query, lists ListSource, docs DocVectorSource, r int, boost
 		Scores:    make(map[index.DocID]float64),
 	}
 	popped := make(map[index.DocID]struct{})
+	weights := make([]float32, nq)
 	var result []ResultEntry // sorted by resultLess
 
 	thres := func() float64 {
@@ -144,7 +145,7 @@ func TRAWithBoost(q *Query, lists ListSource, docs DocVectorSource, r int, boost
 				return nil, err
 			}
 			out.RandomAccesses++
-			s := Score(q, QueryWeights(q, vec)) + boost.Score(entry.Doc)
+			s := Score(q, queryWeightsInto(weights, q, vec)) + boost.Score(entry.Doc)
 			out.Scores[entry.Doc] = s
 			result = insertResult(result, ResultEntry{Doc: entry.Doc, Score: s})
 		}

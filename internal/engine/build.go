@@ -94,14 +94,17 @@ type SpaceReport struct {
 // the in-memory dictionary, the on-device structures, the owner's
 // signatures and the signed manifest.
 //
-// Immutability contract: once BuildCollection (or Restore) returns, every
-// field is read-only — the index, the device blocks, the layout tables, the
-// signatures and the materialised Merkle trees never change. Search therefore
-// takes no lock; all per-query mutable state (the simulated disk head, the
-// I/O statistics) lives in a store.Session private to each call, and any
-// number of Searches and VerifyResults may run concurrently. The only
-// writers are the build path itself and the test-only Device().Corrupt,
-// which must not run concurrently with queries.
+// Immutability contract: once BuildCollection (or Restore) returns, the
+// inputs are immutable — the index, the device blocks, the layout tables, the
+// signatures and the collection-level Merkle trees never change. The one
+// thing that does is a cache of digests derived from them: the per-document
+// trees (vecTrees) fill lazily through atomic publication, and readers never
+// block. Search therefore takes no lock; all per-query mutable state (the
+// simulated disk head, the I/O statistics, the proof arenas) is private to
+// each call, and any number of Searches and VerifyResults may run
+// concurrently. The only writers of the inputs are the build path itself and
+// the test-only Device().Corrupt, which must not run concurrently with
+// queries.
 type Collection struct {
 	idx *index.Index
 	dev *store.Device
@@ -127,6 +130,9 @@ type Collection struct {
 	dictTrees     [4]*mht.Tree // over termRoots[k]; dictionary mode only
 	nameTree      *mht.Tree    // over VocabLeaf(name); vocab-proof mode only
 	authorityTree *mht.Tree    // over ⟨d, A(d)⟩; boost extension only
+	// Per-document trees over the term vectors, for TRA's document proofs:
+	// derived state too, but filled as queries encounter the documents.
+	vecTrees *vecTrees
 
 	manifest    *core.Manifest
 	manifestSig []byte
@@ -370,8 +376,9 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 // buildTrees materialises the collection-level Merkle trees from the leaf
 // tables and the configuration already in place (docHash, termRoots,
 // authority, cfg): O(N+M) hashes once, so that no query hashes more than
-// its own answer.
+// its own answer. The per-document trees only get their empty slots.
 func (c *Collection) buildTrees() {
+	c.vecTrees = newVecTrees(c.idx.N, c.dev.SizeBytes())
 	c.docTree = mht.NewTree(c.hasher, len(c.docHash), mht.Leaves(c.docHash))
 	if c.cfg.DictMode {
 		for k, roots := range c.termRoots {

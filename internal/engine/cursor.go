@@ -179,33 +179,48 @@ func (s *recordingSource) OpenList(t index.TermID) (core.Cursor, error) {
 	return c, nil
 }
 
+// carve returns k fresh elements off the end of the arena *a. When the
+// current chunk has no room it is left to the slices already carved from it
+// — they never move — and a chunk of at least twice its capacity is started,
+// so a query allocates per growth step rather than per document.
+func carve[T any](a *[]T, k int) []T {
+	if cap(*a)-len(*a) < k {
+		*a = make([]T, 0, max(k, 2*cap(*a), 1024))
+	}
+	lo := len(*a)
+	*a = (*a)[:lo+k]
+	return (*a)[lo : lo+k : lo+k]
+}
+
 // docSource provides TRA's random accesses from the document records
 // through the query's store session, caching per query so each document
-// costs at most one random I/O.
+// costs at most one random I/O. The decoded term vectors live in one arena
+// the whole query shares.
 type docSource struct {
 	col   *Collection
 	sess  *store.Session
-	cache map[index.DocID]*docRecord
+	cache map[index.DocID]docRecord
+	vecs  []index.TermFreq
 }
 
 func newDocSource(col *Collection, sess *store.Session) *docSource {
-	return &docSource{col: col, sess: sess, cache: make(map[index.DocID]*docRecord)}
+	return &docSource{col: col, sess: sess, cache: make(map[index.DocID]docRecord)}
 }
 
-func (s *docSource) record(d index.DocID) (*docRecord, error) {
+func (s *docSource) record(d index.DocID) (docRecord, error) {
 	if rec, ok := s.cache[d]; ok {
 		return rec, nil
 	}
 	if int(d) >= len(s.col.layout.Doc) {
-		return nil, fmt.Errorf("engine: unknown document %d", d)
+		return docRecord{}, fmt.Errorf("engine: unknown document %d", d)
 	}
 	raw, err := s.sess.ReadExtent(s.col.layout.Doc[d])
 	if err != nil {
-		return nil, err
+		return docRecord{}, err
 	}
-	rec, err := decodeDocRecord(raw, int(s.col.manifest.HashSize))
+	rec, err := decodeDocRecord(raw, int(s.col.manifest.HashSize), &s.vecs)
 	if err != nil {
-		return nil, err
+		return docRecord{}, err
 	}
 	s.cache[d] = rec
 	return rec, nil

@@ -122,7 +122,8 @@ func TestDocRecordRoundTrip(t *testing.T) {
 		hash[i] = byte(i)
 	}
 	sigBytes := []byte("signature-bytes")
-	rec, err := decodeDocRecord(encodeDocRecord(vec, hash, sigBytes), 16)
+	var vecs []index.TermFreq
+	rec, err := decodeDocRecord(encodeDocRecord(vec, hash, sigBytes), 16, &vecs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,16 +133,29 @@ func TestDocRecordRoundTrip(t *testing.T) {
 	if string(rec.contentHash) != string(hash) || string(rec.sig) != string(sigBytes) {
 		t.Fatal("hash/sig mismatch")
 	}
+	// A second record carved from the same arena leaves the first in place,
+	// also when it does not fit the current chunk.
+	long := make([]index.TermFreq, 3000)
+	for i := range long {
+		long[i] = index.TermFreq{Term: index.TermID(i), W: float32(i)}
+	}
+	rec2, err := decodeDocRecord(encodeDocRecord(long, hash, sigBytes), 16, &vecs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec2.vec) != len(long) || rec2.vec[2999] != long[2999] || rec.vec[1].W != 1.25 || rec.vec[0].Term != 2 {
+		t.Fatal("arena growth disturbed a decoded vector")
+	}
 }
 
 func TestDecodeDocRecordErrors(t *testing.T) {
-	if _, err := decodeDocRecord([]byte{1, 2, 3}, 16); err == nil {
+	if _, err := decodeDocRecord([]byte{1, 2, 3}, 16, new([]index.TermFreq)); err == nil {
 		t.Fatal("short record decoded")
 	}
 	// Claimed count larger than the payload.
 	bad := encodeDocRecord([]index.TermFreq{{Term: 1, W: 1}}, make([]byte, 16), nil)
 	bad[3] = 200
-	if _, err := decodeDocRecord(bad, 16); err == nil {
+	if _, err := decodeDocRecord(bad, 16, new([]index.TermFreq)); err == nil {
 		t.Fatal("truncated record decoded")
 	}
 }

@@ -15,7 +15,9 @@
 // cmd/authserved) moves these same VO bytes unchanged; nothing in engine
 // assumes the client is in-process.
 //
-// Collections are immutable once built. Live deployments
+// A built collection's inputs are immutable; the one thing that still
+// changes is a lock-free cache of per-document trees, digests derived from
+// those inputs (vectrees.go, docs/CONCURRENCY.md). Live deployments
 // (internal/live) therefore never mutate an engine.Collection: they
 // build a fresh one per publication generation — Config.Generation is
 // signed into the manifest and stamped into every VO — and swap which

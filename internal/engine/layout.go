@@ -97,23 +97,26 @@ type docRecord struct {
 	sig         []byte
 }
 
-func decodeDocRecord(b []byte, hashSize int) (*docRecord, error) {
+// decodeDocRecord parses one document record. The term vector is carved out
+// of vecs, the query's arena of decoded vectors; the content hash and the
+// signature alias b.
+func decodeDocRecord(b []byte, hashSize int, vecs *[]index.TermFreq) (docRecord, error) {
 	if len(b) < 4+hashSize+2 {
-		return nil, fmt.Errorf("engine: document record too short (%d bytes)", len(b))
+		return docRecord{}, fmt.Errorf("engine: document record too short (%d bytes)", len(b))
 	}
 	n := int(binary.BigEndian.Uint32(b))
 	off := 4
-	rec := &docRecord{contentHash: b[off : off+hashSize]}
+	rec := docRecord{contentHash: b[off : off+hashSize]}
 	off += hashSize
 	sigLen := int(binary.BigEndian.Uint16(b[off:]))
 	off += 2
 	if len(b) < off+sigLen+n*entrySize {
-		return nil, fmt.Errorf("engine: document record truncated")
+		return docRecord{}, fmt.Errorf("engine: document record truncated")
 	}
 	rec.sig = b[off : off+sigLen]
 	off += sigLen
-	rec.vec = make([]index.TermFreq, n)
-	for i := 0; i < n; i++ {
+	rec.vec = carve(vecs, n)
+	for i := range rec.vec {
 		rec.vec[i] = index.TermFreq{
 			Term: index.TermID(binary.BigEndian.Uint32(b[off:])),
 			W:    math.Float32frombits(binary.BigEndian.Uint32(b[off+4:])),

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -35,17 +36,23 @@ type QueryStats struct {
 	RandomAccesses int
 	ServerWall     time.Duration
 	// EncodeWall is the slice of ServerWall spent serializing the VO;
-	// ServerWall-EncodeWall is index traversal + proof assembly.
+	// ServerWall-EncodeWall is index traversal + proof assembly, which
+	// WalkWall and ProofWall split: query parsing plus the threshold
+	// algorithm's pass over the lists and document records, and everything
+	// assembled into the VO afterwards.
 	EncodeWall time.Duration
+	WalkWall   time.Duration
+	ProofWall  time.Duration
 }
 
 // Search processes a query (tokens are the post-pipeline token stream) for
 // the top r documents using the chosen algorithm and authentication scheme,
 // returning the result, the encoded VO, and the cost statistics.
 //
-// Search is safe for concurrent use: a built Collection is immutable, and
-// all per-query mutable state — the simulated disk head and the I/O
-// statistics — lives in a store.Session private to this call. Each session
+// Search is safe for concurrent use: a built Collection's inputs are
+// immutable, its per-document tree cache is lock-free, and all per-query
+// mutable state — the simulated disk head and the I/O statistics — lives in
+// a store.Session private to this call. Each session
 // starts with a cold head, so per-query QueryStats.IO is identical to what
 // the serialized engine reported for the same query.
 func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.Scheme) (retRes *Result, retVO []byte, retStats *QueryStats, retErr error) {
@@ -76,15 +83,18 @@ func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.
 	stats.QueryTerms = len(q.Terms)
 
 	v := &vo.VO{Algo: uint8(algo), Scheme: uint8(scheme), Generation: c.manifest.Generation}
-	if c.cfg.VocabProofs {
+	if c.cfg.VocabProofs && len(q.Unknown) > 0 {
+		// Proof assembly ahead of the walk; finish adds the rest to it.
+		vocabStart := time.Now()
 		if err := c.appendVocabProofs(v, q.Unknown); err != nil {
 			return nil, nil, nil, err
 		}
+		stats.ProofWall = time.Since(vocabStart)
 	}
 
 	res := &Result{Contents: make(map[index.DocID][]byte)}
 	if len(q.Terms) == 0 {
-		return c.finish(res, v, stats, sess, start)
+		return c.finish(res, v, stats, sess, start, time.Now())
 	}
 
 	chain := scheme == core.SchemeCMHT
@@ -101,6 +111,7 @@ func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.
 	}}
 
 	kind := core.KindFor(algo, scheme)
+	var walked time.Time // the threshold algorithm is done; what follows is proof assembly
 	switch algo {
 	case core.AlgoTRA:
 		docs := newDocSource(c, sess)
@@ -108,6 +119,7 @@ func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.
 		if err != nil {
 			return nil, nil, nil, err
 		}
+		walked = time.Now()
 		stats.Iterations, stats.RandomAccesses = out.Iterations, out.RandomAccesses
 		res.Entries = out.Result
 		if err := c.assembleTermProofs(v, q, src.cursors, out.KScore, kind, scheme); err != nil {
@@ -122,6 +134,7 @@ func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.
 		if err != nil {
 			return nil, nil, nil, err
 		}
+		walked = time.Now()
 		stats.Iterations = out.Iterations
 		res.Entries = out.Result
 		if err := c.assembleTermProofs(v, q, src.cursors, out.KScore, kind, scheme); err != nil {
@@ -146,16 +159,20 @@ func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.
 	for _, e := range res.Entries {
 		res.Contents[e.Doc] = c.idx.Content[e.Doc]
 	}
-	return c.finish(res, v, stats, sess, start)
+	return c.finish(res, v, stats, sess, start, walked)
 }
 
-func (c *Collection) finish(res *Result, v *vo.VO, stats *QueryStats, sess *store.Session, start time.Time) (*Result, []byte, *QueryStats, error) {
+// finish encodes the VO and closes the books: walked is when the index walk
+// ended and proof assembly began.
+func (c *Collection) finish(res *Result, v *vo.VO, stats *QueryStats, sess *store.Session, start, walked time.Time) (*Result, []byte, *QueryStats, error) {
 	encStart := time.Now()
 	encoded, bd, err := vo.Encode(v, c.cfg.HashSize)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	stats.EncodeWall = time.Since(encStart)
+	stats.ProofWall += encStart.Sub(walked)
+	stats.WalkWall = encStart.Sub(start) - stats.ProofWall
 	stats.VO = bd
 	stats.IO = sess.Stats()
 	stats.ServerWall = time.Since(start)
@@ -249,60 +266,72 @@ func (c *Collection) assembleTermProofs(v *vo.VO, q *core.Query, cursors []*list
 
 // assembleDocProofs adds a document-MHT proof for every encountered
 // document (TRA): the query-term leaves (or absence boundaries), buddies
-// under CMHT, the complementary digests and the signed root.
+// under CMHT, the complementary digests and the signed root. The digests
+// are copied from the document's materialised tree (vecTrees) and every
+// proof's slices are carved from arenas the whole query shares, so the work
+// and the allocations follow the size of the answer, not the lengths of the
+// documents.
 func (c *Collection) assembleDocProofs(v *vo.VO, q *core.Query, docs *docSource, out *core.TRAOutcome, scheme core.Scheme) error {
-	inResult := make(map[index.DocID]bool, len(out.Result))
-	for _, e := range out.Result {
-		inResult[e.Doc] = true
-	}
 	group := 1
 	if scheme == core.SchemeCMHT {
 		group = mht.BuddyGroupSize(entrySize, c.cfg.HashSize)
 	}
+	// Term vectors are sorted by term id: looking the query terms up in the
+	// same order yields each document's positions (nearly) ascending.
+	terms := make([]index.TermID, len(q.Terms))
+	for i := range q.Terms {
+		terms[i] = q.Terms[i].ID
+	}
+	slices.Sort(terms)
+
+	var (
+		want, positions []int // reused from document to document
+		u32s            []uint32
+		f32s            []float32
+		digests         mht.ProofArena
+	)
+	v.Docs = make([]vo.DocProof, 0, len(out.Encountered))
 	for _, d := range out.Encountered {
 		rec, err := docs.record(d) // cached for popped docs; random I/O for heads
 		if err != nil {
 			return err
 		}
 		n := len(rec.vec)
-		posSet := make(map[int]struct{})
-		for i := range q.Terms {
-			p, found := searchVec(rec.vec, q.Terms[i].ID)
-			if found {
-				posSet[p] = struct{}{}
-				continue
-			}
-			if p > 0 {
-				posSet[p-1] = struct{}{}
+		want = want[:0]
+		from := 0
+		for _, t := range terms {
+			p, found := searchVec(rec.vec, from, t)
+			from = p
+			if !found && p > 0 {
+				want = addPosition(want, p-1)
 			}
 			if p < n {
-				posSet[p] = struct{}{}
+				want = addPosition(want, p)
 			}
 		}
-		positions := make([]int, 0, len(posSet))
-		for p := range posSet {
-			positions = append(positions, p)
-		}
-		sort.Ints(positions)
-		positions = mht.ExpandBuddies(positions, group, n)
+		positions = mht.AppendBuddies(positions[:0], want, group, n)
 
-		proof, err := mht.ProveFunc(c.hasher, n, core.TermFreqLeaves(rec.vec), positions)
-		if err != nil {
-			return fmt.Errorf("engine: doc %d proof: %w", d, err)
-		}
 		dp := vo.DocProof{
 			Doc:       uint32(d),
 			LeafCount: uint32(n),
-			InResult:  inResult[d],
-			Digests:   proof.Digests,
 			Sig:       rec.sig,
+		}
+		dp.Digests, err = c.vecTrees.tree(c.hasher, d, rec.vec).ProveInto(&digests, positions)
+		if err != nil {
+			return fmt.Errorf("engine: doc %d proof: %w", d, err)
+		}
+		for _, e := range out.Result {
+			if e.Doc == d {
+				dp.InResult = true
+				break
+			}
 		}
 		if !dp.InResult {
 			dp.ContentHash = rec.contentHash
 		}
-		dp.Positions = make([]uint32, len(positions))
-		dp.Terms = make([]uint32, len(positions))
-		dp.Ws = make([]float32, len(positions))
+		dp.Positions = carve(&u32s, len(positions))
+		dp.Terms = carve(&u32s, len(positions))
+		dp.Ws = carve(&f32s, len(positions))
 		for j, p := range positions {
 			dp.Positions[j] = uint32(p)
 			dp.Terms[j] = uint32(rec.vec[p].Term)
@@ -313,10 +342,26 @@ func (c *Collection) assembleDocProofs(v *vo.VO, q *core.Query, docs *docSource,
 	return nil
 }
 
-// searchVec finds t in a term vector, returning (position, true) or the
-// insertion point and false.
-func searchVec(vec []index.TermFreq, t index.TermID) (int, bool) {
-	lo, hi := 0, len(vec)
+// addPosition inserts p into the ascending, duplicate-free positions; p is
+// expected at or next to the end.
+func addPosition(positions []int, p int) []int {
+	i := len(positions)
+	for i > 0 && positions[i-1] > p {
+		i--
+	}
+	if i > 0 && positions[i-1] == p {
+		return positions
+	}
+	positions = append(positions, 0)
+	copy(positions[i+1:], positions[i:])
+	positions[i] = p
+	return positions
+}
+
+// searchVec finds t in vec[from:], a term vector sorted by term id,
+// returning (position, true) or the insertion point and false.
+func searchVec(vec []index.TermFreq, from int, t index.TermID) (int, bool) {
+	lo, hi := from, len(vec)
 	for lo < hi {
 		mid := (lo + hi) / 2
 		switch {
@@ -368,9 +413,6 @@ func (c *Collection) assembleDictProof(v *vo.VO, q *core.Query, kind core.Struct
 
 // appendVocabProofs adds non-membership proofs for out-of-dictionary tokens.
 func (c *Collection) appendVocabProofs(v *vo.VO, unknown []string) error {
-	if len(unknown) == 0 {
-		return nil
-	}
 	m := c.idx.M()
 	for _, tok := range unknown {
 		p := sort.Search(m, func(i int) bool { return c.idx.Name(index.TermID(i)) >= tok })

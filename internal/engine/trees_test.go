@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"authtext/internal/core"
 	"authtext/internal/index"
@@ -197,17 +198,25 @@ func TestRestoredCollectionServesIdenticalVOs(t *testing.T) {
 // O(N) proof path creeping back: an uncached TNRA-CMHT search on a
 // collection ten times larger, whose query lists are just as long, must
 // allocate about the same. (Hashing the document-hash tree per query cost
-// ≈2 allocations per document.)
+// ≈2 allocations per document.) The TRA case is the same guard for the
+// document proofs: with documents ten times longer — the same ones
+// encountered, the same leaves revealed — a warm search hashes nothing and
+// allocates about the same. (Hashing each encountered term vector per query
+// cost ≈2 hashes per entry, and the proof slices ≈17 allocations per
+// document.)
 func TestSearchAllocationsIndependentOfCollectionSize(t *testing.T) {
 	queryTerms := []string{"alpha", "beta", "gamma"}
-	measure := func(nDocs int) float64 {
+	measure := func(nDocs, fillers int, algo core.Algo) (allocs float64, best time.Duration) {
 		// Every query term occurs in exactly 30 documents whatever the
 		// collection size, so the answer — revealed prefixes, result,
-		// proofs — stays the same size while N grows.
+		// proofs — stays the same size while N or the documents grow.
 		stride := nDocs / 30
 		docs := make([]index.Document, nDocs)
 		for i := range docs {
-			toks := []string{fmt.Sprintf("filler%d", i%(nDocs/4)), fmt.Sprintf("filler%d", (i+1)%(nDocs/4))}
+			toks := make([]string, 0, fillers+6)
+			for f := 0; f < fillers; f++ {
+				toks = append(toks, fmt.Sprintf("filler%d", (i+f)%max(nDocs/4, 2*fillers)))
+			}
 			for q, term := range queryTerms {
 				if i%stride == q && i/stride < 30 {
 					for rep := 0; rep <= (i/stride)%3; rep++ {
@@ -222,17 +231,40 @@ func TestSearchAllocationsIndependentOfCollectionSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		run := func() {
-			res, _, _, err := col.Search(queryTerms, 10, core.AlgoTNRA, core.SchemeCMHT)
+			start := time.Now()
+			res, _, _, err := col.Search(queryTerms, 10, algo, core.SchemeCMHT)
 			if err != nil || len(res.Entries) != 10 {
 				t.Fatalf("search: %d entries, %v", len(res.Entries), err)
 			}
+			if d := time.Since(start); best == 0 || d < best {
+				best = d
+			}
 		}
 		run()
-		return testing.AllocsPerRun(20, run)
+		hashed := col.vecTrees.hashed.Load()
+		best = 0
+		allocs = testing.AllocsPerRun(20, run)
+		if got := col.vecTrees.hashed.Load(); got != hashed {
+			t.Fatalf("warm searches hashed %d term-vector leaves", got-hashed)
+		}
+		return allocs, best
 	}
-	small, large := measure(200), measure(2000)
-	t.Logf("allocations per search: %.0f on 200 documents, %.0f on 2000", small, large)
+	small, _ := measure(200, 2, core.AlgoTNRA)
+	large, _ := measure(2000, 2, core.AlgoTNRA)
+	t.Logf("TNRA allocations per search: %.0f on 200 documents, %.0f on 2000", small, large)
 	if large > small*1.2 {
 		t.Fatalf("search allocations grew from %.0f (200 documents) to %.0f (2000): a per-query cost scales with the collection", small, large)
+	}
+	short, shortTime := measure(400, 20, core.AlgoTRA)
+	long, longTime := measure(400, 200, core.AlgoTRA)
+	t.Logf("TRA allocations per warm search: %.0f with 20-term documents (%v), %.0f with 200-term documents (%v)",
+		short, shortTime, long, longTime)
+	if long > short*1.2 {
+		t.Fatalf("TRA search allocations grew from %.0f (20-term documents) to %.0f (200-term): a per-query cost scales with document length", short, long)
+	}
+	// What is left per entry is decoding the record (≈2× here); re-hashing
+	// the vectors made the long documents ≈10× slower.
+	if longTime > 5*shortTime {
+		t.Fatalf("warm TRA search took %v with 20-term documents and %v with 200-term ones: time scales with document length", shortTime, longTime)
 	}
 }

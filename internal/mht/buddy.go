@@ -23,12 +23,15 @@ func BuddyGroupSize(leafSize, hashSize int) int {
 // ExpandBuddies returns the sorted, deduplicated union of every requested
 // position's buddy group, clipped to [0, n). want must be sorted ascending.
 func ExpandBuddies(want []int, group, n int) []int {
+	return AppendBuddies(make([]int, 0, len(want)*max(group, 1)), want, group, n)
+}
+
+// AppendBuddies is ExpandBuddies appending to dst, for callers that expand
+// many position sets into one reused buffer.
+func AppendBuddies(dst, want []int, group, n int) []int {
 	if group <= 1 {
-		out := make([]int, len(want))
-		copy(out, want)
-		return out
+		return append(dst, want...)
 	}
-	out := make([]int, 0, len(want)*group)
 	lastGroup := -1
 	for _, w := range want {
 		g := w / group
@@ -42,10 +45,10 @@ func ExpandBuddies(want []int, group, n int) []int {
 			hi = n
 		}
 		for p := lo; p < hi; p++ {
-			out = append(out, p)
+			dst = append(dst, p)
 		}
 	}
-	return out
+	return dst
 }
 
 // RoundUpPrefix rounds a prefix length k up to a buddy-group boundary,

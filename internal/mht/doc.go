@@ -9,13 +9,14 @@
 //
 // Trees come in two forms with identical digests and proofs. A Tree is
 // materialised — every subtree digest stored once — and proves by copying,
-// in time proportional to the proof; it backs the collection-level
-// structures a server proves from on every query. Root, Prove and
-// RootFromProof (and their …Func forms, which take leaves on demand
-// through a LeafFunc instead of as a [][]byte) hash as they go, keeping
-// digests on the stack and in one arena; they serve the many small trees
-// that are touched once — a document's term vector, a chain block, and
-// everything a client recomputes.
+// in time proportional to the proof; it backs the structures a server
+// proves from query after query — the collection-level trees and each
+// document's term vector — and ProveInto lets the many small proofs of one
+// answer share a ProofArena. Root, Prove and RootFromProof (and their …Func
+// forms, which take leaves on demand through a LeafFunc instead of as a
+// [][]byte) hash as they go, keeping digests on the stack and in one arena;
+// they serve the trees that are touched once — the owner's build, a chain
+// block, and everything a client recomputes.
 //
 // In the VO protocol, mht supplies the commitment scheme everything else
 // hangs off: the owner builds a tree over each inverted list and each

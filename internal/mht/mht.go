@@ -140,30 +140,62 @@ type Proof struct {
 	Digests [][]byte
 }
 
-// proofArena collects a proof's digests in one backing array.
-type proofArena struct {
-	size    int
-	arena   []byte
+// ProofArena collects proof digests in shared backing arrays. One arena can
+// take the digests of any number of proofs (Tree.ProveInto), so a query that
+// assembles hundreds of small proofs allocates once per growth step instead
+// of twice per proof. Proofs already handed out never move: when a chunk is
+// full it is left to them and one twice as large is started. The zero value
+// is ready to use; an arena is not safe for concurrent use.
+type ProofArena struct {
+	bytes   []byte
 	digests [][]byte
+	mark    int // where the proof being taken starts in digests
 }
 
-// newProofArena sizes the arena for exactly count digests; a proof
-// without digests keeps a nil Digests slice.
-func newProofArena(size, count int) proofArena {
+// arenaMinDigests is the capacity, in digests, of a growing arena's first
+// chunk.
+const arenaMinDigests = 64
+
+// newProofArena sizes an arena for exactly count digests of size bytes;
+// the proof then taken from it keeps a nil Digests slice when count is 0.
+func newProofArena(size, count int) ProofArena {
 	if count == 0 {
-		return proofArena{size: size}
+		return ProofArena{}
 	}
-	return proofArena{size: size, arena: make([]byte, 0, count*size), digests: make([][]byte, 0, count)}
+	return ProofArena{bytes: make([]byte, 0, count*size), digests: make([][]byte, 0, count)}
 }
 
-// next appends one digest slot and returns it for the caller to fill.
-func (a *proofArena) next() []byte {
-	lo := len(a.arena)
-	hi := lo + a.size
-	a.arena = a.arena[:hi]
-	d := a.arena[lo:hi:hi]
+// begin starts a new proof.
+func (a *ProofArena) begin() { a.mark = len(a.digests) }
+
+// next appends one digest slot of size bytes to the current proof and
+// returns it for the caller to fill.
+func (a *ProofArena) next(size int) []byte {
+	if cap(a.bytes)-len(a.bytes) < size {
+		a.bytes = make([]byte, 0, max(2*cap(a.bytes), arenaMinDigests*size))
+	}
+	if len(a.digests) == cap(a.digests) {
+		// Only the unfinished proof moves to the new chunk.
+		current := a.digests[a.mark:]
+		a.digests = make([][]byte, len(current), max(2*cap(a.digests), len(current)+arenaMinDigests))
+		copy(a.digests, current)
+		a.mark = 0
+	}
+	lo := len(a.bytes)
+	hi := lo + size
+	a.bytes = a.bytes[:hi]
+	d := a.bytes[lo:hi:hi]
 	a.digests = append(a.digests, d)
 	return d
+}
+
+// proof returns the current proof's digests (nil when there are none),
+// capped so that later appends cannot reach them.
+func (a *ProofArena) proof() [][]byte {
+	if len(a.digests) == a.mark {
+		return nil
+	}
+	return a.digests[a.mark:len(a.digests):len(a.digests)]
 }
 
 // Prove produces the complementary digests needed to recompute the root
@@ -175,8 +207,9 @@ func Prove(h Hasher, leaves [][]byte, want []int) (Proof, error) {
 
 // ProveFunc is Prove over the n leaves leaf yields. It hashes every
 // subtree that holds no wanted leaf — O(n) work — so it suits trees that
-// are proved from once (a document's term vector, one chain block);
-// collection-level trees are materialised as a Tree instead.
+// are proved from once (one chain block); trees proved from query after
+// query — the collection-level ones, a document's term vector — are
+// materialised as a Tree instead.
 func ProveFunc(h Hasher, n int, leaf LeafFunc, want []int) (Proof, error) {
 	if err := checkWant(want, n); err != nil {
 		return Proof{}, err
@@ -187,14 +220,14 @@ func ProveFunc(h Hasher, n int, leaf LeafFunc, want []int) (Proof, error) {
 	w := &walker{h: h, leaf: leaf}
 	out := newProofArena(h.Size(), ProofSize(n, want))
 	w.prove(0, n, want, &out)
-	return Proof{Digests: out.digests}, nil
+	return Proof{Digests: out.proof()}, nil
 }
 
 // prove covers leaves [off, off+m); want holds absolute positions
 // restricted to this range by the caller.
-func (w *walker) prove(off, m int, want []int, out *proofArena) {
+func (w *walker) prove(off, m int, want []int, out *ProofArena) {
 	if len(want) == 0 {
-		w.rootInto(out.next(), off, m)
+		w.rootInto(out.next(w.h.Size()), off, m)
 		return
 	}
 	if m == 1 {

@@ -347,6 +347,17 @@ func TestExpandBuddiesProperty(t *testing.T) {
 				return false
 			}
 		}
+		// Appending into a reused buffer gives the same positions after
+		// whatever the buffer held.
+		appended := AppendBuddies([]int{-7, -3}, want, group, n)
+		if len(appended) != 2+len(got) || appended[0] != -7 || appended[1] != -3 {
+			return false
+		}
+		for i, p := range got {
+			if appended[2+i] != p {
+				return false
+			}
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -113,6 +113,78 @@ func TestTreeMatchesLeafHashing(t *testing.T) {
 	}
 }
 
+// TestProveIntoSharesOneArena: hundreds of proofs, from trees of every
+// size, taken into one arena are each exactly what Prove returns — also the
+// early ones, after the arena has grown past them many times — and never
+// reach the trees or each other.
+func TestProveIntoSharesOneArena(t *testing.T) {
+	h := testHasher()
+	r := rand.New(rand.NewSource(11))
+	type taken struct {
+		tree *Tree
+		want []int
+		got  [][]byte
+	}
+	var (
+		arena  ProofArena
+		proofs []taken
+	)
+	for i := 0; i < 400; i++ {
+		n := r.Intn(300)
+		if i%50 == 0 {
+			n = 5000 // a proof larger than the arena's first chunks
+		}
+		tree := NewTree(h, n, Leaves(randomLeaves(r, n)))
+		want := randomWant(r, n)
+		got, err := tree.ProveInto(&arena, want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		proofs = append(proofs, taken{tree, want, got})
+	}
+	for i, p := range proofs {
+		ref, err := p.tree.Prove(p.want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (p.got == nil) != (ref.Digests == nil) || len(p.got) != len(ref.Digests) {
+			t.Fatalf("proof %d: %d digests (nil=%v), Prove returns %d (nil=%v)",
+				i, len(p.got), p.got == nil, len(ref.Digests), ref.Digests == nil)
+		}
+		for j := range p.got {
+			if !bytes.Equal(p.got[j], ref.Digests[j]) {
+				t.Fatalf("proof %d: digest %d differs from Prove's", i, j)
+			}
+			if cap(p.got[j]) != len(p.got[j]) {
+				t.Fatalf("proof %d: digest %d can be appended into its neighbour", i, j)
+			}
+		}
+		if cap(p.got) != len(p.got) {
+			t.Fatalf("proof %d can be appended into the next proof", i)
+		}
+		// Scribbling on a proof reaches neither its tree nor any other proof.
+		for _, d := range p.got {
+			for k := range d {
+				d[k] ^= 0xFF
+			}
+		}
+	}
+	for i, p := range proofs {
+		ref, _ := p.tree.Prove(p.want)
+		for j := range p.got {
+			for k := range p.got[j] {
+				p.got[j][k] ^= 0xFF
+			}
+			if !bytes.Equal(p.got[j], ref.Digests[j]) {
+				t.Fatalf("proof %d: digest %d shares memory with a tree or another proof", i, j)
+			}
+		}
+	}
+	if _, err := proofs[1].tree.ProveInto(&arena, []int{-1}); err == nil {
+		t.Fatal("ProveInto accepted a bad position")
+	}
+}
+
 func TestTreeProveRejectsBadWant(t *testing.T) {
 	h := testHasher()
 	tree := NewTree(h, 8, Leaves(leavesN(8)))

@@ -151,8 +151,8 @@ const (
 	runEntryBytes  = 4 + 4
 )
 
-func positionRuns(positions []uint32) []positionRun {
-	var runs []positionRun
+// positionRuns appends the runs of positions (ascending) to runs.
+func positionRuns(runs []positionRun, positions []uint32) []positionRun {
 	for i := 0; i < len(positions); {
 		j := i + 1
 		for j < len(positions) && positions[j] == positions[j-1]+1 && j-i < 0xFFFF {
@@ -179,6 +179,7 @@ var (
 type writer struct {
 	buf   []byte
 	sizes [numCategories]int
+	runs  []positionRun // scratch, reused from document proof to document proof
 }
 
 // writerPool recycles encoder buffers across queries: Encode runs on the
@@ -314,7 +315,8 @@ func Encode(v *VO, hashSize int) ([]byte, Breakdown, error) {
 		w.u8(CatMeta, inRes)
 		w.u16(CatMeta, uint16(len(d.ContentHash)))
 		w.bytes(CatDigest, d.ContentHash)
-		runs := positionRuns(d.Positions)
+		w.runs = positionRuns(w.runs[:0], d.Positions)
+		runs := w.runs
 		w.u16(CatMeta, uint16(len(runs)))
 		j := 0
 		for _, run := range runs {

@@ -6,7 +6,9 @@ import (
 	"sync"
 	"time"
 
+	"authtext/internal/engine"
 	"authtext/internal/obs"
+	"authtext/internal/shard"
 	"authtext/internal/sig"
 	"authtext/internal/snapshot"
 )
@@ -29,6 +31,9 @@ type Metrics struct {
 	stageCacheLookup *obs.Histogram
 	stageMerge       *obs.Histogram
 	stageWireDecode  *obs.Histogram
+
+	phaseIndexWalk     *obs.Histogram
+	phaseProofAssembly *obs.Histogram
 
 	searchSingle  *obs.Counter
 	searchSharded *obs.Counter
@@ -80,6 +85,15 @@ func NewMetrics() *Metrics {
 	// The wire_encode stage is observed by the HTTP layer against the same
 	// family; registering it here keeps the catalog complete pre-traffic.
 	stage("wire_encode")
+
+	// The engine stage again, split in two. A family of its own: the stages
+	// above are disjoint and sum towards the request, these sum to one of them.
+	const phaseHelp = "The engine stage of one search, split into its two phases (seconds): " +
+		"index_walk + proof_assembly = authtext_search_stage_seconds{stage=\"engine\"}."
+	m.phaseIndexWalk = r.Histogram("authtext_engine_phase_seconds", phaseHelp,
+		obs.DefLatencyBuckets, obs.L("phase", "index_walk"))
+	m.phaseProofAssembly = r.Histogram("authtext_engine_phase_seconds", phaseHelp,
+		obs.DefLatencyBuckets, obs.L("phase", "proof_assembly"))
 
 	m.reg.GaugeFunc("authtext_snapshot_mapped_bytes",
 		"Snapshot bytes currently memory-mapped by this process (zero-copy opens).",
@@ -205,28 +219,35 @@ func (m *Metrics) recordShardedSearchHit() {
 	m.searchSharded.Inc()
 }
 
+// observeEngine records what one collection spent on one answer: the engine
+// and VO-encode stages, and the two phases the engine stage splits into.
+func (m *Metrics) observeEngine(st *engine.QueryStats) {
+	m.stageEngine.Observe((st.ServerWall - st.EncodeWall).Seconds())
+	m.stageVOEncode.Observe(st.EncodeWall.Seconds())
+	m.phaseIndexWalk.Observe(st.WalkWall.Seconds())
+	m.phaseProofAssembly.Observe(st.ProofWall.Seconds())
+}
+
 // recordSearch observes one single-collection answer's stage costs.
-func (m *Metrics) recordSearch(serverWall, encodeWall time.Duration) {
+func (m *Metrics) recordSearch(st *engine.QueryStats) {
 	if m == nil {
 		return
 	}
 	m.searchSingle.Inc()
-	m.stageEngine.Observe((serverWall - encodeWall).Seconds())
-	m.stageVOEncode.Observe(encodeWall.Seconds())
+	m.observeEngine(st)
 }
 
 // recordShardedSearch observes one fan-out answer: every shard's stage
 // costs (k observations — real per-collection work) plus the merge.
-func (m *Metrics) recordShardedSearch(shardWalls, shardEncodes []time.Duration, mergeWall time.Duration) {
+func (m *Metrics) recordShardedSearch(res *shard.SetResult) {
 	if m == nil {
 		return
 	}
 	m.searchSharded.Inc()
-	for i := range shardWalls {
-		m.stageEngine.Observe((shardWalls[i] - shardEncodes[i]).Seconds())
-		m.stageVOEncode.Observe(shardEncodes[i].Seconds())
+	for i := range res.PerShard {
+		m.observeEngine(res.PerShard[i].Stats)
 	}
-	m.stageMerge.Observe(mergeWall.Seconds())
+	m.stageMerge.Observe(res.MergeWall.Seconds())
 }
 
 // recordUpdate observes one accepted live update batch.

@@ -126,6 +126,7 @@ func TestMetricsCatalogNonZeroAfterTraffic(t *testing.T) {
 		"authtext_http_request_seconds",
 		"authtext_http_response_bytes_total",
 		"authtext_search_stage_seconds",
+		"authtext_engine_phase_seconds",
 		"authtext_searches_total",
 		"authtext_vocache_hits_total",
 		"authtext_vocache_misses_total",

@@ -275,14 +275,7 @@ func (s *ShardedServer) Search(query string, r int, algo Algorithm, scheme Schem
 			Content:  setRes.PerShard[m.Shard].Result.Contents[m.Doc],
 		}
 	}
-	if s.metrics != nil {
-		walls := make([]time.Duration, len(setRes.PerShard))
-		encodes := make([]time.Duration, len(setRes.PerShard))
-		for i, sr := range setRes.PerShard {
-			walls[i], encodes[i] = sr.Stats.ServerWall, sr.Stats.EncodeWall
-		}
-		s.metrics.recordShardedSearch(walls, encodes, setRes.MergeWall)
-	}
+	s.metrics.recordShardedSearch(setRes)
 	if s.cache != nil {
 		s.cache.putSharded(key, sm.Generation, out)
 	}
