@@ -178,7 +178,8 @@ func WithFastSigner(key []byte) Option {
 func WithDictionaryMode() Option { return func(o *options) { o.dictMode = true } }
 
 // WithVocabularyProofs enables non-membership proofs for out-of-dictionary
-// query terms, closing the dropped-term gap discussed in DESIGN.md §4.
+// query terms, closing the dropped-term gap (docs/ARCHITECTURE.md,
+// "Departures from the paper").
 func WithVocabularyProofs() Option { return func(o *options) { o.vocabProofs = true } }
 
 // WithSingletonTerms keeps terms that occur in only one document (the

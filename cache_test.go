@@ -43,7 +43,11 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 }
 
 func TestCacheHitVerifiesLikeMiss(t *testing.T) {
-	o := owner(t)
+	// A private owner: the test ends by failing its device.
+	o, err := NewOwner(newsDocs(), WithFastSigner([]byte("cache-hit")))
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := o.Server()
 	cache := NewVOCache(1 << 20)
 	srv.SetVOCache(cache)
@@ -81,6 +85,72 @@ func TestCacheHitVerifiesLikeMiss(t *testing.T) {
 	}
 	if got := cache.Stats().Misses; got != 2 {
 		t.Fatalf("different r hit the wrong entry: misses=%d", got)
+	}
+	// What makes a hit cheap: it reads nothing from the store. With the
+	// device failing every read, the cached query still answers (and
+	// verifies) while an uncached one cannot.
+	o.col.Device().Poison(errors.New("device gone"))
+	hit, err = srv.Search(q, r, TNRA, ChainMHT)
+	if err != nil {
+		t.Fatalf("cache hit touched the store: %v", err)
+	}
+	if err := client.Verify(q, r, hit); err != nil {
+		t.Fatalf("cached answer failed verification: %v", err)
+	}
+	if _, err := srv.Search("search results integrity", r, TNRA, ChainMHT); err == nil {
+		t.Fatal("uncached query answered without the store")
+	}
+}
+
+// TestCacheHitsUnderUpdates: an update bumps the generation, so every
+// cached answer stops matching at once and the same stream can only hit
+// less often — each query's first sighting after a swap is a miss again.
+// The client follows the manifest channel and verifies every answer, hit
+// or miss, on whichever generation served it.
+func TestCacheHitsUnderUpdates(t *testing.T) {
+	a, b, c := liveQuery, "inverted index digest", "threshold random access"
+	stream := []string{a, b, a, a, b, c, a, b}
+	for _, tc := range []struct {
+		name         string
+		updateBefore map[int]bool // stream positions preceded by a one-document update
+		hits         int64
+	}{
+		{"static", nil, 5},
+		{"one update", map[int]bool{4: true}, 3},
+		{"update before every query", map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true, 6: true, 7: true}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			lo, _, err := NewLiveOwner(liveDocs(0, 16), WithFastSigner([]byte("cache-updates")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := lo.Server()
+			cache := NewVOCache(1 << 20)
+			srv.SetVOCache(cache)
+			client := lo.Client()
+			for i, q := range stream {
+				if tc.updateBefore[i] {
+					if _, _, err := lo.AddDocuments(liveDocs(100+i, 1)); err != nil {
+						t.Fatal(err)
+					}
+					m, msig := lo.ManifestUpdate()
+					if err := client.Advance(m, msig); err != nil {
+						t.Fatal(err)
+					}
+				}
+				res, err := srv.Search(q, 3, TNRA, ChainMHT)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := client.Verify(q, 3, res); err != nil {
+					t.Fatalf("query %d (%q) failed verification: %v", i, q, err)
+				}
+			}
+			st := cache.Stats()
+			if st.Hits != tc.hits || st.Hits+st.Misses != int64(len(stream)) {
+				t.Fatalf("hits %d misses %d over %d queries, want %d hits", st.Hits, st.Misses, len(stream), tc.hits)
+			}
+		})
 	}
 }
 

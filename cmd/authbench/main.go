@@ -1,21 +1,22 @@
 // Command authbench regenerates the tables and figures of the paper's
-// evaluation (§4) on a synthetic WSJ-like collection.
+// evaluation (§4) on a synthetic WSJ-like collection and the simulated
+// disk, and nothing else: systems numbers (cache, wire, fleet, updates,
+// snapshot boot, capacity) come from `go run ./bench` and bench_test.go.
 //
 // Usage:
 //
 //	authbench [-profile tiny|small|medium|wsj]
-//	          [-fig all|4|13|14|15|table2|space|headline|snapshot|shards|concurrency|updates|cache|wire|fleet]
-//	          [-queries N] [-rsa] [-out FILE] [-json FILE] [-metrics-dump] [-reuse-floor PCT]
+//	          [-fig all|4|13|table2|14|15|space|headline[,...]]
+//	          [-queries N] [-rsa] [-out FILE]
 //
 // The medium profile (20,000 documents) reproduces the shape of every
 // figure in minutes; wsj runs at full paper scale (172,961 documents).
-// With -rsa the owner signs with RSA-1024 exactly as in the paper (slow at
-// scale); the default keyed-hash signer emits RSA-sized signatures so VO
-// sizes and I/O are unaffected (DESIGN.md §3.7).
+// With -rsa the owner signs with RSA-1024 as in the paper (slow at scale);
+// the default keyed-hash signer emits RSA-sized signatures so VO sizes and
+// I/O are unaffected (docs/ARCHITECTURE.md, "Departures from the paper").
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -23,34 +24,89 @@ import (
 	"strings"
 	"time"
 
-	"authtext"
 	"authtext/internal/corpus"
 	"authtext/internal/experiments"
 )
 
+// figures lists the accepted -fig names in the order "all" prints them.
+var figures = []struct {
+	name string
+	run  func(*experiments.Fixture, experiments.Options, io.Writer) error
+}{
+	{"4", func(f *experiments.Fixture, _ experiments.Options, w io.Writer) error {
+		experiments.Fig4(f, w)
+		fmt.Fprintln(w)
+		return nil
+	}},
+	{"13", func(f *experiments.Fixture, o experiments.Options, w io.Writer) error {
+		_, err := experiments.Fig13(f, o, w)
+		return err
+	}},
+	{"table2", func(f *experiments.Fixture, o experiments.Options, w io.Writer) error {
+		if _, err := experiments.Table2(f, o, w); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+		return nil
+	}},
+	{"14", func(f *experiments.Fixture, o experiments.Options, w io.Writer) error {
+		_, err := experiments.Fig14(f, o, w)
+		return err
+	}},
+	{"15", func(f *experiments.Fixture, o experiments.Options, w io.Writer) error {
+		_, err := experiments.Fig15(f, o, w)
+		return err
+	}},
+	{"space", func(f *experiments.Fixture, _ experiments.Options, w io.Writer) error {
+		experiments.SpaceReport(f, w)
+		fmt.Fprintln(w)
+		return nil
+	}},
+	{"headline", func(f *experiments.Fixture, o experiments.Options, w io.Writer) error {
+		if _, err := experiments.Headline(f, o, w); err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+		return nil
+	}},
+}
+
 func main() {
-	if err := run(); err != nil {
+	err := run(os.Args[1:], os.Stdout)
+	if err == flag.ErrHelp {
+		os.Exit(0)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "authbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	profileName := flag.String("profile", "medium", "corpus profile: tiny, small, medium, wsj")
-	fig := flag.String("fig", "all", "experiment: all, 4, 13, 14, 15, table2, space, headline, snapshot, shards, concurrency, updates, cache, wire, fleet")
-	queries := flag.Int("queries", 0, "queries per sweep point (0 = profile default)")
-	rsa := flag.Bool("rsa", false, "sign with RSA-1024 instead of the fast keyed-hash signer")
-	outPath := flag.String("out", "", "write output to this file as well as stdout")
-	jsonPath := flag.String("json", "", "write machine-readable reports of the selected experiments to this JSON file")
-	metricsDump := flag.Bool("metrics-dump", false, "print the final metrics snapshot (Prometheus text format) after the run")
-	reuseFloor := flag.Float64("reuse-floor", 0,
-		"with -fig updates: fail unless the 'replace oldest 10%' row reuses at least this percentage of signatures")
-	flag.Parse()
+func run(args []string, stdout io.Writer) error {
+	valid := "all"
+	for _, f := range figures {
+		valid += ", " + f.name
+	}
+	fs := flag.NewFlagSet("authbench", flag.ContinueOnError)
+	profileName := fs.String("profile", "medium", "corpus profile: tiny, small, medium, wsj")
+	fig := fs.String("fig", "all", "comma-separated figures: "+valid)
+	queries := fs.Int("queries", 0, "queries per sweep point (0 = profile default)")
+	rsa := fs.Bool("rsa", false, "sign with RSA-1024 instead of the fast keyed-hash signer")
+	outPath := fs.String("out", "", "write output to this file as well as stdout")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
-	var metrics *authtext.Metrics
-	if *metricsDump {
-		metrics = authtext.NewMetrics()
-		experiments.SetMetricsSink(metrics)
+	want := map[string]bool{}
+	for _, name := range strings.Split(*fig, ",") {
+		known := name == "all"
+		for _, f := range figures {
+			known = known || f.name == name
+		}
+		if !known {
+			return fmt.Errorf("unknown figure %q; valid -fig values: %s", name, valid)
+		}
+		want[name] = true
 	}
 
 	profile, err := corpus.ProfileByName(*profileName)
@@ -63,23 +119,19 @@ func run() error {
 		opts.Queries = 20
 	case "small":
 		opts.Queries = 50
-	case "medium":
-		opts.Queries = 100
-	case "wsj":
-		opts.Queries = 100
 	}
 	if *queries > 0 {
 		opts.Queries = *queries
 	}
 
-	var w io.Writer = os.Stdout
+	w := stdout
 	if *outPath != "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
 			return err
 		}
 		defer f.Close()
-		w = io.MultiWriter(os.Stdout, f)
+		w = io.MultiWriter(stdout, f)
 	}
 
 	fmt.Fprintf(w, "authbench: profile=%s docs=%d vocab=%d queries/point=%d rsa=%v\n",
@@ -95,144 +147,14 @@ func run() error {
 		idx.N, idx.M(), bs.Signatures, bs.BuildTime.Round(time.Millisecond),
 		float64(fixture.Col.Space().DeviceBytes)/(1<<20))
 
-	jsonOut := map[string]interface{}{}
-	want := strings.Split(*fig, ",")
-	has := func(name string) bool {
-		for _, x := range want {
-			if x == "all" || x == name {
-				return true
-			}
-		}
-		return false
-	}
-
-	if has("4") {
-		experiments.Fig4(fixture, w)
-		fmt.Fprintln(w)
-	}
-	if has("13") {
-		if _, err := experiments.Fig13(fixture, opts, w); err != nil {
-			return err
-		}
-	}
-	if has("table2") {
-		if _, err := experiments.Table2(fixture, opts, w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if has("14") {
-		if _, err := experiments.Fig14(fixture, opts, w); err != nil {
-			return err
-		}
-	}
-	if has("15") {
-		if _, err := experiments.Fig15(fixture, opts, w); err != nil {
-			return err
-		}
-	}
-	if has("space") {
-		experiments.SpaceReport(fixture, w)
-		fmt.Fprintln(w)
-	}
-	if has("headline") {
-		if _, err := experiments.Headline(fixture, opts, w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if has("snapshot") {
-		if _, err := experiments.SnapshotCompare(fixture, w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if has("shards") {
-		if _, err := experiments.ShardCompare(profile, opts.Queries, w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if has("concurrency") {
-		if _, err := experiments.ConcurrencyCompare(fixture, opts.Queries, w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if has("updates") {
-		urep, err := experiments.UpdateCompare(profile, *rsa, w)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		if *reuseFloor > 0 {
-			if err := checkReuseFloor(urep, *reuseFloor, w); err != nil {
-				return err
-			}
-		}
-	} else if *reuseFloor > 0 {
-		return fmt.Errorf("-reuse-floor needs the updates experiment (-fig updates)")
-	}
-	if has("cache") {
-		if _, err := experiments.CacheCompare(profile, opts.Queries, w); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if has("wire") {
-		wrep, err := experiments.WireCompare(fixture, opts, w)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		jsonOut["wire"] = wrep
-	}
-	if has("fleet") {
-		frep, err := experiments.FleetCompare(profile, opts.Queries, w)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-		jsonOut["fleet"] = frep
-	}
-	if *jsonPath != "" {
-		if len(jsonOut) == 0 {
-			return fmt.Errorf("-json: none of the selected experiments emit a JSON report")
-		}
-		b, err := json.MarshalIndent(jsonOut, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(*jsonPath, append(b, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(w, "wrote JSON report: %s\n", *jsonPath)
-	}
-	fmt.Fprintf(w, "total experiment time: %v\n", time.Since(start).Round(time.Millisecond))
-	if metrics != nil {
-		fmt.Fprintf(w, "\n--- metrics snapshot (%s) ---\n", time.Since(start).Round(time.Millisecond))
-		if err := metrics.WritePrometheus(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkReuseFloor enforces the removal-reuse regression gate: the
-// "replace oldest 10%" row must reuse at least floor percent of its
-// signatures (the regime that collapsed to 0% when removals renumbered
-// surviving documents).
-func checkReuseFloor(rep *experiments.UpdateReport, floor float64, w io.Writer) error {
-	for _, pt := range rep.Points {
-		if pt.Label != "replace oldest 10%" {
+	for _, f := range figures {
+		if !want["all"] && !want[f.name] {
 			continue
 		}
-		if pt.ReusePct < floor {
-			return fmt.Errorf("reuse floor: %q reused %.1f%% of signatures, floor is %.1f%%",
-				pt.Label, pt.ReusePct, floor)
+		if err := f.run(fixture, opts, w); err != nil {
+			return err
 		}
-		fmt.Fprintf(w, "reuse floor: %q reused %.1f%% >= %.1f%% — ok\n\n", pt.Label, pt.ReusePct, floor)
-		return nil
 	}
-	return fmt.Errorf("reuse floor: no %q row in the updates experiment", "replace oldest 10%")
+	fmt.Fprintf(w, "total experiment time: %v\n", time.Since(start).Round(time.Millisecond))
+	return nil
 }

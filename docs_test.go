@@ -92,3 +92,90 @@ func TestDocsGoSnippets(t *testing.T) {
 		t.Fatal("no Go snippets found in the docs; the fence regexp is probably wrong")
 	}
 }
+
+var mdName = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
+
+// TestGoCommentsNameExistingDocs verifies that every markdown file a Go
+// comment sends its reader to exists: at the path as written (from the
+// repository root or the file's own directory) or, for a bare name, under
+// docs/.
+func TestGoCommentsNameExistingDocs(t *testing.T) {
+	checked := 0
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			_, comment, ok := strings.Cut(line, "//")
+			if !ok {
+				continue
+			}
+			for _, name := range mdName.FindAllString(comment, -1) {
+				checked++
+				found := false
+				for _, base := range []string{".", filepath.Dir(path), "docs"} {
+					if _, err := os.Stat(filepath.Join(base, filepath.FromSlash(name))); err == nil {
+						found = true
+					}
+				}
+				if !found {
+					t.Errorf("%s:%d: comment names %s, which does not exist", path, i+1, name)
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked < 20 {
+		t.Fatalf("only %d markdown names found in Go comments; the regexp is probably wrong", checked)
+	}
+}
+
+var figFlag = regexp.MustCompile(`-fig[\s=]+([A-Za-z0-9,]+)`)
+
+// TestDocsNameAcceptedFigures verifies that every `authbench -fig X` in
+// current prose — the docs, the CI workflow and the verify skill; not the
+// history in CHANGES.md, ROADMAP.md and ISSUE.md — names a figure authbench
+// accepts (cmd/authbench's figures table; it rejects anything else).
+func TestDocsNameAcceptedFigures(t *testing.T) {
+	accepted := map[string]bool{"all": true, "4": true, "13": true, "table2": true,
+		"14": true, "15": true, "space": true, "headline": true}
+	var files []string
+	for _, glob := range []string{".claude/skills/*/SKILL.md", ".github/workflows/*.yml"} {
+		matches, err := filepath.Glob(glob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, matches...)
+	}
+	for _, file := range docFiles(t) {
+		if file != "CHANGES.md" && file != "ROADMAP.md" && file != "ISSUE.md" {
+			files = append(files, file)
+		}
+	}
+	for _, file := range files {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range figFlag.FindAllStringSubmatch(string(raw), -1) {
+			for _, name := range strings.Split(m[1], ",") {
+				if !accepted[name] {
+					t.Errorf("%s: -fig %s is not a figure authbench accepts", file, name)
+				}
+			}
+		}
+	}
+}

@@ -20,8 +20,9 @@ var ErrChain = errors.New("core: malformed chain proof")
 
 // ChainRho returns ρ, the number of list entries per chain block: each
 // block reserves 4 bytes for the successor's address and hashSize bytes for
-// its digest, and stores 8-byte ⟨d, f⟩ entries in the remainder (DESIGN.md
-// §3.5 documents the deviation from the paper's id-only ρ = 251).
+// its digest, and stores 8-byte ⟨d, f⟩ entries in the remainder
+// (docs/ARCHITECTURE.md, "Departures from the paper", documents the
+// deviation from the paper's id-only ρ = 251).
 func ChainRho(blockSize, hashSize int) int {
 	rho := (blockSize - 4 - hashSize) / 8
 	if rho < 1 {

@@ -114,7 +114,7 @@ func TermRootMessage(kind StructureKind, name string, termID index.TermID, ft ui
 
 // DocRootMessage composes the signed message of a document-MHT,
 // sign(h(h(doc) | d | root)) per Fig 8, extended with the leaf count
-// (DESIGN.md §3.6).
+// (docs/ARCHITECTURE.md, "Departures from the paper").
 func DocRootMessage(docID index.DocID, leafCount uint32, contentHash, leavesRoot []byte) []byte {
 	b := make([]byte, 0, 24+len(contentHash)+len(leavesRoot))
 	b = append(b, "authtext/doc/v1"...)

@@ -28,7 +28,8 @@ type TNRAOutcome struct {
 
 // TNRAEval is the canonical evaluation of a set of revealed prefixes: the
 // same computation performed by the server to finalise its answer and by
-// the client to verify it (DESIGN.md §4).
+// the client to verify it (docs/ARCHITECTURE.md, "Departures from the
+// paper").
 type TNRAEval struct {
 	Bounds map[index.DocID]DocBounds
 	// Order lists every revealed doc by (SLB desc, doc asc).

@@ -543,7 +543,8 @@ func verifyTNRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Qu
 }
 
 // verifyVocabProofs checks non-membership proofs for out-of-dictionary
-// tokens against the name-ordered dictionary tree (extension; DESIGN.md §6).
+// tokens against the name-ordered dictionary tree (an extension:
+// docs/ARCHITECTURE.md, "Departures from the paper").
 func verifyVocabProofs(m *Manifest, hasher mht.Hasher, unknown []string, proofs []vo.VocabProof) error {
 	byToken := make(map[string]*vo.VocabProof, len(proofs))
 	for i := range proofs {

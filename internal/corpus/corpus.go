@@ -1,6 +1,7 @@
 // Package corpus generates synthetic document collections whose
 // inverted-list length distribution reproduces the WSJ corpus of §4.1
-// (DESIGN.md §3.1 documents the substitution).
+// (docs/ARCHITECTURE.md, "Departures from the paper", documents the
+// substitution).
 //
 // The WSJ properties the evaluation depends on:
 //

@@ -12,7 +12,6 @@
 package experiments
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"time"
@@ -22,7 +21,6 @@ import (
 	"authtext/internal/engine"
 	"authtext/internal/index"
 	"authtext/internal/sig"
-	"authtext/internal/snapshot"
 	"authtext/internal/workload"
 )
 
@@ -103,7 +101,8 @@ type Fixture struct {
 
 // NewFixture generates the corpus and builds the collection. With rsa set
 // it signs with RSA-1024 (paper-faithful but slow at scale); otherwise it
-// uses the keyed-hash signer with RSA-sized signatures (DESIGN.md §3.7).
+// uses the keyed-hash signer with RSA-sized signatures
+// (docs/ARCHITECTURE.md, "Departures from the paper").
 func NewFixture(p corpus.Profile, rsa bool) (*Fixture, error) {
 	var signer sig.Signer
 	var err error
@@ -383,57 +382,4 @@ func printSweep(w io.Writer, title, xName string, res *SweepResult) {
 // no authentication structures); exposed for the distribution benchmark.
 func BuildIndexOnly(p corpus.Profile) (*index.Index, error) {
 	return index.Build(corpus.Generate(p), index.DefaultOptions())
-}
-
-// SnapshotReport holds the cold-start-vs-snapshot-open comparison.
-type SnapshotReport struct {
-	Rebuild   time.Duration // full owner-side build (the cold start it replaces)
-	Write     time.Duration // serialising the snapshot
-	Open      time.Duration // reopening it (the warm start)
-	SizeBytes int
-	Speedup   float64 // Rebuild / Open
-}
-
-// SnapshotCompare measures what snapshot persistence buys: the fixture's
-// measured build time (index + four structures + signatures) against
-// writing and reopening a snapshot of the same collection. The reopened
-// collection answers and verifies a query, so the timing covers a genuinely
-// serviceable server.
-func SnapshotCompare(f *Fixture, w io.Writer) (*SnapshotReport, error) {
-	rep := &SnapshotReport{Rebuild: f.Col.BuildStats().BuildTime}
-
-	var buf bytes.Buffer
-	start := time.Now()
-	if err := snapshot.Write(&buf, f.Col); err != nil {
-		return nil, err
-	}
-	rep.Write = time.Since(start)
-	rep.SizeBytes = buf.Len()
-
-	start = time.Now()
-	col, err := snapshot.Open(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return nil, err
-	}
-	rep.Open = time.Since(start)
-	if rep.Open > 0 {
-		rep.Speedup = float64(rep.Rebuild) / float64(rep.Open)
-	}
-
-	queries := workload.Synthetic(col.Index(), 1, 3, 7)
-	res, voBytes, _, err := col.Search(queries[0], 10, core.AlgoTNRA, core.SchemeCMHT)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Col.VerifyResult(queries[0], 10, res, voBytes); err != nil {
-		return nil, fmt.Errorf("experiments: snapshot-opened collection failed verification: %w", err)
-	}
-
-	fmt.Fprintln(w, "Cold start vs snapshot open")
-	fmt.Fprintf(w, "  rebuild (index + sign): %v\n", rep.Rebuild.Round(time.Millisecond))
-	fmt.Fprintf(w, "  snapshot write:         %v (%.1f MB)\n",
-		rep.Write.Round(time.Millisecond), float64(rep.SizeBytes)/(1<<20))
-	fmt.Fprintf(w, "  snapshot open:          %v\n", rep.Open.Round(time.Millisecond))
-	fmt.Fprintf(w, "  speedup:                %.0fx faster than rebuilding\n", rep.Speedup)
-	return rep, nil
 }

@@ -233,88 +233,3 @@ func TestBoostedFixtureRunsThroughHarness(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSnapshotCompare(t *testing.T) {
-	f := tinyFixture(t)
-	var buf bytes.Buffer
-	rep, err := SnapshotCompare(f, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.SizeBytes == 0 || rep.Open <= 0 || rep.Write <= 0 {
-		t.Fatalf("degenerate report: %+v", rep)
-	}
-	if !strings.Contains(buf.String(), "speedup") {
-		t.Fatal("missing speedup line")
-	}
-}
-
-func TestShardCompare(t *testing.T) {
-	var buf bytes.Buffer
-	rep, err := ShardCompare(corpus.Tiny(), 5, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 4 {
-		t.Fatalf("%d points, want 4 (1/2/4/8 shards)", len(rep.Points))
-	}
-	for _, p := range rep.Points {
-		if p.Build <= 0 || p.ShardLatency <= 0 || p.FanoutWall <= 0 || p.Throughput <= 0 || p.VOBytes <= 0 ||
-			p.ShardEntries <= 0 || p.ShardListed < p.ShardEntries {
-			t.Fatalf("degenerate point: %+v", p)
-		}
-	}
-	// The whole purpose of sharding: the work on a query's critical path
-	// must shrink as shards multiply. Asserted on what the busiest shard
-	// holds and reads for the query — both repeat exactly, every shard
-	// count answers the same queries — while the wall-clock columns stay
-	// reported output: five queries on a shared box do not order
-	// reliably, least of all now that proof assembly no longer re-hashes
-	// the shard's whole document table and a query costs tens of
-	// microseconds whatever the shard's size.
-	for i := 1; i < len(rep.Points); i++ {
-		prev, cur := rep.Points[i-1], rep.Points[i]
-		if cur.ShardListed >= prev.ShardListed || cur.ShardEntries >= prev.ShardEntries {
-			t.Errorf("%d shards: busiest shard lists %.1f and reads %.1f entries per query; %d shards: %.1f and %.1f",
-				cur.Shards, cur.ShardListed, cur.ShardEntries, prev.Shards, prev.ShardListed, prev.ShardEntries)
-		}
-	}
-	if !strings.Contains(buf.String(), "shard-latency") {
-		t.Fatal("missing table header")
-	}
-}
-
-func TestCacheCompare(t *testing.T) {
-	var buf bytes.Buffer
-	rep, err := CacheCompare(corpus.Tiny(), 5, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Points) != 6 {
-		t.Fatalf("%d points, want 6 (3 skews x 2 update rates)", len(rep.Points))
-	}
-	for _, p := range rep.Points {
-		if p.HitRate <= 0 || p.HitRate >= 1 {
-			t.Fatalf("implausible hit rate: %+v", p)
-		}
-		if p.MedianHit <= 0 || p.MedianMiss <= 0 || p.MedianUncached <= 0 {
-			t.Fatalf("degenerate point: %+v", p)
-		}
-		// The acceptance bar of the cache experiment: repeat queries must be
-		// dramatically cheaper than uncached serving.
-		if p.Speedup < 5 {
-			t.Errorf("zipf=%.1f upd=%d: speedup %.1fx below 5x", p.ZipfS, p.UpdatesPer1000, p.Speedup)
-		}
-	}
-	// Updates cost hit rate: at equal skew, the updating run must not beat
-	// the static one.
-	for i := 0; i+1 < len(rep.Points); i += 2 {
-		if rep.Points[i+1].HitRate > rep.Points[i].HitRate {
-			t.Errorf("zipf=%.1f: hit rate rose under updates (%.2f > %.2f)",
-				rep.Points[i].ZipfS, rep.Points[i+1].HitRate, rep.Points[i].HitRate)
-		}
-	}
-	if !strings.Contains(buf.String(), "hit-rate") {
-		t.Fatal("missing table header")
-	}
-}

@@ -27,6 +27,7 @@ package live
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,6 +35,7 @@ import (
 	"authtext/internal/engine"
 	"authtext/internal/index"
 	"authtext/internal/sig"
+	"authtext/internal/textproc"
 )
 
 // UpdateStats reports what one generation change cost.
@@ -64,13 +66,26 @@ type UpdateStats struct {
 	Rebuild time.Duration
 }
 
-// entry is one document slot: a stable handle, the immutable content, the
-// pinned authority score (boosted collections), and the tombstone flag.
+// entry is one document slot: a stable handle, the immutable content, its
+// post-pipeline token count (the W_d index.Build will compute, counted
+// once on addition), the pinned authority score (boosted collections),
+// and the tombstone flag.
 type entry struct {
 	handle uint64
 	doc    index.Document
+	tokens int
 	auth   float64
 	dead   bool
+}
+
+func newEntry(handle uint64, d index.Document) entry {
+	e := entry{handle: handle, doc: d}
+	if d.Tokens != nil {
+		e.tokens = len(textproc.RemoveStopwords(d.Tokens))
+	} else {
+		e.tokens = len(textproc.Terms(string(d.Content)))
+	}
+	return e
 }
 
 // Collection is a live single-collection deployment: an atomically
@@ -84,6 +99,7 @@ type Collection struct {
 	boosted bool
 	docs    []entry // slots, including tombstoned ones
 	dead    int     // tombstoned slots in docs
+	tokens  int64   // sum of entry.tokens over docs
 	// nextHandle assigns handles; never reused, so a handle is
 	// unambiguous across the whole collection lifetime.
 	nextHandle uint64
@@ -91,7 +107,7 @@ type Collection struct {
 	// pinnedAvgLen freezes the Okapi W_A across generations so that
 	// untouched documents keep byte-identical impact weights — the
 	// precondition for any signature reuse. It re-pins (full re-sign)
-	// when the true average drifts beyond maxAvgLenDrift.
+	// when the true average drifts beyond maxAvgLenDrift (nextAvgLen).
 	pinnedAvgLen float64
 	// publishHook, when set, runs under mu right after every generation
 	// swap — updates are serialised, so a hook that persists generations
@@ -110,6 +126,18 @@ type Collection struct {
 // structures were built against — and compaction bounds how long they
 // can distort it.
 const maxAvgLenDrift = 0.25
+
+// nextAvgLen returns the W_A the next build must use, decided from the
+// running token sum before anything is built: the pinned value while the
+// true mean slot length stays within maxAvgLenDrift of it, else the true
+// mean (repin — also the first build, which has nothing pinned yet).
+func nextAvgLen(pinned float64, tokens int64, slots int) (avgLen float64, repin bool) {
+	trueAvg := float64(tokens) / float64(slots)
+	if pinned == 0 || math.Abs(trueAvg-pinned)/pinned > maxAvgLenDrift {
+		return trueAvg, true
+	}
+	return pinned, false
+}
 
 // New builds generation 1 from the initial documents. cfg is the engine
 // configuration to use for every generation; its Signer is wrapped in a
@@ -149,11 +177,12 @@ func (c *Collection) append(docs []index.Document, auth []float64) []uint64 {
 	for i, d := range docs {
 		c.nextHandle++
 		handles[i] = c.nextHandle
-		e := entry{handle: c.nextHandle, doc: d}
+		e := newEntry(c.nextHandle, d)
 		if auth != nil {
 			e.auth = auth[i]
 		}
 		c.docs = append(c.docs, e)
+		c.tokens += int64(e.tokens)
 	}
 	return handles
 }
@@ -161,7 +190,7 @@ func (c *Collection) append(docs []index.Document, auth []float64) []uint64 {
 // rebuildLocked builds generation gen+1 from c.docs and swaps the served
 // pointer, compacting first when dead slots outnumber live documents. On
 // error nothing is swapped and the generation does not advance; the
-// caller must restore c.docs and c.dead.
+// caller must restore c.docs, c.dead and c.tokens.
 func (c *Collection) rebuildLocked(added, removed int) (*UpdateStats, error) {
 	live := len(c.docs) - c.dead
 	if live == 0 {
@@ -176,7 +205,9 @@ func (c *Collection) rebuildLocked(added, removed int) (*UpdateStats, error) {
 	if c.dead > live {
 		kept := make([]entry, 0, live)
 		for _, e := range c.docs {
-			if !e.dead {
+			if e.dead {
+				c.tokens -= int64(e.tokens)
+			} else {
 				kept = append(kept, e)
 			}
 		}
@@ -202,7 +233,9 @@ func (c *Collection) rebuildLocked(added, removed int) (*UpdateStats, error) {
 	}
 	cfg := c.cfg
 	cfg.Generation = c.gen.Load() + 1
-	cfg.FixedAvgLen = c.pinnedAvgLen // 0 on the first build: compute and pin
+	// Past maxAvgLenDrift every weight changes, so that generation
+	// re-signs everything — by design a rare event.
+	cfg.FixedAvgLen, _ = nextAvgLen(c.pinnedAvgLen, c.tokens, len(c.docs))
 	cfg.Tombstones = tombs
 	cfg.Authority = auth
 	// Readers are on the previous generation while this one builds.
@@ -213,19 +246,8 @@ func (c *Collection) rebuildLocked(added, removed int) (*UpdateStats, error) {
 		c.signer.Abort()
 		return nil, err
 	}
-	if cfg.FixedAvgLen != 0 && avgLenDrift(col, cfg.FixedAvgLen) > maxAvgLenDrift {
-		// The corpus has drifted too far from the pinned W_A: re-pin to
-		// the true average and rebuild. Every weight changes, so this
-		// generation re-signs everything — by design a rare event.
-		cfg.FixedAvgLen = 0
-		col, err = engine.BuildCollection(idocs, cfg)
-		if err != nil {
-			c.signer.Abort()
-			return nil, err
-		}
-	}
 	signed, reused := c.signer.End()
-	c.pinnedAvgLen = col.Index().AvgLen
+	c.pinnedAvgLen = cfg.FixedAvgLen
 	c.cur.Store(col)
 	c.gen.Store(cfg.Generation)
 	c.lastStats = UpdateStats{
@@ -319,7 +341,7 @@ func (c *Collection) UpdateWithAuthority(add []index.Document, auth []float64, r
 	if auth != nil && !c.boosted {
 		return nil, nil, errors.New("live: authority scores on an unboosted collection")
 	}
-	prevDocs, prevDead, prevNext := c.docs, c.dead, c.nextHandle
+	prevDocs, prevDead, prevTokens, prevNext := c.docs, c.dead, c.tokens, c.nextHandle
 	// Work on a copy so a failed rebuild leaves the corpus untouched
 	// (entries are values; the shared backing array is never mutated).
 	next := append(make([]entry, 0, len(prevDocs)+len(add)), prevDocs...)
@@ -331,26 +353,10 @@ func (c *Collection) UpdateWithAuthority(add []index.Document, auth []float64, r
 	handles := c.append(add, auth)
 	st, err := c.rebuildLocked(len(add), len(remove))
 	if err != nil {
-		c.docs, c.dead, c.nextHandle = prevDocs, prevDead, prevNext
+		c.docs, c.dead, c.tokens, c.nextHandle = prevDocs, prevDead, prevTokens, prevNext
 		return nil, nil, err
 	}
 	return handles, st, nil
-}
-
-// avgLenDrift returns the relative deviation of the collection's true
-// average document length from the pinned value.
-func avgLenDrift(col *engine.Collection, pinned float64) float64 {
-	idx := col.Index()
-	var total int64
-	for _, l := range idx.DocLen {
-		total += int64(l)
-	}
-	trueAvg := float64(total) / float64(idx.N)
-	d := (trueAvg - pinned) / pinned
-	if d < 0 {
-		d = -d
-	}
-	return d
 }
 
 // markRemoved tombstones the removed handles in docs, erroring on

@@ -1,10 +1,15 @@
 package live
 
 import (
+	"bytes"
+	"math/rand"
+	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"authtext/internal/core"
+	synth "authtext/internal/corpus"
 	"authtext/internal/engine"
 	"authtext/internal/index"
 	"authtext/internal/shard"
@@ -346,5 +351,221 @@ func TestRebuildSignatureCountsIndependentOfGOMAXPROCS(t *testing.T) {
 		if one[i] != four[i] {
 			t.Fatalf("step %d: %+v on one core, %+v on four", i, one[i], four[i])
 		}
+	}
+}
+
+// longCorpusAt is corpusAt with every document four times as long: adding
+// twice as many of these as the collection holds moves the mean document
+// length far past maxAvgLenDrift.
+func longCorpusAt(start, n int) []index.Document {
+	docs := corpusAt(start, n)
+	for i := range docs {
+		docs[i].Content = bytes.Repeat(docs[i].Content, 4)
+	}
+	return docs
+}
+
+// assertOneBuild fails unless col is exactly what a single engine build of
+// the given slots at avgLen produces (0: the true mean), the wall-clock
+// build time aside.
+func assertOneBuild(t *testing.T, col *engine.Collection, slots []entry, cfg engine.Config, avgLen float64) {
+	t.Helper()
+	m, _ := col.Manifest()
+	cfg.Generation, cfg.FixedAvgLen = m.Generation, avgLen
+	docs := make([]index.Document, len(slots))
+	for i, e := range slots {
+		docs[i] = e.doc
+		if e.dead {
+			if cfg.Tombstones == nil {
+				cfg.Tombstones = make([]bool, len(slots))
+			}
+			cfg.Tombstones[i] = true
+		}
+	}
+	direct, err := engine.BuildCollection(docs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := *col.ExportState(), *direct.ExportState()
+	got.BuildTime, want.BuildTime = 0, 0
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("generation %d differs from one direct build at W_A %v", m.Generation, avgLen)
+	}
+}
+
+// TestRepinBuildsOnceAndAccountsEverySignature drives a single collection
+// through a no-drift history and then across maxAvgLenDrift. Every
+// generation must be what one engine build of its slots produces at the
+// W_A the collection chose — the pinned one until the drift, the true mean
+// at the re-pin — with each structure accounted exactly once in the report
+// and the signature cache holding the live signatures and nothing else.
+func TestRepinBuildsOnceAndAccountsEverySignature(t *testing.T) {
+	cfg := testConfig(t)
+	c, handles, err := New(corpus(20), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []struct {
+		name   string
+		add    []index.Document
+		remove []uint64
+		repin  bool // the batch crosses maxAvgLenDrift
+	}{
+		{"append", corpusAt(20, 3), nil, false},
+		{"remove", nil, handles[:2], false},
+		{"drift", longCorpusAt(23, 40), nil, true},
+		{"append after re-pin", longCorpusAt(63, 1), nil, false},
+	}
+	for _, step := range steps {
+		pinned := c.Current().Index().AvgLen
+		_, st, err := c.Update(step.add, step.remove)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		col := c.Current()
+		if step.repin {
+			assertOneBuild(t, col, c.docs, cfg, 0)
+			if now := col.Index().AvgLen; (now-pinned)/pinned <= maxAvgLenDrift {
+				t.Fatalf("%s: W_A moved from %v to %v; the batch was meant to cross the %v drift bound",
+					step.name, pinned, now, maxAvgLenDrift)
+			}
+		} else {
+			assertOneBuild(t, col, c.docs, cfg, pinned)
+			if st.Reused < st.Signed {
+				t.Fatalf("%s: reused %d / signed %d signatures at an unchanged W_A", step.name, st.Reused, st.Signed)
+			}
+		}
+		total := col.BuildStats().Signatures
+		if st.Signed+st.Reused != total {
+			t.Fatalf("%s: signed %d + reused %d, the generation carries %d signatures", step.name, st.Signed, st.Reused, total)
+		}
+		if got := len(c.signer.cache); got != total {
+			t.Fatalf("%s: %d signatures cached for %d live", step.name, got, total)
+		}
+		searchVerify(t, col, []string{"merkle", "digest"})
+	}
+}
+
+// TestShardedRepin is the sharded counterpart: crossing maxAvgLenDrift
+// rebuilds every shard (none carried over) once at the shared true mean,
+// and the set keeps verifying and carrying shards over afterwards.
+func TestShardedRepin(t *testing.T) {
+	cfg := testConfig(t)
+	c, _, err := NewSharded(corpus(40), cfg, 4, shard.HashContent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(st *UpdateStats, avgLen float64, shardsReused int) {
+		t.Helper()
+		if st.ShardsReused != shardsReused {
+			t.Fatalf("generation %d carried %d shards over, want %d", st.Generation, st.ShardsReused, shardsReused)
+		}
+		set := c.Current()
+		rebuilt := 0
+		for s := 0; s < set.K(); s++ {
+			if m, _ := set.Col(s).Manifest(); m.Generation == st.Generation {
+				assertOneBuild(t, set.Col(s), c.shards[s], cfg, avgLen)
+				rebuilt += set.Col(s).BuildStats().Signatures
+			}
+		}
+		if st.Signed+st.Reused != rebuilt {
+			t.Fatalf("generation %d: signed %d + reused %d, its rebuilt shards carry %d signatures",
+				st.Generation, st.Signed, st.Reused, rebuilt)
+		}
+		tokens := []string{"verification", "merkle"}
+		res, err := set.Search(tokens, 5, core.AlgoTNRA, core.SchemeCMHT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.VerifyResult(tokens, 5, res); err != nil {
+			t.Fatalf("generation %d: sharded self-verification failed: %v", st.Generation, err)
+		}
+	}
+	pinned := c.Current().Col(0).Index().AvgLen
+	if want := float64(c.tokens) / 40; pinned != want {
+		t.Fatalf("generation 1 pinned W_A %v, the corpus mean is %v", pinned, want)
+	}
+
+	_, st, err := c.Update(longCorpusAt(40, 80), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	repinned := float64(c.tokens) / 120
+	if (repinned-pinned)/pinned <= maxAvgLenDrift {
+		t.Fatalf("W_A would move from %v to %v; the batch was meant to cross the drift bound", pinned, repinned)
+	}
+	check(st, repinned, 0)
+	// Fully rebuilt, so the old W_A's signatures are pruned: the shards'
+	// (identical structures in two shards share an entry) plus the set
+	// manifest's remain.
+	if got, live := len(c.signer.cache), st.Signed+st.Reused+1; got > live {
+		t.Fatalf("re-pin: %d signatures cached for %d live", got, live)
+	}
+
+	_, st, err = c.Update(longCorpusAt(120, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(st, repinned, 3)
+}
+
+// TestReuseEconomicsOnZipfianCorpus is the removal-reuse regression gate on
+// a realistic vocabulary: corpus.Tiny() grown by dictionary-stable batches
+// (documents sampled from the corpus's own token bag — the steady state of
+// a collection whose vocabulary has saturated, so no term enters or leaves
+// the dictionary). Removing the oldest 10% must cost one signature (the
+// manifest), and replacing the oldest 10% must reuse at least 60% — the
+// regime that collapsed to 0% when removals renumbered the survivors.
+func TestReuseEconomicsOnZipfianCorpus(t *testing.T) {
+	p := synth.Tiny()
+	pool := synth.Generate(p)
+	c, handles, err := New(pool, testConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := c.Current().Index()
+	var bag []string
+	for _, d := range pool {
+		for _, tok := range d.Tokens {
+			if _, ok := idx.Lookup(tok); ok {
+				bag = append(bag, tok)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(p.Seed + 99))
+	batch := func(k int) []index.Document {
+		docs := make([]index.Document, k)
+		for i := range docs {
+			toks := make([]string, int(p.AvgLen))
+			for j := range toks {
+				toks[j] = bag[rng.Intn(len(bag))]
+			}
+			docs[i] = index.Document{Content: []byte(strings.Join(toks, " ")), Tokens: toks}
+		}
+		return docs
+	}
+	for _, pct := range []int{1, 5, 10, 25, 50} {
+		added, _, err := c.Update(batch(p.Docs*pct/100), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, added...)
+	}
+
+	k := p.Docs / 10
+	_, st, err := c.Update(nil, handles[:k])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Signed != 1 {
+		t.Fatalf("remove oldest 10%%: signed %d structures, want 1 (the manifest)", st.Signed)
+	}
+	_, st, err = c.Update(batch(k), handles[k:2*k])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pct := 100 * float64(st.Reused) / float64(st.Signed+st.Reused); pct < 60 {
+		t.Fatalf("replace oldest 10%%: reused %.1f%% of signatures (signed %d, reused %d), floor is 60%%",
+			pct, st.Signed, st.Reused)
 	}
 }

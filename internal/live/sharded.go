@@ -11,7 +11,6 @@ import (
 	"authtext/internal/index"
 	"authtext/internal/shard"
 	"authtext/internal/sig"
-	"authtext/internal/textproc"
 )
 
 // ShardedCollection is the sharded counterpart of Collection: one live
@@ -40,6 +39,7 @@ type ShardedCollection struct {
 	// dead counts the tombstoned slots per shard.
 	shards     [][]entry
 	dead       []int
+	tokens     int64 // sum of entry.tokens over every slot of every shard
 	nextHandle uint64
 	lastStats  UpdateStats
 	// pinnedAvgLen freezes one corpus-wide Okapi W_A across all shards
@@ -97,20 +97,20 @@ func NewSharded(docs []index.Document, cfg engine.Config, k int, part shard.Part
 	}
 	c.cfg.Signer = c.signer
 	c.cfg.Authority = nil
-	c.pinnedAvgLen = meanDocLen(docs)
-	if c.pinnedAvgLen == 0 {
-		return nil, nil, errors.New("live: collection has no indexable terms")
-	}
 	handles := make([]uint64, len(docs))
 	for i, d := range docs {
 		c.nextHandle++
 		handles[i] = c.nextHandle
-		e := entry{handle: c.nextHandle, doc: d}
+		e := newEntry(c.nextHandle, d)
 		if cfg.Authority != nil {
 			e.auth = cfg.Authority[i]
 		}
 		s := shard.HashDoc(d, k)
 		c.shards[s] = append(c.shards[s], e)
+		c.tokens += int64(e.tokens)
+	}
+	if c.tokens == 0 {
+		return nil, nil, errors.New("live: collection has no indexable terms")
 	}
 	for s := range c.shards {
 		if len(c.shards[s]) == 0 {
@@ -167,7 +167,7 @@ func (c *ShardedCollection) UpdateWithAuthority(add []index.Document, auth []flo
 	if auth != nil && !c.boosted {
 		return nil, nil, errors.New("live: authority scores on an unboosted collection")
 	}
-	prevShards, prevDead, prevNext := c.shards, c.dead, c.nextHandle
+	prevShards, prevDead, prevTokens, prevNext := c.shards, c.dead, c.tokens, c.nextHandle
 	next := make([][]entry, c.k)
 	for s := range next {
 		next[s] = append([]entry(nil), prevShards[s]...)
@@ -181,18 +181,19 @@ func (c *ShardedCollection) UpdateWithAuthority(add []index.Document, auth []flo
 	for i, d := range add {
 		c.nextHandle++
 		handles[i] = c.nextHandle
-		e := entry{handle: c.nextHandle, doc: d}
+		e := newEntry(c.nextHandle, d)
 		if auth != nil {
 			e.auth = auth[i]
 		} // boosted with nil auth: scores default to 0
 		s := shard.HashDoc(d, c.k)
 		next[s] = append(next[s], e)
+		c.tokens += int64(e.tokens)
 		dirty[s] = true
 	}
 	c.shards, c.dead = next, nextDead
 	st, err := c.rebuildLocked(len(add), len(remove), dirty)
 	if err != nil {
-		c.shards, c.dead, c.nextHandle = prevShards, prevDead, prevNext
+		c.shards, c.dead, c.tokens, c.nextHandle = prevShards, prevDead, prevTokens, prevNext
 		return nil, nil, err
 	}
 	return handles, st, nil
@@ -237,7 +238,7 @@ func markRemovedSharded(shards [][]entry, dead []int, dirty []bool, remove []uin
 // pointer, rebuilding only dirty shards (nil dirty: all). Shards whose
 // dead slots outnumber live documents compact first (their IDs shift, so
 // they re-sign in full; the rest of the set is unaffected). On error
-// nothing is swapped; the caller must restore the slot lists.
+// nothing is swapped; the caller must restore the slot lists and c.tokens.
 func (c *ShardedCollection) rebuildLocked(added, removed int, dirty []bool) (*UpdateStats, error) {
 	totalSlots, totalDead := 0, 0
 	for s := range c.shards {
@@ -260,7 +261,9 @@ func (c *ShardedCollection) rebuildLocked(added, removed int, dirty []bool) (*Up
 		if c.dead[s] > liveS {
 			kept := make([]entry, 0, liveS)
 			for _, e := range c.shards[s] {
-				if !e.dead {
+				if e.dead {
+					c.tokens -= int64(e.tokens)
+				} else {
 					kept = append(kept, e)
 				}
 			}
@@ -277,18 +280,7 @@ func (c *ShardedCollection) rebuildLocked(added, removed int, dirty []bool) (*Up
 
 	// Re-pin the shared W_A when the corpus drifted too far; that changes
 	// every weight in every shard, so shard reuse is off for this build.
-	pinned := c.pinnedAvgLen
-	repin := false
-	if trueAvg := c.meanSlotLen(); trueAvg > 0 {
-		d := (trueAvg - pinned) / pinned
-		if d < 0 {
-			d = -d
-		}
-		if d > maxAvgLenDrift {
-			pinned = trueAvg
-			repin = true
-		}
-	}
+	pinned, repin := nextAvgLen(c.pinnedAvgLen, c.tokens, totalSlots)
 
 	newGen := c.gen.Load() + 1
 	prevSet := c.cur.Load()
@@ -429,40 +421,4 @@ func signSet(cols []*engine.Collection, docMaps [][]uint32, cfg engine.Config, s
 		return nil, fmt.Errorf("live: sign set manifest: %w", err)
 	}
 	return shard.Assemble(cols, sm, smSig, signer.Verifier(), docMaps)
-}
-
-// meanDocLen computes the post-pipeline mean token count of the corpus —
-// the W_A that index.Build would compute — without building anything.
-func meanDocLen(docs []index.Document) float64 {
-	var total int64
-	for _, d := range docs {
-		total += int64(docTokenLen(d))
-	}
-	if len(docs) == 0 {
-		return 0
-	}
-	return float64(total) / float64(len(docs))
-}
-
-// meanSlotLen is meanDocLen over every slot (tombstoned included — they
-// are part of the statistics the signed structures carry).
-func (c *ShardedCollection) meanSlotLen() float64 {
-	var total, n int64
-	for s := range c.shards {
-		for _, e := range c.shards[s] {
-			total += int64(docTokenLen(e.doc))
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(total) / float64(n)
-}
-
-func docTokenLen(d index.Document) int {
-	if d.Tokens != nil {
-		return len(textproc.RemoveStopwords(d.Tokens))
-	}
-	return len(textproc.Terms(string(d.Content)))
 }

@@ -31,5 +31,5 @@
 // than k (RFC 6962 style), so prover and verifier agree on the shape
 // knowing only n. Leaf and internal hashes are domain-separated
 // (0x00 / 0x01 prefixes); this hardening is documented as a deviation in
-// DESIGN.md §3.6.
+// docs/ARCHITECTURE.md, "Departures from the paper".
 package mht

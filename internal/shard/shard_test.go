@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"authtext/internal/core"
+	"authtext/internal/corpus"
 	"authtext/internal/engine"
 	"authtext/internal/index"
 	"authtext/internal/sig"
+	"authtext/internal/workload"
 )
 
 func testDocs(n int) []index.Document {
@@ -284,5 +286,60 @@ func TestBuildSplitsAuthority(t *testing.T) {
 	}
 	if err := set.VerifyResult([]string{"merkle", "digest"}, 3, res); err != nil {
 		t.Errorf("boosted sharded result rejected: %v", err)
+	}
+}
+
+// TestPerShardWorkShrinksWithShardCount is sharding's deterministic claim:
+// on the same queries — drawn once from the unsharded dictionary, since a
+// shard's own dictionary changes with k — the most query-list entries any
+// one shard holds, and the most any one shard reads, fall strictly as the
+// documents spread over 1, 2, 4 and 8 shards. Both repeat exactly from run
+// to run; wall-clock columns are bench_test.go's BenchmarkShardedSearch{k}.
+func TestPerShardWorkShrinksWithShardCount(t *testing.T) {
+	signer, err := sig.NewHMACSigner([]byte("shard-work"), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := corpus.Generate(corpus.Tiny())
+	var queries [][]string
+	var prevListed, prevRead float64
+	for _, k := range []int{1, 2, 4, 8} {
+		set, err := Build(docs, Config{Engine: engine.DefaultConfig(signer), Shards: k})
+		if err != nil {
+			t.Fatalf("%d shards: %v", k, err)
+		}
+		if queries == nil {
+			queries = workload.Synthetic(set.Col(0).Index(), 5, 3, 101)
+		}
+		var listed, read float64
+		for _, q := range queries {
+			res, err := set.Search(q, 10, core.AlgoTNRA, core.SchemeCMHT)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := set.VerifyResult(q, 10, res); err != nil {
+				t.Fatalf("%d shards: %v", k, err)
+			}
+			var worstListed float64
+			var worstRead int
+			for _, sr := range res.PerShard {
+				if l := sr.Stats.AvgListLen * float64(sr.Stats.QueryTerms); l > worstListed {
+					worstListed = l
+				}
+				if sr.Stats.EntriesRead > worstRead {
+					worstRead = sr.Stats.EntriesRead
+				}
+			}
+			listed += worstListed
+			read += float64(worstRead)
+		}
+		if read <= 0 || listed < read {
+			t.Fatalf("%d shards: busiest shard lists %.0f entries and reads %.0f", k, listed, read)
+		}
+		if k > 1 && (listed >= prevListed || read >= prevRead) {
+			t.Errorf("%d shards: busiest shard lists %.0f and reads %.0f entries over the workload; %d shards: %.0f and %.0f",
+				k, listed, read, k/2, prevListed, prevRead)
+		}
+		prevListed, prevRead = listed, read
 	}
 }

@@ -13,7 +13,8 @@
 //
 // Signer/Verifier are interfaces so that large-scale experiment builds can
 // substitute a fast keyed-hash signer with identical signature sizes (the
-// substitution is documented in DESIGN.md §3.7). Only RSA-signed
+// substitution is documented in docs/ARCHITECTURE.md, "Departures from the
+// paper"). Only RSA-signed
 // collections can serve remote clients: the keyed-hash signer has no
 // public half to publish.
 package sig

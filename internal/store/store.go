@@ -3,7 +3,7 @@
 // random reads and by transfer time for sequential reads. The experiment
 // harness charges every read against this model, which is what produces the
 // I/O-time panels of Figs 13–15 (the paper's testbed disk is replaced by
-// this simulator; DESIGN.md §3.4).
+// this simulator; docs/ARCHITECTURE.md, "Departures from the paper").
 //
 // The device is an append-only flat address space of fixed-size blocks.
 // Structures (inverted lists, document records, auth blocks) are written as

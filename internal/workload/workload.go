@@ -5,7 +5,8 @@
 //   - TREC-like: verbose queries of 2–20 terms mixing document-frequency-
 //     biased terms (common words hitting long inverted lists) with uniform
 //     ones, reproducing the two properties of the TREC-2/3 ad-hoc topics
-//     that drive Fig 15 (DESIGN.md §3.2 documents the substitution).
+//     that drive Fig 15 (docs/ARCHITECTURE.md, "Departures from the paper",
+//     documents the substitution).
 //
 // Beyond the paper, Zipfian produces the repeat-heavy streams of
 // production traffic: a fixed pool of distinct queries replayed with

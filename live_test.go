@@ -497,8 +497,8 @@ func TestLiveRemovalReuseRegression(t *testing.T) {
 	// Replace batch: removals plus same-size additions — costs what the
 	// additions cost, nothing for the removals. The 20-word toy vocabulary
 	// makes any addition touch most term lists, so the floor here is loose;
-	// the realistic >= 60% floor for this regime is enforced by the
-	// authbench -reuse-floor gate on a Zipfian corpus (see CI bench-smoke).
+	// the realistic >= 60% floor for this regime is enforced on a Zipfian
+	// corpus by internal/live's TestReuseEconomicsOnZipfianCorpus.
 	_, rep2, err := owner.Update(liveDocs(40, 5), handles[15:20])
 	if err != nil {
 		t.Fatal(err)

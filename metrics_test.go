@@ -85,8 +85,29 @@ func sampleValue(t *testing.T, samples []obs.Sample, name string, labels ...obs.
 func TestMetricsCatalogNonZeroAfterTraffic(t *testing.T) {
 	mh := newMetricsHarness(t)
 
+	// What a cache hit skips: across the repeat the cache-hit counter
+	// moves and the engine-side histograms do not.
+	engineSide := func(samples []obs.Sample) [4]float64 {
+		return [4]float64{
+			sampleValue(t, samples, "authtext_search_stage_seconds_count", obs.L("stage", "engine")),
+			sampleValue(t, samples, "authtext_search_stage_seconds_count", obs.L("stage", "vo_encode")),
+			sampleValue(t, samples, "authtext_engine_phase_seconds_count", obs.L("phase", "index_walk")),
+			sampleValue(t, samples, "authtext_engine_phase_seconds_count", obs.L("phase", "proof_assembly")),
+		}
+	}
 	mh.search(t, liveQuery)
+	miss := mh.scrape(t)
 	mh.search(t, liveQuery) // repeat: cache hit
+	hit := mh.scrape(t)
+	if before, after := engineSide(miss), engineSide(hit); before != after || before[0] != 1 {
+		t.Errorf("engine-side observations went from %v to %v across a cache hit, want all 1 on both sides", before, after)
+	}
+	if before, after := sampleValue(t, miss, "authtext_vocache_hits_total"), sampleValue(t, hit, "authtext_vocache_hits_total"); before != 0 || after != 1 {
+		t.Errorf("cache hits went from %g to %g across the repeat, want 0 to 1", before, after)
+	}
+	if before, after := sampleValue(t, miss, "authtext_searches_total", obs.L("kind", "single")), sampleValue(t, hit, "authtext_searches_total", obs.L("kind", "single")); before != 1 || after != 2 {
+		t.Errorf("searches went from %g to %g across the repeat, want 1 to 2 (a hit is still a search)", before, after)
+	}
 	mh.search(t, "inverted index digest")
 	update, err := json.Marshal(&httpapi.UpdateRequest{
 		Add: []httpapi.UpdateDocument{{Content: []byte("merkle chain proof server")}},
