@@ -37,7 +37,7 @@ func TestExportedSurfaceGolden(t *testing.T) {
 		decls = append(decls, file.Decls...)
 	}
 
-	// baseName strips pointers and type arguments: *replica[S, C] → replica.
+	// baseName strips pointers and type arguments: *T[A, B] → T.
 	var baseName func(ast.Expr) string
 	baseName = func(e ast.Expr) string {
 		switch e := e.(type) {

@@ -9,8 +9,10 @@ import (
 
 	"authtext/internal/core"
 	"authtext/internal/engine"
+	"authtext/internal/httpapi"
 	"authtext/internal/index"
 	"authtext/internal/okapi"
+	"authtext/internal/shard"
 	"authtext/internal/sig"
 	"authtext/internal/store"
 	"authtext/internal/textproc"
@@ -83,18 +85,32 @@ type Document struct {
 
 // Hit is one entry of a verified result.
 type Hit struct {
+	// DocID identifies the document inside the collection that answered: on
+	// a shard set, inside shard Shard (the ID that shard's VO speaks about).
 	DocID   int
 	Score   float64
 	Content []byte
+	// Shard is the shard that produced the hit and GlobalID the document's
+	// index in the original corpus, from the authenticated shard doc map. A
+	// bare collection's server reports 0 and DocID; its client reads neither.
+	Shard    int
+	GlobalID int
 }
 
 // SearchResult bundles everything the server returns for a query: the
 // ordered hits, the verification object, and the server-side cost report.
 type SearchResult struct {
+	// Hits is the ranked answer. On a shard set it is the merged global
+	// top-r; it carries no proof of its own — the client recomputes it from
+	// the verified PerShard answers.
 	Hits []Hit
 	// VO is the encoded verification object; archive it alongside the
-	// result to build an audit trail (§1).
+	// result to build an audit trail (§1). Nil on a shard set's answer, whose
+	// proofs are PerShard's.
 	VO []byte
+	// PerShard is what a shard set adds: shard i's individually authenticated
+	// answer at index i, as a bare collection gives it. Nil on a bare one.
+	PerShard []*SearchResult
 	// Generation is the publication generation that answered (0 for
 	// static collections). The authoritative stamp travels inside the VO
 	// and is cross-checked during verification; this copy is the
@@ -107,8 +123,10 @@ type SearchResult struct {
 type Stats struct {
 	Algorithm Algorithm
 	Scheme    Scheme
-	// Shards is the fan-out width when the record aggregates a sharded
-	// query (QueryLog on sharded handlers); 0 for a single collection.
+	// Shards is the fan-out width when the record aggregates a shard set's
+	// answer (0 for a bare collection): EntriesRead and VOBytes summed over
+	// shards, the maximum of QueryTerms and of IOTime (shards run in parallel,
+	// so the slowest is the critical path), the fan-out wall as ServerTime.
 	Shards         int
 	QueryTerms     int
 	EntriesRead    int
@@ -210,9 +228,98 @@ type DiskModel struct {
 	TransferBytesPerSec float64
 }
 
-// Owner builds and publishes an authenticated collection.
-type Owner struct {
+// ShardPartitioner selects how documents are assigned to shards.
+type ShardPartitioner int
+
+const (
+	// PartitionRoundRobin assigns document i to shard i mod k (balanced,
+	// NewShardedOwner's default).
+	PartitionRoundRobin ShardPartitioner = iota + 1
+	// PartitionHash assigns documents by content hash (stable under corpus
+	// reordering; the only placement a live shard set supports).
+	PartitionHash
+)
+
+// WithShardPartitioner overrides the document→shard assignment policy of
+// NewShardedOwner and NewLiveShardedOwner. It has no effect on a bare
+// collection.
+func WithShardPartitioner(p ShardPartitioner) Option {
+	return func(o *options) { o.partitioner = p }
+}
+
+// shardPartitioner resolves the option to the internal policy (def when
+// unset).
+func (o *options) shardPartitioner(def shard.Partitioner) shard.Partitioner {
+	switch o.partitioner {
+	case PartitionRoundRobin:
+		return shard.RoundRobin
+	case PartitionHash:
+		return shard.HashContent
+	}
+	return def
+}
+
+// served is one published state as every party holds it: a bare collection,
+// or a shard set — k independently authenticated sub-collections under one
+// signed set manifest pinning the shard population (docs/SHARDING.md).
+// Exactly one field is non-nil.
+type served struct {
 	col *engine.Collection
+	set *shard.Set
+}
+
+// shards returns the shard count: 0 for a bare collection.
+func (v served) shards() int {
+	if v.set == nil {
+		return 0
+	}
+	return v.set.K()
+}
+
+// generation returns the publication generation (0 for static builds).
+func (v served) generation() uint64 {
+	if v.set != nil {
+		sm, _ := v.set.Manifest()
+		return sm.Generation
+	}
+	m, _ := v.col.Manifest()
+	return m.Generation
+}
+
+// cols returns the serving collections: the bare one, or every shard's.
+func (v served) cols() []*engine.Collection {
+	if v.set == nil {
+		return []*engine.Collection{v.col}
+	}
+	cols := make([]*engine.Collection, v.set.K())
+	for i := range cols {
+		cols[i] = v.set.Col(i)
+	}
+	return cols
+}
+
+// client returns a verification client over v's signed manifests, none of
+// them checked yet.
+func (v served) client() *Client {
+	if v.set == nil {
+		m, msig := v.col.Manifest()
+		return newClient(m, msig, v.col.Verifier(), false)
+	}
+	k := v.set.K()
+	ex := &shardedExport{verifier: v.set.Verifier(),
+		shardMans: make([]*core.Manifest, k), shardSigs: make([][]byte, k), docMaps: make([][]uint32, k)}
+	ex.manifest, ex.manifestSig = v.set.Manifest()
+	for i, col := range v.cols() {
+		ex.shardMans[i], ex.shardSigs[i] = col.Manifest()
+		ex.docMaps[i] = v.set.DocMap(i)
+	}
+	return newSetClient(ex, false)
+}
+
+// Owner builds and publishes an authenticated collection — bare (NewOwner)
+// or split into shards (NewShardedOwner).
+type Owner struct {
+	v served
 }
 
 // prepareBuild resolves the option list into a ready engine configuration
@@ -276,33 +383,64 @@ func NewOwner(docs []Document, opts ...Option) (*Owner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Owner{col: col}, nil
+	return &Owner{v: served{col: col}}, nil
 }
+
+// NewShardedOwner partitions the documents into shards, builds every shard
+// concurrently (all Options apply to each shard exactly as they would to
+// NewOwner), and signs the set manifest with the same key. The result is an
+// Owner like any other: its Server fans each query out to all shards in
+// parallel, and its Client verifies every shard's verification object and
+// then checks the merged ranking is the true global top-r by recomputation —
+// tampering with any shard's answer, dropping or substituting a shard, or
+// reordering the merge classifies as tampering.
+func NewShardedOwner(docs []Document, shards int, opts ...Option) (*Owner, error) {
+	cfg, idocs, o, err := prepareBuild(docs, opts)
+	if err != nil {
+		return nil, err
+	}
+	set, err := shard.Build(idocs, shard.Config{Engine: cfg, Shards: shards, Partitioner: o.shardPartitioner(shard.RoundRobin)})
+	if err != nil {
+		return nil, err
+	}
+	return &Owner{v: served{set: set}}, nil
+}
+
+// Shards returns the shard count: 0 for a bare collection.
+func (o *Owner) Shards() int { return o.v.shards() }
 
 // Server returns the query-serving half (hand it, conceptually, to the
-// untrusted host).
-func (o *Owner) Server() *Server { return &Server{col: o.col} }
+// untrusted host — or hosts; each shard is one snapshot file).
+func (o *Owner) Server() *Server { return &Server{v: o.v} }
 
 // Client returns the verification half (publish it to users: it embeds
-// only the signed manifest and the public key).
-func (o *Owner) Client() *Client {
-	m, msig := o.col.Manifest()
-	return newClient(m, msig, o.col.Verifier(), false)
-}
+// only the signed manifests, a shard set's doc maps and the public key).
+func (o *Owner) Client() *Client { return o.v.client() }
 
-// Stats summarises the owner-side build.
+// Stats summarises the owner-side build. Over a shard set buildMillis is the
+// slowest shard's (shards build in parallel) and the other two are sums,
+// signatures counting the set manifest's too.
 func (o *Owner) Stats() (buildMillis float64, signatures int, deviceBytes int64) {
-	bs := o.col.BuildStats()
-	return float64(bs.BuildTime.Milliseconds()), bs.Signatures, o.col.Space().DeviceBytes
+	if o.v.set != nil {
+		signatures++
+	}
+	for _, col := range o.v.cols() {
+		bs := col.BuildStats()
+		buildMillis = max(buildMillis, float64(bs.BuildTime.Milliseconds()))
+		signatures += bs.Signatures
+		deviceBytes += col.Space().DeviceBytes
+	}
+	return buildMillis, signatures, deviceBytes
 }
 
-// Server answers queries with integrity proofs. It is safe for concurrent
-// use: the underlying collection is immutable once built, every query runs
+// Server answers queries with integrity proofs; over a shard set, by
+// parallel fan-out to every shard. It is safe for concurrent use: the
+// underlying collections are immutable once built, every query runs
 // on its own store session, and any number of Search calls may be in
 // flight at once (docs/CONCURRENCY.md describes the model). SearchBatch
 // executes many queries with a bounded worker pool.
 type Server struct {
-	col *engine.Collection
+	v served
 	// cache, when non-nil, serves repeat queries from pre-built answers
 	// (see cache.go for the safety argument). Set before serving starts.
 	cache *VOCache
@@ -313,7 +451,8 @@ type Server struct {
 
 // SetVOCache attaches a VO cache (nil detaches). Call before the server
 // starts answering queries; the cache itself is safe for concurrent use
-// and may be shared between servers.
+// and may be shared between servers. Over a shard set the cached unit is the
+// complete fan-out answer, so a hit skips every shard.
 func (s *Server) SetVOCache(c *VOCache) { s.cache = c }
 
 // SetMetrics attaches a metric registry (nil detaches). Call before the
@@ -321,54 +460,76 @@ func (s *Server) SetVOCache(c *VOCache) { s.cache = c }
 // servers.
 func (s *Server) SetMetrics(m *Metrics) { s.metrics = m }
 
-// withCache returns a shallow copy of s serving through c (s itself when
-// there is nothing to change). Snapshot accessors that hand out a SHARED
-// *Server use it so attaching a cache never mutates a server other
-// goroutines are reading.
-func (s *Server) withCache(c *VOCache) *Server {
-	if c == nil || c == s.cache {
+// with returns a shallow copy of s serving through c and m where they are
+// non-nil and not already in place (s itself when there is nothing to
+// change). Accessors that hand out a SHARED *Server use it so attaching a
+// cache or a registry never mutates a server other goroutines are reading.
+func (s *Server) with(c *VOCache, m *Metrics) *Server {
+	if (c == nil || c == s.cache) && (m == nil || m == s.metrics) {
 		return s
 	}
 	cp := *s
-	cp.cache = c
+	if c != nil {
+		cp.cache = c
+	}
+	if m != nil {
+		cp.metrics = m
+	}
 	return &cp
 }
 
-// withMetrics is withCache for the metric registry.
-func (s *Server) withMetrics(m *Metrics) *Server {
-	if m == nil || m == s.metrics {
-		return s
-	}
-	cp := *s
-	cp.metrics = m
-	return &cp
-}
+// Shards returns the shard count: 0 for a bare collection.
+func (s *Server) Shards() int { return s.v.shards() }
 
 // Search runs a top-r similarity query. The query text goes through the
 // same pipeline as the documents (lowercasing, stopword removal);
-// out-of-dictionary terms are ignored per §3.1. Search is safe for
-// concurrent use, and per-query Stats are unaffected by concurrency.
+// out-of-dictionary terms are ignored per §3.1. A shard set answers from
+// every shard concurrently and merges the local rankings into the global
+// top-r. Search is safe for concurrent use, and per-query Stats are
+// unaffected by concurrency.
 func (s *Server) Search(query string, r int, algo Algorithm, scheme Scheme) (*SearchResult, error) {
 	tokens := textproc.Terms(query)
-	manifest, _ := s.col.Manifest()
+	gen, sharded := s.v.generation(), s.v.set != nil
 	var key string
 	if s.cache != nil {
-		key = cacheKey(cacheKindSingle, tokens, r, algo, scheme, manifest.Generation)
+		key = cacheKey(sharded, tokens, r, algo, scheme, gen)
 		lookupStart := time.Now()
-		res, ok := s.cache.getResult(key)
+		res, ok := s.cache.get(key)
 		s.metrics.observeCacheLookup(time.Since(lookupStart))
 		if ok {
-			s.metrics.recordSearchHit()
+			s.metrics.recordSearchHit(sharded)
 			return res, nil
 		}
 	}
-	res, voBytes, st, err := s.col.Search(tokens, r, algo.core(), scheme.core())
-	if err != nil {
-		return nil, err
+	var out *SearchResult
+	if sharded {
+		setRes, err := s.v.set.Search(tokens, r, algo.core(), scheme.core())
+		if err != nil {
+			return nil, err
+		}
+		out = s.mergedResult(setRes, gen, algo, scheme)
+		s.metrics.recordShardedSearch(setRes)
+	} else {
+		res, voBytes, st, err := s.v.col.Search(tokens, r, algo.core(), scheme.core())
+		if err != nil {
+			return nil, err
+		}
+		out = collectionResult(s.v.col, res, voBytes, st, algo, scheme)
+		s.metrics.recordSearch(st)
 	}
+	if s.cache != nil {
+		s.cache.put(key, gen, out)
+	}
+	return out, nil
+}
+
+// collectionResult is one collection's answer in the facade form.
+func collectionResult(col *engine.Collection, res *engine.Result, voBytes []byte, st *engine.QueryStats,
+	algo Algorithm, scheme Scheme) *SearchResult {
+	manifest, _ := col.Manifest()
 	out := &SearchResult{VO: voBytes, Generation: manifest.Generation}
 	for _, e := range res.Entries {
-		out.Hits = append(out.Hits, Hit{DocID: int(e.Doc), Score: e.Score, Content: res.Contents[e.Doc]})
+		out.Hits = append(out.Hits, Hit{DocID: int(e.Doc), Score: e.Score, Content: res.Contents[e.Doc], GlobalID: int(e.Doc)})
 	}
 	out.Stats = Stats{
 		Algorithm:      algo,
@@ -383,11 +544,44 @@ func (s *Server) Search(query string, r int, algo Algorithm, scheme Scheme) (*Se
 		ServerTime:     StatsDuration(float64(st.ServerWall.Microseconds()) / 1000),
 		VOBytes:        len(voBytes),
 	}
-	s.metrics.recordSearch(st)
-	if s.cache != nil {
-		s.cache.putResult(key, manifest.Generation, out)
+	return out
+}
+
+// mergedResult is a fan-out's answer in the facade form: every shard's
+// answer, the merged ranking, and the costs folded over the shards.
+func (s *Server) mergedResult(setRes *shard.SetResult, gen uint64, algo Algorithm, scheme Scheme) *SearchResult {
+	out := &SearchResult{
+		PerShard:   make([]*SearchResult, len(setRes.PerShard)),
+		Generation: gen,
+		Stats: Stats{
+			Algorithm:  algo,
+			Scheme:     scheme,
+			Shards:     s.v.set.K(),
+			ServerTime: StatsDuration(float64(setRes.Wall.Microseconds()) / 1000),
+		},
 	}
-	return out, nil
+	for i, sr := range setRes.PerShard {
+		res := collectionResult(s.v.set.Col(i), sr.Result, sr.VO, sr.Stats, algo, scheme)
+		out.PerShard[i] = res
+		// Each shard counts only the query terms in ITS dictionary.
+		out.Stats.QueryTerms = max(out.Stats.QueryTerms, res.Stats.QueryTerms)
+		out.Stats.EntriesRead += res.Stats.EntriesRead
+		out.Stats.VOBytes += res.Stats.VOBytes
+		out.Stats.IOTime = max(out.Stats.IOTime, res.Stats.IOTime)
+	}
+	if len(setRes.Merged) > 0 { // no hits is nil, as on a bare collection
+		out.Hits = make([]Hit, len(setRes.Merged))
+	}
+	for i, m := range setRes.Merged {
+		out.Hits[i] = Hit{
+			Shard:    m.Shard,
+			DocID:    int(m.Doc),
+			GlobalID: int(m.Global),
+			Score:    m.Score,
+			Content:  setRes.PerShard[m.Shard].Result.Contents[m.Doc],
+		}
+	}
+	return out
 }
 
 // ErrStaleGeneration classifies rollback: a server (or manifest channel)
@@ -414,9 +608,11 @@ var ErrEquivocation error = &core.VerifyError{
 }
 
 // Client verifies query results against the owner's published manifest and
-// public key. It holds no collection data. The public key is pinned at
+// public key. It holds no collection data: a bare collection's client holds
+// the signed manifest; a shard set's holds the signed set manifest, every
+// shard's signed manifest and the doc maps. The public key is pinned at
 // construction and never changes; for live collections (docs/UPDATES.md)
-// the manifest can move FORWARD to later generations via Advance /
+// the manifests can move FORWARD to later generations via Advance /
 // AdvanceExport — never backward: a regression is rejected as
 // ErrStaleGeneration. Safe for concurrent use.
 type Client struct {
@@ -425,8 +621,12 @@ type Client struct {
 	// sighting only. Everything mutable sits behind mu.
 	verifier *sig.MemoVerifier
 
-	mu          sync.Mutex
+	mu sync.Mutex
+	// manifest is what a bare collection's client verifies against, set what
+	// a shard set's does; exactly one is non-nil, for the client's lifetime.
+	// manifestSig signs that one.
 	manifest    *core.Manifest
+	set         *clientSet
 	manifestSig []byte
 	checked     bool
 	checkErr    error
@@ -435,9 +635,18 @@ type Client struct {
 	maxGen uint64
 }
 
+// clientSet is the shard population a set client holds: the signed set
+// manifest, one bare client per shard — all sharing the set client's
+// signature memo — and the authenticated local→global doc maps.
+type clientSet struct {
+	manifest *shard.SetManifest
+	shards   []*Client
+	docMaps  [][]uint32
+}
+
 // newClient is the one place a Client is made — and so the one place the
 // verified-signature memo is installed. A verifier that already memoises (a
-// sharded client's, handed to each of its shard clients) is shared, not
+// set client's, handed to each of its shard clients) is shared, not
 // re-wrapped: one memo per pinned key. checked says the caller has verified
 // manifestSig over manifest against that key already.
 func newClient(manifest *core.Manifest, manifestSig []byte, verifier sig.Verifier, checked bool) *Client {
@@ -448,28 +657,56 @@ func newClient(manifest *core.Manifest, manifestSig []byte, verifier sig.Verifie
 	return c
 }
 
+// newSetClient is newClient for a shard set's material; checked covers the
+// set manifest and every shard manifest (bound to it by digest).
+func newSetClient(ex *shardedExport, checked bool) *Client {
+	c := &Client{manifestSig: ex.manifestSig, verifier: sig.Memoize(ex.verifier), checked: checked}
+	c.set = newClientSet(ex, c.verifier, checked)
+	if checked {
+		c.maxGen = ex.manifest.Generation
+	}
+	return c
+}
+
+func newClientSet(ex *shardedExport, verifier *sig.MemoVerifier, checked bool) *clientSet {
+	cs := &clientSet{manifest: ex.manifest, shards: make([]*Client, len(ex.shardMans)), docMaps: ex.docMaps}
+	for i := range cs.shards {
+		cs.shards[i] = newClient(ex.shardMans[i], ex.shardSigs[i], verifier, checked)
+	}
+	return cs
+}
+
 // checkManifestLocked runs the one-time manifest signature check (caller
 // holds mu). The outcome is cached until a successful Advance replaces
 // the manifest: a bad manifest fails every subsequent Verify identically.
 func (c *Client) checkManifestLocked() error {
 	if !c.checked {
-		c.checkErr = core.VerifyManifest(c.manifest, c.manifestSig, c.verifier)
+		if c.set == nil {
+			c.checkErr = core.VerifyManifest(c.manifest, c.manifestSig, c.verifier)
+		} else if err := shard.VerifySetManifest(c.set.manifest, c.manifestSig, c.verifier); err != nil {
+			c.checkErr = &core.VerifyError{Code: core.CodeBadSignature, Detail: err.Error()}
+		}
 		c.checked = true
-		if c.checkErr == nil && c.manifest.Generation > c.maxGen {
-			c.maxGen = c.manifest.Generation
+		if gen := c.generationLocked(); c.checkErr == nil && gen > c.maxGen {
+			c.maxGen = gen
 		}
 	}
 	return c.checkErr
 }
 
-// current returns the verified manifest to check a result against.
-func (c *Client) current() (*core.Manifest, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.checkManifestLocked(); err != nil {
-		return nil, err
+// The generation and canonical encoding of the held manifest (mu held).
+func (c *Client) generationLocked() uint64 {
+	if c.set != nil {
+		return c.set.manifest.Generation
 	}
-	return c.manifest, nil
+	return c.manifest.Generation
+}
+
+func (c *Client) encodingLocked() []byte {
+	if c.set != nil {
+		return c.set.manifest.Encode()
+	}
+	return c.manifest.Encode()
 }
 
 // Generation returns the generation of the manifest this client currently
@@ -477,19 +714,55 @@ func (c *Client) current() (*core.Manifest, error) {
 func (c *Client) Generation() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.manifest.Generation
+	return c.generationLocked()
 }
 
-// Advance moves the client to a newer generation of a live collection:
-// manifestBytes is the owner's canonical manifest encoding (the exact
-// signed bytes) and sigBytes the signature over them. The signature is
+// Shards returns the shard count the set manifest commits to: 0 for a bare
+// collection's client.
+func (c *Client) Shards() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.set == nil {
+		return 0
+	}
+	return len(c.set.shards)
+}
+
+// acceptLocked applies the forward-only rule to a manifest of generation gen
+// and canonical encoding enc that already verified against the pinned key
+// (caller holds mu). It reports whether the caller should install it: false
+// with a nil error means the client holds exactly this manifest already. A
+// regression is ErrStaleGeneration, and so is a different manifest re-using
+// an accepted generation — one generation never has two honest encodings.
+func (c *Client) acceptLocked(gen uint64, enc []byte) (install bool, err error) {
+	// Pin maxGen from the bootstrap manifest before comparing, so a
+	// rollback attempted before the first Verify is still caught.
+	if err := c.checkManifestLocked(); err != nil {
+		return false, err
+	}
+	switch {
+	case gen < c.maxGen:
+		return false, &core.VerifyError{Code: core.CodeStaleGeneration,
+			Detail: fmt.Sprintf("manifest generation %d, already accepted %d", gen, c.maxGen)}
+	case gen == c.maxGen && !bytes.Equal(enc, c.encodingLocked()):
+		return false, &core.VerifyError{Code: core.CodeStaleGeneration,
+			Detail: fmt.Sprintf("conflicting manifest for generation %d", gen)}
+	}
+	return gen > c.maxGen, nil
+}
+
+// Advance moves a bare collection's client to a newer generation of a live
+// collection: manifestBytes is the owner's canonical manifest encoding (the
+// exact signed bytes) and sigBytes the signature over them. The signature is
 // checked against the PINNED key — the channel delivering the update needs
 // no trust of its own — and the generation must not regress below any the
-// client has accepted (ErrStaleGeneration otherwise; a different manifest
-// re-using an already-accepted generation is rejected the same way, since
-// one generation never has two honest encodings). Advancing to the current
-// generation with identical bytes is a no-op.
+// client has accepted (ErrStaleGeneration). Advancing to the current
+// generation with identical bytes is a no-op. A shard set's client advances
+// with AdvanceExport only: one manifest cannot carry the shard population.
 func (c *Client) Advance(manifestBytes, sigBytes []byte) error {
+	if c.Shards() > 0 {
+		return errors.New("authtext: a collection manifest cannot advance a shard set's client; use AdvanceExport with its ATSX export")
+	}
 	m, err := core.DecodeManifest(manifestBytes)
 	if err != nil {
 		return fmt.Errorf("authtext: %w", err)
@@ -499,51 +772,77 @@ func (c *Client) Advance(manifestBytes, sigBytes []byte) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	// Pin maxGen from the bootstrap manifest before comparing, so a
-	// rollback attempted before the first Verify is still caught.
-	if err := c.checkManifestLocked(); err != nil {
+	if install, err := c.acceptLocked(m.Generation, manifestBytes); !install {
 		return err
-	}
-	switch {
-	case m.Generation < c.maxGen:
-		return &core.VerifyError{Code: core.CodeStaleGeneration,
-			Detail: fmt.Sprintf("manifest generation %d, already accepted %d", m.Generation, c.maxGen)}
-	case m.Generation == c.maxGen:
-		if !bytes.Equal(manifestBytes, c.manifest.Encode()) {
-			return &core.VerifyError{Code: core.CodeStaleGeneration,
-				Detail: fmt.Sprintf("conflicting manifest for generation %d", m.Generation)}
-		}
-		return nil
 	}
 	c.manifest = m
 	c.manifestSig = append([]byte(nil), sigBytes...)
 	c.maxGen = m.Generation
-	c.checked, c.checkErr = true, nil
 	return nil
 }
 
-// AdvanceExport is Advance over an ATCX export blob (the /v1/manifest
-// payload). The blob's embedded key is ignored — the signature must verify
-// against this client's pinned key.
+// AdvanceExport is Advance over the owner's current export blob — the
+// manifest endpoint's payload: ATCX for a bare collection's client, ATSX
+// (the only way forward) for a shard set's. The blob's embedded key is not
+// trusted: the signature must verify against this client's pinned key.
 func (c *Client) AdvanceExport(data []byte) error {
-	manifestRaw, sigRaw, _, err := splitClientExport(data)
+	if exportFormat(data) != httpapi.FormatATSX {
+		manifestRaw, sigRaw, _, err := splitClientExport(data)
+		if err != nil {
+			return err
+		}
+		return c.Advance(manifestRaw, sigRaw)
+	}
+	if c.Shards() == 0 {
+		return errors.New("authtext: an ATSX export cannot advance a bare collection's client")
+	}
+	ex, err := parseShardedExport(data)
 	if err != nil {
 		return err
 	}
-	return c.Advance(manifestRaw, sigRaw)
+	// parseShardedExport verified against the embedded key; rollback
+	// protection needs the pinned one.
+	if err := shard.VerifySetManifest(ex.manifest, ex.manifestSig, c.verifier); err != nil {
+		return &core.VerifyError{Code: core.CodeBadSignature, Detail: err.Error()}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if install, err := c.acceptLocked(ex.manifest.Generation, ex.manifest.Encode()); !install {
+		return err
+	}
+	// Shard manifests are bound to the (pinned-key-verified) set manifest by
+	// digest, checked in parseShardedExport.
+	c.set = newClientSet(ex, c.verifier, true)
+	c.manifestSig = ex.manifestSig
+	c.maxGen = ex.manifest.Generation
+	return nil
 }
 
 // Verify checks a search result (including its delivered document
 // contents) against the VO. It returns nil iff the result satisfies the
 // correctness criteria of §3.1; the error explains the first violation
-// found.
+// found. A shard set's client checks the set-manifest signature, every
+// shard's verification object against that shard's signed manifest, and
+// finally that the merged ranking equals the deterministic top-r recomputed
+// from the (now trusted) per-shard results. A result of the wrong shape for
+// this client is a lie like any other: IsTampered classifies it.
 func (c *Client) Verify(query string, r int, res *SearchResult) error {
 	if res == nil {
 		return errors.New("authtext: nil result")
 	}
-	manifest, err := c.current()
+	c.mu.Lock()
+	err := c.checkManifestLocked()
+	manifest, set := c.manifest, c.set
+	c.mu.Unlock()
 	if err != nil {
 		return err
+	}
+	if set != nil {
+		return set.verify(query, r, res)
+	}
+	if res.PerShard != nil {
+		return &core.VerifyError{Code: core.CodeMalformedVO,
+			Detail: fmt.Sprintf("%d shard answers from a collection that has no shards", len(res.PerShard))}
 	}
 	decoded, err := decodeVO(res.VO)
 	if err != nil {
@@ -566,6 +865,51 @@ func (c *Client) Verify(query string, r int, res *SearchResult) error {
 		Contents: contents,
 		VO:       decoded,
 	})
+}
+
+// verify checks a fan-out answer against the shard population.
+func (cs *clientSet) verify(query string, r int, res *SearchResult) error {
+	if len(res.PerShard) != len(cs.shards) {
+		return &core.VerifyError{Code: core.CodeIncomplete,
+			Detail: fmt.Sprintf("%d shard responses for a %d-shard collection", len(res.PerShard), len(cs.shards))}
+	}
+	perShard := make([][]core.ResultEntry, len(cs.shards))
+	contents := make(map[[2]int][]byte)
+	for i, sr := range res.PerShard {
+		if sr == nil {
+			return &core.VerifyError{Code: core.CodeIncomplete,
+				Detail: fmt.Sprintf("shard %d returned no response", i)}
+		}
+		if err := cs.shards[i].Verify(query, r, sr); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		entries := make([]core.ResultEntry, len(sr.Hits))
+		for j, h := range sr.Hits {
+			entries[j] = core.ResultEntry{Doc: index.DocID(h.DocID), Score: h.Score}
+			contents[[2]int{i, h.DocID}] = h.Content
+		}
+		perShard[i] = entries
+	}
+	merged := make([]shard.MergedHit, len(res.Hits))
+	for i, h := range res.Hits {
+		merged[i] = shard.MergedHit{Shard: h.Shard, Doc: index.DocID(h.DocID), Global: uint32(h.GlobalID), Score: h.Score}
+		if int(merged[i].Doc) != h.DocID || int(merged[i].Global) != h.GlobalID {
+			return &core.VerifyError{Code: core.CodeBadOrdering,
+				Detail: fmt.Sprintf("merged entry %d names document %d (global %d): no such document", i, h.DocID, h.GlobalID)}
+		}
+	}
+	if err := shard.VerifyMerge(perShard, cs.docMaps, r, merged); err != nil {
+		return err
+	}
+	// The merged entries must deliver the same (verified) content as the
+	// shard answers they cite.
+	for i, h := range res.Hits {
+		if want, ok := contents[[2]int{h.Shard, h.DocID}]; !ok || !bytes.Equal(h.Content, want) {
+			return &core.VerifyError{Code: core.CodeBadContent,
+				Detail: fmt.Sprintf("merged entry %d content disagrees with shard %d's verified answer", i, h.Shard)}
+		}
+	}
+	return nil
 }
 
 // IsTampered reports whether an error from Verify indicates tampering (as

@@ -70,29 +70,10 @@ func runBatch(n, workers int, job func(i int)) {
 // goroutines (workers < 1 defaults to GOMAXPROCS). Results (or per-query
 // errors) come back in input order; one failing query does not abort the
 // rest. Each query carries the same per-query statistics it would report if
-// executed alone.
+// executed alone. Over a shard set every query still fans out to every shard,
+// so the total shard-query concurrency is workers × shards.
 func (s *Server) SearchBatch(queries []BatchQuery, workers int) []BatchItem {
 	out := make([]BatchItem, len(queries))
-	runBatch(len(queries), workers, func(i int) {
-		q := queries[i]
-		out[i].Result, out[i].Err = s.Search(q.Query, q.R, q.Algorithm, q.Scheme)
-	})
-	return out
-}
-
-// ShardedBatchItem is the outcome of one sharded batch query.
-type ShardedBatchItem struct {
-	Result *ShardedResult
-	Err    error
-}
-
-// SearchBatch answers a batch of queries concurrently with at most workers
-// fan-outs in flight (workers < 1 defaults to GOMAXPROCS). Each query still
-// fans out to every shard, so the total shard-query concurrency is
-// workers × shards; queries overlap inside each shard as well as across
-// shards, because shard collections are concurrently searchable.
-func (s *ShardedServer) SearchBatch(queries []BatchQuery, workers int) []ShardedBatchItem {
-	out := make([]ShardedBatchItem, len(queries))
 	runBatch(len(queries), workers, func(i int) {
 		q := queries[i]
 		out[i].Result, out[i].Err = s.Search(q.Query, q.R, q.Algorithm, q.Scheme)

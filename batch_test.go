@@ -166,7 +166,7 @@ func TestRemoteClientDefaultTimeout(t *testing.T) {
 	if rc.hc.Timeout != defaultHTTPTimeout {
 		t.Errorf("RemoteClient default timeout = %v, want %v", rc.hc.Timeout, defaultHTTPTimeout)
 	}
-	src, err := NewShardedRemoteClient("http://127.0.0.1:1")
+	src, err := NewRemoteClient("http://127.0.0.1:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestRemoteClientStalledServerTimesOut(t *testing.T) {
 
 func TestShardedRemoteClientStalledServerTimesOut(t *testing.T) {
 	srv := stalledServer(t)
-	rc, err := NewShardedRemoteClient(srv.URL, WithHTTPClient(&http.Client{Timeout: 100 * time.Millisecond}))
+	rc, err := NewRemoteClient(srv.URL, WithHTTPClient(&http.Client{Timeout: 100 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

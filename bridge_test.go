@@ -7,4 +7,4 @@ import "authtext/internal/engine"
 // internal/experiments without a cycle) can benchmark the facade over the
 // shared experiment fixture without re-running the authenticated build.
 // Test-only: this file compiles only into the test binary.
-func ServerForTest(col *engine.Collection) *Server { return &Server{col: col} }
+func ServerForTest(col *engine.Collection) *Server { return &Server{v: served{col: col}} }

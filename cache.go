@@ -23,8 +23,8 @@ import (
 
 // VOCache is a sharded, byte-bounded LRU of complete answers (hits,
 // encoded VO, stats) shared by any number of servers. One cache may back
-// a Server, a ShardedServer and their live variants at once; entries are
-// kind-tagged so single and sharded answers never collide. Safe for
+// bare and sharded servers and their live variants at once; entries are
+// shape-tagged so the two kinds of answer never collide. Safe for
 // concurrent use. Attach it with the SetVOCache methods (library use) or
 // WithVOCache (HTTP handlers), before serving starts.
 type VOCache struct {
@@ -84,27 +84,26 @@ func (c *VOCache) dropBelow(gen uint64) {
 	c.c.DropBelow(gen)
 }
 
-// Key kinds: single-collection answers and sharded fan-out answers live
-// in the same cache without colliding.
-const (
-	cacheKindSingle  = 'q'
-	cacheKindSharded = 'k'
-)
-
-// cacheKey builds the lookup key: kind, generation, r, algorithm, scheme,
-// then the normalized query terms in engine order. The terms come out of
-// textproc.Terms, so two spellings of the same query (case, stopwords,
-// whitespace) share an entry, while term ORDER is preserved — the VO
-// encodes per-term structure, so differently ordered queries keep their
+// cacheKey builds the lookup key: shape, generation, r, algorithm, scheme,
+// then the normalized query terms in engine order. The shape tag ('k' for a
+// shard set's fan-out answer, 'q' for a bare collection's) keeps one cache
+// shared by both from ever handing one the other's answer. The terms come
+// out of textproc.Terms, so two spellings of the same query (case,
+// stopwords, whitespace) share an entry, while term ORDER is preserved — the
+// VO encodes per-term structure, so differently ordered queries keep their
 // own answers.
-func cacheKey(kind byte, tokens []string, r int, algo Algorithm, scheme Scheme, gen uint64) string {
+func cacheKey(sharded bool, tokens []string, r int, algo Algorithm, scheme Scheme, gen uint64) string {
 	var b strings.Builder
 	n := 16
 	for _, t := range tokens {
 		n += len(t) + 1
 	}
 	b.Grow(n)
-	b.WriteByte(kind)
+	if sharded {
+		b.WriteByte('k')
+	} else {
+		b.WriteByte('q')
+	}
 	b.WriteByte('|')
 	b.WriteString(strconv.FormatUint(gen, 10))
 	b.WriteByte('|')
@@ -126,70 +125,44 @@ const (
 	cacheHitOverhead   = 64
 )
 
+// resultCost charges an answer its VO, its delivered contents and the fixed
+// overheads — for a fan-out answer, every shard's; its merged hits share
+// their Content with the per-shard answers.
 func resultCost(key string, res *SearchResult) int64 {
 	n := int64(len(key)) + cacheEntryOverhead + int64(len(res.VO))
-	for _, h := range res.Hits {
-		n += int64(len(h.Content)) + cacheHitOverhead
-	}
-	return n
-}
-
-func shardedCost(key string, res *ShardedResult) int64 {
-	n := int64(len(key)) + cacheEntryOverhead
 	for _, sr := range res.PerShard {
 		n += resultCost("", sr)
 	}
-	// Merged entries share their Content with the per-shard answers.
-	n += int64(len(res.Merged)) * cacheHitOverhead
+	for _, h := range res.Hits {
+		n += cacheHitOverhead
+		if res.PerShard == nil {
+			n += int64(len(h.Content))
+		}
+	}
 	return n
 }
 
-// putResult caches a private shallow copy of res: the caller owns what
-// Search returned, and later hits get their own top-level copies, so no
-// caller can reorder or rescore another caller's answer through the
-// cache. The VO and document contents stay shared — they are immutable by
-// contract, and any process that does scribble on them is caught by
-// client verification, not trusted silently.
-func (c *VOCache) putResult(key string, gen uint64, res *SearchResult) {
+// cachedCopy is the private top-level copy that goes into and comes out of
+// the cache: the caller owns what Search returned, and later hits get their
+// own copies, so no caller can reorder or rescore another caller's answer
+// through the cache. The VO, the document contents and the per-shard answers
+// stay shared — they are immutable by contract, and any process that does
+// scribble on them is caught by client verification, not trusted silently.
+func cachedCopy(res *SearchResult) *SearchResult {
 	cp := *res
 	cp.Hits = append([]Hit(nil), res.Hits...)
-	c.c.Put(key, gen, resultCost(key, res), &cp)
+	cp.PerShard = append([]*SearchResult(nil), res.PerShard...)
+	return &cp
 }
 
-func (c *VOCache) getResult(key string) (*SearchResult, bool) {
+func (c *VOCache) put(key string, gen uint64, res *SearchResult) {
+	c.c.Put(key, gen, resultCost(key, res), cachedCopy(res))
+}
+
+func (c *VOCache) get(key string) (*SearchResult, bool) {
 	v, ok := c.c.Get(key)
 	if !ok {
 		return nil, false
 	}
-	res, ok := v.(*SearchResult)
-	if !ok {
-		return nil, false
-	}
-	cp := *res
-	cp.Hits = append([]Hit(nil), res.Hits...)
-	return &cp, true
-}
-
-// putSharded / getSharded are the fan-out analogues; per-shard results are
-// shared as pointers (immutable by the same contract).
-func (c *VOCache) putSharded(key string, gen uint64, res *ShardedResult) {
-	cp := *res
-	cp.PerShard = append([]*SearchResult(nil), res.PerShard...)
-	cp.Merged = append([]ShardedHit(nil), res.Merged...)
-	c.c.Put(key, gen, shardedCost(key, res), &cp)
-}
-
-func (c *VOCache) getSharded(key string) (*ShardedResult, bool) {
-	v, ok := c.c.Get(key)
-	if !ok {
-		return nil, false
-	}
-	res, ok := v.(*ShardedResult)
-	if !ok {
-		return nil, false
-	}
-	cp := *res
-	cp.PerShard = append([]*SearchResult(nil), res.PerShard...)
-	cp.Merged = append([]ShardedHit(nil), res.Merged...)
-	return &cp, true
+	return cachedCopy(v.(*SearchResult)), true
 }

@@ -19,19 +19,19 @@ import (
 // verification exactly like any other tampering.
 
 func TestCacheKeyDiscriminates(t *testing.T) {
-	base := cacheKey(cacheKindSingle, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1)
-	same := cacheKey(cacheKindSingle, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1)
+	base := cacheKey(false, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1)
+	same := cacheKey(false, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1)
 	if base != same {
 		t.Fatal("identical parameters produced different keys")
 	}
 	variants := []string{
-		cacheKey(cacheKindSharded, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1),
-		cacheKey(cacheKindSingle, []string{"keeper", "night"}, 3, TNRA, ChainMHT, 1),
-		cacheKey(cacheKindSingle, []string{"night"}, 3, TNRA, ChainMHT, 1),
-		cacheKey(cacheKindSingle, []string{"night", "keeper"}, 4, TNRA, ChainMHT, 1),
-		cacheKey(cacheKindSingle, []string{"night", "keeper"}, 3, TRA, ChainMHT, 1),
-		cacheKey(cacheKindSingle, []string{"night", "keeper"}, 3, TNRA, MHT, 1),
-		cacheKey(cacheKindSingle, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 2),
+		cacheKey(true, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1),
+		cacheKey(false, []string{"keeper", "night"}, 3, TNRA, ChainMHT, 1),
+		cacheKey(false, []string{"night"}, 3, TNRA, ChainMHT, 1),
+		cacheKey(false, []string{"night", "keeper"}, 4, TNRA, ChainMHT, 1),
+		cacheKey(false, []string{"night", "keeper"}, 3, TRA, ChainMHT, 1),
+		cacheKey(false, []string{"night", "keeper"}, 3, TNRA, MHT, 1),
+		cacheKey(false, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 2),
 	}
 	seen := map[string]bool{base: true}
 	for i, k := range variants {
@@ -89,7 +89,7 @@ func TestCacheHitVerifiesLikeMiss(t *testing.T) {
 	// What makes a hit cheap: it reads nothing from the store. With the
 	// device failing every read, the cached query still answers (and
 	// verifies) while an uncached one cannot.
-	o.col.Device().Poison(errors.New("device gone"))
+	o.v.col.Device().Poison(errors.New("device gone"))
 	hit, err = srv.Search(q, r, TNRA, ChainMHT)
 	if err != nil {
 		t.Fatalf("cache hit touched the store: %v", err)
@@ -563,15 +563,35 @@ func TestShardedCacheHitVerifies(t *testing.T) {
 	if st := cache.Stats(); st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("expected one miss then one hit, got %+v", st)
 	}
-	if len(hit.Merged) != len(miss.Merged) || len(hit.PerShard) != len(miss.PerShard) {
+	if len(hit.Hits) != len(miss.Hits) || len(hit.PerShard) != len(miss.PerShard) {
 		t.Fatal("sharded cache hit differs from the miss")
 	}
 	if err := client.Verify(q, r, hit); err != nil {
 		t.Fatalf("cached sharded answer failed verification: %v", err)
 	}
+	// A bare server sharing the cache never sees the shard set's answer to
+	// the same query at the same generation (nor the other way round).
+	bo, err := NewOwner(newsDocs(), WithFastSigner([]byte("sharded-cache")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := bo.Server()
+	bare.SetVOCache(cache)
+	for i := 0; i < 2; i++ {
+		res, err := bare.Search(q, r, TNRA, ChainMHT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PerShard != nil || bo.Client().Verify(q, r, res) != nil {
+			t.Fatalf("lookup %d on the shared cache handed the bare server a foreign answer", i)
+		}
+		if res, err = srv.Search(q, r, TNRA, ChainMHT); err != nil || client.Verify(q, r, res) != nil {
+			t.Fatalf("lookup %d on the shared cache handed the shard set a foreign answer (err %v)", i, err)
+		}
+	}
 	// And a poisoned per-shard VO is rejected.
 	cache.c.Range(func(key string, gen uint64, val any) bool {
-		if res, ok := val.(*ShardedResult); ok {
+		if res, ok := val.(*SearchResult); ok {
 			for _, sr := range res.PerShard {
 				if len(sr.VO) > 0 {
 					sr.VO[len(sr.VO)/2] ^= 0x40

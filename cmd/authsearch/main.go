@@ -22,8 +22,8 @@
 // or `authsearch -snapshot` open in milliseconds (docs/SNAPSHOT.md). With
 // -serve the process becomes an authserved-compatible HTTP server; with
 // -remote it becomes the verifying client of a remote server — sharded or
-// not, detected from /v1/healthz — performing the same VO verification on
-// answers received over the network.
+// not, as the verified manifest says — performing the same VO verification
+// on answers received over the network.
 //
 // Each answer line reports the verification verdict, the similarity score,
 // and the per-query costs (entries read, I/O time under the simulated disk
@@ -152,14 +152,11 @@ func run(cfg config) error {
 	if cfg.remoteURL != "" {
 		return runRemote(cfg.remoteURL, cfg.r, cfg.algo, cfg.scheme)
 	}
-	if cfg.shards > 0 || (cfg.snapshot != "" && authtext.IsShardedSnapshot(cfg.snapshot)) {
-		return runSharded(cfg)
-	}
 
 	var (
 		server *authtext.Server
 		client *authtext.Client
-		names  func(docID int) string
+		names  func(globalID int) string
 	)
 	if cfg.snapshot != "" {
 		start := time.Now()
@@ -168,32 +165,46 @@ func run(cfg config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("opened snapshot %s in %s (no rebuild, no re-signing)\n",
-			cfg.snapshot, time.Since(start).Round(time.Millisecond))
-		names = func(docID int) string { return fmt.Sprintf("doc-%d", docID) }
+		what := "snapshot " + cfg.snapshot
+		if server.Shards() > 0 {
+			what = fmt.Sprintf("sharded snapshot %s (%d shards)", cfg.snapshot, server.Shards())
+		}
+		fmt.Printf("opened %s in %s (no rebuild, no re-signing)\n", what, time.Since(start).Round(time.Millisecond))
+		names = func(globalID int) string { return fmt.Sprintf("doc-%d", globalID) }
 	} else {
 		docs, docNames, err := demo.Load(cfg.dir)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("indexing %d documents and building authentication structures (RSA-1024)...\n", len(docs))
-		owner, err := authtext.NewOwner(docs, authtext.WithVocabularyProofs())
+		var owner *authtext.Owner
+		if cfg.shards > 0 {
+			fmt.Printf("indexing %d documents into %d shards, building authentication structures (RSA-1024)...\n",
+				len(docs), cfg.shards)
+			owner, err = authtext.NewShardedOwner(docs, cfg.shards, authtext.WithVocabularyProofs())
+		} else {
+			fmt.Printf("indexing %d documents and building authentication structures (RSA-1024)...\n", len(docs))
+			owner, err = authtext.NewOwner(docs, authtext.WithVocabularyProofs())
+		}
 		if err != nil {
 			return err
 		}
 		buildMs, sigs, devBytes := owner.Stats()
-		fmt.Printf("built in %.0f ms: %d signatures, %.1f MB on the simulated disk\n",
-			buildMs, sigs, float64(devBytes)/(1<<20))
+		built := "built"
+		if cfg.shards > 0 {
+			built = fmt.Sprintf("built %d shards (parallel)", owner.Shards())
+		}
+		fmt.Printf("%s in %.0f ms: %d signatures, %.1f MB on the simulated disk\n",
+			built, buildMs, sigs, float64(devBytes)/(1<<20))
 
 		if cfg.build {
 			return writeSnapshot(owner, cfg.out)
 		}
 		server, client = owner.Server(), owner.Client()
-		names = func(docID int) string { return docNames[docID] }
+		names = func(globalID int) string { return docNames[globalID] }
 	}
 
 	if cfg.serveAddr != "" {
-		return serve(server, client, cfg.serveAddr)
+		return serve(server, cfg.serveAddr)
 	}
 
 	fmt.Printf("ready — %s-%s, top-%d; type a query (empty line to quit)\n", cfg.algo, cfg.scheme, cfg.r)
@@ -211,80 +222,17 @@ func run(cfg config) error {
 	})
 }
 
-// runSharded is the sharded counterpart of run's local modes: build a
-// sharded snapshot directory, serve the sharded HTTP protocol, or answer
-// interactive queries with parallel fan-out and full client verification.
-func runSharded(cfg config) error {
-	var (
-		server *authtext.ShardedServer
-		client *authtext.ShardedClient
-	)
-	if cfg.snapshot != "" {
-		start := time.Now()
-		var err error
-		server, client, err = authtext.OpenShardedSnapshotDir(cfg.snapshot)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("opened sharded snapshot %s (%d shards) in %s (no rebuild, no re-signing)\n",
-			cfg.snapshot, server.Shards(), time.Since(start).Round(time.Millisecond))
-	} else {
-		docs, _, err := demo.Load(cfg.dir)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("indexing %d documents into %d shards, building authentication structures (RSA-1024)...\n",
-			len(docs), cfg.shards)
-		owner, err := authtext.NewShardedOwner(docs, cfg.shards, authtext.WithVocabularyProofs())
-		if err != nil {
-			return err
-		}
-		buildMs, sigs, devBytes := owner.Stats()
-		fmt.Printf("built %d shards in %.0f ms (parallel): %d signatures, %.1f MB on the simulated disks\n",
-			owner.Shards(), buildMs, sigs, float64(devBytes)/(1<<20))
-
-		if cfg.build {
-			if err := owner.WriteSnapshotDir(cfg.out); err != nil {
-				return err
-			}
-			fmt.Printf("wrote sharded snapshot directory %s (%d shards); serve it with: authserved -snapshot %s\n",
-				cfg.out, owner.Shards(), cfg.out)
-			return nil
-		}
-		server, client = owner.Server(), owner.Client()
-	}
-
-	if cfg.serveAddr != "" {
-		export, err := server.ExportClient()
-		if err != nil {
-			return err
-		}
-		handler := authtext.NewShardedHTTPHandler(server, export)
-		fmt.Printf("serving /v1/shards/search, /v1/shards/manifest, /v1/healthz on %s (%d shards)\n",
-			cfg.serveAddr, server.Shards())
-		srv := &http.Server{Addr: cfg.serveAddr, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-		return srv.ListenAndServe()
-	}
-
-	fmt.Printf("ready — %s-%s, top-%d over %d shards; type a query (empty line to quit)\n",
-		cfg.algo, cfg.scheme, cfg.r, server.Shards())
-	return repl(func(query string) {
-		res, err := server.Search(query, cfg.r, cfg.algo, cfg.scheme)
-		if err != nil {
-			fmt.Println("  error:", err)
-			return
-		}
-		verdict := "VERIFIED"
-		if err := client.Verify(query, cfg.r, res); err != nil {
-			verdict = "REJECTED: " + err.Error()
-		}
-		printShardedResult(verdict, res)
-	})
-}
-
 // writeSnapshot persists the built collection (owner role of the
-// build-once / serve-many deployment).
+// build-once / serve-many deployment): one file, or a shard set's directory.
 func writeSnapshot(owner *authtext.Owner, path string) error {
+	if owner.Shards() > 0 {
+		if err := owner.WriteSnapshotDir(path); err != nil {
+			return err
+		}
+		fmt.Printf("wrote sharded snapshot directory %s (%d shards); serve it with: authserved -snapshot %s\n",
+			path, owner.Shards(), path)
+		return nil
+	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -308,8 +256,8 @@ func writeSnapshot(owner *authtext.Owner, path string) error {
 }
 
 // serve exposes the collection on the authserved HTTP protocol.
-func serve(server *authtext.Server, client *authtext.Client, addr string) error {
-	export, err := client.Export()
+func serve(server *authtext.Server, addr string) error {
+	export, err := server.ExportClient()
 	if err != nil {
 		return err
 	}
@@ -318,14 +266,18 @@ func serve(server *authtext.Server, client *authtext.Client, addr string) error 
 			fmt.Printf("query %q r=%d %s-%s vo=%dB wall=%s\n",
 				query, r, st.Algorithm, st.Scheme, st.VOBytes, wall.Round(time.Microsecond))
 		}))
-	fmt.Printf("serving /v1/search, /v1/manifest, /v1/healthz on %s\n", addr)
+	if server.Shards() > 0 {
+		fmt.Printf("serving /v1/shards/search, /v1/shards/manifest, /v1/healthz on %s (%d shards)\n", addr, server.Shards())
+	} else {
+		fmt.Printf("serving /v1/search, /v1/manifest, /v1/healthz on %s\n", addr)
+	}
 	srv := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
 	return srv.ListenAndServe()
 }
 
 // runRemote is the verifying-client mode: every answer from the remote
-// server is verified locally before being displayed. Sharded deployments
-// are detected from /v1/healthz and queried over the sharded protocol.
+// server — a shard set's every shard answer and merged ranking — is verified
+// locally before being displayed.
 func runRemote(url string, r int, algo authtext.Algorithm, scheme authtext.Scheme) error {
 	rc, err := authtext.NewRemoteClient(url)
 	if err != nil {
@@ -336,19 +288,17 @@ func runRemote(url string, r int, algo authtext.Algorithm, scheme authtext.Schem
 	if err != nil {
 		return fmt.Errorf("server unreachable: %w", err)
 	}
-	if health.Shards > 0 {
-		return runShardedRemote(url, r, algo, scheme, health)
-	}
 	if err := rc.Bootstrap(ctx); err != nil {
 		return fmt.Errorf("manifest bootstrap failed: %w", err)
 	}
-	if health.Generation > 0 {
-		fmt.Printf("connected to %s — %d documents, %d terms, live generation %d; manifest verified\n",
-			url, health.Documents, health.Terms, health.Generation)
-	} else {
-		fmt.Printf("connected to %s — %d documents, %d terms; manifest verified\n",
-			url, health.Documents, health.Terms)
+	shape := fmt.Sprintf("%d terms", health.Terms)
+	if rc.Shards() > 0 {
+		shape = fmt.Sprintf("%d shards", rc.Shards())
 	}
+	if gen := rc.Generation(); gen > 0 {
+		shape += fmt.Sprintf(", live generation %d", gen)
+	}
+	fmt.Printf("connected to %s — %d documents, %s; manifest verified\n", url, health.Documents, shape)
 	fmt.Printf("ready — %s-%s, top-%d; type a query (empty line to quit)\n", algo, scheme, r)
 	return repl(func(query string) {
 		res, err := rc.Search(ctx, query, r, algo, scheme)
@@ -364,36 +314,7 @@ func runRemote(url string, r int, algo authtext.Algorithm, scheme authtext.Schem
 		if res.Generation > 0 {
 			label = fmt.Sprintf("VERIFIED @ generation %d", res.Generation)
 		}
-		printResult(label, res, func(docID int) string { return fmt.Sprintf("doc-%d", docID) })
-	})
-}
-
-// runShardedRemote is the verifying-client mode against a sharded
-// deployment: every shard answer and the merged ranking are verified
-// locally before being displayed.
-func runShardedRemote(url string, r int, algo authtext.Algorithm, scheme authtext.Scheme, health *authtext.ServerHealth) error {
-	rc, err := authtext.NewShardedRemoteClient(url)
-	if err != nil {
-		return err
-	}
-	ctx := context.Background()
-	if err := rc.Bootstrap(ctx); err != nil {
-		return fmt.Errorf("sharded manifest bootstrap failed: %w", err)
-	}
-	fmt.Printf("connected to %s — %d documents across %d shards; set manifest verified\n",
-		url, health.Documents, rc.Shards())
-	fmt.Printf("ready — %s-%s, top-%d; type a query (empty line to quit)\n", algo, scheme, r)
-	return repl(func(query string) {
-		res, err := rc.Search(ctx, query, r, algo, scheme)
-		if err != nil {
-			if authtext.IsTampered(err) {
-				fmt.Println("  [REJECTED — SERVER RESPONSE FAILED VERIFICATION]", err)
-			} else {
-				fmt.Println("  error:", err)
-			}
-			return
-		}
-		printShardedResult("VERIFIED", res)
+		printResult(label, res, func(globalID int) string { return fmt.Sprintf("doc-%d", globalID) })
 	})
 }
 
@@ -414,26 +335,25 @@ func repl(answer func(query string)) error {
 	return scanner.Err()
 }
 
-func printResult(verdict string, res *authtext.SearchResult, name func(docID int) string) {
+// printResult shows one answer; name labels a hit by its index in the
+// original corpus (a shard set's hits also say which shard answered).
+func printResult(verdict string, res *authtext.SearchResult, name func(globalID int) string) {
 	st := res.Stats
-	fmt.Printf("  [%s] q=%d entries/term=%.1f io=%s vo=%dB\n",
-		verdict, st.QueryTerms, st.EntriesPerTerm, st.IOTime, st.VOBytes)
+	if st.Shards > 0 {
+		fmt.Printf("  [%s] shards=%d entries=%d io=%s vo=%dB wall=%s\n",
+			verdict, st.Shards, st.EntriesRead, st.IOTime, st.VOBytes, st.ServerTime)
+	} else {
+		fmt.Printf("  [%s] q=%d entries/term=%.1f io=%s vo=%dB\n",
+			verdict, st.QueryTerms, st.EntriesPerTerm, st.IOTime, st.VOBytes)
+	}
 	for i, h := range res.Hits {
-		fmt.Printf("  %2d. (%.4f) %s: %s\n", i+1, h.Score, name(h.DocID), snippet(h.Content, 70))
+		where := ""
+		if st.Shards > 0 {
+			where = fmt.Sprintf(" [shard %d]", h.Shard)
+		}
+		fmt.Printf("  %2d. (%.4f) %s%s: %s\n", i+1, h.Score, name(h.GlobalID), where, snippet(h.Content, 70))
 	}
 	if len(res.Hits) == 0 {
-		fmt.Println("  no matching documents")
-	}
-}
-
-func printShardedResult(verdict string, res *authtext.ShardedResult) {
-	st := res.Stats
-	fmt.Printf("  [%s] shards=%d entries=%d io=%s vo=%dB wall=%s\n",
-		verdict, st.Shards, st.EntriesRead, st.IOTime, st.VOBytes, st.Wall.Round(time.Microsecond))
-	for i, h := range res.Merged {
-		fmt.Printf("  %2d. (%.4f) doc-%d [shard %d]: %s\n", i+1, h.Score, h.GlobalID, h.Shard, snippet(h.Content, 70))
-	}
-	if len(res.Merged) == 0 {
 		fmt.Println("  no matching documents")
 	}
 }

@@ -117,19 +117,18 @@ func TestBuildShardedSnapshotDirRoundTrip(t *testing.T) {
 	if err := owner.WriteSnapshotDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	if !authtext.IsShardedSnapshot(dir) {
-		t.Fatal("written directory not detected as a sharded snapshot")
-	}
-
-	server, client, err := authtext.OpenShardedSnapshotDir(dir)
+	server, client, err := authtext.OpenSnapshotFile(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if server.Shards() != 3 {
+		t.Fatalf("written directory reopened as %d shards", server.Shards())
 	}
 	res, err := server.Search("search results", 3, authtext.TNRA, authtext.ChainMHT)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Merged) == 0 {
+	if len(res.Hits) == 0 {
 		t.Fatal("no merged hits")
 	}
 	if err := client.Verify("search results", 3, res); err != nil {

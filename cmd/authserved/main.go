@@ -177,9 +177,6 @@ func parseFlags(args []string) (config, error) {
 	if cfg.mmap && cfg.snapshot == "" {
 		return config{}, errors.New("-mmap requires -snapshot (there is nothing to map in build mode)")
 	}
-	if cfg.mmap && authtext.IsLiveShardedSnapshotDir(cfg.snapshot) {
-		return config{}, errors.New("-mmap is not supported on a per-generation sharded snapshot directory: its replica copies each generation's shards")
-	}
 	if cfg.cacheMB < 0 {
 		return config{}, fmt.Errorf("-cache-mb %d out of range", cfg.cacheMB)
 	}
@@ -359,68 +356,51 @@ func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 	if cfg.live {
 		return buildLiveHandler(cfg, docs, opts, hopts, logger)
 	}
+	var owner *authtext.Owner
 	if cfg.shards > 0 {
 		logger.Info("indexing into shards, building authentication structures (RSA-1024)",
 			"documents", len(docs), "shards", cfg.shards)
-		owner, err := authtext.NewShardedOwner(docs, cfg.shards, opts...)
-		if err != nil {
-			return nil, err
-		}
-		buildMs, sigs, devBytes := owner.Stats()
-		logger.Info("built shards (parallel)",
-			"shards", owner.Shards(), "build_ms", buildMs, "signatures", sigs,
-			"device_mb", float64(devBytes)/(1<<20))
-		return owner.HTTPHandler(hopts...)
+		owner, err = authtext.NewShardedOwner(docs, cfg.shards, opts...)
+	} else {
+		logger.Info("indexing and building authentication structures (RSA-1024)", "documents", len(docs))
+		owner, err = authtext.NewOwner(docs, opts...)
 	}
-	logger.Info("indexing and building authentication structures (RSA-1024)", "documents", len(docs))
-	owner, err := authtext.NewOwner(docs, opts...)
 	if err != nil {
 		return nil, err
 	}
 	buildMs, sigs, devBytes := owner.Stats()
-	logger.Info("built collection",
-		"build_ms", buildMs, "signatures", sigs, "device_mb", float64(devBytes)/(1<<20))
+	built := []any{"build_ms", buildMs, "signatures", sigs, "device_mb", float64(devBytes) / (1 << 20)}
+	if cfg.shards > 0 {
+		logger.Info("built shards (parallel)", append([]any{"shards", owner.Shards()}, built...)...)
+	} else {
+		logger.Info("built collection", built...)
+	}
 	return owner.HTTPHandler(hopts...)
 }
 
 // openSnapshot routes -snapshot PATH by what is on disk: a per-generation
-// directory (single or sharded) becomes a replica that -watch can follow,
-// a sharded snapshot directory or a snapshot file a static server.
+// directory becomes a replica that -watch can follow, anything else — a
+// snapshot file, or a shard set's snapshot directory — a static server.
 func openSnapshot(cfg config, hopts []authtext.HandlerOption, logger *slog.Logger) (http.Handler, error) {
 	start := time.Now()
 	opened := func(what string, attrs ...any) {
 		logger.Info("opened "+what+" (no re-indexing, no re-signing)", append(attrs,
 			"path", cfg.snapshot, "mmap", cfg.mmap, "elapsed", time.Since(start).Round(time.Millisecond))...)
 	}
-	sharded := authtext.IsLiveShardedSnapshotDir(cfg.snapshot)
-	if sharded || authtext.IsLiveSnapshotDir(cfg.snapshot) {
-		var rep replica
-		var handler func(...authtext.HandlerOption) (http.Handler, error)
-		if sharded {
-			r, err := authtext.OpenLiveShardedSnapshotDir(cfg.snapshot)
-			if err != nil {
-				return nil, err
-			}
-			rep, handler = r, r.HTTPHandler
-		} else {
-			openDir := authtext.OpenLiveSnapshotDir
-			if cfg.mmap {
-				openDir = authtext.OpenLiveSnapshotDirMapped
-			}
-			r, err := openDir(cfg.snapshot)
-			if err != nil {
-				return nil, err
-			}
-			rep = r
-			handler = func(o ...authtext.HandlerOption) (http.Handler, error) {
-				return authtext.NewLiveReplicaHTTPHandler(r, o...)
-			}
+	if authtext.IsLiveSnapshotDir(cfg.snapshot) {
+		openDir := authtext.OpenLiveSnapshotDir
+		if cfg.mmap {
+			openDir = authtext.OpenLiveSnapshotDirMapped
 		}
-		opened("live snapshot directory", "sharded", sharded, "generation", rep.Generation())
+		rep, err := openDir(cfg.snapshot)
+		if err != nil {
+			return nil, err
+		}
+		opened("live snapshot directory", "sharded", rep.Client().Shards() > 0, "generation", rep.Generation())
 		if cfg.watch > 0 {
 			go watchReplica(rep, cfg.watch, logger)
 		}
-		return handler(hopts...)
+		return rep.HTTPHandler(hopts...)
 	}
 	if cfg.watch > 0 {
 		// Catch this here (the check needs the filesystem, so it cannot
@@ -428,50 +408,30 @@ func openSnapshot(cfg config, hopts []authtext.HandlerOption, logger *slog.Logge
 		// while the operator believes hot-reload is active.
 		return nil, errors.New("-watch requires -snapshot to be a per-generation snapshot directory (gen-NNNNNNNNNNNN.atsn files or gen-NNNNNNNNNNNN/ shard sets)")
 	}
-	if authtext.IsShardedSnapshot(cfg.snapshot) {
-		var server *authtext.ShardedServer
-		if cfg.mmap {
-			ms, err := authtext.OpenShardedSnapshotDirMapped(cfg.snapshot)
-			if err != nil {
-				return nil, err
-			}
-			server = ms.Server() // serves for the process lifetime; never closed
-		} else {
-			var err error
-			server, _, err = authtext.OpenShardedSnapshotDir(cfg.snapshot)
-			if err != nil {
-				return nil, err
-			}
-		}
-		// Export from the opened set (not a second read of shards.atsx),
-		// so the published material always matches the serving shards.
-		export, err := server.ExportClient()
-		if err != nil {
-			return nil, err
-		}
-		opened("sharded snapshot", "shards", server.Shards())
-		return authtext.NewShardedHTTPHandler(server, export, hopts...), nil
-	}
 	var server *authtext.Server
-	var client *authtext.Client
 	if cfg.mmap {
 		ms, err := authtext.OpenSnapshotMapped(cfg.snapshot)
 		if err != nil {
 			return nil, err
 		}
-		server, client = ms.Server(), ms.Client() // process-lifetime mapping
+		server = ms.Server() // serves for the process lifetime; never closed
 	} else {
 		var err error
-		server, client, err = authtext.OpenSnapshotFile(cfg.snapshot)
-		if err != nil {
+		if server, _, err = authtext.OpenSnapshotFile(cfg.snapshot); err != nil {
 			return nil, err
 		}
 	}
-	export, err := client.Export()
+	// Export from what was opened (not a second read of the files), so the
+	// published material always matches the serving collection.
+	export, err := server.ExportClient()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot has no publishable key (fast-signer build?): %w", err)
 	}
-	opened("snapshot")
+	if server.Shards() > 0 {
+		opened("sharded snapshot", "shards", server.Shards())
+	} else {
+		opened("snapshot")
+	}
 	return authtext.NewHTTPHandler(server, export, hopts...), nil
 }
 
@@ -515,13 +475,6 @@ func newCache(cfg config, logger *slog.Logger) *authtext.VOCache {
 	return cache
 }
 
-// liveOwner is what buildLiveHandler needs of either live owner.
-type liveOwner interface {
-	Generation() uint64
-	PersistGenerations(dir string, onError func(gen uint64, err error)) (string, error)
-	HTTPHandler(opts ...authtext.HandlerOption) (http.Handler, error)
-}
-
 // buildLiveHandler performs the live owner role in-process: every
 // accepted /v1/admin/update batch publishes a new signed generation, and
 // (with -live-snapshots) persists it as a snapshot. The handler options
@@ -530,7 +483,7 @@ type liveOwner interface {
 func buildLiveHandler(cfg config, docs []authtext.Document, opts []authtext.Option,
 	hopts []authtext.HandlerOption, logger *slog.Logger) (http.Handler, error) {
 	logger.Info("indexing live documents (RSA-1024)", "documents", len(docs), "shards", cfg.shards)
-	var owner liveOwner
+	var owner *authtext.LiveOwner
 	var err error
 	if cfg.shards > 0 {
 		owner, _, err = authtext.NewLiveShardedOwner(docs, cfg.shards,
@@ -564,15 +517,9 @@ func buildLiveHandler(cfg config, docs []authtext.Document, opts []authtext.Opti
 	}))...)
 }
 
-// replica is what -watch drives: either per-generation snapshot replica.
-type replica interface {
-	Reload() (bool, error)
-	Generation() uint64
-}
-
 // watchReplica polls a per-generation snapshot directory and hot-swaps
 // the replica to every new generation that appears.
-func watchReplica(r replica, every time.Duration, logger *slog.Logger) {
+func watchReplica(r *authtext.LiveReplica, every time.Duration, logger *slog.Logger) {
 	ticker := time.NewTicker(every)
 	defer ticker.Stop()
 	for range ticker.C {

@@ -195,7 +195,7 @@ func writeShardCorpus(t *testing.T) string {
 }
 
 // A daemon started with -shards must serve the sharded protocol with
-// parallel fan-out, verifiable by a ShardedRemoteClient.
+// parallel fan-out, verifiable by a RemoteClient.
 func TestBuildHandlerSharded(t *testing.T) {
 	dir := writeShardCorpus(t)
 	handler, err := buildHandler(config{dir: dir, shards: 3, vocab: true, quiet: true}, discardLogger())
@@ -205,7 +205,7 @@ func TestBuildHandlerSharded(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
-	rc, err := authtext.NewShardedRemoteClient(srv.URL)
+	rc, err := authtext.NewRemoteClient(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestBuildHandlerSharded(t *testing.T) {
 	if err != nil {
 		t.Fatalf("sharded remote search against daemon handler failed: %v", err)
 	}
-	if len(res.Merged) == 0 {
+	if len(res.Hits) == 0 {
 		t.Fatal("no merged hits")
 	}
 	health, err := rc.Health(context.Background())
@@ -248,7 +248,7 @@ func TestBuildHandlerFromShardedSnapshot(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
-	rc, err := authtext.NewShardedRemoteClient(srv.URL)
+	rc, err := authtext.NewRemoteClient(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestBuildHandlerFromShardedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatalf("remote search against sharded snapshot daemon failed: %v", err)
 	}
-	if len(res.Merged) == 0 {
+	if len(res.Hits) == 0 {
 		t.Fatal("no merged hits")
 	}
 }
@@ -572,11 +572,11 @@ func TestBuildHandlerLiveShardedSnapshotsAndWatchedReplica(t *testing.T) {
 	if code := update(owner.URL); code != http.StatusOK {
 		t.Fatalf("owner update answered %d", code)
 	}
-	if !authtext.IsLiveShardedSnapshotDir(gens) {
+	if !authtext.IsLiveSnapshotDir(gens) {
 		t.Fatalf("%s holds no per-generation sharded snapshots", gens)
 	}
 
-	if _, err := parseFlags([]string{"-snapshot", gens, "-mmap"}); err == nil {
+	if _, err := buildHandler(config{snapshot: gens, mmap: true, quiet: true}, discardLogger()); err == nil {
 		t.Error("-mmap accepted on a per-generation sharded snapshot directory")
 	}
 	rcfg, err := parseFlags([]string{"-snapshot", gens, "-watch", "5ms", "-quiet"})
@@ -590,7 +590,7 @@ func TestBuildHandlerLiveShardedSnapshotsAndWatchedReplica(t *testing.T) {
 	replica := httptest.NewServer(replicaHandler)
 	defer replica.Close()
 
-	rc, err := authtext.NewShardedRemoteClient(replica.URL)
+	rc, err := authtext.NewRemoteClient(replica.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

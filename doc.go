@@ -53,16 +53,16 @@
 //
 // # Sharded collections
 //
-// NewShardedOwner splits the corpus into k independently signed shards
-// built in parallel; ShardedServer fans every query out to all shards
-// concurrently and merges the local top-r lists; ShardedClient verifies
-// every shard's VO and that the merged ranking is the true global top-r
-// by deterministic recomputation. Tampering with any shard's answer,
-// dropping a shard, or reordering the merge classifies as tampering.
-// Each shard persists as one ordinary snapshot file
-// (ShardedOwner.WriteSnapshotDir / OpenShardedSnapshotDir), and
-// ShardedRemoteClient is the verifying counterpart over HTTP. The design
-// and trust model are documented in docs/SHARDING.md.
+// Sharded is data, not a type. NewShardedOwner splits the corpus into k
+// independently signed shards built in parallel and returns an Owner like
+// any other: its Server fans every query out to all shards concurrently
+// and merges the local top-r lists (SearchResult.PerShard carries each
+// shard's answer), and its Client verifies every shard's VO and that the
+// merged ranking is the true global top-r by deterministic recomputation.
+// Tampering with any shard's answer, dropping a shard, or reordering the
+// merge classifies as tampering. Each shard persists as one ordinary
+// snapshot file (Owner.WriteSnapshotDir / OpenSnapshotFile); RemoteClient
+// picks its endpoints from the export it verified. See docs/SHARDING.md.
 //
 // # Live collections and generations
 //
@@ -75,8 +75,8 @@
 // Client.Advance (and RemoteClient automatically) accepts a newer signed
 // manifest and rejects rollback with ErrStaleGeneration. Each generation
 // persists as its own snapshot, published atomically and fsynced
-// (LiveOwner.WriteSnapshotDir; LiveShardedOwner writes one directory per
-// set generation), from which OpenLiveSnapshotDir /
-// OpenLiveShardedSnapshotDir serve a hot-swappable replica. The model, trust
-// rules and measured costs are documented in docs/UPDATES.md.
+// (LiveOwner.WriteSnapshotDir; a NewLiveShardedOwner one writes a directory
+// per set generation), from which OpenLiveSnapshotDir serves a hot-swappable
+// replica. The model, trust rules and measured costs are documented in
+// docs/UPDATES.md.
 package authtext

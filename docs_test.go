@@ -1,6 +1,7 @@
 package authtext_test
 
 import (
+	"fmt"
 	"go/format"
 	"os"
 	"path/filepath"
@@ -95,17 +96,22 @@ func TestDocsGoSnippets(t *testing.T) {
 
 var mdName = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.md\b`)
 
-// TestGoCommentsNameExistingDocs verifies that every markdown file a Go
-// comment sends its reader to exists: at the path as written (from the
-// repository root or the file's own directory) or, for a bare name, under
-// docs/.
-func TestGoCommentsNameExistingDocs(t *testing.T) {
-	checked := 0
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+// historyFiles are the per-PR workflow and history files: prose about the
+// past, absent from a tree between PRs, and so exempt from the checks on
+// current prose below.
+var historyFiles = map[string]bool{"CHANGES.md": true, "ROADMAP.md": true, "ISSUE.md": true}
+
+// missingCommentDocs walks the Go files under root and reports every
+// markdown file a comment sends its reader to that does not exist: at the
+// path as written (from root or the file's own directory) or, for a bare
+// name, under docs/. The history files may be named whether or not they are
+// there. checked counts the names it looked at.
+func missingCommentDocs(root string) (missing []string, checked int, err error) {
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+		if d.IsDir() && path != root && strings.HasPrefix(d.Name(), ".") {
 			return filepath.SkipDir
 		}
 		if d.IsDir() || !strings.HasSuffix(path, ".go") {
@@ -122,25 +128,60 @@ func TestGoCommentsNameExistingDocs(t *testing.T) {
 			}
 			for _, name := range mdName.FindAllString(comment, -1) {
 				checked++
-				found := false
-				for _, base := range []string{".", filepath.Dir(path), "docs"} {
+				found := historyFiles[name]
+				for _, base := range []string{root, filepath.Dir(path), filepath.Join(root, "docs")} {
 					if _, err := os.Stat(filepath.Join(base, filepath.FromSlash(name))); err == nil {
 						found = true
 					}
 				}
 				if !found {
-					t.Errorf("%s:%d: comment names %s, which does not exist", path, i+1, name)
+					missing = append(missing, fmt.Sprintf("%s:%d: comment names %s, which does not exist", path, i+1, name))
 				}
 			}
 		}
 		return nil
 	})
+	return missing, checked, err
+}
+
+// TestGoCommentsNameExistingDocs verifies that every markdown file a Go
+// comment sends its reader to exists.
+func TestGoCommentsNameExistingDocs(t *testing.T) {
+	missing, checked, err := missingCommentDocs(".")
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, m := range missing {
+		t.Error(m)
 	}
 	if checked < 20 {
 		t.Fatalf("only %d markdown names found in Go comments; the regexp is probably wrong", checked)
 	}
+
+	// A tree between PRs has no ISSUE.md (nor need it have the other history
+	// files): naming them is fine, naming any other absent file is not.
+	t.Run("tree without the history files", func(t *testing.T) {
+		root := t.TempDir()
+		// (Spelled so that this file's own comment scan does not read the names.)
+		slashes, md := "/"+"/", ".m"+"d"
+		src := "package p\n\n" + slashes + " See ISSUE" + md + ", CHANGES" + md + " and ROADMAP" + md +
+			"; the spec is docs/SPEC" + md + ",\n" + slashes + " not docs/GONE" + md + ".\n"
+		if err := os.MkdirAll(filepath.Join(root, "docs"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for name, body := range map[string]string{"p.go": src, "docs/SPEC" + md: "spec\n"} {
+			if err := os.WriteFile(filepath.Join(root, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		missing, checked, err := missingCommentDocs(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checked != 5 || len(missing) != 1 || !strings.Contains(missing[0], "docs/GONE"+md) {
+			t.Fatalf("checked %d names, missing %q; want 5 checked and only docs/GONE missing", checked, missing)
+		}
+	})
 }
 
 var figFlag = regexp.MustCompile(`-fig[\s=]+([A-Za-z0-9,]+)`)
@@ -161,7 +202,7 @@ func TestDocsNameAcceptedFigures(t *testing.T) {
 		files = append(files, matches...)
 	}
 	for _, file := range docFiles(t) {
-		if file != "CHANGES.md" && file != "ROADMAP.md" && file != "ISSUE.md" {
+		if !historyFiles[file] {
 			files = append(files, file)
 		}
 	}

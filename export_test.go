@@ -64,7 +64,7 @@ func TestImportRejectsTamperedExport(t *testing.T) {
 
 func TestManifestDecodeRoundTripViaExport(t *testing.T) {
 	o := owner(t)
-	m, _ := o.col.Manifest()
+	m, _ := o.v.col.Manifest()
 	blob, err := o.ExportClient()
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package authtext
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -136,14 +137,6 @@ type CrossCheckReport struct {
 	Equivocation error
 }
 
-// manifestState snapshots the client's own accepted manifest (encoding +
-// generation) to seed the cross-check history.
-func (c *Client) manifestState() (raw []byte, gen uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.manifest.Encode(), c.manifest.Generation
-}
-
 // fetchedManifest is one replica's raw manifest response.
 type fetchedManifest struct {
 	raw    []byte
@@ -164,6 +157,9 @@ func (fc *FleetClient) CrossCheck(ctx context.Context) (*CrossCheckReport, error
 	if err != nil {
 		return nil, err
 	}
+	if client.Shards() > 0 {
+		return nil, errors.New("authtext: fleet cross-checks compare collection manifests; a fleet of shard sets is not supported")
+	}
 
 	// Fetch all replicas concurrently over the direct side channel,
 	// always as plain JSON: cross-checks are rare and small, and the
@@ -180,13 +176,7 @@ func (fc *FleetClient) CrossCheck(ctx context.Context) (*CrossCheckReport, error
 				fetched[i].netErr = err
 				return
 			}
-			raw, sigRaw, _, err := splitClientExport(export)
-			if err != nil {
-				fetched[i].netErr = err
-				return
-			}
-			fetched[i].raw = append([]byte(nil), raw...)
-			fetched[i].sig = append([]byte(nil), sigRaw...)
+			fetched[i].raw, fetched[i].sig, _, fetched[i].netErr = splitClientExport(export)
 		}(i, u)
 	}
 	wg.Wait()
@@ -248,7 +238,10 @@ func (fc *FleetClient) CrossCheck(ctx context.Context) (*CrossCheckReport, error
 	// Compare the verified views against each other and against every
 	// view this client has ever accepted.
 	fc.mu.Lock()
-	ownRaw, ownGen := client.manifestState()
+	// Seed the history with the client's own accepted manifest.
+	client.mu.Lock()
+	ownGen, ownRaw := client.generationLocked(), client.encodingLocked()
+	client.mu.Unlock()
 	fc.noteManifest(ownGen, ownRaw)
 	for _, v := range ok {
 		st := &rep.Replicas[v.idx]
@@ -322,13 +315,13 @@ func (fc *FleetClient) noteManifest(gen uint64, raw []byte) {
 // the detector must keep working through exactly the outages it exists
 // to observe.
 func (fc *FleetClient) bootstrapAnywhere(ctx context.Context) (*Client, error) {
+	client, ferr := fc.bootstrapped(ctx)
+	if ferr == nil {
+		return client, nil
+	}
 	fc.RemoteClient.mu.Lock()
 	defer fc.RemoteClient.mu.Unlock()
 	if fc.RemoteClient.client != nil {
-		return fc.RemoteClient.client, nil
-	}
-	ferr := fc.RemoteClient.bootstrapLocked(ctx)
-	if ferr == nil {
 		return fc.RemoteClient.client, nil
 	}
 	for _, u := range fc.replicas {

@@ -42,7 +42,7 @@ func startPropReplica(t *testing.T, dir string) *propReplica {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler, err := authtext.NewLiveReplicaHTTPHandler(rep)
+	handler, err := rep.HTTPHandler()
 	if err != nil {
 		t.Fatal(err)
 	}

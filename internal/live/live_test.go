@@ -2,9 +2,11 @@ package live
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -148,30 +150,167 @@ func TestUpdateAdvancesGenerationAndReusesSignatures(t *testing.T) {
 	}
 }
 
-func TestUpdateRejectsBadBatches(t *testing.T) {
-	c, handles, err := New(corpus(3), testConfig(t))
+// shapes is the table every update-contract test runs over: the same
+// Collection as a bare collection and as a 2-shard set.
+var shapes = []struct {
+	name   string
+	shards int
+}{{"bare", 0}, {"k=2", 2}}
+
+// failingSigner signs with the embedded signer until fail is set.
+type failingSigner struct {
+	sig.Signer
+	fail bool
+}
+
+func (s *failingSigner) Sign(msg []byte) ([]byte, error) {
+	if s.fail {
+		return nil, errors.New("signing key unavailable")
+	}
+	return s.Signer.Sign(msg)
+}
+
+func newShape(t *testing.T, shards int, docs []index.Document) (*Collection, []uint64, *failingSigner) {
+	t.Helper()
+	cfg := testConfig(t)
+	signer := &failingSigner{Signer: cfg.Signer}
+	cfg.Signer = signer
+	var (
+		c       *Collection
+		handles []uint64
+		err     error
+	)
+	if shards == 0 {
+		c, handles, err = New(docs, cfg)
+	} else {
+		c, handles, err = NewSharded(docs, cfg, shards, shard.HashContent)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Update(nil, nil); err == nil {
-		t.Fatal("empty batch accepted")
+	if c.Shards() != shards {
+		t.Fatalf("Shards() = %d, want %d", c.Shards(), shards)
 	}
-	if _, _, err := c.Update(nil, []uint64{999}); err == nil {
-		t.Fatal("unknown handle accepted")
+	if (c.Current() != nil) == (c.CurrentSet() != nil) {
+		t.Fatal("exactly one of Current and CurrentSet must be published")
 	}
-	if _, _, err := c.Update(nil, []uint64{handles[0], handles[0]}); err == nil {
-		t.Fatal("duplicate handle accepted")
+	return c, handles, signer
+}
+
+// selfVerify searches the published generation and verifies the answer
+// against the generation's own manifests, whatever the shape.
+func selfVerify(t *testing.T, c *Collection) {
+	t.Helper()
+	tokens := []string{"merkle", "digest"}
+	if set := c.CurrentSet(); set != nil {
+		res, err := set.Search(tokens, 5, core.AlgoTNRA, core.SchemeCMHT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.VerifyResult(tokens, 5, res); err != nil {
+			t.Fatalf("sharded self-verification failed: %v", err)
+		}
+		return
 	}
-	if _, _, err := c.Update(nil, handles); err == nil {
-		t.Fatal("emptying removal accepted")
+	searchVerify(t, c.Current(), tokens)
+}
+
+// TestUpdateContractEveryShape: removal errors, failed-update rollback,
+// compaction and the W_A re-pin behave alike on a bare collection and on a
+// shard set.
+func TestUpdateContractEveryShape(t *testing.T) {
+	for _, shape := range shapes {
+		t.Run(shape.name, func(t *testing.T) {
+			c, handles, signer := newShape(t, shape.shards, corpus(20))
+			if got := c.Handles(); !reflect.DeepEqual(sorted(got), handles) {
+				t.Fatalf("Handles() = %v, want the initial handles %v", got, handles)
+			}
+
+			// Rejected batches leave corpus, generation and token sum untouched.
+			if _, _, err := c.Update(nil, handles[:1]); err != nil {
+				t.Fatal(err)
+			}
+			before := corpusState(c)
+			for name, batch := range map[string]struct {
+				add    []index.Document
+				remove []uint64
+			}{
+				"empty":           {},
+				"unknown handle":  {remove: []uint64{999}},
+				"duplicate":       {remove: []uint64{handles[1], handles[1]}},
+				"already removed": {remove: handles[:1]},
+				"emptying":        {remove: handles[1:]},
+				"failed build":    {add: corpusAt(20, 2), remove: handles[1:3]},
+			} {
+				signer.fail = name == "failed build"
+				if _, _, err := c.Update(batch.add, batch.remove); err == nil {
+					t.Fatalf("%s batch accepted", name)
+				}
+				signer.fail = false
+				if after := corpusState(c); !reflect.DeepEqual(after, before) {
+					t.Fatalf("%s batch left its mark on the collection:\n%+v\nwas\n%+v", name, after, before)
+				}
+			}
+			selfVerify(t, c)
+
+			// Compaction: once a list's dead slots outnumber its live documents
+			// the rebuild drops them; the survivors keep their handles and order.
+			var st *UpdateStats
+			for i := 1; i < 16 && (st == nil || !st.Compacted); i++ {
+				var err error
+				if _, st, err = c.Update(nil, handles[i:i+1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !st.Compacted {
+				t.Fatalf("16 of 20 documents removed and nothing compacted: %+v", st)
+			}
+			slots := 0
+			for s := range c.slots {
+				slots += len(c.slots[s])
+			}
+			if slots != st.Documents+st.TombstonedSlots || len(c.Handles()) != st.Documents {
+				t.Fatalf("after compaction %d slots for %d live + %d tombstoned; %d handles",
+					slots, st.Documents, st.TombstonedSlots, len(c.Handles()))
+			}
+			selfVerify(t, c)
+
+			// Re-pin: a batch that crosses maxAvgLenDrift re-signs everything
+			// and carries no shard over.
+			_, st, err := c.Update(longCorpusAt(100, 40), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Reused > st.Signed || st.ShardsReused != 0 {
+				t.Fatalf("re-pin reused %d / signed %d signatures and carried %d shards over", st.Reused, st.Signed, st.ShardsReused)
+			}
+			if want := float64(c.tokens) / float64(st.Documents+st.TombstonedSlots); c.pinnedAvgLen != want {
+				t.Fatalf("re-pinned W_A %v, the corpus mean is %v", c.pinnedAvgLen, want)
+			}
+			selfVerify(t, c)
+		})
 	}
-	// Failed updates must leave generation and corpus untouched.
-	if c.Generation() != 1 {
-		t.Fatalf("generation moved to %d after rejected batches", c.Generation())
+}
+
+// corpusState is a deep copy of everything a failed update must restore.
+func corpusState(c *Collection) any {
+	type state struct {
+		gen, nextHandle uint64
+		tokens          int64
+		dead            []int
+		slots           [][]entry
 	}
-	if got := len(c.Handles()); got != 3 {
-		t.Fatalf("corpus has %d documents after rejected batches, want 3", got)
+	st := state{gen: c.Generation(), nextHandle: c.nextHandle, tokens: c.tokens, dead: append([]int(nil), c.dead...)}
+	for _, slots := range c.slots {
+		st.slots = append(st.slots, append([]entry(nil), slots...))
 	}
+	return st
+}
+
+func sorted(hs []uint64) []uint64 {
+	out := append([]uint64(nil), hs...)
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
 }
 
 func TestVOCarriesGeneration(t *testing.T) {
@@ -218,7 +357,7 @@ func TestShardedUpdateReusesUntouchedShards(t *testing.T) {
 	if c.Generation() != 1 {
 		t.Fatalf("initial generation = %d", c.Generation())
 	}
-	set := c.Current()
+	set := c.CurrentSet()
 	sm, _ := set.Manifest()
 	if sm.Generation != 1 {
 		t.Fatalf("set manifest generation = %d", sm.Generation)
@@ -235,7 +374,7 @@ func TestShardedUpdateReusesUntouchedShards(t *testing.T) {
 	if st.ShardsReused == 0 {
 		t.Fatalf("no shards reused on a 1-document add with hash partitioning (stats %+v)", st)
 	}
-	newSet := c.Current()
+	newSet := c.CurrentSet()
 	sm2, _ := newSet.Manifest()
 	if sm2.Generation != 2 || int(sm2.GlobalN) != 41 {
 		t.Fatalf("set manifest after add: gen %d globalN %d", sm2.Generation, sm2.GlobalN)
@@ -410,11 +549,17 @@ func TestRepinBuildsOnceAndAccountsEverySignature(t *testing.T) {
 		add    []index.Document
 		remove []uint64
 		repin  bool // the batch crosses maxAvgLenDrift
+		// signed and reused are what this history cost before a bare collection
+		// and a shard set shared one rebuild (recorded at 51048d1).
+		signed, reused int
 	}{
-		{"append", corpusAt(20, 3), nil, false},
-		{"remove", nil, handles[:2], false},
-		{"drift", longCorpusAt(23, 40), nil, true},
-		{"append after re-pin", longCorpusAt(63, 1), nil, false},
+		{"append", corpusAt(20, 3), nil, false, 48, 56},
+		{"remove", nil, handles[:2], false, 1, 103},
+		{"drift", longCorpusAt(23, 40), nil, true, 144, 0},
+		{"append after re-pin", longCorpusAt(63, 1), nil, false, 38, 107},
+	}
+	if st := c.LastStats(); st.Signed != 101 || st.Reused != 0 {
+		t.Fatalf("generation 1 signed %d / reused %d signatures, want 101 / 0", st.Signed, st.Reused)
 	}
 	for _, step := range steps {
 		pinned := c.Current().Index().AvgLen
@@ -422,15 +567,18 @@ func TestRepinBuildsOnceAndAccountsEverySignature(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
+		if st.Signed != step.signed || st.Reused != step.reused {
+			t.Fatalf("%s: signed %d / reused %d signatures, want %d / %d", step.name, st.Signed, st.Reused, step.signed, step.reused)
+		}
 		col := c.Current()
 		if step.repin {
-			assertOneBuild(t, col, c.docs, cfg, 0)
+			assertOneBuild(t, col, c.slots[0], cfg, 0)
 			if now := col.Index().AvgLen; (now-pinned)/pinned <= maxAvgLenDrift {
 				t.Fatalf("%s: W_A moved from %v to %v; the batch was meant to cross the %v drift bound",
 					step.name, pinned, now, maxAvgLenDrift)
 			}
 		} else {
-			assertOneBuild(t, col, c.docs, cfg, pinned)
+			assertOneBuild(t, col, c.slots[0], cfg, pinned)
 			if st.Reused < st.Signed {
 				t.Fatalf("%s: reused %d / signed %d signatures at an unchanged W_A", step.name, st.Reused, st.Signed)
 			}
@@ -460,11 +608,11 @@ func TestShardedRepin(t *testing.T) {
 		if st.ShardsReused != shardsReused {
 			t.Fatalf("generation %d carried %d shards over, want %d", st.Generation, st.ShardsReused, shardsReused)
 		}
-		set := c.Current()
+		set := c.CurrentSet()
 		rebuilt := 0
 		for s := 0; s < set.K(); s++ {
 			if m, _ := set.Col(s).Manifest(); m.Generation == st.Generation {
-				assertOneBuild(t, set.Col(s), c.shards[s], cfg, avgLen)
+				assertOneBuild(t, set.Col(s), c.slots[s], cfg, avgLen)
 				rebuilt += set.Col(s).BuildStats().Signatures
 			}
 		}
@@ -481,7 +629,7 @@ func TestShardedRepin(t *testing.T) {
 			t.Fatalf("generation %d: sharded self-verification failed: %v", st.Generation, err)
 		}
 	}
-	pinned := c.Current().Col(0).Index().AvgLen
+	pinned := c.CurrentSet().Col(0).Index().AvgLen
 	if want := float64(c.tokens) / 40; pinned != want {
 		t.Fatalf("generation 1 pinned W_A %v, the corpus mean is %v", pinned, want)
 	}

@@ -3,6 +3,7 @@ package authtext
 import (
 	"authtext/internal/index"
 	"authtext/internal/live"
+	"authtext/internal/shard"
 )
 
 // Live collections accept document updates after publication: every batch
@@ -39,7 +40,7 @@ type UpdateReport struct {
 	// records).
 	SignaturesSigned, SignaturesReused int
 	// ShardsReused counts whole shards carried over without a rebuild
-	// (sharded deployments only).
+	// (shard sets only).
 	ShardsReused int
 	// RebuildMillis is the wall time from accepting the batch to swapping
 	// the served pointer.
@@ -61,12 +62,13 @@ func updateReport(st *live.UpdateStats) *UpdateReport {
 	}
 }
 
-// LiveOwner owns a live collection: it holds the signing key, accepts
-// update batches, and publishes a new signed generation for each.
-// All construction Options of NewOwner apply, including the authority
-// boost (WithAuthority / WithPageRank); use UpdateWithAuthority to score
-// documents added later. Safe for concurrent use: updates serialise
-// against each other, never against searches.
+// LiveOwner owns a live collection — bare (NewLiveOwner) or a shard set
+// (NewLiveShardedOwner): it holds the signing key, accepts update batches,
+// and publishes a new signed generation for each. All construction Options
+// of NewOwner apply, including the authority boost (WithAuthority /
+// WithPageRank); use UpdateWithAuthority to score documents added later.
+// Safe for concurrent use: updates serialise against each other, never
+// against searches.
 type LiveOwner struct {
 	lc *live.Collection
 	// metrics, when non-nil, receives generation telemetry for every
@@ -90,6 +92,28 @@ func NewLiveOwner(docs []Document, opts ...Option) (*LiveOwner, []DocHandle, err
 		return nil, nil, err
 	}
 	lc, handles, err := live.New(idocs, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &LiveOwner{lc: lc}, docHandles(handles), nil
+}
+
+// NewLiveShardedOwner is NewLiveOwner over a shard set: one signing key, k
+// shards, and a freshly signed shard-set manifest per generation. An update
+// rebuilds only the shards whose membership changed — a small batch touches
+// few shards, and untouched shards are carried over wholesale — then the
+// whole set swaps atomically, so a fan-out never mixes generations. Only
+// PartitionHash is supported (and is the default): its placement depends on
+// document content alone, so it is stable under updates — the property that
+// makes whole-shard reuse and tombstoned removals possible.
+// WithShardPartitioner(PartitionRoundRobin) is rejected with an error
+// explaining why.
+func NewLiveShardedOwner(docs []Document, shards int, opts ...Option) (*LiveOwner, []DocHandle, error) {
+	cfg, idocs, o, err := prepareBuild(docs, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	lc, handles, err := live.NewSharded(idocs, cfg, shards, o.shardPartitioner(shard.HashContent))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -151,7 +175,11 @@ func (o *LiveOwner) UpdateWithAuthority(add []Document, auth []float64, remove [
 // Generation returns the latest published generation (≥ 1).
 func (o *LiveOwner) Generation() uint64 { return o.lc.Generation() }
 
-// Handles returns the handles of the current corpus, in document order.
+// Shards returns the shard count: 0 for a bare collection.
+func (o *LiveOwner) Shards() int { return o.lc.Shards() }
+
+// Handles returns the handles of the current corpus, in (global) document
+// order.
 func (o *LiveOwner) Handles() []DocHandle { return docHandles(o.lc.Handles()) }
 
 // LastUpdate reports the cost of the most recent generation change
@@ -161,36 +189,46 @@ func (o *LiveOwner) LastUpdate() *UpdateReport {
 	return updateReport(&st)
 }
 
+// current is the latest published generation of lc.
+func current(lc *live.Collection) served {
+	return served{col: lc.Current(), set: lc.CurrentSet()}
+}
+
 // Server returns the live serving half. One LiveServer tracks every
 // future generation; Snapshot pins the current one.
 func (o *LiveOwner) Server() *LiveServer { return &LiveServer{lc: o.lc} }
 
 // Client returns a verification client pinned to the owner's public key,
-// positioned at the current generation. Advance it with ManifestUpdate
-// payloads (or let a RemoteClient advance itself from /v1/manifest).
-func (o *LiveOwner) Client() *Client {
-	col := o.lc.Current()
-	m, msig := col.Manifest()
-	return newClient(m, msig, col.Verifier(), false)
-}
+// positioned at the current generation. Advance it with ExportClient blobs
+// (or, a bare collection's, with ManifestUpdate payloads), or let a
+// RemoteClient advance itself from the manifest endpoint.
+func (o *LiveOwner) Client() *Client { return current(o.lc).client() }
 
 // ManifestUpdate returns the current generation's canonical manifest
 // encoding and signature — the payload Client.Advance consumes. Publish
 // it over any channel; its trust comes from the signature, not the
-// transport.
+// transport. Bare collections only: one manifest cannot carry a shard
+// population, so a shard set returns nil, nil — publish ExportClient's blob
+// for Client.AdvanceExport instead.
 func (o *LiveOwner) ManifestUpdate() (manifest, sig []byte) {
-	m, msig := o.lc.Current().Manifest()
+	col := o.lc.Current()
+	if col == nil {
+		return nil, nil
+	}
+	m, msig := col.Manifest()
 	return m.Encode(), msig
 }
 
-// ExportClient serialises the current generation's verification material
-// as an ATCX blob (RSA-signed collections only, like Owner.ExportClient).
+// ExportClient serialises the current generation's verification material:
+// the manifest endpoint's payload, and what Client.AdvanceExport consumes
+// (ATCX — RSA-signed collections only — or a shard set's ATSX, like
+// Owner.ExportClient).
 func (o *LiveOwner) ExportClient() ([]byte, error) { return o.Client().Export() }
 
 // LiveServer serves queries from the latest published generation of a
-// live collection. Safe for concurrent use; a search in flight during a
-// generation swap completes entirely against the generation it started
-// on (its VO names that generation), never a mix.
+// live collection. Safe for concurrent use; a search (a whole fan-out) in
+// flight during a generation swap completes entirely against the generation
+// it started on (its VO names that generation), never a mix.
 type LiveServer struct {
 	lc      *live.Collection
 	cache   *VOCache
@@ -208,18 +246,21 @@ func (s *LiveServer) SetVOCache(c *VOCache) { s.cache = c }
 // detaches). Call before serving starts.
 func (s *LiveServer) SetMetrics(m *Metrics) {
 	s.metrics = m
-	m.setGeneration(s.lc.Generation())
+	m.setGeneration(s.Generation())
 }
 
 // Snapshot pins the current generation and returns an ordinary Server
 // for it: batches or multi-query sessions that must see one consistent
 // state use the pinned server for all their queries.
 func (s *LiveServer) Snapshot() *Server {
-	return (&Server{col: s.lc.Current()}).withCache(s.cache).withMetrics(s.metrics)
+	return &Server{v: current(s.lc), cache: s.cache, metrics: s.metrics}
 }
 
 // Generation returns the latest published generation.
 func (s *LiveServer) Generation() uint64 { return s.lc.Generation() }
+
+// Shards returns the shard count: 0 for a bare collection.
+func (s *LiveServer) Shards() int { return s.lc.Shards() }
 
 // Search runs a top-r query against the latest generation (see
 // Server.Search).

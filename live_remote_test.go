@@ -172,7 +172,7 @@ func TestLiveReplicaHandlerServesAndRefusesUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handler, err := authtext.NewLiveReplicaHTTPHandler(replica)
+	handler, err := replica.HTTPHandler()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestLiveShardedRemoteGenerations(t *testing.T) {
 	defer ts.Close()
 	ctx := context.Background()
 
-	rc, err := authtext.NewShardedRemoteClient(ts.URL)
+	rc, err := authtext.NewRemoteClient(ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

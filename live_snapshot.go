@@ -3,7 +3,6 @@ package authtext
 import (
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,10 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"authtext/internal/engine"
-	"authtext/internal/httpapi"
 	"authtext/internal/live"
-	"authtext/internal/shard"
+	"authtext/internal/snapshot"
 )
 
 // Per-generation snapshot layout: a live snapshot directory holds one
@@ -30,8 +27,7 @@ import (
 // generation under a generation name. The highest generation IS the
 // current state — no separate pointer file to go stale — and a serving
 // process resumes at the latest generation by scanning the directory; each
-// entry is independently a valid OpenSnapshotFile / OpenShardedSnapshotDir
-// input. The trust model is theirs: the directory is untrusted (sharded
+// entry is independently a valid OpenSnapshotFile input. The trust model is theirs: the directory is untrusted (sharded
 // sets are cross-checked against the signed set manifest), and a replica
 // additionally refuses to reload a generation lower than one it already
 // served (rollback on disk is still rollback). docs/UPDATES.md and
@@ -85,40 +81,52 @@ func latestGeneration(dir string, sharded bool) (uint64, string, error) {
 }
 
 // IsLiveSnapshotDir reports whether path is a directory holding
-// per-generation snapshots (used by the CLIs to route -snapshot PATH).
+// per-generation snapshots of either layout (used by the CLIs to route
+// -snapshot PATH).
 func IsLiveSnapshotDir(path string) bool {
-	_, _, err := latestGeneration(path, false)
+	_, err := liveDirLayout(path)
 	return err == nil
 }
 
-// IsLiveShardedSnapshotDir reports whether path is a directory holding
-// per-generation sharded snapshots (used by the CLIs to route
-// -snapshot PATH).
-func IsLiveShardedSnapshotDir(path string) bool {
-	_, _, err := latestGeneration(path, true)
-	return err == nil
+// liveDirLayout reports which layout dir holds generations in: files
+// (false) or shard-set directories (true). A directory has one writer and so
+// one layout.
+func liveDirLayout(dir string) (sharded bool, err error) {
+	if _, _, err = latestGeneration(dir, false); err == nil {
+		return false, nil
+	}
+	_, _, err = latestGeneration(dir, true)
+	return true, err
 }
 
 // WriteSnapshotDir persists the CURRENT generation as
-// dir/gen-NNNNNNNNNNNN.atsn (creating dir if needed) and returns the
-// written path. Earlier generations' files are left in place — prune them
-// with any retention policy you like; a replica always picks the highest
-// generation. The write is atomic and fsynced: a crash mid-write leaves no
-// partial snapshot under a generation name.
+// dir/gen-NNNNNNNNNNNN.atsn — a shard set's as the directory
+// dir/gen-NNNNNNNNNNNN/ — creating dir if needed, and returns the written
+// path. Earlier generations are left in place — prune them with any
+// retention policy you like; a replica always picks the highest generation.
+// The write is atomic and fsynced: a crash mid-write leaves no partial
+// snapshot under a generation name. A shard set's generation that is already
+// on disk is left alone: the signed content is determined by the generation,
+// so the existing directory is as good as a rewrite.
 func (o *LiveOwner) WriteSnapshotDir(dir string) (string, error) {
-	return writeGenerationSnapshot(o.lc.Current(), dir)
-}
-
-// WriteSnapshotDir persists the CURRENT set generation as
-// dir/gen-NNNNNNNNNNNN/ (see LiveOwner.WriteSnapshotDir).
-func (o *LiveShardedOwner) WriteSnapshotDir(dir string) (string, error) {
-	return writeShardedGenerationSnapshot(o.lc.Current(), dir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", err
+	}
+	v := current(o.lc)
+	path := filepath.Join(dir, genName(v.generation(), v.set != nil))
+	if v.set == nil {
+		return path, publishCollection(path, v.col)
+	}
+	if _, err := os.Stat(path); err == nil {
+		return path, nil
+	}
+	return path, publish(path, true, func(tmp string) error { return writeShardSet(tmp, v) })
 }
 
 // PersistGenerations writes the current generation's snapshot to dir now
 // and arranges for every FUTURE generation to be written too, from
 // inside the update critical section — so even updates racing each other
-// each leave their own gen-*.atsn file, in order. onError (optional)
+// each leave their own generation snapshot, in order. onError (optional)
 // receives snapshot failures of future generations; the update itself
 // still succeeds (serving beats durability here, and the next
 // generation's snapshot re-establishes the latest state on disk).
@@ -127,100 +135,109 @@ func (o *LiveShardedOwner) WriteSnapshotDir(dir string) (string, error) {
 // writer's interrupted publishes left there (hidden .gen-*.tmp entries) is
 // removed first. Replicas and one-shot WriteSnapshotDir calls never sweep.
 func (o *LiveOwner) PersistGenerations(dir string, onError func(gen uint64, err error)) (string, error) {
-	return persistGenerations(dir, o.lc.Current(), writeGenerationSnapshot, o.lc.SetPublishHook, onError)
-}
-
-// PersistGenerations is LiveOwner.PersistGenerations for a shard set: each
-// set generation leaves its own gen-*/ directory.
-func (o *LiveShardedOwner) PersistGenerations(dir string, onError func(gen uint64, err error)) (string, error) {
-	return persistGenerations(dir, o.lc.Current(), writeShardedGenerationSnapshot, o.lc.SetPublishHook, onError)
-}
-
-func persistGenerations[T any](dir string, cur T, write func(T, string) (string, error),
-	setHook func(func(T, *live.UpdateStats)), onError func(gen uint64, err error)) (string, error) {
 	if err := sweepPublishTemps(dir); err != nil {
 		return "", err
 	}
-	path, err := write(cur, dir)
+	path, err := o.WriteSnapshotDir(dir)
 	if err != nil {
 		return "", err
 	}
-	setHook(func(next T, st *live.UpdateStats) {
-		if _, err := write(next, dir); err != nil && onError != nil {
+	o.lc.SetPublishHook(func(st *live.UpdateStats) {
+		if _, err := o.WriteSnapshotDir(dir); err != nil && onError != nil {
 			onError(st.Generation, err)
 		}
 	})
 	return path, nil
 }
 
-// writeGenerationSnapshot publishes col's generation snapshot into dir and
-// returns the path.
-func writeGenerationSnapshot(col *engine.Collection, dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	m, _ := col.Manifest()
-	path := filepath.Join(dir, genName(m.Generation, false))
-	return path, publishCollection(path, col)
-}
-
-// writeShardedGenerationSnapshot publishes set's generation directory
-// into dir and returns its path. A generation that is already on disk is
-// left alone: the signed content is determined by the generation, so the
-// existing directory is as good as a rewrite.
-func writeShardedGenerationSnapshot(set *shard.Set, dir string) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	sm, _ := set.Manifest()
-	path := filepath.Join(dir, genName(sm.Generation, true))
-	if _, err := os.Stat(path); err == nil {
-		return path, nil
-	}
-	return path, publish(path, true, func(tmp string) error { return writeShardSet(tmp, set) })
-}
-
-// generation is one loaded generation of a replica; S and C are its
-// serving and verifying halves.
-type generation[S, C any] struct {
-	server S
-	client C
+// generation is one loaded generation of a replica.
+type generation struct {
+	server *Server
+	client *Client
 	gen    uint64
 	// export is the blob served at the manifest endpoint (ATCX or ATSX);
-	// nil for fast-signer single-collection snapshots.
+	// nil for a fast-signer bare snapshot, which has no publishable key — a
+	// replica of one serves without a manifest endpoint rather than failing
+	// to open.
 	export []byte
-	// ms, for mapped replicas, owns this generation's file mapping. The
-	// generation holds the opening reference; Reload releases it when the
-	// generation is superseded, and pinned Server() copies hold their own
-	// references (dropped by finalizer), so in-flight queries keep their
-	// pages until they are collected — unmap-after-swap, never under a
-	// reader.
-	ms *MappedSnapshot
+	// mp, for mapped replicas, is this generation's file mapping (mapped
+	// generations are bare collections: one file). The generation holds the
+	// opening reference; Reload releases it when the generation is
+	// superseded, and pinned Server() copies hold their own references
+	// (dropped by finalizer), so in-flight queries keep their pages until
+	// they are collected — unmap-after-swap, never under a reader.
+	mp *snapshot.Mapped
 }
 
-func (g *generation[S, C]) release() {
-	if g.ms != nil {
-		g.ms.Close()
+func (g *generation) release() {
+	if g.mp != nil {
+		g.mp.Release()
 	}
 }
 
-// replica is what LiveReplica and LiveShardedReplica share: the served
-// generation, the reload protocol over a per-generation snapshot
-// directory, and the serving-only half of a handler's generation source.
-type replica[S, C any] struct {
-	dir     string
-	sharded bool
-	// load opens one generation snapshot, reporting the generation its
-	// signed manifest pins.
-	load func(path string) (*generation[S, C], error)
+// LiveReplica serves a live collection — bare or a shard set — from its
+// snapshot directory without holding the signing key: it opens the latest
+// generation and, on Reload, hot-swaps to any newer generation that has
+// appeared — `authserved -watch` is its production wrapper. It refuses to
+// move backward: a directory whose latest generation shrank fails Reload
+// rather than silently serving rolled-back state.
+type LiveReplica struct {
+	dir string
+	// sharded is the layout found at open; mapped says generations are
+	// memory-mapped instead of copied.
+	sharded, mapped bool
 
 	mu  sync.Mutex // serialises Reload
-	cur atomic.Pointer[generation[S, C]]
+	cur atomic.Pointer[generation]
 	// cache and metrics are carried into every Server() copy; the shared
 	// generation's server is never mutated. metrics also receives reload
 	// telemetry (generation gauge, snapshot open time).
 	cache   *VOCache
 	metrics *Metrics
+}
+
+// OpenLiveSnapshotDir opens the latest generation in dir — whichever layout
+// it is in — and returns the serving replica.
+func OpenLiveSnapshotDir(dir string) (*LiveReplica, error) { return openLiveReplica(dir, false) }
+
+// OpenLiveSnapshotDirMapped is OpenLiveSnapshotDir with zero-copy
+// generation opens: each gen-*.atsn is memory-mapped instead of copied, so
+// a reload swaps generations at decode speed and superseded generations'
+// pages unmap once their in-flight queries finish (see MappedSnapshot).
+// Bare collections only: a directory of shard-set generations is refused.
+func OpenLiveSnapshotDirMapped(dir string) (*LiveReplica, error) { return openLiveReplica(dir, true) }
+
+func openLiveReplica(dir string, mapped bool) (*LiveReplica, error) {
+	sharded, err := liveDirLayout(dir)
+	if err != nil {
+		return nil, err
+	}
+	if sharded && mapped {
+		return nil, fmt.Errorf("authtext: %s holds shard-set generations; mapped replicas serve bare collections only", dir)
+	}
+	r := &LiveReplica{dir: dir, sharded: sharded, mapped: mapped}
+	if _, err := r.Reload(); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// load opens one generation snapshot.
+func (r *LiveReplica) load(path string) (*generation, error) {
+	ms, err := openSnapshotPath(path, r.mapped)
+	if err != nil {
+		return nil, err
+	}
+	g := &generation{server: ms.server, client: ms.client, gen: ms.client.Generation()}
+	if r.mapped {
+		g.mp = ms.maps[0]
+	}
+	// Export from what was opened, so the published material always matches
+	// the serving collections.
+	if g.export, err = g.client.Export(); err != nil && r.sharded {
+		return nil, err
+	}
+	return g, nil
 }
 
 // Reload checks the directory for a newer generation and atomically swaps
@@ -229,7 +246,7 @@ type replica[S, C any] struct {
 // than its name claims is rejected, and so is a directory whose latest
 // generation is lower than the one being served. Reload is cheap when
 // nothing changed (one directory scan).
-func (r *replica[S, C]) Reload() (bool, error) {
+func (r *LiveReplica) Reload() (bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	gen, path, err := latestGeneration(r.dir, r.sharded)
@@ -270,92 +287,21 @@ func (r *replica[S, C]) Reload() (bool, error) {
 // detaches). Call before serving starts. Reloads need no cache work:
 // generation-stamped keys mean entries of superseded generations simply
 // stop matching.
-func (r *replica[S, C]) SetVOCache(c *VOCache) { r.cache = c }
+func (r *LiveReplica) SetVOCache(c *VOCache) { r.cache = c }
 
 // SetMetrics attaches a metric registry carried into every Server() result
 // and recording reload telemetry (nil detaches). Call before serving
 // starts. The currently served generation is published immediately.
-func (r *replica[S, C]) SetMetrics(m *Metrics) {
+func (r *LiveReplica) SetMetrics(m *Metrics) {
 	r.metrics = m
 	m.setGeneration(r.Generation())
 }
 
 // Client returns the verification client of the current generation.
-func (r *replica[S, C]) Client() C { return r.cur.Load().client }
+func (r *LiveReplica) Client() *Client { return r.cur.Load().client }
 
 // Generation returns the currently served generation.
-func (r *replica[S, C]) Generation() uint64 { return r.cur.Load().gen }
-
-// The serving-only half of a handler's generation source (serve.go); pin
-// is each replica's Server.
-
-func (r *replica[S, C]) export() ([]byte, error) {
-	if blob := r.cur.Load().export; blob != nil {
-		return blob, nil
-	}
-	return nil, &httpapi.StatusError{
-		Status:  http.StatusServiceUnavailable,
-		Code:    httpapi.CodeUnavailable,
-		Message: "this server has no publishable verification key (fast-signer build?)",
-	}
-}
-
-func (r *replica[S, C]) adopt(_ *VOCache, m *Metrics) {
-	if m != nil && r.metrics == nil {
-		r.SetMetrics(m)
-	}
-}
-
-func (r *replica[S, C]) updater() (liveUpdater, bool) { return nil, true }
-
-// LiveReplica serves a live collection from its snapshot directory
-// without holding the signing key: it opens the latest generation and,
-// on Reload, hot-swaps to any newer generation that has appeared —
-// `authserved -watch` is its production wrapper. It refuses to move
-// backward: a directory whose latest generation shrank fails Reload
-// rather than silently serving rolled-back state.
-type LiveReplica struct {
-	replica[*Server, *Client]
-}
-
-// OpenLiveSnapshotDir opens the latest generation in dir and returns the
-// serving replica.
-func OpenLiveSnapshotDir(dir string) (*LiveReplica, error) { return openLiveReplica(dir, false) }
-
-// OpenLiveSnapshotDirMapped is OpenLiveSnapshotDir with zero-copy
-// generation opens: each gen-*.atsn is memory-mapped instead of copied, so
-// a reload swaps generations at decode speed and superseded generations'
-// pages unmap once their in-flight queries finish (see MappedSnapshot).
-func OpenLiveSnapshotDirMapped(dir string) (*LiveReplica, error) { return openLiveReplica(dir, true) }
-
-func openLiveReplica(dir string, mapped bool) (*LiveReplica, error) {
-	r := &LiveReplica{}
-	r.dir = dir
-	r.load = func(path string) (*generation[*Server, *Client], error) {
-		g := &generation[*Server, *Client]{}
-		if mapped {
-			ms, err := OpenSnapshotMapped(path)
-			if err != nil {
-				return nil, err
-			}
-			g.server, g.client, g.ms = ms.Server(), ms.Client(), ms
-		} else {
-			var err error
-			if g.server, g.client, err = OpenSnapshotFile(path); err != nil {
-				return nil, err
-			}
-		}
-		g.gen = g.client.Generation()
-		// Fast-signer snapshots have no publishable key; a replica of one
-		// serves without a manifest endpoint rather than failing to open.
-		g.export, _ = g.client.Export()
-		return g, nil
-	}
-	if _, err := r.Reload(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
+func (r *LiveReplica) Generation() uint64 { return r.cur.Load().gen }
 
 // Close releases the current generation's mapping (no-op for copying
 // replicas). Serving must have stopped; pinned Server() copies still in
@@ -365,7 +311,7 @@ func (r *LiveReplica) Close() error {
 	defer r.mu.Unlock()
 	if cur := r.cur.Load(); cur != nil {
 		cur.release()
-		cur.ms = nil
+		cur.mp = nil
 	}
 	return nil
 }
@@ -377,14 +323,14 @@ func (r *LiveReplica) Close() error {
 func (r *LiveReplica) Server() *Server {
 	for {
 		st := r.cur.Load()
-		if st.ms == nil {
-			return st.server.withCache(r.cache).withMetrics(r.metrics)
+		mp := st.mp
+		if mp == nil {
+			return st.server.with(r.cache, r.metrics)
 		}
-		if st.ms.m.Retain() {
+		if mp.Retain() {
 			// A fresh allocation per call so the finalizer tracks exactly
-			// this handle's lifetime (withCache may return a shared pointer).
-			srv := &Server{col: st.server.col, cache: r.cache, metrics: r.metrics}
-			mp := st.ms.m
+			// this handle's lifetime (with may return a shared pointer).
+			srv := &Server{v: st.server.v, cache: r.cache, metrics: r.metrics}
 			runtime.SetFinalizer(srv, func(*Server) { mp.Release() })
 			return srv
 		}
@@ -392,47 +338,3 @@ func (r *LiveReplica) Server() *Server {
 		// generation; the store of the successor is already visible.
 	}
 }
-
-func (r *LiveReplica) pin() servingView { return r.Server() }
-
-// LiveShardedReplica serves a live sharded collection from its snapshot
-// directory without holding the signing key: it opens the latest set
-// generation and, on Reload, hot-swaps to any newer generation that has
-// appeared. Like LiveReplica it refuses to move backward.
-type LiveShardedReplica struct {
-	replica[*ShardedServer, *ShardedClient]
-}
-
-// OpenLiveShardedSnapshotDir opens the latest set generation in dir and
-// returns the serving replica.
-func OpenLiveShardedSnapshotDir(dir string) (*LiveShardedReplica, error) {
-	r := &LiveShardedReplica{}
-	r.dir, r.sharded = dir, true
-	r.load = func(path string) (*generation[*ShardedServer, *ShardedClient], error) {
-		server, client, err := OpenShardedSnapshotDir(path)
-		if err != nil {
-			return nil, err
-		}
-		// Export from the opened set, so the published material always
-		// matches the serving shards.
-		export, err := server.ExportClient()
-		if err != nil {
-			return nil, err
-		}
-		return &generation[*ShardedServer, *ShardedClient]{
-			server: server, client: client, gen: client.Generation(), export: export}, nil
-	}
-	if _, err := r.Reload(); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// Server returns the serving half of the current set generation. The
-// result is pinned: it keeps answering from its generation even after a
-// Reload swaps the replica forward.
-func (r *LiveShardedReplica) Server() *ShardedServer {
-	return r.cur.Load().server.withCache(r.cache).withMetrics(r.metrics)
-}
-
-func (r *LiveShardedReplica) pin() servingView { return r.Server() }

@@ -579,14 +579,17 @@ func TestLiveShardedSnapshotDirAndReplica(t *testing.T) {
 	if filepath.Base(path) != genName(1, true) {
 		t.Fatalf("generation 1 written to %q", path)
 	}
-	if !IsLiveShardedSnapshotDir(dir) {
-		t.Fatal("IsLiveShardedSnapshotDir = false on a freshly written directory")
+	if !IsLiveSnapshotDir(dir) {
+		t.Fatal("IsLiveSnapshotDir = false on a freshly written directory")
 	}
-	if IsLiveSnapshotDir(dir) {
-		t.Fatal("sharded generation directory misdetected as a single-collection one")
+	if sharded, err := liveDirLayout(dir); err != nil || !sharded {
+		t.Fatalf("sharded generation directory misdetected as a single-collection one (err %v)", err)
+	}
+	if _, err := OpenLiveSnapshotDirMapped(dir); err == nil {
+		t.Fatal("a directory of shard-set generations opened as a mapped replica")
 	}
 
-	replica, err := OpenLiveShardedSnapshotDir(dir)
+	replica, err := OpenLiveSnapshotDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -615,7 +618,7 @@ func TestLiveShardedSnapshotDirAndReplica(t *testing.T) {
 	}
 
 	// Restart: a fresh open resumes at the latest generation on disk.
-	replica2, err := OpenLiveShardedSnapshotDir(dir)
+	replica2, err := OpenLiveSnapshotDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +640,7 @@ func TestLiveShardedSnapshotDirAndReplica(t *testing.T) {
 	if err := os.Rename(filepath.Join(dir, genName(1, true)), filepath.Join(dir, genName(7, true))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenLiveShardedSnapshotDir(dir); err == nil {
+	if _, err := OpenLiveSnapshotDir(dir); err == nil {
 		t.Fatal("renamed generation directory accepted")
 	}
 }
@@ -696,7 +699,7 @@ func TestSignatureMemoSurvivesGenerationBumps(t *testing.T) {
 	sc := sharded.Client()
 	sharedMemo := func() {
 		t.Helper()
-		for i, shard := range sc.shards {
+		for i, shard := range sc.set.shards {
 			if shard.verifier != sc.verifier {
 				t.Fatalf("shard client %d has a memo of its own", i)
 			}

@@ -202,21 +202,17 @@ func (m *Metrics) observeCacheLookup(d time.Duration) {
 	m.stageCacheLookup.Observe(d.Seconds())
 }
 
-// recordSearchHit counts a single-collection search answered from the VO
-// cache (no engine stages to observe).
-func (m *Metrics) recordSearchHit() {
+// recordSearchHit counts a search answered from the VO cache (no engine
+// stages to observe), by the kind of collection that answered.
+func (m *Metrics) recordSearchHit(sharded bool) {
 	if m == nil {
 		return
 	}
-	m.searchSingle.Inc()
-}
-
-// recordShardedSearchHit is recordSearchHit for fan-out answers.
-func (m *Metrics) recordShardedSearchHit() {
-	if m == nil {
-		return
+	if sharded {
+		m.searchSharded.Inc()
+	} else {
+		m.searchSingle.Inc()
 	}
-	m.searchSharded.Inc()
 }
 
 // observeEngine records what one collection spent on one answer: the engine

@@ -170,7 +170,7 @@ func TestPropertyShardedRoundTrip(t *testing.T) {
 			if err := owner.WriteSnapshotDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			snapServer, snapClient, err := authtext.OpenShardedSnapshotDir(dir)
+			snapServer, snapClient, err := authtext.OpenSnapshotFile(dir)
 			if err != nil {
 				t.Fatal(err)
 			}

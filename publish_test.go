@@ -70,14 +70,14 @@ func shardedPublishTarget(t *testing.T, dir string) publishTarget {
 	if _, err := owner.WriteSnapshotDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := OpenLiveShardedSnapshotDir(dir)
+	rep, err := OpenLiveSnapshotDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return publishTarget{
 		write:       func() (string, error) { return owner.WriteSnapshotDir(dir) },
 		reopen:      func() (string, error) { return owner.PersistGenerations(dir, nil) },
-		openReplica: func() error { _, err := OpenLiveShardedSnapshotDir(dir); return err },
+		openReplica: func() error { _, err := OpenLiveSnapshotDir(dir); return err },
 		advance:     func() error { _, _, err := owner.AddDocuments(liveDocs(16, 2)); return err },
 		reload:      rep.Reload,
 		generation:  rep.Generation,

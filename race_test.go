@@ -358,7 +358,7 @@ func TestShardedRemoteClientConcurrentSearch(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
-	rc, err := NewShardedRemoteClient(srv.URL)
+	rc, err := NewRemoteClient(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,16 +22,22 @@ import (
 
 // RemoteClient verifies search results received over HTTP from an
 // untrusted authserved instance. It fetches the owner's signed manifest
-// and public key once (from /v1/manifest, or injected out of band via
-// WithClientExport), then every Search answer — hits, contents, scores,
-// and VO — is verified locally before it is returned, exactly as if the
+// and public key once (from the server's manifest endpoint, or injected out
+// of band via WithClientExport), then every Search answer — hits, contents,
+// scores, and VO; from a shard set every shard's, plus the merged global
+// ranking — is verified locally before it is returned, exactly as if the
 // result had been produced in-process. A server, proxy, or
 // man-in-the-middle that rewrites any part of a response is detected by
 // verification (IsTampered reports true for the returned error), not
 // trusted transport: plain HTTP is sufficient for integrity, though TLS is
 // still needed for confidentiality.
+// Which /v1 endpoint pair it speaks (plain or /v1/shards/…) follows from the
+// export it verified, never from what the server says about itself.
 type RemoteClient struct {
-	remoteConn[*Client]
+	transport
+
+	mu     sync.Mutex
+	client *Client // verification half, nil until bootstrapped
 }
 
 // remoteOptions is what a RemoteOption can set.
@@ -41,7 +47,7 @@ type remoteOptions struct {
 	export  []byte
 }
 
-// RemoteOption customises NewRemoteClient and NewShardedRemoteClient.
+// RemoteOption customises NewRemoteClient.
 type RemoteOption func(*remoteOptions)
 
 // defaultHTTPTimeout bounds every request a remote client makes with the
@@ -54,8 +60,8 @@ const defaultHTTPTimeout = 30 * time.Second
 // small request/response pairs against one or a few hosts — so connections
 // are kept alive and reused instead of re-dialled per call:
 // http.DefaultTransport caps idle connections per host at 2, which forces
-// reconnects (and, under TLS, re-handshakes) as soon as a sharded client
-// or batch workload fans out.
+// reconnects (and, under TLS, re-handshakes) as soon as a batch workload
+// fans out.
 func defaultHTTPClient() *http.Client {
 	return &http.Client{
 		Timeout: defaultHTTPTimeout,
@@ -83,18 +89,17 @@ func WithHTTPClient(hc *http.Client) RemoteOption { return func(o *remoteOptions
 // (authtext_client_verify_seconds) and tamper rejections
 // (authtext_client_tamper_rejections_total) in m, making the paper's
 // three-party cost split — server, transport, verifier — observable end to
-// end. On a sharded client the verify histogram covers the complete
+// end. Against a shard set the verify histogram covers the complete
 // fan-out check (every shard's VO plus the merge recomputation). The
 // registry may be a fresh NewMetrics or one shared with a server in the
 // same process.
 func WithClientMetrics(m *Metrics) RemoteOption { return func(o *remoteOptions) { o.metrics = m } }
 
 // WithClientExport seeds the verification material from an out-of-band
-// copy of the owner's export — ATCX for a RemoteClient, ATSX for a
-// ShardedRemoteClient, told apart by their magic — instead of fetching it
-// from the server. Use it when the owner distributes the export through a
-// channel the server cannot influence (the stronger deployment, see
-// docs/PROTOCOL.md).
+// copy of the owner's export — ATCX or ATSX, told apart by their magic —
+// instead of fetching it from the server. Use it when the owner distributes
+// the export through a channel the server cannot influence (the stronger
+// deployment, see docs/PROTOCOL.md).
 func WithClientExport(export []byte) RemoteOption {
 	return func(o *remoteOptions) { o.export = export }
 }
@@ -103,10 +108,22 @@ func WithClientExport(export []byte) RemoteOption {
 // baseURL (scheme + host[:port], e.g. "http://127.0.0.1:8080"). No
 // network traffic happens until the first call.
 func NewRemoteClient(baseURL string, opts ...RemoteOption) (*RemoteClient, error) {
-	rc := &RemoteClient{}
-	err := rc.dial(baseURL, httpapi.PathManifest, httpapi.FormatATCX, NewClientFromExport, opts)
+	u, err := url.Parse(strings.TrimRight(baseURL, "/"))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("authtext: bad server URL: %w", err)
+	}
+	if u.Scheme != "http" && u.Scheme != "https" {
+		return nil, fmt.Errorf("authtext: bad server URL %q: scheme must be http or https", baseURL)
+	}
+	o := remoteOptions{hc: defaultHTTPClient()}
+	for _, opt := range opts {
+		opt(&o)
+	}
+	rc := &RemoteClient{transport: transport{base: u.String(), hc: o.hc, metrics: o.metrics}}
+	if o.export != nil {
+		if rc.client, err = NewClientFromExport(o.export); err != nil {
+			return nil, err
+		}
 	}
 	return rc, nil
 }
@@ -125,96 +142,51 @@ type transport struct {
 	noBinary atomic.Bool
 }
 
-// manifestHolder is the verification half a connection bootstraps and
-// advances: a *Client or a *ShardedClient.
-type manifestHolder interface {
-	comparable
-	Generation() uint64
-	AdvanceExport(data []byte) error
-}
-
-// remoteConn is everything RemoteClient and ShardedRemoteClient share: the
-// transport, the lazily bootstrapped verification half, and the
-// generation-race handling of ask. What differs per client is only which
-// manifest endpoint and export format it speaks.
-type remoteConn[C manifestHolder] struct {
-	transport
-	manifestPath string // /v1/manifest or /v1/shards/manifest
-	format       string // httpapi.FormatATCX or FormatATSX
-	parse        func(export []byte) (C, error)
-
-	mu     sync.Mutex
-	client C // verification half, zero until bootstrapped
-}
-
-// exportFormat tells the two export formats apart by their magic.
-func exportFormat(export []byte) string {
-	switch {
-	case bytes.HasPrefix(export, []byte(exportMagic)):
-		return httpapi.FormatATCX
-	case bytes.HasPrefix(export, []byte(shardedExportMagic)):
-		return httpapi.FormatATSX
-	}
-	return "unknown"
-}
-
-func (c *remoteConn[C]) dial(baseURL, manifestPath, format string, parse func([]byte) (C, error), opts []RemoteOption) error {
-	u, err := url.Parse(strings.TrimRight(baseURL, "/"))
-	if err != nil {
-		return fmt.Errorf("authtext: bad server URL: %w", err)
-	}
-	if u.Scheme != "http" && u.Scheme != "https" {
-		return fmt.Errorf("authtext: bad server URL %q: scheme must be http or https", baseURL)
-	}
-	o := remoteOptions{hc: defaultHTTPClient()}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	c.base, c.hc, c.metrics = u.String(), o.hc, o.metrics
-	c.manifestPath, c.format, c.parse = manifestPath, format, parse
-	if o.export != nil {
-		if got := exportFormat(o.export); got != format {
-			return fmt.Errorf("authtext: out-of-band export is %s, this client verifies %s", got, format)
-		}
-		c.client, err = parse(o.export)
-	}
-	return err
-}
-
 // Bootstrap fetches and verifies the owner's manifest now instead of
 // lazily on the first Search. The manifest signature is checked against
 // the embedded public key before it is accepted.
-func (c *remoteConn[C]) Bootstrap(ctx context.Context) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bootstrapLocked(ctx)
+func (rc *RemoteClient) Bootstrap(ctx context.Context) error {
+	_, err := rc.bootstrapped(ctx)
+	return err
 }
 
-func (c *remoteConn[C]) bootstrapLocked(ctx context.Context) error {
-	var unset C
-	if c.client != unset {
-		return nil
+// bootstrapped returns the verification half, fetching it first if no call
+// (and no WithClientExport) has yet. The plain manifest endpoint is asked
+// first; only a server that answers it 404 — "this server is sharded" — is
+// asked for the shard set's, so a bare collection costs one request, as ever.
+func (rc *RemoteClient) bootstrapped(ctx context.Context) (*Client, error) {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.client != nil {
+		return rc.client, nil
 	}
-	export, err := c.fetchExport(ctx)
-	if err != nil {
-		return err
+	export, err := rc.fetchExport(ctx, false)
+	var se *httpapi.StatusError
+	if errors.As(err, &se) && se.Status == http.StatusNotFound {
+		if atsx, serr := rc.fetchExport(ctx, true); serr == nil {
+			export, err = atsx, nil
+		}
 	}
-	client, err := c.parse(export)
-	if err != nil {
-		return err
-	}
-	c.client = client
-	return nil
-}
-
-// fetchExport retrieves the manifest endpoint's export blob.
-func (c *remoteConn[C]) fetchExport(ctx context.Context) ([]byte, error) {
-	m, err := roundTrip(ctx, &c.transport, http.MethodGet, c.manifestPath, nil, wire.DecodeManifestResponse)
 	if err != nil {
 		return nil, err
 	}
-	if m.Format != c.format {
-		return nil, fmt.Errorf("authtext: server manifest format %q not supported (want %q)", m.Format, c.format)
+	rc.client, err = NewClientFromExport(export)
+	return rc.client, err
+}
+
+// fetchExport retrieves the export blob from the manifest endpoint of the
+// given shape.
+func (rc *RemoteClient) fetchExport(ctx context.Context, sharded bool) ([]byte, error) {
+	path, format := httpapi.PathManifest, httpapi.FormatATCX
+	if sharded {
+		path, format = httpapi.PathShardManifest, httpapi.FormatATSX
+	}
+	m, err := roundTrip(ctx, &rc.transport, http.MethodGet, path, nil, wire.DecodeManifestResponse)
+	if err != nil {
+		return nil, err
+	}
+	if m.Format != format {
+		return nil, fmt.Errorf("authtext: server manifest format %q not supported (want %q)", m.Format, format)
 	}
 	return m.Export, nil
 }
@@ -223,19 +195,27 @@ func (c *remoteConn[C]) fetchExport(ctx context.Context) ([]byte, error) {
 // verifies against (0 before bootstrap or for static collections). It
 // only moves forward: a server that presents an older generation is
 // rejected with ErrStaleGeneration.
-func (c *remoteConn[C]) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var unset C
-	if c.client == unset {
+func (rc *RemoteClient) Generation() uint64 {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.client == nil {
 		return 0
 	}
-	return c.client.Generation()
+	return rc.client.Generation()
 }
 
-// ask posts req to path and returns the decoded answer together with the
-// verification half to check it against, once the two agree on a
-// generation. generation reads the generation an answer claims (0: none —
+// Shards returns the verified shard count: 0 when bare or before bootstrap.
+func (rc *RemoteClient) Shards() int {
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.client == nil {
+		return 0
+	}
+	return rc.client.Shards()
+}
+
+// ask posts req to path and returns the decoded answer once it and client,
+// the verification half to check it against, agree on a generation. generation reads the generation an answer claims (0: none —
 // a static server, or a batch of per-query errors).
 //
 // When an answer claims a NEWER generation than the client holds, the
@@ -260,28 +240,20 @@ func (c *remoteConn[C]) Generation() uint64 {
 // retried rather than reported, as long as budget remains. A genuinely
 // rolled-back or equivocating fleet keeps failing and still ends in
 // ErrStaleGeneration after the budget.
-func ask[C manifestHolder, T any](ctx context.Context, c *remoteConn[C], path string, req any,
-	fromFrame func([]byte) (*T, error), generation func(*T) uint64) (*T, C, error) {
-	var none C
-	c.mu.Lock()
-	err := c.bootstrapLocked(ctx)
-	client := c.client
-	c.mu.Unlock()
-	if err != nil {
-		return nil, none, err
-	}
+func ask[T any](ctx context.Context, rc *RemoteClient, client *Client, path string, req any,
+	fromFrame func([]byte) (*T, error), generation func(*T) uint64) (*T, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		return nil, none, err
+		return nil, err
 	}
 	for attempt := 0; ; attempt++ {
-		answer, err := roundTrip(ctx, &c.transport, http.MethodPost, path, body, fromFrame)
+		answer, err := roundTrip(ctx, &rc.transport, http.MethodPost, path, body, fromFrame)
 		if err != nil {
-			return nil, none, err
+			return nil, err
 		}
 		gen := generation(answer)
 		if gen > client.Generation() {
-			export, err := c.fetchExport(ctx)
+			export, err := rc.fetchExport(ctx, client.Shards() > 0)
 			if err == nil {
 				err = client.AdvanceExport(export)
 			}
@@ -289,13 +261,13 @@ func ask[C manifestHolder, T any](ctx context.Context, c *remoteConn[C], path st
 				continue
 			}
 			if err != nil {
-				return nil, none, err
+				return nil, err
 			}
 		}
 		if gen != 0 && gen != client.Generation() && attempt < 2 {
 			continue
 		}
-		return answer, client, nil
+		return answer, nil
 	}
 }
 
@@ -310,21 +282,50 @@ func checkR(r int) error {
 }
 
 // Search asks the server for the top-r documents and verifies the answer
-// locally against the owner's manifest — using the parameters this client
-// asked for, never the server's echo. It returns the result only if
-// verification succeeds; otherwise the error explains the violation and
-// IsTampered reports whether it indicates server misbehaviour.
+// locally against the owner's manifest — a shard set's complete answer:
+// every shard's VO against its pinned manifest, then the merged ranking by
+// recomputation — using the parameters this client asked for, never the
+// server's echo. It returns the result only if verification succeeds;
+// otherwise the error explains the violation and IsTampered reports whether
+// it indicates server misbehaviour.
 func (rc *RemoteClient) Search(ctx context.Context, query string, r int, algo Algorithm, scheme Scheme) (*SearchResult, error) {
 	if err := checkR(r); err != nil {
 		return nil, err
 	}
-	sr, client, err := ask(ctx, &rc.remoteConn, httpapi.PathSearch,
-		&httpapi.SearchRequest{Query: query, R: r, Algo: wireAlgo(algo), Scheme: wireScheme(scheme)},
-		wire.DecodeSearchResponse, func(sr *httpapi.SearchResponse) uint64 { return sr.Generation })
+	client, err := rc.bootstrapped(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return verifyWireResult(client, rc.metrics, sr, query, r, algo, scheme)
+	req := &httpapi.SearchRequest{Query: query, R: r, Algo: wireAlgo(algo), Scheme: wireScheme(scheme)}
+	var res *SearchResult
+	if client.Shards() > 0 {
+		sw, err := ask(ctx, rc, client, httpapi.PathShardSearch, req, wire.DecodeShardedSearchResponse,
+			func(sw *httpapi.ShardedSearchResponse) uint64 { return sw.Generation })
+		if err != nil {
+			return nil, err
+		}
+		res = shardedResultFromWire(sw, algo, scheme)
+	} else {
+		sr, err := ask(ctx, rc, client, httpapi.PathSearch, req, wire.DecodeSearchResponse,
+			func(sr *httpapi.SearchResponse) uint64 { return sr.Generation })
+		if err != nil {
+			return nil, err
+		}
+		res = resultFromWire(sr, algo, scheme)
+	}
+	return rc.verified(client, query, r, res)
+}
+
+// verified verifies res against the bootstrapped manifest, recording the
+// verification cost and outcome.
+func (rc *RemoteClient) verified(client *Client, query string, r int, res *SearchResult) (*SearchResult, error) {
+	verifyStart := time.Now()
+	err := client.Verify(query, r, res)
+	rc.metrics.observeVerify(time.Since(verifyStart), err, client.verifier)
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // resultFromWire converts one wire response to the facade form, labelled
@@ -332,7 +333,7 @@ func (rc *RemoteClient) Search(ctx context.Context, query string, r int, algo Al
 func resultFromWire(wire *httpapi.SearchResponse, algo Algorithm, scheme Scheme) *SearchResult {
 	res := &SearchResult{VO: wire.VO, Generation: wire.Generation, Hits: make([]Hit, len(wire.Hits))}
 	for i, h := range wire.Hits {
-		res.Hits[i] = Hit{DocID: h.DocID, Score: h.Score, Content: h.Content}
+		res.Hits[i] = Hit{DocID: h.DocID, Score: h.Score, Content: h.Content, GlobalID: h.DocID}
 	}
 	res.Stats = Stats{
 		Algorithm:      algo,
@@ -349,17 +350,44 @@ func resultFromWire(wire *httpapi.SearchResponse, algo Algorithm, scheme Scheme)
 	return res
 }
 
-// verifyWireResult verifies one wire response against the bootstrapped
-// manifest. m (nil-safe) records the verification cost and outcome.
-func verifyWireResult(client *Client, m *Metrics, wire *httpapi.SearchResponse, query string, r int, algo Algorithm, scheme Scheme) (*SearchResult, error) {
-	res := resultFromWire(wire, algo, scheme)
-	verifyStart := time.Now()
-	err := client.Verify(query, r, res)
-	m.observeVerify(time.Since(verifyStart), err, client.verifier)
-	if err != nil {
-		return nil, err
+// shardedResultFromWire is resultFromWire for a fan-out answer.
+func shardedResultFromWire(sw *httpapi.ShardedSearchResponse, algo Algorithm, scheme Scheme) *SearchResult {
+	res := &SearchResult{
+		Hits:       make([]Hit, len(sw.Merged)),
+		PerShard:   make([]*SearchResult, len(sw.Shards)),
+		Generation: sw.Generation,
+		// Informational, like every stat on the wire.
+		Stats: Stats{
+			Algorithm:   algo,
+			Scheme:      scheme,
+			Shards:      sw.Stats.Shards,
+			EntriesRead: sw.Stats.EntriesRead,
+			VOBytes:     sw.Stats.VOBytes,
+			IOTime:      StatsDuration(sw.Stats.IOMillis),
+			ServerTime:  StatsDuration(sw.Stats.ServerMillis),
+		},
 	}
-	return res, nil
+	for i := range sw.Shards {
+		res.PerShard[i] = resultFromWire(&sw.Shards[i], algo, scheme)
+		res.Stats.QueryTerms = max(res.Stats.QueryTerms, res.PerShard[i].Stats.QueryTerms)
+	}
+	// Merged wire hits carry no content; deliver the (about to be
+	// verified) content of the shard answer each one cites. A merged hit
+	// citing a document its shard never returned fails verification, so
+	// missing content here is fine — verification rejects first.
+	for i, m := range sw.Merged {
+		h := Hit{Shard: m.Shard, DocID: m.DocID, GlobalID: m.GlobalID, Score: m.Score}
+		if m.Shard >= 0 && m.Shard < len(res.PerShard) {
+			for _, sh := range res.PerShard[m.Shard].Hits {
+				if sh.DocID == m.DocID {
+					h.Content = sh.Content
+					break
+				}
+			}
+		}
+		res.Hits[i] = h
+	}
+	return res
 }
 
 // SearchBatch sends up to httpapi.MaxBatchQueries queries in one request;
@@ -367,9 +395,23 @@ func verifyWireResult(client *Client, m *Metrics, wire *httpapi.SearchResponse, 
 // exactly as in Search, and per-query failures (including verification
 // failures) come back in the matching BatchItem rather than failing the
 // whole batch. The returned slice has one item per query, in input order.
+// The shard-set wire has no batch form: against a shard set the queries go
+// out as one Search each.
 func (rc *RemoteClient) SearchBatch(ctx context.Context, queries []BatchQuery) ([]BatchItem, error) {
 	if len(queries) == 0 {
 		return nil, nil
+	}
+	client, err := rc.bootstrapped(ctx)
+	if err != nil {
+		return nil, err
+	}
+	if client.Shards() > 0 {
+		out := make([]BatchItem, len(queries))
+		runBatch(len(queries), 0, func(i int) {
+			q := queries[i]
+			out[i].Result, out[i].Err = rc.Search(ctx, q.Query, q.R, q.Algorithm, q.Scheme)
+		})
+		return out, nil
 	}
 	if len(queries) > httpapi.MaxBatchQueries {
 		return nil, fmt.Errorf("authtext: batch of %d queries exceeds the server maximum of %d",
@@ -394,7 +436,7 @@ func (rc *RemoteClient) SearchBatch(ctx context.Context, queries []BatchQuery) (
 	}
 	// A live server answers the whole batch from one generation: the batch
 	// claims the newest generation any of its answers names.
-	br, client, err := ask(ctx, &rc.remoteConn, httpapi.PathSearch, &httpapi.BatchSearchRequest{Queries: wireReqs},
+	br, err := ask(ctx, rc, client, httpapi.PathSearch, &httpapi.BatchSearchRequest{Queries: wireReqs},
 		wire.DecodeBatchSearchResponse, func(br *httpapi.BatchSearchResponse) (gen uint64) {
 			for i := range br.Results {
 				if r := br.Results[i].Response; r != nil && r.Generation > gen {
@@ -419,8 +461,8 @@ func (rc *RemoteClient) SearchBatch(ctx context.Context, queries []BatchQuery) (
 		case br.Results[i].Response == nil:
 			out[i].Err = fmt.Errorf("authtext: query %d: empty batch result", i)
 		default:
-			out[i].Result, out[i].Err = verifyWireResult(client, rc.metrics, br.Results[i].Response,
-				q.Query, q.R, q.Algorithm, q.Scheme)
+			out[i].Result, out[i].Err = rc.verified(client, q.Query, q.R,
+				resultFromWire(br.Results[i].Response, q.Algorithm, q.Scheme))
 		}
 	}
 	return out, nil

@@ -65,11 +65,11 @@ func TestRemoteSearchRetriesAcrossLaggingManifestReplica(t *testing.T) {
 				authtext.WithShardPartitioner(authtext.PartitionHash)))(t)
 			env := raceEnv{manifest: httpapi.PathShardManifest, search: httpapi.PathShardSearch, format: httpapi.FormatATSX}
 			env.gen1 = must(owner.ExportClient())(t)
-			env.frozen = authtext.NewShardedHTTPHandler(owner.Server().Snapshot(), env.gen1)
+			env.frozen = authtext.NewHTTPHandler(owner.Server().Snapshot(), env.gen1)
 			must2(owner.AddDocuments(liveRemoteDocs(16, 2)))(t)
 			env.gen2, env.live = must(owner.ExportClient())(t), must(owner.HTTPHandler())(t)
 			env.verifiedGeneration = func(t *testing.T, url string, opts ...authtext.RemoteOption) (uint64, uint64, error) {
-				rc := must(authtext.NewShardedRemoteClient(url, opts...))(t)
+				rc := must(authtext.NewRemoteClient(url, opts...))(t)
 				res, err := rc.Search(context.Background(), "merkle tree", 5, authtext.TNRA, authtext.ChainMHT)
 				if err != nil {
 					return 0, rc.Generation(), err

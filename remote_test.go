@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,10 +17,11 @@ import (
 )
 
 // The remote integration suite proves the §3.1 trust model holds across a
-// real HTTP boundary: an honest authserved response verifies, and any
-// in-transit mutation of the response — by the server or a
-// man-in-the-middle — is rejected by the RemoteClient's local
-// verification, for both TRA and TNRA.
+// real HTTP boundary, for a bare collection and for a shard set: an honest
+// authserved response verifies, and any in-transit mutation of the response
+// — of any shard's answer, or of the merged ranking — by the server or a
+// man-in-the-middle is rejected by the RemoteClient's local verification,
+// for both TRA and TNRA.
 
 var remoteFixture struct {
 	once    sync.Once
@@ -74,6 +76,33 @@ func remoteEnv(t *testing.T) (http.Handler, []byte) {
 	return remoteFixture.handler, remoteFixture.export
 }
 
+var shardedRemoteFixture struct {
+	once    sync.Once
+	handler http.Handler
+	export  []byte
+	err     error
+}
+
+// shardedRemoteEnv is remoteEnv over the same corpus split into 3 shards.
+func shardedRemoteEnv(t *testing.T) (http.Handler, []byte) {
+	t.Helper()
+	f := &shardedRemoteFixture
+	f.once.Do(func() {
+		owner, err := authtext.NewShardedOwner(remoteCorpus(), 3, authtext.WithSingletonTerms())
+		if err != nil {
+			f.err = err
+			return
+		}
+		if f.export, f.err = owner.ExportClient(); f.err == nil {
+			f.handler = authtext.NewHTTPHandler(owner.Server(), f.export)
+		}
+	})
+	if f.err != nil {
+		t.Fatal(f.err)
+	}
+	return f.handler, f.export
+}
+
 const (
 	remoteQuery = "night keeper keep"
 	remoteR     = 3
@@ -112,11 +141,76 @@ func TestRemoteHonestServerVerifies(t *testing.T) {
 	}
 }
 
-// tamperingProxy wraps an honest handler and mutates every /v1/search
-// response body in transit; all other endpoints pass through untouched.
-func tamperingProxy(honest http.Handler, mutate func(*httpapi.SearchResponse)) http.Handler {
+func TestShardedRemoteHonestServerVerifies(t *testing.T) {
+	handler, _ := shardedRemoteEnv(t)
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+
+	rc, err := authtext.NewRemoteClient(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	health, err := rc.Health(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if health.Shards != 3 {
+		t.Fatalf("health.Shards = %d, want 3", health.Shards)
+	}
+	for _, algo := range []authtext.Algorithm{authtext.TRA, authtext.TNRA} {
+		for _, scheme := range []authtext.Scheme{authtext.MHT, authtext.ChainMHT} {
+			t.Run(algo.String()+"-"+scheme.String(), func(t *testing.T) {
+				res, err := rc.Search(ctx, remoteQuery, remoteR, algo, scheme)
+				if err != nil {
+					t.Fatalf("verified sharded search failed: %v", err)
+				}
+				if len(res.Hits) == 0 || len(res.PerShard) != 3 {
+					t.Fatalf("%d merged hits from %d shard answers", len(res.Hits), len(res.PerShard))
+				}
+				if len(res.Hits[0].Content) == 0 {
+					t.Fatal("merged hit content not delivered")
+				}
+				if res.Stats.Shards != 3 || res.Stats.VOBytes == 0 || res.Stats.QueryTerms == 0 {
+					t.Fatalf("stats not populated: %+v", res.Stats)
+				}
+			})
+		}
+	}
+	if rc.Shards() != 3 {
+		t.Fatalf("Shards() = %d after bootstrap, want 3", rc.Shards())
+	}
+}
+
+func TestShardedRemoteOutOfBandExport(t *testing.T) {
+	handler, export := shardedRemoteEnv(t)
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+
+	rc, err := authtext.NewRemoteClient(srv.URL, authtext.WithClientExport(export))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Shards() != 3 {
+		t.Fatalf("Shards() = %d before any traffic, want 3", rc.Shards())
+	}
+	if _, err := rc.Search(context.Background(), remoteQuery, remoteR, authtext.TNRA, authtext.ChainMHT); err != nil {
+		t.Fatalf("out-of-band bootstrapped search failed: %v", err)
+	}
+}
+
+// tamperingProxy wraps an honest handler and mutates every search response
+// body of mutate's wire form in transit — /v1/search answers for a
+// *httpapi.SearchResponse mutator, /v1/shards/search answers for a
+// *httpapi.ShardedSearchResponse one; all other endpoints pass through
+// untouched.
+func tamperingProxy[T httpapi.SearchResponse | httpapi.ShardedSearchResponse](honest http.Handler, mutate func(*T)) http.Handler {
+	path := httpapi.PathSearch
+	if _, sharded := any(mutate).(func(*httpapi.ShardedSearchResponse)); sharded {
+		path = httpapi.PathShardSearch
+	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != httpapi.PathSearch {
+		if r.URL.Path != path {
 			honest.ServeHTTP(w, r)
 			return
 		}
@@ -131,7 +225,7 @@ func tamperingProxy(honest http.Handler, mutate func(*httpapi.SearchResponse)) h
 			_, _ = w.Write(rec.Body.Bytes())
 			return
 		}
-		var resp httpapi.SearchResponse
+		var resp T
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
@@ -142,53 +236,94 @@ func tamperingProxy(honest http.Handler, mutate func(*httpapi.SearchResponse)) h
 	})
 }
 
-func TestRemoteTamperingDetected(t *testing.T) {
-	handler, _ := remoteEnv(t)
-	mutations := []struct {
-		name   string
-		mutate func(*httpapi.SearchResponse)
-	}{
-		{"inflate top score", func(r *httpapi.SearchResponse) {
-			r.Hits[0].Score *= 2
-		}},
-		{"swap ranking", func(r *httpapi.SearchResponse) {
-			last := len(r.Hits) - 1
-			r.Hits[0], r.Hits[last] = r.Hits[last], r.Hits[0]
-		}},
-		{"drop result document", func(r *httpapi.SearchResponse) {
-			r.Hits = r.Hits[:len(r.Hits)-1]
-		}},
-		{"empty result", func(r *httpapi.SearchResponse) {
-			r.Hits = nil
-		}},
-		{"alter document content", func(r *httpapi.SearchResponse) {
-			r.Hits[0].Content = append([]byte("FORGED "), r.Hits[0].Content...)
-		}},
-		{"substitute document", func(r *httpapi.SearchResponse) {
-			r.Hits[0].DocID = r.Hits[0].DocID + 1000
-		}},
-		{"flip VO byte", func(r *httpapi.SearchResponse) {
-			r.VO = append([]byte(nil), r.VO...)
-			r.VO[len(r.VO)/2] ^= 0x40
-		}},
-		{"truncate VO", func(r *httpapi.SearchResponse) {
-			r.VO = r.VO[:len(r.VO)/2]
-		}},
-	}
-	// Every mutation is tried against a cold client and against one whose
-	// signature memo the honest answer to the same query has warmed: having
-	// seen the honest signatures must not change what tampering looks like.
+// remoteMutations is the in-transit tamper table: what a server or a
+// man-in-the-middle can do to one answer, on either wire. A row carries the
+// mutator of the wire it attacks.
+var remoteMutations = []struct {
+	name    string
+	bare    func(*httpapi.SearchResponse)
+	sharded func(*httpapi.ShardedSearchResponse)
+}{
+	{name: "inflate top score", bare: func(r *httpapi.SearchResponse) {
+		r.Hits[0].Score *= 2
+	}},
+	{name: "swap ranking", bare: func(r *httpapi.SearchResponse) {
+		last := len(r.Hits) - 1
+		r.Hits[0], r.Hits[last] = r.Hits[last], r.Hits[0]
+	}},
+	{name: "drop result document", bare: func(r *httpapi.SearchResponse) {
+		r.Hits = r.Hits[:len(r.Hits)-1]
+	}},
+	{name: "empty result", bare: func(r *httpapi.SearchResponse) {
+		r.Hits = nil
+	}},
+	{name: "alter document content", bare: func(r *httpapi.SearchResponse) {
+		r.Hits[0].Content = append([]byte("FORGED "), r.Hits[0].Content...)
+	}},
+	{name: "substitute document", bare: func(r *httpapi.SearchResponse) {
+		r.Hits[0].DocID = r.Hits[0].DocID + 1000
+	}},
+	{name: "flip VO byte", bare: func(r *httpapi.SearchResponse) {
+		r.VO = append([]byte(nil), r.VO...)
+		r.VO[len(r.VO)/2] ^= 0x40
+	}},
+	{name: "truncate VO", bare: func(r *httpapi.SearchResponse) {
+		r.VO = r.VO[:len(r.VO)/2]
+	}},
+	{name: "inflate shard score", sharded: func(r *httpapi.ShardedSearchResponse) {
+		r.Shards[r.Merged[0].Shard].Hits[0].Score += 1
+	}},
+	{name: "forge shard content", sharded: func(r *httpapi.ShardedSearchResponse) {
+		r.Shards[r.Merged[0].Shard].Hits[0].Content = []byte("forged")
+	}},
+	{name: "corrupt shard vo", sharded: func(r *httpapi.ShardedSearchResponse) {
+		s := r.Merged[0].Shard
+		r.Shards[s].VO[len(r.Shards[s].VO)/2] ^= 1
+	}},
+	{name: "drop a shard", sharded: func(r *httpapi.ShardedSearchResponse) {
+		r.Shards = r.Shards[:len(r.Shards)-1]
+	}},
+	{name: "reorder merge", sharded: func(r *httpapi.ShardedSearchResponse) {
+		r.Merged[0], r.Merged[1] = r.Merged[1], r.Merged[0]
+	}},
+	{name: "truncate merge", sharded: func(r *httpapi.ShardedSearchResponse) {
+		r.Merged = r.Merged[1:]
+	}},
+	{name: "rewrite global id", sharded: func(r *httpapi.ShardedSearchResponse) {
+		r.Merged[0].GlobalID++
+	}},
+	{name: "cite an absent shard", sharded: func(r *httpapi.ShardedSearchResponse) {
+		r.Merged[0].Shard = len(r.Shards)
+	}},
+}
+
+// runRemoteTamperBattery tries every remoteMutations row of one wire against
+// a cold client and against one whose signature memo the honest answer to
+// the same query has warmed: having seen the honest signatures must not
+// change what tampering looks like.
+func runRemoteTamperBattery(t *testing.T, handler http.Handler, sharded bool) {
 	for _, algo := range []authtext.Algorithm{authtext.TRA, authtext.TNRA} {
-		for _, m := range mutations {
+		for _, m := range remoteMutations {
+			if (m.sharded != nil) != sharded {
+				continue
+			}
 			t.Run(algo.String()+"/"+m.name, func(t *testing.T) {
 				var codes [2]core.VerifyCode
 				for i, warm := range []bool{false, true} {
 					var armed atomic.Bool
-					srv := httptest.NewServer(tamperingProxy(handler, func(r *httpapi.SearchResponse) {
+					proxy := tamperingProxy(handler, func(r *httpapi.SearchResponse) {
 						if armed.Load() {
-							m.mutate(r)
+							m.bare(r)
 						}
-					}))
+					})
+					if sharded {
+						proxy = tamperingProxy(handler, func(r *httpapi.ShardedSearchResponse) {
+							if armed.Load() {
+								m.sharded(r)
+							}
+						})
+					}
+					srv := httptest.NewServer(proxy)
 					defer srv.Close()
 					rc, err := authtext.NewRemoteClient(srv.URL)
 					if err != nil {
@@ -220,28 +355,56 @@ func TestRemoteTamperingDetected(t *testing.T) {
 	}
 }
 
-func TestRemoteManifestFetchedOnce(t *testing.T) {
+func TestRemoteTamperingDetected(t *testing.T) {
 	handler, _ := remoteEnv(t)
-	var manifestFetches atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == httpapi.PathManifest {
-			manifestFetches.Add(1)
-		}
-		handler.ServeHTTP(w, r)
-	}))
-	defer srv.Close()
+	runRemoteTamperBattery(t, handler, false)
+}
 
-	rc, err := authtext.NewRemoteClient(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := rc.Search(context.Background(), remoteQuery, remoteR, authtext.TNRA, authtext.ChainMHT); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := manifestFetches.Load(); n != 1 {
-		t.Fatalf("manifest fetched %d times, want 1", n)
+// TestShardedRemoteTamperingRejected is the same battery's sharded rows:
+// in-transit mutations of any shard's answer or of the merged ranking.
+func TestShardedRemoteTamperingRejected(t *testing.T) {
+	handler, _ := shardedRemoteEnv(t)
+	runRemoteTamperBattery(t, handler, true)
+}
+
+// TestRemoteManifestFetchedOnce: bootstrapping a bare collection costs one
+// manifest request and never touches the sharded endpoints; a shard set costs
+// the one plain request that answers "this server is sharded" plus its own.
+// Later searches fetch nothing.
+func TestRemoteManifestFetchedOnce(t *testing.T) {
+	bare, _ := remoteEnv(t)
+	sharded, _ := shardedRemoteEnv(t)
+	for name, tc := range map[string]struct {
+		handler http.Handler
+		want    map[string]int64
+	}{
+		"bare":    {bare, map[string]int64{httpapi.PathManifest: 1, httpapi.PathSearch: 3}},
+		"sharded": {sharded, map[string]int64{httpapi.PathManifest: 1, httpapi.PathShardManifest: 1, httpapi.PathShardSearch: 3}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			requests := map[string]int64{}
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				mu.Lock()
+				requests[r.URL.Path]++
+				mu.Unlock()
+				tc.handler.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+
+			rc, err := authtext.NewRemoteClient(srv.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, err := rc.Search(context.Background(), remoteQuery, remoteR, authtext.TNRA, authtext.ChainMHT); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !reflect.DeepEqual(requests, tc.want) {
+				t.Fatalf("requests %v, want %v", requests, tc.want)
+			}
+		})
 	}
 }
 
@@ -349,6 +512,43 @@ func TestRemoteScoreRoundTrip(t *testing.T) {
 		}
 		if !bytes.Equal(remote.Hits[i].Content, local.Hits[i].Content) {
 			t.Fatalf("hit %d content differs", i)
+		}
+	}
+}
+
+func TestShardedEndpointsAbsentOnPlainServer(t *testing.T) {
+	handler, _ := remoteEnv(t)
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + httpapi.PathShardManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("plain server answered %d on %s", resp.StatusCode, httpapi.PathShardManifest)
+	}
+}
+
+func TestPlainEndpointsRedirectOnShardedServer(t *testing.T) {
+	handler, _ := shardedRemoteEnv(t)
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+
+	for _, path := range []string{httpapi.PathSearch + "?q=keep", httpapi.PathManifest} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var env httpapi.ErrorResponse
+		err = json.NewDecoder(resp.Body).Decode(&env)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("%s: error body is not an envelope: %v", path, err)
+		}
+		if resp.StatusCode != http.StatusNotFound || env.Error.Code != httpapi.CodeNotFound {
+			t.Errorf("%s: status %d code %q", path, resp.StatusCode, env.Error.Code)
 		}
 	}
 }

@@ -24,18 +24,15 @@ import (
 //     the update endpoint 403.
 //
 // The lifecycle is hidden behind one unexported generation source and the
-// wire behind the view a source pins, so ONE backend holds everything else:
+// wire behind the Server a source pins, so ONE backend holds everything else:
 // options, the effective VO cache, metrics, counters, the query log,
 // one-generation pinning, /v1/healthz. Requests are served concurrently —
 // the engine's read path is lock-free, so the backend needs no
 // serialization of its own. cmd/authserved is the production wrapper;
-// RemoteClient and ShardedRemoteClient are the consuming side.
+// RemoteClient is the consuming side.
 
-// QueryLog receives one record per served query; see WithQueryLog. Sharded
-// handlers report the fan-out aggregate through the same signature:
-// stats.Shards is the shard count (0 on a single collection), the counts
-// are summed over shards, IOTime is the slowest shard's and ServerTime the
-// fan-out wall.
+// QueryLog receives one record per served query; see WithQueryLog. A shard
+// set's handler reports the fan-out aggregate (see Stats.Shards).
 type QueryLog func(query string, r int, stats Stats, wall time.Duration)
 
 // handlerOptions collects the optional callbacks a handler can carry.
@@ -89,40 +86,11 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 	return func(o *handlerOptions) { o.reqLog = logger }
 }
 
-// servingView is one pinned generation as a handler serves it: a *Server
-// or a *ShardedServer.
-type servingView interface {
-	// with returns the view serving through c and m where they are non-nil
-	// and not already in place. It copies: a shared snapshot is never
-	// mutated.
-	with(c *VOCache, m *Metrics) servingView
-	// attached reports the cache and registry the view itself carries.
-	attached() (*VOCache, *Metrics)
-	// health fills the collection-shaped healthz fields: live documents
-	// (tombstoned slots don't count), terms, shards, generation.
-	health() httpapi.Health
-}
-
-func (s *Server) with(c *VOCache, m *Metrics) servingView { return s.withCache(c).withMetrics(m) }
-
-func (s *Server) attached() (*VOCache, *Metrics) { return s.cache, s.metrics }
-
-func (s *Server) health() httpapi.Health {
-	m, _ := s.col.Manifest()
-	return httpapi.Health{Documents: s.col.LiveDocs(), Terms: s.col.Index().M(), Generation: m.Generation}
-}
-
-func (s *ShardedServer) with(c *VOCache, m *Metrics) servingView {
-	return s.withCache(c).withMetrics(m)
-}
-
-func (s *ShardedServer) attached() (*VOCache, *Metrics) { return s.cache, s.metrics }
-
-func (s *ShardedServer) health() httpapi.Health {
-	sm, _ := s.set.Manifest()
-	h := httpapi.Health{Shards: s.Shards(), Generation: sm.Generation}
-	for i := 0; i < s.Shards(); i++ {
-		col := s.set.Col(i)
+// health fills the collection-shaped healthz fields: live documents
+// (tombstoned slots don't count), terms, shards, generation.
+func (v served) health() httpapi.Health {
+	h := httpapi.Health{Shards: v.shards(), Generation: v.generation()}
+	for _, col := range v.cols() {
 		h.Documents += col.LiveDocs()
 		h.Terms += col.Index().M()
 	}
@@ -133,24 +101,25 @@ func (s *ShardedServer) health() httpapi.Health {
 type liveUpdater func(add []Document, remove []DocHandle) ([]DocHandle, *UpdateReport, error)
 
 // source is what a handler is built from: where the current generation
-// comes from. *LiveOwner, *LiveShardedOwner, *LiveReplica and
-// *LiveShardedReplica implement it; a static collection is the source
-// whose generation never changes (staticSource).
+// comes from. *LiveOwner and *LiveReplica implement it; a static collection
+// is the source whose generation never changes (staticSource). A front end
+// over a fleet of sharded backends, or one daemon serving several tenants,
+// is "a handler takes a generation source" too.
 type source interface {
-	// pin returns the current generation's serving view. Everything one
-	// request does — a whole batch, a whole fan-out — runs on one pin, so
-	// no response mixes generations.
-	pin() servingView
+	// pin returns the current generation's server. Everything one request
+	// does — a whole batch, a whole fan-out — runs on one pin, so no
+	// response mixes generations.
+	pin() *Server
 	// export returns the current generation's verification blob (ATCX or
-	// ATSX, matching the view).
+	// ATSX, matching the pinned server's shape).
 	export() ([]byte, error)
 	// Generation reports the currently served generation.
 	Generation() uint64
 	// adopt hands the source the handler's cache and registry before
-	// serving starts. A static source bakes both into its one prepared view,
-	// so pin never copies; live sources attach the registry (unless they
-	// already carry one) so updates and reloads record into it, and leave
-	// the cache to the per-request copy.
+	// serving starts. A static source bakes both into its one prepared
+	// server, so pin never copies; live sources attach the registry (unless
+	// they already carry one) so updates and reloads record into it, and
+	// leave the cache to the per-request copy.
 	adopt(c *VOCache, m *Metrics)
 	// updater describes /v1/admin/update: live is false on static sources
 	// (the endpoint does not exist); apply is nil on serving-only sources
@@ -158,37 +127,38 @@ type source interface {
 	updater() (apply liveUpdater, live bool)
 }
 
+// published is the manifest endpoint's answer: the source's export blob, or
+// why it has none to serve.
+func published(blob []byte, whyNot string) ([]byte, error) {
+	if blob == nil {
+		return nil, &httpapi.StatusError{Status: http.StatusServiceUnavailable, Code: httpapi.CodeUnavailable, Message: whyNot}
+	}
+	return blob, nil
+}
+
 // staticSource serves one immutable collection and the export blob the
 // caller supplied (nil: no manifest bootstrap).
 type staticSource struct {
-	view servingView
+	srv  *Server
 	blob []byte
 }
 
-func (s *staticSource) pin() servingView { return s.view }
+func (s *staticSource) pin() *Server { return s.srv }
 
 func (s *staticSource) export() ([]byte, error) {
-	if s.blob == nil {
-		return nil, &httpapi.StatusError{
-			Status:  http.StatusServiceUnavailable,
-			Code:    httpapi.CodeUnavailable,
-			Message: "this server does not publish verification material",
-		}
-	}
-	return s.blob, nil
+	return published(s.blob, "this server does not publish verification material")
 }
 
-func (s *staticSource) Generation() uint64 { return s.view.health().Generation }
+func (s *staticSource) Generation() uint64 { return s.srv.v.generation() }
 
-func (s *staticSource) adopt(c *VOCache, m *Metrics) { s.view = s.view.with(c, m) }
+func (s *staticSource) adopt(c *VOCache, m *Metrics) { s.srv = s.srv.with(c, m) }
 
 func (s *staticSource) updater() (liveUpdater, bool) { return nil, false }
 
-// The owner-backed sources (the replica sources are in live_snapshot.go).
-// Their pin carries no cache or registry of its own: the handler's layer
-// over it per request.
+// The live sources. Their pin carries no cache of its own: the handler's
+// layers over it per request.
 
-func (o *LiveOwner) pin() servingView        { return &Server{col: o.lc.Current()} }
+func (o *LiveOwner) pin() *Server            { return &Server{v: current(o.lc)} }
 func (o *LiveOwner) export() ([]byte, error) { return o.ExportClient() }
 func (o *LiveOwner) adopt(_ *VOCache, m *Metrics) {
 	if m != nil && o.metrics == nil {
@@ -197,38 +167,24 @@ func (o *LiveOwner) adopt(_ *VOCache, m *Metrics) {
 }
 func (o *LiveOwner) updater() (liveUpdater, bool) { return o.Update, true }
 
-func (o *LiveShardedOwner) pin() servingView        { return &ShardedServer{set: o.lc.Current()} }
-func (o *LiveShardedOwner) export() ([]byte, error) { return o.ExportClient() }
-func (o *LiveShardedOwner) adopt(_ *VOCache, m *Metrics) {
-	if m != nil && o.metrics == nil {
-		o.SetMetrics(m)
+func (r *LiveReplica) pin() *Server { return r.Server() }
+func (r *LiveReplica) export() ([]byte, error) {
+	return published(r.cur.Load().export, "this server has no publishable verification key (fast-signer build?)")
+}
+func (r *LiveReplica) adopt(_ *VOCache, m *Metrics) {
+	if m != nil && r.metrics == nil {
+		r.SetMetrics(m)
 	}
 }
-func (o *LiveShardedOwner) updater() (liveUpdater, bool) { return o.Update, true }
+func (r *LiveReplica) updater() (liveUpdater, bool) { return nil, true }
 
 // NewHTTPHandler exposes a Server over the versioned HTTP protocol.
-// clientExport is the blob from Owner.ExportClient, served verbatim at
-// /v1/manifest so remote clients can bootstrap; pass nil to run a search
-// endpoint without manifest bootstrap (clients must then obtain the
-// export out of band).
+// clientExport is the blob from Owner.ExportClient (or Server.ExportClient),
+// served verbatim at the manifest endpoint so remote clients can bootstrap;
+// pass nil to run a search endpoint without manifest bootstrap (clients must
+// then obtain the export out of band).
 func NewHTTPHandler(srv *Server, clientExport []byte, opts ...HandlerOption) http.Handler {
-	return newHandler(&staticSource{view: srv, blob: clientExport}, opts)
-}
-
-// NewShardedHTTPHandler exposes a ShardedServer over the versioned HTTP
-// protocol. export is the ATSX blob from ShardedOwner.ExportClient, served
-// at /v1/shards/manifest; pass nil to require out-of-band bootstrap.
-func NewShardedHTTPHandler(srv *ShardedServer, export []byte, opts ...HandlerOption) http.Handler {
-	return newHandler(&staticSource{view: srv, blob: export}, opts)
-}
-
-// NewLiveReplicaHTTPHandler exposes a snapshot-fed replica over the /v1
-// protocol: the live serving surface (generation in responses and
-// healthz, current generation's manifest) without the update endpoint —
-// POSTs to /v1/admin/update answer 403, because updates happen at the
-// owner that writes the snapshots.
-func NewLiveReplicaHTTPHandler(r *LiveReplica, opts ...HandlerOption) (http.Handler, error) {
-	return newLiveHandler(r, opts)
+	return newHandler(&staticSource{srv: srv, blob: clientExport}, opts)
 }
 
 // HTTPHandler is the owner-side convenience: it exports the verification
@@ -241,35 +197,21 @@ func (o *Owner) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
 	return NewHTTPHandler(o.Server(), export, opts...), nil
 }
 
-// HTTPHandler is the owner-side convenience: export the verification
-// material and wrap the serving half in one call.
-func (o *ShardedOwner) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
-	export, err := o.ExportClient()
-	if err != nil {
-		return nil, err
-	}
-	return NewShardedHTTPHandler(o.Server(), export, opts...), nil
-}
-
 // HTTPHandler exposes the live collection over the versioned HTTP
 // protocol with the admin update endpoint enabled: searches serve the
 // latest generation, /v1/admin/update applies batches through this owner,
-// and /v1/manifest always publishes the current generation's export.
+// and the manifest endpoint always publishes the current generation's
+// export.
 func (o *LiveOwner) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
 	return newLiveHandler(o, opts)
 }
 
-// HTTPHandler exposes the live sharded deployment over the versioned HTTP
-// protocol with the admin update endpoint enabled.
-func (o *LiveShardedOwner) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
-	return newLiveHandler(o, opts)
-}
-
-// HTTPHandler exposes the replica over the versioned HTTP protocol: the
-// sharded serving surface of the latest loaded generation, with
-// /v1/admin/update answering 403 because updates happen at the owner
-// that writes the snapshots.
-func (r *LiveShardedReplica) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
+// HTTPHandler exposes a snapshot-fed replica over the /v1 protocol: the
+// live serving surface (generation in responses and healthz, current
+// generation's manifest) without the update endpoint — POSTs to
+// /v1/admin/update answer 403, because updates happen at the owner that
+// writes the snapshots.
+func (r *LiveReplica) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
 	return newLiveHandler(r, opts)
 }
 
@@ -289,18 +231,17 @@ func newHandler(src source, opts []HandlerOption) http.Handler {
 		opt(&b.opts)
 	}
 	src.adopt(b.opts.cache, b.opts.metrics)
-	view := src.pin()
 	// The handler options layer over what the source already carries.
-	var metrics *Metrics
-	b.cache, metrics = view.with(b.opts.cache, b.opts.metrics).attached()
+	srv := src.pin().with(b.opts.cache, b.opts.metrics)
+	b.cache = srv.cache
 	b.opts.metrics.setGeneration(src.Generation())
 	// /v1/metrics and /v1/healthz read the same cache counters.
-	metrics.BindVOCache(b.cache)
+	srv.metrics.BindVOCache(b.cache)
 
 	// Which endpoints exist is a property of the source, declared here; the
-	// wire shape is the view's, the update endpoint the lifecycle's.
+	// wire shape is the pinned server's, the update endpoint the lifecycle's.
 	e := httpapi.Endpoints{Generation: src.Generation}
-	if _, b.sharded = view.(*ShardedServer); b.sharded {
+	if b.sharded = srv.Shards() > 0; b.sharded {
 		e.ShardSearch, e.ShardExport = b.shardSearch, src.export
 	} else {
 		e.SearchBatch = b.searchBatch
@@ -323,7 +264,7 @@ func newHandler(src source, opts []HandlerOption) http.Handler {
 // declares — over any generation source.
 type backend struct {
 	src     source
-	sharded bool        // the wire shape of every view src pins
+	sharded bool        // the wire shape of every server src pins
 	update  liveUpdater // nil: serving-only
 	start   time.Time
 	opts    handlerOptions
@@ -336,7 +277,7 @@ type backend struct {
 
 // pin pins the current generation, serving through the effective cache
 // and metrics (a no-op on static sources, which adopted both).
-func (b *backend) pin() servingView {
+func (b *backend) pin() *Server {
 	return b.src.pin().with(b.opts.cache, b.opts.metrics)
 }
 
@@ -353,21 +294,30 @@ func (b *backend) Search(req *httpapi.SearchRequest) (*httpapi.SearchResponse, e
 	if b.sharded {
 		return nil, shardedOnly("query " + httpapi.PathShardSearch)
 	}
-	srv := b.pin().(*Server)
+	res, err := b.search(req)
+	if err != nil {
+		return nil, err
+	}
+	return wireSearchResponse(req, res), nil
+}
+
+// search answers one query on one pinned generation — for a shard set, the
+// whole fan-out.
+func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, error) {
 	start := time.Now()
-	res, err := srv.Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
+	res, err := b.pin().Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
 	if err != nil {
 		b.failed.Add(1)
 		return nil, err
 	}
 	b.record(req, res.Stats, time.Since(start))
-	return wireSearchResponse(req, res), nil
+	return res, nil
 }
 
 // searchBatch runs the whole batch on ONE pinned generation, on top of the
 // facade's bounded-worker batch execution.
 func (b *backend) searchBatch(reqs []httpapi.SearchRequest) []httpapi.BatchSearchResult {
-	srv := b.pin().(*Server)
+	srv := b.pin()
 	queries := make([]BatchQuery, len(reqs))
 	for i, req := range reqs {
 		queries[i] = BatchQuery{
@@ -394,16 +344,11 @@ func (b *backend) searchBatch(reqs []httpapi.SearchRequest) []httpapi.BatchSearc
 	return out
 }
 
-// shardSearch pins one generation for the whole fan-out.
 func (b *backend) shardSearch(req *httpapi.SearchRequest) (*httpapi.ShardedSearchResponse, error) {
-	srv := b.pin().(*ShardedServer)
-	start := time.Now()
-	res, err := srv.Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
+	res, err := b.search(req)
 	if err != nil {
-		b.failed.Add(1)
 		return nil, err
 	}
-	b.record(req, res.Stats.aggregate(), time.Since(start))
 	return wireShardedResponse(req, res), nil
 }
 
@@ -476,9 +421,9 @@ func (b *backend) applyUpdate(req *httpapi.UpdateRequest) (*httpapi.UpdateRespon
 	}, nil
 }
 
-// Health reads the collection shape and the generation off ONE pinned view.
+// Health reads the collection shape and the generation off ONE pinned server.
 func (b *backend) Health() httpapi.Health {
-	h := b.src.pin().health()
+	h := b.src.pin().v.health()
 	h.Status = "ok"
 	h.UptimeMillis = time.Since(b.start).Milliseconds()
 	h.QueriesServed = b.served.Load()
@@ -523,7 +468,7 @@ func wireSearchResponse(req *httpapi.SearchRequest, res *SearchResult) *httpapi.
 // wireShardedResponse is wireSearchResponse for a fan-out answer — a pure
 // function of (req, res) for the same reason: ServerMillis is the
 // engine-measured fan-out wall stored in the result.
-func wireShardedResponse(req *httpapi.SearchRequest, res *ShardedResult) *httpapi.ShardedSearchResponse {
+func wireShardedResponse(req *httpapi.SearchRequest, res *SearchResult) *httpapi.ShardedSearchResponse {
 	out := &httpapi.ShardedSearchResponse{
 		Query:      req.Query,
 		R:          req.R,
@@ -531,19 +476,19 @@ func wireShardedResponse(req *httpapi.SearchRequest, res *ShardedResult) *httpap
 		Scheme:     req.Scheme,
 		Generation: res.Generation,
 		Shards:     make([]httpapi.SearchResponse, len(res.PerShard)),
-		Merged:     make([]httpapi.MergedHit, len(res.Merged)),
+		Merged:     make([]httpapi.MergedHit, len(res.Hits)),
 		Stats: httpapi.ShardedSearchStats{
 			Shards:       res.Stats.Shards,
 			EntriesRead:  res.Stats.EntriesRead,
 			VOBytes:      res.Stats.VOBytes,
 			IOMillis:     float64(res.Stats.IOTime),
-			ServerMillis: float64(res.Stats.Wall.Microseconds()) / 1000,
+			ServerMillis: float64(res.Stats.ServerTime),
 		},
 	}
 	for i, sr := range res.PerShard {
 		out.Shards[i] = *wireSearchResponse(req, sr)
 	}
-	for i, m := range res.Merged {
+	for i, m := range res.Hits {
 		out.Merged[i] = httpapi.MergedHit{Shard: m.Shard, DocID: m.DocID, GlobalID: m.GlobalID, Score: m.Score}
 	}
 	return out

@@ -8,10 +8,10 @@ import "testing"
 func TestStaticSourcePinDoesNotAllocate(t *testing.T) {
 	o := owner(t)
 	cache, metrics := NewVOCache(1<<20), NewMetrics()
-	src := &staticSource{view: o.Server()}
+	src := &staticSource{srv: o.Server()}
 	src.adopt(cache, metrics)
 	b := &backend{src: src, opts: handlerOptions{cache: cache, metrics: metrics}}
-	if got, _ := b.pin().attached(); got != cache {
+	if b.pin().cache != cache {
 		t.Fatal("the adopted cache is not the one served through")
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = b.pin() }); n != 0 {

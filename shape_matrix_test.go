@@ -18,7 +18,7 @@ import (
 	"authtext/internal/wire"
 )
 
-// The handler shape matrix: every serving shape — {single, sharded} ×
+// The handler shape matrix: every serving shape — {bare, 2 shards} ×
 // {static, live owner, snapshot replica} — is built from one generation
 // source behind one backend (serve.go), so one table checks what all six
 // must agree on: honest answers verify over both wire codecs, the
@@ -48,8 +48,9 @@ type matrixEnv struct {
 }
 
 type matrixShape struct {
-	name    string
-	sharded bool
+	name string
+	// shards is the shard count: 0 for a bare collection.
+	shards int
 	// adminStatus is what POST /v1/admin/update answers: 404 (static: no
 	// such endpoint), 403 (replica: serving-only) or 200 (owner).
 	adminStatus int
@@ -66,12 +67,21 @@ func must[T any](v T, err error) func(*testing.T) T {
 	}
 }
 
-// liveSingle builds a live owner whose served generation carries one
-// tombstone (so live documents != slots): generation 2, matrixDocs-1
-// documents.
-func liveSingle(t *testing.T) *authtext.LiveOwner {
+// matrixLiveOwner builds a live owner — bare for 0 shards — whose served
+// generation carries one tombstone (so live documents != slots): generation
+// 2, matrixDocs-1 documents.
+func matrixLiveOwner(t *testing.T, shards int) *authtext.LiveOwner {
 	t.Helper()
-	owner, handles, err := authtext.NewLiveOwner(liveRemoteDocs(0, matrixDocs))
+	var (
+		owner   *authtext.LiveOwner
+		handles []authtext.DocHandle
+		err     error
+	)
+	if shards == 0 {
+		owner, handles, err = authtext.NewLiveOwner(liveRemoteDocs(0, matrixDocs))
+	} else {
+		owner, handles, err = authtext.NewLiveShardedOwner(liveRemoteDocs(0, matrixDocs), shards)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,127 +89,61 @@ func liveSingle(t *testing.T) *authtext.LiveOwner {
 	return owner
 }
 
-func liveSharded(t *testing.T) *authtext.LiveShardedOwner {
-	t.Helper()
-	owner, handles, err := authtext.NewLiveShardedOwner(liveRemoteDocs(0, matrixDocs), 2,
-		authtext.WithShardPartitioner(authtext.PartitionHash))
+// matrixShapes is {0, 2} shards × {static, live owner, snapshot replica}:
+// three constructors, each taking the shard count as data.
+var matrixShapes = func() (shapes []matrixShape) {
+	for _, shards := range []int{0, 2} {
+		suffix := map[int]string{0: "-single", 2: "-sharded"}[shards]
+		shapes = append(shapes,
+			matrixShape{name: "static" + suffix, shards: shards, adminStatus: http.StatusNotFound,
+				build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
+					build := authtext.NewOwner
+					if shards > 0 {
+						build = func(docs []authtext.Document, opts ...authtext.Option) (*authtext.Owner, error) {
+							return authtext.NewShardedOwner(docs, shards, opts...)
+						}
+					}
+					owner := must(build(liveRemoteDocs(0, matrixDocs)))(t)
+					srv, own := owner.Server(), authtext.NewVOCache(1<<20)
+					srv.SetVOCache(own)
+					return matrixEnv{handler: authtext.NewHTTPHandler(srv, must(owner.ExportClient())(t), opts...),
+						documents: matrixDocs, ownCache: own}
+				}},
+			matrixShape{name: "live" + suffix, shards: shards, adminStatus: http.StatusOK,
+				build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
+					owner := matrixLiveOwner(t, shards)
+					return matrixEnv{handler: must(owner.HTTPHandler(opts...))(t),
+						documents: matrixDocs - 1, generation: 2,
+						advance: func(t *testing.T) { must(owner.RemoveDocuments(owner.Handles()[0]))(t) }}
+				}},
+			matrixShape{name: "replica" + suffix, shards: shards, adminStatus: http.StatusForbidden,
+				build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
+					owner, dir := matrixLiveOwner(t, shards), t.TempDir()
+					must(owner.WriteSnapshotDir(dir))(t)
+					replica, own := must(authtext.OpenLiveSnapshotDir(dir))(t), authtext.NewVOCache(1<<20)
+					replica.SetVOCache(own)
+					return matrixEnv{handler: must(replica.HTTPHandler(opts...))(t),
+						documents: matrixDocs - 1, generation: 2, ownCache: own,
+						advance: func(t *testing.T) {
+							must(owner.RemoveDocuments(owner.Handles()[0]))(t)
+							must(owner.WriteSnapshotDir(dir))(t)
+							if swapped := must(replica.Reload())(t); !swapped {
+								t.Fatal("reload did not swap")
+							}
+						}}
+				}})
+	}
+	return shapes
+}()
+
+// matrixSearch runs one verified search through rc: the generation that
+// answered and the number of hits.
+func matrixSearch(rc *authtext.RemoteClient) (uint64, int, error) {
+	res, err := rc.Search(context.Background(), matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
 	if err != nil {
-		t.Fatal(err)
+		return 0, 0, err
 	}
-	must(owner.RemoveDocuments(handles[1]))(t)
-	return owner
-}
-
-var matrixShapes = []matrixShape{
-	{name: "static-single", adminStatus: http.StatusNotFound,
-		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
-			owner := must(authtext.NewOwner(liveRemoteDocs(0, matrixDocs)))(t)
-			srv, own := owner.Server(), authtext.NewVOCache(1<<20)
-			srv.SetVOCache(own)
-			return matrixEnv{handler: authtext.NewHTTPHandler(srv, must(owner.ExportClient())(t), opts...),
-				documents: matrixDocs, ownCache: own}
-		}},
-	{name: "static-sharded", sharded: true, adminStatus: http.StatusNotFound,
-		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
-			owner := must(authtext.NewShardedOwner(liveRemoteDocs(0, matrixDocs), 2))(t)
-			srv, own := owner.Server(), authtext.NewVOCache(1<<20)
-			srv.SetVOCache(own)
-			return matrixEnv{handler: authtext.NewShardedHTTPHandler(srv, must(owner.ExportClient())(t), opts...),
-				documents: matrixDocs, ownCache: own}
-		}},
-	{name: "live-single", adminStatus: http.StatusOK,
-		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
-			owner := liveSingle(t)
-			return matrixEnv{handler: must(owner.HTTPHandler(opts...))(t),
-				documents: matrixDocs - 1, generation: 2,
-				advance: func(t *testing.T) { must(owner.RemoveDocuments(owner.Handles()[0]))(t) }}
-		}},
-	{name: "live-sharded", sharded: true, adminStatus: http.StatusOK,
-		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
-			owner := liveSharded(t)
-			return matrixEnv{handler: must(owner.HTTPHandler(opts...))(t),
-				documents: matrixDocs - 1, generation: 2,
-				advance: func(t *testing.T) {
-					_, _, err := owner.AddDocuments(liveRemoteDocs(matrixDocs, 1))
-					if err != nil {
-						t.Fatal(err)
-					}
-				}}
-		}},
-	{name: "replica-single", adminStatus: http.StatusForbidden,
-		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
-			owner, dir := liveSingle(t), t.TempDir()
-			must(owner.WriteSnapshotDir(dir))(t)
-			replica, own := must(authtext.OpenLiveSnapshotDir(dir))(t), authtext.NewVOCache(1<<20)
-			replica.SetVOCache(own)
-			return matrixEnv{handler: must(authtext.NewLiveReplicaHTTPHandler(replica, opts...))(t),
-				documents: matrixDocs - 1, generation: 2, ownCache: own,
-				advance: func(t *testing.T) {
-					must(owner.RemoveDocuments(owner.Handles()[0]))(t)
-					must(owner.WriteSnapshotDir(dir))(t)
-					if swapped := must(replica.Reload())(t); !swapped {
-						t.Fatal("reload did not swap")
-					}
-				}}
-		}},
-	{name: "replica-sharded", sharded: true, adminStatus: http.StatusForbidden,
-		build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
-			owner, dir := liveSharded(t), t.TempDir()
-			must(owner.WriteSnapshotDir(dir))(t)
-			replica, own := must(authtext.OpenLiveShardedSnapshotDir(dir))(t), authtext.NewVOCache(1<<20)
-			replica.SetVOCache(own)
-			return matrixEnv{handler: must(replica.HTTPHandler(opts...))(t),
-				documents: matrixDocs - 1, generation: 2, ownCache: own,
-				advance: func(t *testing.T) {
-					_, _, err := owner.AddDocuments(liveRemoteDocs(matrixDocs, 1))
-					if err != nil {
-						t.Fatal(err)
-					}
-					must(owner.WriteSnapshotDir(dir))(t)
-					if swapped := must(replica.Reload())(t); !swapped {
-						t.Fatal("reload did not swap")
-					}
-				}}
-		}},
-}
-
-// matrixClient is the verifying client matching a shape's wire.
-type matrixClient interface {
-	Generation() uint64
-	Health(ctx context.Context) (*authtext.ServerHealth, error)
-}
-
-// matrixDial builds the remote client matching the shape, and the verified
-// search through it: the generation that answered and the number of hits.
-func matrixDial(t *testing.T, url string, sharded bool, opts ...authtext.RemoteOption) (matrixClient, func() (uint64, int, error)) {
-	t.Helper()
-	ctx := context.Background()
-	if sharded {
-		rc := must(authtext.NewShardedRemoteClient(url, opts...))(t)
-		return rc, func() (uint64, int, error) {
-			res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
-			if err != nil {
-				return 0, 0, err
-			}
-			return res.Generation, len(res.Merged), nil
-		}
-	}
-	rc := must(authtext.NewRemoteClient(url, opts...))(t)
-	return rc, func() (uint64, int, error) {
-		res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
-		if err != nil {
-			return 0, 0, err
-		}
-		return res.Generation, len(res.Hits), nil
-	}
-}
-
-// matrixSearch runs one verified search through a fresh client.
-func matrixSearch(t *testing.T, url string, sharded bool, opts ...authtext.RemoteOption) (matrixClient, uint64, int, error) {
-	t.Helper()
-	rc, search := matrixDial(t, url, sharded, opts...)
-	gen, hits, err := search()
-	return rc, gen, hits, err
+	return res.Generation, len(res.Hits), nil
 }
 
 // stripAccept forces the JSON codec: the server never sees a frame offer.
@@ -231,7 +175,7 @@ func TestHandlerShapeMatrix(t *testing.T) {
 			optCache := authtext.NewVOCache(2 << 20)
 			env := shape.build(t, authtext.WithVOCache(optCache))
 			searchPath, manifestPath := httpapi.PathSearch, httpapi.PathManifest
-			if shape.sharded {
+			if shape.shards > 0 {
 				searchPath, manifestPath = httpapi.PathShardSearch, httpapi.PathShardManifest
 			}
 			searchBody := `{"query":"` + matrixQuery + `","r":3}`
@@ -262,7 +206,8 @@ func TestHandlerShapeMatrix(t *testing.T) {
 			// frames (the client's preference) and over JSON.
 			for codec, h := range map[string]http.Handler{"binary": env.handler, "json": stripAccept(env.handler)} {
 				ts := httptest.NewServer(h)
-				rc, gen, hits, err := matrixSearch(t, ts.URL, shape.sharded)
+				rc := must(authtext.NewRemoteClient(ts.URL))(t)
+				gen, hits, err := matrixSearch(rc)
 				if err != nil || hits == 0 {
 					t.Fatalf("%s: honest search: %d hits, err %v", codec, hits, err)
 				}
@@ -270,14 +215,13 @@ func TestHandlerShapeMatrix(t *testing.T) {
 					t.Fatalf("%s: answered generation %d, client holds %d, want %d", codec, gen, rc.Generation(), env.generation)
 				}
 				health := must(rc.Health(context.Background()))(t)
-				wantShards := 0
-				if shape.sharded {
-					wantShards = 2
-				}
 				if health.Status != "ok" || health.Documents != env.documents || health.Terms == 0 ||
-					health.Shards != wantShards || health.Generation != env.generation {
+					health.Shards != shape.shards || health.Generation != env.generation {
 					t.Fatalf("%s: healthz %+v, want %d documents, %d shards, generation %d",
-						codec, health, env.documents, wantShards, env.generation)
+						codec, health, env.documents, shape.shards, env.generation)
+				}
+				if rc.Shards() != shape.shards {
+					t.Fatalf("%s: the client verifies %d shards, want %d", codec, rc.Shards(), shape.shards)
 				}
 				ts.Close()
 			}
@@ -307,7 +251,7 @@ func TestHandlerShapeMatrix(t *testing.T) {
 				{http.MethodGet, manifestPath, "", http.StatusOK, "", ""},
 				notHere("/v1/nope"),
 			}
-			if shape.sharded {
+			if shape.shards > 0 {
 				probes = append(probes,
 					probe{http.MethodGet, httpapi.PathSearch + "?q=merkle", "", http.StatusNotFound, httpapi.CodeNotFound,
 						"this server is sharded; query " + httpapi.PathShardSearch},
@@ -356,22 +300,22 @@ func TestHandlerShapeMatrix(t *testing.T) {
 				}
 			}
 			tampered := tamperingProxy(env.handler, func(r *httpapi.SearchResponse) { flip(r.VO) })
-			if shape.sharded {
-				tampered = shardedTamperingProxy(env.handler, func(r *httpapi.ShardedSearchResponse) { flip(r.Shards[0].VO) })
+			if shape.shards > 0 {
+				tampered = tamperingProxy(env.handler, func(r *httpapi.ShardedSearchResponse) { flip(r.Shards[0].VO) })
 			}
 			ts := httptest.NewServer(tampered)
 			defer ts.Close()
 			var codes [2]core.VerifyCode
 			for i, warm := range []bool{false, true} {
 				armed.Store(false)
-				_, search := matrixDial(t, ts.URL, shape.sharded)
+				rc := must(authtext.NewRemoteClient(ts.URL))(t)
 				if warm {
-					if _, hits, err := search(); err != nil || hits == 0 {
+					if _, hits, err := matrixSearch(rc); err != nil || hits == 0 {
 						t.Fatalf("honest warm-up: %d hits, err %v", hits, err)
 					}
 				}
 				armed.Store(true)
-				_, _, err := search()
+				_, _, err := matrixSearch(rc)
 				if !authtext.IsTampered(err) {
 					t.Fatalf("warm=%v: flipped VO classified as %v", warm, err)
 				}
@@ -413,7 +357,8 @@ func TestHandlerShapeMatrix(t *testing.T) {
 				stripAccept(env.handler).ServeHTTP(w, r)
 			}))
 			defer rolledBack.Close()
-			rc, gen, _, err := matrixSearch(t, rolledBack.URL, shape.sharded)
+			rc := must(authtext.NewRemoteClient(rolledBack.URL))(t)
+			gen, _, err := matrixSearch(rc)
 			if err != nil || gen != env.generation+1 {
 				t.Fatalf("search after advance: generation %d, err %v", gen, err)
 			}
@@ -423,7 +368,7 @@ func TestHandlerShapeMatrix(t *testing.T) {
 			if err := json.Unmarshal(export.Body.Bytes(), &m); err != nil {
 				t.Fatal(err)
 			}
-			_, _, _, err = matrixSearch(t, rolledBack.URL, shape.sharded, authtext.WithClientExport(m.Export))
+			_, _, err = matrixSearch(must(authtext.NewRemoteClient(rolledBack.URL, authtext.WithClientExport(m.Export)))(t))
 			if !errors.Is(err, authtext.ErrStaleGeneration) || !authtext.IsTampered(err) {
 				t.Fatalf("replayed generation %d to a client at %d classified as %v", env.generation, rc.Generation(), err)
 			}
@@ -436,7 +381,7 @@ func TestHandlerShapeMatrix(t *testing.T) {
 // is served statically by file path or through a replica by directory —
 // live documents, never slots.
 func TestHealthzCountsLiveDocumentsOnStaticServer(t *testing.T) {
-	owner, dir := liveSingle(t), t.TempDir()
+	owner, dir := matrixLiveOwner(t, 0), t.TempDir()
 	path := must(owner.WriteSnapshotDir(dir))(t)
 
 	srv, client, err := authtext.OpenSnapshotFile(path)
@@ -444,7 +389,7 @@ func TestHealthzCountsLiveDocumentsOnStaticServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	byFile := authtext.NewHTTPHandler(srv, must(client.Export())(t))
-	byDir := must(authtext.NewLiveReplicaHTTPHandler(must(authtext.OpenLiveSnapshotDir(dir))(t)))(t)
+	byDir := must(must(authtext.OpenLiveSnapshotDir(dir))(t).HTTPHandler())(t)
 
 	healthOf := func(h http.Handler) (out httpapi.Health) {
 		if err := json.Unmarshal(matrixDo(h, http.MethodGet, httpapi.PathHealthz, "", "").Body.Bytes(), &out); err != nil {

@@ -1,8 +1,12 @@
 package authtext
 
 import (
+	"bytes"
+	"context"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -32,7 +36,7 @@ func shardedTestDocs() []Document {
 	return docs
 }
 
-func buildShardedFixture(t *testing.T, shards int, opts ...Option) (*ShardedServer, *ShardedClient) {
+func buildShardedFixture(t *testing.T, shards int, opts ...Option) (*Server, *Client) {
 	t.Helper()
 	opts = append([]Option{WithFastSigner([]byte("sharded-test")), WithSingletonTerms()}, opts...)
 	owner, err := NewShardedOwner(shardedTestDocs(), shards, opts...)
@@ -58,19 +62,19 @@ func TestShardedHonestSearchVerifies(t *testing.T) {
 			if len(res.PerShard) != 4 {
 				t.Fatalf("%s-%s: %d shard responses", algo, scheme, len(res.PerShard))
 			}
-			if len(res.Merged) == 0 {
+			if len(res.Hits) == 0 {
 				t.Fatalf("%s-%s: empty merged ranking", algo, scheme)
 			}
 			if err := client.Verify(shardedQuery, 5, res); err != nil {
 				t.Errorf("%s-%s: honest result rejected: %v", algo, scheme, err)
 			}
 			// Merged hits must be globally ordered and carry content.
-			for i := 1; i < len(res.Merged); i++ {
-				if res.Merged[i].Score > res.Merged[i-1].Score {
+			for i := 1; i < len(res.Hits); i++ {
+				if res.Hits[i].Score > res.Hits[i-1].Score {
 					t.Errorf("%s-%s: merged ranking not sorted at %d", algo, scheme, i)
 				}
 			}
-			for i, h := range res.Merged {
+			for i, h := range res.Hits {
 				if len(h.Content) == 0 {
 					t.Errorf("%s-%s: merged hit %d has no content", algo, scheme, i)
 				}
@@ -90,17 +94,17 @@ func TestShardedTamperingDetected(t *testing.T) {
 	for _, algo := range []Algorithm{TRA, TNRA} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
-			fresh := func() *ShardedResult {
+			fresh := func() *SearchResult {
 				res, err := server.Search(shardedQuery, 5, algo, ChainMHT)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(res.Merged) < 2 {
-					t.Fatalf("need ≥ 2 merged hits to tamper, got %d", len(res.Merged))
+				if len(res.Hits) < 2 {
+					t.Fatalf("need ≥ 2 merged hits to tamper, got %d", len(res.Hits))
 				}
 				return res
 			}
-			expectTampered := func(name string, res *ShardedResult) {
+			expectTampered := func(name string, res *SearchResult) {
 				t.Helper()
 				err := client.Verify(shardedQuery, 5, res)
 				if err == nil {
@@ -114,7 +118,7 @@ func TestShardedTamperingDetected(t *testing.T) {
 
 			// 1. Alter a single shard's response: inflate a score.
 			res := fresh()
-			victim := res.Merged[0].Shard
+			victim := res.Hits[0].Shard
 			if len(res.PerShard[victim].Hits) == 0 {
 				t.Fatalf("victim shard %d has no hits", victim)
 			}
@@ -123,13 +127,13 @@ func TestShardedTamperingDetected(t *testing.T) {
 
 			// 2. Alter a single shard's response: swap delivered content.
 			res = fresh()
-			victim = res.Merged[0].Shard
+			victim = res.Hits[0].Shard
 			res.PerShard[victim].Hits[0].Content = []byte("forged document content")
 			expectTampered("forged shard content", res)
 
 			// 3. Alter a single shard's response: corrupt its VO.
 			res = fresh()
-			victim = res.Merged[0].Shard
+			victim = res.Hits[0].Shard
 			res.PerShard[victim].VO[len(res.PerShard[victim].VO)/2] ^= 0x01
 			expectTampered("corrupted shard VO", res)
 
@@ -145,22 +149,22 @@ func TestShardedTamperingDetected(t *testing.T) {
 
 			// 6. Reorder the merged top-k.
 			res = fresh()
-			res.Merged[0], res.Merged[1] = res.Merged[1], res.Merged[0]
+			res.Hits[0], res.Hits[1] = res.Hits[1], res.Hits[0]
 			expectTampered("reordered merge", res)
 
 			// 7. Truncate the merged top-k (hide the best hit).
 			res = fresh()
-			res.Merged = res.Merged[1:]
+			res.Hits = res.Hits[1:]
 			expectTampered("truncated merge", res)
 
 			// 8. Rewrite a merged entry's global ID.
 			res = fresh()
-			res.Merged[0].GlobalID = (res.Merged[0].GlobalID + 1) % len(shardedTestDocs())
+			res.Hits[0].GlobalID = (res.Hits[0].GlobalID + 1) % len(shardedTestDocs())
 			expectTampered("rewritten global id", res)
 
 			// 9. Swap merged content against the shard answers.
 			res = fresh()
-			res.Merged[0].Content = []byte("forged merged content")
+			res.Hits[0].Content = []byte("forged merged content")
 			expectTampered("forged merged content", res)
 
 			// Control: an untouched result still verifies.
@@ -193,7 +197,7 @@ func TestShardedExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := NewShardedClientFromExport(export)
+	client, err := NewClientFromExport(export)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +217,14 @@ func TestShardedExportRoundTrip(t *testing.T) {
 	for _, i := range []int{0, 6, len(export) / 2, len(export) - 1} {
 		bad := append([]byte(nil), export...)
 		bad[i] ^= 0x01
-		if _, err := NewShardedClientFromExport(bad); err == nil {
+		if _, err := NewClientFromExport(bad); err == nil {
 			t.Errorf("flipping export byte %d went undetected", i)
 		}
 	}
-	if _, err := NewShardedClientFromExport(export[:len(export)-3]); err == nil {
+	if _, err := NewClientFromExport(export[:len(export)-3]); err == nil {
 		t.Error("truncated export accepted")
 	}
-	if _, err := NewShardedClientFromExport(append(append([]byte(nil), export...), 0)); err == nil {
+	if _, err := NewClientFromExport(append(append([]byte(nil), export...), 0)); err == nil {
 		t.Error("trailing bytes accepted")
 	}
 }
@@ -236,14 +240,17 @@ func TestShardedSnapshotDirRoundTrip(t *testing.T) {
 	if err := owner.WriteSnapshotDir(snapDir); err != nil {
 		t.Fatal(err)
 	}
-	if !IsShardedSnapshot(snapDir) {
-		t.Error("IsShardedSnapshot = false for a sharded snapshot directory")
+	if !isShardDir(snapDir) {
+		t.Error("isShardDir = false for a shard set's snapshot directory")
 	}
-	if IsShardedSnapshot(filepath.Join(dir, "nope")) {
-		t.Error("IsShardedSnapshot = true for a missing path")
+	if isShardDir(filepath.Join(dir, "nope")) {
+		t.Error("isShardDir = true for a missing path")
+	}
+	if IsLiveSnapshotDir(snapDir) {
+		t.Error("a static shard-set directory taken for a per-generation one")
 	}
 
-	server, client, err := OpenShardedSnapshotDir(snapDir)
+	server, client, err := OpenSnapshotFile(snapDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +281,7 @@ func TestShardedSnapshotDirRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, err := OpenShardedSnapshotDir(snapDir); err == nil {
+	if _, _, err := OpenSnapshotFile(snapDir); err == nil {
 		t.Error("swapped shard files opened cleanly")
 	}
 }
@@ -325,7 +332,200 @@ func TestShardedStatsAggregate(t *testing.T) {
 	if st.VOBytes != voSum {
 		t.Errorf("Stats.VOBytes = %d, per-shard sum %d", st.VOBytes, voSum)
 	}
-	if st.Wall <= 0 {
-		t.Errorf("Stats.Wall = %v", st.Wall)
+	if st.ServerTime <= 0 {
+		t.Errorf("Stats.ServerTime = %v", st.ServerTime)
+	}
+}
+
+// TestFanOutQueryTermsIsTheMaximum: each shard counts only the query terms
+// in ITS dictionary, so the fan-out aggregate is the maximum over shards —
+// not whichever shard the merge loop happened to visit last. "professional"
+// occurs in document 0 alone (shard 0 of 2, round-robin); "documents" occurs
+// in both shards.
+func TestFanOutQueryTermsIsTheMaximum(t *testing.T) {
+	server, client := buildShardedFixture(t, 2)
+	const q = "professional documents"
+	res, err := server.Search(q, 3, TNRA, ChainMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client.Verify(q, 3, res); err != nil {
+		t.Fatal(err)
+	}
+	if got := [2]int{res.PerShard[0].Stats.QueryTerms, res.PerShard[1].Stats.QueryTerms}; got != [2]int{2, 1} {
+		t.Fatalf("per-shard QueryTerms = %v, want [2 1]: the fixture no longer splits the query", got)
+	}
+	if res.Stats.QueryTerms != 2 {
+		t.Fatalf("fan-out QueryTerms = %d, want the maximum over shards, 2", res.Stats.QueryTerms)
+	}
+}
+
+// TestOneShardEqualsBare states what two types never could: a 1-shard set
+// and a bare collection over the same documents return the same hits — IDs,
+// scores, content, and the shard labels a bare collection reports — for
+// every algorithm and scheme.
+func TestOneShardEqualsBare(t *testing.T) {
+	opts := []Option{WithFastSigner([]byte("one-shard")), WithSingletonTerms()}
+	bareOwner, err := NewOwner(shardedTestDocs(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oneOwner, err := NewShardedOwner(shardedTestDocs(), 1, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bareOwner.Shards() != 0 || oneOwner.Shards() != 1 {
+		t.Fatalf("Shards() = %d and %d, want 0 and 1", bareOwner.Shards(), oneOwner.Shards())
+	}
+	for _, q := range []string{shardedQuery, "merkle digest", "professional documents", "no such words"} {
+		for _, algo := range []Algorithm{TRA, TNRA} {
+			for _, scheme := range []Scheme{MHT, ChainMHT} {
+				bare, err := bareOwner.Server().Search(q, 5, algo, scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				one, err := oneOwner.Server().Search(q, 5, algo, scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := bareOwner.Client().Verify(q, 5, bare); err != nil {
+					t.Fatalf("%s-%s %q: bare: %v", algo, scheme, q, err)
+				}
+				if err := oneOwner.Client().Verify(q, 5, one); err != nil {
+					t.Fatalf("%s-%s %q: one shard: %v", algo, scheme, q, err)
+				}
+				if !reflect.DeepEqual(bare.Hits, one.Hits) || !reflect.DeepEqual(bare.Hits, one.PerShard[0].Hits) {
+					t.Fatalf("%s-%s %q: hits differ\nbare      %+v\none shard %+v", algo, scheme, q, bare.Hits, one.Hits)
+				}
+				if !bytes.Equal(bare.VO, one.PerShard[0].VO) {
+					t.Fatalf("%s-%s %q: the one shard's VO is not the bare collection's", algo, scheme, q)
+				}
+			}
+		}
+	}
+}
+
+// TestShapeMismatchClassified: a result, a manifest or an export of the
+// wrong shape for the client it is handed to is classified, never a panic.
+// Result-shaped lies — what a server can send — are tampering; wrong-format
+// LOCAL input is a plain error.
+func TestShapeMismatchClassified(t *testing.T) {
+	bareOwner, err := NewOwner(shardedTestDocs(), WithSingletonTerms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	setOwner, err := NewShardedOwner(shardedTestDocs(), 2, WithSingletonTerms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const r = 4
+	search := func(o *Owner) *SearchResult {
+		t.Helper()
+		res, err := o.Server().Search(shardedQuery, r, TNRA, ChainMHT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Client().Verify(shardedQuery, r, res); err != nil {
+			t.Fatalf("honest result rejected: %v", err)
+		}
+		return res
+	}
+	atcx, err := bareOwner.ExportClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+	atsx, err := setOwner.ExportClient()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	lies := []struct {
+		name   string
+		client *Client
+		result func() *SearchResult
+	}{
+		{"bare client, shard answers attached", bareOwner.Client(), func() *SearchResult {
+			res := search(bareOwner)
+			res.PerShard = search(setOwner).PerShard
+			return res
+		}},
+		{"bare client, a shard set's answer", bareOwner.Client(), func() *SearchResult { return search(setOwner) }},
+		{"set client, a bare answer", setOwner.Client(), func() *SearchResult { return search(bareOwner) }},
+		{"set client, too few shard answers", setOwner.Client(), func() *SearchResult {
+			res := search(setOwner)
+			res.PerShard = res.PerShard[:1]
+			return res
+		}},
+		{"set client, too many shard answers", setOwner.Client(), func() *SearchResult {
+			res := search(setOwner)
+			res.PerShard = append(res.PerShard, res.PerShard[0])
+			return res
+		}},
+		{"set client, a nil shard answer", setOwner.Client(), func() *SearchResult {
+			res := search(setOwner)
+			res.PerShard[1] = nil
+			return res
+		}},
+		{"set client, a shard answer that is itself a fan-out", setOwner.Client(), func() *SearchResult {
+			res := search(setOwner)
+			nested := *res.PerShard[0]
+			nested.PerShard = res.PerShard
+			res.PerShard[0] = &nested
+			return res
+		}},
+		{"set client, hit cites shard k", setOwner.Client(), func() *SearchResult {
+			res := search(setOwner)
+			res.Hits[0].Shard = 2
+			return res
+		}},
+		{"set client, hit cites shard -1", setOwner.Client(), func() *SearchResult {
+			res := search(setOwner)
+			res.Hits[0].Shard = -1
+			return res
+		}},
+		{"set client, hit global id wraps 32 bits", setOwner.Client(), func() *SearchResult {
+			res := search(setOwner)
+			res.Hits[0].GlobalID += 1 << 32
+			return res
+		}},
+	}
+	for _, lie := range lies {
+		if err := lie.client.Verify(shardedQuery, r, lie.result()); !IsTampered(err) {
+			t.Errorf("%s: classified as %v, want tampering", lie.name, err)
+		}
+	}
+
+	// Wrong-format local input: a plain error, and the client is left usable.
+	manifest, sig := bareOwner.v.col.Manifest()
+	mistakes := map[string]error{
+		"Advance on a set client":                 setOwner.Client().Advance(manifest.Encode(), sig),
+		"ATCX to a set client's AdvanceExport":    setOwner.Client().AdvanceExport(atcx),
+		"ATSX to a bare client's AdvanceExport":   bareOwner.Client().AdvanceExport(atsx),
+		"garbage to a set client's AdvanceExport": setOwner.Client().AdvanceExport([]byte("ATZZ")),
+	}
+	for _, served := range []struct {
+		name   string
+		owner  *Owner
+		export []byte
+	}{
+		{"WithClientExport(ATCX) at a sharded server", setOwner, atcx},
+		{"WithClientExport(ATSX) at a bare server", bareOwner, atsx},
+	} {
+		handler, err := served.owner.HTTPHandler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(handler)
+		defer ts.Close()
+		rc, err := NewRemoteClient(ts.URL, WithClientExport(served.export))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, mistakes[served.name] = rc.Search(context.Background(), shardedQuery, r, TNRA, ChainMHT)
+	}
+	for name, err := range mistakes {
+		if err == nil || IsTampered(err) {
+			t.Errorf("%s: %v, want a plain error", name, err)
+		}
 	}
 }

@@ -2,11 +2,13 @@ package authtext
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 
 	"authtext/internal/engine"
+	"authtext/internal/shard"
 	"authtext/internal/snapshot"
 )
 
@@ -21,17 +23,72 @@ import (
 // the manifest signature — a snapshot altered consistently enough to open
 // serves responses whose verification objects fail Client.Verify.
 
-// WriteSnapshot serialises the fully built collection to w in the
-// versioned snapshot format. Works with any signer: RSA snapshots embed
-// only the public key; fast-signer (HMAC) snapshots embed the shared
-// benchmark key and are therefore for benchmarking only.
-func (o *Owner) WriteSnapshot(w io.Writer) error {
-	return snapshot.Write(w, o.col)
+// Layouts: a bare collection is one ATSN file. A shard set is a DIRECTORY
+// holding one ATSN snapshot per shard — an ordinary snapshot a deployment can
+// hand to a different host — plus the ATSX bundle that tells any process (or
+// client) the exact shard population the owner signed. Every path-taking
+// open function tells the two layouts apart itself.
+
+// ShardedManifestFile is the ATSX bundle inside a shard set's snapshot
+// directory.
+const ShardedManifestFile = "shards.atsx"
+
+// shardSnapshotName returns the file name of shard i's snapshot.
+func shardSnapshotName(i int) string { return fmt.Sprintf("shard-%04d.atsn", i) }
+
+// isShardDir reports whether path is a shard set's snapshot directory.
+func isShardDir(path string) bool {
+	_, err := os.Stat(filepath.Join(path, ShardedManifestFile))
+	return err == nil
 }
 
-// OpenSnapshot reopens a snapshot and returns the serving half plus a
-// verification client carrying the embedded manifest and public key. The
-// input is treated as untrusted: malformed, truncated or corrupted
+// WriteSnapshot serialises the fully built bare collection to w in the
+// versioned snapshot format. Works with any signer: RSA snapshots embed
+// only the public key; fast-signer (HMAC) snapshots embed the shared
+// benchmark key and are therefore for benchmarking only. A shard set does
+// not fit one stream: use WriteSnapshotDir.
+func (o *Owner) WriteSnapshot(w io.Writer) error {
+	if o.v.set != nil {
+		return errors.New("authtext: a shard set is a snapshot directory, not a stream; use WriteSnapshotDir")
+	}
+	return snapshot.Write(w, o.v.col)
+}
+
+// WriteSnapshotDir persists a shard set: dir/shard-NNNN.atsn for every
+// shard plus dir/shards.atsx. The directory is created if missing; every
+// file is published atomically and fsynced, the ATSX bundle last, so a
+// failed or interrupted write never leaves a torn file. A bare collection is
+// one file: use WriteSnapshot.
+func (o *Owner) WriteSnapshotDir(dir string) error {
+	if o.v.set == nil {
+		return errors.New("authtext: a bare collection is one snapshot file, not a directory; use WriteSnapshot")
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
+	}
+	return writeShardSet(dir, o.v)
+}
+
+// writeShardSet publishes the set's snapshot files into the existing
+// directory dir.
+func writeShardSet(dir string, v served) error {
+	for i, col := range v.cols() {
+		if err := publishCollection(filepath.Join(dir, shardSnapshotName(i)), col); err != nil {
+			return fmt.Errorf("authtext: shard %d: %w", i, err)
+		}
+	}
+	export, err := v.client().Export()
+	if err != nil {
+		return err
+	}
+	return publish(filepath.Join(dir, ShardedManifestFile), false, func(tmp string) error {
+		return os.WriteFile(tmp, export, 0o644)
+	})
+}
+
+// OpenSnapshot reopens a bare collection's snapshot and returns the serving
+// half plus a verification client carrying the embedded manifest and public
+// key. The input is treated as untrusted: malformed, truncated or corrupted
 // snapshots error out here, and users who must not trust the snapshot
 // channel should verify results with a Client bootstrapped out of band
 // from the owner instead of the returned one.
@@ -40,49 +97,98 @@ func OpenSnapshot(r io.ReaderAt) (*Server, *Client, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m, msig := col.Manifest()
-	return &Server{col: col}, newClient(m, msig, col.Verifier(), false), nil
+	v := served{col: col}
+	return &Server{v: v}, v.client(), nil
 }
 
-// OpenSnapshotFile is OpenSnapshot over a file path.
+// OpenSnapshotFile is OpenSnapshot over a path: a snapshot file, or a shard
+// set's directory as WriteSnapshotDir leaves it. Every shard snapshot is
+// cross-checked against the signed set manifest, so a missing, swapped or
+// foreign shard file fails here; the deeper trust model is OpenSnapshot's —
+// a consistently forged directory still produces answers that fail
+// verification against an out-of-band client.
 func OpenSnapshotFile(path string) (*Server, *Client, error) {
-	f, err := os.Open(path)
+	ms, err := openSnapshotPath(path, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer f.Close()
-	return OpenSnapshot(f)
+	return ms.server, ms.client, nil
 }
 
 // MappedSnapshot is a snapshot opened zero-copy: the serving collection
 // reads straight out of a read-only file mapping shared with the OS page
-// cache, so opening costs decode time instead of a full-file copy, and
-// replicas of one generation share physical memory. The Server and Client
-// stay valid until Close; see docs/SNAPSHOT.md "Mapped opens" for the
-// integrity schedule (small sections CRC-checked at open; the bulk
-// sections — block store, index, signatures — validated in the
-// background, poisoning reads on mismatch).
+// cache (every shard's, for a shard set), so opening costs decode time
+// instead of a full-file copy, and replicas of one generation share physical
+// memory. The Server and Client stay valid until Close; see docs/SNAPSHOT.md
+// "Mapped opens" for the integrity schedule (small sections CRC-checked at
+// open; the bulk sections — block store, index, signatures — validated in
+// the background, poisoning reads on mismatch).
 type MappedSnapshot struct {
 	server *Server
 	client *Client
-	m      *snapshot.Mapped
+	maps   []*snapshot.Mapped
 }
 
-// OpenSnapshotMapped memory-maps the snapshot file at path and returns the
-// serving halves without copying the block store or authentication
-// tables. The trust model is OpenSnapshot's; only the copy is gone.
+// OpenSnapshotMapped is OpenSnapshotFile with memory mapping instead of
+// copies of the block stores and authentication tables. The trust model and
+// the cross-checks are identical; only the copies are gone.
 func OpenSnapshotMapped(path string) (*MappedSnapshot, error) {
-	mp, err := snapshot.OpenMapped(path)
+	return openSnapshotPath(path, true)
+}
+
+// openSnapshotPath opens the snapshot file — or every shard of the snapshot
+// directory — at path, copied or memory-mapped, and for a shard set
+// assembles the shards against the signed set manifest.
+func openSnapshotPath(path string, mapped bool) (*MappedSnapshot, error) {
+	ms := &MappedSnapshot{}
+	var v served
+	if !isShardDir(path) {
+		col, err := ms.open(path, mapped)
+		if err != nil {
+			return nil, err
+		}
+		v.col = col
+	} else {
+		export, err := os.ReadFile(filepath.Join(path, ShardedManifestFile))
+		if err != nil {
+			return nil, fmt.Errorf("authtext: sharded snapshot: %w", err)
+		}
+		ex, err := parseShardedExport(export)
+		if err != nil {
+			return nil, err
+		}
+		cols := make([]*engine.Collection, ex.manifest.K)
+		for i := range cols {
+			if cols[i], err = ms.open(filepath.Join(path, shardSnapshotName(i)), mapped); err != nil {
+				ms.Close()
+				return nil, fmt.Errorf("authtext: shard %d: %w", i, err)
+			}
+		}
+		if v.set, err = shard.Assemble(cols, ex.manifest, ex.manifestSig, ex.verifier, ex.docMaps); err != nil {
+			ms.Close()
+			return nil, fmt.Errorf("authtext: %w", err)
+		}
+	}
+	ms.server, ms.client = &Server{v: v}, v.client()
+	return ms, nil
+}
+
+// open opens one ATSN file, recording its mapping when mapped.
+func (ms *MappedSnapshot) open(path string, mapped bool) (*engine.Collection, error) {
+	if mapped {
+		mp, err := snapshot.OpenMapped(path)
+		if err != nil {
+			return nil, err
+		}
+		ms.maps = append(ms.maps, mp)
+		return mp.Collection(), nil
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	col := mp.Collection()
-	m, msig := col.Manifest()
-	return &MappedSnapshot{
-		server: &Server{col: col},
-		client: newClient(m, msig, col.Verifier(), false),
-		m:      mp,
-	}, nil
+	defer f.Close()
+	return snapshot.Open(f)
 }
 
 // Server returns the serving half. Valid until Close.
@@ -91,19 +197,38 @@ func (ms *MappedSnapshot) Server() *Server { return ms.server }
 // Client returns the verification client. Valid until Close.
 func (ms *MappedSnapshot) Client() *Client { return ms.client }
 
-// SizeBytes reports the mapped file size.
-func (ms *MappedSnapshot) SizeBytes() int64 { return ms.m.SizeBytes() }
+// SizeBytes reports the mapped size (summed over a shard set's files).
+func (ms *MappedSnapshot) SizeBytes() int64 {
+	var n int64
+	for _, mp := range ms.maps {
+		n += mp.SizeBytes()
+	}
+	return n
+}
 
 // Validate blocks until the deferred bulk-section checksums finished and
-// returns its verdict. Callers that must fail fast on a corrupted file
-// (rather than letting reads or client verification catch it) call this
-// once after opening.
-func (ms *MappedSnapshot) Validate() error { return ms.m.Wait() }
+// returns the first failure (nil when everything is intact). Callers that
+// must fail fast on a corrupted file (rather than letting reads or client
+// verification catch it) call this once after opening.
+func (ms *MappedSnapshot) Validate() error {
+	for i, mp := range ms.maps {
+		if err := mp.Wait(); err != nil {
+			if ms.server.v.set != nil {
+				err = fmt.Errorf("authtext: shard %d: %w", i, err)
+			}
+			return err
+		}
+	}
+	return nil
+}
 
-// Close releases the mapping. The Server and Client must not be used
+// Close releases every mapping. The Server and Client must not be used
 // afterwards.
 func (ms *MappedSnapshot) Close() error {
-	ms.m.Release()
+	for _, mp := range ms.maps {
+		mp.Release()
+	}
+	ms.maps = nil
 	return nil
 }
 

@@ -94,7 +94,7 @@ func TestShardedSnapshotDirMapped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ms, err := OpenShardedSnapshotDirMapped(dir)
+	ms, err := OpenSnapshotMapped(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestShardedSnapshotDirMapped(t *testing.T) {
 		filepath.Join(dir, shardSnapshotName(0)+".bak")); err != nil {
 		t.Fatal(err)
 	}
-	if bad, err := OpenShardedSnapshotDirMapped(dir); err == nil {
+	if bad, err := OpenSnapshotMapped(dir); err == nil {
 		bad.Close()
 		t.Fatal("mapped open accepted a directory missing a shard")
 	}
