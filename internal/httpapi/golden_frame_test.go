@@ -17,9 +17,13 @@ import (
 // header layout (magic, version, type, flags, CRC) and the field order of
 // every message codec — a byte diff here is a wire-protocol change and
 // needs a version bump, not a silent regeneration. Regenerate with
-// UPDATE_GOLDEN=1 go test ./internal/httpapi. The canonical values encode
-// below the compression threshold, so the bytes are independent of the
-// flate implementation.
+// UPDATE_GOLDEN=1 go test ./internal/httpapi. The three canonical values
+// encode below the compression threshold, so their bytes are independent of
+// the flate implementation; search_response_deflated.frame.bin is above it
+// and pins the assembled stream as well (sections, stored glue, final
+// block) — compress/flate's output for a given level has been stable across
+// Go releases, and a release that changed it would change what replicas on
+// different toolchains send, which is worth a red test.
 
 var goldenFrameCases = []struct {
 	file   string
@@ -35,6 +39,22 @@ var goldenFrameCases = []struct {
 				t.Fatalf("golden frame no longer decodes: %v", err)
 			}
 			if want := goldenSearchResponse(); !reflect.DeepEqual(got, want) {
+				t.Errorf("decoded frame disagrees with expected value:\n got: %#v\nwant: %#v", got, want)
+			}
+		},
+	},
+	{
+		file:   "search_response_deflated.frame.bin",
+		encode: func() []byte { return wire.EncodeSearchResponse(goldenDeflatedSearchResponse()) },
+		check: func(t *testing.T, raw []byte) {
+			if raw[7]&1 == 0 {
+				t.Fatal("the deflated fixture does not carry the deflate flag")
+			}
+			got, err := wire.DecodeSearchResponse(raw)
+			if err != nil {
+				t.Fatalf("golden frame no longer decodes: %v", err)
+			}
+			if want := goldenDeflatedSearchResponse(); !reflect.DeepEqual(got, want) {
 				t.Errorf("decoded frame disagrees with expected value:\n got: %#v\nwant: %#v", got, want)
 			}
 		},
@@ -96,6 +116,32 @@ func goldenSearchResponse() *SearchResponse {
 			ServerMillis:   0.5,
 		},
 	}
+}
+
+// goldenDeflatedSearchResponse is a canonical answer large enough to cross
+// the compression threshold: three text bodies and a VO of high-entropy
+// bytes, the shape of a short TNRA answer.
+func goldenDeflatedSearchResponse() *SearchResponse {
+	resp := goldenSearchResponse()
+	resp.R = 3
+	resp.Hits = nil
+	for i, id := range []int{7, 2, 11} {
+		var body bytes.Buffer
+		for j := 0; body.Len() < 600; j++ {
+			fmt.Fprintf(&body, "document %d sentence %d: merkle tree proofs authenticate the posting lists. ", id, j)
+		}
+		resp.Hits = append(resp.Hits, Hit{DocID: id, Score: 3.25 - float64(i), Content: body.Bytes()})
+	}
+	resp.VO = make([]byte, 700)
+	x := uint64(0x9e3779b97f4a7c15)
+	for i := range resp.VO { // xorshift64: digests and signatures do not compress either
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		resp.VO[i] = byte(x)
+	}
+	resp.Stats.VOBytes = len(resp.VO)
+	return resp
 }
 
 func goldenShardedSearchResponse() *ShardedSearchResponse {
@@ -168,6 +214,37 @@ func TestGoldenBinaryFrames(t *testing.T) {
 				t.Errorf("re-encoded frame disagrees with the golden fixture\n got: %x\nwant: %x", enc, raw)
 			}
 		})
+	}
+}
+
+// TestLegacyDeflatedFrameStillDecodes: search_response_deflated_legacy.frame.bin
+// is goldenDeflatedSearchResponse as the whole-payload encoder framed it —
+// one deflate pass over the entire message — before frames were assembled
+// from sections. It is decode-only and never regenerated: frames from
+// servers that have not upgraded must keep decoding, to the same value as
+// the frame this build sends.
+func TestLegacyDeflatedFrameStillDecodes(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("testdata", "search_response_deflated_legacy.frame.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if legacy[7]&1 == 0 {
+		t.Fatal("the legacy fixture does not carry the deflate flag")
+	}
+	old, err := wire.DecodeSearchResponse(legacy)
+	if err != nil {
+		t.Fatalf("legacy frame no longer decodes: %v", err)
+	}
+	current := wire.EncodeSearchResponse(goldenDeflatedSearchResponse())
+	if bytes.Equal(current, legacy) {
+		t.Fatal("the legacy fixture is this build's own encoding: it no longer covers old servers")
+	}
+	now, err := wire.DecodeSearchResponse(current)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(old, now) || !reflect.DeepEqual(old, goldenDeflatedSearchResponse()) {
+		t.Errorf("legacy and current frames decode to different values:\n legacy: %#v\ncurrent: %#v", old, now)
 	}
 }
 

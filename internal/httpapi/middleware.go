@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"authtext/internal/obs"
+	"authtext/internal/wire"
 )
 
 // Request instrumentation: a handler built with a metric registry and/or a
@@ -81,6 +82,9 @@ const (
 	helpRespBytes = "HTTP response body bytes written, by endpoint."
 	nameFrames    = "authtext_wire_frames_total"
 	helpFrames    = "Negotiable (search/manifest) response bodies served, by content type."
+	nameSections  = "authtext_wire_sections_total"
+	helpSections  = "Document bodies, exports and proofs in compressible binary frames, by what encoding them cost: " +
+		"memo_hit = remembered stream, deflated = compressor ran, stored = entropy estimate kept it from the compressor."
 )
 
 // Negotiated content-type label values of authtext_wire_frames_total.
@@ -117,6 +121,18 @@ func newHTTPInstruments(reg *obs.Registry, endpoints []string) *httpInstruments 
 	ins.frames = map[string]*obs.Counter{
 		negotiatedJSON:   reg.Counter(nameFrames, helpFrames, obs.L("content_type", negotiatedJSON)),
 		negotiatedBinary: reg.Counter(nameFrames, helpFrames, obs.L("content_type", negotiatedBinary)),
+	}
+	// The section counts are the wire package's process-wide atomics, read
+	// from where they stood when this registry's handler was built, so that
+	// they start at zero like every other series in it.
+	base := wire.Sections()
+	for outcome, get := range map[string]func(wire.SectionStats) uint64{
+		"memo_hit": func(s wire.SectionStats) uint64 { return s.MemoHit - base.MemoHit },
+		"deflated": func(s wire.SectionStats) uint64 { return s.Deflated - base.Deflated },
+		"stored":   func(s wire.SectionStats) uint64 { return s.Stored - base.Stored },
+	} {
+		reg.CounterFunc(nameSections, helpSections,
+			func() float64 { return float64(get(wire.Sections())) }, obs.L("outcome", outcome))
 	}
 	return ins
 }

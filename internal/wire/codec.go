@@ -48,8 +48,12 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-func appendBytes(b, v []byte) []byte {
+// appendSection appends a u32-prefixed byte string and notes where it lands
+// in the payload: the frame encoder compresses each one on its own
+// (frame.go). vo marks a proof, as opposed to a document body or export.
+func appendSection(b []byte, secs *[]section, v []byte, vo bool) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
+	*secs = append(*secs, section{off: len(b), end: len(b) + len(v), vo: vo})
 	return append(b, v...)
 }
 
@@ -66,7 +70,7 @@ func appendSearchStats(b []byte, st *SearchStats) []byte {
 	return b
 }
 
-func appendSearchResponse(b []byte, r *SearchResponse) []byte {
+func appendSearchResponse(b []byte, secs *[]section, r *SearchResponse) []byte {
 	b = appendStr(b, r.Query)
 	b = binary.BigEndian.AppendUint32(b, uint32(r.R))
 	b = appendStr(b, r.Algo)
@@ -77,19 +81,25 @@ func appendSearchResponse(b []byte, r *SearchResponse) []byte {
 		h := &r.Hits[i]
 		b = binary.BigEndian.AppendUint64(b, uint64(int64(h.DocID)))
 		b = binary.BigEndian.AppendUint64(b, f64bits(h.Score))
-		b = appendBytes(b, h.Content)
+		b = appendSection(b, secs, h.Content, false)
 	}
-	b = appendBytes(b, r.VO)
+	b = appendSection(b, secs, r.VO, true)
 	return appendSearchStats(b, &r.Stats)
 }
 
 // EncodeSearchResponse frames one search answer.
 func EncodeSearchResponse(r *SearchResponse) []byte {
-	return EncodeFrame(TypeSearch, appendSearchResponse(nil, r))
+	size := 256 + len(r.Query) + len(r.VO) // the fixed fields, generously
+	for i := range r.Hits {
+		size += minHitBytes + len(r.Hits[i].Content)
+	}
+	secs := make([]section, 0, len(r.Hits)+1)
+	return EncodeFrame(TypeSearch, appendSearchResponse(make([]byte, 0, size), &secs, r), secs)
 }
 
 // EncodeBatchSearchResponse frames one batch answer.
 func EncodeBatchSearchResponse(r *BatchSearchResponse) []byte {
+	var secs []section
 	b := binary.BigEndian.AppendUint32(nil, uint32(len(r.Results)))
 	for i := range r.Results {
 		res := &r.Results[i]
@@ -100,13 +110,14 @@ func EncodeBatchSearchResponse(r *BatchSearchResponse) []byte {
 			continue
 		}
 		b = append(b, 1)
-		b = appendSearchResponse(b, res.Response)
+		b = appendSearchResponse(b, &secs, res.Response)
 	}
-	return EncodeFrame(TypeBatch, b)
+	return EncodeFrame(TypeBatch, b, secs)
 }
 
 // EncodeShardedSearchResponse frames one fan-out answer.
 func EncodeShardedSearchResponse(r *ShardedSearchResponse) []byte {
+	var secs []section
 	b := appendStr(nil, r.Query)
 	b = binary.BigEndian.AppendUint32(b, uint32(r.R))
 	b = appendStr(b, r.Algo)
@@ -114,7 +125,7 @@ func EncodeShardedSearchResponse(r *ShardedSearchResponse) []byte {
 	b = binary.BigEndian.AppendUint64(b, r.Generation)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Shards)))
 	for i := range r.Shards {
-		b = appendSearchResponse(b, &r.Shards[i])
+		b = appendSearchResponse(b, &secs, &r.Shards[i])
 	}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Merged)))
 	for i := range r.Merged {
@@ -129,14 +140,15 @@ func EncodeShardedSearchResponse(r *ShardedSearchResponse) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(r.Stats.VOBytes))
 	b = binary.BigEndian.AppendUint64(b, f64bits(r.Stats.IOMillis))
 	b = binary.BigEndian.AppendUint64(b, f64bits(r.Stats.ServerMillis))
-	return EncodeFrame(TypeSharded, b)
+	return EncodeFrame(TypeSharded, b, secs)
 }
 
 // EncodeManifestResponse frames the verification-material bootstrap.
 func EncodeManifestResponse(r *ManifestResponse) []byte {
+	var secs []section
 	b := appendStr(nil, r.Format)
-	b = appendBytes(b, r.Export)
-	return EncodeFrame(TypeManifest, b)
+	b = appendSection(b, &secs, r.Export, false)
+	return EncodeFrame(TypeManifest, b, secs)
 }
 
 // --- decoding ---

@@ -10,7 +10,9 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Frame layout (all integers big-endian):
@@ -26,12 +28,14 @@ import (
 //
 // A compressed payload is `u64 raw length | deflate stream`; the CRC
 // always covers the stored (possibly compressed) bytes, so corruption is
-// detected before any decompression work happens. Compression is a pure
-// function of the encoded message (fixed level, fixed threshold, applied
-// only when it shrinks the payload), which keeps a server's frame for a
-// given response byte-identical across cache hits, misses and replicas —
-// and across compressor reuse: a pooled flate.Writer that has been Reset
-// emits the same stream as a fresh one at the same level.
+// detected before any decompression work happens. The stream is any RFC
+// 1951 stream; this encoder assembles it from independently compressed
+// sections (EncodeFrame). Compression is a pure function of the encoded
+// message (fixed levels, fixed thresholds, applied only when it shrinks
+// the payload), which keeps a server's frame for a given response
+// byte-identical across cache hits, misses and replicas — and across
+// compressor reuse: a pooled flate.Writer that has been Reset emits the
+// same stream as a fresh one at the same level.
 
 // ContentType is the negotiated media type of binary frames. A request
 // whose Accept header lists it is answered with a frame; everything else
@@ -82,67 +86,220 @@ func frameErr(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", ErrFrame, fmt.Sprintf(format, args...))
 }
 
+// section is a byte range of a message payload that is compressed on its
+// own: a document body or manifest export, or (vo) a proof.
+type section struct {
+	off, end int
+	vo       bool
+}
+
 // EncodeFrame wraps an encoded message payload in a frame, compressing it
-// when that pays. Compression results are memoised by payload hash (see
-// memo.go), so replaying a hot answer costs a hash, not a deflate. The
-// raw slice is not retained.
-func EncodeFrame(typ byte, raw []byte) []byte {
-	payload, flags := raw, uint16(0)
+// when that pays. The deflate stream is assembled rather than produced in
+// one pass: each section is deflated on its own (see sectionStream) and
+// everything between sections — query echo, ids, scores, lengths, stats —
+// travels in stored blocks. A document is therefore compressed once, not
+// once per answer that returns it, and the stream is still plain RFC 1951:
+// decoders need nothing new. The raw slice is not retained.
+func EncodeFrame(typ byte, raw []byte, secs []section) []byte {
+	out := make([]byte, HeaderSize, HeaderSize+len(raw))
+	flags := uint16(0)
 	if len(raw) >= compressMin {
-		key := sha256.Sum256(raw)
-		c, ok := memoGet(key)
-		if !ok {
-			if c = deflatePayload(raw); len(c) >= len(raw) {
-				c = nil // compression does not pay
-			}
-			memoPut(key, c)
-		}
-		if c != nil {
-			payload, flags = c, flagDeflate
+		out = appendAssembled(out, raw, secs)
+		if n := len(out) - HeaderSize; n > 0 && n < len(raw) {
+			flags = flagDeflate
 		}
 	}
-	out := make([]byte, 0, HeaderSize+len(payload))
-	out = append(out, frameMagic...)
-	out = append(out, FrameVersion, typ)
-	out = binary.BigEndian.AppendUint16(out, flags)
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
-	return append(out, payload...)
+	if flags == 0 {
+		out = append(out[:HeaderSize], raw...)
+	}
+	payload := out[HeaderSize:]
+	copy(out, frameMagic)
+	out[4], out[5] = FrameVersion, typ
+	binary.BigEndian.PutUint16(out[6:], flags)
+	binary.BigEndian.PutUint32(out[8:], crc32.Checksum(payload, castagnoli))
+	binary.BigEndian.PutUint64(out[12:], uint64(len(payload)))
+	return out
+}
+
+// appendAssembled appends `u64 raw length | deflate stream` for raw, or
+// nothing when no section is worth deflating.
+func appendAssembled(out, raw []byte, secs []section) []byte {
+	glue := 0     // raw[glue:] is still to be written
+	open := false // the stream so far ends in a stored-block header awaiting LEN/NLEN
+	for _, s := range secs {
+		stream := sectionStream(raw[s.off:s.end], s.vo)
+		if stream == nil {
+			continue // travels with the glue around it
+		}
+		if !open {
+			out = binary.BigEndian.AppendUint64(out, uint64(len(raw)))
+		}
+		out = appendStored(out, raw[glue:s.off], open)
+		out = append(out, stream...)
+		glue, open = s.end, true
+	}
+	if !open {
+		return out
+	}
+	out = appendStored(out, raw[glue:], true)
+	return append(out, 0x03, 0x00) // final block: fixed codes, end-of-block and nothing else
+}
+
+// appendStored writes b as byte-aligned stored blocks of at most 65 535
+// bytes. With open set the first block's header byte is already there, so
+// its LEN/NLEN is written even when b is empty.
+func appendStored(out, b []byte, open bool) []byte {
+	for open || len(b) > 0 {
+		if !open {
+			out = append(out, 0x00) // BFINAL 0, BTYPE 00, padding
+		}
+		n := min(len(b), math.MaxUint16)
+		out = binary.LittleEndian.AppendUint16(out, uint16(n))
+		out = binary.LittleEndian.AppendUint16(out, ^uint16(n))
+		out = append(out, b[:n]...)
+		b, open = b[n:], false
+	}
+	return out
+}
+
+// Section outcomes since process start, behind authtext_wire_sections_total.
+var sectionsMemoHit, sectionsDeflated, sectionsStored atomic.Uint64
+
+// SectionStats counts what became of the sections of every frame that
+// reached compressMin: MemoHit answered from the memo, Deflated run through
+// the compressor (whether or not the result was kept), Stored kept from it
+// by the entropy estimate. A server whose Deflated keeps pace with its hits
+// serves documents that do not recur, and the memo is not earning its memory.
+type SectionStats struct{ MemoHit, Deflated, Stored uint64 }
+
+// Sections returns the process-wide section counts.
+func Sections() SectionStats {
+	return SectionStats{sectionsMemoHit.Load(), sectionsDeflated.Load(), sectionsStored.Load()}
+}
+
+// syncTail is the LEN/NLEN of the empty stored block a sync flush ends in.
+const syncTail = 4
+
+// sectionStream returns the deflate stream that stands for sec inside an
+// assembled payload, or nil when sec is better left in stored blocks. The
+// stream starts from an empty history and ends, byte-aligned, in the header
+// of a stored block whose LEN/NLEN the glue that follows supplies, so it
+// reads the same wherever it is copied. The verdict and the bytes depend on
+// (sec, vo) alone, which is what keeps a frame a pure function of its
+// message: bodies and exports recur across answers and are compressed once,
+// at BestCompression; a proof is mostly digests and signatures, is deflated
+// at BestSpeed, and only when its byte histogram says that can pay.
+func sectionStream(sec []byte, vo bool) []byte {
+	if len(sec) == 0 {
+		return nil
+	}
+	level := flate.BestCompression
+	if vo {
+		if !compressible(sec) {
+			sectionsStored.Add(1)
+			return nil
+		}
+		level = flate.BestSpeed
+	}
+	key := memoKey{sha256.Sum256(sec), level}
+	stream, ok := memoGet(key)
+	if ok {
+		sectionsMemoHit.Add(1)
+		return stream
+	}
+	sectionsDeflated.Add(1)
+	if stream = deflateSection(sec, level); len(stream)+syncTail >= len(sec) {
+		stream = nil // compression does not pay
+	}
+	memoPut(key, stream)
+	return stream
 }
 
 // deflater is the reusable state of one compression: flate.NewWriter
-// allocates and zeroes over a megabyte of match tables, two orders of
-// magnitude more than a typical answer, so writers (and their output
-// buffers) are pooled and Reset instead. BestSpeed keeps the server-side
-// encode cost near memcpy rates while still roughly halving text-heavy
-// payloads.
+// allocates and zeroes a megabyte of match tables at any level, three
+// orders of magnitude more than a typical section, so writers (and their
+// output buffers) are pooled per level and Reset instead.
 type deflater struct {
 	buf bytes.Buffer
 	fw  *flate.Writer
 }
 
-var deflaters = sync.Pool{New: func() interface{} {
-	d := new(deflater)
-	d.fw, _ = flate.NewWriter(&d.buf, flate.BestSpeed) // errs only on an invalid level
-	return d
-}}
+var deflaters [flate.BestCompression + 1]sync.Pool // by level
 
-// deflatePayload compresses raw behind a u64 raw-length prefix into a
-// fresh exact-size slice. Writes into a bytes.Buffer cannot fail, so
-// neither can the compression.
-func deflatePayload(raw []byte) []byte {
-	d := deflaters.Get().(*deflater)
-	defer deflaters.Put(d)
+// deflateSection compresses sec from an empty history and sync-flushes,
+// returning the stream without its syncTail in a fresh exact-size slice.
+// Writes into a bytes.Buffer cannot fail, so neither can the compression.
+func deflateSection(sec []byte, level int) []byte {
+	d, _ := deflaters[level].Get().(*deflater)
+	if d == nil {
+		d = new(deflater)
+		d.fw, _ = flate.NewWriter(&d.buf, level) // errs only on an invalid level
+	}
+	defer deflaters[level].Put(d)
 	d.buf.Reset()
 	d.fw.Reset(&d.buf)
-	var lenPrefix [8]byte
-	binary.BigEndian.PutUint64(lenPrefix[:], uint64(len(raw)))
-	d.buf.Write(lenPrefix[:])
-	d.fw.Write(raw)
-	d.fw.Close()
-	out := make([]byte, d.buf.Len())
+	d.fw.Write(sec)
+	d.fw.Flush()
+	out := make([]byte, d.buf.Len()-syncTail)
 	copy(out, d.buf.Bytes())
 	return out
+}
+
+// log2Frac is the number of fractional bits log2 returns.
+const log2Frac = 8
+
+// log2 returns ⌊log₂(x)·2^log2Frac⌋ for x ≥ 1, by repeated squaring of the
+// mantissa: each squaring yields one more bit of the logarithm.
+func log2(x uint64) uint64 {
+	n := bits.Len64(x) - 1
+	r, m := uint64(n), x<<(63-n) // m is x/2ⁿ ∈ [1, 2) with 63 fractional bits
+	for i := 0; i < log2Frac; i++ {
+		m, _ = bits.Mul64(m, m) // m² ∈ [1, 4) with 62 fractional bits
+		r <<= 1
+		if m >= 1<<63 {
+			r |= 1 // m² ≥ 2: halve it, which the 63-bit reading already does
+		} else {
+			m <<= 1
+		}
+	}
+	return r
+}
+
+// log2Small holds log2 of the counts a proof of a few KB produces.
+var log2Small = func() (t [256]uint64) {
+	for c := 1; c < len(t); c++ {
+		t[c] = log2(uint64(c))
+	}
+	return t
+}()
+
+// codeTableBytes is what a dynamic block spends describing its codes, which
+// an entropy estimate of the symbols alone leaves out. Without it a proof
+// of a few hundred bytes looks compressible merely because few distinct
+// byte values fit in it.
+const codeTableBytes = 64
+
+// compressible reports whether an order-0 model of b — its byte histogram —
+// predicts that entropy coding saves at least 1/16 of it. It is O(len(b))
+// and runs no compressor. The arithmetic is integer only: the verdict is
+// part of the deterministic encode and must not vary with the platform's
+// floating point.
+func compressible(b []byte) bool {
+	var hist [256]uint64
+	for _, c := range b {
+		hist[c]++
+	}
+	// Σ c·log₂(n/c) = n·log₂(n) − Σ c·log₂(c), in 2^-log2Frac bits.
+	n := uint64(len(b))
+	entropy := n * log2(n)
+	for _, c := range hist {
+		if c < uint64(len(log2Small)) {
+			entropy -= c * log2Small[c]
+		} else {
+			entropy -= c * log2(c)
+		}
+	}
+	return 16*(entropy+8*codeTableBytes<<log2Frac) <= 15*(8*n<<log2Frac)
 }
 
 // DecodeFrame parses one complete frame from hostile input, returning the
@@ -243,37 +400,6 @@ func inflatePayload(payload []byte) ([]byte, error) {
 		return nil, frameErr("decompressed to %d bytes, prefix claims %d", buf.Len(), rawLen)
 	}
 	return buf.Bytes(), nil
-}
-
-// ReadFrame reads one frame from a stream (header first, then exactly the
-// declared payload), for transports that cannot slice a complete buffer.
-// The same caps and checks as DecodeFrame apply.
-func ReadFrame(r io.Reader) (typ byte, raw []byte, err error) {
-	var hdr [HeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, frameErr("reading header: %v", err)
-	}
-	length := binary.BigEndian.Uint64(hdr[12:])
-	if length > MaxPayloadBytes {
-		return 0, nil, frameErr("payload length %d exceeds cap %d", length, MaxPayloadBytes)
-	}
-	frame := make([]byte, 0, HeaderSize+int(length))
-	frame = append(frame, hdr[:]...)
-	// Chunked reads bound allocation to real input even though length is
-	// already capped: a one-packet attacker cannot make us commit 64 MB.
-	const chunk = 1 << 20
-	for uint64(len(frame)-HeaderSize) < length {
-		take := length - uint64(len(frame)-HeaderSize)
-		if take > chunk {
-			take = chunk
-		}
-		old := len(frame)
-		frame = append(frame, make([]byte, take)...)
-		if _, err := io.ReadFull(r, frame[old:]); err != nil {
-			return 0, nil, frameErr("truncated payload: %v", err)
-		}
-	}
-	return DecodeFrame(frame)
 }
 
 // f64 round-trips float64 bit patterns exactly (NaN payloads included).

@@ -6,25 +6,26 @@ import (
 	"sync"
 )
 
-// Deflate memoisation for the serving hot path. EncodeFrame is a pure
-// function of (type, raw payload), and the only expensive part of it is
-// deflate: a hot query replayed from the VO cache produces the identical
-// raw payload on every hit, so the compressed bytes are remembered keyed
-// by the payload's SHA-256. A hit costs one hash over the raw bytes
-// (hardware-accelerated, ~30x faster than deflate) instead of a fresh
-// compression. Because the stored bytes ARE a previous EncodeFrame's
-// deflate output, memoised and non-memoised encodes are byte-identical by
-// construction — the determinism contract in the frame-layout comment
-// survives untouched. Incompressible payloads are remembered too (as an
-// empty entry), so they are not re-deflated-and-discarded on every hit.
+// Deflate memoisation for the serving hot path. A section's stream is a
+// pure function of (section bytes, level), and the only expensive part of
+// EncodeFrame is deflate: a document returned by many answers, and a proof
+// replayed from the VO cache, present the identical section every time, so
+// the compressed bytes are remembered keyed by the section's SHA-256 and
+// the level. A hit costs one hash over the raw bytes (hardware-accelerated,
+// ~30x faster than deflate) instead of a fresh compression. Because the
+// stored bytes ARE a previous deflateSection's output, memoised and
+// non-memoised encodes are byte-identical by construction — the determinism
+// contract in the frame-layout comment survives untouched. Incompressible
+// sections are remembered too (as an empty entry), so they are not
+// re-deflated-and-discarded on every hit.
 //
 // Admission is on second sighting, after a short trial: the first encode
-// of a payload keeps its bytes only while they are among the most recent
+// of a section keeps its bytes only while they are among the most recent
 // memoTrialBytes of first sightings; past that only the key stays, and a
-// later encode stores the bytes for good. Most answers of an uncached or
-// long-tailed stream are never encoded again, and holding their frames
+// later encode stores the bytes for good. Most proofs of an uncached or
+// long-tailed stream are never encoded again, and holding their streams
 // until LRU pressure reached them used to be most of a serving process's
-// resident memory. The trial is what keeps a hot payload that comes
+// resident memory. The trial is what keeps a hot section that comes
 // straight back — every cached answer, just after a live publish has
 // changed them all — from being compressed twice: without it the memo
 // needs two passes over the hot set to warm, and serving throughput sags
@@ -33,7 +34,7 @@ const (
 	// memoMaxBytes bounds what the memo retains (LRU beyond): stored
 	// compressed bytes plus memoEntryOverhead per entry.
 	memoMaxBytes = 64 << 20
-	// memoMaxEntryBytes skips memoising huge one-off payloads whose raw
+	// memoMaxEntryBytes skips memoising huge one-off sections whose raw
 	// hash cost already dwarfs any replay saving.
 	memoMaxEntryBytes = 4 << 20
 	// memoEntryOverhead approximates the heap an entry pins besides its
@@ -44,21 +45,27 @@ const (
 	memoTrialBytes = memoMaxBytes / 16
 )
 
+// memoKey names everything a section's stream depends on.
+type memoKey struct {
+	sum   [sha256.Size]byte
+	level int
+}
+
 type memoEntry struct {
-	key    [sha256.Size]byte
+	key    memoKey
 	stored bool          // false: key seen once, its trial over, verdict not kept
-	data   []byte        // stored and nil: compression does not pay for this payload
+	data   []byte        // stored and nil: compression does not pay for this section
 	trial  *list.Element // in deflateMemo.trial until a second sighting or the trial bound
 }
 
 var deflateMemo = struct {
 	mu         sync.Mutex
-	m          map[[sha256.Size]byte]*list.Element // values: *memoEntry
-	lru        *list.List                          // front = most recent
+	m          map[memoKey]*list.Element // values: *memoEntry
+	lru        *list.List                // front = most recent
 	bytes      int64
 	trial      *list.List // values: *memoEntry seen once, data kept; front = newest
 	trialBytes int64
-}{m: make(map[[sha256.Size]byte]*list.Element), lru: list.New(), trial: list.New()}
+}{m: make(map[memoKey]*list.Element), lru: list.New(), trial: list.New()}
 
 // endTrial takes e off the trial list; its data stays or goes as the
 // caller decides. deflateMemo.mu is held.
@@ -72,7 +79,7 @@ func endTrial(e *memoEntry) {
 // remembered "does not compress" verdict (nil, true), or a miss. The
 // returned slice is shared and immutable; callers copy it into their
 // frame buffer.
-func memoGet(key [sha256.Size]byte) ([]byte, bool) {
+func memoGet(key memoKey) ([]byte, bool) {
 	deflateMemo.mu.Lock()
 	defer deflateMemo.mu.Unlock()
 	elem, ok := deflateMemo.m[key]
@@ -92,7 +99,7 @@ func memoGet(key [sha256.Size]byte) ([]byte, bool) {
 // The first call for a key keeps data on trial, a call after the trial has
 // lapsed stores it for good; least-recently-used entries are evicted
 // beyond the byte bound.
-func memoPut(key [sha256.Size]byte, data []byte) {
+func memoPut(key memoKey, data []byte) {
 	if len(data) > memoMaxEntryBytes {
 		return
 	}
@@ -101,7 +108,7 @@ func memoPut(key [sha256.Size]byte, data []byte) {
 	if elem, ok := deflateMemo.m[key]; ok {
 		e := elem.Value.(*memoEntry)
 		if e.stored {
-			return // concurrent encode of the same payload won the race
+			return // concurrent encode of the same section won the race
 		}
 		e.stored, e.data = true, data
 		deflateMemo.bytes += int64(len(data))

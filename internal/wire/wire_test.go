@@ -114,17 +114,62 @@ func TestCompressionThreshold(t *testing.T) {
 	}
 }
 
+// verboseSearchResponse is an answer whose proof is structured enough to be
+// deflated (the shape of a TRA VO) beside bodies that compress, one that
+// does not and one that is empty: every kind of section in one frame.
+func verboseSearchResponse() *SearchResponse {
+	r := sampleSearchResponse()
+	r.Hits = append(r.Hits,
+		Hit{DocID: 3, Score: 0.4, Content: bytes.Repeat([]byte("posting list digest "), 40)},
+		Hit{DocID: 5, Score: 0.3, Content: xorshiftBytes(5, 300)},
+		Hit{DocID: 9, Score: 0.2, Content: []byte{}})
+	r.VO = nil
+	for i := 0; i < 400; i++ { // small integers between a few random digests
+		r.VO = binary.BigEndian.AppendUint32(r.VO, uint32(i%37))
+		if i%40 == 0 {
+			r.VO = append(r.VO, xorshiftBytes(uint64(i+1), 16)...)
+		}
+	}
+	r.Stats.VOBytes = len(r.VO)
+	return r
+}
+
+// xorshiftBytes returns n pseudo-random bytes: they do not compress, like
+// the digests and signatures of a proof.
+func xorshiftBytes(seed uint64, n int) []byte {
+	out := make([]byte, n)
+	x := seed*0x9e3779b97f4a7c15 + 1
+	for i := range out {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		out[i] = byte(x)
+	}
+	return out
+}
+
 // The tamper battery: every single-bit flip anywhere in a frame must be
-// rejected — header fields fail structural checks, payload bits fail the
-// CRC. No flip may decode successfully.
+// rejected as a bad frame or a bad message — header fields fail structural
+// checks, payload bits fail the CRC. No flip may decode successfully, to
+// the same message or to another one, and none may panic. It runs over
+// frames assembled from every kind of section.
 func TestFrameTamperBattery(t *testing.T) {
-	frame := EncodeSearchResponse(sampleSearchResponse())
-	for off := 0; off < len(frame); off++ {
-		for bit := 0; bit < 8; bit++ {
-			tampered := append([]byte(nil), frame...)
-			tampered[off] ^= 1 << bit
-			if _, err := DecodeSearchResponse(tampered); err == nil {
-				t.Fatalf("bit %d of byte %d flipped, frame still decodes", bit, off)
+	for name, r := range map[string]*SearchResponse{"stored proof": sampleSearchResponse(), "deflated proof": verboseSearchResponse()} {
+		frame := EncodeSearchResponse(r)
+		if flags := binary.BigEndian.Uint16(frame[6:]); flags&flagDeflate == 0 {
+			t.Fatalf("%s: frame is not compressed", name)
+		}
+		for off := 0; off < len(frame); off++ {
+			for bit := 0; bit < 8; bit++ {
+				tampered := append([]byte(nil), frame...)
+				tampered[off] ^= 1 << bit
+				_, err := DecodeSearchResponse(tampered)
+				if err == nil {
+					t.Fatalf("%s: bit %d of byte %d flipped, frame still decodes", name, bit, off)
+				}
+				if !errors.Is(err, ErrFrame) && !errors.Is(err, ErrDecode) {
+					t.Fatalf("%s: bit %d of byte %d flipped: %v is neither ErrFrame nor ErrDecode", name, bit, off, err)
+				}
 			}
 		}
 	}
@@ -168,10 +213,7 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 // be rejected, not silently truncated or over-read.
 func TestInflateLengthPrefixMismatch(t *testing.T) {
 	raw := bytes.Repeat([]byte("abcdefgh"), 200)
-	payload := deflatePayload(raw)
-	if payload == nil {
-		t.Fatal("deflate failed")
-	}
+	payload := legacyDeflate(t, raw)
 	for _, lie := range []uint64{uint64(len(raw)) - 1, uint64(len(raw)) + 1} {
 		lying := append([]byte(nil), payload...)
 		binary.BigEndian.PutUint64(lying, lie)
@@ -181,24 +223,6 @@ func TestInflateLengthPrefixMismatch(t *testing.T) {
 	}
 	if _, err := inflatePayload(payload[:4]); err == nil {
 		t.Error("truncated prefix inflated successfully")
-	}
-}
-
-func TestReadFrameMatchesDecodeFrame(t *testing.T) {
-	frame := EncodeSearchResponse(sampleSearchResponse())
-	typ, raw, err := ReadFrame(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	typ2, raw2, err := DecodeFrame(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != typ2 || !bytes.Equal(raw, raw2) {
-		t.Fatal("ReadFrame and DecodeFrame disagree")
-	}
-	if _, _, err := ReadFrame(bytes.NewReader(frame[:len(frame)-3])); err == nil {
-		t.Fatal("truncated stream read successfully")
 	}
 }
 
@@ -212,7 +236,7 @@ func TestDecodeHostileMessages(t *testing.T) {
 	b = appendStr(b, "cmht")
 	b = binary.BigEndian.AppendUint64(b, 0)
 	b = binary.BigEndian.AppendUint32(b, math.MaxUint32) // nhits
-	if _, err := DecodeSearchResponse(EncodeFrame(TypeSearch, b)); err == nil {
+	if _, err := DecodeSearchResponse(EncodeFrame(TypeSearch, b, nil)); err == nil {
 		t.Fatal("hostile hit count decoded successfully")
 	} else if !errors.Is(err, ErrDecode) {
 		t.Fatalf("error %v does not wrap ErrDecode", err)
@@ -223,35 +247,33 @@ func TestDecodeHostileMessages(t *testing.T) {
 		t.Fatal("cross-typed frame decoded successfully")
 	}
 	// Trailing garbage after a valid message.
-	valid := appendSearchResponse(nil, sampleSearchResponse())
-	if _, err := DecodeSearchResponse(EncodeFrame(TypeSearch, append(valid, 0xcc))); err == nil {
+	var secs []section
+	valid := appendSearchResponse(nil, &secs, sampleSearchResponse())
+	if _, err := DecodeSearchResponse(EncodeFrame(TypeSearch, append(valid, 0xcc), secs)); err == nil {
 		t.Fatal("trailing bytes decoded successfully")
 	} else if !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("unexpected error: %v", err)
 	}
 }
 
-// The memo must evict under its byte bound instead of growing without
-// limit, and a memo hit must serve the "incompressible" verdict too.
+// A memo hit must serve the "does not compress" verdict too: a payload
+// whose only section refuses to shrink comes out uncompressed, flag clear,
+// identically on every encode, and the compressor runs for it once.
 func TestMemoEvictionAndVerdicts(t *testing.T) {
-	// Incompressible payload (pseudo-random) above compressMin: the first
-	// encode stores the nil verdict (no bytes, so no trial), the later ones
-	// must hit it and still produce an identical, uncompressed frame.
-	raw := make([]byte, 4096)
-	x := uint64(1)
-	for i := range raw {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		raw[i] = byte(x)
-	}
-	f1 := EncodeFrame(TypeManifest, raw)
-	f2 := EncodeFrame(TypeManifest, raw)
-	f3 := EncodeFrame(TypeManifest, raw)
+	resetMemo()
+	m := &ManifestResponse{Format: "atcx1", Export: xorshiftBytes(1, 4096)}
+	before := Sections()
+	f1 := EncodeManifestResponse(m)
+	f2 := EncodeManifestResponse(m)
+	f3 := EncodeManifestResponse(m)
 	if !bytes.Equal(f1, f2) || !bytes.Equal(f1, f3) {
 		t.Fatal("memoised incompressible encode differs")
 	}
 	if flags := binary.BigEndian.Uint16(f1[6:]); flags&flagDeflate != 0 {
 		t.Fatal("incompressible payload carries the deflate flag")
+	}
+	after := Sections()
+	if d, h := after.Deflated-before.Deflated, after.MemoHit-before.MemoHit; d != 1 || h != 2 {
+		t.Fatalf("three encodes ran the compressor %d times and hit the memo %d times, want 1 and 2", d, h)
 	}
 }
