@@ -61,6 +61,53 @@ func (s Scheme) String() string {
 	return "CMHT"
 }
 
+// Variant is one of the paper's four signed structures: the (Algorithm,
+// Scheme) pair a query asks for. An owner builds every variant unless
+// WithVariants narrows the set; the signed manifest commits the set, and a
+// server answers only what it lists.
+type Variant struct {
+	Algorithm Algorithm
+	Scheme    Scheme
+}
+
+// String returns the variant's name: "tra-mht", "tra-cmht", "tnra-mht" or
+// "tnra-cmht" (the /v1 algo and scheme values joined).
+func (v Variant) String() string { return v.kind().String() }
+
+func (v Variant) kind() core.StructureKind { return core.KindFor(v.Algorithm.core(), v.Scheme.core()) }
+
+// ParseVariants reads "all" or a comma-separated list of variant names (see
+// Variant.String). An empty list, an unknown name or a repeated one is an
+// error.
+func ParseVariants(s string) ([]Variant, error) {
+	set, err := core.ParseVariantSet(s)
+	if err != nil {
+		return nil, fmt.Errorf("authtext: %w", err)
+	}
+	return variantsOf(set), nil
+}
+
+// variantsOf lists the variants of a set in the order of its kinds.
+func variantsOf(set core.VariantSet) []Variant {
+	var out []Variant
+	for _, a := range []Algorithm{TRA, TNRA} {
+		for _, s := range []Scheme{MHT, ChainMHT} {
+			if v := (Variant{a, s}); set.Has(v.kind()) {
+				out = append(out, v)
+			}
+		}
+	}
+	return out
+}
+
+// ErrVariantNotBuilt reports a query for a variant the collection was not
+// built with — from Server.Search and SearchBatch, and from RemoteClient
+// before it sends anything when the verified manifest does not list the
+// variant. Test with errors.Is. It is a refusal, never tampering: IsTampered
+// reports false for it. A server that refuses a variant its signed manifest
+// lists is lying, and RemoteClient classifies that as tampering.
+var ErrVariantNotBuilt = core.ErrVariantNotBuilt
+
 func (a Algorithm) core() core.Algo {
 	if a == TRA {
 		return core.AlgoTRA
@@ -168,6 +215,7 @@ type options struct {
 	pageRankLinks    [][]int
 	beta             float64
 	partitioner      ShardPartitioner
+	variants         core.VariantSet
 }
 
 // Option customises NewOwner.
@@ -199,6 +247,21 @@ func WithDictionaryMode() Option { return func(o *options) { o.dictMode = true }
 // query terms, closing the dropped-term gap (docs/ARCHITECTURE.md,
 // "Departures from the paper").
 func WithVocabularyProofs() Option { return func(o *options) { o.vocabProofs = true } }
+
+// WithVariants builds, signs and lays out only the structures the listed
+// variants need (no variants: all four, the default): plain lists for an MHT
+// variant, the chain of a ChainMHT one, signed document records for a TRA
+// one. A TNRA/ChainMHT-only build signs M + 1 messages where all four sign
+// N + 4M + 1. The set is committed in the signed manifest; searching any
+// other variant fails with ErrVariantNotBuilt.
+func WithVariants(vs ...Variant) Option {
+	return func(o *options) {
+		o.variants = 0
+		for _, v := range vs {
+			o.variants |= core.VariantOf(v.kind())
+		}
+	}
+}
 
 // WithSingletonTerms keeps terms that occur in only one document (the
 // paper removes them, §4.1).
@@ -298,6 +361,17 @@ func (v served) cols() []*engine.Collection {
 	return cols
 }
 
+// variants returns the variants every serving collection was built with (a
+// shard set's shards share one build configuration).
+func (v served) variants() core.VariantSet {
+	set := core.AllVariants
+	for _, col := range v.cols() {
+		m, _ := col.Manifest()
+		set &= m.Variants.Resolve()
+	}
+	return set
+}
+
 // client returns a verification client over v's signed manifests, none of
 // them checked yet.
 func (v served) client() *Client {
@@ -364,6 +438,7 @@ func prepareBuild(docs []Document, opts []Option) (engine.Config, []index.Docume
 		VocabProofs:      o.vocabProofs,
 		Authority:        authority,
 		Beta:             o.beta,
+		Variants:         o.variants,
 	}
 	idocs := make([]index.Document, len(docs))
 	for i, d := range docs {
@@ -726,6 +801,31 @@ func (c *Client) Shards() int {
 		return 0
 	}
 	return len(c.set.shards)
+}
+
+// variantSet returns the variants the signed manifest lists — for a shard
+// set, those every shard manifest lists: what this client may ask for.
+func (c *Client) variantSet() core.VariantSet {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.set == nil {
+		return c.manifest.Variants.Resolve()
+	}
+	set := core.AllVariants
+	for _, sc := range c.set.shards {
+		set &= sc.manifest.Variants.Resolve()
+	}
+	return set
+}
+
+// checkVariant refuses, with ErrVariantNotBuilt, a variant the signed
+// manifest does not list.
+func (c *Client) checkVariant(algo Algorithm, scheme Scheme) error {
+	v := Variant{algo, scheme}
+	if set := c.variantSet(); !set.Has(v.kind()) {
+		return fmt.Errorf("authtext: %v: %w (the signed manifest lists %v)", v, ErrVariantNotBuilt, set)
+	}
+	return nil
 }
 
 // acceptLocked applies the forward-only rule to a manifest of generation gen

@@ -517,23 +517,6 @@ func BenchmarkAblationBuddyInclusion(b *testing.B) {
 	}
 }
 
-// BenchmarkOwnerBuild measures full owner-side construction (index, four
-// structures, document records, signatures) on the tiny profile.
-func BenchmarkOwnerBuild(b *testing.B) {
-	signer, err := sig.NewHMACSigner([]byte("build"), 128)
-	if err != nil {
-		b.Fatal(err)
-	}
-	docs := corpus.Generate(corpus.Tiny())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := engine.BuildCollection(docs, engine.DefaultConfig(signer)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkBuildCollection is the owner's build under RSA-1024, where the
 // signatures are nearly all of it, on one core and on every core the machine
 // has: the build signs and hashes in parallel and lays out sequentially.
@@ -555,6 +538,39 @@ func BenchmarkBuildCollection(b *testing.B) {
 					b.Fatal(err)
 				}
 				b.ReportMetric(float64(col.BuildStats().Signatures), "signatures")
+			}
+		})
+	}
+}
+
+// BenchmarkOwnerBuild is the full owner-side construction (index,
+// structures, signatures) under RSA-1024 on the tiny profile, per variant
+// set: all four structures (N + 4M + 1 signatures), TNRA-CMHT only (M + 1,
+// what authserved builds by default), and TNRA-CMHT in dictionary mode (the
+// manifest alone).
+func BenchmarkOwnerBuild(b *testing.B) {
+	signer, err := sig.NewRSASigner(sig.DefaultRSABits)
+	if err != nil {
+		b.Fatal(err)
+	}
+	docs := corpus.Generate(corpus.Tiny())
+	tnra := core.VariantOf(core.KindTNRACMHT)
+	for _, c := range []struct {
+		name     string
+		variants core.VariantSet
+		dict     bool
+	}{{"all", 0, false}, {"tnra-cmht", tnra, false}, {"tnra-cmht-dict", tnra, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := engine.DefaultConfig(signer)
+			cfg.Variants, cfg.DictMode = c.variants, c.dict
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col, err := engine.BuildCollection(docs, cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(col.BuildStats().Signatures), "signatures")
+				b.ReportMetric(float64(col.BuildStats().BuildTime.Microseconds())/1e3, "build-ms")
 			}
 		})
 	}

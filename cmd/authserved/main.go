@@ -19,7 +19,8 @@
 // Usage:
 //
 //	authserved [-addr :8470] [-snapshot FILE|DIR | -dir PATH] [-shards N]
-//	           [-live [-live-snapshots DIR]] [-watch DUR] [-cache-mb N]
+//	           [-variants all|V,V,...] [-live [-live-snapshots DIR]]
+//	           [-watch DUR] [-cache-mb N]
 //	           [-fleet URL,URL,... [-fleet-probe DUR]]
 //	           [-vocab-proofs] [-quiet] [-log-format text|json]
 //	           [-log-level LEVEL] [-pprof-addr ADDR]
@@ -38,6 +39,9 @@
 // signed shards at startup, and -live additionally accepts document
 // add/remove batches on /v1/admin/update, publishing a new signed
 // generation per batch (persisted per generation with -live-snapshots).
+// A collection the daemon builds itself carries only the TNRA-CMHT structures
+// unless -variants asks for more (docs/ARCHITECTURE.md, step 1): signing is
+// the whole build bill, and a snapshot carries its own signed variant set.
 //
 // With -fleet the daemon serves no collection of its own: it becomes a
 // fleet FRONT END that load-balances the /v1 read surface across the
@@ -94,6 +98,7 @@ type config struct {
 	dir        string
 	snapshot   string
 	shards     int
+	variants   []authtext.Variant // what a build signs; nil: defaultVariants
 	vocab      bool
 	quiet      bool
 	live       bool
@@ -107,6 +112,11 @@ type config struct {
 	logLevel   slog.Level
 	pprofAddr  string
 }
+
+// defaultVariants is what the daemon builds without -variants: the
+// paper's dominant variant (§4), which the /v1 protocol asks for when a
+// request names none.
+var defaultVariants = []authtext.Variant{{Algorithm: authtext.TNRA, Scheme: authtext.ChainMHT}}
 
 // logLevels maps the -log-level spellings to slog levels.
 var logLevels = map[string]slog.Level{
@@ -122,11 +132,12 @@ var logLevels = map[string]slog.Level{
 func parseFlags(args []string) (config, error) {
 	fs := flag.NewFlagSet("authserved", flag.ContinueOnError)
 	var cfg config
-	var logLevel string
+	var logLevel, variants string
 	fs.StringVar(&cfg.addr, "addr", ":8470", "listen address")
 	fs.StringVar(&cfg.dir, "dir", "", "directory of .txt files to index (default: demo corpus)")
 	fs.StringVar(&cfg.snapshot, "snapshot", "", "boot from this snapshot file (or sharded snapshot directory) instead of building a collection")
 	fs.IntVar(&cfg.shards, "shards", 0, "split the corpus into N independently signed shards (build mode)")
+	fs.StringVar(&variants, "variants", "", "variants to build and sign (build mode): all, or a comma-separated list of tra-mht, tra-cmht, tnra-mht, tnra-cmht (default tnra-cmht)")
 	fs.BoolVar(&cfg.vocab, "vocab-proofs", true, "prove non-membership of out-of-dictionary query terms (build mode)")
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-query log lines")
 	fs.BoolVar(&cfg.live, "live", false, "accept document updates on /v1/admin/update (build mode); every batch publishes a new signed generation")
@@ -144,6 +155,20 @@ func parseFlags(args []string) (config, error) {
 	}
 	if fs.NArg() > 0 {
 		return config{}, fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	var variantsSet bool
+	fs.Visit(func(f *flag.Flag) { variantsSet = variantsSet || f.Name == "variants" })
+	if variantsSet {
+		switch {
+		case cfg.snapshot != "":
+			return config{}, errors.New("-variants and -snapshot are mutually exclusive: a snapshot's signed manifest fixes its own variant set")
+		case cfg.fleet != "":
+			return config{}, errors.New("-variants and -fleet are mutually exclusive: a front end serves replicas, not a collection")
+		}
+		var err error
+		if cfg.variants, err = authtext.ParseVariants(variants); err != nil {
+			return config{}, fmt.Errorf("-variants: %w", err)
+		}
 	}
 	if cfg.snapshot != "" && cfg.dir != "" {
 		return config{}, errors.New("-snapshot and -dir are mutually exclusive: the snapshot already contains its collection")
@@ -349,7 +374,10 @@ func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts []authtext.Option
+	if cfg.variants == nil {
+		cfg.variants = defaultVariants
+	}
+	opts := []authtext.Option{authtext.WithVariants(cfg.variants...)}
 	if cfg.vocab {
 		opts = append(opts, authtext.WithVocabularyProofs())
 	}
@@ -359,10 +387,10 @@ func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 	var owner *authtext.Owner
 	if cfg.shards > 0 {
 		logger.Info("indexing into shards, building authentication structures (RSA-1024)",
-			"documents", len(docs), "shards", cfg.shards)
+			"documents", len(docs), "shards", cfg.shards, "variants", cfg.variants)
 		owner, err = authtext.NewShardedOwner(docs, cfg.shards, opts...)
 	} else {
-		logger.Info("indexing and building authentication structures (RSA-1024)", "documents", len(docs))
+		logger.Info("indexing and building authentication structures (RSA-1024)", "documents", len(docs), "variants", cfg.variants)
 		owner, err = authtext.NewOwner(docs, opts...)
 	}
 	if err != nil {
@@ -482,7 +510,7 @@ func newCache(cfg config, logger *slog.Logger) *authtext.VOCache {
 // log, cache, query log) is identical across shapes.
 func buildLiveHandler(cfg config, docs []authtext.Document, opts []authtext.Option,
 	hopts []authtext.HandlerOption, logger *slog.Logger) (http.Handler, error) {
-	logger.Info("indexing live documents (RSA-1024)", "documents", len(docs), "shards", cfg.shards)
+	logger.Info("indexing live documents (RSA-1024)", "documents", len(docs), "shards", cfg.shards, "variants", cfg.variants)
 	var owner *authtext.LiveOwner
 	var err error
 	if cfg.shards > 0 {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,6 +76,17 @@ func TestBuildHandlerServesVerifiableCollection(t *testing.T) {
 	if h.Status != "ok" || h.Documents != 3 || h.QueriesServed != 1 {
 		t.Fatalf("health = %+v", h)
 	}
+
+	// Without -variants the daemon builds TNRA-CMHT only: healthz says so,
+	// and the verifying client refuses TRA from the signed manifest — a
+	// refusal, never tampering.
+	if len(h.Variants) != 1 || h.Variants[0] != "tnra-cmht" {
+		t.Fatalf("healthz variants = %v, want [tnra-cmht]", h.Variants)
+	}
+	_, err = rc.Search(context.Background(), "inverted index", 2, authtext.TRA, authtext.ChainMHT)
+	if !errors.Is(err, authtext.ErrVariantNotBuilt) || authtext.IsTampered(err) {
+		t.Fatalf("TRA against the default build: %v, want ErrVariantNotBuilt", err)
+	}
 }
 
 // A daemon booted with -cache-mb serves verifiable answers from its VO
@@ -113,7 +128,11 @@ func TestBuildHandlerWithCache(t *testing.T) {
 }
 
 func TestBuildHandlerDemoCorpus(t *testing.T) {
-	handler, err := buildHandler(config{quiet: true}, discardLogger())
+	cfg, err := parseFlags([]string{"-quiet", "-variants", "all"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler, err := buildHandler(cfg, discardLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,6 +145,10 @@ func TestBuildHandlerDemoCorpus(t *testing.T) {
 	}
 	if _, err := rc.Search(context.Background(), "merkle tree", 3, authtext.TRA, authtext.MHT); err != nil {
 		t.Fatalf("demo corpus search failed: %v", err)
+	}
+	// All four built: healthz names no variant set.
+	if h, err := rc.Health(context.Background()); err != nil || h.Variants != nil {
+		t.Fatalf("healthz variants %v (err %v), want none for the full set", h.Variants, err)
 	}
 }
 
@@ -305,6 +328,71 @@ func TestParseFlagsBeforeBuild(t *testing.T) {
 	}
 	if cfg.addr != ":0" || !cfg.quiet || !cfg.vocab {
 		t.Fatalf("cfg = %+v", cfg)
+	}
+}
+
+// -variants is parsed with every other flag: a bad set is a usage error
+// before anything is built, and it is refused where the daemon builds
+// nothing (a snapshot carries its own signed set; a front end serves none).
+func TestParseFlagsVariants(t *testing.T) {
+	snap := filepath.Join(t.TempDir(), "x.atsn")
+	if err := os.WriteFile(snap, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]string{
+		{"-variants", "tra-btree"},
+		{"-variants", ""},
+		{"-variants", "tnra-cmht,,tra-mht"},
+		{"-variants", "tnra-cmht,tnra-cmht"},
+		{"-variants", "all", "-snapshot", snap},
+		{"-variants", "tnra-cmht", "-fleet", "http://r1:8470"},
+	} {
+		if _, err := parseFlags(bad); err == nil {
+			t.Errorf("%q accepted", bad)
+		}
+	}
+	for flags, want := range map[string]string{
+		"":                  "[]", // nil: buildHandler applies defaultVariants
+		"all":               "[tra-mht tra-cmht tnra-mht tnra-cmht]",
+		"TRA-CMHT,tnra-mht": "[tra-cmht tnra-mht]",
+	} {
+		args := []string{"-variants", flags}
+		if flags == "" {
+			args = nil
+		}
+		cfg, err := parseFlags(args)
+		if got := fmt.Sprint(cfg.variants); err != nil || got != want {
+			t.Fatalf("%q: variants %s, err %v; want %s", args, got, err, want)
+		}
+	}
+	// Without -variants a snapshot boot is fine: it just has nothing to set.
+	if _, err := parseFlags([]string{"-snapshot", snap}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestVariantsRefusalExitsTwo runs the real main on the two refused
+// combinations: a usage error, exit status 2, before anything is opened.
+func TestVariantsRefusalExitsTwo(t *testing.T) {
+	if args := os.Getenv("AUTHSERVED_TEST_ARGS"); args != "" {
+		os.Args = append([]string{"authserved"}, strings.Fields(args)...)
+		main() // exits
+		return
+	}
+	snap := filepath.Join(t.TempDir(), "x.atsn")
+	if err := os.WriteFile(snap, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range []string{"-snapshot " + snap + " -variants all", "-fleet http://r1:8470 -variants tnra-cmht"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestVariantsRefusalExitsTwo$")
+		cmd.Env = append(os.Environ(), "AUTHSERVED_TEST_ARGS="+args)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(stderr.String(), "-variants") {
+			t.Errorf("authserved %s: %v, stderr %q; want exit status 2 naming -variants", args, err, stderr.String())
+		}
 	}
 }
 
@@ -542,6 +630,19 @@ func TestBuildFleetHandlerServesVerifiableFleet(t *testing.T) {
 	}
 	if fh.Status != "ok" || len(fh.Backends) != 2 {
 		t.Fatalf("fleet healthz = %+v", fh)
+	}
+	// The synthesized healthz reports the replicas' shape, variant set
+	// included, once a probe has read it.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		h, err := rc.Health(context.Background())
+		if err == nil && len(h.Variants) == 1 && h.Variants[0] == "tnra-cmht" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("front-end healthz variants never matched the replicas': %+v (err %v)", h, err)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

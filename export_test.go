@@ -1,7 +1,12 @@
 package authtext
 
 import (
+	"bytes"
+	"errors"
+	"os"
 	"testing"
+
+	"authtext/internal/core"
 )
 
 func TestExportImportClient(t *testing.T) {
@@ -84,5 +89,44 @@ func TestManifestDecodeRoundTripViaExport(t *testing.T) {
 	}
 	if string(got.NameDictRoot) != string(m.NameDictRoot) {
 		t.Fatal("name dict root lost")
+	}
+}
+
+// TestVariantSubsetExportGolden pins the ATCX blob of a TNRA-CMHT-only
+// owner: an RSA-signed manifest carrying the variant mask, as a client
+// bootstraps from it. The fixture decodes, verifies, lists exactly that
+// variant, and re-exports byte-identically. Regenerate with UPDATE_GOLDEN=1
+// only alongside a deliberate export or manifest format change.
+func TestVariantSubsetExportGolden(t *testing.T) {
+	const golden = "testdata/atcx-tnra-cmht.bin"
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		o, err := NewOwner(newsDocs(), WithVariants(Variant{TNRA, ChainMHT}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		blob, err := o.ExportClient()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, blob, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewClientFromExport(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if set := client.variantSet(); set != core.VariantOf(core.KindTNRACMHT) {
+		t.Fatalf("variants %v, want tnra-cmht", set)
+	}
+	if again, err := client.Export(); err != nil || !bytes.Equal(again, raw) {
+		t.Fatalf("re-export differs (err %v)", err)
+	}
+	if err := client.checkVariant(TRA, ChainMHT); !errors.Is(err, ErrVariantNotBuilt) || IsTampered(err) {
+		t.Fatalf("TRA-CMHT against the golden manifest: %v", err)
 	}
 }

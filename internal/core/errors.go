@@ -57,6 +57,10 @@ const (
 	// signatures on both sides of the conflict, so it is tampering, never
 	// a transient error (docs/FLEET.md).
 	CodeEquivocation
+	// CodeVariantWithheld: a server refused a query as "variant not built"
+	// although the signed manifest lists the variant — an answer withheld
+	// under a false claim.
+	CodeVariantWithheld
 )
 
 // String implements fmt.Stringer.
@@ -92,6 +96,8 @@ func (c VerifyCode) String() string {
 		return "stale-generation"
 	case CodeEquivocation:
 		return "equivocation"
+	case CodeVariantWithheld:
+		return "variant-withheld"
 	}
 	return fmt.Sprintf("VerifyCode(%d)", int(c))
 }

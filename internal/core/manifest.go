@@ -66,7 +66,16 @@ type Manifest struct {
 	// lets CachingSigner reuse them); search and verification skip them
 	// deterministically. nil when no document is tombstoned.
 	Tombstones []byte
+	// Variants is the set of structure kinds the owner built and signed; a
+	// server can answer only those, and a client asks only those. The zero
+	// value is the full set and encodes as the original layout (no flag, no
+	// byte), so a manifest carrying all four can never be told apart from
+	// one that predates the field; AllVariants itself is non-canonical.
+	Variants VariantSet
 }
+
+// Serves reports whether the owner built — and signed — structure kind.
+func (m *Manifest) Serves(kind StructureKind) bool { return m.Variants.Has(kind) }
 
 // tombstoneLen is the canonical bitmap length for n document slots.
 func tombstoneLen(n uint32) int { return int(n+7) / 8 }
@@ -116,6 +125,9 @@ func (m *Manifest) Encode() []byte {
 	if len(m.Tombstones) != 0 {
 		flags |= 8
 	}
+	if m.Variants != 0 {
+		flags |= 0x10
+	}
 	b = append(b, flags)
 	b = appendSized(b, m.DocHashRoot)
 	for _, r := range m.DictRoots {
@@ -131,7 +143,8 @@ func (m *Manifest) Encode() []byte {
 	// collections (generation ≥ 1) sign the extra 8 bytes. The tombstone
 	// bitmap extends further, and only when a slot is actually tombstoned
 	// (flag bit 8): a live collection with no removals still encodes the
-	// generation-only layout, so pre-tombstone snapshots stay valid.
+	// generation-only layout, so pre-tombstone snapshots stay valid. A
+	// variant set short of all four is the last byte (flag bit 0x10).
 	if m.Generation != 0 {
 		b = binary.BigEndian.AppendUint64(b, m.Generation)
 	}
@@ -139,6 +152,9 @@ func (m *Manifest) Encode() []byte {
 		b = binary.BigEndian.AppendUint32(b, m.Live)
 		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Tombstones)))
 		b = append(b, m.Tombstones...)
+	}
+	if m.Variants != 0 {
+		b = append(b, byte(m.Variants))
 	}
 	return b
 }
@@ -162,11 +178,17 @@ func (m *Manifest) Validate() error {
 	if len(m.DocHashRoot) != int(m.HashSize) {
 		return errors.New("core: manifest doc-hash root size mismatch")
 	}
-	if m.DictMode {
-		for k, r := range m.DictRoots {
-			if len(r) != int(m.HashSize) {
-				return fmt.Errorf("core: manifest dict root %d size mismatch", k)
-			}
+	// The full set is encoded by absence (zero), never spelled out.
+	if m.Variants == AllVariants || m.Variants&^AllVariants != 0 {
+		return fmt.Errorf("core: manifest variant mask %#02x is not canonical", uint8(m.Variants))
+	}
+	for k, r := range m.DictRoots {
+		// A dictionary root exists exactly for each built kind.
+		if !m.Serves(StructureKind(k+1)) && len(r) != 0 {
+			return fmt.Errorf("core: manifest dict root %d for a variant not built", k)
+		}
+		if m.DictMode && m.Serves(StructureKind(k+1)) && len(r) != int(m.HashSize) {
+			return fmt.Errorf("core: manifest dict root %d size mismatch", k)
 		}
 	}
 	if m.VocabProofsEnabled && len(m.NameDictRoot) != int(m.HashSize) {

@@ -28,6 +28,19 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	m.VocabProofsEnabled = flags&2 != 0
 	m.Boosted = flags&4 != 0
 	tombstoned := flags&8 != 0
+	if flags&0x10 != 0 {
+		// The variant mask is the last byte; what precedes it parses as if
+		// the flag were clear. A zero mask has no canonical encoding (the
+		// full set is the absent byte); Validate rejects the rest.
+		if len(r.b) <= r.off {
+			return nil, errors.New("core: truncated manifest")
+		}
+		m.Variants = VariantSet(r.b[len(r.b)-1])
+		r.b = r.b[:len(r.b)-1]
+		if m.Variants == 0 {
+			return nil, errors.New("core: manifest variant mask is empty")
+		}
+	}
 	m.DocHashRoot = r.sized()
 	for i := range m.DictRoots {
 		m.DictRoots[i] = r.sized()

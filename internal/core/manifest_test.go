@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"testing"
 
 	"authtext/internal/sig"
@@ -278,5 +279,144 @@ func TestAlgoSchemeStrings(t *testing.T) {
 	}
 	if Algo(9).String() == "" || Scheme(9).String() == "" {
 		t.Fatal("unknown values must still print")
+	}
+}
+
+// TestManifestVariantsEncoding pins the variant-set extension: the full set
+// is encoded by absence — byte-identical to a manifest that predates the
+// field — and a subset is flag bit 0x10 plus one trailing mask byte, after
+// the generation and tombstone extensions, inside the signed bytes.
+func TestManifestVariantsEncoding(t *testing.T) {
+	for name, base := range map[string]*Manifest{
+		"static": sampleManifest(), "generation": func() *Manifest {
+			m := sampleManifest()
+			m.Generation = 3
+			return m
+		}(), "tombstoned": tombstonedManifest(),
+	} {
+		plain := base.Encode()
+		if plain[flagsOffset]&0x10 != 0 {
+			t.Fatalf("%s: flag 0x10 set for the full set", name)
+		}
+		m := *base
+		m.Variants = VariantOf(KindTNRACMHT)
+		enc := m.Encode()
+		if len(enc) != len(plain)+1 || enc[len(enc)-1] != 0x08 || enc[flagsOffset] != plain[flagsOffset]|0x10 {
+			t.Fatalf("%s: subset encoding %x, full %x", name, enc, plain)
+		}
+		got, err := DecodeManifest(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Variants != m.Variants || got.Generation != m.Generation || string(got.Tombstones) != string(m.Tombstones) ||
+			!got.Serves(KindTNRACMHT) || got.Serves(KindTRACMHT) {
+			t.Fatalf("%s: round trip %+v", name, got)
+		}
+		if string(got.Encode()) != string(enc) {
+			t.Fatalf("%s: re-encoding differs", name)
+		}
+		m.Variants = VariantOf(KindTNRACMHT, KindTRAMHT)
+		if string(m.Encode()) == string(enc) {
+			t.Fatalf("%s: the mask is not bound by the encoding", name)
+		}
+	}
+}
+
+// flagsOffset is where Encode puts the flag byte: prefix, N, M, three
+// float64s, block size, hash size.
+const flagsOffset = len("authtext/manifest/v1") + 4 + 4 + 3*8 + 4 + 1
+
+// TestManifestVariantsHostile: every non-canonical or malformed spelling of
+// the variant set is refused by Validate or by the decoder.
+func TestManifestVariantsHostile(t *testing.T) {
+	for _, mask := range []VariantSet{AllVariants, 0x10, 0x1F, 0x80} {
+		m := sampleManifest()
+		m.Variants = mask
+		if err := m.Validate(); err == nil {
+			t.Errorf("Validate accepted mask %#x", uint8(mask))
+		}
+		if _, err := DecodeManifest(m.Encode()); err == nil {
+			t.Errorf("decoder accepted mask %#x", uint8(mask))
+		}
+	}
+	m := sampleManifest()
+	m.DictMode = true
+	for k := range m.DictRoots {
+		m.DictRoots[k] = make([]byte, 16)
+	}
+	m.Variants = VariantOf(KindTNRACMHT)
+	if err := m.Validate(); err == nil {
+		t.Error("Validate accepted a dictionary root for a variant not built")
+	}
+	m.DictRoots = [4][]byte{3: make([]byte, 16)}
+	if err := m.Validate(); err != nil {
+		t.Errorf("Validate refused dictionary mode over one variant: %v", err)
+	}
+
+	for name, base := range map[string]*Manifest{"static": sampleManifest(), "tombstoned": tombstonedManifest()} {
+		m := *base
+		m.Variants = VariantOf(KindTNRACMHT)
+		enc := m.Encode()
+		zero := append([]byte(nil), enc...)
+		zero[len(zero)-1] = 0
+		flagOnly := enc[:len(enc)-1]
+		byteOnly := append(append([]byte(nil), base.Encode()...), 0x08)
+		for what, b := range map[string][]byte{"mask 0": zero, "flag without its byte": flagOnly, "byte without its flag": byteOnly} {
+			if _, err := DecodeManifest(b); err == nil {
+				t.Errorf("%s: decoder accepted %s", name, what)
+			}
+		}
+	}
+}
+
+func TestParseVariantSet(t *testing.T) {
+	for in, want := range map[string]VariantSet{
+		"all": AllVariants, " ALL ": AllVariants, "tnra-cmht": 0x08,
+		"tra-mht,TNRA-MHT": 0x05, " tra-cmht , tnra-cmht ": 0x0A,
+	} {
+		if got, err := ParseVariantSet(in); err != nil || got != want {
+			t.Errorf("%q: %#x, %v; want %#x", in, uint8(got), err, uint8(want))
+		}
+	}
+	for _, in := range []string{"", ",", "tnra", "tnra-cmht,", "tra-mht,tra-mht", "all,tra-mht"} {
+		if _, err := ParseVariantSet(in); err == nil {
+			t.Errorf("%q accepted", in)
+		}
+	}
+	if s := VariantOf(KindTRACMHT, KindTNRACMHT).String(); s != "tra-cmht,tnra-cmht" {
+		t.Errorf("String = %q", s)
+	}
+	if VariantSet(0).String() != "all" || AllVariants.String() != "all" {
+		t.Error("the full set prints as all")
+	}
+}
+
+// TestManifestVariantsGolden pins one subset manifest's canonical bytes —
+// the signed encoding clients verify — against testdata. Regenerate with
+// UPDATE_GOLDEN=1 only alongside a deliberate manifest format change; the
+// all-four encoding is pinned by every pre-existing fixture staying as is.
+func TestManifestVariantsGolden(t *testing.T) {
+	const golden = "testdata/manifest-tnra-cmht.bin"
+	m := sampleManifest()
+	m.Generation = 7
+	m.Variants = VariantOf(KindTNRACMHT)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, m.Encode(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != string(m.Encode()) {
+		t.Fatalf("encoding changed:\n got %x\nwant %x", m.Encode(), raw)
+	}
+	got, err := DecodeManifest(raw)
+	if err != nil || got.Variants != m.Variants || got.Generation != 7 {
+		t.Fatalf("decode: %+v, %v", got, err)
 	}
 }

@@ -67,6 +67,11 @@ func Verify(in *VerifyInput) error {
 		return vErr(CodeMalformedVO, "result has %d entries for r=%d", len(in.Result), in.R)
 	}
 	kind := KindFor(algo, scheme)
+	if !m.Serves(kind) {
+		// The owner signed no structure of this kind, so nothing in the VO
+		// can be authentic; an honest server refuses such a query instead.
+		return vErr(CodeMalformedVO, "%v is outside the signed variant set %v", kind, m.Variants)
+	}
 	baseHasher := sig.MustHasher(int(m.HashSize))
 	hasher := mht.NewHasher(baseHasher)
 

@@ -58,6 +58,10 @@ type Config struct {
 	// are looked at every 10 ms, and the readers' tail latency pays for it
 	// (bench live_updates on two cores: p95 2.5 → 16 ms, p99 8 → 40 ms).
 	SpareCore bool
+	// Variants is the set of structure kinds to build, sign and lay out;
+	// zero builds all four. It is committed in the signed manifest, and
+	// Search refuses any other kind with core.ErrVariantNotBuilt.
+	Variants core.VariantSet
 }
 
 // DefaultConfig returns the paper's parameters; the caller must supply a
@@ -115,8 +119,8 @@ type Collection struct {
 	verifier   sig.Verifier
 
 	layout    Layout
-	termSigs  [4][][]byte // [kind-1][termID]; nil in dict mode
-	termRoots [4][][]byte // dictionary-MHT leaves; exported with the state
+	termSigs  [4][][]byte // [kind-1][termID]; nil in dict mode and for unbuilt kinds
+	termRoots [4][][]byte // dictionary-MHT leaves, nil for unbuilt kinds; exported with the state
 	docHash   [][]byte    // h(doc) leaves; exported with the state
 	// authority holds the pinned per-document authority scores (boost
 	// extension); nil when disabled.
@@ -141,10 +145,12 @@ type Collection struct {
 	space      SpaceReport
 }
 
-// BuildCollection indexes the documents and constructs every authentication
-// structure: plain and chained list layouts for all four algorithm/scheme
-// combinations, document records with signed document-MHT roots, the
-// document-hash tree, and the signed manifest.
+// BuildCollection indexes the documents and constructs the authentication
+// structures of cfg.Variants (all four algorithm/scheme combinations by
+// default): the plain list layout for an MHT kind, the chained layout of a
+// CMHT kind, signed list roots per built kind, document records with signed
+// document-MHT roots for a TRA kind — and always the document-hash tree and
+// the signed manifest.
 //
 // Hashing and signing — nearly all of the build — run on every core (all but
 // one with cfg.SpareCore; computeThenLayout), while the device is laid out
@@ -164,6 +170,10 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 	}
 	if cfg.Okapi.K1 == 0 && cfg.Okapi.B == 0 {
 		cfg.Okapi = okapi.DefaultParams()
+	}
+	set := cfg.Variants.Resolve()
+	if set&^core.AllVariants != 0 {
+		return nil, fmt.Errorf("engine: variant set %#x names no structure kind", uint8(cfg.Variants))
 	}
 	baseHasher, err := sig.NewHasher(cfg.HashSize)
 	if err != nil {
@@ -192,13 +202,20 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 		workers--
 	}
 
-	// Document records: leaves, content hashes, signed document-MHT roots.
-	c.layout.Doc = make([]store.Extent, idx.N)
+	// Documents: content hashes always (the document-hash tree authenticates
+	// every TNRA answer's contents); records — leaves, signed document-MHT
+	// roots — only for TRA's random accesses.
 	c.docHash = make([][]byte, idx.N)
+	if set.HasTRA() {
+		c.layout.Doc = make([]store.Extent, idx.N)
+	}
 	err = computeThenLayout(idx.N, workers, func(d int) ([]byte, error) {
-		vec := idx.DocVector(index.DocID(d))
 		ch := baseHasher.Sum(idx.Content[d])
 		c.docHash[d] = ch
+		if !set.HasTRA() {
+			return nil, nil
+		}
+		vec := idx.DocVector(index.DocID(d))
 		root := mht.RootFunc(c.hasher, len(vec), core.TermFreqLeaves(vec))
 		msg := core.DocRootMessage(index.DocID(d), uint32(len(vec)), ch, root)
 		sigBytes, err := cfg.Signer.Sign(msg)
@@ -207,28 +224,37 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 		}
 		return encodeDocRecord(vec, ch, sigBytes), nil
 	}, func(d int, rec []byte) {
-		c.layout.Doc[d] = dev.AllocWrite(rec)
-		c.space.DocRecordBytes += int64(len(rec))
 		c.space.ContentBytes += int64(len(idx.Content[d]))
+		if set.HasTRA() {
+			c.layout.Doc[d] = dev.AllocWrite(rec)
+			c.space.DocRecordBytes += int64(len(rec))
+		}
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Inverted lists: plain blocks, two chain layouts, four signed roots.
+	// Inverted lists: the plain blocks an MHT kind reads, the chain layout
+	// of each CMHT kind, one signed root per built kind.
 	m := idx.M()
 	rho := core.ChainRho(cfg.Store.BlockSize, cfg.HashSize)
-	c.layout.Plain = make([]store.Extent, m)
-	c.layout.ChainTRA = make([]store.Extent, m)
-	c.layout.ChainTNRA = make([]store.Extent, m)
-	for k := range c.termRoots {
-		c.termRoots[k] = make([][]byte, m)
+	if set.HasMHT() {
+		c.layout.Plain = make([]store.Extent, m)
+	}
+	if set.Has(core.KindTRACMHT) {
+		c.layout.ChainTRA = make([]store.Extent, m)
+	}
+	if set.Has(core.KindTNRACMHT) {
+		c.layout.ChainTNRA = make([]store.Extent, m)
+	}
+	kinds := set.Kinds()
+	for _, kind := range kinds {
+		c.termRoots[kind-1] = make([][]byte, m)
 		if !cfg.DictMode {
-			c.termSigs[k] = make([][]byte, m)
+			c.termSigs[kind-1] = make([][]byte, m)
 		}
 	}
-	kinds := []core.StructureKind{core.KindTRAMHT, core.KindTRACMHT, core.KindTNRAMHT, core.KindTNRACMHT}
-	// listBytes is one term's three on-device encodings.
+	// listBytes is one term's on-device encodings, nil where not built.
 	type listBytes struct{ plain, chainTRA, chainTNRA []byte }
 	err = computeThenLayout(m, workers, func(t int) (listBytes, error) {
 		tid := index.TermID(t)
@@ -236,41 +262,56 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 		ft := uint32(len(ps))
 		name := idx.Name(tid)
 
-		traLeaves := core.KindTRACMHT.ListLeaves(ps)
-		tnraLeaves := core.KindTNRACMHT.ListLeaves(ps)
-		traChain := core.ChainDigests(c.hasher, traLeaves, rho)
-		tnraChain := core.ChainDigests(c.hasher, tnraLeaves, rho)
-
-		roots := [4][]byte{
-			mht.Root(c.hasher, traLeaves),  // KindTRAMHT
-			traChain[0],                    // KindTRACMHT
-			mht.Root(c.hasher, tnraLeaves), // KindTNRAMHT
-			tnraChain[0],                   // KindTNRACMHT
+		// A TRA and a TNRA structure differ only in their leaves (doc ids
+		// against ⟨d, f⟩ pairs); each is a whole-list MHT or a chain.
+		var roots [4][]byte
+		var b listBytes
+		for _, s := range []struct {
+			tree, chain core.StructureKind
+			out         *[]byte
+		}{{core.KindTRAMHT, core.KindTRACMHT, &b.chainTRA}, {core.KindTNRAMHT, core.KindTNRACMHT, &b.chainTNRA}} {
+			if !set.Has(s.tree) && !set.Has(s.chain) {
+				continue
+			}
+			leaves := s.chain.ListLeaves(ps)
+			if set.Has(s.tree) {
+				roots[s.tree-1] = mht.Root(c.hasher, leaves)
+			}
+			if set.Has(s.chain) {
+				digests := core.ChainDigests(c.hasher, leaves, rho)
+				roots[s.chain-1] = digests[0]
+				*s.out = encodeChainList(ps, digests, cfg.Store.BlockSize, cfg.HashSize, rho)
+			}
 		}
-		for k, kind := range kinds {
-			c.termRoots[k][t] = roots[k]
+		if set.HasMHT() {
+			b.plain = encodePlainList(ps, cfg.Store.BlockSize)
+		}
+		for _, kind := range kinds {
+			c.termRoots[kind-1][t] = roots[kind-1]
 			if cfg.DictMode {
 				continue
 			}
-			msg := core.TermRootMessage(kind, name, tid, ft, roots[k])
+			msg := core.TermRootMessage(kind, name, tid, ft, roots[kind-1])
 			sb, err := cfg.Signer.Sign(msg)
 			if err != nil {
 				return listBytes{}, fmt.Errorf("engine: sign term %q kind %d: %w", name, kind, err)
 			}
-			c.termSigs[k][t] = sb
+			c.termSigs[kind-1][t] = sb
 		}
-		return listBytes{
-			plain:     encodePlainList(ps, cfg.Store.BlockSize),
-			chainTRA:  encodeChainList(ps, traChain, cfg.Store.BlockSize, cfg.HashSize, rho),
-			chainTNRA: encodeChainList(ps, tnraChain, cfg.Store.BlockSize, cfg.HashSize, rho),
-		}, nil
+		return b, nil
 	}, func(t int, b listBytes) {
-		c.layout.Plain[t] = dev.AllocWrite(b.plain)
-		c.layout.ChainTRA[t] = dev.AllocWrite(b.chainTRA)
-		c.layout.ChainTNRA[t] = dev.AllocWrite(b.chainTNRA)
-		c.space.PlainListBytes += int64(len(b.plain))
-		c.space.ChainTRABytes += int64(len(b.chainTRA))
-		c.space.ChainTNRABytes += int64(len(b.chainTNRA))
+		if set.HasMHT() {
+			c.layout.Plain[t] = dev.AllocWrite(b.plain)
+			c.space.PlainListBytes += int64(len(b.plain))
+		}
+		if set.Has(core.KindTRACMHT) {
+			c.layout.ChainTRA[t] = dev.AllocWrite(b.chainTRA)
+			c.space.ChainTRABytes += int64(len(b.chainTRA))
+		}
+		if set.Has(core.KindTNRACMHT) {
+			c.layout.ChainTNRA[t] = dev.AllocWrite(b.chainTNRA)
+			c.space.ChainTNRABytes += int64(len(b.chainTNRA))
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -287,6 +328,9 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 		DictMode:           cfg.DictMode,
 		VocabProofsEnabled: cfg.VocabProofs,
 		Generation:         cfg.Generation,
+	}
+	if set != core.AllVariants {
+		manifest.Variants = set
 	}
 	if cfg.Tombstones != nil {
 		if len(cfg.Tombstones) != idx.N {
@@ -344,8 +388,8 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 	}
 	c.buildTrees()
 	manifest.DocHashRoot = c.docTree.Root()
-	if cfg.DictMode {
-		for k, t := range c.dictTrees {
+	for k, t := range c.dictTrees {
+		if t != nil {
 			manifest.DictRoots[k] = t.Root()
 		}
 	}
@@ -361,12 +405,15 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 		return nil, fmt.Errorf("engine: sign manifest: %w", err)
 	}
 
-	// One signature per document record, four per term list unless the
-	// dictionary-MHT replaces them, and the manifest's.
-	nSigs := idx.N + 1
+	// The manifest's signature, one per document record (TRA), and one per
+	// term list and built kind unless the dictionary-MHT replaces them.
+	nSigs := 1
+	if set.HasTRA() {
+		nSigs += idx.N
+	}
 	if !cfg.DictMode {
-		nSigs += 4 * m
-		c.space.TermSigBytes = int64(4 * m * cfg.Signer.Size())
+		nSigs += len(kinds) * m
+		c.space.TermSigBytes = int64(len(kinds) * m * cfg.Signer.Size())
 	}
 	c.space.DeviceBytes = dev.SizeBytes()
 	c.buildStats = BuildStats{BuildTime: time.Since(start), Signatures: nSigs}
@@ -381,8 +428,9 @@ func (c *Collection) buildTrees() {
 	c.vecTrees = newVecTrees(c.idx.N, c.dev.SizeBytes())
 	c.docTree = mht.NewTree(c.hasher, len(c.docHash), mht.Leaves(c.docHash))
 	if c.cfg.DictMode {
-		for k, roots := range c.termRoots {
-			c.dictTrees[k] = mht.NewTree(c.hasher, len(roots), mht.Leaves(roots))
+		for _, kind := range c.cfg.Variants.Kinds() {
+			roots := c.termRoots[kind-1]
+			c.dictTrees[kind-1] = mht.NewTree(c.hasher, len(roots), mht.Leaves(roots))
 		}
 	}
 	if c.cfg.VocabProofs {

@@ -47,7 +47,9 @@ type QueryStats struct {
 
 // Search processes a query (tokens are the post-pipeline token stream) for
 // the top r documents using the chosen algorithm and authentication scheme,
-// returning the result, the encoded VO, and the cost statistics.
+// returning the result, the encoded VO, and the cost statistics. A structure
+// kind outside the collection's variant set is refused with
+// core.ErrVariantNotBuilt before any session opens.
 //
 // Search is safe for concurrent use: a built Collection's inputs are
 // immutable, its per-document tree cache is lock-free, and all per-query
@@ -58,6 +60,9 @@ type QueryStats struct {
 func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.Scheme) (retRes *Result, retVO []byte, retStats *QueryStats, retErr error) {
 	if r < 1 {
 		return nil, nil, nil, fmt.Errorf("engine: result size %d", r)
+	}
+	if kind := core.KindFor(algo, scheme); !c.manifest.Serves(kind) {
+		return nil, nil, nil, fmt.Errorf("engine: %v: %w (this collection builds %v)", kind, core.ErrVariantNotBuilt, c.manifest.Variants)
 	}
 	// Cursor code raises block-read failures as a typed panic (the cursor
 	// interfaces have no error channel). Recover it here so a poisoned

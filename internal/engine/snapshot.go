@@ -34,11 +34,13 @@ type State struct {
 	// (zero-copy opens over a memory-mapped snapshot). The provider of
 	// DeviceData then owns its lifetime; see store.RestoreDeviceShared.
 	ShareDeviceData bool
-	// Layout locates every structure on the device.
+	// Layout locates every structure on the device; the tables of a layout
+	// the variant set does not need are empty.
 	Layout Layout
 	// TermSigs holds the per-list signatures ([kind-1][termID]; all nil in
-	// dictionary mode); TermRoots the corresponding roots (always present,
-	// needed for dictionary proofs); DocHash the h(doc) leaves.
+	// dictionary mode); TermRoots the corresponding roots (needed for
+	// dictionary proofs); both are nil for a kind outside the variant set.
+	// DocHash holds the h(doc) leaves.
 	TermSigs  [4][][]byte
 	TermRoots [4][][]byte
 	DocHash   [][]byte
@@ -125,13 +127,22 @@ func Restore(st *State) (*Collection, error) {
 	plainPerBlock := blockSize / entrySize
 	n, mm := idx.N, idx.M()
 
-	// Layout: every extent must lie on the device, and the list extents
-	// must cover exactly the blocks the cursors will read for ft entries —
-	// otherwise a hostile snapshot could steer the query path off the end
-	// of an extent.
-	if len(st.Layout.Plain) != mm || len(st.Layout.ChainTRA) != mm ||
-		len(st.Layout.ChainTNRA) != mm || len(st.Layout.Doc) != n {
-		return nil, errors.New("engine: restore: layout table sizes disagree with index")
+	// Layout: a table exists exactly for what the signed variant set built,
+	// every extent must lie on the device, and the list extents must cover
+	// exactly the blocks the cursors will read for ft entries — otherwise a
+	// hostile snapshot could steer the query path off the end of an extent.
+	set := m.Variants
+	sized := func(built bool, want int) int {
+		if built {
+			return want
+		}
+		return 0
+	}
+	if len(st.Layout.Plain) != sized(set.HasMHT(), mm) ||
+		len(st.Layout.ChainTRA) != sized(set.Has(core.KindTRACMHT), mm) ||
+		len(st.Layout.ChainTNRA) != sized(set.Has(core.KindTNRACMHT), mm) ||
+		len(st.Layout.Doc) != sized(set.HasTRA(), n) {
+		return nil, fmt.Errorf("engine: restore: layout table sizes disagree with index and variant set %v", set)
 	}
 	checkExtent := func(what string, i int, ext store.Extent, wantBlocks int, fullBlocks bool) error {
 		// Subtract instead of adding: Start+Blocks would overflow int64 for
@@ -159,28 +170,33 @@ func Restore(st *State) (*Collection, error) {
 		}
 		return nb
 	}
-	for t := 0; t < mm; t++ {
-		ft := idx.FT(index.TermID(t))
-		if err := checkExtent("plain", t, st.Layout.Plain[t], blocksFor(ft, plainPerBlock), true); err != nil {
-			return nil, err
-		}
-		if err := checkExtent("chain-tra", t, st.Layout.ChainTRA[t], blocksFor(ft, rho), true); err != nil {
-			return nil, err
-		}
-		if err := checkExtent("chain-tnra", t, st.Layout.ChainTNRA[t], blocksFor(ft, rho), true); err != nil {
+	for t := range st.Layout.Plain {
+		if err := checkExtent("plain", t, st.Layout.Plain[t], blocksFor(idx.FT(index.TermID(t)), plainPerBlock), true); err != nil {
 			return nil, err
 		}
 	}
-	for d := 0; d < n; d++ {
+	for t := range st.Layout.ChainTRA {
+		if err := checkExtent("chain-tra", t, st.Layout.ChainTRA[t], blocksFor(idx.FT(index.TermID(t)), rho), true); err != nil {
+			return nil, err
+		}
+	}
+	for t := range st.Layout.ChainTNRA {
+		if err := checkExtent("chain-tnra", t, st.Layout.ChainTNRA[t], blocksFor(idx.FT(index.TermID(t)), rho), true); err != nil {
+			return nil, err
+		}
+	}
+	for d := range st.Layout.Doc {
 		if err := checkExtent("doc", d, st.Layout.Doc[d], -1, false); err != nil {
 			return nil, err
 		}
 	}
 
 	// Authentication material: roots and document hashes are fixed-width;
-	// per-list signatures exist exactly when dictionary mode is off.
+	// a kind's roots exist exactly when it was built, and its per-list
+	// signatures too unless dictionary mode replaces them.
 	for k := range st.TermRoots {
-		if len(st.TermRoots[k]) != mm {
+		built := set.Has(core.StructureKind(k + 1))
+		if len(st.TermRoots[k]) != sized(built, mm) {
 			return nil, fmt.Errorf("engine: restore: term-root table %d has %d entries", k, len(st.TermRoots[k]))
 		}
 		for t, r := range st.TermRoots[k] {
@@ -188,9 +204,9 @@ func Restore(st *State) (*Collection, error) {
 				return nil, fmt.Errorf("engine: restore: term root %d/%d size mismatch", k, t)
 			}
 		}
-		if m.DictMode {
+		if m.DictMode || !built {
 			if st.TermSigs[k] != nil {
-				return nil, errors.New("engine: restore: per-list signatures present in dictionary mode")
+				return nil, fmt.Errorf("engine: restore: per-list signatures present for kind %d in dictionary mode or unbuilt", k+1)
 			}
 			continue
 		}
@@ -236,6 +252,7 @@ func Restore(st *State) (*Collection, error) {
 		VocabProofs: m.VocabProofsEnabled,
 		Beta:        m.Beta,
 		Generation:  m.Generation,
+		Variants:    m.Variants,
 	}
 	if m.Boosted {
 		if len(st.Authority) != n {

@@ -684,6 +684,7 @@ func (f *Frontend) serveHealth(w http.ResponseWriter, r *http.Request) {
 			h.Documents = lh.Documents
 			h.Terms = lh.Terms
 			h.Shards = lh.Shards
+			h.Variants = lh.Variants
 		}
 	}
 	if h.Status == "ok" {

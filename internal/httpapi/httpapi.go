@@ -90,6 +90,11 @@ const (
 	// backends without obtaining a generation-consistent answer
 	// (docs/FLEET.md).
 	CodeFleetUnavailable = "fleet_unavailable"
+	// CodeVariantNotBuilt: the query asks for an algorithm/scheme variant
+	// the collection was not built with (status 422). The signed manifest
+	// lists what was built; a client that sees this code for a listed
+	// variant has caught the server lying.
+	CodeVariantNotBuilt = "variant_not_built"
 )
 
 // GenerationHeader is the response header carrying the publication
@@ -184,10 +189,14 @@ type Health struct {
 	Shards    int    `json:"shards,omitempty"`
 	// Generation is the currently served publication generation (0/absent
 	// on static deployments).
-	Generation    uint64 `json:"generation,omitempty"`
-	UptimeMillis  int64  `json:"uptime_millis"`
-	QueriesServed int64  `json:"queries_served"`
-	QueriesFailed int64  `json:"queries_failed"`
+	Generation uint64 `json:"generation,omitempty"`
+	// Variants names the algorithm/scheme variants the collection was built
+	// with ("tnra-cmht", ...), absent when all four are. Untrusted like
+	// every healthz field: clients read the set from the signed manifest.
+	Variants      []string `json:"variants,omitempty"`
+	UptimeMillis  int64    `json:"uptime_millis"`
+	QueriesServed int64    `json:"queries_served"`
+	QueriesFailed int64    `json:"queries_failed"`
 	// Cache reports the server-side VO cache, absent when caching is
 	// disabled (docs/PROTOCOL.md "Caching").
 	Cache *CacheHealth `json:"cache,omitempty"`

@@ -5,14 +5,15 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"authtext/internal/core"
 	"authtext/internal/engine"
 	"authtext/internal/index"
 	"authtext/internal/sig"
 )
 
 // fuzzSeedSnapshot builds a deliberately small collection (so the seed
-// corpus stays compact) and serialises it.
-func fuzzSeedSnapshot(f *testing.F) []byte {
+// corpus stays compact) over the given variant set and serialises it.
+func fuzzSeedSnapshot(f *testing.F, variants core.VariantSet) []byte {
 	f.Helper()
 	signer, err := sig.NewHMACSigner([]byte("fuzz"), 128)
 	if err != nil {
@@ -28,7 +29,9 @@ func fuzzSeedSnapshot(f *testing.F) []byte {
 	for i, s := range texts {
 		docs[i] = index.Document{Content: []byte(s)}
 	}
-	col, err := engine.BuildCollection(docs, engine.DefaultConfig(signer))
+	cfg := engine.DefaultConfig(signer)
+	cfg.Variants = variants
+	col, err := engine.BuildCollection(docs, cfg)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -45,8 +48,10 @@ func fuzzSeedSnapshot(f *testing.F) []byte {
 // an error — never a panic, never an unbounded allocation. Anything it
 // accepts must re-serialise and reopen (the format is canonical).
 func FuzzOpenSnapshot(f *testing.F) {
-	valid := fuzzSeedSnapshot(f)
+	valid := fuzzSeedSnapshot(f, 0)
 	f.Add(valid)
+	// A TNRA-CMHT-only build: empty extent tables, absent term tables.
+	f.Add(fuzzSeedSnapshot(f, core.VariantOf(core.KindTNRACMHT)))
 	for _, n := range []int{0, 4, 8, 24, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:n])
 	}

@@ -93,6 +93,8 @@ func Write(w io.Writer, col *engine.Collection) error {
 	layout = appendExtents(layout, st.Layout.ChainTNRA)
 	layout = appendExtents(layout, st.Layout.Doc)
 
+	// Tables of a kind outside the variant set are nil, so they write
+	// nothing: the extent tables come out empty and the term tables absent.
 	var auth []byte
 	if st.Manifest.DictMode {
 		auth = append(auth, 0)
@@ -288,14 +290,16 @@ func restoreFromPayloads(payloads map[uint16][]byte, share bool) (*engine.Collec
 		if manifest.DictMode {
 			return nil, errors.New("snapshot: auth section carries signatures in dictionary mode")
 		}
-		for k := range st.TermSigs {
-			st.TermSigs[k] = ar.sliceTable(m, -1)
+		for _, kind := range manifest.Variants.Kinds() {
+			st.TermSigs[kind-1] = ar.sliceTable(m, -1)
 		}
 	default:
 		return nil, errors.New("snapshot: bad signature-mode byte in auth section")
 	}
-	for k := range st.TermRoots {
-		st.TermRoots[k] = ar.sliceTable(m, hashSize)
+	// Term tables follow the signed variant set: a kind that was not built
+	// has none (so a table for one is trailing bytes).
+	for _, kind := range manifest.Variants.Kinds() {
+		st.TermRoots[kind-1] = ar.sliceTable(m, hashSize)
 	}
 	st.DocHash = ar.sliceTable(n, hashSize)
 	if manifest.Boosted && ar.err == nil {

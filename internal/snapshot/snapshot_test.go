@@ -132,6 +132,62 @@ func TestRoundTripAllVariants(t *testing.T) {
 	}
 }
 
+// TestRoundTripVariantSubset: a snapshot lays out what its signed variant
+// set built — the extent tables of the rest empty, their term tables absent,
+// the format version unchanged — reopens (copying and mapped) to a collection
+// that serves the set and refuses the rest, and re-serialises byte-for-byte.
+// A term table for an unbuilt kind spliced in is refused at open.
+func TestRoundTripVariantSubset(t *testing.T) {
+	full := encode(t, buildCollection(t, nil))
+	col := buildCollection(t, func(cfg *engine.Config) { cfg.Variants = core.VariantOf(core.KindTNRACMHT) })
+	snap := encode(t, col)
+	if len(snap) >= len(full) {
+		t.Fatalf("TNRA-CMHT snapshot %d bytes, all four %d", len(snap), len(full))
+	}
+	// Layout: plain, chain-TRA, chain-TNRA, doc — counts 0, 0, M, 0.
+	start, end, _ := sectionRange(t, snap, secLayout)
+	lr := byteReader{b: snap[start:end]}
+	for i, want := range []int{0, 0, col.Index().M(), 0} {
+		if got := len(lr.extents()); got != want {
+			t.Fatalf("extent table %d has %d entries, want %d", i, got, want)
+		}
+	}
+	if err := lr.done("layout"); err != nil {
+		t.Fatal(err)
+	}
+	mapped, err := OpenMapped(writeSnapshotFile(t, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mapped.Release()
+	reopened, err := Open(bytes.NewReader(snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := queryTokens(col)
+	for _, c := range []*engine.Collection{reopened, mapped.Collection()} {
+		if !bytes.Equal(encode(t, c), snap) {
+			t.Fatal("reopened subset snapshot re-serialises differently")
+		}
+		if err := searchAndVerify(t, c, tokens, core.AlgoTNRA, core.SchemeCMHT); err != nil {
+			t.Fatal(err)
+		}
+		if err := searchAndVerify(t, c, tokens, core.AlgoTRA, core.SchemeCMHT); !errors.Is(err, core.ErrVariantNotBuilt) {
+			t.Fatalf("TRA-CMHT from a TNRA-CMHT snapshot: %v", err)
+		}
+	}
+	if col.Space() != reopened.Space() || col.BuildStats().Signatures != col.Index().M()+1 {
+		t.Fatalf("space %+v, %d signatures", reopened.Space(), col.BuildStats().Signatures)
+	}
+
+	// A second kind's roots appended to the auth section: trailing bytes.
+	start, end, _ = sectionRange(t, snap, secAuth)
+	spliced := append(append([]byte(nil), snap[start:end]...), make([]byte, col.Index().M()*16)...)
+	if _, err := Open(bytes.NewReader(replaceSection(t, snap, secAuth, spliced))); err == nil {
+		t.Fatal("a term-root table for an unbuilt kind was accepted")
+	}
+}
+
 func TestRoundTripDictModeAndVocabProofs(t *testing.T) {
 	col := buildCollection(t, func(cfg *engine.Config) {
 		cfg.DictMode = true

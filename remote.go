@@ -296,24 +296,41 @@ func (rc *RemoteClient) Search(ctx context.Context, query string, r int, algo Al
 	if err != nil {
 		return nil, err
 	}
+	if err := client.checkVariant(algo, scheme); err != nil {
+		return nil, err
+	}
 	req := &httpapi.SearchRequest{Query: query, R: r, Algo: wireAlgo(algo), Scheme: wireScheme(scheme)}
 	var res *SearchResult
 	if client.Shards() > 0 {
 		sw, err := ask(ctx, rc, client, httpapi.PathShardSearch, req, wire.DecodeShardedSearchResponse,
 			func(sw *httpapi.ShardedSearchResponse) uint64 { return sw.Generation })
 		if err != nil {
-			return nil, err
+			return nil, rc.withheld(err)
 		}
 		res = shardedResultFromWire(sw, algo, scheme)
 	} else {
 		sr, err := ask(ctx, rc, client, httpapi.PathSearch, req, wire.DecodeSearchResponse,
 			func(sr *httpapi.SearchResponse) uint64 { return sr.Generation })
 		if err != nil {
-			return nil, err
+			return nil, rc.withheld(err)
 		}
 		res = resultFromWire(sr, algo, scheme)
 	}
 	return rc.verified(client, query, r, res)
+}
+
+// withheld classifies a server's variant_not_built refusal of a query this
+// client sent — one the signed manifest lists, or it would not have been
+// sent — as tampering: the owner built the variant, so the refusal is a lie.
+// Any other error passes through.
+func (rc *RemoteClient) withheld(err error) error {
+	var se *httpapi.StatusError
+	if !errors.As(err, &se) || se.Code != httpapi.CodeVariantNotBuilt {
+		return err
+	}
+	rc.metrics.countTamper()
+	return &core.VerifyError{Code: core.CodeVariantWithheld,
+		Detail: "the server refused a variant the signed manifest lists: " + se.Message}
 }
 
 // verified verifies res against the bootstrapped manifest, recording the
@@ -417,7 +434,11 @@ func (rc *RemoteClient) SearchBatch(ctx context.Context, queries []BatchQuery) (
 		return nil, fmt.Errorf("authtext: batch of %d queries exceeds the server maximum of %d",
 			len(queries), httpapi.MaxBatchQueries)
 	}
-	wireReqs := make([]httpapi.SearchRequest, len(queries))
+	out := make([]BatchItem, len(queries))
+	// sent[j] is the query the j-th wire request carries: a variant the
+	// signed manifest does not list is refused here and never sent.
+	var sent []int
+	var wireReqs []httpapi.SearchRequest
 	for i, q := range queries {
 		// Validate locally: the server rejects a malformed batch WHOLE, so
 		// catching a bad element here (with its index) spares the good ones.
@@ -430,9 +451,16 @@ func (rc *RemoteClient) SearchBatch(ctx context.Context, queries []BatchQuery) (
 		if len(q.Query) > httpapi.MaxQueryBytes {
 			return nil, fmt.Errorf("authtext: query %d exceeds %d bytes", i, httpapi.MaxQueryBytes)
 		}
-		wireReqs[i] = httpapi.SearchRequest{
-			Query: q.Query, R: q.R, Algo: wireAlgo(q.Algorithm), Scheme: wireScheme(q.Scheme),
+		if out[i].Err = client.checkVariant(q.Algorithm, q.Scheme); out[i].Err != nil {
+			continue
 		}
+		sent = append(sent, i)
+		wireReqs = append(wireReqs, httpapi.SearchRequest{
+			Query: q.Query, R: q.R, Algo: wireAlgo(q.Algorithm), Scheme: wireScheme(q.Scheme),
+		})
+	}
+	if len(sent) == 0 {
+		return out, nil
 	}
 	// A live server answers the whole batch from one generation: the batch
 	// claims the newest generation any of its answers names.
@@ -448,34 +476,36 @@ func (rc *RemoteClient) SearchBatch(ctx context.Context, queries []BatchQuery) (
 	if err != nil {
 		return nil, err
 	}
-	if len(br.Results) != len(queries) {
-		return nil, fmt.Errorf("authtext: server answered %d results for %d queries", len(br.Results), len(queries))
+	if len(br.Results) != len(sent) {
+		return nil, fmt.Errorf("authtext: server answered %d results for %d queries", len(br.Results), len(sent))
 	}
-	out := make([]BatchItem, len(queries))
-	for i := range br.Results {
+	for j, res := range br.Results {
+		i := sent[j]
 		q := queries[i]
 		switch {
-		case br.Results[i].Error != nil:
-			out[i].Err = fmt.Errorf("authtext: query %d: server error %s: %s",
-				i, br.Results[i].Error.Code, br.Results[i].Error.Message)
-		case br.Results[i].Response == nil:
+		case res.Error != nil:
+			out[i].Err = rc.withheld(fmt.Errorf("authtext: query %d: server error: %w", i,
+				&httpapi.StatusError{Code: res.Error.Code, Message: res.Error.Message}))
+		case res.Response == nil:
 			out[i].Err = fmt.Errorf("authtext: query %d: empty batch result", i)
 		default:
 			out[i].Result, out[i].Err = rc.verified(client, q.Query, q.R,
-				resultFromWire(br.Results[i].Response, q.Algorithm, q.Scheme))
+				resultFromWire(res.Response, q.Algorithm, q.Scheme))
 		}
 	}
 	return out, nil
 }
 
 // ServerHealth mirrors the /v1/healthz payload. Shards is 0 for a
-// single-collection server; Generation is 0 for a static one.
+// single-collection server; Generation is 0 for a static one; Variants is
+// nil when the server built all four (see Variant.String for the names).
 type ServerHealth struct {
 	Status        string
 	Documents     int
 	Terms         int
 	Shards        int
 	Generation    uint64
+	Variants      []string
 	UptimeMillis  int64
 	QueriesServed int64
 	QueriesFailed int64
@@ -494,6 +524,7 @@ func (t *transport) Health(ctx context.Context) (*ServerHealth, error) {
 		Terms:         h.Terms,
 		Shards:        h.Shards,
 		Generation:    h.Generation,
+		Variants:      h.Variants,
 		UptimeMillis:  h.UptimeMillis,
 		QueriesServed: h.QueriesServed,
 		QueriesFailed: h.QueriesFailed,

@@ -1,11 +1,14 @@
 package authtext
 
 import (
+	"errors"
+	"fmt"
 	"log/slog"
 	"net/http"
 	"sync/atomic"
 	"time"
 
+	"authtext/internal/core"
 	"authtext/internal/httpapi"
 )
 
@@ -87,12 +90,18 @@ func WithRequestLog(logger *slog.Logger) HandlerOption {
 }
 
 // health fills the collection-shaped healthz fields: live documents
-// (tombstoned slots don't count), terms, shards, generation.
+// (tombstoned slots don't count), terms, shards, generation, and the built
+// variants unless they are all four.
 func (v served) health() httpapi.Health {
 	h := httpapi.Health{Shards: v.shards(), Generation: v.generation()}
 	for _, col := range v.cols() {
 		h.Documents += col.LiveDocs()
 		h.Terms += col.Index().M()
+	}
+	if set := v.variants(); set != core.AllVariants {
+		for _, variant := range variantsOf(set) {
+			h.Variants = append(h.Variants, variant.String())
+		}
 	}
 	return h
 }
@@ -305,13 +314,29 @@ func (b *backend) Search(req *httpapi.SearchRequest) (*httpapi.SearchResponse, e
 // whole fan-out.
 func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, error) {
 	start := time.Now()
-	res, err := b.pin().Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
+	srv := b.pin()
+	res, err := srv.Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
 	if err != nil {
-		b.failed.Add(1)
-		return nil, err
+		return nil, b.failure(srv, req, err)
 	}
 	b.record(req, res.Stats, time.Since(start))
 	return res, nil
+}
+
+// failure maps a search error to the wire: a variant the collection was not
+// built with is the caller's 422 (it is no server failure, so it is not
+// counted as one); anything else counts as failed and stays a 500.
+func (b *backend) failure(srv *Server, req *httpapi.SearchRequest, err error) error {
+	if errors.Is(err, ErrVariantNotBuilt) {
+		return &httpapi.StatusError{
+			Status: http.StatusUnprocessableEntity,
+			Code:   httpapi.CodeVariantNotBuilt,
+			Message: fmt.Sprintf("variant %s-%s is not built; this collection answers %v",
+				req.Algo, req.Scheme, srv.v.variants()),
+		}
+	}
+	b.failed.Add(1)
+	return err
 }
 
 // searchBatch runs the whole batch on ONE pinned generation, on top of the
@@ -331,8 +356,7 @@ func (b *backend) searchBatch(reqs []httpapi.SearchRequest) []httpapi.BatchSearc
 	out := make([]httpapi.BatchSearchResult, len(items))
 	for i, item := range items {
 		if item.Err != nil {
-			b.failed.Add(1)
-			out[i] = httpapi.BatchOutcome(nil, item.Err)
+			out[i] = httpapi.BatchOutcome(nil, b.failure(srv, &reqs[i], item.Err))
 			continue
 		}
 		// Per-query wall, not the batch's: the engine measures each query's

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,6 +16,7 @@ import (
 	"authtext"
 	"authtext/internal/core"
 	"authtext/internal/httpapi"
+	"authtext/internal/vo"
 	"authtext/internal/wire"
 )
 
@@ -45,6 +47,8 @@ type matrixEnv struct {
 	// advance publishes one more generation and makes this handler serve
 	// it; nil on static shapes.
 	advance func(t *testing.T)
+	// server pins the in-process Server the handler serves from.
+	server func() *authtext.Server
 }
 
 type matrixShape struct {
@@ -54,7 +58,8 @@ type matrixShape struct {
 	// adminStatus is what POST /v1/admin/update answers: 404 (static: no
 	// such endpoint), 403 (replica: serving-only) or 200 (owner).
 	adminStatus int
-	build       func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv
+	// build makes the shape from an owner built with ownerOpts.
+	build func(t *testing.T, ownerOpts []authtext.Option, opts ...authtext.HandlerOption) matrixEnv
 }
 
 func must[T any](v T, err error) func(*testing.T) T {
@@ -70,7 +75,7 @@ func must[T any](v T, err error) func(*testing.T) T {
 // matrixLiveOwner builds a live owner — bare for 0 shards — whose served
 // generation carries one tombstone (so live documents != slots): generation
 // 2, matrixDocs-1 documents.
-func matrixLiveOwner(t *testing.T, shards int) *authtext.LiveOwner {
+func matrixLiveOwner(t *testing.T, shards int, opts ...authtext.Option) *authtext.LiveOwner {
 	t.Helper()
 	var (
 		owner   *authtext.LiveOwner
@@ -78,9 +83,9 @@ func matrixLiveOwner(t *testing.T, shards int) *authtext.LiveOwner {
 		err     error
 	)
 	if shards == 0 {
-		owner, handles, err = authtext.NewLiveOwner(liveRemoteDocs(0, matrixDocs))
+		owner, handles, err = authtext.NewLiveOwner(liveRemoteDocs(0, matrixDocs), opts...)
 	} else {
-		owner, handles, err = authtext.NewLiveShardedOwner(liveRemoteDocs(0, matrixDocs), shards)
+		owner, handles, err = authtext.NewLiveShardedOwner(liveRemoteDocs(0, matrixDocs), shards, opts...)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -96,34 +101,35 @@ var matrixShapes = func() (shapes []matrixShape) {
 		suffix := map[int]string{0: "-single", 2: "-sharded"}[shards]
 		shapes = append(shapes,
 			matrixShape{name: "static" + suffix, shards: shards, adminStatus: http.StatusNotFound,
-				build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
+				build: func(t *testing.T, ownerOpts []authtext.Option, opts ...authtext.HandlerOption) matrixEnv {
 					build := authtext.NewOwner
 					if shards > 0 {
 						build = func(docs []authtext.Document, opts ...authtext.Option) (*authtext.Owner, error) {
 							return authtext.NewShardedOwner(docs, shards, opts...)
 						}
 					}
-					owner := must(build(liveRemoteDocs(0, matrixDocs)))(t)
+					owner := must(build(liveRemoteDocs(0, matrixDocs), ownerOpts...))(t)
 					srv, own := owner.Server(), authtext.NewVOCache(1<<20)
 					srv.SetVOCache(own)
 					return matrixEnv{handler: authtext.NewHTTPHandler(srv, must(owner.ExportClient())(t), opts...),
-						documents: matrixDocs, ownCache: own}
+						documents: matrixDocs, ownCache: own, server: owner.Server}
 				}},
 			matrixShape{name: "live" + suffix, shards: shards, adminStatus: http.StatusOK,
-				build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
-					owner := matrixLiveOwner(t, shards)
+				build: func(t *testing.T, ownerOpts []authtext.Option, opts ...authtext.HandlerOption) matrixEnv {
+					owner := matrixLiveOwner(t, shards, ownerOpts...)
 					return matrixEnv{handler: must(owner.HTTPHandler(opts...))(t),
 						documents: matrixDocs - 1, generation: 2,
-						advance: func(t *testing.T) { must(owner.RemoveDocuments(owner.Handles()[0]))(t) }}
+						advance: func(t *testing.T) { must(owner.RemoveDocuments(owner.Handles()[0]))(t) },
+						server:  owner.Server().Snapshot}
 				}},
 			matrixShape{name: "replica" + suffix, shards: shards, adminStatus: http.StatusForbidden,
-				build: func(t *testing.T, opts ...authtext.HandlerOption) matrixEnv {
-					owner, dir := matrixLiveOwner(t, shards), t.TempDir()
+				build: func(t *testing.T, ownerOpts []authtext.Option, opts ...authtext.HandlerOption) matrixEnv {
+					owner, dir := matrixLiveOwner(t, shards, ownerOpts...), t.TempDir()
 					must(owner.WriteSnapshotDir(dir))(t)
 					replica, own := must(authtext.OpenLiveSnapshotDir(dir))(t), authtext.NewVOCache(1<<20)
 					replica.SetVOCache(own)
 					return matrixEnv{handler: must(replica.HTTPHandler(opts...))(t),
-						documents: matrixDocs - 1, generation: 2, ownCache: own,
+						documents: matrixDocs - 1, generation: 2, ownCache: own, server: replica.Server,
 						advance: func(t *testing.T) {
 							must(owner.RemoveDocuments(owner.Handles()[0]))(t)
 							must(owner.WriteSnapshotDir(dir))(t)
@@ -172,8 +178,10 @@ func matrixDo(h http.Handler, method, target, body, accept string) *httptest.Res
 func TestHandlerShapeMatrix(t *testing.T) {
 	for _, shape := range matrixShapes {
 		t.Run(shape.name, func(t *testing.T) {
+			t.Run("variant not built", func(t *testing.T) { matrixVariantNotBuilt(t, shape) })
+
 			optCache := authtext.NewVOCache(2 << 20)
-			env := shape.build(t, authtext.WithVOCache(optCache))
+			env := shape.build(t, nil, authtext.WithVOCache(optCache))
 			searchPath, manifestPath := httpapi.PathSearch, httpapi.PathManifest
 			if shape.shards > 0 {
 				searchPath, manifestPath = httpapi.PathShardSearch, httpapi.PathShardManifest
@@ -373,6 +381,150 @@ func TestHandlerShapeMatrix(t *testing.T) {
 				t.Fatalf("replayed generation %d to a client at %d classified as %v", env.generation, rc.Generation(), err)
 			}
 		})
+	}
+}
+
+// matrixVariantNotBuilt is the shape matrix's "variant not built" column: a
+// TNRA-CMHT-only deployment of the shape, asked for TRA-CMHT, refuses with
+// ErrVariantNotBuilt — in process (Search, SearchBatch) and remotely, where
+// the client refuses from its verified manifest without sending a search —
+// and a refusal is never tampering. A server that claims "not built" for the
+// variant the manifest lists, or answers with a VO of a kind outside the
+// set, is tampering. Cold and warm client columns classify alike.
+func matrixVariantNotBuilt(t *testing.T, shape matrixShape) {
+	env := shape.build(t, []authtext.Option{authtext.WithVariants(authtext.Variant{Algorithm: authtext.TNRA, Scheme: authtext.ChainMHT})})
+	searchPath := httpapi.PathSearch
+	if shape.shards > 0 {
+		searchPath = httpapi.PathShardSearch
+	}
+	notBuilt := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, authtext.ErrVariantNotBuilt) || authtext.IsTampered(err) {
+			t.Fatalf("%s: TRA-CMHT on a TNRA-CMHT build: %v, want ErrVariantNotBuilt and not tampering", what, err)
+		}
+	}
+
+	srv := env.server()
+	_, err := srv.Search(matrixQuery, matrixR, authtext.TRA, authtext.ChainMHT)
+	notBuilt("Server.Search", err)
+	items := srv.SearchBatch([]authtext.BatchQuery{
+		{Query: matrixQuery, R: matrixR, Algorithm: authtext.TNRA, Scheme: authtext.ChainMHT},
+		{Query: matrixQuery, R: matrixR, Algorithm: authtext.TRA, Scheme: authtext.ChainMHT},
+	}, 0)
+	if items[0].Err != nil {
+		t.Fatalf("SearchBatch: the built variant failed: %v", items[0].Err)
+	}
+	notBuilt("Server.SearchBatch", items[1].Err)
+
+	// The wire: 422 variant_not_built, and healthz names the set.
+	rec := matrixDo(env.handler, http.MethodPost, searchPath, `{"query":"`+matrixQuery+`","algo":"tra"}`, "")
+	var envl httpapi.ErrorResponse
+	if rec.Code != http.StatusUnprocessableEntity || json.Unmarshal(rec.Body.Bytes(), &envl) != nil ||
+		envl.Error.Code != httpapi.CodeVariantNotBuilt {
+		t.Fatalf("TRA-CMHT over /v1: %d %s", rec.Code, rec.Body.String())
+	}
+	var health httpapi.Health
+	if err := json.Unmarshal(matrixDo(env.handler, http.MethodGet, httpapi.PathHealthz, "", "").Body.Bytes(), &health); err != nil ||
+		len(health.Variants) != 1 || health.Variants[0] != "tnra-cmht" {
+		t.Fatalf("healthz variants %v (err %v)", health.Variants, err)
+	}
+
+	// Remote: the refusal comes from the verified manifest; no search is sent.
+	var searches atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == searchPath {
+			searches.Add(1)
+		}
+		env.handler.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+	for _, warm := range []bool{false, true} {
+		rc := must(authtext.NewRemoteClient(ts.URL))(t)
+		before := searches.Load()
+		if warm {
+			if _, hits, err := matrixSearch(rc); err != nil || hits == 0 {
+				t.Fatalf("honest warm-up: %d hits, err %v", hits, err)
+			}
+		} else if err := rc.Bootstrap(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		sent := searches.Load()
+		_, err := rc.Search(context.Background(), matrixQuery, matrixR, authtext.TRA, authtext.ChainMHT)
+		notBuilt(fmt.Sprintf("RemoteClient.Search (warm=%v)", warm), err)
+		batch, err := rc.SearchBatch(context.Background(), []authtext.BatchQuery{
+			{Query: matrixQuery, R: matrixR, Algorithm: authtext.TRA, Scheme: authtext.ChainMHT}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		notBuilt(fmt.Sprintf("RemoteClient.SearchBatch (warm=%v)", warm), batch[0].Err)
+		if got := searches.Load(); got != sent || (warm && sent != before+1) {
+			t.Fatalf("warm=%v: %d search requests reached the server for refused variants", warm, got-sent)
+		}
+	}
+
+	// Lies: "not built" for the listed variant, and a VO of an unlisted kind.
+	var lie atomic.Int32 // 1: refuse the listed variant, 2: relabel the VO TNRA-MHT
+	refusing := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if lie.Load() == 1 && r.URL.Path == searchPath {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusUnprocessableEntity)
+			_ = json.NewEncoder(w).Encode(&httpapi.ErrorResponse{Error: httpapi.ErrorBody{
+				Code: httpapi.CodeVariantNotBuilt, Message: "variant tnra-cmht is not built"}})
+			return
+		}
+		env.handler.ServeHTTP(w, r)
+	})
+	relabel := func(raw []byte) []byte {
+		if lie.Load() != 2 {
+			return raw
+		}
+		v := must(vo.Decode(raw))(t)
+		v.Scheme = uint8(core.SchemeMHT)
+		enc, _, err := vo.Encode(v, 16)
+		if err != nil {
+			t.Error(err)
+		}
+		return enc
+	}
+	proxy := tamperingProxy(refusing, func(r *httpapi.SearchResponse) { r.VO = relabel(r.VO) })
+	if shape.shards > 0 {
+		proxy = tamperingProxy(refusing, func(r *httpapi.ShardedSearchResponse) { r.Shards[0].VO = relabel(r.Shards[0].VO) })
+	}
+	lying := httptest.NewServer(proxy)
+	defer lying.Close()
+	for mode, want := range map[int32]core.VerifyCode{1: core.CodeVariantWithheld, 2: core.CodeMalformedVO} {
+		for _, warm := range []bool{false, true} {
+			lie.Store(0)
+			rc := must(authtext.NewRemoteClient(lying.URL))(t)
+			if warm {
+				if _, hits, err := matrixSearch(rc); err != nil || hits == 0 {
+					t.Fatalf("honest warm-up: %d hits, err %v", hits, err)
+				}
+			}
+			lie.Store(mode)
+			_, _, err := matrixSearch(rc)
+			if !authtext.IsTampered(err) || core.CodeOf(err) != want || errors.Is(err, authtext.ErrVariantNotBuilt) {
+				t.Fatalf("lie %d, warm=%v: classified as %v, want %v", mode, warm, err, want)
+			}
+		}
+	}
+	if shape.shards == 0 {
+		// The batch form of the refusal lie: a per-query variant_not_built.
+		batchLie := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path != httpapi.PathSearch {
+				env.handler.ServeHTTP(w, r)
+				return
+			}
+			w.Header().Set("Content-Type", "application/json")
+			_ = json.NewEncoder(w).Encode(&httpapi.BatchSearchResponse{Results: []httpapi.BatchSearchResult{
+				{Error: &httpapi.ErrorBody{Code: httpapi.CodeVariantNotBuilt, Message: "not built"}}}})
+		}))
+		defer batchLie.Close()
+		batch, err := must(authtext.NewRemoteClient(batchLie.URL))(t).SearchBatch(context.Background(),
+			[]authtext.BatchQuery{{Query: matrixQuery, R: matrixR, Algorithm: authtext.TNRA, Scheme: authtext.ChainMHT}})
+		if err != nil || !authtext.IsTampered(batch[0].Err) {
+			t.Fatalf("batch refusal of a listed variant: %v / %v, want tampering", err, batch[0].Err)
+		}
 	}
 }
 
