@@ -198,7 +198,6 @@ func BenchmarkSearchTRAVerbose(b *testing.B) {
 	}
 	b.Run("cold", func(b *testing.B) {
 		state := f.Col.ExportState()
-		state.ShareDeviceData = true
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -10,7 +10,6 @@
 //	authsearch -build -shards N -o DIR [-dir PATH] # build a sharded snapshot directory
 //	authsearch -snapshot corpus.snap [...]         # reopen: no rebuild, no re-signing
 //	authsearch -snapshot DIR [...]                 # reopen a sharded snapshot directory
-//	authsearch -serve ADDR [-dir PATH|-snapshot F] # expose the collection over HTTP
 //	authsearch -remote URL [-r N] [...]            # query a running authserved
 //
 // The default mode runs owner, server and client in one process. With
@@ -20,10 +19,10 @@
 // process performs only the owner role: it builds and signs the
 // collection and writes the snapshot artifact that `authserved -snapshot`
 // or `authsearch -snapshot` open in milliseconds (docs/SNAPSHOT.md). With
-// -serve the process becomes an authserved-compatible HTTP server; with
 // -remote it becomes the verifying client of a remote server — sharded or
 // not, as the verified manifest says — performing the same VO verification
-// on answers received over the network.
+// on answers received over the network. Serving over HTTP is authserved's
+// job: it takes the same -dir, -snapshot and -shards inputs.
 //
 // Each answer line reports the verification verdict, the similarity score,
 // and the per-query costs (entries read, I/O time under the simulated disk
@@ -36,7 +35,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"time"
@@ -66,7 +64,6 @@ type config struct {
 	r         int
 	algo      authtext.Algorithm
 	scheme    authtext.Scheme
-	serveAddr string
 	remoteURL string
 	build     bool
 	out       string
@@ -82,7 +79,6 @@ func parseFlags(args []string) (config, error) {
 	r := fs.Int("r", 5, "number of results per query")
 	algoName := fs.String("algo", "tnra", "query algorithm: tra or tnra")
 	schemeName := fs.String("scheme", "cmht", "authentication scheme: mht or cmht")
-	serveAddr := fs.String("serve", "", "serve the collection over HTTP at this address instead of the interactive prompt")
 	remoteURL := fs.String("remote", "", "query a running authserved at this URL instead of building a local collection")
 	build := fs.Bool("build", false, "build the collection, write the snapshot named by -o, and exit")
 	out := fs.String("o", "", "snapshot output path (with -build)")
@@ -96,7 +92,7 @@ func parseFlags(args []string) (config, error) {
 	}
 
 	cfg := config{
-		dir: *dir, r: *r, serveAddr: *serveAddr, remoteURL: *remoteURL,
+		dir: *dir, r: *r, remoteURL: *remoteURL,
 		build: *build, out: *out, snapshot: *snap, shards: *shards,
 		algo: authtext.TNRA, scheme: authtext.ChainMHT,
 	}
@@ -123,9 +119,6 @@ func parseFlags(args []string) (config, error) {
 		return config{}, errors.New("-shards has no effect with -remote: the remote server chose its own shard count")
 	}
 
-	if cfg.remoteURL != "" && cfg.serveAddr != "" {
-		return config{}, errors.New("-serve and -remote are mutually exclusive")
-	}
 	if cfg.remoteURL != "" && cfg.dir != "" {
 		return config{}, errors.New("-dir has no effect with -remote: the remote server chose its own collection")
 	}
@@ -139,8 +132,8 @@ func parseFlags(args []string) (config, error) {
 		if cfg.out == "" {
 			return config{}, errors.New("-build requires -o FILE")
 		}
-		if cfg.snapshot != "" || cfg.serveAddr != "" || cfg.remoteURL != "" {
-			return config{}, errors.New("-build only builds: it excludes -snapshot, -serve and -remote")
+		if cfg.snapshot != "" || cfg.remoteURL != "" {
+			return config{}, errors.New("-build only builds: it excludes -snapshot and -remote")
 		}
 	} else if cfg.out != "" {
 		return config{}, errors.New("-o requires -build")
@@ -203,10 +196,6 @@ func run(cfg config) error {
 		names = func(globalID int) string { return docNames[globalID] }
 	}
 
-	if cfg.serveAddr != "" {
-		return serve(server, cfg.serveAddr)
-	}
-
 	fmt.Printf("ready — %s-%s, top-%d; type a query (empty line to quit)\n", cfg.algo, cfg.scheme, cfg.r)
 	return repl(func(query string) {
 		res, err := server.Search(query, cfg.r, cfg.algo, cfg.scheme)
@@ -253,26 +242,6 @@ func writeSnapshot(owner *authtext.Owner, path string) error {
 	fmt.Printf("wrote snapshot %s (%.1f MB); serve it with: authserved -snapshot %s\n",
 		path, float64(info.Size())/(1<<20), path)
 	return nil
-}
-
-// serve exposes the collection on the authserved HTTP protocol.
-func serve(server *authtext.Server, addr string) error {
-	export, err := server.ExportClient()
-	if err != nil {
-		return err
-	}
-	handler := authtext.NewHTTPHandler(server, export, authtext.WithQueryLog(
-		func(query string, r int, st authtext.Stats, wall time.Duration) {
-			fmt.Printf("query %q r=%d %s-%s vo=%dB wall=%s\n",
-				query, r, st.Algorithm, st.Scheme, st.VOBytes, wall.Round(time.Microsecond))
-		}))
-	if server.Shards() > 0 {
-		fmt.Printf("serving /v1/shards/search, /v1/shards/manifest, /v1/healthz on %s (%d shards)\n", addr, server.Shards())
-	} else {
-		fmt.Printf("serving /v1/search, /v1/manifest, /v1/healthz on %s\n", addr)
-	}
-	srv := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-	return srv.ListenAndServe()
 }
 
 // runRemote is the verifying-client mode: every answer from the remote

@@ -70,13 +70,13 @@ func TestLoadDocsEmptyDirectory(t *testing.T) {
 func TestParseFlagsValidation(t *testing.T) {
 	bad := [][]string{
 		{"-no-such-flag"},
-		{"-serve", ":0", "-remote", "http://x"},
+		{"-serve", ":0"}, // serving over HTTP is authserved's
 		{"-remote", "http://x", "-dir", "docs"},
 		{"-snapshot", "x.snap", "-dir", "docs"},
 		{"-snapshot", "x.snap", "-remote", "http://x"},
 		{"-build"},                            // missing -o
 		{"-o", "x.snap"},                      // -o without -build
-		{"-build", "-o", "x", "-serve", ":0"}, // build excludes serve
+		{"-build", "-o", "x", "-remote", "u"}, // build excludes remote
 		{"-algo", "bogus"},
 		{"-scheme", "bogus"},
 		{"-r", "0"},

@@ -27,13 +27,11 @@ type State struct {
 	// Index is the in-memory inverted index (dictionary, lists, document
 	// vectors, raw content).
 	Index *index.Index
-	// StoreParams and DeviceData reconstruct the simulated disk.
+	// StoreParams and DeviceData reconstruct the simulated disk. Restore
+	// aliases DeviceData, so its provider owns its lifetime; see
+	// store.RestoreDevice.
 	StoreParams store.Params
 	DeviceData  []byte
-	// ShareDeviceData makes Restore alias DeviceData instead of copying it
-	// (zero-copy opens over a memory-mapped snapshot). The provider of
-	// DeviceData then owns its lifetime; see store.RestoreDeviceShared.
-	ShareDeviceData bool
 	// Layout locates every structure on the device; the tables of a layout
 	// the variant set does not need are empty.
 	Layout Layout
@@ -108,11 +106,7 @@ func Restore(st *State) (*Collection, error) {
 		return nil, fmt.Errorf("engine: restore: device block size %d, manifest %d",
 			st.StoreParams.BlockSize, m.BlockSize)
 	}
-	restore := store.RestoreDevice
-	if st.ShareDeviceData {
-		restore = store.RestoreDeviceShared
-	}
-	dev, err := restore(st.StoreParams, st.DeviceData)
+	dev, err := store.RestoreDevice(st.StoreParams, st.DeviceData)
 	if err != nil {
 		return nil, err
 	}

@@ -150,21 +150,12 @@ func TestCollectionProofsMatchLeafHashing(t *testing.T) {
 }
 
 // TestRestoredCollectionServesIdenticalVOs: the trees are derived state, so
-// a collection restored from its exported state (copying or aliasing the
-// device, as the mapped open does) must answer byte-for-byte like the one
-// that was built.
+// a collection restored from its exported state (aliasing the device, as
+// every snapshot open does) must answer byte-for-byte like the one that was
+// built.
 func TestRestoredCollectionServesIdenticalVOs(t *testing.T) {
 	built := treeVariantCollection(t)
-	copied, err := Restore(built.ExportState())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharedState := built.ExportState()
-	sharedState.ShareDeviceData = true
-	shared, err := Restore(sharedState)
-	if err != nil {
-		t.Fatal(err)
-	}
+	reopened := restored(t, built)
 	idx := built.Index()
 	r := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 20; trial++ {
@@ -178,17 +169,15 @@ func TestRestoredCollectionServesIdenticalVOs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, col := range map[string]*Collection{"copying restore": copied, "aliasing restore": shared} {
-				_, got, gotStats, err := col.Search(tokens, 4, v.algo, v.scheme)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("%s, %v-%v %v: VO differs from the built collection's", name, v.algo, v.scheme, tokens)
-				}
-				if gotStats.IO != wantStats.IO {
-					t.Fatalf("%s, %v-%v: IO stats %+v, built %+v", name, v.algo, v.scheme, gotStats.IO, wantStats.IO)
-				}
+			_, got, gotStats, err := reopened.Search(tokens, 4, v.algo, v.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v-%v %v: VO differs from the built collection's", v.algo, v.scheme, tokens)
+			}
+			if gotStats.IO != wantStats.IO {
+				t.Fatalf("%v-%v: IO stats %+v, built %+v", v.algo, v.scheme, gotStats.IO, wantStats.IO)
 			}
 		}
 	}

@@ -28,21 +28,15 @@ func verboseQueries(idx *index.Index, seed int64, n int) [][]string {
 	return queries
 }
 
-// restoredPair reopens col twice from its exported state: copying the
-// device and aliasing it, as the mapped snapshot open does.
-func restoredPair(t testing.TB, col *Collection) (copied, shared *Collection) {
+// restored reopens col from its exported state, aliasing its device as
+// every snapshot open does: a collection with derived state still cold.
+func restored(t testing.TB, col *Collection) *Collection {
 	t.Helper()
-	copied, err := Restore(col.ExportState())
+	r, err := Restore(col.ExportState())
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := col.ExportState()
-	st.ShareDeviceData = true
-	shared, err = Restore(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return copied, shared
+	return r
 }
 
 // residentBytes sums the trees actually sitting in the slots.
@@ -65,12 +59,12 @@ func TestVecTreesWarmSearchHashesNothing(t *testing.T) {
 		"plain":            buildTestCollection(t, 61, 90, 40, nil),
 		"dict+vocab+boost": treeVariantCollection(t),
 	} {
-		copied, shared := restoredPair(t, built)
+		reopened := restored(t, built)
 		idx := built.Index()
 		for _, tokens := range verboseQueries(idx, 3, 12) {
 			for _, v := range allVariants {
 				var want []byte
-				for _, col := range []*Collection{built, copied, shared} {
+				for _, col := range []*Collection{built, reopened} {
 					before := col.vecTrees.hashed.Load()
 					res, cold, coldStats, err := col.Search(tokens, 5, v.algo, v.scheme)
 					if err != nil {
@@ -128,7 +122,7 @@ func TestVecTreesWarmSearchHashesNothing(t *testing.T) {
 		if built.vecTrees.hashed.Load() == 0 {
 			t.Fatalf("%s: no document tree was ever built", name)
 		}
-		for _, col := range []*Collection{built, copied, shared} {
+		for _, col := range []*Collection{built, reopened} {
 			if got, want := col.vecTrees.resident.Load(), residentBytes(col.vecTrees); got != want {
 				t.Fatalf("%s: resident counter %d, trees in slots hold %d bytes", name, got, want)
 			}
@@ -154,7 +148,7 @@ func TestVecTreesConcurrentFirstTouch(t *testing.T) {
 			want = append(want, voBytes)
 		}
 	}
-	cold, _ := restoredPair(t, reference)
+	cold := restored(t, reference)
 
 	const goroutines = 16
 	start := make(chan struct{})
@@ -193,7 +187,7 @@ func TestVecTreesConcurrentFirstTouch(t *testing.T) {
 // that keeps every tree.
 func TestVecTreesBound(t *testing.T) {
 	unbounded := buildTestCollection(t, 71, 120, 40, nil)
-	bounded, _ := restoredPair(t, unbounded)
+	bounded := restored(t, unbounded)
 	const limit = 4 << 10
 	bounded.vecTrees.limit = limit
 	for round := 0; round < 2; round++ {

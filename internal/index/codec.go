@@ -55,17 +55,11 @@ func (x *Index) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// DecodeBinary reconstructs an index from AppendBinary output. The input
-// may come from an untrusted snapshot: lengths are checked before any
+// DecodeBinary reconstructs an index from AppendBinary output. Document
+// content aliases b, which must outlive the index and stay unmodified. The
+// input may come from an untrusted snapshot: lengths are checked before any
 // allocation and the result is validated structurally.
-func DecodeBinary(b []byte) (*Index, error) { return decodeBinary(b, false) }
-
-// DecodeBinaryShared is DecodeBinary for callers whose input buffer
-// outlives the index — the mapped snapshot open: document content aliases
-// the input instead of being copied, so the decode cost is metadata only.
-func DecodeBinaryShared(b []byte) (*Index, error) { return decodeBinary(b, true) }
-
-func decodeBinary(b []byte, share bool) (*Index, error) {
+func DecodeBinary(b []byte) (*Index, error) {
 	r := codecReader{b: b}
 	n := int(r.u32())
 	avgLen := r.f64()
@@ -167,13 +161,7 @@ func decodeBinary(b []byte, share bool) (*Index, error) {
 		if contentLen > r.remaining() {
 			return nil, errors.New("index: decode: document content exceeds payload")
 		}
-		if share {
-			x.Content[d] = r.take(contentLen)
-		} else {
-			content := make([]byte, contentLen)
-			copy(content, r.take(contentLen))
-			x.Content[d] = content
-		}
+		x.Content[d] = r.take(contentLen)
 	}
 	if r.err != nil {
 		return nil, r.err
@@ -210,7 +198,7 @@ func (r *codecReader) take(n int) []byte {
 		r.err = errors.New("index: decode: truncated input")
 		return nil
 	}
-	v := r.b[r.off : r.off+n]
+	v := r.b[r.off : r.off+n : r.off+n] // capped: an append must not overwrite the input
 	r.off += n
 	return v
 }

@@ -47,12 +47,17 @@ func fuzzSeedSnapshot(f *testing.F, variants core.VariantSet) []byte {
 // boundary: truncated, bit-flipped or length-inflated inputs must produce
 // an error — never a panic, never an unbounded allocation. Anything it
 // accepts must re-serialise and reopen (the format is canonical).
+//
+// The second leg runs the same walker on OpenMapped's schedule with every
+// section deferred, so the decoders see bytes no CRC has vouched for: it
+// must not panic either, and once the deferred checks have run it must
+// reach Open's verdict and, on acceptance, the same collection.
 func FuzzOpenSnapshot(f *testing.F) {
 	valid := fuzzSeedSnapshot(f, 0)
 	f.Add(valid)
 	// A TNRA-CMHT-only build: empty extent tables, absent term tables.
 	f.Add(fuzzSeedSnapshot(f, core.VariantOf(core.KindTNRACMHT)))
-	for _, n := range []int{0, 4, 8, 24, len(valid) / 2, len(valid) - 1} {
+	for _, n := range []int{0, 3, 4, 7, 8, 24, len(valid) / 2, len(valid) - 1} {
 		f.Add(valid[:n])
 	}
 	flipped := append([]byte(nil), valid...)
@@ -66,6 +71,13 @@ func FuzzOpenSnapshot(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		col, err := Open(bytes.NewReader(data))
+		deferredCol, deferred, derr := parse(data, 0)
+		if derr == nil {
+			derr = checkSections(deferred)
+		}
+		if (err == nil) != (derr == nil) {
+			t.Fatalf("verdicts differ: Open %v, every section deferred %v", err, derr)
+		}
 		if err != nil {
 			return
 		}
@@ -77,6 +89,10 @@ func FuzzOpenSnapshot(f *testing.F) {
 		}
 		if _, err := Open(bytes.NewReader(buf.Bytes())); err != nil {
 			t.Fatalf("re-serialised snapshot failed to reopen: %v", err)
+		}
+		var dbuf bytes.Buffer
+		if err := Write(&dbuf, deferredCol); err != nil || !bytes.Equal(dbuf.Bytes(), buf.Bytes()) {
+			t.Fatalf("the deferred schedule decoded a different collection (%v)", err)
 		}
 	})
 }

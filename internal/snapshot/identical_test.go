@@ -44,7 +44,7 @@ func configVariants(nDocs int) []configVariant {
 
 // TestLiveRebuiltReopenedAndMappedServeIdenticalVOs: the collection-level
 // Merkle trees are derived at build and at restore, never persisted, so a
-// live-rebuilt generation, its copying reopen and its mapped reopen must
+// live-rebuilt generation, its reopen and its mapped reopen must
 // answer byte-for-byte alike — for every algorithm × scheme, with and
 // without the dictionary-mode, vocabulary-proof and authority-boost trees.
 func TestLiveRebuiltReopenedAndMappedServeIdenticalVOs(t *testing.T) {
@@ -108,7 +108,7 @@ func TestLiveRebuiltReopenedAndMappedServeIdenticalVOs(t *testing.T) {
 						if _, err := rebuilt.VerifyResult(tokens, 5, res, want); err != nil {
 							t.Fatalf("%v-%v %v: %v", algo, scheme, tokens, err)
 						}
-						for name, col := range map[string]*engine.Collection{"copying open": copied, "mapped open": mapped.Collection()} {
+						for name, col := range map[string]*engine.Collection{"Open": copied, "mapped open": mapped.Collection()} {
 							_, got, _, err := col.Search(tokens, 5, algo, scheme)
 							if err != nil {
 								t.Fatal(err)

@@ -1,10 +1,8 @@
 package snapshot
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"os"
 	"sync"
@@ -13,13 +11,12 @@ import (
 	"authtext/internal/engine"
 )
 
-// Mapped opens: instead of streaming a snapshot through copies, OpenMapped
-// maps the file read-only and hands the collection slices straight into
-// the mapping — the device data, signature tables and hash tables all
-// alias page-cache memory shared with every other process mapping the same
-// file. Opening becomes metadata-speed (decode the small sections, validate
-// invariants) instead of bandwidth-bound, and a fleet of replicas opening
-// the same generation shares one physical copy.
+// Mapped opens: OpenMapped runs Open's walker over a read-only mapping of
+// the file instead of a private heap buffer, so the collection's slices —
+// device data, document content, signature and hash tables — alias
+// page-cache memory shared with every other process mapping the same file.
+// Opening touches only the pages the decode reads, and a fleet of replicas
+// opening the same generation shares one physical copy.
 //
 // Integrity is not weakened, only re-scheduled: small sections have their
 // CRC checked before the collection is returned, and every section at or
@@ -85,7 +82,7 @@ func OpenMapped(path string) (*Mapped, error) {
 	if osMap {
 		mappedBytes.Add(int64(len(data)))
 	}
-	col, deferred, err := openMappedBytes(data)
+	col, deferred, err := parse(data, deferredCRCMin)
 	if err != nil {
 		m.unmap()
 		return nil, err
@@ -100,14 +97,9 @@ func OpenMapped(path string) (*Mapped, error) {
 	go func() {
 		defer m.crcWG.Done()
 		defer m.Release()
-		for _, s := range deferred {
-			if crc32.ChecksumIEEE(s.payload) == s.want {
-				continue
-			}
-			err := fmt.Errorf("snapshot: section %d fails its checksum (corrupted snapshot)", s.id)
+		if err := checkSections(deferred); err != nil {
 			m.crcErr.Store(&err)
 			col.Device().Poison(err)
-			return
 		}
 	}()
 	return m, nil
@@ -117,64 +109,6 @@ func OpenMapped(path string) (*Mapped, error) {
 // instead of on the open path. Everything below it (manifest, public key,
 // stats, small tables) is still checked before the collection exists.
 const deferredCRCMin = 1 << 20
-
-// sectionCheck is one deferred section validation.
-type sectionCheck struct {
-	id      uint16
-	want    uint32
-	payload []byte
-}
-
-// openMappedBytes walks the container over one contiguous buffer, CRCs
-// the small sections inline (large ones are returned for deferred
-// validation), and restores the collection with shared slices.
-func openMappedBytes(b []byte) (col *engine.Collection, deferred []sectionCheck, err error) {
-	if string(b[:4]) != magic {
-		return nil, nil, errors.New("snapshot: not a snapshot (bad magic)")
-	}
-	if v := binary.BigEndian.Uint16(b[4:]); v != Version {
-		return nil, nil, fmt.Errorf("%w: %d (this build speaks %d)", ErrVersion, v, Version)
-	}
-	if n := binary.BigEndian.Uint16(b[6:]); int(n) != len(sectionOrder) {
-		return nil, nil, fmt.Errorf("snapshot: %d sections, format v%d has %d", n, Version, len(sectionOrder))
-	}
-	off := 8
-	payloads := make(map[uint16][]byte, len(sectionOrder))
-	for _, wantID := range sectionOrder {
-		if len(b)-off < 16 {
-			return nil, nil, fmt.Errorf("snapshot: reading section header: truncated at %d", off)
-		}
-		id := binary.BigEndian.Uint16(b[off:])
-		if id != wantID {
-			return nil, nil, fmt.Errorf("snapshot: section %d out of order (want %d)", id, wantID)
-		}
-		if binary.BigEndian.Uint16(b[off+2:]) != 0 {
-			return nil, nil, fmt.Errorf("snapshot: section %d has non-zero reserved field", id)
-		}
-		wantCRC := binary.BigEndian.Uint32(b[off+4:])
-		length := binary.BigEndian.Uint64(b[off+8:])
-		off += 16
-		if length > uint64(len(b)-off) {
-			return nil, nil, fmt.Errorf("snapshot: section %d: truncated payload (declared %d bytes)", id, length)
-		}
-		payload := b[off : off+int(length)]
-		off += int(length)
-		if len(payload) >= deferredCRCMin {
-			deferred = append(deferred, sectionCheck{id: id, want: wantCRC, payload: payload})
-		} else if crc32.ChecksumIEEE(payload) != wantCRC {
-			return nil, nil, fmt.Errorf("snapshot: section %d fails its checksum (corrupted snapshot)", id)
-		}
-		payloads[id] = payload
-	}
-	if off != len(b) {
-		return nil, nil, errors.New("snapshot: trailing bytes after last section")
-	}
-	col, err = restoreFromPayloads(payloads, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return col, deferred, nil
-}
 
 // Collection returns the restored collection. Valid only while a
 // reference is held.

@@ -24,9 +24,9 @@ func writeSnapshotFile(t testing.TB, snap []byte) string {
 }
 
 // TestMappedMatchesOpen: the mapped open serves the same collection as
-// the copying open — same manifest, same signature, and byte-identical
-// verification objects for the same query. Zero-copy is an open-path
-// optimization, not a second code path with its own semantics.
+// Open — same manifest, same signature, and byte-identical verification
+// objects for the same query. Where the bytes live is the only difference,
+// not a second code path with its own semantics.
 func TestMappedMatchesOpen(t *testing.T) {
 	col := buildCollection(t, nil)
 	snap := encode(t, col)
@@ -69,7 +69,7 @@ func TestMappedMatchesOpen(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(wantVO, gotVO) {
-				t.Fatalf("%v/%v: mapped VO differs from the copying open's", algo, scheme)
+				t.Fatalf("%v/%v: mapped VO differs from Open's", algo, scheme)
 			}
 		}
 	}

@@ -17,19 +17,21 @@
 // clients reject.
 //
 // Decoding is hostile-input-safe: the format version is checked before
-// anything else, section payloads are read in bounded chunks so inflated
-// length fields cannot force huge allocations, and every count inside a
-// section is validated against the (signed) manifest before use.
+// anything else, every length field is checked against the bytes actually
+// present, and every count inside a section is validated against the
+// (signed) manifest before use.
 package snapshot
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"os"
 	"time"
 
 	"authtext/internal/core"
@@ -157,71 +159,139 @@ func Write(w io.Writer, col *engine.Collection) error {
 	return bw.Flush()
 }
 
-// Open reads a snapshot and reconstructs the serving collection. The input
-// is untrusted: a malformed or truncated snapshot errors out (never
-// panics), and a decodable-but-tampered one produces a collection whose
-// responses fail client verification.
+// Open reads a snapshot into one buffer and reconstructs the serving
+// collection, which decodes in place: every structure but the manifest and
+// public key aliases that buffer. Every section's CRC has matched before
+// Open returns. The input is untrusted: a malformed or truncated snapshot
+// errors out (never panics), and a decodable-but-tampered one produces a
+// collection whose responses fail client verification.
 func Open(r io.ReaderAt) (*engine.Collection, error) {
-	br := bufio.NewReaderSize(io.NewSectionReader(r, 0, math.MaxInt64), 1<<20)
-
-	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("snapshot: reading header: %w", err)
+	b, err := readAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: reading: %w", err)
 	}
-	if string(hdr[:4]) != magic {
-		return nil, errors.New("snapshot: not a snapshot (bad magic)")
-	}
-	if v := binary.BigEndian.Uint16(hdr[4:]); v != Version {
-		return nil, fmt.Errorf("%w: %d (this build speaks %d)", ErrVersion, v, Version)
-	}
-	if n := binary.BigEndian.Uint16(hdr[6:]); int(n) != len(sectionOrder) {
-		return nil, fmt.Errorf("snapshot: %d sections, format v%d has %d", n, Version, len(sectionOrder))
-	}
-
-	payloads := make(map[uint16][]byte, len(sectionOrder))
-	for _, wantID := range sectionOrder {
-		var sh [16]byte
-		if _, err := io.ReadFull(br, sh[:]); err != nil {
-			return nil, fmt.Errorf("snapshot: reading section header: %w", err)
-		}
-		id := binary.BigEndian.Uint16(sh[0:])
-		if id != wantID {
-			return nil, fmt.Errorf("snapshot: section %d out of order (want %d)", id, wantID)
-		}
-		if binary.BigEndian.Uint16(sh[2:]) != 0 {
-			return nil, fmt.Errorf("snapshot: section %d has non-zero reserved field", id)
-		}
-		wantCRC := binary.BigEndian.Uint32(sh[4:])
-		length := binary.BigEndian.Uint64(sh[8:])
-		payload, err := readPayload(br, length)
-		if err != nil {
-			return nil, fmt.Errorf("snapshot: section %d: %w", id, err)
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			return nil, fmt.Errorf("snapshot: section %d fails its checksum (corrupted snapshot)", id)
-		}
-		payloads[id] = payload
-	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, errors.New("snapshot: trailing bytes after last section")
-	}
-	return restoreFromPayloads(payloads, false)
+	col, _, err := parse(b, math.MaxInt)
+	return col, err
 }
 
-// restoreFromPayloads decodes the (CRC-checked) section payloads into a
-// serving collection. With share set, large structures — the device data,
-// signature and hash tables — alias the payload bytes instead of copying
-// them (the zero-copy half of OpenMapped); the payloads must then outlive
-// the collection.
-func restoreFromPayloads(payloads map[uint16][]byte, share bool) (*engine.Collection, error) {
-	st := &engine.State{ShareDeviceData: share}
+// readAll reads r into one buffer: exactly its size when r reports one
+// (Size, as *bytes.Reader and *io.SectionReader do, or Stat, as *os.File
+// does), otherwise everything up to EOF.
+func readAll(r io.ReaderAt) ([]byte, error) {
+	size := int64(-1)
+	switch s := r.(type) {
+	case interface{ Size() int64 }:
+		size = s.Size()
+	case interface{ Stat() (os.FileInfo, error) }:
+		info, err := s.Stat()
+		if err != nil {
+			return nil, err
+		}
+		size = info.Size()
+	}
+	if size < 0 {
+		return io.ReadAll(io.NewSectionReader(r, 0, math.MaxInt64))
+	}
+	if uint64(size) > uint64(math.MaxInt) {
+		return nil, fmt.Errorf("%d bytes exceeds the addressable size", size)
+	}
+	b := make([]byte, size)
+	if n, err := r.ReadAt(b, 0); n < len(b) {
+		return nil, err
+	}
+	return b, nil
+}
+
+// sectionCheck is one section's CRC, checked by parse or, deferred, by its
+// caller.
+type sectionCheck struct {
+	id      uint16
+	want    uint32
+	payload []byte
+}
+
+func (s sectionCheck) check() error {
+	if crc32.ChecksumIEEE(s.payload) != s.want {
+		return fmt.Errorf("snapshot: section %d fails its checksum (corrupted snapshot)", s.id)
+	}
+	return nil
+}
+
+// checkSections runs deferred checks, reporting the first mismatch.
+func checkSections(sections []sectionCheck) error {
+	for _, s := range sections {
+		if err := s.check(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// parse is the one container walker. It checks the CRC of every section
+// shorter than deferMin before decoding anything and returns the others
+// unchecked in deferred: Open passes math.MaxInt (nothing deferred),
+// OpenMapped deferredCRCMin. The collection decodes in place — it aliases
+// b, which must outlive it and stay unmodified — except for the manifest
+// and public key, which are copied: the verification client built from
+// them may outlive a mapping.
+func parse(b []byte, deferMin int) (col *engine.Collection, deferred []sectionCheck, err error) {
+	if len(b) < 8 {
+		return nil, nil, errors.New("snapshot: not a snapshot (shorter than its header)")
+	}
+	if string(b[:4]) != magic {
+		return nil, nil, errors.New("snapshot: not a snapshot (bad magic)")
+	}
+	if v := binary.BigEndian.Uint16(b[4:]); v != Version {
+		return nil, nil, fmt.Errorf("%w: %d (this build speaks %d)", ErrVersion, v, Version)
+	}
+	if n := binary.BigEndian.Uint16(b[6:]); int(n) != len(sectionOrder) {
+		return nil, nil, fmt.Errorf("snapshot: %d sections, format v%d has %d", n, Version, len(sectionOrder))
+	}
+	off := 8
+	payloads := make(map[uint16][]byte, len(sectionOrder))
+	for _, wantID := range sectionOrder {
+		if len(b)-off < 16 {
+			return nil, nil, fmt.Errorf("snapshot: reading section header: truncated at %d", off)
+		}
+		id := binary.BigEndian.Uint16(b[off:])
+		if id != wantID {
+			return nil, nil, fmt.Errorf("snapshot: section %d out of order (want %d)", id, wantID)
+		}
+		if binary.BigEndian.Uint16(b[off+2:]) != 0 {
+			return nil, nil, fmt.Errorf("snapshot: section %d has non-zero reserved field", id)
+		}
+		s := sectionCheck{id: id, want: binary.BigEndian.Uint32(b[off+4:])}
+		length := binary.BigEndian.Uint64(b[off+8:])
+		off += 16
+		if length > uint64(len(b)-off) {
+			return nil, nil, fmt.Errorf("snapshot: section %d: truncated payload (declared %d bytes)", id, length)
+		}
+		s.payload = b[off : off+int(length)]
+		off += int(length)
+		if len(s.payload) >= deferMin {
+			deferred = append(deferred, s)
+		} else if err := s.check(); err != nil {
+			return nil, nil, err
+		}
+		payloads[id] = s.payload
+	}
+	if off != len(b) {
+		return nil, nil, errors.New("snapshot: trailing bytes after last section")
+	}
+	col, err = restore(payloads)
+	if err != nil {
+		return nil, nil, err
+	}
+	return col, deferred, nil
+}
+
+// restore decodes the section payloads into a serving collection.
+func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
+	st := &engine.State{}
 
 	// Manifest first: it is the (signed) source of truth every later
 	// section is cross-checked against.
-	// Manifest and public key are always copied, even in share mode: they
-	// are small, and the verification client built from them may outlive
-	// the mapping (it has no reason to pin pages).
-	mr := byteReader{b: payloads[secManifest]}
+	mr := byteReader{b: bytes.Clone(payloads[secManifest])}
 	manifestRaw := mr.sized32()
 	st.ManifestSig = mr.sized32()
 	if err := mr.done("manifest section"); err != nil {
@@ -233,7 +303,7 @@ func restoreFromPayloads(payloads map[uint16][]byte, share bool) (*engine.Collec
 	}
 	st.Manifest = manifest
 
-	kr := byteReader{b: payloads[secPubKey]}
+	kr := byteReader{b: bytes.Clone(payloads[secPubKey])}
 	kind := kr.u8()
 	pub := kr.sized32()
 	if err := kr.done("public-key section"); err != nil {
@@ -244,13 +314,7 @@ func restoreFromPayloads(payloads map[uint16][]byte, share bool) (*engine.Collec
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 
-	if share {
-		// Mapped open: document content aliases the mapped pages like the
-		// device data does, so the index decode is metadata-speed.
-		st.Index, err = index.DecodeBinaryShared(payloads[secIndex])
-	} else {
-		st.Index, err = index.DecodeBinary(payloads[secIndex])
-	}
+	st.Index, err = index.DecodeBinary(payloads[secIndex])
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
@@ -280,7 +344,7 @@ func restoreFromPayloads(payloads map[uint16][]byte, share bool) (*engine.Collec
 	}
 
 	n, m, hashSize := int(manifest.N), int(manifest.M), int(manifest.HashSize)
-	ar := byteReader{b: payloads[secAuth], share: share}
+	ar := byteReader{b: payloads[secAuth]}
 	switch ar.u8() {
 	case 0:
 		if !manifest.DictMode {
@@ -348,29 +412,6 @@ func restoreFromPayloads(payloads map[uint16][]byte, share bool) (*engine.Collec
 	return col, nil
 }
 
-// readPayload reads exactly n declared bytes in bounded chunks, so a
-// hostile length field inflates allocation only as far as real input bytes
-// back it.
-func readPayload(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 1 << 20
-	if n > math.MaxInt64/2 {
-		return nil, fmt.Errorf("section length %d unreasonable", n)
-	}
-	buf := make([]byte, 0, min(n, chunk))
-	for uint64(len(buf)) < n {
-		take := n - uint64(len(buf))
-		if take > chunk {
-			take = chunk
-		}
-		old := len(buf)
-		buf = append(buf, make([]byte, take)...)
-		if _, err := io.ReadFull(r, buf[old:]); err != nil {
-			return nil, fmt.Errorf("truncated payload (declared %d bytes): %w", n, err)
-		}
-	}
-	return buf, nil
-}
-
 func appendSized32(b, v []byte) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(len(v)))
 	return append(b, v...)
@@ -386,14 +427,13 @@ func appendExtents(b []byte, exts []store.Extent) []byte {
 	return b
 }
 
-// byteReader is a bounds-checked reader over a section payload. Errors
-// accumulate; done reports the first one (or trailing garbage). With share
-// set, variable-length reads alias the payload instead of copying.
+// byteReader is a bounds-checked reader over a section payload; the byte
+// strings it returns alias the payload. Errors accumulate; done reports the
+// first one (or trailing garbage).
 type byteReader struct {
-	b     []byte
-	off   int
-	err   error
-	share bool
+	b   []byte
+	off int
+	err error
 }
 
 func (r *byteReader) take(n int) []byte {
@@ -404,7 +444,7 @@ func (r *byteReader) take(n int) []byte {
 		r.err = errors.New("truncated section")
 		return nil
 	}
-	v := r.b[r.off : r.off+n]
+	v := r.b[r.off : r.off+n : r.off+n] // capped: an append must not overwrite the payload
 	r.off += n
 	return v
 }
@@ -433,20 +473,9 @@ func (r *byteReader) u64() uint64 {
 	return binary.BigEndian.Uint64(v)
 }
 
-// sized32 reads a u32-length-prefixed byte string (copied out, or aliased
-// in share mode).
+// sized32 reads a u32-length-prefixed byte string.
 func (r *byteReader) sized32() []byte {
-	n := int(r.u32())
-	v := r.take(n)
-	if v == nil {
-		return nil
-	}
-	if r.share {
-		return v
-	}
-	out := make([]byte, n)
-	copy(out, v)
-	return out
+	return r.take(int(r.u32()))
 }
 
 // sliceTable reads count entries: fixed width bytes each, or u32-prefixed
@@ -468,15 +497,7 @@ func (r *byteReader) sliceTable(count, width int) [][]byte {
 		if width < 0 {
 			out[i] = r.sized32()
 		} else {
-			v := r.take(width)
-			if v == nil {
-				return nil
-			}
-			if r.share {
-				out[i] = v
-			} else {
-				out[i] = append([]byte(nil), v...)
-			}
+			out[i] = r.take(width)
 		}
 	}
 	return out

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -132,9 +133,32 @@ func TestRoundTripAllVariants(t *testing.T) {
 	}
 }
 
+// TestOpenAllocatesOneCopy: Open reads the snapshot into one buffer and
+// decodes in place, so it allocates the file plus what the decode builds
+// (postings, tables of slice headers, Merkle trees). A second copy of the
+// bulk — device data, document content, signature and hash tables — would
+// put it at twice the file or more.
+func TestOpenAllocatesOneCopy(t *testing.T) {
+	snap := encode(t, buildCollection(t, nil))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	col, err := Open(bytes.NewReader(snap))
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(col)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(snap))
+	t.Logf("opening a %d-byte snapshot allocated %.2f× its size", len(snap), ratio)
+	if ratio >= 1.5 {
+		t.Fatalf("Open allocated %.2f× the snapshot size, want < 1.5×", ratio)
+	}
+}
+
 // TestRoundTripVariantSubset: a snapshot lays out what its signed variant
 // set built — the extent tables of the rest empty, their term tables absent,
-// the format version unchanged — reopens (copying and mapped) to a collection
+// the format version unchanged — reopens (Open and mapped) to a collection
 // that serves the set and refuses the rest, and re-serialises byte-for-byte.
 // A term table for an unbuilt kind spliced in is refused at open.
 func TestRoundTripVariantSubset(t *testing.T) {
@@ -270,7 +294,7 @@ func TestOpenRejectsInflatedLength(t *testing.T) {
 	snap := encode(t, buildCollection(t, nil))
 	_, _, crcOff := sectionRange(t, snap, secIndex)
 	// The length field sits 4 bytes after the CRC; inflate it wildly. The
-	// chunked reader must fail on missing bytes, not allocate 2^60.
+	// walker must fail on missing bytes, not allocate or slice 2^60.
 	binary.BigEndian.PutUint64(snap[crcOff+4:], 1<<60)
 	if _, err := Open(bytes.NewReader(snap)); err == nil {
 		t.Fatal("inflated section length accepted")

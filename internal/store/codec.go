@@ -49,25 +49,14 @@ func DecodeParams(b []byte) (Params, error) {
 	return p, nil
 }
 
-// RestoreDevice reconstructs a device from its parameters and raw contents
-// (a copy is taken). The data length must be block-granular; NewDevice's
+// RestoreDevice reconstructs a device from its parameters and raw contents.
+// The device aliases data — a snapshot's heap buffer or a read-only file
+// mapping shared with the page cache — and takes no copy: data must stay
+// valid and unmodified for as long as the device is readable, and Corrupt
+// must not be called on a device restored over a mapping (the pages are
+// write-protected). The data length must be block-granular; NewDevice's
 // parameter validation applies.
 func RestoreDevice(p Params, data []byte) (*Device, error) {
-	d, err := RestoreDeviceShared(p, data)
-	if err != nil {
-		return nil, err
-	}
-	d.data = make([]byte, len(data))
-	copy(d.data, data)
-	return d, nil
-}
-
-// RestoreDeviceShared is RestoreDevice without the copy: the device reads
-// straight from data (e.g. a read-only file mapping shared with the page
-// cache). The caller owns data's lifetime — it must stay valid and
-// unmodified for as long as the device is readable — and Corrupt must not
-// be called on such a device (the backing may be write-protected).
-func RestoreDeviceShared(p Params, data []byte) (*Device, error) {
 	d, err := NewDevice(p)
 	if err != nil {
 		return nil, err

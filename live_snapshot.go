@@ -200,10 +200,10 @@ type LiveReplica struct {
 // it is in — and returns the serving replica.
 func OpenLiveSnapshotDir(dir string) (*LiveReplica, error) { return openLiveReplica(dir, false) }
 
-// OpenLiveSnapshotDirMapped is OpenLiveSnapshotDir with zero-copy
-// generation opens: each gen-*.atsn is memory-mapped instead of copied, so
-// a reload swaps generations at decode speed and superseded generations'
-// pages unmap once their in-flight queries finish (see MappedSnapshot).
+// OpenLiveSnapshotDirMapped is OpenLiveSnapshotDir with mapped generation
+// opens: each gen-*.atsn is memory-mapped instead of read into the heap, so
+// replicas share a generation's pages and superseded generations' pages
+// unmap once their in-flight queries finish (see MappedSnapshot).
 // Bare collections only: a directory of shard-set generations is refused.
 func OpenLiveSnapshotDirMapped(dir string) (*LiveReplica, error) { return openLiveReplica(dir, true) }
 
@@ -303,7 +303,7 @@ func (r *LiveReplica) Client() *Client { return r.cur.Load().client }
 // Generation returns the currently served generation.
 func (r *LiveReplica) Generation() uint64 { return r.cur.Load().gen }
 
-// Close releases the current generation's mapping (no-op for copying
+// Close releases the current generation's mapping (no-op for unmapped
 // replicas). Serving must have stopped; pinned Server() copies still in
 // flight keep their pages alive until collected.
 func (r *LiveReplica) Close() error {

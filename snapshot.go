@@ -115,11 +115,11 @@ func OpenSnapshotFile(path string) (*Server, *Client, error) {
 	return ms.server, ms.client, nil
 }
 
-// MappedSnapshot is a snapshot opened zero-copy: the serving collection
-// reads straight out of a read-only file mapping shared with the OS page
-// cache (every shard's, for a shard set), so opening costs decode time
-// instead of a full-file copy, and replicas of one generation share physical
-// memory. The Server and Client stay valid until Close; see docs/SNAPSHOT.md
+// MappedSnapshot is a snapshot opened over a read-only file mapping shared
+// with the OS page cache (every shard's, for a shard set): the serving
+// collection decodes in place exactly as OpenSnapshot's does, but out of
+// pages that replicas of one generation share instead of a private heap
+// buffer. The Server and Client stay valid until Close; see docs/SNAPSHOT.md
 // "Mapped opens" for the integrity schedule (small sections CRC-checked at
 // open; the bulk sections — block store, index, signatures — validated in
 // the background, poisoning reads on mismatch).
@@ -129,15 +129,15 @@ type MappedSnapshot struct {
 	maps   []*snapshot.Mapped
 }
 
-// OpenSnapshotMapped is OpenSnapshotFile with memory mapping instead of
-// copies of the block stores and authentication tables. The trust model and
-// the cross-checks are identical; only the copies are gone.
+// OpenSnapshotMapped is OpenSnapshotFile with each file memory-mapped
+// instead of read into the heap. The trust model and the cross-checks are
+// identical; only where the bytes live and when the bulk CRCs run differ.
 func OpenSnapshotMapped(path string) (*MappedSnapshot, error) {
 	return openSnapshotPath(path, true)
 }
 
 // openSnapshotPath opens the snapshot file — or every shard of the snapshot
-// directory — at path, copied or memory-mapped, and for a shard set
+// directory — at path, read or memory-mapped, and for a shard set
 // assembles the shards against the signed set manifest.
 func openSnapshotPath(path string, mapped bool) (*MappedSnapshot, error) {
 	ms := &MappedSnapshot{}

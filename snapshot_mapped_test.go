@@ -10,7 +10,7 @@ import (
 
 // Facade-level mapped-open suite: OpenSnapshotMapped, the sharded
 // directory variant and the mapped LiveReplica must be drop-in
-// replacements for the copying opens — same answers, same verification
+// replacements for the unmapped opens — same answers, same verification
 // verdicts — with the lifetime rules (Close, pinned servers across
 // generation swaps) actually holding.
 
@@ -31,7 +31,7 @@ func writeOwnerSnapshot(t *testing.T, o *Owner) string {
 }
 
 // TestMappedSnapshotServesIdentically: the mapped open answers exactly
-// like the copying open — byte-identical VOs — and its answers verify
+// like the unmapped open — byte-identical VOs — and its answers verify
 // against both its own client and the original owner's.
 func TestMappedSnapshotServesIdentically(t *testing.T) {
 	owner, err := NewOwner(snapshotTestDocs(), WithVocabularyProofs())
@@ -62,14 +62,14 @@ func TestMappedSnapshotServesIdentically(t *testing.T) {
 		for _, scheme := range []Scheme{MHT, ChainMHT} {
 			want, err := copyServer.Search(query, 3, algo, scheme)
 			if err != nil {
-				t.Fatalf("%s-%s: copying server: %v", algo, scheme, err)
+				t.Fatalf("%s-%s: unmapped server: %v", algo, scheme, err)
 			}
 			got, err := ms.Server().Search(query, 3, algo, scheme)
 			if err != nil {
 				t.Fatalf("%s-%s: mapped server: %v", algo, scheme, err)
 			}
 			if !bytes.Equal(want.VO, got.VO) {
-				t.Fatalf("%s-%s: mapped VO differs from the copying open's", algo, scheme)
+				t.Fatalf("%s-%s: mapped VO differs from the unmapped open's", algo, scheme)
 			}
 			if err := ms.Client().Verify(query, 3, got); err != nil {
 				t.Errorf("%s-%s: mapped client rejected mapped server: %v", algo, scheme, err)
@@ -81,7 +81,7 @@ func TestMappedSnapshotServesIdentically(t *testing.T) {
 	}
 }
 
-// TestShardedSnapshotDirMapped: the zero-copy sharded open performs the
+// TestShardedSnapshotDirMapped: the mapped sharded open performs the
 // same signed-set cross-checks and serves verifiable merged results.
 func TestShardedSnapshotDirMapped(t *testing.T) {
 	owner, err := NewShardedOwner(shardedTestDocs(), 3,
@@ -114,7 +114,7 @@ func TestShardedSnapshotDirMapped(t *testing.T) {
 	}
 
 	// A swapped shard file must fail the mapped open's cross-checks just
-	// like the copying open's.
+	// like the unmapped open's.
 	if err := os.Rename(filepath.Join(dir, shardSnapshotName(0)),
 		filepath.Join(dir, shardSnapshotName(0)+".bak")); err != nil {
 		t.Fatal(err)
