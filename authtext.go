@@ -240,7 +240,10 @@ func WithFastSigner(key []byte) Option {
 
 // WithDictionaryMode stores one signature for the whole index via a
 // dictionary-MHT instead of one per inverted list (§3.4 space
-// optimisation), trading VO size for storage.
+// optimisation), trading VO size for storage and signing: each list root,
+// bound to its term's name, ID and length, is a leaf of a per-variant tree
+// whose root the signed manifest carries. With TNRA variants only, a build
+// and every live generation sign one message, the manifest.
 func WithDictionaryMode() Option { return func(o *options) { o.dictMode = true } }
 
 // WithVocabularyProofs enables non-membership proofs for out-of-dictionary

@@ -40,8 +40,12 @@
 // add/remove batches on /v1/admin/update, publishing a new signed
 // generation per batch (persisted per generation with -live-snapshots).
 // A collection the daemon builds itself carries only the TNRA-CMHT structures
-// unless -variants asks for more (docs/ARCHITECTURE.md, step 1): signing is
-// the whole build bill, and a snapshot carries its own signed variant set.
+// unless -variants asks for more, and it is built in dictionary mode (§3.4):
+// one dictionary-MHT per variant commits every list root, so the signed
+// manifest is the only signature of a TNRA build and of each of its live
+// generations (a TRA variant adds one per document record;
+// docs/ARCHITECTURE.md, step 1). Signing is the whole build bill; a
+// snapshot carries its own signed variant set and mode.
 //
 // With -fleet the daemon serves no collection of its own: it becomes a
 // fleet FRONT END that load-balances the /v1 read surface across the
@@ -137,7 +141,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.dir, "dir", "", "directory of .txt files to index (default: demo corpus)")
 	fs.StringVar(&cfg.snapshot, "snapshot", "", "boot from this snapshot file (or sharded snapshot directory) instead of building a collection")
 	fs.IntVar(&cfg.shards, "shards", 0, "split the corpus into N independently signed shards (build mode)")
-	fs.StringVar(&variants, "variants", "", "variants to build and sign (build mode): all, or a comma-separated list of tra-mht, tra-cmht, tnra-mht, tnra-cmht (default tnra-cmht)")
+	fs.StringVar(&variants, "variants", "", "variants to build (build mode; dictionary mode, so lists carry no signatures): all, or a comma-separated list of tra-mht, tra-cmht, tnra-mht, tnra-cmht (default tnra-cmht)")
 	fs.BoolVar(&cfg.vocab, "vocab-proofs", true, "prove non-membership of out-of-dictionary query terms (build mode)")
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-query log lines")
 	fs.BoolVar(&cfg.live, "live", false, "accept document updates on /v1/admin/update (build mode); every batch publishes a new signed generation")
@@ -377,7 +381,7 @@ func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 	if cfg.variants == nil {
 		cfg.variants = defaultVariants
 	}
-	opts := []authtext.Option{authtext.WithVariants(cfg.variants...)}
+	opts := []authtext.Option{authtext.WithVariants(cfg.variants...), authtext.WithDictionaryMode()}
 	if cfg.vocab {
 		opts = append(opts, authtext.WithVocabularyProofs())
 	}

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -18,25 +19,31 @@ import (
 	"time"
 
 	"authtext"
+	"authtext/internal/core"
 	"authtext/internal/demo"
 	"authtext/internal/httpapi"
 	"authtext/internal/obs"
 )
 
-func writeCorpus(t *testing.T) string {
+// writeTexts writes a corpus directory of .txt files, name → body.
+func writeTexts(t *testing.T, texts map[string]string) string {
 	t.Helper()
 	dir := t.TempDir()
-	texts := map[string]string{
-		"a.txt": "the merkle tree authenticates the inverted index",
-		"b.txt": "the inverted index stores impact entries by frequency",
-		"c.txt": "clients verify the tree root against the owner signature",
-	}
 	for name, body := range texts {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return dir
+}
+
+func writeCorpus(t *testing.T) string {
+	t.Helper()
+	return writeTexts(t, map[string]string{
+		"a.txt": "the merkle tree authenticates the inverted index",
+		"b.txt": "the inverted index stores impact entries by frequency",
+		"c.txt": "clients verify the tree root against the owner signature",
+	})
 }
 
 // The daemon's handler must serve a collection a RemoteClient can
@@ -86,6 +93,102 @@ func TestBuildHandlerServesVerifiableCollection(t *testing.T) {
 	_, err = rc.Search(context.Background(), "inverted index", 2, authtext.TRA, authtext.ChainMHT)
 	if !errors.Is(err, authtext.ErrVariantNotBuilt) || authtext.IsTampered(err) {
 		t.Fatalf("TRA against the default build: %v, want ErrVariantNotBuilt", err)
+	}
+}
+
+// servedManifest decodes the manifest inside the ATCX blob a daemon serves.
+func servedManifest(t *testing.T, url string) *core.Manifest {
+	t.Helper()
+	resp, err := http.Get(url + httpapi.PathManifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m httpapi.ManifestResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	// ATCX: magic, then the manifest behind a u16 length.
+	b := m.Export
+	if len(b) < 6 || string(b[:4]) != "ATCX" {
+		t.Fatalf("manifest export is not an ATCX blob: %q", b[:min(len(b), 4)])
+	}
+	end := 6 + int(binary.BigEndian.Uint16(b[4:]))
+	if end > len(b) {
+		t.Fatalf("ATCX manifest chunk of %d bytes overruns the %d-byte blob", end-6, len(b))
+	}
+	manifest, err := core.DecodeManifest(b[6:end])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return manifest
+}
+
+// The daemon builds in dictionary mode with no flag asking for it: the
+// signed manifest says so, a TNRA-CMHT build signs the manifest alone — at
+// boot and for every live generation, vocabulary growth included — and a
+// TRA variant adds one signature per document record, N + 1 in all.
+func TestBuildHandlerSignsOncePerGeneration(t *testing.T) {
+	dir := writeCorpus(t) // 3 documents
+	for args, want := range map[string]int{"": 1, "-variants tra-cmht": 3 + 1} {
+		cfg, err := parseFlags(append([]string{"-dir", dir, "-quiet"}, strings.Fields(args)...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var logs bytes.Buffer
+		handler, err := buildHandler(cfg, slog.New(slog.NewJSONHandler(&logs, nil)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		signed := -1
+		for _, line := range strings.Split(logs.String(), "\n") {
+			var rec struct {
+				Msg        string `json:"msg"`
+				Signatures int    `json:"signatures"`
+			}
+			if json.Unmarshal([]byte(line), &rec) == nil && rec.Msg == "built collection" {
+				signed = rec.Signatures
+			}
+		}
+		if signed != want {
+			t.Errorf("%q: the build signed %d messages, want %d", args, signed, want)
+		}
+		srv := httptest.NewServer(handler)
+		if !servedManifest(t, srv.URL).DictMode {
+			t.Errorf("%q: the served manifest is not in dictionary mode", args)
+		}
+		srv.Close()
+	}
+
+	cfg, err := parseFlags([]string{"-dir", dir, "-quiet", "-live"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler, err := buildHandler(cfg, discardLogger())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+	// Two documents of new words: they survive singleton removal and grow
+	// the vocabulary, which list mode paid for by re-signing every list.
+	fresh := []byte("zebra giraffe okapi ledger")
+	body, _ := json.Marshal(&httpapi.UpdateRequest{Add: []httpapi.UpdateDocument{{Content: fresh}, {Content: fresh}}})
+	resp, err := http.Post(srv.URL+httpapi.PathAdminUpdate, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var up httpapi.UpdateResponse
+	if err := json.NewDecoder(resp.Body).Decode(&up); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("update: status %d, err %v", resp.StatusCode, err)
+	}
+	if up.Generation != 2 || up.SignaturesSigned != 1 {
+		t.Fatalf("update published generation %d with %d signatures, want generation 2 with 1 (the manifest)",
+			up.Generation, up.SignaturesSigned)
+	}
+	if m := servedManifest(t, srv.URL); !m.DictMode || m.Generation != 2 {
+		t.Fatalf("live manifest: dictionary mode %v, generation %d", m.DictMode, m.Generation)
 	}
 }
 
@@ -200,21 +303,14 @@ func TestBuildHandlerFromSnapshot(t *testing.T) {
 // terms after per-shard singleton removal.
 func writeShardCorpus(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	texts := map[string]string{
+	return writeTexts(t, map[string]string{
 		"a.txt": "the merkle tree authenticates the inverted index",
 		"b.txt": "the inverted index stores impact entries by frequency",
 		"c.txt": "clients verify the tree root against the owner signature",
 		"d.txt": "the inverted index drives the merkle tree verification",
 		"e.txt": "entries of the inverted index carry a frequency and a signature",
 		"f.txt": "the owner publishes the merkle tree root for verification",
-	}
-	for name, body := range texts {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
+	})
 }
 
 // A daemon started with -shards must serve the sharded protocol with
@@ -444,7 +540,19 @@ func TestParseFlagsObservability(t *testing.T) {
 // /v1/metrics and assert the core series moved. It asserts by parsed
 // value, not by grepping exposition text.
 func TestMetricsEndToEnd(t *testing.T) {
-	dir := writeCorpus(t)
+	// Documents long enough that a two-hit answer crosses the frame's
+	// compression threshold, so its document sections go through the memo.
+	dir := writeTexts(t, map[string]string{
+		"a.txt": "the merkle tree authenticates the inverted index: every list root is a leaf of the " +
+			"dictionary tree, and the owner signs the manifest that commits its root, so a client that " +
+			"holds the owner's public key can check any answer without trusting the server that sent it",
+		"b.txt": "the inverted index stores impact entries by frequency, highest first, so the threshold " +
+			"algorithm reads a short prefix of each query term's list and stops as soon as no document " +
+			"outside the result can still overtake the last one it returns to the user",
+		"c.txt": "clients verify the tree root against the owner signature, recompute every score from the " +
+			"revealed entries, and reject an answer whose order, contents or completeness differs from " +
+			"what the signed structures allow, whichever server or proxy it came through",
+	})
 	handler, err := buildHandler(config{dir: dir, vocab: true, quiet: true, live: true, cacheMB: 8}, discardLogger())
 	if err != nil {
 		t.Fatal(err)

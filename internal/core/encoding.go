@@ -125,17 +125,6 @@ func DocRootMessage(docID index.DocID, leafCount uint32, contentHash, leavesRoot
 	return b
 }
 
-// DictRootMessage composes the signed message of a dictionary-MHT (§3.4
-// space optimisation): the root over all term-structure roots of one kind.
-func DictRootMessage(kind StructureKind, m uint32, root []byte) []byte {
-	b := make([]byte, 0, 24+len(root))
-	b = append(b, "authtext/dict/v1"...)
-	b = append(b, byte(kind))
-	b = binary.BigEndian.AppendUint32(b, m)
-	b = append(b, root...)
-	return b
-}
-
 // VocabLeaf encodes a name-dictionary leaf for the vocabulary
 // non-membership extension: the term name, length-prefixed.
 func VocabLeaf(name string) []byte {

@@ -32,7 +32,8 @@ type Manifest struct {
 	// for TNRA results).
 	DocHashRoot []byte
 	// DictRoots holds, per StructureKind (index kind−1), the dictionary-MHT
-	// root over that kind's term roots. Empty unless DictMode.
+	// root over that kind's term roots, leaf t being TermRootMessage of term
+	// t (name, id and f_t bound to the root). Empty unless DictMode.
 	DictRoots [4][]byte
 	// NameDictRoot is the root of the name-ordered dictionary tree. Empty
 	// unless VocabProofsEnabled.
@@ -144,7 +145,9 @@ func (m *Manifest) Encode() []byte {
 	// bitmap extends further, and only when a slot is actually tombstoned
 	// (flag bit 8): a live collection with no removals still encodes the
 	// generation-only layout, so pre-tombstone snapshots stay valid. A
-	// variant set short of all four is the last byte (flag bit 0x10).
+	// dictionary-mode manifest then names its leaf definition in one byte
+	// (dictLeafBound), and a variant set short of all four is the last byte
+	// (flag bit 0x10).
 	if m.Generation != 0 {
 		b = binary.BigEndian.AppendUint64(b, m.Generation)
 	}
@@ -153,11 +156,23 @@ func (m *Manifest) Encode() []byte {
 		b = binary.BigEndian.AppendUint32(b, uint32(len(m.Tombstones)))
 		b = append(b, m.Tombstones...)
 	}
+	if m.DictMode {
+		b = append(b, dictLeafBound)
+	}
 	if m.Variants != 0 {
 		b = append(b, byte(m.Variants))
 	}
 	return b
 }
+
+// dictLeafBound is the byte a dictionary-mode manifest carries to say that
+// its dictionary leaves are TermRootMessage of each term (name, ID and f_t
+// bound to the list root). Dictionary-mode manifests signed over the bare
+// list roots carried no such byte: the decoder refuses them as unsupported,
+// and decoders that predate the byte refuse a manifest carrying it as
+// trailing bytes — either way a plain error, never a tampering verdict on
+// honest answers.
+const dictLeafBound byte = 1
 
 func appendSized(b, v []byte) []byte {
 	b = binary.BigEndian.AppendUint16(b, uint16(len(v)))

@@ -41,6 +41,14 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 			return nil, errors.New("core: manifest variant mask is empty")
 		}
 	}
+	if m.DictMode {
+		// The leaf-definition byte precedes the variant mask; without it the
+		// dictionary roots hash leaves this decoder does not check against.
+		if len(r.b) <= r.off || r.b[len(r.b)-1] != dictLeafBound {
+			return nil, errors.New("core: unsupported dictionary leaf definition (a dictionary-mode manifest from before leaves were bound to their term)")
+		}
+		r.b = r.b[:len(r.b)-1]
+	}
 	m.DocHashRoot = r.sized()
 	for i := range m.DictRoots {
 		m.DictRoots[i] = r.sized()

@@ -369,6 +369,60 @@ func TestManifestVariantsHostile(t *testing.T) {
 	}
 }
 
+// TestManifestDictLeafByte pins how a dictionary-mode manifest names its leaf
+// definition: one byte after the generation and tombstone extensions and
+// before the variant mask. The same manifest without that byte — the layout
+// signed over bare list roots — and one naming another definition are
+// refused with plain errors. A decoder that predates the byte sees one byte
+// more than the layout it knows (never the 8 of a generation) and refuses
+// the manifest as trailing bytes.
+func TestManifestDictLeafByte(t *testing.T) {
+	for name, base := range map[string]*Manifest{
+		"static": sampleManifest(), "generation": func() *Manifest {
+			m := sampleManifest()
+			m.Generation = 1
+			return m
+		}(), "tombstoned": tombstonedManifest(),
+	} {
+		for _, variants := range []VariantSet{0, VariantOf(KindTNRACMHT)} {
+			m := *base
+			m.DictMode, m.Variants = true, variants
+			for _, kind := range m.Variants.Kinds() {
+				m.DictRoots[kind-1] = make([]byte, 16)
+			}
+			enc := m.Encode()
+			at := len(enc) - 1 // the leaf byte, before the mask if there is one
+			if variants != 0 {
+				at--
+			}
+			if enc[at] != dictLeafBound {
+				t.Fatalf("%s/%v: byte %d is %#x, want the leaf byte", name, variants, at, enc[at])
+			}
+			got, err := DecodeManifest(enc)
+			if err != nil || !got.DictMode || got.Variants != variants || got.Generation != m.Generation ||
+				string(got.Encode()) != string(enc) {
+				t.Fatalf("%s/%v: round trip %+v, %v", name, variants, got, err)
+			}
+			unbound := append(append([]byte(nil), enc[:at]...), enc[at+1:]...)
+			other := append([]byte(nil), enc...)
+			other[at] = dictLeafBound + 1
+			for what, b := range map[string][]byte{"no leaf byte": unbound, "another leaf definition": other} {
+				if _, err := DecodeManifest(b); err == nil || CodeOf(err) != VerifyOK {
+					t.Errorf("%s/%v: %s decoded with %v, want a plain error", name, variants, what, err)
+				}
+			}
+		}
+	}
+	// List mode carries no leaf byte: its encoding is the original layout.
+	m := sampleManifest()
+	plain := m.Encode()
+	m.DictMode = true
+	m.DictRoots = [4][]byte{make([]byte, 16), make([]byte, 16), make([]byte, 16), make([]byte, 16)}
+	if got := len(m.Encode()) - len(plain); got != 4*16+1 {
+		t.Fatalf("dictionary mode adds %d bytes, want four roots and the leaf byte", got)
+	}
+}
+
 func TestParseVariantSet(t *testing.T) {
 	for in, want := range map[string]VariantSet{
 		"all": AllVariants, " ALL ": AllVariants, "tnra-cmht": 0x08,

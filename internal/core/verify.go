@@ -181,7 +181,12 @@ func Verify(in *VerifyInput) error {
 			if tp.Sig != nil {
 				return vErr(CodeMalformedVO, "term %q: signature present in dictionary mode", tp.Name)
 			}
-			dictWant[int(tp.TermID)] = root
+			if _, dup := dictWant[int(tp.TermID)]; dup {
+				return vErr(CodeMalformedVO, "term %q: term id %d proved twice", tp.Name, tp.TermID)
+			}
+			// The leaf binds the root to the term exactly as list mode's
+			// signed message does.
+			dictWant[int(tp.TermID)] = TermRootMessage(kind, tp.Name, index.TermID(tp.TermID), tp.FT, root)
 		} else {
 			msg := TermRootMessage(kind, tp.Name, index.TermID(tp.TermID), tp.FT, root)
 			if err := in.Verifier.Verify(msg, tp.Sig); err != nil {
@@ -198,6 +203,10 @@ func Verify(in *VerifyInput) error {
 		}
 		if dp.M != m.M {
 			return vErr(CodeMalformedVO, "dictionary proof m=%d, manifest m=%d", dp.M, m.M)
+		}
+		// The manifest signs the dictionary roots; the proof carries none.
+		if dp.Sig != nil {
+			return vErr(CodeMalformedVO, "signature present on the dictionary proof")
 		}
 		root, err := mht.RootFromProof(hasher, int(m.M), dictWant, mht.Proof{Digests: dp.Digests})
 		if err != nil {

@@ -428,9 +428,15 @@ func (c *Collection) buildTrees() {
 	c.vecTrees = newVecTrees(c.idx.N, c.dev.SizeBytes())
 	c.docTree = mht.NewTree(c.hasher, len(c.docHash), mht.Leaves(c.docHash))
 	if c.cfg.DictMode {
+		// A dictionary leaf is the message list mode would sign: the root
+		// bound to its term's name, id and length, so one term's list cannot
+		// answer for another.
 		for _, kind := range c.cfg.Variants.Kinds() {
 			roots := c.termRoots[kind-1]
-			c.dictTrees[kind-1] = mht.NewTree(c.hasher, len(roots), mht.Leaves(roots))
+			c.dictTrees[kind-1] = mht.NewTree(c.hasher, len(roots), func(_ []byte, t int) []byte {
+				tid := index.TermID(t)
+				return core.TermRootMessage(kind, c.idx.Name(tid), tid, uint32(c.idx.FT(tid)), roots[t])
+			})
 		}
 	}
 	if c.cfg.VocabProofs {

@@ -66,6 +66,87 @@ func TestDictModeWrongMRejected(t *testing.T) {
 	}
 }
 
+// TestDictModeProofSignatureRejected: the dictionary proof carries no
+// signature (the manifest signs the dictionary roots), so bytes a server
+// puts there make the VO malformed rather than ride along unchecked.
+func TestDictModeProofSignatureRejected(t *testing.T) {
+	col := buildTestCollection(t, 31, 50, 30, func(c *Config) { c.DictMode = true })
+	tokens := []string{col.Index().Name(0)}
+	res, voBytes, _, err := col.Search(tokens, 4, core.AlgoTNRA, core.SchemeCMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := vo.Decode(voBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := col.verifyDecoded(tokens, 4, res, decoded); err != nil {
+		t.Fatalf("honest dictionary-mode answer: %v", err)
+	}
+	decoded.DictProof.Sig = []byte("unchecked")
+	if err := col.verifyDecoded(tokens, 4, res, decoded); core.CodeOf(err) != core.CodeMalformedVO {
+		t.Fatalf("dictionary proof with a signature: %v, want %v", err, core.CodeMalformedVO)
+	}
+}
+
+// TestDictModeTermSubstitutionRejected: a dictionary leaf binds a list root
+// to its term, as list mode's signature does. A server answering term a with
+// term b's list relabelled as a — or proving b's dictionary leaf once for two
+// term proofs, b's own and a copy under a's name — is caught in every
+// variant, in dictionary mode as in list mode.
+func TestDictModeTermSubstitutionRejected(t *testing.T) {
+	for _, mode := range []struct {
+		name           string
+		dict           bool
+		relabel, twice core.VerifyCode
+	}{
+		{"list", false, core.CodeBadSignature, core.CodeBadSignature},
+		{"dictionary", true, core.CodeBadTermProof, core.CodeMalformedVO},
+	} {
+		col := buildTestCollection(t, 31, 50, 30, func(c *Config) { c.DictMode = mode.dict })
+		idx := col.Index()
+		a, b := idx.Name(0), idx.Name(1)
+		for _, v := range allVariants {
+			// b's answer, relabelled: the client asked for a.
+			res, voBytes, _, err := col.Search([]string{b}, 4, v.algo, v.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := vo.Decode(voBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded.Terms[0].Name = a
+			err = col.verifyDecoded([]string{a}, 4, res, decoded)
+			if core.CodeOf(err) != mode.relabel {
+				t.Fatalf("%s mode %v-%v: %q's list relabelled %q: %v, want %v", mode.name, v.algo, v.scheme, b, a, err, mode.relabel)
+			}
+
+			// Both terms asked for; a's proof replaced by b's under a's name,
+			// with the dictionary proof of b alone: one leaf proved, two
+			// term proofs resting on it.
+			bOnly := decoded.DictProof
+			res, voBytes, _, err = col.Search([]string{a, b}, 4, v.algo, v.scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if decoded, err = vo.Decode(voBytes); err != nil {
+				t.Fatal(err)
+			}
+			ia, ib := 0, 1
+			if decoded.Terms[0].Name != a {
+				ia, ib = 1, 0
+			}
+			decoded.Terms[ia] = decoded.Terms[ib]
+			decoded.Terms[ia].Name = a
+			decoded.DictProof = bOnly
+			if err := col.verifyDecoded([]string{a, b}, 4, res, decoded); core.CodeOf(err) != mode.twice {
+				t.Fatalf("%s mode %v-%v: %q proved with %q's list beside it: %v, want %v", mode.name, v.algo, v.scheme, a, b, err, mode.twice)
+			}
+		}
+	}
+}
+
 func TestDictModeWithVocabProofs(t *testing.T) {
 	col := buildTestCollection(t, 33, 50, 30, func(c *Config) {
 		c.DictMode = true

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -74,10 +75,12 @@ func (c *Collection) ExportState() *State {
 
 // Restore reconstructs a serving Collection from an exported state without
 // touching a signer. The state may come from an untrusted snapshot, so
-// every structural invariant the query path relies on is re-checked here;
-// what Restore cannot check is authenticity — that remains the manifest
-// signature's job, and a tampered-but-consistent state yields VOs that fail
-// client verification.
+// every structural invariant the query path relies on is re-checked here.
+// Tables whose rebuilt document-hash, dictionary, name or authority tree
+// does not reproduce the manifest's root are refused with a plain error.
+// What Restore cannot check is the rest of authenticity — that remains the
+// manifest signature's job: tampered per-list signatures or term roots
+// yield VOs that fail client verification.
 func Restore(st *State) (*Collection, error) {
 	m := st.Manifest
 	if m == nil {
@@ -272,5 +275,35 @@ func Restore(st *State) (*Collection, error) {
 	// The Merkle trees are pure functions of the restored tables — rebuilt
 	// rather than persisted, so the snapshot format does not carry them.
 	c.buildTrees()
+	if err := c.checkTreeRoots(); err != nil {
+		return nil, err
+	}
 	return c, nil
+}
+
+// checkTreeRoots compares the rebuilt collection-level trees with the roots
+// the manifest commits. A mismatch means tables the manifest does not
+// describe — a damaged snapshot, or one whose tree leaves follow another
+// definition — and every answer would fail verification, so it is refused
+// here, as a plain error rather than as a client's tampering verdict.
+func (c *Collection) checkTreeRoots() error {
+	m := c.manifest
+	check := func(what string, tree *mht.Tree, want []byte) error {
+		if tree != nil && !bytes.Equal(tree.Root(), want) {
+			return fmt.Errorf("engine: restore: the %s root disagrees with the manifest's", what)
+		}
+		return nil
+	}
+	if err := check("document-hash", c.docTree, m.DocHashRoot); err != nil {
+		return err
+	}
+	for k, tree := range c.dictTrees {
+		if err := check(fmt.Sprintf("%v dictionary", core.StructureKind(k+1)), tree, m.DictRoots[k]); err != nil {
+			return err
+		}
+	}
+	if err := check("name-dictionary", c.nameTree, m.NameDictRoot); err != nil {
+		return err
+	}
+	return check("authority", c.authorityTree, m.AuthorityRoot)
 }

@@ -58,12 +58,21 @@ func TestCollectionProofsMatchLeafHashing(t *testing.T) {
 	for d := range authLeaves {
 		authLeaves[d] = core.EncodeAuthorityLeaf(index.DocID(d), st.Authority[d])
 	}
+	// A dictionary leaf is the message list mode signs for the term.
+	var dictLeaves [4][][]byte
+	for _, kind := range core.AllVariants.Kinds() {
+		for t, root := range st.TermRoots[kind-1] {
+			tid := index.TermID(t)
+			dictLeaves[kind-1] = append(dictLeaves[kind-1], core.TermRootMessage(kind, idx.Name(tid), tid, uint32(idx.FT(tid)), root))
+		}
+	}
 	manifest, _ := col.Manifest()
 	for what, pair := range map[string][2][]byte{
 		"doc-hash root":  {manifest.DocHashRoot, mht.Root(col.hasher, st.DocHash)},
 		"name-dict root": {manifest.NameDictRoot, mht.Root(col.hasher, nameLeaves)},
 		"authority root": {manifest.AuthorityRoot, mht.Root(col.hasher, authLeaves)},
-		"dict root 4":    {manifest.DictRoots[3], mht.Root(col.hasher, st.TermRoots[3])},
+		"dict root 1":    {manifest.DictRoots[0], mht.Root(col.hasher, dictLeaves[0])},
+		"dict root 4":    {manifest.DictRoots[3], mht.Root(col.hasher, dictLeaves[3])},
 	} {
 		if !bytes.Equal(pair[0], pair[1]) {
 			t.Fatalf("%s in the manifest differs from the root over the leaves", what)
@@ -106,7 +115,7 @@ func TestCollectionProofsMatchLeafHashing(t *testing.T) {
 			sort.Ints(termIDs)
 			sort.Ints(revealed)
 
-			want, err := mht.Prove(col.hasher, st.TermRoots[kind-1], termIDs)
+			want, err := mht.Prove(col.hasher, dictLeaves[kind-1], termIDs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -13,6 +13,7 @@ import (
 	"authtext/internal/corpus"
 	"authtext/internal/engine"
 	"authtext/internal/index"
+	"authtext/internal/mht"
 	"authtext/internal/sig"
 )
 
@@ -230,6 +231,48 @@ func TestRoundTripDictModeAndVocabProofs(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesStaleDictionaryRoots: a dictionary-mode snapshot whose
+// signed dictionary roots hash the bare list roots — the leaf definition
+// before leaves were bound to their term — would serve answers that every
+// client rejects as tampered. Open refuses it with a plain error instead:
+// at the manifest, which then lacked the leaf-definition byte, and at the
+// rebuilt dictionary trees, should the byte be there over old roots.
+func TestOpenRefusesStaleDictionaryRoots(t *testing.T) {
+	signer, err := sig.NewHMACSigner([]byte("snapshot-test"), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := buildCollection(t, func(cfg *engine.Config) { cfg.DictMode = true })
+	snap := encode(t, col)
+	if _, err := Open(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+
+	st := col.ExportState()
+	stale := *st.Manifest
+	hasher := mht.NewHasher(sig.MustHasher(int(stale.HashSize)))
+	for _, kind := range stale.Variants.Kinds() {
+		stale.DictRoots[kind-1] = mht.Root(hasher, st.TermRoots[kind-1])
+	}
+	withByte := stale.Encode()
+	at := len(withByte) - 1 // the leaf-definition byte, before any variant mask
+	if stale.Variants != 0 {
+		at--
+	}
+	asSigned := append(append([]byte(nil), withByte[:at]...), withByte[at+1:]...)
+	for what, raw := range map[string][]byte{"as signed then": asSigned, "with the leaf byte": withByte} {
+		sigBytes, err := signer.Sign(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := appendSized32(appendSized32(nil, raw), sigBytes)
+		_, err = Open(bytes.NewReader(replaceSection(t, snap, secManifest, payload)))
+		if err == nil || core.CodeOf(err) != core.VerifyOK || !strings.Contains(err.Error(), "dictionary") {
+			t.Fatalf("%s: snapshot signed over the old dictionary leaves: open returned %v, want a plain dictionary error", what, err)
+		}
+	}
+}
+
 func TestRoundTripBoosted(t *testing.T) {
 	col := buildCollection(t, func(cfg *engine.Config) {
 		docs := corpus.Generate(corpus.Tiny())
@@ -319,63 +362,34 @@ const hmacSigSize = 128
 
 // TestConsistentTamperFailsVerification models the real adversary: a byte
 // flip with the section CRC recomputed, so the container is internally
-// consistent. The snapshot may open — but the served proofs must then fail
-// verification, because the root of trust is the manifest signature, not
-// the snapshot channel.
+// consistent. A leaf of a collection-level tree no longer reproduces the
+// manifest's root, so the snapshot is refused at open; a flipped per-list
+// signature opens — but the served proofs then fail verification, because
+// the root of trust is the manifest signature, not the snapshot channel.
 func TestConsistentTamperFailsVerification(t *testing.T) {
 	col := buildCollection(t, nil)
 	snap := encode(t, col)
 	idx := col.Index()
 	m := idx.M()
-	tokens := queryTokens(col)
-
-	// Find a document absent from the honest top-2 result: its tampered
-	// doc-hash leaf then sits on the digest path of the content proof.
-	honest, _, _, err := col.Search(tokens, 2, core.AlgoTNRA, core.SchemeCMHT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inResult := make(map[int]bool)
-	for _, e := range honest.Entries {
-		inResult[int(e.Doc)] = true
-	}
-	victim := -1
-	for d := 0; d < idx.N; d++ {
-		if !inResult[d] {
-			victim = d
-			break
-		}
-	}
-	if victim < 0 {
-		t.Fatal("every document is in the top-2 result")
-	}
 
 	// Auth section layout (non-dict, unboosted): mode byte, 4·m sized
 	// signatures, 4·m term roots, n doc hashes of hashSize bytes.
 	hashSize := 16
-	docHashOff := 1 + 4*m*(4+hmacSigSize) + 4*m*hashSize + victim*hashSize
+	docHashOff := 1 + 4*m*(4+hmacSigSize) + 4*m*hashSize + (idx.N-1)*hashSize
 	bad := tamper(t, snap, secAuth, docHashOff, true)
-	reopened, err := Open(bytes.NewReader(bad))
-	if err != nil {
-		t.Fatalf("consistently tampered snapshot failed to open: %v", err)
-	}
-	res, voBytes, _, err := reopened.Search(tokens, 2, core.AlgoTNRA, core.SchemeCMHT)
-	if err != nil {
-		t.Fatalf("search on tampered collection: %v", err)
-	}
-	if _, err := col.VerifyResult(tokens, 2, res, voBytes); err == nil {
-		t.Fatal("client accepted a content proof built over a tampered doc-hash leaf")
+	if _, err := Open(bytes.NewReader(bad)); err == nil || core.CodeOf(err) != core.VerifyOK {
+		t.Fatalf("snapshot with a tampered doc-hash leaf: open returned %v, want a plain error", err)
 	}
 
 	// Tamper inside term 0's TRA-MHT signature: the VO carries it and the
 	// client's signature check fails.
 	bad = tamper(t, snap, secAuth, 8, true)
-	reopened, err = Open(bytes.NewReader(bad))
+	reopened, err := Open(bytes.NewReader(bad))
 	if err != nil {
 		t.Fatalf("sig-tampered snapshot failed to open: %v", err)
 	}
 	term0 := []string{idx.Name(0)}
-	res, voBytes, _, err = reopened.Search(term0, 5, core.AlgoTRA, core.SchemeMHT)
+	res, voBytes, _, err := reopened.Search(term0, 5, core.AlgoTRA, core.SchemeMHT)
 	if err != nil {
 		t.Fatalf("search on sig-tampered collection: %v", err)
 	}

@@ -179,208 +179,258 @@ func TestHandlerShapeMatrix(t *testing.T) {
 	for _, shape := range matrixShapes {
 		t.Run(shape.name, func(t *testing.T) {
 			t.Run("variant not built", func(t *testing.T) { matrixVariantNotBuilt(t, shape) })
+			t.Run("dictionary mode", func(t *testing.T) { matrixRows(t, shape, true) })
+			matrixRows(t, shape, false)
+		})
+	}
+}
 
-			optCache := authtext.NewVOCache(2 << 20)
-			env := shape.build(t, nil, authtext.WithVOCache(optCache))
-			searchPath, manifestPath := httpapi.PathSearch, httpapi.PathManifest
-			if shape.shards > 0 {
-				searchPath, manifestPath = httpapi.PathShardSearch, httpapi.PathShardManifest
-			}
-			searchBody := `{"query":"` + matrixQuery + `","r":3}`
+// swapTermNames relabels the first two term proofs of a VO as each other:
+// each list answers for the other term. A VO with fewer than two term proofs
+// (or none at all) is left as it is, and reported unchanged.
+func swapTermNames(raw []byte) ([]byte, bool) {
+	v, err := vo.Decode(raw)
+	if err != nil || len(v.Terms) < 2 {
+		return raw, false
+	}
+	v.Terms[0].Name, v.Terms[1].Name = v.Terms[1].Name, v.Terms[0].Name
+	enc, _, err := vo.Encode(v, 16)
+	if err != nil {
+		return raw, false
+	}
+	return enc, true
+}
 
-			// A cache hit is byte-identical to the miss that filled it, on both
-			// codecs (first: these are the handler's first two queries).
-			for _, accept := range []string{"", wire.ContentType} {
-				miss := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, accept)
-				hit := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, accept)
-				if miss.Code != http.StatusOK || !bytes.Equal(miss.Body.Bytes(), hit.Body.Bytes()) {
-					t.Fatalf("accept %q: status %d, hit differs from miss", accept, miss.Code)
-				}
-				if accept != "" && miss.Header().Get("Content-Type") != wire.ContentType {
-					t.Fatalf("frame not negotiated: %q", miss.Header().Get("Content-Type"))
-				}
-			}
-			// The handler option's cache served them, not the source's own.
-			if st := optCache.Stats(); st.Misses != 1 || st.Hits != 3 {
-				t.Fatalf("option cache: %+v, want 1 miss and 3 hits", st)
-			}
-			if env.ownCache != nil {
-				if st := env.ownCache.Stats(); st.Hits+st.Misses != 0 {
-					t.Fatalf("the source's own cache was consulted despite WithVOCache: %+v", st)
-				}
-			}
+// matrixRows checks one shape, built in dictionary mode or with per-list
+// signatures, on every row of the matrix but the variant-not-built column.
+func matrixRows(t *testing.T, shape matrixShape, dict bool) {
+	var ownerOpts []authtext.Option
+	// A relabelled list fails the signature over its name in list mode, the
+	// dictionary leaf that binds its name in dictionary mode.
+	relabelled := core.CodeBadSignature
+	if dict {
+		ownerOpts = []authtext.Option{authtext.WithDictionaryMode()}
+		relabelled = core.CodeBadTermProof
+	}
+	optCache := authtext.NewVOCache(2 << 20)
+	env := shape.build(t, ownerOpts, authtext.WithVOCache(optCache))
+	searchPath, manifestPath := httpapi.PathSearch, httpapi.PathManifest
+	if shape.shards > 0 {
+		searchPath, manifestPath = httpapi.PathShardSearch, httpapi.PathShardManifest
+	}
+	searchBody := `{"query":"` + matrixQuery + `","r":3}`
 
-			// Honest answers verify through the matching client, over binary
-			// frames (the client's preference) and over JSON.
-			for codec, h := range map[string]http.Handler{"binary": env.handler, "json": stripAccept(env.handler)} {
-				ts := httptest.NewServer(h)
-				rc := must(authtext.NewRemoteClient(ts.URL))(t)
-				gen, hits, err := matrixSearch(rc)
-				if err != nil || hits == 0 {
-					t.Fatalf("%s: honest search: %d hits, err %v", codec, hits, err)
-				}
-				if gen != env.generation || rc.Generation() != env.generation {
-					t.Fatalf("%s: answered generation %d, client holds %d, want %d", codec, gen, rc.Generation(), env.generation)
-				}
-				health := must(rc.Health(context.Background()))(t)
-				if health.Status != "ok" || health.Documents != env.documents || health.Terms == 0 ||
-					health.Shards != shape.shards || health.Generation != env.generation {
-					t.Fatalf("%s: healthz %+v, want %d documents, %d shards, generation %d",
-						codec, health, env.documents, shape.shards, env.generation)
-				}
-				if rc.Shards() != shape.shards {
-					t.Fatalf("%s: the client verifies %d shards, want %d", codec, rc.Shards(), shape.shards)
-				}
-				ts.Close()
-			}
+	// A cache hit is byte-identical to the miss that filled it, on both
+	// codecs (first: these are the handler's first two queries).
+	for _, accept := range []string{"", wire.ContentType} {
+		miss := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, accept)
+		hit := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, accept)
+		if miss.Code != http.StatusOK || !bytes.Equal(miss.Body.Bytes(), hit.Body.Bytes()) {
+			t.Fatalf("accept %q: status %d, hit differs from miss", accept, miss.Code)
+		}
+		if accept != "" && miss.Header().Get("Content-Type") != wire.ContentType {
+			t.Fatalf("frame not negotiated: %q", miss.Header().Get("Content-Type"))
+		}
+	}
+	// The handler option's cache served them, not the source's own.
+	if st := optCache.Stats(); st.Misses != 1 || st.Hits != 3 {
+		t.Fatalf("option cache: %+v, want 1 miss and 3 hits", st)
+	}
+	if env.ownCache != nil {
+		if st := env.ownCache.Stats(); st.Hits+st.Misses != 0 {
+			t.Fatalf("the source's own cache was consulted despite WithVOCache: %+v", st)
+		}
+	}
 
-			// Healthz reports the EFFECTIVE cache.
-			var health httpapi.Health
-			rec := matrixDo(env.handler, http.MethodGet, httpapi.PathHealthz, "", "")
-			if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
-				t.Fatal(err)
-			}
-			if health.Cache == nil || health.Cache.CapacityBytes != optCache.Stats().CapacityBytes || health.Cache.Hits == 0 {
-				t.Fatalf("healthz cache block: %+v", health.Cache)
-			}
+	// Honest answers verify through the matching client, over binary
+	// frames (the client's preference) and over JSON.
+	for codec, h := range map[string]http.Handler{"binary": env.handler, "json": stripAccept(env.handler)} {
+		ts := httptest.NewServer(h)
+		rc := must(authtext.NewRemoteClient(ts.URL))(t)
+		gen, hits, err := matrixSearch(rc)
+		if err != nil || hits == 0 {
+			t.Fatalf("%s: honest search: %d hits, err %v", codec, hits, err)
+		}
+		if gen != env.generation || rc.Generation() != env.generation {
+			t.Fatalf("%s: answered generation %d, client holds %d, want %d", codec, gen, rc.Generation(), env.generation)
+		}
+		health := must(rc.Health(context.Background()))(t)
+		if health.Status != "ok" || health.Documents != env.documents || health.Terms == 0 ||
+			health.Shards != shape.shards || health.Generation != env.generation {
+			t.Fatalf("%s: healthz %+v, want %d documents, %d shards, generation %d",
+				codec, health, env.documents, shape.shards, env.generation)
+		}
+		if rc.Shards() != shape.shards {
+			t.Fatalf("%s: the client verifies %d shards, want %d", codec, rc.Shards(), shape.shards)
+		}
+		ts.Close()
+	}
 
-			// The registered endpoint set, and the bodies of what is absent.
-			type probe struct {
-				method, target, body string
-				status               int
-				code, message        string
-			}
-			notHere := func(path string) probe {
-				return probe{http.MethodGet, path, "", http.StatusNotFound, httpapi.CodeNotFound, "no such endpoint: " + path}
-			}
-			probes := []probe{
-				{http.MethodGet, httpapi.PathHealthz, "", http.StatusOK, "", ""},
-				{http.MethodGet, searchPath + "?q=merkle", "", http.StatusOK, "", ""},
-				{http.MethodGet, manifestPath, "", http.StatusOK, "", ""},
-				notHere("/v1/nope"),
-			}
-			if shape.shards > 0 {
-				probes = append(probes,
-					probe{http.MethodGet, httpapi.PathSearch + "?q=merkle", "", http.StatusNotFound, httpapi.CodeNotFound,
-						"this server is sharded; query " + httpapi.PathShardSearch},
-					probe{http.MethodGet, httpapi.PathManifest, "", http.StatusNotFound, httpapi.CodeNotFound,
-						"this server is sharded; fetch " + httpapi.PathShardManifest})
-			} else {
-				probes = append(probes, notHere(httpapi.PathShardSearch), notHere(httpapi.PathShardManifest))
-			}
-			const updateBody = `{"add":[{"content":"bWVya2xlIGRpZ2VzdCBwcm9vZiBjaGFpbg=="}]}`
-			switch shape.adminStatus {
-			case http.StatusNotFound:
-				p := notHere(httpapi.PathAdminUpdate)
-				p.method, p.body = http.MethodPost, updateBody
-				probes = append(probes, p)
-			case http.StatusForbidden:
-				probes = append(probes, probe{http.MethodPost, httpapi.PathAdminUpdate, updateBody, http.StatusForbidden,
-					httpapi.CodeUpdateFailed, "this replica is serving-only; apply updates at the owner"})
-			}
-			for _, p := range probes {
-				rec := matrixDo(env.handler, p.method, p.target, p.body, "")
-				if rec.Code != p.status {
-					t.Fatalf("%s %s: status %d, want %d (%s)", p.method, p.target, rec.Code, p.status, rec.Body.String())
-				}
-				// The generation header is present exactly when there is one.
-				if got := rec.Header().Get(httpapi.GenerationHeader); p.status == http.StatusOK && (got != "") != (env.generation > 0) {
-					t.Fatalf("%s: %s = %q at generation %d", p.target, httpapi.GenerationHeader, got, env.generation)
-				}
-				if p.status == http.StatusOK {
-					continue
-				}
-				var envl httpapi.ErrorResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &envl); err != nil {
-					t.Fatalf("%s: error body is not an envelope: %v", p.target, err)
-				}
-				if envl.Error.Code != p.code || envl.Error.Message != p.message {
-					t.Fatalf("%s: error %+v, want %s %q", p.target, envl.Error, p.code, p.message)
-				}
-			}
+	// Healthz reports the EFFECTIVE cache.
+	var health httpapi.Health
+	rec := matrixDo(env.handler, http.MethodGet, httpapi.PathHealthz, "", "")
+	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Cache == nil || health.Cache.CapacityBytes != optCache.Stats().CapacityBytes || health.Cache.Hits == 0 {
+		t.Fatalf("healthz cache block: %+v", health.Cache)
+	}
 
-			// One in-transit VO flip classifies as tampering — identically by a
-			// cold client and by one whose signature memo honest answers warmed.
-			var armed atomic.Bool
-			flip := func(vo []byte) {
-				if armed.Load() {
-					vo[len(vo)/2] ^= 0x40
-				}
+	// The registered endpoint set, and the bodies of what is absent.
+	type probe struct {
+		method, target, body string
+		status               int
+		code, message        string
+	}
+	notHere := func(path string) probe {
+		return probe{http.MethodGet, path, "", http.StatusNotFound, httpapi.CodeNotFound, "no such endpoint: " + path}
+	}
+	probes := []probe{
+		{http.MethodGet, httpapi.PathHealthz, "", http.StatusOK, "", ""},
+		{http.MethodGet, searchPath + "?q=merkle", "", http.StatusOK, "", ""},
+		{http.MethodGet, manifestPath, "", http.StatusOK, "", ""},
+		notHere("/v1/nope"),
+	}
+	if shape.shards > 0 {
+		probes = append(probes,
+			probe{http.MethodGet, httpapi.PathSearch + "?q=merkle", "", http.StatusNotFound, httpapi.CodeNotFound,
+				"this server is sharded; query " + httpapi.PathShardSearch},
+			probe{http.MethodGet, httpapi.PathManifest, "", http.StatusNotFound, httpapi.CodeNotFound,
+				"this server is sharded; fetch " + httpapi.PathShardManifest})
+	} else {
+		probes = append(probes, notHere(httpapi.PathShardSearch), notHere(httpapi.PathShardManifest))
+	}
+	const updateBody = `{"add":[{"content":"bWVya2xlIGRpZ2VzdCBwcm9vZiBjaGFpbg=="}]}`
+	switch shape.adminStatus {
+	case http.StatusNotFound:
+		p := notHere(httpapi.PathAdminUpdate)
+		p.method, p.body = http.MethodPost, updateBody
+		probes = append(probes, p)
+	case http.StatusForbidden:
+		probes = append(probes, probe{http.MethodPost, httpapi.PathAdminUpdate, updateBody, http.StatusForbidden,
+			httpapi.CodeUpdateFailed, "this replica is serving-only; apply updates at the owner"})
+	}
+	for _, p := range probes {
+		rec := matrixDo(env.handler, p.method, p.target, p.body, "")
+		if rec.Code != p.status {
+			t.Fatalf("%s %s: status %d, want %d (%s)", p.method, p.target, rec.Code, p.status, rec.Body.String())
+		}
+		// The generation header is present exactly when there is one.
+		if got := rec.Header().Get(httpapi.GenerationHeader); p.status == http.StatusOK && (got != "") != (env.generation > 0) {
+			t.Fatalf("%s: %s = %q at generation %d", p.target, httpapi.GenerationHeader, got, env.generation)
+		}
+		if p.status == http.StatusOK {
+			continue
+		}
+		var envl httpapi.ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &envl); err != nil {
+			t.Fatalf("%s: error body is not an envelope: %v", p.target, err)
+		}
+		if envl.Error.Code != p.code || envl.Error.Message != p.message {
+			t.Fatalf("%s: error %+v, want %s %q", p.target, envl.Error, p.code, p.message)
+		}
+	}
+
+	// In-transit tampering — one VO flip, two term proofs relabelled as
+	// each other — classifies as tampering, identically by a cold
+	// client and by one whose signature memo honest answers warmed. On a
+	// shard set only the first shard the mutation changes is forged; the
+	// others stay honest.
+	for _, row := range []struct {
+		name   string
+		mutate func([]byte) ([]byte, bool)
+		want   core.VerifyCode // VerifyOK: any tampering code
+	}{
+		{"flipped VO", func(vo []byte) ([]byte, bool) { vo[len(vo)/2] ^= 0x40; return vo, true }, core.VerifyOK},
+		{"relabelled term proofs", swapTermNames, relabelled},
+	} {
+		var armed atomic.Bool
+		apply := func(vo []byte) ([]byte, bool) {
+			if armed.Load() {
+				return row.mutate(vo)
 			}
-			tampered := tamperingProxy(env.handler, func(r *httpapi.SearchResponse) { flip(r.VO) })
-			if shape.shards > 0 {
-				tampered = tamperingProxy(env.handler, func(r *httpapi.ShardedSearchResponse) { flip(r.Shards[0].VO) })
-			}
-			ts := httptest.NewServer(tampered)
-			defer ts.Close()
-			var codes [2]core.VerifyCode
-			for i, warm := range []bool{false, true} {
-				armed.Store(false)
-				rc := must(authtext.NewRemoteClient(ts.URL))(t)
-				if warm {
-					if _, hits, err := matrixSearch(rc); err != nil || hits == 0 {
-						t.Fatalf("honest warm-up: %d hits, err %v", hits, err)
+			return vo, false
+		}
+		tampered := tamperingProxy(env.handler, func(r *httpapi.SearchResponse) { r.VO, _ = apply(r.VO) })
+		if shape.shards > 0 {
+			tampered = tamperingProxy(env.handler, func(r *httpapi.ShardedSearchResponse) {
+				for i := range r.Shards {
+					var changed bool
+					if r.Shards[i].VO, changed = apply(r.Shards[i].VO); changed {
+						return
 					}
 				}
-				armed.Store(true)
-				_, _, err := matrixSearch(rc)
-				if !authtext.IsTampered(err) {
-					t.Fatalf("warm=%v: flipped VO classified as %v", warm, err)
+			})
+		}
+		ts := httptest.NewServer(tampered)
+		var codes [2]core.VerifyCode
+		for i, warm := range []bool{false, true} {
+			armed.Store(false)
+			rc := must(authtext.NewRemoteClient(ts.URL))(t)
+			if warm {
+				if _, hits, err := matrixSearch(rc); err != nil || hits == 0 {
+					t.Fatalf("honest warm-up: %d hits, err %v", hits, err)
 				}
-				codes[i] = core.CodeOf(err)
 			}
-			if codes[0] != codes[1] {
-				t.Fatalf("flipped VO classified %v by a cold client, %v by a warm one", codes[0], codes[1])
+			armed.Store(true)
+			_, _, err := matrixSearch(rc)
+			if !authtext.IsTampered(err) || (row.want != core.VerifyOK && core.CodeOf(err) != row.want) {
+				t.Fatalf("warm=%v: %s classified as %v", warm, row.name, err)
 			}
+			codes[i] = core.CodeOf(err)
+		}
+		ts.Close()
+		if codes[0] != codes[1] {
+			t.Fatalf("%s classified %v by a cold client, %v by a warm one", row.name, codes[0], codes[1])
+		}
+	}
 
-			if env.advance == nil {
-				return // a static shape has no generation to be rolled back from
-			}
+	if env.advance == nil {
+		return // a static shape has no generation to be rolled back from
+	}
 
-			// The owner accepts an update batch over HTTP and serves its result.
-			if shape.adminStatus == http.StatusOK {
-				rec := matrixDo(env.handler, http.MethodPost, httpapi.PathAdminUpdate, updateBody, "")
-				var upd httpapi.UpdateResponse
-				if err := json.Unmarshal(rec.Body.Bytes(), &upd); err != nil || rec.Code != http.StatusOK {
-					t.Fatalf("admin update: %d %s", rec.Code, rec.Body.String())
-				}
-				if upd.Generation != env.generation+1 || upd.Documents != env.documents+1 {
-					t.Fatalf("admin update answered %+v", upd)
-				}
-				env.generation++
-			}
+	// The owner accepts an update batch over HTTP and serves its result.
+	if shape.adminStatus == http.StatusOK {
+		rec := matrixDo(env.handler, http.MethodPost, httpapi.PathAdminUpdate, updateBody, "")
+		var upd httpapi.UpdateResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &upd); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("admin update: %d %s", rec.Code, rec.Body.String())
+		}
+		if upd.Generation != env.generation+1 || upd.Documents != env.documents+1 {
+			t.Fatalf("admin update answered %+v", upd)
+		}
+		env.generation++
+	}
 
-			// One rolled-back generation: the client has accepted generation
-			// g+1, then is replayed an honest answer of generation g. Stale,
-			// and still stale after the retry budget.
-			stale := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, "")
-			env.advance(t)
-			var replay atomic.Bool
-			rolledBack := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if replay.Load() && r.URL.Path == searchPath {
-					w.Header().Set("Content-Type", "application/json")
-					_, _ = w.Write(stale.Body.Bytes())
-					return
-				}
-				stripAccept(env.handler).ServeHTTP(w, r)
-			}))
-			defer rolledBack.Close()
-			rc := must(authtext.NewRemoteClient(rolledBack.URL))(t)
-			gen, _, err := matrixSearch(rc)
-			if err != nil || gen != env.generation+1 {
-				t.Fatalf("search after advance: generation %d, err %v", gen, err)
-			}
-			replay.Store(true)
-			export := matrixDo(env.handler, http.MethodGet, manifestPath, "", "")
-			var m httpapi.ManifestResponse
-			if err := json.Unmarshal(export.Body.Bytes(), &m); err != nil {
-				t.Fatal(err)
-			}
-			_, _, err = matrixSearch(must(authtext.NewRemoteClient(rolledBack.URL, authtext.WithClientExport(m.Export)))(t))
-			if !errors.Is(err, authtext.ErrStaleGeneration) || !authtext.IsTampered(err) {
-				t.Fatalf("replayed generation %d to a client at %d classified as %v", env.generation, rc.Generation(), err)
-			}
-		})
+	// One rolled-back generation: the client has accepted generation
+	// g+1, then is replayed an honest answer of generation g. Stale,
+	// and still stale after the retry budget.
+	stale := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, "")
+	env.advance(t)
+	var replay atomic.Bool
+	rolledBack := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if replay.Load() && r.URL.Path == searchPath {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(stale.Body.Bytes())
+			return
+		}
+		stripAccept(env.handler).ServeHTTP(w, r)
+	}))
+	defer rolledBack.Close()
+	rc := must(authtext.NewRemoteClient(rolledBack.URL))(t)
+	gen, _, err := matrixSearch(rc)
+	if err != nil || gen != env.generation+1 {
+		t.Fatalf("search after advance: generation %d, err %v", gen, err)
+	}
+	replay.Store(true)
+	export := matrixDo(env.handler, http.MethodGet, manifestPath, "", "")
+	var m httpapi.ManifestResponse
+	if err := json.Unmarshal(export.Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = matrixSearch(must(authtext.NewRemoteClient(rolledBack.URL, authtext.WithClientExport(m.Export)))(t))
+	if !errors.Is(err, authtext.ErrStaleGeneration) || !authtext.IsTampered(err) {
+		t.Fatalf("replayed generation %d to a client at %d classified as %v", env.generation, rc.Generation(), err)
 	}
 }
 
