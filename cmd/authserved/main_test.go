@@ -560,7 +560,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
-	rc, err := authtext.NewRemoteClient(srv.URL)
+	clientMetrics := authtext.NewMetrics()
+	rc, err := authtext.NewRemoteClient(srv.URL, authtext.WithClientMetrics(clientMetrics))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,6 +638,20 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if s, ok := obs.FindSample(samples, "authtext_vocache_hits_total"); ok && s.Value != 2 {
 		t.Errorf("cache hits = %g, want 2", s.Value)
+	}
+
+	// The client inflated the repeated answer's documents once at most: the
+	// repeats were copied from its decode memo.
+	var client bytes.Buffer
+	if err := clientMetrics.WritePrometheus(&client); err != nil {
+		t.Fatal(err)
+	}
+	clientSamples, err := obs.Parse(&client)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := obs.FindSample(clientSamples, "authtext_client_wire_sections_total", obs.L("outcome", "memo_hit")); !ok || s.Value <= 0 {
+		t.Errorf("client wire sections from the memo = %g (present %v), want > 0 after a repeated query", s.Value, ok)
 	}
 
 	// The two engine phases split the engine stage: same observations, and

@@ -105,24 +105,42 @@ func BenchmarkEncodeSearchResponse(b *testing.B) {
 var benchResponse *SearchResponse
 
 // BenchmarkDecodeSearchResponse is the client's half: CRC, inflate, parse.
+// cold empties the decode memo before every answer, so each deflated chunk
+// pays its inflate; warm has decoded every answer once, so each chunk is a
+// hash and a copy.
 func BenchmarkDecodeSearchResponse(b *testing.B) {
 	for _, shape := range []string{"tnra_short", "tra_verbose"} {
-		b.Run(shape, func(b *testing.B) {
-			var frames [][]byte
-			bytes := 0
-			for _, r := range benchAnswers()[shape] {
-				frames = append(frames, EncodeSearchResponse(r))
-				bytes += len(frames[len(frames)-1])
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if benchResponse, err = DecodeSearchResponse(frames[i%len(frames)]); err != nil {
-					b.Fatal(err)
+		var frames [][]byte
+		bytes := 0
+		for _, r := range benchAnswers()[shape] {
+			frames = append(frames, EncodeSearchResponse(r))
+			bytes += len(frames[len(frames)-1])
+		}
+		run := func(name string, cold bool) {
+			b.Run(shape+"/"+name, func(b *testing.B) {
+				inflateMemo.reset()
+				if !cold {
+					for _, f := range frames {
+						if _, err := DecodeSearchResponse(f); err != nil {
+							b.Fatal(err)
+						}
+					}
 				}
-			}
-			b.ReportMetric(float64(bytes)/float64(len(frames)), "frame-B/op")
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if cold {
+						inflateMemo.reset()
+					}
+					var err error
+					if benchResponse, err = DecodeSearchResponse(frames[i%len(frames)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(bytes)/float64(len(frames)), "frame-B/op")
+			})
+		}
+		run("cold", true)
+		run("warm", false)
 	}
 }

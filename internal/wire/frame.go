@@ -19,31 +19,38 @@ import (
 //
 //	offset size
 //	0      4   magic "ATWF"
-//	4      1   format version (1)
+//	4      1   format version (2)
 //	5      1   payload type (TypeSearch..TypeManifest)
-//	6      2   flags (bit 0: payload is deflate-compressed)
+//	6      2   flags (bit 0: payload is a chunk list)
 //	8      4   CRC-32C (Castagnoli) of the stored payload bytes
 //	12     8   stored payload length
 //	20     —   stored payload
 //
-// A compressed payload is `u64 raw length | deflate stream`; the CRC
-// always covers the stored (possibly compressed) bytes, so corruption is
-// detected before any decompression work happens. The stream is any RFC
-// 1951 stream; this encoder assembles it from independently compressed
-// sections (EncodeFrame). Compression is a pure function of the encoded
-// message (fixed levels, fixed thresholds, applied only when it shrinks
-// the payload), which keeps a server's frame for a given response
-// byte-identical across cache hits, misses and replicas — and across
-// compressor reuse: a pooled flate.Writer that has been Reset emits the
-// same stream as a fresh one at the same level.
+// A chunked payload is a list of chunks whose expansions, concatenated, are
+// the message. A chunk starts with uvarint(n<<1 | d), n ≥ 1 the length of its
+// expansion: with d = 0, n stored bytes follow; with d = 1, uvarint(m)
+// follows, then m bytes of one complete RFC 1951 stream that starts from an
+// empty history, ends exactly at the chunk's end and inflates to exactly n
+// bytes. The encoder deflates each section — document body, manifest export,
+// proof — as its own chunk and stores everything between them (query echo,
+// ids, scores, lengths, stats), so a stream depends on its section alone and
+// a client can remember what it inflated to. The CRC always covers the stored
+// bytes, so corruption is detected before any decompression work happens.
+// Compression is a pure function of the encoded message (fixed levels, fixed
+// thresholds, applied only when it shrinks the payload), which keeps a
+// server's frame for a given response byte-identical across cache hits,
+// misses and replicas — and across compressor reuse: a pooled flate.Writer
+// that has been Reset emits the same stream as a fresh one at the same level.
 
 // ContentType is the negotiated media type of binary frames. A request
 // whose Accept header lists it is answered with a frame; everything else
-// gets JSON (docs/PROTOCOL.md "Binary framing").
-const ContentType = "application/x-authtext-frame"
+// gets JSON (docs/PROTOCOL.md "Binary framing"). It names the frame version:
+// a server that does not speak this version does not recognise the type and
+// answers JSON, so the two ends never disagree about a frame.
+const ContentType = "application/x-authtext-frame-v2"
 
 // FrameVersion is the frame format version this build speaks.
-const FrameVersion = 1
+const FrameVersion = 2
 
 // frameMagic begins every frame.
 const frameMagic = "ATWF"
@@ -59,8 +66,8 @@ const (
 	TypeManifest byte = 4 // ManifestResponse
 )
 
-// flagDeflate marks a deflate-compressed payload.
-const flagDeflate uint16 = 1 << 0
+// flagChunked marks a payload carried as a chunk list.
+const flagChunked uint16 = 1 << 0
 
 // MaxPayloadBytes caps the decoded (decompressed) payload a decoder will
 // materialise. It matches the remote clients' response-buffer cap: the
@@ -69,7 +76,7 @@ const flagDeflate uint16 = 1 << 0
 const MaxPayloadBytes = 64 << 20
 
 // compressMin is the smallest raw payload worth attempting to compress.
-// Below it the deflate header overhead and the extra length word eat the
+// Below it the deflate header overhead and the chunk headers eat the
 // savings; the exact value only changes which frames carry the flag, and
 // is part of the deterministic encode.
 const compressMin = 512
@@ -93,20 +100,19 @@ type section struct {
 	vo       bool
 }
 
-// EncodeFrame wraps an encoded message payload in a frame, compressing it
-// when that pays. The deflate stream is assembled rather than produced in
-// one pass: each section is deflated on its own (see sectionStream) and
-// everything between sections — query echo, ids, scores, lengths, stats —
-// travels in stored blocks. A document is therefore compressed once, not
-// once per answer that returns it, and the stream is still plain RFC 1951:
-// decoders need nothing new. The raw slice is not retained.
+// EncodeFrame wraps an encoded message payload in a frame, as a chunk list
+// when that pays: each section is deflated on its own (see sectionStream),
+// so a document is compressed once, not once per answer that returns it.
+// The raw slice is not retained.
 func EncodeFrame(typ byte, raw []byte, secs []section) []byte {
-	out := make([]byte, HeaderSize, HeaderSize+len(raw))
+	// Room for every stored chunk's header too: a chunk list that ends up no
+	// smaller than raw is dropped, but must not regrow the buffer first.
+	out := make([]byte, HeaderSize, HeaderSize+len(raw)+(len(secs)+1)*binary.MaxVarintLen32)
 	flags := uint16(0)
 	if len(raw) >= compressMin {
-		out = appendAssembled(out, raw, secs)
+		out = appendChunks(out, raw, secs)
 		if n := len(out) - HeaderSize; n > 0 && n < len(raw) {
-			flags = flagDeflate
+			flags = flagChunked
 		}
 	}
 	if flags == 0 {
@@ -121,45 +127,34 @@ func EncodeFrame(typ byte, raw []byte, secs []section) []byte {
 	return out
 }
 
-// appendAssembled appends `u64 raw length | deflate stream` for raw, or
-// nothing when no section is worth deflating.
-func appendAssembled(out, raw []byte, secs []section) []byte {
-	glue := 0     // raw[glue:] is still to be written
-	open := false // the stream so far ends in a stored-block header awaiting LEN/NLEN
+// appendChunks appends raw as a chunk list, or nothing when no section is
+// worth deflating.
+func appendChunks(out, raw []byte, secs []section) []byte {
+	glue, chunked := 0, false // raw[glue:] is still to be written
 	for _, s := range secs {
 		stream := sectionStream(raw[s.off:s.end], s.vo)
 		if stream == nil {
 			continue // travels with the glue around it
 		}
-		if !open {
-			out = binary.BigEndian.AppendUint64(out, uint64(len(raw)))
-		}
-		out = appendStored(out, raw[glue:s.off], open)
+		out = appendStoredChunk(out, raw[glue:s.off])
+		out = binary.AppendUvarint(out, uint64(s.end-s.off)<<1|1)
+		out = binary.AppendUvarint(out, uint64(len(stream)))
 		out = append(out, stream...)
-		glue, open = s.end, true
+		glue, chunked = s.end, true
 	}
-	if !open {
+	if !chunked {
 		return out
 	}
-	out = appendStored(out, raw[glue:], true)
-	return append(out, 0x03, 0x00) // final block: fixed codes, end-of-block and nothing else
+	return appendStoredChunk(out, raw[glue:])
 }
 
-// appendStored writes b as byte-aligned stored blocks of at most 65 535
-// bytes. With open set the first block's header byte is already there, so
-// its LEN/NLEN is written even when b is empty.
-func appendStored(out, b []byte, open bool) []byte {
-	for open || len(b) > 0 {
-		if !open {
-			out = append(out, 0x00) // BFINAL 0, BTYPE 00, padding
-		}
-		n := min(len(b), math.MaxUint16)
-		out = binary.LittleEndian.AppendUint16(out, uint16(n))
-		out = binary.LittleEndian.AppendUint16(out, ^uint16(n))
-		out = append(out, b[:n]...)
-		b, open = b[n:], false
+// appendStoredChunk appends b as a stored chunk; an empty b is no chunk.
+func appendStoredChunk(out, b []byte) []byte {
+	if len(b) == 0 {
+		return out
 	}
-	return out
+	out = binary.AppendUvarint(out, uint64(len(b))<<1)
+	return append(out, b...)
 }
 
 // Section outcomes since process start, behind authtext_wire_sections_total.
@@ -180,12 +175,14 @@ func Sections() SectionStats {
 // syncTail is the LEN/NLEN of the empty stored block a sync flush ends in.
 const syncTail = 4
 
-// sectionStream returns the deflate stream that stands for sec inside an
-// assembled payload, or nil when sec is better left in stored blocks. The
-// stream starts from an empty history and ends, byte-aligned, in the header
-// of a stored block whose LEN/NLEN the glue that follows supplies, so it
-// reads the same wherever it is copied. The verdict and the bytes depend on
-// (sec, vo) alone, which is what keeps a frame a pure function of its
+// chunkOverhead is what carrying a section as a deflated chunk costs beyond
+// its stream, for a section of a few KB: the chunk's two length fields and
+// the header of the stored chunk it splits the glue into.
+const chunkOverhead = 5
+
+// sectionStream returns the deflate stream of sec's chunk, or nil when sec is
+// better left in the stored chunk around it. The verdict and the bytes depend
+// on (sec, vo) alone, which is what keeps a frame a pure function of its
 // message: bodies and exports recur across answers and are compressed once,
 // at BestCompression; a proof is mostly digests and signatures, is deflated
 // at BestSpeed, and only when its byte histogram says that can pay.
@@ -202,16 +199,16 @@ func sectionStream(sec []byte, vo bool) []byte {
 		level = flate.BestSpeed
 	}
 	key := memoKey{sha256.Sum256(sec), level}
-	stream, ok := memoGet(key)
+	stream, ok := deflateMemo.get(key)
 	if ok {
 		sectionsMemoHit.Add(1)
 		return stream
 	}
 	sectionsDeflated.Add(1)
-	if stream = deflateSection(sec, level); len(stream)+syncTail >= len(sec) {
+	if stream = deflateSection(sec, level, !vo); len(stream)+chunkOverhead >= len(sec) {
 		stream = nil // compression does not pay
 	}
-	memoPut(key, stream)
+	deflateMemo.put(key, stream)
 	return stream
 }
 
@@ -226,10 +223,36 @@ type deflater struct {
 
 var deflaters [flate.BestCompression + 1]sync.Pool // by level
 
-// deflateSection compresses sec from an empty history and sync-flushes,
-// returning the stream without its syncTail in a fresh exact-size slice.
-// Writes into a bytes.Buffer cannot fail, so neither can the compression.
-func deflateSection(sec []byte, level int) []byte {
+// deflateSection compresses sec from an empty history into one complete
+// stream, returned in a fresh exact-size slice.
+//
+// A closed flate.Writer ends its stream with an empty final stored block:
+// five bytes that say only "this is the end". With cut set, and when sec
+// fits one block — the writer starts another only after 16 K tokens, or
+// 64 KiB at BestSpeed — one bit says it instead: the sync-flushed stream, its
+// first block marked final and cut where that block ends. That the cut
+// stream is complete is checked, not assumed: it must inflate back to exactly
+// sec and end where it is cut, or the closed stream is used. The check costs
+// an inflate, which a document body — compressed once per process — repays
+// on every answer that carries it, and a proof, seldom sent twice, does not.
+func deflateSection(sec []byte, level int, cut bool) []byte {
+	if !cut {
+		return compress(sec, level, false)
+	}
+	stream := compress(sec, level, true)
+	check := make([]byte, len(sec))
+	if used, err := inflateChunk(check, stream); err == nil && bytes.Equal(check, sec) {
+		return stream[:used:used] // a block ending on a byte boundary leaves the cut header's byte behind
+	}
+	return compress(sec, level, false)
+}
+
+// compress runs sec through a pooled writer at level and returns a copy of
+// the stream: closed, or sync-flushed with its first block marked final and
+// the empty stored block's LEN/NLEN cut. The writer goes back to the pool
+// before the caller looks at the stream. Writes into a bytes.Buffer cannot
+// fail, so neither can the compression.
+func compress(sec []byte, level int, cut bool) []byte {
 	d, _ := deflaters[level].Get().(*deflater)
 	if d == nil {
 		d = new(deflater)
@@ -239,9 +262,17 @@ func deflateSection(sec []byte, level int) []byte {
 	d.buf.Reset()
 	d.fw.Reset(&d.buf)
 	d.fw.Write(sec)
-	d.fw.Flush()
-	out := make([]byte, d.buf.Len()-syncTail)
-	copy(out, d.buf.Bytes())
+	var stream []byte
+	if cut {
+		d.fw.Flush()
+		stream = d.buf.Bytes()[:d.buf.Len()-syncTail]
+		stream[0] |= 1 // BFINAL of the first block
+	} else {
+		d.fw.Close()
+		stream = d.buf.Bytes()
+	}
+	out := make([]byte, len(stream))
+	copy(out, stream)
 	return out
 }
 
@@ -321,8 +352,8 @@ func DecodeFrame(b []byte) (typ byte, raw []byte, err error) {
 		return 0, nil, frameErr("unknown payload type %d", typ)
 	}
 	flags := binary.BigEndian.Uint16(b[6:])
-	if flags&^flagDeflate != 0 {
-		return 0, nil, frameErr("unknown flags %#x", flags&^flagDeflate)
+	if flags&^flagChunked != 0 {
+		return 0, nil, frameErr("unknown flags %#x", flags&^flagChunked)
 	}
 	wantCRC := binary.BigEndian.Uint32(b[8:])
 	length := binary.BigEndian.Uint64(b[12:])
@@ -336,14 +367,127 @@ func DecodeFrame(b []byte) (typ byte, raw []byte, err error) {
 	if crc32.Checksum(payload, castagnoli) != wantCRC {
 		return 0, nil, frameErr("payload fails its CRC (corrupted frame)")
 	}
-	if flags&flagDeflate == 0 {
+	if flags&flagChunked == 0 {
 		return typ, payload, nil
 	}
-	raw, err = inflatePayload(payload)
+	raw, err = inflateChunks(payload)
 	if err != nil {
 		return 0, nil, err
 	}
 	return typ, raw, nil
+}
+
+// maxDeflateRatio bounds how far deflate can expand its input: a stream
+// codes at most 258 bytes per two bits, 1032:1.
+const maxDeflateRatio = 1032
+
+// chunk is one entry of a chunk list: n bytes of the message, carried as
+// body — those bytes themselves, or a deflate stream when deflated.
+type chunk struct {
+	n        int
+	deflated bool
+	body     []byte
+}
+
+// nextChunk parses the chunk at the front of p and returns it with what
+// follows it. Every length is checked against the bytes actually received:
+// a chunk must lie within p, and a deflated one may claim no more than its
+// stream can inflate to.
+func nextChunk(p []byte) (c chunk, rest []byte, err error) {
+	h, k := binary.Uvarint(p)
+	if k <= 0 {
+		return c, nil, frameErr("bad chunk header")
+	}
+	p = p[k:]
+	n, size := h>>1, h>>1
+	if c.deflated = h&1 == 1; c.deflated {
+		if size, k = binary.Uvarint(p); k <= 0 {
+			return c, nil, frameErr("bad chunk stream length")
+		}
+		p = p[k:]
+	}
+	switch {
+	case n == 0:
+		return c, nil, frameErr("empty chunk")
+	case size > uint64(len(p)):
+		return c, nil, frameErr("chunk of %d bytes runs past the end of the payload (%d left)", size, len(p))
+	case n > MaxPayloadBytes || n > size*maxDeflateRatio:
+		return c, nil, frameErr("chunk claims %d bytes from %d", n, size)
+	}
+	c.n, c.body = int(n), p[:size]
+	return c, p[size:], nil
+}
+
+// inflateChunks expands a chunk list under MaxPayloadBytes: one pass over the
+// headers to size the message, one to fill it.
+func inflateChunks(payload []byte) ([]byte, error) {
+	total := 0
+	for p := payload; len(p) > 0; {
+		c, rest, err := nextChunk(p)
+		if err != nil {
+			return nil, err
+		}
+		if c.n > MaxPayloadBytes-total {
+			return nil, frameErr("decompressed length exceeds cap %d", MaxPayloadBytes)
+		}
+		total, p = total+c.n, rest
+	}
+	raw := make([]byte, total)
+	for p, pos := payload, 0; len(p) > 0; {
+		c, rest, _ := nextChunk(p) // accepted by the first pass
+		dst := raw[pos : pos+c.n]
+		if !c.deflated {
+			copy(dst, c.body)
+		} else if err := inflateSection(dst, c.body); err != nil {
+			return nil, err
+		}
+		pos, p = pos+c.n, rest
+	}
+	return raw, nil
+}
+
+// Chunk outcomes since process start, behind
+// authtext_client_wire_sections_total.
+var inflatedMemoHit, inflatedRan atomic.Uint64
+
+// InflateStats counts the deflated chunks of every frame decoded: MemoHit
+// copied from the memo, Inflated run through the decompressor (whether or
+// not the frame was then accepted). A client whose Inflated keeps pace with
+// its hits receives documents that do not recur.
+type InflateStats struct{ MemoHit, Inflated uint64 }
+
+// Inflations returns the process-wide chunk counts.
+func Inflations() InflateStats {
+	return InflateStats{inflatedMemoHit.Load(), inflatedRan.Load()}
+}
+
+// inflateSection fills dst with the expansion of one deflated chunk's
+// stream, from the memo when these exact stream bytes were inflated before.
+// A memo entry is what a successful standalone inflate of the stream
+// produced, so a hit must have the declared length too; dst receives a copy,
+// and nothing the caller does to it reaches the memo.
+func inflateSection(dst, stream []byte) error {
+	key := memoKey{sum: sha256.Sum256(stream)}
+	if data, ok := inflateMemo.get(key); ok {
+		if len(data) != len(dst) {
+			return frameErr("chunk stream inflates to %d bytes, its header claims %d", len(data), len(dst))
+		}
+		inflatedMemoHit.Add(1)
+		copy(dst, data)
+		return nil
+	}
+	inflatedRan.Add(1)
+	used, err := inflateChunk(dst, stream)
+	if err != nil {
+		return err
+	}
+	if used != len(stream) {
+		return frameErr("%d bytes after the end of a chunk's deflate stream", len(stream)-used)
+	}
+	data := make([]byte, len(dst))
+	copy(data, dst)
+	inflateMemo.put(key, data)
+	return nil
 }
 
 // inflater is the reusable state of one decompression (a flate reader
@@ -359,20 +503,11 @@ var inflaters = sync.Pool{New: func() interface{} {
 	return i
 }}
 
-// maxDeflateRatio bounds how far deflate can expand its input: a stream
-// codes at most 258 bytes per two bits, 1032:1.
-const maxDeflateRatio = 1032
-
-// inflatePayload reverses deflatePayload under MaxPayloadBytes.
-func inflatePayload(payload []byte) ([]byte, error) {
-	if len(payload) < 8 {
-		return nil, frameErr("truncated compressed payload")
-	}
-	rawLen := binary.BigEndian.Uint64(payload)
-	if rawLen > MaxPayloadBytes {
-		return nil, frameErr("decompressed length %d exceeds cap %d", rawLen, MaxPayloadBytes)
-	}
-	stream := payload[8:]
+// inflateChunk fills dst with the inflation of stream, which must be exactly
+// len(dst) bytes long and end in a final block, and returns how many bytes
+// of stream the inflation read: the reader takes bytes one at a time from a
+// bytes.Reader, so nothing past the final block is consumed.
+func inflateChunk(dst, stream []byte) (used int, err error) {
 	in := inflaters.Get().(*inflater)
 	defer func() {
 		in.src.Reset(nil) // a pooled reader must not pin the caller's frame
@@ -380,26 +515,16 @@ func inflatePayload(payload []byte) ([]byte, error) {
 	}()
 	in.src.Reset(stream)
 	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
-		return nil, frameErr("resetting inflater: %v", err)
+		return 0, frameErr("resetting inflater: %v", err)
 	}
-	// The length prefix is the peer's claim: allocate for it only as far
-	// as the bytes actually received could inflate, and let the copy grow
-	// the buffer if the stream really is that dense. MinRead of slack
-	// lets bytes.Buffer see EOF without reallocating an exact-size fit.
-	capHint := rawLen
-	if most := uint64(len(stream)) * maxDeflateRatio; capHint > most {
-		capHint = most
+	if _, err := io.ReadFull(in.fr, dst); err != nil {
+		return 0, frameErr("chunk stream ends before its declared %d bytes: %v", len(dst), err)
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, capHint+bytes.MinRead))
-	// Read one byte past the declared length so a stream that disagrees
-	// with its own prefix is rejected instead of silently truncated.
-	if _, err := io.Copy(buf, io.LimitReader(in.fr, int64(rawLen)+1)); err != nil {
-		return nil, frameErr("corrupt deflate stream: %v", err)
+	var one [1]byte
+	if k, err := in.fr.Read(one[:]); k != 0 || err != io.EOF {
+		return 0, frameErr("chunk stream goes on past its declared %d bytes (%v)", len(dst), err)
 	}
-	if uint64(buf.Len()) != rawLen {
-		return nil, frameErr("decompressed to %d bytes, prefix claims %d", buf.Len(), rawLen)
-	}
-	return buf.Bytes(), nil
+	return len(stream) - in.src.Len(), nil
 }
 
 // f64 round-trips float64 bit patterns exactly (NaN payloads included).

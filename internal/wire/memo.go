@@ -6,46 +6,67 @@ import (
 	"sync"
 )
 
-// Deflate memoisation for the serving hot path. A section's stream is a
-// pure function of (section bytes, level), and the only expensive part of
-// EncodeFrame is deflate: a document returned by many answers, and a proof
-// replayed from the VO cache, present the identical section every time, so
-// the compressed bytes are remembered keyed by the section's SHA-256 and
-// the level. A hit costs one hash over the raw bytes (hardware-accelerated,
-// ~30x faster than deflate) instead of a fresh compression. Because the
-// stored bytes ARE a previous deflateSection's output, memoised and
-// non-memoised encodes are byte-identical by construction — the determinism
-// contract in the frame-layout comment survives untouched. Incompressible
-// sections are remembered too (as an empty entry), so they are not
-// re-deflated-and-discarded on every hit.
+// Section memoisation, on both ends of the wire. A section's deflate stream
+// is a pure function of (section bytes, level), and its inflation a pure
+// function of the stream: a document returned by many answers, and a proof
+// replayed from the VO cache, present the identical bytes every time. So a
+// server remembers each section's compressed bytes keyed by the section's
+// SHA-256 and the level (deflateMemo), and a client remembers each chunk's
+// inflated bytes keyed by the SHA-256 of the stream it received
+// (inflateMemo). A hit costs one hash (hardware-accelerated, an order of
+// magnitude faster than inflate and more than that faster than deflate)
+// instead of the codec. Because a stored entry IS a previous run's output,
+// memoised and non-memoised results are byte-identical by construction — the
+// determinism contract in the frame-layout comment survives untouched, and a
+// client's memo cannot be poisoned: an entry only ever holds what inflating
+// exactly those stream bytes produced. Incompressible sections are
+// remembered too (as an empty entry), so a server does not re-deflate and
+// discard them on every hit.
 //
-// Admission is on second sighting, after a short trial: the first encode
-// of a section keeps its bytes only while they are among the most recent
-// memoTrialBytes of first sightings; past that only the key stays, and a
-// later encode stores the bytes for good. Most proofs of an uncached or
-// long-tailed stream are never encoded again, and holding their streams
-// until LRU pressure reached them used to be most of a serving process's
-// resident memory. The trial is what keeps a hot section that comes
-// straight back — every cached answer, just after a live publish has
-// changed them all — from being compressed twice: without it the memo
-// needs two passes over the hot set to warm, and serving throughput sags
-// for about a second after each publish.
-const (
-	// memoMaxBytes bounds what the memo retains (LRU beyond): stored
-	// compressed bytes plus memoEntryOverhead per entry.
-	memoMaxBytes = 64 << 20
-	// memoMaxEntryBytes skips memoising huge one-off sections whose raw
-	// hash cost already dwarfs any replay saving.
-	memoMaxEntryBytes = 4 << 20
-	// memoEntryOverhead approximates the heap an entry pins besides its
-	// data: the memoEntry (key, slice header, flag), its list element and
-	// its map slot with the key's second copy.
-	memoEntryOverhead = 200
-	// memoTrialBytes bounds the bytes kept on the strength of one sighting.
-	memoTrialBytes = memoMaxBytes / 16
+// Admission is on second sighting, after a short trial: the first sighting
+// of a key keeps its bytes only while they are among the most recent
+// maxBytes/16 of first sightings; past that only the key stays, and a later
+// sighting stores the bytes for good. Most proofs of an uncached or
+// long-tailed stream are never seen again, and holding them until LRU
+// pressure reached them used to be most of a serving process's resident
+// memory. The trial is what keeps a hot section that comes straight back —
+// every cached answer, just after a live publish has changed them all — from
+// being compressed twice: without it the memo needs two passes over the hot
+// set to warm, and serving throughput sags for about a second after each
+// publish.
+type memo struct {
+	mu         sync.Mutex
+	maxBytes   int64                     // bound on what it retains: data plus memoEntryOverhead per entry, LRU beyond
+	m          map[memoKey]*list.Element // values: *memoEntry
+	lru        *list.List                // front = most recent
+	bytes      int64
+	trial      *list.List // values: *memoEntry seen once, data kept; front = newest
+	trialBytes int64
+}
+
+// The two memos and their fixed bounds. Each keeps at most 1/16 of its bound
+// on trial, and does not remember a single entry larger than that: a huge
+// one-off section's hash already costs more than a replay would save.
+var (
+	deflateMemo = newMemo(64 << 20)
+	inflateMemo = newMemo(16 << 20)
 )
 
-// memoKey names everything a section's stream depends on.
+// memoEntryOverhead approximates the heap an entry pins besides its data:
+// the memoEntry (key, slice header, flag), its list element and its map
+// slot with the key's second copy.
+const memoEntryOverhead = 200
+
+func newMemo(maxBytes int64) *memo {
+	return &memo{maxBytes: maxBytes, m: make(map[memoKey]*list.Element), lru: list.New(), trial: list.New()}
+}
+
+// trialMax bounds the bytes kept on the strength of one sighting, and the
+// size of any one entry.
+func (c *memo) trialMax() int64 { return c.maxBytes / 16 }
+
+// memoKey names everything a memoised result depends on: the SHA-256 of the
+// input, and in deflateMemo the compression level (zero in inflateMemo).
 type memoKey struct {
 	sum   [sha256.Size]byte
 	level int
@@ -55,90 +76,79 @@ type memoEntry struct {
 	key    memoKey
 	stored bool          // false: key seen once, its trial over, verdict not kept
 	data   []byte        // stored and nil: compression does not pay for this section
-	trial  *list.Element // in deflateMemo.trial until a second sighting or the trial bound
+	trial  *list.Element // in memo.trial until a second sighting or the trial bound
 }
 
-var deflateMemo = struct {
-	mu         sync.Mutex
-	m          map[memoKey]*list.Element // values: *memoEntry
-	lru        *list.List                // front = most recent
-	bytes      int64
-	trial      *list.List // values: *memoEntry seen once, data kept; front = newest
-	trialBytes int64
-}{m: make(map[memoKey]*list.Element), lru: list.New(), trial: list.New()}
-
 // endTrial takes e off the trial list; its data stays or goes as the
-// caller decides. deflateMemo.mu is held.
-func endTrial(e *memoEntry) {
-	deflateMemo.trial.Remove(e.trial)
-	deflateMemo.trialBytes -= int64(len(e.data))
+// caller decides. c.mu is held.
+func (c *memo) endTrial(e *memoEntry) {
+	c.trial.Remove(e.trial)
+	c.trialBytes -= int64(len(e.data))
 	e.trial = nil
 }
 
-// memoGet returns the remembered deflate output (data, true), the
-// remembered "does not compress" verdict (nil, true), or a miss. The
-// returned slice is shared and immutable; callers copy it into their
-// frame buffer.
-func memoGet(key memoKey) ([]byte, bool) {
-	deflateMemo.mu.Lock()
-	defer deflateMemo.mu.Unlock()
-	elem, ok := deflateMemo.m[key]
+// get returns the remembered result (data, true), the remembered "does not
+// compress" verdict (nil, true), or a miss. The returned slice is shared and
+// immutable; callers copy it into their own buffer.
+func (c *memo) get(key memoKey) ([]byte, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	elem, ok := c.m[key]
 	if !ok {
 		return nil, false
 	}
-	deflateMemo.lru.MoveToFront(elem)
+	c.lru.MoveToFront(elem)
 	e := elem.Value.(*memoEntry)
 	if e.trial != nil {
-		endTrial(e) // second sighting: admitted
+		c.endTrial(e) // second sighting: admitted
 	}
 	return e.data, e.stored
 }
 
-// memoPut records one encode of key whose deflate output is data (nil:
-// does not compress; otherwise an exact-size slice the memo may keep).
-// The first call for a key keeps data on trial, a call after the trial has
-// lapsed stores it for good; least-recently-used entries are evicted
-// beyond the byte bound.
-func memoPut(key memoKey, data []byte) {
-	if len(data) > memoMaxEntryBytes {
+// put records one run for key whose output is data (nil: does not
+// compress; otherwise an exact-size slice the memo may keep). The first call
+// for a key keeps data on trial, a call after the trial has lapsed stores it
+// for good; least-recently-used entries are evicted beyond the byte bound.
+func (c *memo) put(key memoKey, data []byte) {
+	if int64(len(data)) > c.trialMax() {
 		return
 	}
-	deflateMemo.mu.Lock()
-	defer deflateMemo.mu.Unlock()
-	if elem, ok := deflateMemo.m[key]; ok {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if elem, ok := c.m[key]; ok {
 		e := elem.Value.(*memoEntry)
 		if e.stored {
-			return // concurrent encode of the same section won the race
+			return // a concurrent run over the same bytes won the race
 		}
 		e.stored, e.data = true, data
-		deflateMemo.bytes += int64(len(data))
-		deflateMemo.lru.MoveToFront(elem)
+		c.bytes += int64(len(data))
+		c.lru.MoveToFront(elem)
 	} else {
 		e := &memoEntry{key: key, stored: true, data: data}
-		deflateMemo.m[key] = deflateMemo.lru.PushFront(e)
-		deflateMemo.bytes += memoEntryOverhead + int64(len(data))
+		c.m[key] = c.lru.PushFront(e)
+		c.bytes += memoEntryOverhead + int64(len(data))
 		if len(data) > 0 { // a verdict without bytes needs no trial
-			e.trial = deflateMemo.trial.PushFront(e)
-			deflateMemo.trialBytes += int64(len(data))
+			e.trial = c.trial.PushFront(e)
+			c.trialBytes += int64(len(data))
 		}
-		for deflateMemo.trialBytes > memoTrialBytes {
-			old := deflateMemo.trial.Back().Value.(*memoEntry)
-			deflateMemo.bytes -= int64(len(old.data))
-			endTrial(old)
+		for c.trialBytes > c.trialMax() {
+			old := c.trial.Back().Value.(*memoEntry)
+			c.bytes -= int64(len(old.data))
+			c.endTrial(old)
 			old.stored, old.data = false, nil
 		}
 	}
-	for deflateMemo.bytes > memoMaxBytes {
-		back := deflateMemo.lru.Back()
+	for c.bytes > c.maxBytes {
+		back := c.lru.Back()
 		if back == nil {
 			break
 		}
 		e := back.Value.(*memoEntry)
 		if e.trial != nil {
-			endTrial(e)
+			c.endTrial(e)
 		}
-		deflateMemo.lru.Remove(back)
-		delete(deflateMemo.m, e.key)
-		deflateMemo.bytes -= memoEntryOverhead + int64(len(e.data))
+		c.lru.Remove(back)
+		delete(c.m, e.key)
+		c.bytes -= memoEntryOverhead + int64(len(e.data))
 	}
 }

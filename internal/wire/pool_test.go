@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -19,33 +20,93 @@ import (
 	"testing"
 )
 
-// legacyDeflate is the payload servers sent before the sectioned encoder:
-// `u64 raw length | deflate stream`, the stream one whole-payload pass of a
-// BestSpeed writer. Decoders must keep reading it.
-func legacyDeflate(t testing.TB, raw []byte) []byte {
+// chunkedFrame frames a chunk-list payload with a valid header: flag, CRC
+// and length all agree with it.
+func chunkedFrame(typ byte, payload []byte) []byte {
+	out := append([]byte(frameMagic), FrameVersion, typ)
+	out = binary.BigEndian.AppendUint16(out, flagChunked)
+	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
+	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
+	return append(out, payload...)
+}
+
+// appendChunk encodes c: its header, then its body — for a deflated chunk
+// the stream, announced by its length.
+func appendChunk(out []byte, c chunk) []byte {
+	if !c.deflated {
+		return append(binary.AppendUvarint(out, uint64(c.n)<<1), c.body...)
+	}
+	out = binary.AppendUvarint(out, uint64(c.n)<<1|1)
+	return append(binary.AppendUvarint(out, uint64(len(c.body))), c.body...)
+}
+
+// chunksOf parses the chunk list of a chunked frame.
+func chunksOf(t testing.TB, frame []byte) []chunk {
+	t.Helper()
+	if binary.BigEndian.Uint16(frame[6:])&flagChunked == 0 {
+		t.Fatal("the frame is not chunked")
+	}
+	var out []chunk
+	for p := frame[HeaderSize:]; len(p) > 0; {
+		c, rest, err := nextChunk(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, p = append(out, c), rest
+	}
+	return out
+}
+
+// rechunk re-frames a chunked frame with its chunks passed through edit.
+func rechunk(t testing.TB, frame []byte, edit func(i int, c chunk) chunk) []byte {
+	t.Helper()
+	var payload []byte
+	for i, c := range chunksOf(t, frame) {
+		payload = appendChunk(payload, edit(i, c))
+	}
+	return chunkedFrame(frame[5], payload)
+}
+
+// closedStream is sec deflated by a fresh writer and closed: a complete
+// stream, the long way.
+func closedStream(t testing.TB, sec []byte, level int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	buf.Write(binary.BigEndian.AppendUint64(nil, uint64(len(raw))))
-	fw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	fw, err := flate.NewWriter(&buf, level)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fw.Write(raw); err != nil {
-		t.Fatal(err)
-	}
+	fw.Write(sec)
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
 }
 
-// legacyFrame wraps a compressed payload in a valid frame header.
-func legacyFrame(payload []byte) []byte {
-	out := append([]byte(frameMagic), FrameVersion, TypeSearch)
-	out = binary.BigEndian.AppendUint16(out, flagDeflate)
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
-	return append(out, payload...)
+// standalone inflates every chunk of a chunked payload with a fresh reader,
+// no pool and no memo, and concatenates what they expand to. A deflated
+// chunk must expand to its declared length and its stream end at the
+// chunk's end.
+func standalone(payload []byte) ([]byte, error) {
+	var out []byte
+	for p := payload; len(p) > 0; {
+		c, rest, err := nextChunk(p)
+		if err != nil {
+			return nil, err
+		}
+		body := c.body
+		if c.deflated {
+			src := bytes.NewReader(c.body)
+			if body, err = io.ReadAll(flate.NewReader(src)); err != nil {
+				return nil, err
+			}
+			if src.Len() != 0 || len(body) != c.n {
+				return nil, fmt.Errorf("chunk of %d bytes inflates to %d and leaves %d stream bytes", c.n, len(body), src.Len())
+			}
+		}
+		out, p = append(out, body...), rest
+	}
+	return out, nil
 }
 
 // floatEntropyBytes is the order-0 entropy of b in bytes, the quantity
@@ -64,29 +125,52 @@ func floatEntropyBytes(b []byte) float64 {
 	return bits / 8
 }
 
+// referenceStream is the stream a section's chunk must carry, built the slow
+// way from fresh writers and readers: with cut, the sync-flushed stream with
+// its first block marked final, cut where a fresh reader stops reading it —
+// or, when that does not give back sec or cut is not set, the closed stream.
+func referenceStream(t testing.TB, sec []byte, level int, cut bool) []byte {
+	t.Helper()
+	if !cut {
+		return closedStream(t, sec, level)
+	}
+	var buf bytes.Buffer
+	fw, err := flate.NewWriter(&buf, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw.Write(sec)
+	fw.Flush()
+	stream := buf.Bytes()
+	if !bytes.HasSuffix(stream, []byte{0x00, 0x00, 0xff, 0xff}) {
+		t.Fatalf("a sync flush ended in % x", stream[max(0, len(stream)-4):])
+	}
+	stream = stream[:len(stream)-4]
+	stream[0] |= 1
+	src := bytes.NewReader(stream)
+	if got, err := io.ReadAll(flate.NewReader(src)); err == nil && bytes.Equal(got, sec) {
+		return stream[:len(stream)-src.Len()]
+	}
+	return closedStream(t, sec, level)
+}
+
 // referencePayload is the stored payload the encoder must reproduce, built
-// the slow way: a brand-new flate.Writer per section, the verdicts taken in
-// floating point, the stream written block by block. nil: not compressed.
+// from referenceStream, with the verdicts taken in floating point.
+// nil: not compressed.
 func referencePayload(t testing.TB, raw []byte, secs []section) []byte {
 	t.Helper()
-	out := binary.BigEndian.AppendUint64(nil, uint64(len(raw)))
-	stored := func(b []byte, open bool) {
-		if open && len(b) == 0 {
-			out = append(out, 0x00, 0x00, 0xff, 0xff)
-		}
-		for len(b) > 0 {
-			if !open {
-				out = append(out, 0x00)
-			}
-			n := min(len(b), 65535)
-			out = append(out, byte(n), byte(n>>8), ^byte(n), ^byte(n>>8))
-			out = append(out, b[:n]...)
-			b, open = b[n:], false
+	var out []byte
+	stored := func(b []byte) {
+		if len(b) > 0 {
+			out = appendChunk(out, chunk{n: len(b), body: b})
 		}
 	}
-	glue, open := 0, false
+	glue, chunked := 0, false
 	for _, s := range secs {
 		sec := raw[s.off:s.end]
+		if len(sec) == 0 {
+			continue
+		}
 		level := flate.BestCompression
 		if s.vo {
 			level = flate.BestSpeed
@@ -94,40 +178,28 @@ func referencePayload(t testing.TB, raw []byte, secs []section) []byte {
 				continue
 			}
 		}
-		var buf bytes.Buffer
-		fw, err := flate.NewWriter(&buf, level)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fw.Write(sec)
-		fw.Flush()
-		stream := buf.Bytes()
-		if !bytes.HasSuffix(stream, []byte{0x00, 0x00, 0xff, 0xff}) {
-			t.Fatalf("a sync flush ended in % x", stream[max(0, len(stream)-4):])
-		}
-		if len(stream) >= len(sec) {
+		stream := referenceStream(t, sec, level, !s.vo)
+		if len(stream)+chunkOverhead >= len(sec) {
 			continue
 		}
-		stored(raw[glue:s.off], open)
-		out = append(out, stream[:len(stream)-4]...)
-		glue, open = s.end, true
+		stored(raw[glue:s.off])
+		out = appendChunk(out, chunk{n: len(sec), deflated: true, body: stream})
+		glue, chunked = s.end, true
 	}
-	if !open {
+	if !chunked {
 		return nil
 	}
-	stored(raw[glue:], true)
-	if out = append(out, 0x03, 0x00); len(out) >= len(raw) {
+	if stored(raw[glue:]); len(out) >= len(raw) {
 		return nil
 	}
 	return out
 }
 
 // checkFrame asserts that frame carries exactly referencePayload's bytes
-// (or raw itself, flag clear, when that is nil) and decodes back to raw
-// through the unchanged decoder.
+// (or raw itself, flag clear, when that is nil) and decodes back to raw.
 func checkFrame(t testing.TB, frame, raw []byte, secs []section) {
 	t.Helper()
-	want, wantFlags := referencePayload(t, raw, secs), flagDeflate
+	want, wantFlags := referencePayload(t, raw, secs), flagChunked
 	if want == nil {
 		want, wantFlags = raw, 0
 	}
@@ -143,26 +215,32 @@ func checkFrame(t testing.TB, frame, raw []byte, secs []section) {
 	}
 }
 
-// resetMemo empties the process-wide deflate memo.
-func resetMemo() {
-	deflateMemo.mu.Lock()
-	defer deflateMemo.mu.Unlock()
-	deflateMemo.m = make(map[memoKey]*list.Element)
-	deflateMemo.lru.Init()
-	deflateMemo.bytes = 0
-	deflateMemo.trial.Init()
-	deflateMemo.trialBytes = 0
+// reset empties the memo.
+func (c *memo) reset() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.m = make(map[memoKey]*list.Element)
+	c.lru.Init()
+	c.bytes = 0
+	c.trial.Init()
+	c.trialBytes = 0
 }
 
-// checkMemoAccounting recomputes what the memo retains and compares it with
+// resetMemo empties both process-wide memos.
+func resetMemo() {
+	deflateMemo.reset()
+	inflateMemo.reset()
+}
+
+// checkMemoAccounting recomputes what a memo retains and compares it with
 // the running total its bound is enforced on.
-func checkMemoAccounting(t *testing.T) {
+func checkMemoAccounting(t *testing.T, c *memo) {
 	t.Helper()
-	deflateMemo.mu.Lock()
-	defer deflateMemo.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	var retained, onTrial int64
 	trials := 0
-	for e := deflateMemo.lru.Front(); e != nil; e = e.Next() {
+	for e := c.lru.Front(); e != nil; e = e.Next() {
 		entry := e.Value.(*memoEntry)
 		retained += memoEntryOverhead + int64(len(entry.data))
 		if entry.trial != nil {
@@ -170,13 +248,13 @@ func checkMemoAccounting(t *testing.T) {
 			trials++
 		}
 	}
-	if retained != deflateMemo.bytes || len(deflateMemo.m) != deflateMemo.lru.Len() {
-		t.Fatalf("memo charges %d bytes for %d retained; %d keys, %d entries",
-			deflateMemo.bytes, retained, len(deflateMemo.m), deflateMemo.lru.Len())
+	if retained != c.bytes || len(c.m) != c.lru.Len() || c.bytes > c.maxBytes {
+		t.Fatalf("memo charges %d bytes for %d retained (bound %d); %d keys, %d entries",
+			c.bytes, retained, c.maxBytes, len(c.m), c.lru.Len())
 	}
-	if onTrial != deflateMemo.trialBytes || trials != deflateMemo.trial.Len() || onTrial > memoTrialBytes {
+	if onTrial != c.trialBytes || trials != c.trial.Len() || onTrial > c.trialMax() {
 		t.Fatalf("memo charges %d bytes on trial for %d kept by %d entries (list holds %d, bound %d)",
-			deflateMemo.trialBytes, onTrial, trials, deflateMemo.trial.Len(), memoTrialBytes)
+			c.trialBytes, onTrial, trials, c.trial.Len(), c.trialMax())
 	}
 }
 
@@ -227,7 +305,7 @@ func TestPooledCompressorsAreDeterministicUnderConcurrency(t *testing.T) {
 	for i, raw := range payloads {
 		want[i] = EncodeFrame(TypeSearch, raw, carve(raw))
 		checkFrame(t, want[i], raw, carve(raw))
-		if binary.BigEndian.Uint16(want[i][6:])&flagDeflate == 0 {
+		if binary.BigEndian.Uint16(want[i][6:])&flagChunked == 0 {
 			t.Fatalf("payload %d: not compressed", i)
 		}
 		if hit := EncodeFrame(TypeSearch, raw, carve(raw)); !bytes.Equal(hit, want[i]) {
@@ -265,14 +343,16 @@ func TestPooledCompressorsAreDeterministicUnderConcurrency(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	checkMemoAccounting(t)
+	checkMemoAccounting(t, deflateMemo)
+	checkMemoAccounting(t, inflateMemo)
 }
 
-// TestAssembledStreamLayouts drives the stream assembler through section
-// layouts the benchmark's answers never produce. Every frame must equal
-// the fresh-writer reference where the layout is known, decode to the
-// value it was made from through the unchanged decoder, and be the same
-// bytes on a memo miss, on a hit and after the memo was cleared.
+// TestAssembledStreamLayouts drives the chunk-list encoder through section
+// layouts the benchmark's answers never produce: glue and proofs larger than
+// a deflate stored block, and lengths whose uvarints take three bytes. Every
+// frame must equal the fresh-writer reference where the layout is known,
+// decode to the value it was made from, and be the same bytes on a memo
+// miss, on a hit and after the memo was cleared.
 func TestAssembledStreamLayouts(t *testing.T) {
 	body := func(i int) []byte {
 		return bytes.Repeat([]byte(fmt.Sprintf("body %d of the collection. ", i)), 30)
@@ -338,7 +418,7 @@ func TestAssembledStreamLayouts(t *testing.T) {
 			if !bytes.Equal(miss, hit) || !bytes.Equal(miss, cleared) {
 				t.Fatal("the frame depends on the state of the memo")
 			}
-			if got := binary.BigEndian.Uint16(miss[6:])&flagDeflate != 0; got != l.compressed {
+			if got := binary.BigEndian.Uint16(miss[6:])&flagChunked != 0; got != l.compressed {
 				t.Fatalf("compressed = %v, want %v", got, l.compressed)
 			}
 			got, err := l.decode(miss)
@@ -356,8 +436,8 @@ func TestAssembledStreamLayouts(t *testing.T) {
 		})
 	}
 
-	// Layouts no message produces, straight into the assembler: sections
-	// with no glue between them (a zero-length stored block), a section at
+	// Layouts no message produces, straight into the encoder: sections
+	// with no glue between them (no stored chunk at all), a section at
 	// offset 0, one that ends the payload, and all three at once.
 	raw := bytes.Join([][]byte{body(1), body(2), structuredVO}, nil)
 	a, b := len(body(1)), len(body(1))+len(body(2))
@@ -423,25 +503,33 @@ func TestCompressibleVerdicts(t *testing.T) {
 	}
 }
 
-// The pooled writers of both levels must emit what a fresh writer does,
-// whatever they compressed before.
+// The pooled writers of both levels must emit what fresh writers do,
+// whatever they compressed before: closed streams, and cut ones for
+// sections of one block; a section of several blocks is carried closed.
 func TestPooledSectionDeflateMatchesFreshWriter(t *testing.T) {
-	payloads := answerLikePayloads(3)
+	several := xorshiftBytes(3, 100<<10) // 100 K literals: blocks of 16 K tokens, or 64 KiB at BestSpeed
+	for i := range several {
+		several[i] &= 0x0f
+	}
+	payloads := append(answerLikePayloads(3), several)
 	for round := 0; round < 2; round++ {
 		for i, raw := range payloads {
 			for _, level := range []int{flate.BestSpeed, flate.BestCompression} {
-				var buf bytes.Buffer
-				fw, err := flate.NewWriter(&buf, level)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fw.Write(raw)
-				fw.Flush()
-				if got := deflateSection(raw, level); !bytes.Equal(got, buf.Bytes()[:buf.Len()-syncTail]) || cap(got) != len(got) {
-					t.Fatalf("payload %d level %d: pooled stream (%d of %d bytes) differs from a fresh writer's", i, level, len(got), cap(got))
+				for _, cut := range []bool{false, true} {
+					want := referenceStream(t, raw, level, cut)
+					if got := deflateSection(raw, level, cut); !bytes.Equal(got, want) || cap(got) != len(got) {
+						t.Fatalf("payload %d level %d cut %v: pooled stream (%d of %d bytes) differs from a fresh writer's (%d)",
+							i, level, cut, len(got), cap(got), len(want))
+					}
 				}
 			}
 		}
+	}
+	if closed := closedStream(t, several, flate.BestCompression); !bytes.Equal(deflateSection(several, flate.BestCompression, true), closed) {
+		t.Fatal("a section of several blocks is not carried in its closed stream")
+	}
+	if small := payloads[0]; len(deflateSection(small, flate.BestCompression, true)) >= len(closedStream(t, small, flate.BestCompression)) {
+		t.Fatal("a one-block section is not carried in its cut stream")
 	}
 }
 
@@ -449,29 +537,30 @@ func TestPooledSectionDeflateMatchesFreshWriter(t *testing.T) {
 // the next caller.
 func TestPooledInflaterRecoversFromCorruptStream(t *testing.T) {
 	raw := answerLikePayloads(1)[0]
-	good := legacyDeflate(t, raw)
+	good := closedStream(t, raw, flate.BestSpeed)
 	bad := append([]byte(nil), good...)
-	for i := 12; i < len(bad); i += 3 {
+	for i := 4; i < len(bad); i += 3 {
 		bad[i] ^= 0x5a
 	}
+	dst := make([]byte, len(raw))
 	for i := 0; i < 4; i++ {
-		if _, err := inflatePayload(bad); err == nil {
+		if _, err := inflateChunk(dst, bad); err == nil {
 			t.Fatal("corrupt stream inflated")
 		}
-		got, err := inflatePayload(good)
-		if err != nil || !bytes.Equal(got, raw) {
-			t.Fatalf("intact stream after a corrupt one: %v", err)
+		if used, err := inflateChunk(dst, good); err != nil || used != len(good) || !bytes.Equal(dst, raw) {
+			t.Fatalf("intact stream after a corrupt one: %d of %d bytes read, %v", used, len(good), err)
 		}
 	}
 }
 
-// TestInflateAllocationBoundedByInput: a 30-byte frame whose length prefix
-// claims the full 64 MiB must be rejected without the decoder committing
-// memory the received bytes could never fill.
+// TestInflateAllocationBoundedByInput: a 30-byte frame whose chunk claims
+// the full 64 MiB must be rejected without the decoder committing memory the
+// received bytes could never fill.
 func TestInflateAllocationBoundedByInput(t *testing.T) {
-	payload := binary.BigEndian.AppendUint64(nil, MaxPayloadBytes)
-	payload = append(payload, 0x01, 0x00) // a truncated stored block
-	frame := legacyFrame(payload)
+	payload := binary.AppendUvarint(nil, MaxPayloadBytes<<1|1)
+	payload = binary.AppendUvarint(payload, 5)
+	payload = append(payload, 0x01, 0x00, 0x00, 0xff, 0xff) // an empty final stored block
+	frame := chunkedFrame(TypeSearch, payload)
 	if len(frame) != 30 {
 		t.Fatalf("frame is %d bytes", len(frame))
 	}
@@ -490,10 +579,10 @@ func TestInflateAllocationBoundedByInput(t *testing.T) {
 	}
 
 	// The same claim backed by a stream that really is that dense still
-	// decodes: the buffer grows with the data instead of trusting the
-	// prefix.
+	// decodes.
 	dense := make([]byte, 4<<20)
-	got, err := inflatePayload(legacyDeflate(t, dense))
+	stream := closedStream(t, dense, flate.BestSpeed)
+	_, got, err := DecodeFrame(chunkedFrame(TypeSearch, appendChunk(nil, chunk{n: len(dense), deflated: true, body: stream})))
 	if err != nil || !bytes.Equal(got, dense) {
 		t.Fatalf("dense payload: %v", err)
 	}
@@ -502,7 +591,7 @@ func TestInflateAllocationBoundedByInput(t *testing.T) {
 // TestMemoAdmitsOnSecondSighting pins the memo's admission and accounting:
 // the first encode of a section keeps an exact-size copy of its stream on
 // trial, so a section that comes straight back is replayed; once
-// memoTrialBytes of newer first sightings have pushed it off trial only
+// the trial bound's worth of newer first sightings have pushed it off trial only
 // its key is left, the next encode compresses again and stores the bytes
 // for good, and the one after that replays them. The key covers the level:
 // the same bytes as a proof are another entry.
@@ -541,7 +630,7 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 		t.Fatalf("the same bytes at another level: %d memo entries, frames equal %v", len(deflateMemo.m), bytes.Equal(asProof, first))
 	}
 	checkFrame(t, asProof, raw, []section{{off: 0, end: len(raw), vo: true}})
-	checkMemoAccounting(t)
+	checkMemoAccounting(t, deflateMemo)
 
 	// The same section again, but this time other first sightings outlast
 	// its trial before it returns.
@@ -550,19 +639,19 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	filler := make([]byte, 64<<10)
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; entry().trial != nil; n++ {
-		if n > 4*memoTrialBytes/len(filler) {
+		if n > 4*int(deflateMemo.trialMax())/len(filler) {
 			t.Fatal("the trial never lapsed")
 		}
 		for i := range filler { // about half compressible, never the same twice
 			filler[i] = byte(rng.Intn(16))
 		}
 		EncodeFrame(TypeSearch, filler, []section{{off: 0, end: len(filler), vo: true}})
-		checkMemoAccounting(t)
+		checkMemoAccounting(t, deflateMemo)
 	}
 	if e := entry(); e.stored || e.data != nil {
 		t.Fatalf("after its trial lapsed: entry %+v, want a bare key", e)
 	}
-	if _, ok := memoGet(key); ok {
+	if _, ok := deflateMemo.get(key); ok {
 		t.Fatal("a bare key answered as a hit")
 	}
 
@@ -577,12 +666,12 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	if !bytes.Equal(first, second) || !bytes.Equal(first, third) {
 		t.Fatal("memoised encode differs from the compressed ones")
 	}
-	if c, ok := memoGet(key); !ok || !bytes.HasPrefix(third[HeaderSize+8:], c) {
+	if c, ok := deflateMemo.get(key); !ok || !bytes.Equal(chunksOf(t, third)[0].body, c) {
 		t.Fatal("third encode was not served from the memo")
 	}
 	if after := Sections(); after.Deflated-before.Deflated != 1 || after.MemoHit-before.MemoHit != 1 {
 		t.Fatalf("second and third encode: compressor ran %d times, memo hit %d times, want 1 and 1",
 			after.Deflated-before.Deflated, after.MemoHit-before.MemoHit)
 	}
-	checkMemoAccounting(t)
+	checkMemoAccounting(t, deflateMemo)
 }

@@ -105,11 +105,11 @@ func TestEncodeDeterministicAndMemoised(t *testing.T) {
 // load-bearing for the bytes win); payloads below compressMin must not.
 func TestCompressionThreshold(t *testing.T) {
 	big := EncodeSearchResponse(sampleSearchResponse())
-	if flags := binary.BigEndian.Uint16(big[6:]); flags&flagDeflate == 0 {
+	if flags := binary.BigEndian.Uint16(big[6:]); flags&flagChunked == 0 {
 		t.Fatalf("compressible payload not compressed (flags %#x)", flags)
 	}
 	small := EncodeManifestResponse(&ManifestResponse{Format: "atcx1", Export: []byte("tiny")})
-	if flags := binary.BigEndian.Uint16(small[6:]); flags&flagDeflate != 0 {
+	if flags := binary.BigEndian.Uint16(small[6:]); flags&flagChunked != 0 {
 		t.Fatalf("sub-threshold payload compressed (flags %#x)", flags)
 	}
 }
@@ -156,7 +156,7 @@ func xorshiftBytes(seed uint64, n int) []byte {
 func TestFrameTamperBattery(t *testing.T) {
 	for name, r := range map[string]*SearchResponse{"stored proof": sampleSearchResponse(), "deflated proof": verboseSearchResponse()} {
 		frame := EncodeSearchResponse(r)
-		if flags := binary.BigEndian.Uint16(frame[6:]); flags&flagDeflate == 0 {
+		if flags := binary.BigEndian.Uint16(frame[6:]); flags&flagChunked == 0 {
 			t.Fatalf("%s: frame is not compressed", name)
 		}
 		for off := 0; off < len(frame); off++ {
@@ -196,10 +196,18 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 	badFlags := append([]byte(nil), good...)
 	badFlags[6] |= 0x80
 	cases["unknown flags"] = badFlags
-	// Future version.
+	// Future version, and the version before chunk lists.
 	badVer := append([]byte(nil), good...)
 	badVer[4] = FrameVersion + 1
 	cases["future version"] = badVer
+	v1 := append([]byte(nil), good...)
+	v1[4] = 1
+	cases["version 1"] = v1
+	// Bytes after a chunk's final deflate block, CRC and lengths fixed: the
+	// stream ends before its chunk does.
+	verbose := EncodeSearchResponse(verboseSearchResponse())
+	cases["bytes after a final block"] = withStreamTail(t, verbose, []byte{0xde, 0xad, 0xbe, 0xef})
+	cases["bytes after the last chunk"] = chunkedFrame(TypeSearch, append(verbose[HeaderSize:len(verbose):len(verbose)], 0xde, 0xad, 0xbe, 0xef))
 	for name, b := range cases {
 		if _, _, err := DecodeFrame(b); err == nil {
 			t.Errorf("%s: decoded successfully", name)
@@ -209,20 +217,56 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 	}
 }
 
-// A compressed stream whose raw-length prefix lies (either direction) must
-// be rejected, not silently truncated or over-read.
-func TestInflateLengthPrefixMismatch(t *testing.T) {
-	raw := bytes.Repeat([]byte("abcdefgh"), 200)
-	payload := legacyDeflate(t, raw)
-	for _, lie := range []uint64{uint64(len(raw)) - 1, uint64(len(raw)) + 1} {
-		lying := append([]byte(nil), payload...)
-		binary.BigEndian.PutUint64(lying, lie)
-		if _, err := inflatePayload(lying); err == nil {
-			t.Errorf("prefix lying %d (real %d): inflated successfully", lie, len(raw))
+// withStreamTail appends tail to the stream of frame's last deflated chunk
+// and re-frames it, every length and the CRC consistent.
+func withStreamTail(t testing.TB, frame, tail []byte) []byte {
+	t.Helper()
+	last := -1
+	for i, c := range chunksOf(t, frame) {
+		if c.deflated {
+			last = i
 		}
 	}
-	if _, err := inflatePayload(payload[:4]); err == nil {
-		t.Error("truncated prefix inflated successfully")
+	return rechunk(t, frame, func(i int, c chunk) chunk {
+		if i == last {
+			c.body = append(append([]byte(nil), c.body...), tail...)
+		}
+		return c
+	})
+}
+
+// A deflated chunk whose declared length lies (either direction) must be
+// rejected, not silently truncated or over-read — whether its stream is
+// inflated or answered from the memo — and so must one whose stream runs
+// past the end of the payload.
+func TestInflateLengthPrefixMismatch(t *testing.T) {
+	frame := EncodeSearchResponse(verboseSearchResponse())
+	for _, delta := range []int{-1, +1} {
+		lying := rechunk(t, frame, func(_ int, c chunk) chunk {
+			if c.deflated {
+				c.n += delta
+			}
+			return c
+		})
+		for _, memo := range []string{"cold", "warm"} {
+			if memo == "cold" {
+				resetMemo()
+			} else if _, _, err := DecodeFrame(frame); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := DecodeFrame(lying); !errors.Is(err, ErrFrame) {
+				t.Errorf("declared lengths off by %d, %s memo: %v, want ErrFrame", delta, memo, err)
+			}
+		}
+	}
+	c := chunksOf(t, frame)[1]
+	if !c.deflated {
+		t.Fatal("the second chunk is not deflated")
+	}
+	past := binary.AppendUvarint(nil, uint64(c.n)<<1|1)
+	past = binary.AppendUvarint(past, uint64(len(c.body)+1))
+	if _, _, err := DecodeFrame(chunkedFrame(TypeSearch, append(past, c.body...))); !errors.Is(err, ErrFrame) {
+		t.Errorf("stream length past the end of the payload: %v, want ErrFrame", err)
 	}
 }
 
@@ -269,7 +313,7 @@ func TestMemoEvictionAndVerdicts(t *testing.T) {
 	if !bytes.Equal(f1, f2) || !bytes.Equal(f1, f3) {
 		t.Fatal("memoised incompressible encode differs")
 	}
-	if flags := binary.BigEndian.Uint16(f1[6:]); flags&flagDeflate != 0 {
+	if flags := binary.BigEndian.Uint16(f1[6:]); flags&flagChunked != 0 {
 		t.Fatal("incompressible payload carries the deflate flag")
 	}
 	after := Sections()

@@ -11,6 +11,7 @@ import (
 	"authtext/internal/shard"
 	"authtext/internal/sig"
 	"authtext/internal/snapshot"
+	"authtext/internal/wire"
 )
 
 // Metrics is the serving fleet's metric registry: per-stage search cost
@@ -131,6 +132,17 @@ func NewMetrics() *Metrics {
 		"memo_hit = the same signature over the same message had already passed it."
 	m.clientSigVerified = r.Counter("authtext_client_signature_checks_total", sigHelp, obs.L("outcome", "verified"))
 	m.clientSigMemoHit = r.Counter("authtext_client_signature_checks_total", sigHelp, obs.L("outcome", "memo_hit"))
+	// The decode memo is one per process, like the server's deflate memo, so
+	// these are the wire package's process-wide counts, read from where they
+	// stood when this registry was built: they start at zero like every
+	// other series in it.
+	const wireHelp = "Deflated sections (document bodies, exports, proofs) of binary frames this process decoded: " +
+		"inflated = the decompressor ran, memo_hit = the same stream bytes had been inflated before."
+	base := wire.Inflations()
+	r.CounterFunc("authtext_client_wire_sections_total", wireHelp,
+		func() float64 { return float64(wire.Inflations().Inflated - base.Inflated) }, obs.L("outcome", "inflated"))
+	r.CounterFunc("authtext_client_wire_sections_total", wireHelp,
+		func() float64 { return float64(wire.Inflations().MemoHit - base.MemoHit) }, obs.L("outcome", "memo_hit"))
 
 	m.fleetCrosschecks = r.Counter("authtext_fleet_crosschecks_total",
 		"Cross-replica manifest cross-checks performed by fleet clients.")

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -243,5 +244,74 @@ func TestRemoteJSONFallbackOn406(t *testing.T) {
 	}
 	if got := plain.Load(); got != 3 {
 		t.Fatalf("server served %d plain searches, want 3", got)
+	}
+}
+
+// legacyFrameType is the media type of the frame version before chunk
+// lists, which this build neither sends nor reads.
+const legacyFrameType = "application/x-authtext-frame"
+
+// negotiationProxy serves handler to clients whose Accept header rewrite
+// replaces, and counts the responses by Content-Type.
+func negotiationProxy(handler http.Handler, rewrite func(accept string) string, seen map[string]int, mu *sync.Mutex) *httptest.Server {
+	return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Set("Accept", rewrite(r.Header.Get("Accept")))
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, r)
+		mu.Lock()
+		seen[rec.Header().Get("Content-Type")]++
+		mu.Unlock()
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	}))
+}
+
+// Each frame version has its own media type, so a client and a server that
+// speak different versions settle on JSON instead of exchanging frames one
+// of them cannot read: a client still offering the old type gets JSON from
+// this build's handler, and this build's client gets JSON from a server
+// that knows only the old type. Either way every answer verifies.
+func TestRemoteFrameVersionsNegotiateJSON(t *testing.T) {
+	handler, _ := remoteEnv(t)
+	for _, tc := range []struct {
+		name    string
+		rewrite func(accept string) string
+	}{
+		{"old client, this server", func(string) string { return legacyFrameType }},
+		{"this client, old server", func(accept string) string {
+			offered := map[string]bool{}
+			for _, part := range strings.Split(accept, ",") {
+				mediaType, _, _ := strings.Cut(part, ";")
+				offered[strings.TrimSpace(mediaType)] = true
+			}
+			if !offered[wire.ContentType] || offered[legacyFrameType] {
+				t.Errorf("the client offered %q, want %s and not %s", accept, wire.ContentType, legacyFrameType)
+			}
+			return "" // a server that knows only the old type ignores the new one
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var mu sync.Mutex
+			seen := map[string]int{}
+			srv := negotiationProxy(handler, tc.rewrite, seen, &mu)
+			defer srv.Close()
+			rc, err := authtext.NewRemoteClient(srv.URL)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range []authtext.Algorithm{authtext.TRA, authtext.TNRA} {
+				if _, err := rc.Search(context.Background(), remoteQuery, remoteR, algo, authtext.ChainMHT); err != nil {
+					t.Fatalf("%v search: %v (tampered: %v)", algo, err, authtext.IsTampered(err))
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if seen["application/json"] < 3 || len(seen) != 1 {
+				t.Fatalf("responses by Content-Type: %v, want JSON only (manifest and two searches)", seen)
+			}
+		})
 	}
 }

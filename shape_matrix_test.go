@@ -160,6 +160,16 @@ func stripAccept(h http.Handler) http.Handler {
 	})
 }
 
+// countFrames counts the binary frames h answers with.
+func countFrames(h http.Handler, n *atomic.Int64) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		if w.Header().Get("Content-Type") == wire.ContentType {
+			n.Add(1)
+		}
+	})
+}
+
 // matrixDo performs one raw request against the handler.
 func matrixDo(h http.Handler, method, target, body, accept string) *httptest.ResponseRecorder {
 	var rd io.Reader
@@ -245,11 +255,15 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 	// Honest answers verify through the matching client, over binary
 	// frames (the client's preference) and over JSON.
 	for codec, h := range map[string]http.Handler{"binary": env.handler, "json": stripAccept(env.handler)} {
-		ts := httptest.NewServer(h)
+		var frames atomic.Int64
+		ts := httptest.NewServer(countFrames(h, &frames))
 		rc := must(authtext.NewRemoteClient(ts.URL))(t)
 		gen, hits, err := matrixSearch(rc)
 		if err != nil || hits == 0 {
 			t.Fatalf("%s: honest search: %d hits, err %v", codec, hits, err)
+		}
+		if (frames.Load() > 0) != (codec == "binary") {
+			t.Fatalf("%s: %d frames served", codec, frames.Load())
 		}
 		if gen != env.generation || rc.Generation() != env.generation {
 			t.Fatalf("%s: answered generation %d, client holds %d, want %d", codec, gen, rc.Generation(), env.generation)
@@ -265,6 +279,17 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 		}
 		ts.Close()
 	}
+	// A fleet front end relays the frames untouched.
+	var relayed atomic.Int64
+	backend := httptest.NewServer(countFrames(env.handler, &relayed))
+	fe := must(authtext.NewFrontend([]string{backend.URL}))(t)
+	fes := httptest.NewServer(fe)
+	if _, hits, err := matrixSearch(must(authtext.NewRemoteClient(fes.URL))(t)); err != nil || hits == 0 || relayed.Load() == 0 {
+		t.Fatalf("through a front end: %d hits, %d frames relayed, err %v", hits, relayed.Load(), err)
+	}
+	fes.Close()
+	fe.Close()
+	backend.Close()
 
 	// Healthz reports the EFFECTIVE cache.
 	var health httpapi.Health
