@@ -101,7 +101,7 @@ func variantsOf(set core.VariantSet) []Variant {
 }
 
 // ErrVariantNotBuilt reports a query for a variant the collection was not
-// built with — from Server.Search and SearchBatch, and from RemoteClient
+// built with — from Server.Search, and from RemoteClient
 // before it sends anything when the verified manifest does not list the
 // variant. Test with errors.Is. It is a refusal, never tampering: IsTampered
 // reports false for it. A server that refuses a variant its signed manifest
@@ -515,8 +515,7 @@ func (o *Owner) Stats() (buildMillis float64, signatures int, deviceBytes int64)
 // parallel fan-out to every shard. It is safe for concurrent use: the
 // underlying collections are immutable once built, every query runs
 // on its own store session, and any number of Search calls may be in
-// flight at once (docs/CONCURRENCY.md describes the model). SearchBatch
-// executes many queries with a bounded worker pool.
+// flight at once (docs/CONCURRENCY.md describes the model).
 type Server struct {
 	v served
 	// cache, when non-nil, serves repeat queries from pre-built answers

@@ -860,27 +860,6 @@ func BenchmarkConcurrentSearch16(b *testing.B) { benchConcurrentSearch(b, 16, fa
 // queueing behind one collection-wide lock.
 func BenchmarkSerializedSearch8(b *testing.B) { benchConcurrentSearch(b, 8, true) }
 
-// BenchmarkSearchBatch8 measures the facade batch API end to end (64-query
-// batches, 8 workers).
-func BenchmarkSearchBatch8(b *testing.B) {
-	f := benchFixture(b)
-	queries := benchQueries(b, f)
-	srv := authtext.ServerForTest(f.Col)
-	batch := make([]authtext.BatchQuery, 64)
-	for i := range batch {
-		batch[i] = authtext.BatchQuery{Query: strings.Join(queries[i%len(queries)], " "), R: 10, Algorithm: authtext.TNRA, Scheme: authtext.ChainMHT}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, item := range srv.SearchBatch(batch, 8) {
-			if item.Err != nil {
-				b.Fatal(item.Err)
-			}
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // VO codec allocation benchmarks: Encode pools its writer buffers and
 // Decode backs digest lists with one flat allocation, so allocs/op stays

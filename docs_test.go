@@ -8,6 +8,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+
+	"authtext/internal/fleet"
+	"authtext/internal/httpapi"
 )
 
 // Documentation checks: the docs are part of the product (ARCHITECTURE.md
@@ -215,6 +218,37 @@ func TestDocsNameAcceptedFigures(t *testing.T) {
 			for _, name := range strings.Split(m[1], ",") {
 				if !accepted[name] {
 					t.Errorf("%s: -fig %s is not a figure authbench accepts", file, name)
+				}
+			}
+		}
+	}
+}
+
+var v1Path = regexp.MustCompile(`/v1(?:/[A-Za-z0-9_-]+)+`)
+
+// TestDocsEndpointsExist verifies that every /v1/... path the README and
+// docs/ name is one the code registers; the bare /v1 and /v1/ prefixes
+// name the protocol, not an endpoint. The history files are not checked.
+func TestDocsEndpointsExist(t *testing.T) {
+	registered := map[string]bool{}
+	for _, p := range []string{httpapi.PathSearch, httpapi.PathManifest, httpapi.PathHealthz,
+		httpapi.PathMetrics, httpapi.PathShardSearch, httpapi.PathShardManifest,
+		httpapi.PathAdminUpdate, fleet.PathFleetHealthz} {
+		registered[p] = true
+	}
+	files, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range append(files, "README.md") {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			for _, p := range v1Path.FindAllString(line, -1) {
+				if !registered[p] {
+					t.Errorf("%s:%d: %s is not a registered endpoint", file, i+1, p)
 				}
 			}
 		}

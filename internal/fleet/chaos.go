@@ -111,9 +111,13 @@ func (p *ChaosProxy) serve(w http.ResponseWriter, r *http.Request) {
 		time.Sleep(time.Duration(p.delay.Load()))
 	}
 
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody+1))
 	if err != nil {
 		panic(http.ErrAbortHandler)
+	}
+	if len(body) > maxProxyBody {
+		writeError(w, http.StatusRequestEntityTooLarge, httpapi.CodeBadRequest, "request body too large")
+		return
 	}
 	out, err := http.NewRequestWithContext(r.Context(), r.Method,
 		p.target+r.URL.RequestURI(), bytes.NewReader(body))

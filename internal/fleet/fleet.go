@@ -48,9 +48,9 @@ const (
 	// maxEjectFor caps the exponential ejection backoff.
 	maxEjectFor = 30 * time.Second
 	// maxProxyBody caps the request body the front end buffers for
-	// retries; far above MaxBodyBytes, so it never bites a legitimate
-	// /v1/search body.
-	maxProxyBody = 32 << 20
+	// retries: every proxied path is a query, and no backend accepts a
+	// query body larger than this.
+	maxProxyBody = httpapi.MaxBodyBytes
 )
 
 // Config configures a Frontend.

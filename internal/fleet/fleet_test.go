@@ -390,14 +390,18 @@ func TestFleetMetrics(t *testing.T) {
 	}
 }
 
-// Oversized request bodies are refused at the front end, before any
-// backend sees them.
+// Request bodies larger than any backend accepts are refused at the front
+// end, before any backend sees them.
 func TestProxyBodyCap(t *testing.T) {
 	s := newStubReplica(1)
 	defer s.Close()
 	f := newTestFrontend(t, []string{s.URL()}, nil)
-	req := httptest.NewRequest(http.MethodPost, httpapi.PathSearch,
-		strings.NewReader(fmt.Sprintf(`{"query":%q,"r":1}`, strings.Repeat("x", maxProxyBody))))
+	pad := httpapi.MaxBodyBytes + 1 - len(`{"query":"","r":1}`)
+	body := fmt.Sprintf(`{"query":%q,"r":1}`, strings.Repeat("x", pad))
+	if len(body) != httpapi.MaxBodyBytes+1 {
+		t.Fatalf("body is %d bytes, want %d", len(body), httpapi.MaxBodyBytes+1)
+	}
+	req := httptest.NewRequest(http.MethodPost, httpapi.PathSearch, strings.NewReader(body))
 	w := httptest.NewRecorder()
 	f.ServeHTTP(w, req)
 	if w.Code != http.StatusRequestEntityTooLarge {

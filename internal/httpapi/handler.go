@@ -3,7 +3,6 @@ package httpapi
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -38,10 +37,6 @@ type Backend interface {
 // so one adapter can stand behind every deployment shape and a family a
 // shape does not serve answers 404 like any unknown path.
 type Endpoints struct {
-	// SearchBatch executes a validated batch of /v1/search queries with the
-	// backend's own concurrency, returning one outcome per query in input
-	// order. Nil answers batches by calling Search once per query.
-	SearchBatch func(reqs []SearchRequest) []BatchSearchResult
 	// ShardSearch and ShardExport (set together) register the sharded
 	// family: /v1/shards/search answers one validated query with per-shard
 	// responses plus the merged global ranking, /v1/shards/manifest serves
@@ -93,7 +88,17 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 	endpoints := []string{"search", "manifest", "healthz"}
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathSearch, func(w http.ResponseWriter, r *http.Request) {
-		handleSearch(w, r, b, e.SearchBatch)
+		req, ok := readSearchRequest(w, r)
+		if !ok {
+			return
+		}
+		resp, err := b.Search(req)
+		if err != nil {
+			writeError(w, err, CodeSearchFailed, http.StatusInternalServerError)
+			return
+		}
+		setGenHeader(w, resp.Generation)
+		writeData(w, r, resp, func() []byte { return wire.EncodeSearchResponse(resp) })
 	})
 	if e.ShardSearch != nil {
 		endpoints = append(endpoints, "shards_search", "shards_manifest")
@@ -181,34 +186,6 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 	return instrument(mux, ins, cfg.log)
 }
 
-// handleSearch accepts POST (JSON body, single or batch form) and GET
-// (q, r, algo, scheme query parameters).
-func handleSearch(w http.ResponseWriter, r *http.Request, b Backend, batchFn func([]SearchRequest) []BatchSearchResult) {
-	single, batch, ok := readSearchEnvelope(w, r)
-	if !ok {
-		return
-	}
-	if batch != nil {
-		resp := &BatchSearchResponse{Results: searchBatch(b, batchFn, batch)}
-		var maxGen uint64
-		for i := range resp.Results {
-			if sr := resp.Results[i].Response; sr != nil && sr.Generation > maxGen {
-				maxGen = sr.Generation
-			}
-		}
-		setGenHeader(w, maxGen)
-		writeData(w, r, resp, func() []byte { return wire.EncodeBatchSearchResponse(resp) })
-		return
-	}
-	resp, err := b.Search(single)
-	if err != nil {
-		writeError(w, err, CodeSearchFailed, http.StatusInternalServerError)
-		return
-	}
-	setGenHeader(w, resp.Generation)
-	writeData(w, r, resp, func() []byte { return wire.EncodeSearchResponse(resp) })
-}
-
 // acceptsFrame reports whether the request opted into the binary framing:
 // its Accept header lists the frame media type. Negotiation is strictly
 // opt-in — absent, empty, wildcard-only or unparsable Accept values all
@@ -249,67 +226,6 @@ func writeData(w http.ResponseWriter, r *http.Request, v interface{}, frame func
 		rr.encode += encode
 		rr.negotiated = negotiatedBinary
 	}
-}
-
-// searchBatch dispatches a validated batch to the deployment's own
-// concurrent implementation when it declared one, falling back to
-// sequential execution.
-func searchBatch(b Backend, batchFn func([]SearchRequest) []BatchSearchResult, reqs []SearchRequest) []BatchSearchResult {
-	if batchFn != nil {
-		return batchFn(reqs)
-	}
-	out := make([]BatchSearchResult, len(reqs))
-	for i := range reqs {
-		resp, err := b.Search(&reqs[i])
-		out[i] = BatchOutcome(resp, err)
-	}
-	return out
-}
-
-// searchEnvelope accepts both the single and the batch form of a POST
-// /v1/search body.
-type searchEnvelope struct {
-	SearchRequest
-	Queries []SearchRequest `json:"queries"`
-}
-
-// readSearchEnvelope parses a /v1/search request, writing the error
-// response itself when the request is unusable. Exactly one of the two
-// returns is set on success: a single validated request, or a validated
-// batch.
-func readSearchEnvelope(w http.ResponseWriter, r *http.Request) (*SearchRequest, []SearchRequest, bool) {
-	if r.Method != http.MethodPost {
-		req, ok := readSearchRequest(w, r)
-		return req, nil, ok
-	}
-	var env searchEnvelope
-	if !decodeBody(w, r, &env) {
-		return nil, nil, false
-	}
-	if len(env.Queries) == 0 {
-		if err := env.SearchRequest.Validate(); err != nil {
-			writeErrorBody(w, http.StatusBadRequest, CodeBadRequest, err.Error())
-			return nil, nil, false
-		}
-		return &env.SearchRequest, nil, true
-	}
-	if env.Query != "" {
-		writeErrorBody(w, http.StatusBadRequest, CodeBadRequest, "query and queries are mutually exclusive")
-		return nil, nil, false
-	}
-	if len(env.Queries) > MaxBatchQueries {
-		writeErrorBody(w, http.StatusBadRequest, CodeBadRequest,
-			fmt.Sprintf("batch of %d queries exceeds the maximum of %d", len(env.Queries), MaxBatchQueries))
-		return nil, nil, false
-	}
-	for i := range env.Queries {
-		if err := env.Queries[i].Validate(); err != nil {
-			writeErrorBody(w, http.StatusBadRequest, CodeBadRequest,
-				fmt.Sprintf("query %d: %s", i, err.Error()))
-			return nil, nil, false
-		}
-	}
-	return nil, env.Queries, true
 }
 
 // readSearchRequest parses and validates a search request from POST (JSON

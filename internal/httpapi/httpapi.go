@@ -15,7 +15,6 @@
 package httpapi
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -62,13 +61,14 @@ const (
 	MaxR = 1000
 	// MaxQueryBytes caps the query string length.
 	MaxQueryBytes = 8 << 10
-	// MaxBodyBytes caps the POST body size. It is sized so that a batch of
-	// MaxBatchQueries maximum-length queries (plus JSON framing) fits:
-	// per-element and per-batch limits, not body truncation, are what
-	// reject an oversized request.
-	MaxBodyBytes = 640 << 10
-	// MaxBatchQueries caps the number of queries in one batch request.
-	MaxBatchQueries = 64
+	// MaxBodyBytes caps the POST body of a search request. It is sized so
+	// that one maximum-length query fits however it is escaped: JSON
+	// encoders write a byte as at most six (json.Marshal turns '<', '>',
+	// '&', control bytes and invalid UTF-8 into \u escapes), so a
+	// MaxQueryBytes query takes at most 48 KiB plus a few fields. The
+	// query-length check, not body truncation, is what rejects a query
+	// that is too long.
+	MaxBodyBytes = 64 << 10
 	// MaxUpdateDocs caps the documents added or removed in one update
 	// batch.
 	MaxUpdateDocs = 1024
@@ -126,36 +126,6 @@ type SearchStats = wire.SearchStats
 
 // SearchResponse is the answer to a SearchRequest.
 type SearchResponse = wire.SearchResponse
-
-// BatchSearchRequest is the batch form of a POST to /v1/search: up to
-// MaxBatchQueries queries executed concurrently server-side. A body
-// carrying a non-empty "queries" array is a batch request; "query" and
-// "queries" are mutually exclusive.
-type BatchSearchRequest struct {
-	Queries []SearchRequest `json:"queries"`
-}
-
-// BatchSearchResult is one query's outcome inside a BatchSearchResponse.
-type BatchSearchResult = wire.BatchSearchResult
-
-// BatchSearchResponse answers a BatchSearchRequest; Results[i] corresponds
-// to Queries[i].
-type BatchSearchResponse = wire.BatchSearchResponse
-
-// BatchOutcome wraps one query's backend outcome for the wire: a
-// *StatusError keeps its code, any other error maps to search_failed.
-func BatchOutcome(resp *SearchResponse, err error) BatchSearchResult {
-	if err == nil {
-		return BatchSearchResult{Response: resp}
-	}
-	code := CodeSearchFailed
-	msg := err.Error()
-	var se *StatusError
-	if errors.As(err, &se) {
-		code, msg = se.Code, se.Message
-	}
-	return BatchSearchResult{Error: &ErrorBody{Code: code, Message: msg}}
-}
 
 // ManifestResponse carries the owner's verification material
 // (authtext.NewClientFromExport accepts Export).
@@ -275,7 +245,10 @@ type ErrorResponse struct {
 }
 
 // ErrorBody is a machine-readable code plus a human-readable message.
-type ErrorBody = wire.ErrorBody
+type ErrorBody struct {
+	Code    string `json:"code"`
+	Message string `json:"message"`
+}
 
 // StatusError is an error with an HTTP status and a wire code. Backends
 // return it to control the handler's error mapping; any other error is

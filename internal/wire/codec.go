@@ -22,8 +22,6 @@ import (
 //	SearchStats:     u32 query_terms | u32 entries_read | f64 per_term |
 //	                 f64 pct_read | u64 block_reads | u64 random_reads |
 //	                 f64 io_millis | u32 vo_bytes | f64 server_millis
-//	Batch:           u32 n ·{ u8 tag (0 error, 1 response) |
-//	                 error: str code, str message | response: SearchResponse }
 //	Sharded:         str query | u32 r | str algo | str scheme |
 //	                 u64 generation | u32 nshards ·SearchResponse |
 //	                 u32 nmerged ·{ u32 shard | u64 doc_id | u64 global_id |
@@ -97,24 +95,6 @@ func EncodeSearchResponse(r *SearchResponse) []byte {
 	return EncodeFrame(TypeSearch, appendSearchResponse(make([]byte, 0, size), &secs, r), secs)
 }
 
-// EncodeBatchSearchResponse frames one batch answer.
-func EncodeBatchSearchResponse(r *BatchSearchResponse) []byte {
-	var secs []section
-	b := binary.BigEndian.AppendUint32(nil, uint32(len(r.Results)))
-	for i := range r.Results {
-		res := &r.Results[i]
-		if res.Error != nil {
-			b = append(b, 0)
-			b = appendStr(b, res.Error.Code)
-			b = appendStr(b, res.Error.Message)
-			continue
-		}
-		b = append(b, 1)
-		b = appendSearchResponse(b, &secs, res.Response)
-	}
-	return EncodeFrame(TypeBatch, b, secs)
-}
-
 // EncodeShardedSearchResponse frames one fan-out answer.
 func EncodeShardedSearchResponse(r *ShardedSearchResponse) []byte {
 	var secs []section
@@ -178,14 +158,6 @@ func (r *reader) take(n int) []byte {
 	v := r.b[r.off : r.off+n]
 	r.off += n
 	return v
-}
-
-func (r *reader) u8() byte {
-	v := r.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
 }
 
 func (r *reader) u32() uint32 {
@@ -310,42 +282,6 @@ func DecodeSearchResponse(frame []byte) (*SearchResponse, error) {
 	out := &SearchResponse{}
 	r.searchResponse(out)
 	if err := r.finish("search response"); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// DecodeBatchSearchResponse parses an EncodeBatchSearchResponse frame.
-func DecodeBatchSearchResponse(frame []byte) (*BatchSearchResponse, error) {
-	raw, err := framePayload(frame, TypeBatch)
-	if err != nil {
-		return nil, err
-	}
-	r := reader{b: raw}
-	n := r.count(1)
-	out := &BatchSearchResponse{}
-	if r.err == nil && n > 0 {
-		out.Results = make([]BatchSearchResult, n)
-		for i := range out.Results {
-			switch r.u8() {
-			case 0:
-				e := &ErrorBody{}
-				e.Code = r.str()
-				e.Message = r.str()
-				out.Results[i].Error = e
-			case 1:
-				resp := &SearchResponse{}
-				r.searchResponse(resp)
-				out.Results[i].Response = resp
-			default:
-				r.fail("bad batch result tag")
-			}
-			if r.err != nil {
-				break
-			}
-		}
-	}
-	if err := r.finish("batch response"); err != nil {
 		return nil, err
 	}
 	return out, nil

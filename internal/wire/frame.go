@@ -20,7 +20,7 @@ import (
 //	offset size
 //	0      4   magic "ATWF"
 //	4      1   format version (2)
-//	5      1   payload type (TypeSearch..TypeManifest)
+//	5      1   payload type (TypeSearch, TypeSharded, TypeManifest)
 //	6      2   flags (bit 0: payload is a chunk list)
 //	8      4   CRC-32C (Castagnoli) of the stored payload bytes
 //	12     8   stored payload length
@@ -58,10 +58,10 @@ const frameMagic = "ATWF"
 // HeaderSize is the fixed frame header length.
 const HeaderSize = 20
 
-// Payload types.
+// Payload types. Type 2 carried the retired batch response; it is never
+// reused, and every decoder refuses it.
 const (
 	TypeSearch   byte = 1 // SearchResponse
-	TypeBatch    byte = 2 // BatchSearchResponse
 	TypeSharded  byte = 3 // ShardedSearchResponse
 	TypeManifest byte = 4 // ManifestResponse
 )
@@ -347,8 +347,9 @@ func DecodeFrame(b []byte) (typ byte, raw []byte, err error) {
 	if v := b[4]; v != FrameVersion {
 		return 0, nil, frameErr("unsupported frame version %d (this build speaks %d)", v, FrameVersion)
 	}
-	typ = b[5]
-	if typ < TypeSearch || typ > TypeManifest {
+	switch typ = b[5]; typ {
+	case TypeSearch, TypeSharded, TypeManifest:
+	default:
 		return 0, nil, frameErr("unknown payload type %d", typ)
 	}
 	flags := binary.BigEndian.Uint16(b[6:])

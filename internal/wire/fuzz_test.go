@@ -18,9 +18,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ATWF"))
 	f.Add(EncodeSearchResponse(sampleSearchResponse()))
-	f.Add(EncodeBatchSearchResponse(&BatchSearchResponse{Results: []BatchSearchResult{
-		{Error: &ErrorBody{Code: "c", Message: "m"}},
-	}}))
+	f.Add(retiredBatchFrame())
 	f.Add(EncodeShardedSearchResponse(&ShardedSearchResponse{Query: "q"}))
 	f.Add(EncodeManifestResponse(&ManifestResponse{Format: "atcx1", Export: []byte("blob")}))
 	// A corrupted-but-complete frame: valid header, flipped payload byte.
@@ -88,12 +86,6 @@ func FuzzDecodeFrame(f *testing.F) {
 		case TypeSearch:
 			if r, err := DecodeSearchResponse(b); err == nil {
 				if _, err := DecodeSearchResponse(EncodeSearchResponse(r)); err != nil {
-					t.Fatalf("re-encode failed to decode: %v", err)
-				}
-			}
-		case TypeBatch:
-			if r, err := DecodeBatchSearchResponse(b); err == nil {
-				if _, err := DecodeBatchSearchResponse(EncodeBatchSearchResponse(r)); err != nil {
 					t.Fatalf("re-encode failed to decode: %v", err)
 				}
 			}

@@ -378,11 +378,6 @@ func TestAssembledStreamLayouts(t *testing.T) {
 			func() []byte { return EncodeSearchResponse(r) },
 			func(f []byte) (interface{}, error) { return DecodeSearchResponse(f) }, r}
 	}
-	batch := &BatchSearchResponse{Results: []BatchSearchResult{
-		{Response: withHits(xorshiftBytes(2, 900), body(1), body(2))},
-		{Error: &ErrorBody{Code: "bad_request", Message: "empty query"}},
-		{Response: withHits(structuredVO, body(2), body(3))},
-	}}
 	sharded := &ShardedSearchResponse{
 		Query: "merkle tree", R: 10, Algo: "tnra", Scheme: "cmht", Generation: 3,
 		Shards: []SearchResponse{*withHits(xorshiftBytes(3, 700), body(4)), *withHits(structuredVO), *withHits(nil, body(5), body(6))},
@@ -398,9 +393,6 @@ func TestAssembledStreamLayouts(t *testing.T) {
 			Query: string(xorshiftBytes(6, 140000)), Hits: []Hit{{Content: body(7)}}}),
 		search("deflated proof", true, withHits(structuredVO, body(1), body(2), body(3))),
 		search("no section shrinks", false, withHits(xorshiftBytes(7, 1500), xorshiftBytes(8, 400), xorshiftBytes(9, 400))),
-		{"batch with an error between two answers", true,
-			func() []byte { return EncodeBatchSearchResponse(batch) },
-			func(f []byte) (interface{}, error) { return DecodeBatchSearchResponse(f) }, batch},
 		{"sharded answer", true,
 			func() []byte { return EncodeShardedSearchResponse(sharded) },
 			func(f []byte) (interface{}, error) { return DecodeShardedSearchResponse(f) }, sharded},

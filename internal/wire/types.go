@@ -1,6 +1,6 @@
 // Package wire implements the negotiated binary framing of the /v1
 // protocol: length-prefixed, CRC-protected frames that carry search
-// responses, batch results, sharded fan-out answers and manifest blobs
+// responses, sharded fan-out answers and manifest blobs
 // with their []byte payloads verbatim — no base64, no JSON re-encoding.
 // JSON remains the default representation (debuggability first); a client
 // opts into frames per request with `Accept: application/x-authtext-frame-v2`
@@ -58,27 +58,6 @@ type SearchResponse struct {
 	Hits       []Hit       `json:"hits"`
 	VO         []byte      `json:"vo"`
 	Stats      SearchStats `json:"stats"`
-}
-
-// ErrorBody is a machine-readable code plus a human-readable message (the
-// payload of every error envelope, and of per-query failures in a batch).
-type ErrorBody struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// BatchSearchResult is one query's outcome inside a BatchSearchResponse:
-// exactly one of Response and Error is set. A per-query failure does not
-// fail the batch.
-type BatchSearchResult struct {
-	Response *SearchResponse `json:"response,omitempty"`
-	Error    *ErrorBody      `json:"error,omitempty"`
-}
-
-// BatchSearchResponse answers a batch search request; Results[i]
-// corresponds to Queries[i].
-type BatchSearchResponse struct {
-	Results []BatchSearchResult `json:"results"`
 }
 
 // ManifestResponse carries the owner's verification material: Export is

@@ -40,21 +40,6 @@ func TestSearchResponseRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBatchSearchResponseRoundTrip(t *testing.T) {
-	want := &BatchSearchResponse{Results: []BatchSearchResult{
-		{Response: sampleSearchResponse()},
-		{Error: &ErrorBody{Code: "bad_request", Message: "empty query"}},
-		{Response: &SearchResponse{Query: "x", Algo: "tra", Scheme: "mht"}},
-	}}
-	got, err := DecodeBatchSearchResponse(EncodeBatchSearchResponse(want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-}
-
 func TestShardedSearchResponseRoundTrip(t *testing.T) {
 	want := &ShardedSearchResponse{
 		Query: "alpha beta", R: 10, Algo: "tnra", Scheme: "cmht", Generation: 3,
@@ -188,10 +173,11 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 	huge := append([]byte(nil), good...)
 	binary.BigEndian.PutUint64(huge[12:], MaxPayloadBytes+1)
 	cases["length beyond cap"] = huge
-	// Unknown payload type.
+	// Unknown payload type, and the retired batch type.
 	badType := append([]byte(nil), good...)
 	badType[5] = TypeManifest + 1
 	cases["unknown type"] = badType
+	cases["retired batch type"] = retiredBatchFrame()
 	// Unknown flag bit.
 	badFlags := append([]byte(nil), good...)
 	badFlags[6] |= 0x80
@@ -208,14 +194,28 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 	verbose := EncodeSearchResponse(verboseSearchResponse())
 	cases["bytes after a final block"] = withStreamTail(t, verbose, []byte{0xde, 0xad, 0xbe, 0xef})
 	cases["bytes after the last chunk"] = chunkedFrame(TypeSearch, append(verbose[HeaderSize:len(verbose):len(verbose)], 0xde, 0xad, 0xbe, 0xef))
+	decoders := []func([]byte) error{
+		func(b []byte) error { _, err := DecodeSearchResponse(b); return err },
+		func(b []byte) error { _, err := DecodeShardedSearchResponse(b); return err },
+		func(b []byte) error { _, err := DecodeManifestResponse(b); return err },
+	}
 	for name, b := range cases {
 		if _, _, err := DecodeFrame(b); err == nil {
 			t.Errorf("%s: decoded successfully", name)
 		} else if !errors.Is(err, ErrFrame) {
 			t.Errorf("%s: error %v does not wrap ErrFrame", name, err)
 		}
+		for i, decode := range decoders {
+			if err := decode(b); !errors.Is(err, ErrFrame) {
+				t.Errorf("%s: message decoder %d: %v, want ErrFrame", name, i, err)
+			}
+		}
 	}
 }
+
+// retiredBatchFrame is a well-formed frame of payload type 2, which carried
+// the retired batch response: an empty batch, u32 0.
+func retiredBatchFrame() []byte { return EncodeFrame(2, []byte{0, 0, 0, 0}, nil) }
 
 // withStreamTail appends tail to the stream of frame's last deflated chunk
 // and re-frames it, every length and the CRC consistent.
@@ -285,9 +285,9 @@ func TestDecodeHostileMessages(t *testing.T) {
 	} else if !errors.Is(err, ErrDecode) {
 		t.Fatalf("error %v does not wrap ErrDecode", err)
 	}
-	// Payload type crossed: a batch frame fed to the search decoder.
-	batch := EncodeBatchSearchResponse(&BatchSearchResponse{})
-	if _, err := DecodeSearchResponse(batch); err == nil {
+	// Payload type crossed: a manifest frame fed to the search decoder.
+	manifest := EncodeManifestResponse(&ManifestResponse{Format: "atcx1"})
+	if _, err := DecodeSearchResponse(manifest); err == nil {
 		t.Fatal("cross-typed frame decoded successfully")
 	}
 	// Trailing garbage after a valid message.

@@ -250,8 +250,8 @@ func (s *LiveServer) SetMetrics(m *Metrics) {
 }
 
 // Snapshot pins the current generation and returns an ordinary Server
-// for it: batches or multi-query sessions that must see one consistent
-// state use the pinned server for all their queries.
+// for it: multi-query sessions that must see one consistent state use the
+// pinned server for all their queries, concurrently if they like.
 func (s *LiveServer) Snapshot() *Server {
 	return &Server{v: current(s.lc), cache: s.cache, metrics: s.metrics}
 }
@@ -266,11 +266,4 @@ func (s *LiveServer) Shards() int { return s.lc.Shards() }
 // Server.Search).
 func (s *LiveServer) Search(query string, r int, algo Algorithm, scheme Scheme) (*SearchResult, error) {
 	return s.Snapshot().Search(query, r, algo, scheme)
-}
-
-// SearchBatch executes the batch against ONE generation: the whole batch
-// is answered by the generation current when it started (see
-// Server.SearchBatch for the execution model).
-func (s *LiveServer) SearchBatch(queries []BatchQuery, workers int) []BatchItem {
-	return s.Snapshot().SearchBatch(queries, workers)
 }

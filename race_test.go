@@ -134,10 +134,9 @@ func TestServerConcurrentSearch(t *testing.T) {
 }
 
 // The session-refactor regression: one UNSHARDED collection hammered with
-// parallel Search+Verify across all four Algorithm×Scheme variants, with
-// SearchBatch calls mixed in. The old engine kept disk-head position and
-// I/O statistics in device-wide shared state — Device.Stats/ResetStats
-// raced unless a collection-wide mutex serialized every query. Sessions
+// parallel Search+Verify across all four Algorithm×Scheme variants. The
+// old engine kept disk-head position and I/O statistics in device-wide
+// shared state — Device.Stats/ResetStats raced unless a collection-wide mutex serialized every query. Sessions
 // replaced that API; this test (run with -race in CI) would fail on any
 // return to shared per-device accounting.
 func TestUnshardedParallelSearchVerifyRace(t *testing.T) {
@@ -152,9 +151,9 @@ func TestUnshardedParallelSearchVerifyRace(t *testing.T) {
 		scheme Scheme
 	}{{TRA, MHT}, {TRA, ChainMHT}, {TNRA, MHT}, {TNRA, ChainMHT}}
 
-	const goroutines = 16
+	const goroutines = 17
 	var wg sync.WaitGroup
-	errs := make([]error, goroutines+1)
+	errs := make([]error, goroutines)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -178,28 +177,6 @@ func TestUnshardedParallelSearchVerifyRace(t *testing.T) {
 			}
 		}(g)
 	}
-	// One more goroutine drives the batch API against the same collection.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		batch := make([]BatchQuery, 2*len(queries))
-		for i := range batch {
-			v := variants[i%len(variants)]
-			batch[i] = BatchQuery{Query: queries[i%len(queries)], R: 3, Algorithm: v.algo, Scheme: v.scheme}
-		}
-		for round := 0; round < 4; round++ {
-			for i, item := range server.SearchBatch(batch, 4) {
-				if item.Err != nil {
-					errs[goroutines] = item.Err
-					return
-				}
-				if err := client.Verify(batch[i].Query, 3, item.Result); err != nil {
-					errs[goroutines] = err
-					return
-				}
-			}
-		}
-	}()
 	wg.Wait()
 	for g, err := range errs {
 		if err != nil {

@@ -60,8 +60,8 @@ const defaultHTTPTimeout = 30 * time.Second
 // small request/response pairs against one or a few hosts — so connections
 // are kept alive and reused instead of re-dialled per call:
 // http.DefaultTransport caps idle connections per host at 2, which forces
-// reconnects (and, under TLS, re-handshakes) as soon as a batch workload
-// fans out.
+// reconnects (and, under TLS, re-handshakes) as soon as concurrent
+// searches fan out.
 func defaultHTTPClient() *http.Client {
 	return &http.Client{
 		Timeout: defaultHTTPTimeout,
@@ -215,8 +215,9 @@ func (rc *RemoteClient) Shards() int {
 }
 
 // ask posts req to path and returns the decoded answer once it and client,
-// the verification half to check it against, agree on a generation. generation reads the generation an answer claims (0: none —
-// a static server, or a batch of per-query errors).
+// the verification half to check it against, agree on a generation. The
+// generation callback reads the generation an answer claims (0: none — a
+// static server).
 //
 // When an answer claims a NEWER generation than the client holds, the
 // client advances to the server's current manifest first; AdvanceExport
@@ -405,95 +406,6 @@ func shardedResultFromWire(sw *httpapi.ShardedSearchResponse, algo Algorithm, sc
 		res.Hits[i] = h
 	}
 	return res
-}
-
-// SearchBatch sends up to httpapi.MaxBatchQueries queries in one request;
-// the server executes them concurrently. Every answer is verified locally
-// exactly as in Search, and per-query failures (including verification
-// failures) come back in the matching BatchItem rather than failing the
-// whole batch. The returned slice has one item per query, in input order.
-// The shard-set wire has no batch form: against a shard set the queries go
-// out as one Search each.
-func (rc *RemoteClient) SearchBatch(ctx context.Context, queries []BatchQuery) ([]BatchItem, error) {
-	if len(queries) == 0 {
-		return nil, nil
-	}
-	client, err := rc.bootstrapped(ctx)
-	if err != nil {
-		return nil, err
-	}
-	if client.Shards() > 0 {
-		out := make([]BatchItem, len(queries))
-		runBatch(len(queries), 0, func(i int) {
-			q := queries[i]
-			out[i].Result, out[i].Err = rc.Search(ctx, q.Query, q.R, q.Algorithm, q.Scheme)
-		})
-		return out, nil
-	}
-	if len(queries) > httpapi.MaxBatchQueries {
-		return nil, fmt.Errorf("authtext: batch of %d queries exceeds the server maximum of %d",
-			len(queries), httpapi.MaxBatchQueries)
-	}
-	out := make([]BatchItem, len(queries))
-	// sent[j] is the query the j-th wire request carries: a variant the
-	// signed manifest does not list is refused here and never sent.
-	var sent []int
-	var wireReqs []httpapi.SearchRequest
-	for i, q := range queries {
-		// Validate locally: the server rejects a malformed batch WHOLE, so
-		// catching a bad element here (with its index) spares the good ones.
-		if q.R < 1 || q.R > httpapi.MaxR {
-			return nil, fmt.Errorf("authtext: query %d: result size r=%d out of range [1, %d]", i, q.R, httpapi.MaxR)
-		}
-		if strings.TrimSpace(q.Query) == "" {
-			return nil, fmt.Errorf("authtext: query %d: empty query", i)
-		}
-		if len(q.Query) > httpapi.MaxQueryBytes {
-			return nil, fmt.Errorf("authtext: query %d exceeds %d bytes", i, httpapi.MaxQueryBytes)
-		}
-		if out[i].Err = client.checkVariant(q.Algorithm, q.Scheme); out[i].Err != nil {
-			continue
-		}
-		sent = append(sent, i)
-		wireReqs = append(wireReqs, httpapi.SearchRequest{
-			Query: q.Query, R: q.R, Algo: wireAlgo(q.Algorithm), Scheme: wireScheme(q.Scheme),
-		})
-	}
-	if len(sent) == 0 {
-		return out, nil
-	}
-	// A live server answers the whole batch from one generation: the batch
-	// claims the newest generation any of its answers names.
-	br, err := ask(ctx, rc, client, httpapi.PathSearch, &httpapi.BatchSearchRequest{Queries: wireReqs},
-		wire.DecodeBatchSearchResponse, func(br *httpapi.BatchSearchResponse) (gen uint64) {
-			for i := range br.Results {
-				if r := br.Results[i].Response; r != nil && r.Generation > gen {
-					gen = r.Generation
-				}
-			}
-			return gen
-		})
-	if err != nil {
-		return nil, err
-	}
-	if len(br.Results) != len(sent) {
-		return nil, fmt.Errorf("authtext: server answered %d results for %d queries", len(br.Results), len(sent))
-	}
-	for j, res := range br.Results {
-		i := sent[j]
-		q := queries[i]
-		switch {
-		case res.Error != nil:
-			out[i].Err = rc.withheld(fmt.Errorf("authtext: query %d: server error: %w", i,
-				&httpapi.StatusError{Code: res.Error.Code, Message: res.Error.Message}))
-		case res.Response == nil:
-			out[i].Err = fmt.Errorf("authtext: query %d: empty batch result", i)
-		default:
-			out[i].Result, out[i].Err = rc.verified(client, q.Query, q.R,
-				resultFromWire(res.Response, q.Algorithm, q.Scheme))
-		}
-	}
-	return out, nil
 }
 
 // ServerHealth mirrors the /v1/healthz payload. Shards is 0 for a

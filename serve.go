@@ -16,8 +16,7 @@ import (
 // internal/httpapi (documented in docs/PROTOCOL.md). The shapes differ
 // along two axes only:
 //
-//   - the WIRE: a single collection serves /v1/search (one query, or a
-//     "queries" batch executed concurrently server-side) and the ATCX
+//   - the WIRE: a single collection serves /v1/search and the ATCX
 //     bootstrap at /v1/manifest; a sharded one serves /v1/shards/search and
 //     the ATSX bootstrap at /v1/shards/manifest, and answers the plain
 //     endpoints 404 with a pointer to the sharded paths;
@@ -116,8 +115,8 @@ type liveUpdater func(add []Document, remove []DocHandle) ([]DocHandle, *UpdateR
 // is "a handler takes a generation source" too.
 type source interface {
 	// pin returns the current generation's server. Everything one request
-	// does — a whole batch, a whole fan-out — runs on one pin, so no
-	// response mixes generations.
+	// does — a whole fan-out — runs on one pin, so no response mixes
+	// generations.
 	pin() *Server
 	// export returns the current generation's verification blob (ATCX or
 	// ATSX, matching the pinned server's shape).
@@ -252,8 +251,6 @@ func newHandler(src source, opts []HandlerOption) http.Handler {
 	e := httpapi.Endpoints{Generation: src.Generation}
 	if b.sharded = srv.Shards() > 0; b.sharded {
 		e.ShardSearch, e.ShardExport = b.shardSearch, src.export
-	} else {
-		e.SearchBatch = b.searchBatch
 	}
 	var live bool
 	if b.update, live = src.updater(); live {
@@ -311,61 +308,32 @@ func (b *backend) Search(req *httpapi.SearchRequest) (*httpapi.SearchResponse, e
 }
 
 // search answers one query on one pinned generation — for a shard set, the
-// whole fan-out.
+// whole fan-out. A variant the collection was not built with is the
+// caller's 422: it is no server failure, so it is not counted as one;
+// anything else counts as failed and stays a 500.
 func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, error) {
 	start := time.Now()
 	srv := b.pin()
 	res, err := srv.Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
-	if err != nil {
-		return nil, b.failure(srv, req, err)
-	}
-	b.record(req, res.Stats, time.Since(start))
-	return res, nil
-}
-
-// failure maps a search error to the wire: a variant the collection was not
-// built with is the caller's 422 (it is no server failure, so it is not
-// counted as one); anything else counts as failed and stays a 500.
-func (b *backend) failure(srv *Server, req *httpapi.SearchRequest, err error) error {
 	if errors.Is(err, ErrVariantNotBuilt) {
-		return &httpapi.StatusError{
+		return nil, &httpapi.StatusError{
 			Status: http.StatusUnprocessableEntity,
 			Code:   httpapi.CodeVariantNotBuilt,
 			Message: fmt.Sprintf("variant %s-%s is not built; this collection answers %v",
 				req.Algo, req.Scheme, srv.v.variants()),
 		}
 	}
-	b.failed.Add(1)
-	return err
-}
-
-// searchBatch runs the whole batch on ONE pinned generation, on top of the
-// facade's bounded-worker batch execution.
-func (b *backend) searchBatch(reqs []httpapi.SearchRequest) []httpapi.BatchSearchResult {
-	srv := b.pin()
-	queries := make([]BatchQuery, len(reqs))
-	for i, req := range reqs {
-		queries[i] = BatchQuery{
-			Query:     req.Query,
-			R:         req.R,
-			Algorithm: parseWireAlgo(req.Algo),
-			Scheme:    parseWireScheme(req.Scheme),
-		}
+	if err != nil {
+		b.failed.Add(1)
+		return nil, err
 	}
-	items := srv.SearchBatch(queries, 0)
-	out := make([]httpapi.BatchSearchResult, len(items))
-	for i, item := range items {
-		if item.Err != nil {
-			out[i] = httpapi.BatchOutcome(nil, b.failure(srv, &reqs[i], item.Err))
-			continue
-		}
-		// Per-query wall, not the batch's: the engine measures each query's
-		// own server time, which stays meaningful under concurrency.
-		wall := time.Duration(float64(item.Result.Stats.ServerTime) * float64(time.Millisecond))
-		b.record(&reqs[i], item.Result.Stats, wall)
-		out[i] = httpapi.BatchOutcome(wireSearchResponse(&reqs[i], item.Result), nil)
+	b.served.Add(1)
+	if b.opts.queryLog != nil {
+		// The log only: the wire response is a pure function of the
+		// result object.
+		b.opts.queryLog(req.Query, req.R, res.Stats, time.Since(start))
 	}
-	return out
+	return res, nil
 }
 
 func (b *backend) shardSearch(req *httpapi.SearchRequest) (*httpapi.ShardedSearchResponse, error) {
@@ -374,17 +342,6 @@ func (b *backend) shardSearch(req *httpapi.SearchRequest) (*httpapi.ShardedSearc
 		return nil, err
 	}
 	return wireShardedResponse(req, res), nil
-}
-
-// record counts a served query and feeds the query log. wall is this
-// query's own wall time — the handler-measured wall for single requests,
-// the engine-measured per-query server time for batched ones. It feeds
-// only the log: the wire response is a pure function of the result object.
-func (b *backend) record(req *httpapi.SearchRequest, st Stats, wall time.Duration) {
-	b.served.Add(1)
-	if b.opts.queryLog != nil {
-		b.opts.queryLog(req.Query, req.R, st, wall)
-	}
 }
 
 // ClientExport serves /v1/manifest: the current generation's ATCX blob.

@@ -461,7 +461,7 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 
 // matrixVariantNotBuilt is the shape matrix's "variant not built" column: a
 // TNRA-CMHT-only deployment of the shape, asked for TRA-CMHT, refuses with
-// ErrVariantNotBuilt — in process (Search, SearchBatch) and remotely, where
+// ErrVariantNotBuilt — in process and remotely, where
 // the client refuses from its verified manifest without sending a search —
 // and a refusal is never tampering. A server that claims "not built" for the
 // variant the manifest lists, or answers with a VO of a kind outside the
@@ -482,14 +482,6 @@ func matrixVariantNotBuilt(t *testing.T, shape matrixShape) {
 	srv := env.server()
 	_, err := srv.Search(matrixQuery, matrixR, authtext.TRA, authtext.ChainMHT)
 	notBuilt("Server.Search", err)
-	items := srv.SearchBatch([]authtext.BatchQuery{
-		{Query: matrixQuery, R: matrixR, Algorithm: authtext.TNRA, Scheme: authtext.ChainMHT},
-		{Query: matrixQuery, R: matrixR, Algorithm: authtext.TRA, Scheme: authtext.ChainMHT},
-	}, 0)
-	if items[0].Err != nil {
-		t.Fatalf("SearchBatch: the built variant failed: %v", items[0].Err)
-	}
-	notBuilt("Server.SearchBatch", items[1].Err)
 
 	// The wire: 422 variant_not_built, and healthz names the set.
 	rec := matrixDo(env.handler, http.MethodPost, searchPath, `{"query":"`+matrixQuery+`","algo":"tra"}`, "")
@@ -526,12 +518,6 @@ func matrixVariantNotBuilt(t *testing.T, shape matrixShape) {
 		sent := searches.Load()
 		_, err := rc.Search(context.Background(), matrixQuery, matrixR, authtext.TRA, authtext.ChainMHT)
 		notBuilt(fmt.Sprintf("RemoteClient.Search (warm=%v)", warm), err)
-		batch, err := rc.SearchBatch(context.Background(), []authtext.BatchQuery{
-			{Query: matrixQuery, R: matrixR, Algorithm: authtext.TRA, Scheme: authtext.ChainMHT}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		notBuilt(fmt.Sprintf("RemoteClient.SearchBatch (warm=%v)", warm), batch[0].Err)
 		if got := searches.Load(); got != sent || (warm && sent != before+1) {
 			t.Fatalf("warm=%v: %d search requests reached the server for refused variants", warm, got-sent)
 		}
@@ -581,24 +567,6 @@ func matrixVariantNotBuilt(t *testing.T, shape matrixShape) {
 			if !authtext.IsTampered(err) || core.CodeOf(err) != want || errors.Is(err, authtext.ErrVariantNotBuilt) {
 				t.Fatalf("lie %d, warm=%v: classified as %v, want %v", mode, warm, err, want)
 			}
-		}
-	}
-	if shape.shards == 0 {
-		// The batch form of the refusal lie: a per-query variant_not_built.
-		batchLie := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path != httpapi.PathSearch {
-				env.handler.ServeHTTP(w, r)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(&httpapi.BatchSearchResponse{Results: []httpapi.BatchSearchResult{
-				{Error: &httpapi.ErrorBody{Code: httpapi.CodeVariantNotBuilt, Message: "not built"}}}})
-		}))
-		defer batchLie.Close()
-		batch, err := must(authtext.NewRemoteClient(batchLie.URL))(t).SearchBatch(context.Background(),
-			[]authtext.BatchQuery{{Query: matrixQuery, R: matrixR, Algorithm: authtext.TNRA, Scheme: authtext.ChainMHT}})
-		if err != nil || !authtext.IsTampered(batch[0].Err) {
-			t.Fatalf("batch refusal of a listed variant: %v / %v, want tampering", err, batch[0].Err)
 		}
 	}
 }
