@@ -208,8 +208,6 @@ type options struct {
 	vocabProofs      bool
 	keepSingletons   bool
 	k1, b            float64
-	storeParamsSet   bool
-	storeParams      store.Params
 	signerOverridden bool
 	authority        []float64
 	pageRankLinks    [][]int
@@ -272,27 +270,6 @@ func WithSingletonTerms() Option { return func(o *options) { o.keepSingletons = 
 
 // WithOkapi overrides the similarity parameters (defaults k1=1.2, b=0.75).
 func WithOkapi(k1, b float64) Option { return func(o *options) { o.k1, o.b = k1, b } }
-
-// WithDiskModel overrides the simulated disk cost parameters.
-func WithDiskModel(p DiskModel) Option {
-	return func(o *options) {
-		o.storeParamsSet = true
-		o.storeParams = store.Params{
-			BlockSize:           p.BlockSize,
-			Seek:                p.Seek,
-			Rotation:            p.Rotation,
-			TransferBytesPerSec: p.TransferBytesPerSec,
-		}
-	}
-}
-
-// DiskModel mirrors the simulated disk parameters (see store.Params).
-type DiskModel struct {
-	BlockSize           int
-	Seek                time.Duration
-	Rotation            time.Duration
-	TransferBytesPerSec float64
-}
 
 // ShardPartitioner selects how documents are assigned to shards.
 type ShardPartitioner int
@@ -423,9 +400,6 @@ func prepareBuild(docs []Document, opts []Option) (engine.Config, []index.Docume
 		return engine.Config{}, nil, nil, err
 	}
 	params := store.DefaultParams()
-	if o.storeParamsSet {
-		params = o.storeParams
-	}
 	params.BlockSize = o.blockSize
 	authority, err := computeAuthority(o, len(docs))
 	if err != nil {
@@ -536,24 +510,6 @@ func (s *Server) SetVOCache(c *VOCache) { s.cache = c }
 // server starts answering queries; one Metrics may be shared between
 // servers.
 func (s *Server) SetMetrics(m *Metrics) { s.metrics = m }
-
-// with returns a shallow copy of s serving through c and m where they are
-// non-nil and not already in place (s itself when there is nothing to
-// change). Accessors that hand out a SHARED *Server use it so attaching a
-// cache or a registry never mutates a server other goroutines are reading.
-func (s *Server) with(c *VOCache, m *Metrics) *Server {
-	if (c == nil || c == s.cache) && (m == nil || m == s.metrics) {
-		return s
-	}
-	cp := *s
-	if c != nil {
-		cp.cache = c
-	}
-	if m != nil {
-		cp.metrics = m
-	}
-	return &cp
-}
 
 // Shards returns the shard count: 0 for a bare collection.
 func (s *Server) Shards() int { return s.v.shards() }

@@ -85,10 +85,10 @@ func TestLiveAuthorityBoostEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, client := owner.Server(), owner.Client()
+	client := owner.Client()
 	for _, algo := range []Algorithm{TRA, TNRA} {
 		for _, scheme := range []Scheme{MHT, ChainMHT} {
-			liveSearchVerify(t, srv, client, algo, scheme)
+			liveSearchVerify(t, owner.Server(), client, algo, scheme)
 		}
 	}
 
@@ -101,7 +101,7 @@ func TestLiveAuthorityBoostEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, algo := range []Algorithm{TRA, TNRA} {
-		liveSearchVerify(t, srv, client, algo, ChainMHT)
+		liveSearchVerify(t, owner.Server(), client, algo, ChainMHT)
 	}
 
 	// A plain Update (no scores) works too: newcomers default to zero
@@ -112,7 +112,7 @@ func TestLiveAuthorityBoostEndToEnd(t *testing.T) {
 	if err := client.Advance(owner.ManifestUpdate()); err != nil {
 		t.Fatal(err)
 	}
-	res := liveSearchVerify(t, srv, client, TNRA, MHT)
+	res := liveSearchVerify(t, owner.Server(), client, TNRA, MHT)
 
 	// A tampered boosted score must still be rejected.
 	if len(res.Hits) > 0 {

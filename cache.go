@@ -25,7 +25,7 @@ import (
 // encoded VO, stats) shared by any number of servers. One cache may back
 // bare and sharded servers and their live variants at once; entries are
 // shape-tagged so the two kinds of answer never collide. Safe for
-// concurrent use. Attach it with the SetVOCache methods (library use) or
+// concurrent use. Attach it with Server.SetVOCache (library use) or
 // WithVOCache (HTTP handlers), before serving starts.
 type VOCache struct {
 	c *vocache.Cache

@@ -124,9 +124,7 @@ func TestCacheHitsUnderUpdates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := lo.Server()
 			cache := NewVOCache(1 << 20)
-			srv.SetVOCache(cache)
 			client := lo.Client()
 			for i, q := range stream {
 				if tc.updateBefore[i] {
@@ -138,6 +136,9 @@ func TestCacheHitsUnderUpdates(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
+				// Each query pins the current generation through the one cache.
+				srv := lo.Server()
+				srv.SetVOCache(cache)
 				res, err := srv.Search(q, 3, TNRA, ChainMHT)
 				if err != nil {
 					t.Fatal(err)
@@ -313,6 +314,8 @@ func TestCacheCrossGenerationReplayRejected(t *testing.T) {
 			if err := client.Advance(m, msig); err != nil {
 				t.Fatal(err)
 			}
+			srv = lo.Server()
+			srv.SetVOCache(cache)
 			// Prime the new generation's entry, then overwrite it with the old
 			// generation's answer — a rollback inside the cache.
 			if _, err := srv.Search(q, r, algo, ChainMHT); err != nil {

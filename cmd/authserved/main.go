@@ -22,7 +22,7 @@
 //	           [-variants all|V,V,...] [-live [-live-snapshots DIR]]
 //	           [-watch DUR] [-cache-mb N]
 //	           [-fleet URL,URL,... [-fleet-probe DUR]]
-//	           [-vocab-proofs] [-quiet] [-log-format text|json]
+//	           [-quiet] [-log-format text|json]
 //	           [-log-level LEVEL] [-pprof-addr ADDR]
 //
 // With -snapshot the daemon boots in milliseconds from an artifact
@@ -44,8 +44,9 @@
 // one dictionary-MHT per variant commits every list root, so the signed
 // manifest is the only signature of a TNRA build and of each of its live
 // generations (a TRA variant adds one per document record;
-// docs/ARCHITECTURE.md, step 1). Signing is the whole build bill; a
-// snapshot carries its own signed variant set and mode.
+// docs/ARCHITECTURE.md, step 1). Out-of-dictionary query terms always get
+// non-membership proofs. Signing is the whole build bill; a snapshot carries
+// its own signed variant set and mode.
 //
 // With -fleet the daemon serves no collection of its own: it becomes a
 // fleet FRONT END that load-balances the /v1 read surface across the
@@ -103,7 +104,6 @@ type config struct {
 	snapshot   string
 	shards     int
 	variants   []authtext.Variant // what a build signs; nil: defaultVariants
-	vocab      bool
 	quiet      bool
 	live       bool
 	liveSnaps  string
@@ -142,7 +142,6 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.snapshot, "snapshot", "", "boot from this snapshot file (or sharded snapshot directory) instead of building a collection")
 	fs.IntVar(&cfg.shards, "shards", 0, "split the corpus into N independently signed shards (build mode)")
 	fs.StringVar(&variants, "variants", "", "variants to build (build mode; dictionary mode, so lists carry no signatures): all, or a comma-separated list of tra-mht, tra-cmht, tnra-mht, tnra-cmht (default tnra-cmht)")
-	fs.BoolVar(&cfg.vocab, "vocab-proofs", true, "prove non-membership of out-of-dictionary query terms (build mode)")
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-query log lines")
 	fs.BoolVar(&cfg.live, "live", false, "accept document updates on /v1/admin/update (build mode); every batch publishes a new signed generation")
 	fs.StringVar(&cfg.liveSnaps, "live-snapshots", "", "with -live: persist every published generation as an ATSN snapshot in this directory")
@@ -381,10 +380,7 @@ func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 	if cfg.variants == nil {
 		cfg.variants = defaultVariants
 	}
-	opts := []authtext.Option{authtext.WithVariants(cfg.variants...), authtext.WithDictionaryMode()}
-	if cfg.vocab {
-		opts = append(opts, authtext.WithVocabularyProofs())
-	}
+	opts := []authtext.Option{authtext.WithVariants(cfg.variants...), authtext.WithDictionaryMode(), authtext.WithVocabularyProofs()}
 	if cfg.live {
 		return buildLiveHandler(cfg, docs, opts, hopts, logger)
 	}

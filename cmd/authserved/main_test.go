@@ -52,7 +52,7 @@ func writeCorpus(t *testing.T) string {
 func TestBuildHandlerServesVerifiableCollection(t *testing.T) {
 	dir := writeCorpus(t)
 	logger := discardLogger()
-	handler, err := buildHandler(config{dir: dir, vocab: true, quiet: true}, logger)
+	handler, err := buildHandler(config{dir: dir, quiet: true}, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestBuildHandlerSignsOncePerGeneration(t *testing.T) {
 func TestBuildHandlerWithCache(t *testing.T) {
 	dir := writeCorpus(t)
 	logger := discardLogger()
-	handler, err := buildHandler(config{dir: dir, vocab: true, quiet: true, cacheMB: 16}, logger)
+	handler, err := buildHandler(config{dir: dir, quiet: true, cacheMB: 16}, logger)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func writeShardCorpus(t *testing.T) string {
 // parallel fan-out, verifiable by a RemoteClient.
 func TestBuildHandlerSharded(t *testing.T) {
 	dir := writeShardCorpus(t)
-	handler, err := buildHandler(config{dir: dir, shards: 3, vocab: true, quiet: true}, discardLogger())
+	handler, err := buildHandler(config{dir: dir, shards: 3, quiet: true}, discardLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,8 +422,12 @@ func TestParseFlagsBeforeBuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("valid flags rejected: %v", err)
 	}
-	if cfg.addr != ":0" || !cfg.quiet || !cfg.vocab {
+	if cfg.addr != ":0" || !cfg.quiet {
 		t.Fatalf("cfg = %+v", cfg)
+	}
+	// Vocabulary proofs are always on in build mode; there is no flag.
+	if _, err := parseFlags([]string{"-vocab-proofs=false"}); err == nil {
+		t.Error("-vocab-proofs accepted")
 	}
 }
 
@@ -553,7 +557,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 			"revealed entries, and reject an answer whose order, contents or completeness differs from " +
 			"what the signed structures allow, whichever server or proxy it came through",
 	})
-	handler, err := buildHandler(config{dir: dir, vocab: true, quiet: true, live: true, cacheMB: 8}, discardLogger())
+	handler, err := buildHandler(config{dir: dir, quiet: true, live: true, cacheMB: 8}, discardLogger())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -707,7 +711,7 @@ func TestParseFlagsFleet(t *testing.T) {
 func TestBuildFleetHandlerServesVerifiableFleet(t *testing.T) {
 	dir := writeCorpus(t)
 	logger := discardLogger()
-	replica, err := buildHandler(config{dir: dir, vocab: true, quiet: true}, logger)
+	replica, err := buildHandler(config{dir: dir, quiet: true}, logger)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,8 +2,8 @@
 // being served — the generation model of docs/UPDATES.md.
 //
 // A breaking-news feed publishes articles, corrects one, and retracts
-// another. Every update batch becomes a new signed generation, swapped
-// atomically under the running server. The subscriber's client follows
+// another. Every update batch becomes a new signed generation, published
+// atomically; the engine re-pins its server to serve it. The subscriber's client follows
 // the generations forward — and proves that it cannot be rolled back: a
 // replayed answer from before the retraction (still showing the retracted
 // article) and a re-presented older manifest are both rejected as
@@ -66,6 +66,9 @@ func main() {
 	if err := client.Advance(owner.ManifestUpdate()); err != nil {
 		log.Fatal(err)
 	}
+	// A server is pinned to the generation current when it was taken; the
+	// engine takes a fresh one to serve generation 2.
+	server = owner.Server()
 	res2, err := server.Search(query, r, authtext.TNRA, authtext.ChainMHT)
 	if err != nil {
 		log.Fatal(err)

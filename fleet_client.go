@@ -9,7 +9,6 @@ import (
 	"net/url"
 	"strings"
 	"sync"
-	"time"
 
 	"authtext/internal/core"
 	"authtext/internal/httpapi"
@@ -351,32 +350,6 @@ func (fc *FleetClient) replicaExport(ctx context.Context, replicaURL string) ([]
 		return nil, fmt.Errorf("authtext: replica manifest format %q not supported", m.Format)
 	}
 	return m.Export, nil
-}
-
-// StartCrossCheck runs CrossCheck every interval until the returned stop
-// function is called. onResult (optional) receives every outcome;
-// operators typically alarm on IsTampered(err).
-func (fc *FleetClient) StartCrossCheck(interval time.Duration, onResult func(*CrossCheckReport, error)) (stop func()) {
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				ctx, cancel := context.WithTimeout(context.Background(), defaultHTTPTimeout)
-				rep, err := fc.CrossCheck(ctx)
-				cancel()
-				if onResult != nil {
-					onResult(rep, err)
-				}
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }
 
 // equivErr builds an equivocation-classified error (matches

@@ -34,7 +34,6 @@ type frontendConfig struct {
 	ejectFor   time.Duration
 	metrics    *Metrics
 	logger     *slog.Logger
-	transport  http.RoundTripper
 }
 
 // WithFrontendProbeInterval sets the health-probe period (default 500ms).
@@ -71,11 +70,6 @@ func WithFrontendLogger(l *slog.Logger) FrontendOption {
 	return func(c *frontendConfig) { c.logger = l }
 }
 
-// WithFrontendTransport overrides the forwarding transport.
-func WithFrontendTransport(rt http.RoundTripper) FrontendOption {
-	return func(c *frontendConfig) { c.transport = rt }
-}
-
 // NewFrontend starts a fleet front end over the given replica base URLs
 // (at least one). Close it to stop the health probes.
 func NewFrontend(backends []string, opts ...FrontendOption) (*Frontend, error) {
@@ -90,7 +84,6 @@ func NewFrontend(backends []string, opts ...FrontendOption) (*Frontend, error) {
 		MaxAttempts:    c.attempts,
 		EjectAfter:     c.ejectAfter,
 		EjectFor:       c.ejectFor,
-		Transport:      c.transport,
 		Registry:       c.metrics.registry(),
 		Logger:         c.logger,
 	})

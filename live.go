@@ -72,16 +72,9 @@ func updateReport(st *live.UpdateStats) *UpdateReport {
 type LiveOwner struct {
 	lc *live.Collection
 	// metrics, when non-nil, receives generation telemetry for every
-	// accepted update (metrics.go). Set before updates start.
+	// accepted update (metrics.go): the registry of the first handler built
+	// on this owner (adopt, serve.go).
 	metrics *Metrics
-}
-
-// SetMetrics attaches a metric registry recording generation swaps,
-// rebuild latency and signature reuse for every accepted update (nil
-// detaches). The current generation is published immediately.
-func (o *LiveOwner) SetMetrics(m *Metrics) {
-	o.metrics = m
-	m.setGeneration(o.lc.Generation())
 }
 
 // NewLiveOwner indexes the documents and publishes generation 1. The
@@ -182,21 +175,17 @@ func (o *LiveOwner) Shards() int { return o.lc.Shards() }
 // order.
 func (o *LiveOwner) Handles() []DocHandle { return docHandles(o.lc.Handles()) }
 
-// LastUpdate reports the cost of the most recent generation change
-// (the initial build for a freshly constructed owner).
-func (o *LiveOwner) LastUpdate() *UpdateReport {
-	st := o.lc.LastStats()
-	return updateReport(&st)
-}
-
 // current is the latest published generation of lc.
 func current(lc *live.Collection) served {
 	return served{col: lc.Current(), set: lc.CurrentSet()}
 }
 
-// Server returns the live serving half. One LiveServer tracks every
-// future generation; Snapshot pins the current one.
-func (o *LiveOwner) Server() *LiveServer { return &LiveServer{lc: o.lc} }
+// Server returns a server of the caller's own, pinned to the generation
+// current at the call: it keeps answering from that generation after later
+// updates, so a multi-query session sees one consistent state. Call Server
+// again to serve a newer generation. Attach a cache or a registry with
+// Server.SetVOCache and Server.SetMetrics.
+func (o *LiveOwner) Server() *Server { return &Server{v: current(o.lc)} }
 
 // Client returns a verification client pinned to the owner's public key,
 // positioned at the current generation. Advance it with ExportClient blobs
@@ -224,46 +213,3 @@ func (o *LiveOwner) ManifestUpdate() (manifest, sig []byte) {
 // (ATCX — RSA-signed collections only — or a shard set's ATSX, like
 // Owner.ExportClient).
 func (o *LiveOwner) ExportClient() ([]byte, error) { return o.Client().Export() }
-
-// LiveServer serves queries from the latest published generation of a
-// live collection. Safe for concurrent use; a search (a whole fan-out) in
-// flight during a generation swap completes entirely against the generation
-// it started on (its VO names that generation), never a mix.
-type LiveServer struct {
-	lc      *live.Collection
-	cache   *VOCache
-	metrics *Metrics
-}
-
-// SetVOCache attaches a VO cache carried into every Snapshot (nil
-// detaches). Generation-stamped keys make it safe across updates: a swap
-// invalidates every cached answer by construction, and an entry of the
-// old generation that is somehow replayed still verifies (or classifies
-// ErrStaleGeneration) client-side. Call before serving starts.
-func (s *LiveServer) SetVOCache(c *VOCache) { s.cache = c }
-
-// SetMetrics attaches a metric registry carried into every Snapshot (nil
-// detaches). Call before serving starts.
-func (s *LiveServer) SetMetrics(m *Metrics) {
-	s.metrics = m
-	m.setGeneration(s.Generation())
-}
-
-// Snapshot pins the current generation and returns an ordinary Server
-// for it: multi-query sessions that must see one consistent state use the
-// pinned server for all their queries, concurrently if they like.
-func (s *LiveServer) Snapshot() *Server {
-	return &Server{v: current(s.lc), cache: s.cache, metrics: s.metrics}
-}
-
-// Generation returns the latest published generation.
-func (s *LiveServer) Generation() uint64 { return s.lc.Generation() }
-
-// Shards returns the shard count: 0 for a bare collection.
-func (s *LiveServer) Shards() int { return s.lc.Shards() }
-
-// Search runs a top-r query against the latest generation (see
-// Server.Search).
-func (s *LiveServer) Search(query string, r int, algo Algorithm, scheme Scheme) (*SearchResult, error) {
-	return s.Snapshot().Search(query, r, algo, scheme)
-}

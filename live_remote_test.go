@@ -132,7 +132,7 @@ func TestLiveRemoteRollbackRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Freeze generation 1 (server and export) before updating.
-	gen1Server := owner.Server().Snapshot()
+	gen1Server := owner.Server()
 	gen1Export, err := owner.ExportClient()
 	if err != nil {
 		t.Fatal(err)

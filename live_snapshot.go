@@ -163,7 +163,7 @@ type generation struct {
 	// mp, for mapped replicas, is this generation's file mapping (mapped
 	// generations are bare collections: one file). The generation holds the
 	// opening reference; Reload releases it when the generation is
-	// superseded, and pinned Server() copies hold their own references
+	// superseded, and the servers pinned to it hold their own references
 	// (dropped by finalizer), so in-flight queries keep their pages until
 	// they are collected — unmap-after-swap, never under a reader.
 	mp *snapshot.Mapped
@@ -189,10 +189,9 @@ type LiveReplica struct {
 
 	mu  sync.Mutex // serialises Reload
 	cur atomic.Pointer[generation]
-	// cache and metrics are carried into every Server() copy; the shared
-	// generation's server is never mutated. metrics also receives reload
-	// telemetry (generation gauge, snapshot open time).
-	cache   *VOCache
+	// metrics, when non-nil, receives reload telemetry (generation gauge,
+	// snapshot open time): the registry of the first handler built on this
+	// replica (adopt, serve.go).
 	metrics *Metrics
 }
 
@@ -276,25 +275,11 @@ func (r *LiveReplica) Reload() (bool, error) {
 	r.cur.Store(next)
 	if cur != nil {
 		// Unmap after swap: drop the superseded generation's opening
-		// reference. Server() copies pinned to it still hold their own.
+		// reference. Servers pinned to it still hold their own.
 		cur.release()
 	}
 	r.metrics.recordSnapshotOpen(gen, time.Since(openStart))
 	return true, nil
-}
-
-// SetVOCache attaches a VO cache carried into every Server() result (nil
-// detaches). Call before serving starts. Reloads need no cache work:
-// generation-stamped keys mean entries of superseded generations simply
-// stop matching.
-func (r *LiveReplica) SetVOCache(c *VOCache) { r.cache = c }
-
-// SetMetrics attaches a metric registry carried into every Server() result
-// and recording reload telemetry (nil detaches). Call before serving
-// starts. The currently served generation is published immediately.
-func (r *LiveReplica) SetMetrics(m *Metrics) {
-	r.metrics = m
-	m.setGeneration(r.Generation())
 }
 
 // Client returns the verification client of the current generation.
@@ -304,7 +289,7 @@ func (r *LiveReplica) Client() *Client { return r.cur.Load().client }
 func (r *LiveReplica) Generation() uint64 { return r.cur.Load().gen }
 
 // Close releases the current generation's mapping (no-op for unmapped
-// replicas). Serving must have stopped; pinned Server() copies still in
+// replicas). Serving must have stopped; servers pinned to it still in
 // flight keep their pages alive until collected.
 func (r *LiveReplica) Close() error {
 	r.mu.Lock()
@@ -316,21 +301,25 @@ func (r *LiveReplica) Close() error {
 	return nil
 }
 
-// Server returns the serving half of the current generation. The result
-// is pinned: it keeps answering from its generation even after a Reload
-// swaps the replica forward. On a mapped replica the returned server also
-// pins its generation's pages (released when the server is collected).
-func (r *LiveReplica) Server() *Server {
+// Server returns a server of the caller's own, pinned to the current
+// generation: it keeps answering from that generation even after a Reload
+// swaps the replica forward. On a mapped replica it also pins its
+// generation's pages (released when the server is collected). Attach a cache
+// or a registry with Server.SetVOCache and Server.SetMetrics.
+func (r *LiveReplica) Server() *Server { return r.pin(nil, nil) }
+
+// pin is Server serving through c and m. The server it returns is the one
+// holding the page reference, so a caller must serve through it, never a
+// copy of it.
+func (r *LiveReplica) pin(c *VOCache, m *Metrics) *Server {
 	for {
 		st := r.cur.Load()
+		srv := &Server{v: st.server.v, cache: c, metrics: m}
 		mp := st.mp
 		if mp == nil {
-			return st.server.with(r.cache, r.metrics)
+			return srv
 		}
 		if mp.Retain() {
-			// A fresh allocation per call so the finalizer tracks exactly
-			// this handle's lifetime (with may return a shared pointer).
-			srv := &Server{v: st.server.v, cache: r.cache, metrics: r.metrics}
 			runtime.SetFinalizer(srv, func(*Server) { mp.Release() })
 			return srv
 		}

@@ -52,7 +52,7 @@ func liveDocs(start, n int) []Document {
 
 const liveQuery = "merkle digest proof"
 
-func liveSearchVerify(t *testing.T, srv *LiveServer, c *Client, algo Algorithm, scheme Scheme) *SearchResult {
+func liveSearchVerify(t *testing.T, srv *Server, c *Client, algo Algorithm, scheme Scheme) *SearchResult {
 	t.Helper()
 	res, err := srv.Search(liveQuery, 3, algo, scheme)
 	if err != nil {
@@ -96,9 +96,12 @@ func TestLiveUpdateVerifyAndRollback(t *testing.T) {
 	if rep.Generation != 2 || owner.Generation() != 2 || len(added) != 2 {
 		t.Fatalf("update report %+v, added %v", rep, added)
 	}
-	if srv.Generation() != 2 {
-		t.Fatalf("server generation = %d, want 2", srv.Generation())
+	// The server pinned before the update keeps answering generation 1; a
+	// fresh one serves generation 2.
+	if res := mustSearch(t, srv, liveQuery); res.Generation != 1 {
+		t.Fatalf("pinned server answered generation %d, want 1", res.Generation)
 	}
+	srv = owner.Server()
 
 	// The old client (still at generation 1) advances with the owner's
 	// signed manifest and then verifies generation-2 answers.
@@ -176,7 +179,7 @@ func TestLiveEquivocationRejected(t *testing.T) {
 	}
 }
 
-func mustSearch(t *testing.T, srv *LiveServer, q string) *SearchResult {
+func mustSearch(t *testing.T, srv *Server, q string) *SearchResult {
 	t.Helper()
 	res, err := srv.Search(q, 3, TNRA, ChainMHT)
 	if err != nil {
@@ -186,7 +189,8 @@ func mustSearch(t *testing.T, srv *LiveServer, q string) *SearchResult {
 }
 
 // TestLiveConcurrentSearchHammer is the acceptance-criterion hammer: a
-// live server keeps answering verified queries while updates land. Every
+// live owner keeps answering verified queries, on a server pinned per
+// query, while updates land. Every
 // answer verifies against its own generation's manifest — a torn mix of
 // two generations would fail with a non-stale tampering code, which the
 // test treats as fatal. Honest races (an answer from generation g
@@ -202,8 +206,6 @@ func TestLiveConcurrentSearchHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := owner.Server()
-
 	var (
 		wg       sync.WaitGroup
 		done     atomic.Bool
@@ -220,7 +222,7 @@ func TestLiveConcurrentSearchHammer(t *testing.T) {
 			// Keep hammering for a minimum number of iterations even after
 			// the updater finishes, so fast updates still overlap searches.
 			for i := 0; i < 50 || !done.Load(); i++ {
-				res, err := srv.Search(liveQuery, 3, TNRA, ChainMHT)
+				res, err := owner.Server().Search(liveQuery, 3, TNRA, ChainMHT)
 				if err != nil {
 					errc <- fmt.Errorf("searcher %d: %v", w, err)
 					return
@@ -409,6 +411,40 @@ func TestLiveSnapshotDirAndReplica(t *testing.T) {
 	}
 	if _, err := replica.Reload(); err == nil {
 		t.Fatal("rolled-back snapshot directory accepted")
+	}
+}
+
+// TestReplicaServerIsPrivate: every Server() call hands out a server of the
+// caller's own, so a cache attached to one is never consulted by another —
+// on plain and mapped replicas alike.
+func TestReplicaServerIsPrivate(t *testing.T) {
+	dir := t.TempDir()
+	owner, _, err := NewLiveOwner(liveDocs(0, 12), WithFastSigner([]byte("live-private")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.WriteSnapshotDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	for name, open := range map[string]func(string) (*LiveReplica, error){
+		"plain": OpenLiveSnapshotDir, "mapped": OpenLiveSnapshotDirMapped,
+	} {
+		t.Run(name, func(t *testing.T) {
+			replica, err := open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer replica.Close()
+			a, b := replica.Server(), replica.Server()
+			cache := NewVOCache(1 << 20)
+			a.SetVOCache(cache)
+			if _, err := b.Search(liveQuery, 3, TNRA, ChainMHT); err != nil {
+				t.Fatal(err)
+			}
+			if st := cache.Stats(); st.Hits+st.Misses != 0 {
+				t.Fatalf("a search on one Server() looked up the cache set on another: %+v", st)
+			}
+		})
 	}
 }
 

@@ -162,13 +162,13 @@ func (m *Metrics) WritePrometheus(w io.Writer) error { return m.reg.WritePrometh
 // mount the same registry elsewhere.
 func (m *Metrics) Handler() http.Handler { return m.reg.Handler() }
 
-// BindVOCache registers the cache's counters as scrape-time series
-// (authtext_vocache_*). The series read the SAME atomics /v1/healthz
-// reports, so the two surfaces can never disagree. The first bound cache
-// wins; binding again (or binding a second cache) is a no-op — which is
-// the right behaviour for the supported topology of one shared cache.
-// Handlers built with both WithMetrics and WithVOCache bind automatically.
-func (m *Metrics) BindVOCache(c *VOCache) {
+// bindVOCache registers the cache's counters as scrape-time series
+// (authtext_vocache_*) for a handler built with both WithMetrics and
+// WithVOCache. The series read the SAME atomics /v1/healthz reports, so the
+// two surfaces can never disagree. The first bound cache wins; binding again
+// (or binding a second cache) is a no-op — which is the right behaviour for
+// the supported topology of one shared cache.
+func (m *Metrics) bindVOCache(c *VOCache) {
 	if m == nil || c == nil {
 		return
 	}

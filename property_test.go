@@ -205,8 +205,8 @@ func TestPropertyShardedRoundTrip(t *testing.T) {
 }
 
 // TestPropertyCachedZipfianStream interleaves a Zipf-skewed query stream
-// with random document-update batches on a live server that serves
-// through a VO cache. The invariant under test is the cache transparency
+// with random document-update batches on a live owner whose servers,
+// re-pinned after every update, serve through one VO cache. The invariant under test is the cache transparency
 // claim from docs/ARCHITECTURE.md: every response — cache hit or miss,
 // before or after any number of generation swaps — verifies against a
 // current client, and any answer saved from a superseded generation is
@@ -227,9 +227,14 @@ func TestPropertyCachedZipfianStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := owner.Server()
 	cache := authtext.NewVOCache(4 << 20)
-	srv.SetVOCache(cache)
+	// Every server pinned to a generation serves through the one cache.
+	pin := func() *authtext.Server {
+		srv := owner.Server()
+		srv.SetVOCache(cache)
+		return srv
+	}
+	srv := pin()
 	client := owner.Client()
 
 	// A hot pool of queries replayed with Zipfian skew: the head queries
@@ -264,6 +269,7 @@ func TestPropertyCachedZipfianStream(t *testing.T) {
 			if err := client.Advance(owner.ManifestUpdate()); err != nil {
 				t.Fatalf("iter %d advance: %v", i, err)
 			}
+			srv = pin()
 		}
 
 		query := pool[zipf.Uint64()]
@@ -334,7 +340,6 @@ func TestPropertyLiveUpdateSequence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := owner.Server()
 			client := owner.Client()
 			var stale *authtext.SearchResult
 			var staleQuery string
@@ -364,6 +369,7 @@ func TestPropertyLiveUpdateSequence(t *testing.T) {
 				if err := client.Advance(owner.ManifestUpdate()); err != nil {
 					t.Fatalf("step %d advance: %v", step, err)
 				}
+				srv := owner.Server()
 
 				query := propQuery(rng, vocab)
 				r := 1 + rng.Intn(8)
@@ -442,7 +448,6 @@ func TestPropertyLiveRemovalExclusion(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			srv := owner.Server()
 			client := owner.Client()
 			var removedMarkers []string
 
@@ -472,6 +477,7 @@ func TestPropertyLiveRemovalExclusion(t *testing.T) {
 				if err := client.Advance(owner.ManifestUpdate()); err != nil {
 					t.Fatalf("step %d advance: %v", step, err)
 				}
+				srv := owner.Server()
 				if len(handles) != rep.Documents {
 					t.Fatalf("step %d: tracking %d handles but report says %d live documents",
 						step, len(handles), rep.Documents)

@@ -185,23 +185,27 @@ func TestUnshardedParallelSearchVerifyRace(t *testing.T) {
 	}
 }
 
-// The cache-under-update regression: 16 goroutines hammer one cached
-// LiveServer — the Zipf head repeating (cache hits) alongside unique
+// The cache-under-update regression: 16 goroutines hammer one VO cache,
+// through a server re-pinned to the live owner's current generation per
+// query — the Zipf head repeating (cache hits) alongside unique
 // tails (misses and fills) — while updates swap the generation under
 // them. The cache is lock-sharded and the generation lives inside every
 // key, so the only acceptable outcomes per response are a clean verify
 // or ErrStaleGeneration from a client that hasn't caught up; anything
 // else (a torn entry, a cross-generation hit, a tampered VO) fails. Run
 // with -race to enforce.
-func TestCachedLiveServerConcurrentHammer(t *testing.T) {
+func TestCachedLiveOwnerConcurrentHammer(t *testing.T) {
 	owner, _, err := NewLiveOwner(snapshotTestDocs(),
 		WithFastSigner([]byte("cache-hammer")), WithSingletonTerms())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := owner.Server()
 	cache := NewVOCache(8 << 20)
-	srv.SetVOCache(cache)
+	pin := func() *Server {
+		srv := owner.Server()
+		srv.SetVOCache(cache)
+		return srv
+	}
 	hot := []string{"merkle tree", "inverted index", "verification object", "signed root"}
 
 	const goroutines = 16
@@ -223,7 +227,7 @@ func TestCachedLiveServerConcurrentHammer(t *testing.T) {
 				if (g+i)%2 == 0 {
 					algo = TRA
 				}
-				res, err := srv.Search(q, 3, algo, ChainMHT)
+				res, err := pin().Search(q, 3, algo, ChainMHT)
 				if err != nil {
 					errs[g] = err
 					return

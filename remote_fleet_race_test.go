@@ -47,7 +47,7 @@ func TestRemoteSearchRetriesAcrossLaggingManifestReplica(t *testing.T) {
 			owner := must2(authtext.NewLiveOwner(liveRemoteDocs(0, 10)))(t)
 			env := raceEnv{manifest: httpapi.PathManifest, search: httpapi.PathSearch, format: httpapi.FormatATCX}
 			env.gen1 = must(owner.ExportClient())(t)
-			env.frozen = authtext.NewHTTPHandler(owner.Server().Snapshot(), env.gen1)
+			env.frozen = authtext.NewHTTPHandler(owner.Server(), env.gen1)
 			must2(owner.AddDocuments(liveRemoteDocs(10, 2)))(t)
 			env.gen2, env.live = must(owner.ExportClient())(t), must(owner.HTTPHandler())(t)
 			env.verifiedGeneration = func(t *testing.T, url string, opts ...authtext.RemoteOption) (uint64, uint64, error) {
@@ -65,7 +65,7 @@ func TestRemoteSearchRetriesAcrossLaggingManifestReplica(t *testing.T) {
 				authtext.WithShardPartitioner(authtext.PartitionHash)))(t)
 			env := raceEnv{manifest: httpapi.PathShardManifest, search: httpapi.PathShardSearch, format: httpapi.FormatATSX}
 			env.gen1 = must(owner.ExportClient())(t)
-			env.frozen = authtext.NewHTTPHandler(owner.Server().Snapshot(), env.gen1)
+			env.frozen = authtext.NewHTTPHandler(owner.Server(), env.gen1)
 			must2(owner.AddDocuments(liveRemoteDocs(16, 2)))(t)
 			env.gen2, env.live = must(owner.ExportClient())(t), must(owner.HTTPHandler())(t)
 			env.verifiedGeneration = func(t *testing.T, url string, opts ...authtext.RemoteOption) (uint64, uint64, error) {

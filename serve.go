@@ -63,7 +63,7 @@ func WithUpdateLog(fn func(*UpdateReport)) HandlerOption {
 }
 
 // WithVOCache serves repeat queries from the given VO cache (cache.go),
-// overriding a cache the served object already carries (SetVOCache). A
+// overriding a cache the Server given to NewHTTPHandler already carries. A
 // cache hit returns a response byte-identical to the miss that populated
 // it — the stats echo the original engine costs; on sharded handlers a hit
 // serves the complete fan-out answer without touching any shard — and
@@ -114,21 +114,18 @@ type liveUpdater func(add []Document, remove []DocHandle) ([]DocHandle, *UpdateR
 // over a fleet of sharded backends, or one daemon serving several tenants,
 // is "a handler takes a generation source" too.
 type source interface {
-	// pin returns the current generation's server. Everything one request
-	// does — a whole fan-out — runs on one pin, so no response mixes
-	// generations.
-	pin() *Server
+	// pin returns the current generation's server, serving through the
+	// handler's cache c and registry m. Everything one request does — a
+	// whole fan-out — runs on one pin, so no response mixes generations.
+	pin(c *VOCache, m *Metrics) *Server
 	// export returns the current generation's verification blob (ATCX or
 	// ATSX, matching the pinned server's shape).
 	export() ([]byte, error)
 	// Generation reports the currently served generation.
 	Generation() uint64
-	// adopt hands the source the handler's cache and registry before
-	// serving starts. A static source bakes both into its one prepared
-	// server, so pin never copies; live sources attach the registry (unless
-	// they already carry one) so updates and reloads record into it, and
-	// leave the cache to the per-request copy.
-	adopt(c *VOCache, m *Metrics)
+	// adopt hands the source the handler's registry before serving starts,
+	// so that updates and reloads record into it (the first handler's wins).
+	adopt(m *Metrics)
 	// updater describes /v1/admin/update: live is false on static sources
 	// (the endpoint does not exist); apply is nil on serving-only sources
 	// (the endpoint answers 403).
@@ -145,13 +142,15 @@ func published(blob []byte, whyNot string) ([]byte, error) {
 }
 
 // staticSource serves one immutable collection and the export blob the
-// caller supplied (nil: no manifest bootstrap).
+// caller supplied (nil: no manifest bootstrap). Its one prepared server
+// already carries the handler's cache and registry (NewHTTPHandler), so pin
+// never copies.
 type staticSource struct {
 	srv  *Server
 	blob []byte
 }
 
-func (s *staticSource) pin() *Server { return s.srv }
+func (s *staticSource) pin(*VOCache, *Metrics) *Server { return s.srv }
 
 func (s *staticSource) export() ([]byte, error) {
 	return published(s.blob, "this server does not publish verification material")
@@ -159,29 +158,30 @@ func (s *staticSource) export() ([]byte, error) {
 
 func (s *staticSource) Generation() uint64 { return s.srv.v.generation() }
 
-func (s *staticSource) adopt(c *VOCache, m *Metrics) { s.srv = s.srv.with(c, m) }
+func (s *staticSource) adopt(*Metrics) {}
 
 func (s *staticSource) updater() (liveUpdater, bool) { return nil, false }
 
-// The live sources. Their pin carries no cache of its own: the handler's
-// layers over it per request.
+// The live sources pin a fresh server per request, built with the handler's
+// cache and registry.
 
-func (o *LiveOwner) pin() *Server            { return &Server{v: current(o.lc)} }
+func (o *LiveOwner) pin(c *VOCache, m *Metrics) *Server {
+	return &Server{v: current(o.lc), cache: c, metrics: m}
+}
 func (o *LiveOwner) export() ([]byte, error) { return o.ExportClient() }
-func (o *LiveOwner) adopt(_ *VOCache, m *Metrics) {
-	if m != nil && o.metrics == nil {
-		o.SetMetrics(m)
+func (o *LiveOwner) adopt(m *Metrics) {
+	if o.metrics == nil {
+		o.metrics = m
 	}
 }
 func (o *LiveOwner) updater() (liveUpdater, bool) { return o.Update, true }
 
-func (r *LiveReplica) pin() *Server { return r.Server() }
 func (r *LiveReplica) export() ([]byte, error) {
 	return published(r.cur.Load().export, "this server has no publishable verification key (fast-signer build?)")
 }
-func (r *LiveReplica) adopt(_ *VOCache, m *Metrics) {
-	if m != nil && r.metrics == nil {
-		r.SetMetrics(m)
+func (r *LiveReplica) adopt(m *Metrics) {
+	if r.metrics == nil {
+		r.metrics = m
 	}
 }
 func (r *LiveReplica) updater() (liveUpdater, bool) { return nil, true }
@@ -192,7 +192,24 @@ func (r *LiveReplica) updater() (liveUpdater, bool) { return nil, true }
 // pass nil to run a search endpoint without manifest bootstrap (clients must
 // then obtain the export out of band).
 func NewHTTPHandler(srv *Server, clientExport []byte, opts ...HandlerOption) http.Handler {
-	return newHandler(&staticSource{srv: srv, blob: clientExport}, opts)
+	o := handlerOpts(opts)
+	return newHandler(newStaticSource(srv, clientExport, &o), o)
+}
+
+// newStaticSource prepares the one server a static handler serves through.
+// The handler's cache and registry win over srv's own, and o.cache becomes
+// the effective cache. A copy carries them, so srv is never mutated and no
+// request copies.
+func newStaticSource(srv *Server, blob []byte, o *handlerOptions) *staticSource {
+	prepared := *srv
+	if o.cache != nil {
+		prepared.cache = o.cache
+	}
+	if o.metrics != nil {
+		prepared.metrics = o.metrics
+	}
+	o.cache = prepared.cache
+	return &staticSource{srv: &prepared, blob: blob}
 }
 
 // HTTPHandler is the owner-side convenience: it exports the verification
@@ -229,22 +246,26 @@ func newLiveHandler(src source, opts []HandlerOption) (http.Handler, error) {
 	if _, err := src.export(); err != nil {
 		return nil, err
 	}
-	return newHandler(src, opts), nil
+	return newHandler(src, handlerOpts(opts)), nil
+}
+
+// handlerOpts applies opts to the zero options.
+func handlerOpts(opts []HandlerOption) handlerOptions {
+	var o handlerOptions
+	for _, opt := range opts {
+		opt(&o)
+	}
+	return o
 }
 
 // newHandler wires a generation source onto the /v1 protocol.
-func newHandler(src source, opts []HandlerOption) http.Handler {
-	b := &backend{src: src, start: time.Now()}
-	for _, opt := range opts {
-		opt(&b.opts)
-	}
-	src.adopt(b.opts.cache, b.opts.metrics)
-	// The handler options layer over what the source already carries.
-	srv := src.pin().with(b.opts.cache, b.opts.metrics)
-	b.cache = srv.cache
-	b.opts.metrics.setGeneration(src.Generation())
+func newHandler(src source, o handlerOptions) http.Handler {
+	b := &backend{src: src, start: time.Now(), opts: o}
+	src.adopt(o.metrics)
+	srv := b.pin()
+	o.metrics.setGeneration(src.Generation())
 	// /v1/metrics and /v1/healthz read the same cache counters.
-	srv.metrics.BindVOCache(b.cache)
+	srv.metrics.bindVOCache(o.cache)
 
 	// Which endpoints exist is a property of the source, declared here; the
 	// wire shape is the pinned server's, the update endpoint the lifecycle's.
@@ -273,19 +294,16 @@ type backend struct {
 	sharded bool        // the wire shape of every server src pins
 	update  liveUpdater // nil: serving-only
 	start   time.Time
-	opts    handlerOptions
-	// cache is the effective VO cache (handler option wins over the
-	// source's own); nil when caching is off. Healthz reports it.
-	cache  *VOCache
+	// opts.cache is the effective VO cache, nil when caching is off;
+	// healthz reports it.
+	opts   handlerOptions
 	served atomic.Int64
 	failed atomic.Int64
 }
 
-// pin pins the current generation, serving through the effective cache
-// and metrics (a no-op on static sources, which adopted both).
-func (b *backend) pin() *Server {
-	return b.src.pin().with(b.opts.cache, b.opts.metrics)
-}
+// pin pins the current generation, serving through the handler's cache and
+// registry.
+func (b *backend) pin() *Server { return b.src.pin(b.opts.cache, b.opts.metrics) }
 
 // shardedOnly is the answer of the plain endpoints on a sharded server.
 func shardedOnly(instead string) error {
@@ -379,11 +397,11 @@ func (b *backend) applyUpdate(req *httpapi.UpdateRequest) (*httpapi.UpdateRespon
 			Message: err.Error(),
 		}
 	}
-	if b.cache != nil {
+	if b.opts.cache != nil {
 		// Hygiene, not correctness: superseded generations' entries can no
 		// longer be looked up (the generation is in the key); dropping them
 		// just returns their memory ahead of LRU aging.
-		b.cache.dropBelow(rep.Generation)
+		b.opts.cache.dropBelow(rep.Generation)
 	}
 	if b.opts.updateLog != nil {
 		b.opts.updateLog(rep)
@@ -404,13 +422,13 @@ func (b *backend) applyUpdate(req *httpapi.UpdateRequest) (*httpapi.UpdateRespon
 
 // Health reads the collection shape and the generation off ONE pinned server.
 func (b *backend) Health() httpapi.Health {
-	h := b.src.pin().v.health()
+	h := b.pin().v.health()
 	h.Status = "ok"
 	h.UptimeMillis = time.Since(b.start).Milliseconds()
 	h.QueriesServed = b.served.Load()
 	h.QueriesFailed = b.failed.Load()
-	if b.cache != nil {
-		h.Cache = b.cache.health()
+	if b.opts.cache != nil {
+		h.Cache = b.opts.cache.health()
 	}
 	return h
 }

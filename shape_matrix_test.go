@@ -25,8 +25,8 @@ import (
 // source behind one backend (serve.go), so one table checks what all six
 // must agree on: honest answers verify over both wire codecs, the
 // registered endpoint set and its 404/403 bodies, healthz, the generation
-// header, cache precedence and byte-identical hits, and the tamper /
-// rollback classifications.
+// header, cache precedence and byte-identical hits, pinned in-process
+// servers, and the tamper / rollback classifications.
 
 const (
 	matrixQuery = "merkle digest"
@@ -40,14 +40,15 @@ type matrixEnv struct {
 	// documents and generation are what healthz must report.
 	documents  int
 	generation uint64
-	// ownCache is the cache the served object itself carries (SetVOCache);
-	// nil where the shape has no such setter. The handler is built with
-	// WithVOCache(optCache), which must win.
+	// ownCache is the cache the static server itself carries (SetVOCache);
+	// nil on the live shapes, whose sources carry none. The handler is built
+	// with WithVOCache(optCache), which must win.
 	ownCache *authtext.VOCache
 	// advance publishes one more generation and makes this handler serve
 	// it; nil on static shapes.
 	advance func(t *testing.T)
-	// server pins the in-process Server the handler serves from.
+	// server returns an in-process Server of the test's own, pinned to the
+	// generation the handler currently serves.
 	server func() *authtext.Server
 }
 
@@ -120,16 +121,15 @@ var matrixShapes = func() (shapes []matrixShape) {
 					return matrixEnv{handler: must(owner.HTTPHandler(opts...))(t),
 						documents: matrixDocs - 1, generation: 2,
 						advance: func(t *testing.T) { must(owner.RemoveDocuments(owner.Handles()[0]))(t) },
-						server:  owner.Server().Snapshot}
+						server:  owner.Server}
 				}},
 			matrixShape{name: "replica" + suffix, shards: shards, adminStatus: http.StatusForbidden,
 				build: func(t *testing.T, ownerOpts []authtext.Option, opts ...authtext.HandlerOption) matrixEnv {
 					owner, dir := matrixLiveOwner(t, shards, ownerOpts...), t.TempDir()
 					must(owner.WriteSnapshotDir(dir))(t)
-					replica, own := must(authtext.OpenLiveSnapshotDir(dir))(t), authtext.NewVOCache(1<<20)
-					replica.SetVOCache(own)
+					replica := must(authtext.OpenLiveSnapshotDir(dir))(t)
 					return matrixEnv{handler: must(replica.HTTPHandler(opts...))(t),
-						documents: matrixDocs - 1, generation: 2, ownCache: own, server: replica.Server,
+						documents: matrixDocs - 1, generation: 2, server: replica.Server,
 						advance: func(t *testing.T) {
 							must(owner.RemoveDocuments(owner.Handles()[0]))(t)
 							must(owner.WriteSnapshotDir(dir))(t)
@@ -431,7 +431,20 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 	// g+1, then is replayed an honest answer of generation g. Stale,
 	// and still stale after the retry budget.
 	stale := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, "")
+	pinned := env.server()
 	env.advance(t)
+
+	// A server pinned before the advance keeps answering its generation; a
+	// fresh one answers the new generation.
+	inProcess := func(srv *authtext.Server) uint64 {
+		return must(srv.Search(matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT))(t).Generation
+	}
+	if got := inProcess(pinned); got != env.generation {
+		t.Fatalf("server pinned before the advance answered generation %d, want %d", got, env.generation)
+	}
+	if got := inProcess(env.server()); got != env.generation+1 {
+		t.Fatalf("server pinned after the advance answered generation %d, want %d", got, env.generation+1)
+	}
 	var replay atomic.Bool
 	rolledBack := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if replay.Load() && r.URL.Path == searchPath {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // Facade-level mapped-open suite: OpenSnapshotMapped, the sharded
@@ -197,5 +198,50 @@ func TestLiveReplicaMappedSwap(t *testing.T) {
 	}
 	if res2.Generation != 2 {
 		t.Fatalf("generation-2 server answered with generation %d", res2.Generation)
+	}
+}
+
+// TestMappedReplicaHandlerPinKeepsPages: the server a handler pins on a
+// mapped replica, with the handler's cache, is the one holding the page
+// reference — no copy of it that could outlive its finalizer — so a
+// request in flight across a swap keeps its generation's pages mapped.
+func TestMappedReplicaHandlerPinKeepsPages(t *testing.T) {
+	dir := t.TempDir()
+	owner, _, err := NewLiveOwner(liveDocs(0, 12), WithFastSigner([]byte("mapped-pin")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.WriteSnapshotDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	replica, err := OpenLiveSnapshotDirMapped(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	client1 := replica.Client()
+	b := &backend{src: replica, opts: handlerOptions{cache: NewVOCache(1 << 20)}}
+	srv := b.pin()
+
+	if _, _, err := owner.Update(liveDocs(12, 2), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.WriteSnapshotDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if swapped, err := replica.Reload(); err != nil || !swapped {
+		t.Fatalf("reload = (%v, %v), want swap", swapped, err)
+	}
+	// Give every unreachable pin's finalizer the chance to run.
+	for i := 0; i < 3; i++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	res, err := srv.Search(liveQuery, 3, TNRA, ChainMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := client1.Verify(liveQuery, 3, res); err != nil {
+		t.Fatalf("the pinned generation-1 answer failed verification after the swap: %v", err)
 	}
 }
