@@ -16,6 +16,7 @@ import (
 	"authtext/internal/sig"
 	"authtext/internal/store"
 	"authtext/internal/textproc"
+	"authtext/internal/vo"
 )
 
 // Algorithm selects the query processing strategy.
@@ -134,8 +135,11 @@ type Document struct {
 type Hit struct {
 	// DocID identifies the document inside the collection that answered: on
 	// a shard set, inside shard Shard (the ID that shard's VO speaks about).
-	DocID   int
-	Score   float64
+	DocID int
+	Score float64
+	// Content is the document body. In a RemoteClient answer it aliases
+	// the decoded response and is capacity-capped: appending to it
+	// reallocates instead of writing over another hit or the VO.
 	Content []byte
 	// Shard is the shard that produced the hit and GlobalID the document's
 	// index in the original corpus, from the authenticated shard doc map. A
@@ -902,7 +906,7 @@ func (c *Client) Verify(query string, r int, res *SearchResult) error {
 		return &core.VerifyError{Code: core.CodeMalformedVO,
 			Detail: fmt.Sprintf("%d shard answers from a collection that has no shards", len(res.PerShard))}
 	}
-	decoded, err := decodeVO(res.VO)
+	decoded, err := vo.Decode(res.VO)
 	if err != nil {
 		// An undecodable VO from a server is tampering, not a local usage
 		// error: classify it so IsTampered reports true.

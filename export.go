@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 
+	"authtext/internal/binx"
 	"authtext/internal/core"
 	"authtext/internal/httpapi"
 	"authtext/internal/shard"
@@ -128,19 +129,19 @@ type shardedExport struct {
 // the set manifest. A tampered blob is rejected here rather than at first
 // use.
 func parseShardedExport(data []byte) (*shardedExport, error) {
-	r := chunkReader{b: data}
-	if !r.magic(shardedExportMagic) {
+	r := binx.NewReader(data)
+	if string(r.Take(len(shardedExportMagic))) != shardedExportMagic {
 		return nil, errors.New("authtext: not a sharded client export")
 	}
-	if v := r.u16(); r.err == nil && v != shardedExportVersion {
+	if v := r.U16(); r.Err() == nil && v != shardedExportVersion {
 		return nil, fmt.Errorf("authtext: sharded export version %d not supported (this build speaks %d)", v, shardedExportVersion)
 	}
-	smRaw := r.chunk(4)
-	smSig := r.chunk(4)
-	kind := r.u8()
-	pub := r.chunk(4)
-	if r.err != nil {
-		return nil, fmt.Errorf("authtext: %w", r.err)
+	smRaw := chunk32(&r)
+	smSig := chunk32(&r)
+	kind := r.U8()
+	pub := chunk32(&r)
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("authtext: sharded client export: %w", err)
 	}
 	sm, err := shard.DecodeSetManifest(smRaw)
 	if err != nil {
@@ -166,11 +167,11 @@ func parseShardedExport(data []byte) (*shardedExport, error) {
 		docMaps:     make([][]uint32, sm.K),
 	}
 	for i := 0; i < int(sm.K); i++ {
-		mRaw := r.chunk(4)
-		mSig := r.chunk(4)
-		dmRaw := r.chunk(4)
-		if r.err != nil {
-			return nil, fmt.Errorf("authtext: sharded export shard %d: %w", i, r.err)
+		mRaw := chunk32(&r)
+		mSig := chunk32(&r)
+		dmRaw := chunk32(&r)
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("authtext: sharded export shard %d: %w", i, err)
 		}
 		if string(hasher.Sum(mRaw)) != string(sm.ManifestDigests[i]) {
 			return nil, fmt.Errorf("authtext: sharded export shard %d manifest does not match the set manifest", i)
@@ -196,8 +197,8 @@ func parseShardedExport(data []byte) (*shardedExport, error) {
 		ex.shardSigs[i] = mSig
 		ex.docMaps[i] = dm
 	}
-	if !r.empty() {
-		return nil, errors.New("authtext: trailing bytes in sharded client export")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("authtext: sharded client export: %w", err)
 	}
 	return ex, nil
 }
@@ -205,16 +206,15 @@ func parseShardedExport(data []byte) (*shardedExport, error) {
 // splitClientExport copies an ATCX blob's three chunks out: manifest
 // encoding, manifest signature, PKIX public key DER.
 func splitClientExport(data []byte) (manifestRaw, sigRaw, keyDER []byte, err error) {
-	r := chunkReader{b: data}
-	if !r.magic(exportMagic) {
+	r := binx.NewReader(data)
+	if string(r.Take(len(exportMagic))) != exportMagic {
 		return nil, nil, nil, errors.New("authtext: not a client export")
 	}
-	manifestRaw, sigRaw, keyDER = r.chunk(2), r.chunk(2), r.chunk(2)
-	if r.err != nil {
-		return nil, nil, nil, fmt.Errorf("authtext: %w", r.err)
-	}
-	if !r.empty() {
-		return nil, nil, nil, errors.New("authtext: trailing bytes in client export")
+	manifestRaw = r.Copy(int(r.U16()))
+	sigRaw = r.Copy(int(r.U16()))
+	keyDER = r.Copy(int(r.U16()))
+	if err := r.Done(); err != nil {
+		return nil, nil, nil, fmt.Errorf("authtext: client export: %w", err)
 	}
 	return manifestRaw, sigRaw, keyDER, nil
 }
@@ -250,62 +250,5 @@ func NewClientFromExport(data []byte) (*Client, error) {
 	return newClient(manifest, sigRaw, verifier, true), nil
 }
 
-// chunkReader is a bounds-checked reader over an export blob.
-type chunkReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *chunkReader) magic(m string) bool {
-	if len(r.b) < len(m) || string(r.b[:len(m)]) != m {
-		return false
-	}
-	r.off = len(m)
-	return true
-}
-
-func (r *chunkReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) || r.off+n < r.off {
-		r.err = errors.New("truncated export")
-		return nil
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
-func (r *chunkReader) u8() uint8 {
-	v := r.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (r *chunkReader) u16() uint16 {
-	v := r.take(2)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint16(v)
-}
-
-// chunk reads a length prefix of the given width in bytes (2 in ATCX, 4 in
-// ATSX) and returns a copy of the chunk it announces.
-func (r *chunkReader) chunk(width int) []byte {
-	v := r.take(width)
-	if v == nil {
-		return nil
-	}
-	n := 0
-	for _, b := range v { // big-endian
-		n = n<<8 | int(b)
-	}
-	return append([]byte(nil), r.take(n)...)
-}
-
-func (r *chunkReader) empty() bool { return r.err == nil && r.off == len(r.b) }
+// chunk32 copies out an ATSX chunk: a u32 length, then that many bytes.
+func chunk32(r *binx.Reader) []byte { return r.Copy(int(r.U32())) }

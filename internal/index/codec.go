@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"authtext/internal/binx"
 )
 
 // Binary round-trip for snapshot persistence. The encoding is a flat,
@@ -60,14 +62,14 @@ func (x *Index) AppendBinary(b []byte) []byte {
 // input may come from an untrusted snapshot: lengths are checked before any
 // allocation and the result is validated structurally.
 func DecodeBinary(b []byte) (*Index, error) {
-	r := codecReader{b: b}
-	n := int(r.u32())
-	avgLen := r.f64()
-	k1 := r.f64()
-	bParam := r.f64()
-	m := int(r.u32())
-	if r.err != nil {
-		return nil, r.err
+	r := binx.NewReader(b)
+	n := int(r.U32())
+	avgLen := r.F64()
+	k1 := r.F64()
+	bParam := r.F64()
+	m := int(r.U32())
+	if err := r.Err(); err != nil {
+		return nil, decodeErr(err)
 	}
 	if n <= 0 || m <= 0 {
 		return nil, fmt.Errorf("index: decode: %d documents, %d terms", n, m)
@@ -77,8 +79,9 @@ func DecodeBinary(b []byte) (*Index, error) {
 	}
 	// Each term costs ≥ 6 bytes (empty name is itself invalid, caught by
 	// Validate-adjacent checks below); each document ≥ 12.
-	if m > r.remaining()/6 || n > len(b)/12 {
-		return nil, errors.New("index: decode: counts exceed payload")
+	m, n = r.Count(m, 6), r.Count(n, 12)
+	if err := r.Err(); err != nil {
+		return nil, decodeErr(err)
 	}
 
 	x := &Index{
@@ -93,10 +96,10 @@ func DecodeBinary(b []byte) (*Index, error) {
 	}
 	x.Okapi.K1, x.Okapi.B = k1, bParam
 	for t := 0; t < m; t++ {
-		name := string(r.sized16())
-		ft := r.u32()
-		if r.err != nil {
-			return nil, r.err
+		name := string(r.Take(int(r.U16())))
+		ft := r.U32()
+		if err := r.Err(); err != nil {
+			return nil, decodeErr(err)
 		}
 		if name == "" {
 			return nil, fmt.Errorf("index: decode: term %d has empty name", t)
@@ -118,7 +121,7 @@ func DecodeBinary(b []byte) (*Index, error) {
 	var total int
 	for t := 0; t < m; t++ {
 		ft := int(x.Terms[t].FT)
-		if ft > r.remaining()/codecEntrySize-total {
+		if ft > r.Len()/codecEntrySize-total {
 			return nil, errors.New("index: decode: list length exceeds payload")
 		}
 		total += ft
@@ -126,10 +129,7 @@ func DecodeBinary(b []byte) (*Index, error) {
 	arena := make([]Posting, total)
 	for t := 0; t < m; t++ {
 		ft := int(x.Terms[t].FT)
-		raw := r.take(ft * codecEntrySize)
-		if r.err != nil {
-			return nil, r.err
-		}
+		raw := r.Take(ft * codecEntrySize)
 		l := arena[:ft:ft]
 		arena = arena[ft:]
 		for i := range l {
@@ -139,35 +139,22 @@ func DecodeBinary(b []byte) (*Index, error) {
 		x.Lists[t] = l
 	}
 	for d := 0; d < n; d++ {
-		vecLen := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
-		}
-		if vecLen > r.remaining()/codecEntrySize {
-			return nil, errors.New("index: decode: document vector exceeds payload")
-		}
-		raw := r.take(vecLen * codecEntrySize)
+		vecLen := r.Count(int(r.U32()), codecEntrySize)
+		raw := r.Take(vecLen * codecEntrySize)
 		vec := make([]TermFreq, vecLen)
 		for i := range vec {
 			e := raw[i*codecEntrySize:]
 			vec[i] = TermFreq{Term: TermID(binary.BigEndian.Uint32(e)), W: math.Float32frombits(binary.BigEndian.Uint32(e[4:]))}
 		}
 		x.DocTerm[d] = vec
-		x.DocLen[d] = r.u32()
-		contentLen := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
+		x.DocLen[d] = r.U32()
+		x.Content[d] = r.Take(int(r.U32()))
+		if err := r.Err(); err != nil {
+			return nil, decodeErr(err)
 		}
-		if contentLen > r.remaining() {
-			return nil, errors.New("index: decode: document content exceeds payload")
-		}
-		x.Content[d] = r.take(contentLen)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.remaining() != 0 {
-		return nil, errors.New("index: decode: trailing bytes")
+	if err := r.Done(); err != nil {
+		return nil, decodeErr(err)
 	}
 	for _, vec := range x.DocTerm {
 		for _, tf := range vec {
@@ -182,47 +169,4 @@ func DecodeBinary(b []byte) (*Index, error) {
 	return x, nil
 }
 
-type codecReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *codecReader) remaining() int { return len(r.b) - r.off }
-
-func (r *codecReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.err = errors.New("index: decode: truncated input")
-		return nil
-	}
-	v := r.b[r.off : r.off+n : r.off+n] // capped: an append must not overwrite the input
-	r.off += n
-	return v
-}
-
-func (r *codecReader) u32() uint32 {
-	v := r.take(4)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(v)
-}
-
-func (r *codecReader) f64() float64 {
-	v := r.take(8)
-	if v == nil {
-		return 0
-	}
-	return math.Float64frombits(binary.BigEndian.Uint64(v))
-}
-
-func (r *codecReader) sized16() []byte {
-	v := r.take(2)
-	if v == nil {
-		return nil
-	}
-	return r.take(int(binary.BigEndian.Uint16(v)))
-}
+func decodeErr(err error) error { return fmt.Errorf("index: decode: %w", err) }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"authtext/internal/binx"
 	"authtext/internal/sig"
 )
 
@@ -101,45 +102,33 @@ func (m *SetManifest) Validate() error {
 // DecodeSetManifest parses a canonical encoding. The input is untrusted:
 // counts are validated against the available bytes before allocation.
 func DecodeSetManifest(b []byte) (*SetManifest, error) {
-	if len(b) < len(setManifestDomain) || string(b[:len(setManifestDomain)]) != setManifestDomain {
+	r := binx.NewReader(b)
+	if string(r.Take(len(setManifestDomain))) != setManifestDomain {
 		return nil, errors.New("shard: not a set manifest")
 	}
-	rest := b[len(setManifestDomain):]
-	if len(rest) < 10 {
-		return nil, errors.New("shard: truncated set manifest")
+	m := &SetManifest{K: r.U32(), Partitioner: Partitioner(r.U8()), GlobalN: r.U32(), HashSize: r.U8()}
+	k := r.Count(int(m.K), 4+2*int(m.HashSize))
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("shard: set manifest: %w", err)
 	}
-	m := &SetManifest{
-		K:           binary.BigEndian.Uint32(rest),
-		Partitioner: Partitioner(rest[4]),
-		GlobalN:     binary.BigEndian.Uint32(rest[5:]),
-		HashSize:    rest[9],
+	if k < 1 {
+		return nil, errors.New("shard: set manifest has zero shards")
 	}
-	rest = rest[10:]
-	perShard := 4 + 2*int(m.HashSize)
-	if m.K < 1 || int(m.K) > len(rest)/perShard {
-		return nil, errors.New("shard: set manifest shard count exceeds payload")
-	}
-	k := int(m.K)
 	m.ShardDocs = make([]uint32, k)
 	m.ManifestDigests = make([][]byte, k)
 	m.DocMapDigests = make([][]byte, k)
 	for i := 0; i < k; i++ {
-		m.ShardDocs[i] = binary.BigEndian.Uint32(rest)
-		rest = rest[4:]
-		m.ManifestDigests[i] = append([]byte(nil), rest[:m.HashSize]...)
-		rest = rest[m.HashSize:]
-		m.DocMapDigests[i] = append([]byte(nil), rest[:m.HashSize]...)
-		rest = rest[m.HashSize:]
+		m.ShardDocs[i] = r.U32()
+		m.ManifestDigests[i] = r.Copy(int(m.HashSize))
+		m.DocMapDigests[i] = r.Copy(int(m.HashSize))
 	}
-	if len(rest) == 8 {
-		m.Generation = binary.BigEndian.Uint64(rest)
-		if m.Generation == 0 {
+	if r.Len() == 8 {
+		if m.Generation = r.U64(); m.Generation == 0 {
 			return nil, errors.New("shard: non-canonical zero generation field")
 		}
-		rest = rest[8:]
 	}
-	if len(rest) != 0 {
-		return nil, errors.New("shard: trailing bytes in set manifest")
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("shard: set manifest: %w", err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
@@ -171,16 +160,13 @@ func EncodeDocMap(m []uint32) []byte {
 
 // DecodeDocMap parses an EncodeDocMap encoding.
 func DecodeDocMap(b []byte) ([]uint32, error) {
-	if len(b) < 4 {
-		return nil, errors.New("shard: truncated doc map")
-	}
-	n := int(binary.BigEndian.Uint32(b))
-	if len(b) != 4+4*n {
-		return nil, errors.New("shard: doc map length disagrees with its count")
-	}
-	out := make([]uint32, n)
+	r := binx.NewReader(b)
+	out := make([]uint32, r.Count(int(r.U32()), 4))
 	for i := range out {
-		out[i] = binary.BigEndian.Uint32(b[4+4*i:])
+		out[i] = r.U32()
+	}
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("shard: doc map: %w", err)
 	}
 	return out, nil
 }

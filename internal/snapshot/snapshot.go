@@ -34,6 +34,7 @@ import (
 	"os"
 	"time"
 
+	"authtext/internal/binx"
 	"authtext/internal/core"
 	"authtext/internal/engine"
 	"authtext/internal/index"
@@ -238,36 +239,34 @@ func parse(b []byte, deferMin int) (col *engine.Collection, deferred []sectionCh
 	if len(b) < 8 {
 		return nil, nil, errors.New("snapshot: not a snapshot (shorter than its header)")
 	}
-	if string(b[:4]) != magic {
+	r := binx.NewReader(b)
+	if string(r.Take(len(magic))) != magic {
 		return nil, nil, errors.New("snapshot: not a snapshot (bad magic)")
 	}
-	if v := binary.BigEndian.Uint16(b[4:]); v != Version {
+	if v := r.U16(); v != Version {
 		return nil, nil, fmt.Errorf("%w: %d (this build speaks %d)", ErrVersion, v, Version)
 	}
-	if n := binary.BigEndian.Uint16(b[6:]); int(n) != len(sectionOrder) {
+	if n := r.U16(); int(n) != len(sectionOrder) {
 		return nil, nil, fmt.Errorf("snapshot: %d sections, format v%d has %d", n, Version, len(sectionOrder))
 	}
-	off := 8
 	payloads := make(map[uint16][]byte, len(sectionOrder))
 	for _, wantID := range sectionOrder {
-		if len(b)-off < 16 {
-			return nil, nil, fmt.Errorf("snapshot: reading section header: truncated at %d", off)
+		if r.Len() < 16 {
+			return nil, nil, fmt.Errorf("snapshot: reading section header: truncated at %d", len(b)-r.Len())
 		}
-		id := binary.BigEndian.Uint16(b[off:])
+		id := r.U16()
 		if id != wantID {
 			return nil, nil, fmt.Errorf("snapshot: section %d out of order (want %d)", id, wantID)
 		}
-		if binary.BigEndian.Uint16(b[off+2:]) != 0 {
+		if r.U16() != 0 {
 			return nil, nil, fmt.Errorf("snapshot: section %d has non-zero reserved field", id)
 		}
-		s := sectionCheck{id: id, want: binary.BigEndian.Uint32(b[off+4:])}
-		length := binary.BigEndian.Uint64(b[off+8:])
-		off += 16
-		if length > uint64(len(b)-off) {
+		s := sectionCheck{id: id, want: r.U32()}
+		length := r.U64()
+		if length > uint64(r.Len()) {
 			return nil, nil, fmt.Errorf("snapshot: section %d: truncated payload (declared %d bytes)", id, length)
 		}
-		s.payload = b[off : off+int(length)]
-		off += int(length)
+		s.payload = r.Take(int(length))
 		if len(s.payload) >= deferMin {
 			deferred = append(deferred, s)
 		} else if err := s.check(); err != nil {
@@ -275,7 +274,7 @@ func parse(b []byte, deferMin int) (col *engine.Collection, deferred []sectionCh
 		}
 		payloads[id] = s.payload
 	}
-	if off != len(b) {
+	if r.Len() != 0 {
 		return nil, nil, errors.New("snapshot: trailing bytes after last section")
 	}
 	col, err = restore(payloads)
@@ -291,10 +290,10 @@ func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
 
 	// Manifest first: it is the (signed) source of truth every later
 	// section is cross-checked against.
-	mr := byteReader{b: bytes.Clone(payloads[secManifest])}
-	manifestRaw := mr.sized32()
-	st.ManifestSig = mr.sized32()
-	if err := mr.done("manifest section"); err != nil {
+	mr := binx.NewReader(bytes.Clone(payloads[secManifest]))
+	manifestRaw := sized32(&mr)
+	st.ManifestSig = sized32(&mr)
+	if err := done(&mr, "manifest section"); err != nil {
 		return nil, err
 	}
 	manifest, err := core.DecodeManifest(manifestRaw)
@@ -303,10 +302,10 @@ func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
 	}
 	st.Manifest = manifest
 
-	kr := byteReader{b: bytes.Clone(payloads[secPubKey])}
-	kind := kr.u8()
-	pub := kr.sized32()
-	if err := kr.done("public-key section"); err != nil {
+	kr := binx.NewReader(bytes.Clone(payloads[secPubKey]))
+	kind := kr.U8()
+	pub := sized32(&kr)
+	if err := done(&kr, "public-key section"); err != nil {
 		return nil, err
 	}
 	st.Verifier, err = sig.ParseVerifier(kind, pub)
@@ -319,33 +318,33 @@ func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
 
-	devPayload := payloads[secStore]
-	if len(devPayload) < store.ParamsEncodedSize+8 {
+	dr := binx.NewReader(payloads[secStore])
+	params := dr.Take(store.ParamsEncodedSize)
+	dataLen := dr.U64()
+	if err := dr.Err(); err != nil {
 		return nil, errors.New("snapshot: truncated store section")
 	}
-	st.StoreParams, err = store.DecodeParams(devPayload)
+	st.StoreParams, err = store.DecodeParams(params)
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
 	}
-	dataLen := binary.BigEndian.Uint64(devPayload[store.ParamsEncodedSize:])
-	data := devPayload[store.ParamsEncodedSize+8:]
-	if uint64(len(data)) != dataLen {
+	if uint64(dr.Len()) != dataLen {
 		return nil, errors.New("snapshot: store section length disagrees with device size")
 	}
-	st.DeviceData = data
+	st.DeviceData = dr.Take(dr.Len())
 
-	lr := byteReader{b: payloads[secLayout]}
-	st.Layout.Plain = lr.extents()
-	st.Layout.ChainTRA = lr.extents()
-	st.Layout.ChainTNRA = lr.extents()
-	st.Layout.Doc = lr.extents()
-	if err := lr.done("layout section"); err != nil {
+	lr := binx.NewReader(payloads[secLayout])
+	st.Layout.Plain = extents(&lr)
+	st.Layout.ChainTRA = extents(&lr)
+	st.Layout.ChainTNRA = extents(&lr)
+	st.Layout.Doc = extents(&lr)
+	if err := done(&lr, "layout section"); err != nil {
 		return nil, err
 	}
 
 	n, m, hashSize := int(manifest.N), int(manifest.M), int(manifest.HashSize)
-	ar := byteReader{b: payloads[secAuth]}
-	switch ar.u8() {
+	ar := binx.NewReader(payloads[secAuth])
+	switch ar.U8() {
 	case 0:
 		if !manifest.DictMode {
 			return nil, errors.New("snapshot: auth section lacks signatures outside dictionary mode")
@@ -355,7 +354,7 @@ func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
 			return nil, errors.New("snapshot: auth section carries signatures in dictionary mode")
 		}
 		for _, kind := range manifest.Variants.Kinds() {
-			st.TermSigs[kind-1] = ar.sliceTable(m, -1)
+			st.TermSigs[kind-1] = sliceTable(&ar, m, -1)
 		}
 	default:
 		return nil, errors.New("snapshot: bad signature-mode byte in auth section")
@@ -363,38 +362,36 @@ func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
 	// Term tables follow the signed variant set: a kind that was not built
 	// has none (so a table for one is trailing bytes).
 	for _, kind := range manifest.Variants.Kinds() {
-		st.TermRoots[kind-1] = ar.sliceTable(m, hashSize)
+		st.TermRoots[kind-1] = sliceTable(&ar, m, hashSize)
 	}
-	st.DocHash = ar.sliceTable(n, hashSize)
-	if manifest.Boosted && ar.err == nil {
-		// Same pre-allocation guard as sliceTable: n comes from the
-		// untrusted manifest and must be backed by payload bytes.
-		if n > (len(ar.b)-ar.off)/4 {
-			ar.err = errors.New("authority count exceeds section payload")
-		} else {
+	st.DocHash = sliceTable(&ar, n, hashSize)
+	if manifest.Boosted {
+		// n comes from the untrusted manifest and must be backed by
+		// payload bytes before it sizes anything.
+		if n := ar.Count(n, 4); ar.Err() == nil {
 			st.Authority = make([]float32, n)
 			for d := range st.Authority {
-				st.Authority[d] = math.Float32frombits(ar.u32())
+				st.Authority[d] = ar.F32()
 			}
 		}
 	}
-	if err := ar.done("auth section"); err != nil {
+	if err := done(&ar, "auth section"); err != nil {
 		return nil, err
 	}
 
-	sr := byteReader{b: payloads[secStats]}
+	sr := binx.NewReader(payloads[secStats])
 	space := [7]int64{}
 	for i := range space {
-		space[i] = int64(sr.u64())
+		space[i] = int64(sr.U64())
 	}
 	st.Space = engine.SpaceReport{
 		ContentBytes: space[0], PlainListBytes: space[1], ChainTRABytes: space[2],
 		ChainTNRABytes: space[3], DocRecordBytes: space[4], TermSigBytes: space[5],
 		DeviceBytes: space[6],
 	}
-	st.Signatures = int(sr.u32())
-	st.BuildTime = time.Duration(sr.u64())
-	if err := sr.done("stats section"); err != nil {
+	st.Signatures = int(sr.U32())
+	st.BuildTime = time.Duration(sr.U64())
+	if err := done(&sr, "stats section"); err != nil {
 		return nil, err
 	}
 
@@ -427,110 +424,56 @@ func appendExtents(b []byte, exts []store.Extent) []byte {
 	return b
 }
 
-// byteReader is a bounds-checked reader over a section payload; the byte
-// strings it returns alias the payload. Errors accumulate; done reports the
-// first one (or trailing garbage).
-type byteReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *byteReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) || r.off+n < r.off {
-		r.err = errors.New("truncated section")
-		return nil
-	}
-	v := r.b[r.off : r.off+n : r.off+n] // capped: an append must not overwrite the payload
-	r.off += n
-	return v
-}
-
-func (r *byteReader) u8() uint8 {
-	v := r.take(1)
-	if v == nil {
-		return 0
-	}
-	return v[0]
-}
-
-func (r *byteReader) u32() uint32 {
-	v := r.take(4)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(v)
-}
-
-func (r *byteReader) u64() uint64 {
-	v := r.take(8)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(v)
-}
+// The section decoders below read through a binx.Reader; the byte strings
+// they return alias the payload, capacity-capped.
 
 // sized32 reads a u32-length-prefixed byte string.
-func (r *byteReader) sized32() []byte {
-	return r.take(int(r.u32()))
-}
+func sized32(r *binx.Reader) []byte { return r.Take(int(r.U32())) }
 
 // sliceTable reads count entries: fixed width bytes each, or u32-prefixed
 // when width < 0.
-func (r *byteReader) sliceTable(count, width int) [][]byte {
-	if r.err != nil {
-		return nil
-	}
+func sliceTable(r *binx.Reader, count, width int) [][]byte {
 	perEntry := width
 	if width < 0 {
-		perEntry = 4
+		perEntry = 4 // the length prefix
 	}
-	if perEntry > 0 && count > (len(r.b)-r.off)/perEntry {
-		r.err = errors.New("table count exceeds section payload")
+	count = r.Count(count, perEntry)
+	if r.Err() != nil {
 		return nil
 	}
 	out := make([][]byte, count)
 	for i := range out {
 		if width < 0 {
-			out[i] = r.sized32()
+			out[i] = sized32(r)
 		} else {
-			out[i] = r.take(width)
+			out[i] = r.Take(width)
 		}
 	}
 	return out
 }
 
 // extents reads a u32-count extent table.
-func (r *byteReader) extents() []store.Extent {
-	count := int(r.u32())
-	if r.err != nil {
-		return nil
-	}
+func extents(r *binx.Reader) []store.Extent {
 	const extSize = 8 + 4 + 8
-	if count > (len(r.b)-r.off)/extSize {
-		r.err = errors.New("extent count exceeds section payload")
+	count := r.Count(int(r.U32()), extSize)
+	if r.Err() != nil {
 		return nil
 	}
 	out := make([]store.Extent, count)
 	for i := range out {
 		out[i] = store.Extent{
-			Start:  store.Addr(r.u64()),
-			Blocks: int32(r.u32()),
-			Length: int64(r.u64()),
+			Start:  store.Addr(r.U64()),
+			Blocks: int32(r.U32()),
+			Length: int64(r.U64()),
 		}
 	}
 	return out
 }
 
-func (r *byteReader) done(what string) error {
-	if r.err != nil {
-		return fmt.Errorf("snapshot: %s: %w", what, r.err)
-	}
-	if r.off != len(r.b) {
-		return fmt.Errorf("snapshot: %s: %d trailing bytes", what, len(r.b)-r.off)
+// done reports a section reader's first failure, or trailing bytes.
+func done(r *binx.Reader, what string) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("snapshot: %s: %w", what, err)
 	}
 	return nil
 }

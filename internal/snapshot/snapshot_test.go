@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"authtext/internal/binx"
 	"authtext/internal/core"
 	"authtext/internal/corpus"
 	"authtext/internal/engine"
@@ -171,13 +172,13 @@ func TestRoundTripVariantSubset(t *testing.T) {
 	}
 	// Layout: plain, chain-TRA, chain-TNRA, doc — counts 0, 0, M, 0.
 	start, end, _ := sectionRange(t, snap, secLayout)
-	lr := byteReader{b: snap[start:end]}
+	lr := binx.NewReader(snap[start:end])
 	for i, want := range []int{0, 0, col.Index().M(), 0} {
-		if got := len(lr.extents()); got != want {
+		if got := len(extents(&lr)); got != want {
 			t.Fatalf("extent table %d has %d entries, want %d", i, got, want)
 		}
 	}
-	if err := lr.done("layout"); err != nil {
+	if err := done(&lr, "layout"); err != nil {
 		t.Fatal(err)
 	}
 	mapped, err := OpenMapped(writeSnapshotFile(t, snap))

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"authtext/internal/binx"
 )
 
 // Category classifies each byte of an encoded VO.
@@ -170,8 +172,9 @@ func positionRuns(runs []positionRun, positions []uint32) []positionRun {
 const magic = "AVO1"
 
 var (
-	// ErrTruncated indicates the buffer ended mid-structure.
-	ErrTruncated = errors.New("vo: truncated")
+	// ErrTruncated indicates the buffer ended mid-structure, or a count
+	// in it promised more than the buffer holds.
+	ErrTruncated = fmt.Errorf("vo: %w", binx.ErrTruncated)
 	// ErrBadMagic indicates the buffer is not an encoded VO.
 	ErrBadMagic = errors.New("vo: bad magic")
 )
@@ -390,358 +393,175 @@ func Encode(v *VO, hashSize int) ([]byte, Breakdown, error) {
 // ---------------------------------------------------------------------------
 // Decoding
 
-type reader struct {
-	buf []byte
-	off int
+// Smallest encodings of the repeated records (every count zero, every
+// string empty). Decode checks each count read from the input against
+// them before allocating for it.
+const (
+	minTermBytes     = 4 + 4 + 2 + 4 + 4 + 1 + 2 + 2
+	minDocBytes      = 4 + 4 + 1 + 2 + 2 + 2 + 2
+	minVocabBytes    = 2 + 2 + 2
+	minPositionBytes = 4 + 2
+)
+
+// decodeErr reports a reader failure under vo's sentinels.
+func decodeErr(err error) error {
+	if errors.Is(err, binx.ErrTruncated) {
+		return ErrTruncated
+	}
+	return fmt.Errorf("vo: %w", err)
 }
 
-func (r *reader) u8() (uint8, error) {
-	if r.off+1 > len(r.buf) {
-		return 0, ErrTruncated
-	}
-	v := r.buf[r.off]
-	r.off++
-	return v, nil
-}
+func str(r *binx.Reader) string { return string(r.Take(int(r.U16()))) }
 
-func (r *reader) u16() (uint16, error) {
-	if r.off+2 > len(r.buf) {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint16(r.buf[r.off:])
-	r.off += 2
-	return v, nil
-}
+// sized reads a u16-prefixed byte string into a fresh slice (nil if empty).
+func sized(r *binx.Reader) []byte { return r.Copy(int(r.U16())) }
 
-func (r *reader) u32() (uint32, error) {
-	if r.off+4 > len(r.buf) {
-		return 0, ErrTruncated
+// digests reads a u16-counted list of fixed-width digests backed by one
+// flat copy: digest lists are the bulkiest part of a VO, and per-digest
+// slices made the decoder's allocation count scale with proof size.
+func digests(r *binx.Reader, hashSize int) [][]byte {
+	n := r.Count(int(r.U16()), hashSize)
+	flat := r.Copy(n * hashSize)
+	if flat == nil {
+		return nil
 	}
-	v := binary.BigEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v, nil
-}
-
-func (r *reader) u64() (uint64, error) {
-	if r.off+8 > len(r.buf) {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v, nil
-}
-
-func (r *reader) f32() (float32, error) {
-	v, err := r.u32()
-	return math.Float32frombits(v), err
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.off+n > len(r.buf) {
-		return nil, ErrTruncated
-	}
-	v := make([]byte, n)
-	copy(v, r.buf[r.off:])
-	r.off += n
-	return v, nil
-}
-
-func (r *reader) str() (string, error) {
-	n, err := r.u16()
-	if err != nil {
-		return "", err
-	}
-	b, err := r.bytes(int(n))
-	return string(b), err
-}
-
-// digests reads n fixed-width digests backed by one flat allocation:
-// digest lists are the bulkiest part of a VO, and per-digest slices made
-// the decoder's allocation count scale with proof size.
-func (r *reader) digests(hashSize int) ([][]byte, error) {
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	total := int(n) * hashSize
-	if r.off+total > len(r.buf) {
-		return nil, ErrTruncated
-	}
-	flat := make([]byte, total)
-	copy(flat, r.buf[r.off:])
-	r.off += total
 	out := make([][]byte, n)
 	for i := range out {
 		out[i] = flat[i*hashSize : (i+1)*hashSize : (i+1)*hashSize]
 	}
-	return out, nil
-}
-
-func (r *reader) sized() ([]byte, error) {
-	n, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
-	}
-	return r.bytes(int(n))
+	return out
 }
 
 // Decode parses an encoded VO. The digest width is read from the header.
+// Every field is copied out of b.
 func Decode(b []byte) (*VO, error) {
-	r := &reader{buf: b}
-	m, err := r.bytes(len(magic))
-	if err != nil || string(m) != magic {
+	r := binx.NewReader(b)
+	if string(r.Take(len(magic))) != magic {
 		return nil, ErrBadMagic
 	}
-	v := &VO{}
-	if v.Algo, err = r.u8(); err != nil {
-		return nil, err
+	v := &VO{Algo: r.U8(), Scheme: r.U8()}
+	hashSize := int(r.U8())
+	flags := r.U8()
+	if err := r.Err(); err != nil {
+		return nil, decodeErr(err)
 	}
-	if v.Scheme, err = r.u8(); err != nil {
-		return nil, err
-	}
-	hs, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
-	hashSize := int(hs)
 	if hashSize < 8 || hashSize > 32 {
 		return nil, fmt.Errorf("vo: implausible hash size %d", hashSize)
 	}
-	flags, err := r.u8()
-	if err != nil {
-		return nil, err
-	}
 	if flags&8 != 0 {
-		if v.Generation, err = r.u64(); err != nil {
-			return nil, err
-		}
-		if v.Generation == 0 {
+		if v.Generation = r.U64(); v.Generation == 0 && r.Err() == nil {
 			return nil, fmt.Errorf("vo: non-canonical zero generation")
 		}
 	}
 
-	nTerms, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if nTerms > 0 {
-		v.Terms = make([]TermProof, nTerms)
+	if n := r.Count(int(r.U16()), minTermBytes); n > 0 {
+		v.Terms = make([]TermProof, n)
 	}
 	for i := range v.Terms {
 		t := &v.Terms[i]
-		if t.TermID, err = r.u32(); err != nil {
-			return nil, err
+		t.TermID = r.U32()
+		t.FT = r.U32()
+		t.Name = str(&r)
+		t.KScore = r.U32()
+		t.KProof = r.U32()
+		hasFreqs := r.U8() == 1
+		width := 4
+		if hasFreqs {
+			width += 4
 		}
-		if t.FT, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if t.Name, err = r.str(); err != nil {
-			return nil, err
-		}
-		if t.KScore, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if t.KProof, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if t.KProof > uint32(len(b)) { // cheap bound before allocating
-			return nil, ErrTruncated
-		}
-		hasFreqs, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		if t.KProof > 0 {
-			t.Docs = make([]uint32, t.KProof)
-		}
-		for j := range t.Docs {
-			if t.Docs[j], err = r.u32(); err != nil {
-				return nil, err
+		n := r.Count(int(t.KProof), width)
+		if n > 0 {
+			t.Docs = make([]uint32, n)
+			for j := range t.Docs {
+				t.Docs[j] = r.U32()
 			}
 		}
-		if hasFreqs == 1 {
-			t.Freqs = make([]float32, t.KProof)
+		if hasFreqs {
+			t.Freqs = make([]float32, n)
 			for j := range t.Freqs {
-				if t.Freqs[j], err = r.f32(); err != nil {
-					return nil, err
-				}
+				t.Freqs[j] = r.F32()
 			}
 		}
-		if t.Digests, err = r.digests(hashSize); err != nil {
-			return nil, err
-		}
-		if t.Sig, err = r.sized(); err != nil {
-			return nil, err
-		}
+		t.Digests = digests(&r, hashSize)
+		t.Sig = sized(&r)
 	}
 
-	nDocs, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	if nDocs > uint32(len(b)) {
-		return nil, ErrTruncated
-	}
-	if nDocs > 0 {
-		v.Docs = make([]DocProof, nDocs)
+	if n := r.Count(int(r.U32()), minDocBytes); n > 0 {
+		v.Docs = make([]DocProof, n)
 	}
 	for i := range v.Docs {
 		d := &v.Docs[i]
-		if d.Doc, err = r.u32(); err != nil {
-			return nil, err
+		d.Doc = r.U32()
+		d.LeafCount = r.U32()
+		d.InResult = r.U8() == 1
+		d.ContentHash = sized(&r)
+		nRuns := int(r.U16())
+		// Pre-scan the runs on a fork of the cursor to size the reveal
+		// arrays with one allocation each instead of append growth.
+		scan, revealed := r, 0
+		for range nRuns {
+			scan.U32()
+			length := scan.Count(int(scan.U16()), runEntryBytes)
+			scan.Take(length * runEntryBytes)
+			revealed += length
 		}
-		if d.LeafCount, err = r.u32(); err != nil {
-			return nil, err
+		if revealed > 0 && scan.Err() == nil {
+			d.Positions = make([]uint32, 0, revealed)
+			d.Terms = make([]uint32, 0, revealed)
+			d.Ws = make([]float32, 0, revealed)
 		}
-		inRes, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		d.InResult = inRes == 1
-		if d.ContentHash, err = r.sized(); err != nil {
-			return nil, err
-		}
-		nRuns, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		// Pre-scan the runs to size the reveal arrays with one allocation
-		// each instead of append growth.
-		totalRevealed := 0
-		scan := r.off
-		for runIdx := 0; runIdx < int(nRuns); runIdx++ {
-			if scan+runHeaderBytes > len(r.buf) {
-				return nil, ErrTruncated
-			}
-			length := int(binary.BigEndian.Uint16(r.buf[scan+4:]))
-			scan += runHeaderBytes + runEntryBytes*length
-			totalRevealed += length
-		}
-		if scan > len(r.buf) {
-			return nil, ErrTruncated
-		}
-		if totalRevealed > 0 {
-			d.Positions = make([]uint32, 0, totalRevealed)
-			d.Terms = make([]uint32, 0, totalRevealed)
-			d.Ws = make([]float32, 0, totalRevealed)
-		}
-		for runIdx := 0; runIdx < int(nRuns); runIdx++ {
-			start, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			length, err := r.u16()
-			if err != nil {
-				return nil, err
-			}
-			if int(length) > len(b) {
-				return nil, ErrTruncated
-			}
-			for k := uint32(0); k < uint32(length); k++ {
+		for range nRuns {
+			start := r.U32()
+			length := r.Count(int(r.U16()), runEntryBytes)
+			for k := range uint32(length) {
 				d.Positions = append(d.Positions, start+k)
-				term, err := r.u32()
-				if err != nil {
-					return nil, err
-				}
-				wv, err := r.f32()
-				if err != nil {
-					return nil, err
-				}
-				d.Terms = append(d.Terms, term)
-				d.Ws = append(d.Ws, wv)
+				d.Terms = append(d.Terms, r.U32())
+				d.Ws = append(d.Ws, r.F32())
 			}
 		}
-		if d.Digests, err = r.digests(hashSize); err != nil {
-			return nil, err
-		}
-		if d.Sig, err = r.sized(); err != nil {
-			return nil, err
-		}
+		d.Digests = digests(&r, hashSize)
+		d.Sig = sized(&r)
 	}
 
 	if flags&1 != 0 {
-		cp := &ContentProof{}
-		if cp.Digests, err = r.digests(hashSize); err != nil {
-			return nil, err
-		}
-		v.ContentProof = cp
+		v.ContentProof = &ContentProof{Digests: digests(&r, hashSize)}
 	}
 	if flags&2 != 0 {
-		dp := &DictProof{}
-		if dp.M, err = r.u32(); err != nil {
-			return nil, err
-		}
-		if dp.Digests, err = r.digests(hashSize); err != nil {
-			return nil, err
-		}
-		if dp.Sig, err = r.sized(); err != nil {
-			return nil, err
-		}
+		dp := &DictProof{M: r.U32()}
+		dp.Digests = digests(&r, hashSize)
+		dp.Sig = sized(&r)
 		v.DictProof = dp
 	}
 
-	nVocab, err := r.u16()
-	if err != nil {
-		return nil, err
-	}
-	if nVocab > 0 {
-		v.VocabProofs = make([]VocabProof, nVocab)
+	if n := r.Count(int(r.U16()), minVocabBytes); n > 0 {
+		v.VocabProofs = make([]VocabProof, n)
 	}
 	for i := range v.VocabProofs {
 		p := &v.VocabProofs[i]
-		if p.Token, err = r.str(); err != nil {
-			return nil, err
-		}
-		nPos, err := r.u16()
-		if err != nil {
-			return nil, err
-		}
-		if nPos > 0 {
-			p.Positions = make([]uint32, nPos)
-			p.Names = make([]string, nPos)
-		}
-		for j := 0; j < int(nPos); j++ {
-			if p.Positions[j], err = r.u32(); err != nil {
-				return nil, err
-			}
-			if p.Names[j], err = r.str(); err != nil {
-				return nil, err
+		p.Token = str(&r)
+		if n := r.Count(int(r.U16()), minPositionBytes); n > 0 {
+			p.Positions = make([]uint32, n)
+			p.Names = make([]string, n)
+			for j := range p.Positions {
+				p.Positions[j] = r.U32()
+				p.Names[j] = str(&r)
 			}
 		}
-		if p.Digests, err = r.digests(hashSize); err != nil {
-			return nil, err
-		}
+		p.Digests = digests(&r, hashSize)
 	}
 	if flags&4 != 0 {
 		ap := &AuthorityProof{}
-		nVals, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		if nVals > uint32(len(b)) {
-			return nil, ErrTruncated
-		}
-		if nVals > 0 {
-			ap.Values = make([]float32, nVals)
-		}
-		for i := range ap.Values {
-			if ap.Values[i], err = r.f32(); err != nil {
-				return nil, err
+		if n := r.Count(int(r.U32()), 4); n > 0 {
+			ap.Values = make([]float32, n)
+			for i := range ap.Values {
+				ap.Values[i] = r.F32()
 			}
 		}
-		if ap.Digests, err = r.digests(hashSize); err != nil {
-			return nil, err
-		}
+		ap.Digests = digests(&r, hashSize)
 		v.AuthorityProof = ap
 	}
-	if r.off != len(b) {
-		return nil, errors.New("vo: trailing bytes")
+	if err := r.Done(); err != nil {
+		return nil, decodeErr(err)
 	}
 	return v, nil
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"authtext/internal/binx"
 )
 
 // Message codecs: canonical binary encodings of the response types. All
@@ -133,56 +135,11 @@ func EncodeManifestResponse(r *ManifestResponse) []byte {
 
 // --- decoding ---
 
-// reader is a bounds-checked cursor over a message payload. Errors
-// accumulate; finish reports the first one (or trailing garbage).
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail(format string, args ...interface{}) {
-	if r.err == nil {
-		r.err = decodeErr(format, args...)
-	}
-}
-
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > len(r.b)-r.off {
-		r.fail("truncated message")
-		return nil
-	}
-	v := r.b[r.off : r.off+n]
-	r.off += n
-	return v
-}
-
-func (r *reader) u32() uint32 {
-	v := r.take(4)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint32(v)
-}
-
-func (r *reader) u64() uint64 {
-	v := r.take(8)
-	if v == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(v)
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// int32v decodes a u32 that must fit a non-negative int.
-func (r *reader) int32v() int {
-	v := r.u32()
+// int32v decodes a u32 that must fit a non-negative int32.
+func int32v(r *binx.Reader) int {
+	v := r.U32()
 	if v > math.MaxInt32 {
-		r.fail("count %d out of range", v)
+		r.Fail(fmt.Errorf("count %d out of range", v))
 		return 0
 	}
 	return int(v)
@@ -190,84 +147,70 @@ func (r *reader) int32v() int {
 
 // int64v decodes a u64 carrying an int64 that must be non-negative and
 // fit the platform int.
-func (r *reader) int64v() int {
-	v := int64(r.u64())
+func int64v(r *binx.Reader) int {
+	v := int64(r.U64())
 	if v < 0 || uint64(v) > math.MaxInt {
-		r.fail("value %d out of range", v)
+		r.Fail(fmt.Errorf("value %d out of range", v))
 		return 0
 	}
 	return int(v)
 }
 
-func (r *reader) str() string { return string(r.take(r.int32v())) }
+func str(r *binx.Reader) string { return string(r.Take(int32v(r))) }
 
 // bytesv decodes a u32-prefixed byte string. The result aliases the
-// payload (which the decoders own), avoiding a copy of contents and VOs.
-func (r *reader) bytesv() []byte {
-	v := r.take(r.int32v())
-	if v == nil || len(v) == 0 {
-		return nil
+// payload (which the decoders own), avoiding a copy of contents and VOs,
+// and is capacity-capped like every binx slice: appending to one field
+// reallocates instead of writing over the next.
+func bytesv(r *binx.Reader) []byte {
+	if v := r.Take(int32v(r)); len(v) > 0 {
+		return v
 	}
-	return v
+	return nil
 }
 
-// count validates an element count against the remaining bytes at a
-// minimum encoded width per element, before any slice allocation.
-func (r *reader) count(minWidth int) int {
-	n := r.int32v()
-	if r.err != nil {
-		return 0
-	}
-	if n > (len(r.b)-r.off)/minWidth {
-		r.fail("count %d exceeds remaining payload", n)
-		return 0
-	}
-	return n
-}
+// count decodes an element count and validates it against the remaining
+// bytes at a minimum encoded width per element, before any allocation.
+func count(r *binx.Reader, minWidth int) int { return r.Count(int32v(r), minWidth) }
 
-func (r *reader) searchStats(st *SearchStats) {
-	st.QueryTerms = r.int32v()
-	st.EntriesRead = r.int32v()
-	st.EntriesPerTerm = r.f64()
-	st.PctListRead = r.f64()
-	st.BlockReads = int64(r.u64())
-	st.RandomReads = int64(r.u64())
-	st.IOMillis = r.f64()
-	st.VOBytes = r.int32v()
-	st.ServerMillis = r.f64()
+func searchStats(r *binx.Reader, st *SearchStats) {
+	st.QueryTerms = int32v(r)
+	st.EntriesRead = int32v(r)
+	st.EntriesPerTerm = r.F64()
+	st.PctListRead = r.F64()
+	st.BlockReads = int64(r.U64())
+	st.RandomReads = int64(r.U64())
+	st.IOMillis = r.F64()
+	st.VOBytes = int32v(r)
+	st.ServerMillis = r.F64()
 }
 
 // minHitBytes is the smallest encoded Hit (empty content).
 const minHitBytes = 8 + 8 + 4
 
-func (r *reader) searchResponse(out *SearchResponse) {
-	out.Query = r.str()
-	out.R = r.int32v()
-	out.Algo = r.str()
-	out.Scheme = r.str()
-	out.Generation = r.u64()
-	n := r.count(minHitBytes)
-	if r.err != nil {
-		return
-	}
-	if n > 0 { // zero-count fields stay nil, mirroring the encoder's input
+func searchResponse(r *binx.Reader, out *SearchResponse) {
+	out.Query = str(r)
+	out.R = int32v(r)
+	out.Algo = str(r)
+	out.Scheme = str(r)
+	out.Generation = r.U64()
+	// Zero-count fields stay nil, mirroring the encoder's input.
+	if n := count(r, minHitBytes); n > 0 {
 		out.Hits = make([]Hit, n)
 		for i := range out.Hits {
-			out.Hits[i].DocID = r.int64v()
-			out.Hits[i].Score = r.f64()
-			out.Hits[i].Content = r.bytesv()
+			out.Hits[i].DocID = int64v(r)
+			out.Hits[i].Score = r.F64()
+			out.Hits[i].Content = bytesv(r)
 		}
 	}
-	out.VO = r.bytesv()
-	r.searchStats(&out.Stats)
+	out.VO = bytesv(r)
+	searchStats(r, &out.Stats)
 }
 
-func (r *reader) finish(what string) error {
-	if r.err != nil {
-		return fmt.Errorf("%w (%s)", r.err, what)
-	}
-	if r.off != len(r.b) {
-		return decodeErr("%s: %d trailing bytes", what, len(r.b)-r.off)
+// finish reports the first failure, or trailing bytes, as an ErrDecode.
+func finish(r *binx.Reader, what string) error {
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrDecode, what, err)
 	}
 	return nil
 }
@@ -278,10 +221,10 @@ func DecodeSearchResponse(frame []byte) (*SearchResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := reader{b: raw}
+	r := binx.NewReader(raw)
 	out := &SearchResponse{}
-	r.searchResponse(out)
-	if err := r.finish("search response"); err != nil {
+	searchResponse(&r, out)
+	if err := finish(&r, "search response"); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -296,37 +239,34 @@ func DecodeShardedSearchResponse(frame []byte) (*ShardedSearchResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := reader{b: raw}
+	r := binx.NewReader(raw)
 	out := &ShardedSearchResponse{}
-	out.Query = r.str()
-	out.R = r.int32v()
-	out.Algo = r.str()
-	out.Scheme = r.str()
-	out.Generation = r.u64()
-	if n := r.count(minShardBytes); r.err == nil && n > 0 {
+	out.Query = str(&r)
+	out.R = int32v(&r)
+	out.Algo = str(&r)
+	out.Scheme = str(&r)
+	out.Generation = r.U64()
+	if n := count(&r, minShardBytes); n > 0 {
 		out.Shards = make([]SearchResponse, n)
 		for i := range out.Shards {
-			r.searchResponse(&out.Shards[i])
-			if r.err != nil {
-				break
-			}
+			searchResponse(&r, &out.Shards[i])
 		}
 	}
-	if n := r.count(4 + 8 + 8 + 8); r.err == nil && n > 0 {
+	if n := count(&r, 4+8+8+8); n > 0 {
 		out.Merged = make([]MergedHit, n)
 		for i := range out.Merged {
-			out.Merged[i].Shard = r.int32v()
-			out.Merged[i].DocID = r.int64v()
-			out.Merged[i].GlobalID = r.int64v()
-			out.Merged[i].Score = r.f64()
+			out.Merged[i].Shard = int32v(&r)
+			out.Merged[i].DocID = int64v(&r)
+			out.Merged[i].GlobalID = int64v(&r)
+			out.Merged[i].Score = r.F64()
 		}
 	}
-	out.Stats.Shards = r.int32v()
-	out.Stats.EntriesRead = r.int32v()
-	out.Stats.VOBytes = r.int32v()
-	out.Stats.IOMillis = r.f64()
-	out.Stats.ServerMillis = r.f64()
-	if err := r.finish("sharded response"); err != nil {
+	out.Stats.Shards = int32v(&r)
+	out.Stats.EntriesRead = int32v(&r)
+	out.Stats.VOBytes = int32v(&r)
+	out.Stats.IOMillis = r.F64()
+	out.Stats.ServerMillis = r.F64()
+	if err := finish(&r, "sharded response"); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -338,11 +278,11 @@ func DecodeManifestResponse(frame []byte) (*ManifestResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := reader{b: raw}
+	r := binx.NewReader(raw)
 	out := &ManifestResponse{}
-	out.Format = r.str()
-	out.Export = r.bytesv()
-	if err := r.finish("manifest response"); err != nil {
+	out.Format = str(&r)
+	out.Export = bytesv(&r)
+	if err := finish(&r, "manifest response"); err != nil {
 		return nil, err
 	}
 	return out, nil

@@ -20,7 +20,9 @@
 package wire
 
 // Hit is one verified result entry. Content is the full document body,
-// base64-encoded in JSON and verbatim in a frame.
+// base64-encoded in JSON and verbatim in a frame. A decoded Content
+// aliases the response buffer and is capacity-capped: appending to it
+// reallocates, never writing over the next field.
 type Hit struct {
 	DocID   int     `json:"doc_id"`
 	Score   float64 `json:"score"`
@@ -54,10 +56,12 @@ type SearchResponse struct {
 	// static collections). It is an untrusted hint — the VO carries the
 	// authoritative stamp — that tells clients when to refresh their
 	// manifest from /v1/manifest (docs/UPDATES.md).
-	Generation uint64      `json:"generation,omitempty"`
-	Hits       []Hit       `json:"hits"`
-	VO         []byte      `json:"vo"`
-	Stats      SearchStats `json:"stats"`
+	Generation uint64 `json:"generation,omitempty"`
+	Hits       []Hit  `json:"hits"`
+	// VO is the encoded verification object. Decoded, it aliases the
+	// response buffer and is capacity-capped, like Hit.Content.
+	VO    []byte      `json:"vo"`
+	Stats SearchStats `json:"stats"`
 }
 
 // ManifestResponse carries the owner's verification material: Export is

@@ -321,3 +321,68 @@ func TestMemoEvictionAndVerdicts(t *testing.T) {
 		t.Fatalf("three encodes ran the compressor %d times and hit the memo %d times, want 1 and 2", d, h)
 	}
 }
+
+// TestDecodedBytesDoNotShareCapacity: every byte field a decoder returns
+// aliases the message buffer, so each must be capped at its own length.
+// Otherwise appending to one hit's content (the client hands these slices
+// out as verified Hit.Content) writes over the next hit, or over the VO.
+func TestDecodedBytesDoNotShareCapacity(t *testing.T) {
+	searchFields := func(r *SearchResponse) [][]byte {
+		var out [][]byte
+		for i := range r.Hits {
+			out = append(out, r.Hits[i].Content)
+		}
+		return append(out, r.VO)
+	}
+	sharded := &ShardedSearchResponse{
+		Query: "q", Algo: "tnra", Scheme: "cmht",
+		Shards: []SearchResponse{*sampleSearchResponse(), *verboseSearchResponse()},
+	}
+	for name, decode := range map[string]func() ([][]byte, error){
+		"search": func() ([][]byte, error) {
+			r, err := DecodeSearchResponse(EncodeSearchResponse(verboseSearchResponse()))
+			if err != nil {
+				return nil, err
+			}
+			return searchFields(r), nil
+		},
+		"sharded": func() ([][]byte, error) {
+			r, err := DecodeShardedSearchResponse(EncodeShardedSearchResponse(sharded))
+			if err != nil {
+				return nil, err
+			}
+			var out [][]byte
+			for i := range r.Shards {
+				out = append(out, searchFields(&r.Shards[i])...)
+			}
+			return out, nil
+		},
+		"manifest": func() ([][]byte, error) {
+			r, err := DecodeManifestResponse(EncodeManifestResponse(&ManifestResponse{Format: "atcx1", Export: []byte("export blob")}))
+			if err != nil {
+				return nil, err
+			}
+			return [][]byte{r.Export}, nil
+		},
+	} {
+		fields, err := decode()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := make([][]byte, len(fields))
+		for i, f := range fields {
+			want[i] = bytes.Clone(f)
+		}
+		for i, f := range fields {
+			if cap(f) != len(f) {
+				t.Errorf("%s: field %d has length %d, capacity %d", name, i, len(f), cap(f))
+			}
+			_ = append(f, bytes.Repeat([]byte{0xee}, 64)...)
+		}
+		for i, f := range fields {
+			if !bytes.Equal(f, want[i]) {
+				t.Errorf("%s: appending to the decoded fields changed field %d", name, i)
+			}
+		}
+	}
+}

@@ -315,3 +315,36 @@ func TestRemoteFrameVersionsNegotiateJSON(t *testing.T) {
 		})
 	}
 }
+
+// TestAppendToVerifiedHitsKeepsAnswerValid: the hit contents of a verified
+// binary answer alias the decoded response, so each is capped at its own
+// length. Appending to one must reallocate rather than write over the next
+// hit's content or the VO, and the untouched answer must verify again.
+func TestAppendToVerifiedHitsKeepsAnswerValid(t *testing.T) {
+	handler, export := remoteEnv(t)
+	srv := httptest.NewServer(handler)
+	defer srv.Close()
+	rc, err := authtext.NewRemoteClient(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := authtext.NewClientFromExport(export)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, algo := range []authtext.Algorithm{authtext.TRA, authtext.TNRA} {
+		res, err := rc.Search(context.Background(), remoteQuery, remoteR, algo, authtext.ChainMHT)
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		if len(res.Hits) < 2 {
+			t.Fatalf("%s: %d hits, want at least 2", algo, len(res.Hits))
+		}
+		for _, h := range res.Hits {
+			_ = append(h.Content, bytes.Repeat([]byte("appended "), 8)...)
+		}
+		if err := client.Verify(remoteQuery, remoteR, res); err != nil {
+			t.Fatalf("%s: appending to verified hit contents broke the answer: %v", algo, err)
+		}
+	}
+}
