@@ -204,14 +204,10 @@ func (d StatsDuration) String() string { return fmt.Sprintf("%.3fms", float64(d)
 
 // options collects construction-time settings.
 type options struct {
-	blockSize        int
-	hashSize         int
-	rsaBits          int
 	fastSignerKey    []byte
 	dictMode         bool
 	vocabProofs      bool
 	keepSingletons   bool
-	k1, b            float64
 	signerOverridden bool
 	authority        []float64
 	pageRankLinks    [][]int
@@ -222,16 +218,6 @@ type options struct {
 
 // Option customises NewOwner.
 type Option func(*options)
-
-// WithBlockSize sets the simulated disk block size (default 1024, §4.1).
-func WithBlockSize(n int) Option { return func(o *options) { o.blockSize = n } }
-
-// WithHashSize sets the digest size in bytes (default 16 = 128 bits,
-// Table 1).
-func WithHashSize(n int) Option { return func(o *options) { o.hashSize = n } }
-
-// WithRSABits sets the RSA modulus size (default 1024 bits, Table 1).
-func WithRSABits(n int) Option { return func(o *options) { o.rsaBits = n } }
 
 // WithFastSigner replaces RSA with a keyed-hash signer of identical
 // signature size. Builds become orders of magnitude faster but signatures
@@ -271,9 +257,6 @@ func WithVariants(vs ...Variant) Option {
 // WithSingletonTerms keeps terms that occur in only one document (the
 // paper removes them, §4.1).
 func WithSingletonTerms() Option { return func(o *options) { o.keepSingletons = true } }
-
-// WithOkapi overrides the similarity parameters (defaults k1=1.2, b=0.75).
-func WithOkapi(k1, b float64) Option { return func(o *options) { o.k1, o.b = k1, b } }
 
 // ShardPartitioner selects how documents are assigned to shards.
 type ShardPartitioner int
@@ -388,8 +371,7 @@ func prepareBuild(docs []Document, opts []Option) (engine.Config, []index.Docume
 	if len(docs) == 0 {
 		return engine.Config{}, nil, nil, errors.New("authtext: empty collection")
 	}
-	o := &options{blockSize: 1024, hashSize: sig.DefaultHashSize, rsaBits: sig.DefaultRSABits,
-		k1: okapi.DefaultK1, b: okapi.DefaultB}
+	o := &options{}
 	for _, opt := range opts {
 		opt(o)
 	}
@@ -398,22 +380,20 @@ func prepareBuild(docs []Document, opts []Option) (engine.Config, []index.Docume
 	if o.signerOverridden {
 		signer, err = sig.NewHMACSigner(o.fastSignerKey, 128)
 	} else {
-		signer, err = sig.NewRSASigner(o.rsaBits)
+		signer, err = sig.NewRSASigner(sig.DefaultRSABits)
 	}
 	if err != nil {
 		return engine.Config{}, nil, nil, err
 	}
-	params := store.DefaultParams()
-	params.BlockSize = o.blockSize
 	authority, err := computeAuthority(o, len(docs))
 	if err != nil {
 		return engine.Config{}, nil, nil, err
 	}
 	cfg := engine.Config{
-		Store:            params,
-		HashSize:         o.hashSize,
+		Store:            store.DefaultParams(),
+		HashSize:         sig.DefaultHashSize,
 		Signer:           signer,
-		Okapi:            okapi.Params{K1: o.k1, B: o.b},
+		Okapi:            okapi.DefaultParams(),
 		RemoveSingletons: !o.keepSingletons,
 		DictMode:         o.dictMode,
 		VocabProofs:      o.vocabProofs,

@@ -27,7 +27,8 @@ const (
 	CodeBadContent
 	// CodeBadScore: a claimed score differs from the recomputed one.
 	CodeBadScore
-	// CodeBadOrdering: result entries are not in non-increasing score order.
+	// CodeBadOrdering: result entries are not in the canonical order (score
+	// descending, ties by ascending doc ID).
 	CodeBadOrdering
 	// CodeThreshold: the cut-off threshold exceeds the last result score, so
 	// unseen documents could outrank the result (incomplete result).

@@ -359,8 +359,13 @@ func verifyTRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Que
 		if e.Score != scores[e.Doc] {
 			return vErr(CodeBadScore, "result doc %d: claimed %v, computed %v", e.Doc, e.Score, scores[e.Doc])
 		}
-		if i > 0 && in.Result[i-1].Score < e.Score {
-			return vErr(CodeBadOrdering, "result not in non-increasing score order at %d", i)
+		// The canonical order, as verifyTNRA demands: score descending, ties
+		// by ascending doc ID. Both engines emit it, so an honest answer has
+		// one arrangement and a reordered tie is a forgery. The tail check
+		// below stays score-only: an honest TRA-MHT answer may omit an
+		// encountered doc that ties the last result with a lower ID.
+		if i > 0 && !resultLess(in.Result[i-1], e) {
+			return vErr(CodeBadOrdering, "result not in canonical score order at %d", i)
 		}
 	}
 

@@ -354,25 +354,63 @@ func TestLiveShardedMixedGenerationRejected(t *testing.T) {
 	}
 }
 
-func TestLiveSnapshotDirAndReplica(t *testing.T) {
+// TestLiveSnapshotDirAndReplica and its sharded twin cover the
+// per-generation snapshot layout end to end: persist, open a replica,
+// reload forward (and idle), restart from disk, refuse a rollback on disk
+// and a generation renamed against its manifest.
+func TestLiveSnapshotDirAndReplica(t *testing.T)        { liveSnapshotDirAndReplica(t, 0) }
+func TestLiveShardedSnapshotDirAndReplica(t *testing.T) { liveSnapshotDirAndReplica(t, 3) }
+
+func liveSnapshotDirAndReplica(t *testing.T, shards int) {
+	sharded := shards > 0
+	build := NewLiveOwner
+	if sharded {
+		build = func(docs []Document, opts ...Option) (*LiveOwner, []DocHandle, error) {
+			return NewLiveShardedOwner(docs, shards, opts...)
+		}
+	}
+	owner, handles, err := build(liveDocs(0, 40), WithFastSigner([]byte("live-snap")))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	owner, _, err := NewLiveOwner(liveDocs(0, 12), WithFastSigner([]byte("live-snap")))
+	path, err := owner.WriteSnapshotDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path1, err := owner.WriteSnapshotDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if filepath.Base(path) != genName(1, sharded) {
+		t.Fatalf("generation 1 written to %q", path)
 	}
-	if filepath.Base(path1) != "gen-000000000001.atsn" {
-		t.Fatalf("generation-1 snapshot named %s", filepath.Base(path1))
+	if layout, err := liveDirLayout(dir); !IsLiveSnapshotDir(dir) || err != nil || layout != sharded {
+		t.Fatalf("directory misdetected: sharded=%v err=%v", layout, err)
+	}
+	if _, err := OpenLiveSnapshotDirMapped(dir); sharded && err == nil {
+		t.Fatal("a directory of shard-set generations opened as a mapped replica")
 	}
 	replica, err := OpenLiveSnapshotDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if replica.Generation() != 1 {
-		t.Fatalf("replica generation = %d", replica.Generation())
+		t.Fatalf("replica opened at generation %d", replica.Generation())
+	}
+
+	// PersistGenerations makes every future generation land on disk from
+	// inside the update critical section; Reload picks it up.
+	if _, err := owner.PersistGenerations(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := owner.Update(liveDocs(40, 2), handles[:1]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, genName(2, sharded))); err != nil {
+		t.Fatalf("generation 2 snapshot not persisted by the publish hook: %v", err)
+	}
+	if swapped, err := replica.Reload(); err != nil || !swapped || replica.Generation() != 2 {
+		t.Fatalf("reload = (%v, %v) at generation %d, want a swap to 2", swapped, err, replica.Generation())
+	}
+	if swapped, err := replica.Reload(); err != nil || swapped {
+		t.Fatalf("idle reload = (%v, %v)", swapped, err)
 	}
 	res, err := replica.Server().Search(liveQuery, 3, TNRA, ChainMHT)
 	if err != nil {
@@ -382,35 +420,26 @@ func TestLiveSnapshotDirAndReplica(t *testing.T) {
 		t.Fatalf("replica answer failed verification: %v", err)
 	}
 
-	// PersistGenerations makes every future generation land on disk from
-	// inside the update critical section; generation 2 needs no explicit
-	// WriteSnapshotDir call.
-	if _, err := owner.PersistGenerations(dir, nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := owner.Update(liveDocs(12, 1), nil); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, genName(2, false))); err != nil {
-		t.Fatalf("generation 2 snapshot not persisted by the publish hook: %v", err)
-	}
-	swapped, err := replica.Reload()
-	if err != nil || !swapped {
-		t.Fatalf("reload = (%v, %v), want swap", swapped, err)
-	}
-	if replica.Generation() != 2 {
-		t.Fatalf("replica generation after reload = %d", replica.Generation())
-	}
-	if swapped, err := replica.Reload(); err != nil || swapped {
-		t.Fatalf("idle reload = (%v, %v)", swapped, err)
+	// Restart: a fresh open resumes at the latest generation on disk.
+	if restarted, err := OpenLiveSnapshotDir(dir); err != nil || restarted.Generation() != 2 {
+		t.Fatalf("restart opened generation %v (err %v), want 2", restarted, err)
 	}
 
-	// Rolling the directory back under a running replica fails Reload.
-	if err := os.Remove(filepath.Join(dir, genName(2, false))); err != nil {
+	// Rollback on disk is refused: with generation 2 gone, the serving
+	// replica will not fall back to generation 1.
+	if err := os.RemoveAll(filepath.Join(dir, genName(2, sharded))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := replica.Reload(); err == nil {
-		t.Fatal("rolled-back snapshot directory accepted")
+		t.Fatal("reload accepted a rolled-back snapshot directory")
+	}
+
+	// Name-vs-manifest cross-check: a renamed generation is rejected at open.
+	if err := os.Rename(filepath.Join(dir, genName(1, sharded)), filepath.Join(dir, genName(7, sharded))); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLiveSnapshotDir(dir); err == nil {
+		t.Fatal("renamed generation accepted")
 	}
 }
 
@@ -596,88 +625,6 @@ func TestLiveCompaction(t *testing.T) {
 	}
 	if rep3.SignaturesReused == 0 {
 		t.Fatalf("no reuse after compaction: %+v", rep3)
-	}
-}
-
-// TestLiveShardedSnapshotDirAndReplica covers the per-generation sharded
-// snapshot layout end to end: persist, restart from disk, reload forward,
-// refuse rollback.
-func TestLiveShardedSnapshotDirAndReplica(t *testing.T) {
-	owner, handles, err := NewLiveShardedOwner(liveDocs(0, 40), 3, WithFastSigner([]byte("shard-snap")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path, err := owner.PersistGenerations(dir, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if filepath.Base(path) != genName(1, true) {
-		t.Fatalf("generation 1 written to %q", path)
-	}
-	if !IsLiveSnapshotDir(dir) {
-		t.Fatal("IsLiveSnapshotDir = false on a freshly written directory")
-	}
-	if sharded, err := liveDirLayout(dir); err != nil || !sharded {
-		t.Fatalf("sharded generation directory misdetected as a single-collection one (err %v)", err)
-	}
-	if _, err := OpenLiveSnapshotDirMapped(dir); err == nil {
-		t.Fatal("a directory of shard-set generations opened as a mapped replica")
-	}
-
-	replica, err := OpenLiveSnapshotDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replica.Generation() != 1 {
-		t.Fatalf("replica opened at generation %d", replica.Generation())
-	}
-
-	// An accepted update persists generation 2 from inside the publish
-	// hook; Reload picks it up.
-	if _, _, err := owner.Update(liveDocs(40, 2), handles[:1]); err != nil {
-		t.Fatal(err)
-	}
-	swapped, err := replica.Reload()
-	if err != nil || !swapped {
-		t.Fatalf("reload after update: swapped=%v err=%v", swapped, err)
-	}
-	if replica.Generation() != 2 {
-		t.Fatalf("replica at generation %d after reload, want 2", replica.Generation())
-	}
-	res, err := replica.Server().Search(liveQuery, 3, TNRA, ChainMHT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := replica.Client().Verify(liveQuery, 3, res); err != nil {
-		t.Fatalf("replica answer failed verification: %v", err)
-	}
-
-	// Restart: a fresh open resumes at the latest generation on disk.
-	replica2, err := OpenLiveSnapshotDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replica2.Generation() != 2 {
-		t.Fatalf("restart opened generation %d, want 2", replica2.Generation())
-	}
-
-	// Rollback on disk is refused: with generation 2 gone, the serving
-	// replica will not fall back to generation 1.
-	if err := os.RemoveAll(filepath.Join(dir, genName(2, true))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := replica.Reload(); err == nil {
-		t.Fatal("reload accepted a rolled-back snapshot directory")
-	}
-
-	// Name-vs-manifest cross-check: a renamed generation directory is
-	// rejected at open.
-	if err := os.Rename(filepath.Join(dir, genName(1, true)), filepath.Join(dir, genName(7, true))); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenLiveSnapshotDir(dir); err == nil {
-		t.Fatal("renamed generation directory accepted")
 	}
 }
 

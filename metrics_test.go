@@ -342,8 +342,8 @@ func TestClientMetricsVerifyAndTamper(t *testing.T) {
 			return
 		}
 		// This adversary tampers at the JSON layer; force the honest
-		// server off binary frames (the framed path has its own battery
-		// in remote_wire_test.go).
+		// server off binary frames (the framed path is the shape matrix's
+		// frame column).
 		r.Header.Del("Accept")
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)

@@ -15,7 +15,8 @@ import (
 // overlap, singleton terms, token lengths) and randomized queries (known,
 // unknown and mixed terms) must produce honest Search→Verify round trips
 // across every Algorithm×Scheme combination — directly, through a snapshot
-// round-trip, and sharded. Seeds are fixed so failures reproduce.
+// round-trip, and sharded — whose rankings match the brute-force oracle.
+// Seeds are fixed so failures reproduce.
 
 // propVocabulary builds a vocabulary pool with controlled overlap: common
 // words appear in many documents, rare words in few, and singletons in one.
@@ -120,6 +121,9 @@ func TestPropertyHonestRoundTrip(t *testing.T) {
 						if err := client.Verify(query, r, res); err != nil {
 							t.Errorf("%s-%s %q r=%d: honest result rejected: %v", algo, scheme, query, r, err)
 						}
+						if err := server.CheckRankingForTest(query, r, algo, res); err != nil {
+							t.Errorf("%s-%s %q r=%d: %v", algo, scheme, query, r, err)
+						}
 						// The same query through the snapshot round-trip,
 						// cross-verified by the original client.
 						sres, err := snapServer.Search(query, r, algo, scheme)
@@ -186,6 +190,9 @@ func TestPropertyShardedRoundTrip(t *testing.T) {
 						}
 						if err := client.Verify(query, r, res); err != nil {
 							t.Errorf("%s-%s %q r=%d: honest sharded result rejected: %v", algo, scheme, query, r, err)
+						}
+						if err := server.CheckRankingForTest(query, r, algo, res); err != nil {
+							t.Errorf("%s-%s %q r=%d: %v", algo, scheme, query, r, err)
 						}
 						sres, err := snapServer.Search(query, r, algo, scheme)
 						if err != nil {
@@ -385,6 +392,9 @@ func TestPropertyLiveUpdateSequence(t *testing.T) {
 						if err := client.Verify(query, r, res); err != nil {
 							t.Errorf("step %d %s-%s honest result rejected: %v", step, algo, scheme, err)
 						}
+						if err := srv.CheckRankingForTest(query, r, algo, res); err != nil {
+							t.Errorf("step %d %s-%s %q r=%d: %v", step, algo, scheme, query, r, err)
+						}
 					}
 				}
 				// An answer saved from an earlier generation must be stale
@@ -499,6 +509,9 @@ func TestPropertyLiveRemovalExclusion(t *testing.T) {
 							if err := client.Verify(m, 2, res); err != nil {
 								t.Errorf("step %d %s-%s: honest answer for removed marker %q rejected: %v",
 									step, algo, scheme, m, err)
+							}
+							if err := srv.CheckRankingForTest(m, 2, algo, res); err != nil {
+								t.Errorf("step %d %s-%s %q: %v", step, algo, scheme, m, err)
 							}
 							for _, h := range res.Hits {
 								if bytes.Contains(h.Content, []byte(m)) {

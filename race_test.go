@@ -1,10 +1,8 @@
 package authtext
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,92 +31,6 @@ func TestClientVerifyConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				if err := client.Verify("merkle tree", 3, res); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Errorf("goroutine %d: %v", g, err)
-		}
-	}
-}
-
-// RemoteClient shares one Client across concurrent Search calls; the same
-// once-guard covers it. Run with -race to enforce.
-func TestRemoteClientConcurrentSearch(t *testing.T) {
-	owner, err := NewOwner(snapshotTestDocs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	handler, err := owner.HTTPHandler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(handler)
-	defer srv.Close()
-
-	rc, err := NewRemoteClient(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if _, err := rc.Search(ctx, "inverted index", 2, TNRA, ChainMHT); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Errorf("goroutine %d: %v", g, err)
-		}
-	}
-}
-
-// One Server hammered from many goroutines: the engine's read path is
-// lock-free (per-query store sessions over an immutable collection), and
-// every concurrent answer must still verify. Run with -race to enforce.
-func TestServerConcurrentSearch(t *testing.T) {
-	owner, err := NewOwner(snapshotTestDocs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, client := owner.Server(), owner.Client()
-	queries := []string{"merkle tree", "inverted index", "verification object", "threshold"}
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				q := queries[(g+i)%len(queries)]
-				algo := TNRA
-				if (g+i)%2 == 0 {
-					algo = TRA
-				}
-				res, err := server.Search(q, 3, algo, ChainMHT)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				if err := client.Verify(q, 3, res); err != nil {
 					errs[g] = err
 					return
 				}
@@ -276,93 +188,5 @@ func TestCachedLiveOwnerConcurrentHammer(t *testing.T) {
 	}
 	if verified.Load() == 0 {
 		t.Error("no response ever verified")
-	}
-}
-
-// A ShardedServer fans every query out to goroutines internally AND is
-// hammered from many client goroutines here; every merged answer must
-// verify, including the merge recomputation. Run with -race to enforce.
-func TestShardedServerConcurrentSearch(t *testing.T) {
-	owner, err := NewShardedOwner(snapshotTestDocs(), 4,
-		WithFastSigner([]byte("sharded-race")), WithSingletonTerms())
-	if err != nil {
-		t.Fatal(err)
-	}
-	server, client := owner.Server(), owner.Client()
-	queries := []string{"merkle tree", "inverted index", "verification object", "signed root"}
-
-	const goroutines = 8
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				q := queries[(g+i)%len(queries)]
-				algo := TNRA
-				if (g+i)%2 == 0 {
-					algo = TRA
-				}
-				res, err := server.Search(q, 3, algo, ChainMHT)
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				if err := client.Verify(q, 3, res); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Errorf("goroutine %d: %v", g, err)
-		}
-	}
-}
-
-// ShardedRemoteClient shares one ShardedClient across concurrent Search
-// calls over a real HTTP boundary. Run with -race to enforce.
-func TestShardedRemoteClientConcurrentSearch(t *testing.T) {
-	owner, err := NewShardedOwner(snapshotTestDocs(), 3,
-		WithFastSigner([]byte("sharded-remote-race")), WithSingletonTerms())
-	if err != nil {
-		t.Fatal(err)
-	}
-	handler, err := owner.HTTPHandler()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(handler)
-	defer srv.Close()
-
-	rc, err := NewRemoteClient(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	const goroutines = 6
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				if _, err := rc.Search(ctx, "inverted index", 2, TNRA, ChainMHT); err != nil {
-					errs[g] = err
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for g, err := range errs {
-		if err != nil {
-			t.Errorf("goroutine %d: %v", g, err)
-		}
 	}
 }

@@ -9,7 +9,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -20,36 +23,95 @@ import (
 	"authtext/internal/wire"
 )
 
-// The handler shape matrix: every serving shape — {bare, 2 shards} ×
-// {static, live owner, snapshot replica} — is built from one generation
-// source behind one backend (serve.go), so one table checks what all six
-// must agree on: honest answers verify over both wire codecs, the
-// registered endpoint set and its 404/403 bodies, healthz, the generation
-// header, cache precedence and byte-identical hits, pinned in-process
-// servers, and the tamper / rollback classifications.
+// The handler shape matrix is the one place the honest and tamper contract
+// is checked. Every serving shape — {bare, 2 shards} × {static, live owner,
+// snapshot replica}, plus the memory-mapped opens — is built from one
+// generation source behind one backend (serve.go), in list and in
+// dictionary mode. Against each, one table checks what all must agree on:
+//
+//   - honest answers, in process and remote, over both wire codecs, by a
+//     cold and a warm client, verify and rank exactly as core.PSCAN ranks
+//     the generation that answered (the oracle in oracle_test.go);
+//   - every tamper row — rewrites of a hit, of the VO or of a shard set's
+//     merge, another query's honest answer spliced in, an equal-score
+//     reordering, and on binary frames a bit flip in every frame region —
+//     classifies as tampering, identically by a cold and a warm client,
+//     whether the honest answer came from a cache miss or a cache hit;
+//   - goroutines searching through one RemoteClient and one pinned Server
+//     all verify;
+//   - the registered endpoint set and its 404/403 bodies, healthz, the
+//     generation header, cache precedence and byte-identical hits, pinned
+//     in-process servers, the variant-not-built refusal and the rollback
+//     classification.
 
 const (
-	matrixQuery = "merkle digest"
-	matrixR     = 3
-	matrixDocs  = 16
+	// matrixQuery's honest top-r has at least three hits and two distinct
+	// scores, so the ranking rows cannot be vacuous (checked per shape).
+	matrixQuery = "digest chain"
+	// matrixTieQuery's honest top-r ties on score: the canonical order
+	// (score descending, doc ascending) is the only thing fixing it.
+	matrixTieQuery = "merkle tree"
+	// matrixSpliceQuery answers a different question, for the splice row.
+	matrixSpliceQuery = "signature verification"
+	matrixR           = 3
+	matrixDocs        = 24
 )
+
+// matrixCorpus is the matrix's collection: three documents for the splice
+// query, six that tie on matrixTieQuery (one occurrence of each term, equal
+// lengths), eight that grade matrixQuery's terms by frequency, and fillers
+// that keep every query term rare in every shard.
+func matrixCorpus() []authtext.Document {
+	texts := []string{
+		"signature verification owner server client key",
+		"signature verification owner server client audit",
+		"signature verification owner server client note",
+	}
+	for _, u := range []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"} {
+		texts = append(texts, "merkle tree ledger archive vault "+u)
+	}
+	texts = append(texts,
+		"digest digest digest chain block proof",
+		"digest digest chain chain block proof",
+		"digest digest chain block proof root",
+		"digest chain chain block proof root",
+		"digest chain block proof root query",
+		"chain block proof root query index",
+		"digest block proof root query index",
+		"block proof root query index result")
+	for _, u := range []string{"north", "south", "east", "west", "spring", "summer", "autumn"} {
+		texts = append(texts, "owner server client audit report "+u)
+	}
+	docs := make([]authtext.Document, len(texts))
+	for i, text := range texts {
+		docs[i] = authtext.Document{Content: []byte(text)}
+	}
+	return docs
+}
+
+var matrixAlgos = []authtext.Algorithm{authtext.TRA, authtext.TNRA}
 
 // matrixEnv is one built shape.
 type matrixEnv struct {
-	handler http.Handler
+	// handler serves the shape through cache (WithVOCache; nil for none).
+	handler func(cache *authtext.VOCache) http.Handler
 	// documents and generation are what healthz must report.
 	documents  int
 	generation uint64
 	// ownCache is the cache the static server itself carries (SetVOCache);
-	// nil on the live shapes, whose sources carry none. The handler is built
-	// with WithVOCache(optCache), which must win.
+	// nil on the other shapes. A handler built WithVOCache must ignore it.
 	ownCache *authtext.VOCache
-	// advance publishes one more generation and makes this handler serve
+	// advance publishes one more generation and makes every handler serve
 	// it; nil on static shapes.
 	advance func(t *testing.T)
 	// server returns an in-process Server of the test's own, pinned to the
-	// generation the handler currently serves.
+	// generation the handlers currently serve, and client a verifying
+	// client of that generation.
 	server func() *authtext.Server
+	client func() *authtext.Client
+	// twin, on the mapped shapes, serves the same snapshot opened by
+	// copying: every answer must be byte-identical.
+	twin *authtext.Server
 }
 
 type matrixShape struct {
@@ -60,7 +122,7 @@ type matrixShape struct {
 	// such endpoint), 403 (replica: serving-only) or 200 (owner).
 	adminStatus int
 	// build makes the shape from an owner built with ownerOpts.
-	build func(t *testing.T, ownerOpts []authtext.Option, opts ...authtext.HandlerOption) matrixEnv
+	build func(t *testing.T, ownerOpts []authtext.Option) matrixEnv
 }
 
 func must[T any](v T, err error) func(*testing.T) T {
@@ -84,9 +146,9 @@ func matrixLiveOwner(t *testing.T, shards int, opts ...authtext.Option) *authtex
 		err     error
 	)
 	if shards == 0 {
-		owner, handles, err = authtext.NewLiveOwner(liveRemoteDocs(0, matrixDocs), opts...)
+		owner, handles, err = authtext.NewLiveOwner(matrixCorpus(), opts...)
 	} else {
-		owner, handles, err = authtext.NewLiveShardedOwner(liveRemoteDocs(0, matrixDocs), shards, opts...)
+		owner, handles, err = authtext.NewLiveShardedOwner(matrixCorpus(), shards, opts...)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -95,61 +157,137 @@ func matrixLiveOwner(t *testing.T, shards int, opts ...authtext.Option) *authtex
 	return owner
 }
 
-// matrixShapes is {0, 2} shards × {static, live owner, snapshot replica}:
-// three constructors, each taking the shard count as data.
+// staticEnv serves a static collection: srv and its client, with export
+// published at the manifest endpoint.
+func staticEnv(srv *authtext.Server, client *authtext.Client, export []byte) matrixEnv {
+	return matrixEnv{
+		handler: func(c *authtext.VOCache) http.Handler {
+			return authtext.NewHTTPHandler(srv, export, authtext.WithVOCache(c))
+		},
+		documents: matrixDocs, server: func() *authtext.Server { return srv },
+		client: func() *authtext.Client { return client },
+	}
+}
+
+// replicaEnv serves a replica of owner's snapshot directory dir.
+func replicaEnv(t *testing.T, owner *authtext.LiveOwner, dir string, replica *authtext.LiveReplica) matrixEnv {
+	return matrixEnv{
+		handler:   func(c *authtext.VOCache) http.Handler { return must(replica.HTTPHandler(authtext.WithVOCache(c)))(t) },
+		documents: matrixDocs - 1, generation: 2, server: replica.Server, client: replica.Client,
+		advance: func(t *testing.T) {
+			must(owner.RemoveDocuments(owner.Handles()[0]))(t)
+			must(owner.WriteSnapshotDir(dir))(t)
+			if swapped := must(replica.Reload())(t); !swapped {
+				t.Fatal("reload did not swap")
+			}
+		},
+	}
+}
+
+// buildStatic builds a static owner of the matrix corpus, bare for 0 shards.
+func buildStatic(t *testing.T, shards int, opts []authtext.Option) *authtext.Owner {
+	if shards == 0 {
+		return must(authtext.NewOwner(matrixCorpus(), opts...))(t)
+	}
+	return must(authtext.NewShardedOwner(matrixCorpus(), shards, opts...))(t)
+}
+
+// matrixShapes is {0, 2} shards × {static, live owner, snapshot replica},
+// three constructors each taking the shard count as data, plus the mapped
+// opens: a static snapshot bare and sharded, and a bare replica.
 var matrixShapes = func() (shapes []matrixShape) {
 	for _, shards := range []int{0, 2} {
 		suffix := map[int]string{0: "-single", 2: "-sharded"}[shards]
 		shapes = append(shapes,
 			matrixShape{name: "static" + suffix, shards: shards, adminStatus: http.StatusNotFound,
-				build: func(t *testing.T, ownerOpts []authtext.Option, opts ...authtext.HandlerOption) matrixEnv {
-					build := authtext.NewOwner
-					if shards > 0 {
-						build = func(docs []authtext.Document, opts ...authtext.Option) (*authtext.Owner, error) {
-							return authtext.NewShardedOwner(docs, shards, opts...)
-						}
-					}
-					owner := must(build(liveRemoteDocs(0, matrixDocs), ownerOpts...))(t)
+				build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
+					owner := buildStatic(t, shards, ownerOpts)
 					srv, own := owner.Server(), authtext.NewVOCache(1<<20)
 					srv.SetVOCache(own)
-					return matrixEnv{handler: authtext.NewHTTPHandler(srv, must(owner.ExportClient())(t), opts...),
-						documents: matrixDocs, ownCache: own, server: owner.Server}
+					env := staticEnv(srv, owner.Client(), must(owner.ExportClient())(t))
+					env.ownCache, env.server = own, owner.Server
+					return env
 				}},
 			matrixShape{name: "live" + suffix, shards: shards, adminStatus: http.StatusOK,
-				build: func(t *testing.T, ownerOpts []authtext.Option, opts ...authtext.HandlerOption) matrixEnv {
+				build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
 					owner := matrixLiveOwner(t, shards, ownerOpts...)
-					return matrixEnv{handler: must(owner.HTTPHandler(opts...))(t),
-						documents: matrixDocs - 1, generation: 2,
+					return matrixEnv{
+						handler:   func(c *authtext.VOCache) http.Handler { return must(owner.HTTPHandler(authtext.WithVOCache(c)))(t) },
+						documents: matrixDocs - 1, generation: 2, server: owner.Server, client: owner.Client,
 						advance: func(t *testing.T) { must(owner.RemoveDocuments(owner.Handles()[0]))(t) },
-						server:  owner.Server}
+					}
 				}},
 			matrixShape{name: "replica" + suffix, shards: shards, adminStatus: http.StatusForbidden,
-				build: func(t *testing.T, ownerOpts []authtext.Option, opts ...authtext.HandlerOption) matrixEnv {
+				build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
 					owner, dir := matrixLiveOwner(t, shards, ownerOpts...), t.TempDir()
 					must(owner.WriteSnapshotDir(dir))(t)
-					replica := must(authtext.OpenLiveSnapshotDir(dir))(t)
-					return matrixEnv{handler: must(replica.HTTPHandler(opts...))(t),
-						documents: matrixDocs - 1, generation: 2, server: replica.Server,
-						advance: func(t *testing.T) {
-							must(owner.RemoveDocuments(owner.Handles()[0]))(t)
-							must(owner.WriteSnapshotDir(dir))(t)
-							if swapped := must(replica.Reload())(t); !swapped {
-								t.Fatal("reload did not swap")
-							}
-						}}
+					return replicaEnv(t, owner, dir, must(authtext.OpenLiveSnapshotDir(dir))(t))
+				}},
+			matrixShape{name: "static-mapped" + suffix, shards: shards, adminStatus: http.StatusNotFound,
+				build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
+					// Vocabulary proofs put one more section under the mapping.
+					opts := append([]authtext.Option{authtext.WithVocabularyProofs()}, ownerOpts...)
+					owner, path := buildStatic(t, shards, opts), filepath.Join(t.TempDir(), "col.atsn")
+					var err error
+					if shards > 0 {
+						err = owner.WriteSnapshotDir(path)
+					} else {
+						var buf bytes.Buffer
+						if err = owner.WriteSnapshot(&buf); err == nil {
+							err = os.WriteFile(path, buf.Bytes(), 0o644)
+						}
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					ms := must(authtext.OpenSnapshotMapped(path))(t)
+					t.Cleanup(func() { ms.Close() })
+					if err := ms.Validate(); err != nil || ms.SizeBytes() == 0 {
+						t.Fatalf("mapped open: %d bytes, validation %v", ms.SizeBytes(), err)
+					}
+					env := staticEnv(ms.Server(), ms.Client(), must(ms.Client().Export())(t))
+					if env.twin, _, err = authtext.OpenSnapshotFile(path); err != nil {
+						t.Fatal(err)
+					}
+					return env
 				}})
 	}
-	return shapes
+	return append(shapes, matrixShape{name: "replica-mapped-single", adminStatus: http.StatusForbidden,
+		build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
+			owner, dir := matrixLiveOwner(t, 0, ownerOpts...), t.TempDir()
+			must(owner.WriteSnapshotDir(dir))(t)
+			replica := must(authtext.OpenLiveSnapshotDirMapped(dir))(t)
+			t.Cleanup(func() { replica.Close() })
+			env := replicaEnv(t, owner, dir, replica)
+			env.twin = must(authtext.OpenLiveSnapshotDir(dir))(t).Server()
+			return env
+		}})
 }()
 
-// matrixSearch runs one verified search through rc: the generation that
-// answered and the number of hits.
-func matrixSearch(rc *authtext.RemoteClient) (uint64, int, error) {
-	res, err := rc.Search(context.Background(), matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
-	if err != nil {
-		return 0, 0, err
+// handlerTransport serves a client's requests from h in process: the
+// matrix's remote clients speak the real /v1 protocol without sockets.
+type handlerTransport struct{ h http.Handler }
+
+func (tr handlerTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	tr.h.ServeHTTP(rec, r.Clone(r.Context()))
+	res := rec.Result()
+	res.Request = r
+	return res, nil
+}
+
+// dialer returns a factory of fresh remote clients of h: over a real
+// listener when listen is set, in process otherwise.
+func dialer(t *testing.T, h http.Handler, listen bool) func() *authtext.RemoteClient {
+	if listen {
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return func() *authtext.RemoteClient { return must(authtext.NewRemoteClient(ts.URL))(t) }
 	}
-	return res.Generation, len(res.Hits), nil
+	hc := &http.Client{Transport: handlerTransport{h}}
+	return func() *authtext.RemoteClient {
+		return must(authtext.NewRemoteClient("http://matrix", authtext.WithHTTPClient(hc)))(t)
+	}
 }
 
 // stripAccept forces the JSON codec: the server never sees a frame offer.
@@ -185,9 +323,39 @@ func matrixDo(h http.Handler, method, target, body, accept string) *httptest.Res
 	return rec
 }
 
+// searchPaths returns a shape's search and manifest endpoints.
+func searchPaths(shards int) (search, manifest string) {
+	if shards > 0 {
+		return httpapi.PathShardSearch, httpapi.PathShardManifest
+	}
+	return httpapi.PathSearch, httpapi.PathManifest
+}
+
+// searchBodyOf is the JSON request for query at matrixR under algo over
+// ChainMHT.
+func searchBodyOf(query string, algo authtext.Algorithm) string {
+	wireAlgo := map[authtext.Algorithm]string{authtext.TRA: httpapi.AlgoTRA, authtext.TNRA: httpapi.AlgoTNRA}[algo]
+	body, _ := json.Marshal(&httpapi.SearchRequest{Query: query, R: matrixR, Algo: wireAlgo, Scheme: httpapi.SchemeCMHT})
+	return string(body)
+}
+
+// honest checks one honest answer: it verified (err), and it ranks what
+// the brute-force scan of the generation the shape serves ranks.
+func (env matrixEnv) honest(t *testing.T, query string, algo authtext.Algorithm, res *authtext.SearchResult, err error) *authtext.SearchResult {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("%s %q: honest answer: %v", algo, query, err)
+	}
+	if err := env.server().CheckRankingForTest(query, matrixR, algo, res); err != nil {
+		t.Fatalf("%s %q: %v", algo, query, err)
+	}
+	return res
+}
+
 func TestHandlerShapeMatrix(t *testing.T) {
 	for _, shape := range matrixShapes {
 		t.Run(shape.name, func(t *testing.T) {
+			t.Parallel()
 			t.Run("variant not built", func(t *testing.T) { matrixVariantNotBuilt(t, shape) })
 			t.Run("dictionary mode", func(t *testing.T) { matrixRows(t, shape, true) })
 			matrixRows(t, shape, false)
@@ -195,46 +363,24 @@ func TestHandlerShapeMatrix(t *testing.T) {
 	}
 }
 
-// swapTermNames relabels the first two term proofs of a VO as each other:
-// each list answers for the other term. A VO with fewer than two term proofs
-// (or none at all) is left as it is, and reported unchanged.
-func swapTermNames(raw []byte) ([]byte, bool) {
-	v, err := vo.Decode(raw)
-	if err != nil || len(v.Terms) < 2 {
-		return raw, false
-	}
-	v.Terms[0].Name, v.Terms[1].Name = v.Terms[1].Name, v.Terms[0].Name
-	enc, _, err := vo.Encode(v, 16)
-	if err != nil {
-		return raw, false
-	}
-	return enc, true
-}
-
 // matrixRows checks one shape, built in dictionary mode or with per-list
 // signatures, on every row of the matrix but the variant-not-built column.
 func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 	var ownerOpts []authtext.Option
-	// A relabelled list fails the signature over its name in list mode, the
-	// dictionary leaf that binds its name in dictionary mode.
-	relabelled := core.CodeBadSignature
 	if dict {
 		ownerOpts = []authtext.Option{authtext.WithDictionaryMode()}
-		relabelled = core.CodeBadTermProof
 	}
+	env := shape.build(t, ownerOpts)
 	optCache := authtext.NewVOCache(2 << 20)
-	env := shape.build(t, ownerOpts, authtext.WithVOCache(optCache))
-	searchPath, manifestPath := httpapi.PathSearch, httpapi.PathManifest
-	if shape.shards > 0 {
-		searchPath, manifestPath = httpapi.PathShardSearch, httpapi.PathShardManifest
-	}
-	searchBody := `{"query":"` + matrixQuery + `","r":3}`
+	handler := env.handler(optCache)
+	searchPath, manifestPath := searchPaths(shape.shards)
+	searchBody := searchBodyOf(matrixQuery, authtext.TNRA)
 
 	// A cache hit is byte-identical to the miss that filled it, on both
 	// codecs (first: these are the handler's first two queries).
 	for _, accept := range []string{"", wire.ContentType} {
-		miss := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, accept)
-		hit := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, accept)
+		miss := matrixDo(handler, http.MethodPost, searchPath, searchBody, accept)
+		hit := matrixDo(handler, http.MethodPost, searchPath, searchBody, accept)
 		if miss.Code != http.StatusOK || !bytes.Equal(miss.Body.Bytes(), hit.Body.Bytes()) {
 			t.Fatalf("accept %q: status %d, hit differs from miss", accept, miss.Code)
 		}
@@ -252,40 +398,16 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 		}
 	}
 
-	// Honest answers verify through the matching client, over binary
-	// frames (the client's preference) and over JSON.
-	for codec, h := range map[string]http.Handler{"binary": env.handler, "json": stripAccept(env.handler)} {
-		var frames atomic.Int64
-		ts := httptest.NewServer(countFrames(h, &frames))
-		rc := must(authtext.NewRemoteClient(ts.URL))(t)
-		gen, hits, err := matrixSearch(rc)
-		if err != nil || hits == 0 {
-			t.Fatalf("%s: honest search: %d hits, err %v", codec, hits, err)
-		}
-		if (frames.Load() > 0) != (codec == "binary") {
-			t.Fatalf("%s: %d frames served", codec, frames.Load())
-		}
-		if gen != env.generation || rc.Generation() != env.generation {
-			t.Fatalf("%s: answered generation %d, client holds %d, want %d", codec, gen, rc.Generation(), env.generation)
-		}
-		health := must(rc.Health(context.Background()))(t)
-		if health.Status != "ok" || health.Documents != env.documents || health.Terms == 0 ||
-			health.Shards != shape.shards || health.Generation != env.generation {
-			t.Fatalf("%s: healthz %+v, want %d documents, %d shards, generation %d",
-				codec, health, env.documents, shape.shards, env.generation)
-		}
-		if rc.Shards() != shape.shards {
-			t.Fatalf("%s: the client verifies %d shards, want %d", codec, rc.Shards(), shape.shards)
-		}
-		ts.Close()
-	}
+	matrixHonest(t, env, shape, handler, false)
+
 	// A fleet front end relays the frames untouched.
 	var relayed atomic.Int64
-	backend := httptest.NewServer(countFrames(env.handler, &relayed))
+	backend := httptest.NewServer(countFrames(handler, &relayed))
 	fe := must(authtext.NewFrontend([]string{backend.URL}))(t)
 	fes := httptest.NewServer(fe)
-	if _, hits, err := matrixSearch(must(authtext.NewRemoteClient(fes.URL))(t)); err != nil || hits == 0 || relayed.Load() == 0 {
-		t.Fatalf("through a front end: %d hits, %d frames relayed, err %v", hits, relayed.Load(), err)
+	res, err := must(authtext.NewRemoteClient(fes.URL))(t).Search(context.Background(), matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+	if env.honest(t, matrixQuery, authtext.TNRA, res, err); relayed.Load() == 0 {
+		t.Fatal("through a front end: no frames relayed")
 	}
 	fes.Close()
 	fe.Close()
@@ -293,7 +415,7 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 
 	// Healthz reports the EFFECTIVE cache.
 	var health httpapi.Health
-	rec := matrixDo(env.handler, http.MethodGet, httpapi.PathHealthz, "", "")
+	rec := matrixDo(handler, http.MethodGet, httpapi.PathHealthz, "", "")
 	if err := json.Unmarshal(rec.Body.Bytes(), &health); err != nil {
 		t.Fatal(err)
 	}
@@ -331,12 +453,15 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 		p := notHere(httpapi.PathAdminUpdate)
 		p.method, p.body = http.MethodPost, updateBody
 		probes = append(probes, p)
-	case http.StatusForbidden:
-		probes = append(probes, probe{http.MethodPost, httpapi.PathAdminUpdate, updateBody, http.StatusForbidden,
-			httpapi.CodeUpdateFailed, "this replica is serving-only; apply updates at the owner"})
+	case http.StatusOK:
+		// Malformed batches are the caller's fault, and publish nothing.
+		probes = append(probes,
+			probe{http.MethodPost, httpapi.PathAdminUpdate, `{}`, http.StatusBadRequest, httpapi.CodeBadRequest, ""},
+			probe{http.MethodPost, httpapi.PathAdminUpdate, `{"remove":[999999]}`, http.StatusBadRequest, httpapi.CodeUpdateFailed,
+				"live: unknown document handle 999999"})
 	}
 	for _, p := range probes {
-		rec := matrixDo(env.handler, p.method, p.target, p.body, "")
+		rec := matrixDo(handler, p.method, p.target, p.body, "")
 		if rec.Code != p.status {
 			t.Fatalf("%s %s: status %d, want %d (%s)", p.method, p.target, rec.Code, p.status, rec.Body.String())
 		}
@@ -351,72 +476,59 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &envl); err != nil {
 			t.Fatalf("%s: error body is not an envelope: %v", p.target, err)
 		}
-		if envl.Error.Code != p.code || envl.Error.Message != p.message {
+		if envl.Error.Code != p.code || (p.message != "" && envl.Error.Message != p.message) {
 			t.Fatalf("%s: error %+v, want %s %q", p.target, envl.Error, p.code, p.message)
 		}
 	}
 
-	// In-transit tampering — one VO flip, two term proofs relabelled as
-	// each other — classifies as tampering, identically by a cold
-	// client and by one whose signature memo honest answers warmed. On a
-	// shard set only the first shard the mutation changes is forged; the
-	// others stay honest.
-	for _, row := range []struct {
-		name   string
-		mutate func([]byte) ([]byte, bool)
-		want   core.VerifyCode // VerifyOK: any tampering code
-	}{
-		{"flipped VO", func(vo []byte) ([]byte, bool) { vo[len(vo)/2] ^= 0x40; return vo, true }, core.VerifyOK},
-		{"relabelled term proofs", swapTermNames, relabelled},
-	} {
-		var armed atomic.Bool
-		apply := func(vo []byte) ([]byte, bool) {
-			if armed.Load() {
-				return row.mutate(vo)
+	// Every tamper row, on both codecs.
+	for _, frame := range []bool{false, true} {
+		t.Run(map[bool]string{false: "json", true: "frame"}[frame], func(t *testing.T) {
+			b := battery{env: env, shards: shape.shards, frame: frame, rows: tamperRows(dict)}
+			if frame {
+				b.flips = frameFlips
 			}
-			return vo, false
+			b.run(t)
+		})
+	}
+	t.Run("concurrent", func(t *testing.T) { matrixConcurrent(t, env, handler) })
+
+	if env.advance != nil {
+		t.Run("generations", func(t *testing.T) { matrixLifecycle(t, env, shape, handler) })
+	}
+}
+
+// matrixLifecycle is the generation column of a live shape: the update
+// endpoint (applied by an owner, refused by a replica), a client following
+// the next generation, servers pinned across the advance, and an honest
+// answer of the previous generation replayed to a client that accepted the
+// new one — stale, and still stale after the retry budget, for both
+// algorithms.
+func matrixLifecycle(t *testing.T, env matrixEnv, shape matrixShape, handler http.Handler) {
+	searchPath, _ := searchPaths(shape.shards)
+	var replay atomic.Pointer[[]byte]
+	rc := dialer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if body := replay.Load(); body != nil && r.URL.Path == searchPath {
+			w.Header().Set("Content-Type", "application/json")
+			_, _ = w.Write(*body)
+			return
 		}
-		tampered := tamperingProxy(env.handler, func(r *httpapi.SearchResponse) { r.VO, _ = apply(r.VO) })
-		if shape.shards > 0 {
-			tampered = tamperingProxy(env.handler, func(r *httpapi.ShardedSearchResponse) {
-				for i := range r.Shards {
-					var changed bool
-					if r.Shards[i].VO, changed = apply(r.Shards[i].VO); changed {
-						return
-					}
-				}
-			})
-		}
-		ts := httptest.NewServer(tampered)
-		var codes [2]core.VerifyCode
-		for i, warm := range []bool{false, true} {
-			armed.Store(false)
-			rc := must(authtext.NewRemoteClient(ts.URL))(t)
-			if warm {
-				if _, hits, err := matrixSearch(rc); err != nil || hits == 0 {
-					t.Fatalf("honest warm-up: %d hits, err %v", hits, err)
-				}
-			}
-			armed.Store(true)
-			_, _, err := matrixSearch(rc)
-			if !authtext.IsTampered(err) || (row.want != core.VerifyOK && core.CodeOf(err) != row.want) {
-				t.Fatalf("warm=%v: %s classified as %v", warm, row.name, err)
-			}
-			codes[i] = core.CodeOf(err)
-		}
-		ts.Close()
-		if codes[0] != codes[1] {
-			t.Fatalf("%s classified %v by a cold client, %v by a warm one", row.name, codes[0], codes[1])
+		stripAccept(handler).ServeHTTP(w, r)
+	}), false)()
+	search := func(algo authtext.Algorithm) (*authtext.SearchResult, error) {
+		return rc.Search(context.Background(), matrixQuery, matrixR, algo, authtext.ChainMHT)
+	}
+	followed := func(gen uint64) {
+		t.Helper()
+		res, err := search(authtext.TNRA)
+		if env.honest(t, matrixQuery, authtext.TNRA, res, err); res.Generation != gen || rc.Generation() != gen {
+			t.Fatalf("answered generation %d, client at %d, want %d", res.Generation, rc.Generation(), gen)
 		}
 	}
+	followed(env.generation)
 
-	if env.advance == nil {
-		return // a static shape has no generation to be rolled back from
-	}
-
-	// The owner accepts an update batch over HTTP and serves its result.
+	rec := matrixDo(handler, http.MethodPost, httpapi.PathAdminUpdate, `{"add":[{"content":"ZGlnZXN0IGNoYWluIHByb29m"}]}`, "")
 	if shape.adminStatus == http.StatusOK {
-		rec := matrixDo(env.handler, http.MethodPost, httpapi.PathAdminUpdate, updateBody, "")
 		var upd httpapi.UpdateResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &upd); err != nil || rec.Code != http.StatusOK {
 			t.Fatalf("admin update: %d %s", rec.Code, rec.Body.String())
@@ -425,14 +537,18 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 			t.Fatalf("admin update answered %+v", upd)
 		}
 		env.generation++
+		followed(env.generation)
+	} else if rec.Code != http.StatusForbidden || !strings.Contains(rec.Body.String(), "this replica is serving-only; apply updates at the owner") {
+		t.Fatalf("a replica answered an update batch with %d %s", rec.Code, rec.Body.String())
 	}
 
-	// One rolled-back generation: the client has accepted generation
-	// g+1, then is replayed an honest answer of generation g. Stale,
-	// and still stale after the retry budget.
-	stale := matrixDo(env.handler, http.MethodPost, searchPath, searchBody, "")
+	stale := map[authtext.Algorithm][]byte{}
+	for _, algo := range matrixAlgos {
+		stale[algo] = matrixDo(handler, http.MethodPost, searchPath, searchBodyOf(matrixQuery, algo), "").Body.Bytes()
+	}
 	pinned := env.server()
 	env.advance(t)
+	followed(env.generation + 1)
 
 	// A server pinned before the advance keeps answering its generation; a
 	// fresh one answers the new generation.
@@ -445,30 +561,501 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 	if got := inProcess(env.server()); got != env.generation+1 {
 		t.Fatalf("server pinned after the advance answered generation %d, want %d", got, env.generation+1)
 	}
-	var replay atomic.Bool
-	rolledBack := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if replay.Load() && r.URL.Path == searchPath {
-			w.Header().Set("Content-Type", "application/json")
-			_, _ = w.Write(stale.Body.Bytes())
+	for _, algo := range matrixAlgos {
+		t.Run(algo.String(), func(t *testing.T) {
+			body := stale[algo]
+			replay.Store(&body)
+			if _, err := search(algo); !errors.Is(err, authtext.ErrStaleGeneration) || !authtext.IsTampered(err) {
+				t.Fatalf("replayed generation %d to a client at %d classified as %v", env.generation, rc.Generation(), err)
+			}
+		})
+	}
+}
+
+// matrixHonest is the honest column: in process, every variant's answer to
+// every matrix query (and one with an out-of-dictionary term) verifies and
+// ranks like the oracle (and, on a mapped
+// shape, is byte-identical to the copying open's); remotely, a cold and
+// then a warm client get the same over each codec, which the server really
+// spoke. The ranking rows' queries are checked to be worth tampering with.
+func matrixHonest(t *testing.T, env matrixEnv, shape matrixShape, handler http.Handler, listen bool) {
+	type variant struct {
+		algo   authtext.Algorithm
+		scheme authtext.Scheme
+	}
+	var variants []variant
+	for _, algo := range matrixAlgos {
+		for _, scheme := range []authtext.Scheme{authtext.MHT, authtext.ChainMHT} {
+			variants = append(variants, variant{algo, scheme})
+		}
+	}
+	srv, client := env.server(), env.client()
+	for _, v := range variants {
+		for _, q := range []string{matrixQuery, matrixTieQuery, matrixSpliceQuery, "digest nowhere"} {
+			res, err := srv.Search(q, matrixR, v.algo, v.scheme)
+			if err == nil {
+				err = client.Verify(q, matrixR, res)
+			}
+			env.honest(t, q, v.algo, res, err)
+			if env.twin != nil {
+				copied := must(env.twin.Search(q, matrixR, v.algo, v.scheme))(t)
+				if !bytes.Equal(proofBytes(res), proofBytes(copied)) {
+					t.Fatalf("%s-%s %q: the mapped open answers differently from the copying open", v.algo, v.scheme, q)
+				}
+			}
+			if v.scheme == authtext.ChainMHT {
+				checkWorthTampering(t, q, res)
+			}
+		}
+	}
+
+	// Remotely, per variant, over each codec: a cold client, then the same
+	// client warm. Binary frames are a transport optimisation, never a
+	// semantic fork: both codecs deliver the same verified answer.
+	codecs := map[string]bool{"json": false, "frame": true}
+	for _, v := range variants {
+		t.Run(fmt.Sprintf("%s-%s", v.algo, v.scheme), func(t *testing.T) {
+			answers := map[bool]*authtext.SearchResult{}
+			for codec, frame := range codecs {
+				var frames atomic.Int64
+				rc := dialer(t, codecHandler(countFrames(handler, &frames), frame), listen)()
+				for warm := 0; warm < 2; warm++ {
+					res, err := rc.Search(context.Background(), matrixQuery, matrixR, v.algo, v.scheme)
+					answers[frame] = env.honest(t, matrixQuery, v.algo, res, err)
+					if len(res.Hits[0].Content) == 0 || res.Stats.QueryTerms == 0 ||
+						(shape.shards == 0 && res.Stats.VOBytes == 0) || len(res.PerShard) != shape.shards {
+						t.Fatalf("%s, warm=%v: answer not delivered whole: %+v", codec, warm == 1, res.Stats)
+					}
+				}
+				if (frames.Load() > 0) != frame {
+					t.Fatalf("%s: %d frames served", codec, frames.Load())
+				}
+			}
+			j, f := answers[false], answers[true]
+			if !bytes.Equal(proofBytes(j), proofBytes(f)) || len(j.Hits) != len(f.Hits) {
+				t.Fatal("the JSON and the framed answer differ")
+			}
+			for i := range j.Hits {
+				if j.Hits[i].DocID != f.Hits[i].DocID || j.Hits[i].Score != f.Hits[i].Score || !bytes.Equal(j.Hits[i].Content, f.Hits[i].Content) {
+					t.Fatalf("hit %d differs between the JSON and the framed answer", i)
+				}
+			}
+		})
+	}
+	for codec, frame := range codecs {
+		rc := dialer(t, codecHandler(handler, frame), listen)()
+		health := must(rc.Health(context.Background()))(t)
+		if health.Status != "ok" || health.Documents != env.documents || health.Terms == 0 ||
+			health.Shards != shape.shards || health.Generation != env.generation {
+			t.Fatalf("%s: healthz %+v, want %d documents, %d shards, generation %d",
+				codec, health, env.documents, shape.shards, env.generation)
+		}
+		if err := rc.Bootstrap(context.Background()); err != nil || rc.Generation() != env.generation || rc.Shards() != shape.shards {
+			t.Fatalf("%s: the client holds generation %d over %d shards, want %d over %d (err %v)",
+				codec, rc.Generation(), rc.Shards(), env.generation, shape.shards, err)
+		}
+	}
+}
+
+// codecHandler is h answering in frames when the client offers them, or
+// always in JSON.
+func codecHandler(h http.Handler, frame bool) http.Handler {
+	if frame {
+		return h
+	}
+	return stripAccept(h)
+}
+
+// proofBytes is everything an answer's proofs are: its VO, or every
+// shard's.
+func proofBytes(res *authtext.SearchResult) []byte {
+	out := append([]byte(nil), res.VO...)
+	for _, sr := range res.PerShard {
+		out = append(out, sr.VO...)
+	}
+	return out
+}
+
+// checkWorthTampering holds the ranking rows to their premise. For
+// matrixQuery: the answer has at least three hits on two scores, and the
+// answer the bare rows attack (on a shard set, the top merged hit's shard)
+// at least two whose first and last scores differ. For matrixTieQuery: the
+// attacked answer has at least two hits, all on one score.
+func checkWorthTampering(t *testing.T, query string, res *authtext.SearchResult) {
+	t.Helper()
+	attacked := res
+	if res.PerShard != nil && len(res.Hits) > 0 {
+		attacked = res.PerShard[res.Hits[0].Shard]
+	}
+	scores := func(a *authtext.SearchResult) int {
+		seen := map[float64]bool{}
+		for _, h := range a.Hits {
+			seen[h.Score] = true
+		}
+		return len(seen)
+	}
+	n := len(attacked.Hits)
+	switch {
+	case query == matrixQuery && (len(res.Hits) < 3 || scores(res) < 2 || n < 2 || attacked.Hits[0].Score == attacked.Hits[n-1].Score):
+		t.Fatalf("%q: %d hits on %d scores, attacked answer %d hits; the ranking rows would be vacuous", query, len(res.Hits), scores(res), n)
+	case query == matrixTieQuery && (n < 2 || scores(attacked) != 1):
+		t.Fatalf("%q: attacked answer has %d hits on %d scores, want a tie", query, n, scores(attacked))
+	}
+}
+
+// matrixConcurrent is the concurrency row: goroutines search and verify
+// through one RemoteClient and through one pinned Server at once, and
+// every answer ranks like the oracle. Run with -race to enforce.
+func matrixConcurrent(t *testing.T, env matrixEnv, handler http.Handler) {
+	rc, srv, client := dialer(t, handler, false)(), env.server(), env.client()
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				q := []string{matrixQuery, matrixTieQuery, matrixSpliceQuery}[(g+i)%3]
+				algo := matrixAlgos[(g+i)%2]
+				var res *authtext.SearchResult
+				var err error
+				if g%2 == 0 {
+					res, err = rc.Search(context.Background(), q, matrixR, algo, authtext.ChainMHT)
+				} else if res, err = srv.Search(q, matrixR, algo, authtext.ChainMHT); err == nil {
+					err = client.Verify(q, matrixR, res)
+				}
+				if err == nil {
+					err = srv.CheckRankingForTest(q, matrixR, algo, res)
+				}
+				if err != nil {
+					errs <- fmt.Errorf("goroutine %d, %s %q: %w", g, algo, q, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// A tamperRow rewrites one honest answer. bare rewrites a bare answer; on a
+// shard set it rewrites the answer of the shard holding the top merged hit.
+// sharded, when set, rewrites a shard set's answer as a whole instead, and
+// a row with sharded alone attacks shard sets only. other is the honest
+// answer to matrixSpliceQuery, for the splice row.
+type tamperRow struct {
+	name string
+	// query is the question asked (default matrixQuery).
+	query   string
+	bare    func(r, other *wire.SearchResponse)
+	sharded func(r, other *wire.ShardedSearchResponse)
+	// want is the classification demanded; VerifyOK: any tampering code.
+	want core.VerifyCode
+}
+
+// tamperRows is the matrix's one tamper table. A relabelled list fails the
+// signature over its name in list mode, the dictionary leaf that binds its
+// name in dictionary mode.
+func tamperRows(dict bool) []tamperRow {
+	relabelled := core.CodeBadSignature
+	if dict {
+		relabelled = core.CodeBadTermProof
+	}
+	return []tamperRow{
+		{name: "inflate top score", bare: func(r, _ *wire.SearchResponse) { r.Hits[0].Score *= 2 }},
+		{name: "swap ranking", bare: func(r, _ *wire.SearchResponse) {
+			last := len(r.Hits) - 1
+			r.Hits[0], r.Hits[last] = r.Hits[last], r.Hits[0]
+		}},
+		// Equal scores, so only the canonical order can tell: both
+		// algorithms must demand it.
+		{name: "swap tied ranking", query: matrixTieQuery, want: core.CodeBadOrdering, bare: func(r, _ *wire.SearchResponse) {
+			last := len(r.Hits) - 1
+			r.Hits[0], r.Hits[last] = r.Hits[last], r.Hits[0]
+		}},
+		{name: "drop result document", bare: func(r, _ *wire.SearchResponse) { r.Hits = r.Hits[:len(r.Hits)-1] }},
+		{name: "empty result", bare: func(r, _ *wire.SearchResponse) { r.Hits = nil }},
+		{name: "alter document content", bare: func(r, _ *wire.SearchResponse) {
+			r.Hits[0].Content = append([]byte("FORGED "), r.Hits[0].Content...)
+		}},
+		{name: "substitute document", bare: func(r, _ *wire.SearchResponse) { r.Hits[0].DocID += 1000 }},
+		{name: "flip VO byte", bare: func(r, _ *wire.SearchResponse) { r.VO[len(r.VO)/2] ^= 0x40 }},
+		{name: "truncate VO", bare: func(r, _ *wire.SearchResponse) { r.VO = r.VO[:len(r.VO)/2] }},
+		{name: "relabelled term proofs", want: relabelled, bare: func(r, _ *wire.SearchResponse) { r.VO = swapTermNames(r.VO) }},
+		{name: "another query's honest answer",
+			bare:    func(r, other *wire.SearchResponse) { *r = *other },
+			sharded: func(r, other *wire.ShardedSearchResponse) { *r = *other }},
+		{name: "inflate shard score", sharded: func(r, _ *wire.ShardedSearchResponse) {
+			r.Shards[r.Merged[0].Shard].Hits[0].Score += 1
+		}},
+		{name: "forge shard content", sharded: func(r, _ *wire.ShardedSearchResponse) {
+			r.Shards[r.Merged[0].Shard].Hits[0].Content = []byte("forged")
+		}},
+		{name: "corrupt shard vo", sharded: func(r, _ *wire.ShardedSearchResponse) {
+			s := r.Merged[0].Shard
+			r.Shards[s].VO[len(r.Shards[s].VO)/2] ^= 1
+		}},
+		{name: "drop a shard", sharded: func(r, _ *wire.ShardedSearchResponse) { r.Shards = r.Shards[:len(r.Shards)-1] }},
+		{name: "reorder merge", sharded: func(r, _ *wire.ShardedSearchResponse) {
+			r.Merged[0], r.Merged[1] = r.Merged[1], r.Merged[0]
+		}},
+		{name: "truncate merge", sharded: func(r, _ *wire.ShardedSearchResponse) { r.Merged = r.Merged[1:] }},
+		{name: "rewrite global id", sharded: func(r, _ *wire.ShardedSearchResponse) { r.Merged[0].GlobalID++ }},
+		{name: "cite an absent shard", sharded: func(r, _ *wire.ShardedSearchResponse) { r.Merged[0].Shard = len(r.Shards) }},
+	}
+}
+
+// swapTermNames relabels the first two term proofs of a VO as each other:
+// each list answers for the other term. A VO with fewer than two term
+// proofs is returned as it is (and then verifies, failing the row).
+func swapTermNames(raw []byte) []byte {
+	v, err := vo.Decode(raw)
+	if err != nil || len(v.Terms) < 2 {
+		return raw
+	}
+	v.Terms[0].Name, v.Terms[1].Name = v.Terms[1].Name, v.Terms[0].Name
+	enc, _, err := vo.Encode(v, 16)
+	if err != nil {
+		return raw
+	}
+	return enc
+}
+
+// A frameFlip flips one bit of a frame at the offset pick chooses in a
+// frame of n bytes.
+type frameFlip struct {
+	name string
+	pick func(n int) int
+}
+
+// frameFlips flips one bit in every region of a binary frame — magic,
+// version, type, flags, CRC, length and payload. The exhaustive every-bit
+// battery runs in memory in internal/wire; these prove the classification
+// survives the whole client stack.
+var frameFlips = []frameFlip{
+	{"magic", func(int) int { return 1 }},
+	{"version", func(int) int { return 4 }},
+	{"type", func(int) int { return 5 }},
+	{"flags", func(int) int { return 7 }},
+	{"crc", func(int) int { return 9 }},
+	{"length", func(int) int { return 14 }},
+	{"payload start", func(int) int { return wire.HeaderSize }},
+	{"payload middle", func(n int) int { return wire.HeaderSize + (n-wire.HeaderSize)/2 }},
+	{"payload end", func(n int) int { return n - 1 }},
+}
+
+// rewrite decodes a search answer from the codec it travelled in, applies
+// mutate, and re-encodes it in that codec.
+func rewrite[T any](body []byte, frame bool, decode func([]byte) (*T, error), encode func(*T) []byte, mutate func(*T)) ([]byte, error) {
+	v := new(T)
+	var err error
+	if frame {
+		v, err = decode(body)
+	} else {
+		err = json.Unmarshal(body, v)
+	}
+	if err != nil {
+		return nil, err
+	}
+	mutate(v)
+	if frame {
+		return encode(v), nil
+	}
+	return json.Marshal(v)
+}
+
+// A mutation rewrites the body of one successful search answer.
+type mutation func(body []byte, frame bool) ([]byte, error)
+
+// mutation turns the row into the rewrite of a shape's answers; other is
+// the JSON body of the splice row's answer (nil for rows that need none).
+func (row tamperRow) mutation(sharded bool, other []byte) mutation {
+	if !sharded {
+		return func(body []byte, frame bool) ([]byte, error) {
+			var o wire.SearchResponse
+			if err := unmarshalOptional(other, &o); err != nil {
+				return nil, err
+			}
+			return rewrite(body, frame, wire.DecodeSearchResponse, wire.EncodeSearchResponse,
+				func(r *wire.SearchResponse) { row.bare(r, &o) })
+		}
+	}
+	return func(body []byte, frame bool) ([]byte, error) {
+		var o wire.ShardedSearchResponse
+		if err := unmarshalOptional(other, &o); err != nil {
+			return nil, err
+		}
+		return rewrite(body, frame, wire.DecodeShardedSearchResponse, wire.EncodeShardedSearchResponse,
+			func(r *wire.ShardedSearchResponse) {
+				if row.sharded != nil {
+					row.sharded(r, &o)
+					return
+				}
+				row.bare(&r.Shards[r.Merged[0].Shard], nil)
+			})
+	}
+}
+
+// unmarshalOptional decodes body into v unless body is empty.
+func unmarshalOptional(body []byte, v any) error {
+	if len(body) == 0 {
+		return nil
+	}
+	return json.Unmarshal(body, v)
+}
+
+// tamperProxy is the one adversary: it forwards to target and, while a
+// mutation is armed, rewrites every successful search answer in the codec
+// it was answered in. With forceJSON set it forces the JSON codec (the server
+// never sees the client's frame offer). It counts the frames it relays.
+type tamperProxy struct {
+	forceJSON bool
+	target    atomic.Pointer[http.Handler]
+	mutate    atomic.Pointer[mutation]
+	frames    atomic.Int64
+}
+
+// arm makes the proxy forward to target, rewriting with m (nil: honestly).
+func (p *tamperProxy) arm(target http.Handler, m mutation) {
+	p.target.Store(&target)
+	if m == nil {
+		p.mutate.Store(nil)
+	} else {
+		p.mutate.Store(&m)
+	}
+}
+
+func (p *tamperProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if p.forceJSON {
+		r.Header.Del("Accept")
+	}
+	rec := httptest.NewRecorder()
+	(*p.target.Load()).ServeHTTP(rec, r)
+	body, frame := rec.Body.Bytes(), rec.Header().Get("Content-Type") == wire.ContentType
+	if frame {
+		p.frames.Add(1)
+	}
+	if m := p.mutate.Load(); m != nil && rec.Code == http.StatusOK &&
+		(r.URL.Path == httpapi.PathSearch || r.URL.Path == httpapi.PathShardSearch) {
+		var err error
+		if body, err = (*m)(body, frame); err != nil {
+			http.Error(w, "tamper proxy: "+err.Error(), http.StatusInternalServerError)
 			return
 		}
-		stripAccept(env.handler).ServeHTTP(w, r)
-	}))
-	defer rolledBack.Close()
-	rc := must(authtext.NewRemoteClient(rolledBack.URL))(t)
-	gen, _, err := matrixSearch(rc)
-	if err != nil || gen != env.generation+1 {
-		t.Fatalf("search after advance: generation %d, err %v", gen, err)
 	}
-	replay.Store(true)
-	export := matrixDo(env.handler, http.MethodGet, manifestPath, "", "")
-	var m httpapi.ManifestResponse
-	if err := json.Unmarshal(export.Body.Bytes(), &m); err != nil {
-		t.Fatal(err)
+	for k, v := range rec.Header() {
+		w.Header()[k] = v
 	}
-	_, _, err = matrixSearch(must(authtext.NewRemoteClient(rolledBack.URL, authtext.WithClientExport(m.Export)))(t))
-	if !errors.Is(err, authtext.ErrStaleGeneration) || !authtext.IsTampered(err) {
-		t.Fatalf("replayed generation %d to a client at %d classified as %v", env.generation, rc.Generation(), err)
+	w.Header().Del("Content-Length")
+	w.WriteHeader(rec.Code)
+	_, _ = w.Write(body)
+}
+
+// A battery is the tamper table over one shape and codec: every row and
+// flip, for both algorithms, by a cold and a warm client, each on a cache
+// miss and a cache hit.
+type battery struct {
+	env    matrixEnv
+	shards int
+	frame  bool
+	rows   []tamperRow
+	flips  []frameFlip
+	// listen runs the clients over a real listener.
+	listen bool
+}
+
+func (b battery) run(t *testing.T) {
+	proxy := &tamperProxy{forceJSON: !b.frame}
+	dial := dialer(t, proxy, b.listen)
+	for _, algo := range matrixAlgos {
+		t.Run(algo.String(), func(t *testing.T) {
+			hitCache := authtext.NewVOCache(1 << 20)
+			hits := b.env.handler(hitCache)
+			searchPath, _ := searchPaths(b.shards)
+			spliced := matrixDo(hits, http.MethodPost, searchPath, searchBodyOf(matrixSpliceQuery, algo), "").Body.Bytes()
+			for _, row := range b.rows {
+				if row.bare == nil && b.shards == 0 {
+					continue
+				}
+				query := row.query
+				if query == "" {
+					query = matrixQuery
+				}
+				t.Run(row.name, func(t *testing.T) {
+					b.attack(t, proxy, dial, hits, hitCache, algo, query, row.want, row.mutation(b.shards > 0, spliced))
+				})
+			}
+			for _, f := range b.flips {
+				t.Run(f.name, func(t *testing.T) {
+					b.attack(t, proxy, dial, hits, hitCache, algo, matrixQuery, core.VerifyOK, func(body []byte, frame bool) ([]byte, error) {
+						if !frame {
+							return nil, errors.New("no frame to flip")
+						}
+						out := bytes.Clone(body)
+						out[f.pick(len(out))] ^= 0x10
+						return out, nil
+					})
+				})
+			}
+		})
+	}
+}
+
+// attack serves m's rewrite of the honest answer to query to a cold and to
+// a warm client, once from a cache miss and once from a cache hit, and
+// demands the same tampering classification all four times. hits is a
+// handler whose cache hitCache answers the query once primed.
+func (b battery) attack(t *testing.T, proxy *tamperProxy, dial func() *authtext.RemoteClient, hits http.Handler,
+	hitCache *authtext.VOCache, algo authtext.Algorithm, query string, want core.VerifyCode, m mutation) {
+	searchPath, _ := searchPaths(b.shards)
+	codes := map[string]core.VerifyCode{}
+	for _, warm := range []bool{false, true} {
+		t.Run(map[bool]string{false: "cold", true: "warm"}[warm], func(t *testing.T) {
+			var rc *authtext.RemoteClient
+			for _, hit := range []bool{false, true} {
+				proxy.arm(hits, nil)
+				if rc == nil || !warm {
+					rc = dial()
+				}
+				if warm && !hit {
+					res, err := rc.Search(context.Background(), query, matrixR, algo, authtext.ChainMHT)
+					b.env.honest(t, query, algo, res, err)
+				}
+				target, missCache := hits, authtext.NewVOCache(1<<20)
+				if hit {
+					matrixDo(hits, http.MethodPost, searchPath, searchBodyOf(query, algo), "")
+				} else {
+					target = b.env.handler(missCache)
+				}
+				before, framesBefore := hitCache.Stats(), proxy.frames.Load()
+				proxy.arm(target, m)
+				res, err := rc.Search(context.Background(), query, matrixR, algo, authtext.ChainMHT)
+				proxy.arm(hits, nil)
+
+				cell := fmt.Sprintf("warm=%v hit=%v", warm, hit)
+				if (proxy.frames.Load() > framesBefore) != b.frame {
+					t.Fatalf("%s: frame=%v, but the proxy relayed %d frames", cell, b.frame, proxy.frames.Load()-framesBefore)
+				}
+				if !authtext.IsTampered(err) || res != nil || (want != core.VerifyOK && core.CodeOf(err) != want) {
+					t.Fatalf("%s: classified as %v (result returned: %v), want tampering %v", cell, err, res != nil, want)
+				}
+				if st := hitCache.Stats(); hit && (st.Hits != before.Hits+1 || st.Misses != before.Misses) {
+					t.Fatalf("%s: the attacked answer was not a cache hit: %+v then %+v", cell, before, st)
+				}
+				if st := missCache.Stats(); !hit && (st.Misses != 1 || st.Hits != 0) {
+					t.Fatalf("%s: the attacked answer was not a cache miss: %+v", cell, st)
+				}
+				codes[cell] = core.CodeOf(err)
+			}
+		})
+	}
+	for cell, code := range codes {
+		if code != codes["warm=false hit=false"] {
+			t.Fatalf("classified %v cold on a miss, %v %s", codes["warm=false hit=false"], code, cell)
+		}
 	}
 }
 
@@ -481,15 +1068,18 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 // set, is tampering. Cold and warm client columns classify alike.
 func matrixVariantNotBuilt(t *testing.T, shape matrixShape) {
 	env := shape.build(t, []authtext.Option{authtext.WithVariants(authtext.Variant{Algorithm: authtext.TNRA, Scheme: authtext.ChainMHT})})
-	searchPath := httpapi.PathSearch
-	if shape.shards > 0 {
-		searchPath = httpapi.PathShardSearch
-	}
+	handler := env.handler(nil)
+	searchPath, _ := searchPaths(shape.shards)
 	notBuilt := func(what string, err error) {
 		t.Helper()
 		if !errors.Is(err, authtext.ErrVariantNotBuilt) || authtext.IsTampered(err) {
 			t.Fatalf("%s: TRA-CMHT on a TNRA-CMHT build: %v, want ErrVariantNotBuilt and not tampering", what, err)
 		}
+	}
+	warmUp := func(rc *authtext.RemoteClient) {
+		t.Helper()
+		res, err := rc.Search(context.Background(), matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+		env.honest(t, matrixQuery, authtext.TNRA, res, err)
 	}
 
 	srv := env.server()
@@ -497,34 +1087,31 @@ func matrixVariantNotBuilt(t *testing.T, shape matrixShape) {
 	notBuilt("Server.Search", err)
 
 	// The wire: 422 variant_not_built, and healthz names the set.
-	rec := matrixDo(env.handler, http.MethodPost, searchPath, `{"query":"`+matrixQuery+`","algo":"tra"}`, "")
+	rec := matrixDo(handler, http.MethodPost, searchPath, searchBodyOf(matrixQuery, authtext.TRA), "")
 	var envl httpapi.ErrorResponse
 	if rec.Code != http.StatusUnprocessableEntity || json.Unmarshal(rec.Body.Bytes(), &envl) != nil ||
 		envl.Error.Code != httpapi.CodeVariantNotBuilt {
 		t.Fatalf("TRA-CMHT over /v1: %d %s", rec.Code, rec.Body.String())
 	}
 	var health httpapi.Health
-	if err := json.Unmarshal(matrixDo(env.handler, http.MethodGet, httpapi.PathHealthz, "", "").Body.Bytes(), &health); err != nil ||
+	if err := json.Unmarshal(matrixDo(handler, http.MethodGet, httpapi.PathHealthz, "", "").Body.Bytes(), &health); err != nil ||
 		len(health.Variants) != 1 || health.Variants[0] != "tnra-cmht" {
 		t.Fatalf("healthz variants %v (err %v)", health.Variants, err)
 	}
 
 	// Remote: the refusal comes from the verified manifest; no search is sent.
 	var searches atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	dial := dialer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == searchPath {
 			searches.Add(1)
 		}
-		env.handler.ServeHTTP(w, r)
-	}))
-	defer ts.Close()
+		handler.ServeHTTP(w, r)
+	}), false)
 	for _, warm := range []bool{false, true} {
-		rc := must(authtext.NewRemoteClient(ts.URL))(t)
+		rc := dial()
 		before := searches.Load()
 		if warm {
-			if _, hits, err := matrixSearch(rc); err != nil || hits == 0 {
-				t.Fatalf("honest warm-up: %d hits, err %v", hits, err)
-			}
+			warmUp(rc)
 		} else if err := rc.Bootstrap(context.Background()); err != nil {
 			t.Fatal(err)
 		}
@@ -537,48 +1124,45 @@ func matrixVariantNotBuilt(t *testing.T, shape matrixShape) {
 	}
 
 	// Lies: "not built" for the listed variant, and a VO of an unlisted kind.
-	var lie atomic.Int32 // 1: refuse the listed variant, 2: relabel the VO TNRA-MHT
 	refusing := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if lie.Load() == 1 && r.URL.Path == searchPath {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusUnprocessableEntity)
-			_ = json.NewEncoder(w).Encode(&httpapi.ErrorResponse{Error: httpapi.ErrorBody{
-				Code: httpapi.CodeVariantNotBuilt, Message: "variant tnra-cmht is not built"}})
+		if r.URL.Path != searchPath {
+			handler.ServeHTTP(w, r)
 			return
 		}
-		env.handler.ServeHTTP(w, r)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusUnprocessableEntity)
+		_ = json.NewEncoder(w).Encode(&httpapi.ErrorResponse{Error: httpapi.ErrorBody{
+			Code: httpapi.CodeVariantNotBuilt, Message: "variant tnra-cmht is not built"}})
 	})
-	relabel := func(raw []byte) []byte {
-		if lie.Load() != 2 {
-			return raw
-		}
-		v := must(vo.Decode(raw))(t)
+	relabel := tamperRow{bare: func(r, _ *wire.SearchResponse) {
+		v := must(vo.Decode(r.VO))(t)
 		v.Scheme = uint8(core.SchemeMHT)
 		enc, _, err := vo.Encode(v, 16)
 		if err != nil {
 			t.Error(err)
 		}
-		return enc
-	}
-	proxy := tamperingProxy(refusing, func(r *httpapi.SearchResponse) { r.VO = relabel(r.VO) })
-	if shape.shards > 0 {
-		proxy = tamperingProxy(refusing, func(r *httpapi.ShardedSearchResponse) { r.Shards[0].VO = relabel(r.Shards[0].VO) })
-	}
-	lying := httptest.NewServer(proxy)
-	defer lying.Close()
-	for mode, want := range map[int32]core.VerifyCode{1: core.CodeVariantWithheld, 2: core.CodeMalformedVO} {
+		r.VO = enc
+	}}
+	proxy := &tamperProxy{forceJSON: true}
+	dial = dialer(t, proxy, false)
+	for _, lie := range []struct {
+		target http.Handler
+		m      mutation
+		want   core.VerifyCode
+	}{
+		{refusing, nil, core.CodeVariantWithheld},
+		{handler, relabel.mutation(shape.shards > 0, nil), core.CodeMalformedVO},
+	} {
 		for _, warm := range []bool{false, true} {
-			lie.Store(0)
-			rc := must(authtext.NewRemoteClient(lying.URL))(t)
+			proxy.arm(handler, nil)
+			rc := dial()
 			if warm {
-				if _, hits, err := matrixSearch(rc); err != nil || hits == 0 {
-					t.Fatalf("honest warm-up: %d hits, err %v", hits, err)
-				}
+				warmUp(rc)
 			}
-			lie.Store(mode)
-			_, _, err := matrixSearch(rc)
-			if !authtext.IsTampered(err) || core.CodeOf(err) != want || errors.Is(err, authtext.ErrVariantNotBuilt) {
-				t.Fatalf("lie %d, warm=%v: classified as %v, want %v", mode, warm, err, want)
+			proxy.arm(lie.target, lie.m)
+			_, err := rc.Search(context.Background(), matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+			if !authtext.IsTampered(err) || core.CodeOf(err) != lie.want || errors.Is(err, authtext.ErrVariantNotBuilt) {
+				t.Fatalf("warm=%v: classified as %v, want %v", warm, err, lie.want)
 			}
 		}
 	}
@@ -612,4 +1196,112 @@ func TestHealthzCountsLiveDocumentsOnStaticServer(t *testing.T) {
 	if file.Documents != replica.Documents || file.Terms != replica.Terms || file.Generation != replica.Generation {
 		t.Fatalf("file path and directory disagree about one generation: %+v vs %+v", file, replica)
 	}
+}
+
+// The named cells: slices of the matrix that run on their own, on a fresh
+// list-mode build of one shape. The honest column and the batteries run
+// here over a real loopback listener instead of the in-process transport,
+// and the concurrency cells are what the race job's Concurrent|Parallel
+// hammer step picks up.
+
+// namedShape builds the named shape in list mode; the plain static shapes
+// once per test binary, since nothing changes or closes them.
+var namedShape = func() func(t *testing.T, name string) (matrixEnv, matrixShape) {
+	var mu sync.Mutex
+	built := map[string]matrixEnv{}
+	return func(t *testing.T, name string) (matrixEnv, matrixShape) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, shape := range matrixShapes {
+			if shape.name != name {
+				continue
+			}
+			env, ok := built[name]
+			if !ok {
+				if env = shape.build(t, nil); env.advance == nil && env.twin == nil {
+					built[name] = env
+				}
+			}
+			return env, shape
+		}
+		t.Fatalf("no shape %q", name)
+		return matrixEnv{}, matrixShape{}
+	}
+}()
+
+func honestCell(t *testing.T, name string) {
+	env, shape := namedShape(t, name)
+	matrixHonest(t, env, shape, env.handler(nil), true)
+}
+
+func batteryCell(t *testing.T, name string, b battery) {
+	env, shape := namedShape(t, name)
+	b.env, b.shards, b.listen = env, shape.shards, true
+	b.run(t)
+}
+
+func concurrentCell(t *testing.T, name string) {
+	env, _ := namedShape(t, name)
+	matrixConcurrent(t, env, env.handler(nil))
+}
+
+func generationsCell(t *testing.T, name string) {
+	env, shape := namedShape(t, name)
+	matrixLifecycle(t, env, shape, env.handler(authtext.NewVOCache(1<<20)))
+}
+
+// rowNamed is the row of the tamper table called name.
+func rowNamed(t *testing.T, name string) []tamperRow {
+	for _, row := range tamperRows(false) {
+		if row.name == name {
+			return []tamperRow{row}
+		}
+	}
+	t.Fatalf("no tamper row %q", name)
+	return nil
+}
+
+func TestRemoteHonestServerVerifies(t *testing.T)        { honestCell(t, "static-single") }
+func TestShardedRemoteHonestServerVerifies(t *testing.T) { honestCell(t, "static-sharded") }
+func TestMappedSnapshotServesIdentically(t *testing.T)   { honestCell(t, "static-mapped-single") }
+func TestRemoteBinaryMatchesJSON(t *testing.T)           { honestCell(t, "live-single") }
+func TestRemoteScoreRoundTrip(t *testing.T)              { honestCell(t, "replica-single") }
+
+func TestRemoteTamperingDetected(t *testing.T) {
+	batteryCell(t, "static-single", battery{rows: tamperRows(false)})
+}
+
+func TestShardedRemoteTamperingRejected(t *testing.T) {
+	batteryCell(t, "static-sharded", battery{rows: tamperRows(false)})
+}
+
+func TestRemoteBinarySemanticTamperDetected(t *testing.T) {
+	batteryCell(t, "static-single", battery{frame: true, rows: tamperRows(false)})
+}
+
+func TestRemoteBinaryFrameTamperBattery(t *testing.T) {
+	batteryCell(t, "static-single", battery{frame: true, flips: frameFlips})
+}
+
+// A poisoned cache entry serves the bytes of an in-transit flip of a hit;
+// a rolled-back one those of a replayed generation.
+func TestCachePoisonedEntryRejected(t *testing.T) {
+	batteryCell(t, "static-single", battery{frame: true, rows: rowNamed(t, "flip VO byte")})
+}
+
+func TestCacheHTTPPoisonRejectedByRemoteClient(t *testing.T) {
+	batteryCell(t, "static-single", battery{rows: rowNamed(t, "flip VO byte")})
+}
+
+func TestCacheCrossGenerationReplayRejected(t *testing.T) { generationsCell(t, "replica-sharded") }
+
+func TestServerConcurrentSearch(t *testing.T)              { concurrentCell(t, "static-single") }
+func TestShardedServerConcurrentSearch(t *testing.T)       { concurrentCell(t, "static-sharded") }
+func TestRemoteClientConcurrentSearch(t *testing.T)        { concurrentCell(t, "live-single") }
+func TestShardedRemoteClientConcurrentSearch(t *testing.T) { concurrentCell(t, "live-sharded") }
+
+func TestLiveRemoteRollbackRejected(t *testing.T)   { generationsCell(t, "live-single") }
+func TestLiveShardedRemoteGenerations(t *testing.T) { generationsCell(t, "live-sharded") }
+func TestLiveReplicaHandlerServesAndRefusesUpdates(t *testing.T) {
+	generationsCell(t, "replica-single")
 }

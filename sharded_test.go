@@ -68,6 +68,9 @@ func TestShardedHonestSearchVerifies(t *testing.T) {
 			if err := client.Verify(shardedQuery, 5, res); err != nil {
 				t.Errorf("%s-%s: honest result rejected: %v", algo, scheme, err)
 			}
+			if err := server.CheckRankingForTest(shardedQuery, 5, algo, res); err != nil {
+				t.Errorf("%s-%s: %v", algo, scheme, err)
+			}
 			// Merged hits must be globally ordered and carry content.
 			for i := 1; i < len(res.Hits); i++ {
 				if res.Hits[i].Score > res.Hits[i-1].Score {
@@ -86,90 +89,27 @@ func TestShardedHonestSearchVerifies(t *testing.T) {
 	}
 }
 
-// TestShardedTamperingDetected is the acceptance matrix: altering any
-// single shard's response, dropping a shard, or reordering the merged
-// top-k must classify as tampering for both TRA and TNRA.
+// TestShardedTamperingDetected: what only an in-process answer can carry,
+// merged hits with content of their own, classifies as tampering for both
+// TRA and TNRA. Everything the wire can carry is the shape matrix's tamper
+// table; structural lies (nil, missing or extra shard answers) are
+// TestShapeMismatchClassified's.
 func TestShardedTamperingDetected(t *testing.T) {
 	server, client := buildShardedFixture(t, 4)
 	for _, algo := range []Algorithm{TRA, TNRA} {
-		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
-			fresh := func() *SearchResult {
+			for name, mutate := range map[string]func(*SearchResult){
+				"forged merged content": func(res *SearchResult) { res.Hits[0].Content = []byte("forged merged content") },
+				"control":               func(*SearchResult) {},
+			} {
 				res, err := server.Search(shardedQuery, 5, algo, ChainMHT)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if len(res.Hits) < 2 {
-					t.Fatalf("need ≥ 2 merged hits to tamper, got %d", len(res.Hits))
+				mutate(res)
+				if err := client.Verify(shardedQuery, 5, res); (name == "control") != (err == nil) || (err != nil && !IsTampered(err)) {
+					t.Errorf("%s: verified as %v", name, err)
 				}
-				return res
-			}
-			expectTampered := func(name string, res *SearchResult) {
-				t.Helper()
-				err := client.Verify(shardedQuery, 5, res)
-				if err == nil {
-					t.Errorf("%s: tampering went undetected", name)
-					return
-				}
-				if !IsTampered(err) {
-					t.Errorf("%s: error not classified as tampering: %v", name, err)
-				}
-			}
-
-			// 1. Alter a single shard's response: inflate a score.
-			res := fresh()
-			victim := res.Hits[0].Shard
-			if len(res.PerShard[victim].Hits) == 0 {
-				t.Fatalf("victim shard %d has no hits", victim)
-			}
-			res.PerShard[victim].Hits[0].Score += 1
-			expectTampered("inflated shard score", res)
-
-			// 2. Alter a single shard's response: swap delivered content.
-			res = fresh()
-			victim = res.Hits[0].Shard
-			res.PerShard[victim].Hits[0].Content = []byte("forged document content")
-			expectTampered("forged shard content", res)
-
-			// 3. Alter a single shard's response: corrupt its VO.
-			res = fresh()
-			victim = res.Hits[0].Shard
-			res.PerShard[victim].VO[len(res.PerShard[victim].VO)/2] ^= 0x01
-			expectTampered("corrupted shard VO", res)
-
-			// 4. Drop a shard entirely.
-			res = fresh()
-			res.PerShard = res.PerShard[:len(res.PerShard)-1]
-			expectTampered("dropped shard", res)
-
-			// 5. Null out a shard's response while keeping the count.
-			res = fresh()
-			res.PerShard[0] = nil
-			expectTampered("nil shard response", res)
-
-			// 6. Reorder the merged top-k.
-			res = fresh()
-			res.Hits[0], res.Hits[1] = res.Hits[1], res.Hits[0]
-			expectTampered("reordered merge", res)
-
-			// 7. Truncate the merged top-k (hide the best hit).
-			res = fresh()
-			res.Hits = res.Hits[1:]
-			expectTampered("truncated merge", res)
-
-			// 8. Rewrite a merged entry's global ID.
-			res = fresh()
-			res.Hits[0].GlobalID = (res.Hits[0].GlobalID + 1) % len(shardedTestDocs())
-			expectTampered("rewritten global id", res)
-
-			// 9. Swap merged content against the shard answers.
-			res = fresh()
-			res.Hits[0].Content = []byte("forged merged content")
-			expectTampered("forged merged content", res)
-
-			// Control: an untouched result still verifies.
-			if err := client.Verify(shardedQuery, 5, fresh()); err != nil {
-				t.Errorf("control: honest result rejected: %v", err)
 			}
 		})
 	}

@@ -9,81 +9,14 @@ import (
 	"time"
 )
 
-// Facade-level mapped-open suite: OpenSnapshotMapped, the sharded
-// directory variant and the mapped LiveReplica must be drop-in
-// replacements for the unmapped opens — same answers, same verification
-// verdicts — with the lifetime rules (Close, pinned servers across
-// generation swaps) actually holding.
+// Facade-level mapped-open suite: the lifetime rules of OpenSnapshotMapped,
+// its sharded directory variant and the mapped LiveReplica (Close, pinned
+// servers across generation swaps). That the mapped opens answer exactly
+// like the copying ones is the shape matrix's mapped shapes.
 
-func writeOwnerSnapshot(t *testing.T, o *Owner) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "col.atsn")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := o.WriteSnapshot(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestMappedSnapshotServesIdentically: the mapped open answers exactly
-// like the unmapped open — byte-identical VOs — and its answers verify
-// against both its own client and the original owner's.
-func TestMappedSnapshotServesIdentically(t *testing.T) {
-	owner, err := NewOwner(snapshotTestDocs(), WithVocabularyProofs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := writeOwnerSnapshot(t, owner)
-
-	copyServer, _, err := OpenSnapshotFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ms, err := OpenSnapshotMapped(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ms.Close()
-	if err := ms.Validate(); err != nil {
-		t.Fatalf("background validation failed on an intact snapshot: %v", err)
-	}
-	if ms.SizeBytes() == 0 {
-		t.Fatal("mapped snapshot reports zero size")
-	}
-
-	query := "merkle tree root"
-	origClient := owner.Client()
-	for _, algo := range []Algorithm{TRA, TNRA} {
-		for _, scheme := range []Scheme{MHT, ChainMHT} {
-			want, err := copyServer.Search(query, 3, algo, scheme)
-			if err != nil {
-				t.Fatalf("%s-%s: unmapped server: %v", algo, scheme, err)
-			}
-			got, err := ms.Server().Search(query, 3, algo, scheme)
-			if err != nil {
-				t.Fatalf("%s-%s: mapped server: %v", algo, scheme, err)
-			}
-			if !bytes.Equal(want.VO, got.VO) {
-				t.Fatalf("%s-%s: mapped VO differs from the unmapped open's", algo, scheme)
-			}
-			if err := ms.Client().Verify(query, 3, got); err != nil {
-				t.Errorf("%s-%s: mapped client rejected mapped server: %v", algo, scheme, err)
-			}
-			if err := origClient.Verify(query, 3, got); err != nil {
-				t.Errorf("%s-%s: original owner's client rejected mapped server: %v", algo, scheme, err)
-			}
-		}
-	}
-}
-
-// TestShardedSnapshotDirMapped: the mapped sharded open performs the
-// same signed-set cross-checks and serves verifiable merged results.
+// TestShardedSnapshotDirMapped: the mapped sharded open performs the same
+// signed-set cross-checks as the copying one. (That it answers like the
+// copying open is the shape matrix's static-mapped-sharded shape.)
 func TestShardedSnapshotDirMapped(t *testing.T) {
 	owner, err := NewShardedOwner(shardedTestDocs(), 3,
 		WithFastSigner([]byte("sharded-mapped")), WithSingletonTerms())
@@ -94,27 +27,13 @@ func TestShardedSnapshotDirMapped(t *testing.T) {
 	if err := owner.WriteSnapshotDir(dir); err != nil {
 		t.Fatal(err)
 	}
-
 	ms, err := OpenSnapshotMapped(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ms.Close()
-	if err := ms.Validate(); err != nil {
-		t.Fatalf("background validation failed on an intact directory: %v", err)
-	}
-	res, err := ms.Server().Search(shardedQuery, 5, TNRA, ChainMHT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.Client().Verify(shardedQuery, 5, res); err != nil {
-		t.Fatalf("mapped sharded answer failed verification: %v", err)
-	}
-	if err := owner.Client().Verify(shardedQuery, 5, res); err != nil {
-		t.Fatalf("owner's client rejected the mapped sharded answer: %v", err)
-	}
+	ms.Close()
 
-	// A swapped shard file must fail the mapped open's cross-checks just
+	// A missing shard file must fail the mapped open's cross-checks just
 	// like the unmapped open's.
 	if err := os.Rename(filepath.Join(dir, shardSnapshotName(0)),
 		filepath.Join(dir, shardSnapshotName(0)+".bak")); err != nil {
