@@ -205,14 +205,11 @@ func (d StatsDuration) String() string { return fmt.Sprintf("%.3fms", float64(d)
 // options collects construction-time settings.
 type options struct {
 	fastSignerKey    []byte
-	dictMode         bool
-	vocabProofs      bool
 	keepSingletons   bool
 	signerOverridden bool
 	authority        []float64
 	pageRankLinks    [][]int
 	beta             float64
-	partitioner      ShardPartitioner
 	variants         core.VariantSet
 }
 
@@ -226,25 +223,20 @@ func WithFastSigner(key []byte) Option {
 	return func(o *options) { o.fastSignerKey = key; o.signerOverridden = true }
 }
 
-// WithDictionaryMode stores one signature for the whole index via a
-// dictionary-MHT instead of one per inverted list (§3.4 space
-// optimisation), trading VO size for storage and signing: each list root,
-// bound to its term's name, ID and length, is a leaf of a per-variant tree
-// whose root the signed manifest carries. With TNRA variants only, a build
-// and every live generation sign one message, the manifest.
-func WithDictionaryMode() Option { return func(o *options) { o.dictMode = true } }
-
-// WithVocabularyProofs enables non-membership proofs for out-of-dictionary
-// query terms, closing the dropped-term gap (docs/ARCHITECTURE.md,
-// "Departures from the paper").
-func WithVocabularyProofs() Option { return func(o *options) { o.vocabProofs = true } }
+// WithVocabularyProofs is a no-op: every owner builds vocabulary proofs.
+//
+// Deprecated: non-membership proofs for out-of-dictionary query terms are
+// always on, so a server cannot drop a query term by claiming it is not
+// indexed (docs/ARCHITECTURE.md, "Departures from the paper").
+func WithVocabularyProofs() Option { return func(*options) {} }
 
 // WithVariants builds, signs and lays out only the structures the listed
 // variants need (no variants: all four, the default): plain lists for an MHT
 // variant, the chain of a ChainMHT one, signed document records for a TRA
-// one. A TNRA/ChainMHT-only build signs M + 1 messages where all four sign
-// N + 4M + 1. The set is committed in the signed manifest; searching any
-// other variant fails with ErrVariantNotBuilt.
+// one. A TNRA-only build signs one message, the manifest, where all four
+// sign N + 1: the manifest and one record per document. The set is committed
+// in the signed manifest; searching any other variant fails with
+// ErrVariantNotBuilt.
 func WithVariants(vs ...Variant) Option {
 	return func(o *options) {
 		o.variants = 0
@@ -252,41 +244,6 @@ func WithVariants(vs ...Variant) Option {
 			o.variants |= core.VariantOf(v.kind())
 		}
 	}
-}
-
-// WithSingletonTerms keeps terms that occur in only one document (the
-// paper removes them, §4.1).
-func WithSingletonTerms() Option { return func(o *options) { o.keepSingletons = true } }
-
-// ShardPartitioner selects how documents are assigned to shards.
-type ShardPartitioner int
-
-const (
-	// PartitionRoundRobin assigns document i to shard i mod k (balanced,
-	// NewShardedOwner's default).
-	PartitionRoundRobin ShardPartitioner = iota + 1
-	// PartitionHash assigns documents by content hash (stable under corpus
-	// reordering; the only placement a live shard set supports).
-	PartitionHash
-)
-
-// WithShardPartitioner overrides the document→shard assignment policy of
-// NewShardedOwner and NewLiveShardedOwner. It has no effect on a bare
-// collection.
-func WithShardPartitioner(p ShardPartitioner) Option {
-	return func(o *options) { o.partitioner = p }
-}
-
-// shardPartitioner resolves the option to the internal policy (def when
-// unset).
-func (o *options) shardPartitioner(def shard.Partitioner) shard.Partitioner {
-	switch o.partitioner {
-	case PartitionRoundRobin:
-		return shard.RoundRobin
-	case PartitionHash:
-		return shard.HashContent
-	}
-	return def
 }
 
 // served is one published state as every party holds it: a bare collection,
@@ -364,12 +321,15 @@ type Owner struct {
 }
 
 // prepareBuild resolves the option list into a ready engine configuration
-// (fresh signer included) and the engine-level document slice. It is shared
-// by NewOwner and NewShardedOwner so both build identically configured
-// collections.
-func prepareBuild(docs []Document, opts []Option) (engine.Config, []index.Document, *options, error) {
+// (fresh signer included) and the engine-level document slice. Every owner
+// constructor shares it, so all build what authserved deploys: dictionary
+// mode (§3.4: each list root, bound to its term's name, ID and length, is a
+// leaf of a per-variant dictionary-MHT whose root the signed manifest
+// carries, so no list is signed on its own) with vocabulary proofs (a query
+// term the index lacks is proven absent, never silently dropped).
+func prepareBuild(docs []Document, opts []Option) (engine.Config, []index.Document, error) {
 	if len(docs) == 0 {
-		return engine.Config{}, nil, nil, errors.New("authtext: empty collection")
+		return engine.Config{}, nil, errors.New("authtext: empty collection")
 	}
 	o := &options{}
 	for _, opt := range opts {
@@ -383,11 +343,11 @@ func prepareBuild(docs []Document, opts []Option) (engine.Config, []index.Docume
 		signer, err = sig.NewRSASigner(sig.DefaultRSABits)
 	}
 	if err != nil {
-		return engine.Config{}, nil, nil, err
+		return engine.Config{}, nil, err
 	}
 	authority, err := computeAuthority(o, len(docs))
 	if err != nil {
-		return engine.Config{}, nil, nil, err
+		return engine.Config{}, nil, err
 	}
 	cfg := engine.Config{
 		Store:            store.DefaultParams(),
@@ -395,8 +355,8 @@ func prepareBuild(docs []Document, opts []Option) (engine.Config, []index.Docume
 		Signer:           signer,
 		Okapi:            okapi.DefaultParams(),
 		RemoveSingletons: !o.keepSingletons,
-		DictMode:         o.dictMode,
-		VocabProofs:      o.vocabProofs,
+		DictMode:         true,
+		VocabProofs:      true,
 		Authority:        authority,
 		Beta:             o.beta,
 		Variants:         o.variants,
@@ -405,13 +365,13 @@ func prepareBuild(docs []Document, opts []Option) (engine.Config, []index.Docume
 	for i, d := range docs {
 		idocs[i] = index.Document{Content: d.Content, Tokens: d.Tokens}
 	}
-	return cfg, idocs, o, nil
+	return cfg, idocs, nil
 }
 
 // NewOwner indexes the documents and constructs every authentication
 // structure with a freshly generated RSA key (unless WithFastSigner).
 func NewOwner(docs []Document, opts ...Option) (*Owner, error) {
-	cfg, idocs, _, err := prepareBuild(docs, opts)
+	cfg, idocs, err := prepareBuild(docs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -422,20 +382,21 @@ func NewOwner(docs []Document, opts ...Option) (*Owner, error) {
 	return &Owner{v: served{col: col}}, nil
 }
 
-// NewShardedOwner partitions the documents into shards, builds every shard
-// concurrently (all Options apply to each shard exactly as they would to
-// NewOwner), and signs the set manifest with the same key. The result is an
-// Owner like any other: its Server fans each query out to all shards in
-// parallel, and its Client verifies every shard's verification object and
-// then checks the merged ranking is the true global top-r by recomputation —
-// tampering with any shard's answer, dropping or substituting a shard, or
-// reordering the merge classifies as tampering.
+// NewShardedOwner places document i on shard i mod shards (balanced, and a
+// trivially invertible global-ID mapping), builds every shard concurrently
+// (all Options apply to each shard exactly as they would to NewOwner), and
+// signs the set manifest with the same key. The result is an Owner like any
+// other: its Server fans each query out to all shards in parallel, and its
+// Client verifies every shard's verification object and then checks the
+// merged ranking is the true global top-r by recomputation — tampering with
+// any shard's answer, dropping or substituting a shard, or reordering the
+// merge classifies as tampering.
 func NewShardedOwner(docs []Document, shards int, opts ...Option) (*Owner, error) {
-	cfg, idocs, o, err := prepareBuild(docs, opts)
+	cfg, idocs, err := prepareBuild(docs, opts)
 	if err != nil {
 		return nil, err
 	}
-	set, err := shard.Build(idocs, shard.Config{Engine: cfg, Shards: shards, Partitioner: o.shardPartitioner(shard.RoundRobin)})
+	set, err := shard.Build(idocs, shard.Config{Engine: cfg, Shards: shards})
 	if err != nil {
 		return nil, err
 	}

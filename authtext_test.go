@@ -35,7 +35,7 @@ var ownerFixture *Owner
 func owner(t *testing.T) *Owner {
 	t.Helper()
 	if ownerFixture == nil {
-		o, err := NewOwner(newsDocs(), WithVocabularyProofs())
+		o, err := NewOwner(newsDocs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,29 +115,54 @@ func TestNewOwnerValidation(t *testing.T) {
 	}
 }
 
+// TestOptionsApply pins what every owner builds without options: dictionary
+// mode with vocabulary proofs, on every constructor and in every manifest, so
+// all four variants sign the manifest and one record per document, and a
+// TNRA-CMHT-only build signs the manifest alone. WithVocabularyProofs changes
+// nothing.
 func TestOptionsApply(t *testing.T) {
 	docs := newsDocs()
-	o, err := NewOwner(docs,
-		WithFastSigner([]byte("opt-test")),
-		WithDictionaryMode(),
-		WithSingletonTerms(),
-	)
+	fast := WithFastSigner([]byte("opt-test"))
+	servers := map[string]*Server{"NewOwner": owner(t).Server()}
+	sharded, err := NewShardedOwner(docs, 2, fast, WithSingletonTerms())
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, client := o.Server(), o.Client()
-	res, err := server.Search("merkle trees", 3, TNRA, ChainMHT)
+	servers["NewShardedOwner"] = sharded.Server()
+	live, _, err := NewLiveOwner(docs, fast, WithVocabularyProofs())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := client.Verify("merkle trees", 3, res); err != nil {
+	servers["NewLiveOwner"] = live.Server()
+	liveSharded, _, err := NewLiveShardedOwner(docs, 2, fast, WithSingletonTerms())
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, sigs, _ := o.Stats()
-	// Dictionary mode: one signature per document plus the manifest only.
-	wantMax := len(docs) + 1
-	if sigs != wantMax {
-		t.Fatalf("dictionary mode signed %d times, want %d", sigs, wantMax)
+	servers["NewLiveShardedOwner"] = liveSharded.Server()
+	for name, srv := range servers {
+		for i, col := range srv.v.cols() {
+			if m, _ := col.Manifest(); !m.DictMode || !m.VocabProofsEnabled {
+				t.Errorf("%s, collection %d: DictMode %v, VocabProofsEnabled %v", name, i, m.DictMode, m.VocabProofsEnabled)
+			}
+		}
+	}
+
+	if _, sigs, _ := owner(t).Stats(); sigs != len(docs)+1 {
+		t.Fatalf("all four variants signed %d messages, want N + 1 = %d", sigs, len(docs)+1)
+	}
+	tnra, err := NewOwner(docs, fast, WithVariants(Variant{TNRA, ChainMHT}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, sigs, _ := tnra.Stats(); sigs != 1 {
+		t.Fatalf("a TNRA-CMHT build signed %d messages, want 1", sigs)
+	}
+	res, err := tnra.Server().Search("merkle trees", 3, TNRA, ChainMHT)
+	if err == nil {
+		err = tnra.Client().Verify("merkle trees", 3, res)
+	}
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -544,9 +544,9 @@ func BenchmarkBuildCollection(b *testing.B) {
 
 // BenchmarkOwnerBuild is the full owner-side construction (index,
 // structures, signatures) under RSA-1024 on the tiny profile, per variant
-// set: all four structures (N + 4M + 1 signatures), TNRA-CMHT only (M + 1,
-// what authserved builds by default), and TNRA-CMHT in dictionary mode (the
-// manifest alone).
+// set: all four structures (N + 4M + 1 signatures), TNRA-CMHT only (M + 1),
+// and TNRA-CMHT in dictionary mode (the manifest alone, what authserved
+// builds by default).
 func BenchmarkOwnerBuild(b *testing.B) {
 	signer, err := sig.NewRSASigner(sig.DefaultRSABits)
 	if err != nil {

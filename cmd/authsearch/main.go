@@ -18,7 +18,10 @@
 // verifies the merged global ranking (docs/SHARDING.md). With -build the
 // process performs only the owner role: it builds and signs the
 // collection and writes the snapshot artifact that `authserved -snapshot`
-// or `authsearch -snapshot` open in milliseconds (docs/SNAPSHOT.md). With
+// or `authsearch -snapshot` open in milliseconds (docs/SNAPSHOT.md). It
+// builds what authserved deploys, all four variants in dictionary mode
+// (§3.4) with vocabulary proofs, so the build signs the manifest and one
+// record per document; -snapshot still opens older list-mode artifacts. With
 // -remote it becomes the verifying client of a remote server — sharded or
 // not, as the verified manifest says — performing the same VO verification
 // on answers received over the network. Serving over HTTP is authserved's
@@ -173,10 +176,10 @@ func run(cfg config) error {
 		if cfg.shards > 0 {
 			fmt.Printf("indexing %d documents into %d shards, building authentication structures (RSA-1024)...\n",
 				len(docs), cfg.shards)
-			owner, err = authtext.NewShardedOwner(docs, cfg.shards, authtext.WithVocabularyProofs())
+			owner, err = authtext.NewShardedOwner(docs, cfg.shards)
 		} else {
 			fmt.Printf("indexing %d documents and building authentication structures (RSA-1024)...\n", len(docs))
-			owner, err = authtext.NewOwner(docs, authtext.WithVocabularyProofs())
+			owner, err = authtext.NewOwner(docs)
 		}
 		if err != nil {
 			return err

@@ -109,7 +109,7 @@ func TestBuildShardedSnapshotDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, err := authtext.NewShardedOwner(docs, 3, authtext.WithVocabularyProofs())
+	owner, err := authtext.NewShardedOwner(docs, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestBuildThenOpenSnapshotFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, err := authtext.NewOwner(docs, authtext.WithVocabularyProofs())
+	owner, err := authtext.NewOwner(docs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,13 +40,14 @@
 // add/remove batches on /v1/admin/update, publishing a new signed
 // generation per batch (persisted per generation with -live-snapshots).
 // A collection the daemon builds itself carries only the TNRA-CMHT structures
-// unless -variants asks for more, and it is built in dictionary mode (§3.4):
-// one dictionary-MHT per variant commits every list root, so the signed
-// manifest is the only signature of a TNRA build and of each of its live
-// generations (a TRA variant adds one per document record;
-// docs/ARCHITECTURE.md, step 1). Out-of-dictionary query terms always get
+// unless -variants asks for more. Like every authtext owner it is built in
+// dictionary mode (§3.4): one dictionary-MHT per variant commits every list
+// root, so the signed manifest is the only signature of a TNRA build and of
+// each of its live generations (a TRA variant adds one per document record;
+// docs/ARCHITECTURE.md, step 1), and out-of-dictionary query terms get
 // non-membership proofs. Signing is the whole build bill; a snapshot carries
-// its own signed variant set and mode.
+// its own signed variant set and mode, so an older list-mode artifact still
+// serves with -snapshot. A live shard set places documents by content hash.
 //
 // With -fleet the daemon serves no collection of its own: it becomes a
 // fleet FRONT END that load-balances the /v1 read surface across the
@@ -380,7 +381,7 @@ func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 	if cfg.variants == nil {
 		cfg.variants = defaultVariants
 	}
-	opts := []authtext.Option{authtext.WithVariants(cfg.variants...), authtext.WithDictionaryMode(), authtext.WithVocabularyProofs()}
+	opts := []authtext.Option{authtext.WithVariants(cfg.variants...)}
 	if cfg.live {
 		return buildLiveHandler(cfg, docs, opts, hopts, logger)
 	}
@@ -514,8 +515,7 @@ func buildLiveHandler(cfg config, docs []authtext.Document, opts []authtext.Opti
 	var owner *authtext.LiveOwner
 	var err error
 	if cfg.shards > 0 {
-		owner, _, err = authtext.NewLiveShardedOwner(docs, cfg.shards,
-			append(opts, authtext.WithShardPartitioner(authtext.PartitionHash))...)
+		owner, _, err = authtext.NewLiveShardedOwner(docs, cfg.shards, opts...)
 	} else {
 		owner, _, err = authtext.NewLiveOwner(docs, opts...)
 	}

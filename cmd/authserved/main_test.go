@@ -263,7 +263,7 @@ func TestBuildHandlerFromSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, err := authtext.NewOwner(docs, authtext.WithVocabularyProofs())
+	owner, err := authtext.NewOwner(docs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestBuildHandlerFromShardedSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	owner, err := authtext.NewShardedOwner(docs, 2, authtext.WithVocabularyProofs())
+	owner, err := authtext.NewShardedOwner(docs, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,63 @@ import (
 	"testing"
 
 	"authtext/internal/core"
+	"authtext/internal/engine"
+	"authtext/internal/live"
+	"authtext/internal/shard"
 )
+
+// WithSingletonTerms keeps terms that occur in only one document (the paper
+// removes them, §4.1), so the tests' tiny corpora stay indexable.
+func WithSingletonTerms() Option { return func(o *options) { o.keepSingletons = true } }
+
+// NewListModeOwnerForTest builds docs as owners were built before dictionary
+// mode became the only one: one signature per inverted list and no
+// vocabulary proofs — bare for 0 shards, else a round-robin shard set. Its
+// snapshots and exports are what an older build left behind; tests write
+// them and reopen them, as a server or client meets an old artifact.
+func NewListModeOwnerForTest(docs []Document, shards int, opts ...Option) (*Owner, error) {
+	cfg, idocs, err := prepareBuild(docs, opts)
+	if err != nil {
+		return nil, err
+	}
+	cfg.DictMode, cfg.VocabProofs = false, false
+	if shards == 0 {
+		col, err := engine.BuildCollection(idocs, cfg)
+		if err != nil {
+			return nil, err
+		}
+		return &Owner{v: served{col: col}}, nil
+	}
+	set, err := shard.Build(idocs, shard.Config{Engine: cfg, Shards: shards})
+	if err != nil {
+		return nil, err
+	}
+	return &Owner{v: served{set: set}}, nil
+}
+
+// NewListModeLiveOwnerForTest is NewListModeOwnerForTest for a live owner,
+// bare for 0 shards: an owner still running an older build, whose snapshot
+// directories upgraded replicas open and reload.
+func NewListModeLiveOwnerForTest(docs []Document, shards int, opts ...Option) (*LiveOwner, []DocHandle, error) {
+	cfg, idocs, err := prepareBuild(docs, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	cfg.DictMode, cfg.VocabProofs = false, false
+	var (
+		lc      *live.Collection
+		handles []uint64
+	)
+	if shards == 0 {
+		lc, handles, err = live.New(idocs, cfg)
+	} else {
+		lc, handles, err = live.NewSharded(idocs, cfg, shards)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return &LiveOwner{lc: lc}, docHandles(handles), nil
+}
 
 func TestExportImportClient(t *testing.T) {
 	o := owner(t)
@@ -93,14 +149,17 @@ func TestManifestDecodeRoundTripViaExport(t *testing.T) {
 }
 
 // TestVariantSubsetExportGolden pins the ATCX blob of a TNRA-CMHT-only
-// owner: an RSA-signed manifest carrying the variant mask, as a client
-// bootstraps from it. The fixture decodes, verifies, lists exactly that
-// variant, and re-exports byte-identically. Regenerate with UPDATE_GOLDEN=1
-// only alongside a deliberate export or manifest format change.
+// list-mode owner: an RSA-signed manifest carrying the variant mask, as a
+// client bootstraps from it. It is the root suite's check that an export an
+// older build wrote (per-list signatures, no vocabulary proofs) still
+// bootstraps a client. The fixture decodes, verifies, keeps that mode, lists
+// exactly that variant, and re-exports byte-identically. Regenerate with
+// UPDATE_GOLDEN=1 only alongside a deliberate export or manifest format
+// change; regeneration builds in list mode, so the fixture keeps its mode.
 func TestVariantSubsetExportGolden(t *testing.T) {
 	const golden = "testdata/atcx-tnra-cmht.bin"
 	if os.Getenv("UPDATE_GOLDEN") != "" {
-		o, err := NewOwner(newsDocs(), WithVariants(Variant{TNRA, ChainMHT}))
+		o, err := NewListModeOwnerForTest(newsDocs(), 0, WithVariants(Variant{TNRA, ChainMHT}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,6 +178,9 @@ func TestVariantSubsetExportGolden(t *testing.T) {
 	client, err := NewClientFromExport(raw)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if m := client.manifest; m.DictMode || m.VocabProofsEnabled {
+		t.Fatalf("the fixture is no longer list mode: DictMode %v, VocabProofsEnabled %v", m.DictMode, m.VocabProofsEnabled)
 	}
 	if set := client.variantSet(); set != core.VariantOf(core.KindTNRACMHT) {
 		t.Fatalf("variants %v, want tnra-cmht", set)

@@ -103,16 +103,16 @@ func newEntry(handle uint64, d index.Document) entry {
 // compaction touched; every other shard's engine.Collection is carried over
 // wholesale, its manifest digest staying pinned in the new set manifest, and
 // the whole set swaps at once — a fan-out never observes shards from two
-// publication states. Only the hash partitioner places by content alone;
-// round-robin placement depends on global position, so any removal would
-// reshuffle most documents, and NewSharded rejects it outright.
+// publication states. Placement is by content hash (shard.HashDoc) because
+// only content is stable: a placement by global position would reshuffle
+// most documents on any removal.
 type Collection struct {
 	mu      sync.Mutex // serialises updates (owner side only)
 	cfg     engine.Config
 	signer  *CachingSigner
 	boosted bool
-	// part is the set's partitioner; 0 on a bare collection.
-	part shard.Partitioner
+	// sharded is set on a shard set, unset on a bare collection.
+	sharded bool
 	// slots holds each shard's slot list, tombstoned slots included — one
 	// list on a bare collection; dead counts the tombstoned slots per list.
 	slots  [][]entry
@@ -167,30 +167,22 @@ func nextAvgLen(pinned float64, tokens int64, slots int) (avgLen float64, repin 
 // and travel with it across generations. The returned handles identify the
 // initial documents for later removal.
 func New(docs []index.Document, cfg engine.Config) (*Collection, []uint64, error) {
-	return newCollection(docs, cfg, 1, 0)
+	return newCollection(docs, cfg, 1, false)
 }
 
-// NewSharded builds generation 1 of a k-shard live set; cfg is used as in
-// New. part must be the hash partitioner (0 defaults to it).
-func NewSharded(docs []index.Document, cfg engine.Config, k int, part shard.Partitioner) (*Collection, []uint64, error) {
-	if part == 0 {
-		part = shard.HashContent
-	}
-	if part != shard.HashContent {
-		return nil, nil, fmt.Errorf("live: the %v partitioner is not supported on live sharded sets: "+
-			"its placement depends on document position, so removals would reshuffle every shard "+
-			"and defeat signature reuse; use the hash partitioner", part)
-	}
+// NewSharded builds generation 1 of a k-shard live set, placing documents by
+// content hash; cfg is used as in New.
+func NewSharded(docs []index.Document, cfg engine.Config, k int) (*Collection, []uint64, error) {
 	if k < 1 {
 		return nil, nil, fmt.Errorf("live: shard count %d", k)
 	}
 	if k > len(docs) {
 		return nil, nil, fmt.Errorf("live: %d shards for %d documents", k, len(docs))
 	}
-	return newCollection(docs, cfg, k, part)
+	return newCollection(docs, cfg, k, true)
 }
 
-func newCollection(docs []index.Document, cfg engine.Config, k int, part shard.Partitioner) (*Collection, []uint64, error) {
+func newCollection(docs []index.Document, cfg engine.Config, k int, sharded bool) (*Collection, []uint64, error) {
 	if cfg.Signer == nil {
 		return nil, nil, errors.New("live: config needs a signer")
 	}
@@ -207,7 +199,7 @@ func newCollection(docs []index.Document, cfg engine.Config, k int, part shard.P
 		cfg:     cfg,
 		signer:  NewCachingSigner(cfg.Signer),
 		boosted: cfg.Authority != nil,
-		part:    part,
+		sharded: sharded,
 		slots:   make([][]entry, k),
 		dead:    make([]int, k),
 	}
@@ -217,7 +209,7 @@ func newCollection(docs []index.Document, cfg engine.Config, k int, part shard.P
 	c.cfg.Authority = nil
 	dirty := make([]bool, k)
 	handles := c.append(c.slots, dirty, docs, cfg.Authority)
-	if c.sharded() {
+	if c.sharded {
 		if c.tokens == 0 {
 			return nil, nil, errors.New("live: collection has no indexable terms")
 		}
@@ -233,8 +225,6 @@ func newCollection(docs []index.Document, cfg engine.Config, k int, part shard.P
 	return c, handles, nil
 }
 
-func (c *Collection) sharded() bool { return c.part != 0 }
-
 // append assigns handles to docs and places each in its slot list of slots,
 // marking the lists it touched dirty (caller holds mu or is the
 // constructor). auth may be nil (scores default to 0).
@@ -248,7 +238,7 @@ func (c *Collection) append(slots [][]entry, dirty []bool, docs []index.Document
 			e.auth = auth[i]
 		}
 		s := 0
-		if c.sharded() {
+		if c.sharded {
 			s = shard.HashDoc(d, len(slots))
 		}
 		slots[s] = append(slots[s], e)
@@ -355,7 +345,7 @@ func (c *Collection) rebuildLocked(added, removed int, dirty []bool) (*UpdateSta
 	for s, err := range errs {
 		if err != nil {
 			c.signer.Abort()
-			if c.sharded() {
+			if c.sharded {
 				err = fmt.Errorf("live: shard %d: %w", s, err)
 			}
 			return nil, err
@@ -369,7 +359,7 @@ func (c *Collection) rebuildLocked(added, removed int, dirty []bool) (*UpdateSta
 	} else {
 		signed, reused = c.signer.End()
 	}
-	if c.sharded() {
+	if c.sharded {
 		set, err := c.signSet(cols, totalSlots, newGen)
 		if err != nil {
 			return nil, err
@@ -416,7 +406,7 @@ func (c *Collection) signSet(cols []*engine.Collection, globalN int, gen uint64)
 	k := len(cols)
 	sm := &shard.SetManifest{
 		K:               uint32(k),
-		Partitioner:     c.part,
+		Partitioner:     shard.HashContent,
 		GlobalN:         uint32(globalN),
 		HashSize:        uint8(hashSize),
 		ShardDocs:       make([]uint32, k),
@@ -470,7 +460,7 @@ func (c *Collection) Generation() uint64 { return c.gen.Load() }
 
 // Shards returns the shard count: 0 for a bare collection.
 func (c *Collection) Shards() int {
-	if !c.sharded() {
+	if !c.sharded {
 		return 0
 	}
 	return len(c.slots)

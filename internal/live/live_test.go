@@ -14,7 +14,6 @@ import (
 	synth "authtext/internal/corpus"
 	"authtext/internal/engine"
 	"authtext/internal/index"
-	"authtext/internal/shard"
 	"authtext/internal/sig"
 )
 
@@ -183,7 +182,7 @@ func newShape(t *testing.T, shards int, docs []index.Document) (*Collection, []u
 	if shards == 0 {
 		c, handles, err = New(docs, cfg)
 	} else {
-		c, handles, err = NewSharded(docs, cfg, shards, shard.HashContent)
+		c, handles, err = NewSharded(docs, cfg, shards)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +349,7 @@ func TestVOCarriesGeneration(t *testing.T) {
 func TestShardedUpdateReusesUntouchedShards(t *testing.T) {
 	// HashContent placement is stable, so adding documents leaves most
 	// shards' membership unchanged and they are carried over wholesale.
-	c, _, err := NewSharded(corpus(40), testConfig(t), 4, shard.HashContent)
+	c, _, err := NewSharded(corpus(40), testConfig(t), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,7 +598,7 @@ func TestRepinBuildsOnceAndAccountsEverySignature(t *testing.T) {
 // and the set keeps verifying and carrying shards over afterwards.
 func TestShardedRepin(t *testing.T) {
 	cfg := testConfig(t)
-	c, _, err := NewSharded(corpus(40), cfg, 4, shard.HashContent)
+	c, _, err := NewSharded(corpus(40), cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,16 +37,18 @@ import (
 	"authtext/internal/sig"
 )
 
-// Partitioner selects the document→shard assignment policy.
+// Partitioner records in a set manifest how the set placed its documents.
 type Partitioner uint8
 
 const (
 	// RoundRobin assigns document i to shard i mod k: perfectly balanced
-	// shard sizes and a trivially invertible global-ID mapping.
+	// shard sizes and a trivially invertible global-ID mapping. Build
+	// places every static set this way.
 	RoundRobin Partitioner = 1
 	// HashContent assigns documents by FNV-1a hash of their content (or
-	// token stream): placement is stable under corpus reordering, at the
-	// price of slightly uneven shard sizes.
+	// token stream): placement is stable under corpus reordering and
+	// updates, at the price of slightly uneven shard sizes. Live sets place
+	// this way (HashDoc).
 	HashContent Partitioner = 2
 )
 
@@ -62,56 +63,30 @@ func (p Partitioner) String() string {
 	return fmt.Sprintf("Partitioner(%d)", uint8(p))
 }
 
-// ParsePartitioner resolves a command-line name ("" defaults to round-robin).
-func ParsePartitioner(s string) (Partitioner, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "round-robin", "roundrobin", "rr":
-		return RoundRobin, nil
-	case "hash", "content-hash":
-		return HashContent, nil
-	}
-	return 0, fmt.Errorf("shard: unknown partitioner %q (want round-robin or hash)", s)
-}
-
 func (p Partitioner) valid() bool { return p == RoundRobin || p == HashContent }
 
-// Assign distributes len(docs) documents over k shards, returning the
-// global document indices of each shard in ascending order. Every shard is
-// guaranteed non-empty; if the hash partitioner leaves a shard empty (tiny
-// corpora), Assign reports an error suggesting fewer shards.
-func (p Partitioner) Assign(docs []index.Document, k int) ([][]int, error) {
+// roundRobin distributes n documents over k shards, document i to shard
+// i mod k, returning the global document indices of each shard in ascending
+// order. Every shard is non-empty.
+func roundRobin(n, k int) ([][]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("shard: shard count %d", k)
 	}
-	if k > len(docs) {
-		return nil, fmt.Errorf("shard: %d shards for %d documents", k, len(docs))
+	if k > n {
+		return nil, fmt.Errorf("shard: %d shards for %d documents", k, n)
 	}
 	out := make([][]int, k)
-	switch p {
-	case RoundRobin:
-		for i := range docs {
-			out[i%k] = append(out[i%k], i)
-		}
-	case HashContent:
-		for i, d := range docs {
-			out[HashDoc(d, k)] = append(out[HashDoc(d, k)], i)
-		}
-		for s := range out {
-			if len(out[s]) == 0 {
-				return nil, fmt.Errorf("shard: hash partitioning left shard %d/%d empty; use fewer shards or round-robin", s, k)
-			}
-		}
-	default:
-		return nil, fmt.Errorf("shard: unknown partitioner %d", p)
+	for i := 0; i < n; i++ {
+		out[i%k] = append(out[i%k], i)
 	}
 	return out, nil
 }
 
-// HashDoc returns the shard HashContent assigns d to: the per-document
-// primitive behind Assign, exposed so live sharded sets can place
-// additions without re-partitioning the whole corpus. Placement depends
-// only on the document itself, never on its position — which is exactly
-// what makes hash placement stable under interleaved adds and removals.
+// HashDoc returns the shard HashContent assigns d to, so live sharded sets
+// can place additions without re-partitioning the whole corpus. Placement
+// depends only on the document itself, never on its position — which is
+// exactly what makes hash placement stable under interleaved adds and
+// removals.
 func HashDoc(d index.Document, k int) int {
 	h := fnv.New64a()
 	if len(d.Content) > 0 {
@@ -133,8 +108,6 @@ type Config struct {
 	Engine engine.Config
 	// Shards is the shard count k ≥ 1.
 	Shards int
-	// Partitioner defaults to RoundRobin.
-	Partitioner Partitioner
 }
 
 // Set is a built shard set: k serving collections plus the signed set
@@ -147,25 +120,19 @@ type Set struct {
 	docMaps     [][]uint32 // [shard][local doc] = global doc index
 }
 
-// Build partitions the documents, builds every shard concurrently with the
-// shared signer, and signs the set manifest. Shard builds run in parallel
-// — the first concurrency-scaling path of the codebase — so owner-side
-// build time drops with core count as well as with per-shard input size.
+// Build places the documents round-robin, builds every shard concurrently
+// with the shared signer, and signs the set manifest. Shard builds run in
+// parallel — the first concurrency-scaling path of the codebase — so
+// owner-side build time drops with core count as well as with per-shard
+// input size.
 func Build(docs []index.Document, cfg Config) (*Set, error) {
 	if cfg.Engine.Signer == nil {
 		return nil, errors.New("shard: config needs a signer")
 	}
-	part := cfg.Partitioner
-	if part == 0 {
-		part = RoundRobin
-	}
-	if !part.valid() {
-		return nil, fmt.Errorf("shard: unknown partitioner %d", part)
-	}
 	if cfg.Engine.Authority != nil && len(cfg.Engine.Authority) != len(docs) {
 		return nil, fmt.Errorf("shard: %d authority scores for %d documents", len(cfg.Engine.Authority), len(docs))
 	}
-	assign, err := part.Assign(docs, cfg.Shards)
+	assign, err := roundRobin(len(docs), cfg.Shards)
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +184,7 @@ func Build(docs []index.Document, cfg Config) (*Set, error) {
 	}
 	sm := &SetManifest{
 		K:               uint32(k),
-		Partitioner:     part,
+		Partitioner:     RoundRobin,
 		GlobalN:         uint32(len(docs)),
 		HashSize:        uint8(hashSize),
 		ShardDocs:       make([]uint32, k),

@@ -30,7 +30,7 @@ func testDocs(n int) []index.Document {
 	return docs
 }
 
-func buildSet(t *testing.T, n, k int, part Partitioner) *Set {
+func buildSet(t *testing.T, n, k int) *Set {
 	t.Helper()
 	signer, err := sig.NewHMACSigner([]byte("shard-test"), 128)
 	if err != nil {
@@ -40,7 +40,7 @@ func buildSet(t *testing.T, n, k int, part Partitioner) *Set {
 	// Tiny per-shard collections: keep singleton terms so even a one-document
 	// shard still has a dictionary.
 	cfg.RemoveSingletons = false
-	set, err := Build(testDocs(n), Config{Engine: cfg, Shards: k, Partitioner: part})
+	set, err := Build(testDocs(n), Config{Engine: cfg, Shards: k})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +48,7 @@ func buildSet(t *testing.T, n, k int, part Partitioner) *Set {
 }
 
 func TestAssignRoundRobinBalanced(t *testing.T) {
-	docs := testDocs(10)
-	assign, err := RoundRobin.Assign(docs, 3)
+	assign, err := roundRobin(10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,57 +58,47 @@ func TestAssignRoundRobinBalanced(t *testing.T) {
 			t.Errorf("shard %d has %d documents", s, len(ids))
 		}
 		for _, g := range ids {
-			if seen[g] {
-				t.Errorf("document %d assigned twice", g)
+			if seen[g] || g%3 != s {
+				t.Errorf("document %d assigned twice or to shard %d", g, s)
 			}
 			seen[g] = true
 		}
 	}
-	if len(seen) != len(docs) {
-		t.Errorf("%d documents assigned, want %d", len(seen), len(docs))
+	if len(seen) != 10 {
+		t.Errorf("%d documents assigned, want 10", len(seen))
 	}
 }
 
+// TestAssignHashCoversAllDocs: HashDoc places every document on one of the
+// k shards, on the same one every time, and spreads a corpus over all k.
 func TestAssignHashCoversAllDocs(t *testing.T) {
 	docs := testDocs(64)
-	assign, err := HashContent.Assign(docs, 4)
-	if err != nil {
-		t.Fatal(err)
+	sizes := make([]int, 4)
+	for _, d := range docs {
+		s := HashDoc(d, 4)
+		if s < 0 || s >= 4 || HashDoc(d, 4) != s {
+			t.Fatalf("document %q placed on shard %d", d.Content, s)
+		}
+		sizes[s]++
 	}
-	total := 0
-	for _, ids := range assign {
-		total += len(ids)
-	}
-	if total != len(docs) {
-		t.Fatalf("assigned %d documents, want %d", total, len(docs))
-	}
-	// Stability: the same corpus assigns identically.
-	again, err := HashContent.Assign(docs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := range assign {
-		if len(assign[s]) != len(again[s]) {
-			t.Fatalf("hash assignment not stable")
+	for s, n := range sizes {
+		if n == 0 {
+			t.Fatalf("shard %d left empty: %v", s, sizes)
 		}
 	}
 }
 
 func TestAssignErrors(t *testing.T) {
-	docs := testDocs(3)
-	if _, err := RoundRobin.Assign(docs, 0); err == nil {
+	if _, err := roundRobin(3, 0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := RoundRobin.Assign(docs, 4); err == nil {
+	if _, err := roundRobin(3, 4); err == nil {
 		t.Error("more shards than documents accepted")
-	}
-	if _, err := Partitioner(9).Assign(docs, 2); err == nil {
-		t.Error("unknown partitioner accepted")
 	}
 }
 
 func TestSetManifestRoundTrip(t *testing.T) {
-	set := buildSet(t, 12, 3, RoundRobin)
+	set := buildSet(t, 12, 3)
 	sm, smSig := set.Manifest()
 	enc := sm.Encode()
 	dec, err := DecodeSetManifest(enc)
@@ -156,28 +145,26 @@ func TestDocMapRoundTrip(t *testing.T) {
 }
 
 func TestSearchVerifyAcrossVariants(t *testing.T) {
-	for _, part := range []Partitioner{RoundRobin, HashContent} {
-		set := buildSet(t, 16, 4, part)
-		for _, algo := range []core.Algo{core.AlgoTRA, core.AlgoTNRA} {
-			for _, scheme := range []core.Scheme{core.SchemeMHT, core.SchemeCMHT} {
-				name := fmt.Sprintf("%s/%s-%s", part, algo, scheme)
-				res, err := set.Search([]string{"merkle", "root", "digest"}, 5, algo, scheme)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if len(res.Merged) == 0 {
-					t.Fatalf("%s: empty merge", name)
-				}
-				if err := set.VerifyResult([]string{"merkle", "root", "digest"}, 5, res); err != nil {
-					t.Errorf("%s: honest result rejected: %v", name, err)
-				}
+	set := buildSet(t, 16, 4)
+	for _, algo := range []core.Algo{core.AlgoTRA, core.AlgoTNRA} {
+		for _, scheme := range []core.Scheme{core.SchemeMHT, core.SchemeCMHT} {
+			name := fmt.Sprintf("%s-%s", algo, scheme)
+			res, err := set.Search([]string{"merkle", "root", "digest"}, 5, algo, scheme)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(res.Merged) == 0 {
+				t.Fatalf("%s: empty merge", name)
+			}
+			if err := set.VerifyResult([]string{"merkle", "root", "digest"}, 5, res); err != nil {
+				t.Errorf("%s: honest result rejected: %v", name, err)
 			}
 		}
 	}
 }
 
 func TestGlobalIDsMatchPartition(t *testing.T) {
-	set := buildSet(t, 10, 3, RoundRobin)
+	set := buildSet(t, 10, 3)
 	for s := 0; s < set.K(); s++ {
 		for local, global := range set.DocMap(s) {
 			// Round-robin: global g goes to shard g%k at local position g/k.
@@ -192,7 +179,7 @@ func TestGlobalIDsMatchPartition(t *testing.T) {
 }
 
 func TestVerifyMergeDetectsTampering(t *testing.T) {
-	set := buildSet(t, 16, 4, RoundRobin)
+	set := buildSet(t, 16, 4)
 	tokens := []string{"merkle", "entries", "root"}
 	res, err := set.Search(tokens, 4, core.AlgoTNRA, core.SchemeCMHT)
 	if err != nil {
@@ -236,10 +223,10 @@ func TestVerifyMergeDetectsTampering(t *testing.T) {
 }
 
 func TestAssembleRejectsMixedShards(t *testing.T) {
-	set := buildSet(t, 12, 3, RoundRobin)
+	set := buildSet(t, 12, 3)
 	// A same-owner set over a DIFFERENT corpus: its shard manifests are
 	// validly signed, but they are not the shards the set manifest pins.
-	other := buildSet(t, 15, 3, RoundRobin)
+	other := buildSet(t, 15, 3)
 	sm, smSig := set.Manifest()
 	cols := []*engine.Collection{set.Col(0), set.Col(1), set.Col(2)}
 	maps := [][]uint32{set.DocMap(0), set.DocMap(1), set.DocMap(2)}

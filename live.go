@@ -3,7 +3,6 @@ package authtext
 import (
 	"authtext/internal/index"
 	"authtext/internal/live"
-	"authtext/internal/shard"
 )
 
 // Live collections accept document updates after publication: every batch
@@ -80,7 +79,7 @@ type LiveOwner struct {
 // NewLiveOwner indexes the documents and publishes generation 1. The
 // returned handles identify the initial documents, in input order.
 func NewLiveOwner(docs []Document, opts ...Option) (*LiveOwner, []DocHandle, error) {
-	cfg, idocs, _, err := prepareBuild(docs, opts)
+	cfg, idocs, err := prepareBuild(docs, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -95,18 +94,16 @@ func NewLiveOwner(docs []Document, opts ...Option) (*LiveOwner, []DocHandle, err
 // shards, and a freshly signed shard-set manifest per generation. An update
 // rebuilds only the shards whose membership changed — a small batch touches
 // few shards, and untouched shards are carried over wholesale — then the
-// whole set swaps atomically, so a fan-out never mixes generations. Only
-// PartitionHash is supported (and is the default): its placement depends on
-// document content alone, so it is stable under updates — the property that
-// makes whole-shard reuse and tombstoned removals possible.
-// WithShardPartitioner(PartitionRoundRobin) is rejected with an error
-// explaining why.
+// whole set swaps atomically, so a fan-out never mixes generations. Documents
+// are placed by content hash: placement depends on the document alone, so it
+// is stable under updates — the property that makes whole-shard reuse and
+// tombstoned removals possible.
 func NewLiveShardedOwner(docs []Document, shards int, opts ...Option) (*LiveOwner, []DocHandle, error) {
-	cfg, idocs, o, err := prepareBuild(docs, opts)
+	cfg, idocs, err := prepareBuild(docs, opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	lc, handles, err := live.NewSharded(idocs, cfg, shards, o.shardPartitioner(shard.HashContent))
+	lc, handles, err := live.NewSharded(idocs, cfg, shards)
 	if err != nil {
 		return nil, nil, err
 	}

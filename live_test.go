@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -285,8 +284,7 @@ func TestLiveConcurrentSearchHammer(t *testing.T) {
 }
 
 func TestLiveShardedMixedGenerationRejected(t *testing.T) {
-	owner, _, err := NewLiveShardedOwner(liveDocs(0, 32), 4,
-		WithFastSigner([]byte("live-shards")), WithShardPartitioner(PartitionHash))
+	owner, _, err := NewLiveShardedOwner(liveDocs(0, 32), 4, WithFastSigner([]byte("live-shards")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,22 +626,21 @@ func TestLiveCompaction(t *testing.T) {
 	}
 }
 
-// TestLiveShardedRejectsRoundRobin pins the partitioner guard: round-robin
-// placement depends on global document position, which removals would
-// reshuffle, so live sharded sets refuse it with an actionable error.
+// TestLiveShardedRejectsRoundRobin: no live set places round-robin, which
+// would tie placement to global position that removals reshuffle. It is
+// hash-placed when built and stays so after an update appends documents.
 func TestLiveShardedRejectsRoundRobin(t *testing.T) {
-	_, _, err := NewLiveShardedOwner(liveDocs(0, 12), 3,
-		WithFastSigner([]byte("rr")), WithShardPartitioner(PartitionRoundRobin))
-	if err == nil {
-		t.Fatal("round-robin partitioner accepted on a live sharded set")
+	docs := liveDocs(0, 12)
+	owner, _, err := NewLiveShardedOwner(docs, 3, WithFastSigner([]byte("rr")))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "hash partitioner") {
-		t.Fatalf("rejection does not point at the hash partitioner: %v", err)
+	checkHashPlaced(t, owner, docs)
+	more := liveDocs(12, 5)
+	if _, _, err := owner.AddDocuments(more); err != nil {
+		t.Fatal(err)
 	}
-	// The default (no partitioner option) is hash and works.
-	if _, _, err := NewLiveShardedOwner(liveDocs(0, 12), 3, WithFastSigner([]byte("rr2"))); err != nil {
-		t.Fatalf("default partitioner failed: %v", err)
-	}
+	checkHashPlaced(t, owner, append(docs, more...))
 }
 
 // TestSignatureMemoSurvivesGenerationBumps: a client's verified-signature
@@ -675,7 +672,7 @@ func TestSignatureMemoSurvivesGenerationBumps(t *testing.T) {
 		t.Fatalf("after the generation bump: %d verified, %d memo hits (cold answer verified %d)", verified, hits, cold)
 	}
 
-	sharded, _, err := NewLiveShardedOwner(liveDocs(0, 32), 4, WithShardPartitioner(PartitionHash))
+	sharded, _, err := NewLiveShardedOwner(liveDocs(0, 32), 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,9 +86,6 @@ func TestPropertyHonestRoundTrip(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				opts = append(opts, authtext.WithSingletonTerms())
 			}
-			if rng.Intn(2) == 0 {
-				opts = append(opts, authtext.WithVocabularyProofs())
-			}
 			owner, err := authtext.NewOwner(docs, opts...)
 			if err != nil {
 				// A fully singleton dictionary is a legitimate build error
@@ -144,7 +141,7 @@ func TestPropertyHonestRoundTrip(t *testing.T) {
 }
 
 // TestPropertyShardedRoundTrip extends the property suite to sharded
-// collections: random shard counts and partitioners, fully verified merged
+// collections: random shard counts, fully verified merged
 // rankings, including through a sharded snapshot round-trip.
 func TestPropertyShardedRoundTrip(t *testing.T) {
 	trials := 4
@@ -160,9 +157,6 @@ func TestPropertyShardedRoundTrip(t *testing.T) {
 			opts := []authtext.Option{
 				authtext.WithFastSigner([]byte(fmt.Sprint("prop-shard-", trial))),
 				authtext.WithSingletonTerms(),
-			}
-			if rng.Intn(2) == 0 {
-				opts = append(opts, authtext.WithShardPartitioner(authtext.PartitionHash))
 			}
 			owner, err := authtext.NewShardedOwner(docs, shards, opts...)
 			if err != nil {

@@ -61,8 +61,7 @@ func TestRemoteSearchRetriesAcrossLaggingManifestReplica(t *testing.T) {
 			return env
 		},
 		"sharded": func(t *testing.T) raceEnv {
-			owner := must2(authtext.NewLiveShardedOwner(liveRemoteDocs(0, 16), 2,
-				authtext.WithShardPartitioner(authtext.PartitionHash)))(t)
+			owner := must2(authtext.NewLiveShardedOwner(liveRemoteDocs(0, 16), 2))(t)
 			env := raceEnv{manifest: httpapi.PathShardManifest, search: httpapi.PathShardSearch, format: httpapi.FormatATSX}
 			env.gen1 = must(owner.ExportClient())(t)
 			env.frozen = authtext.NewHTTPHandler(owner.Server(), env.gen1)

@@ -2,6 +2,7 @@ package authtext_test
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -26,14 +27,20 @@ import (
 // The handler shape matrix is the one place the honest and tamper contract
 // is checked. Every serving shape — {bare, 2 shards} × {static, live owner,
 // snapshot replica}, plus the memory-mapped opens — is built from one
-// generation source behind one backend (serve.go), in list and in
-// dictionary mode. Against each, one table checks what all must agree on:
+// generation source behind one backend (serve.go), as every owner builds:
+// dictionary mode with vocabulary proofs. Every shape an older build's
+// artifact reaches — the static and mapped snapshots, and replicas of an
+// owner not yet upgraded — also serves a list-mode build (per-list
+// signatures, vocabulary proofs off), as that build wrote it; the live
+// owner builds only in the one mode. Against each, one table checks what
+// all must agree on:
 //
 //   - honest answers, in process and remote, over both wire codecs, by a
 //     cold and a warm client, verify and rank exactly as core.PSCAN ranks
 //     the generation that answered (the oracle in oracle_test.go);
 //   - every tamper row — rewrites of a hit, of the VO or of a shard set's
-//     merge, another query's honest answer spliced in, an equal-score
+//     merge, a term proof or result document given twice, another query's
+//     honest answer spliced in, a query term dropped, an equal-score
 //     reordering, and on binary frames a bit flip in every frame region —
 //     classifies as tampering, identically by a cold and a warm client,
 //     whether the honest answer came from a cache miss or a cache hit;
@@ -53,8 +60,11 @@ const (
 	matrixTieQuery = "merkle tree"
 	// matrixSpliceQuery answers a different question, for the splice row.
 	matrixSpliceQuery = "signature verification"
-	matrixR           = 3
-	matrixDocs        = 24
+	// matrixDropQuery is matrixQuery without "chain", a term every shard
+	// indexes, for the dropped-term row.
+	matrixDropQuery = "digest"
+	matrixR         = 3
+	matrixDocs      = 24
 )
 
 // matrixCorpus is the matrix's collection: three documents for the splice
@@ -123,6 +133,10 @@ type matrixShape struct {
 	adminStatus int
 	// build makes the shape from an owner built with ownerOpts.
 	build func(t *testing.T, ownerOpts []authtext.Option) matrixEnv
+	// old makes the shape from what an older build wrote in list mode (per-
+	// list signatures, vocabulary proofs off); nil on the live shapes, which
+	// serve only what they build.
+	old func(t *testing.T) matrixEnv
 }
 
 func must[T any](v T, err error) func(*testing.T) T {
@@ -140,21 +154,29 @@ func must[T any](v T, err error) func(*testing.T) T {
 // 2, matrixDocs-1 documents.
 func matrixLiveOwner(t *testing.T, shards int, opts ...authtext.Option) *authtext.LiveOwner {
 	t.Helper()
-	var (
-		owner   *authtext.LiveOwner
-		handles []authtext.DocHandle
-		err     error
-	)
 	if shards == 0 {
-		owner, handles, err = authtext.NewLiveOwner(matrixCorpus(), opts...)
-	} else {
-		owner, handles, err = authtext.NewLiveShardedOwner(matrixCorpus(), shards, opts...)
+		return withTombstone(t)(authtext.NewLiveOwner(matrixCorpus(), opts...))
 	}
-	if err != nil {
-		t.Fatal(err)
+	return withTombstone(t)(authtext.NewLiveShardedOwner(matrixCorpus(), shards, opts...))
+}
+
+// oldLiveOwner is matrixLiveOwner as an older build runs it, in list mode.
+func oldLiveOwner(t *testing.T, shards int) *authtext.LiveOwner {
+	t.Helper()
+	return withTombstone(t)(authtext.NewListModeLiveOwnerForTest(matrixCorpus(), shards))
+}
+
+// withTombstone takes a live owner constructor's results and removes the
+// second document.
+func withTombstone(t *testing.T) func(*authtext.LiveOwner, []authtext.DocHandle, error) *authtext.LiveOwner {
+	return func(owner *authtext.LiveOwner, handles []authtext.DocHandle, err error) *authtext.LiveOwner {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		must(owner.RemoveDocuments(handles[1]))(t)
+		return owner
 	}
-	must(owner.RemoveDocuments(handles[1]))(t)
-	return owner
 }
 
 // staticEnv serves a static collection: srv and its client, with export
@@ -167,6 +189,25 @@ func staticEnv(srv *authtext.Server, client *authtext.Client, export []byte) mat
 		documents: matrixDocs, server: func() *authtext.Server { return srv },
 		client: func() *authtext.Client { return client },
 	}
+}
+
+// replicaOf writes owner's snapshot directory and serves a replica of it.
+func replicaOf(t *testing.T, owner *authtext.LiveOwner) matrixEnv {
+	dir := t.TempDir()
+	must(owner.WriteSnapshotDir(dir))(t)
+	return replicaEnv(t, owner, dir, must(authtext.OpenLiveSnapshotDir(dir))(t))
+}
+
+// replicaMappedOf is replicaOf with the replica's snapshots memory-mapped,
+// twinned by a copying open of the same directory.
+func replicaMappedOf(t *testing.T, owner *authtext.LiveOwner) matrixEnv {
+	dir := t.TempDir()
+	must(owner.WriteSnapshotDir(dir))(t)
+	replica := must(authtext.OpenLiveSnapshotDirMapped(dir))(t)
+	t.Cleanup(func() { replica.Close() })
+	env := replicaEnv(t, owner, dir, replica)
+	env.twin = must(authtext.OpenLiveSnapshotDir(dir))(t).Server()
+	return env
 }
 
 // replicaEnv serves a replica of owner's snapshot directory dir.
@@ -192,9 +233,64 @@ func buildStatic(t *testing.T, shards int, opts []authtext.Option) *authtext.Own
 	return must(authtext.NewShardedOwner(matrixCorpus(), shards, opts...))(t)
 }
 
+// writeStatic writes owner's snapshot to a fresh path — a file for a bare
+// collection, a directory for a shard set — and returns the path.
+func writeStatic(t *testing.T, owner *authtext.Owner) string {
+	path := filepath.Join(t.TempDir(), "col.atsn")
+	var err error
+	if owner.Shards() > 0 {
+		err = owner.WriteSnapshotDir(path)
+	} else {
+		var buf bytes.Buffer
+		if err = owner.WriteSnapshot(&buf); err == nil {
+			err = os.WriteFile(path, buf.Bytes(), 0o644)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// oldStatic builds the matrix corpus as owners built it before dictionary
+// mode became the only mode, bare for 0 shards.
+func oldStatic(t *testing.T, shards int) *authtext.Owner {
+	return must(authtext.NewListModeOwnerForTest(matrixCorpus(), shards))(t)
+}
+
+// reopenedEnv serves owner's snapshot written and reopened, which is how an
+// older artifact reaches a server.
+func reopenedEnv(t *testing.T, owner *authtext.Owner) matrixEnv {
+	srv, client, err := authtext.OpenSnapshotFile(writeStatic(t, owner))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return staticEnv(srv, client, must(client.Export())(t))
+}
+
+// mappedEnv serves owner's snapshot written and memory-mapped, twinned by a
+// copying open of the same path.
+func mappedEnv(t *testing.T, owner *authtext.Owner) matrixEnv {
+	path := writeStatic(t, owner)
+	ms := must(authtext.OpenSnapshotMapped(path))(t)
+	t.Cleanup(func() { ms.Close() })
+	if err := ms.Validate(); err != nil || ms.SizeBytes() == 0 {
+		t.Fatalf("mapped open: %d bytes, validation %v", ms.SizeBytes(), err)
+	}
+	env := staticEnv(ms.Server(), ms.Client(), must(ms.Client().Export())(t))
+	srv, _, err := authtext.OpenSnapshotFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.twin = srv
+	return env
+}
+
 // matrixShapes is {0, 2} shards × {static, live owner, snapshot replica},
 // three constructors each taking the shard count as data, plus the mapped
-// opens: a static snapshot bare and sharded, and a bare replica.
+// opens: a static snapshot bare and sharded, and a bare replica. Every shape
+// but the live owner also opens what an older, list-mode build wrote: a
+// static snapshot, or the snapshot directories of an owner not yet upgraded.
 var matrixShapes = func() (shapes []matrixShape) {
 	for _, shards := range []int{0, 2} {
 		suffix := map[int]string{0: "-single", 2: "-sharded"}[shards]
@@ -207,7 +303,8 @@ var matrixShapes = func() (shapes []matrixShape) {
 					env := staticEnv(srv, owner.Client(), must(owner.ExportClient())(t))
 					env.ownCache, env.server = own, owner.Server
 					return env
-				}},
+				},
+				old: func(t *testing.T) matrixEnv { return reopenedEnv(t, oldStatic(t, shards)) }},
 			matrixShape{name: "live" + suffix, shards: shards, adminStatus: http.StatusOK,
 				build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
 					owner := matrixLiveOwner(t, shards, ownerOpts...)
@@ -219,49 +316,20 @@ var matrixShapes = func() (shapes []matrixShape) {
 				}},
 			matrixShape{name: "replica" + suffix, shards: shards, adminStatus: http.StatusForbidden,
 				build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
-					owner, dir := matrixLiveOwner(t, shards, ownerOpts...), t.TempDir()
-					must(owner.WriteSnapshotDir(dir))(t)
-					return replicaEnv(t, owner, dir, must(authtext.OpenLiveSnapshotDir(dir))(t))
-				}},
+					return replicaOf(t, matrixLiveOwner(t, shards, ownerOpts...))
+				},
+				old: func(t *testing.T) matrixEnv { return replicaOf(t, oldLiveOwner(t, shards)) }},
 			matrixShape{name: "static-mapped" + suffix, shards: shards, adminStatus: http.StatusNotFound,
 				build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
-					// Vocabulary proofs put one more section under the mapping.
-					opts := append([]authtext.Option{authtext.WithVocabularyProofs()}, ownerOpts...)
-					owner, path := buildStatic(t, shards, opts), filepath.Join(t.TempDir(), "col.atsn")
-					var err error
-					if shards > 0 {
-						err = owner.WriteSnapshotDir(path)
-					} else {
-						var buf bytes.Buffer
-						if err = owner.WriteSnapshot(&buf); err == nil {
-							err = os.WriteFile(path, buf.Bytes(), 0o644)
-						}
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					ms := must(authtext.OpenSnapshotMapped(path))(t)
-					t.Cleanup(func() { ms.Close() })
-					if err := ms.Validate(); err != nil || ms.SizeBytes() == 0 {
-						t.Fatalf("mapped open: %d bytes, validation %v", ms.SizeBytes(), err)
-					}
-					env := staticEnv(ms.Server(), ms.Client(), must(ms.Client().Export())(t))
-					if env.twin, _, err = authtext.OpenSnapshotFile(path); err != nil {
-						t.Fatal(err)
-					}
-					return env
-				}})
+					return mappedEnv(t, buildStatic(t, shards, ownerOpts))
+				},
+				old: func(t *testing.T) matrixEnv { return mappedEnv(t, oldStatic(t, shards)) }})
 	}
 	return append(shapes, matrixShape{name: "replica-mapped-single", adminStatus: http.StatusForbidden,
 		build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
-			owner, dir := matrixLiveOwner(t, 0, ownerOpts...), t.TempDir()
-			must(owner.WriteSnapshotDir(dir))(t)
-			replica := must(authtext.OpenLiveSnapshotDirMapped(dir))(t)
-			t.Cleanup(func() { replica.Close() })
-			env := replicaEnv(t, owner, dir, replica)
-			env.twin = must(authtext.OpenLiveSnapshotDir(dir))(t).Server()
-			return env
-		}})
+			return replicaMappedOf(t, matrixLiveOwner(t, 0, ownerOpts...))
+		},
+		old: func(t *testing.T) matrixEnv { return replicaMappedOf(t, oldLiveOwner(t, 0)) }})
 }()
 
 // handlerTransport serves a client's requests from h in process: the
@@ -357,20 +425,17 @@ func TestHandlerShapeMatrix(t *testing.T) {
 		t.Run(shape.name, func(t *testing.T) {
 			t.Parallel()
 			t.Run("variant not built", func(t *testing.T) { matrixVariantNotBuilt(t, shape) })
-			t.Run("dictionary mode", func(t *testing.T) { matrixRows(t, shape, true) })
-			matrixRows(t, shape, false)
+			if shape.old != nil {
+				t.Run("list mode", func(t *testing.T) { matrixRows(t, shape, shape.old(t), true) })
+			}
+			matrixRows(t, shape, shape.build(t, nil), false)
 		})
 	}
 }
 
-// matrixRows checks one shape, built in dictionary mode or with per-list
-// signatures, on every row of the matrix but the variant-not-built column.
-func matrixRows(t *testing.T, shape matrixShape, dict bool) {
-	var ownerOpts []authtext.Option
-	if dict {
-		ownerOpts = []authtext.Option{authtext.WithDictionaryMode()}
-	}
-	env := shape.build(t, ownerOpts)
+// matrixRows checks one built shape, or its list-mode artifact, on every row
+// of the matrix but the variant-not-built column.
+func matrixRows(t *testing.T, shape matrixShape, env matrixEnv, listMode bool) {
 	optCache := authtext.NewVOCache(2 << 20)
 	handler := env.handler(optCache)
 	searchPath, manifestPath := searchPaths(shape.shards)
@@ -484,7 +549,7 @@ func matrixRows(t *testing.T, shape matrixShape, dict bool) {
 	// Every tamper row, on both codecs.
 	for _, frame := range []bool{false, true} {
 		t.Run(map[bool]string{false: "json", true: "frame"}[frame], func(t *testing.T) {
-			b := battery{env: env, shards: shape.shards, frame: frame, rows: tamperRows(dict)}
+			b := battery{env: env, shards: shape.shards, frame: frame, rows: tamperRows(listMode)}
 			if frame {
 				b.flips = frameFlips
 			}
@@ -745,26 +810,27 @@ func matrixConcurrent(t *testing.T, env matrixEnv, handler http.Handler) {
 // shard set it rewrites the answer of the shard holding the top merged hit.
 // sharded, when set, rewrites a shard set's answer as a whole instead, and
 // a row with sharded alone attacks shard sets only. other is the honest
-// answer to matrixSpliceQuery, for the splice row.
+// answer to the row's other query, for the splicing rows.
 type tamperRow struct {
 	name string
-	// query is the question asked (default matrixQuery).
-	query   string
-	bare    func(r, other *wire.SearchResponse)
-	sharded func(r, other *wire.ShardedSearchResponse)
+	// query is the question asked (default matrixQuery); other is the one
+	// whose honest answer the rewrite gets (default matrixSpliceQuery).
+	query, other string
+	bare         func(r, other *wire.SearchResponse)
+	sharded      func(r, other *wire.ShardedSearchResponse)
 	// want is the classification demanded; VerifyOK: any tampering code.
 	want core.VerifyCode
 }
 
 // tamperRows is the matrix's one tamper table. A relabelled list fails the
-// signature over its name in list mode, the dictionary leaf that binds its
-// name in dictionary mode.
-func tamperRows(dict bool) []tamperRow {
-	relabelled := core.CodeBadSignature
-	if dict {
-		relabelled = core.CodeBadTermProof
+// dictionary leaf that binds its name, or on a list-mode artifact the
+// signature over its name.
+func tamperRows(listMode bool) []tamperRow {
+	relabelled := core.CodeBadTermProof
+	if listMode {
+		relabelled = core.CodeBadSignature
 	}
-	return []tamperRow{
+	rows := []tamperRow{
 		{name: "inflate top score", bare: func(r, _ *wire.SearchResponse) { r.Hits[0].Score *= 2 }},
 		{name: "swap ranking", bare: func(r, _ *wire.SearchResponse) {
 			last := len(r.Hits) - 1
@@ -785,6 +851,12 @@ func tamperRows(dict bool) []tamperRow {
 		{name: "flip VO byte", bare: func(r, _ *wire.SearchResponse) { r.VO[len(r.VO)/2] ^= 0x40 }},
 		{name: "truncate VO", bare: func(r, _ *wire.SearchResponse) { r.VO = r.VO[:len(r.VO)/2] }},
 		{name: "relabelled term proofs", want: relabelled, bare: func(r, _ *wire.SearchResponse) { r.VO = swapTermNames(r.VO) }},
+		// A term proved twice would weigh twice in every score.
+		{name: "duplicate a term proof", want: core.CodeMalformedVO, bare: func(r, _ *wire.SearchResponse) {
+			r.VO = editTerms(r.VO, func(ts []vo.TermProof) []vo.TermProof { return append(ts, ts[0]) })
+		}},
+		// The runner-up replaced by a second copy of the top hit.
+		{name: "duplicate a result document", bare: func(r, _ *wire.SearchResponse) { r.Hits[1] = r.Hits[0] }},
 		{name: "another query's honest answer",
 			bare:    func(r, other *wire.SearchResponse) { *r = *other },
 			sharded: func(r, other *wire.ShardedSearchResponse) { *r = *other }},
@@ -806,17 +878,42 @@ func tamperRows(dict bool) []tamperRow {
 		{name: "rewrite global id", sharded: func(r, _ *wire.ShardedSearchResponse) { r.Merged[0].GlobalID++ }},
 		{name: "cite an absent shard", sharded: func(r, _ *wire.ShardedSearchResponse) { r.Merged[0].Shard = len(r.Shards) }},
 	}
+	if listMode {
+		// Without vocabulary proofs an artifact has §3.1's gap: nothing
+		// proves a query term absent, so a bare answer that drops one verifies.
+		return rows
+	}
+	// An indexed query term dropped: the honest answer to the query without
+	// it — on a shard set, the top merged hit's shard's — claims the term is
+	// not indexed, which only a vocabulary proof refutes.
+	return append(rows, tamperRow{name: "drop a query term", other: matrixDropQuery, want: core.CodeBadVocabProof,
+		bare: func(r, other *wire.SearchResponse) { *r = *other },
+		sharded: func(r, other *wire.ShardedSearchResponse) {
+			s := r.Merged[0].Shard
+			r.Shards[s] = other.Shards[s]
+		}})
 }
 
 // swapTermNames relabels the first two term proofs of a VO as each other:
 // each list answers for the other term. A VO with fewer than two term
 // proofs is returned as it is (and then verifies, failing the row).
 func swapTermNames(raw []byte) []byte {
+	return editTerms(raw, func(ts []vo.TermProof) []vo.TermProof {
+		if len(ts) >= 2 {
+			ts[0].Name, ts[1].Name = ts[1].Name, ts[0].Name
+		}
+		return ts
+	})
+}
+
+// editTerms re-encodes a VO with its term proofs rewritten by edit. A VO
+// that does not decode, or has no term proof, is returned as it is.
+func editTerms(raw []byte, edit func([]vo.TermProof) []vo.TermProof) []byte {
 	v, err := vo.Decode(raw)
-	if err != nil || len(v.Terms) < 2 {
+	if err != nil || len(v.Terms) == 0 {
 		return raw
 	}
-	v.Terms[0].Name, v.Terms[1].Name = v.Terms[1].Name, v.Terms[0].Name
+	v.Terms = edit(v.Terms)
 	enc, _, err := vo.Encode(v, 16)
 	if err != nil {
 		return raw
@@ -975,16 +1072,13 @@ func (b battery) run(t *testing.T) {
 			hitCache := authtext.NewVOCache(1 << 20)
 			hits := b.env.handler(hitCache)
 			searchPath, _ := searchPaths(b.shards)
-			spliced := matrixDo(hits, http.MethodPost, searchPath, searchBodyOf(matrixSpliceQuery, algo), "").Body.Bytes()
 			for _, row := range b.rows {
 				if row.bare == nil && b.shards == 0 {
 					continue
 				}
-				query := row.query
-				if query == "" {
-					query = matrixQuery
-				}
+				query, other := cmp.Or(row.query, matrixQuery), cmp.Or(row.other, matrixSpliceQuery)
 				t.Run(row.name, func(t *testing.T) {
+					spliced := matrixDo(hits, http.MethodPost, searchPath, searchBodyOf(other, algo), "").Body.Bytes()
 					b.attack(t, proxy, dial, hits, hitCache, algo, query, row.want, row.mutation(b.shards > 0, spliced))
 				})
 			}
@@ -1199,13 +1293,13 @@ func TestHealthzCountsLiveDocumentsOnStaticServer(t *testing.T) {
 }
 
 // The named cells: slices of the matrix that run on their own, on a fresh
-// list-mode build of one shape. The honest column and the batteries run
+// build of one shape. The honest column and the batteries run
 // here over a real loopback listener instead of the in-process transport,
 // and the concurrency cells are what the race job's Concurrent|Parallel
 // hammer step picks up.
 
-// namedShape builds the named shape in list mode; the plain static shapes
-// once per test binary, since nothing changes or closes them.
+// namedShape builds the named shape; the plain static shapes once per test
+// binary, since nothing changes or closes them.
 var namedShape = func() func(t *testing.T, name string) (matrixEnv, matrixShape) {
 	var mu sync.Mutex
 	built := map[string]matrixEnv{}

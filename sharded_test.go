@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"authtext/internal/index"
+	"authtext/internal/shard"
 )
 
 func shardedTestDocs() []Document {
@@ -238,20 +241,56 @@ func TestShardedBuildErrors(t *testing.T) {
 	}
 }
 
+// TestShardPlacementByConstructor: the constructor fixes placement. A static
+// set places document i on shard i mod k and its signed set manifest records
+// round-robin.
+func TestShardPlacementByConstructor(t *testing.T) {
+	const k = 3
+	static, err := NewShardedOwner(shardedTestDocs(), k, WithFastSigner([]byte("placement")), WithSingletonTerms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sm, _ := static.v.set.Manifest(); sm.Partitioner != shard.RoundRobin {
+		t.Fatalf("static set manifest records %v", sm.Partitioner)
+	}
+	for s := 0; s < k; s++ {
+		for _, g := range static.v.set.DocMap(s) {
+			if int(g)%k != s {
+				t.Fatalf("static set placed document %d on shard %d", g, s)
+			}
+		}
+	}
+}
+
+// TestShardedPartitionHash: a live set places every document by content
+// hash and its signed set manifest records that, so its placement survives
+// updates.
 func TestShardedPartitionHash(t *testing.T) {
-	owner, err := NewShardedOwner(shardedTestDocs(), 2,
-		WithFastSigner([]byte("hash-part")), WithSingletonTerms(),
-		WithShardPartitioner(PartitionHash))
+	docs := shardedTestDocs()
+	const k = 3
+	live, _, err := NewLiveShardedOwner(docs, k, WithFastSigner([]byte("placement")), WithSingletonTerms())
 	if err != nil {
 		t.Fatal(err)
 	}
-	server, client := owner.Server(), owner.Client()
-	res, err := server.Search(shardedQuery, 4, TNRA, ChainMHT)
-	if err != nil {
-		t.Fatal(err)
+	checkHashPlaced(t, live, docs)
+}
+
+// checkHashPlaced fails unless owner's served set manifest records content
+// hashing and its shard sizes are what hashing docs places.
+func checkHashPlaced(t *testing.T, owner *LiveOwner, docs []Document) {
+	t.Helper()
+	sm, _ := owner.Server().v.set.Manifest()
+	if sm.Partitioner != shard.HashContent {
+		t.Fatalf("live set manifest records %v", sm.Partitioner)
 	}
-	if err := client.Verify(shardedQuery, 4, res); err != nil {
-		t.Errorf("hash-partitioned result rejected: %v", err)
+	want := make([]uint32, len(sm.ShardDocs))
+	for _, d := range docs {
+		want[shard.HashDoc(index.Document{Content: d.Content}, len(want))]++
+	}
+	for s := range want {
+		if sm.ShardDocs[s] != want[s] {
+			t.Fatalf("live shard sizes %v, content hashing places %v", sm.ShardDocs, want)
+		}
 	}
 }
 

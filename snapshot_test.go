@@ -29,7 +29,7 @@ func snapshotTestDocs() []Document {
 // and the published verification material must be byte-identical across
 // the round trip.
 func TestSnapshotRoundTrip(t *testing.T) {
-	owner, err := NewOwner(snapshotTestDocs(), WithVocabularyProofs())
+	owner, err := NewOwner(snapshotTestDocs())
 	if err != nil {
 		t.Fatal(err)
 	}
