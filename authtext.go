@@ -216,13 +216,6 @@ type options struct {
 // Option customises NewOwner.
 type Option func(*options)
 
-// WithFastSigner replaces RSA with a keyed-hash signer of identical
-// signature size. Builds become orders of magnitude faster but signatures
-// are only verifiable by holders of the key — benchmarking only.
-func WithFastSigner(key []byte) Option {
-	return func(o *options) { o.fastSignerKey = key; o.signerOverridden = true }
-}
-
 // WithVocabularyProofs is a no-op: every owner builds vocabulary proofs.
 //
 // Deprecated: non-membership proofs for out-of-dictionary query terms are
@@ -369,7 +362,7 @@ func prepareBuild(docs []Document, opts []Option) (engine.Config, []index.Docume
 }
 
 // NewOwner indexes the documents and constructs every authentication
-// structure with a freshly generated RSA key (unless WithFastSigner).
+// structure with a freshly generated RSA key.
 func NewOwner(docs []Document, opts ...Option) (*Owner, error) {
 	cfg, idocs, err := prepareBuild(docs, opts)
 	if err != nil {

@@ -3,13 +3,13 @@ package authtext
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"authtext/internal/store"
 	"authtext/internal/wire"
 )
 
@@ -43,7 +43,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 }
 
 func TestCacheHitVerifiesLikeMiss(t *testing.T) {
-	// A private owner: the test ends by failing its device.
+	// A private owner: the test ends by corrupting its device.
 	o, err := NewOwner(newsDocs(), WithFastSigner([]byte("cache-hit")))
 	if err != nil {
 		t.Fatal(err)
@@ -86,10 +86,17 @@ func TestCacheHitVerifiesLikeMiss(t *testing.T) {
 	if got := cache.Stats().Misses; got != 2 {
 		t.Fatalf("different r hit the wrong entry: misses=%d", got)
 	}
-	// What makes a hit cheap: it reads nothing from the store. With the
-	// device failing every read, the cached query still answers (and
-	// verifies) while an uncached one cannot.
-	o.v.col.Device().Poison(errors.New("device gone"))
+	// What makes a hit cheap: it reads nothing from the store. With every
+	// byte of the device flipped, the cached query still answers and
+	// verifies, while an uncached one cannot produce a verifying answer.
+	dev := o.v.col.Device()
+	for a := store.Addr(0); int64(a) < dev.Blocks(); a++ {
+		for off := 0; off < dev.BlockSize(); off++ {
+			if err := dev.Corrupt(a, off, 0xff); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	hit, err = srv.Search(q, r, TNRA, ChainMHT)
 	if err != nil {
 		t.Fatalf("cache hit touched the store: %v", err)
@@ -97,8 +104,11 @@ func TestCacheHitVerifiesLikeMiss(t *testing.T) {
 	if err := client.Verify(q, r, hit); err != nil {
 		t.Fatalf("cached answer failed verification: %v", err)
 	}
-	if _, err := srv.Search("search results integrity", r, TNRA, ChainMHT); err == nil {
-		t.Fatal("uncached query answered without the store")
+	const uncached = "search results integrity"
+	if res, err := srv.Search(uncached, r, TNRA, ChainMHT); err == nil {
+		if err := client.Verify(uncached, r, res); err == nil {
+			t.Fatal("an uncached query over the corrupted store verified")
+		}
 	}
 }
 

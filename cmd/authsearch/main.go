@@ -315,8 +315,8 @@ func printResult(verdict string, res *authtext.SearchResult, name func(globalID 
 		fmt.Printf("  [%s] shards=%d entries=%d io=%s vo=%dB wall=%s\n",
 			verdict, st.Shards, st.EntriesRead, st.IOTime, st.VOBytes, st.ServerTime)
 	} else {
-		fmt.Printf("  [%s] q=%d entries/term=%.1f io=%s vo=%dB\n",
-			verdict, st.QueryTerms, st.EntriesPerTerm, st.IOTime, st.VOBytes)
+		fmt.Printf("  [%s] q=%d entries/term=%.1f io=%s vo=%dB wall=%s\n",
+			verdict, st.QueryTerms, st.EntriesPerTerm, st.IOTime, st.VOBytes, st.ServerTime)
 	}
 	for i, h := range res.Hits {
 		where := ""

@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	authserved [-addr :8470] [-snapshot FILE|DIR | -dir PATH] [-shards N]
+//	authserved [-addr :8470] [-snapshot FILE|DIR [-mmap] | -dir PATH] [-shards N]
 //	           [-variants all|V,V,...] [-live [-live-snapshots DIR]]
 //	           [-watch DUR] [-cache-mb N]
 //	           [-fleet URL,URL,... [-fleet-probe DUR]]
@@ -33,7 +33,10 @@
 // fan-out over every shard; when it is a per-generation snapshot
 // directory written by a live owner (gen-NNNNNNNNNNNN.atsn files, or
 // gen-NNNNNNNNNNNN/ shard sets; docs/UPDATES.md), the daemon serves the
-// latest generation and — with -watch — hot-swaps to newer ones. Without
+// latest generation and — with -watch — hot-swaps to newer ones. -mmap
+// maps the snapshot files instead of reading them into the heap, so
+// daemons serving one generation share its pages in the page cache; the
+// open checks every checksum exactly as the heap open does. Without
 // -snapshot the daemon performs the owner role in-process for
 // convenience; adding -shards N splits the corpus into N independently
 // signed shards at startup, and -live additionally accepts document
@@ -146,7 +149,7 @@ func parseFlags(args []string) (config, error) {
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-query log lines")
 	fs.BoolVar(&cfg.live, "live", false, "accept document updates on /v1/admin/update (build mode); every batch publishes a new signed generation")
 	fs.StringVar(&cfg.liveSnaps, "live-snapshots", "", "with -live: persist every published generation as an ATSN snapshot in this directory")
-	fs.BoolVar(&cfg.mmap, "mmap", false, "with -snapshot: memory-map snapshot files instead of copying them (zero-copy opens, page-cache shared between processes)")
+	fs.BoolVar(&cfg.mmap, "mmap", false, "with -snapshot: memory-map snapshot files instead of reading them into the heap (page cache shared between processes; checksums checked at open as without it)")
 	fs.DurationVar(&cfg.watch, "watch", 0, "with -snapshot DIR of per-generation snapshots: poll at this interval and hot-swap to new generations")
 	fs.IntVar(&cfg.cacheMB, "cache-mb", 0, "serve repeat queries from an in-memory VO cache bounded by N MiB of encoded answers (0 disables); document updates invalidate it automatically")
 	fs.StringVar(&cfg.fleet, "fleet", "", "run as a fleet front end over these comma-separated replica base URLs instead of serving a collection")

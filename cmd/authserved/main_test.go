@@ -775,8 +775,9 @@ func TestBuildFleetHandlerServesVerifiableFleet(t *testing.T) {
 
 // The sharded live routes: `-live -shards N -live-snapshots DIR` persists
 // every set generation, and `-snapshot DIR -watch` on that directory opens
-// a sharded replica that follows it — verifiable end to end, serving-only,
-// and never memory-mapped.
+// a sharded replica that follows it — verifiable end to end and
+// serving-only, with its generations read into the heap or, with -mmap,
+// memory-mapped.
 func TestBuildHandlerLiveShardedSnapshotsAndWatchedReplica(t *testing.T) {
 	gens := filepath.Join(t.TempDir(), "gens")
 	cfg, err := parseFlags([]string{"-live", "-shards", "2", "-live-snapshots", gens, "-quiet"}) // demo corpus
@@ -807,8 +808,19 @@ func TestBuildHandlerLiveShardedSnapshotsAndWatchedReplica(t *testing.T) {
 		t.Fatalf("%s holds no per-generation sharded snapshots", gens)
 	}
 
-	if _, err := buildHandler(config{snapshot: gens, mmap: true, quiet: true}, discardLogger()); err == nil {
-		t.Error("-mmap accepted on a per-generation sharded snapshot directory")
+	ctx := context.Background()
+	mappedHandler, err := buildHandler(config{snapshot: gens, mmap: true, quiet: true}, discardLogger())
+	if err != nil {
+		t.Fatalf("-mmap refused a per-generation sharded snapshot directory: %v", err)
+	}
+	mapped := httptest.NewServer(mappedHandler)
+	defer mapped.Close()
+	mrc, err := authtext.NewRemoteClient(mapped.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := mrc.Search(ctx, "search results", 2, authtext.TNRA, authtext.ChainMHT); err != nil || res.Generation != 2 {
+		t.Fatalf("mapped replica search: %+v, err %v", res, err)
 	}
 	rcfg, err := parseFlags([]string{"-snapshot", gens, "-watch", "5ms", "-quiet"})
 	if err != nil {
@@ -825,7 +837,6 @@ func TestBuildHandlerLiveShardedSnapshotsAndWatchedReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	res, err := rc.Search(ctx, "search results", 2, authtext.TNRA, authtext.ChainMHT)
 	if err != nil || res.Generation != 2 {
 		t.Fatalf("replica search: %+v, err %v", res, err)

@@ -12,6 +12,13 @@ import (
 	"authtext/internal/shard"
 )
 
+// WithFastSigner replaces RSA with a keyed-hash signer of identical
+// signature size. Builds become orders of magnitude faster but signatures
+// are only verifiable by holders of the key — benchmarking only.
+func WithFastSigner(key []byte) Option {
+	return func(o *options) { o.fastSignerKey = key; o.signerOverridden = true }
+}
+
 // WithSingletonTerms keeps terms that occur in only one document (the paper
 // removes them, §4.1), so the tests' tiny corpora stay indexable.
 func WithSingletonTerms() Option { return func(o *options) { o.keepSingletons = true } }

@@ -32,9 +32,9 @@ var _ core.PrefixReader = (*listCursor)(nil)
 
 // deviceFault carries a block-read failure out of cursor methods that
 // cannot return errors (core.Cursor has no error channel). It unwinds as
-// a panic and Collection.Search recovers it at its boundary, so a
-// poisoned device degrades to a failed query instead of a crashed
-// server.
+// a panic and Collection.Search recovers it at its boundary, so a read
+// the device's bounds check refuses degrades to a failed query instead of
+// a crashed server.
 type deviceFault struct{ err error }
 
 func newListCursor(sess *store.Session, ext store.Extent, total int, chain bool, blockSize, hashSize int) *listCursor {
@@ -53,10 +53,10 @@ func (c *listCursor) numBlocks() int { return (c.total + c.perBlock - 1) / c.per
 func (c *listCursor) loadBlock(j int) {
 	raw, err := c.sess.ReadBlock(c.ext.Start + store.Addr(j))
 	if err != nil {
-		// The extent was written by the same build that sized it, so this
-		// is either a layout bug or a poisoned device (a mapped snapshot
-		// whose deferred checksum failed). core.Cursor has no error
-		// channel; Search recovers the typed fault at its boundary.
+		// The extent was written by the same build that sized it (or
+		// checked against the device by Restore), so this is a layout bug.
+		// core.Cursor has no error channel; Search recovers the typed fault
+		// at its boundary.
 		panic(deviceFault{fmt.Errorf("engine: list block read: %w", err)})
 	}
 	off := 0

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -65,10 +66,13 @@ func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.
 		return nil, nil, nil, fmt.Errorf("engine: %v: %w (this collection builds %v)", kind, core.ErrVariantNotBuilt, c.manifest.Variants)
 	}
 	// Cursor code raises block-read failures as a typed panic (the cursor
-	// interfaces have no error channel). Recover it here so a poisoned
-	// device — a mapped snapshot that failed its deferred checksum —
-	// surfaces as a query error, not a process crash.
+	// interfaces have no error channel). Recover it here so a read the
+	// device's bounds check refuses surfaces as a query error, not a
+	// process crash. The closure also keeps c reachable until Search
+	// returns: a collection decoded from a mapping unmaps it once
+	// unreachable, and the reads below alias its pages.
 	defer func() {
+		runtime.KeepAlive(c)
 		if p := recover(); p != nil {
 			f, ok := p.(deviceFault)
 			if !ok {

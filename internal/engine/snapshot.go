@@ -50,6 +50,10 @@ type State struct {
 	Space      SpaceReport
 	Signatures int
 	BuildTime  time.Duration
+	// Backing is what the slices above alias when it is not the garbage-
+	// collected heap (a file mapping). The collection keeps it reachable for
+	// as long as it is itself; nothing reads it.
+	Backing any
 }
 
 // ExportState captures the collection for serialisation. Slices alias
@@ -240,6 +244,7 @@ func Restore(st *State) (*Collection, error) {
 		manifestSig: st.ManifestSig,
 		space:       st.Space,
 		buildStats:  BuildStats{BuildTime: st.BuildTime, Signatures: st.Signatures},
+		backing:     st.Backing,
 	}
 	c.cfg = Config{
 		Store:       st.StoreParams,

@@ -26,8 +26,8 @@ const vecTreeShare = 0.5
 // compare-and-swap and never replaced or evicted; readers never block.
 //
 // Only digests are kept. The record itself — leaves, content hash, signature
-// — is read from the device by every query, so I/O accounting, a poisoned
-// device and a corrupted record behave as if there were no cache.
+// — is read from the device by every query, so I/O accounting and a
+// corrupted record behave as if there were no cache.
 type vecTrees struct {
 	slots    []atomic.Pointer[mht.Tree]
 	resident atomic.Int64 // node bytes of the trees in slots

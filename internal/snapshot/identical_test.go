@@ -87,10 +87,7 @@ func TestLiveRebuiltReopenedAndMappedServeIdenticalVOs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer mapped.Release()
-			if err := mapped.Wait(); err != nil {
-				t.Fatal(err)
-			}
+			defer mapped.Close()
 
 			idx := rebuilt.Index()
 			queries := [][]string{

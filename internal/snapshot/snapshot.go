@@ -171,8 +171,7 @@ func Open(r io.ReaderAt) (*engine.Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading: %w", err)
 	}
-	col, _, err := parse(b, math.MaxInt)
-	return col, err
+	return parse(b, nil)
 }
 
 // readAll reads r into one buffer: exactly its size when r reports one
@@ -203,90 +202,60 @@ func readAll(r io.ReaderAt) ([]byte, error) {
 	return b, nil
 }
 
-// sectionCheck is one section's CRC, checked by parse or, deferred, by its
-// caller.
-type sectionCheck struct {
-	id      uint16
-	want    uint32
-	payload []byte
-}
-
-func (s sectionCheck) check() error {
-	if crc32.ChecksumIEEE(s.payload) != s.want {
-		return fmt.Errorf("snapshot: section %d fails its checksum (corrupted snapshot)", s.id)
-	}
-	return nil
-}
-
-// checkSections runs deferred checks, reporting the first mismatch.
-func checkSections(sections []sectionCheck) error {
-	for _, s := range sections {
-		if err := s.check(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// parse is the one container walker. It checks the CRC of every section
-// shorter than deferMin before decoding anything and returns the others
-// unchecked in deferred: Open passes math.MaxInt (nothing deferred),
-// OpenMapped deferredCRCMin. The collection decodes in place — it aliases
-// b, which must outlive it and stay unmodified — except for the manifest
-// and public key, which are copied: the verification client built from
-// them may outlive a mapping.
-func parse(b []byte, deferMin int) (col *engine.Collection, deferred []sectionCheck, err error) {
+// parse is the one container walker. It checks every section's CRC before
+// decoding anything. The collection decodes in place — it aliases b, which
+// must stay unmodified for as long as the collection is reachable — except
+// for the manifest and public key, which are copied: the verification
+// client built from them may outlive the collection. When b is the mapping
+// mp, the document bodies are copied too and the collection holds mp (see
+// OpenMapped).
+func parse(b []byte, mp *mapping) (*engine.Collection, error) {
 	if len(b) < 8 {
-		return nil, nil, errors.New("snapshot: not a snapshot (shorter than its header)")
+		return nil, errors.New("snapshot: not a snapshot (shorter than its header)")
 	}
 	r := binx.NewReader(b)
 	if string(r.Take(len(magic))) != magic {
-		return nil, nil, errors.New("snapshot: not a snapshot (bad magic)")
+		return nil, errors.New("snapshot: not a snapshot (bad magic)")
 	}
 	if v := r.U16(); v != Version {
-		return nil, nil, fmt.Errorf("%w: %d (this build speaks %d)", ErrVersion, v, Version)
+		return nil, fmt.Errorf("%w: %d (this build speaks %d)", ErrVersion, v, Version)
 	}
 	if n := r.U16(); int(n) != len(sectionOrder) {
-		return nil, nil, fmt.Errorf("snapshot: %d sections, format v%d has %d", n, Version, len(sectionOrder))
+		return nil, fmt.Errorf("snapshot: %d sections, format v%d has %d", n, Version, len(sectionOrder))
 	}
 	payloads := make(map[uint16][]byte, len(sectionOrder))
 	for _, wantID := range sectionOrder {
 		if r.Len() < 16 {
-			return nil, nil, fmt.Errorf("snapshot: reading section header: truncated at %d", len(b)-r.Len())
+			return nil, fmt.Errorf("snapshot: reading section header: truncated at %d", len(b)-r.Len())
 		}
 		id := r.U16()
 		if id != wantID {
-			return nil, nil, fmt.Errorf("snapshot: section %d out of order (want %d)", id, wantID)
+			return nil, fmt.Errorf("snapshot: section %d out of order (want %d)", id, wantID)
 		}
 		if r.U16() != 0 {
-			return nil, nil, fmt.Errorf("snapshot: section %d has non-zero reserved field", id)
+			return nil, fmt.Errorf("snapshot: section %d has non-zero reserved field", id)
 		}
-		s := sectionCheck{id: id, want: r.U32()}
+		want := r.U32()
 		length := r.U64()
 		if length > uint64(r.Len()) {
-			return nil, nil, fmt.Errorf("snapshot: section %d: truncated payload (declared %d bytes)", id, length)
+			return nil, fmt.Errorf("snapshot: section %d: truncated payload (declared %d bytes)", id, length)
 		}
-		s.payload = r.Take(int(length))
-		if len(s.payload) >= deferMin {
-			deferred = append(deferred, s)
-		} else if err := s.check(); err != nil {
-			return nil, nil, err
+		payload := r.Take(int(length))
+		if crc32.ChecksumIEEE(payload) != want {
+			return nil, fmt.Errorf("snapshot: section %d fails its checksum (corrupted snapshot)", id)
 		}
-		payloads[id] = s.payload
+		payloads[id] = payload
 	}
 	if r.Len() != 0 {
-		return nil, nil, errors.New("snapshot: trailing bytes after last section")
+		return nil, errors.New("snapshot: trailing bytes after last section")
 	}
-	col, err = restore(payloads)
-	if err != nil {
-		return nil, nil, err
-	}
-	return col, deferred, nil
+	return restore(payloads, mp)
 }
 
-// restore decodes the section payloads into a serving collection.
-func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
-	st := &engine.State{}
+// restore decodes the section payloads into a serving collection backed by
+// mp (nil for a heap buffer).
+func restore(payloads map[uint16][]byte, mp *mapping) (*engine.Collection, error) {
+	st := &engine.State{Backing: mp}
 
 	// Manifest first: it is the (signed) source of truth every later
 	// section is cross-checked against.
@@ -316,6 +285,9 @@ func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
 	st.Index, err = index.DecodeBinary(payloads[secIndex])
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
+	}
+	if mp != nil {
+		copyBodies(st.Index.Content)
 	}
 
 	dr := binx.NewReader(payloads[secStore])
@@ -407,6 +379,22 @@ func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
 		return nil, fmt.Errorf("snapshot: embedded manifest signature: %w", err)
 	}
 	return col, nil
+}
+
+// copyBodies moves the document bodies into one heap allocation, each
+// capacity-capped: a search hands them to callers that may hold them after
+// the collection, and its mapping, are gone.
+func copyBodies(bodies [][]byte) {
+	total := 0
+	for _, body := range bodies {
+		total += len(body)
+	}
+	arena := make([]byte, 0, total)
+	for d, body := range bodies {
+		start := len(arena)
+		arena = append(arena, body...)
+		bodies[d] = arena[start:len(arena):len(arena)]
+	}
 }
 
 func appendSized32(b, v []byte) []byte {

@@ -185,7 +185,7 @@ func TestRoundTripVariantSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer mapped.Release()
+	defer mapped.Close()
 	reopened, err := Open(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)

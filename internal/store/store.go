@@ -24,7 +24,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
@@ -106,12 +105,6 @@ type Device struct {
 
 	transferPerBlock time.Duration
 	randomPenalty    time.Duration
-
-	// fault, when set, fails every subsequent read. It exists for
-	// deferred-integrity backings (a memory-mapped snapshot validates its
-	// store section in the background and poisons the device on a CRC
-	// mismatch) and may be set concurrently with active sessions.
-	fault atomic.Pointer[error]
 }
 
 // NewDevice creates an empty device.
@@ -187,30 +180,10 @@ func (d *Device) NewSession() *Session {
 // BlockSize returns the device's block size in bytes.
 func (s *Session) BlockSize() int { return s.d.p.BlockSize }
 
-// Poison makes every subsequent read on the device fail with err. Safe to
-// call concurrently with active sessions (reads observe it atomically).
-func (d *Device) Poison(err error) {
-	if err == nil {
-		return
-	}
-	d.fault.Store(&err)
-}
-
-// faultErr returns the poison error, if any.
-func (d *Device) faultErr() error {
-	if p := d.fault.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
 // ReadBlock reads one block, charging the cost model, and returns its bytes.
 // The returned slice aliases device memory and must not be modified.
 func (s *Session) ReadBlock(a Addr) ([]byte, error) {
 	d := s.d
-	if err := d.faultErr(); err != nil {
-		return nil, err
-	}
 	if a < 0 || int64(a) >= d.nblocks {
 		return nil, fmt.Errorf("store: block %d out of range [0,%d)", a, d.nblocks)
 	}
@@ -223,9 +196,6 @@ func (s *Session) ReadBlock(a Addr) ([]byte, error) {
 // sequential) and returns exactly ext.Length payload bytes.
 func (s *Session) ReadExtent(ext Extent) ([]byte, error) {
 	d := s.d
-	if err := d.faultErr(); err != nil {
-		return nil, err
-	}
 	// Subtract instead of adding: Start+Blocks overflows int64 for a
 	// hostile Start near MaxInt64 and would wrap past the bound.
 	if ext.Start < 0 || ext.Blocks < 0 || int64(ext.Start) > d.nblocks-int64(ext.Blocks) {

@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"authtext/internal/live"
-	"authtext/internal/snapshot"
 )
 
 // Per-generation snapshot layout: a live snapshot directory holds one
@@ -160,19 +158,6 @@ type generation struct {
 	// replica of one serves without a manifest endpoint rather than failing
 	// to open.
 	export []byte
-	// mp, for mapped replicas, is this generation's file mapping (mapped
-	// generations are bare collections: one file). The generation holds the
-	// opening reference; Reload releases it when the generation is
-	// superseded, and the servers pinned to it hold their own references
-	// (dropped by finalizer), so in-flight queries keep their pages until
-	// they are collected — unmap-after-swap, never under a reader.
-	mp *snapshot.Mapped
-}
-
-func (g *generation) release() {
-	if g.mp != nil {
-		g.mp.Release()
-	}
 }
 
 // LiveReplica serves a live collection — bare or a shard set — from its
@@ -200,19 +185,15 @@ type LiveReplica struct {
 func OpenLiveSnapshotDir(dir string) (*LiveReplica, error) { return openLiveReplica(dir, false) }
 
 // OpenLiveSnapshotDirMapped is OpenLiveSnapshotDir with mapped generation
-// opens: each gen-*.atsn is memory-mapped instead of read into the heap, so
-// replicas share a generation's pages and superseded generations' pages
-// unmap once their in-flight queries finish (see MappedSnapshot).
-// Bare collections only: a directory of shard-set generations is refused.
+// opens: each snapshot file is memory-mapped instead of read into the heap,
+// so replicas share a generation's pages, and a superseded generation's
+// pages unmap once no server pinned to it is reachable (see MappedSnapshot).
 func OpenLiveSnapshotDirMapped(dir string) (*LiveReplica, error) { return openLiveReplica(dir, true) }
 
 func openLiveReplica(dir string, mapped bool) (*LiveReplica, error) {
 	sharded, err := liveDirLayout(dir)
 	if err != nil {
 		return nil, err
-	}
-	if sharded && mapped {
-		return nil, fmt.Errorf("authtext: %s holds shard-set generations; mapped replicas serve bare collections only", dir)
 	}
 	r := &LiveReplica{dir: dir, sharded: sharded, mapped: mapped}
 	if _, err := r.Reload(); err != nil {
@@ -228,9 +209,6 @@ func (r *LiveReplica) load(path string) (*generation, error) {
 		return nil, err
 	}
 	g := &generation{server: ms.server, client: ms.client, gen: ms.client.Generation()}
-	if r.mapped {
-		g.mp = ms.maps[0]
-	}
 	// Export from what was opened, so the published material always matches
 	// the serving collections.
 	if g.export, err = g.client.Export(); err != nil && r.sharded {
@@ -268,16 +246,10 @@ func (r *LiveReplica) Reload() (bool, error) {
 		return false, err
 	}
 	if next.gen != gen {
-		next.release()
 		return false, fmt.Errorf("authtext: %s: signed manifest pins generation %d, its name claims %d",
 			filepath.Base(path), next.gen, gen)
 	}
 	r.cur.Store(next)
-	if cur != nil {
-		// Unmap after swap: drop the superseded generation's opening
-		// reference. Servers pinned to it still hold their own.
-		cur.release()
-	}
 	r.metrics.recordSnapshotOpen(gen, time.Since(openStart))
 	return true, nil
 }
@@ -288,42 +260,27 @@ func (r *LiveReplica) Client() *Client { return r.cur.Load().client }
 // Generation returns the currently served generation.
 func (r *LiveReplica) Generation() uint64 { return r.cur.Load().gen }
 
-// Close releases the current generation's mapping (no-op for unmapped
-// replicas). Serving must have stopped; servers pinned to it still in
-// flight keep their pages alive until collected.
+// Close drops the replica's own hold on its current generation. Serving must
+// have stopped: Server and the handlers' pins fail afterwards. On a mapped
+// replica the generation's pages unmap once no server pinned to it is
+// reachable.
 func (r *LiveReplica) Close() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if cur := r.cur.Load(); cur != nil {
-		cur.release()
-		cur.mp = nil
+		r.cur.Store(&generation{client: cur.client, gen: cur.gen, export: cur.export})
 	}
 	return nil
 }
 
 // Server returns a server of the caller's own, pinned to the current
 // generation: it keeps answering from that generation even after a Reload
-// swaps the replica forward. On a mapped replica it also pins its
-// generation's pages (released when the server is collected). Attach a cache
+// swaps the replica forward, and on a mapped replica it keeps that
+// generation's pages mapped for as long as it is reachable. Attach a cache
 // or a registry with Server.SetVOCache and Server.SetMetrics.
 func (r *LiveReplica) Server() *Server { return r.pin(nil, nil) }
 
-// pin is Server serving through c and m. The server it returns is the one
-// holding the page reference, so a caller must serve through it, never a
-// copy of it.
+// pin is Server serving through c and m.
 func (r *LiveReplica) pin(c *VOCache, m *Metrics) *Server {
-	for {
-		st := r.cur.Load()
-		srv := &Server{v: st.server.v, cache: c, metrics: m}
-		mp := st.mp
-		if mp == nil {
-			return srv
-		}
-		if mp.Retain() {
-			runtime.SetFinalizer(srv, func(*Server) { mp.Release() })
-			return srv
-		}
-		// Lost the race against a swap that fully released this
-		// generation; the store of the successor is already visible.
-	}
+	return &Server{v: r.cur.Load().server.v, cache: c, metrics: m}
 }

@@ -382,9 +382,14 @@ func liveSnapshotDirAndReplica(t *testing.T, shards int) {
 	if layout, err := liveDirLayout(dir); !IsLiveSnapshotDir(dir) || err != nil || layout != sharded {
 		t.Fatalf("directory misdetected: sharded=%v err=%v", layout, err)
 	}
-	if _, err := OpenLiveSnapshotDirMapped(dir); sharded && err == nil {
-		t.Fatal("a directory of shard-set generations opened as a mapped replica")
+	mapped, err := OpenLiveSnapshotDirMapped(dir)
+	if err != nil {
+		t.Fatalf("mapped replica: %v", err)
 	}
+	if mapped.Generation() != 1 {
+		t.Fatalf("mapped replica opened at generation %d", mapped.Generation())
+	}
+	mapped.Close()
 	replica, err := OpenLiveSnapshotDir(dir)
 	if err != nil {
 		t.Fatal(err)

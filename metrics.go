@@ -97,7 +97,7 @@ func NewMetrics() *Metrics {
 		obs.DefLatencyBuckets, obs.L("phase", "proof_assembly"))
 
 	m.reg.GaugeFunc("authtext_snapshot_mapped_bytes",
-		"Snapshot bytes currently memory-mapped by this process (zero-copy opens).",
+		"Snapshot bytes currently memory-mapped by this process.",
 		func() float64 { return float64(snapshot.MappedBytes()) })
 
 	const searchHelp = "Searches answered, by collection kind."

@@ -363,6 +363,7 @@ func resultFromWire(wire *httpapi.SearchResponse, algo Algorithm, scheme Scheme)
 		BlockReads:     wire.Stats.BlockReads,
 		RandomReads:    wire.Stats.RandomReads,
 		IOTime:         StatsDuration(wire.Stats.IOMillis),
+		ServerTime:     StatsDuration(wire.Stats.ServerMillis),
 		VOBytes:        len(wire.VO),
 	}
 	return res

@@ -274,8 +274,8 @@ func mappedEnv(t *testing.T, owner *authtext.Owner) matrixEnv {
 	path := writeStatic(t, owner)
 	ms := must(authtext.OpenSnapshotMapped(path))(t)
 	t.Cleanup(func() { ms.Close() })
-	if err := ms.Validate(); err != nil || ms.SizeBytes() == 0 {
-		t.Fatalf("mapped open: %d bytes, validation %v", ms.SizeBytes(), err)
+	if ms.SizeBytes() == 0 {
+		t.Fatal("mapped open mapped nothing")
 	}
 	env := staticEnv(ms.Server(), ms.Client(), must(ms.Client().Export())(t))
 	srv, _, err := authtext.OpenSnapshotFile(path)
@@ -286,9 +286,9 @@ func mappedEnv(t *testing.T, owner *authtext.Owner) matrixEnv {
 	return env
 }
 
-// matrixShapes is {0, 2} shards × {static, live owner, snapshot replica},
-// three constructors each taking the shard count as data, plus the mapped
-// opens: a static snapshot bare and sharded, and a bare replica. Every shape
+// matrixShapes is {0, 2} shards × {static, live owner, snapshot replica,
+// mapped static snapshot, mapped replica}, five constructors each taking the
+// shard count as data. Every shape
 // but the live owner also opens what an older, list-mode build wrote: a
 // static snapshot, or the snapshot directories of an owner not yet upgraded.
 var matrixShapes = func() (shapes []matrixShape) {
@@ -323,13 +323,14 @@ var matrixShapes = func() (shapes []matrixShape) {
 				build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
 					return mappedEnv(t, buildStatic(t, shards, ownerOpts))
 				},
-				old: func(t *testing.T) matrixEnv { return mappedEnv(t, oldStatic(t, shards)) }})
+				old: func(t *testing.T) matrixEnv { return mappedEnv(t, oldStatic(t, shards)) }},
+			matrixShape{name: "replica-mapped" + suffix, shards: shards, adminStatus: http.StatusForbidden,
+				build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
+					return replicaMappedOf(t, matrixLiveOwner(t, shards, ownerOpts...))
+				},
+				old: func(t *testing.T) matrixEnv { return replicaMappedOf(t, oldLiveOwner(t, shards)) }})
 	}
-	return append(shapes, matrixShape{name: "replica-mapped-single", adminStatus: http.StatusForbidden,
-		build: func(t *testing.T, ownerOpts []authtext.Option) matrixEnv {
-			return replicaMappedOf(t, matrixLiveOwner(t, 0, ownerOpts...))
-		},
-		old: func(t *testing.T) matrixEnv { return replicaMappedOf(t, oldLiveOwner(t, 0)) }})
+	return shapes
 }()
 
 // handlerTransport serves a client's requests from h in process: the
@@ -687,7 +688,7 @@ func matrixHonest(t *testing.T, env matrixEnv, shape matrixShape, handler http.H
 				for warm := 0; warm < 2; warm++ {
 					res, err := rc.Search(context.Background(), matrixQuery, matrixR, v.algo, v.scheme)
 					answers[frame] = env.honest(t, matrixQuery, v.algo, res, err)
-					if len(res.Hits[0].Content) == 0 || res.Stats.QueryTerms == 0 ||
+					if len(res.Hits[0].Content) == 0 || res.Stats.QueryTerms == 0 || res.Stats.ServerTime <= 0 ||
 						(shape.shards == 0 && res.Stats.VOBytes == 0) || len(res.PerShard) != shape.shards {
 						t.Fatalf("%s, warm=%v: answer not delivered whole: %+v", codec, warm == 1, res.Stats)
 					}

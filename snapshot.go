@@ -119,10 +119,9 @@ func OpenSnapshotFile(path string) (*Server, *Client, error) {
 // with the OS page cache (every shard's, for a shard set): the serving
 // collection decodes in place exactly as OpenSnapshot's does, but out of
 // pages that replicas of one generation share instead of a private heap
-// buffer. The Server and Client stay valid until Close; see docs/SNAPSHOT.md
-// "Mapped opens" for the integrity schedule (small sections CRC-checked at
-// open; the bulk sections — block store, index, signatures — validated in
-// the background, poisoning reads on mismatch).
+// buffer. Every checksum has matched before the open returns, and the pages
+// stay mapped for as long as the Server is reachable, or until Close; see
+// docs/SNAPSHOT.md "Mapped opens".
 type MappedSnapshot struct {
 	server *Server
 	client *Client
@@ -130,8 +129,8 @@ type MappedSnapshot struct {
 }
 
 // OpenSnapshotMapped is OpenSnapshotFile with each file memory-mapped
-// instead of read into the heap. The trust model and the cross-checks are
-// identical; only where the bytes live and when the bulk CRCs run differ.
+// instead of read into the heap. The trust model, the checksums and the
+// cross-checks are identical; only where the bytes live differs.
 func OpenSnapshotMapped(path string) (*MappedSnapshot, error) {
 	return openSnapshotPath(path, true)
 }
@@ -194,7 +193,7 @@ func (ms *MappedSnapshot) open(path string, mapped bool) (*engine.Collection, er
 // Server returns the serving half. Valid until Close.
 func (ms *MappedSnapshot) Server() *Server { return ms.server }
 
-// Client returns the verification client. Valid until Close.
+// Client returns the verification client.
 func (ms *MappedSnapshot) Client() *Client { return ms.client }
 
 // SizeBytes reports the mapped size (summed over a shard set's files).
@@ -206,29 +205,12 @@ func (ms *MappedSnapshot) SizeBytes() int64 {
 	return n
 }
 
-// Validate blocks until the deferred bulk-section checksums finished and
-// returns the first failure (nil when everything is intact). Callers that
-// must fail fast on a corrupted file (rather than letting reads or client
-// verification catch it) call this once after opening.
-func (ms *MappedSnapshot) Validate() error {
-	for i, mp := range ms.maps {
-		if err := mp.Wait(); err != nil {
-			if ms.server.v.set != nil {
-				err = fmt.Errorf("authtext: shard %d: %w", i, err)
-			}
-			return err
-		}
-	}
-	return nil
-}
-
-// Close releases every mapping. The Server and Client must not be used
-// afterwards.
+// Close unmaps every file now instead of when the Server is collected. The
+// Server must not be used afterwards; closing twice is harmless.
 func (ms *MappedSnapshot) Close() error {
 	for _, mp := range ms.maps {
-		mp.Release()
+		mp.Close()
 	}
-	ms.maps = nil
 	return nil
 }
 
