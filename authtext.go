@@ -17,6 +17,7 @@ import (
 	"authtext/internal/store"
 	"authtext/internal/textproc"
 	"authtext/internal/vo"
+	"authtext/internal/wire"
 )
 
 // Algorithm selects the query processing strategy.
@@ -246,6 +247,27 @@ func WithVariants(vs ...Variant) Option {
 type served struct {
 	col *engine.Collection
 	set *shard.Set
+	// dict is the collection dictionary binary frames deflate this
+	// generation's document bodies against (withDictionary); nil on a value
+	// that only exports or persists a generation (current).
+	dict *wire.Dictionary
+}
+
+// withDictionary returns v with its collection dictionary: the rule of
+// wire.CollectionDictionary over the term names of every serving collection.
+func (v served) withDictionary() served {
+	cols := v.cols()
+	vocabs := make([][]string, len(cols))
+	for i, col := range cols {
+		idx := col.Index()
+		names := make([]string, idx.M())
+		for t := range names {
+			names[t] = idx.Name(index.TermID(t))
+		}
+		vocabs[i] = names
+	}
+	v.dict = wire.CollectionDictionary(vocabs...)
+	return v
 }
 
 // shards returns the shard count: 0 for a bare collection.
@@ -372,7 +394,7 @@ func NewOwner(docs []Document, opts ...Option) (*Owner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Owner{v: served{col: col}}, nil
+	return &Owner{v: served{col: col}.withDictionary()}, nil
 }
 
 // NewShardedOwner places document i on shard i mod shards (balanced, and a
@@ -393,7 +415,7 @@ func NewShardedOwner(docs []Document, shards int, opts ...Option) (*Owner, error
 	if err != nil {
 		return nil, err
 	}
-	return &Owner{v: served{set: set}}, nil
+	return &Owner{v: served{set: set}.withDictionary()}, nil
 }
 
 // Shards returns the shard count: 0 for a bare collection.

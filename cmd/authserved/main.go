@@ -59,10 +59,12 @@
 // Per-replica status is served at /v1/fleet/healthz.
 //
 // Every deployment shape serves its metric registry at /v1/metrics and
-// logs one structured record per request (request IDs included; -quiet
-// silences only the per-query lines). -log-format json switches the whole
-// log stream to JSON for ingestion; -pprof-addr starts net/http/pprof on
-// a SEPARATE listener so profiling is never exposed on the serving port.
+// logs one structured record per request, request IDs included. -quiet
+// silences the per-query lines and the records of answered requests: only
+// requests that failed (status 400 and above) are still logged.
+// -log-format json switches the whole log stream to JSON for ingestion;
+// -pprof-addr starts net/http/pprof on a SEPARATE listener so profiling is
+// never exposed on the serving port.
 package main
 
 import (
@@ -146,7 +148,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.snapshot, "snapshot", "", "boot from this snapshot file (or sharded snapshot directory) instead of building a collection")
 	fs.IntVar(&cfg.shards, "shards", 0, "split the corpus into N independently signed shards (build mode)")
 	fs.StringVar(&variants, "variants", "", "variants to build (build mode; dictionary mode, so lists carry no signatures): all, or a comma-separated list of tra-mht, tra-cmht, tnra-mht, tnra-cmht (default tnra-cmht)")
-	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-query log lines")
+	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-query log lines and the request records of answered requests (failed requests are still logged)")
 	fs.BoolVar(&cfg.live, "live", false, "accept document updates on /v1/admin/update (build mode); every batch publishes a new signed generation")
 	fs.StringVar(&cfg.liveSnaps, "live-snapshots", "", "with -live: persist every published generation as an ATSN snapshot in this directory")
 	fs.BoolVar(&cfg.mmap, "mmap", false, "with -snapshot: memory-map snapshot files instead of reading them into the heap (page cache shared between processes; checksums checked at open as without it)")
@@ -355,9 +357,13 @@ func buildHandler(cfg config, logger *slog.Logger) (http.Handler, error) {
 	if cfg.fleet != "" {
 		return buildFleetHandler(cfg, metrics, logger)
 	}
+	reqLog := logger
+	if cfg.quiet {
+		reqLog = slog.New(failedRequestsOnly{logger.Handler()})
+	}
 	hopts := []authtext.HandlerOption{
 		authtext.WithMetrics(metrics),
-		authtext.WithRequestLog(logger),
+		authtext.WithRequestLog(reqLog),
 	}
 	if cache := newCache(cfg, logger); cache != nil {
 		hopts = append(hopts, authtext.WithVOCache(cache))
@@ -492,6 +498,34 @@ func buildFleetHandler(cfg config, metrics *authtext.Metrics, logger *slog.Logge
 	// with the process.
 	logger.Info("serving as fleet front end", "replicas", len(backends), "status_path", "/v1/fleet/healthz")
 	return fe, nil
+}
+
+// failedRequestsOnly is the request log under -quiet: it passes on the
+// records of requests that failed (status 400 and above) and drops the rest,
+// which formats and writes nothing for an answered request.
+type failedRequestsOnly struct{ slog.Handler }
+
+func (h failedRequestsOnly) Handle(ctx context.Context, r slog.Record) error {
+	failed := false
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key != "status" {
+			return true
+		}
+		failed = a.Value.Kind() == slog.KindInt64 && a.Value.Int64() >= 400
+		return false
+	})
+	if !failed {
+		return nil
+	}
+	return h.Handler.Handle(ctx, r)
+}
+
+func (h failedRequestsOnly) WithAttrs(attrs []slog.Attr) slog.Handler {
+	return failedRequestsOnly{h.Handler.WithAttrs(attrs)}
+}
+
+func (h failedRequestsOnly) WithGroup(name string) slog.Handler {
+	return failedRequestsOnly{h.Handler.WithGroup(name)}
 }
 
 // newCache builds the serve-side VO cache -cache-mb asks for (nil when

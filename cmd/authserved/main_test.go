@@ -864,3 +864,52 @@ func TestBuildHandlerLiveShardedSnapshotsAndWatchedReplica(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// Under -quiet an answered request writes no log record at all, and a
+// failed one still writes its one request record, request ID included.
+func TestQuietLogsOnlyFailedRequests(t *testing.T) {
+	var logs bytes.Buffer
+	logger := slog.New(slog.NewJSONHandler(&logs, nil))
+	cfg, err := parseFlags([]string{"-dir", writeCorpus(t), "-quiet"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler, err := buildHandler(cfg, logger)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs.Reset() // the build's own lines
+	for _, probe := range []struct {
+		target string
+		status int
+		lines  int
+	}{
+		{httpapi.PathSearch + "?q=inverted+index&r=2", http.StatusOK, 0},
+		{httpapi.PathSearch + "?q=inverted+index&r=0x", http.StatusBadRequest, 1},
+	} {
+		logs.Reset()
+		req := httptest.NewRequest(http.MethodGet, probe.target, nil)
+		req.Header.Set(httpapi.RequestIDHeader, "quiet-probe-1")
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, req)
+		if rec.Code != probe.status {
+			t.Fatalf("%s answered %d, want %d", probe.target, rec.Code, probe.status)
+		}
+		lines := strings.Split(strings.TrimSpace(logs.String()), "\n")
+		if logs.Len() == 0 {
+			lines = nil
+		}
+		if len(lines) != probe.lines {
+			t.Fatalf("%s (%d) logged %d records, want %d: %q", probe.target, rec.Code, len(lines), probe.lines, logs.String())
+		}
+		for _, line := range lines {
+			var rec map[string]any
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec["msg"] != "request" || rec["request_id"] != "quiet-probe-1" || rec["status"] != float64(probe.status) {
+				t.Fatalf("record %s, want the request record of quiet-probe-1", line)
+			}
+		}
+	}
+}

@@ -24,7 +24,9 @@ type stubReplica struct {
 	gen      atomic.Uint64
 	failing  atomic.Bool
 	searches atomic.Int64
-	srv      *httptest.Server
+	// named is the dictionary header of the last search.
+	named atomic.Pointer[string]
+	srv   *httptest.Server
 }
 
 func newStubReplica(gen uint64) *stubReplica {
@@ -51,6 +53,8 @@ func (s *stubReplica) serve(w http.ResponseWriter, r *http.Request) {
 		})
 	case httpapi.PathSearch:
 		s.searches.Add(1)
+		named := r.Header.Get(httpapi.DictionaryHeader)
+		s.named.Store(&named)
 		writeJSON(w, http.StatusOK, map[string]uint64{"generation": gen})
 	default:
 		writeError(w, http.StatusNotFound, httpapi.CodeNotFound, "stub: "+r.URL.Path)
@@ -409,5 +413,28 @@ func TestProxyBodyCap(t *testing.T) {
 	}
 	if s.searches.Load() != 0 {
 		t.Fatal("oversized body reached a backend")
+	}
+}
+
+// The front end forwards the dictionaries a client names, so the replica
+// that answers attaches its dictionary only to a client that lacks it.
+func TestProxyForwardsDictionaryHeader(t *testing.T) {
+	s := newStubReplica(1)
+	defer s.Close()
+	f := newTestFrontend(t, []string{s.URL()}, nil)
+	waitFor(t, "probes to learn the generation", func() bool { return f.Generation() == 1 })
+	for _, named := range []string{"", "ab12,cd34"} {
+		req := httptest.NewRequest(http.MethodPost, httpapi.PathSearch, strings.NewReader(`{"query":"x","r":1}`))
+		if named != "" {
+			req.Header.Set(httpapi.DictionaryHeader, named)
+		}
+		w := httptest.NewRecorder()
+		f.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("search answered %d", w.Code)
+		}
+		if got := s.named.Load(); got == nil || *got != named {
+			t.Fatalf("the replica saw dictionaries %v, the client named %q", got, named)
+		}
 	}
 }

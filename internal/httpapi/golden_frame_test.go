@@ -20,8 +20,9 @@ import (
 // UPDATE_GOLDEN=1 go test ./internal/httpapi. The three canonical values
 // encode below the compression threshold, so their bytes are independent of
 // the flate implementation; search_response_deflated.frame.bin is above it
-// and pins the chunk list as well (stored glue, one deflate stream per body)
-// — compress/flate's output for a given level has been stable across Go
+// and pins the chunk list as well (stored glue, one deflate stream per body),
+// and search_response_dictionary.frame.bin the same answer with its bodies
+// deflated against an attached collection dictionary — compress/flate's output for a given level has been stable across Go
 // releases, and a release that changed it would change what replicas on
 // different toolchains send, which is worth a red test.
 
@@ -60,10 +61,28 @@ var goldenFrameCases = []struct {
 		},
 	},
 	{
-		file:   "sharded_search_response.frame.bin",
-		encode: func() []byte { return wire.EncodeShardedSearchResponse(goldenShardedSearchResponse()) },
+		file: "search_response_dictionary.frame.bin",
+		encode: func() []byte {
+			return wire.Encoding{Dict: goldenDictionary(), Attach: true}.SearchResponse(goldenDeflatedSearchResponse())
+		},
 		check: func(t *testing.T, raw []byte) {
-			got, err := wire.DecodeShardedSearchResponse(raw)
+			if raw[7] != 0x07 {
+				t.Fatalf("the dictionary fixture carries flags %#x, want chunked, named and attached", raw[7])
+			}
+			got, err := wire.DecodeSearchResponse(raw)
+			if err != nil {
+				t.Fatalf("golden frame no longer decodes: %v", err)
+			}
+			if want := goldenDeflatedSearchResponse(); !reflect.DeepEqual(got, want) {
+				t.Errorf("decoded frame disagrees with expected value:\n got: %#v\nwant: %#v", got, want)
+			}
+		},
+	},
+	{
+		file:   "sharded_search_response.frame.bin",
+		encode: func() []byte { return wire.Encoding{}.ShardedSearchResponse(goldenShardedSearchResponse()) },
+		check: func(t *testing.T, raw []byte) {
+			got, err := wire.Decoding{}.ShardedSearchResponse(raw)
 			if err != nil {
 				t.Fatalf("golden frame no longer decodes: %v", err)
 			}
@@ -142,6 +161,12 @@ func goldenDeflatedSearchResponse() *SearchResponse {
 	}
 	resp.Stats.VOBytes = len(resp.VO)
 	return resp
+}
+
+// goldenDictionary is the collection dictionary of the vocabulary the
+// deflated answer's bodies are written in.
+func goldenDictionary() *wire.Dictionary {
+	return wire.CollectionDictionary([]string{"authenticate", "document", "lists", "merkle", "posting", "proofs", "sentence", "tree"})
 }
 
 func goldenShardedSearchResponse() *ShardedSearchResponse {

@@ -20,10 +20,11 @@ const FrameContentType = wire.ContentType
 // safe for concurrent use; the adapter in the root authtext package wraps
 // an authtext.Server.
 type Backend interface {
-	// Search answers one validated query. Returning a *StatusError
-	// controls the HTTP status and wire code; any other error maps to
-	// 500/search_failed.
-	Search(req *SearchRequest) (*SearchResponse, error)
+	// Search answers one validated query, with the collection dictionary
+	// of the generation that answered (nil: frames deflate bodies from an
+	// empty history). Returning a *StatusError controls the HTTP status and
+	// wire code; any other error maps to 500/search_failed.
+	Search(req *SearchRequest) (*SearchResponse, *wire.Dictionary, error)
 	// ClientExport returns the ATCX verification blob served at
 	// /v1/manifest.
 	ClientExport() ([]byte, error)
@@ -39,9 +40,9 @@ type Backend interface {
 type Endpoints struct {
 	// ShardSearch and ShardExport (set together) register the sharded
 	// family: /v1/shards/search answers one validated query with per-shard
-	// responses plus the merged global ranking, /v1/shards/manifest serves
-	// the ATSX blob.
-	ShardSearch func(req *SearchRequest) (*ShardedSearchResponse, error)
+	// responses plus the merged global ranking (and the set's dictionary,
+	// as Backend.Search), /v1/shards/manifest serves the ATSX blob.
+	ShardSearch func(req *SearchRequest) (*ShardedSearchResponse, *wire.Dictionary, error)
 	ShardExport func() ([]byte, error)
 	// Update registers /v1/admin/update: it applies one validated
 	// add/remove batch as a single generation change. A serving-only live
@@ -92,13 +93,13 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 		if !ok {
 			return
 		}
-		resp, err := b.Search(req)
+		resp, dict, err := b.Search(req)
 		if err != nil {
 			writeError(w, err, CodeSearchFailed, http.StatusInternalServerError)
 			return
 		}
 		setGenHeader(w, resp.Generation)
-		writeData(w, r, resp, func() []byte { return wire.EncodeSearchResponse(resp) })
+		writeData(w, r, resp, func() []byte { return encoding(r, dict).SearchResponse(resp) })
 	})
 	if e.ShardSearch != nil {
 		endpoints = append(endpoints, "shards_search", "shards_manifest")
@@ -107,13 +108,13 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 			if !ok {
 				return
 			}
-			resp, err := e.ShardSearch(req)
+			resp, dict, err := e.ShardSearch(req)
 			if err != nil {
 				writeError(w, err, CodeSearchFailed, http.StatusInternalServerError)
 				return
 			}
 			setGenHeader(w, resp.Generation)
-			writeData(w, r, resp, func() []byte { return wire.EncodeShardedSearchResponse(resp) })
+			writeData(w, r, resp, func() []byte { return encoding(r, dict).ShardedSearchResponse(resp) })
 		})
 		mux.HandleFunc(PathShardManifest, func(w http.ResponseWriter, r *http.Request) {
 			if !allowMethod(w, r, http.MethodGet) {
@@ -197,6 +198,30 @@ func acceptsFrame(r *http.Request) bool {
 			if strings.EqualFold(strings.TrimSpace(mediaType), wire.ContentType) {
 				return true
 			}
+		}
+	}
+	return false
+}
+
+// encoding deflates bodies against dict, attached unless the request names
+// it among the dictionaries its client holds (DictionaryHeader). A frame is
+// therefore a pure function of the answer, the dictionary and that header.
+func encoding(r *http.Request, dict *wire.Dictionary) wire.Encoding {
+	return wire.Encoding{Dict: dict, Attach: dict != nil && !namesDictionary(r, dict.ID())}
+}
+
+// namesDictionary reports whether the request's DictionaryHeader lists id
+// among its first wire.MaxHeldDictionaries entries.
+func namesDictionary(r *http.Request, id string) bool {
+	n := 0
+	for _, v := range r.Header.Values(DictionaryHeader) {
+		for v != "" && n < wire.MaxHeldDictionaries {
+			var name string
+			name, v, _ = strings.Cut(v, ",")
+			if strings.EqualFold(strings.TrimSpace(name), id) {
+				return true
+			}
+			n++
 		}
 	}
 	return false

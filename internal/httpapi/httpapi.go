@@ -105,6 +105,13 @@ const (
 // inside the verified payload.
 const GenerationHeader = "X-Authtext-Generation"
 
+// DictionaryHeader is the request header in which a client names the
+// collection dictionaries it holds: the hex SHA-256 of each, comma-separated,
+// at most wire.MaxHeldDictionaries (later entries are ignored). A server
+// answers with a frame that carries its generation's dictionary in full only
+// when the header does not name it (docs/PROTOCOL.md "Binary framing").
+const DictionaryHeader = "X-Authtext-Dictionary"
+
 // SearchRequest asks for the top-R documents matching Query. Algo and
 // Scheme select the query algorithm and authentication scheme; empty
 // values default to TNRA + CMHT, the configuration the paper recommends.

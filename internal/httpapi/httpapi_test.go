@@ -8,24 +8,34 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"authtext/internal/wire"
 )
 
 type fakeBackend struct {
 	lastReq   *SearchRequest
 	searchErr error
 	exportErr error
+	// dict and content, when set, are the dictionary answers come with
+	// and the body of their one hit.
+	dict    *wire.Dictionary
+	content []byte
 }
 
-func (f *fakeBackend) Search(req *SearchRequest) (*SearchResponse, error) {
+func (f *fakeBackend) Search(req *SearchRequest) (*SearchResponse, *wire.Dictionary, error) {
 	f.lastReq = req
 	if f.searchErr != nil {
-		return nil, f.searchErr
+		return nil, nil, f.searchErr
+	}
+	content := f.content
+	if content == nil {
+		content = []byte("body")
 	}
 	return &SearchResponse{
 		Query: req.Query, R: req.R, Algo: req.Algo, Scheme: req.Scheme,
-		Hits: []Hit{{DocID: 7, Score: 1.5, Content: []byte("body")}},
+		Hits: []Hit{{DocID: 7, Score: 1.5, Content: content}},
 		VO:   []byte{0xde, 0xad},
-	}, nil
+	}, f.dict, nil
 }
 
 func (f *fakeBackend) ClientExport() ([]byte, error) {
@@ -197,5 +207,55 @@ func TestReadErrorResponse(t *testing.T) {
 	se = ReadErrorResponse(http.StatusBadGateway, strings.NewReader("<html>nginx</html>"))
 	if se.Code != CodeInternal || se.Status != http.StatusBadGateway {
 		t.Fatalf("fallback = %+v", se)
+	}
+}
+
+// A frame carries the answer's dictionary in full exactly when the request
+// does not name it among the first four dictionaries of its header; JSON
+// answers never carry one.
+func TestFrameAttachesUnnamedDictionary(t *testing.T) {
+	dict := wire.CollectionDictionary([]string{"authenticated", "merkle", "posting", "proof", "tree"})
+	content := bytes.Repeat([]byte("merkle tree proof posting authenticated; "), 20)
+	h := NewHandler(&fakeBackend{dict: dict, content: content})
+	others := "aa,bb,cc,dd"
+	for _, tc := range []struct {
+		name, header string
+		attached     bool
+	}{
+		{"no header", "", true},
+		{"named", dict.ID(), false},
+		{"named in capitals among others", "aa, " + strings.ToUpper(dict.ID()) + ",bb", false},
+		{"named in a second header line", "", false},
+		{"named fifth", others + "," + dict.ID(), true},
+		{"other dictionaries", others, true},
+	} {
+		req := httptest.NewRequest(http.MethodGet, PathSearch+"?q=merkle", nil)
+		req.Header.Set("Accept", FrameContentType)
+		if tc.header != "" {
+			req.Header.Set(DictionaryHeader, tc.header)
+		}
+		if tc.name == "named in a second header line" {
+			req.Header.Add(DictionaryHeader, "aa")
+			req.Header.Add(DictionaryHeader, dict.ID())
+		}
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		frame := w.Body.Bytes()
+		if w.Code != http.StatusOK || len(frame) < wire.HeaderSize {
+			t.Fatalf("%s: status %d", tc.name, w.Code)
+		}
+		if flags := frame[7]; flags&0x02 == 0 || (flags&0x04 != 0) != tc.attached {
+			t.Fatalf("%s: frame flags %#x, want the dictionary named and attached=%v", tc.name, flags, tc.attached)
+		}
+		got, err := wire.Decoding{Held: []*wire.Dictionary{dict}}.SearchResponse(frame)
+		if err != nil || !bytes.Equal(got.Hits[0].Content, content) {
+			t.Fatalf("%s: frame does not decode to the answer: %v", tc.name, err)
+		}
+	}
+	req := httptest.NewRequest(http.MethodGet, PathSearch+"?q=merkle", nil)
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, req)
+	if w.Header().Get("Content-Type") != "application/json" || bytes.Contains(w.Body.Bytes(), []byte(dict.ID())) {
+		t.Fatalf("a JSON answer: %s", w.Body.String())
 	}
 }

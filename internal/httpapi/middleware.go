@@ -85,6 +85,8 @@ const (
 	nameSections  = "authtext_wire_sections_total"
 	helpSections  = "Document bodies, exports and proofs in compressible binary frames, by what encoding them cost: " +
 		"memo_hit = remembered stream, deflated = compressor ran, stored = entropy estimate kept it from the compressor."
+	nameDictAttached = "authtext_wire_dictionaries_attached_total"
+	helpDictAttached = "Binary frames that carried their collection dictionary in full, because the request did not name it."
 )
 
 // Negotiated content-type label values of authtext_wire_frames_total.
@@ -134,6 +136,9 @@ func newHTTPInstruments(reg *obs.Registry, endpoints []string) *httpInstruments 
 		reg.CounterFunc(nameSections, helpSections,
 			func() float64 { return float64(get(wire.Sections())) }, obs.L("outcome", outcome))
 	}
+	attached := wire.Dictionaries().Attached
+	reg.CounterFunc(nameDictAttached, helpDictAttached,
+		func() float64 { return float64(wire.Dictionaries().Attached - attached) })
 	return ins
 }
 

@@ -8,6 +8,7 @@ import (
 	"authtext/internal/core"
 	"authtext/internal/corpus"
 	"authtext/internal/engine"
+	"authtext/internal/index"
 	"authtext/internal/sig"
 	"authtext/internal/workload"
 )
@@ -31,11 +32,21 @@ func (s denseSigner) Sign(msg []byte) ([]byte, error) {
 	return out, nil
 }
 
+// benchCollection is corpus.Tiny as the benchmark answers come from it:
+// the answers by shape, and the collection dictionary their frames deflate
+// bodies against.
+type benchCollection struct {
+	answers map[string][]*SearchResponse
+	dict    *Dictionary
+}
+
 // benchAnswers are real answers over corpus.Tiny in the two shapes the
 // repository's benchmark serves: short 3-term TNRA queries (ten bodies and
 // a proof that does not compress) and TREC-like 2-20 term TRA queries (the
 // same bodies beside a proof ten times their size that does).
-var benchAnswers = sync.OnceValue(func() map[string][]*SearchResponse {
+func benchAnswers() map[string][]*SearchResponse { return benchCorpus().answers }
+
+var benchCorpus = sync.OnceValue(func() benchCollection {
 	hmac, err := sig.NewHMACSigner([]byte("wire-bench"), 32)
 	if err != nil {
 		panic(err)
@@ -62,39 +73,52 @@ var benchAnswers = sync.OnceValue(func() map[string][]*SearchResponse {
 		return out
 	}
 	idx := col.Index()
-	return map[string][]*SearchResponse{
-		"tnra_short":  answers(workload.Synthetic(idx, 64, 3, 1), core.AlgoTNRA),
-		"tra_verbose": answers(workload.TRECLike(idx, 16, 1), core.AlgoTRA),
+	names := make([]string, idx.M())
+	for t := range names {
+		names[t] = idx.Name(index.TermID(t))
+	}
+	return benchCollection{
+		answers: map[string][]*SearchResponse{
+			"tnra_short":  answers(workload.Synthetic(idx, 64, 3, 1), core.AlgoTNRA),
+			"tra_verbose": answers(workload.TRECLike(idx, 16, 1), core.AlgoTRA),
+		},
+		dict: CollectionDictionary(names),
 	}
 })
 
 var benchSink []byte
 
-// BenchmarkEncodeSearchResponse: cold empties the memo before every answer,
-// so each section pays its compressor; warm has seen every answer twice, so
-// each section is a hash and a copy. frame-B/op is the mean frame size.
+// BenchmarkEncodeSearchResponse encodes as a server answers a client that
+// holds the collection dictionary: bodies deflated against it, named, not
+// attached. cold empties the memo before every answer, so each section pays
+// its compressor; warm has seen every answer twice, so each section is a
+// hash and a copy. frame_B/op is the mean frame size over all the shape's
+// answers, whatever b.N is: deterministic, and gated in CI.
 func BenchmarkEncodeSearchResponse(b *testing.B) {
+	enc := Encoding{Dict: benchCorpus().dict}
 	for _, shape := range []string{"tnra_short", "tra_verbose"} {
 		answers := benchAnswers()[shape]
+		frameBytes := 0
+		for _, r := range answers {
+			frameBytes += len(enc.SearchResponse(r))
+		}
 		run := func(name string, cold bool) {
 			b.Run(shape+"/"+name, func(b *testing.B) {
 				resetMemo()
 				if !cold {
 					for i := 0; i < 2*len(answers); i++ {
-						EncodeSearchResponse(answers[i%len(answers)])
+						enc.SearchResponse(answers[i%len(answers)])
 					}
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
-				bytes := 0
 				for i := 0; i < b.N; i++ {
 					if cold {
 						resetMemo()
 					}
-					benchSink = EncodeSearchResponse(answers[i%len(answers)])
-					bytes += len(benchSink)
+					benchSink = enc.SearchResponse(answers[i%len(answers)])
 				}
-				b.ReportMetric(float64(bytes)/float64(b.N), "frame-B/op")
+				b.ReportMetric(float64(frameBytes)/float64(len(answers)), "frame_B/op")
 			})
 		}
 		run("cold", true)
@@ -104,24 +128,33 @@ func BenchmarkEncodeSearchResponse(b *testing.B) {
 
 var benchResponse *SearchResponse
 
-// BenchmarkDecodeSearchResponse is the client's half: CRC, inflate, parse.
+// BenchmarkDecodeSearchResponse is the client's half: CRC, dictionary
+// lookup, inflate, parse, for frames naming a dictionary the client holds.
 // cold empties the decode memo before every answer, so each deflated chunk
 // pays its inflate; warm has decoded every answer once, so each chunk is a
 // hash and a copy.
 func BenchmarkDecodeSearchResponse(b *testing.B) {
+	enc := Encoding{Dict: benchCorpus().dict}
 	for _, shape := range []string{"tnra_short", "tra_verbose"} {
 		var frames [][]byte
 		bytes := 0
 		for _, r := range benchAnswers()[shape] {
-			frames = append(frames, EncodeSearchResponse(r))
+			frames = append(frames, enc.SearchResponse(r))
 			bytes += len(frames[len(frames)-1])
 		}
+		// The first answer a client gets carries the dictionary.
+		var store DictionaryStore
+		_, dec := store.Held()
+		if _, err := dec.SearchResponse(Encoding{Dict: enc.Dict, Attach: true}.SearchResponse(benchAnswers()[shape][0])); err != nil {
+			b.Fatal(err)
+		}
+		_, dec = store.Held()
 		run := func(name string, cold bool) {
 			b.Run(shape+"/"+name, func(b *testing.B) {
 				inflateMemo.reset()
 				if !cold {
 					for _, f := range frames {
-						if _, err := DecodeSearchResponse(f); err != nil {
+						if _, err := dec.SearchResponse(f); err != nil {
 							b.Fatal(err)
 						}
 					}
@@ -133,11 +166,11 @@ func BenchmarkDecodeSearchResponse(b *testing.B) {
 						inflateMemo.reset()
 					}
 					var err error
-					if benchResponse, err = DecodeSearchResponse(frames[i%len(frames)]); err != nil {
+					if benchResponse, err = dec.SearchResponse(frames[i%len(frames)]); err != nil {
 						b.Fatal(err)
 					}
 				}
-				b.ReportMetric(float64(bytes)/float64(len(frames)), "frame-B/op")
+				b.ReportMetric(float64(bytes)/float64(len(frames)), "frame_B/op")
 			})
 		}
 		run("cold", true)

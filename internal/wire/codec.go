@@ -87,20 +87,34 @@ func appendSearchResponse(b []byte, secs *[]section, r *SearchResponse) []byte {
 	return appendSearchStats(b, &r.Stats)
 }
 
-// EncodeSearchResponse frames one search answer.
-func EncodeSearchResponse(r *SearchResponse) []byte {
-	size := 256 + len(r.Query) + len(r.VO) // the fixed fields, generously
+// searchResponseSize is what r encodes to, generously: the fixed fields,
+// the hits and the proof.
+func searchResponseSize(r *SearchResponse) int {
+	size := 256 + len(r.Query) + len(r.VO)
 	for i := range r.Hits {
 		size += minHitBytes + len(r.Hits[i].Content)
 	}
-	secs := make([]section, 0, len(r.Hits)+1)
-	return EncodeFrame(TypeSearch, appendSearchResponse(make([]byte, 0, size), &secs, r), secs)
+	return size
 }
 
-// EncodeShardedSearchResponse frames one fan-out answer.
-func EncodeShardedSearchResponse(r *ShardedSearchResponse) []byte {
-	var secs []section
-	b := appendStr(nil, r.Query)
+// EncodeSearchResponse frames one search answer with no dictionary.
+func EncodeSearchResponse(r *SearchResponse) []byte { return Encoding{}.SearchResponse(r) }
+
+// SearchResponse frames one search answer.
+func (e Encoding) SearchResponse(r *SearchResponse) []byte {
+	secs := make([]section, 0, len(r.Hits)+1)
+	return e.frame(TypeSearch, appendSearchResponse(make([]byte, 0, searchResponseSize(r)), &secs, r), secs)
+}
+
+// ShardedSearchResponse frames one fan-out answer.
+func (e Encoding) ShardedSearchResponse(r *ShardedSearchResponse) []byte {
+	size, nsecs := 256+len(r.Query)+len(r.Merged)*(4+8+8+8), 0
+	for i := range r.Shards {
+		size += searchResponseSize(&r.Shards[i])
+		nsecs += len(r.Shards[i].Hits) + 1
+	}
+	secs := make([]section, 0, nsecs)
+	b := appendStr(make([]byte, 0, size), r.Query)
 	b = binary.BigEndian.AppendUint32(b, uint32(r.R))
 	b = appendStr(b, r.Algo)
 	b = appendStr(b, r.Scheme)
@@ -122,15 +136,16 @@ func EncodeShardedSearchResponse(r *ShardedSearchResponse) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(r.Stats.VOBytes))
 	b = binary.BigEndian.AppendUint64(b, f64bits(r.Stats.IOMillis))
 	b = binary.BigEndian.AppendUint64(b, f64bits(r.Stats.ServerMillis))
-	return EncodeFrame(TypeSharded, b, secs)
+	return e.frame(TypeSharded, b, secs)
 }
 
-// EncodeManifestResponse frames the verification-material bootstrap.
+// EncodeManifestResponse frames the verification-material bootstrap. An
+// export is no document body: it deflates from an empty history.
 func EncodeManifestResponse(r *ManifestResponse) []byte {
 	var secs []section
 	b := appendStr(nil, r.Format)
 	b = appendSection(b, &secs, r.Export, false)
-	return EncodeFrame(TypeManifest, b, secs)
+	return Encoding{}.frame(TypeManifest, b, secs)
 }
 
 // --- decoding ---
@@ -215,9 +230,15 @@ func finish(r *binx.Reader, what string) error {
 	return nil
 }
 
-// DecodeSearchResponse parses an EncodeSearchResponse frame.
+// DecodeSearchResponse parses a search frame that names no dictionary or
+// carries the one it names.
 func DecodeSearchResponse(frame []byte) (*SearchResponse, error) {
-	raw, err := framePayload(frame, TypeSearch)
+	return Decoding{}.SearchResponse(frame)
+}
+
+// SearchResponse parses a search frame.
+func (dec Decoding) SearchResponse(frame []byte) (*SearchResponse, error) {
+	raw, err := dec.payload(frame, TypeSearch)
 	if err != nil {
 		return nil, err
 	}
@@ -233,9 +254,9 @@ func DecodeSearchResponse(frame []byte) (*SearchResponse, error) {
 // minShardBytes is the smallest encoded SearchResponse (all fields empty).
 const minShardBytes = 4 + 4 + 4 + 4 + 8 + 4 + 4 + (4 + 4 + 8 + 8 + 8 + 8 + 8 + 4 + 8)
 
-// DecodeShardedSearchResponse parses an EncodeShardedSearchResponse frame.
-func DecodeShardedSearchResponse(frame []byte) (*ShardedSearchResponse, error) {
-	raw, err := framePayload(frame, TypeSharded)
+// ShardedSearchResponse parses a fan-out frame.
+func (dec Decoding) ShardedSearchResponse(frame []byte) (*ShardedSearchResponse, error) {
+	raw, err := dec.payload(frame, TypeSharded)
 	if err != nil {
 		return nil, err
 	}
@@ -272,9 +293,10 @@ func DecodeShardedSearchResponse(frame []byte) (*ShardedSearchResponse, error) {
 	return out, nil
 }
 
-// DecodeManifestResponse parses an EncodeManifestResponse frame.
+// DecodeManifestResponse parses an EncodeManifestResponse frame, which
+// names no dictionary.
 func DecodeManifestResponse(frame []byte) (*ManifestResponse, error) {
-	raw, err := framePayload(frame, TypeManifest)
+	raw, err := Decoding{}.payload(frame, TypeManifest)
 	if err != nil {
 		return nil, err
 	}
@@ -288,9 +310,9 @@ func DecodeManifestResponse(frame []byte) (*ManifestResponse, error) {
 	return out, nil
 }
 
-// framePayload decodes a frame and checks its payload type.
-func framePayload(frame []byte, want byte) ([]byte, error) {
-	typ, raw, err := DecodeFrame(frame)
+// payload decodes a frame and checks its payload type.
+func (dec Decoding) payload(frame []byte, want byte) ([]byte, error) {
+	typ, raw, err := dec.Frame(frame)
 	if err != nil {
 		return nil, err
 	}

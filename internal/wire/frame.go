@@ -19,38 +19,48 @@ import (
 //
 //	offset size
 //	0      4   magic "ATWF"
-//	4      1   format version (2)
+//	4      1   format version (3)
 //	5      1   payload type (TypeSearch, TypeSharded, TypeManifest)
-//	6      2   flags (bit 0: payload is a chunk list)
-//	8      4   CRC-32C (Castagnoli) of the stored payload bytes
-//	12     8   stored payload length
-//	20     —   stored payload
+//	6      2   flags (bit 0: payload is a chunk list; bit 1: the frame names a
+//	           collection dictionary; bit 2: and carries it)
+//	8      4   CRC-32C (Castagnoli) of everything after the header
+//	12     8   length of everything after the header
+//	20     32  SHA-256 of the dictionary (bit 1 only)
+//	       4   dictionary length n ≤ MaxDictionaryBytes (bit 2 only)
+//	       n   the dictionary (bit 2 only)
+//	—      —   payload
 //
 // A chunked payload is a list of chunks whose expansions, concatenated, are
 // the message. A chunk starts with uvarint(n<<1 | d), n ≥ 1 the length of its
 // expansion: with d = 0, n stored bytes follow; with d = 1, uvarint(m)
-// follows, then m bytes of one complete RFC 1951 stream that starts from an
-// empty history, ends exactly at the chunk's end and inflates to exactly n
-// bytes. The encoder deflates each section — document body, manifest export,
-// proof — as its own chunk and stores everything between them (query echo,
-// ids, scores, lengths, stats), so a stream depends on its section alone and
-// a client can remember what it inflated to. The CRC always covers the stored
-// bytes, so corruption is detected before any decompression work happens.
-// Compression is a pure function of the encoded message (fixed levels, fixed
+// follows, then m bytes of one complete RFC 1951 stream that ends exactly at
+// the chunk's end and inflates to exactly n bytes, from the frame's
+// dictionary as preset history when it names one (dict.go), from an empty
+// history otherwise. The encoder deflates each section — document body,
+// manifest export, proof — as its own chunk and stores everything between
+// them (query echo, ids, scores, lengths, stats), so a stream depends on its
+// section and the dictionary alone and a client can remember what it
+// inflated to. Document bodies deflate against the dictionary; proofs and
+// exports do not (a stream that never reaches back decodes the same with any
+// preset history), and a frame names a dictionary only when a body used it.
+// The CRC always covers every byte after the header, so corruption is
+// detected before any decompression work happens. Compression is a pure
+// function of the encoded message and the Encoding (fixed levels, fixed
 // thresholds, applied only when it shrinks the payload), which keeps a
-// server's frame for a given response byte-identical across cache hits,
-// misses and replicas — and across compressor reuse: a pooled flate.Writer
-// that has been Reset emits the same stream as a fresh one at the same level.
+// server's frame for a given response and request byte-identical across
+// cache hits, misses and replicas — and across compressor reuse: a pooled
+// flate.Writer that has been Reset emits the same stream as a fresh one at
+// the same level and dictionary.
 
 // ContentType is the negotiated media type of binary frames. A request
 // whose Accept header lists it is answered with a frame; everything else
 // gets JSON (docs/PROTOCOL.md "Binary framing"). It names the frame version:
 // a server that does not speak this version does not recognise the type and
 // answers JSON, so the two ends never disagree about a frame.
-const ContentType = "application/x-authtext-frame-v2"
+const ContentType = "application/x-authtext-frame-v3"
 
 // FrameVersion is the frame format version this build speaks.
-const FrameVersion = 2
+const FrameVersion = 3
 
 // frameMagic begins every frame.
 const frameMagic = "ATWF"
@@ -66,8 +76,12 @@ const (
 	TypeManifest byte = 4 // ManifestResponse
 )
 
-// flagChunked marks a payload carried as a chunk list.
-const flagChunked uint16 = 1 << 0
+// Frame flags.
+const (
+	flagChunked      uint16 = 1 << 0 // the payload is a chunk list
+	flagDictNamed    uint16 = 1 << 1 // a dictionary id follows the header
+	flagDictAttached uint16 = 1 << 2 // and the dictionary after it
+)
 
 // MaxPayloadBytes caps the decoded (decompressed) payload a decoder will
 // materialise. It matches the remote clients' response-buffer cap: the
@@ -100,39 +114,70 @@ type section struct {
 	vo       bool
 }
 
-// EncodeFrame wraps an encoded message payload in a frame, as a chunk list
-// when that pays: each section is deflated on its own (see sectionStream),
-// so a document is compressed once, not once per answer that returns it.
-// The raw slice is not retained.
-func EncodeFrame(typ byte, raw []byte, secs []section) []byte {
-	// Room for every stored chunk's header too: a chunk list that ends up no
-	// smaller than raw is dropped, but must not regrow the buffer first.
-	out := make([]byte, HeaderSize, HeaderSize+len(raw)+(len(secs)+1)*binary.MaxVarintLen32)
+// Encoding says how a frame deflates document bodies: against Dict, the
+// collection dictionary of the generation that answered (nil: from an empty
+// history), which the frame carries in full when Attach is set — when the
+// request did not name it among the dictionaries its client holds.
+type Encoding struct {
+	Dict   *Dictionary
+	Attach bool
+}
+
+// frame wraps an encoded message payload in a frame, as a chunk list when
+// that pays: each section is deflated on its own (see sectionStream), so a
+// document is compressed once, not once per answer that returns it. The raw
+// slice is not retained.
+func (e Encoding) frame(typ byte, raw []byte, secs []section) []byte {
+	extra := 0 // the dictionary's fields, should a body use it
+	if e.Dict != nil {
+		extra = sha256.Size
+		if e.Attach {
+			extra += 4 + len(e.Dict.b)
+		}
+	}
+	// Room for the dictionary and every stored chunk's header too: a chunk
+	// list that ends up no smaller than raw is dropped, but must not regrow
+	// the buffer first.
+	out := make([]byte, HeaderSize+extra, HeaderSize+extra+len(raw)+(len(secs)+1)*binary.MaxVarintLen32)
 	flags := uint16(0)
 	if len(raw) >= compressMin {
-		out = appendChunks(out, raw, secs)
-		if n := len(out) - HeaderSize; n > 0 && n < len(raw) {
+		var named bool
+		out, named = appendChunks(out, raw, secs, e.Dict)
+		if n := len(out) - HeaderSize - extra; n > 0 && n < len(raw) {
 			flags = flagChunked
+			if named {
+				flags |= flagDictNamed
+				body := out[HeaderSize:]
+				copy(body, e.Dict.id[:])
+				if e.Attach {
+					flags |= flagDictAttached
+					binary.BigEndian.PutUint32(body[sha256.Size:], uint32(len(e.Dict.b)))
+					copy(body[sha256.Size+4:], e.Dict.b)
+					dictAttached.Add(1)
+				}
+			} else {
+				out = append(out[:HeaderSize], out[HeaderSize+extra:]...)
+			}
 		}
 	}
 	if flags == 0 {
 		out = append(out[:HeaderSize], raw...)
 	}
-	payload := out[HeaderSize:]
+	body := out[HeaderSize:]
 	copy(out, frameMagic)
 	out[4], out[5] = FrameVersion, typ
 	binary.BigEndian.PutUint16(out[6:], flags)
-	binary.BigEndian.PutUint32(out[8:], crc32.Checksum(payload, castagnoli))
-	binary.BigEndian.PutUint64(out[12:], uint64(len(payload)))
+	binary.BigEndian.PutUint32(out[8:], crc32.Checksum(body, castagnoli))
+	binary.BigEndian.PutUint64(out[12:], uint64(len(body)))
 	return out
 }
 
 // appendChunks appends raw as a chunk list, or nothing when no section is
-// worth deflating.
-func appendChunks(out, raw []byte, secs []section) []byte {
-	glue, chunked := 0, false // raw[glue:] is still to be written
+// worth deflating, and reports whether a chunk was deflated against d.
+func appendChunks(out, raw []byte, secs []section, d *Dictionary) ([]byte, bool) {
+	glue, chunked, named := 0, false, false // raw[glue:] is still to be written
 	for _, s := range secs {
-		stream := sectionStream(raw[s.off:s.end], s.vo)
+		stream := sectionStream(raw[s.off:s.end], s.vo, d)
 		if stream == nil {
 			continue // travels with the glue around it
 		}
@@ -140,12 +185,12 @@ func appendChunks(out, raw []byte, secs []section) []byte {
 		out = binary.AppendUvarint(out, uint64(s.end-s.off)<<1|1)
 		out = binary.AppendUvarint(out, uint64(len(stream)))
 		out = append(out, stream...)
-		glue, chunked = s.end, true
+		glue, chunked, named = s.end, true, named || (!s.vo && d != nil)
 	}
 	if !chunked {
-		return out
+		return out, false
 	}
-	return appendStoredChunk(out, raw[glue:])
+	return appendStoredChunk(out, raw[glue:]), named
 }
 
 // appendStoredChunk appends b as a stored chunk; an empty b is no chunk.
@@ -182,11 +227,13 @@ const chunkOverhead = 5
 
 // sectionStream returns the deflate stream of sec's chunk, or nil when sec is
 // better left in the stored chunk around it. The verdict and the bytes depend
-// on (sec, vo) alone, which is what keeps a frame a pure function of its
-// message: bodies and exports recur across answers and are compressed once,
-// at BestCompression; a proof is mostly digests and signatures, is deflated
-// at BestSpeed, and only when its byte histogram says that can pay.
-func sectionStream(sec []byte, vo bool) []byte {
+// on (sec, vo, d) alone, which is what keeps a frame a pure function of its
+// message and encoding: bodies and exports recur across answers and are
+// compressed once, at BestCompression, a body against the collection
+// dictionary d; a proof is mostly digests and signatures, is deflated at
+// BestSpeed from an empty history, and only when its byte histogram says
+// that can pay.
+func sectionStream(sec []byte, vo bool, d *Dictionary) []byte {
 	if len(sec) == 0 {
 		return nil
 	}
@@ -196,16 +243,16 @@ func sectionStream(sec []byte, vo bool) []byte {
 			sectionsStored.Add(1)
 			return nil
 		}
-		level = flate.BestSpeed
+		level, d = flate.BestSpeed, nil
 	}
-	key := memoKey{sha256.Sum256(sec), level}
+	key := memoKey{sha256.Sum256(sec), level, d.sum()}
 	stream, ok := deflateMemo.get(key)
 	if ok {
 		sectionsMemoHit.Add(1)
 		return stream
 	}
 	sectionsDeflated.Add(1)
-	if stream = deflateSection(sec, level, !vo); len(stream)+chunkOverhead >= len(sec) {
+	if stream = deflateSection(sec, level, !vo, d); len(stream)+chunkOverhead >= len(sec) {
 		stream = nil // compression does not pay
 	}
 	deflateMemo.put(key, stream)
@@ -215,7 +262,8 @@ func sectionStream(sec []byte, vo bool) []byte {
 // deflater is the reusable state of one compression: flate.NewWriter
 // allocates and zeroes a megabyte of match tables at any level, three
 // orders of magnitude more than a typical section, so writers (and their
-// output buffers) are pooled per level and Reset instead.
+// output buffers) are pooled per level, or per dictionary, and Reset
+// instead.
 type deflater struct {
 	buf bytes.Buffer
 	fw  *flate.Writer
@@ -223,8 +271,8 @@ type deflater struct {
 
 var deflaters [flate.BestCompression + 1]sync.Pool // by level
 
-// deflateSection compresses sec from an empty history into one complete
-// stream, returned in a fresh exact-size slice.
+// deflateSection compresses sec against d (nil: from an empty history) into
+// one complete stream, returned in a fresh exact-size slice.
 //
 // A closed flate.Writer ends its stream with an empty final stored block:
 // five bytes that say only "this is the end". With cut set, and when sec
@@ -235,41 +283,45 @@ var deflaters [flate.BestCompression + 1]sync.Pool // by level
 // sec and end where it is cut, or the closed stream is used. The check costs
 // an inflate, which a document body — compressed once per process — repays
 // on every answer that carries it, and a proof, seldom sent twice, does not.
-func deflateSection(sec []byte, level int, cut bool) []byte {
+func deflateSection(sec []byte, level int, cut bool, d *Dictionary) []byte {
 	if !cut {
-		return compress(sec, level, false)
+		return compress(sec, level, false, d)
 	}
-	stream := compress(sec, level, true)
+	stream := compress(sec, level, true, d)
 	check := make([]byte, len(sec))
-	if used, err := inflateChunk(check, stream); err == nil && bytes.Equal(check, sec) {
+	if used, err := inflateChunk(check, stream, d.preset()); err == nil && bytes.Equal(check, sec) {
 		return stream[:used:used] // a block ending on a byte boundary leaves the cut header's byte behind
 	}
-	return compress(sec, level, false)
+	return compress(sec, level, false, d)
 }
 
-// compress runs sec through a pooled writer at level and returns a copy of
-// the stream: closed, or sync-flushed with its first block marked final and
-// the empty stored block's LEN/NLEN cut. The writer goes back to the pool
-// before the caller looks at the stream. Writes into a bytes.Buffer cannot
-// fail, so neither can the compression.
-func compress(sec []byte, level int, cut bool) []byte {
-	d, _ := deflaters[level].Get().(*deflater)
-	if d == nil {
-		d = new(deflater)
-		d.fw, _ = flate.NewWriter(&d.buf, level) // errs only on an invalid level
+// compress runs sec through a pooled writer at level, preset with d, and
+// returns a copy of the stream: closed, or sync-flushed with its first block
+// marked final and the empty stored block's LEN/NLEN cut. The writer goes
+// back to the pool before the caller looks at the stream. Writes into a
+// bytes.Buffer cannot fail, so neither can the compression.
+func compress(sec []byte, level int, cut bool, d *Dictionary) []byte {
+	pool := &deflaters[level]
+	if d != nil {
+		pool = &d.writers // bodies only, so always at BestCompression
 	}
-	defer deflaters[level].Put(d)
-	d.buf.Reset()
-	d.fw.Reset(&d.buf)
-	d.fw.Write(sec)
+	w, _ := pool.Get().(*deflater)
+	if w == nil {
+		w = new(deflater)
+		w.fw, _ = flate.NewWriterDict(&w.buf, level, d.preset()) // errs only on an invalid level
+	}
+	defer pool.Put(w)
+	w.buf.Reset()
+	w.fw.Reset(&w.buf)
+	w.fw.Write(sec)
 	var stream []byte
 	if cut {
-		d.fw.Flush()
-		stream = d.buf.Bytes()[:d.buf.Len()-syncTail]
+		w.fw.Flush()
+		stream = w.buf.Bytes()[:w.buf.Len()-syncTail]
 		stream[0] |= 1 // BFINAL of the first block
 	} else {
-		d.fw.Close()
-		stream = d.buf.Bytes()
+		w.fw.Close()
+		stream = w.buf.Bytes()
 	}
 	out := make([]byte, len(stream))
 	copy(out, stream)
@@ -333,11 +385,16 @@ func compressible(b []byte) bool {
 	return 16*(entropy+8*codeTableBytes<<log2Frac) <= 15*(8*n<<log2Frac)
 }
 
-// DecodeFrame parses one complete frame from hostile input, returning the
-// payload type and the decompressed message bytes. Every length is
-// validated against the real input before allocation, and the CRC is
-// checked before any decompression.
-func DecodeFrame(b []byte) (typ byte, raw []byte, err error) {
+// DecodeFrame parses a frame that names no dictionary or carries the one it
+// names (Decoding.Frame with none held).
+func DecodeFrame(b []byte) (typ byte, raw []byte, err error) { return Decoding{}.Frame(b) }
+
+// Frame parses one complete frame from hostile input, returning the payload
+// type and the decompressed message bytes. Every length is validated
+// against the real input before allocation, the CRC is checked before any
+// decompression, and a dictionary the frame names must be the one it
+// carries or one of dec.Held.
+func (dec Decoding) Frame(b []byte) (typ byte, raw []byte, err error) {
 	if len(b) < HeaderSize {
 		return 0, nil, frameErr("short frame: %d bytes", len(b))
 	}
@@ -352,9 +409,15 @@ func DecodeFrame(b []byte) (typ byte, raw []byte, err error) {
 	default:
 		return 0, nil, frameErr("unknown payload type %d", typ)
 	}
+	const known = flagChunked | flagDictNamed | flagDictAttached
 	flags := binary.BigEndian.Uint16(b[6:])
-	if flags&^flagChunked != 0 {
-		return 0, nil, frameErr("unknown flags %#x", flags&^flagChunked)
+	switch {
+	case flags&^known != 0:
+		return 0, nil, frameErr("unknown flags %#x", flags&^known)
+	case flags&flagDictAttached != 0 && flags&flagDictNamed == 0:
+		return 0, nil, frameErr("a dictionary is attached but not named")
+	case flags&flagDictNamed != 0 && flags&flagChunked == 0:
+		return 0, nil, frameErr("a dictionary is named for a payload without chunks")
 	}
 	wantCRC := binary.BigEndian.Uint32(b[8:])
 	length := binary.BigEndian.Uint64(b[12:])
@@ -371,11 +434,44 @@ func DecodeFrame(b []byte) (typ byte, raw []byte, err error) {
 	if flags&flagChunked == 0 {
 		return typ, payload, nil
 	}
-	raw, err = inflateChunks(payload)
+	var d *Dictionary
+	if flags&flagDictNamed != 0 {
+		if d, payload, err = dec.dictionary(payload, flags&flagDictAttached != 0); err != nil {
+			return 0, nil, err
+		}
+	}
+	raw, err = inflateChunks(payload, d)
 	if err != nil {
 		return 0, nil, err
 	}
 	return typ, raw, nil
+}
+
+// dictionary reads the dictionary id, and the dictionary when attached, from
+// the front of p, and returns the dictionary with the payload that follows.
+func (dec Decoding) dictionary(p []byte, attached bool) (*Dictionary, []byte, error) {
+	if len(p) < sha256.Size {
+		return nil, nil, frameErr("dictionary id cut short")
+	}
+	id := [sha256.Size]byte(p)
+	p = p[sha256.Size:]
+	var dict []byte
+	if attached {
+		if len(p) < 4 {
+			return nil, nil, frameErr("dictionary length cut short")
+		}
+		n := binary.BigEndian.Uint32(p)
+		if n > MaxDictionaryBytes {
+			dictRefused.Add(1)
+			return nil, nil, frameErr("attached dictionary of %d bytes exceeds the %d-byte window", n, MaxDictionaryBytes)
+		}
+		if uint64(n) > uint64(len(p)-4) {
+			return nil, nil, frameErr("attached dictionary of %d bytes runs past the end of the frame", n)
+		}
+		dict, p = p[4:4+n], p[4+n:]
+	}
+	d, err := dec.resolve(id, dict, attached)
+	return d, p, err
 }
 
 // maxDeflateRatio bounds how far deflate can expand its input: a stream
@@ -419,9 +515,10 @@ func nextChunk(p []byte) (c chunk, rest []byte, err error) {
 	return c, p[size:], nil
 }
 
-// inflateChunks expands a chunk list under MaxPayloadBytes: one pass over the
-// headers to size the message, one to fill it.
-func inflateChunks(payload []byte) ([]byte, error) {
+// inflateChunks expands a chunk list under MaxPayloadBytes, each deflated
+// chunk from d as preset history: one pass over the headers to size the
+// message, one to fill it.
+func inflateChunks(payload []byte, d *Dictionary) ([]byte, error) {
 	total := 0
 	for p := payload; len(p) > 0; {
 		c, rest, err := nextChunk(p)
@@ -439,7 +536,7 @@ func inflateChunks(payload []byte) ([]byte, error) {
 		dst := raw[pos : pos+c.n]
 		if !c.deflated {
 			copy(dst, c.body)
-		} else if err := inflateSection(dst, c.body); err != nil {
+		} else if err := inflateSection(dst, c.body, d); err != nil {
 			return nil, err
 		}
 		pos, p = pos+c.n, rest
@@ -463,12 +560,13 @@ func Inflations() InflateStats {
 }
 
 // inflateSection fills dst with the expansion of one deflated chunk's
-// stream, from the memo when these exact stream bytes were inflated before.
-// A memo entry is what a successful standalone inflate of the stream
-// produced, so a hit must have the declared length too; dst receives a copy,
-// and nothing the caller does to it reaches the memo.
-func inflateSection(dst, stream []byte) error {
-	key := memoKey{sum: sha256.Sum256(stream)}
+// stream against d, from the memo when these exact stream bytes were
+// inflated against d before. A memo entry is what a successful standalone
+// inflate of the stream produced, so a hit must have the declared length
+// too; dst receives a copy, and nothing the caller does to it reaches the
+// memo.
+func inflateSection(dst, stream []byte, d *Dictionary) error {
+	key := memoKey{sum: sha256.Sum256(stream), dict: d.sum()}
 	if data, ok := inflateMemo.get(key); ok {
 		if len(data) != len(dst) {
 			return frameErr("chunk stream inflates to %d bytes, its header claims %d", len(data), len(dst))
@@ -478,7 +576,7 @@ func inflateSection(dst, stream []byte) error {
 		return nil
 	}
 	inflatedRan.Add(1)
-	used, err := inflateChunk(dst, stream)
+	used, err := inflateChunk(dst, stream, d.preset())
 	if err != nil {
 		return err
 	}
@@ -504,18 +602,19 @@ var inflaters = sync.Pool{New: func() interface{} {
 	return i
 }}
 
-// inflateChunk fills dst with the inflation of stream, which must be exactly
-// len(dst) bytes long and end in a final block, and returns how many bytes
-// of stream the inflation read: the reader takes bytes one at a time from a
-// bytes.Reader, so nothing past the final block is consumed.
-func inflateChunk(dst, stream []byte) (used int, err error) {
+// inflateChunk fills dst with the inflation of stream from the preset
+// history dict, which must be exactly len(dst) bytes long and end in a final
+// block, and returns how many bytes of stream the inflation read: the reader
+// takes bytes one at a time from a bytes.Reader, so nothing past the final
+// block is consumed.
+func inflateChunk(dst, stream, dict []byte) (used int, err error) {
 	in := inflaters.Get().(*inflater)
 	defer func() {
 		in.src.Reset(nil) // a pooled reader must not pin the caller's frame
 		inflaters.Put(in)
 	}()
 	in.src.Reset(stream)
-	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
+	if err := in.fr.(flate.Resetter).Reset(&in.src, dict); err != nil {
 		return 0, frameErr("resetting inflater: %v", err)
 	}
 	if _, err := io.ReadFull(in.fr, dst); err != nil {

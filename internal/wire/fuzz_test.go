@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"compress/flate"
+	"crypto/sha256"
 	"encoding/binary"
 	"testing"
 )
@@ -13,13 +14,14 @@ import (
 // payload that decodes as a message re-encodes to a decodable frame, and the
 // memo changes nothing: an accepted chunk list decodes to the same bytes
 // with a cold memo and then a warm one, and to the concatenation of its
-// chunks inflated standalone.
+// chunks inflated standalone, each with the frame's dictionary — attached,
+// or the one dictionary the decoder holds.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ATWF"))
 	f.Add(EncodeSearchResponse(sampleSearchResponse()))
 	f.Add(retiredBatchFrame())
-	f.Add(EncodeShardedSearchResponse(&ShardedSearchResponse{Query: "q"}))
+	f.Add(Encoding{}.ShardedSearchResponse(&ShardedSearchResponse{Query: "q"}))
 	f.Add(EncodeManifestResponse(&ManifestResponse{Format: "atcx1", Export: []byte("blob")}))
 	// A corrupted-but-complete frame: valid header, flipped payload byte.
 	corrupt := EncodeSearchResponse(sampleSearchResponse())
@@ -40,7 +42,21 @@ func FuzzDecodeFrame(f *testing.F) {
 	body := []byte("merkle tree proofs authenticate merkle tree proofs")
 	fw.Write(body)
 	fw.Close()
-	f.Add(chunkedFrame(TypeManifest, appendChunk(nil, chunk{n: len(body), deflated: true, body: buf.Bytes()})))
+	backRef := appendChunk(nil, chunk{n: len(body), deflated: true, body: buf.Bytes()})
+	f.Add(chunkedFrame(TypeManifest, backRef))
+	// The same stream on frames that name a dictionary: attached and right;
+	// named and held; attached under another dictionary's id; past the
+	// window; named but neither attached nor held; attached but not named.
+	dict := []byte("merkle tree proofs ")
+	id, other := sha256.Sum256(dict), sha256.Sum256([]byte("another dictionary"))
+	dec := Decoding{Held: []*Dictionary{NewDictionary(dict)}}
+	f.Add(dictFrame(TypeManifest, flagDictNamed|flagDictAttached, id, dict, backRef))
+	f.Add(dictFrame(TypeManifest, flagDictNamed, id, nil, backRef))
+	f.Add(dictFrame(TypeManifest, flagDictNamed|flagDictAttached, other, dict, backRef))
+	long := make([]byte, MaxDictionaryBytes+1)
+	f.Add(dictFrame(TypeManifest, flagDictNamed|flagDictAttached, sha256.Sum256(long), long, backRef))
+	f.Add(dictFrame(TypeManifest, flagDictNamed, other, nil, backRef))
+	f.Add(dictFrame(TypeManifest, flagDictAttached, id, dict, backRef))
 	// A chunk header whose uvarint overflows 64 bits, and a stream length
 	// past the end of the payload.
 	f.Add(chunkedFrame(TypeSearch, append(bytes.Repeat([]byte{0xff}, 10), 0x01)))
@@ -57,21 +73,29 @@ func FuzzDecodeFrame(f *testing.F) {
 	}))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		typ, raw, err := DecodeFrame(b)
+		typ, raw, err := dec.Frame(b)
 		if err != nil {
 			return
 		}
-		if binary.BigEndian.Uint16(b[6:])&flagChunked != 0 {
+		if flags := binary.BigEndian.Uint16(b[6:]); flags&flagChunked != 0 {
+			payload, preset := b[HeaderSize:], []byte(nil)
+			if flags&flagDictNamed != 0 {
+				d, rest, err := dec.dictionary(payload, flags&flagDictAttached != 0)
+				if err != nil {
+					t.Fatalf("accepted frame's dictionary does not resolve: %v", err)
+				}
+				payload, preset = rest, d.b
+			}
 			inflateMemo.reset()
-			_, cold, err := DecodeFrame(b)
+			_, cold, err := dec.Frame(b)
 			if err != nil {
 				t.Fatalf("accepted frame fails with a cold memo: %v", err)
 			}
-			_, warm, err := DecodeFrame(b)
+			_, warm, err := dec.Frame(b)
 			if err != nil {
 				t.Fatalf("accepted frame fails with a warm memo: %v", err)
 			}
-			ref, err := standalone(b[HeaderSize:])
+			ref, err := standalone(payload, preset)
 			if err != nil {
 				t.Fatalf("accepted frame's chunks do not inflate standalone: %v", err)
 			}
@@ -84,14 +108,14 @@ func FuzzDecodeFrame(f *testing.F) {
 		// must itself decode.
 		switch typ {
 		case TypeSearch:
-			if r, err := DecodeSearchResponse(b); err == nil {
+			if r, err := dec.SearchResponse(b); err == nil {
 				if _, err := DecodeSearchResponse(EncodeSearchResponse(r)); err != nil {
 					t.Fatalf("re-encode failed to decode: %v", err)
 				}
 			}
 		case TypeSharded:
-			if r, err := DecodeShardedSearchResponse(b); err == nil {
-				if _, err := DecodeShardedSearchResponse(EncodeShardedSearchResponse(r)); err != nil {
+			if r, err := dec.ShardedSearchResponse(b); err == nil {
+				if _, err := (Decoding{}).ShardedSearchResponse(Encoding{}.ShardedSearchResponse(r)); err != nil {
 					t.Fatalf("re-encode failed to decode: %v", err)
 				}
 			}

@@ -7,13 +7,14 @@ import (
 )
 
 // Section memoisation, on both ends of the wire. A section's deflate stream
-// is a pure function of (section bytes, level), and its inflation a pure
-// function of the stream: a document returned by many answers, and a proof
-// replayed from the VO cache, present the identical bytes every time. So a
-// server remembers each section's compressed bytes keyed by the section's
-// SHA-256 and the level (deflateMemo), and a client remembers each chunk's
-// inflated bytes keyed by the SHA-256 of the stream it received
-// (inflateMemo). A hit costs one hash (hardware-accelerated, an order of
+// is a pure function of (section bytes, level, dictionary), and its
+// inflation a pure function of (stream, dictionary): a document returned by
+// many answers, and a proof replayed from the VO cache, present the
+// identical bytes every time. So a server remembers each section's
+// compressed bytes keyed by the section's SHA-256, the level and the
+// dictionary's SHA-256 (deflateMemo), and a client remembers each chunk's
+// inflated bytes keyed by the SHA-256 of the stream it received and of the
+// dictionary the frame named (inflateMemo). A hit costs one hash (hardware-accelerated, an order of
 // magnitude faster than inflate and more than that faster than deflate)
 // instead of the codec. Because a stored entry IS a previous run's output,
 // memoised and non-memoised results are byte-identical by construction — the
@@ -66,10 +67,14 @@ func newMemo(maxBytes int64) *memo {
 func (c *memo) trialMax() int64 { return c.maxBytes / 16 }
 
 // memoKey names everything a memoised result depends on: the SHA-256 of the
-// input, and in deflateMemo the compression level (zero in inflateMemo).
+// input, in deflateMemo the compression level (zero in inflateMemo), and the
+// SHA-256 of the dictionary the stream reaches back into (zero for none).
+// Without the dictionary, an honest switch from one to another would serve
+// one history's bytes for the other's, and that would look like tampering.
 type memoKey struct {
 	sum   [sha256.Size]byte
 	level int
+	dict  [sha256.Size]byte
 }
 
 type memoEntry struct {

@@ -70,7 +70,7 @@ func TestDecodeMemoConcurrentDecodes(t *testing.T) {
 			r.Hits = append(r.Hits, Hit{DocID: k, Score: float64(3 - k), Content: bodies[rng.Intn(len(bodies))]})
 		}
 		frame := EncodeSearchResponse(r)
-		ref, err := standalone(frame[HeaderSize:])
+		ref, err := standalone(frame[HeaderSize:], nil)
 		if err != nil {
 			t.Fatal(err)
 		}

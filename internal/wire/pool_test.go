@@ -8,7 +8,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -20,15 +19,12 @@ import (
 	"testing"
 )
 
+// plainFrame frames raw with no dictionary.
+func plainFrame(typ byte, raw []byte, secs []section) []byte { return Encoding{}.frame(typ, raw, secs) }
+
 // chunkedFrame frames a chunk-list payload with a valid header: flag, CRC
 // and length all agree with it.
-func chunkedFrame(typ byte, payload []byte) []byte {
-	out := append([]byte(frameMagic), FrameVersion, typ)
-	out = binary.BigEndian.AppendUint16(out, flagChunked)
-	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(payload, castagnoli))
-	out = binary.BigEndian.AppendUint64(out, uint64(len(payload)))
-	return append(out, payload...)
-}
+func chunkedFrame(typ byte, payload []byte) []byte { return frameOf(typ, flagChunked, payload) }
 
 // appendChunk encodes c: its header, then its body — for a deflated chunk
 // the stream, announced by its length.
@@ -83,11 +79,11 @@ func closedStream(t testing.TB, sec []byte, level int) []byte {
 	return buf.Bytes()
 }
 
-// standalone inflates every chunk of a chunked payload with a fresh reader,
-// no pool and no memo, and concatenates what they expand to. A deflated
-// chunk must expand to its declared length and its stream end at the
-// chunk's end.
-func standalone(payload []byte) ([]byte, error) {
+// standalone inflates every chunk of a chunked payload with a fresh reader
+// preset with dict, no pool and no memo, and concatenates what they expand
+// to. A deflated chunk must expand to its declared length and its stream
+// end at the chunk's end.
+func standalone(payload, dict []byte) ([]byte, error) {
 	var out []byte
 	for p := payload; len(p) > 0; {
 		c, rest, err := nextChunk(p)
@@ -97,7 +93,7 @@ func standalone(payload []byte) ([]byte, error) {
 		body := c.body
 		if c.deflated {
 			src := bytes.NewReader(c.body)
-			if body, err = io.ReadAll(flate.NewReader(src)); err != nil {
+			if body, err = io.ReadAll(flate.NewReaderDict(src, dict)); err != nil {
 				return nil, err
 			}
 			if src.Len() != 0 || len(body) != c.n {
@@ -303,12 +299,12 @@ func TestPooledCompressorsAreDeterministicUnderConcurrency(t *testing.T) {
 	want := make([][]byte, len(payloads))
 	resetMemo()
 	for i, raw := range payloads {
-		want[i] = EncodeFrame(TypeSearch, raw, carve(raw))
+		want[i] = plainFrame(TypeSearch, raw, carve(raw))
 		checkFrame(t, want[i], raw, carve(raw))
 		if binary.BigEndian.Uint16(want[i][6:])&flagChunked == 0 {
 			t.Fatalf("payload %d: not compressed", i)
 		}
-		if hit := EncodeFrame(TypeSearch, raw, carve(raw)); !bytes.Equal(hit, want[i]) {
+		if hit := plainFrame(TypeSearch, raw, carve(raw)); !bytes.Equal(hit, want[i]) {
 			t.Fatalf("payload %d: the memo hit differs from the miss", i)
 		}
 	}
@@ -329,7 +325,7 @@ func TestPooledCompressorsAreDeterministicUnderConcurrency(t *testing.T) {
 				if round%5 == 0 {
 					resetMemo()
 				}
-				frame := EncodeFrame(TypeSearch, payloads[i], carve(payloads[i]))
+				frame := plainFrame(TypeSearch, payloads[i], carve(payloads[i]))
 				if !bytes.Equal(frame, want[i]) {
 					t.Errorf("worker %d: frame of payload %d differs from its single-threaded encoding", w, i)
 					return
@@ -394,8 +390,8 @@ func TestAssembledStreamLayouts(t *testing.T) {
 		search("deflated proof", true, withHits(structuredVO, body(1), body(2), body(3))),
 		search("no section shrinks", false, withHits(xorshiftBytes(7, 1500), xorshiftBytes(8, 400), xorshiftBytes(9, 400))),
 		{"sharded answer", true,
-			func() []byte { return EncodeShardedSearchResponse(sharded) },
-			func(f []byte) (interface{}, error) { return DecodeShardedSearchResponse(f) }, sharded},
+			func() []byte { return Encoding{}.ShardedSearchResponse(sharded) },
+			func(f []byte) (interface{}, error) { return Decoding{}.ShardedSearchResponse(f) }, sharded},
 		{"manifest export", true,
 			func() []byte { return EncodeManifestResponse(manifest) },
 			func(f []byte) (interface{}, error) { return DecodeManifestResponse(f) }, manifest},
@@ -443,9 +439,9 @@ func TestAssembledStreamLayouts(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			resetMemo()
-			frame := EncodeFrame(TypeSearch, raw, secs)
+			frame := plainFrame(TypeSearch, raw, secs)
 			checkFrame(t, frame, raw, secs)
-			if !bytes.Equal(frame, EncodeFrame(TypeSearch, raw, secs)) {
+			if !bytes.Equal(frame, plainFrame(TypeSearch, raw, secs)) {
 				t.Fatal("the memo hit differs from the miss")
 			}
 		})
@@ -509,7 +505,7 @@ func TestPooledSectionDeflateMatchesFreshWriter(t *testing.T) {
 			for _, level := range []int{flate.BestSpeed, flate.BestCompression} {
 				for _, cut := range []bool{false, true} {
 					want := referenceStream(t, raw, level, cut)
-					if got := deflateSection(raw, level, cut); !bytes.Equal(got, want) || cap(got) != len(got) {
+					if got := deflateSection(raw, level, cut, nil); !bytes.Equal(got, want) || cap(got) != len(got) {
 						t.Fatalf("payload %d level %d cut %v: pooled stream (%d of %d bytes) differs from a fresh writer's (%d)",
 							i, level, cut, len(got), cap(got), len(want))
 					}
@@ -517,10 +513,10 @@ func TestPooledSectionDeflateMatchesFreshWriter(t *testing.T) {
 			}
 		}
 	}
-	if closed := closedStream(t, several, flate.BestCompression); !bytes.Equal(deflateSection(several, flate.BestCompression, true), closed) {
+	if closed := closedStream(t, several, flate.BestCompression); !bytes.Equal(deflateSection(several, flate.BestCompression, true, nil), closed) {
 		t.Fatal("a section of several blocks is not carried in its closed stream")
 	}
-	if small := payloads[0]; len(deflateSection(small, flate.BestCompression, true)) >= len(closedStream(t, small, flate.BestCompression)) {
+	if small := payloads[0]; len(deflateSection(small, flate.BestCompression, true, nil)) >= len(closedStream(t, small, flate.BestCompression)) {
 		t.Fatal("a one-block section is not carried in its cut stream")
 	}
 }
@@ -536,10 +532,10 @@ func TestPooledInflaterRecoversFromCorruptStream(t *testing.T) {
 	}
 	dst := make([]byte, len(raw))
 	for i := 0; i < 4; i++ {
-		if _, err := inflateChunk(dst, bad); err == nil {
+		if _, err := inflateChunk(dst, bad, nil); err == nil {
 			t.Fatal("corrupt stream inflated")
 		}
-		if used, err := inflateChunk(dst, good); err != nil || used != len(good) || !bytes.Equal(dst, raw) {
+		if used, err := inflateChunk(dst, good, nil); err != nil || used != len(good) || !bytes.Equal(dst, raw) {
 			t.Fatalf("intact stream after a corrupt one: %d of %d bytes read, %v", used, len(good), err)
 		}
 	}
@@ -591,7 +587,7 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	resetMemo()
 	raw := answerLikePayloads(1)[0]
 	whole := []section{{off: 0, end: len(raw)}}
-	key := memoKey{sha256.Sum256(raw), flate.BestCompression}
+	key := memoKey{sum: sha256.Sum256(raw), level: flate.BestCompression}
 	entry := func() memoEntry {
 		deflateMemo.mu.Lock()
 		defer deflateMemo.mu.Unlock()
@@ -602,7 +598,7 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 		return *elem.Value.(*memoEntry)
 	}
 
-	first := EncodeFrame(TypeSearch, raw, whole)
+	first := plainFrame(TypeSearch, raw, whole)
 	e := entry()
 	if !e.stored || e.trial == nil || len(e.data) == 0 || cap(e.data) != len(e.data) {
 		t.Fatalf("after one encode: stored %v, on trial %v, %d bytes in %d of capacity",
@@ -611,13 +607,13 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	if want := int64(memoEntryOverhead + len(e.data)); deflateMemo.bytes != want || deflateMemo.trialBytes != int64(len(e.data)) {
 		t.Fatalf("memo charges %d bytes (%d on trial), retains %d", deflateMemo.bytes, deflateMemo.trialBytes, want)
 	}
-	if again := EncodeFrame(TypeSearch, raw, whole); !bytes.Equal(first, again) {
+	if again := plainFrame(TypeSearch, raw, whole); !bytes.Equal(first, again) {
 		t.Fatal("encode replayed from the trial differs from the compressed one")
 	}
 	if e := entry(); !e.stored || e.trial != nil || deflateMemo.trialBytes != 0 {
 		t.Fatalf("a second sighting within the trial did not admit the entry: %+v", e)
 	}
-	asProof := EncodeFrame(TypeSearch, raw, []section{{off: 0, end: len(raw), vo: true}})
+	asProof := plainFrame(TypeSearch, raw, []section{{off: 0, end: len(raw), vo: true}})
 	if len(deflateMemo.m) != 2 || bytes.Equal(asProof, first) {
 		t.Fatalf("the same bytes at another level: %d memo entries, frames equal %v", len(deflateMemo.m), bytes.Equal(asProof, first))
 	}
@@ -627,7 +623,7 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	// The same section again, but this time other first sightings outlast
 	// its trial before it returns.
 	resetMemo()
-	EncodeFrame(TypeSearch, raw, whole)
+	plainFrame(TypeSearch, raw, whole)
 	filler := make([]byte, 64<<10)
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; entry().trial != nil; n++ {
@@ -637,7 +633,7 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 		for i := range filler { // about half compressible, never the same twice
 			filler[i] = byte(rng.Intn(16))
 		}
-		EncodeFrame(TypeSearch, filler, []section{{off: 0, end: len(filler), vo: true}})
+		plainFrame(TypeSearch, filler, []section{{off: 0, end: len(filler), vo: true}})
 		checkMemoAccounting(t, deflateMemo)
 	}
 	if e := entry(); e.stored || e.data != nil {
@@ -648,13 +644,13 @@ func TestMemoAdmitsOnSecondSighting(t *testing.T) {
 	}
 
 	before := Sections()
-	second := EncodeFrame(TypeSearch, raw, whole)
+	second := plainFrame(TypeSearch, raw, whole)
 	e = entry()
 	if !e.stored || e.trial != nil || len(e.data) == 0 || cap(e.data) != len(e.data) {
 		t.Fatalf("after the second encode: stored %v, on trial %v, %d bytes in %d of capacity",
 			e.stored, e.trial != nil, len(e.data), cap(e.data))
 	}
-	third := EncodeFrame(TypeSearch, raw, whole)
+	third := plainFrame(TypeSearch, raw, whole)
 	if !bytes.Equal(first, second) || !bytes.Equal(first, third) {
 		t.Fatal("memoised encode differs from the compressed ones")
 	}

@@ -3,7 +3,7 @@
 // responses, sharded fan-out answers and manifest blobs
 // with their []byte payloads verbatim — no base64, no JSON re-encoding.
 // JSON remains the default representation (debuggability first); a client
-// opts into frames per request with `Accept: application/x-authtext-frame-v2`
+// opts into frames per request with `Accept: application/x-authtext-frame-v3`
 // and the server answers with the same Content-Type
 // (docs/PROTOCOL.md "Binary framing" is the normative description).
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -50,7 +51,7 @@ func TestShardedSearchResponseRoundTrip(t *testing.T) {
 		},
 		Stats: ShardedSearchStats{Shards: 2, EntriesRead: 80, VOBytes: 10, IOMillis: 0.5, ServerMillis: 2},
 	}
-	got, err := DecodeShardedSearchResponse(EncodeShardedSearchResponse(want))
+	got, err := Decoding{}.ShardedSearchResponse(Encoding{}.ShardedSearchResponse(want))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +140,15 @@ func xorshiftBytes(seed uint64, n int) []byte {
 // the same message or to another one, and none may panic. It runs over
 // frames assembled from every kind of section.
 func TestFrameTamperBattery(t *testing.T) {
-	for name, r := range map[string]*SearchResponse{"stored proof": sampleSearchResponse(), "deflated proof": verboseSearchResponse()} {
-		frame := EncodeSearchResponse(r)
+	withDict := verboseSearchResponse()
+	for i := range withDict.Hits {
+		withDict.Hits[i].Content = bodyOf(i)
+	}
+	for name, frame := range map[string][]byte{
+		"stored proof":        EncodeSearchResponse(sampleSearchResponse()),
+		"deflated proof":      EncodeSearchResponse(verboseSearchResponse()),
+		"attached dictionary": Encoding{Dict: CollectionDictionary(testVocabulary), Attach: true}.SearchResponse(withDict),
+	} {
 		if flags := binary.BigEndian.Uint16(frame[6:]); flags&flagChunked == 0 {
 			t.Fatalf("%s: frame is not compressed", name)
 		}
@@ -186,17 +194,30 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 	badVer := append([]byte(nil), good...)
 	badVer[4] = FrameVersion + 1
 	cases["future version"] = badVer
-	v1 := append([]byte(nil), good...)
-	v1[4] = 1
-	cases["version 1"] = v1
+	for v := byte(1); v < FrameVersion; v++ {
+		old := append([]byte(nil), good...)
+		old[4] = v
+		cases[fmt.Sprintf("version %d", v)] = old
+	}
 	// Bytes after a chunk's final deflate block, CRC and lengths fixed: the
 	// stream ends before its chunk does.
 	verbose := EncodeSearchResponse(verboseSearchResponse())
 	cases["bytes after a final block"] = withStreamTail(t, verbose, []byte{0xde, 0xad, 0xbe, 0xef})
 	cases["bytes after the last chunk"] = chunkedFrame(TypeSearch, append(verbose[HeaderSize:len(verbose):len(verbose)], 0xde, 0xad, 0xbe, 0xef))
+	// Dictionary fields that do not add up, CRC and lengths fixed.
+	chunks := verbose[HeaderSize:]
+	var unknown [32]byte
+	cases["dictionary attached but not named"] = dictFrame(TypeSearch, flagDictAttached, unknown, []byte("dict"), chunks)
+	cases["dictionary named, not held, not attached"] = dictFrame(TypeSearch, flagDictNamed, unknown, nil, chunks)
+	cases["dictionary id cut short"] = frameOf(TypeSearch, flagChunked|flagDictNamed, unknown[:16])
+	cases["dictionary length past the end"] = frameOf(TypeSearch, flagChunked|flagDictNamed|flagDictAttached,
+		append(unknown[:], 0, 0, 0, 9, 'd', 'i', 'c', 't'))
+	named := append([]byte(nil), good...)
+	named[7] |= byte(flagDictNamed)
+	cases["dictionary named without a chunk list"] = named
 	decoders := []func([]byte) error{
 		func(b []byte) error { _, err := DecodeSearchResponse(b); return err },
-		func(b []byte) error { _, err := DecodeShardedSearchResponse(b); return err },
+		func(b []byte) error { _, err := Decoding{}.ShardedSearchResponse(b); return err },
 		func(b []byte) error { _, err := DecodeManifestResponse(b); return err },
 	}
 	for name, b := range cases {
@@ -215,7 +236,7 @@ func TestDecodeFrameHostileInputs(t *testing.T) {
 
 // retiredBatchFrame is a well-formed frame of payload type 2, which carried
 // the retired batch response: an empty batch, u32 0.
-func retiredBatchFrame() []byte { return EncodeFrame(2, []byte{0, 0, 0, 0}, nil) }
+func retiredBatchFrame() []byte { return plainFrame(2, []byte{0, 0, 0, 0}, nil) }
 
 // withStreamTail appends tail to the stream of frame's last deflated chunk
 // and re-frames it, every length and the CRC consistent.
@@ -280,7 +301,7 @@ func TestDecodeHostileMessages(t *testing.T) {
 	b = appendStr(b, "cmht")
 	b = binary.BigEndian.AppendUint64(b, 0)
 	b = binary.BigEndian.AppendUint32(b, math.MaxUint32) // nhits
-	if _, err := DecodeSearchResponse(EncodeFrame(TypeSearch, b, nil)); err == nil {
+	if _, err := DecodeSearchResponse(plainFrame(TypeSearch, b, nil)); err == nil {
 		t.Fatal("hostile hit count decoded successfully")
 	} else if !errors.Is(err, ErrDecode) {
 		t.Fatalf("error %v does not wrap ErrDecode", err)
@@ -293,7 +314,7 @@ func TestDecodeHostileMessages(t *testing.T) {
 	// Trailing garbage after a valid message.
 	var secs []section
 	valid := appendSearchResponse(nil, &secs, sampleSearchResponse())
-	if _, err := DecodeSearchResponse(EncodeFrame(TypeSearch, append(valid, 0xcc), secs)); err == nil {
+	if _, err := DecodeSearchResponse(plainFrame(TypeSearch, append(valid, 0xcc), secs)); err == nil {
 		t.Fatal("trailing bytes decoded successfully")
 	} else if !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("unexpected error: %v", err)
@@ -347,7 +368,7 @@ func TestDecodedBytesDoNotShareCapacity(t *testing.T) {
 			return searchFields(r), nil
 		},
 		"sharded": func() ([][]byte, error) {
-			r, err := DecodeShardedSearchResponse(EncodeShardedSearchResponse(sharded))
+			r, err := Decoding{}.ShardedSearchResponse(Encoding{}.ShardedSearchResponse(sharded))
 			if err != nil {
 				return nil, err
 			}

@@ -1,8 +1,11 @@
 package authtext
 
 import (
+	"sync/atomic"
+
 	"authtext/internal/index"
 	"authtext/internal/live"
+	"authtext/internal/wire"
 )
 
 // Live collections accept document updates after publication: every batch
@@ -74,6 +77,9 @@ type LiveOwner struct {
 	// accepted update (metrics.go): the registry of the first handler built
 	// on this owner (adopt, serve.go).
 	metrics *Metrics
+	// pinned is the newest generation a server was pinned to, with its
+	// dictionary, which is built once per generation (serving).
+	pinned atomic.Pointer[served]
 }
 
 // NewLiveOwner indexes the documents and publishes generation 1. The
@@ -182,7 +188,24 @@ func current(lc *live.Collection) served {
 // updates, so a multi-query session sees one consistent state. Call Server
 // again to serve a newer generation. Attach a cache or a registry with
 // Server.SetVOCache and Server.SetMetrics.
-func (o *LiveOwner) Server() *Server { return &Server{v: current(o.lc)} }
+func (o *LiveOwner) Server() *Server { return &Server{v: o.serving()} }
+
+// serving is current(o.lc) with its collection dictionary: the previous
+// generation's while the vocabulary has changed little
+// (wire.NextDictionary).
+func (o *LiveOwner) serving() served {
+	v := current(o.lc)
+	last := o.pinned.Load()
+	if last != nil && last.col == v.col && last.set == v.set {
+		return *last
+	}
+	v = v.withDictionary()
+	if last != nil {
+		v.dict = wire.NextDictionary(last.dict, v.dict)
+	}
+	o.pinned.Store(&v)
+	return v
+}
 
 // Client returns a verification client pinned to the owner's public key,
 // positioned at the current generation. Advance it with ExportClient blobs

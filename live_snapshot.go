@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"authtext/internal/live"
+	"authtext/internal/wire"
 )
 
 // Per-generation snapshot layout: a live snapshot directory holds one
@@ -248,6 +249,11 @@ func (r *LiveReplica) Reload() (bool, error) {
 	if next.gen != gen {
 		return false, fmt.Errorf("authtext: %s: signed manifest pins generation %d, its name claims %d",
 			filepath.Base(path), next.gen, gen)
+	}
+	if cur != nil && cur.server != nil {
+		// Keep the dictionary through a small vocabulary change, like the
+		// owner that published the generation.
+		next.server.v.dict = wire.NextDictionary(cur.server.v.dict, next.server.v.dict)
 	}
 	r.cur.Store(next)
 	r.metrics.recordSnapshotOpen(gen, time.Since(openStart))

@@ -143,6 +143,13 @@ func NewMetrics() *Metrics {
 		func() float64 { return float64(wire.Inflations().Inflated - base.Inflated) }, obs.L("outcome", "inflated"))
 	r.CounterFunc("authtext_client_wire_sections_total", wireHelp,
 		func() float64 { return float64(wire.Inflations().MemoHit - base.MemoHit) }, obs.L("outcome", "memo_hit"))
+	const dictHelp = "Collection dictionaries binary frames carried to this process: installed = kept for later frames, " +
+		"refused = it did not hash to the id the frame names, or exceeded the deflate window."
+	dicts := wire.Dictionaries()
+	r.CounterFunc("authtext_client_wire_dictionaries_total", dictHelp,
+		func() float64 { return float64(wire.Dictionaries().Installed - dicts.Installed) }, obs.L("outcome", "installed"))
+	r.CounterFunc("authtext_client_wire_dictionaries_total", dictHelp,
+		func() float64 { return float64(wire.Dictionaries().Refused - dicts.Refused) }, obs.L("outcome", "refused"))
 
 	m.fleetCrosschecks = r.Counter("authtext_fleet_crosschecks_total",
 		"Cross-replica manifest cross-checks performed by fleet clients.")

@@ -140,6 +140,9 @@ type transport struct {
 	// offer: every later request from this client goes straight to JSON
 	// instead of re-offering per call (docs/PROTOCOL.md "Binary framing").
 	noBinary atomic.Bool
+	// dicts holds the collection dictionaries this server's frames carried:
+	// what a request names, so that its answer need not carry them again.
+	dicts wire.DictionaryStore
 }
 
 // Bootstrap fetches and verifies the owner's manifest now instead of
@@ -181,7 +184,7 @@ func (rc *RemoteClient) fetchExport(ctx context.Context, sharded bool) ([]byte, 
 	if sharded {
 		path, format = httpapi.PathShardManifest, httpapi.FormatATSX
 	}
-	m, err := roundTrip(ctx, &rc.transport, http.MethodGet, path, nil, wire.DecodeManifestResponse)
+	m, err := roundTrip(ctx, &rc.transport, http.MethodGet, path, nil, decodeManifest)
 	if err != nil {
 		return nil, err
 	}
@@ -242,7 +245,7 @@ func (rc *RemoteClient) Shards() int {
 // rolled-back or equivocating fleet keeps failing and still ends in
 // ErrStaleGeneration after the budget.
 func ask[T any](ctx context.Context, rc *RemoteClient, client *Client, path string, req any,
-	fromFrame func([]byte) (*T, error), generation func(*T) uint64) (*T, error) {
+	fromFrame func(wire.Decoding, []byte) (*T, error), generation func(*T) uint64) (*T, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -303,14 +306,14 @@ func (rc *RemoteClient) Search(ctx context.Context, query string, r int, algo Al
 	req := &httpapi.SearchRequest{Query: query, R: r, Algo: wireAlgo(algo), Scheme: wireScheme(scheme)}
 	var res *SearchResult
 	if client.Shards() > 0 {
-		sw, err := ask(ctx, rc, client, httpapi.PathShardSearch, req, wire.DecodeShardedSearchResponse,
+		sw, err := ask(ctx, rc, client, httpapi.PathShardSearch, req, wire.Decoding.ShardedSearchResponse,
 			func(sw *httpapi.ShardedSearchResponse) uint64 { return sw.Generation })
 		if err != nil {
 			return nil, rc.withheld(err)
 		}
 		res = shardedResultFromWire(sw, algo, scheme)
 	} else {
-		sr, err := ask(ctx, rc, client, httpapi.PathSearch, req, wire.DecodeSearchResponse,
+		sr, err := ask(ctx, rc, client, httpapi.PathSearch, req, wire.Decoding.SearchResponse,
 			func(sr *httpapi.SearchResponse) uint64 { return sr.Generation })
 		if err != nil {
 			return nil, rc.withheld(err)
@@ -452,13 +455,15 @@ const maxResponseBytes = 64 << 20
 // roundTrip performs one request (a JSON POST when body is non-nil) and
 // decodes the answer. With a fromFrame decoder it negotiates the binary
 // framing: unless noBinary has latched, the request offers wire.ContentType
-// via Accept, and the response is decoded as a frame or as JSON depending
-// on what the server chose. A 406 latches noBinary and retries the request
-// once as plain JSON, which keeps this client compatible with both older
-// servers that ignore Accept (they simply answer JSON) and strict ones that
-// reject unknown media types. A nil fromFrame never offers frames.
+// via Accept and names the dictionaries t holds, and the response is
+// decoded as a frame — against those very dictionaries, whatever t evicts
+// meanwhile — or as JSON, depending on what the server chose. A 406
+// latches noBinary and retries the request once as plain JSON, which keeps
+// this client compatible with both older servers that ignore Accept (they
+// simply answer JSON) and strict ones that reject unknown media types. A
+// nil fromFrame never offers frames.
 func roundTrip[T any](ctx context.Context, t *transport, method, path string, body []byte,
-	fromFrame func([]byte) (*T, error)) (*T, error) {
+	fromFrame func(wire.Decoding, []byte) (*T, error)) (*T, error) {
 	for {
 		var reqBody io.Reader
 		if body != nil {
@@ -472,8 +477,13 @@ func roundTrip[T any](ctx context.Context, t *transport, method, path string, bo
 			req.Header.Set("Content-Type", "application/json")
 		}
 		offer := fromFrame != nil && !t.noBinary.Load()
+		var dec wire.Decoding
 		if offer {
 			req.Header.Set("Accept", wire.ContentType)
+			var held string
+			if held, dec = t.dicts.Held(); held != "" {
+				req.Header.Set(httpapi.DictionaryHeader, held)
+			}
 		}
 		resp, err := t.hc.Do(req)
 		if err != nil {
@@ -485,7 +495,7 @@ func roundTrip[T any](ctx context.Context, t *transport, method, path string, bo
 			t.noBinary.Store(true)
 			continue
 		}
-		out, err := decodeBody(req.URL.Path, resp, t.metrics, fromFrame)
+		out, err := decodeBody(req.URL.Path, resp, t.metrics, dec, fromFrame)
 		resp.Body.Close()
 		return out, err
 	}
@@ -495,7 +505,8 @@ func roundTrip[T any](ctx context.Context, t *transport, method, path string, bo
 // dispatching on its Content-Type. A frame that fails its CRC or decode is
 // classified as tampering (the transport is the untrusted party here,
 // exactly like an undecodable VO), so IsTampered reports true for it.
-func decodeBody[T any](path string, resp *http.Response, m *Metrics, fromFrame func([]byte) (*T, error)) (*T, error) {
+func decodeBody[T any](path string, resp *http.Response, m *Metrics, dec wire.Decoding,
+	fromFrame func(wire.Decoding, []byte) (*T, error)) (*T, error) {
 	if resp.StatusCode != http.StatusOK {
 		se := httpapi.ReadErrorResponse(resp.StatusCode, resp.Body)
 		return nil, fmt.Errorf("authtext: %s: server returned %d: %w", path, se.Status, se)
@@ -503,12 +514,12 @@ func decodeBody[T any](path string, resp *http.Response, m *Metrics, fromFrame f
 	start := time.Now()
 	ct, _, _ := strings.Cut(resp.Header.Get("Content-Type"), ";")
 	if fromFrame != nil && strings.EqualFold(strings.TrimSpace(ct), wire.ContentType) {
-		frame, err := readCapped(resp.Body)
+		frame, err := readCapped(resp)
 		if err != nil {
 			return nil, fmt.Errorf("authtext: %s: %w", path, err)
 		}
 		start = time.Now()
-		out, err := fromFrame(frame)
+		out, err := fromFrame(dec, frame)
 		if err != nil {
 			verr := &core.VerifyError{Code: core.CodeMalformedVO, Detail: err.Error()}
 			m.countTamper()
@@ -528,10 +539,27 @@ func decodeBody[T any](path string, resp *http.Response, m *Metrics, fromFrame f
 	return out, nil
 }
 
+// decodeManifest decodes a manifest frame, which names no dictionary.
+func decodeManifest(_ wire.Decoding, frame []byte) (*httpapi.ManifestResponse, error) {
+	return wire.DecodeManifestResponse(frame)
+}
+
 // readCapped buffers a body under maxResponseBytes, erroring (rather than
-// silently truncating) when the server exceeds the cap.
-func readCapped(r io.Reader) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(r, maxResponseBytes+1))
+// silently truncating) when the server exceeds the cap. A body whose length
+// the server declared within the cap is read into one buffer of that size
+// (and one spare byte, which must find the body's end).
+func readCapped(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= maxResponseBytes {
+		b := make([]byte, n, n+1)
+		if _, err := io.ReadFull(resp.Body, b); err != nil {
+			return nil, err
+		}
+		if k, err := resp.Body.Read(b[n : n+1]); k != 0 || err != io.EOF {
+			return nil, fmt.Errorf("response body runs past its declared %d bytes", n)
+		}
+		return b, nil
+	}
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes+1))
 	if err != nil {
 		return nil, err
 	}

@@ -57,9 +57,9 @@ func TestRemoteJSONFallbackOn406(t *testing.T) {
 	}
 }
 
-// legacyFrameType is the media type of the frame version before chunk
-// lists, which this build neither sends nor reads.
-const legacyFrameType = "application/x-authtext-frame"
+// legacyFrameType is the media type of the frame version before collection
+// dictionaries, which this build neither sends nor reads.
+const legacyFrameType = "application/x-authtext-frame-v2"
 
 // negotiationProxy serves handler to clients whose Accept header rewrite
 // replaces, and counts the responses by Content-Type.

@@ -10,6 +10,7 @@ import (
 
 	"authtext/internal/core"
 	"authtext/internal/httpapi"
+	"authtext/internal/wire"
 )
 
 // This file adapts every deployment shape to the /v1 HTTP protocol of
@@ -166,7 +167,7 @@ func (s *staticSource) updater() (liveUpdater, bool) { return nil, false }
 // cache and registry.
 
 func (o *LiveOwner) pin(c *VOCache, m *Metrics) *Server {
-	return &Server{v: current(o.lc), cache: c, metrics: m}
+	return &Server{v: o.serving(), cache: c, metrics: m}
 }
 func (o *LiveOwner) export() ([]byte, error) { return o.ExportClient() }
 func (o *LiveOwner) adopt(m *Metrics) {
@@ -314,27 +315,28 @@ func shardedOnly(instead string) error {
 	}
 }
 
-func (b *backend) Search(req *httpapi.SearchRequest) (*httpapi.SearchResponse, error) {
+func (b *backend) Search(req *httpapi.SearchRequest) (*httpapi.SearchResponse, *wire.Dictionary, error) {
 	if b.sharded {
-		return nil, shardedOnly("query " + httpapi.PathShardSearch)
+		return nil, nil, shardedOnly("query " + httpapi.PathShardSearch)
 	}
-	res, err := b.search(req)
+	res, dict, err := b.search(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return wireSearchResponse(req, res), nil
+	return wireSearchResponse(req, res), dict, nil
 }
 
 // search answers one query on one pinned generation — for a shard set, the
-// whole fan-out. A variant the collection was not built with is the
-// caller's 422: it is no server failure, so it is not counted as one;
-// anything else counts as failed and stays a 500.
-func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, error) {
+// whole fan-out — and returns the generation's dictionary with it. A
+// variant the collection was not built with is the caller's 422: it is no
+// server failure, so it is not counted as one; anything else counts as
+// failed and stays a 500.
+func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, *wire.Dictionary, error) {
 	start := time.Now()
 	srv := b.pin()
 	res, err := srv.Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
 	if errors.Is(err, ErrVariantNotBuilt) {
-		return nil, &httpapi.StatusError{
+		return nil, nil, &httpapi.StatusError{
 			Status: http.StatusUnprocessableEntity,
 			Code:   httpapi.CodeVariantNotBuilt,
 			Message: fmt.Sprintf("variant %s-%s is not built; this collection answers %v",
@@ -343,7 +345,7 @@ func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, error) {
 	}
 	if err != nil {
 		b.failed.Add(1)
-		return nil, err
+		return nil, nil, err
 	}
 	b.served.Add(1)
 	if b.opts.queryLog != nil {
@@ -351,15 +353,15 @@ func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, error) {
 		// result object.
 		b.opts.queryLog(req.Query, req.R, res.Stats, time.Since(start))
 	}
-	return res, nil
+	return res, srv.v.dict, nil
 }
 
-func (b *backend) shardSearch(req *httpapi.SearchRequest) (*httpapi.ShardedSearchResponse, error) {
-	res, err := b.search(req)
+func (b *backend) shardSearch(req *httpapi.SearchRequest) (*httpapi.ShardedSearchResponse, *wire.Dictionary, error) {
+	res, dict, err := b.search(req)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return wireShardedResponse(req, res), nil
+	return wireShardedResponse(req, res), dict, nil
 }
 
 // ClientExport serves /v1/manifest: the current generation's ATCX blob.

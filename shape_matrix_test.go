@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -112,8 +115,10 @@ type matrixEnv struct {
 	// nil on the other shapes. A handler built WithVOCache must ignore it.
 	ownCache *authtext.VOCache
 	// advance publishes one more generation and makes every handler serve
-	// it; nil on static shapes.
+	// it; nil on static shapes. grow does the same with docs added, which
+	// may bring new terms.
 	advance func(t *testing.T)
+	grow    func(t *testing.T, docs []authtext.Document)
 	// server returns an in-process Server of the test's own, pinned to the
 	// generation the handlers currently serve, and client a verifying
 	// client of that generation.
@@ -217,11 +222,28 @@ func replicaEnv(t *testing.T, owner *authtext.LiveOwner, dir string, replica *au
 		documents: matrixDocs - 1, generation: 2, server: replica.Server, client: replica.Client,
 		advance: func(t *testing.T) {
 			must(owner.RemoveDocuments(owner.Handles()[0]))(t)
-			must(owner.WriteSnapshotDir(dir))(t)
-			if swapped := must(replica.Reload())(t); !swapped {
-				t.Fatal("reload did not swap")
-			}
+			reload(t, owner, dir, replica)
 		},
+		grow: func(t *testing.T, docs []authtext.Document) {
+			addDocuments(t, owner, docs)
+			reload(t, owner, dir, replica)
+		},
+	}
+}
+
+// addDocuments publishes docs at owner.
+func addDocuments(t *testing.T, owner *authtext.LiveOwner, docs []authtext.Document) {
+	t.Helper()
+	if _, _, err := owner.AddDocuments(docs); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// reload writes owner's current generation to dir and swaps replica to it.
+func reload(t *testing.T, owner *authtext.LiveOwner, dir string, replica *authtext.LiveReplica) {
+	must(owner.WriteSnapshotDir(dir))(t)
+	if swapped := must(replica.Reload())(t); !swapped {
+		t.Fatal("reload did not swap")
 	}
 }
 
@@ -312,6 +334,7 @@ var matrixShapes = func() (shapes []matrixShape) {
 						handler:   func(c *authtext.VOCache) http.Handler { return must(owner.HTTPHandler(authtext.WithVOCache(c)))(t) },
 						documents: matrixDocs - 1, generation: 2, server: owner.Server, client: owner.Client,
 						advance: func(t *testing.T) { must(owner.RemoveDocuments(owner.Handles()[0]))(t) },
+						grow:    func(t *testing.T, docs []authtext.Document) { addDocuments(t, owner, docs) },
 					}
 				}},
 			matrixShape{name: "replica" + suffix, shards: shards, adminStatus: http.StatusForbidden,
@@ -464,6 +487,17 @@ func matrixRows(t *testing.T, shape matrixShape, env matrixEnv, listMode bool) {
 		}
 	}
 
+	// The answers the frame rows attack deflate their bodies against the
+	// collection dictionary, so a lie about the dictionary is a lie about
+	// the bodies.
+	for _, algo := range matrixAlgos {
+		for _, q := range []string{matrixQuery, matrixTieQuery} {
+			rec := matrixDo(handler, http.MethodPost, searchPath, searchBodyOf(q, algo), wire.ContentType)
+			if dictionaryOf(rec.Body.Bytes()).id == "" {
+				t.Fatalf("%s %q: the frame names no dictionary", algo, q)
+			}
+		}
+	}
 	matrixHonest(t, env, shape, handler, false)
 
 	// A fleet front end relays the frames untouched.
@@ -552,7 +586,7 @@ func matrixRows(t *testing.T, shape matrixShape, env matrixEnv, listMode bool) {
 		t.Run(map[bool]string{false: "json", true: "frame"}[frame], func(t *testing.T) {
 			b := battery{env: env, shards: shape.shards, frame: frame, rows: tamperRows(listMode)}
 			if frame {
-				b.flips = frameFlips
+				b.edits = frameEdits
 			}
 			b.run(t)
 		})
@@ -635,6 +669,128 @@ func matrixLifecycle(t *testing.T, env matrixEnv, shape matrixShape, handler htt
 				t.Fatalf("replayed generation %d to a client at %d classified as %v", env.generation, rc.Generation(), err)
 			}
 		})
+	}
+}
+
+// TestHandlerShapeMatrixDictionaries is the collection-dictionary column of
+// the live shapes (matrixDictionaries). It runs on its own, not beside the
+// parallel matrix: the attachment and install counts are the process's,
+// and they add up only while nothing else encodes or decodes frames.
+func TestHandlerShapeMatrixDictionaries(t *testing.T) {
+	for _, shape := range matrixShapes {
+		if shape.adminStatus == http.StatusNotFound {
+			continue // a static shape never publishes
+		}
+		t.Run(shape.name, func(t *testing.T) { matrixDictionaries(t, shape.build(t, nil)) })
+	}
+}
+
+// growths numbers the vocabulary-growing publishes of this process.
+var growths atomic.Int64
+
+// frameDictionary is the collection dictionary a search frame names (""
+// for none) and whether it carries it in full.
+type frameDictionary struct {
+	id       string
+	attached bool
+}
+
+// dictionaryOf reads the dictionary fields of frame.
+func dictionaryOf(frame []byte) frameDictionary {
+	f := splitFrame(frame)
+	if f.flags&2 == 0 {
+		return frameDictionary{}
+	}
+	return frameDictionary{id: fmt.Sprintf("%x", f.id), attached: f.flags&4 != 0}
+}
+
+// recordDictionaries serves through h and records the dictionary of every
+// search frame h answers with.
+func recordDictionaries(h http.Handler, seen *[]frameDictionary) http.Handler {
+	var mu sync.Mutex
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if (r.URL.Path == httpapi.PathSearch || r.URL.Path == httpapi.PathShardSearch) && rec.Header().Get("Content-Type") == wire.ContentType {
+			mu.Lock()
+			*seen = append(*seen, dictionaryOf(rec.Body.Bytes()))
+			mu.Unlock()
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(rec.Body.Bytes())
+	})
+}
+
+// matrixDictionaries follows a frame-speaking client across publishes: its
+// answers' bodies deflate against the collection dictionary; a publish that
+// keeps the vocabulary keeps the dictionary, and nothing is attached again;
+// a publish that grows it by more than a sixteenth (up to five new terms,
+// on a vocabulary of about twenty) swaps the dictionary, and the client verifies
+// every answer of the new generation with the new dictionary attached to
+// exactly one of them. (A smaller growth keeps the dictionary:
+// TestLiveDictionaryKeptThroughSmallVocabularyChange.)
+func matrixDictionaries(t *testing.T, env matrixEnv) {
+	var seen []frameDictionary
+	rc := dialer(t, recordDictionaries(env.handler(authtext.NewVOCache(1<<20)), &seen), false)()
+	queries := []string{matrixQuery, matrixTieQuery} // answers big enough to deflate (matrixRows)
+	// searchAll asks every query and returns the dictionaries of the answers
+	// and what the process's decoders did meanwhile.
+	searchAll := func() ([]frameDictionary, wire.DictionaryStats) {
+		t.Helper()
+		before, from := wire.Dictionaries(), len(seen)
+		for _, q := range queries {
+			res, err := rc.Search(context.Background(), q, matrixR, authtext.TNRA, authtext.ChainMHT)
+			env.honest(t, q, authtext.TNRA, res, err)
+		}
+		after := wire.Dictionaries()
+		if len(seen)-from != len(queries) {
+			t.Fatalf("%d search frames for %d queries", len(seen)-from, len(queries))
+		}
+		return seen[from:], wire.DictionaryStats{Attached: after.Attached - before.Attached,
+			Installed: after.Installed - before.Installed, Refused: after.Refused - before.Refused}
+	}
+	// same checks that every answer names one dictionary, and returns it.
+	same := func(frames []frameDictionary) string {
+		t.Helper()
+		for _, f := range frames {
+			if f.id == "" || f.id != frames[0].id {
+				t.Fatalf("answers name dictionaries %+v, want one, every time", frames)
+			}
+		}
+		return frames[0].id
+	}
+	first, _ := searchAll()
+	id := same(first)
+
+	env.advance(t)
+	stable, st := searchAll()
+	if same(stable) != id || st != (wire.DictionaryStats{}) {
+		t.Fatalf("a publish that keeps the vocabulary: dictionary %s → %s, %+v", id[:8], stable[0].id[:8], st)
+	}
+	for _, f := range stable {
+		if f.attached {
+			t.Fatal("a publish that keeps the vocabulary attached the dictionary again")
+		}
+	}
+
+	// New terms, in several documents each, so every shard set places two
+	// of them in one shard and the terms are no singletons there. The
+	// client has never been sent the dictionary they make.
+	var docs []authtext.Document
+	fresh := fmt.Sprintf("zephyr%d", growths.Add(1))
+	for _, u := range []string{"alpha", "bravo", "charlie"} {
+		docs = append(docs, authtext.Document{Content: []byte(fresh + " quasar digest " + u)})
+	}
+	env.grow(t, docs)
+	grown, st := searchAll()
+	if same(grown) == id {
+		t.Fatal("a publish that grows the vocabulary kept the dictionary")
+	}
+	if st != (wire.DictionaryStats{Attached: 1, Installed: 1}) || !grown[0].attached {
+		t.Fatalf("a vocabulary-growing publish: frames %+v, dictionaries %+v; want the first answer to attach the new one, once", grown, st)
 	}
 }
 
@@ -922,36 +1078,114 @@ func editTerms(raw []byte, edit func([]vo.TermProof) []vo.TermProof) []byte {
 	return enc
 }
 
-// A frameFlip flips one bit of a frame at the offset pick chooses in a
-// frame of n bytes.
-type frameFlip struct {
+// A frameEdit rewrites a binary frame; want is the tampering code the
+// client must report (core.VerifyOK: any).
+type frameEdit struct {
 	name string
-	pick func(n int) int
+	want core.VerifyCode
+	edit func(frame []byte) []byte
 }
 
-// frameFlips flips one bit in every region of a binary frame — magic,
-// version, type, flags, CRC, length and payload. The exhaustive every-bit
+// flip flips one bit of a frame at the offset pick chooses in a frame of n
+// bytes.
+func flip(name string, pick func(n int) int) frameEdit {
+	return frameEdit{name, core.VerifyOK, func(frame []byte) []byte {
+		out := bytes.Clone(frame)
+		out[pick(len(out))] ^= 0x10
+		return out
+	}}
+}
+
+// frameEdits flips one bit in every region of a binary frame — magic,
+// version, type, flags, CRC, length and payload — and lies about the
+// collection dictionary with the CRC made good. The exhaustive every-bit
 // battery runs in memory in internal/wire; these prove the classification
 // survives the whole client stack.
-var frameFlips = []frameFlip{
-	{"magic", func(int) int { return 1 }},
-	{"version", func(int) int { return 4 }},
-	{"type", func(int) int { return 5 }},
-	{"flags", func(int) int { return 7 }},
-	{"crc", func(int) int { return 9 }},
-	{"length", func(int) int { return 14 }},
-	{"payload start", func(int) int { return wire.HeaderSize }},
-	{"payload middle", func(n int) int { return wire.HeaderSize + (n-wire.HeaderSize)/2 }},
-	{"payload end", func(n int) int { return n - 1 }},
+var frameEdits = []frameEdit{
+	flip("magic", func(int) int { return 1 }),
+	flip("version", func(int) int { return 4 }),
+	flip("type", func(int) int { return 5 }),
+	flip("flags", func(int) int { return 7 }),
+	flip("crc", func(int) int { return 9 }),
+	flip("length", func(int) int { return 14 }),
+	flip("payload start", func(int) int { return wire.HeaderSize }),
+	flip("payload middle", func(n int) int { return wire.HeaderSize + (n-wire.HeaderSize)/2 }),
+	flip("payload end", func(n int) int { return n - 1 }),
+	{"attach a dictionary whose SHA-256 is not the frame's", core.CodeMalformedVO, func(frame []byte) []byte {
+		f := splitFrame(frame)
+		f.id, f.dict = sha256.Sum256([]byte("the dictionary named")), []byte("another dictionary attached")
+		return f.join(true)
+	}},
+	{"name a dictionary, attach none, to a client that holds none", core.CodeMalformedVO, func(frame []byte) []byte {
+		f := splitFrame(frame)
+		f.id = sha256.Sum256([]byte("a dictionary no client was given"))
+		return f.join(false)
+	}},
+	{"attach another self-consistent dictionary, streams unchanged", core.VerifyOK, func(frame []byte) []byte {
+		f := splitFrame(frame)
+		f.dict = bytes.Repeat([]byte("tampered history "), wire.MaxDictionaryBytes/17)
+		f.id = sha256.Sum256(f.dict)
+		return f.join(true)
+	}},
+}
+
+// splitFrame takes a well-formed frame apart (docs/PROTOCOL.md "Binary
+// framing"): the first six header bytes, the flags, the dictionary the
+// frame names and the one it carries, and the payload.
+func splitFrame(frame []byte) framed {
+	f := framed{head: frame[:6], flags: binary.BigEndian.Uint16(frame[6:])}
+	body := frame[wire.HeaderSize:]
+	if f.flags&2 != 0 {
+		f.id, body = [sha256.Size]byte(body), body[sha256.Size:]
+	}
+	if f.flags&4 != 0 {
+		n := binary.BigEndian.Uint32(body)
+		f.dict, body = body[4:4+n], body[4+n:]
+	}
+	f.payload = body
+	return f
+}
+
+type framed struct {
+	head    []byte
+	flags   uint16
+	id      [sha256.Size]byte
+	dict    []byte
+	payload []byte
+}
+
+// join reassembles the frame naming f.id, carrying f.dict when attach is
+// set, with the CRC and length made good.
+func (f framed) join(attach bool) []byte {
+	body := append([]byte(nil), f.id[:]...)
+	flags := f.flags | 2
+	if attach {
+		flags |= 4
+		body = binary.BigEndian.AppendUint32(body, uint32(len(f.dict)))
+		body = append(body, f.dict...)
+	} else {
+		flags &^= 4
+	}
+	body = append(body, f.payload...)
+	out := binary.BigEndian.AppendUint16(bytes.Clone(f.head), flags)
+	out = binary.BigEndian.AppendUint32(out, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	out = binary.BigEndian.AppendUint64(out, uint64(len(body)))
+	return append(out, body...)
 }
 
 // rewrite decodes a search answer from the codec it travelled in, applies
-// mutate, and re-encodes it in that codec.
-func rewrite[T any](body []byte, frame bool, decode func([]byte) (*T, error), encode func(*T) []byte, mutate func(*T)) ([]byte, error) {
+// mutate, and re-encodes it in that codec — a frame against the dictionary
+// it named, carried when it carried it.
+func rewrite[T any](body []byte, frame bool, decode func(wire.Decoding, []byte) (*T, error),
+	encode func(wire.Encoding, *T) []byte, mutate func(*T)) ([]byte, error) {
 	v := new(T)
 	var err error
+	var enc wire.Encoding
 	if frame {
-		v, err = decode(body)
+		var dec wire.Decoding
+		if enc, dec, err = frameCodec(body); err == nil {
+			v, err = decode(dec, body)
+		}
 	} else {
 		err = json.Unmarshal(body, v)
 	}
@@ -960,9 +1194,36 @@ func rewrite[T any](body []byte, frame bool, decode func([]byte) (*T, error), en
 	}
 	mutate(v)
 	if frame {
-		return encode(v), nil
+		return encode(enc, v), nil
 	}
 	return json.Marshal(v)
+}
+
+// relayedDictionaries holds every collection dictionary a tamper proxy saw a
+// frame carry, by id: what the proxy rewrites a frame against when the
+// frame names one without carrying it (its client held it).
+var relayedDictionaries sync.Map // [sha256.Size]byte → *wire.Dictionary
+
+// relay records the dictionary an honest frame carries.
+func relay(frame []byte) {
+	if f := splitFrame(frame); f.flags&4 != 0 {
+		relayedDictionaries.LoadOrStore(f.id, wire.NewDictionary(bytes.Clone(f.dict)))
+	}
+}
+
+// frameCodec is the codec of frame: the dictionary it names, which must be
+// one a proxy relayed, and whether it carries it.
+func frameCodec(frame []byte) (wire.Encoding, wire.Decoding, error) {
+	f := splitFrame(frame)
+	if f.flags&2 == 0 {
+		return wire.Encoding{}, wire.Decoding{}, nil
+	}
+	d, ok := relayedDictionaries.Load(f.id)
+	if !ok {
+		return wire.Encoding{}, wire.Decoding{}, fmt.Errorf("the frame names dictionary %x…, which no proxy relayed", f.id[:8])
+	}
+	dict := d.(*wire.Dictionary)
+	return wire.Encoding{Dict: dict, Attach: f.flags&4 != 0}, wire.Decoding{Held: []*wire.Dictionary{dict}}, nil
 }
 
 // A mutation rewrites the body of one successful search answer.
@@ -977,7 +1238,7 @@ func (row tamperRow) mutation(sharded bool, other []byte) mutation {
 			if err := unmarshalOptional(other, &o); err != nil {
 				return nil, err
 			}
-			return rewrite(body, frame, wire.DecodeSearchResponse, wire.EncodeSearchResponse,
+			return rewrite(body, frame, wire.Decoding.SearchResponse, wire.Encoding.SearchResponse,
 				func(r *wire.SearchResponse) { row.bare(r, &o) })
 		}
 	}
@@ -986,7 +1247,7 @@ func (row tamperRow) mutation(sharded bool, other []byte) mutation {
 		if err := unmarshalOptional(other, &o); err != nil {
 			return nil, err
 		}
-		return rewrite(body, frame, wire.DecodeShardedSearchResponse, wire.EncodeShardedSearchResponse,
+		return rewrite(body, frame, wire.Decoding.ShardedSearchResponse, wire.Encoding.ShardedSearchResponse,
 			func(r *wire.ShardedSearchResponse) {
 				if row.sharded != nil {
 					row.sharded(r, &o)
@@ -1035,6 +1296,7 @@ func (p *tamperProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	body, frame := rec.Body.Bytes(), rec.Header().Get("Content-Type") == wire.ContentType
 	if frame {
 		p.frames.Add(1)
+		relay(body)
 	}
 	if m := p.mutate.Load(); m != nil && rec.Code == http.StatusOK &&
 		(r.URL.Path == httpapi.PathSearch || r.URL.Path == httpapi.PathShardSearch) {
@@ -1060,7 +1322,7 @@ type battery struct {
 	shards int
 	frame  bool
 	rows   []tamperRow
-	flips  []frameFlip
+	edits  []frameEdit
 	// listen runs the clients over a real listener.
 	listen bool
 }
@@ -1083,15 +1345,13 @@ func (b battery) run(t *testing.T) {
 					b.attack(t, proxy, dial, hits, hitCache, algo, query, row.want, row.mutation(b.shards > 0, spliced))
 				})
 			}
-			for _, f := range b.flips {
-				t.Run(f.name, func(t *testing.T) {
-					b.attack(t, proxy, dial, hits, hitCache, algo, matrixQuery, core.VerifyOK, func(body []byte, frame bool) ([]byte, error) {
+			for _, e := range b.edits {
+				t.Run(e.name, func(t *testing.T) {
+					b.attack(t, proxy, dial, hits, hitCache, algo, matrixQuery, e.want, func(body []byte, frame bool) ([]byte, error) {
 						if !frame {
-							return nil, errors.New("no frame to flip")
+							return nil, errors.New("no frame to edit")
 						}
-						out := bytes.Clone(body)
-						out[f.pick(len(out))] ^= 0x10
-						return out, nil
+						return e.edit(body), nil
 					})
 				})
 			}
@@ -1375,7 +1635,7 @@ func TestRemoteBinarySemanticTamperDetected(t *testing.T) {
 }
 
 func TestRemoteBinaryFrameTamperBattery(t *testing.T) {
-	batteryCell(t, "static-single", battery{frame: true, flips: frameFlips})
+	batteryCell(t, "static-single", battery{frame: true, edits: frameEdits})
 }
 
 // A poisoned cache entry serves the bytes of an in-transit flip of a hit;

@@ -97,7 +97,7 @@ func OpenSnapshot(r io.ReaderAt) (*Server, *Client, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	v := served{col: col}
+	v := served{col: col}.withDictionary()
 	return &Server{v: v}, v.client(), nil
 }
 
@@ -168,7 +168,7 @@ func openSnapshotPath(path string, mapped bool) (*MappedSnapshot, error) {
 			return nil, fmt.Errorf("authtext: %w", err)
 		}
 	}
-	ms.server, ms.client = &Server{v: v}, v.client()
+	ms.server, ms.client = &Server{v: v.withDictionary()}, v.client()
 	return ms, nil
 }
 
