@@ -18,7 +18,7 @@
 //
 // Usage:
 //
-//	authserved [-addr :8470] [-snapshot FILE|DIR [-mmap] | -dir PATH] [-shards N]
+//	authserved [-addr :8470] [-snapshot FILE|DIR | -dir PATH] [-shards N]
 //	           [-variants all|V,V,...] [-live [-live-snapshots DIR]]
 //	           [-watch DUR] [-cache-mb N]
 //	           [-fleet URL,URL,... [-fleet-probe DUR]]
@@ -33,10 +33,10 @@
 // fan-out over every shard; when it is a per-generation snapshot
 // directory written by a live owner (gen-NNNNNNNNNNNN.atsn files, or
 // gen-NNNNNNNNNNNN/ shard sets; docs/UPDATES.md), the daemon serves the
-// latest generation and — with -watch — hot-swaps to newer ones. -mmap
-// maps the snapshot files instead of reading them into the heap, so
-// daemons serving one generation share its pages in the page cache; the
-// open checks every checksum exactly as the heap open does. Without
+// latest generation and — with -watch — hot-swaps to newer ones. Every
+// snapshot file is read into memory and checksummed at open, so the daemon
+// serves a private copy: rebuilding a served file in place affects only the
+// next boot (or, in a watched directory, the next generation). Without
 // -snapshot the daemon performs the owner role in-process for
 // convenience; adding -shards N splits the corpus into N independently
 // signed shards at startup, and -live additionally accepts document
@@ -113,7 +113,6 @@ type config struct {
 	quiet      bool
 	live       bool
 	liveSnaps  string
-	mmap       bool
 	watch      time.Duration
 	cacheMB    int
 	fleet      string
@@ -145,13 +144,12 @@ func parseFlags(args []string) (config, error) {
 	var logLevel, variants string
 	fs.StringVar(&cfg.addr, "addr", ":8470", "listen address")
 	fs.StringVar(&cfg.dir, "dir", "", "directory of .txt files to index (default: demo corpus)")
-	fs.StringVar(&cfg.snapshot, "snapshot", "", "boot from this snapshot file (or sharded snapshot directory) instead of building a collection")
+	fs.StringVar(&cfg.snapshot, "snapshot", "", "boot from this snapshot file (or sharded or per-generation snapshot directory), read into memory at open, instead of building a collection")
 	fs.IntVar(&cfg.shards, "shards", 0, "split the corpus into N independently signed shards (build mode)")
 	fs.StringVar(&variants, "variants", "", "variants to build (build mode; dictionary mode, so lists carry no signatures): all, or a comma-separated list of tra-mht, tra-cmht, tnra-mht, tnra-cmht (default tnra-cmht)")
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-query log lines and the request records of answered requests (failed requests are still logged)")
 	fs.BoolVar(&cfg.live, "live", false, "accept document updates on /v1/admin/update (build mode); every batch publishes a new signed generation")
 	fs.StringVar(&cfg.liveSnaps, "live-snapshots", "", "with -live: persist every published generation as an ATSN snapshot in this directory")
-	fs.BoolVar(&cfg.mmap, "mmap", false, "with -snapshot: memory-map snapshot files instead of reading them into the heap (page cache shared between processes; checksums checked at open as without it)")
 	fs.DurationVar(&cfg.watch, "watch", 0, "with -snapshot DIR of per-generation snapshots: poll at this interval and hot-swap to new generations")
 	fs.IntVar(&cfg.cacheMB, "cache-mb", 0, "serve repeat queries from an in-memory VO cache bounded by N MiB of encoded answers (0 disables); document updates invalidate it automatically")
 	fs.StringVar(&cfg.fleet, "fleet", "", "run as a fleet front end over these comma-separated replica base URLs instead of serving a collection")
@@ -208,9 +206,6 @@ func parseFlags(args []string) (config, error) {
 	if cfg.watch > 0 && cfg.snapshot == "" {
 		return config{}, errors.New("-watch requires -snapshot DIR (a per-generation snapshot directory)")
 	}
-	if cfg.mmap && cfg.snapshot == "" {
-		return config{}, errors.New("-mmap requires -snapshot (there is nothing to map in build mode)")
-	}
 	if cfg.cacheMB < 0 {
 		return config{}, fmt.Errorf("-cache-mb %d out of range", cfg.cacheMB)
 	}
@@ -230,8 +225,6 @@ func parseFlags(args []string) (config, error) {
 			return config{}, errors.New("-fleet and -watch are mutually exclusive")
 		case cfg.cacheMB > 0:
 			return config{}, errors.New("-fleet and -cache-mb are mutually exclusive: replicas own their caches")
-		case cfg.mmap:
-			return config{}, errors.New("-fleet and -mmap are mutually exclusive")
 		}
 	}
 	if cfg.fleetProbe != 0 {
@@ -423,14 +416,10 @@ func openSnapshot(cfg config, hopts []authtext.HandlerOption, logger *slog.Logge
 	start := time.Now()
 	opened := func(what string, attrs ...any) {
 		logger.Info("opened "+what+" (no re-indexing, no re-signing)", append(attrs,
-			"path", cfg.snapshot, "mmap", cfg.mmap, "elapsed", time.Since(start).Round(time.Millisecond))...)
+			"path", cfg.snapshot, "elapsed", time.Since(start).Round(time.Millisecond))...)
 	}
 	if authtext.IsLiveSnapshotDir(cfg.snapshot) {
-		openDir := authtext.OpenLiveSnapshotDir
-		if cfg.mmap {
-			openDir = authtext.OpenLiveSnapshotDirMapped
-		}
-		rep, err := openDir(cfg.snapshot)
+		rep, err := authtext.OpenLiveSnapshotDir(cfg.snapshot)
 		if err != nil {
 			return nil, err
 		}
@@ -446,18 +435,9 @@ func openSnapshot(cfg config, hopts []authtext.HandlerOption, logger *slog.Logge
 		// while the operator believes hot-reload is active.
 		return nil, errors.New("-watch requires -snapshot to be a per-generation snapshot directory (gen-NNNNNNNNNNNN.atsn files or gen-NNNNNNNNNNNN/ shard sets)")
 	}
-	var server *authtext.Server
-	if cfg.mmap {
-		ms, err := authtext.OpenSnapshotMapped(cfg.snapshot)
-		if err != nil {
-			return nil, err
-		}
-		server = ms.Server() // serves for the process lifetime; never closed
-	} else {
-		var err error
-		if server, _, err = authtext.OpenSnapshotFile(cfg.snapshot); err != nil {
-			return nil, err
-		}
+	server, _, err := authtext.OpenSnapshotFile(cfg.snapshot)
+	if err != nil {
+		return nil, err
 	}
 	// Export from what was opened (not a second read of the files), so the
 	// published material always matches the serving collection.

@@ -425,9 +425,19 @@ func TestParseFlagsBeforeBuild(t *testing.T) {
 	if cfg.addr != ":0" || !cfg.quiet {
 		t.Fatalf("cfg = %+v", cfg)
 	}
-	// Vocabulary proofs are always on in build mode; there is no flag.
-	if _, err := parseFlags([]string{"-vocab-proofs=false"}); err == nil {
-		t.Error("-vocab-proofs accepted")
+	// Removed flags are ordinary unknown flags: vocabulary proofs are always
+	// on in build mode, and every snapshot is read into memory at open.
+	snap := filepath.Join(t.TempDir(), "x.atsn")
+	if err := os.WriteFile(snap, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, removed := range [][]string{
+		{"-vocab-proofs=false"},
+		{"-snapshot", snap, "-mmap"},
+	} {
+		if _, err := parseFlags(removed); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%q: err %v, want an unknown-flag usage error", removed, err)
+		}
 	}
 }
 
@@ -688,7 +698,6 @@ func TestParseFlagsFleet(t *testing.T) {
 		{"-fleet", "http://r1:8470", "-live"},
 		{"-fleet", "http://r1:8470", "-watch", "1s"},
 		{"-fleet", "http://r1:8470", "-cache-mb", "64"},
-		{"-fleet", "http://r1:8470", "-mmap"},
 		{"-fleet-probe", "1s"},
 		{"-fleet", "http://r1:8470", "-fleet-probe", "-1s"},
 	} {
@@ -776,8 +785,7 @@ func TestBuildFleetHandlerServesVerifiableFleet(t *testing.T) {
 // The sharded live routes: `-live -shards N -live-snapshots DIR` persists
 // every set generation, and `-snapshot DIR -watch` on that directory opens
 // a sharded replica that follows it — verifiable end to end and
-// serving-only, with its generations read into the heap or, with -mmap,
-// memory-mapped.
+// serving-only.
 func TestBuildHandlerLiveShardedSnapshotsAndWatchedReplica(t *testing.T) {
 	gens := filepath.Join(t.TempDir(), "gens")
 	cfg, err := parseFlags([]string{"-live", "-shards", "2", "-live-snapshots", gens, "-quiet"}) // demo corpus
@@ -808,20 +816,6 @@ func TestBuildHandlerLiveShardedSnapshotsAndWatchedReplica(t *testing.T) {
 		t.Fatalf("%s holds no per-generation sharded snapshots", gens)
 	}
 
-	ctx := context.Background()
-	mappedHandler, err := buildHandler(config{snapshot: gens, mmap: true, quiet: true}, discardLogger())
-	if err != nil {
-		t.Fatalf("-mmap refused a per-generation sharded snapshot directory: %v", err)
-	}
-	mapped := httptest.NewServer(mappedHandler)
-	defer mapped.Close()
-	mrc, err := authtext.NewRemoteClient(mapped.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := mrc.Search(ctx, "search results", 2, authtext.TNRA, authtext.ChainMHT); err != nil || res.Generation != 2 {
-		t.Fatalf("mapped replica search: %+v, err %v", res, err)
-	}
 	rcfg, err := parseFlags([]string{"-snapshot", gens, "-watch", "5ms", "-quiet"})
 	if err != nil {
 		t.Fatal(err)
@@ -837,6 +831,7 @@ func TestBuildHandlerLiveShardedSnapshotsAndWatchedReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ctx := context.Background()
 	res, err := rc.Search(ctx, "search results", 2, authtext.TNRA, authtext.ChainMHT)
 	if err != nil || res.Generation != 2 {
 		t.Fatalf("replica search: %+v, err %v", res, err)

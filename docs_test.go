@@ -2,7 +2,10 @@ package authtext_test
 
 import (
 	"fmt"
+	"go/ast"
 	"go/format"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -253,4 +256,218 @@ func TestDocsEndpointsExist(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goTestCommand is one `go test` invocation in a CI workflow.
+var goTestCommand = regexp.MustCompile(`\bgo test\s+(.*)$`)
+
+// goTestBoolFlags are the go test flags CI passes that take no value.
+var goTestBoolFlags = map[string]bool{"-race": true, "-short": true, "-v": true, "-benchmem": true}
+
+// shellWords splits a command line into words as sh does for the plain
+// and single- or double-quoted words the workflow uses.
+func shellWords(line string) []string {
+	var words []string
+	var word strings.Builder
+	inWord, quote := false, rune(0)
+	for _, r := range line {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			word.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, inWord = r, true
+		case r == ' ' || r == '\t':
+			if inWord {
+				words, inWord = append(words, word.String()), false
+				word.Reset()
+			}
+		default:
+			word.WriteRune(r)
+			inWord = true
+		}
+	}
+	if inWord {
+		words = append(words, word.String())
+	}
+	return words
+}
+
+// testFuncsIn returns the Test and Fuzz functions declared in the package
+// pattern pkg ("." or "./dir", either optionally ending in "/..."),
+// relative to root.
+func testFuncsIn(root, pkg string) ([]string, error) {
+	dir, recursive := strings.CutSuffix(pkg, "/...")
+	var names []string
+	err := filepath.WalkDir(filepath.Join(root, filepath.FromSlash(dir)), func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != filepath.Join(root, dir) && (!recursive || d.Name() == "testdata" ||
+				strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil &&
+				(strings.HasPrefix(fn.Name.Name, "Test") || strings.HasPrefix(fn.Name.Name, "Fuzz")) {
+				names = append(names, fn.Name.Name)
+			}
+		}
+		return nil
+	})
+	return names, err
+}
+
+// alternatives splits a regular expression at its top-level |s.
+func alternatives(expr string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i := 0; i < len(expr); i++ {
+		switch expr[i] {
+		case '\\':
+			i++
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts = append(alts, expr[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(alts, expr[start:])
+}
+
+// ciRunPatternMisses checks every `go test -run PATTERN` in the workflows
+// under root/.github/workflows against the Test and Fuzz functions of the
+// packages the command names, and reports each pattern alternative that
+// selects none. -run=NONE, which runs no tests on purpose, is exempt.
+func ciRunPatternMisses(root string) (misses []string, checked int, err error) {
+	workflows, err := filepath.Glob(filepath.Join(root, ".github", "workflows", "*.yml"))
+	if err != nil {
+		return nil, 0, err
+	}
+	for _, workflow := range workflows {
+		raw, err := os.ReadFile(workflow)
+		if err != nil {
+			return nil, 0, err
+		}
+		for i, line := range strings.Split(string(raw), "\n") {
+			m := goTestCommand.FindStringSubmatch(line)
+			if m == nil {
+				continue
+			}
+			var pattern string
+			var pkgs []string
+			words := shellWords(m[1])
+			for j := 0; j < len(words); j++ {
+				word := words[j]
+				if word == "|" || word == "&&" || word == ";" {
+					break
+				}
+				if !strings.HasPrefix(word, "-") {
+					pkgs = append(pkgs, word)
+					continue
+				}
+				name, value, ok := strings.Cut(word, "=")
+				if !ok && !goTestBoolFlags[name] && j+1 < len(words) {
+					j++
+					value = words[j]
+				}
+				if name == "-run" {
+					pattern = value
+				}
+			}
+			if pattern == "" || pattern == "NONE" {
+				continue
+			}
+			checked++
+			where := fmt.Sprintf("%s:%d", workflow, i+1)
+			var names []string
+			for _, pkg := range pkgs {
+				funcs, err := testFuncsIn(root, pkg)
+				if err != nil {
+					return nil, 0, fmt.Errorf("%s: package %s: %w", where, pkg, err)
+				}
+				names = append(names, funcs...)
+			}
+			// go test matches the top level of a slash-separated pattern
+			// against the function names. Each alternative must select
+			// something, or a deleted test hides behind a surviving one.
+			for _, alt := range alternatives(strings.Split(pattern, "/")[0]) {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					misses = append(misses, fmt.Sprintf("%s: -run %q does not compile: %v", where, pattern, err))
+					continue
+				}
+				matched := false
+				for _, name := range names {
+					matched = matched || re.MatchString(name)
+				}
+				if !matched {
+					misses = append(misses, fmt.Sprintf("%s: -run %q: %q selects no Test or Fuzz function in %v", where, pattern, alt, pkgs))
+				}
+			}
+		}
+	}
+	return misses, checked, nil
+}
+
+// TestCIRunPatternsMatchTests verifies that every -run pattern in the CI
+// workflow — each of its |-alternatives — selects at least one test in the
+// packages its step names, so a step whose tests were deleted or renamed
+// fails here instead of passing as a silent no-op.
+func TestCIRunPatternsMatchTests(t *testing.T) {
+	misses, checked, err := ciRunPatternMisses(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range misses {
+		t.Error(m)
+	}
+	if checked < 10 {
+		t.Fatalf("only %d -run patterns found in the workflows; the parser is probably wrong", checked)
+	}
+
+	t.Run("misspelt pattern", func(t *testing.T) {
+		root := t.TempDir()
+		workflow := "steps:\n" +
+			"  - run: go test -race -run 'TestReal|FuzzReal' -count=2 ./p\n" +
+			"  - run: go test ./p -run '^FuzzReal$' -fuzz '^FuzzReal$' -fuzztime 10s\n" +
+			"  - run: go test -run=NONE -bench=. ./...\n" +
+			"  - run: go test -run 'TestRael' -v ./...\n" +
+			"  - run: go test -run 'TestReal|TestGone' ./p\n"
+		for name, body := range map[string]string{
+			".github/workflows/ci.yml": workflow,
+			"p/p_test.go":              "package p\n\nimport \"testing\"\n\nfunc TestReal(t *testing.T) {}\n\nfunc FuzzReal(f *testing.F) {}\n",
+		} {
+			path := filepath.Join(root, filepath.FromSlash(name))
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		misses, checked, err := ciRunPatternMisses(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checked != 4 || len(misses) != 2 || !strings.Contains(misses[0], `"TestRael"`) || !strings.Contains(misses[1], `"TestGone"`) {
+			t.Fatalf("checked %d patterns, missed %q; want 4 checked and only TestRael and TestGone missed", checked, misses)
+		}
+	})
 }

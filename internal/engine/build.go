@@ -100,9 +100,7 @@ type SpaceReport struct {
 //
 // Immutability contract: once BuildCollection (or Restore) returns, the
 // inputs are immutable — the index, the device blocks, the layout tables, the
-// signatures and the collection-level Merkle trees never change, and a
-// restored collection's inputs stay valid for as long as it is reachable
-// (it holds what they alias; State.Backing). The one
+// signatures and the collection-level Merkle trees never change. The one
 // thing that does is a cache of digests derived from them: the per-document
 // trees (vecTrees) fill lazily through atomic publication, and readers never
 // block. Search therefore takes no lock; all per-query mutable state (the
@@ -145,9 +143,6 @@ type Collection struct {
 
 	buildStats BuildStats
 	space      SpaceReport
-	// backing keeps what a restored collection's slices alias reachable
-	// (State.Backing); nothing reads it.
-	backing any
 }
 
 // BuildCollection indexes the documents and constructs the authentication

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"time"
@@ -68,11 +67,8 @@ func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.
 	// Cursor code raises block-read failures as a typed panic (the cursor
 	// interfaces have no error channel). Recover it here so a read the
 	// device's bounds check refuses surfaces as a query error, not a
-	// process crash. The closure also keeps c reachable until Search
-	// returns: a collection decoded from a mapping unmaps it once
-	// unreachable, and the reads below alias its pages.
+	// process crash.
 	defer func() {
-		runtime.KeepAlive(c)
 		if p := recover(); p != nil {
 			f, ok := p.(deviceFault)
 			if !ok {

@@ -171,7 +171,7 @@ func Open(r io.ReaderAt) (*engine.Collection, error) {
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: reading: %w", err)
 	}
-	return parse(b, nil)
+	return parse(b)
 }
 
 // readAll reads r into one buffer: exactly its size when r reports one
@@ -206,10 +206,8 @@ func readAll(r io.ReaderAt) ([]byte, error) {
 // decoding anything. The collection decodes in place — it aliases b, which
 // must stay unmodified for as long as the collection is reachable — except
 // for the manifest and public key, which are copied: the verification
-// client built from them may outlive the collection. When b is the mapping
-// mp, the document bodies are copied too and the collection holds mp (see
-// OpenMapped).
-func parse(b []byte, mp *mapping) (*engine.Collection, error) {
+// client built from them may outlive the collection.
+func parse(b []byte) (*engine.Collection, error) {
 	if len(b) < 8 {
 		return nil, errors.New("snapshot: not a snapshot (shorter than its header)")
 	}
@@ -249,13 +247,12 @@ func parse(b []byte, mp *mapping) (*engine.Collection, error) {
 	if r.Len() != 0 {
 		return nil, errors.New("snapshot: trailing bytes after last section")
 	}
-	return restore(payloads, mp)
+	return restore(payloads)
 }
 
-// restore decodes the section payloads into a serving collection backed by
-// mp (nil for a heap buffer).
-func restore(payloads map[uint16][]byte, mp *mapping) (*engine.Collection, error) {
-	st := &engine.State{Backing: mp}
+// restore decodes the section payloads into a serving collection.
+func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
+	st := &engine.State{}
 
 	// Manifest first: it is the (signed) source of truth every later
 	// section is cross-checked against.
@@ -285,9 +282,6 @@ func restore(payloads map[uint16][]byte, mp *mapping) (*engine.Collection, error
 	st.Index, err = index.DecodeBinary(payloads[secIndex])
 	if err != nil {
 		return nil, fmt.Errorf("snapshot: %w", err)
-	}
-	if mp != nil {
-		copyBodies(st.Index.Content)
 	}
 
 	dr := binx.NewReader(payloads[secStore])
@@ -379,22 +373,6 @@ func restore(payloads map[uint16][]byte, mp *mapping) (*engine.Collection, error
 		return nil, fmt.Errorf("snapshot: embedded manifest signature: %w", err)
 	}
 	return col, nil
-}
-
-// copyBodies moves the document bodies into one heap allocation, each
-// capacity-capped: a search hands them to callers that may hold them after
-// the collection, and its mapping, are gone.
-func copyBodies(bodies [][]byte) {
-	total := 0
-	for _, body := range bodies {
-		total += len(body)
-	}
-	arena := make([]byte, 0, total)
-	for d, body := range bodies {
-		start := len(arena)
-		arena = append(arena, body...)
-		bodies[d] = arena[start:len(arena):len(arena)]
-	}
 }
 
 func appendSized32(b, v []byte) []byte {

@@ -50,12 +50,9 @@ func DecodeParams(b []byte) (Params, error) {
 }
 
 // RestoreDevice reconstructs a device from its parameters and raw contents.
-// The device aliases data — a snapshot's heap buffer or a read-only file
-// mapping shared with the page cache — and takes no copy: data must stay
-// valid and unmodified for as long as the device is readable, and Corrupt
-// must not be called on a device restored over a mapping (the pages are
-// write-protected). The data length must be block-granular; NewDevice's
-// parameter validation applies.
+// The device aliases data — a snapshot's heap buffer — and takes no copy:
+// data must stay unmodified for as long as the device is readable. The data
+// length must be block-granular; NewDevice's parameter validation applies.
 func RestoreDevice(p Params, data []byte) (*Device, error) {
 	d, err := NewDevice(p)
 	if err != nil {

@@ -228,10 +228,9 @@ func (s *Session) Stats() Stats { return s.stats }
 // Corrupt flips one byte at the given block-relative offset. It exists for
 // the failure-injection test suite and the tamper-detection examples; a real
 // deployment obviously has no such API. Like AllocWrite, it mutates the
-// shared block contents and must not run concurrently with sessions. It is
-// only for heap-backed devices: a restored device aliases its source, which
-// may be a write-protected mapping, and the flip shows through every other
-// device over the same bytes.
+// shared block contents and must not run concurrently with sessions. A
+// restored device aliases its source buffer, so the flip shows through
+// every other device over the same bytes.
 func (d *Device) Corrupt(a Addr, offset int, xor byte) error {
 	if a < 0 || int64(a) >= d.nblocks {
 		return fmt.Errorf("store: corrupt block %d out of range", a)

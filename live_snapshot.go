@@ -169,9 +169,8 @@ type generation struct {
 // rather than silently serving rolled-back state.
 type LiveReplica struct {
 	dir string
-	// sharded is the layout found at open; mapped says generations are
-	// memory-mapped instead of copied.
-	sharded, mapped bool
+	// sharded is the layout found at open.
+	sharded bool
 
 	mu  sync.Mutex // serialises Reload
 	cur atomic.Pointer[generation]
@@ -183,20 +182,12 @@ type LiveReplica struct {
 
 // OpenLiveSnapshotDir opens the latest generation in dir — whichever layout
 // it is in — and returns the serving replica.
-func OpenLiveSnapshotDir(dir string) (*LiveReplica, error) { return openLiveReplica(dir, false) }
-
-// OpenLiveSnapshotDirMapped is OpenLiveSnapshotDir with mapped generation
-// opens: each snapshot file is memory-mapped instead of read into the heap,
-// so replicas share a generation's pages, and a superseded generation's
-// pages unmap once no server pinned to it is reachable (see MappedSnapshot).
-func OpenLiveSnapshotDirMapped(dir string) (*LiveReplica, error) { return openLiveReplica(dir, true) }
-
-func openLiveReplica(dir string, mapped bool) (*LiveReplica, error) {
+func OpenLiveSnapshotDir(dir string) (*LiveReplica, error) {
 	sharded, err := liveDirLayout(dir)
 	if err != nil {
 		return nil, err
 	}
-	r := &LiveReplica{dir: dir, sharded: sharded, mapped: mapped}
+	r := &LiveReplica{dir: dir, sharded: sharded}
 	if _, err := r.Reload(); err != nil {
 		return nil, err
 	}
@@ -205,11 +196,11 @@ func openLiveReplica(dir string, mapped bool) (*LiveReplica, error) {
 
 // load opens one generation snapshot.
 func (r *LiveReplica) load(path string) (*generation, error) {
-	ms, err := openSnapshotPath(path, r.mapped)
+	server, client, err := openSnapshotPath(path)
 	if err != nil {
 		return nil, err
 	}
-	g := &generation{server: ms.server, client: ms.client, gen: ms.client.Generation()}
+	g := &generation{server: server, client: client, gen: client.Generation()}
 	// Export from what was opened, so the published material always matches
 	// the serving collections.
 	if g.export, err = g.client.Export(); err != nil && r.sharded {
@@ -250,7 +241,7 @@ func (r *LiveReplica) Reload() (bool, error) {
 		return false, fmt.Errorf("authtext: %s: signed manifest pins generation %d, its name claims %d",
 			filepath.Base(path), next.gen, gen)
 	}
-	if cur != nil && cur.server != nil {
+	if cur != nil {
 		// Keep the dictionary through a small vocabulary change, like the
 		// owner that published the generation.
 		next.server.v.dict = wire.NextDictionary(cur.server.v.dict, next.server.v.dict)
@@ -266,23 +257,9 @@ func (r *LiveReplica) Client() *Client { return r.cur.Load().client }
 // Generation returns the currently served generation.
 func (r *LiveReplica) Generation() uint64 { return r.cur.Load().gen }
 
-// Close drops the replica's own hold on its current generation. Serving must
-// have stopped: Server and the handlers' pins fail afterwards. On a mapped
-// replica the generation's pages unmap once no server pinned to it is
-// reachable.
-func (r *LiveReplica) Close() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if cur := r.cur.Load(); cur != nil {
-		r.cur.Store(&generation{client: cur.client, gen: cur.gen, export: cur.export})
-	}
-	return nil
-}
-
 // Server returns a server of the caller's own, pinned to the current
 // generation: it keeps answering from that generation even after a Reload
-// swaps the replica forward, and on a mapped replica it keeps that
-// generation's pages mapped for as long as it is reachable. Attach a cache
+// swaps the replica forward. Attach a cache
 // or a registry with Server.SetVOCache and Server.SetMetrics.
 func (r *LiveReplica) Server() *Server { return r.pin(nil, nil) }
 

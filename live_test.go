@@ -1,10 +1,12 @@
 package authtext
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -382,14 +384,6 @@ func liveSnapshotDirAndReplica(t *testing.T, shards int) {
 	if layout, err := liveDirLayout(dir); !IsLiveSnapshotDir(dir) || err != nil || layout != sharded {
 		t.Fatalf("directory misdetected: sharded=%v err=%v", layout, err)
 	}
-	mapped, err := OpenLiveSnapshotDirMapped(dir)
-	if err != nil {
-		t.Fatalf("mapped replica: %v", err)
-	}
-	if mapped.Generation() != 1 {
-		t.Fatalf("mapped replica opened at generation %d", mapped.Generation())
-	}
-	mapped.Close()
 	replica, err := OpenLiveSnapshotDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -447,8 +441,7 @@ func liveSnapshotDirAndReplica(t *testing.T, shards int) {
 }
 
 // TestReplicaServerIsPrivate: every Server() call hands out a server of the
-// caller's own, so a cache attached to one is never consulted by another —
-// on plain and mapped replicas alike.
+// caller's own, so a cache attached to one is never consulted by another.
 func TestReplicaServerIsPrivate(t *testing.T) {
 	dir := t.TempDir()
 	owner, _, err := NewLiveOwner(liveDocs(0, 12), WithFastSigner([]byte("live-private")))
@@ -458,23 +451,102 @@ func TestReplicaServerIsPrivate(t *testing.T) {
 	if _, err := owner.WriteSnapshotDir(dir); err != nil {
 		t.Fatal(err)
 	}
-	for name, open := range map[string]func(string) (*LiveReplica, error){
-		"plain": OpenLiveSnapshotDir, "mapped": OpenLiveSnapshotDirMapped,
-	} {
-		t.Run(name, func(t *testing.T) {
-			replica, err := open(dir)
+	t.Run("plain", func(t *testing.T) {
+		replica, err := OpenLiveSnapshotDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := replica.Server(), replica.Server()
+		cache := NewVOCache(1 << 20)
+		a.SetVOCache(cache)
+		if _, err := b.Search(liveQuery, 3, TNRA, ChainMHT); err != nil {
+			t.Fatal(err)
+		}
+		if st := cache.Stats(); st.Hits+st.Misses != 0 {
+			t.Fatalf("a search on one Server() looked up the cache set on another: %+v", st)
+		}
+	})
+}
+
+// corruptStoreSection flips one byte in the middle of the block-store
+// section (id 4) of the ATSN file at path, leaving its CRC stale.
+func corruptStoreSection(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 8; off+16 <= len(b); {
+		id, length := binary.BigEndian.Uint16(b[off:]), int(binary.BigEndian.Uint64(b[off+8:]))
+		if id == 4 {
+			b[off+16+length/2] ^= 0x40
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		off += 16 + length
+	}
+	t.Fatalf("%s has no store section", path)
+}
+
+// TestReplicaRefusesCorruptedGeneration: a generation whose store section
+// fails its checksum is refused by Reload with the plain checksum error, on
+// replicas of a bare collection and of a shard set alike. The replica stays
+// on the generation it serves, its answers keep verifying, and nothing
+// about the refusal looks like tampering.
+func TestReplicaRefusesCorruptedGeneration(t *testing.T) {
+	docs := liveDocs(0, 40)
+	tnra := WithVariants(Variant{TNRA, ChainMHT})
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var owner *LiveOwner
+			var err error
+			if shards == 0 {
+				owner, _, err = NewLiveOwner(docs, WithFastSigner([]byte("corrupt-gen")), tnra)
+			} else {
+				owner, _, err = NewLiveShardedOwner(docs, shards, WithFastSigner([]byte("corrupt-gen")), tnra)
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer replica.Close()
-			a, b := replica.Server(), replica.Server()
-			cache := NewVOCache(1 << 20)
-			a.SetVOCache(cache)
-			if _, err := b.Search(liveQuery, 3, TNRA, ChainMHT); err != nil {
+			dir := t.TempDir()
+			if _, err := owner.WriteSnapshotDir(dir); err != nil {
 				t.Fatal(err)
 			}
-			if st := cache.Stats(); st.Hits+st.Misses != 0 {
-				t.Fatalf("a search on one Server() looked up the cache set on another: %+v", st)
+			replica, err := OpenLiveSnapshotDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if _, _, err := owner.AddDocuments(liveDocs(40, 1)); err != nil {
+				t.Fatal(err)
+			}
+			path, err := owner.WriteSnapshotDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if shards > 0 {
+				path = filepath.Join(path, shardSnapshotName(0))
+			}
+			corruptStoreSection(t, path)
+
+			swapped, err := replica.Reload()
+			if swapped || err == nil || !strings.Contains(err.Error(), "section 4 fails its checksum") {
+				t.Fatalf("reload = (%v, %v), want the checksum error", swapped, err)
+			}
+			if IsTampered(err) {
+				t.Fatalf("a corrupted snapshot classified as tampering: %v", err)
+			}
+			if g := replica.Generation(); g != 1 {
+				t.Fatalf("serving generation %d after the refusal", g)
+			}
+			res, err := replica.Server().Search(liveQuery, 10, TNRA, ChainMHT)
+			if err == nil {
+				err = replica.Client().Verify(liveQuery, 10, res)
+			}
+			if err != nil || len(res.Hits) == 0 {
+				t.Fatalf("generation 1 stopped answering: %v", err)
 			}
 		})
 	}

@@ -10,7 +10,6 @@ import (
 	"authtext/internal/obs"
 	"authtext/internal/shard"
 	"authtext/internal/sig"
-	"authtext/internal/snapshot"
 	"authtext/internal/wire"
 )
 
@@ -95,10 +94,6 @@ func NewMetrics() *Metrics {
 		obs.DefLatencyBuckets, obs.L("phase", "index_walk"))
 	m.phaseProofAssembly = r.Histogram("authtext_engine_phase_seconds", phaseHelp,
 		obs.DefLatencyBuckets, obs.L("phase", "proof_assembly"))
-
-	m.reg.GaugeFunc("authtext_snapshot_mapped_bytes",
-		"Snapshot bytes currently memory-mapped by this process.",
-		func() float64 { return float64(snapshot.MappedBytes()) })
 
 	const searchHelp = "Searches answered, by collection kind."
 	m.searchSingle = r.Counter("authtext_searches_total", searchHelp, obs.L("kind", "single"))

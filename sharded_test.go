@@ -3,6 +3,7 @@ package authtext
 import (
 	"bytes"
 	"context"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -226,6 +227,30 @@ func TestShardedSnapshotDirRoundTrip(t *testing.T) {
 	}
 	if _, _, err := OpenSnapshotFile(snapDir); err == nil {
 		t.Error("swapped shard files opened cleanly")
+	}
+}
+
+// TestShardedSnapshotDirMissingShard: an otherwise intact shard-set
+// directory with one shard file gone fails the open as a missing file.
+func TestShardedSnapshotDirMissingShard(t *testing.T) {
+	owner, err := NewShardedOwner(shardedTestDocs(), 3,
+		WithFastSigner([]byte("sharded-snap")), WithSingletonTerms())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := owner.WriteSnapshotDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenSnapshotFile(dir); err != nil {
+		t.Fatal(err)
+	}
+	a := filepath.Join(dir, shardSnapshotName(0))
+	if err := os.Rename(a, a+".bak"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenSnapshotFile(dir); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("a directory missing a shard: open err %v, want a missing-file error", err)
 	}
 }
 

@@ -108,110 +108,50 @@ func OpenSnapshot(r io.ReaderAt) (*Server, *Client, error) {
 // a consistently forged directory still produces answers that fail
 // verification against an out-of-band client.
 func OpenSnapshotFile(path string) (*Server, *Client, error) {
-	ms, err := openSnapshotPath(path, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ms.server, ms.client, nil
-}
-
-// MappedSnapshot is a snapshot opened over a read-only file mapping shared
-// with the OS page cache (every shard's, for a shard set): the serving
-// collection decodes in place exactly as OpenSnapshot's does, but out of
-// pages that replicas of one generation share instead of a private heap
-// buffer. Every checksum has matched before the open returns, and the pages
-// stay mapped for as long as the Server is reachable, or until Close; see
-// docs/SNAPSHOT.md "Mapped opens".
-type MappedSnapshot struct {
-	server *Server
-	client *Client
-	maps   []*snapshot.Mapped
-}
-
-// OpenSnapshotMapped is OpenSnapshotFile with each file memory-mapped
-// instead of read into the heap. The trust model, the checksums and the
-// cross-checks are identical; only where the bytes live differs.
-func OpenSnapshotMapped(path string) (*MappedSnapshot, error) {
-	return openSnapshotPath(path, true)
+	return openSnapshotPath(path)
 }
 
 // openSnapshotPath opens the snapshot file — or every shard of the snapshot
-// directory — at path, read or memory-mapped, and for a shard set
-// assembles the shards against the signed set manifest.
-func openSnapshotPath(path string, mapped bool) (*MappedSnapshot, error) {
-	ms := &MappedSnapshot{}
+// directory — at path, and for a shard set assembles the shards against the
+// signed set manifest.
+func openSnapshotPath(path string) (*Server, *Client, error) {
 	var v served
 	if !isShardDir(path) {
-		col, err := ms.open(path, mapped)
+		col, err := openSnapshotFile(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		v.col = col
 	} else {
 		export, err := os.ReadFile(filepath.Join(path, ShardedManifestFile))
 		if err != nil {
-			return nil, fmt.Errorf("authtext: sharded snapshot: %w", err)
+			return nil, nil, fmt.Errorf("authtext: sharded snapshot: %w", err)
 		}
 		ex, err := parseShardedExport(export)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		cols := make([]*engine.Collection, ex.manifest.K)
 		for i := range cols {
-			if cols[i], err = ms.open(filepath.Join(path, shardSnapshotName(i)), mapped); err != nil {
-				ms.Close()
-				return nil, fmt.Errorf("authtext: shard %d: %w", i, err)
+			if cols[i], err = openSnapshotFile(filepath.Join(path, shardSnapshotName(i))); err != nil {
+				return nil, nil, fmt.Errorf("authtext: shard %d: %w", i, err)
 			}
 		}
 		if v.set, err = shard.Assemble(cols, ex.manifest, ex.manifestSig, ex.verifier, ex.docMaps); err != nil {
-			ms.Close()
-			return nil, fmt.Errorf("authtext: %w", err)
+			return nil, nil, fmt.Errorf("authtext: %w", err)
 		}
 	}
-	ms.server, ms.client = &Server{v: v.withDictionary()}, v.client()
-	return ms, nil
+	return &Server{v: v.withDictionary()}, v.client(), nil
 }
 
-// open opens one ATSN file, recording its mapping when mapped.
-func (ms *MappedSnapshot) open(path string, mapped bool) (*engine.Collection, error) {
-	if mapped {
-		mp, err := snapshot.OpenMapped(path)
-		if err != nil {
-			return nil, err
-		}
-		ms.maps = append(ms.maps, mp)
-		return mp.Collection(), nil
-	}
+// openSnapshotFile reads one ATSN file into the heap and restores it.
+func openSnapshotFile(path string) (*engine.Collection, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
 	return snapshot.Open(f)
-}
-
-// Server returns the serving half. Valid until Close.
-func (ms *MappedSnapshot) Server() *Server { return ms.server }
-
-// Client returns the verification client.
-func (ms *MappedSnapshot) Client() *Client { return ms.client }
-
-// SizeBytes reports the mapped size (summed over a shard set's files).
-func (ms *MappedSnapshot) SizeBytes() int64 {
-	var n int64
-	for _, mp := range ms.maps {
-		n += mp.SizeBytes()
-	}
-	return n
-}
-
-// Close unmaps every file now instead of when the Server is collected. The
-// Server must not be used afterwards; closing twice is harmless.
-func (ms *MappedSnapshot) Close() error {
-	for _, mp := range ms.maps {
-		mp.Close()
-	}
-	return nil
 }
 
 // publish installs path atomically and durably — the one way every snapshot

@@ -2,6 +2,9 @@ package authtext
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -123,5 +126,100 @@ func TestOpenSnapshotGarbage(t *testing.T) {
 		if _, _, err := OpenSnapshot(bytes.NewReader(data)); err == nil {
 			t.Errorf("garbage input %q accepted", data[:min(len(data), 8)])
 		}
+	}
+}
+
+// TestServedSnapshotSurvivesRewriteInPlace: a server opened from a snapshot
+// — a bare collection's file, or a shard set's directory — holds a private
+// copy of it, so every file being rebuilt in place (as `authsearch -build
+// -o FILE` does: os.Create truncates, then writes a different collection)
+// and then truncated to nothing changes nothing it serves. After each step
+// every answer still verifies against the client of the open, byte for
+// byte as before, and nothing looks like tampering.
+func TestServedSnapshotSurvivesRewriteInPlace(t *testing.T) {
+	other, err := NewOwner(snapshotTestDocs(), WithFastSigner([]byte("rebuilt")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "served.atsn")
+			files := []string{path}
+			if shards == 0 {
+				owner, err := NewOwner(shardedTestDocs(), WithFastSigner([]byte("served")))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rewriteSnapshot(t, path, owner)
+			} else {
+				owner, err := NewShardedOwner(shardedTestDocs(), shards, WithFastSigner([]byte("served")))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := owner.WriteSnapshotDir(path); err != nil {
+					t.Fatal(err)
+				}
+				files = files[:0]
+				for i := 0; i < shards; i++ {
+					files = append(files, filepath.Join(path, shardSnapshotName(i)))
+				}
+			}
+			server, client, err := OpenSnapshotFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			const query = "merkle tree root"
+			first := map[string][]byte{}
+			check := func(step string) {
+				t.Helper()
+				for _, algo := range []Algorithm{TRA, TNRA} {
+					for _, scheme := range []Scheme{MHT, ChainMHT} {
+						res, err := server.Search(query, 3, algo, scheme)
+						if err == nil {
+							err = client.Verify(query, 3, res)
+						}
+						if err != nil || IsTampered(err) {
+							t.Fatalf("%s, %s-%s: %v (tampered %v)", step, algo, scheme, err, IsTampered(err))
+						}
+						key := algo.String() + "-" + scheme.String()
+						if want, ok := first[key]; !ok {
+							first[key] = res.VO
+						} else if !bytes.Equal(res.VO, want) {
+							t.Fatalf("%s, %s-%s: the answer changed", step, algo, scheme)
+						}
+					}
+				}
+			}
+			check("opened")
+
+			for _, f := range files {
+				rewriteSnapshot(t, f, other)
+			}
+			check("files rebuilt in place with another collection")
+
+			for _, f := range files {
+				if err := os.Truncate(f, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check("files truncated to 0 bytes")
+		})
+	}
+}
+
+// rewriteSnapshot writes owner's snapshot over the file at path in place:
+// os.Create truncates the existing file rather than replacing it.
+func rewriteSnapshot(t *testing.T, path string, owner *Owner) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.WriteSnapshot(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
