@@ -138,7 +138,7 @@ func TestCacheHitsUnderUpdates(t *testing.T) {
 			client := lo.Client()
 			for i, q := range stream {
 				if tc.updateBefore[i] {
-					if _, _, err := lo.AddDocuments(liveDocs(100+i, 1)); err != nil {
+					if _, _, err := lo.Update(liveDocs(100+i, 1), nil); err != nil {
 						t.Fatal(err)
 					}
 					m, msig := lo.ManifestUpdate()
@@ -218,7 +218,7 @@ func searchBody(t *testing.T, handler http.Handler, q string, r int) []byte {
 // hit byte-identical to its miss, on both codecs, is the shape matrix's.)
 func TestCacheHitByteIdenticalOnWire(t *testing.T) {
 	o := owner(t)
-	export, err := o.ExportClient()
+	export, err := o.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func dropServerMillis(t *testing.T, body []byte) string {
 // caching is on, and omits the field when off.
 func TestHealthzReportsCache(t *testing.T) {
 	o := owner(t)
-	export, err := o.ExportClient()
+	export, err := o.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}

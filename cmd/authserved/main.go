@@ -435,13 +435,13 @@ func openSnapshot(cfg config, hopts []authtext.HandlerOption, logger *slog.Logge
 		// while the operator believes hot-reload is active.
 		return nil, errors.New("-watch requires -snapshot to be a per-generation snapshot directory (gen-NNNNNNNNNNNN.atsn files or gen-NNNNNNNNNNNN/ shard sets)")
 	}
-	server, _, err := authtext.OpenSnapshotFile(cfg.snapshot)
+	server, client, err := authtext.OpenSnapshotFile(cfg.snapshot)
 	if err != nil {
 		return nil, err
 	}
 	// Export from what was opened (not a second read of the files), so the
 	// published material always matches the serving collection.
-	export, err := server.ExportClient()
+	export, err := client.Export()
 	if err != nil {
 		return nil, fmt.Errorf("snapshot has no publishable key (fast-signer build?): %w", err)
 	}

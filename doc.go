@@ -67,7 +67,7 @@
 // # Live collections and generations
 //
 // NewLiveOwner builds a collection that accepts updates after
-// publication: every AddDocuments/RemoveDocuments batch rebuilds a fresh
+// publication: every Update batch of additions and removals rebuilds a fresh
 // immutable collection under the next signed generation — reusing every
 // signature whose underlying structure the batch did not change — and
 // atomically swaps the serving pointer, so concurrent searches always

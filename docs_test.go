@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 
@@ -468,6 +469,132 @@ func TestCIRunPatternsMatchTests(t *testing.T) {
 		}
 		if checked != 4 || len(misses) != 2 || !strings.Contains(misses[0], `"TestRael"`) || !strings.Contains(misses[1], `"TestGone"`) {
 			t.Fatalf("checked %d patterns, missed %q; want 4 checked and only TestRael and TestGone missed", checked, misses)
+		}
+	})
+}
+
+var (
+	codeFence   = regexp.MustCompile("(?s)```[^\n]*\n.*?```")
+	codeSpan    = regexp.MustCompile("`[^`\n]+`")
+	typeMember  = regexp.MustCompile(`(?:^|[^.\w])(?:authtext\.)?([A-Z]\w*)\.([A-Za-z_]\w*)`)
+	facadeIdent = regexp.MustCompile(`\bauthtext\.([A-Z]\w*)`)
+)
+
+// retiredDocNames reports, for each markdown text in docs (file → text),
+// every name in its code that the facade does not export: a `Type.Member`
+// whose Type is a facade type but whose Member is no method, field or
+// embedded type of it (promoted members count), and every authtext.Name
+// that is no package-level name. Code is fenced blocks and inline code
+// spans; testOnly holds the Name and Type.Member names the root package's
+// own test files declare, which docs may cite as test hooks.
+func retiredDocNames(docs map[string]string, api []apiEntry, testOnly map[string]bool) []string {
+	types, topLevel, members := map[string]bool{}, map[string]bool{}, map[string]bool{}
+	embeds := map[string][]string{}
+	for _, e := range api {
+		switch e.kind {
+		case "method", "field":
+			members[e.name] = true
+		case "embed":
+			members[e.name] = true
+			owner, embedded, _ := strings.Cut(e.name, ".")
+			embeds[owner] = append(embeds[owner], embedded)
+		default:
+			topLevel[e.name] = true
+			types[e.name] = e.kind == "type"
+		}
+	}
+	var hasMember func(typ, member string) bool
+	hasMember = func(typ, member string) bool {
+		if members[typ+"."+member] || testOnly[typ+"."+member] {
+			return true
+		}
+		for _, embedded := range embeds[typ] {
+			if hasMember(embedded, member) {
+				return true
+			}
+		}
+		return false
+	}
+	var retired []string
+	for file, text := range docs {
+		code := codeFence.FindAllString(text, -1)
+		code = append(code, codeSpan.FindAllString(codeFence.ReplaceAllString(text, ""), -1)...)
+		for _, c := range code {
+			for _, m := range typeMember.FindAllStringSubmatch(c, -1) {
+				if types[m[1]] && !hasMember(m[1], m[2]) {
+					retired = append(retired, file+": "+m[1]+"."+m[2])
+				}
+			}
+			for _, m := range facadeIdent.FindAllStringSubmatch(c, -1) {
+				if !topLevel[m[1]] && !testOnly[m[1]] {
+					retired = append(retired, file+": authtext."+m[1])
+				}
+			}
+		}
+	}
+	sort.Strings(retired)
+	return retired
+}
+
+// TestDocsNameOnlyExportedNames verifies that the documentation's code
+// names only what the facade exports (testdata/api.txt) or what the root
+// package's test files declare, so a retired name cannot linger in the docs.
+func TestDocsNameOnlyExportedNames(t *testing.T) {
+	testOnly := map[string]bool{}
+	tests, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range tests {
+		file, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if file.Name.Name != "authtext" {
+			continue
+		}
+		for _, decl := range file.Decls {
+			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.IsExported() {
+				name := fn.Name.Name
+				if fn.Recv != nil {
+					recv := fn.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						name = id.Name + "." + name
+					}
+				}
+				testOnly[name] = true
+			}
+		}
+	}
+	if !testOnly["Server.CheckRankingForTest"] {
+		t.Fatal("Server.CheckRankingForTest not among the test-declared names; the declaration scan is probably wrong")
+	}
+	docs := map[string]string{}
+	for _, file := range docFiles(t) {
+		if filepath.Dir(file) != "docs" && file != "README.md" && file != filepath.Join("examples", "README.md") {
+			continue
+		}
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[file] = string(raw)
+	}
+	for _, name := range retiredDocNames(docs, readAPI(t), testOnly) {
+		t.Errorf("%s is not exported by the facade (testdata/api.txt)", name)
+	}
+
+	t.Run("synthetic docs", func(t *testing.T) {
+		api := parseAPI("type Outer struct\nfield Outer embeds *Inner\ntype Inner struct\nmethod (*Inner) Run()\nfunc New() *Outer")
+		docs := map[string]string{"a.md": "Call `Outer.Run`, `authtext.New`, `Outer.Hook` and `pkg.Outer.Stop`;\n" +
+			"not `Outer.Gone` or `authtext.Old`.\n```go\nx := authtext.Older()\n```\n"}
+		got := retiredDocNames(docs, api, map[string]bool{"Outer.Hook": true})
+		want := []string{"a.md: Outer.Gone", "a.md: authtext.Old", "a.md: authtext.Older"}
+		if strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Fatalf("retired names %q, want %q", got, want)
 		}
 	})
 }

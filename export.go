@@ -52,19 +52,10 @@ func exportFormat(export []byte) string {
 	return "unknown"
 }
 
-// ExportClient serialises the verification material for distribution to
-// users: ATCX for a bare collection (which requires the default RSA signer —
-// the keyed-hash benchmark signer has no public half to export), ATSX for a
+// Export serialises the verification material for distribution to users:
+// ATCX for a bare collection (which requires the default RSA signer — the
+// keyed-hash benchmark signer has no public half to export), ATSX for a
 // shard set.
-func (o *Owner) ExportClient() ([]byte, error) { return o.Client().Export() }
-
-// ExportClient returns the same blob for a serving collection — a
-// snapshot-booted Server (which has no Owner) uses it to publish the
-// manifest endpoint, guaranteed consistent with what it actually opened.
-func (s *Server) ExportClient() ([]byte, error) { return s.v.client().Export() }
-
-// Export serialises this client's verification material — the same blob
-// ExportClient produces.
 func (c *Client) Export() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -219,7 +210,7 @@ func splitClientExport(data []byte) (manifestRaw, sigRaw, keyDER []byte, err err
 	return manifestRaw, sigRaw, keyDER, nil
 }
 
-// NewClientFromExport reconstructs a Client from an ExportClient blob of
+// NewClientFromExport reconstructs a Client from a Client.Export blob of
 // either format. Every signature (and, for a shard set, every digest the set
 // manifest pins) is checked against the embedded public key before the
 // client is returned, so a tampered blob is rejected here rather than at

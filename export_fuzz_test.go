@@ -19,7 +19,7 @@ func FuzzClientExport(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	atsx, err := set.ExportClient()
+	atsx, err := set.Client().Export()
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -74,7 +74,7 @@ func NewListModeLiveOwnerForTest(docs []Document, shards int, opts ...Option) (*
 
 func TestExportImportClient(t *testing.T) {
 	o := owner(t)
-	blob, err := o.ExportClient()
+	blob, err := o.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestExportRejectsFastSigner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.ExportClient(); err == nil {
+	if _, err := o.Client().Export(); err == nil {
 		t.Fatal("fast-signer collection exported")
 	}
 }
 
 func TestImportRejectsTamperedExport(t *testing.T) {
 	o := owner(t)
-	blob, err := o.ExportClient()
+	blob, err := o.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestImportRejectsTamperedExport(t *testing.T) {
 func TestManifestDecodeRoundTripViaExport(t *testing.T) {
 	o := owner(t)
 	m, _ := o.v.col.Manifest()
-	blob, err := o.ExportClient()
+	blob, err := o.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestVariantSubsetExportGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		blob, err := o.ExportClient()
+		blob, err := o.Client().Export()
 		if err != nil {
 			t.Fatal(err)
 		}

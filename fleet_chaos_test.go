@@ -102,10 +102,14 @@ func TestFrontendFailoverUnderChaos(t *testing.T) {
 	p := fleet.NewChaosProxy(victim.URL)
 	defer p.Close()
 
-	fe, err := authtext.NewFrontend([]string{clean.URL, p.URL()},
-		authtext.WithFrontendProbeInterval(20*time.Millisecond),
-		authtext.WithFrontendRetry(3, 300*time.Millisecond),
-		authtext.WithFrontendEjection(2, 50*time.Millisecond))
+	fe, err := fleet.New(fleet.Config{
+		Backends:       []string{clean.URL, p.URL()},
+		ProbeInterval:  20 * time.Millisecond,
+		AttemptTimeout: 300 * time.Millisecond,
+		MaxAttempts:    3,
+		EjectAfter:     2,
+		EjectFor:       50 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,7 +39,7 @@ import (
 // key. mutate must keep the manifest Validate-clean.
 func forgeExport(t *testing.T, owner *LiveOwner, mutate func(*core.Manifest)) []byte {
 	t.Helper()
-	honest, err := owner.ExportClient()
+	honest, err := owner.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func newEquivFixture(t *testing.T, stubExport []byte, stubGen uint64, opts ...Fl
 	fes := httptest.NewServer(handler)
 	t.Cleanup(fes.Close)
 	if stubExport == nil {
-		if stubExport, err = owner.ExportClient(); err != nil {
+		if stubExport, err = owner.Client().Export(); err != nil {
 			t.Fatal(err)
 		}
 		stubGen = owner.Generation()
@@ -260,7 +260,7 @@ func TestFleetCrossCheckForkedChain(t *testing.T) {
 
 		// The honest owner now publishes its own generation 2 — the chains
 		// have visibly diverged and the next check must say tampering.
-		if _, _, err := fx.owner.AddDocuments(liveDocs(12, 1)); err != nil {
+		if _, _, err := fx.owner.Update(liveDocs(12, 1), nil); err != nil {
 			t.Fatal(err)
 		}
 		rep, err = fx.fc.CrossCheck(context.Background())
@@ -278,12 +278,12 @@ func TestFleetCrossCheckForkedChain(t *testing.T) {
 func TestFleetCrossCheckFrozenReplica(t *testing.T) {
 	eachAlgorithm(t, func(t *testing.T, algo Algorithm) {
 		fx := newEquivFixture(t, nil, 0, WithFleetLagTolerance(1))
-		frozen, err := fx.owner.ExportClient()
+		frozen, err := fx.owner.Client().Export()
 		if err != nil {
 			t.Fatal(err)
 		}
 		fx.stub.SetExport(frozen, fx.owner.Generation())
-		if _, _, err := fx.owner.AddDocuments(liveDocs(12, 2)); err != nil {
+		if _, _, err := fx.owner.Update(liveDocs(12, 2), nil); err != nil {
 			t.Fatal(err)
 		}
 		fx.verifiedSearch(t, algo)

@@ -2,8 +2,10 @@ package authtext_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"authtext"
+	"authtext/internal/fleet"
 )
 
 // Randomized fleet property test: replicas join, leave and crash, the
@@ -31,9 +34,9 @@ import (
 
 // propReplica is one snapshot-serving replica with its own reload loop.
 type propReplica struct {
-	srv  *httptest.Server
-	stop chan struct{}
-	done chan struct{}
+	handler http.Handler
+	stop    chan struct{}
+	done    chan struct{}
 }
 
 func startPropReplica(t *testing.T, dir string) *propReplica {
@@ -47,9 +50,9 @@ func startPropReplica(t *testing.T, dir string) *propReplica {
 		t.Fatal(err)
 	}
 	p := &propReplica{
-		srv:  httptest.NewServer(handler),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		handler: handler,
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	go func() {
 		defer close(p.done)
@@ -67,13 +70,42 @@ func startPropReplica(t *testing.T, dir string) *propReplica {
 	return p
 }
 
-// halt stops the reload loop and the server (crash or graceful removal —
-// from the fleet's perspective both are just a dead address).
+// halt stops the reload loop.
 func (p *propReplica) halt() {
 	close(p.stop)
 	<-p.done
-	p.srv.CloseClientConnections()
-	p.srv.Close()
+}
+
+// propSlot is one address in the front end's fixed backend list. Its
+// handler switches atomically between a replica's handler and a stub that
+// closes the connection: a front end started with a fixed -fleet list sees
+// replicas join, leave and crash only as an address that starts or stops
+// answering.
+type propSlot struct {
+	srv     *httptest.Server
+	replica atomic.Pointer[propReplica]
+}
+
+func newPropSlot() *propSlot {
+	s := &propSlot{}
+	s.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if p := s.replica.Load(); p != nil {
+			p.handler.ServeHTTP(w, r)
+			return
+		}
+		panic(http.ErrAbortHandler) // a dark address: hang up without answering
+	}))
+	return s
+}
+
+// darken switches the slot to the hang-up stub and stops its replica; a
+// crash also cuts the connections already open to it.
+func (s *propSlot) darken(crash bool) {
+	p := s.replica.Swap(nil)
+	if crash {
+		s.srv.CloseClientConnections()
+	}
+	p.halt()
 }
 
 func TestFleetRandomizedChurnInvariants(t *testing.T) {
@@ -90,27 +122,39 @@ func TestFleetRandomizedChurnInvariants(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Replica 0 lives for the whole run so the fleet never goes fully
-	// dark; churn only ever touches the extras.
-	anchor := startPropReplica(t, dir)
-	defer anchor.halt()
-	fe, err := authtext.NewFrontend([]string{anchor.srv.URL},
-		authtext.WithFrontendProbeInterval(15*time.Millisecond),
-		authtext.WithFrontendRetry(3, 500*time.Millisecond),
-		authtext.WithFrontendEjection(2, 30*time.Millisecond))
+	// Slot 0 holds a replica for the whole run so the fleet never goes
+	// fully dark; churn only ever touches the four extra slots, which
+	// start dark.
+	slots := make([]*propSlot, 5)
+	urls := make([]string, len(slots))
+	for i := range slots {
+		slots[i] = newPropSlot()
+		urls[i] = slots[i].srv.URL
+	}
+	slots[0].replica.Store(startPropReplica(t, dir))
+	defer func() {
+		for _, s := range slots {
+			if p := s.replica.Load(); p != nil {
+				p.halt()
+			}
+			s.srv.CloseClientConnections()
+			s.srv.Close()
+		}
+	}()
+	fe, err := fleet.New(fleet.Config{
+		Backends:       urls,
+		ProbeInterval:  15 * time.Millisecond,
+		AttemptTimeout: 500 * time.Millisecond,
+		MaxAttempts:    3,
+		EjectAfter:     2,
+		EjectFor:       30 * time.Millisecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fe.Close()
 	fes := httptest.NewServer(fe)
 	defer fes.Close()
-
-	extras := make(map[string]*propReplica)
-	defer func() {
-		for _, p := range extras {
-			p.halt()
-		}
-	}()
 
 	// Query workers: each holds its OWN verifying client (monotonicity is
 	// a per-client property) and hammers the front end until told to stop.
@@ -162,39 +206,35 @@ func TestFleetRandomizedChurnInvariants(t *testing.T) {
 		}(w)
 	}
 
-	// The chaos schedule: publish generations, add/remove/crash replicas.
+	// The chaos schedule: publish generations; replicas join, leave and
+	// crash behind the extra slots.
+	extra := func(live bool) *propSlot {
+		for _, s := range slots[1:] {
+			if (s.replica.Load() != nil) == live {
+				return s
+			}
+		}
+		return nil
+	}
 	nextDoc := 12
 	for op := 0; op < 24; op++ {
 		switch rng.Intn(4) {
 		case 0: // owner publishes a new generation
-			if _, _, err := owner.AddDocuments(liveRemoteDocs(nextDoc, 1)); err != nil {
+			if _, _, err := owner.Update(liveRemoteDocs(nextDoc, 1), nil); err != nil {
 				t.Fatal(err)
 			}
 			nextDoc++
 		case 1: // a replica joins
-			if len(extras) < 4 {
-				p := startPropReplica(t, dir)
-				// A crashed backend stays registered until ejection has no
-				// more work to do; if the OS hands its port to the newcomer
-				// the add is a duplicate — skip, don't fail.
-				if err := fe.AddBackend(p.srv.URL); err != nil {
-					p.halt()
-					break
-				}
-				extras[p.srv.URL] = p
+			if s := extra(false); s != nil {
+				s.replica.Store(startPropReplica(t, dir))
 			}
 		case 2: // a replica leaves gracefully
-			for url, p := range extras {
-				fe.RemoveBackend(url)
-				p.halt()
-				delete(extras, url)
-				break
+			if s := extra(true); s != nil {
+				s.darken(false)
 			}
-		case 3: // a replica crashes and stays in rotation (ejection's job)
-			for url, p := range extras {
-				p.halt()
-				delete(extras, url)
-				break
+		case 3: // a replica crashes (ejection's job)
+			if s := extra(true); s != nil {
+				s.darken(true)
 			}
 		}
 		time.Sleep(time.Duration(20+rng.Intn(60)) * time.Millisecond)
@@ -210,15 +250,29 @@ func TestFleetRandomizedChurnInvariants(t *testing.T) {
 	if n := searches.Load(); n < int64(workers)*10 {
 		t.Fatalf("only %d verified searches completed across the schedule; the fleet was effectively dark", n)
 	}
-	if got, want := fe.Generation(), owner.Generation(); got != want {
-		// The anchor reloads every 10ms and probes run every 15ms, so by
-		// the end of the schedule the watermark must have caught up.
-		deadline := time.Now().Add(5 * time.Second)
-		for fe.Generation() != want && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
+	// The anchor reloads every 10ms and probes run every 15ms, so by the
+	// end of the schedule the watermark /v1/fleet/healthz reports must
+	// catch up with the owner.
+	watermark := func() uint64 {
+		resp, err := http.Get(fes.URL + fleet.PathFleetHealthz)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if fe.Generation() != want {
-			t.Fatalf("fleet watermark %d never reached owner generation %d", got, want)
+		defer resp.Body.Close()
+		var h fleet.FleetHealth
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
 		}
+		return h.Generation
+	}
+	want := owner.Generation()
+	deadline := time.Now().Add(5 * time.Second)
+	got := watermark()
+	for got != want && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		got = watermark()
+	}
+	if got != want {
+		t.Fatalf("fleet watermark %d never reached owner generation %d", got, want)
 	}
 }

@@ -27,13 +27,9 @@ type Frontend struct {
 type FrontendOption func(*frontendConfig)
 
 type frontendConfig struct {
-	probe      time.Duration
-	attempts   int
-	timeout    time.Duration
-	ejectAfter int
-	ejectFor   time.Duration
-	metrics    *Metrics
-	logger     *slog.Logger
+	probe   time.Duration
+	metrics *Metrics
+	logger  *slog.Logger
 }
 
 // WithFrontendProbeInterval sets the health-probe period (default 500ms).
@@ -42,20 +38,6 @@ type frontendConfig struct {
 // within roughly one interval.
 func WithFrontendProbeInterval(d time.Duration) FrontendOption {
 	return func(c *frontendConfig) { c.probe = d }
-}
-
-// WithFrontendRetry bounds one request's fan-out: at most attempts
-// distinct replicas are tried, each within perAttemptTimeout (defaults: 3
-// attempts, 10s).
-func WithFrontendRetry(attempts int, perAttemptTimeout time.Duration) FrontendOption {
-	return func(c *frontendConfig) { c.attempts = attempts; c.timeout = perAttemptTimeout }
-}
-
-// WithFrontendEjection tunes backend ejection: after consecutive failures
-// a replica leaves the rotation for backoff (doubling per consecutive
-// ejection, capped; defaults: 2 failures, 1s base).
-func WithFrontendEjection(after int, backoff time.Duration) FrontendOption {
-	return func(c *frontendConfig) { c.ejectAfter = after; c.ejectFor = backoff }
 }
 
 // WithFrontendMetrics records authtext_fleet_* series (backends in
@@ -78,14 +60,10 @@ func NewFrontend(backends []string, opts ...FrontendOption) (*Frontend, error) {
 		opt(&c)
 	}
 	f, err := fleet.New(fleet.Config{
-		Backends:       backends,
-		ProbeInterval:  c.probe,
-		AttemptTimeout: c.timeout,
-		MaxAttempts:    c.attempts,
-		EjectAfter:     c.ejectAfter,
-		EjectFor:       c.ejectFor,
-		Registry:       c.metrics.registry(),
-		Logger:         c.logger,
+		Backends:      backends,
+		ProbeInterval: c.probe,
+		Registry:      c.metrics.registry(),
+		Logger:        c.logger,
 	})
 	if err != nil {
 		return nil, err
@@ -100,54 +78,6 @@ func NewFrontend(backends []string, opts ...FrontendOption) (*Frontend, error) {
 // happen at the owner); /v1/metrics serves the registry when
 // WithFrontendMetrics was given.
 func (f *Frontend) ServeHTTP(w http.ResponseWriter, r *http.Request) { f.f.ServeHTTP(w, r) }
-
-// Generation returns the fleet generation watermark: the highest
-// publication generation any replica has been seen serving.
-func (f *Frontend) Generation() uint64 { return f.f.Generation() }
-
-// AddBackend adds a replica to the rotation at runtime.
-func (f *Frontend) AddBackend(url string) error { return f.f.AddBackend(url) }
-
-// RemoveBackend removes a replica from the rotation, reporting whether it
-// was present.
-func (f *Frontend) RemoveBackend(url string) bool { return f.f.RemoveBackend(url) }
-
-// FrontendBackendStatus is one replica's routing state.
-type FrontendBackendStatus struct {
-	URL        string
-	Healthy    bool
-	Probed     bool
-	Ejected    bool
-	Generation uint64
-	Inflight   int64
-}
-
-// FrontendStatus is a point-in-time fleet snapshot.
-type FrontendStatus struct {
-	// Status is "ok" while at least one replica is in rotation.
-	Status string
-	// Generation is the fleet watermark.
-	Generation uint64
-	Backends   []FrontendBackendStatus
-}
-
-// Status returns the current fleet snapshot (the /v1/fleet/healthz
-// payload).
-func (f *Frontend) Status() FrontendStatus {
-	fh := f.f.Status()
-	out := FrontendStatus{Status: fh.Status, Generation: fh.Generation}
-	for _, b := range fh.Backends {
-		out.Backends = append(out.Backends, FrontendBackendStatus{
-			URL:        b.URL,
-			Healthy:    b.Healthy,
-			Probed:     b.Probed,
-			Ejected:    b.Ejected,
-			Generation: b.Generation,
-			Inflight:   b.Inflight,
-		})
-	}
-	return out
-}
 
 // Close stops the health probes. In-flight requests finish normally.
 func (f *Frontend) Close() { f.f.Close() }

@@ -53,7 +53,9 @@ const (
 	maxProxyBody = httpapi.MaxBodyBytes
 )
 
-// Config configures a Frontend.
+// Config configures a Frontend. A deployed front end sets only Backends,
+// ProbeInterval, Registry and Logger; the retry, ejection and transport
+// fields keep their defaults there, and tests shorten them.
 type Config struct {
 	// Backends are the replica base URLs (e.g. "http://10.0.0.1:8080").
 	// At least one is required.
@@ -83,7 +85,7 @@ type Config struct {
 }
 
 // backend is the per-replica routing state. All fields are atomics: the
-// request path reads them lock-free; membership changes copy the slice.
+// request path reads them lock-free.
 type backend struct {
 	url string
 	// gen is the highest generation this backend has been seen serving
@@ -124,9 +126,8 @@ type Frontend struct {
 	logger *slog.Logger
 	start  time.Time
 
-	// backends is the current membership (copy-on-write under mu).
-	mu       sync.Mutex
-	backends atomic.Pointer[[]*backend]
+	// backends is the membership, fixed at New.
+	backends []*backend
 
 	// watermark is the highest generation any verified-healthy backend or
 	// forwarded response has shown; responses below it are re-routed.
@@ -181,7 +182,7 @@ func New(cfg Config) (*Frontend, error) {
 		stop:   make(chan struct{}),
 	}
 	f.hc = &http.Client{Transport: cfg.Transport, Timeout: cfg.AttemptTimeout}
-	bs := make([]*backend, 0, len(cfg.Backends))
+	f.backends = make([]*backend, 0, len(cfg.Backends))
 	seen := make(map[string]bool, len(cfg.Backends))
 	for _, raw := range cfg.Backends {
 		u, err := normalizeBackendURL(raw)
@@ -192,12 +193,11 @@ func New(cfg Config) (*Frontend, error) {
 			return nil, fmt.Errorf("fleet: duplicate backend %s", u)
 		}
 		seen[u] = true
-		bs = append(bs, &backend{url: u})
+		f.backends = append(f.backends, &backend{url: u})
 	}
-	f.backends.Store(&bs)
 	if reg := cfg.Registry; reg != nil {
 		reg.GaugeFunc("authtext_fleet_backends", "Configured replica backends.",
-			func() float64 { return float64(len(*f.backends.Load())) })
+			func() float64 { return float64(len(f.backends)) })
 		reg.GaugeFunc("authtext_fleet_backends_available", "Replica backends currently in rotation.",
 			func() float64 { return float64(f.availableCount()) })
 		reg.GaugeFunc("authtext_fleet_generation", "Fleet generation watermark (highest generation seen).",
@@ -240,68 +240,10 @@ func (f *Frontend) Close() {
 	f.wg.Wait()
 }
 
-// Generation returns the fleet generation watermark.
-func (f *Frontend) Generation() uint64 { return f.watermark.Load() }
-
-// AddBackend adds a replica to the rotation (it becomes eligible after
-// its first successful probe or immediately for routing; its generation
-// is unknown until probed).
-func (f *Frontend) AddBackend(raw string) error {
-	u, err := normalizeBackendURL(raw)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	old := *f.backends.Load()
-	for _, b := range old {
-		if b.url == u {
-			return fmt.Errorf("fleet: backend %s already present", u)
-		}
-	}
-	nw := make([]*backend, len(old)+1)
-	copy(nw, old)
-	nb := &backend{url: u}
-	nw[len(old)] = nb
-	f.backends.Store(&nw)
-	// Probe it right away so it picks up a generation before the next tick.
-	f.wg.Add(1)
-	go func() {
-		defer f.wg.Done()
-		f.probe(nb)
-	}()
-	return nil
-}
-
-// RemoveBackend removes a replica from the rotation; it reports whether
-// the URL was present.
-func (f *Frontend) RemoveBackend(raw string) bool {
-	u, err := normalizeBackendURL(raw)
-	if err != nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	old := *f.backends.Load()
-	nw := make([]*backend, 0, len(old))
-	found := false
-	for _, b := range old {
-		if b.url == u {
-			found = true
-			continue
-		}
-		nw = append(nw, b)
-	}
-	if found {
-		f.backends.Store(&nw)
-	}
-	return found
-}
-
 func (f *Frontend) availableCount() int {
 	now := time.Now()
 	n := 0
-	for _, b := range *f.backends.Load() {
+	for _, b := range f.backends {
 		if b.available(now) {
 			n++
 		}
@@ -326,9 +268,8 @@ func (f *Frontend) probeLoop() {
 }
 
 func (f *Frontend) probeRound() {
-	bs := *f.backends.Load()
 	var wg sync.WaitGroup
-	for _, b := range bs {
+	for _, b := range f.backends {
 		wg.Add(1)
 		go func(b *backend) {
 			defer wg.Done()
@@ -430,10 +371,9 @@ func (f *Frontend) recover(b *backend) {
 // serves, pick the less-loaded of two random choices.
 func (f *Frontend) pick(tried map[*backend]bool) *backend {
 	now := time.Now()
-	bs := *f.backends.Load()
-	cands := make([]*backend, 0, len(bs))
+	cands := make([]*backend, 0, len(f.backends))
 	var topGen uint64
-	for _, b := range bs {
+	for _, b := range f.backends {
 		if tried[b] || !b.available(now) {
 			continue
 		}
@@ -609,7 +549,7 @@ type BackendStatus struct {
 	URL     string `json:"url"`
 	Healthy bool   `json:"healthy"`
 	// Probed reports whether at least one probe has answered (false right
-	// after startup or AddBackend).
+	// after startup).
 	Probed     bool   `json:"probed"`
 	Ejected    bool   `json:"ejected,omitempty"`
 	Generation uint64 `json:"generation,omitempty"`
@@ -629,9 +569,8 @@ type FleetHealth struct {
 // Status returns the current fleet status snapshot.
 func (f *Frontend) Status() FleetHealth {
 	now := time.Now()
-	bs := *f.backends.Load()
 	out := FleetHealth{Status: "unavailable", Generation: f.watermark.Load()}
-	for _, b := range bs {
+	for _, b := range f.backends {
 		avail := b.available(now)
 		if avail {
 			out.Status = "ok"
@@ -676,7 +615,7 @@ func (f *Frontend) serveHealth(w http.ResponseWriter, r *http.Request) {
 	}
 	now := time.Now()
 	var bestGen uint64
-	for _, b := range *f.backends.Load() {
+	for _, b := range f.backends {
 		if b.available(now) {
 			h.Status = "ok"
 		}

@@ -128,7 +128,7 @@ func TestProxyBalancesAcrossReplicas(t *testing.T) {
 		urls = append(urls, s.URL())
 	}
 	f := newTestFrontend(t, urls, nil)
-	waitFor(t, "probes to learn the generation", func() bool { return f.Generation() == 4 })
+	waitFor(t, "probes to learn the generation", func() bool { return f.watermark.Load() == 4 })
 
 	const n = 60
 	for i := 0; i < n; i++ {
@@ -159,7 +159,7 @@ func TestGenerationConsistentRouting(t *testing.T) {
 	behind := newStubReplica(1)
 	defer behind.Close()
 	f := newTestFrontend(t, []string{ahead.URL(), behind.URL()}, nil)
-	waitFor(t, "watermark to reach 2", func() bool { return f.Generation() == 2 })
+	waitFor(t, "watermark to reach 2", func() bool { return f.watermark.Load() == 2 })
 
 	for i := 0; i < 20; i++ {
 		w := doSearch(f)
@@ -254,49 +254,13 @@ func TestEjectionAndRecovery(t *testing.T) {
 	})
 }
 
-// Dynamic membership: traffic follows AddBackend/RemoveBackend.
-func TestAddRemoveBackend(t *testing.T) {
-	a := newStubReplica(1)
-	defer a.Close()
-	b := newStubReplica(1)
-	defer b.Close()
-	f := newTestFrontend(t, []string{a.URL()}, nil)
-
-	if err := f.AddBackend(a.URL()); err == nil {
-		t.Error("duplicate AddBackend accepted")
-	}
-	if err := f.AddBackend(b.URL()); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "added backend to serve", func() bool {
-		doSearch(f)
-		return b.searches.Load() > 0
-	})
-
-	if !f.RemoveBackend(a.URL()) {
-		t.Fatal("RemoveBackend(a) reported not present")
-	}
-	if f.RemoveBackend(a.URL()) {
-		t.Fatal("second RemoveBackend(a) reported present")
-	}
-	served := a.searches.Load()
-	for i := 0; i < 20; i++ {
-		if w := doSearch(f); w.Code != http.StatusOK {
-			t.Fatalf("request %d after removal: status %d", i, w.Code)
-		}
-	}
-	if got := a.searches.Load(); got != served {
-		t.Fatalf("removed backend served %d more searches", got-served)
-	}
-}
-
 // The front end is serving-only: the admin surface is refused, unknown
 // paths 404, and both healthz flavours answer.
 func TestControlEndpoints(t *testing.T) {
 	s := newStubReplica(3)
 	defer s.Close()
 	f := newTestFrontend(t, []string{s.URL()}, nil)
-	waitFor(t, "probe", func() bool { return f.Generation() == 3 })
+	waitFor(t, "probe", func() bool { return f.watermark.Load() == 3 })
 
 	req := httptest.NewRequest(http.MethodPost, httpapi.PathAdminUpdate, strings.NewReader(`{}`))
 	w := httptest.NewRecorder()
@@ -351,7 +315,7 @@ func TestFleetMetrics(t *testing.T) {
 	defer good.Close()
 	reg := obs.NewRegistry()
 	f := newTestFrontend(t, []string{good.URL()}, func(c *Config) { c.Registry = reg })
-	waitFor(t, "probe", func() bool { return f.Generation() == 1 })
+	waitFor(t, "probe", func() bool { return f.watermark.Load() == 1 })
 	for i := 0; i < 5; i++ {
 		if w := doSearch(f); w.Code != http.StatusOK {
 			t.Fatalf("status %d", w.Code)
@@ -422,7 +386,7 @@ func TestProxyForwardsDictionaryHeader(t *testing.T) {
 	s := newStubReplica(1)
 	defer s.Close()
 	f := newTestFrontend(t, []string{s.URL()}, nil)
-	waitFor(t, "probes to learn the generation", func() bool { return f.Generation() == 1 })
+	waitFor(t, "probes to learn the generation", func() bool { return f.watermark.Load() == 1 })
 	for _, named := range []string{"", "ab12,cd34"} {
 		req := httptest.NewRequest(http.MethodPost, httpapi.PathSearch, strings.NewReader(`{"query":"x","r":1}`))
 		if named != "" {

@@ -132,18 +132,6 @@ func rawHandles(hs []DocHandle) []uint64 {
 	return out
 }
 
-// AddDocuments publishes a new generation containing the given documents
-// in addition to the current corpus.
-func (o *LiveOwner) AddDocuments(docs []Document) ([]DocHandle, *UpdateReport, error) {
-	return o.Update(docs, nil)
-}
-
-// RemoveDocuments publishes a new generation without the given documents.
-func (o *LiveOwner) RemoveDocuments(handles ...DocHandle) (*UpdateReport, error) {
-	_, rep, err := o.Update(nil, handles)
-	return rep, err
-}
-
 // Update applies additions and removals as one atomic generation change.
 // On error nothing is published and the serving state is unchanged.
 func (o *LiveOwner) Update(add []Document, remove []DocHandle) ([]DocHandle, *UpdateReport, error) {
@@ -208,7 +196,7 @@ func (o *LiveOwner) serving() served {
 }
 
 // Client returns a verification client pinned to the owner's public key,
-// positioned at the current generation. Advance it with ExportClient blobs
+// positioned at the current generation. Advance it with Client.Export blobs
 // (or, a bare collection's, with ManifestUpdate payloads), or let a
 // RemoteClient advance itself from the manifest endpoint.
 func (o *LiveOwner) Client() *Client { return current(o.lc).client() }
@@ -217,8 +205,8 @@ func (o *LiveOwner) Client() *Client { return current(o.lc).client() }
 // encoding and signature — the payload Client.Advance consumes. Publish
 // it over any channel; its trust comes from the signature, not the
 // transport. Bare collections only: one manifest cannot carry a shard
-// population, so a shard set returns nil, nil — publish ExportClient's blob
-// for Client.AdvanceExport instead.
+// population, so a shard set returns nil, nil — publish the blob of
+// Client().Export for Client.AdvanceExport instead.
 func (o *LiveOwner) ManifestUpdate() (manifest, sig []byte) {
 	col := o.lc.Current()
 	if col == nil {
@@ -227,9 +215,3 @@ func (o *LiveOwner) ManifestUpdate() (manifest, sig []byte) {
 	m, msig := col.Manifest()
 	return m.Encode(), msig
 }
-
-// ExportClient serialises the current generation's verification material:
-// the manifest endpoint's payload, and what Client.AdvanceExport consumes
-// (ATCX — RSA-signed collections only — or a shard set's ATSX, like
-// Owner.ExportClient).
-func (o *LiveOwner) ExportClient() ([]byte, error) { return o.Client().Export() }

@@ -67,7 +67,7 @@ func latestGeneration(dir string, sharded bool) (uint64, string, error) {
 		if sharded {
 			// A generation directory is only eligible once its ATSX bundle is
 			// in place (renames are atomic, so this only excludes foreign dirs).
-			if _, err := os.Stat(filepath.Join(dir, e.Name(), ShardedManifestFile)); err != nil {
+			if _, err := os.Stat(filepath.Join(dir, e.Name(), shardedManifestFile)); err != nil {
 				continue
 			}
 		}
@@ -196,7 +196,7 @@ func OpenLiveSnapshotDir(dir string) (*LiveReplica, error) {
 
 // load opens one generation snapshot.
 func (r *LiveReplica) load(path string) (*generation, error) {
-	server, client, err := openSnapshotPath(path)
+	server, client, err := OpenSnapshotFile(path)
 	if err != nil {
 		return nil, err
 	}

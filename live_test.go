@@ -298,7 +298,7 @@ func TestLiveShardedMixedGenerationRejected(t *testing.T) {
 	if err := client.Verify(liveQuery, 3, old); err != nil {
 		t.Fatal(err)
 	}
-	export1, err := owner.ExportClient()
+	export1, err := owner.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +309,7 @@ func TestLiveShardedMixedGenerationRejected(t *testing.T) {
 	if owner.Generation() != 2 {
 		t.Fatalf("generation = %d", owner.Generation())
 	}
-	export2, err := owner.ExportClient()
+	export2, err := owner.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +519,7 @@ func TestReplicaRefusesCorruptedGeneration(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			if _, _, err := owner.AddDocuments(liveDocs(40, 1)); err != nil {
+			if _, _, err := owner.Update(liveDocs(40, 1), nil); err != nil {
 				t.Fatal(err)
 			}
 			path, err := owner.WriteSnapshotDir(dir)
@@ -714,7 +714,7 @@ func TestLiveShardedRejectsRoundRobin(t *testing.T) {
 	}
 	checkHashPlaced(t, owner, docs)
 	more := liveDocs(12, 5)
-	if _, _, err := owner.AddDocuments(more); err != nil {
+	if _, _, err := owner.Update(more, nil); err != nil {
 		t.Fatal(err)
 	}
 	checkHashPlaced(t, owner, append(docs, more...))
@@ -736,7 +736,7 @@ func TestSignatureMemoSurvivesGenerationBumps(t *testing.T) {
 	if cold == 0 || hits != 0 {
 		t.Fatalf("first answer: %d verified, %d memo hits", cold, hits)
 	}
-	if _, rep, err := owner.AddDocuments(liveDocs(16, 1)); err != nil || rep.SignaturesReused == 0 {
+	if _, rep, err := owner.Update(liveDocs(16, 1), nil); err != nil || rep.SignaturesReused == 0 {
 		t.Fatalf("append reused no signatures: %+v, err %v", rep, err)
 	}
 	if err := client.Advance(owner.ManifestUpdate()); err != nil {
@@ -764,10 +764,10 @@ func TestSignatureMemoSurvivesGenerationBumps(t *testing.T) {
 	}
 	sharedMemo()
 	memo := sc.verifier
-	if _, _, err := sharded.AddDocuments(liveDocs(32, 3)); err != nil {
+	if _, _, err := sharded.Update(liveDocs(32, 3), nil); err != nil {
 		t.Fatal(err)
 	}
-	export, err := sharded.ExportClient()
+	export, err := sharded.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}

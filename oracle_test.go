@@ -150,7 +150,7 @@ func TestRankingOracle(t *testing.T) {
 			for _, col := range owner.Server().v.cols()[:top.Shard] {
 				slot += col.Index().N
 			}
-			if _, err := owner.RemoveDocuments(owner.Handles()[slot]); err != nil {
+			if _, _, err := owner.Update(nil, owner.Handles()[slot:slot+1]); err != nil {
 				t.Fatal(err)
 			}
 			stale := *honest

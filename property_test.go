@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -101,7 +103,11 @@ func TestPropertyHonestRoundTrip(t *testing.T) {
 			if err := owner.WriteSnapshot(&buf); err != nil {
 				t.Fatal(err)
 			}
-			snapServer, snapClient, err := authtext.OpenSnapshot(bytes.NewReader(buf.Bytes()))
+			snapPath := filepath.Join(t.TempDir(), "snap.atsn")
+			if err := os.WriteFile(snapPath, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			snapServer, snapClient, err := authtext.OpenSnapshotFile(snapPath)
 			if err != nil {
 				t.Fatal(err)
 			}

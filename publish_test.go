@@ -49,7 +49,7 @@ func singlePublishTarget(t *testing.T, dir string) publishTarget {
 		write:       func() (string, error) { return owner.WriteSnapshotDir(dir) },
 		reopen:      func() (string, error) { return owner.PersistGenerations(dir, nil) },
 		openReplica: func() error { _, err := OpenLiveSnapshotDir(dir); return err },
-		advance:     func() error { _, _, err := owner.AddDocuments(liveDocs(12, 2)); return err },
+		advance:     func() error { _, _, err := owner.Update(liveDocs(12, 2), nil); return err },
 		reload:      rep.Reload,
 		generation:  rep.Generation,
 		verified: func() error {
@@ -78,7 +78,7 @@ func shardedPublishTarget(t *testing.T, dir string) publishTarget {
 		write:       func() (string, error) { return owner.WriteSnapshotDir(dir) },
 		reopen:      func() (string, error) { return owner.PersistGenerations(dir, nil) },
 		openReplica: func() error { _, err := OpenLiveSnapshotDir(dir); return err },
-		advance:     func() error { _, _, err := owner.AddDocuments(liveDocs(16, 2)); return err },
+		advance:     func() error { _, _, err := owner.Update(liveDocs(16, 2), nil); return err },
 		reload:      rep.Reload,
 		generation:  rep.Generation,
 		verified: func() error {

@@ -178,7 +178,7 @@ func TestLiveDictionaryKeptThroughSmallVocabularyChange(t *testing.T) {
 	publish := func(terms []string) {
 		t.Helper()
 		text := []byte(strings.Join(terms, " ") + " " + string(docs[1].Content))
-		if _, _, err := lo.AddDocuments([]Document{{Content: text}, {Content: text}}); err != nil {
+		if _, _, err := lo.Update([]Document{{Content: text}, {Content: text}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := lo.WriteSnapshotDir(dir); err != nil {

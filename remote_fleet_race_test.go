@@ -46,10 +46,10 @@ func TestRemoteSearchRetriesAcrossLaggingManifestReplica(t *testing.T) {
 		"single": func(t *testing.T) raceEnv {
 			owner := must2(authtext.NewLiveOwner(liveRemoteDocs(0, 10)))(t)
 			env := raceEnv{manifest: httpapi.PathManifest, search: httpapi.PathSearch, format: httpapi.FormatATCX}
-			env.gen1 = must(owner.ExportClient())(t)
+			env.gen1 = must(owner.Client().Export())(t)
 			env.frozen = authtext.NewHTTPHandler(owner.Server(), env.gen1)
-			must2(owner.AddDocuments(liveRemoteDocs(10, 2)))(t)
-			env.gen2, env.live = must(owner.ExportClient())(t), must(owner.HTTPHandler())(t)
+			must2(owner.Update(liveRemoteDocs(10, 2), nil))(t)
+			env.gen2, env.live = must(owner.Client().Export())(t), must(owner.HTTPHandler())(t)
 			env.verifiedGeneration = func(t *testing.T, url string, opts ...authtext.RemoteOption) (uint64, uint64, error) {
 				rc := must(authtext.NewRemoteClient(url, opts...))(t)
 				res, err := rc.Search(context.Background(), "merkle tree", 5, authtext.TNRA, authtext.ChainMHT)
@@ -63,10 +63,10 @@ func TestRemoteSearchRetriesAcrossLaggingManifestReplica(t *testing.T) {
 		"sharded": func(t *testing.T) raceEnv {
 			owner := must2(authtext.NewLiveShardedOwner(liveRemoteDocs(0, 16), 2))(t)
 			env := raceEnv{manifest: httpapi.PathShardManifest, search: httpapi.PathShardSearch, format: httpapi.FormatATSX}
-			env.gen1 = must(owner.ExportClient())(t)
+			env.gen1 = must(owner.Client().Export())(t)
 			env.frozen = authtext.NewHTTPHandler(owner.Server(), env.gen1)
-			must2(owner.AddDocuments(liveRemoteDocs(16, 2)))(t)
-			env.gen2, env.live = must(owner.ExportClient())(t), must(owner.HTTPHandler())(t)
+			must2(owner.Update(liveRemoteDocs(16, 2), nil))(t)
+			env.gen2, env.live = must(owner.Client().Export())(t), must(owner.HTTPHandler())(t)
 			env.verifiedGeneration = func(t *testing.T, url string, opts ...authtext.RemoteOption) (uint64, uint64, error) {
 				rc := must(authtext.NewRemoteClient(url, opts...))(t)
 				res, err := rc.Search(context.Background(), "merkle tree", 5, authtext.TNRA, authtext.ChainMHT)

@@ -57,7 +57,7 @@ func remoteEnv(t *testing.T) (http.Handler, []byte) {
 			remoteFixture.err = err
 			return
 		}
-		export, err := owner.ExportClient()
+		export, err := owner.Client().Export()
 		if err != nil {
 			remoteFixture.err = err
 			return
@@ -89,7 +89,7 @@ func shardedRemoteEnv(t *testing.T) (http.Handler, []byte) {
 			f.err = err
 			return
 		}
-		if f.export, f.err = owner.ExportClient(); f.err == nil {
+		if f.export, f.err = owner.Client().Export(); f.err == nil {
 			f.handler = authtext.NewHTTPHandler(owner.Server(), f.export)
 		}
 	})

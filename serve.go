@@ -169,7 +169,7 @@ func (s *staticSource) updater() (liveUpdater, bool) { return nil, false }
 func (o *LiveOwner) pin(c *VOCache, m *Metrics) *Server {
 	return &Server{v: o.serving(), cache: c, metrics: m}
 }
-func (o *LiveOwner) export() ([]byte, error) { return o.ExportClient() }
+func (o *LiveOwner) export() ([]byte, error) { return o.Client().Export() }
 func (o *LiveOwner) adopt(m *Metrics) {
 	if o.metrics == nil {
 		o.metrics = m
@@ -188,10 +188,10 @@ func (r *LiveReplica) adopt(m *Metrics) {
 func (r *LiveReplica) updater() (liveUpdater, bool) { return nil, true }
 
 // NewHTTPHandler exposes a Server over the versioned HTTP protocol.
-// clientExport is the blob from Owner.ExportClient (or Server.ExportClient),
-// served verbatim at the manifest endpoint so remote clients can bootstrap;
-// pass nil to run a search endpoint without manifest bootstrap (clients must
-// then obtain the export out of band).
+// clientExport is the blob from Client.Export, served verbatim at the
+// manifest endpoint so remote clients can bootstrap; pass nil to run a
+// search endpoint without manifest bootstrap (clients must then obtain the
+// export out of band).
 func NewHTTPHandler(srv *Server, clientExport []byte, opts ...HandlerOption) http.Handler {
 	o := handlerOpts(opts)
 	return newHandler(newStaticSource(srv, clientExport, &o), o)
@@ -216,7 +216,7 @@ func newStaticSource(srv *Server, blob []byte, o *handlerOptions) *staticSource 
 // HTTPHandler is the owner-side convenience: it exports the verification
 // material and wraps the serving half in one call.
 func (o *Owner) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
-	export, err := o.ExportClient()
+	export, err := o.Client().Export()
 	if err != nil {
 		return nil, err
 	}

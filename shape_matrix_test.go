@@ -176,7 +176,7 @@ func withTombstone(t *testing.T) func(*authtext.LiveOwner, []authtext.DocHandle,
 		if err != nil {
 			t.Fatal(err)
 		}
-		must(owner.RemoveDocuments(handles[1]))(t)
+		must2(owner.Update(nil, handles[1:2]))(t)
 		return owner
 	}
 }
@@ -211,7 +211,7 @@ func replicaEnv(t *testing.T, owner *authtext.LiveOwner, dir string, replica *au
 		handler:   func(c *authtext.VOCache) http.Handler { return must(replica.HTTPHandler(authtext.WithVOCache(c)))(t) },
 		documents: matrixDocs - 1, generation: 2, server: replica.Server, client: replica.Client,
 		advance: func(t *testing.T) {
-			must(owner.RemoveDocuments(owner.Handles()[0]))(t)
+			must2(owner.Update(nil, owner.Handles()[:1]))(t)
 			reload(t, owner, dir, replica)
 		},
 		grow: func(t *testing.T, docs []authtext.Document) {
@@ -224,7 +224,7 @@ func replicaEnv(t *testing.T, owner *authtext.LiveOwner, dir string, replica *au
 // addDocuments publishes docs at owner.
 func addDocuments(t *testing.T, owner *authtext.LiveOwner, docs []authtext.Document) {
 	t.Helper()
-	if _, _, err := owner.AddDocuments(docs); err != nil {
+	if _, _, err := owner.Update(docs, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -335,7 +335,7 @@ var matrixShapes = func() (shapes []matrixShape) {
 					owner := buildStatic(t, shards, ownerOpts)
 					srv, own := owner.Server(), authtext.NewVOCache(1<<20)
 					srv.SetVOCache(own)
-					env := staticEnv(srv, owner.Client(), must(owner.ExportClient())(t))
+					env := staticEnv(srv, owner.Client(), must(owner.Client().Export())(t))
 					env.ownCache, env.server = own, owner.Server
 					return env
 				},
@@ -346,7 +346,7 @@ var matrixShapes = func() (shapes []matrixShape) {
 					return matrixEnv{
 						handler:   func(c *authtext.VOCache) http.Handler { return must(owner.HTTPHandler(authtext.WithVOCache(c)))(t) },
 						documents: matrixDocs - 1, generation: 2, server: owner.Server, client: owner.Client,
-						advance: func(t *testing.T) { must(owner.RemoveDocuments(owner.Handles()[0]))(t) },
+						advance: func(t *testing.T) { must2(owner.Update(nil, owner.Handles()[:1]))(t) },
 						grow:    func(t *testing.T, docs []authtext.Document) { addDocuments(t, owner, docs) },
 					}
 				}},

@@ -137,7 +137,7 @@ func TestShardedExportRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	export, err := owner.ExportClient()
+	export, err := owner.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,11 +434,11 @@ func TestShapeMismatchClassified(t *testing.T) {
 		}
 		return res
 	}
-	atcx, err := bareOwner.ExportClient()
+	atcx, err := bareOwner.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}
-	atsx, err := setOwner.ExportClient()
+	atsx, err := setOwner.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,16 +29,16 @@ import (
 // client) the exact shard population the owner signed. Every path-taking
 // open function tells the two layouts apart itself.
 
-// ShardedManifestFile is the ATSX bundle inside a shard set's snapshot
+// shardedManifestFile is the ATSX bundle inside a shard set's snapshot
 // directory.
-const ShardedManifestFile = "shards.atsx"
+const shardedManifestFile = "shards.atsx"
 
 // shardSnapshotName returns the file name of shard i's snapshot.
 func shardSnapshotName(i int) string { return fmt.Sprintf("shard-%04d.atsn", i) }
 
 // isShardDir reports whether path is a shard set's snapshot directory.
 func isShardDir(path string) bool {
-	_, err := os.Stat(filepath.Join(path, ShardedManifestFile))
+	_, err := os.Stat(filepath.Join(path, shardedManifestFile))
 	return err == nil
 }
 
@@ -81,40 +81,22 @@ func writeShardSet(dir string, v served) error {
 	if err != nil {
 		return err
 	}
-	return publish(filepath.Join(dir, ShardedManifestFile), false, func(tmp string) error {
+	return publish(filepath.Join(dir, shardedManifestFile), false, func(tmp string) error {
 		return os.WriteFile(tmp, export, 0o644)
 	})
 }
 
-// OpenSnapshot reopens a bare collection's snapshot and returns the serving
-// half plus a verification client carrying the embedded manifest and public
-// key. The input is treated as untrusted: malformed, truncated or corrupted
-// snapshots error out here, and users who must not trust the snapshot
-// channel should verify results with a Client bootstrapped out of band
-// from the owner instead of the returned one.
-func OpenSnapshot(r io.ReaderAt) (*Server, *Client, error) {
-	col, err := snapshot.Open(r)
-	if err != nil {
-		return nil, nil, err
-	}
-	v := served{col: col}.withDictionary()
-	return &Server{v: v}, v.client(), nil
-}
-
-// OpenSnapshotFile is OpenSnapshot over a path: a snapshot file, or a shard
-// set's directory as WriteSnapshotDir leaves it. Every shard snapshot is
-// cross-checked against the signed set manifest, so a missing, swapped or
-// foreign shard file fails here; the deeper trust model is OpenSnapshot's —
-// a consistently forged directory still produces answers that fail
-// verification against an out-of-band client.
+// OpenSnapshotFile reopens a snapshot — a snapshot file, or a shard set's
+// directory as WriteSnapshotDir leaves it — and returns the serving half
+// plus a verification client carrying the embedded manifest and public key.
+// The input is treated as untrusted: malformed, truncated or corrupted
+// snapshots error out here, and every shard snapshot is cross-checked
+// against the signed set manifest, so a missing, swapped or foreign shard
+// file fails too. Users who must not trust the snapshot channel should
+// verify results with a Client bootstrapped out of band from the owner
+// instead of the returned one: a consistently forged snapshot still
+// produces answers that fail verification against it.
 func OpenSnapshotFile(path string) (*Server, *Client, error) {
-	return openSnapshotPath(path)
-}
-
-// openSnapshotPath opens the snapshot file — or every shard of the snapshot
-// directory — at path, and for a shard set assembles the shards against the
-// signed set manifest.
-func openSnapshotPath(path string) (*Server, *Client, error) {
 	var v served
 	if !isShardDir(path) {
 		col, err := openSnapshotFile(path)
@@ -123,7 +105,7 @@ func openSnapshotPath(path string) (*Server, *Client, error) {
 		}
 		v.col = col
 	} else {
-		export, err := os.ReadFile(filepath.Join(path, ShardedManifestFile))
+		export, err := os.ReadFile(filepath.Join(path, shardedManifestFile))
 		if err != nil {
 			return nil, nil, fmt.Errorf("authtext: sharded snapshot: %w", err)
 		}

@@ -26,8 +26,18 @@ func snapshotTestDocs() []Document {
 	return docs
 }
 
+// openSnapshotBytes writes data to a temporary snapshot file and opens it.
+func openSnapshotBytes(t *testing.T, data []byte) (*Server, *Client, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "snap.atsn")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return OpenSnapshotFile(path)
+}
+
 // TestSnapshotRoundTrip is the acceptance path: build → WriteSnapshot →
-// OpenSnapshot must serve TRA and TNRA queries under both schemes whose
+// OpenSnapshotFile must serve TRA and TNRA queries under both schemes whose
 // VOs verify against a Client created from the ORIGINAL in-memory owner,
 // and the published verification material must be byte-identical across
 // the round trip.
@@ -40,12 +50,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := owner.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	snapServer, snapClient, err := OpenSnapshot(bytes.NewReader(buf.Bytes()))
+	snapServer, snapClient, err := openSnapshotBytes(t, buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	origExport, err := owner.ExportClient()
+	origExport, err := owner.Client().Export()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +116,7 @@ func TestSnapshotFlippedByteRejected(t *testing.T) {
 	for _, off := range []int{9, len(snap) / 5, len(snap) / 3, len(snap) / 2, len(snap) - 2} {
 		bad := append([]byte(nil), snap...)
 		bad[off] ^= 0x01
-		server, _, err := OpenSnapshot(bytes.NewReader(bad))
+		server, _, err := openSnapshotBytes(t, bad)
 		if err != nil {
 			continue // rejected at open: acceptable arm one
 		}
@@ -123,7 +133,7 @@ func TestSnapshotFlippedByteRejected(t *testing.T) {
 // TestOpenSnapshotGarbage makes sure hostile non-snapshots error cleanly.
 func TestOpenSnapshotGarbage(t *testing.T) {
 	for _, data := range [][]byte{nil, []byte("x"), []byte("ATSN"), bytes.Repeat([]byte{0xff}, 4096)} {
-		if _, _, err := OpenSnapshot(bytes.NewReader(data)); err == nil {
+		if _, _, err := openSnapshotBytes(t, data); err == nil {
 			t.Errorf("garbage input %q accepted", data[:min(len(data), 8)])
 		}
 	}
