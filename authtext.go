@@ -481,11 +481,19 @@ func (s *Server) Shards() int { return s.v.shards() }
 // top-r. Search is safe for concurrent use, and per-query Stats are
 // unaffected by concurrency.
 func (s *Server) Search(query string, r int, algo Algorithm, scheme Scheme) (*SearchResult, error) {
+	return s.search(query, r, algo, scheme, 0)
+}
+
+// search is Search for a client that holds the top depth levels of the
+// collection-level trees: a bare collection's answer cuts every proof
+// through them at that depth (engine.Collection.SearchCapped). A shard set
+// answers uncut; its handler refuses a nonzero depth.
+func (s *Server) search(query string, r int, algo Algorithm, scheme Scheme, depth int) (*SearchResult, error) {
 	tokens := textproc.Terms(query)
 	gen, sharded := s.v.generation(), s.v.set != nil
 	var key string
 	if s.cache != nil {
-		key = cacheKey(sharded, tokens, r, algo, scheme, gen)
+		key = cacheKey(sharded, tokens, r, algo, scheme, gen, depth)
 		lookupStart := time.Now()
 		res, ok := s.cache.get(key)
 		s.metrics.observeCacheLookup(time.Since(lookupStart))
@@ -503,7 +511,7 @@ func (s *Server) Search(query string, r int, algo Algorithm, scheme Scheme) (*Se
 		out = s.mergedResult(setRes, gen, algo, scheme)
 		s.metrics.recordShardedSearch(setRes)
 	} else {
-		res, voBytes, st, err := s.v.col.Search(tokens, r, algo.core(), scheme.core())
+		res, voBytes, st, err := s.v.col.SearchCapped(tokens, r, algo.core(), scheme.core(), depth)
 		if err != nil {
 			return nil, err
 		}
@@ -626,6 +634,11 @@ type Client struct {
 	// maxGen is the highest generation this client has accepted; Advance
 	// refuses to go below it.
 	maxGen uint64
+	// cap is the verified proof cap of the held manifest (nil: none), and
+	// capAsked whether a remote client has asked its server for one since
+	// the manifest was installed (RemoteClient asks once per generation).
+	cap      *core.Cap
+	capAsked bool
 }
 
 // clientSet is the shard population a set client holds: the signed set
@@ -778,6 +791,14 @@ func (c *Client) acceptLocked(gen uint64, enc []byte) (install bool, err error) 
 // generation with identical bytes is a no-op. A shard set's client advances
 // with AdvanceExport only: one manifest cannot carry the shard population.
 func (c *Client) Advance(manifestBytes, sigBytes []byte) error {
+	return c.advance(manifestBytes, sigBytes, false, nil)
+}
+
+// advance is Advance for a manifest fetched together with the proof cap of
+// its generation (capBytes; nil when the server has none, or when it was
+// not asked, capAsked false). Manifest and cap are installed in one step,
+// so no Verify sees the new manifest without the cap that came with it.
+func (c *Client) advance(manifestBytes, sigBytes []byte, capAsked bool, capBytes []byte) error {
 	if c.Shards() > 0 {
 		return errors.New("authtext: a collection manifest cannot advance a shard set's client; use AdvanceExport with its ATSX export")
 	}
@@ -790,26 +811,86 @@ func (c *Client) Advance(manifestBytes, sigBytes []byte) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if install, err := c.acceptLocked(m.Generation, manifestBytes); !install {
+	install, err := c.acceptLocked(m.Generation, manifestBytes)
+	if err != nil {
 		return err
 	}
-	c.manifest = m
-	c.manifestSig = append([]byte(nil), sigBytes...)
-	c.maxGen = m.Generation
+	if install {
+		c.manifest = m
+		c.manifestSig = append([]byte(nil), sigBytes...)
+		c.maxGen = m.Generation
+		c.cap, c.capAsked = nil, false
+	}
+	// Not installed, the manifest is the one held: the cap is its too.
+	return c.installCapLocked(capAsked, capBytes)
+}
+
+// installCap records that this client's server was asked for the proof
+// cap of the held manifest, and installs capBytes, its answer (nil: none).
+func (c *Client) installCap(capBytes []byte) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err := c.checkManifestLocked(); err != nil {
+		return err
+	}
+	return c.installCapLocked(true, capBytes)
+}
+
+// installCapLocked installs capBytes as the held manifest's proof cap
+// unless the client holds one already; a cap that does not rebuild to the
+// manifest's roots is discarded and reported as tampering (caller holds mu).
+func (c *Client) installCapLocked(asked bool, capBytes []byte) error {
+	c.capAsked = c.capAsked || asked
+	if capBytes == nil || c.cap != nil {
+		return nil
+	}
+	capped, err := core.VerifyCap(c.manifest, capBytes)
+	if err != nil {
+		return err
+	}
+	c.cap = capped
 	return nil
+}
+
+// claimCapFetch reports whether the caller should ask the server for the
+// held manifest's proof cap: once per installed manifest of a bare
+// collection, and not when one was asked for with it.
+func (c *Client) claimCapFetch() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.set != nil || c.capAsked {
+		return false
+	}
+	c.capAsked = true
+	return true
+}
+
+// capDepth returns the depth of the proof cap the client holds for its
+// manifest: 0 for none.
+func (c *Client) capDepth() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.cap == nil {
+		return 0
+	}
+	return c.cap.Depth
 }
 
 // AdvanceExport is Advance over the owner's current export blob — the
 // manifest endpoint's payload: ATCX for a bare collection's client, ATSX
 // (the only way forward) for a shard set's. The blob's embedded key is not
 // trusted: the signature must verify against this client's pinned key.
-func (c *Client) AdvanceExport(data []byte) error {
+func (c *Client) AdvanceExport(data []byte) error { return c.advanceExport(data, false, nil) }
+
+// advanceExport is AdvanceExport with the proof cap fetched beside data, as
+// advance takes it; a shard set's export comes with none.
+func (c *Client) advanceExport(data []byte, capAsked bool, capBytes []byte) error {
 	if exportFormat(data) != httpapi.FormatATSX {
 		manifestRaw, sigRaw, _, err := splitClientExport(data)
 		if err != nil {
 			return err
 		}
-		return c.Advance(manifestRaw, sigRaw)
+		return c.advance(manifestRaw, sigRaw, capAsked, capBytes)
 	}
 	if c.Shards() == 0 {
 		return errors.New("authtext: an ATSX export cannot advance a bare collection's client")
@@ -850,7 +931,7 @@ func (c *Client) Verify(query string, r int, res *SearchResult) error {
 	}
 	c.mu.Lock()
 	err := c.checkManifestLocked()
-	manifest, set := c.manifest, c.set
+	manifest, set, capped := c.manifest, c.set, c.cap
 	c.mu.Unlock()
 	if err != nil {
 		return err
@@ -882,6 +963,7 @@ func (c *Client) Verify(query string, r int, res *SearchResult) error {
 		Result:   entries,
 		Contents: contents,
 		VO:       decoded,
+		Cap:      capped,
 	})
 }
 

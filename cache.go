@@ -85,14 +85,16 @@ func (c *VOCache) dropBelow(gen uint64) {
 }
 
 // cacheKey builds the lookup key: shape, generation, r, algorithm, scheme,
-// then the normalized query terms in engine order. The shape tag ('k' for a
+// proof-cap depth, then the normalized query terms in engine order. The
+// depth decides which digests the VO carries, so a cut answer and an uncut
+// one to the same query are different answers. The shape tag ('k' for a
 // shard set's fan-out answer, 'q' for a bare collection's) keeps one cache
 // shared by both from ever handing one the other's answer. The terms come
 // out of textproc.Terms, so two spellings of the same query (case,
 // stopwords, whitespace) share an entry, while term ORDER is preserved — the
 // VO encodes per-term structure, so differently ordered queries keep their
 // own answers.
-func cacheKey(sharded bool, tokens []string, r int, algo Algorithm, scheme Scheme, gen uint64) string {
+func cacheKey(sharded bool, tokens []string, r int, algo Algorithm, scheme Scheme, gen uint64, depth int) string {
 	var b strings.Builder
 	n := 16
 	for _, t := range tokens {
@@ -111,6 +113,8 @@ func cacheKey(sharded bool, tokens []string, r int, algo Algorithm, scheme Schem
 	b.WriteByte('|')
 	b.WriteString(strconv.Itoa(int(algo)))
 	b.WriteString(strconv.Itoa(int(scheme)))
+	b.WriteByte('c')
+	b.WriteString(strconv.Itoa(depth))
 	for _, t := range tokens {
 		b.WriteByte('|')
 		b.WriteString(t)

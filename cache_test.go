@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"authtext/internal/httpapi"
 	"authtext/internal/store"
 	"authtext/internal/wire"
 )
@@ -19,19 +20,20 @@ import (
 // every shape, served from a cache hit — is the shape matrix's.
 
 func TestCacheKeyDiscriminates(t *testing.T) {
-	base := cacheKey(false, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1)
-	same := cacheKey(false, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1)
+	base := cacheKey(false, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1, 0)
+	same := cacheKey(false, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1, 0)
 	if base != same {
 		t.Fatal("identical parameters produced different keys")
 	}
 	variants := []string{
-		cacheKey(true, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1),
-		cacheKey(false, []string{"keeper", "night"}, 3, TNRA, ChainMHT, 1),
-		cacheKey(false, []string{"night"}, 3, TNRA, ChainMHT, 1),
-		cacheKey(false, []string{"night", "keeper"}, 4, TNRA, ChainMHT, 1),
-		cacheKey(false, []string{"night", "keeper"}, 3, TRA, ChainMHT, 1),
-		cacheKey(false, []string{"night", "keeper"}, 3, TNRA, MHT, 1),
-		cacheKey(false, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 2),
+		cacheKey(true, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1, 0),
+		cacheKey(false, []string{"keeper", "night"}, 3, TNRA, ChainMHT, 1, 0),
+		cacheKey(false, []string{"night"}, 3, TNRA, ChainMHT, 1, 0),
+		cacheKey(false, []string{"night", "keeper"}, 4, TNRA, ChainMHT, 1, 0),
+		cacheKey(false, []string{"night", "keeper"}, 3, TRA, ChainMHT, 1, 0),
+		cacheKey(false, []string{"night", "keeper"}, 3, TNRA, MHT, 1, 0),
+		cacheKey(false, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 2, 0),
+		cacheKey(false, []string{"night", "keeper"}, 3, TNRA, ChainMHT, 1, 8),
 	}
 	seen := map[string]bool{base: true}
 	for i, k := range variants {
@@ -349,5 +351,58 @@ func TestShardedCacheHitVerifies(t *testing.T) {
 	}
 	if st := cache.Stats(); st.Hits != 2 || st.Misses != 2 {
 		t.Fatalf("shared cache: %+v, want each server's second lookup a hit", st)
+	}
+}
+
+// TestCacheKeepsCutAndUncutAnswersApart: a cut answer (the client holds the
+// proof cap) and an uncut one to the same query are different answers, and
+// neither is ever served from the other's cache entry — in process, or
+// over HTTP as byte-identical repeats of their own misses.
+func TestCacheKeepsCutAndUncutAnswersApart(t *testing.T) {
+	o, err := NewOwner(newsDocs(), WithFastSigner([]byte("cache-cut")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const q, r = "patent examiner portal", 3
+	srv := o.Server()
+	cache := NewVOCache(1 << 20)
+	srv.SetVOCache(cache)
+	cut, err := srv.search(q, r, TNRA, ChainMHT, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uncut, err := srv.Search(q, r, TNRA, ChainMHT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := cache.Stats(); st.Misses != 2 || st.Hits != 0 || bytes.Equal(cut.VO, uncut.VO) {
+		t.Fatalf("cut then uncut: %+v, VOs equal: %v", st, bytes.Equal(cut.VO, uncut.VO))
+	}
+	for depth, want := range map[int]*SearchResult{8: cut, 0: uncut} {
+		again, err := srv.search(q, r, TNRA, ChainMHT, depth)
+		if err != nil || !bytes.Equal(again.VO, want.VO) {
+			t.Fatalf("depth %d: a hit served another answer's VO (%v)", depth, err)
+		}
+	}
+	if st := cache.Stats(); st.Misses != 2 || st.Hits != 2 {
+		t.Fatalf("repeats: %+v, want two hits", st)
+	}
+
+	h := NewHTTPHandler(o.Server(), nil, WithVOCache(NewVOCache(1<<20)))
+	bodies := map[int][]byte{}
+	for _, depth := range []int{8, 0, 8, 0} {
+		req, _ := json.Marshal(&httpapi.SearchRequest{Query: q, R: r, Cap: depth})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, httpapi.PathSearch, bytes.NewReader(req)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("depth %d: %d %s", depth, rec.Code, rec.Body.String())
+		}
+		if first, ok := bodies[depth]; ok && !bytes.Equal(first, rec.Body.Bytes()) {
+			t.Fatalf("depth %d: the repeat is not the miss's bytes", depth)
+		}
+		bodies[depth] = rec.Body.Bytes()
+	}
+	if bytes.Equal(bodies[8], bodies[0]) {
+		t.Fatal("the cut and the uncut answer are the same bytes")
 	}
 }

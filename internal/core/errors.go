@@ -62,6 +62,14 @@ const (
 	// although the signed manifest lists the variant — an answer withheld
 	// under a false claim.
 	CodeVariantWithheld
+	// CodeBadCap: a proof cap (the top levels of the collection-level
+	// trees, docs/PROTOCOL.md "Proof caps") does not rebuild to the roots
+	// the manifest it came with signs.
+	CodeBadCap
+	// CodeCapDepth: an answer says its proofs were cut deeper than the cap
+	// the client holds for its generation, so they lack digests nothing
+	// the client trusts can supply.
+	CodeCapDepth
 )
 
 // String implements fmt.Stringer.
@@ -99,6 +107,10 @@ func (c VerifyCode) String() string {
 		return "equivocation"
 	case CodeVariantWithheld:
 		return "variant-withheld"
+	case CodeBadCap:
+		return "bad-cap"
+	case CodeCapDepth:
+		return "cap-depth-exceeded"
 	}
 	return fmt.Sprintf("VerifyCode(%d)", int(c))
 }

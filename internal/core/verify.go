@@ -28,6 +28,11 @@ type VerifyInput struct {
 	// committed digests).
 	Contents map[index.DocID][]byte
 	VO       *vo.VO
+	// Cap is the top of the collection-level trees the client holds for
+	// its manifest's generation (VerifyCap), or nil. An answer may cut its
+	// collection-tree proofs at any depth up to Cap.Depth (VO.CapDepth);
+	// one cut deeper is CodeCapDepth.
+	Cap *Cap
 }
 
 // Verify checks a query result against the correctness criteria of §3.1:
@@ -52,6 +57,21 @@ func Verify(in *VerifyInput) error {
 		// (content tree, collection statistics) under the wrong state.
 		return vErr(CodeStaleGeneration, "answer generation %d, manifest generation %d",
 			in.VO.Generation, m.Generation)
+	}
+	// The stated depth only says where each collection-tree proof takes its
+	// top from — the answer or the verified cap — and every root is still
+	// compared against the signed one, so it needs no authentication of its
+	// own: it must only not reach below the cap held.
+	var k cut
+	if d := int(in.VO.CapDepth); d > 0 {
+		held := 0
+		if in.Cap != nil && in.Cap.Generation == m.Generation {
+			held = in.Cap.Depth
+		}
+		if d > held {
+			return vErr(CodeCapDepth, "answer cut at depth %d, the cap held for generation %d is %d deep", d, m.Generation, held)
+		}
+		k = cut{in.Cap, d}
 	}
 	algo, scheme := Algo(in.VO.Algo), Scheme(in.VO.Scheme)
 	if algo != AlgoTRA && algo != AlgoTNRA {
@@ -120,7 +140,7 @@ func Verify(in *VerifyInput) error {
 		return vErr(CodeMalformedVO, "too many query terms: %d", len(q.Terms))
 	}
 	if m.VocabProofsEnabled {
-		if err := verifyVocabProofs(m, hasher, unknown, in.VO.VocabProofs); err != nil {
+		if err := verifyVocabProofs(m, hasher, k, unknown, in.VO.VocabProofs); err != nil {
 			return err
 		}
 	}
@@ -208,7 +228,7 @@ func Verify(in *VerifyInput) error {
 		if dp.Sig != nil {
 			return vErr(CodeMalformedVO, "signature present on the dictionary proof")
 		}
-		root, err := mht.RootFromProof(hasher, int(m.M), dictWant, mht.Proof{Digests: dp.Digests})
+		root, err := k.root(hasher, CapDict+CapTree(kind-1), int(m.M), dictWant, dp.Digests)
 		if err != nil {
 			return vErr(CodeBadTermProof, "dictionary proof: %v", err)
 		}
@@ -220,7 +240,7 @@ func Verify(in *VerifyInput) error {
 	var boost *Boost
 	if m.Boosted {
 		var err error
-		boost, err = verifyAuthority(in, hasher, prefixes)
+		boost, err = verifyAuthority(in, hasher, k, prefixes)
 		if err != nil {
 			return err
 		}
@@ -231,13 +251,13 @@ func Verify(in *VerifyInput) error {
 	if algo == AlgoTRA {
 		return verifyTRA(in, baseHasher, hasher, q, prefixes, exhausted, boost)
 	}
-	return verifyTNRA(in, baseHasher, hasher, q, prefixes, exhausted, boost)
+	return verifyTNRA(in, baseHasher, hasher, k, q, prefixes, exhausted, boost)
 }
 
 // verifyAuthority checks the authority-MHT multiproof covering every
 // revealed document (§5 extension) and returns the Boost the scoring steps
 // will apply.
-func verifyAuthority(in *VerifyInput, hasher mht.Hasher, prefixes [][]index.Posting) (*Boost, error) {
+func verifyAuthority(in *VerifyInput, hasher mht.Hasher, k cut, prefixes [][]index.Posting) (*Boost, error) {
 	m := in.Manifest
 	ap := in.VO.AuthorityProof
 	if ap == nil {
@@ -266,7 +286,7 @@ func verifyAuthority(in *VerifyInput, hasher mht.Hasher, prefixes [][]index.Post
 		want[int(d)] = EncodeAuthorityLeaf(d, ap.Values[i])
 		authority[d] = float64(ap.Values[i])
 	}
-	root, err := mht.RootFromProof(hasher, int(m.N), want, mht.Proof{Digests: ap.Digests})
+	root, err := k.root(hasher, CapAuthority, int(m.N), want, ap.Digests)
 	if err != nil {
 		return nil, vErr(CodeBadTermProof, "authority proof: %v", err)
 	}
@@ -502,7 +522,7 @@ func extractWeight(dp *vo.DocProof, n int, t uint32) (float32, error) {
 // prefixes and checks the claimed result against it (§3.4), then
 // authenticates the delivered contents against the collection's
 // document-hash tree.
-func verifyTNRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Query, prefixes [][]index.Posting, exhausted []bool, boost *Boost) error {
+func verifyTNRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, k cut, q *Query, prefixes [][]index.Posting, exhausted []bool, boost *Boost) error {
 	if len(in.VO.Docs) != 0 {
 		return vErr(CodeMalformedVO, "document proofs in a TNRA VO")
 	}
@@ -551,7 +571,7 @@ func verifyTNRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Qu
 		}
 		want[int(e.Doc)] = baseHasher.Sum(content)
 	}
-	root, err := mht.RootFromProof(hasher, int(in.Manifest.N), want, mht.Proof{Digests: cp.Digests})
+	root, err := k.root(hasher, CapDocHash, int(in.Manifest.N), want, cp.Digests)
 	if err != nil {
 		return vErr(CodeBadContent, "content proof: %v", err)
 	}
@@ -564,7 +584,7 @@ func verifyTNRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Qu
 // verifyVocabProofs checks non-membership proofs for out-of-dictionary
 // tokens against the name-ordered dictionary tree (an extension:
 // docs/ARCHITECTURE.md, "Departures from the paper").
-func verifyVocabProofs(m *Manifest, hasher mht.Hasher, unknown []string, proofs []vo.VocabProof) error {
+func verifyVocabProofs(m *Manifest, hasher mht.Hasher, k cut, unknown []string, proofs []vo.VocabProof) error {
 	byToken := make(map[string]*vo.VocabProof, len(proofs))
 	for i := range proofs {
 		p := &proofs[i]
@@ -602,7 +622,7 @@ func verifyVocabProofs(m *Manifest, hasher mht.Hasher, unknown []string, proofs 
 		for j := range p.Positions {
 			want[int(p.Positions[j])] = VocabLeaf(p.Names[j])
 		}
-		root, err := mht.RootFromProof(hasher, mm, want, mht.Proof{Digests: p.Digests})
+		root, err := k.root(hasher, CapNameDict, mm, want, p.Digests)
 		if err != nil {
 			return vErr(CodeBadVocabProof, "%q: %v", tok, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"authtext/internal/core"
@@ -134,6 +135,8 @@ type Collection struct {
 	dictTrees     [4]*mht.Tree // over termRoots[k]; dictionary mode only
 	nameTree      *mht.Tree    // over VocabLeaf(name); vocab-proof mode only
 	authorityTree *mht.Tree    // over ⟨d, A(d)⟩; boost extension only
+	// caps memoises the encoded proof cap of each depth (Cap).
+	caps [mht.MaxCapDepth + 1]atomic.Pointer[[]byte]
 	// Per-document trees over the term vectors, for TRA's document proofs:
 	// derived state too, but filled as queries encounter the documents.
 	vecTrees *vecTrees

@@ -57,9 +57,20 @@ type QueryStats struct {
 // a store.Session private to this call. Each session
 // starts with a cold head, so per-query QueryStats.IO is identical to what
 // the serialized engine reported for the same query.
-func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.Scheme) (retRes *Result, retVO []byte, retStats *QueryStats, retErr error) {
+func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.Scheme) (*Result, []byte, *QueryStats, error) {
+	return c.SearchCapped(tokens, r, algo, scheme, 0)
+}
+
+// SearchCapped is Search for a client that holds the top depth levels of
+// the collection-level trees (Cap): every multiproof through the
+// document-hash, dictionary, name-dictionary and authority trees is cut at
+// that depth, and the VO says so. Depth 0 is Search, byte for byte.
+func (c *Collection) SearchCapped(tokens []string, r int, algo core.Algo, scheme core.Scheme, depth int) (retRes *Result, retVO []byte, retStats *QueryStats, retErr error) {
 	if r < 1 {
 		return nil, nil, nil, fmt.Errorf("engine: result size %d", r)
+	}
+	if depth < 0 || depth > mht.MaxCapDepth {
+		return nil, nil, nil, fmt.Errorf("engine: cap depth %d outside [0,%d]", depth, mht.MaxCapDepth)
 	}
 	if kind := core.KindFor(algo, scheme); !c.manifest.Serves(kind) {
 		return nil, nil, nil, fmt.Errorf("engine: %v: %w (this collection builds %v)", kind, core.ErrVariantNotBuilt, c.manifest.Variants)
@@ -87,11 +98,11 @@ func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.
 	}
 	stats.QueryTerms = len(q.Terms)
 
-	v := &vo.VO{Algo: uint8(algo), Scheme: uint8(scheme), Generation: c.manifest.Generation}
+	v := &vo.VO{Algo: uint8(algo), Scheme: uint8(scheme), Generation: c.manifest.Generation, CapDepth: uint8(depth)}
 	if c.cfg.VocabProofs && len(q.Unknown) > 0 {
 		// Proof assembly ahead of the walk; finish adds the rest to it.
 		vocabStart := time.Now()
-		if err := c.appendVocabProofs(v, q.Unknown); err != nil {
+		if err := c.appendVocabProofs(v, q.Unknown, depth); err != nil {
 			return nil, nil, nil, err
 		}
 		stats.ProofWall = time.Since(vocabStart)
@@ -145,19 +156,19 @@ func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.
 		if err := c.assembleTermProofs(v, q, src.cursors, out.KScore, kind, scheme); err != nil {
 			return nil, nil, nil, err
 		}
-		if err := c.assembleContentProof(v, out.Result); err != nil {
+		if err := c.assembleContentProof(v, out.Result, depth); err != nil {
 			return nil, nil, nil, err
 		}
 		c.recordReadStats(stats, q, out.KScore)
 	}
 
 	if c.cfg.DictMode {
-		if err := c.assembleDictProof(v, q, kind); err != nil {
+		if err := c.assembleDictProof(v, q, kind, depth); err != nil {
 			return nil, nil, nil, err
 		}
 	}
 	if c.boost != nil {
-		if err := c.assembleAuthorityProof(v); err != nil {
+		if err := c.assembleAuthorityProof(v, depth); err != nil {
 			return nil, nil, nil, err
 		}
 	}
@@ -382,8 +393,8 @@ func searchVec(vec []index.TermFreq, from int, t index.TermID) (int, bool) {
 }
 
 // assembleContentProof authenticates TNRA result contents against the
-// document-hash tree.
-func (c *Collection) assembleContentProof(v *vo.VO, result []core.ResultEntry) error {
+// document-hash tree, cut at depth like every collection-tree proof below.
+func (c *Collection) assembleContentProof(v *vo.VO, result []core.ResultEntry, depth int) error {
 	if len(result) == 0 {
 		return nil
 	}
@@ -392,7 +403,7 @@ func (c *Collection) assembleContentProof(v *vo.VO, result []core.ResultEntry) e
 		positions = append(positions, int(e.Doc))
 	}
 	sort.Ints(positions)
-	proof, err := c.docTree.Prove(positions)
+	proof, err := c.docTree.ProveCapped(positions, depth)
 	if err != nil {
 		return err
 	}
@@ -402,13 +413,13 @@ func (c *Collection) assembleContentProof(v *vo.VO, result []core.ResultEntry) e
 
 // assembleDictProof replaces per-term signatures with one dictionary-MHT
 // multiproof (§3.4 space optimisation).
-func (c *Collection) assembleDictProof(v *vo.VO, q *core.Query, kind core.StructureKind) error {
+func (c *Collection) assembleDictProof(v *vo.VO, q *core.Query, kind core.StructureKind, depth int) error {
 	positions := make([]int, 0, len(q.Terms))
 	for i := range q.Terms {
 		positions = append(positions, int(q.Terms[i].ID))
 	}
 	sort.Ints(positions)
-	proof, err := c.dictTrees[kind-1].Prove(positions)
+	proof, err := c.dictTrees[kind-1].ProveCapped(positions, depth)
 	if err != nil {
 		return err
 	}
@@ -417,7 +428,7 @@ func (c *Collection) assembleDictProof(v *vo.VO, q *core.Query, kind core.Struct
 }
 
 // appendVocabProofs adds non-membership proofs for out-of-dictionary tokens.
-func (c *Collection) appendVocabProofs(v *vo.VO, unknown []string) error {
+func (c *Collection) appendVocabProofs(v *vo.VO, unknown []string, depth int) error {
 	m := c.idx.M()
 	for _, tok := range unknown {
 		p := sort.Search(m, func(i int) bool { return c.idx.Name(index.TermID(i)) >= tok })
@@ -430,7 +441,7 @@ func (c *Collection) appendVocabProofs(v *vo.VO, unknown []string) error {
 		default:
 			positions = []int{p - 1, p}
 		}
-		proof, err := c.nameTree.Prove(positions)
+		proof, err := c.nameTree.ProveCapped(positions, depth)
 		if err != nil {
 			return err
 		}
@@ -447,7 +458,7 @@ func (c *Collection) appendVocabProofs(v *vo.VO, unknown []string) error {
 // assembleAuthorityProof adds the authority-MHT multiproof covering every
 // revealed document (boost extension). The revealed set is the union of the
 // scoring prefixes; the per-document authority values travel as data leaves.
-func (c *Collection) assembleAuthorityProof(v *vo.VO) error {
+func (c *Collection) assembleAuthorityProof(v *vo.VO, depth int) error {
 	seen := make(map[index.DocID]struct{})
 	var docs []int
 	for _, tp := range v.Terms {
@@ -460,7 +471,7 @@ func (c *Collection) assembleAuthorityProof(v *vo.VO) error {
 		}
 	}
 	sort.Ints(docs)
-	proof, err := c.authorityTree.Prove(docs)
+	proof, err := c.authorityTree.ProveCapped(docs, depth)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -26,7 +27,10 @@ type stubReplica struct {
 	searches atomic.Int64
 	// named is the dictionary header of the last search.
 	named atomic.Pointer[string]
-	srv   *httptest.Server
+	// body is the last search's request body, query the last manifest
+	// request's query string.
+	body, query atomic.Pointer[string]
+	srv         *httptest.Server
 }
 
 func newStubReplica(gen uint64) *stubReplica {
@@ -55,7 +59,18 @@ func (s *stubReplica) serve(w http.ResponseWriter, r *http.Request) {
 		s.searches.Add(1)
 		named := r.Header.Get(httpapi.DictionaryHeader)
 		s.named.Store(&named)
+		body, _ := io.ReadAll(r.Body)
+		b := string(body)
+		s.body.Store(&b)
 		writeJSON(w, http.StatusOK, map[string]uint64{"generation": gen})
+	case httpapi.PathManifest:
+		q := r.URL.RawQuery
+		s.query.Store(&q)
+		m := &httpapi.ManifestResponse{Format: httpapi.FormatATCX, Export: []byte("stub export")}
+		if r.URL.Query().Get("cap") != "" {
+			m.Cap = []byte("stub cap")
+		}
+		writeJSON(w, http.StatusOK, m)
 	default:
 		writeError(w, http.StatusNotFound, httpapi.CodeNotFound, "stub: "+r.URL.Path)
 	}
@@ -400,5 +415,35 @@ func TestProxyForwardsDictionaryHeader(t *testing.T) {
 		if got := s.named.Load(); got == nil || *got != named {
 			t.Fatalf("the replica saw dictionaries %v, the client named %q", got, named)
 		}
+	}
+}
+
+// TestProxyForwardsCap: the front end hands the replica it picks a proof-cap
+// request as the client made it — ?cap= on the manifest endpoint, the cap
+// field of a search body — and relays the cap in the manifest answer.
+func TestProxyForwardsCap(t *testing.T) {
+	s := newStubReplica(1)
+	defer s.Close()
+	f := newTestFrontend(t, []string{s.URL()}, nil)
+	waitFor(t, "probes to learn the generation", func() bool { return f.watermark.Load() == 1 })
+
+	w := httptest.NewRecorder()
+	f.ServeHTTP(w, httptest.NewRequest(http.MethodGet, httpapi.PathManifest+"?cap=8", nil))
+	var m httpapi.ManifestResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &m); err != nil || w.Code != http.StatusOK {
+		t.Fatalf("manifest answered %d: %v", w.Code, err)
+	}
+	if got := s.query.Load(); got == nil || *got != "cap=8" || string(m.Cap) != "stub cap" {
+		t.Fatalf("the replica saw query %v; the client got cap %q", got, m.Cap)
+	}
+
+	const body = `{"query":"x","r":1,"cap":8}`
+	w = httptest.NewRecorder()
+	f.ServeHTTP(w, httptest.NewRequest(http.MethodPost, httpapi.PathSearch, strings.NewReader(body)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("search answered %d", w.Code)
+	}
+	if got := s.body.Load(); got == nil || *got != body {
+		t.Fatalf("the replica saw body %v, the client sent %s", got, body)
 	}
 }

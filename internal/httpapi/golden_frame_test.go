@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 
+	"authtext/internal/core"
+	"authtext/internal/vo"
 	"authtext/internal/wire"
 )
 
@@ -25,6 +27,9 @@ import (
 // deflated against an attached collection dictionary — compress/flate's output for a given level has been stable across Go
 // releases, and a release that changed it would change what replicas on
 // different toolchains send, which is worth a red test.
+// search_response_capped.frame.bin carries a VO cut at depth 8, and
+// manifest_response_capped.frame.bin a manifest with the proof cap that
+// goes with it (docs/PROTOCOL.md "Proof caps").
 
 var goldenFrameCases = []struct {
 	file   string
@@ -107,6 +112,66 @@ var goldenFrameCases = []struct {
 			}
 		},
 	},
+	{
+		file:   "search_response_capped.frame.bin",
+		encode: func() []byte { return wire.EncodeSearchResponse(goldenCappedSearchResponse()) },
+		check: func(t *testing.T, raw []byte) {
+			got, err := wire.DecodeSearchResponse(raw)
+			if err != nil {
+				t.Fatalf("golden frame no longer decodes: %v", err)
+			}
+			if want := goldenCappedSearchResponse(); !reflect.DeepEqual(got, want) {
+				t.Errorf("decoded frame disagrees with expected value:\n got: %#v\nwant: %#v", got, want)
+			}
+			if v, err := vo.Decode(got.VO); err != nil || v.CapDepth != 8 {
+				t.Fatalf("the capped fixture's VO: %+v (%v), want cap depth 8", v, err)
+			}
+		},
+	},
+	{
+		file:   "manifest_response_capped.frame.bin",
+		encode: func() []byte { return wire.EncodeManifestResponse(goldenCappedManifestResponse()) },
+		check: func(t *testing.T, raw []byte) {
+			got, err := wire.DecodeManifestResponse(raw)
+			if err != nil {
+				t.Fatalf("golden frame no longer decodes: %v", err)
+			}
+			if want := goldenCappedManifestResponse(); !reflect.DeepEqual(got, want) {
+				t.Errorf("decoded frame disagrees with expected value:\n got: %#v\nwant: %#v", got, want)
+			}
+		},
+	},
+}
+
+// goldenCappedSearchResponse is goldenSearchResponse with a real VO cut at
+// depth 8: one term proof, and content and dictionary proofs whose digests
+// below the cut are all that is left.
+func goldenCappedSearchResponse() *SearchResponse {
+	resp := goldenSearchResponse()
+	v := &vo.VO{
+		Algo: uint8(core.AlgoTNRA), Scheme: uint8(core.SchemeCMHT), Generation: 7, CapDepth: 8,
+		Terms: []vo.TermProof{{TermID: 3, FT: 40, Name: "merkle", KScore: 2, KProof: 2,
+			Docs: []uint32{7, 2}, Freqs: []float32{0.5, 0.25}}},
+		ContentProof: &vo.ContentProof{Digests: [][]byte{bytes.Repeat([]byte{0xc1}, 16)}},
+		DictProof:    &vo.DictProof{M: 1479, Digests: [][]byte{bytes.Repeat([]byte{0xd1}, 16), bytes.Repeat([]byte{0xd2}, 16)}},
+	}
+	enc, _, err := vo.Encode(v, 16)
+	if err != nil {
+		panic(err)
+	}
+	resp.VO = enc
+	resp.Stats.VOBytes = len(enc)
+	return resp
+}
+
+// goldenCappedManifestResponse is the manifest fixture with a cap: depth
+// 8, then frontier digests.
+func goldenCappedManifestResponse() *ManifestResponse {
+	capBytes := []byte{8}
+	for i := range 4 {
+		capBytes = append(capBytes, bytes.Repeat([]byte{0xa0 + byte(i)}, 16)...)
+	}
+	return &ManifestResponse{Format: FormatATCX, Export: []byte("ATCX-export-bytes"), Cap: capBytes}
 }
 
 // goldenSearchResponse is the same canonical value golden_test.go pins as

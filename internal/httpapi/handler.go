@@ -3,6 +3,7 @@ package httpapi
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -26,8 +27,9 @@ type Backend interface {
 	// wire code; any other error maps to 500/search_failed.
 	Search(req *SearchRequest) (*SearchResponse, *wire.Dictionary, error)
 	// ClientExport returns the ATCX verification blob served at
-	// /v1/manifest.
-	ClientExport() ([]byte, error)
+	// /v1/manifest and, for a depth in [1, MaxCap], the proof cap of that
+	// depth of the same generation (nil: the deployment serves none).
+	ClientExport(cap int) (export, capBytes []byte, err error)
 	// Health returns the current healthz payload.
 	Health() Health
 }
@@ -108,6 +110,10 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 			if !ok {
 				return
 			}
+			if req.Cap != 0 {
+				writeErrorBody(w, http.StatusBadRequest, CodeBadCap, unCut)
+				return
+			}
 			resp, dict, err := e.ShardSearch(req)
 			if err != nil {
 				writeError(w, err, CodeSearchFailed, http.StatusInternalServerError)
@@ -118,6 +124,14 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 		})
 		mux.HandleFunc(PathShardManifest, func(w http.ResponseWriter, r *http.Request) {
 			if !allowMethod(w, r, http.MethodGet) {
+				return
+			}
+			depth, ok := readCap(w, r)
+			if !ok {
+				return
+			}
+			if depth != 0 {
+				writeErrorBody(w, http.StatusBadRequest, CodeBadCap, unCut)
 				return
 			}
 			export, err := e.ShardExport()
@@ -156,13 +170,17 @@ func NewHandler(b Backend, opts ...HandlerOpt) http.Handler {
 		if !allowMethod(w, r, http.MethodGet) {
 			return
 		}
-		export, err := b.ClientExport()
+		depth, ok := readCap(w, r)
+		if !ok {
+			return
+		}
+		export, capBytes, err := b.ClientExport(depth)
 		if err != nil {
 			writeError(w, err, CodeUnavailable, http.StatusServiceUnavailable)
 			return
 		}
 		manifestGen(w)
-		m := &ManifestResponse{Format: FormatATCX, Export: export}
+		m := &ManifestResponse{Format: FormatATCX, Export: export, Cap: capBytes}
 		writeData(w, r, m, func() []byte { return wire.EncodeManifestResponse(m) })
 	})
 	mux.HandleFunc(PathHealthz, func(w http.ResponseWriter, r *http.Request) {
@@ -253,9 +271,39 @@ func writeData(w http.ResponseWriter, r *http.Request, v interface{}, frame func
 	}
 }
 
+// unCut is why the sharded endpoints refuse a cap.
+const unCut = "sharded answers are not cut: ask without a cap"
+
+// checkCap reports a proof-cap depth outside [0, MaxCap] as the 400 with
+// CodeBadCap, written by the caller.
+func checkCap(depth int) error {
+	if depth < 0 || depth > MaxCap {
+		return fmt.Errorf("cap=%d out of range [0, %d]", depth, MaxCap)
+	}
+	return nil
+}
+
+// readCap parses a ?cap= query parameter (absent: 0), writing the error
+// response itself when it is unusable.
+func readCap(w http.ResponseWriter, r *http.Request) (int, bool) {
+	cs := r.URL.Query().Get("cap")
+	if cs == "" {
+		return 0, true
+	}
+	depth, err := strconv.Atoi(cs)
+	if err == nil {
+		err = checkCap(depth)
+	}
+	if err != nil {
+		writeErrorBody(w, http.StatusBadRequest, CodeBadCap, "bad cap parameter: "+err.Error())
+		return 0, false
+	}
+	return depth, true
+}
+
 // readSearchRequest parses and validates a search request from POST (JSON
-// body) or GET (q, r, algo, scheme query parameters), writing the error
-// response itself when the request is unusable.
+// body) or GET (q, r, algo, scheme, cap query parameters), writing the
+// error response itself when the request is unusable.
 func readSearchRequest(w http.ResponseWriter, r *http.Request) (*SearchRequest, bool) {
 	var req SearchRequest
 	switch r.Method {
@@ -276,9 +324,17 @@ func readSearchRequest(w http.ResponseWriter, r *http.Request) (*SearchRequest, 
 			}
 			req.R = n
 		}
+		var ok bool
+		if req.Cap, ok = readCap(w, r); !ok {
+			return nil, false
+		}
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		writeErrorBody(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, r.Method+" not allowed")
+		return nil, false
+	}
+	if err := checkCap(req.Cap); err != nil {
+		writeErrorBody(w, http.StatusBadRequest, CodeBadCap, err.Error())
 		return nil, false
 	}
 	if err := req.Validate(); err != nil {

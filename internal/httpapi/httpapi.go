@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"strings"
 
+	"authtext/internal/mht"
 	"authtext/internal/wire"
 )
 
@@ -75,6 +76,9 @@ const (
 	// MaxUpdateBodyBytes caps the POST body of an update request
 	// (documents ride in it, so it is larger than MaxBodyBytes).
 	MaxUpdateBodyBytes = 32 << 20
+	// MaxCap caps the proof-cap depth a request may name (?cap= on the
+	// manifest endpoint, SearchRequest.Cap): 2^16 frontier digests per tree.
+	MaxCap = mht.MaxCapDepth
 )
 
 // Machine-readable error codes carried in ErrorBody.Code.
@@ -95,6 +99,9 @@ const (
 	// lists what was built; a client that sees this code for a listed
 	// variant has caught the server lying.
 	CodeVariantNotBuilt = "variant_not_built"
+	// CodeBadCap: a proof-cap depth outside [0, MaxCap], or a nonzero one
+	// on the sharded endpoints, which answer uncut (status 400).
+	CodeBadCap = "bad_cap"
 )
 
 // GenerationHeader is the response header carrying the publication
@@ -115,11 +122,15 @@ const DictionaryHeader = "X-Authtext-Dictionary"
 // SearchRequest asks for the top-R documents matching Query. Algo and
 // Scheme select the query algorithm and authentication scheme; empty
 // values default to TNRA + CMHT, the configuration the paper recommends.
+// Cap asks for every collection-tree proof cut at that depth: the client
+// holds the top Cap levels of those trees (docs/PROTOCOL.md "Proof caps");
+// 0, the default, cuts nothing.
 type SearchRequest struct {
 	Query  string `json:"query"`
 	R      int    `json:"r,omitempty"`
 	Algo   string `json:"algo,omitempty"`
 	Scheme string `json:"scheme,omitempty"`
+	Cap    int    `json:"cap,omitempty"`
 }
 
 // Hit, SearchStats and SearchResponse (and the other response types

@@ -20,6 +20,8 @@ type fakeBackend struct {
 	// and the body of their one hit.
 	dict    *wire.Dictionary
 	content []byte
+	// noCap makes the backend serve no proof caps.
+	noCap bool
 }
 
 func (f *fakeBackend) Search(req *SearchRequest) (*SearchResponse, *wire.Dictionary, error) {
@@ -38,11 +40,14 @@ func (f *fakeBackend) Search(req *SearchRequest) (*SearchResponse, *wire.Diction
 	}, f.dict, nil
 }
 
-func (f *fakeBackend) ClientExport() ([]byte, error) {
+func (f *fakeBackend) ClientExport(cap int) ([]byte, []byte, error) {
 	if f.exportErr != nil {
-		return nil, f.exportErr
+		return nil, nil, f.exportErr
 	}
-	return []byte("ATCXblob"), nil
+	if cap == 0 || f.noCap {
+		return []byte("ATCXblob"), nil, nil
+	}
+	return []byte("ATCXblob"), []byte{byte(cap), 0xca, 0xfe}, nil
 }
 
 func (f *fakeBackend) Health() Health {
@@ -257,5 +262,68 @@ func TestFrameAttachesUnnamedDictionary(t *testing.T) {
 	h.ServeHTTP(w, req)
 	if w.Header().Get("Content-Type") != "application/json" || bytes.Contains(w.Body.Bytes(), []byte(dict.ID())) {
 		t.Fatalf("a JSON answer: %s", w.Body.String())
+	}
+}
+
+// TestCapRequests: a proof-cap depth outside [0, MaxCap] is a 400 with
+// CodeBadCap before the backend sees anything, on the search body, the GET
+// form and the manifest's ?cap=; the sharded endpoints answer uncut and
+// refuse any nonzero cap; a valid one reaches the backend, and a manifest
+// asked for none is byte for byte what it always was.
+func TestCapRequests(t *testing.T) {
+	b := &fakeBackend{}
+	shardSearches := 0
+	h := NewHandler(b, WithEndpoints(Endpoints{
+		ShardSearch: func(req *SearchRequest) (*ShardedSearchResponse, *wire.Dictionary, error) {
+			shardSearches++
+			return &ShardedSearchResponse{Query: req.Query}, nil, nil
+		},
+		ShardExport: func() ([]byte, error) { return []byte("ATSXblob"), nil },
+	}))
+	refused := []struct{ name, method, target, body string }{
+		{"negative cap", http.MethodPost, PathSearch, `{"query":"x","cap":-1}`},
+		{"cap 17", http.MethodPost, PathSearch, `{"query":"x","cap":17}`},
+		{"GET cap 17", http.MethodGet, PathSearch + "?q=x&cap=17", ""},
+		{"GET cap not a number", http.MethodGet, PathSearch + "?q=x&cap=deep", ""},
+		{"manifest cap 17", http.MethodGet, PathManifest + "?cap=17", ""},
+		{"manifest cap -1", http.MethodGet, PathManifest + "?cap=-1", ""},
+		{"sharded search cap", http.MethodPost, PathShardSearch, `{"query":"x","cap":8}`},
+		{"sharded GET cap", http.MethodGet, PathShardSearch + "?q=x&cap=8", ""},
+		{"sharded manifest cap", http.MethodGet, PathShardManifest + "?cap=8", ""},
+	}
+	for _, c := range refused {
+		t.Run(c.name, func(t *testing.T) {
+			b.lastReq = nil
+			wantError(t, do(t, h, c.method, c.target, c.body), http.StatusBadRequest, CodeBadCap)
+			if b.lastReq != nil || shardSearches != 0 {
+				t.Fatal("the backend saw a refused request")
+			}
+		})
+	}
+
+	if w := do(t, h, http.MethodPost, PathSearch, `{"query":"x","cap":8}`); w.Code != http.StatusOK || b.lastReq.Cap != 8 {
+		t.Fatalf("cap 8: status %d, backend saw %+v", w.Code, b.lastReq)
+	}
+	if w := do(t, h, http.MethodGet, PathSearch+"?q=x&cap=16", ""); w.Code != http.StatusOK || b.lastReq.Cap != 16 {
+		t.Fatalf("GET cap 16: status %d, backend saw %+v", w.Code, b.lastReq)
+	}
+	if w := do(t, h, http.MethodPost, PathShardSearch, `{"query":"x","cap":0}`); w.Code != http.StatusOK || shardSearches != 1 {
+		t.Fatalf("sharded search with cap 0: status %d", w.Code)
+	}
+
+	plain := do(t, h, http.MethodGet, PathManifest, "")
+	if want := `{"format":"atcx","export":"QVRDWGJsb2I="}` + "\n"; plain.Body.String() != want {
+		t.Fatalf("manifest without ?cap= is %q, want %q", plain.Body.String(), want)
+	}
+	var m ManifestResponse
+	if err := json.Unmarshal(do(t, h, http.MethodGet, PathManifest+"?cap=8", "").Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(m.Cap, []byte{8, 0xca, 0xfe}) || string(m.Export) != "ATCXblob" {
+		t.Fatalf("manifest with ?cap=8: %+v", m)
+	}
+	b.noCap = true
+	if got := do(t, h, http.MethodGet, PathManifest+"?cap=8", ""); got.Body.String() != plain.Body.String() {
+		t.Fatalf("a backend without caps answered ?cap=8 with %q", got.Body.String())
 	}
 }

@@ -101,6 +101,8 @@ type walker struct {
 	h    Hasher
 	leaf LeafFunc
 	buf  [maxStackInput]byte
+	// cap, when a proof being rebuilt was cut, holds the top of its tree.
+	cap *Cap
 }
 
 // rootInto writes the digest of the subtree over leaves [off, off+m),
@@ -293,6 +295,11 @@ func RootFromProof(h Hasher, n int, want map[int][]byte, proof Proof) ([]byte, e
 // (strictly ascending, within [0, n)) and leaf(buf, j) yields the data of
 // the leaf at positions[j].
 func RootFromProofFunc(h Hasher, n int, positions []int, leaf LeafFunc, proof Proof) ([]byte, error) {
+	return rootFromProof(h, n, positions, leaf, proof, nil, 0)
+}
+
+// rootFromProof is RootFromCappedProof once the cap is known to fit.
+func rootFromProof(h Hasher, n int, positions []int, leaf LeafFunc, proof Proof, c *Cap, d int) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("mht: negative tree size %d", n)
 	}
@@ -305,10 +312,10 @@ func RootFromProofFunc(h Hasher, n int, positions []int, leaf LeafFunc, proof Pr
 	if err := checkWant(positions, n); err != nil {
 		return nil, err
 	}
-	w := &walker{h: h, leaf: leaf}
+	w := &walker{h: h, leaf: leaf, cap: c}
 	rest := proof.Digests
 	root := make([]byte, h.Size())
-	if err := w.rebuild(root, 0, n, positions, 0, &rest); err != nil {
+	if err := w.rebuild(root, 0, n, positions, 0, &rest, viewOf(c, d)); err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
@@ -320,9 +327,14 @@ func RootFromProofFunc(h Hasher, n int, positions []int, leaf LeafFunc, proof Pr
 // rebuild writes the digest of the subtree over leaves [off, off+m) into
 // dst. positions holds the revealed positions inside that range, the
 // first of which is the j0-th revealed leaf overall; rest is the unread
-// tail of the proof's digests.
-func (w *walker) rebuild(dst []byte, off, m int, positions []int, j0 int, rest *[][]byte) error {
+// tail of the proof's digests; v is where the walk is in w.cap, which
+// supplies a subtree with no revealed leaf above the cut.
+func (w *walker) rebuild(dst []byte, off, m int, positions []int, j0 int, rest *[][]byte, v capView) error {
 	if len(positions) == 0 {
+		if v.nodes != nil {
+			copy(dst, v.nodes[:w.h.Size()])
+			return nil
+		}
 		if len(*rest) == 0 || len((*rest)[0]) != w.h.Size() {
 			return ErrProofShape
 		}
@@ -336,12 +348,16 @@ func (w *walker) rebuild(dst []byte, off, m int, positions []int, j0 int, rest *
 	}
 	k := splitPoint(m)
 	lp, rp := partition(positions, off+k)
+	var lv, rv capView // zero outside the cap, where every uncut walk stays
+	if v.nodes != nil {
+		lv, rv = v.descend(w.cap, k)
+	}
 	var l, r [sha256.Size]byte
 	sz := w.h.Size()
-	if err := w.rebuild(l[:sz], off, k, lp, j0, rest); err != nil {
+	if err := w.rebuild(l[:sz], off, k, lp, j0, rest, lv); err != nil {
 		return err
 	}
-	if err := w.rebuild(r[:sz], off+k, m-k, rp, j0+len(lp), rest); err != nil {
+	if err := w.rebuild(r[:sz], off+k, m-k, rp, j0+len(lp), rest, rv); err != nil {
 		return err
 	}
 	w.h.nodeInto(dst, l[:sz], r[:sz])
@@ -350,24 +366,21 @@ func (w *walker) rebuild(dst []byte, off, m int, positions []int, j0 int, rest *
 
 // ProofSize returns the number of complementary digests Prove would emit for
 // an n-leaf tree and the given sorted want positions, without hashing.
-func ProofSize(n int, want []int) int {
-	if n == 0 || len(want) == 0 {
-		if n == 0 {
-			return 0
-		}
-		return 1
-	}
-	return proofSize(0, n, want)
-}
+func ProofSize(n int, want []int) int { return CappedProofSize(n, want, 0) }
 
-func proofSize(off, size int, want []int) int {
+// proofSize counts the digests of the subtree over leaves [off, off+size)
+// cut levels above the cut (−1: uncut).
+func proofSize(off, size int, want []int, cut int) int {
 	if len(want) == 0 {
-		return 1
+		if cut < 0 {
+			return 1
+		}
+		return 0
 	}
 	if size == 1 {
 		return 0
 	}
 	k := splitPoint(size)
 	l, r := partition(want, off+k)
-	return proofSize(off, k, l) + proofSize(off+k, size-k, r)
+	return proofSize(off, k, l, cut-1) + proofSize(off+k, size-k, r, cut-1)
 }

@@ -57,13 +57,7 @@ func (t *Tree) Bytes() int { return len(t.nodes) }
 // Prove returns the same proof as Prove over the tree's leaves, by copying
 // stored digests. want must be sorted ascending, duplicate-free, and within
 // [0, n).
-func (t *Tree) Prove(want []int) (Proof, error) {
-	if err := checkWant(want, t.n); err != nil {
-		return Proof{}, err
-	}
-	out := newProofArena(t.size, ProofSize(t.n, want))
-	return Proof{Digests: t.proveInto(&out, want)}, nil
-}
+func (t *Tree) Prove(want []int) (Proof, error) { return t.ProveCapped(want, 0) }
 
 // ProveInto is Prove appending into an arena the caller shares between
 // proofs — from any number of trees of one digest size — instead of sizing
@@ -72,23 +66,27 @@ func (t *Tree) ProveInto(a *ProofArena, want []int) ([][]byte, error) {
 	if err := checkWant(want, t.n); err != nil {
 		return nil, err
 	}
-	return t.proveInto(a, want), nil
+	return t.proveInto(a, want, -1), nil
 }
 
-func (t *Tree) proveInto(a *ProofArena, want []int) [][]byte {
+// proveInto takes a proof cut cut levels below the root (−1: uncut) from a.
+func (t *Tree) proveInto(a *ProofArena, want []int, cut int) [][]byte {
 	if t.n == 0 {
 		return nil
 	}
 	a.begin()
-	t.prove(t.nodes, 0, t.n, want, a)
+	t.prove(t.nodes, 0, t.n, want, a, cut)
 	return a.proof()
 }
 
 // prove mirrors walker.prove over the stored nodes of the subtree covering
-// leaves [off, off+m).
-func (t *Tree) prove(nodes []byte, off, m int, want []int, out *ProofArena) {
+// leaves [off, off+m), cut levels above the cut: a subtree holding no
+// wanted leaf is the verifier's cap's to supply while cut ≥ 0.
+func (t *Tree) prove(nodes []byte, off, m int, want []int, out *ProofArena, cut int) {
 	if len(want) == 0 {
-		copy(out.next(t.size), nodes[:t.size])
+		if cut < 0 {
+			copy(out.next(t.size), nodes[:t.size])
+		}
 		return
 	}
 	if m == 1 {
@@ -96,6 +94,6 @@ func (t *Tree) prove(nodes []byte, off, m int, want []int, out *ProofArena) {
 	}
 	k := splitPoint(m)
 	l, r := partition(want, off+k)
-	t.prove(nodes[t.size:2*k*t.size], off, k, l, out)
-	t.prove(nodes[2*k*t.size:], off+k, m-k, r, out)
+	t.prove(nodes[t.size:2*k*t.size], off, k, l, out, cut-1)
+	t.prove(nodes[2*k*t.size:], off+k, m-k, r, out, cut-1)
 }

@@ -15,7 +15,9 @@
 // tampering by the facade, never trusted. VOs from live collections
 // carry the publication generation that produced them (flagged optional
 // field, so static collections' VO bytes are unchanged); Verify
-// cross-checks it against the manifest (docs/UPDATES.md).
+// cross-checks it against the manifest (docs/UPDATES.md). A VO whose
+// collection-tree proofs were cut at a client's proof cap records the
+// depth the same way (docs/PROTOCOL.md "Proof caps").
 //
 // The wire format uses the entry sizes of Table 1 — 4-byte identifiers and
 // frequencies, 16-byte digests, 128-byte signatures — so measured VO sizes

@@ -55,7 +55,13 @@ type VO struct {
 	// own manifest, so an answer assembled under a different publication
 	// state is flagged before any cryptographic work happens.
 	Generation uint64
-	Terms      []TermProof
+	// CapDepth is the depth at which every multiproof through a
+	// collection-level tree — ContentProof, DictProof, VocabProofs,
+	// AuthorityProof — was cut: the client takes the top CapDepth levels of
+	// each tree from the cap it holds (docs/PROTOCOL.md "Proof caps"). 0 is
+	// no cut, and encodes as no field at all.
+	CapDepth uint8
+	Terms    []TermProof
 	// Docs carries document-MHT proofs (TRA only), ascending by Doc.
 	Docs []DocProof
 	// ContentProof authenticates result-document contents against the
@@ -266,9 +272,15 @@ func Encode(v *VO, hashSize int) ([]byte, Breakdown, error) {
 	if v.Generation != 0 {
 		flags |= 8
 	}
+	if v.CapDepth != 0 {
+		flags |= 16
+	}
 	w.u8(CatMeta, flags)
 	if v.Generation != 0 {
 		w.u64(CatMeta, v.Generation)
+	}
+	if v.CapDepth != 0 {
+		w.u8(CatMeta, v.CapDepth)
 	}
 
 	w.u16(CatMeta, uint16(len(v.Terms)))
@@ -451,6 +463,11 @@ func Decode(b []byte) (*VO, error) {
 	if flags&8 != 0 {
 		if v.Generation = r.U64(); v.Generation == 0 && r.Err() == nil {
 			return nil, fmt.Errorf("vo: non-canonical zero generation")
+		}
+	}
+	if flags&16 != 0 {
+		if v.CapDepth = r.U8(); v.CapDepth == 0 && r.Err() == nil {
+			return nil, fmt.Errorf("vo: non-canonical zero cap depth")
 		}
 	}
 

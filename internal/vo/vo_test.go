@@ -78,7 +78,38 @@ func sampleVO(r *rand.Rand) *VO {
 			Digests:   [][]byte{digest()},
 		})
 	}
+	if r.Intn(2) == 0 {
+		v.CapDepth = uint8(1 + r.Intn(16))
+	}
 	return v
+}
+
+// TestCapDepthField pins the cut-depth field: absent at depth 0, so a VO
+// without a cut encodes as it always did, and one byte under flag bit 4
+// otherwise, which may not be zero.
+func TestCapDepthField(t *testing.T) {
+	v := sampleVO(rand.New(rand.NewSource(7)))
+	v.CapDepth = 0
+	plain, _, err := Encode(v, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.CapDepth = 8
+	cut, _, err := Encode(v, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flagsAt = len(magic) + 3
+	if plain[flagsAt]&16 != 0 || cut[flagsAt] != plain[flagsAt]|16 || len(cut) != len(plain)+1 || cut[flagsAt+1] != 8 {
+		t.Fatalf("flags %#x → %#x, %d → %d bytes", plain[flagsAt], cut[flagsAt], len(plain), len(cut))
+	}
+	if got, err := Decode(cut); err != nil || got.CapDepth != 8 {
+		t.Fatalf("decoded cap depth %v (%v)", got, err)
+	}
+	cut[flagsAt+1] = 0
+	if _, err := Decode(cut); err == nil {
+		t.Fatal("a zero cap depth under the flag decoded")
+	}
 }
 
 func TestEncodeDecodeRoundTripProperty(t *testing.T) {

@@ -43,7 +43,8 @@ type benchCollection struct {
 // benchAnswers are real answers over corpus.Tiny in the two shapes the
 // repository's benchmark serves: short 3-term TNRA queries (ten bodies and
 // a proof that does not compress) and TREC-like 2-20 term TRA queries (the
-// same bodies beside a proof ten times their size that does).
+// same bodies beside a proof ten times their size that does) — and the
+// short ones again as a client holding a depth-8 proof cap gets them.
 func benchAnswers() map[string][]*SearchResponse { return benchCorpus().answers }
 
 var benchCorpus = sync.OnceValue(func() benchCollection {
@@ -56,10 +57,10 @@ var benchCorpus = sync.OnceValue(func() benchCollection {
 	if err != nil {
 		panic(err)
 	}
-	answers := func(queries [][]string, algo core.Algo) []*SearchResponse {
+	answers := func(queries [][]string, algo core.Algo, depth int) []*SearchResponse {
 		var out []*SearchResponse
 		for _, q := range queries {
-			res, vo, _, err := col.Search(q, 10, algo, core.SchemeCMHT)
+			res, vo, _, err := col.SearchCapped(q, 10, algo, core.SchemeCMHT, depth)
 			if err != nil {
 				panic(err)
 			}
@@ -79,8 +80,9 @@ var benchCorpus = sync.OnceValue(func() benchCollection {
 	}
 	return benchCollection{
 		answers: map[string][]*SearchResponse{
-			"tnra_short":  answers(workload.Synthetic(idx, 64, 3, 1), core.AlgoTNRA),
-			"tra_verbose": answers(workload.TRECLike(idx, 16, 1), core.AlgoTRA),
+			"tnra_short":        answers(workload.Synthetic(idx, 64, 3, 1), core.AlgoTNRA, 0),
+			"tnra_short_capped": answers(workload.Synthetic(idx, 64, 3, 1), core.AlgoTNRA, 8),
+			"tra_verbose":       answers(workload.TRECLike(idx, 16, 1), core.AlgoTRA, 0),
 		},
 		dict: CollectionDictionary(names),
 	}
@@ -92,17 +94,21 @@ var benchSink []byte
 // holds the collection dictionary: bodies deflated against it, named, not
 // attached. cold empties the memo before every answer, so each section pays
 // its compressor; warm has seen every answer twice, so each section is a
-// hash and a copy. frame_B/op is the mean frame size over all the shape's
-// answers, whatever b.N is: deterministic, and gated in CI.
+// hash and a copy; capped is warm over the same queries' answers cut at
+// depth 8. frame_B/op is the mean frame size over all the answers a row
+// encodes, whatever b.N is: deterministic, and gated in CI.
 func BenchmarkEncodeSearchResponse(b *testing.B) {
 	enc := Encoding{Dict: benchCorpus().dict}
 	for _, shape := range []string{"tnra_short", "tra_verbose"} {
-		answers := benchAnswers()[shape]
-		frameBytes := 0
-		for _, r := range answers {
-			frameBytes += len(enc.SearchResponse(r))
-		}
 		run := func(name string, cold bool) {
+			answers := benchAnswers()[shape]
+			if name == "capped" {
+				answers = benchAnswers()[shape+"_capped"]
+			}
+			frameBytes := 0
+			for _, r := range answers {
+				frameBytes += len(enc.SearchResponse(r))
+			}
 			b.Run(shape+"/"+name, func(b *testing.B) {
 				resetMemo()
 				if !cold {
@@ -123,6 +129,9 @@ func BenchmarkEncodeSearchResponse(b *testing.B) {
 		}
 		run("cold", true)
 		run("warm", false)
+		if shape == "tnra_short" {
+			run("capped", false)
+		}
 	}
 }
 

@@ -30,7 +30,8 @@ import (
 //	                 f64 score } | ShardedSearchStats
 //	ShardedStats:    u32 shards | u32 entries_read | u32 vo_bytes |
 //	                 f64 io_millis | f64 server_millis
-//	Manifest:        str format | bytes export
+//	Manifest:        str format | bytes export [| bytes cap]
+//	                 (the cap, non-empty, only when the response has one)
 
 // ErrDecode reports a structurally invalid message payload (the frame
 // itself was intact). Like ErrFrame it indicates a peer speaking garbage,
@@ -140,11 +141,16 @@ func (e Encoding) ShardedSearchResponse(r *ShardedSearchResponse) []byte {
 }
 
 // EncodeManifestResponse frames the verification-material bootstrap. An
-// export is no document body: it deflates from an empty history.
+// export is no document body: it deflates from an empty history. A cap is
+// digests, which do not deflate: it travels stored.
 func EncodeManifestResponse(r *ManifestResponse) []byte {
 	var secs []section
 	b := appendStr(nil, r.Format)
 	b = appendSection(b, &secs, r.Export, false)
+	if len(r.Cap) > 0 {
+		b = binary.BigEndian.AppendUint32(b, uint32(len(r.Cap)))
+		b = append(b, r.Cap...)
+	}
 	return Encoding{}.frame(TypeManifest, b, secs)
 }
 
@@ -304,6 +310,11 @@ func DecodeManifestResponse(frame []byte) (*ManifestResponse, error) {
 	out := &ManifestResponse{}
 	out.Format = str(&r)
 	out.Export = bytesv(&r)
+	if r.Len() > 0 {
+		if out.Cap = bytesv(&r); out.Cap == nil {
+			r.Fail(errors.New("empty cap"))
+		}
+	}
 	if err := finish(&r, "manifest response"); err != nil {
 		return nil, err
 	}

@@ -232,7 +232,7 @@ const chunkOverhead = 5
 // compressed once, at BestCompression, a body against the collection
 // dictionary d; a proof is mostly digests and signatures, is deflated at
 // BestSpeed from an empty history, and only when its byte histogram says
-// that can pay.
+// that can pay (compressible).
 func sectionStream(sec []byte, vo bool, d *Dictionary) []byte {
 	if len(sec) == 0 {
 		return nil
@@ -362,11 +362,21 @@ var log2Small = func() (t [256]uint64) {
 // byte values fit in it.
 const codeTableBytes = 64
 
+// minProofSaving is the least a proof's deflate must be predicted to save.
+// A proof is seldom sent twice, so the memo never amortises its deflate:
+// ≈ 120 µs of server CPU at BestSpeed whatever the section's size (2-core
+// box), and an inflate on the client. A short TNRA proof cut at the
+// client's proof cap (≈ 740 B on the benchmark corpus) is predicted to save
+// 43–394 B, and saved 56 B at the median when deflated — not worth the
+// compressor on every third answer. A TRA proof's predicted saving starts
+// near 1 000 B.
+const minProofSaving = 512
+
 // compressible reports whether an order-0 model of b — its byte histogram —
-// predicts that entropy coding saves at least 1/16 of it. It is O(len(b))
-// and runs no compressor. The arithmetic is integer only: the verdict is
-// part of the deterministic encode and must not vary with the platform's
-// floating point.
+// predicts that entropy coding saves at least 1/16 of it, and at least
+// minProofSaving bytes. It is O(len(b)) and runs no compressor. The
+// arithmetic is integer only: the verdict is part of the deterministic
+// encode and must not vary with the platform's floating point.
 func compressible(b []byte) bool {
 	var hist [256]uint64
 	for _, c := range b {
@@ -382,7 +392,8 @@ func compressible(b []byte) bool {
 			entropy -= c * log2(c)
 		}
 	}
-	return 16*(entropy+8*codeTableBytes<<log2Frac) <= 15*(8*n<<log2Frac)
+	return 16*(entropy+8*codeTableBytes<<log2Frac) <= 15*(8*n<<log2Frac) &&
+		entropy+8*(codeTableBytes+minProofSaving)<<log2Frac <= 8*n<<log2Frac
 }
 
 // DecodeFrame parses a frame that names no dictionary or carries the one it

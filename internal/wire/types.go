@@ -71,6 +71,12 @@ type SearchResponse struct {
 type ManifestResponse struct {
 	Format string `json:"format"`
 	Export []byte `json:"export"`
+	// Cap is the proof cap of Export's generation (core.Cap's layout),
+	// present only when the request asked for one with ?cap= and the
+	// deployment serves caps: the top levels of the collection-level trees,
+	// which the client checks against the roots Export's manifest signs
+	// (docs/PROTOCOL.md "Proof caps").
+	Cap []byte `json:"cap,omitempty"`
 }
 
 // MergedHit is one entry of the claimed global ranking of a sharded

@@ -51,6 +51,8 @@ type Metrics struct {
 	clientTamper      *obs.Counter
 	clientSigVerified *obs.Counter
 	clientSigMemoHit  *obs.Counter
+	clientCapFetches  *obs.Counter
+	clientCapBytes    *obs.Counter
 
 	fleetCrosschecks   *obs.Counter
 	fleetEquivocations *obs.Counter
@@ -127,6 +129,13 @@ func NewMetrics() *Metrics {
 		"memo_hit = the same signature over the same message had already passed it."
 	m.clientSigVerified = r.Counter("authtext_client_signature_checks_total", sigHelp, obs.L("outcome", "verified"))
 	m.clientSigMemoHit = r.Counter("authtext_client_signature_checks_total", sigHelp, obs.L("outcome", "memo_hit"))
+	// The bytes a proof cap takes off every answer arrive here instead, once
+	// per generation: response-size figures that count search bodies alone
+	// do not see them.
+	m.clientCapFetches = r.Counter("authtext_client_cap_fetches_total",
+		"Proof caps a remote client received with a manifest (one per generation it verified against).")
+	m.clientCapBytes = r.Counter("authtext_client_cap_bytes_total",
+		"Bytes of the proof caps a remote client received with manifests.")
 	// The decode memo is one per process, like the server's deflate memo, so
 	// these are the wire package's process-wide counts, read from where they
 	// stood when this registry was built: they start at zero like every
@@ -328,6 +337,15 @@ func (m *Metrics) countTamper() {
 		return
 	}
 	m.clientTamper.Inc()
+}
+
+// countCapFetch records one proof cap of n bytes received with a manifest.
+func (m *Metrics) countCapFetch(n int) {
+	if m == nil {
+		return
+	}
+	m.clientCapFetches.Inc()
+	m.clientCapBytes.Add(uint64(n))
 }
 
 // recordCrossCheck observes one fleet cross-check: the generation spread

@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -33,6 +34,11 @@ import (
 // still needed for confidentiality.
 // Which /v1 endpoint pair it speaks (plain or /v1/shards/…) follows from the
 // export it verified, never from what the server says about itself.
+//
+// Against a bare collection it also holds, per generation, the top capDepth
+// levels of the collection-level trees — fetched with the manifest and
+// checked against the roots it signs — and asks for answers whose proofs
+// stop there (docs/PROTOCOL.md "Proof caps").
 type RemoteClient struct {
 	transport
 
@@ -49,6 +55,12 @@ type remoteOptions struct {
 
 // RemoteOption customises NewRemoteClient.
 type RemoteOption func(*remoteOptions)
+
+// capDepth is the depth of the proof cap a remote client fetches with each
+// generation's manifest: 2^8 digests per collection-level tree, once per
+// generation, take the top 8 levels of every answer's multiproofs through
+// those trees off the wire.
+const capDepth = 8
 
 // defaultHTTPTimeout bounds every request a remote client makes with the
 // default transport: the server is untrusted, and a stalled or black-holed
@@ -163,24 +175,29 @@ func (rc *RemoteClient) bootstrapped(ctx context.Context) (*Client, error) {
 	if rc.client != nil {
 		return rc.client, nil
 	}
-	export, err := rc.fetchExport(ctx, false)
+	m, err := rc.fetchManifest(ctx, false)
 	var se *httpapi.StatusError
 	if errors.As(err, &se) && se.Status == http.StatusNotFound {
-		if atsx, serr := rc.fetchExport(ctx, true); serr == nil {
-			export, err = atsx, nil
+		if atsx, serr := rc.fetchManifest(ctx, true); serr == nil {
+			m, err = atsx, nil
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	rc.client, err = NewClientFromExport(export)
-	return rc.client, err
+	if rc.client, err = NewClientFromExport(m.Export); err != nil || exportFormat(m.Export) == httpapi.FormatATSX {
+		return rc.client, err
+	}
+	// The cap was asked for with the manifest; a bad one is reported now
+	// and the client goes on without it.
+	return rc.client, rc.capChecked(rc.client.installCap(m.Cap))
 }
 
-// fetchExport retrieves the export blob from the manifest endpoint of the
-// given shape.
-func (rc *RemoteClient) fetchExport(ctx context.Context, sharded bool) ([]byte, error) {
-	path, format := httpapi.PathManifest, httpapi.FormatATCX
+// fetchManifest retrieves the manifest endpoint of the given shape's answer:
+// the export blob and, from a bare collection's, the proof cap of the same
+// generation when the server has one.
+func (rc *RemoteClient) fetchManifest(ctx context.Context, sharded bool) (*httpapi.ManifestResponse, error) {
+	path, format := httpapi.PathManifest+"?cap="+strconv.Itoa(capDepth), httpapi.FormatATCX
 	if sharded {
 		path, format = httpapi.PathShardManifest, httpapi.FormatATSX
 	}
@@ -191,7 +208,44 @@ func (rc *RemoteClient) fetchExport(ctx context.Context, sharded bool) ([]byte, 
 	if m.Format != format {
 		return nil, fmt.Errorf("authtext: server manifest format %q not supported (want %q)", m.Format, format)
 	}
-	return m.Export, nil
+	if sharded {
+		m.Cap = nil
+	} else if m.Cap != nil {
+		rc.metrics.countCapFetch(len(m.Cap))
+	}
+	return m, nil
+}
+
+// advance moves client to the server's current manifest and the proof cap
+// that came with it (AdvanceExport's trust rules).
+func (rc *RemoteClient) advance(ctx context.Context, client *Client) error {
+	sharded := client.Shards() > 0
+	m, err := rc.fetchManifest(ctx, sharded)
+	if err != nil {
+		return err
+	}
+	return rc.capChecked(client.advanceExport(m.Export, !sharded, m.Cap))
+}
+
+// fetchCap asks the server for the proof cap of the generation client
+// holds: the first search of a client seeded out of band. A cap that does
+// not rebuild to the held roots is tampering. Anything else that keeps the
+// cap away — a server that publishes no manifest, cannot be reached, or
+// publishes another generation's — leaves the client uncapped, and the
+// search that follows is judged on its own.
+func (rc *RemoteClient) fetchCap(ctx context.Context, client *Client) error {
+	if err := rc.advance(ctx, client); core.CodeOf(err) == core.CodeBadCap {
+		return err
+	}
+	return nil
+}
+
+// capChecked counts err as a tamper rejection when it refuses a proof cap.
+func (rc *RemoteClient) capChecked(err error) error {
+	if core.CodeOf(err) == core.CodeBadCap {
+		rc.metrics.countTamper()
+	}
+	return err
 }
 
 // Generation returns the publication generation this client currently
@@ -257,10 +311,7 @@ func ask[T any](ctx context.Context, rc *RemoteClient, client *Client, path stri
 		}
 		gen := generation(answer)
 		if gen > client.Generation() {
-			export, err := rc.fetchExport(ctx, client.Shards() > 0)
-			if err == nil {
-				err = client.AdvanceExport(export)
-			}
+			err := rc.advance(ctx, client)
 			if errors.Is(err, ErrStaleGeneration) && attempt < 2 {
 				continue
 			}
@@ -303,7 +354,14 @@ func (rc *RemoteClient) Search(ctx context.Context, query string, r int, algo Al
 	if err := client.checkVariant(algo, scheme); err != nil {
 		return nil, err
 	}
-	req := &httpapi.SearchRequest{Query: query, R: r, Algo: wireAlgo(algo), Scheme: wireScheme(scheme)}
+	if client.claimCapFetch() {
+		if err := rc.fetchCap(ctx, client); err != nil {
+			return nil, err
+		}
+	}
+	// Cut only to a cap held for the generation verified against; an
+	// answer that states no cut verifies either way.
+	req := &httpapi.SearchRequest{Query: query, R: r, Algo: wireAlgo(algo), Scheme: wireScheme(scheme), Cap: client.capDepth()}
 	var res *SearchResult
 	if client.Shards() > 0 {
 		sw, err := ask(ctx, rc, client, httpapi.PathShardSearch, req, wire.Decoding.ShardedSearchResponse,

@@ -1,16 +1,21 @@
 package authtext_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"authtext"
 	"authtext/internal/httpapi"
+	"authtext/internal/vo"
 )
 
 // The remote suite: how a RemoteClient bootstraps, and what it does with a
@@ -217,5 +222,128 @@ func TestRemoteServerErrorSurfaced(t *testing.T) {
 		} else if authtext.IsTampered(err) {
 			t.Fatalf("r=%d misclassified as tampering: %v", r, err)
 		}
+	}
+}
+
+// predatesCaps serves h as a server from before proof caps does: it ignores
+// ?cap= on the manifest endpoint and the cap field of a search request, so
+// its manifests come without a cap and its answers uncut.
+func predatesCaps(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r = r.Clone(r.Context())
+		q := r.URL.Query()
+		q.Del("cap")
+		r.URL.RawQuery = q.Encode()
+		if r.Method == http.MethodPost {
+			var req httpapi.SearchRequest
+			if err := json.NewDecoder(r.Body).Decode(&req); err == nil {
+				req.Cap = 0
+				body, _ := json.Marshal(&req)
+				r.Body, r.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+			}
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// scrape returns one series of m's exposition.
+func scrape(t *testing.T, m *authtext.Metrics, series string) string {
+	t.Helper()
+	var b strings.Builder
+	if err := m.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(b.String(), "\n") {
+		if name, value, ok := strings.Cut(line, " "); ok && name == series {
+			return value
+		}
+	}
+	t.Fatalf("no series %s", series)
+	return ""
+}
+
+// TestRemoteCapFetchedWithManifest: a bootstrapping client gets the proof
+// cap in the one manifest response it asks for, a client seeded out of
+// band asks for it on its first search, and both then get answers cut at
+// the cap's depth — smaller than the uncut answer to the same query — once
+// per generation.
+func TestRemoteCapFetchedWithManifest(t *testing.T) {
+	handler, export := remoteEnv(t)
+	uncut := map[authtext.Algorithm]int{}
+	for _, algo := range []authtext.Algorithm{authtext.TRA, authtext.TNRA} {
+		res, err := remoteFixture.owner.Server().Search(remoteQuery, remoteR, algo, authtext.ChainMHT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uncut[algo] = len(res.VO)
+	}
+	for name, opts := range map[string][]authtext.RemoteOption{
+		"bootstrapped": nil,
+		"out of band":  {authtext.WithClientExport(export)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var manifests atomic.Int64
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == httpapi.PathManifest {
+					manifests.Add(1)
+				}
+				handler.ServeHTTP(w, r)
+			}))
+			defer srv.Close()
+			m := authtext.NewMetrics()
+			rc := must(authtext.NewRemoteClient(srv.URL, append(opts, authtext.WithClientMetrics(m))...))(t)
+			for range 2 {
+				for _, algo := range []authtext.Algorithm{authtext.TRA, authtext.TNRA} {
+					res, err := rc.Search(context.Background(), remoteQuery, remoteR, algo, authtext.ChainMHT)
+					if err != nil {
+						t.Fatalf("%s: %v", algo, err)
+					}
+					if v := must(vo.Decode(res.VO))(t); v.CapDepth != 8 || len(res.VO) >= uncut[algo] {
+						t.Fatalf("%s: answer cut at depth %d, %d bytes (uncut %d)", algo, v.CapDepth, len(res.VO), uncut[algo])
+					}
+				}
+			}
+			if manifests.Load() != 1 || scrape(t, m, "authtext_client_cap_fetches_total") != "1" ||
+				scrape(t, m, "authtext_client_cap_bytes_total") == "0" {
+				t.Fatalf("%d manifest requests, %s caps fetched", manifests.Load(), scrape(t, m, "authtext_client_cap_fetches_total"))
+			}
+		})
+	}
+}
+
+// TestRemoteClientAgainstServerWithoutCaps: a server that predates proof
+// caps sends none and answers uncut; a new client — bootstrapped, or
+// seeded out of band — verifies every answer and counts no tampering.
+func TestRemoteClientAgainstServerWithoutCaps(t *testing.T) {
+	handler, export := remoteEnv(t)
+	srv := httptest.NewServer(predatesCaps(handler))
+	defer srv.Close()
+	for name, opts := range map[string][]authtext.RemoteOption{
+		"bootstrapped": nil,
+		"out of band":  {authtext.WithClientExport(export)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := authtext.NewMetrics()
+			rc := must(authtext.NewRemoteClient(srv.URL, append(opts, authtext.WithClientMetrics(m))...))(t)
+			for _, q := range []string{remoteQuery, "river grain", "harbor storm unknownword"} {
+				for _, algo := range []authtext.Algorithm{authtext.TRA, authtext.TNRA} {
+					for _, scheme := range []authtext.Scheme{authtext.MHT, authtext.ChainMHT} {
+						res, err := rc.Search(context.Background(), q, remoteR, algo, scheme)
+						if err != nil {
+							t.Fatalf("%s %s %q: %v (tampered: %v)", algo, scheme, q, err, authtext.IsTampered(err))
+						}
+						if v := must(vo.Decode(res.VO))(t); v.CapDepth != 0 {
+							t.Fatalf("a server without caps answered cut at %d", v.CapDepth)
+						}
+					}
+				}
+			}
+			if got := scrape(t, m, "authtext_client_tamper_rejections_total"); got != "0" {
+				t.Fatalf("%s tamper rejections", got)
+			}
+			if got := scrape(t, m, "authtext_client_cap_fetches_total"); got != "0" {
+				t.Fatalf("%s caps fetched from a server that has none", got)
+			}
+		})
 	}
 }

@@ -129,10 +129,12 @@ func TestRemoteFrameVersionsNegotiateJSON(t *testing.T) {
 // TestAppendToVerifiedHitsKeepsAnswerValid: the hit contents of a verified
 // binary answer alias the decoded response, so each is capped at its own
 // length. Appending to one must reallocate rather than write over the next
-// hit's content or the VO, and the untouched answer must verify again.
+// hit's content or the VO, and the untouched answer must verify again — by
+// a client of the export, which holds no proof cap: so the server is one
+// that answers uncut.
 func TestAppendToVerifiedHitsKeepsAnswerValid(t *testing.T) {
 	handler, export := remoteEnv(t)
-	srv := httptest.NewServer(handler)
+	srv := httptest.NewServer(predatesCaps(handler))
 	defer srv.Close()
 	rc, err := authtext.NewRemoteClient(srv.URL)
 	if err != nil {

@@ -120,8 +120,10 @@ type source interface {
 	// whole fan-out — runs on one pin, so no response mixes generations.
 	pin(c *VOCache, m *Metrics) *Server
 	// export returns the current generation's verification blob (ATCX or
-	// ATSX, matching the pinned server's shape).
-	export() ([]byte, error)
+	// ATSX, matching the pinned server's shape), with the generation it
+	// belongs to, so that what is served beside it — a proof cap — is of
+	// the same generation.
+	export() (served, []byte, error)
 	// Generation reports the currently served generation.
 	Generation() uint64
 	// adopt hands the source the handler's registry before serving starts,
@@ -153,8 +155,9 @@ type staticSource struct {
 
 func (s *staticSource) pin(*VOCache, *Metrics) *Server { return s.srv }
 
-func (s *staticSource) export() ([]byte, error) {
-	return published(s.blob, "this server does not publish verification material")
+func (s *staticSource) export() (served, []byte, error) {
+	blob, err := published(s.blob, "this server does not publish verification material")
+	return s.srv.v, blob, err
 }
 
 func (s *staticSource) Generation() uint64 { return s.srv.v.generation() }
@@ -169,7 +172,11 @@ func (s *staticSource) updater() (liveUpdater, bool) { return nil, false }
 func (o *LiveOwner) pin(c *VOCache, m *Metrics) *Server {
 	return &Server{v: o.serving(), cache: c, metrics: m}
 }
-func (o *LiveOwner) export() ([]byte, error) { return o.Client().Export() }
+func (o *LiveOwner) export() (served, []byte, error) {
+	v := o.serving()
+	blob, err := v.client().Export()
+	return v, blob, err
+}
 func (o *LiveOwner) adopt(m *Metrics) {
 	if o.metrics == nil {
 		o.metrics = m
@@ -177,8 +184,10 @@ func (o *LiveOwner) adopt(m *Metrics) {
 }
 func (o *LiveOwner) updater() (liveUpdater, bool) { return o.Update, true }
 
-func (r *LiveReplica) export() ([]byte, error) {
-	return published(r.cur.Load().export, "this server has no publishable verification key (fast-signer build?)")
+func (r *LiveReplica) export() (served, []byte, error) {
+	g := r.cur.Load()
+	blob, err := published(g.export, "this server has no publishable verification key (fast-signer build?)")
+	return g.server.v, blob, err
 }
 func (r *LiveReplica) adopt(m *Metrics) {
 	if r.metrics == nil {
@@ -244,7 +253,7 @@ func (r *LiveReplica) HTTPHandler(opts ...HandlerOption) (http.Handler, error) {
 // newLiveHandler fails construction, not the first request, when the key
 // cannot be published (mirrors Owner.HTTPHandler's contract).
 func newLiveHandler(src source, opts []HandlerOption) (http.Handler, error) {
-	if _, err := src.export(); err != nil {
+	if _, _, err := src.export(); err != nil {
 		return nil, err
 	}
 	return newHandler(src, handlerOpts(opts)), nil
@@ -272,7 +281,11 @@ func newHandler(src source, o handlerOptions) http.Handler {
 	// wire shape is the pinned server's, the update endpoint the lifecycle's.
 	e := httpapi.Endpoints{Generation: src.Generation}
 	if b.sharded = srv.Shards() > 0; b.sharded {
-		e.ShardSearch, e.ShardExport = b.shardSearch, src.export
+		e.ShardSearch = b.shardSearch
+		e.ShardExport = func() ([]byte, error) {
+			_, blob, err := src.export()
+			return blob, err
+		}
 	}
 	var live bool
 	if b.update, live = src.updater(); live {
@@ -334,7 +347,7 @@ func (b *backend) Search(req *httpapi.SearchRequest) (*httpapi.SearchResponse, *
 func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, *wire.Dictionary, error) {
 	start := time.Now()
 	srv := b.pin()
-	res, err := srv.Search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme))
+	res, err := srv.search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme), req.Cap)
 	if errors.Is(err, ErrVariantNotBuilt) {
 		return nil, nil, &httpapi.StatusError{
 			Status: http.StatusUnprocessableEntity,
@@ -364,12 +377,20 @@ func (b *backend) shardSearch(req *httpapi.SearchRequest) (*httpapi.ShardedSearc
 	return wireShardedResponse(req, res), dict, nil
 }
 
-// ClientExport serves /v1/manifest: the current generation's ATCX blob.
-func (b *backend) ClientExport() ([]byte, error) {
+// ClientExport serves /v1/manifest: the current generation's ATCX blob and,
+// for depth > 0, that generation's proof cap of that depth — cut from the
+// collection the blob's manifest describes, so the pair always belongs
+// together.
+func (b *backend) ClientExport(depth int) ([]byte, []byte, error) {
 	if b.sharded {
-		return nil, shardedOnly("fetch " + httpapi.PathShardManifest)
+		return nil, nil, shardedOnly("fetch " + httpapi.PathShardManifest)
 	}
-	return b.src.export()
+	v, blob, err := b.src.export()
+	if err != nil || depth == 0 {
+		return blob, nil, err
+	}
+	capBytes, err := v.col.Cap(depth)
+	return blob, capBytes, err
 }
 
 func (b *backend) applyUpdate(req *httpapi.UpdateRequest) (*httpapi.UpdateResponse, error) {

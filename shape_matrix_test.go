@@ -437,11 +437,24 @@ func searchPaths(shards int) (search, manifest string) {
 }
 
 // searchBodyOf is the JSON request for query at matrixR under algo over
-// ChainMHT.
-func searchBodyOf(query string, algo authtext.Algorithm) string {
+// ChainMHT, for answers cut at depth cut.
+func searchBodyOf(query string, algo authtext.Algorithm, cut int) string {
 	wireAlgo := map[authtext.Algorithm]string{authtext.TRA: httpapi.AlgoTRA, authtext.TNRA: httpapi.AlgoTNRA}[algo]
-	body, _ := json.Marshal(&httpapi.SearchRequest{Query: query, R: matrixR, Algo: wireAlgo, Scheme: httpapi.SchemeCMHT})
+	body, _ := json.Marshal(&httpapi.SearchRequest{Query: query, R: matrixR, Algo: wireAlgo, Scheme: httpapi.SchemeCMHT, Cap: cut})
 	return string(body)
+}
+
+// matrixCap is the proof-cap depth a RemoteClient fetches and cuts its
+// answers at (remote.go's capDepth).
+const matrixCap = 8
+
+// clientCut is the depth a RemoteClient's searches ask for: a bare
+// collection's client holds the cap, a shard set's answers uncut.
+func clientCut(shards int) int {
+	if shards > 0 {
+		return 0
+	}
+	return matrixCap
 }
 
 // honest checks one honest answer: it verified (err), and it ranks what
@@ -476,7 +489,7 @@ func matrixRows(t *testing.T, shape matrixShape, env matrixEnv, listMode bool) {
 	optCache := authtext.NewVOCache(2 << 20)
 	handler := env.handler(optCache)
 	searchPath, manifestPath := searchPaths(shape.shards)
-	searchBody := searchBodyOf(matrixQuery, authtext.TNRA)
+	searchBody := searchBodyOf(matrixQuery, authtext.TNRA, 0)
 
 	// A cache hit is byte-identical to the miss that filled it, on both
 	// codecs (first: these are the handler's first two queries).
@@ -502,10 +515,17 @@ func matrixRows(t *testing.T, shape matrixShape, env matrixEnv, listMode bool) {
 
 	// The answers the frame rows attack deflate their bodies against the
 	// collection dictionary, so a lie about the dictionary is a lie about
-	// the bodies.
+	// the bodies — all but a bare collection's TNRA answers: cut at the
+	// client's proof cap, they fall below the size frames start compressing
+	// at, and travel stored (the flag rows still refuse a lie about a
+	// dictionary they do not name). Uncut, they deflate too.
 	for _, algo := range matrixAlgos {
 		for _, q := range []string{matrixQuery, matrixTieQuery} {
-			rec := matrixDo(handler, http.MethodPost, searchPath, searchBodyOf(q, algo), wire.ContentType)
+			cut := clientCut(shape.shards)
+			if algo == authtext.TNRA {
+				cut = 0
+			}
+			rec := matrixDo(handler, http.MethodPost, searchPath, searchBodyOf(q, algo, cut), wire.ContentType)
 			if dictionaryOf(rec.Body.Bytes()).id == "" {
 				t.Fatalf("%s %q: the frame names no dictionary", algo, q)
 			}
@@ -609,6 +629,190 @@ func matrixRows(t *testing.T, shape matrixShape, env matrixEnv, listMode bool) {
 	if env.advance != nil {
 		t.Run("generations", func(t *testing.T) { matrixLifecycle(t, env, shape, handler) })
 	}
+	// Last: on a live shape it publishes generations of its own.
+	t.Run("caps", func(t *testing.T) { matrixCaps(t, env, shape, handler, listMode) })
+}
+
+// matrixCaps is the proof-cap column. A bare collection's client holds the
+// depth-8 cap of its generation's collection-level trees, fetched with the
+// manifest, and asks for answers cut there; a shard set's never asks, and
+// the shard endpoints refuse a cap. On a bare shape each tamper row demands
+// one exact code, over both codecs and for both algorithms, from a cold and
+// a warm client:
+//
+//   - a cap that does not hash to the signed root, refused at the fetch —
+//     by a bootstrapping client and by one seeded out of band, which then go
+//     on uncapped and verify the next answer;
+//   - on a live shape, the previous generation's cap served with the next
+//     generation's manifest, refused at the fetch;
+//   - an answer stating a cut below the cap held;
+//   - a proof cut at another depth than the answer states, and an answer
+//     whose depth is stripped: the first cut proof fails, the dictionary
+//     proof (or, on a list-mode artifact, TNRA's content proof — its TRA
+//     answers cut no proof, so the two rows do not apply).
+func matrixCaps(t *testing.T, env matrixEnv, shape matrixShape, handler http.Handler, listMode bool) {
+	ctx := context.Background()
+	if shape.shards > 0 {
+		var asked atomic.Int64
+		rc := dialer(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			var body []byte
+			if r.Body != nil {
+				body, _ = io.ReadAll(r.Body)
+				r.Body = io.NopCloser(bytes.NewReader(body))
+			}
+			if strings.HasPrefix(r.URL.Path, "/v1/shards/") && (r.URL.Query().Has("cap") || bytes.Contains(body, []byte(`"cap"`))) {
+				asked.Add(1)
+			}
+			handler.ServeHTTP(w, r)
+		}), false)()
+		res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+		if env.honest(t, matrixQuery, authtext.TNRA, res, err); asked.Load() != 0 {
+			t.Fatalf("a shard set's client asked for a cap %d times", asked.Load())
+		}
+		for _, target := range []string{httpapi.PathShardManifest + "?cap=8", httpapi.PathShardSearch} {
+			rec := matrixDo(handler, http.MethodPost, target, searchBodyOf(matrixQuery, authtext.TNRA, matrixCap), "")
+			if target == httpapi.PathShardManifest+"?cap=8" {
+				rec = matrixDo(handler, http.MethodGet, target, "", "")
+			}
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), httpapi.CodeBadCap) {
+				t.Fatalf("%s with a cap: %d %s", target, rec.Code, rec.Body.String())
+			}
+		}
+		return
+	}
+
+	firstCut := core.CodeBadTermProof // the dictionary proof
+	if listMode {
+		firstCut = core.CodeBadContent
+	}
+	export := must(env.client().Export())(t)
+	for _, frame := range []bool{false, true} {
+		t.Run(map[bool]string{false: "json", true: "frame"}[frame], func(t *testing.T) {
+			codec := codecHandler(handler, frame)
+			// An honest client is cut at the cap's depth.
+			rc := dialer(t, codec, false)()
+			res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+			if env.honest(t, matrixQuery, authtext.TNRA, res, err); must(vo.Decode(res.VO))(t).CapDepth != matrixCap {
+				t.Fatal("an honest answer to a client holding the cap is not cut")
+			}
+
+			flipped := rewriteManifests(codec, frame, func(c []byte) []byte {
+				out := bytes.Clone(c)
+				out[len(out)/2] ^= 0x20
+				return out
+			})
+			for name, opts := range map[string][]authtext.RemoteOption{"bootstrapped": nil, "out of band": {authtext.WithClientExport(export)}} {
+				t.Run("cap not hashing to the signed root/"+name, func(t *testing.T) {
+					rc := must(authtext.NewRemoteClient("http://matrix",
+						append(opts, authtext.WithHTTPClient(&http.Client{Transport: handlerTransport{flipped}}))...))(t)
+					res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+					if res != nil || core.CodeOf(err) != core.CodeBadCap {
+						t.Fatalf("classified as %v, want %v", err, core.CodeBadCap)
+					}
+					res, err = rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+					if env.honest(t, matrixQuery, authtext.TNRA, res, err); must(vo.Decode(res.VO))(t).CapDepth != 0 {
+						t.Fatal("a client that refused its cap asked for cut answers")
+					}
+				})
+			}
+
+			if env.grow != nil {
+				t.Run("previous generation's cap", func(t *testing.T) {
+					var m httpapi.ManifestResponse
+					if err := json.Unmarshal(matrixDo(handler, http.MethodGet, httpapi.PathManifest+"?cap=8", "", "").Body.Bytes(), &m); err != nil {
+						t.Fatal(err)
+					}
+					rc := dialer(t, rewriteManifests(codec, frame, func([]byte) []byte { return m.Cap }), false)()
+					res, err := rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+					env.honest(t, matrixQuery, authtext.TNRA, res, err)
+					gen := rc.Generation()
+					env.grow(t, []authtext.Document{{Content: []byte(fmt.Sprintf("digest chain capstone %v", frame))}})
+					res, err = rc.Search(ctx, matrixQuery, matrixR, authtext.TNRA, authtext.ChainMHT)
+					if res != nil || core.CodeOf(err) != core.CodeBadCap || rc.Generation() != gen+1 {
+						t.Fatalf("at generation %d (from %d): classified as %v, want %v", rc.Generation(), gen, err, core.CodeBadCap)
+					}
+				})
+			}
+
+			for _, algo := range matrixAlgos {
+				var shallow wire.SearchResponse // the same answer cut at depth 2
+				if err := json.Unmarshal(matrixDo(handler, http.MethodPost, httpapi.PathSearch, searchBodyOf(matrixQuery, algo, 2), "").Body.Bytes(), &shallow); err != nil {
+					t.Fatal(err)
+				}
+				rows := []struct {
+					name string
+					want core.VerifyCode
+					edit func(v *vo.VO)
+				}{
+					{"cut below the cap held", core.CodeCapDepth, func(v *vo.VO) { v.CapDepth = matrixCap + 1 }},
+					{"proof cut at the wrong depth", firstCut, func(v *vo.VO) {
+						*v = *must(vo.Decode(shallow.VO))(t)
+						v.CapDepth = matrixCap
+					}},
+					{"depth stripped", firstCut, func(v *vo.VO) { v.CapDepth = 0 }},
+				}
+				for _, row := range rows {
+					if listMode && algo == authtext.TRA && row.want == firstCut {
+						continue
+					}
+					t.Run(algo.String()+"/"+row.name, func(t *testing.T) {
+						proxy := &tamperProxy{forceJSON: !frame}
+						dial := dialer(t, proxy, false)
+						for _, warm := range []bool{false, true} {
+							proxy.arm(handler, nil)
+							rc := dial()
+							if warm {
+								res, err := rc.Search(ctx, matrixQuery, matrixR, algo, authtext.ChainMHT)
+								env.honest(t, matrixQuery, algo, res, err)
+							}
+							proxy.arm(handler, func(body []byte, frame bool) ([]byte, error) {
+								return rewrite(body, frame, wire.Decoding.SearchResponse, wire.Encoding.SearchResponse, func(r *wire.SearchResponse) {
+									v := must(vo.Decode(r.VO))(t)
+									row.edit(v)
+									r.VO = must2(vo.Encode(v, 16))(t)
+								})
+							})
+							res, err := rc.Search(ctx, matrixQuery, matrixR, algo, authtext.ChainMHT)
+							if res != nil || core.CodeOf(err) != row.want {
+								t.Fatalf("warm=%v: classified as %v, want %v", warm, err, row.want)
+							}
+						}
+					})
+				}
+			}
+		})
+	}
+}
+
+// rewriteManifests serves h with the proof cap of every manifest answer
+// rewritten by edit, in the codec the answer travelled in.
+func rewriteManifests(h http.Handler, frame bool, edit func([]byte) []byte) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		body := rec.Body.Bytes()
+		if r.URL.Path == httpapi.PathManifest && rec.Code == http.StatusOK {
+			if frame {
+				m, err := wire.DecodeManifestResponse(body)
+				if err == nil && m.Cap != nil {
+					m.Cap = edit(m.Cap)
+					body = wire.EncodeManifestResponse(m)
+				}
+			} else {
+				var m httpapi.ManifestResponse
+				if err := json.Unmarshal(body, &m); err == nil && m.Cap != nil {
+					m.Cap = edit(m.Cap)
+					body, _ = json.Marshal(&m)
+				}
+			}
+		}
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.Header().Del("Content-Length")
+		w.WriteHeader(rec.Code)
+		_, _ = w.Write(body)
+	})
 }
 
 // matrixLifecycle is the generation column of a live shape: the update
@@ -657,7 +861,7 @@ func matrixLifecycle(t *testing.T, env matrixEnv, shape matrixShape, handler htt
 
 	stale := map[authtext.Algorithm][]byte{}
 	for _, algo := range matrixAlgos {
-		stale[algo] = matrixDo(handler, http.MethodPost, searchPath, searchBodyOf(matrixQuery, algo), "").Body.Bytes()
+		stale[algo] = matrixDo(handler, http.MethodPost, searchPath, searchBodyOf(matrixQuery, algo, 0), "").Body.Bytes()
 	}
 	pinned := env.server()
 	env.advance(t)
@@ -748,15 +952,18 @@ func recordDictionaries(h http.Handler, seen *[]frameDictionary) http.Handler {
 func matrixDictionaries(t *testing.T, env matrixEnv) {
 	var seen []frameDictionary
 	rc := dialer(t, recordDictionaries(env.handler(authtext.NewVOCache(1<<20)), &seen), false)()
-	queries := []string{matrixQuery, matrixTieQuery} // answers big enough to deflate (matrixRows)
+	// TRA answers, big enough to deflate: cut at the client's proof cap, a
+	// TNRA answer over this small corpus falls below the size frames start
+	// compressing at.
+	queries := []string{matrixQuery, matrixTieQuery}
 	// searchAll asks every query and returns the dictionaries of the answers
 	// and what the process's decoders did meanwhile.
 	searchAll := func() ([]frameDictionary, wire.DictionaryStats) {
 		t.Helper()
 		before, from := wire.Dictionaries(), len(seen)
 		for _, q := range queries {
-			res, err := rc.Search(context.Background(), q, matrixR, authtext.TNRA, authtext.ChainMHT)
-			env.honest(t, q, authtext.TNRA, res, err)
+			res, err := rc.Search(context.Background(), q, matrixR, authtext.TRA, authtext.ChainMHT)
+			env.honest(t, q, authtext.TRA, res, err)
 		}
 		after := wire.Dictionaries()
 		if len(seen)-from != len(queries) {
@@ -1346,7 +1553,7 @@ func (b battery) run(t *testing.T) {
 				}
 				query, other := cmp.Or(row.query, matrixQuery), cmp.Or(row.other, matrixSpliceQuery)
 				t.Run(row.name, func(t *testing.T) {
-					spliced := matrixDo(hits, http.MethodPost, searchPath, searchBodyOf(other, algo), "").Body.Bytes()
+					spliced := matrixDo(hits, http.MethodPost, searchPath, searchBodyOf(other, algo, clientCut(b.shards)), "").Body.Bytes()
 					b.attack(t, proxy, dial, hits, hitCache, algo, query, row.want, row.mutation(b.shards > 0, spliced))
 				})
 			}
@@ -1386,7 +1593,7 @@ func (b battery) attack(t *testing.T, proxy *tamperProxy, dial func() *authtext.
 				}
 				target, missCache := hits, authtext.NewVOCache(1<<20)
 				if hit {
-					matrixDo(hits, http.MethodPost, searchPath, searchBodyOf(query, algo), "")
+					matrixDo(hits, http.MethodPost, searchPath, searchBodyOf(query, algo, clientCut(b.shards)), "")
 				} else {
 					target = b.env.handler(missCache)
 				}
@@ -1447,7 +1654,7 @@ func matrixVariantNotBuilt(t *testing.T, shape matrixShape) {
 	notBuilt("Server.Search", err)
 
 	// The wire: 422 variant_not_built, and healthz names the set.
-	rec := matrixDo(handler, http.MethodPost, searchPath, searchBodyOf(matrixQuery, authtext.TRA), "")
+	rec := matrixDo(handler, http.MethodPost, searchPath, searchBodyOf(matrixQuery, authtext.TRA, 0), "")
 	var envl httpapi.ErrorResponse
 	if rec.Code != http.StatusUnprocessableEntity || json.Unmarshal(rec.Body.Bytes(), &envl) != nil ||
 		envl.Error.Code != httpapi.CodeVariantNotBuilt {
