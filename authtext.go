@@ -226,11 +226,10 @@ func WithVocabularyProofs() Option { return func(*options) {} }
 
 // WithVariants builds, signs and lays out only the structures the listed
 // variants need (no variants: all four, the default): plain lists for an MHT
-// variant, the chain of a ChainMHT one, signed document records for a TRA
-// one. A TNRA-only build signs one message, the manifest, where all four
-// sign N + 1: the manifest and one record per document. The set is committed
-// in the signed manifest; searching any other variant fails with
-// ErrVariantNotBuilt.
+// variant, the chain of a ChainMHT one, document records and the tree that
+// commits their roots for a TRA one. Any set signs one message, the
+// manifest. The set is committed in the signed manifest; searching any other
+// variant fails with ErrVariantNotBuilt.
 func WithVariants(vs ...Variant) Option {
 	return func(o *options) {
 		o.variants = 0

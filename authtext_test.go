@@ -117,9 +117,9 @@ func TestNewOwnerValidation(t *testing.T) {
 
 // TestOptionsApply pins what every owner builds without options: dictionary
 // mode with vocabulary proofs, on every constructor and in every manifest, so
-// all four variants sign the manifest and one record per document, and a
-// TNRA-CMHT-only build signs the manifest alone. WithVocabularyProofs changes
-// nothing.
+// a build of all four variants signs the manifest alone — the document-root
+// tree commits the TRA document roots — as a TNRA-CMHT-only build does.
+// WithVocabularyProofs changes nothing.
 func TestOptionsApply(t *testing.T) {
 	docs := newsDocs()
 	fast := WithFastSigner([]byte("opt-test"))
@@ -147,8 +147,8 @@ func TestOptionsApply(t *testing.T) {
 		}
 	}
 
-	if _, sigs, _ := owner(t).Stats(); sigs != len(docs)+1 {
-		t.Fatalf("all four variants signed %d messages, want N + 1 = %d", sigs, len(docs)+1)
+	if _, sigs, _ := owner(t).Stats(); sigs != 1 {
+		t.Fatalf("all four variants signed %d messages, want 1", sigs)
 	}
 	tnra, err := NewOwner(docs, fast, WithVariants(Variant{TNRA, ChainMHT}))
 	if err != nil {

@@ -335,11 +335,11 @@ func BenchmarkVerifyTNRAMHT(b *testing.B)  { benchVerifyVariant(b, core.AlgoTNRA
 func BenchmarkVerifyTNRACMHT(b *testing.B) { benchVerifyVariant(b, core.AlgoTNRA, core.SchemeCMHT) }
 
 // BenchmarkClientVerifyTRA is what a facade Client pays to verify one
-// 10-term TRA answer of an RSA-1024 collection: cold, every owner signature
-// in the VO is RSA-verified (a fresh client per answer — its manifest check
-// is one more signature among the ~100 the answer carries); warm, the
-// client's verified-signature memo has seen them all and what remains is the
-// Merkle hashing, which no repeat can skip.
+// 10-term TRA answer of an RSA-1024 collection. The answer carries no owner
+// signature — the dictionary trees and the document-root tree commit what
+// list mode signs — so cold (a fresh client per answer) RSA-verifies one,
+// the manifest's, and warm (a client whose verified-signature memo holds
+// it) none; what both pay is the Merkle hashing, which no repeat can skip.
 func BenchmarkClientVerifyTRA(b *testing.B) {
 	idocs := corpus.Generate(corpus.Tiny())
 	docs := make([]authtext.Document, len(idocs))
@@ -544,9 +544,10 @@ func BenchmarkBuildCollection(b *testing.B) {
 
 // BenchmarkOwnerBuild is the full owner-side construction (index,
 // structures, signatures) under RSA-1024 on the tiny profile, per variant
-// set: all four structures (N + 4M + 1 signatures), TNRA-CMHT only (M + 1),
-// and TNRA-CMHT in dictionary mode (the manifest alone, what authserved
-// builds by default).
+// set: all four structures in list mode (N + 4M + 1 signatures), TNRA-CMHT
+// only (M + 1), and in dictionary mode — where the dictionary trees and the
+// document-root tree commit what list mode signs — all four and TNRA-CMHT
+// (what authserved builds by default), each the manifest alone.
 func BenchmarkOwnerBuild(b *testing.B) {
 	signer, err := sig.NewRSASigner(sig.DefaultRSABits)
 	if err != nil {
@@ -558,7 +559,7 @@ func BenchmarkOwnerBuild(b *testing.B) {
 		name     string
 		variants core.VariantSet
 		dict     bool
-	}{{"all", 0, false}, {"tnra-cmht", tnra, false}, {"tnra-cmht-dict", tnra, true}} {
+	}{{"all", 0, false}, {"tnra-cmht", tnra, false}, {"all-dict", 0, true}, {"tnra-cmht-dict", tnra, true}} {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := engine.DefaultConfig(signer)
 			cfg.Variants, cfg.DictMode = c.variants, c.dict

@@ -146,7 +146,7 @@ func parseFlags(args []string) (config, error) {
 	fs.StringVar(&cfg.dir, "dir", "", "directory of .txt files to index (default: demo corpus)")
 	fs.StringVar(&cfg.snapshot, "snapshot", "", "boot from this snapshot file (or sharded or per-generation snapshot directory), read into memory at open, instead of building a collection")
 	fs.IntVar(&cfg.shards, "shards", 0, "split the corpus into N independently signed shards (build mode)")
-	fs.StringVar(&variants, "variants", "", "variants to build (build mode; dictionary mode, so lists carry no signatures): all, or a comma-separated list of tra-mht, tra-cmht, tnra-mht, tnra-cmht (default tnra-cmht)")
+	fs.StringVar(&variants, "variants", "", "variants to build (build mode; dictionary mode, so lists and documents carry no signatures): all, or a comma-separated list of tra-mht, tra-cmht, tnra-mht, tnra-cmht (default tnra-cmht)")
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-query log lines and the request records of answered requests (failed requests are still logged)")
 	fs.BoolVar(&cfg.live, "live", false, "accept document updates on /v1/admin/update (build mode); every batch publishes a new signed generation")
 	fs.StringVar(&cfg.liveSnaps, "live-snapshots", "", "with -live: persist every published generation as an ATSN snapshot in this directory")

@@ -125,12 +125,12 @@ func servedManifest(t *testing.T, url string) *core.Manifest {
 }
 
 // The daemon builds in dictionary mode with no flag asking for it: the
-// signed manifest says so, a TNRA-CMHT build signs the manifest alone — at
-// boot and for every live generation, vocabulary growth included — and a
-// TRA variant adds one signature per document record, N + 1 in all.
+// signed manifest says so, and a build signs the manifest alone — at boot
+// and for every live generation, vocabulary growth included — also with a
+// TRA variant, whose document roots the document-root tree commits.
 func TestBuildHandlerSignsOncePerGeneration(t *testing.T) {
 	dir := writeCorpus(t) // 3 documents
-	for args, want := range map[string]int{"": 1, "-variants tra-cmht": 3 + 1} {
+	for args, want := range map[string]int{"": 1, "-variants tra-cmht": 1} {
 		cfg, err := parseFlags(append([]string{"-dir", dir, "-quiet"}, strings.Fields(args)...))
 		if err != nil {
 			t.Fatal(err)

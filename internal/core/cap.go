@@ -18,12 +18,14 @@ const (
 	CapNameDict
 	CapAuthority
 	CapDict
+	CapDocRoot = CapDict + 4
 )
 
 // CapTrees lists the trees m signs a root for, in the order their frontiers
 // travel in a cap: the document-hash tree, each built kind's dictionary tree
 // (dictionary mode) by ascending kind, the name-dictionary tree (vocabulary
-// proofs), the authority tree (boost).
+// proofs), the authority tree (boost), the document-root tree (when the
+// manifest commits one; last, so a cap without it keeps its encoding).
 func CapTrees(m *Manifest) []CapTree {
 	trees := []CapTree{CapDocHash}
 	if m.DictMode {
@@ -37,6 +39,9 @@ func CapTrees(m *Manifest) []CapTree {
 	if m.Boosted {
 		trees = append(trees, CapAuthority)
 	}
+	if len(m.DocRootTreeRoot) != 0 {
+		trees = append(trees, CapDocRoot)
+	}
 	return trees
 }
 
@@ -49,6 +54,8 @@ func (t CapTree) shape(m *Manifest) (n int, root []byte) {
 		return int(m.M), m.NameDictRoot
 	case CapAuthority:
 		return int(m.N), m.AuthorityRoot
+	case CapDocRoot:
+		return int(m.N), m.DocRootTreeRoot
 	}
 	return int(m.M), m.DictRoots[t-CapDict]
 }
@@ -65,7 +72,7 @@ func (t CapTree) shape(m *Manifest) (n int, root []byte) {
 type Cap struct {
 	Depth      int
 	Generation uint64
-	trees      [CapDict + 4]*mht.Cap
+	trees      [CapDocRoot + 1]*mht.Cap
 }
 
 // VerifyCap checks an encoded cap against m, a manifest whose signature the

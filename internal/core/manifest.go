@@ -1,11 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"authtext/internal/sig"
 )
@@ -73,6 +75,53 @@ type Manifest struct {
 	// byte), so a manifest carrying all four can never be told apart from
 	// one that predates the field; AllVariants itself is non-canonical.
 	Variants VariantSet
+	// DocRootTreeRoot is the root of the document-root tree, whose leaf d is
+	// DocRootMessage of document d: one multiproof over it authenticates a
+	// TRA answer's document roots in place of one signature per document.
+	// Dictionary-mode builds of a TRA kind carry it (extension
+	// ExtDocRootTree); without it each document root is signed on its own.
+	DocRootTreeRoot []byte
+	// Extensions holds the non-critical extensions this build does not
+	// know, kept as decoded so the manifest re-encodes byte for byte.
+	Extensions []Extension
+}
+
+// Extension is one entry of a manifest's extension list (flag bit 0x20):
+// a tag, a critical bit and a value. A decoder that does not know a tag
+// skips the entry when it is not critical and refuses the manifest when it
+// is (docs/PROTOCOL.md "Manifest extensions").
+type Extension struct {
+	Tag      uint16
+	Critical bool
+	Value    []byte
+}
+
+// ExtDocRootTree tags the document-root tree's root (Manifest.DocRootTreeRoot),
+// a critical extension: a client that cannot check the tree cannot verify
+// a TRA answer at all.
+const ExtDocRootTree uint16 = 1
+
+// Extension list framing: each entry is u16 tag (the top bit is the critical
+// bit) | u16 length | value, by ascending tag, and the list ends with its
+// own u16 byte length, so a decoder finds it from the end of the manifest.
+const (
+	extCritical   = 0x8000
+	extMaxTag     = extCritical - 1
+	extHeaderSize = 4
+)
+
+// extensions lists every extension entry m encodes, by ascending tag.
+func (m *Manifest) extensions() []Extension {
+	var known []Extension
+	if len(m.DocRootTreeRoot) != 0 {
+		known = append(known, Extension{Tag: ExtDocRootTree, Critical: true, Value: m.DocRootTreeRoot})
+	}
+	if len(m.Extensions) == 0 {
+		return known
+	}
+	all := append(known, m.Extensions...)
+	slices.SortStableFunc(all, func(a, b Extension) int { return cmp.Compare(a.Tag, b.Tag) })
+	return all
 }
 
 // Serves reports whether the owner built — and signed — structure kind.
@@ -129,6 +178,10 @@ func (m *Manifest) Encode() []byte {
 	if m.Variants != 0 {
 		flags |= 0x10
 	}
+	exts := m.extensions()
+	if len(exts) != 0 {
+		flags |= 0x20
+	}
 	b = append(b, flags)
 	b = appendSized(b, m.DocHashRoot)
 	for _, r := range m.DictRoots {
@@ -146,8 +199,8 @@ func (m *Manifest) Encode() []byte {
 	// (flag bit 8): a live collection with no removals still encodes the
 	// generation-only layout, so pre-tombstone snapshots stay valid. A
 	// dictionary-mode manifest then names its leaf definition in one byte
-	// (dictLeafBound), and a variant set short of all four is the last byte
-	// (flag bit 0x10).
+	// (dictLeafBound), a variant set short of all four is one more byte
+	// (flag bit 0x10), and the extension list comes last (flag bit 0x20).
 	if m.Generation != 0 {
 		b = binary.BigEndian.AppendUint64(b, m.Generation)
 	}
@@ -161,6 +214,18 @@ func (m *Manifest) Encode() []byte {
 	}
 	if m.Variants != 0 {
 		b = append(b, byte(m.Variants))
+	}
+	if len(exts) != 0 {
+		start := len(b)
+		for _, e := range exts {
+			tag := e.Tag
+			if e.Critical {
+				tag |= extCritical
+			}
+			b = binary.BigEndian.AppendUint16(b, tag)
+			b = appendSized(b, e.Value)
+		}
+		b = binary.BigEndian.AppendUint16(b, uint16(len(b)-start))
 	}
 	return b
 }
@@ -205,6 +270,17 @@ func (m *Manifest) Validate() error {
 		if m.DictMode && m.Serves(StructureKind(k+1)) && len(r) != int(m.HashSize) {
 			return fmt.Errorf("core: manifest dict root %d size mismatch", k)
 		}
+	}
+	if len(m.DocRootTreeRoot) != 0 {
+		if !m.DictMode || !m.Variants.Resolve().HasTRA() {
+			return errors.New("core: manifest document-root tree outside a dictionary-mode TRA build")
+		}
+		if len(m.DocRootTreeRoot) != int(m.HashSize) {
+			return errors.New("core: manifest document-root tree root size mismatch")
+		}
+	}
+	if err := m.validateExtensions(); err != nil {
+		return err
 	}
 	if m.VocabProofsEnabled && len(m.NameDictRoot) != int(m.HashSize) {
 		return errors.New("core: manifest name-dict root size mismatch")
@@ -255,6 +331,33 @@ func (m *Manifest) Validate() error {
 		return errors.New("core: manifest live count without tombstone bitmap")
 	}
 	return nil
+}
+
+// validateExtensions checks the unknown extensions a manifest carries: each
+// non-critical, a tag of its own that this build does not define, by
+// ascending tag, and the list within its u16 framing.
+func (m *Manifest) validateExtensions() error {
+	size, prev := 0, 0
+	for _, e := range m.Extensions {
+		if e.Critical {
+			return unsupportedExtension(e.Tag)
+		}
+		if e.Tag == ExtDocRootTree || e.Tag > extMaxTag || int(e.Tag) <= prev {
+			return fmt.Errorf("core: manifest extension tag %d is out of order or reserved", e.Tag)
+		}
+		prev = int(e.Tag)
+		size += extHeaderSize + len(e.Value)
+	}
+	if size+extHeaderSize+len(m.DocRootTreeRoot) > math.MaxUint16 {
+		return errors.New("core: manifest extension list exceeds 65535 bytes")
+	}
+	return nil
+}
+
+// unsupportedExtension is the plain error for a critical extension this
+// build does not know: the manifest needs a newer client.
+func unsupportedExtension(tag uint16) error {
+	return fmt.Errorf("core: unsupported manifest: critical extension %d is unknown to this build", tag)
 }
 
 // VerifyManifest checks the owner's signature over the manifest.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -28,16 +29,29 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 	if err := r.Err(); err != nil {
 		return nil, decodeErr(err)
 	}
-	if flags&^0x1F != 0 {
+	if flags&^0x3F != 0 {
 		return nil, fmt.Errorf("core: manifest flags %#02x carry unknown bits", flags)
 	}
 	m.DictMode = flags&1 != 0
 	m.VocabProofsEnabled = flags&2 != 0
 	m.Boosted = flags&4 != 0
 	tombstoned := flags&8 != 0
-	// The variant mask and the leaf-definition byte are the last bytes;
-	// what precedes them parses as if their flags were clear.
+	// The extension list, the variant mask and the leaf-definition byte are
+	// the last bytes; what precedes them parses as if their flags were clear.
 	rest := r.Take(r.Len())
+	if flags&0x20 != 0 {
+		if len(rest) < 2 {
+			return nil, decodeErr(binx.ErrTruncated)
+		}
+		n := int(binary.BigEndian.Uint16(rest[len(rest)-2:]))
+		if n == 0 || n > len(rest)-2 {
+			return nil, fmt.Errorf("core: manifest extension list of %d bytes in %d", n, len(rest)-2)
+		}
+		if err := m.decodeExtensions(rest[len(rest)-2-n : len(rest)-2]); err != nil {
+			return nil, err
+		}
+		rest = rest[:len(rest)-2-n]
+	}
 	if flags&0x10 != 0 {
 		// A zero mask has no canonical encoding (the full set is the absent
 		// byte); Validate rejects the rest.
@@ -96,6 +110,39 @@ func DecodeManifest(b []byte) (*Manifest, error) {
 		return nil, err
 	}
 	return m, nil
+}
+
+// decodeExtensions parses a non-empty extension list into m. An unknown
+// critical tag is a plain "unsupported manifest" error; an unknown
+// non-critical one is kept, so the manifest re-encodes byte for byte.
+func (m *Manifest) decodeExtensions(b []byte) error {
+	r := binx.NewReader(b)
+	prev := -1
+	for r.Len() > 0 {
+		word := r.U16()
+		value := r.Copy(int(r.U16()))
+		if err := r.Err(); err != nil {
+			return decodeErr(err)
+		}
+		tag, critical := word&extMaxTag, word&extCritical != 0
+		if int(tag) <= prev {
+			return fmt.Errorf("core: manifest extension tags not ascending at %d", tag)
+		}
+		prev = int(tag)
+		switch tag {
+		case ExtDocRootTree:
+			if !critical || value == nil {
+				return errors.New("core: non-canonical document-root tree extension")
+			}
+			m.DocRootTreeRoot = value
+		default:
+			if critical {
+				return unsupportedExtension(tag)
+			}
+			m.Extensions = append(m.Extensions, Extension{Tag: tag, Value: value})
+		}
+	}
+	return nil
 }
 
 func decodeErr(err error) error { return fmt.Errorf("core: manifest: %w", err) }

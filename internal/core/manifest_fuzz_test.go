@@ -22,7 +22,9 @@ func FuzzDecodeManifest(f *testing.F) {
 	boosted.Boosted, boosted.Beta, boosted.AMax = true, 0.5, 1
 	boosted.AuthorityRoot = make([]byte, 16)
 	boosted.Generation = 9
-	for _, m := range []*Manifest{sampleManifest(), tombstonedManifest(), dict, boosted} {
+	future := treeManifest(4)
+	future.Extensions = []Extension{{Tag: 2, Value: []byte("later")}, {Tag: 0x7FFF}}
+	for _, m := range []*Manifest{sampleManifest(), tombstonedManifest(), dict, boosted, treeManifest(0), future} {
 		f.Add(m.Encode())
 	}
 	if raw, err := os.ReadFile("testdata/manifest-tnra-cmht.bin"); err == nil {

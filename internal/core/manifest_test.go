@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"authtext/internal/sig"
@@ -472,5 +475,106 @@ func TestManifestVariantsGolden(t *testing.T) {
 	got, err := DecodeManifest(raw)
 	if err != nil || got.Variants != m.Variants || got.Generation != 7 {
 		t.Fatalf("decode: %+v, %v", got, err)
+	}
+}
+
+// treeManifest is a dictionary-mode manifest of all four variants that
+// commits the document-root tree, at generation gen.
+func treeManifest(gen uint64) *Manifest {
+	m := sampleManifest()
+	m.DictMode, m.Generation = true, gen
+	for k := range m.DictRoots {
+		m.DictRoots[k] = bytes.Repeat([]byte{byte(k + 1)}, 16)
+	}
+	m.DocRootTreeRoot = bytes.Repeat([]byte{0xD0}, 16)
+	return m
+}
+
+// TestManifestExtensionList pins the extension list (flag bit 0x20): the
+// document-root tree's root is tag 1, critical, appended after everything
+// an older manifest carries, which keeps its encoding; an unknown
+// non-critical entry survives a decode and re-encodes byte for byte; an
+// unknown critical one is a plain "unsupported manifest" error, never a
+// tampering verdict; and every non-canonical list is refused.
+func TestManifestExtensionList(t *testing.T) {
+	const flagsAt = len("authtext/manifest/v1") + 4 + 4 + 3*8 + 4 + 1
+	for _, gen := range []uint64{0, 3} {
+		m := treeManifest(gen)
+		without := *m
+		without.DocRootTreeRoot = nil
+		old := without.Encode()
+		if old[flagsAt]&0x20 != 0 {
+			t.Fatal("a manifest without extensions sets the extension flag")
+		}
+		enc := m.Encode()
+		want := bytes.Clone(old)
+		want[flagsAt] |= 0x20
+		want = append(want, 0x80, 0x01, 0x00, 0x10)
+		want = append(want, m.DocRootTreeRoot...)
+		want = append(want, 0x00, 0x14)
+		if !bytes.Equal(enc, want) {
+			t.Fatalf("generation %d: extension layout\n got %x\nwant %x", gen, enc, want)
+		}
+		got, err := DecodeManifest(enc)
+		if err != nil || !bytes.Equal(got.DocRootTreeRoot, m.DocRootTreeRoot) || got.Generation != gen || !bytes.Equal(got.Encode(), enc) {
+			t.Fatalf("generation %d: round trip %+v, %v", gen, got, err)
+		}
+		if trees := CapTrees(got); trees[len(trees)-1] != CapDocRoot || slices.Contains(CapTrees(&without), CapDocRoot) {
+			t.Fatalf("generation %d: cap trees %v, want the document-root tree last and only with the extension", gen, trees)
+		}
+
+		// A later build's non-critical entry, spliced in by hand before the
+		// tree's (tag 9 sorts after tag 1).
+		future := append(bytes.Clone(want[:len(want)-2]), 0x00, 0x09, 0x00, 0x03, 'n', 'e', 'w')
+		future = append(future, 0x00, 0x14+7)
+		got, err = DecodeManifest(future)
+		if err != nil {
+			t.Fatalf("generation %d: unknown non-critical extension refused: %v", gen, err)
+		}
+		if len(got.Extensions) != 1 || got.Extensions[0].Tag != 9 || string(got.Extensions[0].Value) != "new" ||
+			!bytes.Equal(got.Encode(), future) {
+			t.Fatalf("generation %d: unknown extension not kept byte for byte: %+v", gen, got.Extensions)
+		}
+		if bytes.Equal(got.Encode(), enc) {
+			t.Fatal("the signed encoding does not bind an unknown extension")
+		}
+
+		critical := bytes.Clone(future)
+		critical[len(critical)-9] |= 0x80
+		_, err = DecodeManifest(critical)
+		if err == nil || CodeOf(err) != VerifyOK || !strings.Contains(err.Error(), "unsupported manifest") {
+			t.Fatalf("generation %d: unknown critical extension: %v, want a plain unsupported-manifest error", gen, err)
+		}
+
+		set := func(b []byte, at int, v byte) []byte { b = bytes.Clone(b); b[at] = v; return b }
+		for what, b := range map[string][]byte{
+			"tree tag not critical":      set(enc, len(enc)-22, 0x00),
+			"list length overruns":       set(enc, len(enc)-2, 0xFF),
+			"list length zero":           set(enc, len(enc)-1, 0x00),
+			"list length short":          set(enc, len(enc)-1, 0x13),
+			"flag without list":          set(old, flagsAt, old[flagsAt]|0x20),
+			"tags out of order":          append(append(bytes.Clone(want[:len(want)-2]), 0x00, 0x01, 0x00, 0x00), 0x00, 0x18),
+			"unknown flag bit":           set(enc, flagsAt, enc[flagsAt]|0x40),
+			"tree root of another width": append(append(bytes.Clone(want[:len(want)-2-16-2]), 0x00, 0x08), append(make([]byte, 8), 0x00, 0x0C)...),
+		} {
+			if _, err := DecodeManifest(b); err == nil {
+				t.Errorf("generation %d: %s: decoded", gen, what)
+			}
+		}
+	}
+
+	// The tree belongs to a dictionary-mode build of a TRA kind.
+	for what, edit := range map[string]func(*Manifest){
+		"list mode":            func(m *Manifest) { m.DictMode = false; m.DictRoots = [4][]byte{} },
+		"no TRA kind":          func(m *Manifest) { m.Variants = VariantOf(KindTNRACMHT); m.DictRoots = [4][]byte{3: m.DictRoots[3]} },
+		"critical unknown":     func(m *Manifest) { m.Extensions = []Extension{{Tag: 5, Critical: true}} },
+		"known tag as unknown": func(m *Manifest) { m.Extensions = []Extension{{Tag: ExtDocRootTree}} },
+		"unknown out of order": func(m *Manifest) { m.Extensions = []Extension{{Tag: 7}, {Tag: 6}} },
+	} {
+		m := treeManifest(1)
+		edit(m)
+		if err := m.Validate(); err == nil {
+			t.Errorf("%s: validated", what)
+		}
 	}
 }

@@ -249,7 +249,7 @@ func Verify(in *VerifyInput) error {
 	}
 
 	if algo == AlgoTRA {
-		return verifyTRA(in, baseHasher, hasher, q, prefixes, exhausted, boost)
+		return verifyTRA(in, baseHasher, hasher, k, q, prefixes, exhausted, boost)
 	}
 	return verifyTNRA(in, baseHasher, hasher, k, q, prefixes, exhausted, boost)
 }
@@ -305,7 +305,7 @@ func verifyAuthority(in *VerifyInput, hasher mht.Hasher, k cut, prefixes [][]ind
 // verifyTRA checks a TRA result: every encountered document's score is
 // recomputed from its document-MHT proof and compared against the result,
 // and the cut-off threshold bounds everything unseen (§3.3).
-func verifyTRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Query, prefixes [][]index.Posting, exhausted []bool, boost *Boost) error {
+func verifyTRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, k cut, q *Query, prefixes [][]index.Posting, exhausted []bool, boost *Boost) error {
 	enc := make(map[index.DocID]struct{})
 	for _, pre := range prefixes {
 		for _, p := range pre {
@@ -339,17 +339,42 @@ func verifyTRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Que
 		}
 	}
 
+	// The document roots are authenticated one by one against their
+	// signatures, or all at once by the document-root tree the manifest
+	// commits, each leaf at its document's position.
+	m := in.Manifest
+	tree := len(m.DocRootTreeRoot) != 0
+	if !tree && in.VO.DocRootProof != nil {
+		return vErr(CodeMalformedVO, "document-root proof for a manifest that commits no document-root tree")
+	}
+	var leaves map[int][]byte
+	if tree {
+		leaves = make(map[int][]byte, len(proofs))
+	}
 	scores := make(map[index.DocID]float64, len(proofs))
 	weights := make(map[index.DocID][]float32, len(proofs))
 	for i := range in.VO.Docs {
 		dp := &in.VO.Docs[i]
-		w, err := verifyDocProof(in, baseHasher, hasher, q, dp)
+		w, err := verifyDocProof(in, baseHasher, hasher, q, dp, leaves)
 		if err != nil {
 			return err
 		}
 		d := index.DocID(dp.Doc)
 		weights[d] = w
 		scores[d] = Score(q, w) + boost.Score(d)
+	}
+	if tree {
+		rp := in.VO.DocRootProof
+		if rp == nil {
+			return vErr(CodeMalformedVO, "the manifest commits the document-root tree, the answer carries no proof over it")
+		}
+		root, err := k.root(hasher, CapDocRoot, int(m.N), leaves, rp.Digests)
+		if err != nil {
+			return vErr(CodeBadDocProof, "document-root proof: %v", err)
+		}
+		if !bytes.Equal(root, m.DocRootTreeRoot) {
+			return vErr(CodeBadDocProof, "document-root tree root mismatch")
+		}
 	}
 
 	// Threshold from the cut-off head entries, frequencies taken from the
@@ -363,7 +388,6 @@ func verifyTRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Que
 		thres += q.Terms[i].WQ * float64(weights[head][i])
 	}
 
-	m := in.Manifest
 	for i, e := range in.Result {
 		if _, ok := enc[e.Doc]; !ok {
 			return vErr(CodeSpurious, "result doc %d never encountered", e.Doc)
@@ -426,8 +450,12 @@ func verifyTRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Que
 }
 
 // verifyDocProof authenticates one document's query-term frequencies
-// (Fig 8) and returns the per-query-term weight vector.
-func verifyDocProof(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Query, dp *vo.DocProof) ([]float32, error) {
+// (Fig 8) and returns the per-query-term weight vector. The document-root
+// message — root, length and content digest bound to the document — is
+// checked against the document's signature, or, when leaves is not nil,
+// recorded there as the document's leaf in the document-root tree for the
+// caller's one multiproof.
+func verifyDocProof(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q *Query, dp *vo.DocProof, leaves map[int][]byte) ([]float32, error) {
 	n := int(dp.LeafCount)
 	if n < 1 {
 		return nil, vErr(CodeBadDocProof, "doc %d: empty term vector", dp.Doc)
@@ -469,7 +497,12 @@ func verifyDocProof(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q
 		contentHash = dp.ContentHash
 	}
 	msg := DocRootMessage(index.DocID(dp.Doc), dp.LeafCount, contentHash, root)
-	if err := in.Verifier.Verify(msg, dp.Sig); err != nil {
+	if leaves != nil {
+		if len(dp.Sig) != 0 {
+			return nil, vErr(CodeMalformedVO, "doc %d: signature present although the manifest commits the document-root tree", dp.Doc)
+		}
+		leaves[int(dp.Doc)] = msg
+	} else if err := in.Verifier.Verify(msg, dp.Sig); err != nil {
 		if dp.InResult {
 			// A bad signature here usually means the delivered content does
 			// not hash to the committed digest.
@@ -523,7 +556,7 @@ func extractWeight(dp *vo.DocProof, n int, t uint32) (float32, error) {
 // authenticates the delivered contents against the collection's
 // document-hash tree.
 func verifyTNRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, k cut, q *Query, prefixes [][]index.Posting, exhausted []bool, boost *Boost) error {
-	if len(in.VO.Docs) != 0 {
+	if len(in.VO.Docs) != 0 || in.VO.DocRootProof != nil {
 		return vErr(CodeMalformedVO, "document proofs in a TNRA VO")
 	}
 	// The signed manifest's tombstone bitmap drives the same deterministic

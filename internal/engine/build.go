@@ -132,6 +132,7 @@ type Collection struct {
 	// query's proofs copy stored digests instead of re-hashing the
 	// collection. Derived state: rebuilt on Restore, never persisted.
 	docTree       *mht.Tree    // over docHash
+	docRootTree   *mht.Tree    // over DocRootMessage(d, …); dictionary-mode TRA only
 	dictTrees     [4]*mht.Tree // over termRoots[k]; dictionary mode only
 	nameTree      *mht.Tree    // over VocabLeaf(name); vocab-proof mode only
 	authorityTree *mht.Tree    // over ⟨d, A(d)⟩; boost extension only
@@ -151,9 +152,11 @@ type Collection struct {
 // BuildCollection indexes the documents and constructs the authentication
 // structures of cfg.Variants (all four algorithm/scheme combinations by
 // default): the plain list layout for an MHT kind, the chained layout of a
-// CMHT kind, signed list roots per built kind, document records with signed
+// CMHT kind, list roots per built kind, document records with their
 // document-MHT roots for a TRA kind — and always the document-hash tree and
-// the signed manifest.
+// the signed manifest. In list mode every list and document root is signed
+// on its own; in dictionary mode the dictionary trees and the document-root
+// tree commit them, and the manifest's is the one signature.
 //
 // Hashing and signing — nearly all of the build — run on every core (all but
 // one with cfg.SpareCore; computeThenLayout), while the device is laid out
@@ -206,8 +209,8 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 	}
 
 	// Documents: content hashes always (the document-hash tree authenticates
-	// every TNRA answer's contents); records — leaves, signed document-MHT
-	// roots — only for TRA's random accesses.
+	// every TNRA answer's contents); records — leaves, document-MHT roots,
+	// signed one by one in list mode — only for TRA's random accesses.
 	c.docHash = make([][]byte, idx.N)
 	if set.HasTRA() {
 		c.layout.Doc = make([]store.Extent, idx.N)
@@ -220,6 +223,11 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 		}
 		vec := idx.DocVector(index.DocID(d))
 		root := mht.RootFunc(c.hasher, len(vec), core.TermFreqLeaves(vec))
+		if cfg.DictMode {
+			// The document-root tree authenticates the root (buildTrees),
+			// which the record keeps for the tree to be rebuilt from.
+			return encodeDocRecord(vec, ch, root), nil
+		}
 		msg := core.DocRootMessage(index.DocID(d), uint32(len(vec)), ch, root)
 		sigBytes, err := cfg.Signer.Sign(msg)
 		if err != nil {
@@ -389,8 +397,13 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 			},
 		}
 	}
-	c.buildTrees()
+	if err := c.buildTrees(cfg.DictMode && set.HasTRA()); err != nil {
+		return nil, err
+	}
 	manifest.DocHashRoot = c.docTree.Root()
+	if c.docRootTree != nil {
+		manifest.DocRootTreeRoot = c.docRootTree.Root()
+	}
 	for k, t := range c.dictTrees {
 		if t != nil {
 			manifest.DictRoots[k] = t.Root()
@@ -408,13 +421,14 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 		return nil, fmt.Errorf("engine: sign manifest: %w", err)
 	}
 
-	// The manifest's signature, one per document record (TRA), and one per
-	// term list and built kind unless the dictionary-MHT replaces them.
+	// The manifest's signature, and in list mode one per document record
+	// (TRA) and one per term list and built kind — the dictionary-MHT and
+	// the document-root tree replace them in dictionary mode.
 	nSigs := 1
-	if set.HasTRA() {
-		nSigs += idx.N
-	}
 	if !cfg.DictMode {
+		if set.HasTRA() {
+			nSigs += idx.N
+		}
 		nSigs += len(kinds) * m
 		c.space.TermSigBytes = int64(len(kinds) * m * cfg.Signer.Size())
 	}
@@ -425,11 +439,36 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 
 // buildTrees materialises the collection-level Merkle trees from the leaf
 // tables and the configuration already in place (docHash, termRoots,
-// authority, cfg): O(N+M) hashes once, so that no query hashes more than
-// its own answer. The per-document trees only get their empty slots.
-func (c *Collection) buildTrees() {
+// authority, the document records, cfg): O(N+M) hashes once, so that no
+// query hashes more than its own answer. The per-document trees only get
+// their empty slots. docRoots says the records hold their document-MHT
+// roots, for the document-root tree to commit, rather than signatures over
+// them; the build fails only on a record that does not parse or holds no
+// root.
+func (c *Collection) buildTrees(docRoots bool) error {
 	c.vecTrees = newVecTrees(c.idx.N, c.dev.SizeBytes())
 	c.docTree = mht.NewTree(c.hasher, len(c.docHash), mht.Leaves(c.docHash))
+	if docRoots {
+		// Leaf d is the message list mode would sign for document d, read
+		// from the header of its record: the term vector is not re-hashed.
+		leaves := make([][]byte, len(c.layout.Doc))
+		sess := c.dev.NewSession()
+		for d, ext := range c.layout.Doc {
+			raw, err := sess.ReadExtent(ext)
+			if err != nil {
+				return err
+			}
+			n, contentHash, root, _, err := docRecordHeader(raw, c.cfg.HashSize)
+			if err != nil {
+				return fmt.Errorf("engine: document %d: %w", d, err)
+			}
+			if len(root) != c.cfg.HashSize {
+				return fmt.Errorf("engine: document %d record holds a %d-byte root", d, len(root))
+			}
+			leaves[d] = core.DocRootMessage(index.DocID(d), uint32(n), contentHash, root)
+		}
+		c.docRootTree = mht.NewTree(c.hasher, len(leaves), mht.Leaves(leaves))
+	}
 	if c.cfg.DictMode {
 		// A dictionary leaf is the message list mode would sign: the root
 		// bound to its term's name, id and length, so one term's list cannot
@@ -452,6 +491,7 @@ func (c *Collection) buildTrees() {
 			return core.EncodeAuthorityLeaf(index.DocID(d), c.authority[d])
 		})
 	}
+	return nil
 }
 
 // Index exposes the underlying inverted index (dictionary pinned in memory).

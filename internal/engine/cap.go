@@ -36,6 +36,8 @@ func (c *Collection) capTree(t core.CapTree) *mht.Tree {
 		return c.nameTree
 	case core.CapAuthority:
 		return c.authorityTree
+	case core.CapDocRoot:
+		return c.docRootTree
 	}
 	return c.dictTrees[t-core.CapDict]
 }

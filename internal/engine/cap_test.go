@@ -38,8 +38,8 @@ func TestSearchCappedVerifies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(core.CapTrees(col.manifest)); got != 7 {
-		t.Fatalf("%d capped trees, want 7 (document hashes, four dictionaries, names, authority)", got)
+	if got := len(core.CapTrees(col.manifest)); got != 8 {
+		t.Fatalf("%d capped trees, want 8 (document hashes, four dictionaries, names, authority, document roots)", got)
 	}
 	caps := map[int]*core.Cap{}
 	for _, d := range []int{1, 3, 8} {

@@ -130,7 +130,7 @@ func TestDocRecordRoundTrip(t *testing.T) {
 	if len(rec.vec) != 2 || rec.vec[1].W != 1.25 || rec.vec[0].Term != 2 {
 		t.Fatalf("vector mismatch: %+v", rec.vec)
 	}
-	if string(rec.contentHash) != string(hash) || string(rec.sig) != string(sigBytes) {
+	if string(rec.contentHash) != string(hash) || string(rec.auth) != string(sigBytes) {
 		t.Fatal("hash/sig mismatch")
 	}
 	// A second record carved from the same arena leaves the first in place,

@@ -1,10 +1,13 @@
 package engine
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 
 	"authtext/internal/core"
 	"authtext/internal/index"
+	"authtext/internal/mht"
 	"authtext/internal/vo"
 )
 
@@ -203,5 +206,68 @@ func TestChainIOBeatsFullScan(t *testing.T) {
 	if cmht.IO.BlockReads*3 > mht.IO.BlockReads*2 {
 		t.Fatalf("TNRA-CMHT read %d blocks, TNRA-MHT %d: chain should save ≥ a third",
 			cmht.IO.BlockReads, mht.IO.BlockReads)
+	}
+}
+
+// TestDictModeDocRootTree: a dictionary-mode build of a TRA kind signs the
+// manifest alone. Its document records hold their document-MHT roots, the
+// manifest commits one tree whose leaf d is the message list mode signs for
+// document d, and every TRA answer proves its encountered documents with one
+// multiproof over that tree and no signature. A restore rebuilds the tree
+// from the records' headers and refuses a record whose root the manifest
+// does not commit, with a plain error.
+func TestDictModeDocRootTree(t *testing.T) {
+	col := buildTestCollection(t, 31, 50, 30, func(c *Config) { c.DictMode = true })
+	if got := col.BuildStats().Signatures; got != 1 {
+		t.Fatalf("a dictionary-mode build of every variant made %d signatures, want 1", got)
+	}
+	m, _ := col.Manifest()
+	idx := col.Index()
+	leaves := make([][]byte, idx.N)
+	for d := range leaves {
+		vec := idx.DocVector(index.DocID(d))
+		root := mht.RootFunc(col.hasher, len(vec), core.TermFreqLeaves(vec))
+		leaves[d] = core.DocRootMessage(index.DocID(d), uint32(len(vec)), col.docHash[d], root)
+	}
+	if !bytes.Equal(mht.Root(col.hasher, leaves), m.DocRootTreeRoot) {
+		t.Fatal("the manifest's document-root tree is not the tree over the document-root messages")
+	}
+
+	reopened, err := Restore(col.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := []string{idx.Name(0), idx.Name(1), idx.Name(2)}
+	for _, scheme := range []core.Scheme{core.SchemeMHT, core.SchemeCMHT} {
+		res, voBytes, _, err := col.Search(tokens, 4, core.AlgoTRA, scheme)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := col.VerifyResult(tokens, 4, res, voBytes); err != nil {
+			t.Fatalf("TRA-%v: %v", scheme, err)
+		}
+		decoded, err := vo.Decode(voBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if decoded.DocRootProof == nil || len(decoded.Docs) == 0 {
+			t.Fatalf("TRA-%v: %d document proofs and document-root proof %v", scheme, len(decoded.Docs), decoded.DocRootProof)
+		}
+		for _, dp := range decoded.Docs {
+			if len(dp.Sig) != 0 {
+				t.Fatalf("TRA-%v: document %d carries a signature", scheme, dp.Doc)
+			}
+		}
+		if _, again, _, err := reopened.Search(tokens, 4, core.AlgoTRA, scheme); err != nil || !bytes.Equal(again, voBytes) {
+			t.Fatalf("TRA-%v: the restored collection answers otherwise (%v)", scheme, err)
+		}
+	}
+
+	st := col.ExportState()
+	st.DeviceData = bytes.Clone(st.DeviceData)
+	rootAt := int(st.Layout.Doc[7].Start)*st.StoreParams.BlockSize + 4 + int(m.HashSize) + 2
+	st.DeviceData[rootAt] ^= 1
+	if _, err := Restore(st); err == nil || !strings.Contains(err.Error(), "document-root") {
+		t.Fatalf("a record whose root the manifest does not commit: restore returned %v", err)
 	}
 }

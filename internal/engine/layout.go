@@ -19,8 +19,10 @@ import (
 // followed by ρ = (blockSize − hashSize − 4)/8 packed entries.
 //
 // Document record (TRA random accesses, Fig 8): leaf count (4), h(doc)
-// (hashSize), signature length (2) + signature, then the ⟨t, w_{d,t}⟩
-// leaves sorted by term id, 8 bytes each.
+// (hashSize), a length (2) and the signature over the document root — or,
+// in dictionary mode, where the document-root tree authenticates the roots,
+// the root itself — then the ⟨t, w_{d,t}⟩ leaves sorted by term id, 8 bytes
+// each.
 
 const entrySize = 8
 
@@ -74,13 +76,14 @@ func encodeChainList(ps []index.Posting, digests [][]byte, blockSize, hashSize, 
 	return out
 }
 
-// encodeDocRecord serialises one document record.
-func encodeDocRecord(vec []index.TermFreq, contentHash, sigBytes []byte) []byte {
-	out := make([]byte, 0, 4+len(contentHash)+2+len(sigBytes)+len(vec)*entrySize)
+// encodeDocRecord serialises one document record; auth is the signature
+// over the document root, or the root (dictionary mode).
+func encodeDocRecord(vec []index.TermFreq, contentHash, auth []byte) []byte {
+	out := make([]byte, 0, 4+len(contentHash)+2+len(auth)+len(vec)*entrySize)
 	out = binary.BigEndian.AppendUint32(out, uint32(len(vec)))
 	out = append(out, contentHash...)
-	out = binary.BigEndian.AppendUint16(out, uint16(len(sigBytes)))
-	out = append(out, sigBytes...)
+	out = binary.BigEndian.AppendUint16(out, uint16(len(auth)))
+	out = append(out, auth...)
 	for _, tf := range vec {
 		var e [entrySize]byte
 		binary.BigEndian.PutUint32(e[:], uint32(tf.Term))
@@ -94,27 +97,37 @@ func encodeDocRecord(vec []index.TermFreq, contentHash, sigBytes []byte) []byte 
 type docRecord struct {
 	vec         []index.TermFreq
 	contentHash []byte
-	sig         []byte
+	auth        []byte // the signature over the document root, or the root
+}
+
+// docRecordHeader parses a document record's header: the leaf count, the
+// content hash and the auth field, which alias b, and the offset of the
+// leaves, which b holds in full.
+func docRecordHeader(b []byte, hashSize int) (n int, contentHash, auth []byte, off int, err error) {
+	if len(b) < 4+hashSize+2 {
+		return 0, nil, nil, 0, fmt.Errorf("engine: document record too short (%d bytes)", len(b))
+	}
+	n = int(binary.BigEndian.Uint32(b))
+	off = 4
+	contentHash = b[off : off+hashSize]
+	off += hashSize
+	authLen := int(binary.BigEndian.Uint16(b[off:]))
+	off += 2
+	if len(b) < off+authLen+n*entrySize {
+		return 0, nil, nil, 0, fmt.Errorf("engine: document record truncated")
+	}
+	return n, contentHash, b[off : off+authLen], off + authLen, nil
 }
 
 // decodeDocRecord parses one document record. The term vector is carved out
 // of vecs, the query's arena of decoded vectors; the content hash and the
-// signature alias b.
+// auth field alias b.
 func decodeDocRecord(b []byte, hashSize int, vecs *[]index.TermFreq) (docRecord, error) {
-	if len(b) < 4+hashSize+2 {
-		return docRecord{}, fmt.Errorf("engine: document record too short (%d bytes)", len(b))
+	n, contentHash, auth, off, err := docRecordHeader(b, hashSize)
+	if err != nil {
+		return docRecord{}, err
 	}
-	n := int(binary.BigEndian.Uint32(b))
-	off := 4
-	rec := docRecord{contentHash: b[off : off+hashSize]}
-	off += hashSize
-	sigLen := int(binary.BigEndian.Uint16(b[off:]))
-	off += 2
-	if len(b) < off+sigLen+n*entrySize {
-		return docRecord{}, fmt.Errorf("engine: document record truncated")
-	}
-	rec.sig = b[off : off+sigLen]
-	off += sigLen
+	rec := docRecord{contentHash: contentHash, auth: auth}
 	rec.vec = carve(vecs, n)
 	for i := range rec.vec {
 		rec.vec[i] = index.TermFreq{

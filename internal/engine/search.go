@@ -63,8 +63,9 @@ func (c *Collection) Search(tokens []string, r int, algo core.Algo, scheme core.
 
 // SearchCapped is Search for a client that holds the top depth levels of
 // the collection-level trees (Cap): every multiproof through the
-// document-hash, dictionary, name-dictionary and authority trees is cut at
-// that depth, and the VO says so. Depth 0 is Search, byte for byte.
+// document-hash, dictionary, name-dictionary, authority and document-root
+// trees is cut at that depth, and the VO says so. Depth 0 is Search, byte
+// for byte.
 func (c *Collection) SearchCapped(tokens []string, r int, algo core.Algo, scheme core.Scheme, depth int) (retRes *Result, retVO []byte, retStats *QueryStats, retErr error) {
 	if r < 1 {
 		return nil, nil, nil, fmt.Errorf("engine: result size %d", r)
@@ -141,7 +142,7 @@ func (c *Collection) SearchCapped(tokens []string, r int, algo core.Algo, scheme
 		if err := c.assembleTermProofs(v, q, src.cursors, out.KScore, kind, scheme); err != nil {
 			return nil, nil, nil, err
 		}
-		if err := c.assembleDocProofs(v, q, docs, out, scheme); err != nil {
+		if err := c.assembleDocProofs(v, q, docs, out, scheme, depth); err != nil {
 			return nil, nil, nil, err
 		}
 		c.recordReadStats(stats, q, out.KScore)
@@ -282,12 +283,14 @@ func (c *Collection) assembleTermProofs(v *vo.VO, q *core.Query, cursors []*list
 
 // assembleDocProofs adds a document-MHT proof for every encountered
 // document (TRA): the query-term leaves (or absence boundaries), buddies
-// under CMHT, the complementary digests and the signed root. The digests
-// are copied from the document's materialised tree (vecTrees) and every
-// proof's slices are carved from arenas the whole query shares, so the work
-// and the allocations follow the size of the answer, not the lengths of the
+// under CMHT, the complementary digests — and the signature over the root,
+// or, when the document-root tree commits the roots, one multiproof over it
+// for every encountered document, cut at depth. The digests are copied from
+// the document's materialised tree (vecTrees) and every proof's slices are
+// carved from arenas the whole query shares, so the work and the
+// allocations follow the size of the answer, not the lengths of the
 // documents.
-func (c *Collection) assembleDocProofs(v *vo.VO, q *core.Query, docs *docSource, out *core.TRAOutcome, scheme core.Scheme) error {
+func (c *Collection) assembleDocProofs(v *vo.VO, q *core.Query, docs *docSource, out *core.TRAOutcome, scheme core.Scheme, depth int) error {
 	group := 1
 	if scheme == core.SchemeCMHT {
 		group = mht.BuddyGroupSize(entrySize, c.cfg.HashSize)
@@ -330,7 +333,9 @@ func (c *Collection) assembleDocProofs(v *vo.VO, q *core.Query, docs *docSource,
 		dp := vo.DocProof{
 			Doc:       uint32(d),
 			LeafCount: uint32(n),
-			Sig:       rec.sig,
+		}
+		if c.docRootTree == nil {
+			dp.Sig = rec.auth
 		}
 		dp.Digests, err = c.vecTrees.tree(c.hasher, d, rec.vec).ProveInto(&digests, positions)
 		if err != nil {
@@ -355,6 +360,19 @@ func (c *Collection) assembleDocProofs(v *vo.VO, q *core.Query, docs *docSource,
 		}
 		v.Docs = append(v.Docs, dp)
 	}
+	if c.docRootTree == nil {
+		return nil
+	}
+	// Encountered is ascending: the positions are the document ids.
+	positions = positions[:0]
+	for _, d := range out.Encountered {
+		positions = append(positions, int(d))
+	}
+	proof, err := c.docRootTree.ProveCapped(positions, depth)
+	if err != nil {
+		return fmt.Errorf("engine: document-root proof: %w", err)
+	}
+	v.DocRootProof = &vo.DocRootProof{Digests: proof.Digests}
 	return nil
 }
 

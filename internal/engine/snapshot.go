@@ -76,8 +76,9 @@ func (c *Collection) ExportState() *State {
 // Restore reconstructs a serving Collection from an exported state without
 // touching a signer. The state may come from an untrusted snapshot, so
 // every structural invariant the query path relies on is re-checked here.
-// Tables whose rebuilt document-hash, dictionary, name or authority tree
-// does not reproduce the manifest's root are refused with a plain error.
+// Tables whose rebuilt document-hash, dictionary, name, authority or
+// document-root tree does not reproduce the manifest's root are refused
+// with a plain error.
 // What Restore cannot check is the rest of authenticity — that remains the
 // manifest signature's job: tampered per-list signatures or term roots
 // yield VOs that fail client verification.
@@ -274,7 +275,9 @@ func Restore(st *State) (*Collection, error) {
 	}
 	// The Merkle trees are pure functions of the restored tables — rebuilt
 	// rather than persisted, so the snapshot format does not carry them.
-	c.buildTrees()
+	if err := c.buildTrees(len(m.DocRootTreeRoot) != 0); err != nil {
+		return nil, fmt.Errorf("engine: restore: %w", err)
+	}
 	if err := c.checkTreeRoots(); err != nil {
 		return nil, err
 	}
@@ -303,6 +306,9 @@ func (c *Collection) checkTreeRoots() error {
 		}
 	}
 	if err := check("name-dictionary", c.nameTree, m.NameDictRoot); err != nil {
+		return err
+	}
+	if err := check("document-root", c.docRootTree, m.DocRootTreeRoot); err != nil {
 		return err
 	}
 	return check("authority", c.authorityTree, m.AuthorityRoot)

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"authtext/internal/core"
@@ -366,4 +368,81 @@ func TestTamperExtraTermProof(t *testing.T) {
 	extra.Name = "never-queried-term"
 	e.vo.Terms = append(e.vo.Terms, extra)
 	e.mustFail(t, "extra term proof", core.CodeMalformedVO)
+}
+
+// TestLyingProverTRA plays the §1 adversary against TRA's two completeness
+// checks on a dictionary-mode collection, where the document-root tree
+// proves every revealed document. Each lie is proved like an honest answer,
+// so only the named check can refuse it:
+//
+//   - stopped k pops before termination, answering with the top r of what
+//     the shorter prefixes reveal: every such answer that is not the honest
+//     one is CodeThreshold (the unseen documents are not bounded by the
+//     tail), and at least one k produces one;
+//   - the r-th hit left out and the (r+1)-th promoted: CodeIncomplete (an
+//     encountered document outscores the tail).
+//
+// Unlied, the liar answers what Search answers, byte for byte.
+func TestLyingProverTRA(t *testing.T) {
+	col := buildTestCollection(t, 41, 120, 40, func(c *Config) { c.DictMode = true })
+	idx := col.Index()
+	const r = 4
+	var unlied, thresholdLies, omissions int
+	for _, scheme := range []core.Scheme{core.SchemeMHT, core.SchemeCMHT} {
+		for _, tokens := range verboseQueries(idx, 5, 12) {
+			honest, honestVO, stats, err := col.Search(tokens, r, core.AlgoTRA, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, lieVO, err := col.lieTRA(tokens, r, scheme, traLie{pops: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(lieVO, honestVO) {
+				if !slices.Equal(res.Entries, honest.Entries) {
+					continue // a tie with an unpopped head: TRA ranks popped documents only
+				}
+				t.Fatalf("%v %v: the unlied liar's VO differs from Search's", scheme, tokens)
+			}
+			unlied++
+
+			for pops := stats.Iterations - 1; pops >= 1; pops-- {
+				res, lieVO, err := col.lieTRA(tokens, r, scheme, traLie{pops: pops})
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = col.VerifyResult(tokens, r, res, lieVO)
+				switch {
+				case err == nil:
+					if !slices.Equal(res.Entries, honest.Entries) {
+						t.Fatalf("%v %v, %d pops: a wrong answer verified", scheme, tokens, pops)
+					}
+				case len(res.Entries) < r:
+					if core.CodeOf(err) != core.CodeIncomplete {
+						t.Fatalf("%v %v, %d pops: a short answer classified %v, want %v", scheme, tokens, pops, err, core.CodeIncomplete)
+					}
+				case core.CodeOf(err) != core.CodeThreshold:
+					t.Fatalf("%v %v, %d pops: classified %v, want %v", scheme, tokens, pops, err, core.CodeThreshold)
+				default:
+					thresholdLies++
+				}
+			}
+
+			res, lieVO, err = col.lieTRA(tokens, r, scheme, traLie{pops: -1, omitR: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Entries) < r || res.Entries[r-1].Score >= honest.Entries[r-1].Score {
+				continue // no strictly lower (r+1)-th document to promote
+			}
+			if _, err := col.VerifyResult(tokens, r, res, lieVO); core.CodeOf(err) != core.CodeIncomplete {
+				t.Fatalf("%v %v: the r-th hit omitted classified %v, want %v", scheme, tokens, err, core.CodeIncomplete)
+			}
+			omissions++
+		}
+	}
+	t.Logf("%d unlied answers equal Search's; %d early stops and %d omissions refused", unlied, thresholdLies, omissions)
+	if unlied == 0 || thresholdLies == 0 || omissions == 0 {
+		t.Fatal("the liar never told the truth, or a check was never needed")
+	}
 }

@@ -244,6 +244,7 @@ func TestOpenRefusesStaleDictionaryRoots(t *testing.T) {
 
 	st := col.ExportState()
 	stale := *st.Manifest
+	stale.DocRootTreeRoot = nil // the manifest then carried no extension list
 	hasher := mht.NewHasher(sig.MustHasher(int(stale.HashSize)))
 	for _, kind := range stale.Variants.Kinds() {
 		stale.DictRoots[kind-1] = mht.Root(hasher, st.TermRoots[kind-1])

@@ -17,7 +17,9 @@
 // field, so static collections' VO bytes are unchanged); Verify
 // cross-checks it against the manifest (docs/UPDATES.md). A VO whose
 // collection-tree proofs were cut at a client's proof cap records the
-// depth the same way (docs/PROTOCOL.md "Proof caps").
+// depth the same way (docs/PROTOCOL.md "Proof caps"), and a TRA VO whose
+// manifest commits the document-root tree carries one multiproof over it
+// in place of its documents' signatures (flag bit 0x20).
 //
 // The wire format uses the entry sizes of Table 1 — 4-byte identifiers and
 // frequencies, 16-byte digests, 128-byte signatures — so measured VO sizes

@@ -57,7 +57,7 @@ type VO struct {
 	Generation uint64
 	// CapDepth is the depth at which every multiproof through a
 	// collection-level tree — ContentProof, DictProof, VocabProofs,
-	// AuthorityProof — was cut: the client takes the top CapDepth levels of
+	// AuthorityProof, DocRootProof — was cut: the client takes the top CapDepth levels of
 	// each tree from the cap it holds (docs/PROTOCOL.md "Proof caps"). 0 is
 	// no cut, and encodes as no field at all.
 	CapDepth uint8
@@ -76,6 +76,10 @@ type VO struct {
 	// AuthorityProof certifies A(d) for every revealed document when the
 	// collection enables the §5 authority-boost extension.
 	AuthorityProof *AuthorityProof
+	// DocRootProof authenticates every document proof's root at once when
+	// the manifest commits the document-root tree (TRA only); the document
+	// proofs then carry no signature.
+	DocRootProof *DocRootProof
 }
 
 // TermProof authenticates the revealed prefix of one query term's list.
@@ -107,7 +111,9 @@ type DocProof struct {
 	Terms       []uint32 // term id at each position
 	Ws          []float32
 	Digests     [][]byte
-	Sig         []byte
+	// Sig signs the document root when the manifest commits no
+	// document-root tree; empty when it does (DocRootProof).
+	Sig []byte
 }
 
 // ContentProof is a multiproof over the collection's document-hash tree
@@ -138,6 +144,13 @@ type VocabProof struct {
 // the revealed set, which the client derives from the term proofs).
 type AuthorityProof struct {
 	Values  []float32
+	Digests [][]byte
+}
+
+// DocRootProof is a multiproof over the collection's document-root tree
+// covering every document proof: leaf d is core.DocRootMessage of document
+// d, and the positions are the proofs' document ids.
+type DocRootProof struct {
 	Digests [][]byte
 }
 
@@ -275,6 +288,9 @@ func Encode(v *VO, hashSize int) ([]byte, Breakdown, error) {
 	if v.CapDepth != 0 {
 		flags |= 16
 	}
+	if v.DocRootProof != nil {
+		flags |= 32
+	}
 	w.u8(CatMeta, flags)
 	if v.Generation != 0 {
 		w.u64(CatMeta, v.Generation)
@@ -390,6 +406,11 @@ func Encode(v *VO, hashSize int) ([]byte, Breakdown, error) {
 			return nil, Breakdown{}, err
 		}
 	}
+	if v.DocRootProof != nil {
+		if err := w.digests(v.DocRootProof.Digests, hashSize); err != nil {
+			return nil, Breakdown{}, err
+		}
+	}
 
 	bd := Breakdown{
 		Meta:      w.sizes[CatMeta],
@@ -459,6 +480,9 @@ func Decode(b []byte) (*VO, error) {
 	}
 	if hashSize < 8 || hashSize > 32 {
 		return nil, fmt.Errorf("vo: implausible hash size %d", hashSize)
+	}
+	if flags&^63 != 0 {
+		return nil, fmt.Errorf("vo: flags %#02x carry unknown bits", flags)
 	}
 	if flags&8 != 0 {
 		if v.Generation = r.U64(); v.Generation == 0 && r.Err() == nil {
@@ -576,6 +600,9 @@ func Decode(b []byte) (*VO, error) {
 		}
 		ap.Digests = digests(&r, hashSize)
 		v.AuthorityProof = ap
+	}
+	if flags&32 != 0 {
+		v.DocRootProof = &DocRootProof{Digests: digests(&r, hashSize)}
 	}
 	if err := r.Done(); err != nil {
 		return nil, decodeErr(err)

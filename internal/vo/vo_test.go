@@ -81,7 +81,50 @@ func sampleVO(r *rand.Rand) *VO {
 	if r.Intn(2) == 0 {
 		v.CapDepth = uint8(1 + r.Intn(16))
 	}
+	if v.Algo == 1 && r.Intn(2) == 0 {
+		v.DocRootProof = &DocRootProof{Digests: [][]byte{digest()}}
+		for i := range v.Docs {
+			v.Docs[i].Sig = nil
+		}
+	}
 	return v
+}
+
+// TestDocRootProofField pins the document-root multiproof: absent, a VO
+// encodes as it always did; present, flag bit 5 (32) is set and its digests
+// follow everything else. A flag bit no field claims is refused.
+func TestDocRootProofField(t *testing.T) {
+	v := sampleVO(rand.New(rand.NewSource(7)))
+	v.DocRootProof = nil
+	plain, _, err := Encode(v, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := bytes.Repeat([]byte{0x5A}, 16)
+	v.DocRootProof = &DocRootProof{Digests: [][]byte{digest}}
+	proved, bd, err := Encode(v, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const flagsAt = len(magic) + 3
+	tail := append([]byte{0, 1}, digest...)
+	if plain[flagsAt]&32 != 0 || proved[flagsAt] != plain[flagsAt]|32 ||
+		!bytes.Equal(proved[:flagsAt], plain[:flagsAt]) || !bytes.Equal(proved[flagsAt+1:], append(bytes.Clone(plain[flagsAt+1:]), tail...)) {
+		t.Fatalf("flags %#x → %#x, %d → %d bytes", plain[flagsAt], proved[flagsAt], len(plain), len(proved))
+	}
+	if bd.Total() != len(proved) {
+		t.Fatalf("breakdown total %d, %d bytes", bd.Total(), len(proved))
+	}
+	if got, err := Decode(proved); err != nil || got.DocRootProof == nil || !bytes.Equal(got.DocRootProof.Digests[0], digest) {
+		t.Fatalf("decoded %+v (%v)", got, err)
+	}
+	for _, bit := range []byte{64, 128} {
+		unknown := bytes.Clone(plain)
+		unknown[flagsAt] |= bit
+		if _, err := Decode(unknown); err == nil {
+			t.Fatalf("flag bit %#x decoded", bit)
+		}
+	}
 }
 
 // TestCapDepthField pins the cut-depth field: absent at depth 0, so a VO

@@ -608,9 +608,11 @@ func TestLiveSnapshotLayoutStable(t *testing.T) {
 // exists for: a removal-heavy batch re-signs (almost) nothing, because
 // removed documents keep their slots — postings stay in the signed lists,
 // records stay signed — and only the manifest changes. Before stable IDs
-// this regime renumbered every surviving document and reused 0%.
+// this regime renumbered every surviving document and reused 0%. Lists and
+// records are signed one by one in list mode only (dictionary mode signs the
+// manifest alone), so that is the mode it runs in.
 func TestLiveRemovalReuseRegression(t *testing.T) {
-	owner, handles, err := NewLiveOwner(liveDocs(0, 40), WithFastSigner([]byte("reuse-reg")))
+	owner, handles, err := NewListModeLiveOwnerForTest(liveDocs(0, 40), 0, WithFastSigner([]byte("reuse-reg")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -660,10 +662,11 @@ func TestLiveRemovalReuseRegression(t *testing.T) {
 
 // TestLiveCompaction drives dead slots past the live count and checks the
 // compaction rebuild: tombstones drop, the slot space shrinks to the live
-// documents, and the collection keeps verifying (and reusing signatures)
+// documents, and the collection keeps verifying (and, in list mode, where
+// there are per-list and per-document signatures to reuse, reusing them)
 // afterwards.
 func TestLiveCompaction(t *testing.T) {
-	owner, handles, err := NewLiveOwner(liveDocs(0, 40), WithFastSigner([]byte("compact")))
+	owner, handles, err := NewListModeLiveOwnerForTest(liveDocs(0, 40), 0, WithFastSigner([]byte("compact")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -722,11 +725,12 @@ func TestLiveShardedRejectsRoundRobin(t *testing.T) {
 
 // TestSignatureMemoSurvivesGenerationBumps: a client's verified-signature
 // memo belongs to its pinned key, not to a generation. The signatures the
-// owner's caching signer carried into the next generation are memo hits
-// after Advance; on a sharded client every shard client shares the one memo,
-// before and after AdvanceExport rebuilds them.
+// owner's caching signer carried into the next generation — per-list and
+// per-document signatures, which only a list-mode owner makes — are memo
+// hits after Advance; on a sharded client every shard client shares the one
+// memo, before and after AdvanceExport rebuilds them.
 func TestSignatureMemoSurvivesGenerationBumps(t *testing.T) {
-	owner, _, err := NewLiveOwner(liveDocs(0, 16))
+	owner, _, err := NewListModeLiveOwnerForTest(liveDocs(0, 16), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

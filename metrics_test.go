@@ -325,8 +325,10 @@ func TestConcurrentMetricsScrapeDuringSwaps(t *testing.T) {
 // RemoteClient built with WithClientMetrics times every verification, and
 // counts exactly the tampered rejections, and splits the owner signatures
 // it accepted into those it verified and those its memo had already seen.
+// Answers carry signatures only from a list-mode build (per-list and
+// per-document ones), so that is the owner it queries.
 func TestClientMetricsVerifyAndTamper(t *testing.T) {
-	owner, err := NewOwner(newsDocs())
+	owner, err := NewListModeOwnerForTest(newsDocs(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -481,6 +481,40 @@ func TestHandlerShapeMatrix(t *testing.T) {
 			matrixRows(t, shape, shape.build(t, nil), false)
 		})
 	}
+	t.Run("dictionary-mode artifact with signed documents", matrixSignedDocsArtifact)
+}
+
+// matrixSignedDocsArtifact is the honest row of an artifact written before
+// dictionary-mode builds committed their TRA document roots in a
+// document-root tree: testdata/dict-all-doc-signatures.atsn, the matrix
+// corpus in dictionary mode, all four variants, keyed-hash signatures. Its
+// manifest carries no extension list, so every TRA answer still carries a
+// signature per document, and every answer — in process, for it cannot
+// export a client — verifies and ranks as core.PSCAN does.
+func matrixSignedDocsArtifact(t *testing.T) {
+	t.Parallel()
+	srv, client, err := authtext.OpenSnapshotFile("testdata/dict-all-doc-signatures.atsn")
+	if err != nil {
+		t.Fatalf("the artifact does not open: %v", err)
+	}
+	env := matrixEnv{server: func() *authtext.Server { return srv }}
+	for _, query := range []string{matrixQuery, matrixTieQuery, matrixSpliceQuery, matrixDropQuery} {
+		for _, algo := range matrixAlgos {
+			for _, scheme := range []authtext.Scheme{authtext.MHT, authtext.ChainMHT} {
+				res, err := srv.Search(query, matrixR, algo, scheme)
+				if err == nil {
+					err = client.Verify(query, matrixR, res)
+				}
+				if authtext.IsTampered(err) {
+					t.Fatalf("%s-%s %q: an honest answer classified as tampering: %v", algo, scheme, query, err)
+				}
+				env.honest(t, query, algo, res, err)
+				if v := must(vo.Decode(res.VO))(t); algo == authtext.TRA && (v.DocRootProof != nil || len(v.Docs) == 0 || len(v.Docs[0].Sig) == 0) {
+					t.Fatalf("%s-%s %q: the answer does not sign its documents one by one", algo, scheme, query)
+				}
+			}
+		}
+	}
 }
 
 // matrixRows checks one built shape, or its list-mode artifact, on every row
@@ -615,9 +649,13 @@ func matrixRows(t *testing.T, shape matrixShape, env matrixEnv, listMode bool) {
 	}
 
 	// Every tamper row, on both codecs.
+	rows := tamperRows(listMode)
+	if !listMode {
+		rows = append(rows, docRootRows(t, handler, shape.shards)...)
+	}
 	for _, frame := range []bool{false, true} {
 		t.Run(map[bool]string{false: "json", true: "frame"}[frame], func(t *testing.T) {
-			b := battery{env: env, shards: shape.shards, frame: frame, rows: tamperRows(listMode)}
+			b := battery{env: env, shards: shape.shards, frame: frame, rows: rows}
 			if frame {
 				b.edits = frameEdits
 			}
@@ -629,8 +667,137 @@ func matrixRows(t *testing.T, shape matrixShape, env matrixEnv, listMode bool) {
 	if env.advance != nil {
 		t.Run("generations", func(t *testing.T) { matrixLifecycle(t, env, shape, handler) })
 	}
-	// Last: on a live shape it publishes generations of its own.
+	// Last: on a live shape they publish generations of their own.
 	t.Run("caps", func(t *testing.T) { matrixCaps(t, env, shape, handler, listMode) })
+	if env.grow != nil && !listMode {
+		t.Run("previous generation's document proofs", func(t *testing.T) { matrixStaleDocRoots(t, env, shape, handler) })
+	}
+}
+
+// docRootRows are the document-root tree's tamper rows. A TRA answer of a
+// dictionary-mode build proves its documents' roots with one multiproof over
+// the tree the manifest commits, in place of a signature per document; each
+// row rewrites that answer's VO and demands one code. On a bare shape the
+// rows rewrite the same answer cut at depth 2, so that its multiproof
+// carries digests: the client's depth-8 cap tops the matrix's whole tree,
+// and a proof cut there carries none.
+func docRootRows(t *testing.T, handler http.Handler, shards int) []tamperRow {
+	var shallow, deep []byte // a bare shape's answer cut at depth 2, and at the client's cut
+	if shards == 0 {
+		for _, at := range []struct {
+			cut int
+			vo  *[]byte
+		}{{2, &shallow}, {matrixCap, &deep}} {
+			var r wire.SearchResponse
+			if err := json.Unmarshal(matrixDo(handler, http.MethodPost, httpapi.PathSearch, searchBodyOf(matrixQuery, authtext.TRA, at.cut), "").Body.Bytes(), &r); err != nil {
+				t.Fatal(err)
+			}
+			*at.vo = r.VO
+		}
+	}
+	row := func(name string, want core.VerifyCode, edit func(v *vo.VO)) tamperRow {
+		return tamperRow{name: name, want: want, traOnly: true, bare: func(r, _ *wire.SearchResponse) {
+			raw := r.VO
+			if shallow != nil {
+				raw = shallow
+			}
+			v, err := vo.Decode(raw)
+			if err != nil || v.DocRootProof == nil || len(v.Docs) < 2 {
+				return // unedited, the answer verifies and fails the row
+			}
+			edit(v)
+			if enc, _, err := vo.Encode(v, 16); err == nil {
+				r.VO = enc
+			}
+		}}
+	}
+	rows := []tamperRow{
+		// The evidence of one document — vector, length, content — at the
+		// leaf of another with the same result status: each proof is sound
+		// on its own, and only its position in the tree is a lie.
+		row("document proof at another document's leaf", core.CodeBadDocProof, func(v *vo.VO) {
+			for i := 1; i < len(v.Docs); i++ {
+				for j := range i {
+					if a, b := &v.Docs[i], &v.Docs[j]; a.InResult == b.InResult {
+						a.Doc, b.Doc = b.Doc, a.Doc
+						v.Docs[i], v.Docs[j] = *b, *a
+						return
+					}
+				}
+			}
+		}),
+		row("per-document signature beside the tree", core.CodeMalformedVO, func(v *vo.VO) {
+			v.Docs[0].Sig = bytes.Repeat([]byte{0x5A}, 128)
+		}),
+		row("document-root proof stripped", core.CodeMalformedVO, func(v *vo.VO) { v.DocRootProof = nil }),
+		row("one document-root digest flipped", core.CodeBadDocProof, func(v *vo.VO) {
+			if ds := v.DocRootProof.Digests; len(ds) > 0 {
+				ds[len(ds)/2][0] ^= 1
+			}
+		}),
+	}
+	if shards > 0 {
+		return rows // a shard set's answers are uncut
+	}
+	// The multiproof of the answer cut at the client's depth-8 cap, in the
+	// answer that states depth 2: it leans on cap levels the answer says it
+	// carries.
+	return append(rows, row("document-root proof cut below the depth it states", core.CodeBadDocProof, func(v *vo.VO) {
+		v.DocRootProof = must(vo.Decode(deep))(t).DocRootProof
+	}))
+}
+
+// matrixStaleDocRoots is the document-root tree's generation row on a live
+// shape: the document proofs and document-root multiproof of one
+// generation's TRA answer, spliced into the next generation's answer to the
+// same query, are CodeBadDocProof over both codecs, from a cold and a warm
+// client, on a cache miss and a hit. The publish in between brings a new
+// term into every shard, which renumbers the terms and so changes every
+// document's root — a publish that changes no document could leave the
+// old proofs honest.
+func matrixStaleDocRoots(t *testing.T, env matrixEnv, shape matrixShape, handler http.Handler) {
+	searchPath, _ := searchPaths(shape.shards)
+	body := matrixDo(handler, http.MethodPost, searchPath, searchBodyOf(matrixQuery, authtext.TRA, clientCut(shape.shards)), "").Body.Bytes()
+	var old []*vo.VO // by shard (one for a bare shape)
+	if shape.shards == 0 {
+		var r wire.SearchResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		old = append(old, must(vo.Decode(r.VO))(t))
+	} else {
+		var r wire.ShardedSearchResponse
+		if err := json.Unmarshal(body, &r); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range r.Shards {
+			old = append(old, must(vo.Decode(s.VO))(t))
+		}
+	}
+	var grown []authtext.Document
+	for i := range 6 {
+		grown = append(grown, authtext.Document{Content: []byte(fmt.Sprintf("aardvark zulu stale %d", i))})
+	}
+	env.grow(t, grown)
+
+	splice := func(r *wire.SearchResponse, shard int) {
+		v := must(vo.Decode(r.VO))(t)
+		v.Docs, v.DocRootProof = old[shard].Docs, old[shard].DocRootProof
+		r.VO = must2(vo.Encode(v, 16))(t)
+	}
+	row := tamperRow{
+		bare:    func(r, _ *wire.SearchResponse) { splice(r, 0) },
+		sharded: func(r, _ *wire.ShardedSearchResponse) { splice(&r.Shards[r.Merged[0].Shard], r.Merged[0].Shard) },
+	}
+	for _, frame := range []bool{false, true} {
+		t.Run(map[bool]string{false: "json", true: "frame"}[frame], func(t *testing.T) {
+			b := battery{env: env, shards: shape.shards, frame: frame}
+			proxy := &tamperProxy{forceJSON: !frame}
+			hitCache := authtext.NewVOCache(1 << 20)
+			b.attack(t, proxy, dialer(t, proxy, false), env.handler(hitCache), hitCache, authtext.TRA, matrixQuery,
+				core.CodeBadDocProof, row.mutation(shape.shards > 0, nil))
+		})
+	}
 }
 
 // matrixCaps is the proof-cap column. A bare collection's client holds the
@@ -1189,6 +1356,8 @@ type tamperRow struct {
 	sharded      func(r, other *wire.ShardedSearchResponse)
 	// want is the classification demanded; VerifyOK: any tampering code.
 	want core.VerifyCode
+	// traOnly restricts the row to TRA answers.
+	traOnly bool
 }
 
 // tamperRows is the matrix's one tamper table. A relabelled list fails the
@@ -1548,7 +1717,7 @@ func (b battery) run(t *testing.T) {
 			hits := b.env.handler(hitCache)
 			searchPath, _ := searchPaths(b.shards)
 			for _, row := range b.rows {
-				if row.bare == nil && b.shards == 0 {
+				if row.bare == nil && b.shards == 0 || row.traOnly && algo != authtext.TRA {
 					continue
 				}
 				query, other := cmp.Or(row.query, matrixQuery), cmp.Or(row.other, matrixSpliceQuery)
