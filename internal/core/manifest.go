@@ -86,14 +86,13 @@ type Manifest struct {
 	Extensions []Extension
 }
 
-// Extension is one entry of a manifest's extension list (flag bit 0x20):
-// a tag, a critical bit and a value. A decoder that does not know a tag
-// skips the entry when it is not critical and refuses the manifest when it
-// is (docs/PROTOCOL.md "Manifest extensions").
+// Extension is an entry of a manifest's extension list (flag bit 0x20)
+// that this build does not know: a tag and a value. Such an entry is never
+// critical — a decoder refuses a manifest with an unknown critical entry —
+// so it is kept as is (docs/PROTOCOL.md "Manifest extensions").
 type Extension struct {
-	Tag      uint16
-	Critical bool
-	Value    []byte
+	Tag   uint16
+	Value []byte
 }
 
 // ExtDocRootTree tags the document-root tree's root (Manifest.DocRootTreeRoot),
@@ -114,7 +113,7 @@ const (
 func (m *Manifest) extensions() []Extension {
 	var known []Extension
 	if len(m.DocRootTreeRoot) != 0 {
-		known = append(known, Extension{Tag: ExtDocRootTree, Critical: true, Value: m.DocRootTreeRoot})
+		known = append(known, Extension{Tag: ExtDocRootTree, Value: m.DocRootTreeRoot})
 	}
 	if len(m.Extensions) == 0 {
 		return known
@@ -122,6 +121,16 @@ func (m *Manifest) extensions() []Extension {
 	all := append(known, m.Extensions...)
 	slices.SortStableFunc(all, func(a, b Extension) int { return cmp.Compare(a.Tag, b.Tag) })
 	return all
+}
+
+// nextExtensionTag is the extension list's ordering rule, for the decoder
+// and Validate alike: tags strictly ascend, from 0, each below the critical
+// bit.
+func nextExtensionTag(prev int, tag uint16) error {
+	if tag > extMaxTag || int(tag) <= prev {
+		return fmt.Errorf("core: manifest extension tag %d out of order", tag)
+	}
+	return nil
 }
 
 // Serves reports whether the owner built — and signed — structure kind.
@@ -219,7 +228,7 @@ func (m *Manifest) Encode() []byte {
 		start := len(b)
 		for _, e := range exts {
 			tag := e.Tag
-			if e.Critical {
+			if tag == ExtDocRootTree {
 				tag |= extCritical
 			}
 			b = binary.BigEndian.AppendUint16(b, tag)
@@ -333,22 +342,25 @@ func (m *Manifest) Validate() error {
 	return nil
 }
 
-// validateExtensions checks the unknown extensions a manifest carries: each
-// non-critical, a tag of its own that this build does not define, by
-// ascending tag, and the list within its u16 framing.
+// validateExtensions checks the unknown extensions a manifest carries, as
+// the decoder would have: by ascending tag, none a tag this build defines,
+// and the whole list within its u16 framing.
 func (m *Manifest) validateExtensions() error {
-	size, prev := 0, 0
+	prev := -1
 	for _, e := range m.Extensions {
-		if e.Critical {
-			return unsupportedExtension(e.Tag)
+		if err := nextExtensionTag(prev, e.Tag); err != nil {
+			return err
 		}
-		if e.Tag == ExtDocRootTree || e.Tag > extMaxTag || int(e.Tag) <= prev {
-			return fmt.Errorf("core: manifest extension tag %d is out of order or reserved", e.Tag)
+		if e.Tag == ExtDocRootTree {
+			return fmt.Errorf("core: manifest extension tag %d kept as unknown", e.Tag)
 		}
 		prev = int(e.Tag)
+	}
+	size := 0
+	for _, e := range m.extensions() {
 		size += extHeaderSize + len(e.Value)
 	}
-	if size+extHeaderSize+len(m.DocRootTreeRoot) > math.MaxUint16 {
+	if size > math.MaxUint16 {
 		return errors.New("core: manifest extension list exceeds 65535 bytes")
 	}
 	return nil

@@ -125,8 +125,8 @@ func (m *Manifest) decodeExtensions(b []byte) error {
 			return decodeErr(err)
 		}
 		tag, critical := word&extMaxTag, word&extCritical != 0
-		if int(tag) <= prev {
-			return fmt.Errorf("core: manifest extension tags not ascending at %d", tag)
+		if err := nextExtensionTag(prev, tag); err != nil {
+			return err
 		}
 		prev = int(tag)
 		switch tag {

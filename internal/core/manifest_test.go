@@ -539,6 +539,21 @@ func TestManifestExtensionList(t *testing.T) {
 			t.Fatal("the signed encoding does not bind an unknown extension")
 		}
 
+		// Tag 0 is an ordinary tag: a non-critical entry under it sorts
+		// before the tree's and is kept like any other.
+		zero := append(bytes.Clone(old), 0x00, 0x00, 0x00, 0x01, 'z')
+		zero[flagsAt] |= 0x20
+		zero = append(zero, want[len(old):len(want)-2]...)
+		zero = append(zero, 0x00, 0x14+5)
+		got, err = DecodeManifest(zero)
+		if err != nil {
+			t.Fatalf("generation %d: unknown non-critical extension under tag 0 refused: %v", gen, err)
+		}
+		if len(got.Extensions) != 1 || got.Extensions[0].Tag != 0 || !bytes.Equal(got.DocRootTreeRoot, m.DocRootTreeRoot) ||
+			!bytes.Equal(got.Encode(), zero) {
+			t.Fatalf("generation %d: tag 0 not kept byte for byte: %+v", gen, got.Extensions)
+		}
+
 		critical := bytes.Clone(future)
 		critical[len(critical)-9] |= 0x80
 		_, err = DecodeManifest(critical)
@@ -567,14 +582,21 @@ func TestManifestExtensionList(t *testing.T) {
 	for what, edit := range map[string]func(*Manifest){
 		"list mode":            func(m *Manifest) { m.DictMode = false; m.DictRoots = [4][]byte{} },
 		"no TRA kind":          func(m *Manifest) { m.Variants = VariantOf(KindTNRACMHT); m.DictRoots = [4][]byte{3: m.DictRoots[3]} },
-		"critical unknown":     func(m *Manifest) { m.Extensions = []Extension{{Tag: 5, Critical: true}} },
 		"known tag as unknown": func(m *Manifest) { m.Extensions = []Extension{{Tag: ExtDocRootTree}} },
 		"unknown out of order": func(m *Manifest) { m.Extensions = []Extension{{Tag: 7}, {Tag: 6}} },
+		"unknown repeated":     func(m *Manifest) { m.Extensions = []Extension{{Tag: 0}, {Tag: 0}} },
+		"tag past the bit":     func(m *Manifest) { m.Extensions = []Extension{{Tag: 0x8000}} },
+		"list too long":        func(m *Manifest) { m.Extensions = []Extension{{Tag: 2, Value: make([]byte, 0xFFFF-4-16-4+1)}} },
 	} {
 		m := treeManifest(1)
 		edit(m)
 		if err := m.Validate(); err == nil {
 			t.Errorf("%s: validated", what)
 		}
+	}
+	m := treeManifest(1)
+	m.Extensions = []Extension{{Tag: 0}, {Tag: 2, Value: make([]byte, 0xFFFF-4-16-4-4)}}
+	if err := m.Validate(); err != nil {
+		t.Errorf("unknown extensions under tags 0 and 2, filling the list: %v", err)
 	}
 }

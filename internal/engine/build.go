@@ -446,7 +446,7 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 // them; the build fails only on a record that does not parse or holds no
 // root.
 func (c *Collection) buildTrees(docRoots bool) error {
-	c.vecTrees = newVecTrees(c.idx.N, c.dev.SizeBytes())
+	c.vecTrees = newVecTrees(c.idx, c.cfg.HashSize)
 	c.docTree = mht.NewTree(c.hasher, len(c.docHash), mht.Leaves(c.docHash))
 	if docRoots {
 		// Leaf d is the message list mode would sign for document d, read

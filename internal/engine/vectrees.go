@@ -8,16 +8,6 @@ import (
 	"authtext/internal/mht"
 )
 
-// vecTreeShare bounds the memory the per-document trees may hold, as a share
-// of the device size. A tree takes 2·|h| bytes per term-vector entry; with
-// every document materialised that is 12 % (Tiny) to 27 % (Medium) of the
-// device at 16-byte digests and twice that at 32, because the device pads
-// each record and each list to whole blocks. Half the device therefore lets
-// every profile but Medium at 32-byte digests keep all its trees; past the
-// bound the documents encountered first keep theirs and the others are
-// hashed per query, as every document was before the cache existed.
-const vecTreeShare = 0.5
-
 // vecTrees holds the document-MHT of every document a TRA query has
 // encountered so far, so that a document proof copies stored digests instead
 // of re-hashing the term vector: the per-document counterpart of the
@@ -37,10 +27,22 @@ type vecTrees struct {
 	hashed atomic.Int64
 }
 
-func newVecTrees(docs int, deviceBytes int64) *vecTrees {
+// newVecTrees sizes the cache for idx's documents at hashSize-byte digests.
+// The bound is the trees' own size: every document's tree, 2·n−1 digests
+// over n term-vector entries — about four times the term vectors' device
+// bytes at 16-byte digests, eight at 32. It depends on the collection
+// alone, never on the record format, and holds whatever answers the
+// collection serves; past it (a test's smaller limit) the documents
+// encountered first keep their trees and the others are hashed per query,
+// as every document was before the cache existed.
+func newVecTrees(idx *index.Index, hashSize int) *vecTrees {
+	var limit int64
+	for d := 0; d < idx.N; d++ {
+		limit += int64(max(2*len(idx.DocVector(index.DocID(d)))-1, 1) * hashSize)
+	}
 	return &vecTrees{
-		slots: make([]atomic.Pointer[mht.Tree], docs),
-		limit: int64(float64(deviceBytes) * vecTreeShare),
+		slots: make([]atomic.Pointer[mht.Tree], idx.N),
+		limit: limit,
 	}
 }
 

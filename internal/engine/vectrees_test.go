@@ -2,7 +2,6 @@ package engine
 
 import (
 	"bytes"
-	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -60,13 +59,6 @@ func TestVecTreesWarmSearchHashesNothing(t *testing.T) {
 		"dict+vocab+boost": treeVariantCollection(t),
 	} {
 		reopened := restored(t, built)
-		// Every tree must stay resident. The default bound, half the
-		// device, is less than these small-block collections' trees need
-		// once dictionary-mode records hold roots instead of signatures;
-		// TestVecTreesBound is the test of the bound.
-		for _, col := range []*Collection{built, reopened} {
-			col.vecTrees.limit = math.MaxInt64
-		}
 		idx := built.Index()
 		for _, tokens := range verboseQueries(idx, 3, 12) {
 			for _, v := range allVariants {
