@@ -962,12 +962,12 @@ func BenchmarkShardedBuild(b *testing.B) {
 	}
 }
 
-// Live-update benchmarks: the cost of publishing a generation (with
-// signature reuse) and the read path's indifference to concurrent swaps.
+// Live-update benchmarks: the cost of publishing a generation and the read
+// path's indifference to concurrent swaps.
 
-// benchLiveCollection builds a live collection over the tiny profile plus
-// a dictionary-stable document factory (no new terms, so appends reuse
-// signatures; see docs/UPDATES.md).
+// benchLiveCollection builds a live collection over the tiny profile, in the
+// dictionary mode every facade owner builds, plus a dictionary-stable
+// document factory (no new terms, so every append costs the same).
 func benchLiveCollection(b *testing.B) (*live.Collection, func() index.Document) {
 	b.Helper()
 	signer, err := sig.NewHMACSigner([]byte("live-bench"), 128)
@@ -975,7 +975,9 @@ func benchLiveCollection(b *testing.B) (*live.Collection, func() index.Document)
 		b.Fatal(err)
 	}
 	docs := corpus.Generate(corpus.Tiny())
-	lc, _, err := live.New(docs, engine.DefaultConfig(signer))
+	cfg := engine.DefaultConfig(signer)
+	cfg.DictMode, cfg.VocabProofs = true, true
+	lc, _, err := live.New(docs, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1003,10 +1005,8 @@ func BenchmarkLiveUpdateAppend(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, st, err := lc.Update([]index.Document{makeDoc()}, nil); err != nil {
+		if _, _, err := lc.Update([]index.Document{makeDoc()}, nil); err != nil {
 			b.Fatal(err)
-		} else if i == b.N-1 {
-			b.ReportMetric(float64(st.Reused)/float64(st.Signed+st.Reused)*100, "sig-reuse-%")
 		}
 	}
 }

@@ -557,7 +557,7 @@ func buildLiveHandler(cfg config, docs []authtext.Document, opts []authtext.Opti
 		logger.Info("published generation",
 			"generation", rep.Generation, "documents", rep.Documents,
 			"added", rep.Added, "removed", rep.Removed,
-			"signatures_signed", rep.SignaturesSigned, "signatures_reused", rep.SignaturesReused,
+			"signatures_signed", rep.SignaturesSigned,
 			"rebuild_ms", rep.RebuildMillis)
 	}))...)
 }

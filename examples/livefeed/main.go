@@ -52,14 +52,14 @@ func main() {
 	gen1Manifest, gen1Sig := owner.ManifestUpdate()
 
 	// Generation 2: one correction (replace) and one retraction (remove),
-	// one atomic batch. Unchanged articles keep their signatures.
+	// one atomic batch, published under one freshly signed manifest.
 	corrected := doc("the city council approves REVISED funding for the new harbor bridge")
 	_, rep, err := owner.Update([]authtext.Document{corrected}, []authtext.DocHandle{handles[2], handles[4]})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("published generation %d: +%d/−%d articles, %d signatures reused, %d signed, rebuilt in %.0f ms\n",
-		rep.Generation, rep.Added, rep.Removed, rep.SignaturesReused, rep.SignaturesSigned, rep.RebuildMillis)
+	fmt.Printf("published generation %d: +%d/−%d articles, %d signed, rebuilt in %.0f ms\n",
+		rep.Generation, rep.Added, rep.Removed, rep.SignaturesSigned, rep.RebuildMillis)
 
 	// The subscriber advances — forward only — with the owner's signed
 	// manifest and verifies a fresh answer.

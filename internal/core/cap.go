@@ -120,15 +120,33 @@ type cut struct {
 // root recomputes the root of collection tree t, n leaves, from the
 // revealed leaves and the answer's digests.
 func (k cut) root(h mht.Hasher, t CapTree, n int, want map[int][]byte, digests [][]byte) ([]byte, error) {
+	positions, leaf := revealed(want)
+	return mht.RootFromCappedProof(h, n, positions, leaf, mht.Proof{Digests: digests}, k.tree(t), k.d)
+}
+
+// mismatch narrows a root that root recomputed wrongly to the revealed
+// leaves under the deepest node of the cap that the answer rebuilds
+// differently (mht.CapMismatch); nil for an uncut answer.
+func (k cut) mismatch(h mht.Hasher, t CapTree, n int, want map[int][]byte, digests [][]byte) []int {
+	positions, leaf := revealed(want)
+	return mht.CapMismatch(h, n, positions, leaf, mht.Proof{Digests: digests}, k.tree(t), k.d)
+}
+
+// tree returns the cap's top of tree t (nil uncut).
+func (k cut) tree(t CapTree) *mht.Cap {
+	if k.c == nil {
+		return nil
+	}
+	return k.c.trees[t]
+}
+
+// revealed sorts the positions of want and returns them with the leaf
+// function over them.
+func revealed(want map[int][]byte) ([]int, mht.LeafFunc) {
 	positions := make([]int, 0, len(want))
 	for pos := range want {
 		positions = append(positions, pos)
 	}
 	sort.Ints(positions)
-	var tc *mht.Cap
-	if k.c != nil {
-		tc = k.c.trees[t]
-	}
-	return mht.RootFromCappedProof(h, n, positions, func(_ []byte, j int) []byte { return want[positions[j]] },
-		mht.Proof{Digests: digests}, tc, k.d)
+	return positions, func(_ []byte, j int) []byte { return want[positions[j]] }
 }

@@ -65,8 +65,8 @@ type Manifest struct {
 	// means document slot d was removed after being signed into the
 	// collection. The bitmap is part of the signed encoding, so a server
 	// can neither resurrect a removed document nor suppress a live one.
-	// Removed slots keep their postings and signed records (which is what
-	// lets CachingSigner reuse them); search and verification skip them
+	// Removed slots keep their postings and records, so document IDs never
+	// shift between generations; search and verification skip them
 	// deterministically. nil when no document is tombstoned.
 	Tombstones []byte
 	// Variants is the set of structure kinds the owner built and signed; a

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"authtext/internal/index"
 	"authtext/internal/mht"
@@ -373,6 +375,9 @@ func verifyTRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, k cut,
 			return vErr(CodeBadDocProof, "document-root proof: %v", err)
 		}
 		if !bytes.Equal(root, m.DocRootTreeRoot) {
+			if docs := k.mismatch(hasher, CapDocRoot, int(m.N), leaves, rp.Digests); docs != nil {
+				return vErr(CodeBadDocProof, "%s: document root disagrees with the document-root tree", namedDocs(docs))
+			}
 			return vErr(CodeBadDocProof, "document-root tree root mismatch")
 		}
 	}
@@ -664,4 +669,16 @@ func verifyVocabProofs(m *Manifest, hasher mht.Hasher, k cut, unknown []string, 
 		}
 	}
 	return nil
+}
+
+// namedDocs names the documents one of which a check narrowed a failure to.
+func namedDocs(docs []int) string {
+	names := make([]string, len(docs))
+	for i, d := range docs {
+		names[i] = fmt.Sprintf("doc %d", d)
+	}
+	if len(names) == 1 {
+		return names[0]
+	}
+	return "one of " + strings.Join(names, ", ")
 }

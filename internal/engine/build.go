@@ -46,10 +46,10 @@ type Config struct {
 	FixedAvgLen float64
 	// Tombstones marks removed document slots of a live collection
 	// (Tombstones[d] == true ⇒ slot d is dead). Tombstoned documents stay
-	// fully indexed — postings, records and their signatures are exactly
-	// those of a collection where the slot is live, which is what lets a
-	// caching signer reuse them — but the signed manifest commits the
-	// removal bitmap and search/verification skip the slots. nil or
+	// fully indexed — postings and records are exactly those of a
+	// collection where the slot is live, so document IDs never shift
+	// between generations — but the signed manifest commits the removal
+	// bitmap and search/verification skip the slots. nil or
 	// all-false means no tombstones. Requires Generation ≥ 1.
 	Tombstones []bool
 	// SpareCore keeps one core out of the build's compute phase. Set it for

@@ -2,7 +2,10 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"regexp"
+	"strings"
 	"testing"
 
 	"authtext/internal/core"
@@ -104,5 +107,47 @@ func TestSearchCappedVerifies(t *testing.T) {
 	}
 	if _, _, _, err := col.SearchCapped(queries[0], 5, core.AlgoTNRA, core.SchemeCMHT, 17); err == nil {
 		t.Fatal("a cut at depth 17 was answered")
+	}
+}
+
+// TestCappedDocRootMismatchNamesTheDocument: a forged result content in a
+// cut TRA answer fails as bad-doc-proof naming the forged document, because
+// the client narrows the document-root tree mismatch against its cap; the
+// uncut answer keeps the unnarrowed detail.
+func TestCappedDocRootMismatchNamesTheDocument(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	col, err := BuildCollection(randomDocs(r, 300, 400), Config{Store: smallParams(), HashSize: 16, Signer: testSigner(t),
+		DictMode: true, VocabProofs: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := col.Cap(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, err := core.VerifyCap(col.manifest, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := col.Index()
+	tokens := []string{idx.Name(5), idx.Name(40), idx.Name(77)}
+	for _, d := range []int{8, 0} {
+		res, encoded, _, err := col.SearchCapped(tokens, 5, core.AlgoTRA, core.SchemeCMHT, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := res.Entries[0].Doc
+		res.Contents[top] = append(bytes.Clone(res.Contents[top]), " forged"...)
+		err = verifyCapped(col, tokens, 5, res, encoded, cap)
+		if core.CodeOf(err) != core.CodeBadDocProof {
+			t.Fatalf("depth %d: forged content gave %v, want %v", d, err, core.CodeBadDocProof)
+		}
+		named := regexp.MustCompile(fmt.Sprintf(`\bdoc %d\b`, top)).MatchString(err.Error())
+		if d > 0 && !named {
+			t.Fatalf("depth %d: %q does not name the forged doc %d", d, err, top)
+		}
+		if d == 0 && !strings.Contains(err.Error(), "document-root tree root mismatch") {
+			t.Fatalf("uncut: %q, want the root mismatch", err)
+		}
 	}
 }

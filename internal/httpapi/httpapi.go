@@ -252,9 +252,12 @@ type UpdateResponse struct {
 	Added            []uint64 `json:"added,omitempty"`
 	Removed          int      `json:"removed"`
 	SignaturesSigned int      `json:"signatures_signed"`
-	SignaturesReused int      `json:"signatures_reused"`
-	ShardsReused     int      `json:"shards_reused,omitempty"`
-	RebuildMillis    float64  `json:"rebuild_millis"`
+	// SignaturesReused is always 0: every generation signs what it
+	// builds. It stays in the schema because clients of /v1/admin/update
+	// (the bench load generator among them) read it.
+	SignaturesReused int     `json:"signatures_reused"`
+	ShardsReused     int     `json:"shards_reused,omitempty"`
+	RebuildMillis    float64 `json:"rebuild_millis"`
 }
 
 // ErrorResponse is the envelope of every non-2xx answer.

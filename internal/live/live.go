@@ -5,23 +5,19 @@
 // read path of docs/CONCURRENCY.md is never touched — readers always see
 // one whole generation, never a torn mix of two.
 //
-// The owner-side cost of an update is dominated by signing, and signing
-// is exactly what the generation model lets us avoid: the engine signs
-// canonical content-addressed messages, so a CachingSigner reuses every
-// signature whose message an update did not change (unchanged term lists,
-// unchanged document records). The generation number itself lives in the
-// freshly signed manifest, which is what makes rollback detectable:
-// clients refuse to regress to a lower generation (docs/UPDATES.md).
+// Every generation signs what it builds. In dictionary mode that is one
+// manifest per rebuilt collection (plus the set manifest of a shard set);
+// the generation number lives in the signed manifest, which is what makes
+// rollback detectable: clients refuse to regress to a lower generation
+// (docs/UPDATES.md).
 //
 // Removals use tombstones rather than deletion: a removed document keeps
-// its slot — its postings stay in the signed term lists and its record
-// stays signed — and the manifest (re-signed every generation anyway)
-// commits a removal bitmap that search and verification skip
-// deterministically. Document IDs therefore never shift, which is what
-// lets a removal batch reuse every per-structure signature it did not
-// touch, exactly like an append batch. Dead slots accumulate until they
-// outnumber live documents, at which point the rebuild compacts them away
-// (one full re-sign, the same rare-event budget as a W_A re-pin).
+// its slot — its postings stay in the term lists and its record stays
+// committed — and the signed manifest commits a removal bitmap that search
+// and verification skip deterministically. Document IDs therefore never
+// shift: a removal changes nothing a rebuild stores but the manifest.
+// Dead slots accumulate until they outnumber live documents, at which
+// point the rebuild compacts them away.
 package live
 
 import (
@@ -50,15 +46,12 @@ type UpdateStats struct {
 	Added, Removed int
 	// TombstonedSlots is the number of dead slots the new generation still
 	// carries; Compacted reports that this rebuild dropped accumulated
-	// dead slots (a full re-sign).
+	// dead slots.
 	TombstonedSlots int
 	Compacted       bool
-	// Signed is the number of fresh signatures the rebuild needed;
-	// Reused the number served from the signature cache. Both count only
-	// structures this rebuild actually produced (reuse-eligible
-	// structures), so Reused/(Signed+Reused) is the honest reuse ratio
-	// whether or not slots are tombstoned.
-	Signed, Reused int
+	// Signed is the number of signatures the generation made: those of
+	// the collections it rebuilt, plus a shard set's manifest.
+	Signed int
 	// ShardsReused counts whole shards carried over from the previous
 	// generation without any rebuild (sharded live sets only).
 	ShardsReused int
@@ -109,7 +102,6 @@ func newEntry(handle uint64, d index.Document) entry {
 type Collection struct {
 	mu      sync.Mutex // serialises updates (owner side only)
 	cfg     engine.Config
-	signer  *CachingSigner
 	boosted bool
 	// sharded is set on a shard set, unset on a bare collection.
 	sharded bool
@@ -124,10 +116,10 @@ type Collection struct {
 	lastStats  UpdateStats
 	// pinnedAvgLen freezes one corpus-wide Okapi W_A across all shards and
 	// all generations so that untouched documents keep byte-identical impact
-	// weights — the precondition for any signature reuse (and, on a set, what
-	// makes cross-shard score comparisons in the merge exact). It re-pins
-	// (full re-sign) when the true average drifts beyond maxAvgLenDrift
-	// (nextAvgLen).
+	// weights — what lets a shard set carry an untouched shard over and
+	// makes cross-shard score comparisons in the merge exact. It re-pins
+	// (every shard rebuilds) when the true average drifts beyond
+	// maxAvgLenDrift (nextAvgLen).
 	pinnedAvgLen float64
 	// publishHook, when set, runs under mu right after every generation
 	// swap — updates are serialised, so a hook that persists generations
@@ -141,7 +133,7 @@ type Collection struct {
 
 // maxAvgLenDrift is the relative drift of the true average document
 // length from the pinned W_A beyond which a rebuild re-pins (and
-// re-signs everything). 25% keeps Okapi's length normalisation honest
+// rebuilds every shard). 25% keeps Okapi's length normalisation honest
 // without making routine updates expensive. Tombstoned slots count in
 // the drift base — they are part of the index statistics the signed
 // structures were built against — and compaction bounds how long they
@@ -161,8 +153,7 @@ func nextAvgLen(pinned float64, tokens int64, slots int) (avgLen float64, repin 
 }
 
 // New builds generation 1 of a bare collection from the initial documents.
-// cfg is the engine configuration to use for every generation; its Signer is
-// wrapped in a CachingSigner so later updates reuse unchanged signatures.
+// cfg is the engine configuration to use for every generation.
 // cfg.Authority (the §5 boost) is supported: scores are pinned per document
 // and travel with it across generations. The returned handles identify the
 // initial documents for later removal.
@@ -197,13 +188,11 @@ func newCollection(docs []index.Document, cfg engine.Config, k int, sharded bool
 	}
 	c := &Collection{
 		cfg:     cfg,
-		signer:  NewCachingSigner(cfg.Signer),
 		boosted: cfg.Authority != nil,
 		sharded: sharded,
 		slots:   make([][]entry, k),
 		dead:    make([]int, k),
 	}
-	c.cfg.Signer = c.signer
 	// Per-generation authority/tombstone vectors are derived from the
 	// entries at rebuild time, never from the construction config.
 	c.cfg.Authority = nil
@@ -251,9 +240,7 @@ func (c *Collection) append(slots [][]entry, dirty []bool, docs []index.Document
 // rebuildLocked builds generation gen+1 from c.slots and swaps the served
 // pointer, rebuilding only dirty lists: a clean shard is carried over from
 // the previous generation. A list whose dead slots outnumber its live
-// documents compacts first — its survivors shift IDs, so it re-signs in
-// full, the same rare-event budget as a W_A re-pin, and the next generations
-// reuse signatures against the compacted ID space. On error nothing is
+// documents compacts first, shifting its survivors' IDs. On error nothing is
 // swapped and the generation does not advance; the caller must restore
 // c.slots, c.dead and c.tokens.
 func (c *Collection) rebuildLocked(added, removed int, dirty []bool) (*UpdateStats, error) {
@@ -292,12 +279,10 @@ func (c *Collection) rebuildLocked(added, removed int, dirty []bool) (*UpdateSta
 	}
 
 	// Past maxAvgLenDrift every weight in every shard changes, so that
-	// generation re-signs everything and carries no shard over — by design a
-	// rare event.
+	// generation carries no shard over — by design a rare event.
 	avgLen, repin := nextAvgLen(c.pinnedAvgLen, c.tokens, totalSlots)
 	newGen := c.gen.Load() + 1
 	prevSet := c.set.Load()
-	c.signer.Begin()
 	cols := make([]*engine.Collection, len(c.slots))
 	errs := make([]error, len(c.slots))
 	reusedShards := 0
@@ -306,9 +291,9 @@ func (c *Collection) rebuildLocked(added, removed int, dirty []bool) (*UpdateSta
 		if prevSet != nil && !repin && !dirty[s] {
 			// Untouched slot list, identical pinned W_A, identical
 			// configuration: the previous generation's collection is
-			// byte-for-byte what a rebuild would produce, minus the
-			// signing. Carry it over, old shard manifest and all — the
-			// new set manifest re-pins its digest.
+			// byte-for-byte what a rebuild would produce. Carry it
+			// over, old shard manifest and all — the new set manifest
+			// re-pins its digest.
 			cols[s] = prevSet.Col(s)
 			reusedShards++
 			continue
@@ -342,28 +327,24 @@ func (c *Collection) rebuildLocked(added, removed int, dirty []bool) (*UpdateSta
 		}(s)
 	}
 	wg.Wait()
+	signed := 0
 	for s, err := range errs {
 		if err != nil {
-			c.signer.Abort()
 			if c.sharded {
 				err = fmt.Errorf("live: shard %d: %w", s, err)
 			}
 			return nil, err
 		}
-	}
-	// A reused shard never called Sign this epoch; pruning would evict
-	// its still-live signatures, so only fully-signed rebuilds prune.
-	var signed, reused int
-	if reusedShards > 0 {
-		signed, reused = c.signer.EndKeep()
-	} else {
-		signed, reused = c.signer.End()
+		if prevSet == nil || cols[s] != prevSet.Col(s) { // rebuilt, not carried over
+			signed += cols[s].BuildStats().Signatures
+		}
 	}
 	if c.sharded {
 		set, err := c.signSet(cols, totalSlots, newGen)
 		if err != nil {
 			return nil, err
 		}
+		signed++ // the set manifest
 		c.set.Store(set)
 	} else {
 		c.cur.Store(cols[0])
@@ -378,7 +359,6 @@ func (c *Collection) rebuildLocked(added, removed int, dirty []bool) (*UpdateSta
 		TombstonedSlots: totalDead,
 		Compacted:       compacted,
 		Signed:          signed,
-		Reused:          reused,
 		ShardsReused:    reusedShards,
 		Rebuild:         time.Since(start),
 	}
@@ -427,11 +407,11 @@ func (c *Collection) signSet(cols []*engine.Collection, globalN int, gen uint64)
 		sm.ManifestDigests[s] = hasher.Sum(m.Encode())
 		sm.DocMapDigests[s] = hasher.Sum(shard.EncodeDocMap(docMaps[s]))
 	}
-	smSig, err := c.signer.Sign(sm.Encode())
+	smSig, err := c.cfg.Signer.Sign(sm.Encode())
 	if err != nil {
 		return nil, fmt.Errorf("live: sign set manifest: %w", err)
 	}
-	return shard.Assemble(cols, sm, smSig, c.signer.Verifier(), docMaps)
+	return shard.Assemble(cols, sm, smSig, c.cfg.Signer.Verifier(), docMaps)
 }
 
 // SetPublishHook installs fn to run after every future generation swap,
@@ -466,12 +446,12 @@ func (c *Collection) Shards() int {
 	return len(c.slots)
 }
 
-// Signer returns the collection's signer (the caching wrapper around the
-// owner's key, safe for concurrent Sign calls). The fleet equivocation
-// battery uses it to forge genuinely owner-signed divergent manifests —
-// the attack a stolen or coerced signing key enables — so detection is
-// exercised against real signatures rather than hand-rolled stand-ins.
-func (c *Collection) Signer() sig.Signer { return c.signer }
+// Signer returns the collection's signer (the owner's key, safe for
+// concurrent Sign calls). The fleet equivocation battery uses it to forge
+// genuinely owner-signed divergent manifests — the attack a stolen or
+// coerced signing key enables — so detection is exercised against real
+// signatures rather than hand-rolled stand-ins.
+func (c *Collection) Signer() sig.Signer { return c.cfg.Signer }
 
 // LastStats returns the cost report of the most recent generation change.
 func (c *Collection) LastStats() UpdateStats {
@@ -499,10 +479,10 @@ func (c *Collection) Handles() []uint64 {
 // Update applies one batch — additions and removals together — as a
 // single generation change: handles for the added documents are assigned,
 // the removed handles become tombstoned slots, the touched slot lists
-// rebuild under generation+1 (reusing unchanged signatures), and the served
-// pointer swaps atomically. An empty batch is rejected rather than
-// burning a generation. On error the corpus, the served generation and
-// the generation counter are all unchanged.
+// rebuild under generation+1, and the served pointer swaps atomically. An
+// empty batch is rejected rather than burning a generation. On error the
+// corpus, the served generation and the generation counter are all
+// unchanged.
 func (c *Collection) Update(add []index.Document, remove []uint64) ([]uint64, *UpdateStats, error) {
 	return c.UpdateWithAuthority(add, nil, remove)
 }

@@ -3,15 +3,11 @@ package live
 import (
 	"bytes"
 	"errors"
-	"math/rand"
 	"reflect"
-	"runtime"
 	"sort"
-	"strings"
 	"testing"
 
 	"authtext/internal/core"
-	synth "authtext/internal/corpus"
 	"authtext/internal/engine"
 	"authtext/internal/index"
 	"authtext/internal/sig"
@@ -23,12 +19,14 @@ func testConfig(t *testing.T) engine.Config {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine.DefaultConfig(signer)
+	cfg := engine.DefaultConfig(signer)
+	// What every facade owner deploys.
+	cfg.DictMode, cfg.VocabProofs = true, true
+	return cfg
 }
 
-// vocab is a closed word pool: signature reuse across generations depends
-// on dictionary stability (term IDs are baked into the signed messages),
-// so the tests write documents whose vocabulary never grows.
+// vocab is a closed word pool: the tests write documents whose vocabulary
+// never grows, so no update shifts a term ID.
 var vocab = []string{
 	"merkle", "tree", "signature", "verification", "inverted", "index",
 	"threshold", "algorithm", "random", "access", "digest", "root",
@@ -72,7 +70,7 @@ func searchVerify(t *testing.T, col *engine.Collection, tokens []string) *engine
 	return res
 }
 
-func TestUpdateAdvancesGenerationAndReusesSignatures(t *testing.T) {
+func TestUpdateAdvancesGeneration(t *testing.T) {
 	c, handles, err := New(corpus(20), testConfig(t))
 	if err != nil {
 		t.Fatal(err)
@@ -84,15 +82,11 @@ func TestUpdateAdvancesGenerationAndReusesSignatures(t *testing.T) {
 	if m.Generation != 1 {
 		t.Fatalf("manifest generation = %d, want 1", m.Generation)
 	}
-	first := c.LastStats()
-	if first.Reused != 0 || first.Signed == 0 {
-		t.Fatalf("first build stats = %+v, want all signed", first)
+	if first := c.LastStats(); first.Signed != 1 {
+		t.Fatalf("first build signed %d messages, want 1 (the manifest)", first.Signed)
 	}
 	searchVerify(t, c.Current(), []string{"merkle", "digest"})
 
-	// Appending one document leaves most term lists and every existing
-	// document record untouched: the rebuild must reuse far more
-	// signatures than it creates.
 	added, st, err := c.Update(corpus(1), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -103,8 +97,8 @@ func TestUpdateAdvancesGenerationAndReusesSignatures(t *testing.T) {
 	if len(added) != 1 {
 		t.Fatalf("added handles = %v", added)
 	}
-	if st.Reused == 0 || st.Reused < st.Signed {
-		t.Fatalf("append reused %d / signed %d signatures, expected mostly reuse", st.Reused, st.Signed)
+	if st.Signed != 1 {
+		t.Fatalf("append signed %d messages, want 1 (the manifest)", st.Signed)
 	}
 	m2, _ := c.Current().Manifest()
 	if m2.Generation != 2 || m2.N != 21 {
@@ -112,8 +106,8 @@ func TestUpdateAdvancesGenerationAndReusesSignatures(t *testing.T) {
 	}
 	searchVerify(t, c.Current(), []string{"merkle", "digest"})
 
-	// Removal: the document becomes a tombstoned slot — every per-structure
-	// signature is untouched, so the rebuild re-signs only the manifest.
+	// Removal: the document becomes a tombstoned slot that the manifest's
+	// removal bitmap marks.
 	_, st3, err := c.Update(nil, []uint64{handles[0]})
 	if err != nil {
 		t.Fatal(err)
@@ -132,9 +126,9 @@ func TestUpdateAdvancesGenerationAndReusesSignatures(t *testing.T) {
 		t.Fatalf("tombstone bitmap wrong: slot0=%v slot1=%v", m3.IsTombstoned(0), m3.IsTombstoned(1))
 	}
 	if st3.Signed != 1 {
-		t.Fatalf("removal-only batch signed %d structures, want 1 (the manifest)", st3.Signed)
+		t.Fatalf("removal-only batch signed %d messages, want 1 (the manifest)", st3.Signed)
 	}
-	if st3.Documents != 20 || st3.TombstonedSlots != 1 {
+	if st3.Documents != 20 || st3.TombstonedSlots != 1 || st3.Removed != 1 || st3.Added != 0 {
 		t.Fatalf("removal stats = %+v, want 20 live / 1 tombstoned", st3)
 	}
 	if got := len(c.Handles()); got != 20 {
@@ -274,14 +268,14 @@ func TestUpdateContractEveryShape(t *testing.T) {
 			}
 			selfVerify(t, c)
 
-			// Re-pin: a batch that crosses maxAvgLenDrift re-signs everything
-			// and carries no shard over.
+			// Re-pin: a batch that crosses maxAvgLenDrift rebuilds every
+			// shard and carries none over.
 			_, st, err := c.Update(longCorpusAt(100, 40), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.Reused > st.Signed || st.ShardsReused != 0 {
-				t.Fatalf("re-pin reused %d / signed %d signatures and carried %d shards over", st.Reused, st.Signed, st.ShardsReused)
+			if st.ShardsReused != 0 {
+				t.Fatalf("re-pin carried %d shards over", st.ShardsReused)
 			}
 			if want := float64(c.tokens) / float64(st.Documents+st.TombstonedSlots); c.pinnedAvgLen != want {
 				t.Fatalf("re-pinned W_A %v, the corpus mean is %v", c.pinnedAvgLen, want)
@@ -370,8 +364,10 @@ func TestShardedUpdateReusesUntouchedShards(t *testing.T) {
 	if st.Generation != 2 {
 		t.Fatalf("generation after add = %d", st.Generation)
 	}
-	if st.ShardsReused == 0 {
-		t.Fatalf("no shards reused on a 1-document add with hash partitioning (stats %+v)", st)
+	// One shard rebuilt: its manifest and the set manifest are signed.
+	if st.ShardsReused != 3 || st.Signed != 2 {
+		t.Fatalf("1-document add carried %d of 4 shards over and signed %d messages, want 3 and 2 (stats %+v)",
+			st.ShardsReused, st.Signed, st)
 	}
 	newSet := c.CurrentSet()
 	sm2, _ := newSet.Manifest()
@@ -386,109 +382,6 @@ func TestShardedUpdateReusesUntouchedShards(t *testing.T) {
 	}
 	if err := newSet.VerifyResult(tokens, 5, res); err != nil {
 		t.Fatalf("sharded self-verification failed after update: %v", err)
-	}
-}
-
-func TestCachingSignerEpochPruning(t *testing.T) {
-	signer, err := sig.NewHMACSigner([]byte("prune-key"), 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := NewCachingSigner(signer)
-	if _, err := cs.Sign([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cs.Sign([]byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	cs.Begin()
-	if _, err := cs.Sign([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	signed, reused := cs.End()
-	if signed != 0 || reused != 1 {
-		t.Fatalf("epoch counts signed=%d reused=%d, want 0/1", signed, reused)
-	}
-	// "b" was pruned; signing it again is a miss.
-	cs.Begin()
-	if _, err := cs.Sign([]byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	signed, reused = cs.End()
-	if signed != 1 || reused != 0 {
-		t.Fatalf("post-prune counts signed=%d reused=%d, want 1/0", signed, reused)
-	}
-
-	// EndKeep does NOT prune: an epoch that touched only "a" must leave
-	// "b" cached (the reused-shard case).
-	if _, err := cs.Sign([]byte("a")); err != nil { // cache = {a, b}
-		t.Fatal(err)
-	}
-	cs.Begin()
-	if _, err := cs.Sign([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if signed, reused = cs.EndKeep(); signed != 0 || reused != 1 {
-		t.Fatalf("EndKeep counts signed=%d reused=%d, want 0/1", signed, reused)
-	}
-	cs.Begin()
-	if _, err := cs.Sign([]byte("b")); err != nil {
-		t.Fatal(err)
-	}
-	if signed, reused = cs.End(); signed != 0 || reused != 1 {
-		t.Fatalf("\"b\" was evicted by EndKeep: signed=%d reused=%d", signed, reused)
-	}
-
-	// Abort discards the epoch without pruning.
-	cs.Begin()
-	if _, err := cs.Sign([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	cs.Abort()
-	cs.Begin()
-	if _, err := cs.Sign([]byte("a")); err != nil {
-		t.Fatal(err)
-	}
-	if signed, reused = cs.End(); signed != 0 || reused != 1 {
-		t.Fatalf("\"a\" lost across Abort: signed=%d reused=%d", signed, reused)
-	}
-}
-
-// TestRebuildSignatureCountsIndependentOfGOMAXPROCS: the engine signs from
-// every core, but which signatures a rebuild makes and which it reuses is a
-// property of the update, not of the parallelism — and together they still
-// account for every signature of the generation.
-func TestRebuildSignatureCountsIndependentOfGOMAXPROCS(t *testing.T) {
-	type counts struct{ signed, reused int }
-	run := func(procs int) []counts {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		c, handles, err := New(corpus(40), testConfig(t))
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := []counts{{c.LastStats().Signed, c.LastStats().Reused}}
-		for _, step := range []func() (*UpdateStats, error){
-			func() (*UpdateStats, error) { _, st, err := c.Update(corpusAt(40, 3), nil); return st, err },
-			func() (*UpdateStats, error) { _, st, err := c.Update(nil, handles[:2]); return st, err },
-			func() (*UpdateStats, error) { _, st, err := c.Update(corpusAt(43, 1), handles[5:6]); return st, err },
-		} {
-			st, err := step()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if total := c.Current().BuildStats().Signatures; st.Signed+st.Reused != total {
-				t.Fatalf("GOMAXPROCS %d: signed %d + reused %d, the generation carries %d signatures",
-					procs, st.Signed, st.Reused, total)
-			}
-			out = append(out, counts{st.Signed, st.Reused})
-		}
-		return out
-	}
-	one, four := run(1), run(4)
-	for i := range one {
-		if one[i] != four[i] {
-			t.Fatalf("step %d: %+v on one core, %+v on four", i, one[i], four[i])
-		}
 	}
 }
 
@@ -535,8 +428,7 @@ func assertOneBuild(t *testing.T, col *engine.Collection, slots []entry, cfg eng
 // through a no-drift history and then across maxAvgLenDrift. Every
 // generation must be what one engine build of its slots produces at the
 // W_A the collection chose — the pinned one until the drift, the true mean
-// at the re-pin — with each structure accounted exactly once in the report
-// and the signature cache holding the live signatures and nothing else.
+// at the re-pin — and report exactly the signatures that build made.
 func TestRepinBuildsOnceAndAccountsEverySignature(t *testing.T) {
 	cfg := testConfig(t)
 	c, handles, err := New(corpus(20), cfg)
@@ -548,26 +440,17 @@ func TestRepinBuildsOnceAndAccountsEverySignature(t *testing.T) {
 		add    []index.Document
 		remove []uint64
 		repin  bool // the batch crosses maxAvgLenDrift
-		// signed and reused are what this history cost before a bare collection
-		// and a shard set shared one rebuild (recorded at 51048d1).
-		signed, reused int
 	}{
-		{"append", corpusAt(20, 3), nil, false, 48, 56},
-		{"remove", nil, handles[:2], false, 1, 103},
-		{"drift", longCorpusAt(23, 40), nil, true, 144, 0},
-		{"append after re-pin", longCorpusAt(63, 1), nil, false, 38, 107},
-	}
-	if st := c.LastStats(); st.Signed != 101 || st.Reused != 0 {
-		t.Fatalf("generation 1 signed %d / reused %d signatures, want 101 / 0", st.Signed, st.Reused)
+		{"append", corpusAt(20, 3), nil, false},
+		{"remove", nil, handles[:2], false},
+		{"drift", longCorpusAt(23, 40), nil, true},
+		{"append after re-pin", longCorpusAt(63, 1), nil, false},
 	}
 	for _, step := range steps {
 		pinned := c.Current().Index().AvgLen
 		_, st, err := c.Update(step.add, step.remove)
 		if err != nil {
 			t.Fatalf("%s: %v", step.name, err)
-		}
-		if st.Signed != step.signed || st.Reused != step.reused {
-			t.Fatalf("%s: signed %d / reused %d signatures, want %d / %d", step.name, st.Signed, st.Reused, step.signed, step.reused)
 		}
 		col := c.Current()
 		if step.repin {
@@ -578,16 +461,9 @@ func TestRepinBuildsOnceAndAccountsEverySignature(t *testing.T) {
 			}
 		} else {
 			assertOneBuild(t, col, c.slots[0], cfg, pinned)
-			if st.Reused < st.Signed {
-				t.Fatalf("%s: reused %d / signed %d signatures at an unchanged W_A", step.name, st.Reused, st.Signed)
-			}
 		}
-		total := col.BuildStats().Signatures
-		if st.Signed+st.Reused != total {
-			t.Fatalf("%s: signed %d + reused %d, the generation carries %d signatures", step.name, st.Signed, st.Reused, total)
-		}
-		if got := len(c.signer.cache); got != total {
-			t.Fatalf("%s: %d signatures cached for %d live", step.name, got, total)
+		if total := col.BuildStats().Signatures; st.Signed != total {
+			t.Fatalf("%s: signed %d, the generation carries %d signatures", step.name, st.Signed, total)
 		}
 		searchVerify(t, col, []string{"merkle", "digest"})
 	}
@@ -615,9 +491,9 @@ func TestShardedRepin(t *testing.T) {
 				rebuilt += set.Col(s).BuildStats().Signatures
 			}
 		}
-		if st.Signed+st.Reused != rebuilt {
-			t.Fatalf("generation %d: signed %d + reused %d, its rebuilt shards carry %d signatures",
-				st.Generation, st.Signed, st.Reused, rebuilt)
+		if st.Signed != rebuilt+1 {
+			t.Fatalf("generation %d: signed %d, its rebuilt shards carry %d signatures plus the set manifest's",
+				st.Generation, st.Signed, rebuilt)
 		}
 		tokens := []string{"verification", "merkle"}
 		res, err := set.Search(tokens, 5, core.AlgoTNRA, core.SchemeCMHT)
@@ -642,77 +518,10 @@ func TestShardedRepin(t *testing.T) {
 		t.Fatalf("W_A would move from %v to %v; the batch was meant to cross the drift bound", pinned, repinned)
 	}
 	check(st, repinned, 0)
-	// Fully rebuilt, so the old W_A's signatures are pruned: the shards'
-	// (identical structures in two shards share an entry) plus the set
-	// manifest's remain.
-	if got, live := len(c.signer.cache), st.Signed+st.Reused+1; got > live {
-		t.Fatalf("re-pin: %d signatures cached for %d live", got, live)
-	}
 
 	_, st, err = c.Update(longCorpusAt(120, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check(st, repinned, 3)
-}
-
-// TestReuseEconomicsOnZipfianCorpus is the removal-reuse regression gate on
-// a realistic vocabulary: corpus.Tiny() grown by dictionary-stable batches
-// (documents sampled from the corpus's own token bag — the steady state of
-// a collection whose vocabulary has saturated, so no term enters or leaves
-// the dictionary). Removing the oldest 10% must cost one signature (the
-// manifest), and replacing the oldest 10% must reuse at least 60% — the
-// regime that collapsed to 0% when removals renumbered the survivors.
-func TestReuseEconomicsOnZipfianCorpus(t *testing.T) {
-	p := synth.Tiny()
-	pool := synth.Generate(p)
-	c, handles, err := New(pool, testConfig(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := c.Current().Index()
-	var bag []string
-	for _, d := range pool {
-		for _, tok := range d.Tokens {
-			if _, ok := idx.Lookup(tok); ok {
-				bag = append(bag, tok)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(p.Seed + 99))
-	batch := func(k int) []index.Document {
-		docs := make([]index.Document, k)
-		for i := range docs {
-			toks := make([]string, int(p.AvgLen))
-			for j := range toks {
-				toks[j] = bag[rng.Intn(len(bag))]
-			}
-			docs[i] = index.Document{Content: []byte(strings.Join(toks, " ")), Tokens: toks}
-		}
-		return docs
-	}
-	for _, pct := range []int{1, 5, 10, 25, 50} {
-		added, _, err := c.Update(batch(p.Docs*pct/100), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, added...)
-	}
-
-	k := p.Docs / 10
-	_, st, err := c.Update(nil, handles[:k])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Signed != 1 {
-		t.Fatalf("remove oldest 10%%: signed %d structures, want 1 (the manifest)", st.Signed)
-	}
-	_, st, err = c.Update(batch(k), handles[k:2*k])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pct := 100 * float64(st.Reused) / float64(st.Signed+st.Reused); pct < 60 {
-		t.Fatalf("replace oldest 10%%: reused %.1f%% of signatures (signed %d, reused %d), floor is 60%%",
-			pct, st.Signed, st.Reused)
-	}
 }

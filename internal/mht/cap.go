@@ -141,10 +141,19 @@ func (c *Cap) children(nodes []byte, k, r int) (left, right []byte) {
 
 // capView is the part of a cap a proof walk is at: the slots of the current
 // subtree (nil once the walk is below the cut, or with no cap at all), the
-// cap's levels left under it, and the cut's.
+// cap's levels left under it, and the cut's; miss, when set, collects the
+// deepest node that rebuilds differently (CapMismatch).
 type capView struct {
 	nodes  []byte
 	r, cut int
+	miss   *capMiss
+}
+
+// capMiss is the deepest differing node a walk has met so far: the revealed
+// positions under it, and the cut levels left below it (fewer is deeper).
+type capMiss struct {
+	positions []int
+	cut       int
 }
 
 // viewOf starts a walk at the root of c for a proof cut at depth d.
@@ -162,7 +171,7 @@ func (v capView) descend(c *Cap, k int) (left, right capView) {
 		return capView{}, capView{}
 	}
 	l, r := c.children(v.nodes, k, v.r)
-	return capView{l, v.r - 1, v.cut - 1}, capView{r, v.r - 1, v.cut - 1}
+	return capView{l, v.r - 1, v.cut - 1, v.miss}, capView{r, v.r - 1, v.cut - 1, v.miss}
 }
 
 // ProveCapped is Prove cut at depth d: every subtree digest that covers no
@@ -201,8 +210,31 @@ func CappedProofSize(n int, want []int, d int) int {
 // must top the same n-leaf tree at least d levels deep. d = 0 ignores c and
 // is RootFromProofFunc.
 func RootFromCappedProof(h Hasher, n int, positions []int, leaf LeafFunc, proof Proof, c *Cap, d int) ([]byte, error) {
-	if d < 0 || d > 0 && (c == nil || c.n != n || c.size != h.Size() || d > c.depth) {
+	if !c.tops(h, n, d) {
 		return nil, ErrCapDepth
 	}
-	return rootFromProof(h, n, positions, leaf, proof, c, d)
+	return rootFromProof(h, n, positions, leaf, proof, c, d, nil)
+}
+
+// tops reports whether c can supply the top of an n-leaf tree hashed by h
+// for a proof cut at depth d (any c for d = 0).
+func (c *Cap) tops(h Hasher, n, d int) bool {
+	return d == 0 || d > 0 && c != nil && c.n == n && c.size == h.Size() && d <= c.depth
+}
+
+// CapMismatch re-walks a proof cut at depth d whose root disagreed with the
+// signed one, comparing every node it rebuilds inside the cap with the cap's
+// own, which was checked against the signed root. It returns the revealed
+// positions under the deepest node that differs: the leaves (or the proof
+// digests under them) one of which is wrong. nil for an uncut proof or one
+// that does not rebuild at all.
+func CapMismatch(h Hasher, n int, positions []int, leaf LeafFunc, proof Proof, c *Cap, d int) []int {
+	if d == 0 || !c.tops(h, n, d) {
+		return nil
+	}
+	var miss capMiss
+	if _, err := rootFromProof(h, n, positions, leaf, proof, c, d, &miss); err != nil {
+		return nil
+	}
+	return miss.positions
 }

@@ -149,6 +149,41 @@ func TestCappedProofShapes(t *testing.T) {
 	}
 }
 
+// TestCapMismatchNamesTheWrongLeaf: one wrong revealed leaf of a cut proof
+// is narrowed to the revealed leaves under its depth-d node — the wrong one
+// among them, none from another branch — and an uncut proof narrows nothing.
+func TestCapMismatchNamesTheWrongLeaf(t *testing.T) {
+	h := testHasher()
+	leaves := leavesN(100)
+	tree := NewTree(h, len(leaves), Leaves(leaves))
+	const d = 4 // leaves 48–55 share one depth-4 node
+	c, err := NewCap(h, len(leaves), d, tree.AppendFrontier(nil, d), tree.Root())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{3, 50, 51, 90}
+	proof, err := tree.ProveCapped(want, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := slices.Clone(leaves)
+	forged[50] = []byte("forged")
+	leaf := func(_ []byte, j int) []byte { return forged[want[j]] }
+	if root, err := RootFromCappedProof(h, len(leaves), want, leaf, proof, c, d); err != nil || bytes.Equal(root, tree.Root()) {
+		t.Fatalf("a forged leaf rebuilt to %x, %v", root, err)
+	}
+	if got := CapMismatch(h, len(leaves), want, leaf, proof, c, d); !slices.Equal(got, []int{50, 51}) {
+		t.Fatalf("CapMismatch named %v, want [50 51] (the revealed leaves of the forged leaf's depth-%d subtree)", got, d)
+	}
+	uncut, err := tree.Prove(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := CapMismatch(h, len(leaves), want, leaf, uncut, nil, 0); got != nil {
+		t.Fatalf("an uncut proof named %v", got)
+	}
+}
+
 // TestFrontierSize pins the frontier of small trees against a count of the
 // nodes at depth min(d, leaf depth).
 func TestFrontierSize(t *testing.T) {

@@ -1,6 +1,7 @@
 package mht
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -295,11 +296,13 @@ func RootFromProof(h Hasher, n int, want map[int][]byte, proof Proof) ([]byte, e
 // (strictly ascending, within [0, n)) and leaf(buf, j) yields the data of
 // the leaf at positions[j].
 func RootFromProofFunc(h Hasher, n int, positions []int, leaf LeafFunc, proof Proof) ([]byte, error) {
-	return rootFromProof(h, n, positions, leaf, proof, nil, 0)
+	return rootFromProof(h, n, positions, leaf, proof, nil, 0, nil)
 }
 
 // rootFromProof is RootFromCappedProof once the cap is known to fit.
-func rootFromProof(h Hasher, n int, positions []int, leaf LeafFunc, proof Proof, c *Cap, d int) ([]byte, error) {
+// A non-nil miss records the deepest node inside the cap that rebuilds
+// differently from the cap's (CapMismatch).
+func rootFromProof(h Hasher, n int, positions []int, leaf LeafFunc, proof Proof, c *Cap, d int, miss *capMiss) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("mht: negative tree size %d", n)
 	}
@@ -315,7 +318,9 @@ func rootFromProof(h Hasher, n int, positions []int, leaf LeafFunc, proof Proof,
 	w := &walker{h: h, leaf: leaf, cap: c}
 	rest := proof.Digests
 	root := make([]byte, h.Size())
-	if err := w.rebuild(root, 0, n, positions, 0, &rest, viewOf(c, d)); err != nil {
+	v := viewOf(c, d)
+	v.miss = miss
+	if err := w.rebuild(root, 0, n, positions, 0, &rest, v); err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
@@ -342,25 +347,28 @@ func (w *walker) rebuild(dst []byte, off, m int, positions []int, j0 int, rest *
 		*rest = (*rest)[1:]
 		return nil
 	}
+	sz := w.h.Size()
 	if m == 1 {
 		w.h.leafInto(dst, w.leaf(w.buf[:0], j0))
-		return nil
+	} else {
+		k := splitPoint(m)
+		lp, rp := partition(positions, off+k)
+		var lv, rv capView // zero outside the cap, where every uncut walk stays
+		if v.nodes != nil {
+			lv, rv = v.descend(w.cap, k)
+		}
+		var l, r [sha256.Size]byte
+		if err := w.rebuild(l[:sz], off, k, lp, j0, rest, lv); err != nil {
+			return err
+		}
+		if err := w.rebuild(r[:sz], off+k, m-k, rp, j0+len(lp), rest, rv); err != nil {
+			return err
+		}
+		w.h.nodeInto(dst, l[:sz], r[:sz])
 	}
-	k := splitPoint(m)
-	lp, rp := partition(positions, off+k)
-	var lv, rv capView // zero outside the cap, where every uncut walk stays
-	if v.nodes != nil {
-		lv, rv = v.descend(w.cap, k)
+	if v.miss != nil && !bytes.Equal(dst, v.nodes[:sz]) && (v.miss.positions == nil || v.cut < v.miss.cut) {
+		v.miss.positions, v.miss.cut = positions, v.cut
 	}
-	var l, r [sha256.Size]byte
-	sz := w.h.Size()
-	if err := w.rebuild(l[:sz], off, k, lp, j0, rest, lv); err != nil {
-		return err
-	}
-	if err := w.rebuild(r[:sz], off+k, m-k, rp, j0+len(lp), rest, rv); err != nil {
-		return err
-	}
-	w.h.nodeInto(dst, l[:sz], r[:sz])
 	return nil
 }
 

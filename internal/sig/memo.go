@@ -30,7 +30,8 @@ const memoCapacity = 1 << 15
 // into a real verification, never the reverse. Freshness is not the
 // per-structure signatures' job (the generation-stamped manifest carries
 // it, docs/UPDATES.md), which is why entries may outlive a generation bump:
-// a signature the owner reused is still a signature the owner made.
+// the owner re-signs an unchanged message to the same bytes, and that is
+// still a signature the owner made.
 //
 // Safe for concurrent use.
 type MemoVerifier struct {

@@ -176,3 +176,31 @@ func TestHMACSignaturePropertyDistinctMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSignDeterministic: both signers sign one message to the same bytes
+// every time, so an owner that re-signs an unchanged message reproduces
+// the signature a client already verified (and memoised) byte for byte.
+func TestSignDeterministic(t *testing.T) {
+	rsaSigner, err := NewRSASigner(1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hmacSigner, err := NewHMACSigner([]byte("deterministic"), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg := []byte("an unchanged term list")
+	for name, s := range map[string]Signer{"rsa": rsaSigner, "hmac": hmacSigner} {
+		first, err := s.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := s.Sign(msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first, second) {
+			t.Fatalf("%s: one message signed to two different signatures", name)
+		}
+	}
+}

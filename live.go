@@ -33,14 +33,12 @@ type UpdateReport struct {
 	Added, Removed int
 	// TombstonedSlots is the number of removed-but-still-indexed slots the
 	// new generation carries; Compacted reports that this rebuild dropped
-	// the accumulated dead slots (a full re-sign). See docs/UPDATES.md.
+	// the accumulated dead slots. See docs/UPDATES.md.
 	TombstonedSlots int
 	Compacted       bool
-	// SignaturesSigned counts fresh signatures the rebuild required;
-	// SignaturesReused the ones carried over from the previous generation
-	// (identical signed messages — unchanged term lists and document
-	// records).
-	SignaturesSigned, SignaturesReused int
+	// SignaturesSigned counts the signatures the generation made: one
+	// manifest per rebuilt collection, plus a shard set's manifest.
+	SignaturesSigned int
 	// ShardsReused counts whole shards carried over without a rebuild
 	// (shard sets only).
 	ShardsReused int
@@ -58,7 +56,6 @@ func updateReport(st *live.UpdateStats) *UpdateReport {
 		TombstonedSlots:  st.TombstonedSlots,
 		Compacted:        st.Compacted,
 		SignaturesSigned: st.Signed,
-		SignaturesReused: st.Reused,
 		ShardsReused:     st.ShardsReused,
 		RebuildMillis:    float64(st.Rebuild.Microseconds()) / 1000,
 	}

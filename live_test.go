@@ -16,13 +16,12 @@ import (
 )
 
 // Live-collection suite: generation swaps are atomic (searches observe
-// whole generations, never a torn mix), signatures are reused across
-// updates, and every update-shaped tampering vector — rollback, stale
+// whole generations, never a torn mix), and every update-shaped tampering vector — rollback, stale
 // answers, removed documents reappearing, mixed-generation shard sets —
 // classifies via IsTampered / ErrStaleGeneration.
 
 // liveVocab is closed so that updates do not shift dictionary term IDs
-// (which would disable signature reuse; see internal/live).
+// (which would change every list-mode list's signed message).
 var liveVocab = []string{
 	"merkle", "tree", "signature", "verification", "inverted", "index",
 	"threshold", "algorithm", "random", "access", "digest", "root",
@@ -604,67 +603,11 @@ func TestLiveSnapshotLayoutStable(t *testing.T) {
 	}
 }
 
-// TestLiveRemovalReuseRegression pins the economics the tombstone model
-// exists for: a removal-heavy batch re-signs (almost) nothing, because
-// removed documents keep their slots — postings stay in the signed lists,
-// records stay signed — and only the manifest changes. Before stable IDs
-// this regime renumbered every surviving document and reused 0%. Lists and
-// records are signed one by one in list mode only (dictionary mode signs the
-// manifest alone), so that is the mode it runs in.
-func TestLiveRemovalReuseRegression(t *testing.T) {
-	owner, handles, err := NewListModeLiveOwnerForTest(liveDocs(0, 40), 0, WithFastSigner([]byte("reuse-reg")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reuse := func(rep *UpdateReport) float64 {
-		return float64(rep.SignaturesReused) / float64(rep.SignaturesSigned+rep.SignaturesReused)
-	}
-
-	// Removal-heavy batch: 15 of 40 documents gone at the cost of one
-	// fresh signature (the manifest).
-	_, rep, err := owner.Update(nil, handles[:15])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TombstonedSlots != 15 || rep.Documents != 25 || rep.Removed != 15 {
-		t.Fatalf("removal batch report = %+v", rep)
-	}
-	if rep.SignaturesSigned != 1 {
-		t.Fatalf("removal-heavy batch signed %d structures, want 1 (the manifest)", rep.SignaturesSigned)
-	}
-	if r := reuse(rep); r < 0.6 {
-		t.Fatalf("removal-heavy batch reused %.1f%% of signatures, want >= 60%%", 100*r)
-	}
-
-	// Replace batch: removals plus same-size additions — costs what the
-	// additions cost, nothing for the removals. The 20-word toy vocabulary
-	// makes any addition touch most term lists, so the floor here is loose;
-	// the realistic >= 60% floor for this regime is enforced on a Zipfian
-	// corpus by internal/live's TestReuseEconomicsOnZipfianCorpus.
-	_, rep2, err := owner.Update(liveDocs(40, 5), handles[15:20])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.TombstonedSlots != 20 || rep2.Documents != 25 {
-		t.Fatalf("replace batch report = %+v", rep2)
-	}
-	if r := reuse(rep2); r < 0.5 {
-		t.Fatalf("replace batch reused %.1f%% of signatures, want >= 50%%", 100*r)
-	}
-
-	client := owner.Client()
-	for _, algo := range []Algorithm{TRA, TNRA} {
-		for _, scheme := range []Scheme{MHT, ChainMHT} {
-			liveSearchVerify(t, owner.Server(), client, algo, scheme)
-		}
-	}
-}
-
-// TestLiveCompaction drives dead slots past the live count and checks the
-// compaction rebuild: tombstones drop, the slot space shrinks to the live
-// documents, and the collection keeps verifying (and, in list mode, where
-// there are per-list and per-document signatures to reuse, reusing them)
-// afterwards.
+// TestLiveCompaction drives dead slots past the live count: the reports of
+// a removal batch and a replace batch count the tombstoned slots, and every
+// algorithm × scheme verifies over them in list mode; then the compaction
+// rebuild drops the tombstones, the slot space shrinks to the live
+// documents, and the collection keeps verifying and updating afterwards.
 func TestLiveCompaction(t *testing.T) {
 	owner, handles, err := NewListModeLiveOwnerForTest(liveDocs(0, 40), 0, WithFastSigner([]byte("compact")))
 	if err != nil {
@@ -674,36 +617,56 @@ func TestLiveCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Compacted || rep.TombstonedSlots != 15 {
-		t.Fatalf("pre-compaction report = %+v", rep)
+	if rep.Compacted || rep.TombstonedSlots != 15 || rep.Documents != 25 || rep.Removed != 15 {
+		t.Fatalf("removal batch report = %+v", rep)
 	}
-	_, rep2, err := owner.Update(nil, handles[15:26]) // dead 26 > live 14
+	_, rep, err = owner.Update(liveDocs(40, 5), handles[15:20]) // dead 20 < live 25
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rep2.Compacted || rep2.TombstonedSlots != 0 || rep2.Documents != 14 {
+	if rep.Compacted || rep.TombstonedSlots != 20 || rep.Documents != 25 || rep.Added != 5 || rep.Removed != 5 {
+		t.Fatalf("replace batch report = %+v", rep)
+	}
+	client := owner.Client()
+	for _, algo := range []Algorithm{TRA, TNRA} {
+		for _, scheme := range []Scheme{MHT, ChainMHT} {
+			liveSearchVerify(t, owner.Server(), client, algo, scheme)
+		}
+	}
+
+	_, rep2, err := owner.Update(nil, handles[20:26]) // dead 26 > live 19
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep2.Compacted || rep2.TombstonedSlots != 0 || rep2.Documents != 19 {
 		t.Fatalf("compaction report = %+v", rep2)
 	}
 	m, _ := owner.lc.Current().Manifest()
-	if int(m.N) != 14 || len(m.Tombstones) != 0 {
+	if int(m.N) != 19 || len(m.Tombstones) != 0 {
 		t.Fatalf("compacted manifest: n=%d tombstones=%d bytes", m.N, len(m.Tombstones))
 	}
-	if got := len(owner.Handles()); got != 14 {
-		t.Fatalf("handles after compaction = %d, want 14", got)
+	if got := len(owner.Handles()); got != 19 {
+		t.Fatalf("handles after compaction = %d, want 19", got)
 	}
-	client := owner.Client()
+	if err := client.Advance(owner.ManifestUpdate()); err != nil {
+		t.Fatal(err)
+	}
 	liveSearchVerify(t, owner.Server(), client, TRA, ChainMHT)
 	liveSearchVerify(t, owner.Server(), client, TNRA, MHT)
 
-	// The compacted ID space is the new stable baseline: the next update
-	// reuses signatures against it.
+	// The compacted ID space is the new baseline: the next update appends
+	// to it without compacting again.
 	_, rep3, err := owner.Update(liveDocs(50, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep3.SignaturesReused == 0 {
-		t.Fatalf("no reuse after compaction: %+v", rep3)
+	if rep3.Compacted || rep3.TombstonedSlots != 0 || rep3.Documents != 20 {
+		t.Fatalf("post-compaction report = %+v", rep3)
 	}
+	if err := client.Advance(owner.ManifestUpdate()); err != nil {
+		t.Fatal(err)
+	}
+	liveSearchVerify(t, owner.Server(), client, TNRA, ChainMHT)
 }
 
 // TestLiveShardedRejectsRoundRobin: no live set places round-robin, which
@@ -723,11 +686,28 @@ func TestLiveShardedRejectsRoundRobin(t *testing.T) {
 	checkHashPlaced(t, owner, append(docs, more...))
 }
 
+// TestLiveShardedUpdateCountsTheSetManifest: a shard-set update that
+// rebuilds one shard signs that shard's manifest and the set manifest, and
+// the report counts both.
+func TestLiveShardedUpdateCountsTheSetManifest(t *testing.T) {
+	owner, _, err := NewLiveShardedOwner(liveDocs(0, 32), 4, WithFastSigner([]byte("set-count")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := owner.Update(liveDocs(32, 1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ShardsReused != 3 || rep.SignaturesSigned != 2 {
+		t.Fatalf("1-document update carried %d of 4 shards over and signed %d messages, want 3 and 2", rep.ShardsReused, rep.SignaturesSigned)
+	}
+}
+
 // TestSignatureMemoSurvivesGenerationBumps: a client's verified-signature
-// memo belongs to its pinned key, not to a generation. The signatures the
-// owner's caching signer carried into the next generation — per-list and
-// per-document signatures, which only a list-mode owner makes — are memo
-// hits after Advance; on a sharded client every shard client shares the one
+// memo belongs to its pinned key, not to a generation. The owner re-signs
+// every unchanged per-list and per-document message — which only a
+// list-mode owner signs — to the same bytes, so they are memo hits after
+// Advance; on a sharded client every shard client shares the one
 // memo, before and after AdvanceExport rebuilds them.
 func TestSignatureMemoSurvivesGenerationBumps(t *testing.T) {
 	owner, _, err := NewListModeLiveOwnerForTest(liveDocs(0, 16), 0)
@@ -740,8 +720,8 @@ func TestSignatureMemoSurvivesGenerationBumps(t *testing.T) {
 	if cold == 0 || hits != 0 {
 		t.Fatalf("first answer: %d verified, %d memo hits", cold, hits)
 	}
-	if _, rep, err := owner.Update(liveDocs(16, 1), nil); err != nil || rep.SignaturesReused == 0 {
-		t.Fatalf("append reused no signatures: %+v, err %v", rep, err)
+	if _, _, err := owner.Update(liveDocs(16, 1), nil); err != nil {
+		t.Fatal(err)
 	}
 	if err := client.Advance(owner.ManifestUpdate()); err != nil {
 		t.Fatal(err)

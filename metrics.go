@@ -41,7 +41,6 @@ type Metrics struct {
 	liveGeneration  *obs.Gauge
 	liveSwaps       *obs.Counter
 	liveSwapSeconds *obs.Histogram
-	liveReuseRatio  *obs.Gauge
 	liveDocuments   *obs.Gauge
 	liveTombstones  *obs.Gauge
 	liveCompactions *obs.Counter
@@ -108,15 +107,12 @@ func NewMetrics() *Metrics {
 	m.liveSwapSeconds = r.Histogram("authtext_live_swap_seconds",
 		"Wall time from accepting an update batch to swapping the served generation (seconds).",
 		swapBuckets)
-	m.liveReuseRatio = r.Gauge("authtext_live_signature_reuse_ratio",
-		"Signatures reused from the previous generation over the signatures the last update's "+
-			"rebuild produced (reuse-eligible structures only; tombstoned slots don't dilute it).")
 	m.liveDocuments = r.Gauge("authtext_live_documents",
 		"Live documents in the served generation (tombstoned slots excluded).")
 	m.liveTombstones = r.Gauge("authtext_live_tombstoned_slots",
 		"Removed-but-still-indexed slots the served generation carries.")
 	m.liveCompactions = r.Counter("authtext_live_compactions_total",
-		"Rebuilds that compacted accumulated tombstoned slots away (full re-signs).")
+		"Rebuilds that compacted accumulated tombstoned slots away.")
 	m.snapshotOpen = r.Histogram("authtext_live_snapshot_open_seconds",
 		"Wall time to open and verify a snapshot during a replica reload (seconds).",
 		swapBuckets)
@@ -277,9 +273,6 @@ func (m *Metrics) recordUpdate(rep *UpdateReport) {
 	m.liveGeneration.Set(float64(rep.Generation))
 	m.liveSwaps.Inc()
 	m.liveSwapSeconds.Observe(rep.RebuildMillis / 1000)
-	if total := rep.SignaturesSigned + rep.SignaturesReused; total > 0 {
-		m.liveReuseRatio.Set(float64(rep.SignaturesReused) / float64(total))
-	}
 	m.liveDocuments.Set(float64(rep.Documents))
 	m.liveTombstones.Set(float64(rep.TombstonedSlots))
 	if rep.Compacted {

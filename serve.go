@@ -437,7 +437,6 @@ func (b *backend) applyUpdate(req *httpapi.UpdateRequest) (*httpapi.UpdateRespon
 		Added:            rawHandles(handles),
 		Removed:          rep.Removed,
 		SignaturesSigned: rep.SignaturesSigned,
-		SignaturesReused: rep.SignaturesReused,
 		ShardsReused:     rep.ShardsReused,
 		RebuildMillis:    rep.RebuildMillis,
 	}, nil
