@@ -616,10 +616,8 @@ var ErrEquivocation error = &core.VerifyError{
 // AdvanceExport — never backward: a regression is rejected as
 // ErrStaleGeneration. Safe for concurrent use.
 type Client struct {
-	// verifier is the pinned public key behind a verified-signature memo
-	// (sig.MemoVerifier): each owner signature is RSA-verified on its first
-	// sighting only. Everything mutable sits behind mu.
-	verifier *sig.MemoVerifier
+	// verifier is the pinned public key. Everything mutable sits behind mu.
+	verifier sig.Verifier
 
 	mu sync.Mutex
 	// manifest is what a bare collection's client verifies against, set what
@@ -641,21 +639,19 @@ type Client struct {
 }
 
 // clientSet is the shard population a set client holds: the signed set
-// manifest, one bare client per shard — all sharing the set client's
-// signature memo — and the authenticated local→global doc maps.
+// manifest, one bare client per shard — all pinning the set client's key —
+// and the authenticated local→global doc maps.
 type clientSet struct {
 	manifest *shard.SetManifest
 	shards   []*Client
 	docMaps  [][]uint32
 }
 
-// newClient is the one place a Client is made — and so the one place the
-// verified-signature memo is installed. A verifier that already memoises (a
-// set client's, handed to each of its shard clients) is shared, not
-// re-wrapped: one memo per pinned key. checked says the caller has verified
-// manifestSig over manifest against that key already.
+// newClient makes a bare collection's Client pinning verifier. checked says
+// the caller has verified manifestSig over manifest against that key
+// already.
 func newClient(manifest *core.Manifest, manifestSig []byte, verifier sig.Verifier, checked bool) *Client {
-	c := &Client{manifest: manifest, manifestSig: manifestSig, verifier: sig.Memoize(verifier), checked: checked}
+	c := &Client{manifest: manifest, manifestSig: manifestSig, verifier: verifier, checked: checked}
 	if checked {
 		c.maxGen = manifest.Generation
 	}
@@ -665,7 +661,7 @@ func newClient(manifest *core.Manifest, manifestSig []byte, verifier sig.Verifie
 // newSetClient is newClient for a shard set's material; checked covers the
 // set manifest and every shard manifest (bound to it by digest).
 func newSetClient(ex *shardedExport, checked bool) *Client {
-	c := &Client{manifestSig: ex.manifestSig, verifier: sig.Memoize(ex.verifier), checked: checked}
+	c := &Client{manifestSig: ex.manifestSig, verifier: ex.verifier, checked: checked}
 	c.set = newClientSet(ex, c.verifier, checked)
 	if checked {
 		c.maxGen = ex.manifest.Generation
@@ -673,7 +669,7 @@ func newSetClient(ex *shardedExport, checked bool) *Client {
 	return c
 }
 
-func newClientSet(ex *shardedExport, verifier *sig.MemoVerifier, checked bool) *clientSet {
+func newClientSet(ex *shardedExport, verifier sig.Verifier, checked bool) *clientSet {
 	cs := &clientSet{manifest: ex.manifest, shards: make([]*Client, len(ex.shardMans)), docMaps: ex.docMaps}
 	for i := range cs.shards {
 		cs.shards[i] = newClient(ex.shardMans[i], ex.shardSigs[i], verifier, checked)

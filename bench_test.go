@@ -338,8 +338,8 @@ func BenchmarkVerifyTNRACMHT(b *testing.B) { benchVerifyVariant(b, core.AlgoTNRA
 // 10-term TRA answer of an RSA-1024 collection. The answer carries no owner
 // signature — the dictionary trees and the document-root tree commit what
 // list mode signs — so cold (a fresh client per answer) RSA-verifies one,
-// the manifest's, and warm (a client whose verified-signature memo holds
-// it) none; what both pay is the Merkle hashing, which no repeat can skip.
+// the manifest's, and warm (a client whose manifest check has already run)
+// none; what both pay is the Merkle hashing, which no repeat can skip.
 func BenchmarkClientVerifyTRA(b *testing.B) {
 	idocs := corpus.Generate(corpus.Tiny())
 	docs := make([]authtext.Document, len(idocs))

@@ -60,7 +60,7 @@ func (c *Client) Export() ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.set != nil {
-		kind, pub, err := sig.MarshalVerifier(c.verifier.Inner())
+		kind, pub, err := sig.MarshalVerifier(c.verifier)
 		if err != nil {
 			return nil, fmt.Errorf("authtext: %w", err)
 		}
@@ -77,7 +77,7 @@ func (c *Client) Export() ([]byte, error) {
 		}
 		return out, nil
 	}
-	rsaVerifier, ok := c.verifier.Inner().(*sig.RSAVerifier)
+	rsaVerifier, ok := c.verifier.(*sig.RSAVerifier)
 	if !ok {
 		return nil, errors.New("authtext: only RSA-signed collections can be exported")
 	}

@@ -400,8 +400,8 @@ func (v countingVerifier) Verify(msg, sigBytes []byte) error {
 }
 
 // TestVerifyResultChecksEverySignatureEveryCall: VerifyResult is the cold
-// verification cost the paper's figures report, so it keeps the raw key — no
-// signature memo between it and the verifier, however often an answer repeats.
+// verification cost the paper's figures report: every signature an answer
+// carries is checked against the key, however often the answer repeats.
 func TestVerifyResultChecksEverySignatureEveryCall(t *testing.T) {
 	signer := &countingSigner{Signer: testSigner(t)}
 	col := buildTestCollection(t, 5, 120, 80, func(c *Config) { c.Signer = signer })

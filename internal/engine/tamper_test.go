@@ -446,3 +446,128 @@ func TestLyingProverTRA(t *testing.T) {
 		t.Fatal("the liar never told the truth, or a check was never needed")
 	}
 }
+
+// TestLyingProverTNRA plays the §1 adversary against TNRA's completeness
+// checks on a dictionary-mode collection. Every lie is proved like an
+// honest answer, and its hits are what the canonical evaluation of its
+// prefixes ranks, so the content and ordering checks pass it:
+//
+//   - stopped k pops before termination, on every list, or on one list
+//     while the others run on to Search's pop count: every such answer that
+//     is refused is CodeBadConditions (Fig 10's termination conditions do
+//     not hold over the shorter prefixes), one that is accepted is Search's,
+//     and lies that differ from Search's answer are refused;
+//   - Search's prefixes with the last hit left out: CodeIncomplete.
+//
+// Unlied, the liar answers what Search answers, byte for byte.
+func TestLyingProverTNRA(t *testing.T) {
+	col := buildTestCollection(t, 41, 120, 40, func(c *Config) { c.DictMode = true })
+	idx := col.Index()
+	const r = 4
+	var accepted, refused [2]int // [0] every list stopped, [1] one list
+	var short int
+	for _, scheme := range []core.Scheme{core.SchemeMHT, core.SchemeCMHT} {
+		for _, tokens := range verboseQueries(idx, 5, 12) {
+			honest, honestVO, stats, err := col.Search(tokens, r, core.AlgoTNRA, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pops := stats.Iterations
+			res, lieVO, err := col.lieTNRA(tokens, r, scheme, tnraLie{pops: pops})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(lieVO, honestVO) || !slices.Equal(res.Entries, honest.Entries) {
+				t.Fatalf("%v %v: the unlied liar's answer differs from Search's", scheme, tokens)
+			}
+
+			lies := []tnraLie{{pops: pops, short: true}}
+			for k := 0; k < pops; k++ {
+				lies = append(lies, tnraLie{pops: k})
+			}
+			for list := range stats.QueryTerms {
+				for k := 0; k < pops; k += max(1, pops/8) {
+					lies = append(lies, tnraLie{pops: pops, oneList: true, list: list, at: k})
+				}
+			}
+			for _, lie := range lies {
+				res, lieVO, err := col.lieTNRA(tokens, r, scheme, lie)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, err = col.VerifyResult(tokens, r, res, lieVO)
+				kind := 0
+				if lie.oneList {
+					kind = 1
+				}
+				switch {
+				case lie.short:
+					if core.CodeOf(err) != core.CodeIncomplete {
+						t.Fatalf("%v %v: a short answer classified %v, want %v", scheme, tokens, err, core.CodeIncomplete)
+					}
+					short++
+				case err == nil:
+					if !slices.Equal(res.Entries, honest.Entries) {
+						t.Fatalf("%v %v, %+v: a wrong answer verified", scheme, tokens, lie)
+					}
+					accepted[kind]++
+				case core.CodeOf(err) != core.CodeBadConditions:
+					t.Fatalf("%v %v, %+v: classified %v, want %v", scheme, tokens, lie, err, core.CodeBadConditions)
+				case !slices.Equal(res.Entries, honest.Entries):
+					refused[kind]++
+				}
+			}
+		}
+	}
+	t.Logf("%d short answers refused; every list stopped: %d wrong answers refused, %d right ones accepted; one list stopped: %d refused, %d accepted",
+		short, refused[0], accepted[0], refused[1], accepted[1])
+	if short == 0 || refused[0] == 0 || refused[1] == 0 {
+		t.Fatal("a check was never needed")
+	}
+}
+
+// TestLyingProverVocabulary claims that an indexed query term is absent,
+// with real name-dictionary leaves proved against the signed root, so each
+// lie breaks exactly one rule of a non-membership proof, and only that
+// rule refuses it:
+//
+//   - one boundary leaf on the wrong side of the token;
+//   - two real leaves that are not adjacent, though they straddle it;
+//   - two adjacent leaves that do not straddle it.
+//
+// Every lie must classify CodeBadVocabProof; the honest answer verifies.
+func TestLyingProverVocabulary(t *testing.T) {
+	col := buildTestCollection(t, 43, 80, 40, func(c *Config) { c.DictMode, c.VocabProofs = true, true })
+	idx := col.Index()
+	m := idx.M()
+	p := m / 2
+	kept, absent := idx.Name(0), idx.Name(index.TermID(p))
+	tokens := []string{kept, absent}
+	lies := map[string][]int{
+		"first leaf, token after it":      {0},
+		"last leaf, token before it":      {m - 1},
+		"leaves not adjacent":             {p - 1, p + 1},
+		"adjacent leaves after the token": {p + 1, p + 2},
+		"adjacent leaves before it":       {p - 2, p - 1},
+	}
+	for _, scheme := range []core.Scheme{core.SchemeMHT, core.SchemeCMHT} {
+		for _, algo := range []core.Algo{core.AlgoTRA, core.AlgoTNRA} {
+			res, voBytes, _, err := col.Search(tokens, 3, algo, scheme)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := col.VerifyResult(tokens, 3, res, voBytes); err != nil {
+				t.Fatalf("%v-%v: honest answer: %v", algo, scheme, err)
+			}
+			for name, positions := range lies {
+				res, lieVO, err := col.lieAbsent(tokens, absent, positions, 3, algo, scheme)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := col.VerifyResult(tokens, 3, res, lieVO); core.CodeOf(err) != core.CodeBadVocabProof {
+					t.Fatalf("%v-%v, %s: classified %v, want %v", algo, scheme, name, err, core.CodeBadVocabProof)
+				}
+			}
+		}
+	}
+}

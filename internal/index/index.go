@@ -90,6 +90,34 @@ type Index struct {
 	byName map[string]TermID
 }
 
+// documentTerms is d's post-pipeline term stream, the one Build indexes.
+func documentTerms(d Document) []string {
+	if d.Tokens == nil {
+		return textproc.Terms(string(d.Content))
+	}
+	return textproc.RemoveStopwords(d.Tokens)
+}
+
+// KeepsTerm reports whether Build keeps at least one dictionary term for
+// docs — without one it refuses them: some document has a term and, when
+// singletons are removed, some term occurs in two documents.
+func KeepsTerm(docs []Document, removeSingletons bool) bool {
+	firstDoc := make(map[string]int)
+	for i, d := range docs {
+		for _, t := range documentTerms(d) {
+			if !removeSingletons {
+				return true
+			}
+			if first, ok := firstDoc[t]; !ok {
+				firstDoc[t] = i
+			} else if first != i {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Build constructs the index from the documents.
 func Build(docs []Document, opts Options) (*Index, error) {
 	if len(docs) == 0 {
@@ -104,12 +132,7 @@ func Build(docs []Document, opts Options) (*Index, error) {
 	docLen := make([]uint32, n)
 	var totalLen int64
 	for i, d := range docs {
-		toks := d.Tokens
-		if toks == nil {
-			toks = textproc.Terms(string(d.Content))
-		} else {
-			toks = textproc.RemoveStopwords(toks)
-		}
+		toks := documentTerms(d)
 		docTokens[i] = toks
 		docLen[i] = uint32(len(toks))
 		totalLen += int64(len(toks))

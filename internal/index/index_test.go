@@ -160,6 +160,30 @@ func TestBuildErrors(t *testing.T) {
 	}
 }
 
+// TestKeepsTermMatchesBuild: KeepsTerm is true exactly when Build keeps a
+// dictionary term, with and without singleton removal.
+func TestKeepsTermMatchesBuild(t *testing.T) {
+	corpora := map[string][]Document{
+		"stopwords only":  {{Content: []byte("the of to and")}, {Content: []byte("a an but")}},
+		"no shared term":  {{Content: []byte("alpha beta")}, {Content: []byte("gamma delta")}},
+		"one shared term": {{Content: []byte("alpha beta")}, {Content: []byte("gamma beta")}},
+		"repeat in one":   {{Content: []byte("alpha alpha")}, {Content: []byte("the")}},
+		"pre-tokenized":   {{Tokens: []string{"the", "alpha"}}, {Tokens: []string{"alpha"}}},
+		"one document":    {{Content: []byte("alpha beta")}},
+		"figure 1":        figure1Docs(),
+	}
+	for name, docs := range corpora {
+		for _, removeSingletons := range []bool{false, true} {
+			opts := DefaultOptions()
+			opts.RemoveSingletons = removeSingletons
+			_, err := Build(docs, opts)
+			if got := KeepsTerm(docs, removeSingletons); got != (err == nil) {
+				t.Errorf("%s, remove singletons %v: KeepsTerm = %v, Build error %v", name, removeSingletons, got, err)
+			}
+		}
+	}
+}
+
 func TestPreTokenizedInput(t *testing.T) {
 	docs := []Document{
 		{Content: []byte("c1"), Tokens: []string{"alpha", "beta", "the"}},

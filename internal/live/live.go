@@ -240,7 +240,8 @@ func (c *Collection) append(slots [][]entry, dirty []bool, docs []index.Document
 // rebuildLocked builds generation gen+1 from c.slots and swaps the served
 // pointer, rebuilding only dirty lists: a clean shard is carried over from
 // the previous generation. A list whose dead slots outnumber its live
-// documents compacts first, shifting its survivors' IDs. On error nothing is
+// documents compacts first, shifting its survivors' IDs — unless its
+// survivors alone would index no term. On error nothing is
 // swapped and the generation does not advance; the caller must restore
 // c.slots, c.dead and c.tokens.
 func (c *Collection) rebuildLocked(added, removed int, dirty []bool) (*UpdateStats, error) {
@@ -264,13 +265,23 @@ func (c *Collection) rebuildLocked(added, removed int, dirty []bool) (*UpdateSta
 		}
 		if c.dead[s] > liveS {
 			kept := make([]entry, 0, liveS)
+			docs := make([]index.Document, 0, liveS)
+			var deadTokens int64
 			for _, e := range c.slots[s] {
 				if e.dead {
-					c.tokens -= int64(e.tokens)
+					deadTokens += int64(e.tokens)
 				} else {
 					kept = append(kept, e)
+					docs = append(docs, e.doc)
 				}
 			}
+			if !index.KeepsTerm(docs, c.cfg.RemoveSingletons) {
+				// Compacted, the survivors would index no term, and the build
+				// would refuse the batch. The list stays tombstoned this
+				// generation: it indexes the documents it indexed before.
+				continue
+			}
+			c.tokens -= deadTokens
 			c.slots[s] = kept
 			totalSlots -= c.dead[s]
 			totalDead -= c.dead[s]

@@ -179,7 +179,7 @@ func TestHMACSignaturePropertyDistinctMessages(t *testing.T) {
 
 // TestSignDeterministic: both signers sign one message to the same bytes
 // every time, so an owner that re-signs an unchanged message reproduces
-// the signature a client already verified (and memoised) byte for byte.
+// the signature a client already verified byte for byte.
 func TestSignDeterministic(t *testing.T) {
 	rsaSigner, err := NewRSASigner(1024)
 	if err != nil {

@@ -315,6 +315,13 @@ func TestLiveShardedMixedGenerationRejected(t *testing.T) {
 	if err := client.AdvanceExport(export2); err != nil {
 		t.Fatalf("advance to set generation 2: %v", err)
 	}
+	// The rebuilt shard clients pin the set client's key.
+	for i, sc := range client.set.shards {
+		if sc.verifier != client.verifier {
+			t.Fatalf("shard client %d pins a key of its own after AdvanceExport", i)
+		}
+	}
+	liveSearchVerify(t, owner.Server(), client, TRA, ChainMHT)
 	fresh, err := owner.Server().Search(liveQuery, 3, TNRA, ChainMHT)
 	if err != nil {
 		t.Fatal(err)
@@ -703,70 +710,71 @@ func TestLiveShardedUpdateCountsTheSetManifest(t *testing.T) {
 	}
 }
 
-// TestSignatureMemoSurvivesGenerationBumps: a client's verified-signature
-// memo belongs to its pinned key, not to a generation. The owner re-signs
-// every unchanged per-list and per-document message — which only a
-// list-mode owner signs — to the same bytes, so they are memo hits after
-// Advance; on a sharded client every shard client shares the one
-// memo, before and after AdvanceExport rebuilds them.
-func TestSignatureMemoSurvivesGenerationBumps(t *testing.T) {
-	owner, _, err := NewListModeLiveOwnerForTest(liveDocs(0, 16), 0)
-	if err != nil {
-		t.Fatal(err)
+// TestCompactionNeverRefusesABatch: compaction is the owner's own policy,
+// so it must never turn an accepted batch into a refusal. In this sequence
+// the last removal leaves one shard more dead slots than live documents,
+// and its survivors share no term: compacted, their index would keep none
+// (singleton terms are dropped). That shard stays tombstoned for this
+// generation — it indexes the same documents as the one before — while the
+// shards that can compact do, in dictionary mode and in list mode alike.
+func TestCompactionNeverRefusesABatch(t *testing.T) {
+	builds := map[string]func([]Document) (*LiveOwner, []DocHandle, error){
+		"dictionary": func(docs []Document) (*LiveOwner, []DocHandle, error) {
+			return NewLiveShardedOwner(docs, 4, WithFastSigner([]byte("compact-refusal")))
+		},
+		"list": func(docs []Document) (*LiveOwner, []DocHandle, error) {
+			return NewListModeLiveOwnerForTest(docs, 4, WithFastSigner([]byte("compact-refusal")))
+		},
 	}
-	client := owner.Client()
-	liveSearchVerify(t, owner.Server(), client, TRA, ChainMHT)
-	cold, hits := client.verifier.TakeCounts()
-	if cold == 0 || hits != 0 {
-		t.Fatalf("first answer: %d verified, %d memo hits", cold, hits)
-	}
-	if _, _, err := owner.Update(liveDocs(16, 1), nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := client.Advance(owner.ManifestUpdate()); err != nil {
-		t.Fatal(err)
-	}
-	liveSearchVerify(t, owner.Server(), client, TRA, ChainMHT)
-	verified, hits := client.verifier.TakeCounts()
-	// Advance verified the new manifest: at least that one is a real check.
-	if hits == 0 || verified == 0 || verified >= cold {
-		t.Fatalf("after the generation bump: %d verified, %d memo hits (cold answer verified %d)", verified, hits, cold)
-	}
-
-	sharded, _, err := NewLiveShardedOwner(liveDocs(0, 32), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := sharded.Client()
-	sharedMemo := func() {
-		t.Helper()
-		for i, shard := range sc.set.shards {
-			if shard.verifier != sc.verifier {
-				t.Fatalf("shard client %d has a memo of its own", i)
+	for mode, build := range builds {
+		t.Run(mode, func(t *testing.T) {
+			owner, handles, err := build(liveDocs(0, 40))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	sharedMemo()
-	memo := sc.verifier
-	if _, _, err := sharded.Update(liveDocs(32, 3), nil); err != nil {
-		t.Fatal(err)
-	}
-	export, err := sharded.Client().Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.AdvanceExport(export); err != nil {
-		t.Fatal(err)
-	}
-	if sc.verifier != memo {
-		t.Fatal("AdvanceExport replaced the memo")
-	}
-	sharedMemo()
-	res, err := sharded.Server().Search(liveQuery, 3, TRA, ChainMHT)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sc.Verify(liveQuery, 3, res); err != nil {
-		t.Fatal(err)
+			client := owner.Client()
+			if _, _, err := owner.Update(liveDocs(40, 3), nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := owner.Update(nil, handles[0:5]); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := owner.Update(liveDocs(43, 2), handles[5:8]); err != nil {
+				t.Fatal(err)
+			}
+			_, rep, err := owner.Update(nil, handles[8:30])
+			if err != nil {
+				t.Fatalf("an honest removal batch was refused: %v", err)
+			}
+			if rep.Generation != 5 || rep.Documents != 15 || rep.Removed != 22 {
+				t.Fatalf("removal report = %+v", rep)
+			}
+			// Every shard with more dead slots than live documents compacted
+			// but one, which still carries all its dead slots.
+			dead, tombstoned := 0, 0
+			for _, sc := range owner.Client().set.shards {
+				n, liveN := int(sc.manifest.N), sc.manifest.LiveDocs()
+				if n > liveN {
+					tombstoned++
+					if n-liveN <= liveN {
+						t.Fatalf("a shard with %d dead slots and %d live documents", n-liveN, liveN)
+					}
+				}
+				dead += n - liveN
+			}
+			if !rep.Compacted || tombstoned != 1 || rep.TombstonedSlots != dead || dead == 0 {
+				t.Fatalf("report = %+v; %d shards carry %d dead slots", rep, tombstoned, dead)
+			}
+			export, err := owner.Client().Export()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := client.AdvanceExport(export); err != nil {
+				t.Fatal(err)
+			}
+			for _, algo := range []Algorithm{TRA, TNRA} {
+				liveSearchVerify(t, owner.Server(), client, algo, ChainMHT)
+			}
+		})
 	}
 }

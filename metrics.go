@@ -9,7 +9,6 @@ import (
 	"authtext/internal/engine"
 	"authtext/internal/obs"
 	"authtext/internal/shard"
-	"authtext/internal/sig"
 	"authtext/internal/wire"
 )
 
@@ -46,12 +45,10 @@ type Metrics struct {
 	liveCompactions *obs.Counter
 	snapshotOpen    *obs.Histogram
 
-	clientVerify      *obs.Histogram
-	clientTamper      *obs.Counter
-	clientSigVerified *obs.Counter
-	clientSigMemoHit  *obs.Counter
-	clientCapFetches  *obs.Counter
-	clientCapBytes    *obs.Counter
+	clientVerify     *obs.Histogram
+	clientTamper     *obs.Counter
+	clientCapFetches *obs.Counter
+	clientCapBytes   *obs.Counter
 
 	fleetCrosschecks   *obs.Counter
 	fleetEquivocations *obs.Counter
@@ -121,10 +118,6 @@ func NewMetrics() *Metrics {
 		"Client-side result verification wall time (seconds).", obs.DefLatencyBuckets)
 	m.clientTamper = r.Counter("authtext_client_tamper_rejections_total",
 		"Results rejected by client verification as tampered.")
-	const sigHelp = "Owner signatures a verifying client accepted: verified = the public-key check ran, " +
-		"memo_hit = the same signature over the same message had already passed it."
-	m.clientSigVerified = r.Counter("authtext_client_signature_checks_total", sigHelp, obs.L("outcome", "verified"))
-	m.clientSigMemoHit = r.Counter("authtext_client_signature_checks_total", sigHelp, obs.L("outcome", "memo_hit"))
 	// The bytes a proof cap takes off every answer arrive here instead, once
 	// per generation: response-size figures that count search bodies alone
 	// do not see them.
@@ -299,10 +292,8 @@ func (m *Metrics) setGeneration(g uint64) {
 	m.liveGeneration.Set(float64(g))
 }
 
-// observeVerify records one client-side verification outcome, and collects
-// the signature checks v (the verifying client's memo) has accepted since it
-// was last collected.
-func (m *Metrics) observeVerify(d time.Duration, err error, v *sig.MemoVerifier) {
+// observeVerify records one client-side verification outcome.
+func (m *Metrics) observeVerify(d time.Duration, err error) {
 	if m == nil {
 		return
 	}
@@ -310,9 +301,6 @@ func (m *Metrics) observeVerify(d time.Duration, err error, v *sig.MemoVerifier)
 	if IsTampered(err) {
 		m.clientTamper.Inc()
 	}
-	verified, hits := v.TakeCounts()
-	m.clientSigVerified.Add(verified)
-	m.clientSigMemoHit.Add(hits)
 }
 
 // observeWireDecode records one response-body decode on a remote client.

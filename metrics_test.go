@@ -323,10 +323,8 @@ func TestConcurrentMetricsScrapeDuringSwaps(t *testing.T) {
 
 // TestClientMetricsVerifyAndTamper checks the client-side satellite: a
 // RemoteClient built with WithClientMetrics times every verification, and
-// counts exactly the tampered rejections, and splits the owner signatures
-// it accepted into those it verified and those its memo had already seen.
-// Answers carry signatures only from a list-mode build (per-list and
-// per-document ones), so that is the owner it queries.
+// counts exactly the tampered rejections. The owner is a list-mode build,
+// whose answers carry per-list and per-document signatures.
 func TestClientMetricsVerifyAndTamper(t *testing.T) {
 	owner, err := NewListModeOwnerForTest(newsDocs(), 0)
 	if err != nil {
@@ -366,31 +364,10 @@ func TestClientMetricsVerifyAndTamper(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := t.Context()
-	sigChecks := func(outcome string) float64 {
-		var buf bytes.Buffer
-		if err := m.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
+	for range 2 {
+		if _, err := rc.Search(ctx, "patent examiner", 3, TRA, ChainMHT); err != nil {
+			t.Fatalf("honest search: %v", err)
 		}
-		samples, err := obs.Parse(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sampleValue(t, samples, "authtext_client_signature_checks_total", obs.L("outcome", outcome))
-	}
-	// The first sighting of each signature is verified; the same honest
-	// answer again is all memo hits.
-	if _, err := rc.Search(ctx, "patent examiner", 3, TRA, ChainMHT); err != nil {
-		t.Fatalf("honest search: %v", err)
-	}
-	first := sigChecks("verified")
-	if first == 0 || sigChecks("memo_hit") != 0 {
-		t.Fatalf("first answer: %g verified, %g memo hits", first, sigChecks("memo_hit"))
-	}
-	if _, err := rc.Search(ctx, "patent examiner", 3, TRA, ChainMHT); err != nil {
-		t.Fatalf("honest search: %v", err)
-	}
-	if v, h := sigChecks("verified"), sigChecks("memo_hit"); v != first || h != first {
-		t.Fatalf("repeated answer: %g verified, %g memo hits, want %g and %g", v, h, first, first)
 	}
 	tamper.Store(true)
 	if _, err := rc.Search(ctx, "patent examiner", 3, TNRA, ChainMHT); !IsTampered(err) {

@@ -400,7 +400,7 @@ func (rc *RemoteClient) withheld(err error) error {
 func (rc *RemoteClient) verified(client *Client, query string, r int, res *SearchResult) (*SearchResult, error) {
 	verifyStart := time.Now()
 	err := client.Verify(query, r, res)
-	rc.metrics.observeVerify(time.Since(verifyStart), err, client.verifier)
+	rc.metrics.observeVerify(time.Since(verifyStart), err)
 	if err != nil {
 		return nil, err
 	}
