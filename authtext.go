@@ -921,6 +921,13 @@ func (c *Client) advanceExport(data []byte, capAsked bool, capBytes []byte) erro
 // from the (now trusted) per-shard results. A result of the wrong shape for
 // this client is a lie like any other: IsTampered classifies it.
 func (c *Client) Verify(query string, r int, res *SearchResult) error {
+	return c.verify(query, r, res, nil)
+}
+
+// verify is Verify, appending to bodies — when not nil — every result body
+// it hashed, with its digest (a shard set's from every shard answer). They
+// are bound only once verify returns nil.
+func (c *Client) verify(query string, r int, res *SearchResult, bodies *[]wire.HeldBody) error {
 	if res == nil {
 		return errors.New("authtext: nil result")
 	}
@@ -932,7 +939,7 @@ func (c *Client) Verify(query string, r int, res *SearchResult) error {
 		return err
 	}
 	if set != nil {
-		return set.verify(query, r, res)
+		return set.verify(query, r, res, bodies)
 	}
 	if res.PerShard != nil {
 		return &core.VerifyError{Code: core.CodeMalformedVO,
@@ -950,7 +957,7 @@ func (c *Client) Verify(query string, r int, res *SearchResult) error {
 		entries[i] = core.ResultEntry{Doc: index.DocID(h.DocID), Score: h.Score}
 		contents[index.DocID(h.DocID)] = h.Content
 	}
-	return core.Verify(&core.VerifyInput{
+	in := &core.VerifyInput{
 		Manifest: manifest,
 		Verifier: c.verifier,
 		Tokens:   textproc.Terms(query),
@@ -959,11 +966,23 @@ func (c *Client) Verify(query string, r int, res *SearchResult) error {
 		Contents: contents,
 		VO:       decoded,
 		Cap:      capped,
-	})
+	}
+	if bodies != nil {
+		in.Digests = make(map[index.DocID][]byte, len(res.Hits))
+	}
+	if err := core.Verify(in); err != nil {
+		return err
+	}
+	if bodies != nil {
+		for _, h := range res.Hits {
+			*bodies = append(*bodies, wire.HeldBody{Digest: in.Digests[index.DocID(h.DocID)], Body: h.Content})
+		}
+	}
+	return nil
 }
 
 // verify checks a fan-out answer against the shard population.
-func (cs *clientSet) verify(query string, r int, res *SearchResult) error {
+func (cs *clientSet) verify(query string, r int, res *SearchResult, bodies *[]wire.HeldBody) error {
 	if len(res.PerShard) != len(cs.shards) {
 		return &core.VerifyError{Code: core.CodeIncomplete,
 			Detail: fmt.Sprintf("%d shard responses for a %d-shard collection", len(res.PerShard), len(cs.shards))}
@@ -975,7 +994,7 @@ func (cs *clientSet) verify(query string, r int, res *SearchResult) error {
 			return &core.VerifyError{Code: core.CodeIncomplete,
 				Detail: fmt.Sprintf("shard %d returned no response", i)}
 		}
-		if err := cs.shards[i].Verify(query, r, sr); err != nil {
+		if err := cs.shards[i].verify(query, r, sr, bodies); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 		entries := make([]core.ResultEntry, len(sr.Hits))

@@ -575,13 +575,19 @@ func TestMetricsEndToEnd(t *testing.T) {
 	defer srv.Close()
 
 	clientMetrics := authtext.NewMetrics()
-	rc, err := authtext.NewRemoteClient(srv.URL, authtext.WithClientMetrics(clientMetrics))
-	if err != nil {
-		t.Fatal(err)
+	dial := func() *authtext.RemoteClient {
+		rc, err := authtext.NewRemoteClient(srv.URL, authtext.WithClientMetrics(clientMetrics))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rc
 	}
+	// 1 miss + 2 cache hits: the first client's repeat refers to the bodies
+	// it holds; a second client is sent them again, from the section memo.
+	rc := dial()
 	ctx := context.Background()
-	for i := 0; i < 3; i++ { // 1 miss + 2 cache hits
-		if _, err := rc.Search(ctx, "inverted index", 2, authtext.TNRA, authtext.ChainMHT); err != nil {
+	for i, c := range []*authtext.RemoteClient{rc, rc, dial()} {
+		if _, err := c.Search(ctx, "inverted index", 2, authtext.TNRA, authtext.ChainMHT); err != nil {
 			t.Fatalf("search %d: %v", i, err)
 		}
 	}
@@ -639,6 +645,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 		// The repeated answer's documents are replayed from the memo (which
 		// earlier tests in this process may have filled: "deflated" can be 0).
 		{"authtext_wire_sections_total", []obs.Label{obs.L("outcome", "memo_hit")}},
+		{"authtext_wire_held_hits_total", []obs.Label{obs.L("sent", "reference")}},
+		{"authtext_wire_held_hits_total", []obs.Label{obs.L("sent", "body")}},
 	}
 	for _, w := range wantPositive {
 		s, ok := obs.FindSample(samples, w.name, w.labels...)
@@ -666,6 +674,10 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if s, ok := obs.FindSample(clientSamples, "authtext_client_wire_sections_total", obs.L("outcome", "memo_hit")); !ok || s.Value <= 0 {
 		t.Errorf("client wire sections from the memo = %g (present %v), want > 0 after a repeated query", s.Value, ok)
+	}
+	// The first client's repeat filled both hits from the bodies it held.
+	if s, ok := obs.FindSample(clientSamples, "authtext_client_held_bodies_total", obs.L("outcome", "used")); !ok || s.Value != 2 {
+		t.Errorf("held bodies used = %g (present %v), want 2", s.Value, ok)
 	}
 
 	// The two engine phases split the engine stage: same observations, and

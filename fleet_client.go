@@ -342,7 +342,7 @@ func (fc *FleetClient) bootstrapAnywhere(ctx context.Context) (*Client, error) {
 // channel, always as plain JSON.
 func (fc *FleetClient) replicaExport(ctx context.Context, replicaURL string) ([]byte, error) {
 	m, err := roundTrip[httpapi.ManifestResponse](ctx, &transport{base: replicaURL, hc: fc.hc},
-		http.MethodGet, httpapi.PathManifest, nil, nil)
+		http.MethodGet, httpapi.PathManifest, nil, nil, false)
 	if err != nil {
 		return nil, err
 	}

@@ -35,6 +35,10 @@ type VerifyInput struct {
 	// collection-tree proofs at any depth up to Cap.Depth (VO.CapDepth);
 	// one cut deeper is CodeCapDepth.
 	Cap *Cap
+	// Digests, when not nil, receives the content digest Verify computes
+	// for each result document it hashes: what binds the delivered body to
+	// the commitment once Verify returns nil.
+	Digests map[index.DocID][]byte
 }
 
 // Verify checks a query result against the correctness criteria of §3.1:
@@ -495,6 +499,9 @@ func verifyDocProof(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, q
 			return nil, vErr(CodeBadContent, "doc %d: result content missing", dp.Doc)
 		}
 		contentHash = baseHasher.Sum(content)
+		if in.Digests != nil {
+			in.Digests[index.DocID(dp.Doc)] = contentHash
+		}
 	} else {
 		if len(dp.ContentHash) != baseHasher.Size() {
 			return nil, vErr(CodeMalformedVO, "doc %d: content hash size", dp.Doc)
@@ -608,6 +615,9 @@ func verifyTNRA(in *VerifyInput, baseHasher sig.Hasher, hasher mht.Hasher, k cut
 			return vErr(CodeMalformedVO, "result doc %d outside collection", e.Doc)
 		}
 		want[int(e.Doc)] = baseHasher.Sum(content)
+		if in.Digests != nil {
+			in.Digests[e.Doc] = want[int(e.Doc)]
+		}
 	}
 	root, err := k.root(hasher, CapDocHash, int(in.Manifest.N), want, cp.Digests)
 	if err != nil {

@@ -501,6 +501,17 @@ func (c *Collection) Index() *index.Index { return c.idx }
 // Index().N unless the collection carries tombstones.
 func (c *Collection) LiveDocs() int { return c.manifest.LiveDocs() }
 
+// ContentDigest returns document d's content digest — its leaf in the
+// document-hash tree, the digest a client's verification computes from the
+// body — or nil for no such document. The slice is the collection's own and
+// must not be modified.
+func (c *Collection) ContentDigest(d index.DocID) []byte {
+	if int(d) < 0 || int(d) >= len(c.docHash) {
+		return nil
+	}
+	return c.docHash[d]
+}
+
 // deadPredicate returns the tombstone skip rule for the search algorithms,
 // or nil when no slot is tombstoned (the common case pays nothing).
 func (c *Collection) deadPredicate() func(index.DocID) bool {

@@ -19,6 +19,13 @@ type traLie struct {
 	pops int
 	// omitR leaves the r-th ranked document out and promotes the (r+1)-th.
 	omitR bool
+	// dropLast leaves the last ranked document out of the answer, proved
+	// like every other encountered document outside it.
+	dropLast bool
+	// unbound answers with every ranked document but proves the last as if
+	// it were outside the answer: its proof carries the committed content
+	// digest instead of binding the delivered body.
+	unbound bool
 }
 
 // lieTRA answers tokens the way lie says: the real TRA pop sequence (the
@@ -131,6 +138,13 @@ func (c *Collection) lieTRA(tokens []string, r int, scheme core.Scheme, lie traL
 	if lie.omitR && len(all) > r {
 		out.Result = append(slices.Clone(all[:r-1]), all[r])
 	}
+	if lie.dropLast && len(out.Result) > 0 {
+		out.Result = out.Result[:len(out.Result)-1]
+	}
+	answer := out.Result
+	if lie.unbound && len(out.Result) > 0 {
+		out.Result = out.Result[:len(out.Result)-1]
+	}
 
 	kind := core.KindFor(core.AlgoTRA, scheme)
 	v := &vo.VO{Algo: uint8(core.AlgoTRA), Scheme: uint8(scheme), Generation: c.manifest.Generation}
@@ -145,8 +159,8 @@ func (c *Collection) lieTRA(tokens []string, r int, scheme core.Scheme, lie traL
 			return nil, nil, err
 		}
 	}
-	res := &Result{Entries: out.Result, Contents: map[index.DocID][]byte{}}
-	for _, e := range out.Result {
+	res := &Result{Entries: answer, Contents: map[index.DocID][]byte{}}
+	for _, e := range answer {
 		res.Contents[e.Doc] = c.idx.Content[e.Doc]
 	}
 	encoded, _, err := vo.Encode(v, c.cfg.HashSize)

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"testing"
 
 	"authtext/internal/core"
@@ -444,6 +445,65 @@ func TestLyingProverTRA(t *testing.T) {
 	t.Logf("%d unlied answers equal Search's; %d early stops and %d omissions refused", unlied, thresholdLies, omissions)
 	if unlied == 0 || thresholdLies == 0 || omissions == 0 {
 		t.Fatal("the liar never told the truth, or a check was never needed")
+	}
+}
+
+// TestLyingProverTRAContent plays the §1 adversary against the two TRA
+// checks no other lie reaches, on a dictionary-mode collection, every lie
+// proved like an honest answer:
+//
+//   - a short answer — every list exhausted, fewer than r documents
+//     encountered — that leaves one encountered document out:
+//     CodeIncomplete, "short result omits encountered doc";
+//   - a hit whose document proof is not marked in-result, so that the
+//     proof binds the committed digest and not the delivered body:
+//     CodeBadContent, "content not bound to its proof".
+func TestLyingProverTRAContent(t *testing.T) {
+	col := buildTestCollection(t, 41, 120, 40, func(c *Config) { c.DictMode = true })
+	idx := col.Index()
+	const r = 8
+	var shorts, unbound int
+	for _, scheme := range []core.Scheme{core.SchemeMHT, core.SchemeCMHT} {
+		// Asked for more documents than the collection holds, every answer
+		// is short: TRA pops every list to its end.
+		short := idx.N + 1
+		for term := 0; term < 6; term++ {
+			tokens := []string{idx.Name(index.TermID(term))}
+			res, lieVO, err := col.lieTRA(tokens, short, scheme, traLie{pops: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := col.VerifyResult(tokens, short, res, lieVO); err != nil || len(res.Entries) < 2 {
+				t.Fatalf("%v %v: the unlied short answer of %d hits: %v", scheme, tokens, len(res.Entries), err)
+			}
+			res, lieVO, err = col.lieTRA(tokens, short, scheme, traLie{pops: -1, dropLast: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = col.VerifyResult(tokens, short, res, lieVO)
+			if core.CodeOf(err) != core.CodeIncomplete || !strings.Contains(err.Error(), "short result omits encountered doc") {
+				t.Fatalf("%v %v: a short answer omitting a document classified %v", scheme, tokens, err)
+			}
+			shorts++
+		}
+		for _, tokens := range verboseQueries(idx, 5, 12) {
+			res, lieVO, err := col.lieTRA(tokens, r, scheme, traLie{pops: -1, unbound: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Entries) == 0 {
+				continue
+			}
+			_, err = col.VerifyResult(tokens, r, res, lieVO)
+			if core.CodeOf(err) != core.CodeBadContent || !strings.Contains(err.Error(), "content not bound to its proof") {
+				t.Fatalf("%v %v: a hit proved outside the answer classified %v", scheme, tokens, err)
+			}
+			unbound++
+		}
+	}
+	t.Logf("%d short answers omitting a document and %d unbound hits refused", shorts, unbound)
+	if shorts == 0 || unbound == 0 {
+		t.Fatal("no query reached a check")
 	}
 }
 

@@ -126,6 +126,8 @@ func (p *ChaosProxy) serve(w http.ResponseWriter, r *http.Request) {
 	}
 	copyHeader(out.Header, r.Header, "Accept")
 	copyHeader(out.Header, r.Header, "Content-Type")
+	copyHeader(out.Header, r.Header, httpapi.DictionaryHeader)
+	copyHeader(out.Header, r.Header, httpapi.HeldHeader)
 	resp, err := p.hc.Do(out)
 	if err != nil {
 		panic(http.ErrAbortHandler)

@@ -493,6 +493,7 @@ func (f *Frontend) forward(w http.ResponseWriter, r *http.Request, b *backend, b
 	copyHeader(out.Header, r.Header, "Content-Type")
 	copyHeader(out.Header, r.Header, "X-Request-Id")
 	copyHeader(out.Header, r.Header, httpapi.DictionaryHeader) // which dictionaries the frame need not carry
+	copyHeader(out.Header, r.Header, httpapi.HeldHeader)       // which bodies it may send as digests
 	resp, err := f.hc.Do(out)
 	if err != nil {
 		*lastErr = err.Error()

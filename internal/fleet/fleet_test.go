@@ -25,8 +25,9 @@ type stubReplica struct {
 	gen      atomic.Uint64
 	failing  atomic.Bool
 	searches atomic.Int64
-	// named is the dictionary header of the last search.
-	named atomic.Pointer[string]
+	// named is the dictionary header of the last search, held its
+	// held-body summary.
+	named, held atomic.Pointer[string]
 	// body is the last search's request body, query the last manifest
 	// request's query string.
 	body, query atomic.Pointer[string]
@@ -57,8 +58,9 @@ func (s *stubReplica) serve(w http.ResponseWriter, r *http.Request) {
 		})
 	case httpapi.PathSearch:
 		s.searches.Add(1)
-		named := r.Header.Get(httpapi.DictionaryHeader)
+		named, held := r.Header.Get(httpapi.DictionaryHeader), r.Header.Get(httpapi.HeldHeader)
 		s.named.Store(&named)
+		s.held.Store(&held)
 		body, _ := io.ReadAll(r.Body)
 		b := string(body)
 		s.body.Store(&b)
@@ -414,6 +416,50 @@ func TestProxyForwardsDictionaryHeader(t *testing.T) {
 		}
 		if got := s.named.Load(); got == nil || *got != named {
 			t.Fatalf("the replica saw dictionaries %v, the client named %q", got, named)
+		}
+	}
+}
+
+// TestProxyForwardsHeldHeader: the front end hands the replica it picks the
+// summary of the bodies the client holds, as the client sent it, so that
+// replicas behind it send those bodies as digests; so does the chaos proxy.
+func TestProxyForwardsHeldHeader(t *testing.T) {
+	s := newStubReplica(1)
+	defer s.Close()
+	f := newTestFrontend(t, []string{s.URL()}, nil)
+	waitFor(t, "probes to learn the generation", func() bool { return f.watermark.Load() == 1 })
+	chaos := NewChaosProxy(s.URL())
+	defer chaos.Close()
+	summary := strings.Repeat("A", 683)
+	for _, held := range []string{"", summary} {
+		req := httptest.NewRequest(http.MethodPost, httpapi.PathSearch, strings.NewReader(`{"query":"x","r":1}`))
+		if held != "" {
+			req.Header.Set(httpapi.HeldHeader, held)
+		}
+		w := httptest.NewRecorder()
+		f.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("search answered %d", w.Code)
+		}
+		if got := s.held.Load(); got == nil || *got != held {
+			t.Fatalf("behind the front end the replica saw summary %v, the client sent %q", got, held)
+		}
+
+		creq, err := http.NewRequest(http.MethodPost, chaos.URL()+httpapi.PathSearch, strings.NewReader(`{"query":"x","r":1}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		creq.Header.Set(httpapi.DictionaryHeader, "ab12")
+		if held != "" {
+			creq.Header.Set(httpapi.HeldHeader, held)
+		}
+		resp, err := http.DefaultClient.Do(creq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if got, named := s.held.Load(), s.named.Load(); *got != held || *named != "ab12" {
+			t.Fatalf("behind the chaos proxy the replica saw summary %q and dictionaries %q", *got, *named)
 		}
 	}
 }

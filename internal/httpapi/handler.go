@@ -222,10 +222,20 @@ func acceptsFrame(r *http.Request) bool {
 }
 
 // encoding deflates bodies against dict, attached unless the request names
-// it among the dictionaries its client holds (DictionaryHeader). A frame is
-// therefore a pure function of the answer, the dictionary and that header.
+// it among the dictionaries its client holds (DictionaryHeader), and refers
+// to the bodies the request's summary holds (HeldHeader). A frame is
+// therefore a pure function of the answer, the dictionary and those headers.
 func encoding(r *http.Request, dict *wire.Dictionary) wire.Encoding {
-	return wire.Encoding{Dict: dict, Attach: dict != nil && !namesDictionary(r, dict.ID())}
+	return wire.Encoding{Dict: dict, Attach: dict != nil && !namesDictionary(r, dict.ID()), Held: heldSummary(r)}
+}
+
+// heldSummary reads the request's HeldHeader: nil unless it is exactly one
+// well-formed summary.
+func heldSummary(r *http.Request) *wire.HeldSummary {
+	if vs := r.Header.Values(HeldHeader); len(vs) == 1 {
+		return wire.ParseHeldSummary(vs[0])
+	}
+	return nil
 }
 
 // namesDictionary reports whether the request's DictionaryHeader lists id

@@ -119,6 +119,14 @@ const GenerationHeader = "X-Authtext-Generation"
 // when the header does not name it (docs/PROTOCOL.md "Binary framing").
 const DictionaryHeader = "X-Authtext-Dictionary"
 
+// HeldHeader is the request header in which a client summarises the
+// bodies it holds: a wire.HeldSummary, 512 bytes in unpadded URL-safe
+// base64. A server sends a hit whose content digest the summary contains as
+// that digest instead of its body; a header that is not exactly one
+// well-formed summary is ignored, and every body is sent
+// (docs/PROTOCOL.md "Held bodies").
+const HeldHeader = "X-Authtext-Held"
+
 // SearchRequest asks for the top-R documents matching Query. Algo and
 // Scheme select the query algorithm and authentication scheme; empty
 // values default to TNRA + CMHT, the configuration the paper recommends.

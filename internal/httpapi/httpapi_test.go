@@ -22,6 +22,8 @@ type fakeBackend struct {
 	content []byte
 	// noCap makes the backend serve no proof caps.
 	noCap bool
+	// digest is the content digest of the hit, for held-body references.
+	digest []byte
 }
 
 func (f *fakeBackend) Search(req *SearchRequest) (*SearchResponse, *wire.Dictionary, error) {
@@ -35,7 +37,7 @@ func (f *fakeBackend) Search(req *SearchRequest) (*SearchResponse, *wire.Diction
 	}
 	return &SearchResponse{
 		Query: req.Query, R: req.R, Algo: req.Algo, Scheme: req.Scheme,
-		Hits: []Hit{{DocID: 7, Score: 1.5, Content: content}},
+		Hits: []Hit{{DocID: 7, Score: 1.5, Content: content, Digest: f.digest}},
 		VO:   []byte{0xde, 0xad},
 	}, f.dict, nil
 }

@@ -87,6 +87,8 @@ const (
 		"memo_hit = remembered stream, deflated = compressor ran, stored = entropy estimate kept it from the compressor."
 	nameDictAttached = "authtext_wire_dictionaries_attached_total"
 	helpDictAttached = "Binary frames that carried their collection dictionary in full, because the request did not name it."
+	nameHeldHits     = "authtext_wire_held_hits_total"
+	helpHeldHits     = "Hits of binary search frames, by how they went: reference = the digest of a body the request's summary holds, body = the body."
 )
 
 // Negotiated content-type label values of authtext_wire_frames_total.
@@ -139,6 +141,11 @@ func newHTTPInstruments(reg *obs.Registry, endpoints []string) *httpInstruments 
 	attached := wire.Dictionaries().Attached
 	reg.CounterFunc(nameDictAttached, helpDictAttached,
 		func() float64 { return float64(wire.Dictionaries().Attached - attached) })
+	held := wire.HeldHits()
+	reg.CounterFunc(nameHeldHits, helpHeldHits,
+		func() float64 { return float64(wire.HeldHits().Referenced - held.Referenced) }, obs.L("sent", "reference"))
+	reg.CounterFunc(nameHeldHits, helpHeldHits,
+		func() float64 { return float64(wire.HeldHits().Sent - held.Sent) }, obs.L("sent", "body"))
 	return ins
 }
 

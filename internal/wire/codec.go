@@ -19,8 +19,11 @@ import (
 // Per-message layout (see docs/PROTOCOL.md "Binary framing"):
 //
 //	SearchResponse:  str query | u32 r | str algo | str scheme |
-//	                 u64 generation | u32 nhits ·{ u64 doc_id | f64 score |
-//	                 bytes content } | bytes vo | SearchStats
+//	                 u64 generation | u32 nhits ·Hit | bytes vo | SearchStats
+//	Hit:             u64 doc_id | f64 score | bytes content
+//	                 (in a frame with flagHeldRefs: u64 doc_id | f64 score |
+//	                 u8 tag, then tag 0: bytes content, tag 1: bytes digest
+//	                 of a body the request's summary holds)
 //	SearchStats:     u32 query_terms | u32 entries_read | f64 per_term |
 //	                 f64 pct_read | u64 block_reads | u64 random_reads |
 //	                 f64 io_millis | u32 vo_bytes | f64 server_millis
@@ -71,7 +74,31 @@ func appendSearchStats(b []byte, st *SearchStats) []byte {
 	return b
 }
 
-func appendSearchResponse(b []byte, secs *[]section, r *SearchResponse) []byte {
+// Hit tags, in a frame with flagHeldRefs.
+const (
+	hitBody byte = 0 // the body follows
+	hitRef  byte = 1 // the digest of a body the client holds follows
+)
+
+// appendHit appends one hit: untagged when held is nil, otherwise tagged,
+// and as a reference when held contains its digest.
+func appendHit(b []byte, secs *[]section, h *Hit, held *HeldSummary) []byte {
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(h.DocID)))
+	b = binary.BigEndian.AppendUint64(b, f64bits(h.Score))
+	if held.Has(h.Digest) {
+		hitsReferenced.Add(1)
+		b = append(b, hitRef)
+		b = binary.BigEndian.AppendUint32(b, uint32(len(h.Digest)))
+		return append(b, h.Digest...)
+	}
+	hitsSent.Add(1)
+	if held != nil {
+		b = append(b, hitBody)
+	}
+	return appendSection(b, secs, h.Content, false)
+}
+
+func appendSearchResponse(b []byte, secs *[]section, r *SearchResponse, held *HeldSummary) []byte {
 	b = appendStr(b, r.Query)
 	b = binary.BigEndian.AppendUint32(b, uint32(r.R))
 	b = appendStr(b, r.Algo)
@@ -79,13 +106,25 @@ func appendSearchResponse(b []byte, secs *[]section, r *SearchResponse) []byte {
 	b = binary.BigEndian.AppendUint64(b, r.Generation)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Hits)))
 	for i := range r.Hits {
-		h := &r.Hits[i]
-		b = binary.BigEndian.AppendUint64(b, uint64(int64(h.DocID)))
-		b = binary.BigEndian.AppendUint64(b, f64bits(h.Score))
-		b = appendSection(b, secs, h.Content, false)
+		b = appendHit(b, secs, &r.Hits[i], held)
 	}
 	b = appendSection(b, secs, r.VO, true)
 	return appendSearchStats(b, &r.Stats)
+}
+
+// held returns e.Held when it contains the digest of one of the hits, nil
+// otherwise: a frame tags its hits only when one of them is a reference,
+// so an answer to a client that holds none of its bodies is the frame it
+// always was.
+func (e Encoding) held(hits ...[]Hit) *HeldSummary {
+	for _, hs := range hits {
+		for i := range hs {
+			if e.Held.Has(hs[i].Digest) {
+				return e.Held
+			}
+		}
+	}
+	return nil
 }
 
 // searchResponseSize is what r encodes to, generously: the fixed fields,
@@ -103,17 +142,21 @@ func EncodeSearchResponse(r *SearchResponse) []byte { return Encoding{}.SearchRe
 
 // SearchResponse frames one search answer.
 func (e Encoding) SearchResponse(r *SearchResponse) []byte {
+	held := e.held(r.Hits)
 	secs := make([]section, 0, len(r.Hits)+1)
-	return e.frame(TypeSearch, appendSearchResponse(make([]byte, 0, searchResponseSize(r)), &secs, r), secs)
+	return e.frame(TypeSearch, appendSearchResponse(make([]byte, 0, searchResponseSize(r)), &secs, r, held), secs, held != nil)
 }
 
 // ShardedSearchResponse frames one fan-out answer.
 func (e Encoding) ShardedSearchResponse(r *ShardedSearchResponse) []byte {
 	size, nsecs := 256+len(r.Query)+len(r.Merged)*(4+8+8+8), 0
+	hits := make([][]Hit, len(r.Shards))
 	for i := range r.Shards {
 		size += searchResponseSize(&r.Shards[i])
 		nsecs += len(r.Shards[i].Hits) + 1
+		hits[i] = r.Shards[i].Hits
 	}
+	held := e.held(hits...)
 	secs := make([]section, 0, nsecs)
 	b := appendStr(make([]byte, 0, size), r.Query)
 	b = binary.BigEndian.AppendUint32(b, uint32(r.R))
@@ -122,7 +165,7 @@ func (e Encoding) ShardedSearchResponse(r *ShardedSearchResponse) []byte {
 	b = binary.BigEndian.AppendUint64(b, r.Generation)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Shards)))
 	for i := range r.Shards {
-		b = appendSearchResponse(b, &secs, &r.Shards[i])
+		b = appendSearchResponse(b, &secs, &r.Shards[i], held)
 	}
 	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Merged)))
 	for i := range r.Merged {
@@ -137,7 +180,7 @@ func (e Encoding) ShardedSearchResponse(r *ShardedSearchResponse) []byte {
 	b = binary.BigEndian.AppendUint32(b, uint32(r.Stats.VOBytes))
 	b = binary.BigEndian.AppendUint64(b, f64bits(r.Stats.IOMillis))
 	b = binary.BigEndian.AppendUint64(b, f64bits(r.Stats.ServerMillis))
-	return e.frame(TypeSharded, b, secs)
+	return e.frame(TypeSharded, b, secs, held != nil)
 }
 
 // EncodeManifestResponse frames the verification-material bootstrap. An
@@ -151,7 +194,7 @@ func EncodeManifestResponse(r *ManifestResponse) []byte {
 		b = binary.BigEndian.AppendUint32(b, uint32(len(r.Cap)))
 		b = append(b, r.Cap...)
 	}
-	return Encoding{}.frame(TypeManifest, b, secs)
+	return Encoding{}.frame(TypeManifest, b, secs, false)
 }
 
 // --- decoding ---
@@ -209,7 +252,56 @@ func searchStats(r *binx.Reader, st *SearchStats) {
 // minHitBytes is the smallest encoded Hit (empty content).
 const minHitBytes = 8 + 8 + 4
 
-func searchResponse(r *binx.Reader, out *SearchResponse) {
+// hitReader reads the hits of one frame: tagged when the frame says so
+// (flagHeldRefs), with references filled from refs.
+type hitReader struct {
+	tagged bool
+	refs   *HeldRefs
+}
+
+// hit reads one hit into h. A reference sets Digest, and Content is filled
+// with a copy of the body held under it once the whole message has decoded
+// (done).
+func (hr hitReader) hit(r *binx.Reader, h *Hit) {
+	h.DocID = int64v(r)
+	h.Score = r.F64()
+	if !hr.tagged {
+		h.Content = bytesv(r)
+		return
+	}
+	switch tag := r.U8(); tag {
+	case hitBody:
+		h.Content = bytesv(r)
+	case hitRef:
+		digest := bytesv(r)
+		if len(digest) < minDigestBytes || len(digest) > maxDigestBytes {
+			r.Fail(fmt.Errorf("a reference of %d bytes is no digest", len(digest)))
+			return
+		}
+		h.Digest = digest
+		hr.refs.pending = append(hr.refs.pending, h)
+	default:
+		r.Fail(fmt.Errorf("unknown hit tag %d", tag))
+	}
+}
+
+// done fills the references of a message that decoded (err nil) from the
+// store, and reports one it could not fill as ErrHeldMiss.
+func (hr hitReader) done(err error) error {
+	if !hr.tagged {
+		return err
+	}
+	if err != nil {
+		hr.refs.pending = nil
+		return err
+	}
+	if hr.refs.fill(); hr.refs.Missed > 0 {
+		return ErrHeldMiss
+	}
+	return nil
+}
+
+func searchResponse(r *binx.Reader, out *SearchResponse, hr hitReader) {
 	out.Query = str(r)
 	out.R = int32v(r)
 	out.Algo = str(r)
@@ -219,9 +311,7 @@ func searchResponse(r *binx.Reader, out *SearchResponse) {
 	if n := count(r, minHitBytes); n > 0 {
 		out.Hits = make([]Hit, n)
 		for i := range out.Hits {
-			out.Hits[i].DocID = int64v(r)
-			out.Hits[i].Score = r.F64()
-			out.Hits[i].Content = bytesv(r)
+			hr.hit(r, &out.Hits[i])
 		}
 	}
 	out.VO = bytesv(r)
@@ -242,16 +332,18 @@ func DecodeSearchResponse(frame []byte) (*SearchResponse, error) {
 	return Decoding{}.SearchResponse(frame)
 }
 
-// SearchResponse parses a search frame.
+// SearchResponse parses a search frame. A frame that refers to a body
+// dec.Bodies cannot fill fails with ErrHeldMiss once the rest of it has
+// decoded.
 func (dec Decoding) SearchResponse(frame []byte) (*SearchResponse, error) {
-	raw, err := dec.payload(frame, TypeSearch)
+	raw, hr, err := dec.payload(frame, TypeSearch)
 	if err != nil {
 		return nil, err
 	}
 	r := binx.NewReader(raw)
 	out := &SearchResponse{}
-	searchResponse(&r, out)
-	if err := finish(&r, "search response"); err != nil {
+	searchResponse(&r, out, hr)
+	if err := hr.done(finish(&r, "search response")); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -262,7 +354,7 @@ const minShardBytes = 4 + 4 + 4 + 4 + 8 + 4 + 4 + (4 + 4 + 8 + 8 + 8 + 8 + 8 + 4
 
 // ShardedSearchResponse parses a fan-out frame.
 func (dec Decoding) ShardedSearchResponse(frame []byte) (*ShardedSearchResponse, error) {
-	raw, err := dec.payload(frame, TypeSharded)
+	raw, hr, err := dec.payload(frame, TypeSharded)
 	if err != nil {
 		return nil, err
 	}
@@ -276,7 +368,7 @@ func (dec Decoding) ShardedSearchResponse(frame []byte) (*ShardedSearchResponse,
 	if n := count(&r, minShardBytes); n > 0 {
 		out.Shards = make([]SearchResponse, n)
 		for i := range out.Shards {
-			searchResponse(&r, &out.Shards[i])
+			searchResponse(&r, &out.Shards[i], hr)
 		}
 	}
 	if n := count(&r, 4+8+8+8); n > 0 {
@@ -293,7 +385,7 @@ func (dec Decoding) ShardedSearchResponse(frame []byte) (*ShardedSearchResponse,
 	out.Stats.VOBytes = int32v(&r)
 	out.Stats.IOMillis = r.F64()
 	out.Stats.ServerMillis = r.F64()
-	if err := finish(&r, "sharded response"); err != nil {
+	if err := hr.done(finish(&r, "sharded response")); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -302,7 +394,7 @@ func (dec Decoding) ShardedSearchResponse(frame []byte) (*ShardedSearchResponse,
 // DecodeManifestResponse parses an EncodeManifestResponse frame, which
 // names no dictionary.
 func DecodeManifestResponse(frame []byte) (*ManifestResponse, error) {
-	raw, err := Decoding{}.payload(frame, TypeManifest)
+	raw, _, err := Decoding{}.payload(frame, TypeManifest)
 	if err != nil {
 		return nil, err
 	}
@@ -321,14 +413,15 @@ func DecodeManifestResponse(frame []byte) (*ManifestResponse, error) {
 	return out, nil
 }
 
-// payload decodes a frame and checks its payload type.
-func (dec Decoding) payload(frame []byte, want byte) ([]byte, error) {
-	typ, raw, err := dec.Frame(frame)
+// payload decodes a frame, checks its payload type, and returns the reader
+// of its hits.
+func (dec Decoding) payload(frame []byte, want byte) ([]byte, hitReader, error) {
+	typ, refs, raw, err := dec.frame(frame)
 	if err != nil {
-		return nil, err
+		return nil, hitReader{}, err
 	}
 	if typ != want {
-		return nil, decodeErr("payload type %d, want %d", typ, want)
+		return nil, hitReader{}, decodeErr("payload type %d, want %d", typ, want)
 	}
-	return raw, nil
+	return raw, hitReader{tagged: refs, refs: dec.Bodies}, nil
 }

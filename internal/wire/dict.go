@@ -266,12 +266,15 @@ func (s *DictionaryStore) use(d *Dictionary) (*Dictionary, bool) {
 // Decoding says which dictionaries a frame may name without carrying them:
 // Held, those its request named. Made by DictionaryStore.Held, it also
 // makes the dictionary a frame uses that store's most recently used,
-// installing one the frame carried. The zero Decoding holds none and
-// installs nowhere: it decodes frames that name no dictionary or carry the
-// one they name.
+// installing one the frame carried. Bodies resolves the hits a frame sends
+// by reference (BodyStore.Held): nil when the request named no held body,
+// and then a frame that refers to one is malformed. The zero Decoding holds
+// none and installs nowhere: it decodes frames that name no dictionary or
+// carry the one they name, and send every body.
 type Decoding struct {
-	Held  []*Dictionary
-	store *DictionaryStore
+	Held   []*Dictionary
+	Bodies *HeldRefs
+	store  *DictionaryStore
 }
 
 // resolve returns the dictionary a frame names by id: attached, which must

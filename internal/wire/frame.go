@@ -22,7 +22,8 @@ import (
 //	4      1   format version (3)
 //	5      1   payload type (TypeSearch, TypeSharded, TypeManifest)
 //	6      2   flags (bit 0: payload is a chunk list; bit 1: the frame names a
-//	           collection dictionary; bit 2: and carries it)
+//	           collection dictionary; bit 2: and carries it; bit 3: its hits
+//	           are tagged, and may refer to held bodies — held.go)
 //	8      4   CRC-32C (Castagnoli) of everything after the header
 //	12     8   length of everything after the header
 //	20     32  SHA-256 of the dictionary (bit 1 only)
@@ -81,6 +82,7 @@ const (
 	flagChunked      uint16 = 1 << 0 // the payload is a chunk list
 	flagDictNamed    uint16 = 1 << 1 // a dictionary id follows the header
 	flagDictAttached uint16 = 1 << 2 // and the dictionary after it
+	flagHeldRefs     uint16 = 1 << 3 // hits are tagged: a body, or a reference to a held one
 )
 
 // MaxPayloadBytes caps the decoded (decompressed) payload a decoder will
@@ -117,17 +119,21 @@ type section struct {
 // Encoding says how a frame deflates document bodies: against Dict, the
 // collection dictionary of the generation that answered (nil: from an empty
 // history), which the frame carries in full when Attach is set — when the
-// request did not name it among the dictionaries its client holds.
+// request did not name it among the dictionaries its client holds. Held is
+// the summary of the bodies that client holds (nil: none): a hit whose
+// Digest it contains is sent as that digest instead of its body.
 type Encoding struct {
 	Dict   *Dictionary
 	Attach bool
+	Held   *HeldSummary
 }
 
 // frame wraps an encoded message payload in a frame, as a chunk list when
 // that pays: each section is deflated on its own (see sectionStream), so a
-// document is compressed once, not once per answer that returns it. The raw
-// slice is not retained.
-func (e Encoding) frame(typ byte, raw []byte, secs []section) []byte {
+// document is compressed once, not once per answer that returns it. refs
+// says that the message's hits are tagged (flagHeldRefs). The raw slice is
+// not retained.
+func (e Encoding) frame(typ byte, raw []byte, secs []section, refs bool) []byte {
 	extra := 0 // the dictionary's fields, should a body use it
 	if e.Dict != nil {
 		extra = sha256.Size
@@ -162,6 +168,9 @@ func (e Encoding) frame(typ byte, raw []byte, secs []section) []byte {
 	}
 	if flags == 0 {
 		out = append(out[:HeaderSize], raw...)
+	}
+	if refs {
+		flags |= flagHeldRefs
 	}
 	body := out[HeaderSize:]
 	copy(out, frameMagic)
@@ -406,56 +415,67 @@ func DecodeFrame(b []byte) (typ byte, raw []byte, err error) { return Decoding{}
 // decompression, and a dictionary the frame names must be the one it
 // carries or one of dec.Held.
 func (dec Decoding) Frame(b []byte) (typ byte, raw []byte, err error) {
+	typ, _, raw, err = dec.frame(b)
+	return typ, raw, err
+}
+
+// frame is Frame, reporting too whether the message's hits are tagged.
+func (dec Decoding) frame(b []byte) (typ byte, refs bool, raw []byte, err error) {
 	if len(b) < HeaderSize {
-		return 0, nil, frameErr("short frame: %d bytes", len(b))
+		return 0, false, nil, frameErr("short frame: %d bytes", len(b))
 	}
 	if string(b[:4]) != frameMagic {
-		return 0, nil, frameErr("bad magic")
+		return 0, false, nil, frameErr("bad magic")
 	}
 	if v := b[4]; v != FrameVersion {
-		return 0, nil, frameErr("unsupported frame version %d (this build speaks %d)", v, FrameVersion)
+		return 0, false, nil, frameErr("unsupported frame version %d (this build speaks %d)", v, FrameVersion)
 	}
 	switch typ = b[5]; typ {
 	case TypeSearch, TypeSharded, TypeManifest:
 	default:
-		return 0, nil, frameErr("unknown payload type %d", typ)
+		return 0, false, nil, frameErr("unknown payload type %d", typ)
 	}
-	const known = flagChunked | flagDictNamed | flagDictAttached
+	const known = flagChunked | flagDictNamed | flagDictAttached | flagHeldRefs
 	flags := binary.BigEndian.Uint16(b[6:])
+	refs = flags&flagHeldRefs != 0
 	switch {
 	case flags&^known != 0:
-		return 0, nil, frameErr("unknown flags %#x", flags&^known)
+		return 0, false, nil, frameErr("unknown flags %#x", flags&^known)
 	case flags&flagDictAttached != 0 && flags&flagDictNamed == 0:
-		return 0, nil, frameErr("a dictionary is attached but not named")
+		return 0, false, nil, frameErr("a dictionary is attached but not named")
 	case flags&flagDictNamed != 0 && flags&flagChunked == 0:
-		return 0, nil, frameErr("a dictionary is named for a payload without chunks")
+		return 0, false, nil, frameErr("a dictionary is named for a payload without chunks")
+	case refs && typ == TypeManifest:
+		return 0, false, nil, frameErr("a manifest has no hits to refer to held bodies")
+	case refs && dec.Bodies == nil:
+		return 0, false, nil, frameErr("the frame refers to held bodies, but its request named none")
 	}
 	wantCRC := binary.BigEndian.Uint32(b[8:])
 	length := binary.BigEndian.Uint64(b[12:])
 	if length > MaxPayloadBytes {
-		return 0, nil, frameErr("payload length %d exceeds cap %d", length, MaxPayloadBytes)
+		return 0, false, nil, frameErr("payload length %d exceeds cap %d", length, MaxPayloadBytes)
 	}
 	if uint64(len(b)-HeaderSize) != length {
-		return 0, nil, frameErr("payload length %d, frame carries %d", length, len(b)-HeaderSize)
+		return 0, false, nil, frameErr("payload length %d, frame carries %d", length, len(b)-HeaderSize)
 	}
 	payload := b[HeaderSize:]
 	if crc32.Checksum(payload, castagnoli) != wantCRC {
-		return 0, nil, frameErr("payload fails its CRC (corrupted frame)")
+		return 0, false, nil, frameErr("payload fails its CRC (corrupted frame)")
 	}
 	if flags&flagChunked == 0 {
-		return typ, payload, nil
+		return typ, refs, payload, nil
 	}
 	var d *Dictionary
 	if flags&flagDictNamed != 0 {
 		if d, payload, err = dec.dictionary(payload, flags&flagDictAttached != 0); err != nil {
-			return 0, nil, err
+			return 0, false, nil, err
 		}
 	}
 	raw, err = inflateChunks(payload, d)
 	if err != nil {
-		return 0, nil, err
+		return 0, false, nil, err
 	}
-	return typ, raw, nil
+	return typ, refs, raw, nil
 }
 
 // dictionary reads the dictionary id, and the dictionary when attached, from

@@ -15,7 +15,8 @@ import (
 // memo changes nothing: an accepted chunk list decodes to the same bytes
 // with a cold memo and then a warm one, and to the concatenation of its
 // chunks inflated standalone, each with the frame's dictionary — attached,
-// or the one dictionary the decoder holds.
+// or the one dictionary the decoder holds. The decoder holds bodies too, so
+// frames that refer to held bodies reach the message decoders.
 func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("ATWF"))
@@ -50,6 +51,19 @@ func FuzzDecodeFrame(f *testing.F) {
 	dict := []byte("merkle tree proofs ")
 	id, other := sha256.Sum256(dict), sha256.Sum256([]byte("another dictionary"))
 	dec := Decoding{Held: []*Dictionary{NewDictionary(dict)}}
+	// Frames that refer to held bodies: to one the decoder holds, in a bare
+	// and a fan-out answer, stored and chunked; to one it does not; under an
+	// unknown tag; from a manifest.
+	sample, verbose2 := withDigests(sampleSearchResponse()), withDigests(verboseSearchResponse())
+	store, sum := heldStore(sample.Hits[1].Content)
+	_, dec.Bodies = store.Held()
+	f.Add(Encoding{Held: sum}.SearchResponse(sample))
+	f.Add(Encoding{Held: sum}.SearchResponse(verbose2))
+	f.Add(Encoding{Held: sum}.ShardedSearchResponse(&ShardedSearchResponse{Query: "q",
+		Shards: []SearchResponse{*verbose2, *sample}, Merged: []MergedHit{{Shard: 1, DocID: 7}}}))
+	f.Add(frameOf(TypeSearch, flagHeldRefs, taggedAnswer(hitRef, digestOf([]byte("not held")))))
+	f.Add(frameOf(TypeSearch, flagHeldRefs, taggedAnswer(7, sample.Hits[1].Digest)))
+	f.Add(frameOf(TypeManifest, flagHeldRefs, []byte("manifest")))
 	f.Add(dictFrame(TypeManifest, flagDictNamed|flagDictAttached, id, dict, backRef))
 	f.Add(dictFrame(TypeManifest, flagDictNamed, id, nil, backRef))
 	f.Add(dictFrame(TypeManifest, flagDictNamed|flagDictAttached, other, dict, backRef))

@@ -20,7 +20,9 @@ import (
 )
 
 // plainFrame frames raw with no dictionary.
-func plainFrame(typ byte, raw []byte, secs []section) []byte { return Encoding{}.frame(typ, raw, secs) }
+func plainFrame(typ byte, raw []byte, secs []section) []byte {
+	return Encoding{}.frame(typ, raw, secs, false)
+}
 
 // chunkedFrame frames a chunk-list payload with a valid header: flag, CRC
 // and length all agree with it.
@@ -419,7 +421,7 @@ func TestAssembledStreamLayouts(t *testing.T) {
 			}
 			if r, ok := l.want.(*SearchResponse); ok {
 				var secs []section
-				raw := appendSearchResponse(nil, &secs, r)
+				raw := appendSearchResponse(nil, &secs, r, nil)
 				checkFrame(t, miss, raw, secs)
 			}
 		})

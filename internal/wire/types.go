@@ -27,6 +27,12 @@ type Hit struct {
 	DocID   int     `json:"doc_id"`
 	Score   float64 `json:"score"`
 	Content []byte  `json:"content"`
+	// Digest is the content digest by which a frame may refer to a body
+	// its client holds (held.go): the server sets it on every hit, from the
+	// document-hash leaf it already keeps; on a decoded hit it is set only
+	// when the frame sent the reference instead of the body. JSON never
+	// carries it.
+	Digest []byte `json:"-"`
 }
 
 // SearchStats reports the server-side per-query costs (§4.1 of the paper).

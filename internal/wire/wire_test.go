@@ -313,7 +313,7 @@ func TestDecodeHostileMessages(t *testing.T) {
 	}
 	// Trailing garbage after a valid message.
 	var secs []section
-	valid := appendSearchResponse(nil, &secs, sampleSearchResponse())
+	valid := appendSearchResponse(nil, &secs, sampleSearchResponse(), nil)
 	if _, err := DecodeSearchResponse(plainFrame(TypeSearch, append(valid, 0xcc), secs)); err == nil {
 		t.Fatal("trailing bytes decoded successfully")
 	} else if !strings.Contains(err.Error(), "trailing") {

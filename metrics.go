@@ -49,6 +49,9 @@ type Metrics struct {
 	clientTamper     *obs.Counter
 	clientCapFetches *obs.Counter
 	clientCapBytes   *obs.Counter
+	clientHeldUsed   *obs.Counter
+	clientHeldMissed *obs.Counter
+	clientHeldRetry  *obs.Counter
 
 	fleetCrosschecks   *obs.Counter
 	fleetEquivocations *obs.Counter
@@ -125,6 +128,12 @@ func NewMetrics() *Metrics {
 		"Proof caps a remote client received with a manifest (one per generation it verified against).")
 	m.clientCapBytes = r.Counter("authtext_client_cap_bytes_total",
 		"Bytes of the proof caps a remote client received with manifests.")
+	const heldHelp = "References to held bodies in the answers a remote client decoded: " +
+		"used = filled from the bodies it holds, missed = not held (the request is asked again without a summary)."
+	m.clientHeldUsed = r.Counter("authtext_client_held_bodies_total", heldHelp, obs.L("outcome", "used"))
+	m.clientHeldMissed = r.Counter("authtext_client_held_bodies_total", heldHelp, obs.L("outcome", "missed"))
+	m.clientHeldRetry = r.Counter("authtext_client_held_retries_total",
+		"Searches a remote client asked again without a held-body summary, because their answer referred to a body it did not hold.")
 	// The decode memo is one per process, like the server's deflate memo, so
 	// these are the wire package's process-wide counts, read from where they
 	// stood when this registry was built: they start at zero like every
@@ -327,6 +336,24 @@ func (m *Metrics) countCapFetch(n int) {
 	}
 	m.clientCapFetches.Inc()
 	m.clientCapBytes.Add(uint64(n))
+}
+
+// countHeldUsed records n bodies an answer's references were filled from.
+func (m *Metrics) countHeldUsed(n int) {
+	if m == nil {
+		return
+	}
+	m.clientHeldUsed.Add(uint64(n))
+}
+
+// countHeldMiss records an answer with n references the client could not
+// fill, and the search asked again for it.
+func (m *Metrics) countHeldMiss(n int) {
+	if m == nil {
+		return
+	}
+	m.clientHeldMissed.Add(uint64(n))
+	m.clientHeldRetry.Inc()
 }
 
 // recordCrossCheck observes one fleet cross-check: the generation spread

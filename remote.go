@@ -38,7 +38,10 @@ import (
 // Against a bare collection it also holds, per generation, the top capDepth
 // levels of the collection-level trees — fetched with the manifest and
 // checked against the roots it signs — and asks for answers whose proofs
-// stop there (docs/PROTOCOL.md "Proof caps").
+// stop there (docs/PROTOCOL.md "Proof caps"). It holds, too, the bodies it
+// verified most recently, and an answer refers to one of those by its
+// content digest instead of sending it again (docs/PROTOCOL.md "Held
+// bodies"); every body is verified again whenever an answer returns it.
 type RemoteClient struct {
 	transport
 
@@ -155,6 +158,9 @@ type transport struct {
 	// dicts holds the collection dictionaries this server's frames carried:
 	// what a request names, so that its answer need not carry them again.
 	dicts wire.DictionaryStore
+	// bodies holds the result bodies this client verified: what a search
+	// request summarises, so that its answer need not carry them again.
+	bodies wire.BodyStore
 }
 
 // Bootstrap fetches and verifies the owner's manifest now instead of
@@ -201,7 +207,7 @@ func (rc *RemoteClient) fetchManifest(ctx context.Context, sharded bool) (*httpa
 	if sharded {
 		path, format = httpapi.PathShardManifest, httpapi.FormatATSX
 	}
-	m, err := roundTrip(ctx, &rc.transport, http.MethodGet, path, nil, decodeManifest)
+	m, err := roundTrip(ctx, &rc.transport, http.MethodGet, path, nil, decodeManifest, false)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +311,7 @@ func ask[T any](ctx context.Context, rc *RemoteClient, client *Client, path stri
 		return nil, err
 	}
 	for attempt := 0; ; attempt++ {
-		answer, err := roundTrip(ctx, &rc.transport, http.MethodPost, path, body, fromFrame)
+		answer, err := roundTrip(ctx, &rc.transport, http.MethodPost, path, body, fromFrame, true)
 		if err != nil {
 			return nil, err
 		}
@@ -396,13 +402,18 @@ func (rc *RemoteClient) withheld(err error) error {
 }
 
 // verified verifies res against the bootstrapped manifest, recording the
-// verification cost and outcome.
+// verification cost and outcome, and keeps the bodies it bound for later
+// answers to refer to while this client offers frames.
 func (rc *RemoteClient) verified(client *Client, query string, r int, res *SearchResult) (*SearchResult, error) {
 	verifyStart := time.Now()
-	err := client.Verify(query, r, res)
+	bodies := make([]wire.HeldBody, 0, len(res.Hits))
+	err := client.verify(query, r, res, &bodies)
 	rc.metrics.observeVerify(time.Since(verifyStart), err)
 	if err != nil {
 		return nil, err
+	}
+	if !rc.noBinary.Load() {
+		rc.bodies.Keep(bodies)
 	}
 	return res, nil
 }
@@ -488,7 +499,7 @@ type ServerHealth struct {
 // Health reports the server's liveness, shape and aggregate counters.
 // Nothing in it is authenticated — it is operational data only.
 func (t *transport) Health(ctx context.Context) (*ServerHealth, error) {
-	h, err := roundTrip[httpapi.Health](ctx, t, http.MethodGet, httpapi.PathHealthz, nil, nil)
+	h, err := roundTrip[httpapi.Health](ctx, t, http.MethodGet, httpapi.PathHealthz, nil, nil, false)
 	if err != nil {
 		return nil, err
 	}
@@ -520,8 +531,14 @@ const maxResponseBytes = 64 << 20
 // this client compatible with both older servers that ignore Accept (they
 // simply answer JSON) and strict ones that reject unknown media types. A
 // nil fromFrame never offers frames.
+//
+// A search (held) offering frames also summarises the bodies t holds, and
+// its answer's references are filled from them. A reference t cannot fill
+// is no tampering — a false positive of the summary, or a body evicted
+// while the request was in flight — and the request is asked once more
+// without the summary, so that every body comes in full.
 func roundTrip[T any](ctx context.Context, t *transport, method, path string, body []byte,
-	fromFrame func(wire.Decoding, []byte) (*T, error)) (*T, error) {
+	fromFrame func(wire.Decoding, []byte) (*T, error), held bool) (*T, error) {
 	for {
 		var reqBody io.Reader
 		if body != nil {
@@ -538,9 +555,15 @@ func roundTrip[T any](ctx context.Context, t *transport, method, path string, bo
 		var dec wire.Decoding
 		if offer {
 			req.Header.Set("Accept", wire.ContentType)
-			var held string
-			if held, dec = t.dicts.Held(); held != "" {
-				req.Header.Set(httpapi.DictionaryHeader, held)
+			var names string
+			if names, dec = t.dicts.Held(); names != "" {
+				req.Header.Set(httpapi.DictionaryHeader, names)
+			}
+			if held {
+				var summary string
+				if summary, dec.Bodies = t.bodies.Held(); summary != "" {
+					req.Header.Set(httpapi.HeldHeader, summary)
+				}
 			}
 		}
 		resp, err := t.hc.Do(req)
@@ -555,6 +578,16 @@ func roundTrip[T any](ctx context.Context, t *transport, method, path string, bo
 		}
 		out, err := decodeBody(req.URL.Path, resp, t.metrics, dec, fromFrame)
 		resp.Body.Close()
+		if refs := dec.Bodies; refs != nil {
+			if errors.Is(err, wire.ErrHeldMiss) {
+				t.metrics.countHeldMiss(refs.Missed)
+				held = false
+				continue
+			}
+			if err == nil {
+				t.metrics.countHeldUsed(refs.Used)
+			}
+		}
 		return out, err
 	}
 }
@@ -578,6 +611,9 @@ func decodeBody[T any](path string, resp *http.Response, m *Metrics, dec wire.De
 		}
 		start = time.Now()
 		out, err := fromFrame(dec, frame)
+		if errors.Is(err, wire.ErrHeldMiss) {
+			return nil, err
+		}
 		if err != nil {
 			verr := &core.VerifyError{Code: core.CodeMalformedVO, Detail: err.Error()}
 			m.countTamper()

@@ -9,7 +9,9 @@ import (
 	"time"
 
 	"authtext/internal/core"
+	"authtext/internal/engine"
 	"authtext/internal/httpapi"
+	"authtext/internal/index"
 	"authtext/internal/wire"
 )
 
@@ -332,24 +334,25 @@ func (b *backend) Search(req *httpapi.SearchRequest) (*httpapi.SearchResponse, *
 	if b.sharded {
 		return nil, nil, shardedOnly("query " + httpapi.PathShardSearch)
 	}
-	res, dict, err := b.search(req)
+	res, v, err := b.search(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	return wireSearchResponse(req, res), dict, nil
+	return wireSearchResponse(req, res, v.col), v.dict, nil
 }
 
 // search answers one query on one pinned generation — for a shard set, the
-// whole fan-out — and returns the generation's dictionary with it. A
-// variant the collection was not built with is the caller's 422: it is no
-// server failure, so it is not counted as one; anything else counts as
-// failed and stays a 500.
-func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, *wire.Dictionary, error) {
+// whole fan-out — and returns that generation with it: its dictionary, and
+// the content digests of the documents the answer cites. A variant the
+// collection was not built with is the caller's 422: it is no server
+// failure, so it is not counted as one; anything else counts as failed and
+// stays a 500.
+func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, served, error) {
 	start := time.Now()
 	srv := b.pin()
 	res, err := srv.search(req.Query, req.R, parseWireAlgo(req.Algo), parseWireScheme(req.Scheme), req.Cap)
 	if errors.Is(err, ErrVariantNotBuilt) {
-		return nil, nil, &httpapi.StatusError{
+		return nil, served{}, &httpapi.StatusError{
 			Status: http.StatusUnprocessableEntity,
 			Code:   httpapi.CodeVariantNotBuilt,
 			Message: fmt.Sprintf("variant %s-%s is not built; this collection answers %v",
@@ -358,7 +361,7 @@ func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, *wire.Dicti
 	}
 	if err != nil {
 		b.failed.Add(1)
-		return nil, nil, err
+		return nil, served{}, err
 	}
 	b.served.Add(1)
 	if b.opts.queryLog != nil {
@@ -366,15 +369,15 @@ func (b *backend) search(req *httpapi.SearchRequest) (*SearchResult, *wire.Dicti
 		// result object.
 		b.opts.queryLog(req.Query, req.R, res.Stats, time.Since(start))
 	}
-	return res, srv.v.dict, nil
+	return res, srv.v, nil
 }
 
 func (b *backend) shardSearch(req *httpapi.SearchRequest) (*httpapi.ShardedSearchResponse, *wire.Dictionary, error) {
-	res, dict, err := b.search(req)
+	res, v, err := b.search(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	return wireShardedResponse(req, res), dict, nil
+	return wireShardedResponse(req, res, v.cols()), v.dict, nil
 }
 
 // ClientExport serves /v1/manifest: the current generation's ATCX blob and,
@@ -455,11 +458,12 @@ func (b *backend) Health() httpapi.Health {
 	return h
 }
 
-// wireSearchResponse converts one facade result to the wire form.
-// Deliberately a pure function of (req, res): ServerMillis echoes the
-// engine-measured per-query time, not a handler wall clock, so replaying a
-// cached result yields the identical bytes.
-func wireSearchResponse(req *httpapi.SearchRequest, res *SearchResult) *httpapi.SearchResponse {
+// wireSearchResponse converts one facade result of col to the wire form,
+// each hit with its content digest (wire.Hit.Digest). Deliberately a pure
+// function of (req, res, col): ServerMillis echoes the engine-measured
+// per-query time, not a handler wall clock, so replaying a cached result
+// yields the identical bytes.
+func wireSearchResponse(req *httpapi.SearchRequest, res *SearchResult, col *engine.Collection) *httpapi.SearchResponse {
 	out := &httpapi.SearchResponse{
 		Query:      req.Query,
 		R:          req.R,
@@ -481,15 +485,17 @@ func wireSearchResponse(req *httpapi.SearchRequest, res *SearchResult) *httpapi.
 		},
 	}
 	for i, h := range res.Hits {
-		out.Hits[i] = httpapi.Hit{DocID: h.DocID, Score: h.Score, Content: h.Content}
+		out.Hits[i] = httpapi.Hit{DocID: h.DocID, Score: h.Score, Content: h.Content,
+			Digest: col.ContentDigest(index.DocID(h.DocID))}
 	}
 	return out
 }
 
-// wireShardedResponse is wireSearchResponse for a fan-out answer — a pure
-// function of (req, res) for the same reason: ServerMillis is the
-// engine-measured fan-out wall stored in the result.
-func wireShardedResponse(req *httpapi.SearchRequest, res *SearchResult) *httpapi.ShardedSearchResponse {
+// wireShardedResponse is wireSearchResponse for a fan-out answer over the
+// shard collections cols — a pure function of (req, res, cols) for the same
+// reason: ServerMillis is the engine-measured fan-out wall stored in the
+// result.
+func wireShardedResponse(req *httpapi.SearchRequest, res *SearchResult, cols []*engine.Collection) *httpapi.ShardedSearchResponse {
 	out := &httpapi.ShardedSearchResponse{
 		Query:      req.Query,
 		R:          req.R,
@@ -507,7 +513,7 @@ func wireShardedResponse(req *httpapi.SearchRequest, res *SearchResult) *httpapi
 		},
 	}
 	for i, sr := range res.PerShard {
-		out.Shards[i] = *wireSearchResponse(req, sr)
+		out.Shards[i] = *wireSearchResponse(req, sr, cols[i])
 	}
 	for i, m := range res.Hits {
 		out.Merged[i] = httpapi.MergedHit{Shard: m.Shard, DocID: m.DocID, GlobalID: m.GlobalID, Score: m.Score}

@@ -47,6 +47,11 @@ import (
 //     reordering, and on binary frames a bit flip in every frame region —
 //     classifies as tampering, identically by a cold and a warm client,
 //     whether the honest answer came from a cache miss or a cache hit;
+//   - answers that send the bodies a warm client holds as their digests
+//     (shape_matrix_held_test.go): a reference to a body not held, or to a
+//     body whose document's content has since changed, is a plain miss,
+//     asked again and verified; a sent body or a reference the proof does
+//     not bind is tampering;
 //   - goroutines searching through one RemoteClient and one pinned Server
 //     all verify;
 //   - the registered endpoint set and its 404/403 bodies, healthz, the
@@ -1089,10 +1094,13 @@ func dictionaryOf(frame []byte) frameDictionary {
 }
 
 // recordDictionaries serves through h and records the dictionary of every
-// search frame h answers with.
+// search frame h answers with. Bodies sent in full are what deflate against
+// a dictionary, so it drops the held-body summary of every request: each
+// answer carries its bodies, however warm the client.
 func recordDictionaries(h http.Handler, seen *[]frameDictionary) http.Handler {
 	var mu sync.Mutex
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Header.Del(httpapi.HeldHeader)
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, r)
 		if (r.URL.Path == httpapi.PathSearch || r.URL.Path == httpapi.PathShardSearch) && rec.Header().Get("Content-Type") == wire.ContentType {
@@ -1649,8 +1657,12 @@ func unmarshalOptional(body []byte, v any) error {
 
 // tamperProxy is the one adversary: it forwards to target and, while a
 // mutation is armed, rewrites every successful search answer in the codec
-// it was answered in. With forceJSON set it forces the JSON codec (the server
-// never sees the client's frame offer). It counts the frames it relays.
+// it was answered in. Armed, it asks for every body — it drops the held-body
+// summary of the request — so each row rewrites a full answer, whatever a
+// warm client holds; the held-bodies column (matrixHeldBodies) attacks
+// answers that refer to held bodies. With forceJSON set it forces the JSON
+// codec (the server never sees the client's frame offer). It counts the
+// frames it relays.
 type tamperProxy struct {
 	forceJSON bool
 	target    atomic.Pointer[http.Handler]
@@ -1671,6 +1683,9 @@ func (p *tamperProxy) arm(target http.Handler, m mutation) {
 func (p *tamperProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if p.forceJSON {
 		r.Header.Del("Accept")
+	}
+	if p.mutate.Load() != nil {
+		r.Header.Del(httpapi.HeldHeader)
 	}
 	rec := httptest.NewRecorder()
 	(*p.target.Load()).ServeHTTP(rec, r)
