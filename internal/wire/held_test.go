@@ -56,10 +56,10 @@ func TestHeldSummary(t *testing.T) {
 		return d
 	}
 	s := new(BodyStore)
-	var held [][]byte
+	var kept [][]byte
 	for i := 0; i < MaxHeldBodies; i++ {
 		d := digest()
-		held = append(held, d)
+		kept = append(kept, d)
 		s.Keep([]HeldBody{{d, []byte("body")}})
 	}
 	value, refs := s.Held()
@@ -70,7 +70,7 @@ func TestHeldSummary(t *testing.T) {
 	if sum == nil || sum.String() != value {
 		t.Fatal("the summary does not round-trip through its header value")
 	}
-	for _, d := range held {
+	for _, d := range kept {
 		if !sum.Has(d) {
 			t.Fatal("the summary lacks a digest its store holds")
 		}
@@ -88,11 +88,12 @@ func TestHeldSummary(t *testing.T) {
 	}
 
 	for i := 0; i < 3*MaxHeldBodies; i++ {
-		s.Keep([]HeldBody{{digest(), []byte("body")}, {held[rng.Intn(len(held))], []byte("body")}})
+		s.Keep([]HeldBody{{digest(), []byte("body")}, {kept[rng.Intn(len(kept))], []byte("body")}})
 	}
 	fresh := new(BodyStore)
 	for e := s.lru.Back(); e != nil; e = e.Prev() {
-		fresh.Keep([]HeldBody{*e.Value.(*HeldBody)})
+		h := e.Value.(*held)
+		fresh.Keep([]HeldBody{{h.digest(), h.body()}})
 	}
 	churned, _ := s.Held()
 	if want, _ := fresh.Held(); churned != want {
@@ -107,7 +108,7 @@ func TestHeldSummary(t *testing.T) {
 		}
 	}
 	var nilSum *HeldSummary
-	if nilSum.Has(held[0]) || sum.Has(held[0][:7]) || sum.Has(append(bytes.Repeat(held[0], 2), 0)) {
+	if nilSum.Has(kept[0]) || sum.Has(kept[0][:7]) || sum.Has(append(bytes.Repeat(kept[0], 2), 0)) {
 		t.Fatal("no summary, or a digest of no hash size, matched")
 	}
 	if v, refs := new(BodyStore).Held(); v != "" || refs != nil {
@@ -130,10 +131,10 @@ func TestBodyStoreLRU(t *testing.T) {
 			keep(body(0)) // already held: only touched
 		}
 		if i == MaxHeldBodies-1 {
-			s.take(digestOf(body(0))) // body 0 most recently used: body 1 goes next
+			keep(body(0)) // body 0 most recently used: body 1 goes next
 		}
 	}
-	if summary, _ := s.Held(); s.byDigest[string(digestOf(body(1)))] != nil || ParseHeldSummary(summary).Has(digestOf(body(1))) {
+	if summary, _ := s.Held(); s.byDigest[keyOf(digestOf(body(1)))] != nil || ParseHeldSummary(summary).Has(digestOf(body(1))) {
 		t.Fatal("the least recently used body survived a full store's insert")
 	}
 	if got, ok := s.take(digestOf(body(1))); !ok || !bytes.Equal(got, body(1)) {
@@ -141,6 +142,13 @@ func TestBodyStoreLRU(t *testing.T) {
 	}
 	for i := 0; i < heldGrace; i++ {
 		keep(body(MaxHeldBodies + 1 + i))
+	}
+	// Each of those reused the buffer of a body the ring dropped, or a new
+	// one: every body held is still its own.
+	for i := MaxHeldBodies - heldGrace + 2; i <= MaxHeldBodies+heldGrace; i++ {
+		if got, ok := s.take(digestOf(body(i))); !ok || !bytes.Equal(got, body(i)) {
+			t.Fatalf("body %d: %q, %v", i, got, ok)
+		}
 	}
 	if _, ok := s.take(digestOf(body(1))); ok {
 		t.Fatalf("a body evicted %d evictions ago can still be taken", heldGrace+1)
