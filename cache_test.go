@@ -91,14 +91,15 @@ func TestCacheHitVerifiesLikeMiss(t *testing.T) {
 	// What makes a hit cheap: it reads nothing from the store. With every
 	// byte of the device flipped, the cached query still answers and
 	// verifies, while an uncached one cannot produce a verifying answer.
-	dev := o.v.col.Device()
-	for a := store.Addr(0); int64(a) < dev.Blocks(); a++ {
-		for off := 0; off < dev.BlockSize(); off++ {
-			if err := dev.Corrupt(a, off, 0xff); err != nil {
+	dev, layout := o.v.col.Device(), o.v.col.Layout()
+	layout.Walk(func(_ string, _ int, ext *store.Extent) error {
+		for off := 0; off < int(ext.Length); off++ {
+			if err := dev.Corrupt(*ext, off, 0xff); err != nil {
 				t.Fatal(err)
 			}
 		}
-	}
+		return nil
+	})
 	hit, err = srv.Search(q, r, TNRA, ChainMHT)
 	if err != nil {
 		t.Fatalf("cache hit touched the store: %v", err)

@@ -38,12 +38,15 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
 	"authtext"
 	"authtext/internal/demo"
+	"authtext/internal/snapshot"
 )
 
 func main() {
@@ -223,7 +226,7 @@ func writeSnapshot(owner *authtext.Owner, path string) error {
 		}
 		fmt.Printf("wrote sharded snapshot directory %s (%d shards); serve it with: authserved -snapshot %s\n",
 			path, owner.Shards(), path)
-		return nil
+		return describeSnapshot(os.Stdout, path)
 	}
 	f, err := os.Create(path)
 	if err != nil {
@@ -244,7 +247,48 @@ func writeSnapshot(owner *authtext.Owner, path string) error {
 	}
 	fmt.Printf("wrote snapshot %s (%.1f MB); serve it with: authserved -snapshot %s\n",
 		path, float64(info.Size())/(1<<20), path)
-	return nil
+	return describeSnapshot(os.Stdout, path)
+}
+
+// describeSnapshot prints the snapshot at path section by section — a
+// shard set's summed over its shard files — so an operator sees what a
+// replica will hold: the store section is the packed device, smaller than
+// the simulated disk the build line reports.
+func describeSnapshot(w io.Writer, path string) error {
+	files := []string{path}
+	what := "sections"
+	if info, err := os.Stat(path); err == nil && info.IsDir() {
+		var err error
+		if files, err = filepath.Glob(filepath.Join(path, "shard-*.atsn")); err != nil {
+			return err
+		}
+		what = fmt.Sprintf("sections, summed over %d shards", len(files))
+	}
+	var total []snapshot.Section
+	for _, file := range files {
+		f, err := os.Open(file)
+		if err != nil {
+			return err
+		}
+		sections, err := snapshot.Sections(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s: %w", file, err)
+		}
+		if total == nil {
+			total = make([]snapshot.Section, len(sections))
+		}
+		for i, s := range sections {
+			total[i].Name = s.Name
+			total[i].Bytes += s.Bytes
+		}
+	}
+	parts := make([]string, len(total))
+	for i, s := range total {
+		parts[i] = fmt.Sprintf("%s %.1f KB", s.Name, float64(s.Bytes)/(1<<10))
+	}
+	_, err := fmt.Fprintf(w, "  %s: %s\n", what, strings.Join(parts, ", "))
+	return err
 }
 
 // runRemote is the verifying-client mode: every answer from the remote

@@ -154,6 +154,16 @@ func TestBuildThenOpenSnapshotFile(t *testing.T) {
 	if err := writeSnapshot(owner, path); err != nil {
 		t.Fatal(err)
 	}
+	// The section report names every section the file holds.
+	var report strings.Builder
+	if err := describeSnapshot(&report, path); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"manifest", "public key", "index", "store", "layout", "auth", "stats"} {
+		if !strings.Contains(report.String(), name+" ") {
+			t.Fatalf("section report %q lacks %s", report.String(), name)
+		}
+	}
 
 	server, client, err := authtext.OpenSnapshotFile(path)
 	if err != nil {

@@ -311,17 +311,20 @@ func BuildCollection(docs []index.Document, cfg Config) (*Collection, error) {
 		}
 		return b, nil
 	}, func(t int, b listBytes) {
+		// A list occupies whole blocks of the modelled disk, whose space
+		// the report counts, though the device holds no padding.
+		write := func(exts []store.Extent, space *int64, data []byte) {
+			exts[t] = dev.AllocWrite(data)
+			*space += int64(exts[t].Blocks) * int64(cfg.Store.BlockSize)
+		}
 		if set.HasMHT() {
-			c.layout.Plain[t] = dev.AllocWrite(b.plain)
-			c.space.PlainListBytes += int64(len(b.plain))
+			write(c.layout.Plain, &c.space.PlainListBytes, b.plain)
 		}
 		if set.Has(core.KindTRACMHT) {
-			c.layout.ChainTRA[t] = dev.AllocWrite(b.chainTRA)
-			c.space.ChainTRABytes += int64(len(b.chainTRA))
+			write(c.layout.ChainTRA, &c.space.ChainTRABytes, b.chainTRA)
 		}
 		if set.Has(core.KindTNRACMHT) {
-			c.layout.ChainTNRA[t] = dev.AllocWrite(b.chainTNRA)
-			c.space.ChainTNRABytes += int64(len(b.chainTNRA))
+			write(c.layout.ChainTNRA, &c.space.ChainTNRABytes, b.chainTNRA)
 		}
 	})
 	if err != nil {

@@ -49,9 +49,10 @@ func newListCursor(sess *store.Session, ext store.Extent, total int, chain bool,
 
 func (c *listCursor) numBlocks() int { return (c.total + c.perBlock - 1) / c.perBlock }
 
-// loadBlock reads and decodes block j (which must be loaded+1).
+// loadBlock reads and decodes block j (which must be loaded+1); the last
+// block is shorter, ending at the list's last entry.
 func (c *listCursor) loadBlock(j int) {
-	raw, err := c.sess.ReadBlock(c.ext.Start + store.Addr(j))
+	raw, err := c.sess.ReadBlock(c.ext, j)
 	if err != nil {
 		// The extent was written by the same build that sized it (or
 		// checked against the device by Restore), so this is a layout bug.

@@ -265,7 +265,7 @@ func TestDictModeDocRootTree(t *testing.T) {
 
 	st := col.ExportState()
 	st.DeviceData = bytes.Clone(st.DeviceData)
-	rootAt := int(st.Layout.Doc[7].Start)*st.StoreParams.BlockSize + 4 + int(m.HashSize) + 2
+	rootAt := int(st.Layout.Doc[7].Off) + 4 + int(m.HashSize) + 2
 	st.DeviceData[rootAt] ^= 1
 	if _, err := Restore(st); err == nil || !strings.Contains(err.Error(), "document-root") {
 		t.Fatalf("a record whose root the manifest does not commit: restore returned %v", err)

@@ -16,7 +16,11 @@ import (
 //
 // Chain list block (CMHT variants, Figs 9/12): a header holding the digest
 // of the succeeding block (hashSize bytes) and its address (4 bytes),
-// followed by ρ = (blockSize − hashSize − 4)/8 packed entries.
+// followed by ρ = (blockSize − hashSize − 4)/8 packed entries. The last
+// block's header is zero.
+//
+// A list's last block ends at its last entry (listLength): the device
+// stores no padding, though the cost model charges the block whole.
 //
 // Document record (TRA random accesses, Fig 8): leaf count (4), h(doc)
 // (hashSize), a length (2) and the signature over the document root — or,
@@ -38,11 +42,21 @@ func getEntry(b []byte) index.Posting {
 	}
 }
 
+// listLength is the encoded length of a list of ft entries in blocks of
+// perBlock entries behind hdr-byte headers: every block whole but the last,
+// which ends at its last entry.
+func listLength(ft, perBlock, hdr, blockSize int) int64 {
+	if ft == 0 {
+		return 0
+	}
+	full := (ft - 1) / perBlock
+	return int64(full)*int64(blockSize) + int64(hdr+(ft-full*perBlock)*entrySize)
+}
+
 // encodePlainList packs postings into plain blocks.
 func encodePlainList(ps []index.Posting, blockSize int) []byte {
 	perBlock := blockSize / entrySize
-	nb := (len(ps) + perBlock - 1) / perBlock
-	out := make([]byte, nb*blockSize)
+	out := make([]byte, listLength(len(ps), perBlock, 0, blockSize))
 	for i, p := range ps {
 		blk := i / perBlock
 		off := blk*blockSize + (i%perBlock)*entrySize
@@ -56,7 +70,7 @@ func encodePlainList(ps []index.Posting, blockSize int) []byte {
 // block-relative successor index.
 func encodeChainList(ps []index.Posting, digests [][]byte, blockSize, hashSize, rho int) []byte {
 	nb := (len(ps) + rho - 1) / rho
-	out := make([]byte, nb*blockSize)
+	out := make([]byte, listLength(len(ps), rho, hashSize+4, blockSize))
 	for j := 0; j < nb; j++ {
 		base := j * blockSize
 		if j < nb-1 {
@@ -145,4 +159,41 @@ type Layout struct {
 	ChainTRA  []store.Extent // per term
 	ChainTNRA []store.Extent // per term
 	Doc       []store.Extent // per document
+}
+
+// Walk calls fn on every extent in device order — the order the build
+// writes them: each document record, then term by term its plain list, TRA
+// chain and TNRA chain — and stops at the first error. what names the
+// extent's table and i its index there.
+func (l *Layout) Walk(fn func(what string, i int, ext *store.Extent) error) error {
+	for d := range l.Doc {
+		if err := fn("doc", d, &l.Doc[d]); err != nil {
+			return err
+		}
+	}
+	for t := 0; t < max(len(l.Plain), len(l.ChainTRA), len(l.ChainTNRA)); t++ {
+		for _, tbl := range []struct {
+			what string
+			exts []store.Extent
+		}{{"plain", l.Plain}, {"chain-tra", l.ChainTRA}, {"chain-tnra", l.ChainTNRA}} {
+			if t < len(tbl.exts) {
+				if err := fn(tbl.what, t, &tbl.exts[t]); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// PackOffsets sets every extent's Off to where a packed device holds its
+// payload: after the payloads of all extents before it in device order.
+// A snapshot carries no offsets; this derives them.
+func (l *Layout) PackOffsets() {
+	var off int64
+	l.Walk(func(_ string, _ int, ext *store.Extent) error {
+		ext.Off = off
+		off += ext.Length
+		return nil
+	})
 }

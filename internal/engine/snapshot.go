@@ -28,11 +28,17 @@ type State struct {
 	// Index is the in-memory inverted index (dictionary, lists, document
 	// vectors, raw content).
 	Index *index.Index
-	// StoreParams and DeviceData reconstruct the simulated disk. Restore
-	// aliases DeviceData, so its provider owns its lifetime; see
-	// store.RestoreDevice.
+	// StoreParams and DeviceData reconstruct the simulated disk: its
+	// packed contents, every extent's payload back to back in device order
+	// (Layout.Walk). Restore aliases DeviceData, so its provider owns its
+	// lifetime; see store.RestoreDevice.
 	StoreParams store.Params
 	DeviceData  []byte
+	// Padded says DeviceData is instead a block-granular device, every
+	// extent at its Start block and every list padded to whole blocks, as
+	// format-v1 snapshots hold it: Restore packs it into a copy, rewriting
+	// the layout's lengths and offsets in place.
+	Padded bool
 	// Layout locates every structure on the device; the tables of a layout
 	// the variant set does not need are empty.
 	Layout Layout
@@ -110,8 +116,7 @@ func Restore(st *State) (*Collection, error) {
 		return nil, fmt.Errorf("engine: restore: device block size %d, manifest %d",
 			st.StoreParams.BlockSize, m.BlockSize)
 	}
-	dev, err := store.RestoreDevice(st.StoreParams, st.DeviceData)
-	if err != nil {
+	if _, err := store.NewDevice(st.StoreParams); err != nil {
 		return nil, err
 	}
 
@@ -126,9 +131,9 @@ func Restore(st *State) (*Collection, error) {
 	n, mm := idx.N, idx.M()
 
 	// Layout: a table exists exactly for what the signed variant set built,
-	// every extent must lie on the device, and the list extents must cover
-	// exactly the blocks the cursors will read for ft entries — otherwise a
-	// hostile snapshot could steer the query path off the end of an extent.
+	// the extents must tile the device in order, and a list's length must
+	// be the encoding of its ft entries — otherwise a hostile snapshot could
+	// steer the query path off the end of an extent.
 	set := m.Variants
 	sized := func(built bool, want int) int {
 		if built {
@@ -142,51 +147,62 @@ func Restore(st *State) (*Collection, error) {
 		len(st.Layout.Doc) != sized(set.HasTRA(), n) {
 		return nil, fmt.Errorf("engine: restore: layout table sizes disagree with index and variant set %v", set)
 	}
-	checkExtent := func(what string, i int, ext store.Extent, wantBlocks int, fullBlocks bool) error {
-		// Subtract instead of adding: Start+Blocks would overflow int64 for
-		// a hostile Start near MaxInt64 and wrap past the bound.
-		if ext.Start < 0 || ext.Blocks < 1 || int64(ext.Start) > dev.Blocks()-int64(ext.Blocks) {
-			return fmt.Errorf("engine: restore: %s extent %d off-device", what, i)
+	// encoded is the length an extent's payload must have, or -1 for a
+	// document record, whose length its header checks when it is read.
+	encoded := func(what string, i int) (int64, error) {
+		perBlock, hdr := rho, hashSize+4
+		switch what {
+		case "doc":
+			return -1, nil
+		case "plain":
+			perBlock, hdr = plainPerBlock, 0
 		}
-		if wantBlocks >= 0 && int(ext.Blocks) != wantBlocks {
-			return fmt.Errorf("engine: restore: %s extent %d has %d blocks, need %d",
-				what, i, ext.Blocks, wantBlocks)
+		ft := idx.FT(index.TermID(i))
+		if ft == 0 {
+			return 0, fmt.Errorf("engine: restore: term %d has an empty list", i)
 		}
-		if fullBlocks {
-			if ext.Length != int64(ext.Blocks)*int64(blockSize) {
-				return fmt.Errorf("engine: restore: %s extent %d not block-exact", what, i)
-			}
-		} else if ext.Length < 0 || ext.Length > int64(ext.Blocks)*int64(blockSize) {
-			return fmt.Errorf("engine: restore: %s extent %d length out of range", what, i)
+		return listLength(ft, perBlock, hdr, blockSize), nil
+	}
+	data := st.DeviceData
+	if st.Padded {
+		if data, err = unpad(st, encoded); err != nil {
+			return nil, err
 		}
+	}
+	// In device order, each extent takes the next blocks and the next
+	// bytes, as many as its length needs, and the last ends the data.
+	var blocks, off int64
+	err = st.Layout.Walk(func(what string, i int, ext *store.Extent) error {
+		want, err := encoded(what, i)
+		if err != nil {
+			return err
+		}
+		if ext.Length < 0 {
+			return fmt.Errorf("engine: restore: %s extent %d has a negative length", what, i)
+		}
+		if want >= 0 && ext.Length != want {
+			return fmt.Errorf("engine: restore: %s extent %d is %d bytes, its entries encode to %d",
+				what, i, ext.Length, want)
+		}
+		if ext.Length > int64(len(data))-off {
+			return fmt.Errorf("engine: restore: %s extent %d runs past the device data", what, i)
+		}
+		if ext.Start != store.Addr(blocks) || ext.Blocks != store.BlocksFor(ext.Length, blockSize) || ext.Off != off {
+			return fmt.Errorf("engine: restore: %s extent %d out of place", what, i)
+		}
+		blocks += int64(ext.Blocks)
+		off += ext.Length
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	blocksFor := func(entries, perBlock int) int {
-		nb := (entries + perBlock - 1) / perBlock
-		if nb == 0 {
-			nb = 1
-		}
-		return nb
+	if off != int64(len(data)) {
+		return nil, fmt.Errorf("engine: restore: %d device bytes past the last extent", int64(len(data))-off)
 	}
-	for t := range st.Layout.Plain {
-		if err := checkExtent("plain", t, st.Layout.Plain[t], blocksFor(idx.FT(index.TermID(t)), plainPerBlock), true); err != nil {
-			return nil, err
-		}
-	}
-	for t := range st.Layout.ChainTRA {
-		if err := checkExtent("chain-tra", t, st.Layout.ChainTRA[t], blocksFor(idx.FT(index.TermID(t)), rho), true); err != nil {
-			return nil, err
-		}
-	}
-	for t := range st.Layout.ChainTNRA {
-		if err := checkExtent("chain-tnra", t, st.Layout.ChainTNRA[t], blocksFor(idx.FT(index.TermID(t)), rho), true); err != nil {
-			return nil, err
-		}
-	}
-	for d := range st.Layout.Doc {
-		if err := checkExtent("doc", d, st.Layout.Doc[d], -1, false); err != nil {
-			return nil, err
-		}
+	dev, err := store.RestoreDevice(st.StoreParams, data, blocks)
+	if err != nil {
+		return nil, err
 	}
 
 	// Authentication material: roots and document hashes are fixed-width;
@@ -282,6 +298,54 @@ func Restore(st *State) (*Collection, error) {
 		return nil, err
 	}
 	return c, nil
+}
+
+// unpad packs a block-granular device (State.Padded) into a fresh buffer:
+// each extent's payload — a list's cut to the length of its entries — in
+// device order, its length and offset rewritten to the packed ones. It only
+// keeps the copies on the old device; Restore checks the packed result.
+func unpad(st *State, encoded func(what string, i int) (int64, error)) ([]byte, error) {
+	old := st.DeviceData
+	blockSize := int64(st.StoreParams.BlockSize)
+	if int64(len(old))%blockSize != 0 {
+		return nil, fmt.Errorf("engine: restore: %d bytes not a multiple of block size %d", len(old), blockSize)
+	}
+	// at returns where an extent's payload starts on the old device and
+	// the length it keeps, both checked against the device.
+	at := func(what string, i int, ext *store.Extent) (int64, int64, error) {
+		n, err := encoded(what, i)
+		if err != nil {
+			return 0, 0, err
+		}
+		if n < 0 {
+			n = ext.Length
+		}
+		if n < 0 || n > ext.Length {
+			return 0, 0, fmt.Errorf("engine: restore: %s extent %d is %d bytes, its entries encode to %d",
+				what, i, ext.Length, n)
+		}
+		if ext.Start < 0 || int64(ext.Start) > int64(len(old))/blockSize || n > int64(len(old))-int64(ext.Start)*blockSize {
+			return 0, 0, fmt.Errorf("engine: restore: %s extent %d off-device", what, i)
+		}
+		return int64(ext.Start) * blockSize, n, nil
+	}
+	var size int64
+	err := st.Layout.Walk(func(what string, i int, ext *store.Extent) error {
+		_, n, err := at(what, i, ext)
+		size += n
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	packed := make([]byte, 0, size)
+	st.Layout.Walk(func(what string, i int, ext *store.Extent) error {
+		from, n, _ := at(what, i, ext)
+		ext.Length, ext.Off = n, int64(len(packed))
+		packed = append(packed, old[from:from+n]...)
+		return nil
+	})
+	return packed, nil
 }
 
 // checkTreeRoots compares the rebuilt collection-level trees with the roots

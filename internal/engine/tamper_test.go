@@ -2,12 +2,14 @@ package engine
 
 import (
 	"bytes"
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"authtext/internal/core"
 	"authtext/internal/index"
+	"authtext/internal/mht"
 	"authtext/internal/vo"
 )
 
@@ -310,7 +312,7 @@ func TestTamperStorageCorruption(t *testing.T) {
 				ext = col.Layout().ChainTNRA[longest]
 				off = 16 + 4 + 8 + 4 // header, entry 1's frequency
 			}
-			if err := col.Device().Corrupt(ext.Start, off, 0x55); err != nil {
+			if err := col.Device().Corrupt(ext, off, 0x55); err != nil {
 				t.Fatal(err)
 			}
 		} else {
@@ -323,7 +325,7 @@ func TestTamperStorageCorruption(t *testing.T) {
 			ext := col.Layout().Doc[res.Entries[0].Doc]
 			sigLen := 128
 			off := 4 + 16 + 2 + sigLen + 4 // count, hash, siglen, sig, leaf term id
-			if err := col.Device().Corrupt(ext.Start, off, 0x55); err != nil {
+			if err := col.Device().Corrupt(ext, off, 0x55); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -626,6 +628,123 @@ func TestLyingProverVocabulary(t *testing.T) {
 				}
 				if _, err := col.VerifyResult(tokens, 3, res, lieVO); core.CodeOf(err) != core.CodeBadVocabProof {
 					t.Fatalf("%v-%v, %s: classified %v, want %v", algo, scheme, name, err, core.CodeBadVocabProof)
+				}
+			}
+		}
+	}
+}
+
+// TestTRAAbsenceAfterUnrevealedLastLeaf: a TRA document proof shows a query
+// term absent from a document whose every leaf sorts before it by revealing
+// the last leaf. A prover that reveals only the leaves before it — a valid
+// multiproof over the document's real tree, so the root, the signature and
+// the document-root tree all hold — leaves the absence unproved, and the
+// answer is bad-doc-proof.
+func TestTRAAbsenceAfterUnrevealedLastLeaf(t *testing.T) {
+	col := buildTestCollection(t, 29, 60, 30, nil)
+	idx := col.Index()
+	last := index.TermID(idx.M() - 1) // sorts after every other term
+	var lied int
+	for a := index.TermID(0); a < last && lied == 0; a++ {
+		tokens := []string{idx.Name(a), idx.Name(last)}
+		res, encoded, _, err := col.Search(tokens, 3, core.AlgoTRA, core.SchemeMHT)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := vo.Decode(encoded)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range decoded.Docs {
+			dp := &decoded.Docs[i]
+			n := int(dp.LeafCount)
+			k := len(dp.Positions)
+			// The honest proof reveals a's leaf and, for the absent last
+			// term, the document's last leaf.
+			if k != 2 || int(dp.Positions[1]) != n-1 || dp.Terms[0] != uint32(a) || dp.Terms[1] == uint32(last) {
+				continue
+			}
+			d := index.DocID(dp.Doc)
+			var arena mht.ProofArena
+			digests, err := col.vecTrees.tree(col.hasher, d, idx.DocVector(d)).ProveInto(&arena, []int{int(dp.Positions[0])})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp.Positions, dp.Terms, dp.Ws, dp.Digests = dp.Positions[:1], dp.Terms[:1], dp.Ws[:1], digests
+			err = core.Verify(&core.VerifyInput{
+				Manifest: col.manifest, Verifier: col.verifier, Tokens: tokens, R: 3,
+				Result: res.Entries, Contents: res.Contents, VO: decoded,
+			})
+			if core.CodeOf(err) != core.CodeBadDocProof || !strings.Contains(err.Error(), "no absence evidence") {
+				t.Fatalf("doc %d, last leaf withheld: %v, want %v for missing absence evidence", d, err, core.CodeBadDocProof)
+			}
+			lied++
+			break
+		}
+	}
+	if lied == 0 {
+		t.Fatal("no answer revealed a document's last leaf for the absent term")
+	}
+}
+
+// TestVocabProofAlteredSibling: a name-dictionary non-membership proof with
+// one sibling digest altered does not reach the signed root — uncut, the
+// root mismatches; cut at depth 8, the node it rebuilds at the cut
+// disagrees with the client's cap — and one with a sibling dropped does not
+// rebuild at all. Every such answer is bad-vocab-proof.
+func TestVocabProofAlteredSibling(t *testing.T) {
+	col := buildTestCollection(t, 31, 400, 2000, func(c *Config) { c.DictMode, c.VocabProofs = true, true })
+	idx := col.Index()
+	if idx.M() <= 1<<9 {
+		t.Fatalf("%d names: the proof would not reach below a depth-8 cap", idx.M())
+	}
+	capBytes, err := col.Cap(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cap, err := core.VerifyCap(col.manifest, capBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A token between two names mid-dictionary, so that the proof climbs
+	// the full height of the tree.
+	tokens := []string{idx.Name(7), idx.Name(index.TermID(idx.M()/2)) + "zz"}
+	for _, depth := range []int{0, 8} {
+		for _, algo := range []core.Algo{core.AlgoTRA, core.AlgoTNRA} {
+			res, encoded, _, err := col.SearchCapped(tokens, 3, algo, core.SchemeCMHT, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := verifyCapped(col, tokens, 3, res, encoded, cap); err != nil {
+				t.Fatalf("depth %d %v: honest answer: %v", depth, algo, err)
+			}
+			// Sibling j altered, for every j, then the last one dropped.
+			decode := func() *vo.VO {
+				decoded, err := vo.Decode(encoded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return decoded
+			}
+			siblings := len(decode().VocabProofs[0].Digests)
+			if siblings == 0 {
+				t.Fatalf("depth %d %v: the proof has no siblings", depth, algo)
+			}
+			for j := 0; j <= siblings; j++ {
+				decoded := decode()
+				p := &decoded.VocabProofs[0]
+				lie := fmt.Sprintf("sibling %d altered", j)
+				if j < siblings {
+					p.Digests[j][0] ^= 1
+				} else {
+					p.Digests, lie = p.Digests[:j-1], "a sibling dropped"
+				}
+				err = core.Verify(&core.VerifyInput{
+					Manifest: col.manifest, Verifier: col.verifier, Tokens: tokens, R: 3,
+					Result: res.Entries, Contents: res.Contents, VO: decoded, Cap: cap,
+				})
+				if core.CodeOf(err) != core.CodeBadVocabProof {
+					t.Fatalf("depth %d %v, %s: %v, want %v", depth, algo, lie, err, core.CodeBadVocabProof)
 				}
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"authtext/internal/core"
 	"authtext/internal/index"
 	"authtext/internal/mht"
-	"authtext/internal/store"
 )
 
 // verboseQueries returns multi-term queries whose TRA answers encounter a
@@ -250,9 +249,7 @@ func TestVecTreesDoNotMaskStorageFaults(t *testing.T) {
 			t.Fatal("top document lacks the query term")
 		}
 		off := 4 + col.cfg.HashSize + 2 + col.cfg.Signer.Size() + p*entrySize + 5
-		blockSize := col.cfg.Store.BlockSize
-		ext := col.Layout().Doc[top]
-		if err := col.Device().Corrupt(ext.Start+store.Addr(off/blockSize), off%blockSize, 0x55); err != nil {
+		if err := col.Device().Corrupt(col.Layout().Doc[top], off, 0x55); err != nil {
 			t.Fatal(err)
 		}
 		hashed := col.vecTrees.hashed.Load()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"authtext/internal/core"
@@ -53,10 +54,18 @@ func fuzzSeedSnapshot(f *testing.F, variants core.VariantSet) []byte {
 // opening them, so the decoders see bytes no checksum has vouched for. A CRC
 // is not a MAC, so structural safety must not rest on it: Open must not
 // panic there either, and whatever it accepts must re-encode to exactly the
-// bytes it opened.
+// bytes it opened — or, for a v1 input, which the writer re-encodes as v2,
+// to a file that does.
 func FuzzOpenSnapshot(f *testing.F) {
 	valid := fuzzSeedSnapshot(f, 0)
 	f.Add(valid)
+	for _, golden := range []string{goldenSnapshotV2, goldenSnapshot} {
+		raw, err := os.ReadFile(golden)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 	// A TNRA-CMHT-only build: empty extent tables, absent term tables.
 	f.Add(fuzzSeedSnapshot(f, core.VariantOf(core.KindTNRACMHT)))
 	for _, n := range []int{0, 3, 4, 7, 8, 24, len(valid) / 2, len(valid) - 1} {
@@ -89,8 +98,22 @@ func FuzzOpenSnapshot(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := Write(&buf, col); err != nil || !bytes.Equal(buf.Bytes(), stamped) {
-			t.Fatalf("a re-stamped snapshot opened but re-encodes to other bytes (%v)", err)
+		if err := Write(&buf, col); err != nil {
+			t.Fatalf("a re-stamped snapshot opened but does not re-encode: %v", err)
+		}
+		if binary.BigEndian.Uint16(stamped[4:]) == 1 {
+			// The writer re-encodes a v1 input as v2, canonical in turn.
+			stamped = bytes.Clone(buf.Bytes())
+			if col, err = Open(bytes.NewReader(stamped)); err != nil {
+				t.Fatalf("a v1 snapshot re-encoded as v2 does not reopen: %v", err)
+			}
+			buf.Reset()
+			if err := Write(&buf, col); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(buf.Bytes(), stamped) {
+			t.Fatal("a re-stamped snapshot opened but re-encodes to other bytes")
 		}
 	})
 }

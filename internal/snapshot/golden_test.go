@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"authtext/internal/core"
@@ -15,13 +14,18 @@ import (
 
 // Golden container regression suite: testdata/golden-v1.atsn is an ATSN
 // snapshot written by the format-v1 writer over a small fixed corpus with
-// a fixed HMAC key. Any change that makes the current decoder unable to
-// open artifacts written by earlier builds — new mandatory sections,
+// a fixed HMAC key, and testdata/golden-v2.atsn the same collection written
+// by the format-v2 writer. Any change that makes the current decoder unable
+// to open artifacts written by earlier builds — new mandatory sections,
 // reordered sections, changed header widths, changed payload codecs —
-// fails this test loudly. Regenerate with UPDATE_GOLDEN=1 only alongside a
+// fails these tests loudly. The v1 file is frozen: no writer emits v1 any
+// more. Regenerate the v2 file with UPDATE_GOLDEN=1 only alongside a
 // deliberate, documented format version bump.
 
-const goldenSnapshot = "testdata/golden-v1.atsn"
+const (
+	goldenSnapshot   = "testdata/golden-v1.atsn"
+	goldenSnapshotV2 = "testdata/golden-v2.atsn"
+)
 
 func goldenCollection(t testing.TB) *engine.Collection {
 	t.Helper()
@@ -53,18 +57,6 @@ func goldenCollection(t testing.TB) *engine.Collection {
 }
 
 func TestGoldenSnapshotOpens(t *testing.T) {
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.MkdirAll(filepath.Dir(goldenSnapshot), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, goldenCollection(t)); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(goldenSnapshot, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 	raw, err := os.ReadFile(goldenSnapshot)
 	if err != nil {
 		t.Fatalf("missing golden fixture (run with UPDATE_GOLDEN=1 once): %v", err)
@@ -103,14 +95,23 @@ func TestGoldenSnapshotOpens(t *testing.T) {
 // version, section count, section ids and order. A writer-side format
 // change shows up here even though the golden file still opens.
 func TestGoldenSnapshotHeaderStable(t *testing.T) {
-	raw, err := os.ReadFile(goldenSnapshot)
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		var buf bytes.Buffer
+		if err := Write(&buf, goldenCollection(t)); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenSnapshotV2, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(goldenSnapshotV2)
 	if err != nil {
-		t.Fatalf("missing golden fixture: %v", err)
+		t.Fatalf("missing golden fixture (run with UPDATE_GOLDEN=1 once): %v", err)
 	}
 	if string(raw[:4]) != "ATSN" {
 		t.Fatalf("magic = %q", raw[:4])
 	}
-	if v := binary.BigEndian.Uint16(raw[4:]); v != 1 {
+	if v := binary.BigEndian.Uint16(raw[4:]); v != 2 {
 		t.Fatalf("golden file claims version %d; regenerate it only with a deliberate format bump", v)
 	}
 	if n := binary.BigEndian.Uint16(raw[6:]); n != 7 {
@@ -147,6 +148,104 @@ func TestGoldenSnapshotHeaderStable(t *testing.T) {
 		gs, ge, _ := sectionRange(t, raw, id)
 		if !bytes.Equal(fresh[fs:fe], raw[gs:ge]) {
 			t.Errorf("current writer produces different bytes for section %d", id)
+		}
+	}
+}
+
+// TestV1SnapshotsServeLikeV2: a v1 artifact — the frozen golden, and the
+// dictionary-mode artifact whose documents are signed one by one — opens,
+// rewrites as v2 and reopens to a collection that answers every algorithm
+// and scheme with the same VO bytes. The golden, repacked at open and
+// rewritten, is the v2 golden, byte for byte in every deterministic section:
+// packing a v1 device is the same as building packed.
+func TestV1SnapshotsServeLikeV2(t *testing.T) {
+	for _, path := range []string{goldenSnapshot, "../../testdata/dict-all-doc-signatures.atsn"} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.BigEndian.Uint16(raw[4:]); v != 1 {
+			t.Fatalf("%s is format v%d, want the v1 artifact", path, v)
+		}
+		v1, err := Open(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, v1); err != nil {
+			t.Fatal(err)
+		}
+		rewritten := buf.Bytes()
+		if len(rewritten) >= len(raw) {
+			t.Errorf("%s: v2 rewrite is %d bytes, the v1 file %d", path, len(rewritten), len(raw))
+		}
+		v2, err := Open(bytes.NewReader(rewritten))
+		if err != nil {
+			t.Fatalf("%s rewritten as v2: %v", path, err)
+		}
+		idx := v1.Index()
+		tokens := []string{idx.Name(0), idx.Name(index.TermID(idx.M() / 2)), idx.Name(index.TermID(idx.M() - 1)), "absent"}
+		for _, algo := range []core.Algo{core.AlgoTRA, core.AlgoTNRA} {
+			for _, scheme := range []core.Scheme{core.SchemeMHT, core.SchemeCMHT} {
+				res, vo1, st1, err := v1.Search(tokens, 3, algo, scheme)
+				if err != nil {
+					t.Fatalf("%s %v-%v: %v", path, algo, scheme, err)
+				}
+				if _, err := v1.VerifyResult(tokens, 3, res, vo1); err != nil {
+					t.Fatalf("%s %v-%v: v1 answer fails verification: %v", path, algo, scheme, err)
+				}
+				_, vo2, st2, err := v2.Search(tokens, 3, algo, scheme)
+				if err != nil || !bytes.Equal(vo1, vo2) {
+					t.Fatalf("%s %v-%v: v1 and its v2 rewrite answer differently (%v)", path, algo, scheme, err)
+				}
+				if st1.IO != st2.IO {
+					t.Fatalf("%s %v-%v: I/O charged %+v from v1, %+v from v2", path, algo, scheme, st1.IO, st2.IO)
+				}
+			}
+		}
+		if path != goldenSnapshot {
+			continue
+		}
+		golden, err := os.ReadFile(goldenSnapshotV2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := uint16(1); id <= 6; id++ {
+			rs, re, _ := sectionRange(t, rewritten, id)
+			gs, ge, _ := sectionRange(t, golden, id)
+			if !bytes.Equal(rewritten[rs:re], golden[gs:ge]) {
+				t.Errorf("section %d of the repacked v1 golden differs from the v2 golden's", id)
+			}
+		}
+	}
+}
+
+// TestSectionsReportsTheFraming: Sections names every section of a
+// snapshot with its payload length, from the headers alone, and refuses
+// what is not a snapshot.
+func TestSectionsReportsTheFraming(t *testing.T) {
+	raw, err := os.ReadFile(goldenSnapshotV2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections, err := Sections(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 8
+	for i, s := range sections {
+		start, end, _ := sectionRange(t, raw, sectionOrder[i])
+		if s.Name != sectionNames[i] || s.Bytes != int64(end-start) {
+			t.Fatalf("section %d reported as %+v, %d bytes", sectionOrder[i], s, end-start)
+		}
+		total += 16 + int(s.Bytes)
+	}
+	if len(sections) != 7 || total != len(raw) {
+		t.Fatalf("%d sections covering %d of %d bytes", len(sections), total, len(raw))
+	}
+	for _, bad := range [][]byte{raw[:6], []byte("NOTASNAPSHOT"), raw[:len(raw)/2]} {
+		if _, err := Sections(bytes.NewReader(bad)); err == nil {
+			t.Fatalf("Sections accepted %d bytes that are no snapshot", len(bad))
 		}
 	}
 }

@@ -42,8 +42,11 @@ import (
 	"authtext/internal/store"
 )
 
-// Version is the current format version. Open rejects every other value.
-const Version = 1
+// Version is the format version Write emits. Open also reads version 1,
+// whose store section holds the device block-granular, every list padded
+// to whole blocks; it packs that once, at open, so a collection serves
+// from one device representation whichever version it came from.
+const Version = 2
 
 const magic = "ATSN"
 
@@ -52,13 +55,16 @@ const (
 	secManifest uint16 = 1 // manifest bytes + manifest signature
 	secPubKey   uint16 = 2 // verifier kind + encoding
 	secIndex    uint16 = 3 // inverted index (dictionary, lists, vectors, content)
-	secStore    uint16 = 4 // device parameters + raw block contents
+	secStore    uint16 = 4 // device parameters + packed device contents
 	secLayout   uint16 = 5 // extent tables
 	secAuth     uint16 = 6 // per-list signatures, term roots, doc hashes, authority
 	secStats    uint16 = 7 // space report + build statistics
 )
 
 var sectionOrder = []uint16{secManifest, secPubKey, secIndex, secStore, secLayout, secAuth, secStats}
+
+// sectionNames names the sections of sectionOrder, in its order.
+var sectionNames = []string{"manifest", "public key", "index", "store", "layout", "auth", "stats"}
 
 // ErrVersion reports a well-formed header whose format version this build
 // does not speak.
@@ -174,6 +180,41 @@ func Open(r io.ReaderAt) (*engine.Collection, error) {
 	return parse(b)
 }
 
+// Section is one section of a snapshot: its name and payload length.
+type Section struct {
+	Name  string
+	Bytes int64
+}
+
+// Sections lists the sections of the snapshot in r, in file order, reading
+// only the container's headers: it checks the framing, not the payloads.
+func Sections(r io.ReaderAt) ([]Section, error) {
+	hdr := make([]byte, 16)
+	if _, err := r.ReadAt(hdr[:8], 0); err != nil {
+		return nil, fmt.Errorf("snapshot: reading header: %w", err)
+	}
+	if string(hdr[:len(magic)]) != magic {
+		return nil, errors.New("snapshot: not a snapshot (bad magic)")
+	}
+	off := int64(8)
+	out := make([]Section, 0, len(sectionOrder))
+	for i, id := range sectionOrder {
+		if _, err := r.ReadAt(hdr, off); err != nil {
+			return nil, fmt.Errorf("snapshot: reading section header: %w", err)
+		}
+		if got := binary.BigEndian.Uint16(hdr); got != id {
+			return nil, fmt.Errorf("snapshot: section %d out of order (want %d)", got, id)
+		}
+		length := binary.BigEndian.Uint64(hdr[8:])
+		if length > math.MaxInt64-uint64(off)-16 {
+			return nil, fmt.Errorf("snapshot: section %d: length %d out of range", id, length)
+		}
+		out = append(out, Section{Name: sectionNames[i], Bytes: int64(length)})
+		off += 16 + int64(length)
+	}
+	return out, nil
+}
+
 // readAll reads r into one buffer: exactly its size when r reports one
 // (Size, as *bytes.Reader and *io.SectionReader do, or Stat, as *os.File
 // does), otherwise everything up to EOF.
@@ -215,11 +256,12 @@ func parse(b []byte) (*engine.Collection, error) {
 	if string(r.Take(len(magic))) != magic {
 		return nil, errors.New("snapshot: not a snapshot (bad magic)")
 	}
-	if v := r.U16(); v != Version {
-		return nil, fmt.Errorf("%w: %d (this build speaks %d)", ErrVersion, v, Version)
+	version := r.U16()
+	if version != 1 && version != Version {
+		return nil, fmt.Errorf("%w: %d (this build speaks 1 and %d)", ErrVersion, version, Version)
 	}
 	if n := r.U16(); int(n) != len(sectionOrder) {
-		return nil, fmt.Errorf("snapshot: %d sections, format v%d has %d", n, Version, len(sectionOrder))
+		return nil, fmt.Errorf("snapshot: %d sections, format v%d has %d", n, version, len(sectionOrder))
 	}
 	payloads := make(map[uint16][]byte, len(sectionOrder))
 	for _, wantID := range sectionOrder {
@@ -247,12 +289,13 @@ func parse(b []byte) (*engine.Collection, error) {
 	if r.Len() != 0 {
 		return nil, errors.New("snapshot: trailing bytes after last section")
 	}
-	return restore(payloads)
+	return restore(payloads, version)
 }
 
-// restore decodes the section payloads into a serving collection.
-func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
-	st := &engine.State{}
+// restore decodes the section payloads of a snapshot of the given format
+// version into a serving collection.
+func restore(payloads map[uint16][]byte, version uint16) (*engine.Collection, error) {
+	st := &engine.State{Padded: version == 1}
 
 	// Manifest first: it is the (signed) source of truth every later
 	// section is cross-checked against.
@@ -306,6 +349,9 @@ func restore(payloads map[uint16][]byte) (*engine.Collection, error) {
 	st.Layout.Doc = extents(&lr)
 	if err := done(&lr, "layout section"); err != nil {
 		return nil, err
+	}
+	if !st.Padded {
+		st.Layout.PackOffsets()
 	}
 
 	n, m, hashSize := int(manifest.N), int(manifest.M), int(manifest.HashSize)

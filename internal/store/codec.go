@@ -8,13 +8,15 @@ import (
 	"time"
 )
 
-// Snapshot round-trip: a device is fully described by its parameters and
-// raw block contents. Writes are owner-side only, so a restored device is
-// immediately serviceable for the read-only query path.
+// Snapshot round-trip: a device is fully described by its parameters, its
+// logical block count and its packed contents; the extents that index the
+// contents travel with the layout that holds them. Writes are owner-side
+// only, so a restored device is immediately serviceable for the read-only
+// query path.
 
-// Data returns the raw device contents (block-granular, length
-// Blocks()·BlockSize()). The slice aliases device memory; callers must
-// treat it as read-only.
+// Data returns the packed device contents: every extent's payload, back to
+// back. The slice aliases device memory; callers must treat it as
+// read-only.
 func (d *Device) Data() []byte { return d.data }
 
 // AppendParams appends the canonical binary encoding of the parameters.
@@ -49,20 +51,21 @@ func DecodeParams(b []byte) (Params, error) {
 	return p, nil
 }
 
-// RestoreDevice reconstructs a device from its parameters and raw contents.
-// The device aliases data — a snapshot's heap buffer — and takes no copy:
-// data must stay unmodified for as long as the device is readable. The data
-// length must be block-granular; NewDevice's parameter validation applies.
-func RestoreDevice(p Params, data []byte) (*Device, error) {
+// RestoreDevice reconstructs a device of the given logical block count from
+// its parameters and packed contents. The device aliases data — a
+// snapshot's heap buffer — and takes no copy: data must stay unmodified for
+// as long as the device is readable. The contents must fit in the blocks;
+// NewDevice's parameter validation applies.
+func RestoreDevice(p Params, data []byte, blocks int64) (*Device, error) {
 	d, err := NewDevice(p)
 	if err != nil {
 		return nil, err
 	}
-	if len(data)%p.BlockSize != 0 {
-		return nil, fmt.Errorf("store: restore: %d bytes not a multiple of block size %d",
-			len(data), p.BlockSize)
+	if blocks < 0 || int64(len(data)) > blocks*int64(p.BlockSize) {
+		return nil, fmt.Errorf("store: restore: %d bytes do not fit in %d blocks of %d",
+			len(data), blocks, p.BlockSize)
 	}
 	d.data = data
-	d.nblocks = int64(len(data) / p.BlockSize)
+	d.nblocks = blocks
 	return d, nil
 }

@@ -11,6 +11,11 @@
 // time. A read is sequential when it targets the block immediately after the
 // previously read one, random otherwise.
 //
+// Blocks are logical: the cost model charges whole blocks, but the device
+// stores only the bytes written — each extent's payload follows the previous
+// one's with no padding to a block boundary, so a replica holds the data and
+// not the 2008 disk's slack. An extent's last block is cut at its length.
+//
 // The device itself is split into two halves so that a built collection can
 // serve queries concurrently: Device holds the shared, immutable block
 // contents and geometry, while every query opens its own Session carrying
@@ -30,13 +35,16 @@ import (
 // Addr is a block number on the device.
 type Addr int64
 
-// Extent is a contiguous run of blocks.
+// Extent is a contiguous run of logical blocks and where its payload sits
+// in the device's packed contents.
 type Extent struct {
 	Start  Addr
 	Blocks int32
 	// Length is the payload length in bytes (≤ Blocks·BlockSize); reads
 	// return exactly Length bytes.
 	Length int64
+	// Off is the byte offset of the payload in the packed contents.
+	Off int64
 }
 
 // Params configures the block size and the access-cost model.
@@ -92,12 +100,12 @@ func (s Stats) Sub(other Stats) Stats {
 	}
 }
 
-// Device is the shared, immutable half of the simulated disk: block
-// contents and geometry. All mutation happens on the owner side — at build
-// time through AllocWrite, or through the test-only Corrupt — before the
-// device is published for serving; after that it is read-only and any
-// number of Sessions may read it concurrently. All reads go through a
-// Session, which carries the per-query head position and statistics.
+// Device is the shared, immutable half of the simulated disk: the packed
+// contents and the block geometry. All mutation happens on the owner side —
+// at build time through AllocWrite, or through the test-only Corrupt —
+// before the device is published for serving; after that it is read-only
+// and any number of Sessions may read it concurrently. All reads go through
+// a Session, which carries the per-query head position and statistics.
 type Device struct {
 	p       Params
 	data    []byte
@@ -139,25 +147,44 @@ func (d *Device) BlockSize() int { return d.p.BlockSize }
 // Blocks returns the number of allocated blocks.
 func (d *Device) Blocks() int64 { return d.nblocks }
 
-// SizeBytes returns the total allocated size in bytes (block-granular).
+// SizeBytes returns the total allocated size in bytes (block-granular): the
+// disk the cost model charges, not the packed bytes the device holds.
 func (d *Device) SizeBytes() int64 { return d.nblocks * int64(d.p.BlockSize) }
 
-// AllocWrite appends data to the device, padding to a block boundary, and
-// returns the extent it occupies. Writes are free: the cost model only
-// charges reads, because index construction is an offline, owner-side step
-// whose cost the paper reports separately from query processing. AllocWrite
-// is a build-time operation and must not run concurrently with sessions.
+// BlocksFor returns the logical blocks a payload of length bytes occupies:
+// at least one, so that every extent has an address.
+func BlocksFor(length int64, blockSize int) int32 {
+	return int32(max(1, (length+int64(blockSize)-1)/int64(blockSize)))
+}
+
+// AllocWrite appends data to the device and returns the extent it occupies:
+// the next BlocksFor(len(data)) logical blocks, and the bytes right after
+// the previous extent's. Writes are free: the cost model only charges reads,
+// because index construction is an offline, owner-side step whose cost the
+// paper reports separately from query processing. AllocWrite is a
+// build-time operation and must not run concurrently with sessions.
 func (d *Device) AllocWrite(data []byte) Extent {
-	nb := (len(data) + d.p.BlockSize - 1) / d.p.BlockSize
-	if nb == 0 {
-		nb = 1
+	ext := Extent{
+		Start:  Addr(d.nblocks),
+		Blocks: BlocksFor(int64(len(data)), d.p.BlockSize),
+		Length: int64(len(data)),
+		Off:    int64(len(d.data)),
 	}
-	start := d.nblocks
-	padded := nb * d.p.BlockSize
 	d.data = append(d.data, data...)
-	d.data = append(d.data, make([]byte, padded-len(data))...)
-	d.nblocks += int64(nb)
-	return Extent{Start: Addr(start), Blocks: int32(nb), Length: int64(len(data))}
+	d.nblocks += int64(ext.Blocks)
+	return ext
+}
+
+// check refuses an extent that does not lie on the device, in blocks or in
+// bytes.
+func (d *Device) check(ext Extent) error {
+	// Subtract instead of adding: Start+Blocks overflows int64 for a
+	// hostile Start near MaxInt64 and would wrap past the bound.
+	if ext.Start < 0 || ext.Blocks < 0 || int64(ext.Start) > d.nblocks-int64(ext.Blocks) ||
+		ext.Length < 0 || ext.Off < 0 || ext.Off > int64(len(d.data))-ext.Length {
+		return fmt.Errorf("store: extent %+v out of range", ext)
+	}
+	return nil
 }
 
 // Session is one query's private view of the device: the disk-head position
@@ -180,32 +207,34 @@ func (d *Device) NewSession() *Session {
 // BlockSize returns the device's block size in bytes.
 func (s *Session) BlockSize() int { return s.d.p.BlockSize }
 
-// ReadBlock reads one block, charging the cost model, and returns its bytes.
-// The returned slice aliases device memory and must not be modified.
-func (s *Session) ReadBlock(a Addr) ([]byte, error) {
-	d := s.d
-	if a < 0 || int64(a) >= d.nblocks {
-		return nil, fmt.Errorf("store: block %d out of range [0,%d)", a, d.nblocks)
+// ReadBlock reads block j of an extent, charging the cost model one block,
+// and returns its bytes: a whole block, or less for the extent's last one,
+// which ends where the payload does. The returned slice aliases device
+// memory and must not be modified.
+func (s *Session) ReadBlock(ext Extent, j int) ([]byte, error) {
+	if err := s.d.check(ext); err != nil {
+		return nil, err
 	}
-	s.charge(a)
-	off := int64(a) * int64(d.p.BlockSize)
-	return d.data[off : off+int64(d.p.BlockSize)], nil
+	if j < 0 || j >= int(ext.Blocks) {
+		return nil, fmt.Errorf("store: block %d of a %d-block extent", j, ext.Blocks)
+	}
+	s.charge(ext.Start + Addr(j))
+	bs := int64(s.d.p.BlockSize)
+	lo := min(int64(j)*bs, ext.Length)
+	hi := min(lo+bs, ext.Length)
+	return s.d.data[ext.Off+lo : ext.Off+hi : ext.Off+hi], nil
 }
 
 // ReadExtent reads a whole extent (first block potentially random, the rest
 // sequential) and returns exactly ext.Length payload bytes.
 func (s *Session) ReadExtent(ext Extent) ([]byte, error) {
-	d := s.d
-	// Subtract instead of adding: Start+Blocks overflows int64 for a
-	// hostile Start near MaxInt64 and would wrap past the bound.
-	if ext.Start < 0 || ext.Blocks < 0 || int64(ext.Start) > d.nblocks-int64(ext.Blocks) {
-		return nil, fmt.Errorf("store: extent %+v out of range", ext)
+	if err := s.d.check(ext); err != nil {
+		return nil, err
 	}
 	for i := int32(0); i < ext.Blocks; i++ {
 		s.charge(ext.Start + Addr(i))
 	}
-	off := int64(ext.Start) * int64(d.p.BlockSize)
-	return d.data[off : off+ext.Length], nil
+	return s.d.data[ext.Off : ext.Off+ext.Length : ext.Off+ext.Length], nil
 }
 
 func (s *Session) charge(a Addr) {
@@ -225,19 +254,19 @@ func (s *Session) charge(a Addr) {
 // Stats returns a snapshot of the statistics this session accumulated.
 func (s *Session) Stats() Stats { return s.stats }
 
-// Corrupt flips one byte at the given block-relative offset. It exists for
-// the failure-injection test suite and the tamper-detection examples; a real
-// deployment obviously has no such API. Like AllocWrite, it mutates the
-// shared block contents and must not run concurrently with sessions. A
-// restored device aliases its source buffer, so the flip shows through
-// every other device over the same bytes.
-func (d *Device) Corrupt(a Addr, offset int, xor byte) error {
-	if a < 0 || int64(a) >= d.nblocks {
-		return fmt.Errorf("store: corrupt block %d out of range", a)
+// Corrupt flips one byte of an extent's payload, at the given offset into
+// it. It exists for the failure-injection test suite and the
+// tamper-detection examples; a real deployment obviously has no such API.
+// Like AllocWrite, it mutates the shared contents and must not run
+// concurrently with sessions. A restored device aliases its source buffer,
+// so the flip shows through every other device over the same bytes.
+func (d *Device) Corrupt(ext Extent, offset int, xor byte) error {
+	if err := d.check(ext); err != nil {
+		return err
 	}
-	if offset < 0 || offset >= d.p.BlockSize {
+	if offset < 0 || int64(offset) >= ext.Length {
 		return fmt.Errorf("store: corrupt offset %d out of range", offset)
 	}
-	d.data[int64(a)*int64(d.p.BlockSize)+int64(offset)] ^= xor
+	d.data[ext.Off+int64(offset)] ^= xor
 	return nil
 }

@@ -48,6 +48,42 @@ func TestAllocWriteRoundTrip(t *testing.T) {
 	}
 }
 
+// The device holds what was written and nothing more: extents follow each
+// other byte for byte while their logical blocks stay whole, and a block
+// read returns the extent's bytes of that block, the last one cut short.
+func TestAllocWritePacks(t *testing.T) {
+	d := newTestDevice(t)
+	a := d.AllocWrite(bytes.Repeat([]byte{1}, 1500)) // blocks 0-1
+	b := d.AllocWrite(bytes.Repeat([]byte{2}, 10))   // block 2
+	if a.Start != 0 || a.Blocks != 2 || a.Off != 0 || b.Start != 2 || b.Blocks != 1 || b.Off != 1500 {
+		t.Fatalf("extents a=%+v b=%+v", a, b)
+	}
+	if got := len(d.Data()); got != 1510 {
+		t.Fatalf("device holds %d bytes, want 1510", got)
+	}
+	if d.Blocks() != 3 || d.SizeBytes() != 3*1024 {
+		t.Fatalf("logical size %d blocks, %d bytes", d.Blocks(), d.SizeBytes())
+	}
+	s := d.NewSession()
+	for _, c := range []struct {
+		ext  Extent
+		j    int
+		want []byte
+	}{
+		{a, 0, bytes.Repeat([]byte{1}, 1024)},
+		{a, 1, bytes.Repeat([]byte{1}, 476)},
+		{b, 0, bytes.Repeat([]byte{2}, 10)},
+	} {
+		got, err := s.ReadBlock(c.ext, c.j)
+		if err != nil || !bytes.Equal(got, c.want) {
+			t.Fatalf("block %d of %+v: %d bytes, %v", c.j, c.ext, len(got), err)
+		}
+	}
+	if st := s.Stats(); st.BlockReads != 3 || st.BytesRead != 3*1024 || st.SeqReads != 2 {
+		t.Fatalf("a packed read is charged other than its logical blocks: %+v", st)
+	}
+}
+
 func TestAllocWriteEmptyStillTakesBlock(t *testing.T) {
 	d := newTestDevice(t)
 	ext := d.AllocWrite(nil)
@@ -64,7 +100,7 @@ func TestSequentialVsRandomAccounting(t *testing.T) {
 
 	// First read: random. Next three: sequential.
 	for i := int32(0); i < a.Blocks; i++ {
-		if _, err := s.ReadBlock(a.Start + Addr(i)); err != nil {
+		if _, err := s.ReadBlock(a, int(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -74,7 +110,7 @@ func TestSequentialVsRandomAccounting(t *testing.T) {
 	}
 
 	// b starts right after a's last block, so its first read is sequential.
-	if _, err := s.ReadBlock(b.Start); err != nil {
+	if _, err := s.ReadBlock(b, 0); err != nil {
 		t.Fatal(err)
 	}
 	st = s.Stats()
@@ -83,7 +119,7 @@ func TestSequentialVsRandomAccounting(t *testing.T) {
 	}
 
 	// Jumping back is random.
-	if _, err := s.ReadBlock(a.Start); err != nil {
+	if _, err := s.ReadBlock(a, 0); err != nil {
 		t.Fatal(err)
 	}
 	st = s.Stats()
@@ -120,7 +156,7 @@ func TestNewSessionStartsWithColdHead(t *testing.T) {
 	// be sequential on a shared head; a fresh session must charge it as
 	// random.
 	s := d.NewSession()
-	if _, err := s.ReadBlock(ext.Start); err != nil {
+	if _, err := s.ReadBlock(ext, 0); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.RandomReads != 1 || st.SeqReads != 0 {
@@ -136,12 +172,12 @@ func TestSessionsIndependent(t *testing.T) {
 	ext := d.AllocWrite(bytes.Repeat([]byte{7}, 4096)) // blocks 0-3
 	s1, s2 := d.NewSession(), d.NewSession()
 	for i := int32(0); i < ext.Blocks; i++ {
-		if _, err := s1.ReadBlock(ext.Start + Addr(i)); err != nil {
+		if _, err := s1.ReadBlock(ext, int(i)); err != nil {
 			t.Fatal(err)
 		}
 		// s2 jumps around between s1's reads; a shared head would turn
 		// s1's sequential reads into random ones.
-		if _, err := s2.ReadBlock(ext.Start + Addr((i*2)%4)); err != nil {
+		if _, err := s2.ReadBlock(ext, int((i*2)%4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -174,16 +210,29 @@ func TestSessionsIndependent(t *testing.T) {
 
 func TestReadOutOfRange(t *testing.T) {
 	d := newTestDevice(t)
-	if _, err := d.NewSession().ReadBlock(0); err == nil {
+	if _, err := d.NewSession().ReadBlock(Extent{Blocks: 1, Length: 1}, 0); err == nil {
 		t.Fatal("read from empty device succeeded")
 	}
-	d.AllocWrite([]byte("x"))
+	ext := d.AllocWrite([]byte("x"))
 	s := d.NewSession()
-	if _, err := s.ReadBlock(5); err == nil {
+	if _, err := s.ReadBlock(ext, 5); err == nil {
 		t.Fatal("out-of-range block read succeeded")
 	}
-	if _, err := s.ReadExtent(Extent{Start: 0, Blocks: 9, Length: 1}); err == nil {
-		t.Fatal("out-of-range extent read succeeded")
+	for _, bad := range []Extent{
+		{Start: 0, Blocks: 9, Length: 1},
+		{Start: 0, Blocks: 1, Length: 2},
+		{Start: 0, Blocks: 1, Length: 1, Off: 1},
+		{Start: 0, Blocks: 1, Length: -1},
+	} {
+		if _, err := s.ReadExtent(bad); err == nil {
+			t.Fatalf("out-of-range extent %+v read succeeded", bad)
+		}
+		if _, err := s.ReadBlock(bad, 0); err == nil {
+			t.Fatalf("block of out-of-range extent %+v read succeeded", bad)
+		}
+	}
+	if st := s.Stats(); st.BlockReads != 0 {
+		t.Fatalf("refused reads were charged: %+v", st)
 	}
 }
 
@@ -205,7 +254,7 @@ func TestStatsSubAndAdd(t *testing.T) {
 func TestCorrupt(t *testing.T) {
 	d := newTestDevice(t)
 	ext := d.AllocWrite([]byte{0x01, 0x02, 0x03})
-	if err := d.Corrupt(ext.Start, 1, 0xFF); err != nil {
+	if err := d.Corrupt(ext, 1, 0xFF); err != nil {
 		t.Fatal(err)
 	}
 	got, err := d.NewSession().ReadExtent(ext)
@@ -215,10 +264,10 @@ func TestCorrupt(t *testing.T) {
 	if got[1] != 0x02^0xFF {
 		t.Fatalf("byte not flipped: %x", got[1])
 	}
-	if err := d.Corrupt(99, 0, 1); err == nil {
+	if err := d.Corrupt(Extent{Start: 99, Blocks: 1, Length: 1}, 0, 1); err == nil {
 		t.Fatal("corrupt out-of-range block accepted")
 	}
-	if err := d.Corrupt(ext.Start, 4096, 1); err == nil {
+	if err := d.Corrupt(ext, 3, 1); err == nil {
 		t.Fatal("corrupt out-of-range offset accepted")
 	}
 }
